@@ -21,8 +21,10 @@
 # TCP with a SIGKILL + WAL-restart in the middle (zero safety
 # violations, clean shutdown, no orphans), a docs gate failing on
 # broken relative links in README.md and docs/*.md, a hotpath bench
-# smoke refreshing BENCH_hotpath.json, and a gate checking that
-# --profile leaves the JSON report byte-identical.
+# smoke refreshing BENCH_hotpath.json, a gate checking that --profile
+# leaves the JSON report byte-identical, and a benchmark gate that
+# unit-tests the perfbench package against the workspace's crates and
+# requires a correct 2-second sim_n100_f33 run.
 
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -204,5 +206,14 @@ step "determinism: --profile leaves the JSON report byte-identical"
 ./target/release/hh-cli run scenarios/fig2_faults.toml \
     --quick --seed 7 --json --profile > target/ci-profile.json 2> /dev/null
 cmp target/ci-jobs1.json target/ci-profile.json
+
+step "benchmark: perfbench builds and tests against the workspace, sim_n100_f33 runs correct"
+# perfbench/ is a package of its own with path dependencies on crates/*:
+# an API change there that breaks the benchmark must fail here, not in
+# the next measurement.
+cargo test --offline --manifest-path perfbench/Cargo.toml -q
+bash perfbench/run.sh --workload sim_n100_f33 --seed 1 --seconds 2 > target/ci-perfbench.txt
+tail -n 1 target/ci-perfbench.txt | grep -q '"correct": true' \
+    || { echo "perfbench sim_n100_f33 did not report a correct run"; exit 1; }
 
 step "all green"

@@ -96,8 +96,8 @@ fn bench_dag(c: &mut Criterion) {
 }
 
 /// The commit rule's `path(v, u)` shapes on a 40-round DAG: the depth-2
-/// anchor-to-anchor probe (bitset fast path) and a depth-39 descent
-/// (still within the default window).
+/// anchor-to-anchor query and a depth-39 descent, both one frontier-mask
+/// descent whose cost grows with the depth.
 fn bench_reachable(c: &mut Criterion) {
     let mut group = c.benchmark_group("reachable");
     for n in [50usize, 100] {

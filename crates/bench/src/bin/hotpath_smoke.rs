@@ -9,7 +9,8 @@
 //! * `commit_walk_ns` — `Bullshark::process_vertex` fed every vertex of
 //!   a full 50-validator, 100-round DAG, reported per vertex;
 //! * `reachable_ns` — one anchor-to-anchor `Dag::reachable` query
-//!   (depth 2, the commit rule's shape) on the same DAG;
+//!   (depth 2, the commit rule's shape: a two-step frontier-mask
+//!   descent, a few hundred ns) on the same DAG;
 //! * `causal_sub_dag_ns` — one full-history `Dag::causal_sub_dag` from
 //!   a top vertex;
 //! * `sim_events_per_sec` — a quick 4-validator scenario driven to
@@ -19,11 +20,12 @@
 //!
 //! The emitted JSON carries a `baseline` object alongside `current`:
 //! the pre-indexing numbers (digest-keyed BFS walk) measured on this
-//! machine class before the slot-index rework, so every later run can
-//! report its speedup against the same anchor. `--min-speedup <x>`
-//! exits non-zero when the commit-walk speedup drops below `x` — the
-//! CI floor is set well under the observed ~10× so slower machine
-//! classes pass while a reverted/regressed index (≈1×) fails.
+//! machine class before the store indexed vertices by `(round, author)`,
+//! so every later run can report its speedup against the same anchor.
+//! `--min-speedup <x>` exits non-zero when the commit-walk speedup
+//! drops below `x` — the CI floor is set well under the observed 30–50×
+//! so slower machine classes pass while a reverted/regressed index
+//! (≈1×) fails.
 //!
 //! Usage: `hotpath_smoke [--out BENCH_hotpath.json] [--min-speedup X]`
 
@@ -36,8 +38,8 @@ use hh_types::{Committee, Round, ValidatorId};
 use std::time::Instant;
 
 /// Pre-indexing numbers (PR 2 tree: per-query BFS with digest
-/// hashing), measured with this same binary before the slot-index
-/// rework. Kept as the fixed anchor the acceptance gate compares
+/// hashing), measured with this same binary before the store was
+/// indexed. Kept as the fixed anchor the acceptance gate compares
 /// against.
 const BASELINE_COMMIT_WALK_NS: f64 = 3355.0;
 const BASELINE_REACHABLE_NS: f64 = 122230.0;

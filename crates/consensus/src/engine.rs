@@ -1,10 +1,11 @@
 //! The Bullshark commit engine (Algorithm 2's `TryCommitting`,
 //! `orderAnchors`, `orderHistory`), generic over the schedule policy.
 
+use crate::ordered::OrderedSet;
 use crate::policy::{ScheduleDecision, SchedulePolicy};
 use hh_crypto::{Digest, Sha256};
 use hh_dag::{Dag, SubDagScratch};
-use hh_types::{Committee, DigestSet, Round, ValidatorId, Vertex, VertexRef};
+use hh_types::{Committee, Round, ValidatorId, Vertex, VertexRef};
 use std::sync::Arc;
 
 /// One committed anchor and the sub-DAG it orders.
@@ -38,8 +39,8 @@ impl CommittedSubDag {
 pub struct Bullshark<P: SchedulePolicy> {
     committee: Committee,
     policy: P,
-    /// Digests of ordered (delivered) vertices (pass-through hashed).
-    ordered: DigestSet,
+    /// The ordered (delivered) vertices still within the DAG's GC horizon.
+    ordered: OrderedSet,
     /// Round of the last *ordered* anchor (the paper's `lastOrderedRound`;
     /// see DESIGN.md §4 on why it only advances when ordering happens).
     last_ordered_anchor_round: Option<Round>,
@@ -59,9 +60,9 @@ impl<P: SchedulePolicy> Bullshark<P> {
     /// Creates an engine with the given schedule policy.
     pub fn new(committee: Committee, policy: P) -> Self {
         Bullshark {
+            ordered: OrderedSet::new(committee.size()),
             committee,
             policy,
-            ordered: DigestSet::default(),
             last_ordered_anchor_round: None,
             commit_index: 0,
             chain_hash: Digest::ZERO,
@@ -98,9 +99,9 @@ impl<P: SchedulePolicy> Bullshark<P> {
         self.chain_hash
     }
 
-    /// Whether `digest` has been ordered.
-    pub fn is_ordered(&self, digest: &Digest) -> bool {
-        self.ordered.contains(digest)
+    /// Whether the DAG-resident `vertex` has been ordered.
+    pub fn is_ordered(&self, vertex: &Vertex) -> bool {
+        self.ordered.contains(vertex)
     }
 
     /// Round of the last ordered anchor, if any.
@@ -133,7 +134,7 @@ impl<P: SchedulePolicy> Bullshark<P> {
             let Some(anchor) = dag.vertex_by_author(anchor_round, leader).cloned() else {
                 return outputs; // line 7: no anchor vertex
             };
-            if self.ordered.contains(&anchor.digest()) {
+            if self.ordered.contains(&anchor) {
                 return outputs; // already committed via an earlier trigger
             }
 
@@ -150,8 +151,9 @@ impl<P: SchedulePolicy> Bullshark<P> {
 
             // Lines 15-24 (`orderAnchors`): walk back to the last ordered
             // anchor, keeping earlier anchors reachable from later ones.
-            // Each `reachable` is a bitset probe against the DAG's slot
-            // index; the stack buffer is reused across calls.
+            // Each `reachable` is one frontier-mask descent over the DAG's
+            // parent masks, two rounds deep between consecutive anchors;
+            // the stack buffer is reused across calls.
             self.anchor_stack.clear();
             self.anchor_stack.push(anchor.clone());
             let mut cur = anchor;
@@ -163,7 +165,7 @@ impl<P: SchedulePolicy> Bullshark<P> {
                 }
                 let prev_leader = self.policy.leader_at(r);
                 if let Some(prev) = dag.vertex_by_author(r, prev_leader) {
-                    if !self.ordered.contains(&prev.digest()) && dag.reachable(&cur, prev) {
+                    if !self.ordered.contains(prev) && dag.reachable(&cur, prev) {
                         self.anchor_stack.push(prev.clone());
                         cur = prev.clone();
                     }
@@ -194,12 +196,17 @@ impl<P: SchedulePolicy> Bullshark<P> {
     /// Orders the anchor's not-yet-ordered causal history deterministically
     /// (lines 34-37) and advances the commit bookkeeping.
     fn order_sub_dag(&mut self, anchor: &Arc<Vertex>, dag: &Dag) -> CommittedSubDag {
+        // Only DAG-resident vertices are ever looked up, so marks below
+        // the DAG's GC horizon are dead weight that would otherwise grow
+        // for as long as the node runs.
+        self.ordered.forget_below(dag.gc_round());
         // "in some deterministic order": the indexed walk already emits
         // ascending (round, author).
         let ordered = &self.ordered;
-        let vertices = dag.causal_sub_dag_with(anchor, |d| ordered.contains(d), &mut self.scratch);
+        let vertices =
+            dag.causal_sub_dag_with(anchor, |d| ordered.contains_digest(dag, d), &mut self.scratch);
         for v in &vertices {
-            self.ordered.insert(v.digest());
+            self.ordered.insert(v);
             self.policy.on_vertex_ordered(v, dag);
         }
         self.last_ordered_anchor_round = Some(anchor.round());
@@ -419,5 +426,63 @@ mod tests {
         assert_ne!(e1.chain_hash(), e2.chain_hash());
         // Prefix property: e2's anchors are a prefix of e1's.
         assert_eq!(&e1.committed_anchors()[..e2.committed_anchors().len()], e2.committed_anchors());
+    }
+
+    #[test]
+    fn gc_bounds_the_ordered_set_without_changing_commits() {
+        // 160 rounds against a GC depth of 10, the way `Validator` drives
+        // it: after every commit the DAG drops what lies more than
+        // `GC_DEPTH` rounds below the anchor, and the engine follows the
+        // DAG's horizon. Every twelfth round loses its leader, so some
+        // anchors are skipped and bridged.
+        const ROUNDS: u64 = 160;
+        const GC_DEPTH: u64 = 10;
+        const SLACK: u64 = 6;
+        let c = committee4();
+        let mut b = DagBuilder::new(c.clone());
+        for r in 0..ROUNDS {
+            if r % 12 == 6 {
+                b.extend_round_without(&[ValidatorId((r / 2 % 4) as u16)]);
+            } else {
+                b.extend_full_rounds(1);
+            }
+        }
+        let full = b.into_dag();
+
+        let run = |gc_depth: Option<u64>| {
+            let mut dag = Dag::new(c.clone());
+            let mut e = engine(&c);
+            let mut commits = Vec::new();
+            let mut peak = 0;
+            for r in 0..ROUNDS {
+                for v in full.round_vertices(Round(r)) {
+                    dag.try_insert_arc(v.clone()).unwrap();
+                    for sd in e.process_vertex(v, &dag) {
+                        if let Some(h) = gc_depth.and_then(|d| sd.anchor.round.0.checked_sub(d)) {
+                            dag.gc(Round(h));
+                        }
+                        commits.push(sd);
+                    }
+                    peak = peak.max(e.ordered.len());
+                }
+            }
+            (e.chain_hash(), commits, peak)
+        };
+        let (hash, commits, peak) = run(Some(GC_DEPTH));
+        let (full_hash, full_commits, full_peak) = run(None);
+
+        assert!(commits.len() > 60, "only {} commits", commits.len());
+        assert_eq!(hash, full_hash);
+        assert_eq!(commits.len(), full_commits.len());
+        for (a, b) in commits.iter().zip(&full_commits) {
+            assert_eq!((a.anchor, a.commit_index), (b.anchor, b.commit_index));
+            let digests = |sd: &CommittedSubDag| -> Vec<Digest> {
+                sd.vertices.iter().map(|v| v.digest()).collect()
+            };
+            assert_eq!(digests(a), digests(b), "sub-DAG of commit {}", a.commit_index);
+        }
+        let bound = ((GC_DEPTH + SLACK) * 4) as usize;
+        assert!(peak <= bound, "ordered set peaked at {peak} entries, bound {bound}");
+        assert!(full_peak > 8 * bound, "unpruned run only reached {full_peak} entries");
     }
 }

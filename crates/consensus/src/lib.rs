@@ -58,9 +58,11 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 mod engine;
+mod ordered;
 mod policy;
 
 pub use engine::{Bullshark, CommittedSubDag};
+pub use ordered::OrderedSet;
 pub use policy::{
     RoundRobinPolicy, ScheduleDecision, SchedulePolicy, SlotSchedule, StaticLeaderPolicy,
 };

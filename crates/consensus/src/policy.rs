@@ -7,8 +7,9 @@
 //! schedules; [`StaticLeaderPolicy`] is the PBFT-style fixed leader the
 //! paper's §7 discusses as an extreme.
 
+use crate::ordered::OrderedSet;
 use hh_dag::Dag;
-use hh_types::{Committee, DigestSet, Round, ValidatorId, Vertex};
+use hh_types::{Committee, Round, ValidatorId, Vertex};
 
 /// What the policy decided when shown an anchor about to be ordered.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,14 +40,14 @@ pub trait SchedulePolicy {
     fn epoch(&self) -> u64;
 
     /// Called with each committed anchor, oldest-first, *before* its
-    /// sub-DAG is ordered. `ordered` is the set of already-ordered vertex
-    /// digests (the anchor's unordered causal history is exactly the part
+    /// sub-DAG is ordered. `ordered` is the set of already-ordered
+    /// vertices (the anchor's unordered causal history is exactly the part
     /// of the DAG reachable from it and not in `ordered`).
     fn before_order_anchor(
         &mut self,
         anchor: &Vertex,
         dag: &Dag,
-        ordered: &DigestSet,
+        ordered: &OrderedSet,
     ) -> ScheduleDecision;
 
     /// Called for every vertex as it is ordered (in delivery order), after
@@ -168,7 +169,7 @@ impl SchedulePolicy for RoundRobinPolicy {
         &mut self,
         _anchor: &Vertex,
         _dag: &Dag,
-        _ordered: &DigestSet,
+        _ordered: &OrderedSet,
     ) -> ScheduleDecision {
         ScheduleDecision::Continue
     }
@@ -207,7 +208,7 @@ impl SchedulePolicy for StaticLeaderPolicy {
         &mut self,
         _anchor: &Vertex,
         _dag: &Dag,
-        _ordered: &DigestSet,
+        _ordered: &OrderedSet,
     ) -> ScheduleDecision {
         ScheduleDecision::Continue
     }

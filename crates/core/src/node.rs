@@ -223,7 +223,7 @@ impl SchedulePolicy for PolicyKind {
         &mut self,
         anchor: &Vertex,
         dag: &Dag,
-        ordered: &hh_types::DigestSet,
+        ordered: &hh_consensus::OrderedSet,
     ) -> ScheduleDecision {
         match self {
             PolicyKind::RoundRobin(p) => p.before_order_anchor(anchor, dag, ordered),
@@ -307,7 +307,7 @@ impl<B: LogBackend> Validator<B> {
         Validator {
             id,
             keypair,
-            dag: Self::build_dag(&committee, &config),
+            dag: Dag::new(committee.clone()),
             rbc: Rbc::new(committee.clone(), id, config.broadcast_mode),
             engine: Bullshark::new(committee.clone(), policy),
             store: backend.map(ValidatorStore::new),
@@ -327,15 +327,6 @@ impl<B: LogBackend> Validator<B> {
             committee,
             config,
         }
-    }
-
-    /// Builds the DAG with a reachability window matched to the node's GC
-    /// horizon: ancestry below `gc_depth` rounds is collected before it can
-    /// be queried, so a deeper bitset index would only cost memory. The
-    /// default window caps it for nodes configured with huge horizons.
-    fn build_dag(committee: &Committee, config: &ValidatorConfig) -> Dag {
-        let window = (config.gc_depth as usize).clamp(2, hh_dag::DEFAULT_REACH_WINDOW);
-        Dag::with_reach_window(committee.clone(), window)
     }
 
     fn build_policy(committee: &Committee, config: &ValidatorConfig) -> PolicyKind {
@@ -537,7 +528,7 @@ impl<B: LogBackend> Validator<B> {
         // its (possibly repaired) store from scratch.
         self.halted = false;
         // Volatile state dies with the crash.
-        self.dag = Self::build_dag(&self.committee, &self.config);
+        self.dag = Dag::new(self.committee.clone());
         self.rbc = Rbc::new(self.committee.clone(), self.id, self.config.broadcast_mode);
         self.engine = Bullshark::new(
             self.committee.clone(),

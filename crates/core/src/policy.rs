@@ -4,9 +4,9 @@
 use crate::config::{HammerheadConfig, ScoringRule};
 use crate::schedule::compute_next_schedule;
 use crate::scores::ReputationScores;
-use hh_consensus::{ScheduleDecision, SchedulePolicy, SlotSchedule};
+use hh_consensus::{OrderedSet, ScheduleDecision, SchedulePolicy, SlotSchedule};
 use hh_dag::{Dag, SubDagScratch};
-use hh_types::{Committee, DigestSet, Round, ValidatorId, Vertex};
+use hh_types::{Committee, Round, ValidatorId, Vertex};
 
 /// Bonus awarded to a committed anchor's author under
 /// [`ScoringRule::LeaderOutcome`].
@@ -127,7 +127,7 @@ impl HammerheadPolicy {
     /// active schedule's initial round count: earlier rounds belong to a
     /// closed epoch, which prevents double counting across switches.
     ///
-    /// The edge test reads the DAG's reachability bitset
+    /// The edge test reads the vertex's stored parent mask
     /// ([`Dag::links_to_author`]): one probe instead of a digest scan
     /// over the parent list, and no leader-vertex lookup on the miss path.
     fn accumulate_vote(&mut self, vertex: &Vertex, dag: &Dag) {
@@ -167,7 +167,7 @@ impl SchedulePolicy for HammerheadPolicy {
         &mut self,
         anchor: &Vertex,
         dag: &Dag,
-        ordered: &DigestSet,
+        ordered: &OrderedSet,
     ) -> ScheduleDecision {
         let boundary = self.initial_round() + self.config.period_rounds;
         if anchor.round() < boundary {
@@ -189,8 +189,11 @@ impl SchedulePolicy for HammerheadPolicy {
             // The indexed walk already emits canonically — ascending
             // (round, author) — so the votes accumulate in deterministic
             // order with no sorting and no vertex clones.
-            let pending =
-                dag.causal_sub_dag_with(anchor, |d| ordered.contains(d), &mut self.scratch);
+            let pending = dag.causal_sub_dag_with(
+                anchor,
+                |d| ordered.contains_digest(dag, d),
+                &mut self.scratch,
+            );
             for v in pending.iter().filter(|v| v.digest() != anchor.digest()) {
                 self.accumulate_vote(v, dag);
             }

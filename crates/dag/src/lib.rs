@@ -6,17 +6,17 @@
 //! previous round. This crate owns that structure:
 //!
 //! * [`Dag`] — insertion with full structural validation (Algorithm 1's
-//!   `struct vertex` invariants). Vertices are interned into dense `u32`
-//!   slots with index-array adjacency and per-round reachability bitsets;
-//!   the digest map survives only at the boundary;
-//! * reachability ([`Dag::reachable`], the paper's `path(v, u)`) — a
-//!   single bitset probe within the lookback window, with
-//!   [`Dag::reachable_bfs`] as the beyond-window fallback and test oracle;
+//!   `struct vertex` invariants). Vertices are addressed by
+//!   `(round, author)` — insertion enforces one per address — and each
+//!   keeps one committee bitmask of its parents' authors; the digest map
+//!   survives only at the boundary;
+//! * reachability ([`Dag::reachable`], the paper's `path(v, u)`) — one
+//!   frontier-mask descent, a round per step;
 //! * causal histories ([`Dag::causal_history`], [`Dag::causal_sub_dag`],
 //!   allocation-free via [`Dag::causal_sub_dag_with`] + [`SubDagScratch`])
 //!   — the sub-DAG a committed anchor orders, emitted in ascending
 //!   `(round, author)` order;
-//! * garbage collection of ordered prefixes (slots retire and recycle);
+//! * garbage collection of ordered prefixes (whole rounds drop);
 //! * equivocation detection (two vertices by one author in one round);
 //! * [`testkit`] — deterministic DAG construction helpers shared by the
 //!   consensus and scheduling test suites.
@@ -43,4 +43,4 @@ mod store;
 pub mod testkit;
 
 pub use evidence::{EquivocationEvidence, EvidenceLedger};
-pub use store::{Dag, DagError, InsertOutcome, SubDagScratch, DEFAULT_REACH_WINDOW};
+pub use store::{Dag, DagError, InsertOutcome, SubDagScratch};

@@ -1,30 +1,21 @@
-//! The DAG store: validated insertion, slot-interned indices, bitset
-//! reachability, histories, GC.
+//! The DAG store: validated insertion, `(round, author)` addressing,
+//! parent-mask reachability, histories, GC.
 //!
-//! Internally every vertex is *interned*: [`Dag::try_insert`] assigns it a
-//! dense `u32` slot id, adjacency is stored as slot-id arrays, and each
-//! slot carries a per-round committee bitmask of the authors reachable
-//! from it within a bounded lookback window. The digest-keyed map survives
-//! only at the boundary (wire messages identify vertices by digest); every
-//! internal traversal walks integers. See `docs/architecture.md` ("DAG
-//! indexing & complexity") for the complexity table.
+//! Insertion enforces one vertex per `(round, author)`, so that pair is
+//! the only internal address. Each round keeps, per committee author, the
+//! shared `Arc<Vertex>`, its vote stake and one committee bitmask of its
+//! parents' authors; every traversal ORs those masks level by level and
+//! resolves authors through the round index. The digest-keyed map survives
+//! only at the boundary (wire messages identify vertices by digest). See
+//! `docs/architecture.md` ("DAG indexing & complexity") for the complexity
+//! table.
 
 use hh_crypto::Digest;
 use hh_types::{Committee, DigestMap, Round, Stake, TypeError, ValidatorId, Vertex};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
-
-/// Default reachability lookback window, in rounds.
-///
-/// The commit rule's queries descend 2 rounds in the common case and at
-/// most a few epochs during catch-up; anything deeper falls back to the
-/// BFS oracle. 64 rounds keeps the per-vertex index at `64 × ⌈n/64⌉`
-/// words while covering every walk the paper's scenarios produce.
-pub const DEFAULT_REACH_WINDOW: usize = 64;
-
-/// Dense per-vertex index assigned at insertion.
-type SlotId = u32;
 
 /// Errors rejecting a vertex at insertion.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -115,94 +106,122 @@ pub enum InsertOutcome {
     AlreadyPresent,
 }
 
-/// One interned vertex: the payload plus the integer indices every
-/// traversal runs on.
-#[derive(Clone, Debug)]
-struct VertexSlot {
-    vertex: Arc<Vertex>,
-    /// Slot ids of the parents (all in `round - 1`). Cleared when the
-    /// parents' round is garbage-collected, so stored ids are always live.
-    parents: Vec<SlotId>,
-    /// Stake of the next-round vertices linking here (its *votes*),
-    /// maintained at insert time. Powers the O(1) direct-commit check.
-    vote_stake: Stake,
-    /// Reachable-author bitsets: row `d` (0-based) covers round
-    /// `round - 1 - d` and holds one bit per committee author whose
-    /// vertex of that round is an ancestor. `window × words` u64s, final
-    /// at insert time (parents always precede children).
-    reach: Box<[u64]>,
+fn test_bit(mask: &[u64], i: usize) -> bool {
+    mask[i / 64] & (1 << (i % 64)) != 0
 }
 
-/// Per-round slot index: author position → slot id, plus the cached
-/// aggregates the per-message hot path reads.
+fn set_bit(mask: &mut [u64], i: usize) {
+    mask[i / 64] |= 1 << (i % 64);
+}
+
+/// The positions of the set bits, ascending.
+fn ones(mask: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    mask.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                w * 64 + bit
+            })
+        })
+    })
+}
+
+/// Committee-mask words that fit the stack buffer (n ≤ 256).
+const STACK_WORDS: usize = 4;
+
+/// A zeroed committee mask for one call: on the stack for the committee
+/// sizes we actually simulate, heap spill only beyond.
+struct MaskBuf {
+    stack: [u64; STACK_WORDS],
+    spill: Vec<u64>,
+    words: usize,
+}
+
+impl MaskBuf {
+    fn new(words: usize) -> Self {
+        let spill = if words > STACK_WORDS { vec![0; words] } else { Vec::new() };
+        MaskBuf { stack: [0; STACK_WORDS], spill, words }
+    }
+}
+
+impl Deref for MaskBuf {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        if self.words > STACK_WORDS {
+            &self.spill
+        } else {
+            &self.stack[..self.words]
+        }
+    }
+}
+
+impl DerefMut for MaskBuf {
+    fn deref_mut(&mut self) -> &mut [u64] {
+        if self.words > STACK_WORDS {
+            &mut self.spill
+        } else {
+            &mut self.stack[..self.words]
+        }
+    }
+}
+
+/// One round of the DAG, indexed by author position. Everything a vertex
+/// costs beyond its shared payload lives in these three arrays — no
+/// per-vertex allocation.
 #[derive(Clone, Debug)]
 struct RoundIndex {
-    by_author: Vec<Option<SlotId>>,
+    vertices: Vec<Option<Arc<Vertex>>>,
+    /// Stake of the next-round vertices linking to each author's vertex
+    /// (its *votes*), maintained at insert time. Powers the O(1)
+    /// direct-commit check.
+    vote_stake: Vec<Stake>,
+    /// One row of `⌈n/64⌉` words per author: the committee mask of its
+    /// vertex's parents' authors (all in the previous round). Final at
+    /// insert time and kept when that round is garbage-collected.
+    parents: Vec<u64>,
+    words: usize,
     len: usize,
     stake: Stake,
 }
 
 impl RoundIndex {
     fn new(n: usize) -> Self {
-        RoundIndex { by_author: vec![None; n], len: 0, stake: Stake(0) }
+        let words = n.div_ceil(64);
+        RoundIndex {
+            vertices: vec![None; n],
+            vote_stake: vec![Stake(0); n],
+            parents: vec![0; n * words],
+            words,
+            len: 0,
+            stake: Stake(0),
+        }
+    }
+
+    fn parent_mask(&self, author: usize) -> &[u64] {
+        &self.parents[author * self.words..][..self.words]
     }
 }
 
-/// Reusable traversal state for the indexed sub-DAG walk.
+/// Reusable traversal state for the sub-DAG walk.
 ///
-/// [`Dag::causal_sub_dag_with`] marks visited slots in two bitsets sized
-/// to the slot table — `seen` (resolved either way, so the ordered-set
-/// predicate runs exactly once per distinct parent) and `kept` (part of
-/// the emitted sub-DAG). Owning one of these per consumer (the consensus
-/// engine, the schedule policy) makes the commit walk allocation-free
-/// apart from the returned vertex list itself.
+/// [`Dag::causal_sub_dag_with`] keeps one committee mask per level of the
+/// walk (the authors of that round that belong to the emitted sub-DAG).
+/// Owning one of these per consumer (the consensus engine, the schedule
+/// policy) makes the commit walk allocation-free apart from the returned
+/// vertex list itself.
 #[derive(Clone, Debug, Default)]
 pub struct SubDagScratch {
-    /// One bit per slot id: resolved during this walk.
-    seen: Vec<u64>,
-    /// One bit per slot id: resolved as *unordered* (to emit).
-    kept: Vec<u64>,
-    /// Slot ids with `seen` set, for O(visited) clearing.
-    touched: Vec<SlotId>,
+    /// `⌈n/64⌉` words per level, the anchor's round first.
+    levels: Vec<u64>,
 }
 
 impl SubDagScratch {
-    /// An empty scratch; buffers grow to the DAG's slot count on first use.
+    /// An empty scratch; the buffer grows to the walk's depth on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn grow(&mut self, slots: usize) {
-        let words = slots.div_ceil(64);
-        if self.seen.len() < words {
-            self.seen.resize(words, 0);
-            self.kept.resize(words, 0);
-        }
-    }
-
-    fn is_seen(&self, id: SlotId) -> bool {
-        self.seen[id as usize / 64] & (1 << (id as usize % 64)) != 0
-    }
-
-    fn note(&mut self, id: SlotId, keep: bool) {
-        let (word, bit) = (id as usize / 64, 1u64 << (id as usize % 64));
-        self.seen[word] |= bit;
-        if keep {
-            self.kept[word] |= bit;
-        }
-        self.touched.push(id);
-    }
-
-    fn is_kept(&self, id: SlotId) -> bool {
-        self.kept[id as usize / 64] & (1 << (id as usize % 64)) != 0
-    }
-
-    fn clear(&mut self) {
-        for id in self.touched.drain(..) {
-            let (word, bit) = (id as usize / 64, 1u64 << (id as usize % 64));
-            self.seen[word] &= !bit;
-            self.kept[word] &= !bit;
-        }
     }
 }
 
@@ -213,51 +232,28 @@ impl SubDagScratch {
 /// equivocation and counted (with best-effort broadcast a Byzantine author
 /// can attempt this; with certified broadcast it cannot happen).
 ///
-/// Internally vertices are interned into dense slots with index-array
-/// adjacency and per-round reachability bitsets (see the module docs);
-/// digests only matter at the insertion/lookup boundary.
+/// Internally vertices are addressed by `(round, author)` and edges are
+/// per-vertex committee masks (see the module docs); digests only matter
+/// at the insertion/lookup boundary.
 #[derive(Clone, Debug)]
 pub struct Dag {
     committee: Committee,
-    /// Slot table; `None` marks a slot retired by GC (id recycled via
-    /// `free`).
-    slots: Vec<Option<VertexSlot>>,
-    /// Retired slot ids available for reuse.
-    free: Vec<SlotId>,
-    /// Boundary index: digest → slot id (pass-through hashed).
-    by_digest: DigestMap<Digest, SlotId>,
+    /// Boundary index: digest → stored vertex (pass-through hashed).
+    by_digest: DigestMap<Digest, Arc<Vertex>>,
     rounds: BTreeMap<Round, RoundIndex>,
     gc_round: Round,
     equivocations: u64,
-    /// Bitset words per reach row: `⌈n/64⌉`.
-    words: usize,
-    /// Reach rows per vertex (lookback rounds).
-    window: usize,
 }
 
 impl Dag {
-    /// An empty DAG for `committee`, with the default reachability window.
+    /// An empty DAG for `committee`.
     pub fn new(committee: Committee) -> Self {
-        Self::with_reach_window(committee, DEFAULT_REACH_WINDOW)
-    }
-
-    /// An empty DAG whose per-vertex reachability index covers `window`
-    /// rounds of lookback (clamped to at least 1). Queries descending
-    /// deeper than the window stay correct through the BFS fallback;
-    /// callers that garbage-collect aggressively can shrink the window to
-    /// their `gc_depth` since nothing below the horizon is ever queried.
-    pub fn with_reach_window(committee: Committee, window: usize) -> Self {
-        let words = committee.size().div_ceil(64);
         Dag {
             committee,
-            slots: Vec::new(),
-            free: Vec::new(),
             by_digest: DigestMap::default(),
             rounds: BTreeMap::new(),
             gc_round: Round(0),
             equivocations: 0,
-            words,
-            window: window.max(1),
         }
     }
 
@@ -266,17 +262,19 @@ impl Dag {
         &self.committee
     }
 
-    /// Rounds of lookback the reachability bitsets cover.
-    pub fn reach_window(&self) -> usize {
-        self.window
+    /// Words per committee mask: `⌈n/64⌉`.
+    fn words(&self) -> usize {
+        self.committee.size().div_ceil(64)
     }
 
-    fn slot(&self, id: SlotId) -> &VertexSlot {
-        self.slots[id as usize].as_ref().expect("live slot id")
-    }
-
-    fn slot_of(&self, digest: &Digest) -> Option<SlotId> {
-        self.by_digest.get(digest).copied()
+    /// The round index and author position of `v`, if `v` is the vertex
+    /// stored at its `(round, author)` address (not foreign, equivocating
+    /// or garbage-collected).
+    fn locate(&self, v: &Vertex) -> Option<(&RoundIndex, usize)> {
+        let ri = self.rounds.get(&v.round())?;
+        let idx = v.author().index();
+        let stored = ri.vertices.get(idx)?.as_ref()?;
+        (stored.digest() == v.digest()).then_some((ri, idx))
     }
 
     /// Validates and stores a vertex.
@@ -298,7 +296,7 @@ impl Dag {
     }
 
     /// [`Dag::try_insert`] for a vertex already behind an `Arc` — the
-    /// broadcast layer's zero-copy intake. On success the DAG interns
+    /// broadcast layer's zero-copy intake. On success the DAG stores
     /// the *same* allocation (a refcount bump, no deep copy of the
     /// block or parent list).
     ///
@@ -308,7 +306,6 @@ impl Dag {
     pub fn try_insert_arc(&mut self, vertex: Arc<Vertex>) -> Result<InsertOutcome, DagError> {
         let round = vertex.round();
         let author = vertex.author();
-        let n = self.committee.size();
 
         if !self.committee.contains(author) {
             return Err(DagError::UnknownAuthor(author));
@@ -316,20 +313,18 @@ impl Dag {
         if round < self.gc_round {
             return Err(DagError::BelowGc { round, gc_round: self.gc_round });
         }
-        if let Some(existing) = self
-            .rounds
-            .get(&round)
-            .and_then(|r| r.by_author[author.index()])
-            .map(|id| self.slot(id))
-        {
-            if existing.vertex.digest() == vertex.digest() {
+        if let Some(existing) = self.vertex_by_author(round, author) {
+            if existing.digest() == vertex.digest() {
                 return Ok(InsertOutcome::AlreadyPresent);
             }
             self.equivocations += 1;
             return Err(DagError::Equivocation { author, round });
         }
 
-        let mut parent_slots: Vec<SlotId> = Vec::new();
+        // The parents' author mask: the duplicate-author check fills it,
+        // the round index keeps it. Nothing on the all-parents-present
+        // path allocates.
+        let mut parents = MaskBuf::new(self.words());
         if round == Round(0) {
             if !vertex.parents().is_empty() {
                 return Err(DagError::MalformedParents("genesis vertex with parents"));
@@ -339,57 +334,35 @@ impl Dag {
                 return Err(DagError::MalformedParents("non-genesis vertex without parents"));
             }
             // One pass, one map lookup per parent; missing parents are only
-            // *counted* here so the common all-present case allocates
-            // nothing beyond the adjacency array the slot keeps anyway. A
-            // duplicate digest implies a duplicate author (digests resolve
-            // to unique vertices), so the author bitset covers both
-            // duplicate checks for resolvable parents; unresolvable
-            // duplicates surface via the missing path and are re-validated
-            // after sync.
-            parent_slots.reserve_exact(vertex.parents().len());
+            // *counted* here. A duplicate digest implies a duplicate author
+            // (digests resolve to unique vertices), so the author mask
+            // covers both duplicate checks for resolvable parents;
+            // unresolvable duplicates surface via the missing path and are
+            // re-validated after sync.
             let mut missing = 0usize;
-            // Stack bitset for the committee sizes we actually simulate;
-            // heap spill only for n > 256.
-            let mut seen_small = [0u64; 4];
-            let mut seen_spill: Vec<u64>;
-            let seen_authors: &mut [u64] = if n <= 256 {
-                &mut seen_small
-            } else {
-                seen_spill = vec![0u64; n.div_ceil(64)];
-                &mut seen_spill
-            };
             let mut stake = Stake(0);
             for parent in vertex.parents() {
-                match self.slot_of(parent) {
-                    None => missing += 1,
-                    Some(id) => {
-                        let pv = self.slot(id);
-                        if pv.vertex.round() != round.prev() || round.0 == 0 {
-                            return Err(DagError::WrongParentRound {
-                                round,
-                                parent: *parent,
-                                parent_round: pv.vertex.round(),
-                            });
-                        }
-                        let idx = pv.vertex.author().index();
-                        if seen_authors[idx / 64] & (1 << (idx % 64)) != 0 {
-                            return Err(DagError::DuplicateParents);
-                        }
-                        seen_authors[idx / 64] |= 1 << (idx % 64);
-                        stake += self.committee.stake_of(pv.vertex.author());
-                        parent_slots.push(id);
-                    }
+                let Some(pv) = self.by_digest.get(parent) else {
+                    missing += 1;
+                    continue;
+                };
+                if pv.round() != round.prev() {
+                    return Err(DagError::WrongParentRound {
+                        round,
+                        parent: *parent,
+                        parent_round: pv.round(),
+                    });
                 }
+                let idx = pv.author().index();
+                if test_bit(&parents, idx) {
+                    return Err(DagError::DuplicateParents);
+                }
+                set_bit(&mut parents, idx);
+                stake += self.committee.stake_of(pv.author());
             }
             if missing > 0 {
                 // Second pass only on the incomplete-ancestry path.
-                let missing: Vec<Digest> = vertex
-                    .parents()
-                    .iter()
-                    .filter(|d| !self.by_digest.contains_key(*d))
-                    .copied()
-                    .collect();
-                return Err(DagError::MissingParents(missing));
+                return Err(DagError::MissingParents(self.missing_from(vertex.parents())));
             }
             if stake < self.committee.quorum_threshold() {
                 return Err(DagError::InsufficientParentStake {
@@ -399,44 +372,23 @@ impl Dag {
             }
         }
 
-        // Build the reach rows: row 0 is the parents' author mask, row d
-        // is the union of the parents' rows d-1 (shifted one round down).
-        let words = self.words;
-        let mut reach = vec![0u64; self.window * words].into_boxed_slice();
-        for &p in &parent_slots {
-            let pslot = self.slot(p);
-            let idx = pslot.vertex.author().index();
-            reach[idx / 64] |= 1 << (idx % 64);
-            let carry = self.window - 1;
-            for (dst, src) in reach[words..].iter_mut().zip(pslot.reach[..carry * words].iter()) {
-                *dst |= *src;
-            }
-        }
-
-        // Commit the insert: charge vote stake to the parents, intern the
-        // vertex into a (possibly recycled) slot, index it.
+        // Commit the insert: charge vote stake to the parents, index the
+        // vertex at its address.
         let author_stake = self.committee.stake_of(author);
-        for &p in &parent_slots {
-            self.slots[p as usize].as_mut().expect("live slot id").vote_stake += author_stake;
+        if round != Round(0) {
+            let prev = self.rounds.get_mut(&round.prev()).expect("parents resolved in this round");
+            for p in ones(&parents) {
+                prev.vote_stake[p] += author_stake;
+            }
         }
-        let digest = vertex.digest();
-        let slot = VertexSlot { vertex, parents: parent_slots, vote_stake: Stake(0), reach };
-        let id = match self.free.pop() {
-            Some(id) => {
-                self.slots[id as usize] = Some(slot);
-                id
-            }
-            None => {
-                let id = SlotId::try_from(self.slots.len()).expect("slot ids fit u32");
-                self.slots.push(Some(slot));
-                id
-            }
-        };
-        self.by_digest.insert(digest, id);
+        let n = self.committee.size();
         let ri = self.rounds.entry(round).or_insert_with(|| RoundIndex::new(n));
-        ri.by_author[author.index()] = Some(id);
+        let idx = author.index();
+        ri.parents[idx * ri.words..][..ri.words].copy_from_slice(&parents);
+        ri.vertices[idx] = Some(vertex.clone());
         ri.len += 1;
         ri.stake += author_stake;
+        self.by_digest.insert(vertex.digest(), vertex);
         Ok(InsertOutcome::Inserted)
     }
 
@@ -452,7 +404,7 @@ impl Dag {
 
     /// Looks a vertex up by digest.
     pub fn get(&self, digest: &Digest) -> Option<&Arc<Vertex>> {
-        self.slot_of(digest).map(|id| &self.slot(id).vertex)
+        self.by_digest.get(digest)
     }
 
     /// Whether a vertex with this digest is present.
@@ -462,17 +414,12 @@ impl Dag {
 
     /// The vertex authored by `author` in `round`, if any.
     pub fn vertex_by_author(&self, round: Round, author: ValidatorId) -> Option<&Arc<Vertex>> {
-        let ri = self.rounds.get(&round)?;
-        ri.by_author.get(author.index())?.map(|id| &self.slot(id).vertex)
+        self.rounds.get(&round)?.vertices.get(author.index())?.as_ref()
     }
 
     /// All vertices of `round`, in ascending author order.
     pub fn round_vertices(&self, round: Round) -> impl Iterator<Item = &Arc<Vertex>> {
-        self.rounds
-            .get(&round)
-            .into_iter()
-            .flat_map(|ri| ri.by_author.iter().flatten())
-            .map(|id| &self.slot(*id).vertex)
+        self.rounds.get(&round).into_iter().flat_map(|ri| ri.vertices.iter().flatten())
     }
 
     /// Number of vertices in `round`.
@@ -496,7 +443,10 @@ impl Dag {
     /// With one vertex per `(round, author)` (enforced at insertion), each
     /// author contributes its stake at most once per target.
     pub fn vote_stake(&self, target: &Digest) -> Stake {
-        self.slot_of(target).map(|id| self.slot(id).vote_stake).unwrap_or(Stake(0))
+        self.by_digest
+            .get(target)
+            .and_then(|v| Some(self.rounds.get(&v.round())?.vote_stake[v.author().index()]))
+            .unwrap_or(Stake(0))
     }
 
     /// The highest round containing any vertex.
@@ -527,87 +477,49 @@ impl Dag {
     /// The paper's `path(v, u)`: is there a chain of parent edges from
     /// `from` down to `to`?
     ///
-    /// When both endpoints are stored and the descent fits the
-    /// reachability window this is a single bitset probe: `to`'s round
-    /// and author address one bit of `from`'s reach index, and one vertex
-    /// per `(round, author)` (enforced at insertion) makes that bit
-    /// equivalent to the digest comparison the BFS does. Deeper descents
-    /// and foreign vertices fall back to [`Dag::reachable_bfs`].
+    /// One frontier-mask descent: the frontier starts as the authors of
+    /// `from`'s parents and each step ORs the parent masks of the
+    /// frontier's vertices, until `to`'s round, where `to`'s author bit
+    /// answers. One vertex per `(round, author)` (enforced at insertion)
+    /// makes that bit equivalent to a digest comparison. Edges only
+    /// reference stored vertices, so a foreign or equivocating `to` is
+    /// unreachable, and rounds pruned by GC are dead ends (their history
+    /// is already ordered). A `from` foreign to the DAG reaches whatever
+    /// its parent digests resolve to.
     pub fn reachable(&self, from: &Vertex, to: &Vertex) -> bool {
         if from.digest() == to.digest() {
             return true;
         }
-        if from.round() <= to.round() {
+        if from.round() <= to.round() || self.locate(to).is_none() {
             return false;
         }
-        let depth = (from.round().0 - to.round().0) as usize;
-        if depth <= self.window {
-            if let Some(from_id) = self.slot_of(&from.digest()) {
-                let Some(stored) = self.vertex_by_author(to.round(), to.author()) else {
-                    // No vertex at (round, author): `to` is foreign (or
-                    // GC'd), hence unreachable through stored edges.
-                    return false;
-                };
-                if stored.digest() == to.digest() {
-                    let idx = to.author().index();
-                    let row = (depth - 1) * self.words;
-                    return self.slot(from_id).reach[row + idx / 64] & (1 << (idx % 64)) != 0;
+        let mut frontier = MaskBuf::new(self.words());
+        let mut next = MaskBuf::new(self.words());
+        let mut r = from.round().prev();
+        match self.locate(from) {
+            Some((ri, idx)) => frontier.copy_from_slice(ri.parent_mask(idx)),
+            None => {
+                for pv in from.parents().iter().filter_map(|p| self.by_digest.get(p)) {
+                    if pv.round() == r {
+                        set_bit(&mut frontier, pv.author().index());
+                    }
                 }
-                // `to` equivocates against the stored vertex: edges can
-                // only reference stored parents, so it is unreachable.
+            }
+        }
+        while r > to.round() {
+            let Some(ri) = self.rounds.get(&r) else {
                 return false;
-            }
-        }
-        self.reachable_bfs(from, to)
-    }
-
-    /// The reachability BFS over the slot adjacency: the window-depth
-    /// fallback of [`Dag::reachable`] and the oracle its bitset fast path
-    /// is property-tested against.
-    ///
-    /// Edges always descend exactly one round, so the search prunes any
-    /// branch that drops below `to`'s round. Vertices pruned by GC are
-    /// treated as dead ends (their history is already ordered).
-    pub fn reachable_bfs(&self, from: &Vertex, to: &Vertex) -> bool {
-        if from.digest() == to.digest() {
-            return true;
-        }
-        if from.round() <= to.round() {
-            return false;
-        }
-        let Some(target) = self.slot_of(&to.digest()) else {
-            return false;
-        };
-        let target_round = to.round();
-        let mut visited = vec![0u64; self.slots.len().div_ceil(64)];
-        let mut work: Vec<SlotId> = Vec::new();
-        // Seed from the parents: `from` itself may be foreign to the DAG.
-        for parent in from.parents() {
-            if let Some(id) = self.slot_of(parent) {
-                if visited[id as usize / 64] & (1 << (id as usize % 64)) == 0 {
-                    visited[id as usize / 64] |= 1 << (id as usize % 64);
-                    work.push(id);
+            };
+            next.fill(0);
+            for author in ones(&frontier) {
+                for (acc, word) in next.iter_mut().zip(ri.parent_mask(author)) {
+                    *acc |= word;
                 }
             }
+            std::mem::swap(&mut frontier, &mut next);
+            r = r.prev();
         }
-        while let Some(id) = work.pop() {
-            if id == target {
-                return true;
-            }
-            let slot = self.slot(id);
-            if slot.vertex.round() <= target_round {
-                continue;
-            }
-            for &p in &slot.parents {
-                if self.slot(p).vertex.round() >= target_round
-                    && visited[p as usize / 64] & (1 << (p as usize % 64)) == 0
-                {
-                    visited[p as usize / 64] |= 1 << (p as usize % 64);
-                    work.push(p);
-                }
-            }
-        }
-        false
+        test_bit(&frontier, to.author().index())
     }
 
     /// Every stored ancestor of `from`, including `from` itself, in
@@ -634,9 +546,12 @@ impl Dag {
     /// This is the sub-DAG a freshly committed anchor delivers: ordering
     /// always delivers complete histories, so once a vertex is ordered its
     /// whole history is too, and the search need not descend past it.
-    /// Unknown parents (garbage-collected) are likewise skipped.
+    /// Garbage-collected rounds likewise end the descent.
     ///
-    /// The walk runs level-by-level over the slot index and emits in
+    /// The walk runs level by level: the kept vertices' parent masks OR
+    /// into one candidate mask for the round below, and each candidate
+    /// author is resolved — one index read, one `is_ordered` call —
+    /// exactly once however many siblings share it. Emission is in
     /// ascending `(round, author)` order — exactly the deterministic
     /// delivery order the commit rule needs, so consumers sort nothing.
     /// Apart from the returned list, all state lives in `scratch`.
@@ -646,53 +561,61 @@ impl Dag {
         is_ordered: impl Fn(&Digest) -> bool,
         scratch: &mut SubDagScratch,
     ) -> Vec<Arc<Vertex>> {
-        let Some(anchor_id) = self.slot_of(&anchor.digest()) else {
+        let Some((mut ri, idx)) = self.locate(anchor) else {
             return Vec::new();
         };
         if is_ordered(&anchor.digest()) {
             return Vec::new();
         }
-        scratch.grow(self.slots.len());
-        scratch.note(anchor_id, true);
+        let words = self.words();
+        let levels = &mut scratch.levels;
+        levels.clear();
+        levels.resize(words, 0);
+        set_bit(levels, idx);
         let top = anchor.round();
         let mut low = top;
+        let mut count = 1;
 
-        // Mark phase: rounds descend one by one; when a level adds no
-        // marks the frontier died out (edges never skip rounds). Siblings
-        // share most parents, so each distinct parent is resolved — one
-        // bit probe, and at most one ordered-set lookup — exactly once.
-        let mut r = top;
-        while let Some(ri) = self.rounds.get(&r) {
-            let mut any_below = false;
-            for id in ri.by_author.iter().flatten() {
-                if !scratch.is_kept(*id) {
-                    continue;
+        // Mark phase: rounds descend one by one; when a level keeps
+        // nothing the frontier died out (edges never skip rounds).
+        while let Some(below) = low.0.checked_sub(1).and_then(|r| self.rounds.get(&Round(r))) {
+            let (above, level) = {
+                let filled = levels.len();
+                levels.resize(filled + words, 0);
+                levels.split_at_mut(filled)
+            };
+            for author in ones(&above[above.len() - words..]) {
+                for (acc, word) in level.iter_mut().zip(ri.parent_mask(author)) {
+                    *acc |= word;
                 }
-                for &p in &self.slot(*id).parents {
-                    if !scratch.is_seen(p) {
-                        let keep = !is_ordered(&self.slot(p).vertex.digest());
-                        scratch.note(p, keep);
-                        any_below |= keep;
+            }
+            let mut kept = 0;
+            for (w, word) in level.iter_mut().enumerate() {
+                for bit in ones(&[*word]) {
+                    let v = below.vertices[w * 64 + bit].as_ref().expect("a parent is stored");
+                    if is_ordered(&v.digest()) {
+                        *word &= !(1 << bit);
+                    } else {
+                        kept += 1;
                     }
                 }
             }
-            if !any_below || r.0 == 0 {
-                low = r;
+            if kept == 0 {
+                levels.truncate(levels.len() - words);
                 break;
             }
-            r = r.prev();
+            count += kept;
+            ri = below;
+            low = low.prev();
         }
 
         // Emit phase: ascending rounds, authors ascending within each.
-        let mut out = Vec::with_capacity(scratch.touched.len());
-        for (_, ri) in self.rounds.range(low..=top) {
-            for id in ri.by_author.iter().flatten() {
-                if scratch.is_kept(*id) {
-                    out.push(self.slot(*id).vertex.clone());
-                }
-            }
+        let mut out = Vec::with_capacity(count);
+        for ((_, ri), level) in self.rounds.range(low..=top).zip(levels.chunks(words).rev()) {
+            out.extend(
+                ones(level).map(|a| ri.vertices[a].clone().expect("a kept vertex is stored")),
+            );
         }
-        scratch.clear();
         out
     }
 
@@ -700,8 +623,8 @@ impl Dag {
     /// authored by `author`. Powers the reputation policy's vote
     /// accounting.
     ///
-    /// For interned vertices this is one probe of the insert-time reach
-    /// index, so the answer never flickers when the linked round is
+    /// For stored vertices this is one probe of the insert-time parent
+    /// mask, so the answer never flickers when the linked round is
     /// later garbage-collected — vote accounting stays independent of
     /// each validator's local GC timing (a live lookup could answer
     /// differently on two validators for a vertex ordered right at the
@@ -710,23 +633,23 @@ impl Dag {
     /// their parent list against the currently stored `(round, author)`
     /// vertex.
     pub fn links_to_author(&self, from: &Vertex, author: ValidatorId) -> bool {
-        if from.round().0 == 0 {
+        if from.round().0 == 0 || !self.committee.contains(author) {
             return false;
         }
-        if let Some(id) = self.slot_of(&from.digest()) {
-            let idx = author.index();
-            return self.slot(id).reach[idx / 64] & (1 << (idx % 64)) != 0;
+        match self.locate(from) {
+            Some((ri, idx)) => test_bit(ri.parent_mask(idx), author.index()),
+            None => self
+                .vertex_by_author(from.round().prev(), author)
+                .is_some_and(|stored| from.has_parent(&stored.digest())),
         }
-        self.vertex_by_author(from.round().prev(), author)
-            .is_some_and(|stored| from.has_parent(&stored.digest()))
     }
 
     /// Drops all rounds strictly below `round`. Future inserts below the
     /// horizon are rejected with [`DagError::BelowGc`].
     ///
-    /// Retired slot ids are recycled by later inserts; the lowest
-    /// retained round's parent edges are detached (their targets are
-    /// gone), which keeps every stored slot id live by construction.
+    /// The lowest retained round keeps its parent masks: they name
+    /// addresses in a round that no longer resolves, which every
+    /// traversal treats as a dead end.
     ///
     /// Callers must only GC rounds whose vertices are already ordered
     /// everywhere they are needed (the validator keeps a safety margin,
@@ -737,20 +660,8 @@ impl Dag {
         }
         let keep = self.rounds.split_off(&round);
         for (_, dropped) in std::mem::replace(&mut self.rounds, keep) {
-            for id in dropped.by_author.into_iter().flatten() {
-                let slot = self.slots[id as usize].take().expect("live slot id");
-                self.by_digest.remove(&slot.vertex.digest());
-                self.free.push(id);
-            }
-        }
-        // Only the new lowest round can reference dropped parents (edges
-        // descend exactly one round; occupied rounds are contiguous).
-        if let Some((first, ri)) = self.rounds.iter().next() {
-            if first.0 < round.0 + 1 {
-                let ids: Vec<SlotId> = ri.by_author.iter().flatten().copied().collect();
-                for id in ids {
-                    self.slots[id as usize].as_mut().expect("live slot id").parents.clear();
-                }
+            for vertex in dropped.vertices.into_iter().flatten() {
+                self.by_digest.remove(&vertex.digest());
             }
         }
         self.gc_round = round;
@@ -929,42 +840,6 @@ mod tests {
     }
 
     #[test]
-    fn bitset_and_bfs_agree_beyond_window() {
-        // A window of 2 forces deep queries onto the BFS fallback; both
-        // paths must answer identically either side of the boundary.
-        let c = committee4();
-        let mut builder = DagBuilder::new(Committee::new_equal_stake(4));
-        builder.extend_full_rounds(1);
-        builder.extend_round_excluding(&[ValidatorId(3)]);
-        builder.extend_full_rounds(6);
-        let full = builder.into_dag();
-        let mut windowed = Dag::with_reach_window(c, 2);
-        for r in 0..8u64 {
-            for v in full.round_vertices(Round(r)) {
-                windowed.try_insert((**v).clone()).unwrap();
-            }
-        }
-        for from_r in 0..8u64 {
-            for to_r in 0..8u64 {
-                for from in windowed.round_vertices(Round(from_r)) {
-                    for to in windowed.round_vertices(Round(to_r)) {
-                        assert_eq!(
-                            windowed.reachable(from, to),
-                            windowed.reachable_bfs(from, to),
-                            "window-2 mismatch {from} -> {to}"
-                        );
-                        assert_eq!(
-                            windowed.reachable(from, to),
-                            full.reachable(from, to),
-                            "window size changed the answer {from} -> {to}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn links_to_author_matches_parent_scan() {
         let c = committee4();
         let mut builder = DagBuilder::new(c);
@@ -1068,16 +943,14 @@ mod tests {
     }
 
     #[test]
-    fn gc_recycles_slots_and_keeps_queries_consistent() {
+    fn queries_stay_consistent_across_gc_and_later_inserts() {
         let c = committee4();
         let mut builder = DagBuilder::new(c);
         builder.extend_full_rounds(6);
         let mut dag = builder.into_dag();
         dag.gc(Round(3));
         assert_eq!(dag.len(), 3 * 4);
-        // New rounds reuse the retired slots; every query keeps working.
-        let mut b2 = DagBuilder::new(Committee::new_equal_stake(4));
-        b2.extend_full_rounds(6);
+        // New rounds land above the horizon; every query keeps working.
         for r in 6..9u64 {
             let parents: Vec<Digest> = {
                 let mut refs: Vec<(ValidatorId, Digest)> =
@@ -1095,7 +968,6 @@ mod tests {
         let top = dag.vertex_by_author(Round(8), ValidatorId(0)).unwrap().clone();
         let mid = dag.vertex_by_author(Round(4), ValidatorId(2)).unwrap().clone();
         assert!(dag.reachable(&top, &mid));
-        assert_eq!(dag.reachable(&top, &mid), dag.reachable_bfs(&top, &mid));
         // History bottoms out at the GC horizon (round 3).
         let history = dag.causal_history(&top);
         assert_eq!(history.len(), 6 * 4 - 3, "rounds 3..=8, minus round-8 peers");
@@ -1124,5 +996,43 @@ mod tests {
         let ghost = hh_crypto::sha256(b"ghost");
         assert_eq!(dag.missing_from(&[known, ghost]), vec![ghost]);
         assert!(dag.missing_from(&[known]).is_empty());
+    }
+
+    /// Heap bytes the DAG owns for its index: everything except the shared
+    /// `Arc<Vertex>` payloads and the digest boundary map. The exhaustive
+    /// destructuring makes a new field fail to compile until it is
+    /// accounted for here.
+    fn index_bytes(dag: &Dag) -> usize {
+        use std::mem::size_of;
+        let Dag { committee: _, by_digest: _, rounds, gc_round: _, equivocations: _ } = dag;
+        rounds
+            .values()
+            .map(|ri| {
+                let RoundIndex { vertices, vote_stake, parents, words: _, len: _, stake: _ } = ri;
+                size_of::<(Round, RoundIndex)>()
+                    + vertices.capacity() * size_of::<Option<Arc<Vertex>>>()
+                    + vote_stake.capacity() * size_of::<Stake>()
+                    + parents.capacity() * size_of::<u64>()
+            })
+            .sum()
+    }
+
+    #[test]
+    fn index_footprint_per_vertex_is_bounded() {
+        // The paper's headline shape: n = 100 with the last 33 crashed
+        // from the start, so every round stores 67 vertices. A per-vertex
+        // index that grows with a lookback window (the 64-row reach index
+        // cost about 1,350 B here) must not come back unnoticed.
+        let n = 100;
+        let crashed: Vec<ValidatorId> = (67..n as u16).map(ValidatorId).collect();
+        let mut builder = DagBuilder::new(Committee::new_equal_stake(n));
+        for _ in 0..5 {
+            builder.extend_round_without(&crashed);
+        }
+        let dag = builder.dag();
+        assert_eq!(dag.len(), 5 * 67);
+        let per_vertex = index_bytes(dag) / dag.len();
+        let bound = 64 + 8 * n.div_ceil(64);
+        assert!(per_vertex <= bound, "{per_vertex} B of index per vertex, bound {bound} B");
     }
 }

@@ -1,13 +1,14 @@
 //! Property tests pinning the indexed DAG queries to digest-walking
 //! oracles.
 //!
-//! The slot-interned store answers `reachable` with a bitset probe and
-//! `causal_sub_dag` with a level walk over integer adjacency. Both are
-//! checked here against independent implementations that work the way
-//! the pre-index store did — breadth-first over digests through the
-//! public API — on randomized DAGs with skipped authors, withheld
-//! edges, multi-round gaps, GC below the anchor, and equivocation
-//! attempts.
+//! The store addresses vertices by `(round, author)` and answers
+//! `reachable` with a frontier-mask descent and `causal_sub_dag` with a
+//! level walk over per-vertex parent masks. Both are checked here against
+//! independent implementations that work the way the pre-index store did
+//! — breadth-first over digests through the public API — on randomized
+//! DAGs with skipped authors, withheld edges, multi-round gaps, GC below
+//! the anchor, equivocation attempts and foreign vertices, at committee
+//! sizes either side of the 64-author mask word.
 
 use hh_crypto::Digest;
 use hh_dag::testkit::DagBuilder;
@@ -169,36 +170,38 @@ fn digests(vs: &[Arc<Vertex>]) -> Vec<Digest> {
     vs.iter().map(|v| v.digest()).collect()
 }
 
-/// A window-2 copy of `dag` (same inserts), forcing deep queries onto
-/// the beyond-window fallback path. Must be taken before any GC — a
-/// garbage-collected prefix cannot be re-inserted.
-fn window2_twin(dag: &Dag) -> Dag {
-    let mut windowed = Dag::with_reach_window(dag.committee().clone(), 2);
-    for v in all_vertices(dag) {
-        windowed.try_insert((*v).clone()).expect("re-insert into window-2 twin");
-    }
-    windowed
+fn pick<'a>(vertices: &'a [Arc<Vertex>], rng: &mut Mix) -> &'a Arc<Vertex> {
+    &vertices[rng.below(vertices.len() as u64) as usize]
 }
 
-/// Checks every query of `dag` against the oracles, pairwise over all
-/// stored vertices; `windowed` is its window-2 twin run through the same
-/// assertions.
-fn check_dag(dag: &Dag, windowed: &Dag, rng: &mut Mix) {
+/// Checks every query of `dag` against the oracles: pairwise over all
+/// stored vertices where that is affordable; at the wide committees a
+/// seeded sample of `from`s, each against the whole round below it (every
+/// bit of its parent mask) and a few arbitrary targets (the descent).
+fn check_dag(dag: &Dag, rng: &mut Mix) {
     let vertices = all_vertices(dag);
+    let exhaustive = vertices.len() <= 80;
 
-    for from in &vertices {
-        for to in &vertices {
-            let expected = reachable_oracle(dag, from, to);
-            assert_eq!(dag.reachable(from, to), expected, "bitset vs oracle: {from} -> {to}");
-            assert_eq!(
-                windowed.reachable(from, to),
-                expected,
-                "window-2 fallback vs oracle: {from} -> {to}"
-            );
+    let mut pairs: Vec<(&Arc<Vertex>, &Arc<Vertex>)> = Vec::new();
+    if exhaustive {
+        pairs.extend(vertices.iter().flat_map(|from| vertices.iter().map(move |to| (from, to))));
+    } else {
+        for _ in 0..6 {
+            let from = pick(&vertices, rng);
+            let below = vertices.iter().filter(|to| to.round().next() == from.round());
+            pairs.extend(below.map(|to| (from, to)));
+            pairs.extend((0..4).map(|_| (from, pick(&vertices, rng))));
         }
     }
+    for (from, to) in pairs {
+        assert_eq!(
+            dag.reachable(from, to),
+            reachable_oracle(dag, from, to),
+            "mask descent vs oracle: {from} -> {to}"
+        );
+    }
 
-    // Sub-DAG equivalence from every vertex of the top two rounds, under
+    // Sub-DAG equivalence from vertices of the top two rounds, under
     // (a) nothing ordered, (b) a committed prefix below a random round
     // plus random extra ordered vertices.
     let top = dag.highest_round().expect("non-empty");
@@ -210,7 +213,12 @@ fn check_dag(dag: &Dag, windowed: &Dag, rng: &mut Mix) {
             ordered.insert(v.digest());
         }
     }
-    for anchor in vertices.iter().filter(|v| v.round().0 + 1 >= top.0) {
+    let mut anchors: Vec<&Arc<Vertex>> =
+        vertices.iter().filter(|v| v.round().0 + 1 >= top.0).collect();
+    if !exhaustive {
+        anchors = (0..4).map(|_| anchors[rng.below(anchors.len() as u64) as usize]).collect();
+    }
+    for anchor in anchors {
         let fresh = dag.causal_sub_dag(anchor, |_| false);
         assert_eq!(
             digests(&fresh),
@@ -226,46 +234,75 @@ fn check_dag(dag: &Dag, windowed: &Dag, rng: &mut Mix) {
     }
 }
 
+/// `links_to_author` of every vertex in `round`, for every committee
+/// author in id order.
+fn links_of_round(dag: &Dag, round: Round) -> Vec<bool> {
+    let mut links = Vec::new();
+    for v in dag.round_vertices(round) {
+        links.extend(dag.committee().ids().map(|author| dag.links_to_author(v, author)));
+    }
+    links
+}
+
+/// `(committee size, rounds)`: small committees up to 10 rounds deep,
+/// where every pair is checked, and 65 / 100 / 130 authors — masks of two
+/// and three words, with 1, 36 and 2 bits in the last — kept shallow so
+/// the digest-walking oracles stay affordable.
+fn shape(min_rounds: usize) -> impl Strategy<Value = (usize, usize)> {
+    (0usize..9, 0usize..64).prop_map(move |(i, r)| {
+        let n = [4, 5, 6, 7, 5, 7, 65, 100, 130][i];
+        let max_rounds = if n > 64 { 6 } else { 11 };
+        (n, min_rounds + r % (max_rounds - min_rounds))
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Randomized shapes: skipped authors, withheld edges, multi-round
-    /// gaps. Bitset `reachable` and the indexed `causal_sub_dag` must
-    /// match the digest-BFS oracles exactly.
-    fn indexed_queries_match_oracles(
-        n in 4usize..8,
-        rounds in 2usize..11,
-        seed in any::<u64>(),
-    ) {
+    /// gaps. The mask-descent `reachable` and the level-walk
+    /// `causal_sub_dag` must match the digest-BFS oracles exactly.
+    fn indexed_queries_match_oracles(shape in shape(2), seed in any::<u64>()) {
+        let (n, rounds) = shape;
         let dag = random_dag(n, rounds, seed);
-        check_dag(&dag, &window2_twin(&dag), &mut Mix(seed ^ 0xDEAD_BEEF));
+        check_dag(&dag, &mut Mix(seed ^ 0xDEAD_BEEF));
     }
 
-    /// GC below the anchor retires and recycles slots; every query must
-    /// still match the oracles on the surviving suffix.
-    fn queries_match_oracles_after_gc(
-        n in 4usize..8,
-        rounds in 5usize..11,
-        seed in any::<u64>(),
-    ) {
+    /// GC drops whole rounds below the horizon: every query must still
+    /// match the oracles on the surviving suffix, and the lowest retained
+    /// round — whose parents are gone — must keep answering
+    /// `links_to_author` as it did while they were stored.
+    fn queries_match_oracles_after_gc(shape in shape(5), seed in any::<u64>()) {
+        let (n, rounds) = shape;
         let mut dag = random_dag(n, rounds, seed);
-        let mut windowed = window2_twin(&dag);
         let mut rng = Mix(seed ^ 0x5EED);
         let horizon = Round(1 + rng.below(rounds as u64 - 2));
+        let links_before = links_of_round(&dag, horizon);
+        let mut scanned = Vec::new();
+        for v in dag.round_vertices(horizon) {
+            scanned.extend(dag.committee().ids().map(|author| {
+                dag.vertex_by_author(horizon.prev(), author)
+                    .is_some_and(|linked| v.has_parent(&linked.digest()))
+            }));
+        }
+        prop_assert_eq!(&links_before, &scanned, "links_to_author vs parent scan");
         dag.gc(horizon);
-        windowed.gc(horizon);
         prop_assert_eq!(dag.gc_round(), horizon);
-        check_dag(&dag, &windowed, &mut rng);
+        prop_assert!(dag.round_len(horizon.prev()) == 0, "linked round is gone");
+        prop_assert_eq!(links_of_round(&dag, horizon), links_before, "links_to_author across gc");
+        check_dag(&dag, &mut rng);
     }
 
     /// Equivocation duplicates are rejected without disturbing the index:
     /// the stored twin keeps answering exactly like the oracle, and the
-    /// foreign twin is unreachable from everything.
-    fn equivocation_leaves_index_intact(
-        n in 4usize..8,
-        rounds in 3usize..9,
+    /// foreign twin — as `to` unreachable from everything, as `from`
+    /// reaching what its parent digests resolve to — answers as the oracle
+    /// does. So does a never-inserted vertex above the top round.
+    fn equivocating_and_foreign_vertices_match_oracles(
+        shape in shape(3),
         seed in any::<u64>(),
     ) {
+        let (n, rounds) = shape;
         let mut dag = random_dag(n, rounds, seed);
         let mut rng = Mix(seed ^ 0xE9);
         let committee = dag.committee().clone();
@@ -290,14 +327,57 @@ proptest! {
             Err(hh_dag::DagError::Equivocation { .. })
         ));
         prop_assert_eq!(dag.len(), before);
-        for v in all_vertices(&dag) {
-            prop_assert!(!dag.reachable(&v, &twin), "foreign twin reachable from {}", v);
+
+        // A structurally valid vertex one round above the top, never
+        // inserted: foreign without equivocating.
+        let top = dag.highest_round().expect("non-empty");
+        let author = ValidatorId(rng.below(n as u64) as u16);
+        let foreign = Vertex::new(
+            top.next(),
+            author,
+            Block::empty(),
+            dag.round_vertices(top).skip(rng.below(2) as usize).map(|v| v.digest()).collect(),
+            &committee.keypair(author),
+        );
+
+        let vertices = all_vertices(&dag);
+        let sampled: Vec<&Arc<Vertex>> = if vertices.len() <= 80 {
+            vertices.iter().collect()
+        } else {
+            (0..24).map(|_| pick(&vertices, &mut rng)).collect()
+        };
+        for v in sampled {
+            prop_assert!(!dag.reachable(v, &twin), "foreign twin reachable from {}", v);
+            for outsider in [&twin, &foreign] {
+                prop_assert_eq!(
+                    dag.reachable(outsider, v),
+                    reachable_oracle(&dag, outsider, v),
+                    "{} -> {}", outsider, v
+                );
+                prop_assert_eq!(
+                    dag.reachable(v, outsider),
+                    reachable_oracle(&dag, v, outsider),
+                    "{} -> {}", v, outsider
+                );
+            }
             prop_assert_eq!(
-                dag.reachable(&v, &victim),
-                reachable_oracle(&dag, &v, &victim),
+                dag.reachable(v, &victim),
+                reachable_oracle(&dag, v, &victim),
                 "victim query diverged after equivocation attempt"
             );
         }
-        check_dag(&dag, &window2_twin(&dag), &mut rng);
+        for outsider in [&twin, &foreign] {
+            prop_assert!(dag.causal_sub_dag(outsider, |_| false).is_empty());
+            prop_assert!(causal_sub_dag_oracle(&dag, outsider, |_| false).is_empty());
+            for author in committee.ids() {
+                let linked = dag.vertex_by_author(outsider.round().prev(), author);
+                prop_assert_eq!(
+                    dag.links_to_author(outsider, author),
+                    linked.is_some_and(|l| outsider.has_parent(&l.digest())),
+                    "{} links to {}", outsider, author
+                );
+            }
+        }
+        check_dag(&dag, &mut rng);
     }
 }
