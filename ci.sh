@@ -24,7 +24,8 @@
 # smoke refreshing BENCH_hotpath.json, a gate checking that --profile
 # leaves the JSON report byte-identical, and a benchmark gate that
 # unit-tests the perfbench package against the workspace's crates and
-# requires a correct 2-second sim_n100_f33 run.
+# requires a correct 2-second sim_n100_f33 run whose peak resident set
+# stays under 85 MB.
 
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -215,5 +216,15 @@ cargo test --offline --manifest-path perfbench/Cargo.toml -q
 bash perfbench/run.sh --workload sim_n100_f33 --seed 1 --seconds 2 > target/ci-perfbench.txt
 tail -n 1 target/ci-perfbench.txt | grep -q '"correct": true' \
     || { echo "perfbench sim_n100_f33 did not report a correct run"; exit 1; }
+# Peak resident memory of that run is set by allocation sizes, not by the
+# machine's speed, so one ceiling holds on any host: 97.7 MB before the
+# pointer-keyed digest table, exact-size parent lists and the slab-backed
+# wheel, about 59 MB since.
+rss=$(tail -n 1 target/ci-perfbench.txt \
+    | sed -n 's/.*"peak_rss_mb": {"value": \([0-9.]*\).*/\1/p')
+[ -n "$rss" ] || { echo "perfbench output carries no peak_rss_mb"; exit 1; }
+awk -v rss="$rss" 'BEGIN { exit !(rss <= 85) }' \
+    || { echo "perfbench sim_n100_f33 peak_rss_mb $rss exceeds 85"; exit 1; }
+echo "perfbench sim_n100_f33 peak_rss_mb $rss (ceiling 85)"
 
 step "all green"

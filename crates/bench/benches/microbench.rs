@@ -331,7 +331,11 @@ fn bench_fault_plan(c: &mut Criterion) {
 /// iteration pushes one event and pops the earliest, i.e. the steady-state
 /// churn of the event loop; pending events are spread over the wheel's
 /// full ring horizon so pops pay realistic cursor movement, with a slice
-/// beyond it so the overflow path stays on the profile too.
+/// beyond it so the overflow path stays on the profile too. The burst case
+/// is the other shape the ring sees (on `sim_n10_long` 30 % of ring pushes
+/// land in a slot that already holds an event): 32 events per instant,
+/// drained through `pop_if_at_most` as the simulator does and pushed back
+/// as one burst further on.
 fn bench_event_queue(c: &mut Criterion) {
     use hh_net::wheel::{TimingWheel, WHEEL_SLOTS};
     use hh_net::SimTime;
@@ -367,6 +371,36 @@ fn bench_event_queue(c: &mut Criterion) {
             )
         });
     }
+
+    const BURST: u64 = 32;
+    const INSTANTS: u64 = 128;
+    const SPACING_US: u64 = 64;
+    const DRAINED: u64 = 32;
+    group.throughput(Throughput::Elements(DRAINED * BURST));
+    group.bench_function("push_pop_same_instant_bursts_of_32", |b| {
+        b.iter_batched(
+            || {
+                let mut wheel: TimingWheel<u64> = TimingWheel::new();
+                for seq in 0..INSTANTS * BURST {
+                    wheel.push(SimTime((1 + seq / BURST) * SPACING_US), seq, seq);
+                }
+                wheel
+            },
+            |mut wheel| {
+                let mut seq = INSTANTS * BURST;
+                for _ in 0..DRAINED {
+                    let at = wheel.peek_at().expect("queue stays non-empty");
+                    while let Some((_, _, v)) = wheel.pop_if_at_most(at) {
+                        let later = at + hh_net::Duration::from_micros(INSTANTS * SPACING_US);
+                        wheel.push(later, seq, v);
+                        seq += 1;
+                    }
+                }
+                wheel
+            },
+            BatchSize::LargeInput,
+        )
+    });
     group.finish();
 }
 

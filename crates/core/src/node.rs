@@ -801,14 +801,15 @@ impl<B: LogBackend> Validator<B> {
     }
 
     fn propose(&mut self, round: Round, now: u64, out: &mut Vec<Output>) {
-        let parents: Vec<Digest> = if round.0 == 0 {
-            Vec::new()
-        } else {
-            // `round_vertices` iterates the round's author-indexed slot
-            // table, so parents come out in ascending author order —
-            // identical DAG state yields identical vertex digests.
-            self.dag.round_vertices(round.prev()).map(|v| v.digest()).collect()
-        };
+        // `round_vertices` iterates the round's author-indexed slot
+        // table, so parents come out in ascending author order —
+        // identical DAG state yields identical vertex digests. Sized up
+        // front: the iterator cannot say how many it yields.
+        let mut parents: Vec<Digest> = Vec::new();
+        if round.0 > 0 {
+            parents.reserve_exact(self.dag.round_len(round.prev()));
+            parents.extend(self.dag.round_vertices(round.prev()).map(|v| v.digest()));
+        }
         // Backpressure: stop pulling from the pool once too many of our
         // transactions sit uncommitted.
         let budget = (self.config.max_uncommitted_txs as u64).saturating_sub(self.uncommitted_txs);

@@ -8,8 +8,9 @@
 //! * [`Dag`] — insertion with full structural validation (Algorithm 1's
 //!   `struct vertex` invariants). Vertices are addressed by
 //!   `(round, author)` — insertion enforces one per address — and each
-//!   keeps one committee bitmask of its parents' authors; the digest map
-//!   survives only at the boundary;
+//!   keeps one committee bitmask of its parents' authors; lookup by
+//!   digest survives only at the boundary, as a set of the stored
+//!   pointers keyed by the digest each vertex carries;
 //! * reachability ([`Dag::reachable`], the paper's `path(v, u)`) — one
 //!   frontier-mask descent, a round per step;
 //! * causal histories ([`Dag::causal_history`], [`Dag::causal_sub_dag`],

@@ -5,15 +5,18 @@
 //! the only internal address. Each round keeps, per committee author, the
 //! shared `Arc<Vertex>`, its vote stake and one committee bitmask of its
 //! parents' authors; every traversal ORs those masks level by level and
-//! resolves authors through the round index. The digest-keyed map survives
-//! only at the boundary (wire messages identify vertices by digest). See
+//! resolves authors through the round index. Lookup by digest survives
+//! only at the boundary (wire messages identify vertices by digest), as a
+//! set of the same `Arc`s hashed by the digest each vertex carries. See
 //! `docs/architecture.md` ("DAG indexing & complexity") for the complexity
 //! table.
 
 use hh_crypto::Digest;
-use hh_types::{Committee, DigestMap, Round, Stake, TypeError, ValidatorId, Vertex};
-use std::collections::BTreeMap;
+use hh_types::{Committee, DigestHasher, Round, Stake, TypeError, ValidatorId, Vertex};
+use std::borrow::Borrow;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
@@ -168,6 +171,34 @@ impl DerefMut for MaskBuf {
     }
 }
 
+/// A stored vertex as an entry of the digest table: hashed and compared by
+/// the digest the vertex carries, so the table holds one pointer per
+/// vertex and no copy of the key. `Borrow<Digest>` lets the set be probed
+/// with a bare digest; that is sound because `Hash` and `Eq` here are
+/// exactly `Digest`'s.
+#[derive(Clone, Debug)]
+struct ByDigest(Arc<Vertex>);
+
+impl Borrow<Digest> for ByDigest {
+    fn borrow(&self) -> &Digest {
+        self.0.digest_ref()
+    }
+}
+
+impl Hash for ByDigest {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.digest_ref().hash(state);
+    }
+}
+
+impl PartialEq for ByDigest {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.digest_ref() == other.0.digest_ref()
+    }
+}
+
+impl Eq for ByDigest {}
+
 /// One round of the DAG, indexed by author position. Everything a vertex
 /// costs beyond its shared payload lives in these three arrays — no
 /// per-vertex allocation.
@@ -239,7 +270,7 @@ impl SubDagScratch {
 pub struct Dag {
     committee: Committee,
     /// Boundary index: digest → stored vertex (pass-through hashed).
-    by_digest: DigestMap<Digest, Arc<Vertex>>,
+    by_digest: HashSet<ByDigest, BuildHasherDefault<DigestHasher>>,
     rounds: BTreeMap<Round, RoundIndex>,
     gc_round: Round,
     equivocations: u64,
@@ -250,7 +281,7 @@ impl Dag {
     pub fn new(committee: Committee) -> Self {
         Dag {
             committee,
-            by_digest: DigestMap::default(),
+            by_digest: HashSet::default(),
             rounds: BTreeMap::new(),
             gc_round: Round(0),
             equivocations: 0,
@@ -342,7 +373,7 @@ impl Dag {
             let mut missing = 0usize;
             let mut stake = Stake(0);
             for parent in vertex.parents() {
-                let Some(pv) = self.by_digest.get(parent) else {
+                let Some(pv) = self.get(parent) else {
                     missing += 1;
                     continue;
                 };
@@ -388,7 +419,7 @@ impl Dag {
         ri.vertices[idx] = Some(vertex.clone());
         ri.len += 1;
         ri.stake += author_stake;
-        self.by_digest.insert(vertex.digest(), vertex);
+        self.by_digest.insert(ByDigest(vertex));
         Ok(InsertOutcome::Inserted)
     }
 
@@ -396,20 +427,20 @@ impl Dag {
     /// allocating when everything is present (the common case on the
     /// insert path).
     pub fn missing_from(&self, parents: &[Digest]) -> Vec<Digest> {
-        if parents.iter().all(|d| self.by_digest.contains_key(d)) {
+        if parents.iter().all(|d| self.contains(d)) {
             return Vec::new();
         }
-        parents.iter().filter(|d| !self.by_digest.contains_key(*d)).copied().collect()
+        parents.iter().filter(|d| !self.contains(d)).copied().collect()
     }
 
     /// Looks a vertex up by digest.
     pub fn get(&self, digest: &Digest) -> Option<&Arc<Vertex>> {
-        self.by_digest.get(digest)
+        self.by_digest.get(digest).map(|entry| &entry.0)
     }
 
     /// Whether a vertex with this digest is present.
     pub fn contains(&self, digest: &Digest) -> bool {
-        self.by_digest.contains_key(digest)
+        self.by_digest.contains(digest)
     }
 
     /// The vertex authored by `author` in `round`, if any.
@@ -443,8 +474,7 @@ impl Dag {
     /// With one vertex per `(round, author)` (enforced at insertion), each
     /// author contributes its stake at most once per target.
     pub fn vote_stake(&self, target: &Digest) -> Stake {
-        self.by_digest
-            .get(target)
+        self.get(target)
             .and_then(|v| Some(self.rounds.get(&v.round())?.vote_stake[v.author().index()]))
             .unwrap_or(Stake(0))
     }
@@ -499,7 +529,7 @@ impl Dag {
         match self.locate(from) {
             Some((ri, idx)) => frontier.copy_from_slice(ri.parent_mask(idx)),
             None => {
-                for pv in from.parents().iter().filter_map(|p| self.by_digest.get(p)) {
+                for pv in from.parents().iter().filter_map(|p| self.get(p)) {
                     if pv.round() == r {
                         set_bit(&mut frontier, pv.author().index());
                     }
@@ -661,7 +691,7 @@ impl Dag {
         let keep = self.rounds.split_off(&round);
         for (_, dropped) in std::mem::replace(&mut self.rounds, keep) {
             for vertex in dropped.vertices.into_iter().flatten() {
-                self.by_digest.remove(&vertex.digest());
+                self.by_digest.remove(vertex.digest_ref());
             }
         }
         self.gc_round = round;
@@ -998,14 +1028,14 @@ mod tests {
         assert!(dag.missing_from(&[known]).is_empty());
     }
 
-    /// Heap bytes the DAG owns for its index: everything except the shared
-    /// `Arc<Vertex>` payloads and the digest boundary map. The exhaustive
-    /// destructuring makes a new field fail to compile until it is
-    /// accounted for here.
-    fn index_bytes(dag: &Dag) -> usize {
+    /// Heap bytes the DAG owns for its index, as `(round index, digest
+    /// table)`: everything except the shared `Arc<Vertex>` payloads. The
+    /// exhaustive destructuring makes a new field fail to compile until it
+    /// is accounted for here.
+    fn index_bytes(dag: &Dag) -> (usize, usize) {
         use std::mem::size_of;
-        let Dag { committee: _, by_digest: _, rounds, gc_round: _, equivocations: _ } = dag;
-        rounds
+        let Dag { committee: _, by_digest, rounds, gc_round: _, equivocations: _ } = dag;
+        let round_index = rounds
             .values()
             .map(|ri| {
                 let RoundIndex { vertices, vote_stake, parents, words: _, len: _, stake: _ } = ri;
@@ -1014,7 +1044,13 @@ mod tests {
                     + vote_stake.capacity() * size_of::<Stake>()
                     + parents.capacity() * size_of::<u64>()
             })
-            .sum()
+            .sum();
+        // std's table: a power of two of buckets of which 7/8 may fill
+        // (what `capacity` reports), one entry and one control byte per
+        // bucket, one group of control bytes repeated at the end.
+        let buckets = by_digest.capacity() * 8 / 7;
+        assert!(buckets.is_power_of_two(), "{buckets} buckets");
+        (round_index, buckets * (size_of::<ByDigest>() + 1) + 16)
     }
 
     #[test]
@@ -1022,7 +1058,9 @@ mod tests {
         // The paper's headline shape: n = 100 with the last 33 crashed
         // from the start, so every round stores 67 vertices. A per-vertex
         // index that grows with a lookback window (the 64-row reach index
-        // cost about 1,350 B here) must not come back unnoticed.
+        // cost about 1,350 B here) must not come back unnoticed, and
+        // neither must a digest table that copies its 32-byte keys (41 B
+        // per bucket, 41-82 B per vertex).
         let n = 100;
         let crashed: Vec<ValidatorId> = (67..n as u16).map(ValidatorId).collect();
         let mut builder = DagBuilder::new(Committee::new_equal_stake(n));
@@ -1031,8 +1069,59 @@ mod tests {
         }
         let dag = builder.dag();
         assert_eq!(dag.len(), 5 * 67);
-        let per_vertex = index_bytes(dag) / dag.len();
+        let (round_index, digest_table) = index_bytes(dag);
+        let per_vertex = round_index / dag.len();
         let bound = 64 + 8 * n.div_ceil(64);
         assert!(per_vertex <= bound, "{per_vertex} B of index per vertex, bound {bound} B");
+        // 9 B per bucket; a table is at least 7/16 full once it has
+        // grown, so under 24 B per stored vertex at any load factor.
+        assert_eq!(std::mem::size_of::<ByDigest>(), 8);
+        let per_vertex = digest_table / dag.len();
+        assert!(per_vertex <= 24, "{per_vertex} B of digest table per vertex");
+    }
+
+    #[test]
+    fn digest_table_is_probed_by_bare_digest() {
+        use std::hash::BuildHasher;
+        let c = committee4();
+        let mut builder = DagBuilder::new(c.clone());
+        builder.extend_full_rounds(3);
+        let mut dag = builder.into_dag();
+
+        // The `Borrow` contract: an entry hashes as its digest does.
+        let hasher = BuildHasherDefault::<DigestHasher>::default();
+        for entry in &dag.by_digest {
+            assert_eq!(hasher.hash_one(entry), hasher.hash_one(entry.0.digest_ref()));
+        }
+
+        let present = dag.vertex_by_author(Round(2), ValidatorId(1)).unwrap().clone();
+        assert!(dag.contains(&present.digest()));
+        assert!(Arc::ptr_eq(dag.get(&present.digest()).unwrap(), &present));
+
+        let ghost = hh_crypto::sha256(b"ghost");
+        assert!(!dag.contains(&ghost));
+        assert!(dag.get(&ghost).is_none());
+
+        // A twin at a stored address: rejected, so its digest resolves to
+        // nothing while the original's still does.
+        let twin = Vertex::new(
+            Round(2),
+            ValidatorId(1),
+            Block::new(vec![hh_types::Transaction::new(0, 0, 0)]),
+            present.parents().to_vec(),
+            &c.keypair(ValidatorId(1)),
+        );
+        assert!(matches!(dag.try_insert(twin.clone()), Err(DagError::Equivocation { .. })));
+        assert!(!dag.contains(&twin.digest()));
+        assert!(dag.get(&twin.digest()).is_none());
+        assert!(dag.contains(&present.digest()));
+
+        let collected = dag.vertex_by_author(Round(0), ValidatorId(3)).unwrap().clone();
+        dag.gc(Round(1));
+        assert!(!dag.contains(&collected.digest()));
+        assert!(dag.get(&collected.digest()).is_none());
+        assert_eq!(dag.vote_stake(&collected.digest()), Stake(0));
+        assert_eq!(dag.missing_from(&[present.digest(), collected.digest()]), [collected.digest()]);
+        assert_eq!(dag.len(), 2 * 4);
     }
 }

@@ -247,12 +247,18 @@ impl Encode for bool {
     }
 }
 
+/// The sequence encoding: a `u32` length, then the items. What
+/// `Vec<T>` writes, for sequences held as something else.
+pub(crate) fn encode_slice<T: Encode>(items: &[T], buf: &mut Vec<u8>) {
+    buf.put_u32(items.len() as u32);
+    for item in items {
+        item.encode(buf);
+    }
+}
+
 impl<T: Encode> Encode for Vec<T> {
     fn encode(&self, buf: &mut Vec<u8>) {
-        buf.put_u32(self.len() as u32);
-        for item in self {
-            item.encode(buf);
-        }
+        encode_slice(self, buf);
     }
     fn decode(d: &mut Decoder<'_>) -> Result<Self, TypeError> {
         let len = d.take_u32()?;

@@ -104,7 +104,9 @@ impl ValidatorInfo {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Committee {
-    validators: Vec<ValidatorInfo>,
+    /// Shared: a validator's DAG, broadcast layer, consensus engine and
+    /// schedule policy each hold the committee, and a clone is a pointer.
+    validators: std::sync::Arc<[ValidatorInfo]>,
     total_stake: Stake,
     f: Stake,
 }
@@ -250,7 +252,7 @@ impl CommitteeBuilder {
         if let Some(pos) = self.stakes.iter().position(|s| s.0 == 0) {
             return Err(TypeError::ZeroStake(ValidatorId(pos as u16)));
         }
-        let validators: Vec<ValidatorInfo> = self
+        let validators: std::sync::Arc<[ValidatorInfo]> = self
             .stakes
             .iter()
             .enumerate()

@@ -6,7 +6,7 @@
 //! round. Vertices are content-addressed by a SHA-256 [`Digest`] over their
 //! canonical encoding and signed by their author.
 
-use crate::codec::{Decoder, Encode};
+use crate::codec::{encode_slice, Decoder, Encode};
 use crate::{Transaction, TypeError, ValidatorId};
 use hh_crypto::{Digest, Keypair, PublicKey, Sha256, Signature};
 use std::fmt;
@@ -158,8 +158,11 @@ pub struct Vertex {
     block: Block,
     /// Digests of vertices in `round - 1` this vertex links to (the paper's
     /// `v.edges`). Empty only for round 0. Reference-counted so that the
-    /// per-recipient broadcast clone in the simulator is O(1).
-    parents: std::sync::Arc<Vec<Digest>>,
+    /// per-recipient broadcast clone in the simulator is O(1), and a
+    /// slice so that the allocation is exactly the digests: a proposer's
+    /// list grown by doubling would otherwise ride along at up to twice
+    /// its length for as long as any validator stores the vertex.
+    parents: std::sync::Arc<[Digest]>,
     digest: Digest,
     signature: Signature,
     /// Memoized [`Vertex::verify`] outcome. The fields above are immutable
@@ -229,7 +232,7 @@ impl Vertex {
             round,
             author,
             block,
-            parents: std::sync::Arc::new(parents),
+            parents: parents.into(),
             digest,
             signature,
             verify_cache: std::sync::atomic::AtomicU64::new(0),
@@ -299,6 +302,12 @@ impl Vertex {
     /// The content digest.
     pub fn digest(&self) -> Digest {
         self.digest
+    }
+
+    /// The content digest where it is stored, for containers that key a
+    /// vertex by the digest it already carries.
+    pub fn digest_ref(&self) -> &Digest {
+        &self.digest
     }
 
     /// The author's signature over the digest.
@@ -382,7 +391,7 @@ impl Vertex {
         self.round.encode(buf);
         self.author.encode(buf);
         self.block.encode(buf);
-        self.parents.encode(buf);
+        encode_slice(&self.parents, buf);
         self.signature.encode(buf);
     }
 }
@@ -411,7 +420,7 @@ impl Encode for Vertex {
             round,
             author,
             block,
-            parents: std::sync::Arc::new(parents),
+            parents: parents.into(),
             digest,
             signature,
             verify_cache: std::sync::atomic::AtomicU64::new(0),
@@ -519,6 +528,32 @@ mod tests {
         let v = sample_vertex();
         assert!(v.has_parent(&hh_crypto::sha256(b"p1")));
         assert!(!v.has_parent(&hh_crypto::sha256(b"p3")));
+    }
+
+    /// Heap bytes behind a vertex's parent list. The annotation pins the
+    /// field to a slice: a `Vec` there would bring its capacity back.
+    fn parent_storage_bytes(v: &Vertex) -> usize {
+        let stored: &std::sync::Arc<[Digest]> = &v.parents;
+        std::mem::size_of_val(&**stored)
+    }
+
+    #[test]
+    fn parent_storage_is_exactly_the_digests() {
+        // What a proposer does at n = 100 / f = 33: collect 67 digests
+        // from an iterator that cannot say how many it will yield, so the
+        // `Vec` doubles to 128 entries (4,096 B for 2,144 B of digests).
+        let collected: Vec<Digest> = (0..67u32)
+            .filter(|i| i % 1000 != 999)
+            .map(|i| hh_crypto::sha256(&i.to_be_bytes()))
+            .collect();
+        assert!(collected.capacity() > collected.len(), "the collection over-allocated");
+        let built = Vertex::new(Round(3), ValidatorId(1), Block::empty(), collected, &keypair(1));
+        let decoded: Vertex =
+            crate::codec::decode_framed(&crate::codec::encode_framed(&built)).unwrap();
+        assert_eq!(decoded.parents(), built.parents());
+        for v in [&built, &decoded] {
+            assert_eq!(parent_storage_bytes(v), 32 * v.parents().len());
+        }
     }
 
     #[test]

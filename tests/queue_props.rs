@@ -2,9 +2,11 @@
 //!
 //! * the [`TimingWheel`] event queue must pop in *exactly* the order the
 //!   `BinaryHeap<Reverse<(at, seq)>>` it displaced would have — ascending
-//!   `at`, FIFO `seq` tie-break — across same-instant bursts, pushes that
-//!   straddle wheel-rollover boundaries, and far-future timers that live
-//!   in the overflow map;
+//!   `at`, `seq` tie-break — across same-instant bursts whose `seq`s
+//!   arrive in any order, pushes that straddle wheel-rollover boundaries,
+//!   far-future timers that live in the overflow map, and enough
+//!   push/drain rounds that the ring's node slab is recycled many times
+//!   over;
 //! * `Arc` broadcast fan-out must hand every recipient the *same* frame —
 //!   one allocation, byte-identical content — rather than per-peer deep
 //!   copies.
@@ -28,11 +30,13 @@ use std::sync::Arc;
 fn arb_offset() -> impl Strategy<Value = u64> {
     let slots = WHEEL_SLOTS as u64;
     // Weighted choice by hand (the offline proptest stand-in has no
-    // `prop_oneof!`): 4/11 bursts, 2/11 general ring traffic, 3/11
-    // rollover straddles, 2/11 far-future overflow.
+    // `prop_oneof!`): 4/11 bursts (half of them onto four adjacent
+    // instants, so one slot's list takes several pushes), 2/11 general
+    // ring traffic, 3/11 rollover straddles, 2/11 far-future overflow.
     (0u32..11, 0u64..200, 0u64..(2 * slots), (1u64..4, 0u64..5), 1_000_000u64..5_000_000).prop_map(
         move |(sel, burst, general, (k, d), far)| match sel {
-            0..=3 => burst,
+            0 | 1 => burst % 4,
+            2 | 3 => burst,
             4 | 5 => general,
             6..=8 => (k * slots + d).saturating_sub(2),
             _ => far,
@@ -40,11 +44,16 @@ fn arb_offset() -> impl Strategy<Value = u64> {
     )
 }
 
-/// A batch of pushes followed by a deadline advance that drains both
-/// queues; interleaving push and pop phases is what exercises cursor
-/// movement (a slot being reused for a later time after rollover).
-fn arb_script() -> impl Strategy<Value = Vec<(Vec<u64>, u64)>> {
-    proptest::collection::vec((proptest::collection::vec(arb_offset(), 0..20), 0u64..70_000), 1..12)
+/// A batch of `(offset, seq band)` pushes followed by a deadline advance
+/// that drains both queues; interleaving push and pop phases is what
+/// exercises cursor movement (a slot being reused for a later time after
+/// rollover) and hands freed slab nodes to later pushes. Up to 1,600
+/// pushes against at most a few hundred events queued at once.
+fn arb_script() -> impl Strategy<Value = Vec<(Vec<(u64, u64)>, u64)>> {
+    proptest::collection::vec(
+        (proptest::collection::vec((arb_offset(), 0u64..4), 0..40), 0u64..70_000),
+        1..40,
+    )
 }
 
 proptest! {
@@ -56,7 +65,7 @@ proptest! {
     fn wheel_pop_order_matches_binary_heap_oracle(script in arb_script()) {
         let mut wheel: TimingWheel<u32> = TimingWheel::new();
         let mut heap: BinaryHeap<Reverse<(u64, u64, u32)>> = BinaryHeap::new();
-        let mut seq = 0u64;
+        let mut pushed = 0u64;
         let mut now = 0u64;
 
         let drain = |wheel: &mut TimingWheel<u32>,
@@ -81,15 +90,19 @@ proptest! {
         };
 
         for (pushes, advance) in script {
-            for offset in pushes {
+            for (offset, band) in pushes {
                 let at = now + offset;
+                // Unique, but not in push order: the band decides first,
+                // so a same-instant push often carries a `seq` below,
+                // between or above the ones its slot already links.
+                let seq = band << 32 | pushed;
                 // The value makes each event distinguishable beyond its
                 // key, so a swapped payload can't hide behind a matching
                 // `(at, seq)`.
-                let value = seq as u32;
+                let value = pushed as u32;
                 wheel.push(SimTime(at), seq, value);
                 heap.push(Reverse((at, seq, value)));
-                seq += 1;
+                pushed += 1;
             }
             now += advance;
             drain(&mut wheel, &mut heap, now);
