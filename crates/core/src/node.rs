@@ -4,8 +4,8 @@
 //! [`Validator`] is a runtime-agnostic state machine: handlers take the
 //! current time in microseconds and return [`Output`]s (messages to send,
 //! timers to arm). The simulation harness (`hh-sim`) adapts it to the
-//! discrete-event network; `hh-net::threaded` can drive the same type on
-//! real threads. The Bullshark baseline and HammerHead are the *same*
+//! discrete-event network; `hh-node` drives the same type over TCP on
+//! the wall clock. The Bullshark baseline and HammerHead are the *same*
 //! node, differing only in [`ScheduleConfig`].
 //!
 //! Protocol flow per round `r`:

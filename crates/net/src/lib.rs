@@ -13,9 +13,6 @@
 //!   retransmitted and always delivered eventually, matching the reliable
 //!   links assumption); after GST every message arrives within `delta`.
 //! * [`FaultPlan`] — crash, recovery, slowdown and partition injection.
-//! * [`threaded`] — a small crossbeam-based runtime that runs the same
-//!   [`Node`] implementations on real threads with wall-clock delays, used
-//!   by examples that want to see the system run "for real".
 //! * [`tcp`] — a framed TCP transport (length-prefixed frames,
 //!   thread-per-peer, reconnect with backoff): the wire layer of the real
 //!   `hh-node` runtime.
@@ -59,7 +56,6 @@ mod latency;
 pub mod prof;
 mod sim;
 pub mod tcp;
-pub mod threaded;
 mod time;
 pub mod wheel;
 

@@ -26,6 +26,7 @@
 
 use crate::config::NodeConfig;
 use crate::wire::WireMsg;
+use crossbeam::channel::Receiver;
 use hammerhead::{Output, Validator};
 use hh_net::tcp::{TcpEvent, TcpTransport};
 use hh_storage::FileBackend;
@@ -69,6 +70,26 @@ fn watch_stdin(stop: Arc<AtomicBool>) {
             stop.store(true, Ordering::SeqCst);
         })
         .expect("spawn stdin watcher");
+}
+
+/// Most events one wake-up handles before the loop looks at its timers,
+/// the status tick and the stop flag again: sustained inbound traffic
+/// must not starve the leader timeout or a shutdown request.
+const MAX_BURST: usize = 256;
+
+/// Handles `first`, then whatever is already queued on `events`, at most
+/// [`MAX_BURST`] events in all; stops early once `handle` returns
+/// `false` (the validator fail-stopped).
+fn drain_burst<T>(first: T, events: &Receiver<T>, mut handle: impl FnMut(T) -> bool) {
+    if !handle(first) {
+        return;
+    }
+    for _ in 1..MAX_BURST {
+        let Ok(ev) = events.try_recv() else { return };
+        if !handle(ev) {
+            return;
+        }
+    }
 }
 
 /// Runs a node to completion.
@@ -173,20 +194,18 @@ pub fn run_node(cfg: &NodeConfig) -> Result<NodeReport, String> {
             timers.peek().map_or(next_status, |&Reverse((d, _))| d.min(next_status));
         let wait = Duration::from_micros(next_deadline.saturating_sub(now).clamp(100, 20_000));
         match transport.events().recv_timeout(wait) {
-            Ok(TcpEvent::Message { from, msg }) => {
-                let now = now_us(&start);
-                let outs = validator.on_message(ValidatorId(from), msg.0.as_ref(), now);
-                dispatch(outs, now, &mut timers, &mut fatal);
-                // Drain any burst without re-checking timers per frame.
-                while let Ok(ev) = transport.events().try_recv() {
+            Ok(first) => {
+                // Drain a burst without re-checking timers per frame.
+                drain_burst(first, transport.events(), |ev| {
+                    // Connected / Disconnected are transport-level noise.
                     if let TcpEvent::Message { from, msg } = ev {
                         let now = now_us(&start);
                         let outs = validator.on_message(ValidatorId(from), msg.0.as_ref(), now);
                         dispatch(outs, now, &mut timers, &mut fatal);
                     }
-                }
+                    fatal.is_none()
+                });
             }
-            Ok(_) => {} // Connected / Disconnected: transport-level noise.
             Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
             Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
                 fatal = Some("transport event channel closed".into());
@@ -236,6 +255,37 @@ pub fn parse_status_field(line: &str, key: &str) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn burst_drain_stops_at_the_bound_and_on_a_fatal_event() {
+        let (tx, rx) = crossbeam::channel::unbounded();
+        for i in 1..2 * MAX_BURST {
+            tx.send(i).unwrap();
+        }
+        let mut seen = Vec::new();
+        drain_burst(0, &rx, |i| {
+            seen.push(i);
+            true
+        });
+        assert_eq!(seen, (0..MAX_BURST).collect::<Vec<_>>());
+        // The rest stays queued, in order, for the next wake-up; a
+        // handler reporting a fail-stop ends the drain at once.
+        seen.clear();
+        drain_burst(rx.try_recv().unwrap(), &rx, |i| {
+            seen.push(i);
+            i < MAX_BURST + 2
+        });
+        assert_eq!(seen, [MAX_BURST, MAX_BURST + 1, MAX_BURST + 2]);
+        assert_eq!(rx.try_recv(), Ok(MAX_BURST + 3));
+        // A short queue is drained to the end.
+        drop(tx);
+        seen.clear();
+        drain_burst(rx.try_recv().unwrap(), &rx, |i| {
+            seen.push(i);
+            true
+        });
+        assert_eq!(seen, (MAX_BURST + 4..2 * MAX_BURST).collect::<Vec<_>>());
+    }
 
     #[test]
     fn status_lines_parse() {

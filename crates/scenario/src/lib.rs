@@ -22,8 +22,7 @@
 //!   `hh-cli list`, `hh-cli matrix`, `hh-cli validate`.
 //!
 //! The checked-in scenario files under `scenarios/` reproduce the
-//! paper's figures; the seven binaries in `hh-bench` are thin wrappers
-//! over them.
+//! paper's figures.
 //!
 //! # Example
 //!
@@ -78,8 +77,8 @@ pub fn load_scenario(path: &Path) -> Result<ScenarioSpec, ScenarioError> {
 }
 
 /// The repository's `scenarios/` directory, resolved relative to this
-/// crate at compile time — lets the `hh-bench` wrappers find their
-/// scenario files regardless of the working directory.
+/// crate at compile time — lets tests find the checked-in scenario
+/// files regardless of the working directory.
 pub fn repo_scenarios_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
 }

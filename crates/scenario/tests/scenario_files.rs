@@ -1,7 +1,6 @@
 //! Tests over the checked-in `scenarios/*.toml` files: every file must
 //! parse, expand, survive a serialize/parse round trip, and the fig2
-//! scenario must build exactly the configuration the legacy hard-coded
-//! `fig2_faults` binary used.
+//! scenario must lower to exactly the configuration built by hand.
 
 use hh_scenario::{load_scenario, repo_scenarios_dir, PlanOptions, ScenarioSpec};
 use hh_sim::{run_experiment, ExperimentConfig, FaultSchedule, SystemKind};
@@ -50,11 +49,11 @@ fn every_checked_in_scenario_round_trips() {
     }
 }
 
-/// The legacy `fig2_faults` binary built its configs by hand; the
-/// scenario file must reproduce them knob for knob — same seeds, same
-/// simulation, identical results.
+/// `ScenarioSpec::plan` must lower the Figure 2 scenario file to the
+/// config one would build by hand for the same point, knob for knob —
+/// same seeds, same simulation, identical results.
 #[test]
-fn fig2_scenario_matches_legacy_binary_config() {
+fn fig2_scenario_lowers_to_the_hand_built_config() {
     let spec = load_scenario(&repo_scenarios_dir().join("fig2_faults.toml")).expect("parses");
     let plan = spec.plan(&PlanOptions { quick: true, ..PlanOptions::default() }).expect("plans");
 
@@ -66,29 +65,29 @@ fn fig2_scenario_matches_legacy_binary_config() {
         .find(|r| r.system == "bullshark" && r.config.load_tps == 500)
         .expect("bullshark @ 500 tps is part of the quick sweep");
 
-    // What the legacy binary constructed for the same point
-    // (Scale { quick: true } → duration 15, warmup 15/6 = 2, seed 42).
+    // The same point built by hand (quick axes: duration 15,
+    // warmup 15/6 = 2, seed 42).
     let committee = 10;
-    let mut legacy = ExperimentConfig::paper(SystemKind::Bullshark, committee, 500);
-    legacy.duration_secs = 15;
-    legacy.warmup_secs = 2;
-    legacy.seed = 42;
-    legacy.faults = FaultSchedule::crash_last(committee, committee / 3).expect("f < n");
+    let mut by_hand = ExperimentConfig::paper(SystemKind::Bullshark, committee, 500);
+    by_hand.duration_secs = 15;
+    by_hand.warmup_secs = 2;
+    by_hand.seed = 42;
+    by_hand.faults = FaultSchedule::crash_last(committee, committee / 3).expect("f < n");
 
-    assert_eq!(run.config.committee_size, legacy.committee_size);
-    assert_eq!(run.config.duration_secs, legacy.duration_secs);
-    assert_eq!(run.config.warmup_secs, legacy.warmup_secs);
-    assert_eq!(run.config.seed, legacy.seed);
-    assert_eq!(run.config.faults.crashed_nodes(), legacy.faults.crashed_nodes());
-    assert_eq!(run.config.geo, legacy.geo);
-    assert_eq!(run.config.gst_secs, legacy.gst_secs);
-    assert_eq!(run.config.client_window_secs, legacy.client_window_secs);
+    assert_eq!(run.config.committee_size, by_hand.committee_size);
+    assert_eq!(run.config.duration_secs, by_hand.duration_secs);
+    assert_eq!(run.config.warmup_secs, by_hand.warmup_secs);
+    assert_eq!(run.config.seed, by_hand.seed);
+    assert_eq!(run.config.faults.crashed_nodes(), by_hand.faults.crashed_nodes());
+    assert_eq!(run.config.geo, by_hand.geo);
+    assert_eq!(run.config.gst_secs, by_hand.gst_secs);
+    assert_eq!(run.config.client_window_secs, by_hand.client_window_secs);
 
     // And the simulations agree bit for bit.
     let from_scenario = run_experiment(&run.config);
-    let from_legacy = run_experiment(&legacy);
-    assert_eq!(from_scenario.chain_hash, from_legacy.chain_hash);
-    assert_eq!(from_scenario.commits, from_legacy.commits);
-    assert_eq!(from_scenario.throughput_tps, from_legacy.throughput_tps);
-    assert_eq!(from_scenario.latency, from_legacy.latency);
+    let from_hand = run_experiment(&by_hand);
+    assert_eq!(from_scenario.chain_hash, from_hand.chain_hash);
+    assert_eq!(from_scenario.commits, from_hand.commits);
+    assert_eq!(from_scenario.throughput_tps, from_hand.throughput_tps);
+    assert_eq!(from_scenario.latency, from_hand.latency);
 }

@@ -438,16 +438,16 @@ pub fn run_experiment(config: &ExperimentConfig) -> RunResult {
 /// Runs the experiment until `limit` is hit and gathers the paper's
 /// metrics over the actually-elapsed window.
 ///
-/// With [`RunLimit::Rounds`] the simulation advances in quarter-second
-/// slices so the stop is prompt; throughput and the measurement window
-/// are computed from the real stop time, keeping the metrics comparable
-/// across limit modes.
+/// The simulation advances in quarter-second slices, so a
+/// [`RunLimit::Rounds`] stop is prompt; throughput and the measurement
+/// window are computed from the real stop time, keeping the metrics
+/// comparable across limit modes.
 pub fn run_experiment_limited(config: &ExperimentConfig, limit: RunLimit) -> RunResult {
     let (handle, end_us) = run_sim_limited(config, limit);
     collect_metrics(config, &handle, end_us)
 }
 
-/// The validator indices the streaming drivers may safely drain mid-run:
+/// The validator indices the run driver may safely drain mid-run:
 /// not crashed at any point through the configured cap, so no record of
 /// a validator that later turns out to be crashed-at-stop ever reaches
 /// the sink. The metrics collectors use [`FaultSchedule::live_at`] at
@@ -472,10 +472,62 @@ fn recovery_times(config: &ExperimentConfig, cap_us: u64) -> Vec<u64> {
 /// scheduled recovery, or the cap — whichever comes first. Slicing
 /// `run_until` never reorders events, so boundary choice cannot change
 /// results; it only controls where sampling and draining happen.
-fn next_boundary(now_us: u64, cap_us: u64, slice_us: u64, recoveries: &[u64]) -> u64 {
-    let grid = ((now_us / slice_us) + 1) * slice_us;
+fn next_boundary(now_us: u64, cap_us: u64, recoveries: &[u64]) -> u64 {
+    const SLICE_US: u64 = 250_000;
+    let grid = ((now_us / SLICE_US) + 1) * SLICE_US;
     let recovery = recoveries.iter().copied().find(|t| *t > now_us).unwrap_or(u64::MAX);
     grid.min(recovery).min(cap_us)
+}
+
+/// Builds the simulation and drives it until `limit`, returning the
+/// live handle and the stop time in microseconds.
+///
+/// The simulation advances from one [`next_boundary`] to the next. After
+/// each slice the recoveries scheduled at that instant are sampled,
+/// `on_slice(handle, validators, now_us)` runs with the
+/// [`drainable_validators`], the safety audit drains every validator's
+/// commit records, and a [`RunLimit::Rounds`] target is checked. After
+/// the last slice `on_slice` runs once more with the validators that
+/// are live at the actual stop but were outside the conservative drain
+/// set — a run that stopped before a scheduled crash leaves that
+/// (healthy) validator's records buffered until then.
+fn drive(
+    config: &ExperimentConfig,
+    limit: RunLimit,
+    mut on_slice: impl FnMut(&mut SimHandle, &[usize], u64),
+) -> (SimHandle, u64) {
+    let mut handle = build_sim(config);
+    let cap_us = SimTime::from_secs(config.duration_secs).as_micros();
+    let recoveries = recovery_times(config, cap_us);
+    let live = drainable_validators(config, handle.n_validators);
+    let mut now_us = 0u64;
+    // A recovery at t=0 is a boundary the loop below never visits (it
+    // only moves forward from 0).
+    if recoveries.first() == Some(&0) {
+        handle.sim.run_until(SimTime(0));
+        handle.sample_recoveries(config, 0);
+    }
+    while now_us < cap_us {
+        now_us = next_boundary(now_us, cap_us, &recoveries);
+        handle.sim.run_until(SimTime(now_us));
+        if recoveries.binary_search(&now_us).is_ok() {
+            handle.sample_recoveries(config, now_us);
+        }
+        on_slice(&mut handle, &live, now_us);
+        audit_safety(&mut handle);
+        if let RunLimit::Rounds(target) = limit {
+            let best =
+                live.iter().map(|i| handle.validator(*i).current_round().0).max().unwrap_or(0);
+            if best >= target {
+                break;
+            }
+        }
+    }
+    let mut late = config.faults.live_at(handle.n_validators, now_us);
+    late.retain(|i| !live.contains(i));
+    on_slice(&mut handle, &late, now_us);
+    audit_safety(&mut handle);
+    (handle, now_us)
 }
 
 /// Builds and drives the simulation until `limit`, returning the live
@@ -486,49 +538,7 @@ fn next_boundary(now_us: u64, cap_us: u64, slice_us: u64, recoveries: &[u64]) ->
 /// Latency records stay buffered on the validators; for the
 /// bounded-memory streaming path use [`run_sim_streaming`].
 pub fn run_sim_limited(config: &ExperimentConfig, limit: RunLimit) -> (SimHandle, u64) {
-    let mut handle = build_sim(config);
-    let cap = SimTime::from_secs(config.duration_secs);
-    let cap_us = cap.as_micros();
-    let recoveries = recovery_times(config, cap_us);
-    let end_us = match limit {
-        RunLimit::Duration => {
-            // Stop at each recovery instant only to sample the network
-            // round; event processing is identical to a single-shot drive.
-            for &t in &recoveries {
-                handle.sim.run_until(SimTime(t));
-                handle.sample_recoveries(config, t);
-            }
-            handle.sim.run_until(cap);
-            audit_safety(&mut handle);
-            cap_us
-        }
-        RunLimit::Rounds(target) => {
-            let live = drainable_validators(config, handle.n_validators);
-            let slice_us = 250_000u64;
-            let mut now_us = 0u64;
-            // A recovery at t=0 is a boundary the loop below never
-            // visits (it only moves forward from 0).
-            if recoveries.first() == Some(&0) {
-                handle.sim.run_until(SimTime(0));
-                handle.sample_recoveries(config, 0);
-            }
-            while now_us < cap_us {
-                now_us = next_boundary(now_us, cap_us, slice_us, &recoveries);
-                handle.sim.run_until(SimTime(now_us));
-                if recoveries.binary_search(&now_us).is_ok() {
-                    handle.sample_recoveries(config, now_us);
-                }
-                let best =
-                    live.iter().map(|i| handle.validator(*i).current_round().0).max().unwrap_or(0);
-                if best >= target {
-                    break;
-                }
-            }
-            audit_safety(&mut handle);
-            now_us
-        }
-    };
-    (handle, end_us)
+    drive(config, limit, |_, _, _| {})
 }
 
 /// Builds and drives the simulation until `limit`, draining every live
@@ -538,10 +548,9 @@ pub fn run_sim_limited(config: &ExperimentConfig, limit: RunLimit) -> (SimHandle
 /// the freshly produced [`hammerhead::ExecRecord`]s are taken off the
 /// validators and fed to the sink, so per-run memory stays bounded by
 /// the sink's fixed histograms (plus the small execution backlog)
-/// instead of growing with run length × load. Event processing is
-/// identical to the single-shot drive — the simulator's event queue is
-/// ordered by `(time, seq)` and slicing `run_until` does not reorder it
-/// — so results match [`run_sim_limited`] bit for bit.
+/// instead of growing with run length × load. Draining changes no
+/// event — the simulator's queue is ordered by `(time, seq)` and never
+/// sees the sink — so results match [`run_sim_limited`] bit for bit.
 ///
 /// Finish with [`collect_streamed_metrics`] to finalize the sink and
 /// gather the standard [`RunResult`].
@@ -550,28 +559,8 @@ pub fn run_sim_streaming(
     limit: RunLimit,
     sink: &mut MetricsSink,
 ) -> (SimHandle, u64) {
-    let mut handle = build_sim(config);
-    let cap = SimTime::from_secs(config.duration_secs);
-    let cap_us = cap.as_micros();
-    let recoveries = recovery_times(config, cap_us);
-    let live = drainable_validators(config, handle.n_validators);
-    let round_target = match limit {
-        RunLimit::Duration => None,
-        RunLimit::Rounds(target) => Some(target),
-    };
-    let slice_us = 250_000u64;
-    let mut now_us = 0u64;
-    if recoveries.first() == Some(&0) {
-        handle.sim.run_until(SimTime(0));
-        handle.sample_recoveries(config, 0);
-    }
-    while now_us < cap_us {
-        now_us = next_boundary(now_us, cap_us, slice_us, &recoveries);
-        handle.sim.run_until(SimTime(now_us));
-        if recoveries.binary_search(&now_us).is_ok() {
-            handle.sample_recoveries(config, now_us);
-        }
-        for &i in &live {
+    drive(config, limit, |handle, validators, now_us| {
+        for &i in validators {
             let records = handle
                 .sim
                 .node_mut(NodeId(i))
@@ -582,33 +571,7 @@ pub fn run_sim_streaming(
                 sink.observe(rec, now_us);
             }
         }
-        audit_safety(&mut handle);
-        if let Some(target) = round_target {
-            let best =
-                live.iter().map(|i| handle.validator(*i).current_round().0).max().unwrap_or(0);
-            if best >= target {
-                break;
-            }
-        }
-    }
-    // A run that stopped before a scheduled crash leaves that (healthy)
-    // validator outside the conservative drain set; it counts as live at
-    // the actual stop, so pick up its buffered records now.
-    for i in config.faults.live_at(handle.n_validators, now_us) {
-        if !live.contains(&i) {
-            let records = handle
-                .sim
-                .node_mut(NodeId(i))
-                .as_validator_mut()
-                .expect("node is a validator")
-                .take_exec_records();
-            for rec in &records {
-                sink.observe(rec, now_us);
-            }
-        }
-    }
-    audit_safety(&mut handle);
-    (handle, now_us)
+    })
 }
 
 /// Finalizes a sink fed by [`run_sim_streaming`] and gathers the paper's
