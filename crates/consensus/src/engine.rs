@@ -41,8 +41,9 @@ pub struct Bullshark<P: SchedulePolicy> {
     policy: P,
     /// The ordered (delivered) vertices still within the DAG's GC horizon.
     ordered: OrderedSet,
-    /// Round of the last *ordered* anchor (the paper's `lastOrderedRound`;
-    /// see DESIGN.md §4 on why it only advances when ordering happens).
+    /// Round of the last *ordered* anchor (the paper's `lastOrderedRound`):
+    /// the floor of every walk-back. It advances only when an anchor is
+    /// ordered, never when one is merely looked at.
     last_ordered_anchor_round: Option<Round>,
     commit_index: u64,
     /// Running hash over the commit sequence (anchor digests in order).
@@ -115,82 +116,112 @@ impl<P: SchedulePolicy> Bullshark<P> {
         self.policy.leader_at(round)
     }
 
-    /// Algorithm 2's `TryCommitting(v)`, extended with the schedule-switch
-    /// re-walk. Call with every delivered vertex; returns the sub-DAGs this
-    /// vertex's arrival committed (usually empty).
+    /// Algorithm 2's `TryCommitting`, run where an anchor's votes change,
+    /// extended with the schedule-switch re-walk. Call with every delivered
+    /// vertex, after it entered `dag`; returns the sub-DAGs this vertex's
+    /// arrival committed (usually empty).
+    ///
+    /// **Trigger.** An anchor's vote stake changes only when a vertex of
+    /// the voting (odd) round above it is inserted — children enter the
+    /// DAG after their parents — so the rule runs on delivery of an odd
+    /// vertex `v`, for the anchor of `v.round − 1`: it commits with the
+    /// (f+1)-th vote. Algorithm 2 runs it literally one round later, on a
+    /// round-`r` vertex for the round-`r−2` anchor; a validator's first
+    /// such vertex is its own, proposed only after a full quorum of votes
+    /// plus pacing. A [`ScheduleDecision::Switched`] renames the leaders of
+    /// every round from the switching anchor's up, so those rounds are
+    /// evaluated once more under the new schedule.
+    ///
+    /// **Invariant.** When this returns, no even round above
+    /// [`Bullshark::last_ordered_anchor_round`] has an active-schedule
+    /// leader vertex that is in `dag`, unordered, and carries
+    /// validity-threshold vote stake (given the same held before `v` was
+    /// inserted).
+    ///
+    /// **Order.** The total order is the same function of the DAG as under
+    /// the literal trigger: safety needs only that f+1 votes exist (every
+    /// round-`r+2` vertex has 2f+1 parents and so meets a voter, hence
+    /// every later anchor reaches this one in its walk-back), not when a
+    /// validator notices them.
     pub fn process_vertex(&mut self, v: &Arc<Vertex>, dag: &Dag) -> Vec<CommittedSubDag> {
         let mut outputs = Vec::new();
-        // Lines 9-10: only even rounds ≥ 2 can reveal quorum votes.
-        if !v.round().is_even() || v.round().0 == 0 {
+        if v.round().is_even() {
             return outputs;
         }
-
-        // The schedule may switch mid-walk; re-interpret and retry. Each
-        // iteration either returns or switches the schedule, and a schedule
-        // can switch at most once per T rounds, so this terminates.
-        loop {
-            let anchor_round = v.round() - 2;
-            let leader = self.policy.leader_at(anchor_round);
-            let Some(anchor) = dag.vertex_by_author(anchor_round, leader).cloned() else {
-                return outputs; // line 7: no anchor vertex
-            };
-            if self.ordered.contains(&anchor) {
-                return outputs; // already committed via an earlier trigger
-            }
-
-            // Lines 12-13: validity-threshold stake of votes for the
-            // anchor. We use the view-based formulation ("the anchor has
-            // f+1 votes in the DAG"), which Algorithm 2's per-trigger
-            // check (votes within `v.edges`) under-approximates: any
-            // vertex triggering the check proves those voters exist in
-            // every later quorum's intersection, and the DAG's vote index
-            // makes the check O(1). Same safety argument, earlier commits.
-            if dag.vote_stake(&anchor.digest()) < self.committee.validity_threshold() {
-                return outputs;
-            }
-
-            // Lines 15-24 (`orderAnchors`): walk back to the last ordered
-            // anchor, keeping earlier anchors reachable from later ones.
-            // Each `reachable` is one frontier-mask descent over the DAG's
-            // parent masks, two rounds deep between consecutive anchors;
-            // the stack buffer is reused across calls.
-            self.anchor_stack.clear();
-            self.anchor_stack.push(anchor.clone());
-            let mut cur = anchor;
-            let mut r = anchor_round;
-            while r.0 >= 2 {
-                r = r - 2;
-                if self.last_ordered_anchor_round.is_some_and(|floor| r <= floor) {
-                    break;
+        let mut round = v.round() - 1;
+        let mut last = round;
+        while round <= last {
+            match self.try_commit(round, dag, &mut outputs) {
+                // Each switch starts strictly above the previous one's
+                // initial round, so the sweep terminates.
+                Some(switched_at) => {
+                    round = switched_at;
+                    last = dag.highest_round().unwrap_or(last);
                 }
-                let prev_leader = self.policy.leader_at(r);
-                if let Some(prev) = dag.vertex_by_author(r, prev_leader) {
-                    if !self.ordered.contains(prev) && dag.reachable(&cur, prev) {
-                        self.anchor_stack.push(prev.clone());
-                        cur = prev.clone();
-                    }
-                }
-            }
-
-            // Lines 27-37 (`orderHistory`): oldest anchor first.
-            let mut switched = false;
-            while let Some(a) = self.anchor_stack.pop() {
-                match self.policy.before_order_anchor(&a, dag, &self.ordered) {
-                    ScheduleDecision::Switched => {
-                        // Lines 30-33: the rest of the stack was derived
-                        // under the old schedule — discard and re-walk.
-                        switched = true;
-                        break;
-                    }
-                    ScheduleDecision::Continue => {
-                        outputs.push(self.order_sub_dag(&a, dag));
-                    }
-                }
-            }
-            if !switched {
-                return outputs;
+                None => round = round + 2,
             }
         }
+        outputs
+    }
+
+    /// Commits the anchor of (even) `anchor_round` if it holds
+    /// validity-threshold votes, together with every earlier unordered
+    /// anchor it reaches. Returns the round of the anchor at which the
+    /// policy switched schedules, if it did: the anchors still stacked
+    /// were derived under the old schedule and are dropped.
+    fn try_commit(
+        &mut self,
+        anchor_round: Round,
+        dag: &Dag,
+        outputs: &mut Vec<CommittedSubDag>,
+    ) -> Option<Round> {
+        let leader = self.policy.leader_at(anchor_round);
+        let anchor = dag.vertex_by_author(anchor_round, leader)?.clone(); // line 7: no anchor vertex
+        if self.ordered.contains(&anchor) {
+            return None; // already committed by an earlier vote
+        }
+
+        // Lines 12-13: validity-threshold stake of votes for the anchor,
+        // counted over the whole local DAG ("the anchor has f+1 votes")
+        // rather than within one triggering vertex's edges: once f+1
+        // voters exist, every quorum of that round contains one, whoever
+        // looks. The DAG's vote index makes the check O(1).
+        if dag.vote_stake(&anchor.digest()) < self.committee.validity_threshold() {
+            return None;
+        }
+
+        // Lines 15-24 (`orderAnchors`): walk back to the last ordered
+        // anchor, keeping earlier anchors reachable from later ones.
+        // Each `reachable` is one frontier-mask descent over the DAG's
+        // parent masks, two rounds deep between consecutive anchors;
+        // the stack buffer is reused across calls.
+        self.anchor_stack.clear();
+        self.anchor_stack.push(anchor.clone());
+        let mut cur = anchor;
+        let mut r = anchor_round;
+        while r.0 >= 2 {
+            r = r - 2;
+            if self.last_ordered_anchor_round.is_some_and(|floor| r <= floor) {
+                break;
+            }
+            let prev_leader = self.policy.leader_at(r);
+            if let Some(prev) = dag.vertex_by_author(r, prev_leader) {
+                if !self.ordered.contains(prev) && dag.reachable(&cur, prev) {
+                    self.anchor_stack.push(prev.clone());
+                    cur = prev.clone();
+                }
+            }
+        }
+
+        // Lines 27-37 (`orderHistory`): oldest anchor first.
+        while let Some(a) = self.anchor_stack.pop() {
+            match self.policy.before_order_anchor(&a, dag, &self.ordered) {
+                // Lines 30-33: a new schedule starts at `a`.
+                ScheduleDecision::Switched => return Some(a.round()),
+                ScheduleDecision::Continue => outputs.push(self.order_sub_dag(&a, dag)),
+            }
+        }
+        None
     }
 
     /// Orders the anchor's not-yet-ordered causal history deterministically
@@ -400,17 +431,41 @@ mod tests {
     }
 
     #[test]
-    fn odd_and_genesis_vertices_never_trigger() {
+    fn commit_fires_on_the_f_plus_1th_vote() {
         let c = committee4();
         let mut b = DagBuilder::new(c.clone());
-        b.extend_full_rounds(2);
-        let dag = b.into_dag();
+        b.extend_full_rounds(2); // rounds 0,1
+        b.extend_round_without(&[ValidatorId(1)]); // round 2: its leader v1 is absent
+        b.extend_full_rounds(4); // rounds 3..=6
+        let full = b.into_dag();
+
+        // Deliver one vertex at a time, the way the node does.
+        let mut dag = Dag::new(c.clone());
         let mut e = engine(&c);
-        for r in [0u64, 1] {
-            for v in dag.round_vertices(Round(r)).cloned().collect::<Vec<_>>() {
-                assert!(e.process_vertex(&v, &dag).is_empty());
-            }
-        }
+        let mut deliver = |round: u64| -> Vec<Vec<u64>> {
+            let mut vs: Vec<_> = full.round_vertices(Round(round)).cloned().collect();
+            vs.sort_by_key(|v| v.author());
+            vs.iter()
+                .map(|v| {
+                    dag.try_insert_arc(v.clone()).unwrap();
+                    e.process_vertex(v, &dag).iter().map(|sd| sd.anchor.round.0).collect()
+                })
+                .collect()
+        };
+        let none = Vec::<u64>::new();
+
+        // Round 0 holds no votes. In round 1 the first vote is below the
+        // validity threshold (f+1 = 2), the second commits the round-0
+        // anchor, the rest change nothing.
+        assert_eq!(deliver(0), vec![none.clone(); 4]);
+        assert_eq!(deliver(1), vec![none.clone(), vec![0], none.clone(), none.clone()]);
+        // The next round's vertices are no trigger any more.
+        assert_eq!(deliver(2), vec![none.clone(); 3]);
+        // Votes for an anchor that is not there commit nothing.
+        assert_eq!(deliver(3), vec![none.clone(); 4]);
+        assert_eq!(deliver(4), vec![none.clone(); 4]);
+        assert_eq!(deliver(5), vec![none.clone(), vec![4], none.clone(), none.clone()]);
+        assert_eq!(deliver(6), vec![none.clone(); 4]);
     }
 
     #[test]

@@ -23,7 +23,8 @@ pub struct OrderedSet {
 }
 
 impl OrderedSet {
-    pub(crate) fn new(committee_size: usize) -> Self {
+    /// The empty set for a committee of `committee_size` authors.
+    pub fn new(committee_size: usize) -> Self {
         OrderedSet { words: committee_size.div_ceil(64), floor: Round(0), masks: VecDeque::new() }
     }
 
@@ -47,7 +48,8 @@ impl OrderedSet {
         dag.get(digest).is_some_and(|v| self.contains(v))
     }
 
-    pub(crate) fn insert(&mut self, v: &Vertex) {
+    /// Marks the vertex stored at `v`'s `(round, author)` as ordered.
+    pub fn insert(&mut self, v: &Vertex) {
         let Some((word, bit)) = self.slot(v) else {
             return;
         };

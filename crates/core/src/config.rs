@@ -53,7 +53,8 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// How reputation points are assigned (ablation A3 in `DESIGN.md`).
+/// How reputation points are assigned (`docs/architecture.md` §5; the rules
+/// are compared in `scenarios/ablation_scoring.toml`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ScoringRule {
     /// The paper's rule: +1 to a validator each time one of its vertices
@@ -158,8 +159,8 @@ pub enum ScheduleConfig {
 /// Full configuration of a validator node.
 ///
 /// Durations are in microseconds of simulation time; defaults are the
-/// calibration used by the experiment harness (see `DESIGN.md` §2 for what
-/// each models).
+/// calibration used by the experiment harness (see `docs/architecture.md`
+/// §2 and §6 for what each models).
 #[derive(Clone, Debug)]
 pub struct ValidatorConfig {
     /// Leader schedule (HammerHead vs baseline).

@@ -13,7 +13,8 @@
 //! 1. wait for quorum stake of round `r-1` vertices;
 //! 2. pace (`min_round_delay_us`), and when leaving an *even* round wait up
 //!    to `leader_timeout_us` for that round's anchor vertex — the leader-
-//!    await that makes crashed leaders expensive for static schedules;
+//!    await that makes crashed leaders expensive for static schedules —
+//!    unless its leader has already proposed above it;
 //! 3. propose: batch transactions (bounded by block size and the
 //!    uncommitted-tx backpressure budget), link to all known `r-1`
 //!    vertices, broadcast via the reliable-broadcast layer;
@@ -175,6 +176,9 @@ pub struct ValidatorMetrics {
     pub bytes_committed: u64,
     /// Leader-await deadlines that expired (anchor never arrived in time).
     pub leader_timeouts: u64,
+    /// Own proposals the catch-up jumped over (rounds that reached quorum
+    /// before this validator proposed in them).
+    pub rounds_skipped: u64,
     /// Committed sub-DAGs observed.
     pub commits: u64,
     /// Times the node restarted from persistent storage.
@@ -743,6 +747,21 @@ impl<B: LogBackend> Validator<B> {
 
     /// The proposer loop: advance as many rounds as conditions allow; on a
     /// time-gated condition, arm a precise wake-up timer.
+    ///
+    /// Catch-up: when a round at or above the next proposal already holds
+    /// quorum, the rounds up to it are lost — the committee moved on
+    /// without this validator's vertices — and the proposer resumes above
+    /// it. The one exception is a quorum round this validator *leads*: the
+    /// others are sitting in their leader-await for exactly that anchor, so
+    /// skipping it would cost everyone `leader_timeout_us` for an honest
+    /// leader. The proposer resumes *at* that round instead (the round
+    /// below it holds quorum: every stored vertex has its parents stored).
+    ///
+    /// Leader-await: leaving an even round waits for its anchor, but not for
+    /// one that cannot come. A commit at the (f+1)-th vote can switch
+    /// schedules while slower validators are still in the anchor's round,
+    /// and the new schedule may name for that round a leader that skipped
+    /// it; its vertex one round up says so.
     fn drive(&mut self, now: u64, out: &mut Vec<Output>) {
         loop {
             if self.halted {
@@ -752,14 +771,15 @@ impl<B: LogBackend> Validator<B> {
                 self.propose(Round(0), now, out);
                 continue;
             }
-            // Catch-up: if some higher round already has quorum, jump.
-            let mut prev = self.next_round.prev();
             if let Some(best) = self.best_quorum_round {
                 if best >= self.next_round {
-                    self.next_round = best.next();
-                    prev = best;
+                    let leads = best.is_even() && self.engine.current_leader(best) == self.id;
+                    let resume = if leads { best } else { best.next() };
+                    self.metrics.rounds_skipped += resume.0 - self.next_round.0;
+                    self.next_round = resume;
                 }
             }
+            let prev = self.next_round.prev();
             if !self.dag.is_quorum_at(prev) {
                 return; // wait for deliveries
             }
@@ -775,7 +795,12 @@ impl<B: LogBackend> Validator<B> {
             }
             if prev.is_even() {
                 let leader = self.engine.current_leader(prev);
-                if leader != self.id && self.dag.vertex_by_author(prev, leader).is_none() {
+                // An anchor is still to come only while its author has not
+                // proposed above it: nobody returns to a round they passed.
+                let awaited = leader != self.id
+                    && self.dag.vertex_by_author(prev, leader).is_none()
+                    && self.dag.vertex_by_author(self.next_round, leader).is_none();
+                if awaited {
                     if elapsed < self.config.leader_timeout_us {
                         self.arm_wake(
                             now,
@@ -1189,6 +1214,117 @@ mod tests {
         // All eventually commit (budget releases on commit), but never more
         // than 3 in one block.
         assert_eq!(pump.v.metrics().own_txs_committed, 9);
+    }
+
+    /// This validator's own vertices among the broadcasts in `out`.
+    fn own_broadcasts(out: &[Output], me: ValidatorId) -> Vec<Arc<Vertex>> {
+        out.iter()
+            .filter_map(|o| match o {
+                Output::Broadcast(ValidatorMessage::Rbc(RbcMessage::Vertex(vertex)))
+                    if vertex.author() == me =>
+                {
+                    Some(vertex.clone())
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Hands `v` a round-`round` vertex of every one of `peers`, each linking
+    /// to `parents`, the way the network would at `now`. Returns the
+    /// vertices' digests and what `v` proposed in response.
+    fn deliver_from(
+        v: &mut Validator<MemBackend>,
+        peers: &[ValidatorId],
+        round: u64,
+        parents: &[Digest],
+        now: u64,
+    ) -> (Vec<Digest>, Vec<Arc<Vertex>>) {
+        let mut made = Vec::new();
+        let mut proposed = Vec::new();
+        for &peer in peers {
+            let vertex = Arc::new(Vertex::new(
+                Round(round),
+                peer,
+                Block::new(Vec::new()),
+                parents.to_vec(),
+                &v.committee.keypair(peer),
+            ));
+            made.push(vertex.digest());
+            let out = v.on_message(peer, &ValidatorMessage::Rbc(RbcMessage::Vertex(vertex)), now);
+            proposed.extend(own_broadcasts(&out, v.id));
+        }
+        (made, proposed)
+    }
+
+    /// One validator of a committee of four, two rounds into a run in step
+    /// with its three peers — which are the test: it signs their vertices
+    /// and hands them over. Returns the validator, the peers and the
+    /// round-1 digests; the next pacing deadline is t = 2 000. Under
+    /// round-robin v1 leads round 2 and v2 round 4.
+    fn one_of_four(me: ValidatorId) -> (Validator<MemBackend>, Vec<ValidatorId>, Vec<Digest>) {
+        let committee = Committee::new_equal_stake(4);
+        let peers: Vec<ValidatorId> = committee.ids().filter(|id| *id != me).collect();
+        let mut v = Validator::new(committee, me, fast_config(), None);
+        let mut r0 = vec![own_broadcasts(&v.on_start(0), me)[0].digest()];
+        r0.extend(deliver_from(&mut v, &peers, 0, &[], 100).0);
+        let mut r1 = vec![own_broadcasts(&v.on_timer(TOKEN_ROUND, 1_000), me)[0].digest()];
+        r1.extend(deliver_from(&mut v, &peers, 1, &r0, 1_100).0);
+        assert_eq!(v.current_round(), Round(2));
+        (v, peers, r1)
+    }
+
+    #[test]
+    fn late_leader_still_proposes_its_anchor() {
+        let me = ValidatorId(1);
+        let (mut v, peers, r1) = one_of_four(me);
+        assert_eq!(v.leader_at(Round(2)), me);
+        assert_ne!(v.leader_at(Round(4)), me);
+
+        // The peers reach round 2 — which this validator leads — before its
+        // pacing timer fires: round 2 holds quorum without its anchor.
+        let (mut r2, early) = deliver_from(&mut v, &peers, 2, &r1, 1_500);
+        assert!(early.is_empty(), "pacing holds the proposer back");
+        assert!(v.dag().is_quorum_at(Round(2)));
+        let proposed = own_broadcasts(&v.on_timer(TOKEN_ROUND, 2_000), me);
+        assert_eq!(proposed.len(), 1);
+        assert_eq!(proposed[0].round(), Round(2), "the leader proposes its anchor, late or not");
+        assert!(v.dag().vertex_by_author(Round(2), me).is_some());
+        assert_eq!(v.metrics().rounds_skipped, 0);
+        r2.push(proposed[0].digest());
+
+        // Rounds 3 and 4 form without it too; it leads neither, so it gives
+        // both up and resumes at round 5.
+        let (r3, _) = deliver_from(&mut v, &peers, 3, &r2, 2_400);
+        deliver_from(&mut v, &peers, 4, &r3, 2_500);
+        let proposed = own_broadcasts(&v.on_timer(TOKEN_ROUND, 3_000), me);
+        assert_eq!(proposed.len(), 1);
+        assert_eq!(proposed[0].round(), Round(5));
+        assert!(v.dag().vertex_by_author(Round(3), me).is_none());
+        assert!(v.dag().vertex_by_author(Round(4), me).is_none());
+        assert_eq!(v.metrics().rounds_skipped, 2);
+    }
+
+    #[test]
+    fn nobody_waits_for_a_leader_that_moved_on() {
+        let me = ValidatorId(0);
+        let (mut v, peers, r1) = one_of_four(me);
+        let leader = v.leader_at(Round(2));
+        assert_ne!(leader, me);
+        let others: Vec<ValidatorId> = peers.into_iter().filter(|p| *p != leader).collect();
+
+        // Round 2 forms without its leader's anchor: the await begins.
+        let mut r2 = vec![own_broadcasts(&v.on_timer(TOKEN_ROUND, 2_000), me)[0].digest()];
+        r2.extend(deliver_from(&mut v, &others, 2, &r1, 2_100).0);
+        assert!(own_broadcasts(&v.on_timer(TOKEN_ROUND, 3_000), me).is_empty());
+        assert_eq!(v.current_round(), Round(3));
+
+        // The leader's round-3 vertex shows it skipped round 2; waiting out
+        // the timeout would be waiting for nothing.
+        let (_, proposed) = deliver_from(&mut v, &[leader], 3, &r2, 3_100);
+        assert_eq!(proposed.len(), 1);
+        assert_eq!(proposed[0].round(), Round(3));
+        assert_eq!(v.metrics().leader_timeouts, 0);
     }
 
     #[test]

@@ -284,7 +284,8 @@ mod tests {
         let dag = b.into_dag();
         feed_all(&mut e, &dag, 12);
         // Anchors at rounds 0,2,4,...; boundary at initial+4: the anchor at
-        // round 4 triggers S0→S1, round 8 S1→S2, round 12 commits at r14.
+        // round 4 triggers S0→S1, round 8 S1→S2, round 12 waits for round-13
+        // votes.
         assert!(e.policy().epoch() >= 2, "epoch = {}", e.policy().epoch());
         let hist = e.policy().epoch_history();
         assert_eq!(hist[0].new_initial_round, Round(4));
@@ -480,7 +481,7 @@ mod tests {
                 }
             });
         }
-        // Rounds 14..=16 fully connected: round 16's vertices finally carry
+        // Rounds 14..=16 fully connected: round 15's vertices finally carry
         // validity votes for round 14's anchor, unleashing the walk.
         b.extend_full_rounds(3);
         let dag = b.into_dag();

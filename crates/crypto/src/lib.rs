@@ -16,7 +16,6 @@
 //!   against the committee's key registry but are **not** secure against a
 //!   real adversary holding the registry; the simulated adversary in this
 //!   reproduction never forges (the paper's evaluation is crash-fault only).
-//!   The substitution is documented in `DESIGN.md`.
 //!
 //! # Example
 //!

@@ -15,7 +15,7 @@
 //! It intentionally does **not** provide security against an adversary who
 //! can read the key registry; the paper's evaluation is crash-fault-only and
 //! the simulated Byzantine behaviours used in tests (equivocation, vote
-//! withholding) do not involve forgery. See `DESIGN.md` §2.
+//! withholding) do not involve forgery.
 
 use crate::{sha256, Digest, Sha256};
 use std::fmt;

@@ -1,10 +1,10 @@
 //! A small JSON value and pretty-printer.
 //!
 //! Scenario reports are machine-readable JSON (`BENCH_*.json`-style).
-//! The workspace carries no serde (`DESIGN.md` §5), so this module
-//! provides the write side only: a [`Json`] tree and a deterministic
-//! renderer. Object keys keep insertion order, which is what lets the
-//! golden-shape test pin the output format.
+//! The workspace carries no serde, so this module provides the write side
+//! only: a [`Json`] tree and a deterministic renderer. Object keys keep
+//! insertion order, which is what lets the golden-shape test pin the
+//! output format.
 
 use std::fmt::Write as _;
 

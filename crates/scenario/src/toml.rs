@@ -1,9 +1,9 @@
 //! A small TOML parser and serializer.
 //!
-//! The workspace deliberately carries no serde (`DESIGN.md` §5) and the
-//! build environment has no crates.io access, so scenario files are read
-//! by this hand-rolled implementation. It covers the TOML subset the
-//! scenario schema uses — which is most of everyday TOML:
+//! The workspace deliberately carries no serde and the build environment
+//! has no crates.io access, so scenario files are read by this hand-rolled
+//! implementation. It covers the TOML subset the scenario schema uses —
+//! which is most of everyday TOML:
 //!
 //! * `key = value` pairs with bare or dotted keys;
 //! * `[table]` and `[table.sub]` headers, `[[array-of-tables]]`;

@@ -159,8 +159,8 @@ impl ExperimentConfig {
     /// The validator configuration this experiment runs, either the
     /// explicit override or the derived paper calibration.
     ///
-    /// Calibration notes (`DESIGN.md` §2): the execution drain rate models
-    /// the Sui execution pipeline and carries a mild committee-size
+    /// Calibration notes (`docs/architecture.md` §6): the execution drain
+    /// rate models the Sui execution pipeline and carries a mild committee-size
     /// penalty, `4200 − 7·n` tps, reproducing the paper's observed peaks
     /// (≈4k tx/s at 10–50 validators, ≈3.5k at 100).
     pub fn derive_validator_config(&self) -> ValidatorConfig {

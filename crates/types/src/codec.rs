@@ -5,9 +5,8 @@
 //! prefix followed by the elements. The format is byte-stable across runs,
 //! which the deterministic simulator and the WAL recovery tests rely on.
 //!
-//! The workspace deliberately avoids `serde` (see `DESIGN.md` §5): the codec
-//! is ~200 lines, has no derive machinery, and its determinism is directly
-//! testable.
+//! The workspace deliberately avoids `serde`: the codec is ~200 lines, has
+//! no derive machinery, and its determinism is directly testable.
 //!
 //! # Example
 //!

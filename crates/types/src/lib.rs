@@ -11,7 +11,7 @@
 //!   a round, a source, a block of transactions, and edges to at least
 //!   `n − f` (by stake: quorum) vertices of the previous round;
 //! * [`codec`] — a deterministic hand-rolled binary codec used for wire
-//!   messages and the storage WAL (see `DESIGN.md` §5 for why no serde);
+//!   messages and the storage WAL (the [`codec`] docs say why no serde);
 //! * [`DigestHasher`], [`DigestMap`], [`DigestSet`] — pass-through
 //!   hashing for digest-keyed collections on the DAG hot path (digests
 //!   are already uniform; re-hashing them through SipHash is pure cost).
