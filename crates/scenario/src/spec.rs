@@ -239,6 +239,17 @@ impl WhenSpec {
             WhenSpec::Frac(frac) => (duration_secs as f64 * frac * 1e6) as u64,
         }
     }
+
+    /// Whether `self` is at or after `later` whatever the run length.
+    /// Only instants of the same kind can be ordered before a run fixes
+    /// its duration; mixed secs/frac pairs are checked after resolution.
+    fn not_before(self, later: WhenSpec) -> bool {
+        match (self, later) {
+            (WhenSpec::Secs(a), WhenSpec::Secs(b)) => a >= b,
+            (WhenSpec::Frac(a), WhenSpec::Frac(b)) => a >= b,
+            _ => false,
+        }
+    }
 }
 
 /// Which validators a fault hits.
@@ -466,20 +477,6 @@ pub struct WorkloadSpec {
     pub phases: Vec<WorkloadPhaseSpec>,
 }
 
-impl Default for WorkloadSpec {
-    fn default() -> Self {
-        WorkloadSpec {
-            declared: false,
-            mode: SubmissionMode::Closed,
-            payload_bytes: 0,
-            spread: 1.0,
-            block_bytes: None,
-            arrival: ArrivalSpec::Constant,
-            phases: Vec::new(),
-        }
-    }
-}
-
 impl WorkloadSpec {
     fn lower_arrival(arrival: &ArrivalSpec, scale: f64) -> Arrival {
         match *arrival {
@@ -649,298 +646,1056 @@ pub struct ScenarioSpec {
 }
 
 // ---------------------------------------------------------------------------
-// Strict table reading
+// The schema machinery: field tables, one generic reader, one generic writer
 // ---------------------------------------------------------------------------
+//
+// Every key of a scenario file is declared once, as a `Field` static
+// listed in the `Section` of the TOML table it lives in. `Section::read`
+// turns a raw TOML table into a `Row` (unknown keys rejected, values
+// type-checked and normalised, required keys insisted on) and
+// `Row::to_table` turns a `Row` back into TOML (defaults omitted), so the
+// typed structs above are filled from rows and written to rows without a
+// key or a default being spelled a second time. `docs/scenarios.md` is
+// checked against the same tables by a unit test.
 
-fn check_keys(
-    table: &BTreeMap<String, Value>,
-    context: &str,
-    allowed: &[&str],
-) -> Result<(), ScenarioError> {
-    for key in table.keys() {
-        if !allowed.contains(&key.as_str()) {
-            return Err(ScenarioError::Schema(format!(
-                "unknown key `{key}` in {context} (allowed: {})",
+fn schema(message: String) -> ScenarioError {
+    ScenarioError::Schema(message)
+}
+
+/// How a key's TOML value is typed, and which [`Cell`] it normalises to.
+#[derive(Clone, Copy, Debug)]
+enum Kind {
+    Str,
+    U64,
+    F64,
+    Bool,
+    /// One validator id.
+    Id,
+    /// A scalar or a non-empty list of non-negative integers.
+    U64Axis,
+    /// A string or a list of strings.
+    StrAxis,
+    /// A list of validator ids.
+    Ids,
+    /// A [`CountExpr`]: an integer or `"n/<k>"`.
+    Count,
+    /// A [`WhenSpec`]; the field's key is a prefix, and the file spells
+    /// either `<key>_secs` or `<key>_frac`.
+    When,
+    /// A sub-table; absent reads as the empty table, so its own defaults
+    /// apply.
+    Table(&'static Section),
+    /// An array of tables; absent reads as no entries.
+    Tables(&'static Section),
+}
+
+/// What an absent key yields.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Def {
+    /// Nothing: the typed field is an `Option`, or a cross-key rule decides.
+    None,
+    /// A schema error.
+    Required,
+    U64(u64),
+    F64(f64),
+    Str(&'static str),
+    Bool(bool),
+}
+
+/// One key of one TOML table.
+#[derive(Debug)]
+struct Field {
+    key: &'static str,
+    kind: Kind,
+    default: Def,
+    /// Written by the canonical form even when it holds its default: the
+    /// axes and the discriminators (`model`, `mode`, `system`) stay
+    /// visible in `hh-cli validate --dump`.
+    shown: bool,
+}
+
+/// One TOML table: its name as error messages print it, and its keys.
+#[derive(Debug)]
+struct Section {
+    name: &'static str,
+    fields: &'static [&'static Field],
+}
+
+/// Declares the `Field` statics of one TOML table (`NAME = key, kind,
+/// default;`, a trailing `shown` for [`Field::shown`]) and the `Section`
+/// listing them after the fields it shares with tables declared elsewhere.
+macro_rules! section {
+    ($table:ident = $name:literal, shares [$($shared:ident),*], {
+        $($field:ident = $key:literal, $kind:expr, $default:expr $(, $shown:ident)?;)*
+    }) => {
+        $(static $field: Field = Field::new($key, $kind, $default)$(.$shown())?;)*
+        static $table: Section = Section { name: $name, fields: &[$(&$shared,)* $(&$field),*] };
+    };
+}
+
+macro_rules! cells {
+    ($($variant:ident($ty:ty)),* $(,)?) => {
+        /// A normalised value.
+        #[derive(Clone, Debug, PartialEq)]
+        enum Cell {
+            $($variant($ty)),*
+        }
+        $(
+            impl From<$ty> for Cell {
+                fn from(value: $ty) -> Cell {
+                    Cell::$variant(value)
+                }
+            }
+            impl TryFrom<Cell> for $ty {
+                type Error = Cell;
+                fn try_from(cell: Cell) -> Result<Self, Cell> {
+                    match cell {
+                        Cell::$variant(value) => Ok(value),
+                        other => Err(other),
+                    }
+                }
+            }
+        )*
+    };
+}
+
+cells! {
+    Str(String),
+    U64(u64),
+    F64(f64),
+    Bool(bool),
+    Id(u16),
+    U64s(Vec<u64>),
+    Strs(Vec<String>),
+    Ids(Vec<u16>),
+    Count(CountExpr),
+    When(WhenSpec),
+    Table(Row),
+    Tables(Vec<Row>),
+}
+
+/// The normalised content of one TOML table: the cell of every key the
+/// file (or the emitter) gave, in the section's field order.
+#[derive(Clone, Debug)]
+struct Row {
+    section: &'static Section,
+    cells: Vec<Option<Cell>>,
+}
+
+impl PartialEq for Row {
+    fn eq(&self, other: &Row) -> bool {
+        std::ptr::eq(self.section, other.section) && self.cells == other.cells
+    }
+}
+
+fn as_u64(value: &Value, at: &str) -> Result<u64, ScenarioError> {
+    match value {
+        Value::Int(i) if *i >= 0 => Ok(*i as u64),
+        other => Err(schema(format!("{at} must be a non-negative integer, got {other:?}"))),
+    }
+}
+
+fn as_f64(value: &Value, at: &str) -> Result<f64, ScenarioError> {
+    match value {
+        Value::Float(x) => Ok(*x),
+        Value::Int(i) => Ok(*i as f64),
+        other => Err(schema(format!("{at} must be a number, got {other:?}"))),
+    }
+}
+
+fn as_id(value: &Value, at: &str) -> Result<u16, ScenarioError> {
+    match value {
+        Value::Int(i) => u16::try_from(*i).ok(),
+        _ => None,
+    }
+    .ok_or_else(|| schema(format!("bad validator id {value:?} in {at}")))
+}
+
+impl Kind {
+    /// Type-checks one present value; `at` names the key in errors.
+    fn normalise(self, value: &Value, at: &str) -> Result<Cell, ScenarioError> {
+        let bad = |what: &str| schema(format!("{at} must be {what}, got {value:?}"));
+        Ok(match (self, value) {
+            (Kind::Str, Value::Str(s)) => s.clone().into(),
+            (Kind::Str, _) => return Err(bad("a string")),
+            (Kind::U64, v) => as_u64(v, at)?.into(),
+            (Kind::F64, v) => as_f64(v, at)?.into(),
+            (Kind::Bool, Value::Bool(b)) => (*b).into(),
+            (Kind::Bool, _) => return Err(bad("a boolean")),
+            (Kind::Id, v) => as_id(v, at)?.into(),
+            (Kind::U64Axis, Value::Array(items)) if items.is_empty() => {
+                return Err(schema(format!("{at} must not be empty")))
+            }
+            (Kind::U64Axis, Value::Array(items)) => items
+                .iter()
+                .map(|v| as_u64(v, &format!("every entry of {at}")))
+                .collect::<Result<Vec<_>, _>>()?
+                .into(),
+            (Kind::U64Axis, v) => vec![as_u64(v, at)?].into(),
+            (Kind::StrAxis, Value::Str(s)) => vec![s.clone()].into(),
+            (Kind::StrAxis, Value::Array(items)) => items
+                .iter()
+                .map(|v| match v {
+                    Value::Str(s) => Ok(s.clone()),
+                    other => Err(schema(format!("{at} entries must be strings, got {other:?}"))),
+                })
+                .collect::<Result<Vec<_>, _>>()?
+                .into(),
+            (Kind::StrAxis, _) => return Err(bad("a string or list of strings")),
+            (Kind::Ids, Value::Array(ids)) => {
+                ids.iter().map(|v| as_id(v, at)).collect::<Result<Vec<_>, _>>()?.into()
+            }
+            (Kind::Ids, _) => return Err(bad("a list of validator ids")),
+            (Kind::Count, v) => CountExpr::parse(v)?.into(),
+            (Kind::When, _) => unreachable!("`Field::read` reads a `When` through its key pair"),
+            (Kind::Table(section), Value::Table(t)) => section.read(t)?.into(),
+            (Kind::Table(_), _) => return Err(bad("a table")),
+            (Kind::Tables(section), Value::Array(items)) => items
+                .iter()
+                .map(|item| match item {
+                    Value::Table(t) => section.read(t),
+                    _ => Err(schema(format!("{} entries must be tables", section.name))),
+                })
+                .collect::<Result<Vec<_>, _>>()?
+                .into(),
+            (Kind::Tables(_), _) => return Err(bad("an array of tables")),
+        })
+    }
+}
+
+impl Field {
+    const fn new(key: &'static str, kind: Kind, default: Def) -> Field {
+        Field { key, kind, default, shown: false }
+    }
+
+    const fn shown(self) -> Field {
+        Field { shown: true, ..self }
+    }
+
+    /// The TOML keys this field occupies.
+    fn keys(&self) -> Vec<String> {
+        match self.kind {
+            Kind::When => vec![format!("{}_secs", self.key), format!("{}_frac", self.key)],
+            _ => vec![self.key.to_string()],
+        }
+    }
+
+    /// The declared default as the cell an absent key reads as.
+    fn default_cell(&self) -> Option<Cell> {
+        Some(match (self.kind, self.default) {
+            (Kind::Table(section), Def::None) => Row::new(section).into(),
+            (Kind::Tables(_), Def::None) => Vec::<Row>::new().into(),
+            (_, Def::None | Def::Required) => return None,
+            (Kind::Str, Def::Str(s)) => s.to_string().into(),
+            (Kind::StrAxis, Def::Str(s)) => vec![s.to_string()].into(),
+            (Kind::U64, Def::U64(x)) => x.into(),
+            (Kind::U64Axis, Def::U64(x)) => vec![x].into(),
+            (Kind::Id, Def::U64(x)) => u16::try_from(x).expect("a default id fits u16").into(),
+            (Kind::When, Def::U64(secs)) => WhenSpec::Secs(secs).into(),
+            (Kind::F64, Def::F64(x)) => x.into(),
+            (Kind::Bool, Def::Bool(b)) => b.into(),
+            (kind, default) => panic!("`{}`: {default:?} is no default for {kind:?}", self.key),
+        })
+    }
+
+    /// Reads this field's cell out of a raw table of `section`; `None`
+    /// when the file does not give the key.
+    fn read(
+        &self,
+        section: &Section,
+        table: &BTreeMap<String, Value>,
+    ) -> Result<Option<Cell>, ScenarioError> {
+        let at = |key: &str| format!("`{key}` in {}", section.name);
+        let keys = self.keys();
+        let cell = match (self.kind, keys.as_slice()) {
+            (Kind::When, [secs, frac]) => match (table.get(secs), table.get(frac)) {
+                (Some(_), Some(_)) => {
+                    return Err(schema(format!("{} sets both {secs} and {frac}", section.name)))
+                }
+                (Some(v), None) => Some(WhenSpec::Secs(as_u64(v, &at(secs))?).into()),
+                (None, Some(v)) => match as_f64(v, &at(frac))? {
+                    x if (0.0..=1.0).contains(&x) => Some(WhenSpec::Frac(x).into()),
+                    x => {
+                        return Err(schema(format!("{} must be within [0, 1], got {x}", at(frac))))
+                    }
+                },
+                (None, None) => None,
+            },
+            (kind, _) => {
+                table.get(self.key).map(|v| kind.normalise(v, &at(self.key))).transpose()?
+            }
+        };
+        if cell.is_none() && self.default == Def::Required {
+            return Err(schema(format!("{} requires `{}`", section.name, keys.join("` or `"))));
+        }
+        Ok(cell)
+    }
+}
+
+impl Section {
+    /// The generic reader: rejects unknown keys, type-checks and
+    /// normalises every key present, insists on the required ones.
+    fn read(&'static self, table: &BTreeMap<String, Value>) -> Result<Row, ScenarioError> {
+        let allowed: Vec<String> = self.fields.iter().flat_map(|f| f.keys()).collect();
+        if let Some(key) = table.keys().find(|key| !allowed.contains(key)) {
+            return Err(schema(format!(
+                "unknown key `{key}` in {} (allowed: {})",
+                self.name,
                 allowed.join(", ")
             )));
         }
+        let cells = self.fields.iter().map(|f| f.read(self, table)).collect::<Result<_, _>>()?;
+        Ok(Row { section: self, cells })
+    }
+}
+
+impl Row {
+    fn new(section: &'static Section) -> Row {
+        Row { section, cells: vec![None; section.fields.len()] }
+    }
+
+    fn index(&self, field: &Field) -> usize {
+        self.section
+            .fields
+            .iter()
+            .position(|f| std::ptr::eq(*f, field))
+            .unwrap_or_else(|| panic!("{} has no field `{}`", self.section.name, field.key))
+    }
+
+    /// Whether the key was given (a default does not count).
+    fn has(&self, field: &Field) -> bool {
+        self.cells[self.index(field)].is_some()
+    }
+
+    /// The field's value: what was given, else the declared default.
+    fn opt<T: TryFrom<Cell>>(&self, field: &Field) -> Option<T> {
+        let cell = self.cells[self.index(field)].clone().or_else(|| field.default_cell())?;
+        Some(T::try_from(cell).unwrap_or_else(|_| panic!("`{}` read as the wrong type", field.key)))
+    }
+
+    /// [`Row::opt`] for a field that is required or has a default.
+    fn get<T: TryFrom<Cell>>(&self, field: &Field) -> T {
+        self.opt(field).unwrap_or_else(|| panic!("`{}` is optional; read it with opt", field.key))
+    }
+
+    fn with(mut self, field: &Field, value: impl Into<Cell>) -> Row {
+        let index = self.index(field);
+        self.cells[index] = Some(value.into());
+        self
+    }
+
+    fn with_opt(self, field: &Field, value: Option<impl Into<Cell>>) -> Row {
+        match value {
+            Some(value) => self.with(field, value),
+            None => self,
+        }
+    }
+
+    /// The generic writer: every given cell as TOML, except a cell that
+    /// holds its field's default (unless the field is `shown`), an empty
+    /// sub-table and an empty array of tables.
+    fn to_table(&self) -> BTreeMap<String, Value> {
+        let int = |x: u64| Value::Int(x as i64);
+        let mut out = BTreeMap::new();
+        for (field, cell) in self.section.fields.iter().zip(&self.cells) {
+            let Some(cell) = cell else { continue };
+            if !field.shown && field.default_cell().as_ref() == Some(cell) {
+                continue;
+            }
+            let value = match cell {
+                Cell::Str(s) => Value::Str(s.clone()),
+                Cell::U64(x) => int(*x),
+                Cell::F64(x) => Value::Float(*x),
+                Cell::Bool(b) => Value::Bool(*b),
+                Cell::Id(id) => int(*id as u64),
+                Cell::U64s(xs) if xs.len() == 1 => int(xs[0]),
+                Cell::U64s(xs) => Value::Array(xs.iter().map(|x| int(*x)).collect()),
+                Cell::Strs(xs) => Value::Array(xs.iter().cloned().map(Value::Str).collect()),
+                Cell::Ids(ids) => Value::Array(ids.iter().map(|id| int(*id as u64)).collect()),
+                Cell::Count(count) => count.to_value(),
+                Cell::When(WhenSpec::Secs(secs)) => {
+                    out.insert(format!("{}_secs", field.key), int(*secs));
+                    continue;
+                }
+                Cell::When(WhenSpec::Frac(frac)) => {
+                    out.insert(format!("{}_frac", field.key), Value::Float(*frac));
+                    continue;
+                }
+                Cell::Table(row) => match row.to_table() {
+                    table if table.is_empty() => continue,
+                    table => Value::Table(table),
+                },
+                Cell::Tables(rows) if rows.is_empty() => continue,
+                Cell::Tables(rows) => {
+                    Value::Array(rows.iter().map(|row| Value::Table(row.to_table())).collect())
+                }
+            };
+            out.insert(field.key.to_string(), value);
+        }
+        out
+    }
+}
+
+/// Cross-key rule shared by every scalar/plural and pct/stake pair: a
+/// table may give at most one of two keys that set the same thing.
+fn at_most_one(row: &Row, a: &Field, b: &Field) -> Result<(), ScenarioError> {
+    if row.has(a) && row.has(b) {
+        return Err(schema(format!(
+            "{} sets both `{}` and `{}`; set only one of them",
+            row.section.name, a.key, b.key
+        )));
     }
     Ok(())
 }
 
-fn get_table<'a>(
-    table: &'a BTreeMap<String, Value>,
-    key: &str,
-) -> Result<Option<&'a BTreeMap<String, Value>>, ScenarioError> {
-    match table.get(key) {
-        None => Ok(None),
-        Some(Value::Table(t)) => Ok(Some(t)),
-        Some(other) => {
-            Err(ScenarioError::Schema(format!("`{key}` must be a table, got {other:?}")))
-        }
-    }
-}
-
-fn get_str(
-    table: &BTreeMap<String, Value>,
-    key: &str,
-    context: &str,
-) -> Result<Option<String>, ScenarioError> {
-    match table.get(key) {
-        None => Ok(None),
-        Some(Value::Str(s)) => Ok(Some(s.clone())),
-        Some(other) => {
-            Err(ScenarioError::Schema(format!("`{context}.{key}` must be a string, got {other:?}")))
-        }
-    }
-}
-
-fn get_u64(
-    table: &BTreeMap<String, Value>,
-    key: &str,
-    context: &str,
-) -> Result<Option<u64>, ScenarioError> {
-    match table.get(key) {
-        None => Ok(None),
-        Some(Value::Int(i)) if *i >= 0 => Ok(Some(*i as u64)),
-        Some(other) => Err(ScenarioError::Schema(format!(
-            "`{context}.{key}` must be a non-negative integer, got {other:?}"
+/// Cross-key rule shared by the arrival processes and the byzantine
+/// strategies: of the `params` keys, only those the chosen variant
+/// `takes` may be given.
+fn only_params(
+    row: &Row,
+    params: &[&Field],
+    takes: &[&Field],
+    variant: &str,
+) -> Result<(), ScenarioError> {
+    match params.iter().find(|p| row.has(p) && !takes.iter().any(|t| std::ptr::eq(*t, **p))) {
+        Some(stray) => Err(schema(format!(
+            "`{}` in {} does not apply to {variant}",
+            stray.key, row.section.name
         ))),
+        None => Ok(()),
     }
 }
 
-fn get_f64(
-    table: &BTreeMap<String, Value>,
-    key: &str,
-    context: &str,
-) -> Result<Option<f64>, ScenarioError> {
-    match table.get(key) {
-        None => Ok(None),
-        Some(Value::Float(x)) => Ok(Some(*x)),
-        Some(Value::Int(i)) => Ok(Some(*i as f64)),
-        Some(other) => {
-            Err(ScenarioError::Schema(format!("`{context}.{key}` must be a number, got {other:?}")))
+// ---------------------------------------------------------------------------
+// The schema itself: one field table per TOML table, each followed by the
+// code that fills its typed struct from a row and writes it back to one
+// ---------------------------------------------------------------------------
+
+section!(ROOT = "the scenario root", shares [], {
+    NAME = "name", Kind::Str, Def::Required;
+    DESCRIPTION = "description", Kind::Str, Def::Str("");
+    FIGURE = "figure", Kind::Str, Def::None;
+    COMMITTEE = "committee", Kind::Table(&COMMITTEE_TABLE), Def::None;
+    LOAD = "load", Kind::Table(&LOAD_TABLE), Def::None;
+    RUN = "run", Kind::Table(&RUN_TABLE), Def::None;
+    NETWORK = "network", Kind::Table(&NETWORK_TABLE), Def::None;
+    SYSTEMS = "systems", Kind::Table(&SYSTEMS_TABLE), Def::None;
+    HAMMERHEAD = "hammerhead", Kind::Table(&HAMMERHEAD_TABLE), Def::None;
+    WORKLOAD = "workload", Kind::Table(&WORKLOAD_TABLE), Def::None;
+    VARIANT = "variant", Kind::Tables(&VARIANT_TABLE), Def::None;
+    FAULTS = "faults", Kind::Table(&FAULTS_TABLE), Def::None;
+    ANALYSIS = "analysis", Kind::Table(&ANALYSIS_TABLE), Def::None;
+    QUICK = "quick", Kind::Table(&QUICK_TABLE), Def::None;
+});
+
+// `size` and `sizes` (like `seed` and `seeds`) name one axis; the
+// canonical form writes the plural.
+section!(COMMITTEE_TABLE = "[committee]", shares [], {
+    SIZE = "size", Kind::U64Axis, Def::None;
+    SIZES = "sizes", Kind::U64Axis, Def::U64(10), shown;
+});
+
+section!(LOAD_TABLE = "[load]", shares [], {
+    TPS = "tps", Kind::U64Axis, Def::U64(500), shown;
+});
+
+section!(RUN_TABLE = "[run]", shares [], {
+    DURATION_SECS = "duration_secs", Kind::U64Axis, Def::U64(60), shown;
+    WARMUP_SECS = "warmup_secs", Kind::U64, Def::None;
+    SEED = "seed", Kind::U64Axis, Def::None;
+    SEEDS = "seeds", Kind::U64Axis, Def::U64(42), shown;
+    GST_SECS = "gst_secs", Kind::U64, Def::U64(0);
+    CLIENT_WINDOW_SECS = "client_window_secs", Kind::F64, Def::F64(2.0);
+});
+
+section!(NETWORK_TABLE = "[network]", shares [], {
+    MODEL = "model", Kind::Str, Def::Str("geo"), shown;
+    FLAT_MS = "flat_ms", Kind::U64, Def::U64(5), shown;
+});
+
+fn read_network(network: &Row) -> Result<NetworkSpec, ScenarioError> {
+    match network.get::<String>(&MODEL).as_str() {
+        "geo" if network.has(&FLAT_MS) => {
+            Err(schema("`network.flat_ms` only applies to model = \"flat\"".into()))
+        }
+        "geo" => Ok(NetworkSpec::Geo),
+        "flat" => Ok(NetworkSpec::Flat { ms: network.get(&FLAT_MS) }),
+        other => Err(schema(format!("unknown network model `{other}` (expected geo or flat)"))),
+    }
+}
+
+fn write_network(network: NetworkSpec) -> Row {
+    let row = Row::new(&NETWORK_TABLE);
+    match network {
+        NetworkSpec::Geo => row.with(&MODEL, "geo".to_string()),
+        NetworkSpec::Flat { ms } => row.with(&MODEL, "flat".to_string()).with(&FLAT_MS, ms),
+    }
+}
+
+section!(SYSTEMS_TABLE = "[systems]", shares [], {
+    SYSTEMS_RUN = "run", Kind::StrAxis, Def::Str("hammerhead"), shown;
+});
+
+// The exclusion budget is an axis of percentages or an axis of stakes,
+// never both; neither means the committee's `f`.
+section!(HAMMERHEAD_TABLE = "[hammerhead]", shares [], {
+    PERIOD_ROUNDS = "period_rounds", Kind::U64Axis, Def::U64(20), shown;
+    MAX_EXCLUDED_PCT = "max_excluded_pct", Kind::U64Axis, Def::None;
+    MAX_EXCLUDED_STAKE = "max_excluded_stake", Kind::U64Axis, Def::None;
+    SCORING = "scoring", Kind::StrAxis, Def::Str("vote-based");
+    SCHEDULE_SEED = "schedule_seed", Kind::U64, Def::U64(0);
+    SWAP_FROM_BASE = "swap_from_base", Kind::Bool, Def::Bool(false);
+});
+
+fn read_exclusion_axis(hammerhead: &Row) -> Result<Vec<ExclusionSpec>, ScenarioError> {
+    at_most_one(hammerhead, &MAX_EXCLUDED_PCT, &MAX_EXCLUDED_STAKE)?;
+    let pcts = hammerhead.opt::<Vec<u64>>(&MAX_EXCLUDED_PCT);
+    let stakes = hammerhead.opt::<Vec<u64>>(&MAX_EXCLUDED_STAKE);
+    Ok(match (pcts, stakes) {
+        (Some(pcts), _) => pcts.into_iter().map(ExclusionSpec::Pct).collect(),
+        (_, Some(stakes)) => stakes.into_iter().map(ExclusionSpec::Stake).collect(),
+        _ => vec![ExclusionSpec::F],
+    })
+}
+
+/// # Panics
+///
+/// Panics on an axis that mixes budget kinds, which no file can express.
+fn write_exclusion_axis(hammerhead: Row, axis: &[ExclusionSpec]) -> Row {
+    let mut pcts = Vec::new();
+    let mut stakes = Vec::new();
+    for budget in axis {
+        match budget {
+            ExclusionSpec::F => assert_eq!(axis.len(), 1, "mixed exclusion axis {axis:?}"),
+            ExclusionSpec::Pct(pct) => pcts.push(*pct),
+            ExclusionSpec::Stake(stake) => stakes.push(*stake),
         }
     }
+    assert!(pcts.is_empty() || stakes.is_empty(), "mixed exclusion axis {axis:?}");
+    hammerhead
+        .with_opt(&MAX_EXCLUDED_PCT, Some(pcts).filter(|xs| !xs.is_empty()))
+        .with_opt(&MAX_EXCLUDED_STAKE, Some(stakes).filter(|xs| !xs.is_empty()))
 }
 
-fn get_bool(
-    table: &BTreeMap<String, Value>,
-    key: &str,
-    context: &str,
-) -> Result<Option<bool>, ScenarioError> {
-    match table.get(key) {
-        None => Ok(None),
-        Some(Value::Bool(b)) => Ok(Some(*b)),
-        Some(other) => Err(ScenarioError::Schema(format!(
-            "`{context}.{key}` must be a boolean, got {other:?}"
-        ))),
-    }
-}
+// An arrival process is a name plus the parameters that name takes; the
+// keys are shared by `[workload]` (single-phase form) and
+// `[[workload.phase]]`.
+section!(WORKLOAD_TABLE = "[workload]", shares [], {
+    ARRIVAL = "arrival", Kind::Str, Def::Str("constant");
+    MODE = "mode", Kind::Str, Def::Str("closed"), shown;
+    PAYLOAD_BYTES = "payload_bytes", Kind::U64, Def::U64(0);
+    SPREAD = "spread", Kind::F64, Def::F64(1.0);
+    BLOCK_BYTES = "block_bytes", Kind::U64, Def::None;
+    BURST_SECS = "burst_secs", Kind::F64, Def::None;
+    IDLE_SECS = "idle_secs", Kind::F64, Def::None;
+    RAMP_FROM_SCALE = "ramp_from_scale", Kind::F64, Def::F64(0.0);
+    RAMP_TO_SCALE = "ramp_to_scale", Kind::F64, Def::None;
+    PHASE = "phase", Kind::Tables(&PHASE_TABLE), Def::None;
+});
+static ARRIVAL_PARAMS: [&Field; 4] = [&BURST_SECS, &IDLE_SECS, &RAMP_FROM_SCALE, &RAMP_TO_SCALE];
 
-/// Reads a scalar-or-list axis of non-negative integers.
-fn get_u64_axis(
-    table: &BTreeMap<String, Value>,
-    key: &str,
-    context: &str,
-) -> Result<Option<Vec<u64>>, ScenarioError> {
-    let to_u64 = |v: &Value| -> Result<u64, ScenarioError> {
-        match v {
-            Value::Int(i) if *i >= 0 => Ok(*i as u64),
-            other => Err(ScenarioError::Schema(format!(
-                "`{context}.{key}` entries must be non-negative integers, got {other:?}"
-            ))),
+fn read_arrival(row: &Row) -> Result<ArrivalSpec, ScenarioError> {
+    let name: String = row.get(&ARRIVAL);
+    let variant = format!("arrival = \"{name}\"");
+    let param = |field: &Field| {
+        row.opt::<f64>(field)
+            .ok_or_else(|| schema(format!("{} {variant} requires {}", row.section.name, field.key)))
+    };
+    let (takes, arrival): (&[&Field], _) = match name.as_str() {
+        "constant" => (&[], ArrivalSpec::Constant),
+        "poisson" => (&[], ArrivalSpec::Poisson),
+        "onoff" => (
+            &[&BURST_SECS, &IDLE_SECS],
+            ArrivalSpec::OnOff { burst_secs: param(&BURST_SECS)?, idle_secs: param(&IDLE_SECS)? },
+        ),
+        "ramp" => (
+            &[&RAMP_FROM_SCALE, &RAMP_TO_SCALE],
+            ArrivalSpec::Ramp {
+                from_scale: row.get(&RAMP_FROM_SCALE),
+                to_scale: param(&RAMP_TO_SCALE)?,
+            },
+        ),
+        other => {
+            return Err(schema(format!(
+                "unknown arrival process `{other}` (expected constant, poisson, onoff or ramp)"
+            )))
         }
     };
-    match table.get(key) {
-        None => Ok(None),
-        Some(Value::Array(items)) => {
-            if items.is_empty() {
-                return Err(ScenarioError::Schema(format!("`{context}.{key}` must not be empty")));
-            }
-            Ok(Some(items.iter().map(to_u64).collect::<Result<_, _>>()?))
-        }
-        Some(v) => Ok(Some(vec![to_u64(v)?])),
+    only_params(row, &ARRIVAL_PARAMS, takes, &variant)?;
+    Ok(arrival)
+}
+
+fn write_arrival(row: Row, arrival: &ArrivalSpec) -> Row {
+    match *arrival {
+        ArrivalSpec::Constant => row.with(&ARRIVAL, "constant".to_string()),
+        ArrivalSpec::Poisson => row.with(&ARRIVAL, "poisson".to_string()),
+        ArrivalSpec::OnOff { burst_secs, idle_secs } => row
+            .with(&ARRIVAL, "onoff".to_string())
+            .with(&BURST_SECS, burst_secs)
+            .with(&IDLE_SECS, idle_secs),
+        ArrivalSpec::Ramp { from_scale, to_scale } => row
+            .with(&ARRIVAL, "ramp".to_string())
+            .with(&RAMP_FROM_SCALE, from_scale)
+            .with(&RAMP_TO_SCALE, to_scale),
     }
 }
 
-fn get_str_axis(
-    table: &BTreeMap<String, Value>,
-    key: &str,
-    context: &str,
-) -> Result<Option<Vec<String>>, ScenarioError> {
-    match table.get(key) {
-        None => Ok(None),
-        Some(Value::Str(s)) => Ok(Some(vec![s.clone()])),
-        Some(Value::Array(items)) => items
-            .iter()
-            .map(|v| match v {
-                Value::Str(s) => Ok(s.clone()),
-                other => Err(ScenarioError::Schema(format!(
-                    "`{context}.{key}` entries must be strings, got {other:?}"
-                ))),
-            })
-            .collect::<Result<Vec<_>, _>>()
-            .map(Some),
-        Some(other) => Err(ScenarioError::Schema(format!(
-            "`{context}.{key}` must be a string or list of strings, got {other:?}"
-        ))),
+// Windows and phases start at `from` (default: the start of the run).
+section!(PHASE_TABLE = "[[workload.phase]]",
+    shares [ARRIVAL, BURST_SECS, IDLE_SECS, RAMP_FROM_SCALE, RAMP_TO_SCALE], {
+    FROM = "from", Kind::When, Def::U64(0);
+    SCALE = "scale", Kind::F64, Def::F64(1.0);
+    PHASE_TPS = "tps", Kind::U64, Def::None;
+});
+
+/// A phase's rate is a `scale` or an absolute `tps`, not both; a ramp
+/// carries its own scales and takes neither.
+fn read_phase(phase: &Row) -> Result<WorkloadPhaseSpec, ScenarioError> {
+    let arrival = read_arrival(phase)?;
+    if matches!(arrival, ArrivalSpec::Ramp { .. }) && (phase.has(&SCALE) || phase.has(&PHASE_TPS)) {
+        return Err(schema(
+            "ramp phases take ramp_from_scale / ramp_to_scale, not scale or tps".into(),
+        ));
     }
-}
-
-/// Reads the entries of an array-of-tables key (`[[faults.crash]]`
-/// style); absent keys yield an empty list.
-fn get_entry_tables<'a>(
-    table: &'a BTreeMap<String, Value>,
-    key: &str,
-    context: &str,
-) -> Result<Vec<&'a BTreeMap<String, Value>>, ScenarioError> {
-    match table.get(key) {
-        None => Ok(Vec::new()),
-        Some(Value::Array(items)) => items
-            .iter()
-            .map(|item| {
-                item.as_table().ok_or_else(|| {
-                    ScenarioError::Schema(format!("{context} entries must be tables"))
-                })
-            })
-            .collect(),
-        Some(other) => Err(ScenarioError::Schema(format!(
-            "`{context}` must be an array of tables, got {other:?}"
-        ))),
-    }
-}
-
-/// Reads the `nodes` (id list) / `first` (count) validator selector of a
-/// fault entry.
-fn get_node_sel(table: &BTreeMap<String, Value>, context: &str) -> Result<NodeSel, ScenarioError> {
-    match (table.get("nodes"), table.get("first")) {
-        (Some(Value::Array(ids)), None) => Ok(NodeSel::Ids(
-            ids.iter()
-                .map(|v| match v {
-                    Value::Int(i) if *i >= 0 => Ok(*i as u16),
-                    other => Err(ScenarioError::Schema(format!(
-                        "bad validator id {other:?} in {context}.nodes"
-                    ))),
-                })
-                .collect::<Result<_, _>>()?,
-        )),
-        (None, Some(v)) => Ok(NodeSel::First(CountExpr::parse(v)?)),
-        _ => Err(ScenarioError::Schema(format!(
-            "{context} needs exactly one of `nodes` (id list) or `first` (count)"
-        ))),
-    }
-}
-
-/// Reads an optional `<prefix>_secs` / `<prefix>_frac` instant.
-fn get_when(
-    table: &BTreeMap<String, Value>,
-    prefix: &str,
-    context: &str,
-) -> Result<Option<WhenSpec>, ScenarioError> {
-    let secs_key = format!("{prefix}_secs");
-    let frac_key = format!("{prefix}_frac");
-    match (get_u64(table, &secs_key, context)?, get_f64(table, &frac_key, context)?) {
-        (Some(secs), None) => Ok(Some(WhenSpec::Secs(secs))),
-        (None, Some(frac)) => Ok(Some(WhenSpec::Frac(frac))),
-        (None, None) => Ok(None),
-        _ => Err(ScenarioError::Schema(format!("{context} sets both {secs_key} and {frac_key}"))),
-    }
-}
-
-/// Reads an optional list of validator ids.
-fn get_id_list(
-    table: &BTreeMap<String, Value>,
-    key: &str,
-    context: &str,
-) -> Result<Option<Vec<u16>>, ScenarioError> {
-    match table.get(key) {
-        None => Ok(None),
-        Some(Value::Array(ids)) => ids
-            .iter()
-            .map(|v| match v {
-                Value::Int(i) if *i >= 0 => Ok(*i as u16),
-                other => Err(ScenarioError::Schema(format!(
-                    "bad validator id {other:?} in {context}.{key}"
-                ))),
-            })
-            .collect::<Result<Vec<_>, _>>()
-            .map(Some),
-        Some(other) => Err(ScenarioError::Schema(format!(
-            "`{context}.{key}` must be a list of validator ids, got {other:?}"
-        ))),
-    }
-}
-
-/// Keys that configure an arrival process, shared by `[workload]` and
-/// `[[workload.phase]]`.
-const ARRIVAL_PARAM_KEYS: &[&str] =
-    &["burst_secs", "idle_secs", "ramp_from_scale", "ramp_to_scale"];
-
-/// Reads the arrival process of a `[workload]` table or phase entry.
-fn get_arrival(
-    table: &BTreeMap<String, Value>,
-    context: &str,
-) -> Result<ArrivalSpec, ScenarioError> {
-    let name = get_str(table, "arrival", context)?.unwrap_or_else(|| "constant".into());
-    let forbid = |keys: &[&str]| -> Result<(), ScenarioError> {
-        for key in keys {
-            if table.contains_key(*key) {
-                return Err(ScenarioError::Schema(format!(
-                    "`{context}.{key}` does not apply to arrival = \"{name}\""
-                )));
-            }
-        }
-        Ok(())
+    at_most_one(phase, &SCALE, &PHASE_TPS)?;
+    let rate = match phase.opt(&PHASE_TPS) {
+        Some(tps) => RateSpec::Tps(tps),
+        None => RateSpec::Scale(phase.get(&SCALE)),
     };
-    match name.as_str() {
-        "constant" => {
-            forbid(ARRIVAL_PARAM_KEYS)?;
-            Ok(ArrivalSpec::Constant)
-        }
-        "poisson" => {
-            forbid(ARRIVAL_PARAM_KEYS)?;
-            Ok(ArrivalSpec::Poisson)
-        }
-        "onoff" => {
-            forbid(&["ramp_from_scale", "ramp_to_scale"])?;
-            let burst_secs = get_f64(table, "burst_secs", context)?.ok_or_else(|| {
-                ScenarioError::Schema(format!("{context} arrival = \"onoff\" requires burst_secs"))
-            })?;
-            let idle_secs = get_f64(table, "idle_secs", context)?.ok_or_else(|| {
-                ScenarioError::Schema(format!("{context} arrival = \"onoff\" requires idle_secs"))
-            })?;
-            Ok(ArrivalSpec::OnOff { burst_secs, idle_secs })
-        }
-        "ramp" => {
-            forbid(&["burst_secs", "idle_secs"])?;
-            let to_scale = get_f64(table, "ramp_to_scale", context)?.ok_or_else(|| {
-                ScenarioError::Schema(format!(
-                    "{context} arrival = \"ramp\" requires ramp_to_scale"
-                ))
-            })?;
-            Ok(ArrivalSpec::Ramp {
-                from_scale: get_f64(table, "ramp_from_scale", context)?.unwrap_or(0.0),
-                to_scale,
-            })
-        }
-        other => Err(ScenarioError::Schema(format!(
-            "unknown arrival process `{other}` (expected constant, poisson, onoff or ramp)"
-        ))),
+    Ok(WorkloadPhaseSpec { from: phase.get(&FROM), rate, arrival })
+}
+
+fn write_phase(phase: &WorkloadPhaseSpec) -> Row {
+    let row = write_arrival(Row::new(&PHASE_TABLE).with(&FROM, phase.from), &phase.arrival);
+    match (phase.rate, phase.arrival) {
+        (_, ArrivalSpec::Ramp { .. }) => row,
+        (RateSpec::Scale(scale), _) => row.with(&SCALE, scale),
+        (RateSpec::Tps(tps), _) => row.with(&PHASE_TPS, tps),
     }
 }
 
-fn axis_u64_value(xs: &[u64]) -> Value {
-    if xs.len() == 1 {
-        Value::Int(xs[0] as i64)
+/// The single-phase arrival keys and a `[[workload.phase]]` timeline
+/// exclude each other.
+fn read_workload(workload: &Row, declared: bool) -> Result<WorkloadSpec, ScenarioError> {
+    let mode = match workload.get::<String>(&MODE).as_str() {
+        "closed" => SubmissionMode::Closed,
+        "open" => SubmissionMode::Open,
+        other => {
+            return Err(schema(format!(
+                "unknown workload mode `{other}` (expected closed or open)"
+            )))
+        }
+    };
+    let payload_bytes: u64 = workload.get(&PAYLOAD_BYTES);
+    if payload_bytes > MAX_PAYLOAD_BYTES as u64 {
+        return Err(ScenarioError::Invalid(format!(
+            "workload payload_bytes {payload_bytes} exceeds the {MAX_PAYLOAD_BYTES}-byte cap"
+        )));
+    }
+    let phases =
+        workload.get::<Vec<Row>>(&PHASE).iter().map(read_phase).collect::<Result<Vec<_>, _>>()?;
+    let mut single_phase_keys = [&ARRIVAL].into_iter().chain(ARRIVAL_PARAMS);
+    let arrival = match single_phase_keys.find(|key| workload.has(key)) {
+        Some(key) if !phases.is_empty() => {
+            return Err(schema(format!(
+                "`workload.{}` conflicts with an explicit [[workload.phase]] timeline",
+                key.key
+            )))
+        }
+        _ => read_arrival(workload)?,
+    };
+    Ok(WorkloadSpec {
+        declared,
+        mode,
+        payload_bytes: payload_bytes as u32,
+        spread: workload.get(&SPREAD),
+        block_bytes: workload.opt(&BLOCK_BYTES),
+        arrival,
+        phases,
+    })
+}
+
+fn write_workload(workload: &WorkloadSpec) -> Row {
+    let mode = match workload.mode {
+        SubmissionMode::Closed => "closed",
+        SubmissionMode::Open => "open",
+    };
+    let row = Row::new(&WORKLOAD_TABLE)
+        .with(&MODE, mode.to_string())
+        .with(&PAYLOAD_BYTES, workload.payload_bytes as u64)
+        .with(&SPREAD, workload.spread)
+        .with_opt(&BLOCK_BYTES, workload.block_bytes);
+    if workload.phases.is_empty() {
+        write_arrival(row, &workload.arrival)
     } else {
-        Value::Array(xs.iter().map(|x| Value::Int(*x as i64)).collect())
+        row.with(&PHASE, workload.phases.iter().map(write_phase).collect::<Vec<_>>())
     }
+}
+
+// A variant overrides one point of the `[hammerhead]` axes; `static_leader`
+// is written for `system = "static-leader"` only.
+section!(VARIANT_TABLE = "[[variant]]", shares [], {
+    LABEL = "label", Kind::Str, Def::Required;
+    SYSTEM = "system", Kind::Str, Def::Str("hammerhead"), shown;
+    STATIC_LEADER = "static_leader", Kind::Id, Def::U64(0), shown;
+    VARIANT_SCORING = "scoring", Kind::Str, Def::None;
+    VARIANT_PERIOD_ROUNDS = "period_rounds", Kind::U64, Def::None;
+    VARIANT_PCT = "max_excluded_pct", Kind::U64, Def::None;
+    VARIANT_STAKE = "max_excluded_stake", Kind::U64, Def::None;
+});
+
+fn read_variant(variant: &Row) -> Result<VariantSpec, ScenarioError> {
+    at_most_one(variant, &VARIANT_PCT, &VARIANT_STAKE)?;
+    let pct = variant.opt(&VARIANT_PCT).map(ExclusionSpec::Pct);
+    Ok(VariantSpec {
+        label: variant.get(&LABEL),
+        system: SystemSpec::parse(&variant.get::<String>(&SYSTEM))?,
+        static_leader: variant.get(&STATIC_LEADER),
+        scoring: variant.opt::<String>(&VARIANT_SCORING).map(|s| parse_scoring(&s)).transpose()?,
+        period_rounds: variant.opt(&VARIANT_PERIOD_ROUNDS),
+        exclusion: pct.or(variant.opt(&VARIANT_STAKE).map(ExclusionSpec::Stake)),
+    })
+}
+
+fn write_variant(variant: &VariantSpec) -> Row {
+    let leader = Some(variant.static_leader).filter(|_| variant.system == SystemSpec::StaticLeader);
+    let row = Row::new(&VARIANT_TABLE)
+        .with(&LABEL, variant.label.clone())
+        .with(&SYSTEM, variant.system.label().to_string())
+        .with_opt(&STATIC_LEADER, leader)
+        .with_opt(&VARIANT_SCORING, variant.scoring.map(scoring_name))
+        .with_opt(&VARIANT_PERIOD_ROUNDS, variant.period_rounds);
+    match variant.exclusion {
+        Some(ExclusionSpec::Pct(pct)) => row.with(&VARIANT_PCT, pct),
+        Some(ExclusionSpec::Stake(stake)) => row.with(&VARIANT_STAKE, stake),
+        Some(ExclusionSpec::F) | None => row,
+    }
+}
+
+// Fault entries name their validators by exactly one of `nodes` (ids) or
+// `first` (a count), and their instants as `When` fields; `UNTIL` open
+// (absent = the end of the run), `HEAL` and `RESTART_AT` required.
+section!(SLOWDOWN_TABLE = "[[faults.slowdown]]", shares [], {
+    NODES = "nodes", Kind::Ids, Def::None;
+    FIRST = "first", Kind::Count, Def::None;
+    AT = "at", Kind::When, Def::U64(0);
+    UNTIL = "until", Kind::When, Def::None;
+    EXTRA_MS = "extra_ms", Kind::U64, Def::Required;
+});
+
+fn read_node_sel(entry: &Row) -> Result<NodeSel, ScenarioError> {
+    match (entry.opt(&NODES), entry.opt(&FIRST)) {
+        (Some(ids), None) => Ok(NodeSel::Ids(ids)),
+        (None, Some(count)) => Ok(NodeSel::First(count)),
+        _ => Err(schema(format!(
+            "{} needs exactly one of `{}` (id list) or `{}` (count)",
+            entry.section.name, NODES.key, FIRST.key
+        ))),
+    }
+}
+
+fn write_node_sel(entry: Row, sel: &NodeSel) -> Row {
+    match sel {
+        NodeSel::Ids(ids) => entry.with(&NODES, ids.clone()),
+        NodeSel::First(count) => entry.with(&FIRST, *count),
+    }
+}
+
+// `recover_at` on a crash is sugar for a `[[faults.recover]]` entry of the
+// same validators; the canonical form writes the recover entry.
+section!(CRASH_TABLE = "[[faults.crash]]", shares [NODES, FIRST, AT], {
+    RECOVER_AT = "recover_at", Kind::When, Def::None;
+});
+section!(RECOVER_TABLE = "[[faults.recover]]", shares [NODES, FIRST], {
+    RESTART_AT = "at", Kind::When, Def::Required;
+});
+
+// A partition is two explicit groups or the first `count` validators
+// against the rest.
+section!(PARTITION_TABLE = "[[faults.partition]]", shares [FROM], {
+    GROUP_A = "a", Kind::Ids, Def::None;
+    GROUP_B = "b", Kind::Ids, Def::None;
+    ISOLATE_FIRST = "isolate_first", Kind::Count, Def::None;
+    HEAL = "until", Kind::When, Def::Required;
+});
+
+fn read_partition(entry: &Row) -> Result<PartitionEntry, ScenarioError> {
+    let sel =
+        match (entry.opt(&GROUP_A), entry.opt(&GROUP_B), entry.opt(&ISOLATE_FIRST)) {
+            (Some(a), Some(b), None) => PartitionSel::Groups { a, b },
+            (None, None, Some(count)) => PartitionSel::IsolateFirst(count),
+            _ => return Err(schema(
+                "[[faults.partition]] needs either both `a` and `b` id lists or `isolate_first` \
+                 (count)"
+                    .into(),
+            )),
+        };
+    Ok(PartitionEntry { sel, from: entry.get(&FROM), until: entry.get(&HEAL) })
+}
+
+fn write_partition(entry: &PartitionEntry) -> Row {
+    let row = Row::new(&PARTITION_TABLE).with(&FROM, entry.from).with(&HEAL, entry.until);
+    match &entry.sel {
+        PartitionSel::Groups { a, b } => row.with(&GROUP_A, a.clone()).with(&GROUP_B, b.clone()),
+        PartitionSel::IsolateFirst(count) => row.with(&ISOLATE_FIRST, *count),
+    }
+}
+
+// A byzantine strategy is a name plus the parameters that name takes.
+section!(BYZANTINE_TABLE = "[[faults.byzantine]]", shares [FROM, UNTIL], {
+    ATTACKER = "node", Kind::Id, Def::Required;
+    STRATEGY = "strategy", Kind::Str, Def::Required;
+    TARGETS = "targets", Kind::Ids, Def::None;
+    DELAY_MS = "delay_ms", Kind::U64, Def::None;
+    FLIP_SECS = "flip_secs", Kind::U64, Def::None;
+});
+
+fn read_byzantine(entry: &Row) -> Result<ByzantineEntrySpec, ScenarioError> {
+    let name: String = entry.get(&STRATEGY);
+    let variant = format!("the `{name}` strategy");
+    let missing = |field: &Field| schema(format!("{variant} requires `{}`", field.key));
+    let delay_ms = || entry.opt(&DELAY_MS).ok_or_else(|| missing(&DELAY_MS));
+    let (takes, strategy): (&[&Field], _) = match name.as_str() {
+        "equivocate" => (&[], ByzantineStrategySpec::Equivocate),
+        "withhold_votes" => (
+            &[&TARGETS],
+            ByzantineStrategySpec::WithholdVotes {
+                targets: entry.opt(&TARGETS).ok_or_else(|| missing(&TARGETS))?,
+            },
+        ),
+        "lazy_leader" => {
+            (&[&DELAY_MS], ByzantineStrategySpec::LazyLeader { delay_ms: delay_ms()? })
+        }
+        "flip_flop" => (
+            &[&FLIP_SECS, &DELAY_MS],
+            ByzantineStrategySpec::FlipFlop {
+                flip_secs: entry.opt(&FLIP_SECS).ok_or_else(|| missing(&FLIP_SECS))?,
+                delay_ms: delay_ms()?,
+            },
+        ),
+        other => {
+            return Err(schema(format!(
+                "unknown byzantine strategy `{other}` (expected equivocate, withhold_votes, \
+                 lazy_leader or flip_flop)"
+            )))
+        }
+    };
+    only_params(entry, &[&TARGETS, &DELAY_MS, &FLIP_SECS], takes, &variant)?;
+    Ok(ByzantineEntrySpec {
+        node: entry.get(&ATTACKER),
+        strategy,
+        from: entry.get(&FROM),
+        until: entry.opt(&UNTIL),
+    })
+}
+
+fn write_byzantine(entry: &ByzantineEntrySpec) -> Row {
+    let row = Row::new(&BYZANTINE_TABLE)
+        .with(&ATTACKER, entry.node)
+        .with(&FROM, entry.from)
+        .with_opt(&UNTIL, entry.until);
+    let (name, row) = match &entry.strategy {
+        ByzantineStrategySpec::Equivocate => ("equivocate", row),
+        ByzantineStrategySpec::WithholdVotes { targets } => {
+            ("withhold_votes", row.with(&TARGETS, targets.clone()))
+        }
+        ByzantineStrategySpec::LazyLeader { delay_ms } => {
+            ("lazy_leader", row.with(&DELAY_MS, *delay_ms))
+        }
+        ByzantineStrategySpec::FlipFlop { flip_secs, delay_ms } => {
+            ("flip_flop", row.with(&DELAY_MS, *delay_ms).with(&FLIP_SECS, *flip_secs))
+        }
+    };
+    row.with(&STRATEGY, name.to_string())
+}
+
+// A chaos window afflicts every link, one validator's links (`node`), or
+// one directed link (`from` + `to`).
+section!(CHAOS_TABLE = "[[faults.chaos]]", shares [FROM, UNTIL], {
+    CHAOS_NODE = "node", Kind::Id, Def::None;
+    LINK_FROM = "from", Kind::Id, Def::None;
+    LINK_TO = "to", Kind::Id, Def::None;
+    DROP = "drop", Kind::F64, Def::F64(0.0);
+    DUPLICATE = "duplicate", Kind::F64, Def::F64(0.0);
+    CORRUPT = "corrupt", Kind::F64, Def::F64(0.0);
+    REORDER_MS = "reorder_ms", Kind::U64, Def::U64(0);
+});
+
+fn read_chaos(entry: &Row) -> Result<ChaosEntrySpec, ScenarioError> {
+    let node = entry.opt(&CHAOS_NODE);
+    let link = match (node, entry.opt(&LINK_FROM), entry.opt(&LINK_TO)) {
+        (_, None, None) => None,
+        (None, Some(from), Some(to)) => Some((from, to)),
+        _ => {
+            return Err(schema(
+                "[[faults.chaos]] afflicts all links by default; narrow it with either `node` \
+                 or the directed pair `from` + `to`, not a mix"
+                    .into(),
+            ))
+        }
+    };
+    Ok(ChaosEntrySpec {
+        node,
+        link,
+        from: entry.get(&FROM),
+        until: entry.opt(&UNTIL),
+        drop: entry.get(&DROP),
+        duplicate: entry.get(&DUPLICATE),
+        corrupt: entry.get(&CORRUPT),
+        reorder_ms: entry.get(&REORDER_MS),
+    })
+}
+
+fn write_chaos(entry: &ChaosEntrySpec) -> Row {
+    Row::new(&CHAOS_TABLE)
+        .with_opt(&CHAOS_NODE, entry.node)
+        .with_opt(&LINK_FROM, entry.link.map(|(from, _)| from))
+        .with_opt(&LINK_TO, entry.link.map(|(_, to)| to))
+        .with(&FROM, entry.from)
+        .with_opt(&UNTIL, entry.until)
+        .with(&DROP, entry.drop)
+        .with(&DUPLICATE, entry.duplicate)
+        .with(&CORRUPT, entry.corrupt)
+        .with(&REORDER_MS, entry.reorder_ms)
+}
+
+section!(FAULTS_TABLE = "[faults]", shares [], {
+    CRASHED = "crashed", Kind::Ids, Def::None;
+    CRASH_LAST = "crash_last", Kind::Count, Def::None;
+    SLOWDOWN = "slowdown", Kind::Tables(&SLOWDOWN_TABLE), Def::None;
+    CRASH = "crash", Kind::Tables(&CRASH_TABLE), Def::None;
+    RECOVER = "recover", Kind::Tables(&RECOVER_TABLE), Def::None;
+    PARTITION = "partition", Kind::Tables(&PARTITION_TABLE), Def::None;
+    BYZANTINE = "byzantine", Kind::Tables(&BYZANTINE_TABLE), Def::None;
+    CHAOS = "chaos", Kind::Tables(&CHAOS_TABLE), Def::None;
+});
+
+fn read_faults(faults: &Row) -> Result<FaultsSpec, ScenarioError> {
+    let entries = |field: &Field| faults.get::<Vec<Row>>(field);
+    let mut spec = FaultsSpec {
+        crashed: faults.opt(&CRASHED).unwrap_or_default(),
+        crash_last: faults.opt(&CRASH_LAST),
+        partitions: entries(&PARTITION).iter().map(read_partition).collect::<Result<_, _>>()?,
+        byzantine: entries(&BYZANTINE).iter().map(read_byzantine).collect::<Result<_, _>>()?,
+        chaos: entries(&CHAOS).iter().map(read_chaos).collect::<Result<_, _>>()?,
+        ..FaultsSpec::default()
+    };
+    for entry in entries(&SLOWDOWN) {
+        spec.slowdowns.push(SlowdownEntry {
+            nodes: read_node_sel(&entry)?,
+            at: entry.get(&AT),
+            until: entry.opt(&UNTIL),
+            extra_ms: entry.get(&EXTRA_MS),
+        });
+    }
+    // [[faults.recover]] first, then the `recover_at` sugar of each crash.
+    for entry in entries(&RECOVER) {
+        spec.recovers
+            .push(TimedFaultEntry { nodes: read_node_sel(&entry)?, at: entry.get(&RESTART_AT) });
+    }
+    for entry in entries(&CRASH) {
+        let nodes = read_node_sel(&entry)?;
+        if let Some(at) = entry.opt(&RECOVER_AT) {
+            spec.recovers.push(TimedFaultEntry { nodes: nodes.clone(), at });
+        }
+        spec.crashes.push(TimedFaultEntry { nodes, at: entry.get(&AT) });
+    }
+    Ok(spec)
+}
+
+fn write_faults(faults: &FaultsSpec) -> Row {
+    let timed = |table: &'static Section, at: &Field, entries: &[TimedFaultEntry]| -> Vec<Row> {
+        entries.iter().map(|e| write_node_sel(Row::new(table), &e.nodes).with(at, e.at)).collect()
+    };
+    let slowdowns = faults.slowdowns.iter().map(|s| {
+        write_node_sel(Row::new(&SLOWDOWN_TABLE), &s.nodes)
+            .with(&AT, s.at)
+            .with_opt(&UNTIL, s.until)
+            .with(&EXTRA_MS, s.extra_ms)
+    });
+    Row::new(&FAULTS_TABLE)
+        .with_opt(&CRASHED, Some(faults.crashed.clone()).filter(|ids| !ids.is_empty()))
+        .with_opt(&CRASH_LAST, faults.crash_last)
+        .with(&SLOWDOWN, slowdowns.collect::<Vec<_>>())
+        .with(&CRASH, timed(&CRASH_TABLE, &AT, &faults.crashes))
+        .with(&RECOVER, timed(&RECOVER_TABLE, &RESTART_AT, &faults.recovers))
+        .with(&PARTITION, faults.partitions.iter().map(write_partition).collect::<Vec<_>>())
+        .with(&BYZANTINE, faults.byzantine.iter().map(write_byzantine).collect::<Vec<_>>())
+        .with(&CHAOS, faults.chaos.iter().map(write_chaos).collect::<Vec<_>>())
+}
+
+section!(WINDOW_TABLE = "[[analysis.window]]", shares [], {
+    WINDOW_NAME = "name", Kind::Str, Def::Required;
+    FROM_FRAC = "from_frac", Kind::F64, Def::F64(0.0), shown;
+    TO_FRAC = "to_frac", Kind::F64, Def::F64(1.0), shown;
+});
+section!(ANALYSIS_TABLE = "[analysis]", shares [], {
+    SKIPPED_ROUNDS = "skipped_rounds", Kind::Bool, Def::Bool(false);
+    SCHEDULE_CHURN = "schedule_churn", Kind::Bool, Def::Bool(false);
+    REINCLUSION = "reinclusion", Kind::Bool, Def::Bool(false);
+    ADVERSARY = "adversary", Kind::Bool, Def::Bool(false);
+    ANALYSIS_CHAOS = "chaos", Kind::Bool, Def::Bool(false);
+    WINDOW = "window", Kind::Tables(&WINDOW_TABLE), Def::None;
+});
+
+fn read_analysis(analysis: &Row) -> AnalysisSpec {
+    let window = |w: &Row| WindowSpec {
+        name: w.get(&WINDOW_NAME),
+        from_frac: w.get(&FROM_FRAC),
+        to_frac: w.get(&TO_FRAC),
+    };
+    AnalysisSpec {
+        windows: analysis.get::<Vec<Row>>(&WINDOW).iter().map(window).collect(),
+        skipped_rounds: analysis.get(&SKIPPED_ROUNDS),
+        schedule_churn: analysis.get(&SCHEDULE_CHURN),
+        reinclusion: analysis.get(&REINCLUSION),
+        adversary: analysis.get(&ADVERSARY),
+        chaos: analysis.get(&ANALYSIS_CHAOS),
+    }
+}
+
+fn write_analysis(analysis: &AnalysisSpec) -> Row {
+    let window = |w: &WindowSpec| {
+        Row::new(&WINDOW_TABLE)
+            .with(&WINDOW_NAME, w.name.clone())
+            .with(&FROM_FRAC, w.from_frac)
+            .with(&TO_FRAC, w.to_frac)
+    };
+    Row::new(&ANALYSIS_TABLE)
+        .with(&SKIPPED_ROUNDS, analysis.skipped_rounds)
+        .with(&SCHEDULE_CHURN, analysis.schedule_churn)
+        .with(&REINCLUSION, analysis.reinclusion)
+        .with(&ADVERSARY, analysis.adversary)
+        .with(&ANALYSIS_CHAOS, analysis.chaos)
+        .with(&WINDOW, analysis.windows.iter().map(window).collect::<Vec<_>>())
+}
+
+section!(QUICK_TABLE = "[quick]", shares [], {
+    QUICK_SIZES = "sizes", Kind::U64Axis, Def::None;
+    QUICK_TPS = "tps", Kind::U64Axis, Def::None;
+    QUICK_DURATION_SECS = "duration_secs", Kind::U64Axis, Def::None;
+    QUICK_SEEDS = "seeds", Kind::U64Axis, Def::None;
+    QUICK_PERIOD_ROUNDS = "period_rounds", Kind::U64Axis, Def::None;
+});
+
+fn to_usizes(xs: Vec<u64>) -> Vec<usize> {
+    xs.into_iter().map(|x| x as usize).collect()
+}
+
+fn to_u64s(xs: &[usize]) -> Vec<u64> {
+    xs.iter().map(|x| *x as u64).collect()
 }
 
 // ---------------------------------------------------------------------------
 // Parsing
 // ---------------------------------------------------------------------------
+
+impl Default for WorkloadSpec {
+    /// The undeclared workload: every `[workload]` key at its default.
+    fn default() -> Self {
+        read_workload(&Row::new(&WORKLOAD_TABLE), false).expect("the defaults are a valid workload")
+    }
+}
 
 impl ScenarioSpec {
     /// Parses and validates scenario TOML text.
@@ -951,746 +1706,140 @@ impl ScenarioSpec {
     /// Builds a spec from an already-parsed TOML document (the hook
     /// `hh-cli --set` uses to patch knobs before schema validation).
     pub fn from_value(root_value: &Value) -> Result<Self, ScenarioError> {
-        let root = root_value
-            .as_table()
-            .ok_or_else(|| ScenarioError::Schema("scenario root must be a table".into()))?;
-        check_keys(
-            root,
-            "the scenario root",
-            &[
-                "name",
-                "description",
-                "figure",
-                "committee",
-                "load",
-                "run",
-                "network",
-                "systems",
-                "hammerhead",
-                "workload",
-                "variant",
-                "faults",
-                "analysis",
-                "quick",
-            ],
-        )?;
-
-        let name = get_str(root, "name", "scenario")?
-            .ok_or_else(|| ScenarioError::Schema("missing required key `name`".into()))?;
-        let description = get_str(root, "description", "scenario")?.unwrap_or_default();
-        let figure = get_str(root, "figure", "scenario")?;
-
-        // [committee]
-        let committee = get_table(root, "committee")?;
-        let committee_sizes = match committee {
-            Some(t) => {
-                check_keys(t, "[committee]", &["size", "sizes"])?;
-                if t.contains_key("size") && t.contains_key("sizes") {
-                    return Err(ScenarioError::Schema(
-                        "set only one of committee.size / committee.sizes".into(),
-                    ));
-                }
-                let axis = get_u64_axis(t, "sizes", "committee")?.or(get_u64_axis(
-                    t,
-                    "size",
-                    "committee",
-                )?);
-                axis.map(|xs| xs.into_iter().map(|x| x as usize).collect())
-                    .unwrap_or_else(|| vec![10])
-            }
-            None => vec![10],
-        };
-
-        // [load]
-        let load_tps = match get_table(root, "load")? {
-            Some(t) => {
-                check_keys(t, "[load]", &["tps"])?;
-                get_u64_axis(t, "tps", "load")?.unwrap_or_else(|| vec![500])
-            }
-            None => vec![500],
-        };
-
-        // [run]
-        let (duration_secs, warmup_secs, seeds, gst_secs, client_window_secs) =
-            match get_table(root, "run")? {
-                Some(t) => {
-                    check_keys(
-                        t,
-                        "[run]",
-                        &[
-                            "duration_secs",
-                            "warmup_secs",
-                            "seed",
-                            "seeds",
-                            "gst_secs",
-                            "client_window_secs",
-                        ],
-                    )?;
-                    if t.contains_key("seed") && t.contains_key("seeds") {
-                        return Err(ScenarioError::Schema(
-                            "set only one of run.seed / run.seeds".into(),
-                        ));
-                    }
-                    (
-                        get_u64_axis(t, "duration_secs", "run")?.unwrap_or_else(|| vec![60]),
-                        get_u64(t, "warmup_secs", "run")?,
-                        get_u64_axis(t, "seeds", "run")?
-                            .or(get_u64_axis(t, "seed", "run")?)
-                            .unwrap_or_else(|| vec![42]),
-                        get_u64(t, "gst_secs", "run")?.unwrap_or(0),
-                        get_f64(t, "client_window_secs", "run")?.unwrap_or(2.0),
-                    )
-                }
-                None => (vec![60], None, vec![42], 0, 2.0),
-            };
-
-        // [network]
-        let network = match get_table(root, "network")? {
-            Some(t) => {
-                check_keys(t, "[network]", &["model", "flat_ms"])?;
-                let model = get_str(t, "model", "network")?.unwrap_or_else(|| "geo".into());
-                match model.as_str() {
-                    "geo" => {
-                        if t.contains_key("flat_ms") {
-                            return Err(ScenarioError::Schema(
-                                "`network.flat_ms` only applies to model = \"flat\"".into(),
-                            ));
-                        }
-                        NetworkSpec::Geo
-                    }
-                    "flat" => {
-                        NetworkSpec::Flat { ms: get_u64(t, "flat_ms", "network")?.unwrap_or(5) }
-                    }
-                    other => {
-                        return Err(ScenarioError::Schema(format!(
-                            "unknown network model `{other}` (expected geo or flat)"
-                        )))
-                    }
-                }
-            }
-            None => NetworkSpec::Geo,
-        };
-
-        // [systems]
-        let systems = match get_table(root, "systems")? {
-            Some(t) => {
-                check_keys(t, "[systems]", &["run"])?;
-                get_str_axis(t, "run", "systems")?
-                    .unwrap_or_else(|| vec!["hammerhead".into()])
-                    .iter()
-                    .map(|s| SystemSpec::parse(s))
-                    .collect::<Result<Vec<_>, _>>()?
-            }
-            None => vec![SystemSpec::Hammerhead],
-        };
-
-        // [hammerhead]
-        let (period_rounds, exclusion, scoring, schedule_seed, swap_from_base) =
-            match get_table(root, "hammerhead")? {
-                Some(t) => {
-                    check_keys(
-                        t,
-                        "[hammerhead]",
-                        &[
-                            "period_rounds",
-                            "max_excluded_pct",
-                            "max_excluded_stake",
-                            "scoring",
-                            "schedule_seed",
-                            "swap_from_base",
-                        ],
-                    )?;
-                    let pct = get_u64_axis(t, "max_excluded_pct", "hammerhead")?;
-                    let stake = get_u64_axis(t, "max_excluded_stake", "hammerhead")?;
-                    if pct.is_some() && stake.is_some() {
-                        return Err(ScenarioError::Schema(
-                            "set only one of hammerhead.max_excluded_pct / max_excluded_stake"
-                                .into(),
-                        ));
-                    }
-                    let exclusion = match (pct, stake) {
-                        (Some(ps), _) => ps.into_iter().map(ExclusionSpec::Pct).collect(),
-                        (_, Some(ss)) => ss.into_iter().map(ExclusionSpec::Stake).collect(),
-                        _ => vec![ExclusionSpec::F],
-                    };
-                    let scoring = get_str_axis(t, "scoring", "hammerhead")?
-                        .unwrap_or_else(|| vec!["vote-based".into()])
-                        .iter()
-                        .map(|s| parse_scoring(s))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    (
-                        get_u64_axis(t, "period_rounds", "hammerhead")?.unwrap_or_else(|| vec![20]),
-                        exclusion,
-                        scoring,
-                        get_u64(t, "schedule_seed", "hammerhead")?.unwrap_or(0),
-                        get_bool(t, "swap_from_base", "hammerhead")?.unwrap_or(false),
-                    )
-                }
-                None => (vec![20], vec![ExclusionSpec::F], vec![ScoringRule::VoteBased], 0, false),
-            };
-
-        // [workload]
-        let workload = match get_table(root, "workload")? {
-            Some(t) => {
-                check_keys(
-                    t,
-                    "[workload]",
-                    &[
-                        "arrival",
-                        "mode",
-                        "payload_bytes",
-                        "spread",
-                        "block_bytes",
-                        "burst_secs",
-                        "idle_secs",
-                        "ramp_from_scale",
-                        "ramp_to_scale",
-                        "phase",
-                    ],
-                )?;
-                let mode = match get_str(t, "mode", "workload")?.as_deref() {
-                    None | Some("closed") => SubmissionMode::Closed,
-                    Some("open") => SubmissionMode::Open,
-                    Some(other) => {
-                        return Err(ScenarioError::Schema(format!(
-                            "unknown workload mode `{other}` (expected closed or open)"
-                        )))
-                    }
-                };
-                let payload_bytes = match get_u64(t, "payload_bytes", "workload")? {
-                    Some(b) if b > MAX_PAYLOAD_BYTES as u64 => {
-                        return Err(ScenarioError::Invalid(format!(
-                            "workload payload_bytes {b} exceeds the {MAX_PAYLOAD_BYTES}-byte cap"
-                        )))
-                    }
-                    Some(b) => b as u32,
-                    None => 0,
-                };
-                let mut phases = Vec::new();
-                for p in get_entry_tables(t, "phase", "[[workload.phase]]")? {
-                    check_keys(
-                        p,
-                        "[[workload.phase]]",
-                        &[
-                            "from_secs",
-                            "from_frac",
-                            "scale",
-                            "tps",
-                            "arrival",
-                            "burst_secs",
-                            "idle_secs",
-                            "ramp_from_scale",
-                            "ramp_to_scale",
-                        ],
-                    )?;
-                    let arrival = get_arrival(p, "[[workload.phase]]")?;
-                    let scale = get_f64(p, "scale", "workload.phase")?;
-                    let tps = get_u64(p, "tps", "workload.phase")?;
-                    if matches!(arrival, ArrivalSpec::Ramp { .. })
-                        && (scale.is_some() || tps.is_some())
-                    {
-                        return Err(ScenarioError::Schema(
-                            "ramp phases take ramp_from_scale / ramp_to_scale, not scale or tps"
-                                .into(),
-                        ));
-                    }
-                    let rate = match (scale, tps) {
-                        (Some(_), Some(_)) => {
-                            return Err(ScenarioError::Schema(
-                                "[[workload.phase]] sets both `scale` and `tps`".into(),
-                            ))
-                        }
-                        (Some(s), None) => RateSpec::Scale(s),
-                        (None, Some(t)) => RateSpec::Tps(t),
-                        (None, None) => RateSpec::Scale(1.0),
-                    };
-                    phases.push(WorkloadPhaseSpec {
-                        from: get_when(p, "from", "[[workload.phase]]")?
-                            .unwrap_or(WhenSpec::Secs(0)),
-                        rate,
-                        arrival,
-                    });
-                }
-                if !phases.is_empty() {
-                    for key in ["arrival"].iter().chain(ARRIVAL_PARAM_KEYS) {
-                        if t.contains_key(*key) {
-                            return Err(ScenarioError::Schema(format!(
-                                "`workload.{key}` conflicts with an explicit \
-                                 [[workload.phase]] timeline"
-                            )));
-                        }
-                    }
-                }
-                let arrival = if phases.is_empty() {
-                    get_arrival(t, "[workload]")?
-                } else {
-                    ArrivalSpec::Constant
-                };
-                WorkloadSpec {
-                    declared: true,
-                    mode,
-                    payload_bytes,
-                    spread: get_f64(t, "spread", "workload")?.unwrap_or(1.0),
-                    block_bytes: get_u64(t, "block_bytes", "workload")?,
-                    arrival,
-                    phases,
-                }
-            }
-            None => WorkloadSpec::default(),
-        };
-
-        // [[variant]]
-        let variants = match root.get("variant") {
-            None => Vec::new(),
-            Some(Value::Array(items)) => items
-                .iter()
-                .map(|item| {
-                    let t = item.as_table().ok_or_else(|| {
-                        ScenarioError::Schema("[[variant]] entries must be tables".into())
-                    })?;
-                    check_keys(
-                        t,
-                        "[[variant]]",
-                        &[
-                            "label",
-                            "system",
-                            "static_leader",
-                            "scoring",
-                            "period_rounds",
-                            "max_excluded_pct",
-                            "max_excluded_stake",
-                        ],
-                    )?;
-                    let label = get_str(t, "label", "variant")?.ok_or_else(|| {
-                        ScenarioError::Schema("[[variant]] requires a `label`".into())
-                    })?;
-                    let system = match get_str(t, "system", "variant")? {
-                        Some(s) => SystemSpec::parse(&s)?,
-                        None => SystemSpec::Hammerhead,
-                    };
-                    let pct = get_u64(t, "max_excluded_pct", "variant")?;
-                    let stake = get_u64(t, "max_excluded_stake", "variant")?;
-                    if pct.is_some() && stake.is_some() {
-                        return Err(ScenarioError::Schema(
-                            "variant sets both max_excluded_pct and max_excluded_stake".into(),
-                        ));
-                    }
-                    Ok(VariantSpec {
-                        label,
-                        system,
-                        static_leader: get_u64(t, "static_leader", "variant")?.unwrap_or(0) as u16,
-                        scoring: get_str(t, "scoring", "variant")?
-                            .map(|s| parse_scoring(&s))
-                            .transpose()?,
-                        period_rounds: get_u64(t, "period_rounds", "variant")?,
-                        exclusion: pct.map(ExclusionSpec::Pct).or(stake.map(ExclusionSpec::Stake)),
-                    })
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            Some(other) => {
-                return Err(ScenarioError::Schema(format!(
-                    "`variant` must be an array of tables ([[variant]]), got {other:?}"
-                )))
-            }
-        };
-
-        // [faults]
-        let faults = match get_table(root, "faults")? {
-            Some(t) => {
-                check_keys(
-                    t,
-                    "[faults]",
-                    &[
-                        "crashed",
-                        "crash_last",
-                        "slowdown",
-                        "crash",
-                        "recover",
-                        "partition",
-                        "byzantine",
-                        "chaos",
-                    ],
-                )?;
-                let crashed = get_u64_axis(t, "crashed", "faults")?
-                    .unwrap_or_default()
-                    .into_iter()
-                    .map(|x| x as u16)
-                    .collect();
-                let crash_last = t.get("crash_last").map(CountExpr::parse).transpose()?;
-
-                let mut slowdowns = Vec::new();
-                for s in get_entry_tables(t, "slowdown", "[[faults.slowdown]]")? {
-                    check_keys(
-                        s,
-                        "[[faults.slowdown]]",
-                        &[
-                            "nodes",
-                            "first",
-                            "at_secs",
-                            "at_frac",
-                            "until_secs",
-                            "until_frac",
-                            "extra_ms",
-                        ],
-                    )?;
-                    let extra_ms = get_u64(s, "extra_ms", "faults.slowdown")?.ok_or_else(|| {
-                        ScenarioError::Schema("[[faults.slowdown]] requires `extra_ms`".into())
-                    })?;
-                    slowdowns.push(SlowdownEntry {
-                        nodes: get_node_sel(s, "[[faults.slowdown]]")?,
-                        at: get_when(s, "at", "[[faults.slowdown]]")?.unwrap_or(WhenSpec::Secs(0)),
-                        until: get_when(s, "until", "[[faults.slowdown]]")?,
-                        extra_ms,
-                    });
-                }
-
-                // [[faults.recover]] first, then the `recover_at_*` sugar
-                // on [[faults.crash]] desugars into the same list.
-                let mut recovers = Vec::new();
-                for r in get_entry_tables(t, "recover", "[[faults.recover]]")? {
-                    check_keys(r, "[[faults.recover]]", &["nodes", "first", "at_secs", "at_frac"])?;
-                    recovers.push(TimedFaultEntry {
-                        nodes: get_node_sel(r, "[[faults.recover]]")?,
-                        at: get_when(r, "at", "[[faults.recover]]")?.ok_or_else(|| {
-                            ScenarioError::Schema(
-                                "[[faults.recover]] requires at_secs or at_frac".into(),
-                            )
-                        })?,
-                    });
-                }
-                let mut crashes = Vec::new();
-                for entry in get_entry_tables(t, "crash", "[[faults.crash]]")? {
-                    check_keys(
-                        entry,
-                        "[[faults.crash]]",
-                        &[
-                            "nodes",
-                            "first",
-                            "at_secs",
-                            "at_frac",
-                            "recover_at_secs",
-                            "recover_at_frac",
-                        ],
-                    )?;
-                    let nodes = get_node_sel(entry, "[[faults.crash]]")?;
-                    if let Some(recover_at) = get_when(entry, "recover_at", "[[faults.crash]]")? {
-                        recovers.push(TimedFaultEntry { nodes: nodes.clone(), at: recover_at });
-                    }
-                    crashes.push(TimedFaultEntry {
-                        nodes,
-                        at: get_when(entry, "at", "[[faults.crash]]")?.unwrap_or(WhenSpec::Secs(0)),
-                    });
-                }
-
-                let mut partitions = Vec::new();
-                for p in get_entry_tables(t, "partition", "[[faults.partition]]")? {
-                    check_keys(
-                        p,
-                        "[[faults.partition]]",
-                        &[
-                            "a",
-                            "b",
-                            "isolate_first",
-                            "from_secs",
-                            "from_frac",
-                            "until_secs",
-                            "until_frac",
-                        ],
-                    )?;
-                    let a = get_id_list(p, "a", "faults.partition")?;
-                    let b = get_id_list(p, "b", "faults.partition")?;
-                    let sel = match (a, b, p.get("isolate_first")) {
-                        (Some(a), Some(b), None) => PartitionSel::Groups { a, b },
-                        (None, None, Some(v)) => PartitionSel::IsolateFirst(CountExpr::parse(v)?),
-                        _ => {
-                            return Err(ScenarioError::Schema(
-                                "[[faults.partition]] needs either both `a` and `b` id lists \
-                                 or `isolate_first` (count)"
-                                    .into(),
-                            ))
-                        }
-                    };
-                    partitions.push(PartitionEntry {
-                        sel,
-                        from: get_when(p, "from", "[[faults.partition]]")?
-                            .unwrap_or(WhenSpec::Secs(0)),
-                        until: get_when(p, "until", "[[faults.partition]]")?.ok_or_else(|| {
-                            ScenarioError::Schema(
-                                "[[faults.partition]] requires until_secs or until_frac".into(),
-                            )
-                        })?,
-                    });
-                }
-
-                let mut byzantine = Vec::new();
-                for b in get_entry_tables(t, "byzantine", "[[faults.byzantine]]")? {
-                    check_keys(
-                        b,
-                        "[[faults.byzantine]]",
-                        &[
-                            "node",
-                            "strategy",
-                            "from_secs",
-                            "from_frac",
-                            "until_secs",
-                            "until_frac",
-                            "targets",
-                            "delay_ms",
-                            "flip_secs",
-                        ],
-                    )?;
-                    let node = get_u64(b, "node", "faults.byzantine")?.ok_or_else(|| {
-                        ScenarioError::Schema("[[faults.byzantine]] requires `node`".into())
-                    })? as u16;
-                    let name = get_str(b, "strategy", "faults.byzantine")?.ok_or_else(|| {
-                        ScenarioError::Schema("[[faults.byzantine]] requires `strategy`".into())
-                    })?;
-                    let targets = get_id_list(b, "targets", "faults.byzantine")?;
-                    let delay_ms = get_u64(b, "delay_ms", "faults.byzantine")?;
-                    let flip_secs = get_u64(b, "flip_secs", "faults.byzantine")?;
-                    let forbid = |key: &str, present: bool| {
-                        if present {
-                            Err(ScenarioError::Schema(format!(
-                                "`{key}` does not apply to the `{name}` strategy"
-                            )))
-                        } else {
-                            Ok(())
-                        }
-                    };
-                    let require = |key: &str| {
-                        ScenarioError::Schema(format!("the `{name}` strategy requires `{key}`"))
-                    };
-                    let strategy = match name.as_str() {
-                        "equivocate" => {
-                            forbid("targets", targets.is_some())?;
-                            forbid("delay_ms", delay_ms.is_some())?;
-                            forbid("flip_secs", flip_secs.is_some())?;
-                            ByzantineStrategySpec::Equivocate
-                        }
-                        "withhold_votes" => {
-                            forbid("delay_ms", delay_ms.is_some())?;
-                            forbid("flip_secs", flip_secs.is_some())?;
-                            ByzantineStrategySpec::WithholdVotes {
-                                targets: targets.ok_or_else(|| require("targets"))?,
-                            }
-                        }
-                        "lazy_leader" => {
-                            forbid("targets", targets.is_some())?;
-                            forbid("flip_secs", flip_secs.is_some())?;
-                            ByzantineStrategySpec::LazyLeader {
-                                delay_ms: delay_ms.ok_or_else(|| require("delay_ms"))?,
-                            }
-                        }
-                        "flip_flop" => {
-                            forbid("targets", targets.is_some())?;
-                            ByzantineStrategySpec::FlipFlop {
-                                flip_secs: flip_secs.ok_or_else(|| require("flip_secs"))?,
-                                delay_ms: delay_ms.ok_or_else(|| require("delay_ms"))?,
-                            }
-                        }
-                        other => {
-                            return Err(ScenarioError::Schema(format!(
-                                "unknown byzantine strategy `{other}` (expected equivocate, \
-                                 withhold_votes, lazy_leader or flip_flop)"
-                            )))
-                        }
-                    };
-                    byzantine.push(ByzantineEntrySpec {
-                        node,
-                        strategy,
-                        from: get_when(b, "from", "[[faults.byzantine]]")?
-                            .unwrap_or(WhenSpec::Secs(0)),
-                        until: get_when(b, "until", "[[faults.byzantine]]")?,
-                    });
-                }
-
-                let mut chaos = Vec::new();
-                for c in get_entry_tables(t, "chaos", "[[faults.chaos]]")? {
-                    check_keys(
-                        c,
-                        "[[faults.chaos]]",
-                        &[
-                            "node",
-                            "from",
-                            "to",
-                            "from_secs",
-                            "from_frac",
-                            "until_secs",
-                            "until_frac",
-                            "drop",
-                            "duplicate",
-                            "corrupt",
-                            "reorder_ms",
-                        ],
-                    )?;
-                    let node = get_u64(c, "node", "faults.chaos")?.map(|x| x as u16);
-                    let link_from = get_u64(c, "from", "faults.chaos")?.map(|x| x as u16);
-                    let link_to = get_u64(c, "to", "faults.chaos")?.map(|x| x as u16);
-                    let link = match (node, link_from, link_to) {
-                        (_, None, None) => None,
-                        (None, Some(a), Some(b)) => Some((a, b)),
-                        _ => {
-                            return Err(ScenarioError::Schema(
-                                "[[faults.chaos]] afflicts all links by default; narrow it \
-                                 with either `node` or the directed pair `from` + `to`, \
-                                 not a mix"
-                                    .into(),
-                            ))
-                        }
-                    };
-                    chaos.push(ChaosEntrySpec {
-                        node,
-                        link,
-                        from: get_when(c, "from", "[[faults.chaos]]")?.unwrap_or(WhenSpec::Secs(0)),
-                        until: get_when(c, "until", "[[faults.chaos]]")?,
-                        drop: get_f64(c, "drop", "faults.chaos")?.unwrap_or(0.0),
-                        duplicate: get_f64(c, "duplicate", "faults.chaos")?.unwrap_or(0.0),
-                        corrupt: get_f64(c, "corrupt", "faults.chaos")?.unwrap_or(0.0),
-                        reorder_ms: get_u64(c, "reorder_ms", "faults.chaos")?.unwrap_or(0),
-                    });
-                }
-
-                FaultsSpec {
-                    crashed,
-                    crash_last,
-                    slowdowns,
-                    crashes,
-                    recovers,
-                    partitions,
-                    byzantine,
-                    chaos,
-                }
-            }
-            None => FaultsSpec::default(),
-        };
-
-        // [analysis]
-        let analysis = match get_table(root, "analysis")? {
-            Some(t) => {
-                check_keys(
-                    t,
-                    "[analysis]",
-                    &[
-                        "skipped_rounds",
-                        "schedule_churn",
-                        "reinclusion",
-                        "adversary",
-                        "chaos",
-                        "window",
-                    ],
-                )?;
-                let windows = match t.get("window") {
-                    None => Vec::new(),
-                    Some(Value::Array(items)) => items
-                        .iter()
-                        .map(|item| {
-                            let w = item.as_table().ok_or_else(|| {
-                                ScenarioError::Schema(
-                                    "[[analysis.window]] entries must be tables".into(),
-                                )
-                            })?;
-                            check_keys(
-                                w,
-                                "[[analysis.window]]",
-                                &["name", "from_frac", "to_frac"],
-                            )?;
-                            Ok(WindowSpec {
-                                name: get_str(w, "name", "analysis.window")?.ok_or_else(|| {
-                                    ScenarioError::Schema(
-                                        "[[analysis.window]] requires `name`".into(),
-                                    )
-                                })?,
-                                from_frac: get_f64(w, "from_frac", "analysis.window")?
-                                    .unwrap_or(0.0),
-                                to_frac: get_f64(w, "to_frac", "analysis.window")?.unwrap_or(1.0),
-                            })
-                        })
-                        .collect::<Result<Vec<_>, ScenarioError>>()?,
-                    Some(other) => {
-                        return Err(ScenarioError::Schema(format!(
-                            "`analysis.window` must be an array of tables, got {other:?}"
-                        )))
-                    }
-                };
-                AnalysisSpec {
-                    windows,
-                    skipped_rounds: get_bool(t, "skipped_rounds", "analysis")?.unwrap_or(false),
-                    schedule_churn: get_bool(t, "schedule_churn", "analysis")?.unwrap_or(false),
-                    reinclusion: get_bool(t, "reinclusion", "analysis")?.unwrap_or(false),
-                    adversary: get_bool(t, "adversary", "analysis")?.unwrap_or(false),
-                    chaos: get_bool(t, "chaos", "analysis")?.unwrap_or(false),
-                }
-            }
-            None => AnalysisSpec::default(),
-        };
-
-        // [quick]
-        let quick = match get_table(root, "quick")? {
-            Some(t) => {
-                check_keys(
-                    t,
-                    "[quick]",
-                    &["sizes", "tps", "duration_secs", "seeds", "period_rounds"],
-                )?;
-                QuickSpec {
-                    sizes: get_u64_axis(t, "sizes", "quick")?
-                        .map(|xs| xs.into_iter().map(|x| x as usize).collect()),
-                    tps: get_u64_axis(t, "tps", "quick")?,
-                    duration_secs: get_u64_axis(t, "duration_secs", "quick")?,
-                    seeds: get_u64_axis(t, "seeds", "quick")?,
-                    period_rounds: get_u64_axis(t, "period_rounds", "quick")?,
-                }
-            }
-            None => QuickSpec::default(),
-        };
-
+        let table =
+            root_value.as_table().ok_or_else(|| schema("scenario root must be a table".into()))?;
+        let root = ROOT.read(table)?;
+        let sub = |field: &Field| root.get::<Row>(field);
+        let (committee, run, hammerhead, quick) =
+            (sub(&COMMITTEE), sub(&RUN), sub(&HAMMERHEAD), sub(&QUICK));
+        at_most_one(&committee, &SIZE, &SIZES)?;
+        at_most_one(&run, &SEED, &SEEDS)?;
         let spec = ScenarioSpec {
-            name,
-            description,
-            figure,
-            committee_sizes,
-            load_tps,
-            duration_secs,
-            warmup_secs,
-            seeds,
-            gst_secs,
-            client_window_secs,
-            network,
-            systems,
-            period_rounds,
-            exclusion,
-            scoring,
-            schedule_seed,
-            swap_from_base,
-            workload,
-            variants,
-            faults,
-            analysis,
-            quick,
+            name: root.get(&NAME),
+            description: root.get(&DESCRIPTION),
+            figure: root.opt(&FIGURE),
+            committee_sizes: to_usizes(
+                committee.opt(&SIZE).unwrap_or_else(|| committee.get(&SIZES)),
+            ),
+            load_tps: sub(&LOAD).get(&TPS),
+            duration_secs: run.get(&DURATION_SECS),
+            warmup_secs: run.opt(&WARMUP_SECS),
+            seeds: run.opt(&SEED).unwrap_or_else(|| run.get(&SEEDS)),
+            gst_secs: run.get(&GST_SECS),
+            client_window_secs: run.get(&CLIENT_WINDOW_SECS),
+            network: read_network(&sub(&NETWORK))?,
+            systems: sub(&SYSTEMS)
+                .get::<Vec<String>>(&SYSTEMS_RUN)
+                .iter()
+                .map(|s| SystemSpec::parse(s))
+                .collect::<Result<_, _>>()?,
+            period_rounds: hammerhead.get(&PERIOD_ROUNDS),
+            exclusion: read_exclusion_axis(&hammerhead)?,
+            scoring: hammerhead
+                .get::<Vec<String>>(&SCORING)
+                .iter()
+                .map(|s| parse_scoring(s))
+                .collect::<Result<_, _>>()?,
+            schedule_seed: hammerhead.get(&SCHEDULE_SEED),
+            swap_from_base: hammerhead.get(&SWAP_FROM_BASE),
+            workload: read_workload(&sub(&WORKLOAD), root.has(&WORKLOAD))?,
+            variants: root
+                .get::<Vec<Row>>(&VARIANT)
+                .iter()
+                .map(read_variant)
+                .collect::<Result<_, _>>()?,
+            faults: read_faults(&sub(&FAULTS))?,
+            analysis: read_analysis(&sub(&ANALYSIS)),
+            quick: QuickSpec {
+                sizes: quick.opt(&QUICK_SIZES).map(to_usizes),
+                tps: quick.opt(&QUICK_TPS),
+                duration_secs: quick.opt(&QUICK_DURATION_SECS),
+                seeds: quick.opt(&QUICK_SEEDS),
+                period_rounds: quick.opt(&QUICK_PERIOD_ROUNDS),
+            },
         };
         spec.validate()?;
         Ok(spec)
+    }
+
+    /// Serializes the spec back to a TOML value (the canonical form used
+    /// by round-trip tests and `hh-cli validate --dump`).
+    pub fn to_value(&self) -> Value {
+        let committee = Row::new(&COMMITTEE_TABLE).with(&SIZES, to_u64s(&self.committee_sizes));
+        let run = Row::new(&RUN_TABLE)
+            .with(&DURATION_SECS, self.duration_secs.clone())
+            .with_opt(&WARMUP_SECS, self.warmup_secs)
+            .with(&SEEDS, self.seeds.clone())
+            .with(&GST_SECS, self.gst_secs)
+            .with(&CLIENT_WINDOW_SECS, self.client_window_secs);
+        let systems: Vec<String> = self.systems.iter().map(|s| s.label().to_string()).collect();
+        let scoring: Vec<String> = self.scoring.iter().map(|s| scoring_name(*s)).collect();
+        let hammerhead = Row::new(&HAMMERHEAD_TABLE)
+            .with(&PERIOD_ROUNDS, self.period_rounds.clone())
+            .with(&SCORING, scoring)
+            .with(&SCHEDULE_SEED, self.schedule_seed)
+            .with(&SWAP_FROM_BASE, self.swap_from_base);
+        let quick = Row::new(&QUICK_TABLE)
+            .with_opt(&QUICK_SIZES, self.quick.sizes.as_deref().map(to_u64s))
+            .with_opt(&QUICK_TPS, self.quick.tps.clone())
+            .with_opt(&QUICK_DURATION_SECS, self.quick.duration_secs.clone())
+            .with_opt(&QUICK_SEEDS, self.quick.seeds.clone())
+            .with_opt(&QUICK_PERIOD_ROUNDS, self.quick.period_rounds.clone());
+        let root = Row::new(&ROOT)
+            .with(&NAME, self.name.clone())
+            .with(&DESCRIPTION, self.description.clone())
+            .with_opt(&FIGURE, self.figure.clone())
+            .with(&COMMITTEE, committee)
+            .with(&LOAD, Row::new(&LOAD_TABLE).with(&TPS, self.load_tps.clone()))
+            .with(&RUN, run)
+            .with(&NETWORK, write_network(self.network))
+            .with(&SYSTEMS, Row::new(&SYSTEMS_TABLE).with(&SYSTEMS_RUN, systems))
+            .with(&HAMMERHEAD, write_exclusion_axis(hammerhead, &self.exclusion))
+            .with_opt(&WORKLOAD, self.workload.declared.then(|| write_workload(&self.workload)))
+            .with(&VARIANT, self.variants.iter().map(write_variant).collect::<Vec<_>>())
+            .with(&FAULTS, write_faults(&self.faults))
+            .with(&ANALYSIS, write_analysis(&self.analysis))
+            .with(&QUICK, quick);
+        Value::Table(root.to_table())
+    }
+
+    /// Serializes to canonical TOML text.
+    pub fn to_toml(&self) -> String {
+        toml::serialize(&self.to_value())
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Validation
+// ---------------------------------------------------------------------------
+
+impl ScenarioSpec {
+    /// What every committee-size and duration axis must satisfy, as parsed
+    /// and again after the `[quick]` / CLI overrides.
+    fn check_axes(&self, sizes: &[usize], durations: &[u64]) -> Result<(), ScenarioError> {
+        if let Some(small) = sizes.iter().find(|n| **n < 4) {
+            return Err(ScenarioError::Invalid(format!(
+                "committee size {small} cannot tolerate any fault (n = 3f + 1)"
+            )));
+        }
+        if durations.contains(&0) {
+            return Err(ScenarioError::Invalid("duration_secs must be positive".into()));
+        }
+        if let Some(w) = self.warmup_secs {
+            if let Some(short) = durations.iter().find(|d| **d <= w) {
+                return Err(ScenarioError::Invalid(format!(
+                    "warmup_secs {w} does not leave a measurement window in a {short}s run"
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// Structural validation beyond per-key type checks; the per-committee
     /// checks ([`HammerheadConfig::validate`], fault counts) run during
     /// [`ScenarioSpec::plan`] where the committee size is known.
     fn validate(&self) -> Result<(), ScenarioError> {
-        if self.committee_sizes.iter().any(|n| *n < 4) {
-            return Err(ScenarioError::Invalid(
-                "committee sizes below 4 cannot tolerate any fault (n = 3f + 1)".into(),
-            ));
-        }
-        if self.duration_secs.contains(&0) {
-            return Err(ScenarioError::Invalid("duration_secs must be positive".into()));
-        }
-        if let Some(w) = self.warmup_secs {
-            if let Some(short) = self.duration_secs.iter().find(|d| **d <= w) {
-                return Err(ScenarioError::Invalid(format!(
-                    "warmup_secs {w} does not leave a measurement window in a {short}s run"
-                )));
-            }
-        }
+        self.check_axes(&self.committee_sizes, &self.duration_secs)?;
         if self.client_window_secs <= 0.0 {
             return Err(ScenarioError::Invalid("client_window_secs must be positive".into()));
         }
@@ -1711,25 +1860,8 @@ impl ScenarioSpec {
                 )));
             }
         }
-        fn check_frac(when: WhenSpec, what: &str) -> Result<(), ScenarioError> {
-            if let WhenSpec::Frac(frac) = when {
-                if !(0.0..=1.0).contains(&frac) {
-                    return Err(ScenarioError::Invalid(format!(
-                        "{what} fraction must be within [0, 1]"
-                    )));
-                }
-            }
-            Ok(())
-        }
-        /// Same-kind windows can be ordered here; mixed secs/frac pairs
-        /// are checked after per-run resolution.
         fn check_window(from: WhenSpec, until: WhenSpec, what: &str) -> Result<(), ScenarioError> {
-            let empty = match (from, until) {
-                (WhenSpec::Secs(a), WhenSpec::Secs(b)) => a >= b,
-                (WhenSpec::Frac(a), WhenSpec::Frac(b)) => a >= b,
-                _ => false,
-            };
-            if empty {
+            if from.not_before(until) {
                 return Err(ScenarioError::Invalid(format!("{what} window is empty")));
             }
             Ok(())
@@ -1739,18 +1871,11 @@ impl ScenarioSpec {
             if s.extra_ms == 0 {
                 return Err(ScenarioError::Invalid("slowdown extra_ms must be positive".into()));
             }
-            check_frac(s.at, "slowdown at")?;
             if let Some(until) = s.until {
-                check_frac(until, "slowdown until")?;
                 check_window(s.at, until, "slowdown")?;
             }
         }
-        for entry in self.faults.crashes.iter().chain(&self.faults.recovers) {
-            check_frac(entry.at, "crash/recover at")?;
-        }
         for p in &self.faults.partitions {
-            check_frac(p.from, "partition from")?;
-            check_frac(p.until, "partition until")?;
             check_window(p.from, p.until, "partition")?;
             if let PartitionSel::Groups { a, b } = &p.sel {
                 if a.is_empty() || b.is_empty() {
@@ -1766,9 +1891,7 @@ impl ScenarioSpec {
             }
         }
         for c in &self.faults.chaos {
-            check_frac(c.from, "chaos from")?;
             if let Some(until) = c.until {
-                check_frac(until, "chaos until")?;
                 check_window(c.from, until, "chaos")?;
             }
         }
@@ -1833,16 +1956,6 @@ impl ScenarioSpec {
                 }
             }
         }
-        fn check_frac(when: WhenSpec, what: &str) -> Result<(), ScenarioError> {
-            if let WhenSpec::Frac(frac) = when {
-                if !(0.0..=1.0).contains(&frac) {
-                    return Err(ScenarioError::Invalid(format!(
-                        "{what} fraction must be within [0, 1]"
-                    )));
-                }
-            }
-            Ok(())
-        }
         if w.phases.is_empty() {
             check_arrival(&w.arrival, "workload")?;
             return Ok(());
@@ -1859,7 +1972,6 @@ impl ScenarioSpec {
         }
         let mut any_active = false;
         for (i, phase) in w.phases.iter().enumerate() {
-            check_frac(phase.from, "workload phase from")?;
             check_arrival(&phase.arrival, "workload phase")?;
             let peak = match (phase.rate, phase.arrival) {
                 (_, ArrivalSpec::Ramp { from_scale, to_scale }) => from_scale.max(to_scale),
@@ -1878,469 +1990,12 @@ impl ScenarioSpec {
                 "every workload phase has zero rate — nothing ever arrives".into(),
             ));
         }
-        // Same-kind starts can be ordered here; mixed secs/frac pairs are
-        // checked after per-run resolution.
-        for pair in w.phases.windows(2) {
-            let out_of_order = match (pair[0].from, pair[1].from) {
-                (WhenSpec::Secs(a), WhenSpec::Secs(b)) => a >= b,
-                (WhenSpec::Frac(a), WhenSpec::Frac(b)) => a >= b,
-                _ => false,
-            };
-            if out_of_order {
-                return Err(ScenarioError::Invalid(
-                    "workload phase starts must be strictly ascending".into(),
-                ));
-            }
+        if w.phases.windows(2).any(|pair| pair[0].from.not_before(pair[1].from)) {
+            return Err(ScenarioError::Invalid(
+                "workload phase starts must be strictly ascending".into(),
+            ));
         }
         Ok(())
-    }
-
-    /// Serializes the spec back to a TOML value (the canonical form used
-    /// by round-trip tests and `hh-cli validate --dump`).
-    pub fn to_value(&self) -> Value {
-        let mut root = BTreeMap::new();
-        root.insert("name".into(), Value::Str(self.name.clone()));
-        if !self.description.is_empty() {
-            root.insert("description".into(), Value::Str(self.description.clone()));
-        }
-        if let Some(figure) = &self.figure {
-            root.insert("figure".into(), Value::Str(figure.clone()));
-        }
-
-        let mut committee = BTreeMap::new();
-        committee.insert(
-            "sizes".into(),
-            axis_u64_value(&self.committee_sizes.iter().map(|n| *n as u64).collect::<Vec<_>>()),
-        );
-        root.insert("committee".into(), Value::Table(committee));
-
-        let mut load = BTreeMap::new();
-        load.insert("tps".into(), axis_u64_value(&self.load_tps));
-        root.insert("load".into(), Value::Table(load));
-
-        let mut run = BTreeMap::new();
-        run.insert("duration_secs".into(), axis_u64_value(&self.duration_secs));
-        if let Some(w) = self.warmup_secs {
-            run.insert("warmup_secs".into(), Value::Int(w as i64));
-        }
-        run.insert("seeds".into(), axis_u64_value(&self.seeds));
-        if self.gst_secs != 0 {
-            run.insert("gst_secs".into(), Value::Int(self.gst_secs as i64));
-        }
-        if self.client_window_secs != 2.0 {
-            run.insert("client_window_secs".into(), Value::Float(self.client_window_secs));
-        }
-        root.insert("run".into(), Value::Table(run));
-
-        let mut network = BTreeMap::new();
-        match self.network {
-            NetworkSpec::Geo => {
-                network.insert("model".into(), Value::Str("geo".into()));
-            }
-            NetworkSpec::Flat { ms } => {
-                network.insert("model".into(), Value::Str("flat".into()));
-                network.insert("flat_ms".into(), Value::Int(ms as i64));
-            }
-        }
-        root.insert("network".into(), Value::Table(network));
-
-        let mut systems = BTreeMap::new();
-        systems.insert(
-            "run".into(),
-            Value::Array(self.systems.iter().map(|s| Value::Str(s.label().to_string())).collect()),
-        );
-        root.insert("systems".into(), Value::Table(systems));
-
-        let mut hammerhead = BTreeMap::new();
-        hammerhead.insert("period_rounds".into(), axis_u64_value(&self.period_rounds));
-        match self.exclusion.as_slice() {
-            [ExclusionSpec::F] => {}
-            xs if xs.iter().all(|x| matches!(x, ExclusionSpec::Pct(_))) => {
-                let pcts: Vec<u64> = xs
-                    .iter()
-                    .map(|x| match x {
-                        ExclusionSpec::Pct(p) => *p,
-                        _ => unreachable!("checked by the guard"),
-                    })
-                    .collect();
-                hammerhead.insert("max_excluded_pct".into(), axis_u64_value(&pcts));
-            }
-            xs => {
-                let stakes: Vec<u64> = xs
-                    .iter()
-                    .map(|x| match x {
-                        ExclusionSpec::Stake(s) => *s,
-                        other => panic!("mixed exclusion axis {other:?}"),
-                    })
-                    .collect();
-                hammerhead.insert("max_excluded_stake".into(), axis_u64_value(&stakes));
-            }
-        }
-        if self.scoring != vec![ScoringRule::VoteBased] {
-            hammerhead.insert(
-                "scoring".into(),
-                Value::Array(self.scoring.iter().map(|s| Value::Str(scoring_name(*s))).collect()),
-            );
-        }
-        if self.schedule_seed != 0 {
-            hammerhead.insert("schedule_seed".into(), Value::Int(self.schedule_seed as i64));
-        }
-        if self.swap_from_base {
-            hammerhead.insert("swap_from_base".into(), Value::Bool(true));
-        }
-        root.insert("hammerhead".into(), Value::Table(hammerhead));
-
-        if self.workload.declared {
-            fn insert_arrival(t: &mut BTreeMap<String, Value>, arrival: &ArrivalSpec) {
-                match *arrival {
-                    ArrivalSpec::Constant => {}
-                    ArrivalSpec::Poisson => {
-                        t.insert("arrival".into(), Value::Str("poisson".into()));
-                    }
-                    ArrivalSpec::OnOff { burst_secs, idle_secs } => {
-                        t.insert("arrival".into(), Value::Str("onoff".into()));
-                        t.insert("burst_secs".into(), Value::Float(burst_secs));
-                        t.insert("idle_secs".into(), Value::Float(idle_secs));
-                    }
-                    ArrivalSpec::Ramp { from_scale, to_scale } => {
-                        t.insert("arrival".into(), Value::Str("ramp".into()));
-                        if from_scale != 0.0 {
-                            t.insert("ramp_from_scale".into(), Value::Float(from_scale));
-                        }
-                        t.insert("ramp_to_scale".into(), Value::Float(to_scale));
-                    }
-                }
-            }
-            let w = &self.workload;
-            let mut workload = BTreeMap::new();
-            workload.insert(
-                "mode".into(),
-                Value::Str(
-                    match w.mode {
-                        SubmissionMode::Closed => "closed",
-                        SubmissionMode::Open => "open",
-                    }
-                    .into(),
-                ),
-            );
-            if w.payload_bytes != 0 {
-                workload.insert("payload_bytes".into(), Value::Int(w.payload_bytes as i64));
-            }
-            if w.spread != 1.0 {
-                workload.insert("spread".into(), Value::Float(w.spread));
-            }
-            if let Some(block_bytes) = w.block_bytes {
-                workload.insert("block_bytes".into(), Value::Int(block_bytes as i64));
-            }
-            if w.phases.is_empty() {
-                insert_arrival(&mut workload, &w.arrival);
-            } else {
-                let items = w
-                    .phases
-                    .iter()
-                    .map(|p| {
-                        let mut t = BTreeMap::new();
-                        insert_when(&mut t, "from", p.from, true);
-                        if !matches!(p.arrival, ArrivalSpec::Ramp { .. }) {
-                            match p.rate {
-                                // Scale 1.0 is the parse-side default.
-                                RateSpec::Scale(s) => {
-                                    if s != 1.0 {
-                                        t.insert("scale".into(), Value::Float(s));
-                                    }
-                                }
-                                RateSpec::Tps(tps) => {
-                                    t.insert("tps".into(), Value::Int(tps as i64));
-                                }
-                            }
-                        }
-                        insert_arrival(&mut t, &p.arrival);
-                        Value::Table(t)
-                    })
-                    .collect();
-                workload.insert("phase".into(), Value::Array(items));
-            }
-            root.insert("workload".into(), Value::Table(workload));
-        }
-
-        if !self.variants.is_empty() {
-            let items = self
-                .variants
-                .iter()
-                .map(|v| {
-                    let mut t = BTreeMap::new();
-                    t.insert("label".into(), Value::Str(v.label.clone()));
-                    t.insert("system".into(), Value::Str(v.system.label().to_string()));
-                    if v.system == SystemSpec::StaticLeader {
-                        t.insert("static_leader".into(), Value::Int(v.static_leader as i64));
-                    }
-                    if let Some(s) = v.scoring {
-                        t.insert("scoring".into(), Value::Str(scoring_name(s)));
-                    }
-                    if let Some(p) = v.period_rounds {
-                        t.insert("period_rounds".into(), Value::Int(p as i64));
-                    }
-                    match v.exclusion {
-                        Some(ExclusionSpec::Pct(p)) => {
-                            t.insert("max_excluded_pct".into(), Value::Int(p as i64));
-                        }
-                        Some(ExclusionSpec::Stake(s)) => {
-                            t.insert("max_excluded_stake".into(), Value::Int(s as i64));
-                        }
-                        Some(ExclusionSpec::F) | None => {}
-                    }
-                    Value::Table(t)
-                })
-                .collect();
-            root.insert("variant".into(), Value::Array(items));
-        }
-
-        let mut faults = BTreeMap::new();
-        if !self.faults.crashed.is_empty() {
-            faults.insert(
-                "crashed".into(),
-                Value::Array(self.faults.crashed.iter().map(|i| Value::Int(*i as i64)).collect()),
-            );
-        }
-        if let Some(c) = self.faults.crash_last {
-            faults.insert("crash_last".into(), c.to_value());
-        }
-        fn insert_node_sel(t: &mut BTreeMap<String, Value>, sel: &NodeSel) {
-            match sel {
-                NodeSel::Ids(ids) => {
-                    t.insert(
-                        "nodes".into(),
-                        Value::Array(ids.iter().map(|i| Value::Int(*i as i64)).collect()),
-                    );
-                }
-                NodeSel::First(c) => {
-                    t.insert("first".into(), c.to_value());
-                }
-            }
-        }
-        /// `omit_zero` drops `Secs(0)` — the parse-side default for event
-        /// starts — keeping canonical files minimal.
-        fn insert_when(
-            t: &mut BTreeMap<String, Value>,
-            prefix: &str,
-            when: WhenSpec,
-            omit_zero: bool,
-        ) {
-            match when {
-                WhenSpec::Secs(0) if omit_zero => {}
-                WhenSpec::Secs(secs) => {
-                    t.insert(format!("{prefix}_secs"), Value::Int(secs as i64));
-                }
-                WhenSpec::Frac(frac) => {
-                    t.insert(format!("{prefix}_frac"), Value::Float(frac));
-                }
-            }
-        }
-        if !self.faults.slowdowns.is_empty() {
-            let items = self
-                .faults
-                .slowdowns
-                .iter()
-                .map(|s| {
-                    let mut t = BTreeMap::new();
-                    insert_node_sel(&mut t, &s.nodes);
-                    insert_when(&mut t, "at", s.at, true);
-                    if let Some(until) = s.until {
-                        insert_when(&mut t, "until", until, false);
-                    }
-                    t.insert("extra_ms".into(), Value::Int(s.extra_ms as i64));
-                    Value::Table(t)
-                })
-                .collect();
-            faults.insert("slowdown".into(), Value::Array(items));
-        }
-        let timed_items = |entries: &[TimedFaultEntry]| -> Value {
-            Value::Array(
-                entries
-                    .iter()
-                    .map(|entry| {
-                        let mut t = BTreeMap::new();
-                        insert_node_sel(&mut t, &entry.nodes);
-                        insert_when(&mut t, "at", entry.at, false);
-                        Value::Table(t)
-                    })
-                    .collect(),
-            )
-        };
-        if !self.faults.crashes.is_empty() {
-            faults.insert("crash".into(), timed_items(&self.faults.crashes));
-        }
-        if !self.faults.recovers.is_empty() {
-            faults.insert("recover".into(), timed_items(&self.faults.recovers));
-        }
-        if !self.faults.partitions.is_empty() {
-            let items = self
-                .faults
-                .partitions
-                .iter()
-                .map(|p| {
-                    let mut t = BTreeMap::new();
-                    match &p.sel {
-                        PartitionSel::Groups { a, b } => {
-                            let ids = |xs: &[u16]| {
-                                Value::Array(xs.iter().map(|i| Value::Int(*i as i64)).collect())
-                            };
-                            t.insert("a".into(), ids(a));
-                            t.insert("b".into(), ids(b));
-                        }
-                        PartitionSel::IsolateFirst(c) => {
-                            t.insert("isolate_first".into(), c.to_value());
-                        }
-                    }
-                    insert_when(&mut t, "from", p.from, true);
-                    insert_when(&mut t, "until", p.until, false);
-                    Value::Table(t)
-                })
-                .collect();
-            faults.insert("partition".into(), Value::Array(items));
-        }
-        if !self.faults.byzantine.is_empty() {
-            let items = self
-                .faults
-                .byzantine
-                .iter()
-                .map(|b| {
-                    let mut t = BTreeMap::new();
-                    t.insert("node".into(), Value::Int(b.node as i64));
-                    let name = match &b.strategy {
-                        ByzantineStrategySpec::Equivocate => "equivocate",
-                        ByzantineStrategySpec::WithholdVotes { targets } => {
-                            t.insert(
-                                "targets".into(),
-                                Value::Array(
-                                    targets.iter().map(|i| Value::Int(*i as i64)).collect(),
-                                ),
-                            );
-                            "withhold_votes"
-                        }
-                        ByzantineStrategySpec::LazyLeader { delay_ms } => {
-                            t.insert("delay_ms".into(), Value::Int(*delay_ms as i64));
-                            "lazy_leader"
-                        }
-                        ByzantineStrategySpec::FlipFlop { flip_secs, delay_ms } => {
-                            t.insert("delay_ms".into(), Value::Int(*delay_ms as i64));
-                            t.insert("flip_secs".into(), Value::Int(*flip_secs as i64));
-                            "flip_flop"
-                        }
-                    };
-                    t.insert("strategy".into(), Value::Str(name.into()));
-                    insert_when(&mut t, "from", b.from, true);
-                    if let Some(until) = b.until {
-                        insert_when(&mut t, "until", until, false);
-                    }
-                    Value::Table(t)
-                })
-                .collect();
-            faults.insert("byzantine".into(), Value::Array(items));
-        }
-        if !self.faults.chaos.is_empty() {
-            let items = self
-                .faults
-                .chaos
-                .iter()
-                .map(|c| {
-                    let mut t = BTreeMap::new();
-                    if let Some(node) = c.node {
-                        t.insert("node".into(), Value::Int(node as i64));
-                    }
-                    if let Some((from, to)) = c.link {
-                        t.insert("from".into(), Value::Int(from as i64));
-                        t.insert("to".into(), Value::Int(to as i64));
-                    }
-                    insert_when(&mut t, "from", c.from, true);
-                    if let Some(until) = c.until {
-                        insert_when(&mut t, "until", until, false);
-                    }
-                    if c.drop != 0.0 {
-                        t.insert("drop".into(), Value::Float(c.drop));
-                    }
-                    if c.duplicate != 0.0 {
-                        t.insert("duplicate".into(), Value::Float(c.duplicate));
-                    }
-                    if c.corrupt != 0.0 {
-                        t.insert("corrupt".into(), Value::Float(c.corrupt));
-                    }
-                    if c.reorder_ms != 0 {
-                        t.insert("reorder_ms".into(), Value::Int(c.reorder_ms as i64));
-                    }
-                    Value::Table(t)
-                })
-                .collect();
-            faults.insert("chaos".into(), Value::Array(items));
-        }
-        if !faults.is_empty() {
-            root.insert("faults".into(), Value::Table(faults));
-        }
-
-        let mut analysis = BTreeMap::new();
-        if self.analysis.skipped_rounds {
-            analysis.insert("skipped_rounds".into(), Value::Bool(true));
-        }
-        if self.analysis.schedule_churn {
-            analysis.insert("schedule_churn".into(), Value::Bool(true));
-        }
-        if self.analysis.reinclusion {
-            analysis.insert("reinclusion".into(), Value::Bool(true));
-        }
-        if self.analysis.adversary {
-            analysis.insert("adversary".into(), Value::Bool(true));
-        }
-        if self.analysis.chaos {
-            analysis.insert("chaos".into(), Value::Bool(true));
-        }
-        if !self.analysis.windows.is_empty() {
-            let items = self
-                .analysis
-                .windows
-                .iter()
-                .map(|w| {
-                    let mut t = BTreeMap::new();
-                    t.insert("name".into(), Value::Str(w.name.clone()));
-                    t.insert("from_frac".into(), Value::Float(w.from_frac));
-                    t.insert("to_frac".into(), Value::Float(w.to_frac));
-                    Value::Table(t)
-                })
-                .collect();
-            analysis.insert("window".into(), Value::Array(items));
-        }
-        if !analysis.is_empty() {
-            root.insert("analysis".into(), Value::Table(analysis));
-        }
-
-        let mut quick = BTreeMap::new();
-        if let Some(xs) = &self.quick.sizes {
-            quick.insert(
-                "sizes".into(),
-                axis_u64_value(&xs.iter().map(|n| *n as u64).collect::<Vec<_>>()),
-            );
-        }
-        if let Some(xs) = &self.quick.tps {
-            quick.insert("tps".into(), axis_u64_value(xs));
-        }
-        if let Some(xs) = &self.quick.duration_secs {
-            quick.insert("duration_secs".into(), axis_u64_value(xs));
-        }
-        if let Some(xs) = &self.quick.seeds {
-            quick.insert("seeds".into(), axis_u64_value(xs));
-        }
-        if let Some(xs) = &self.quick.period_rounds {
-            quick.insert("period_rounds".into(), axis_u64_value(xs));
-        }
-        if !quick.is_empty() {
-            root.insert("quick".into(), Value::Table(quick));
-        }
-
-        Value::Table(root)
-    }
-
-    /// Serializes to canonical TOML text.
-    pub fn to_toml(&self) -> String {
-        toml::serialize(&self.to_value())
     }
 }
 
@@ -2442,52 +2097,26 @@ fn effective_variants(spec: &ScenarioSpec, period_axis: &[u64]) -> Vec<VariantSp
 impl ScenarioSpec {
     /// Expands the axes into concrete runs, validating every combination.
     pub fn plan(&self, opts: &PlanOptions) -> Result<ScenarioPlan, ScenarioError> {
-        let sizes = match (opts.quick, &self.quick.sizes) {
-            (true, Some(s)) => s.clone(),
-            _ => self.committee_sizes.clone(),
-        };
-        let loads = match (opts.quick, &self.quick.tps) {
-            (true, Some(t)) => t.clone(),
-            _ => self.load_tps.clone(),
-        };
-        let mut durations = match (opts.quick, &self.quick.duration_secs) {
-            (true, Some(d)) => d.clone(),
-            _ => self.duration_secs.clone(),
-        };
+        fn axis<T: Clone>(quick: bool, over: &Option<Vec<T>>, base: &[T]) -> Vec<T> {
+            over.as_ref().filter(|_| quick).cloned().unwrap_or_else(|| base.to_vec())
+        }
+        let sizes = axis(opts.quick, &self.quick.sizes, &self.committee_sizes);
+        let loads = axis(opts.quick, &self.quick.tps, &self.load_tps);
+        let mut durations = axis(opts.quick, &self.quick.duration_secs, &self.duration_secs);
         if let Some(d) = opts.duration_override {
             if d == 0 {
                 return Err(ScenarioError::Invalid("duration override must be positive".into()));
             }
             durations = vec![d];
         }
-        let mut seeds = match (opts.quick, &self.quick.seeds) {
-            (true, Some(s)) => s.clone(),
-            _ => self.seeds.clone(),
-        };
+        let mut seeds = axis(opts.quick, &self.quick.seeds, &self.seeds);
         if let Some(s) = opts.seed_override {
             seeds = vec![s];
         }
-        let period_axis = match (opts.quick, &self.quick.period_rounds) {
-            (true, Some(p)) => p.clone(),
-            _ => self.period_rounds.clone(),
-        };
+        let period_axis = axis(opts.quick, &self.quick.period_rounds, &self.period_rounds);
         // Quick/CLI overrides bypass parse-time validation, so the
         // effective axes are re-checked here.
-        if let Some(&small) = sizes.iter().find(|n| **n < 4) {
-            return Err(ScenarioError::Invalid(format!(
-                "committee size {small} cannot tolerate any fault (n = 3f + 1)"
-            )));
-        }
-        if durations.contains(&0) {
-            return Err(ScenarioError::Invalid("duration_secs must be positive".into()));
-        }
-        if let Some(w) = self.warmup_secs {
-            if let Some(short) = durations.iter().find(|d| **d <= w) {
-                return Err(ScenarioError::Invalid(format!(
-                    "warmup_secs {w} does not leave a measurement window in a {short}s run"
-                )));
-            }
-        }
+        self.check_axes(&sizes, &durations)?;
         let variants = effective_variants(self, &period_axis);
 
         let mut runs = Vec::new();
@@ -2731,55 +2360,37 @@ impl ScenarioSpec {
         crashed: &[u16],
         duration: u64,
     ) -> Result<FaultSchedule, ScenarioError> {
-        fn resolve_nodes(sel: &NodeSel, n: usize, what: &str) -> Result<Vec<u16>, ScenarioError> {
+        // Ids outside the committee are rejected by `schedule.validate(n)`.
+        fn resolve_nodes(sel: &NodeSel, n: usize) -> Vec<u16> {
             match sel {
-                NodeSel::Ids(ids) => {
-                    if let Some(&bad) = ids.iter().find(|i| **i as usize >= n) {
-                        return Err(ScenarioError::Invalid(format!(
-                            "{what} validator {bad} is outside the committee of {n}"
-                        )));
-                    }
-                    Ok(ids.clone())
-                }
-                NodeSel::First(count) => {
-                    let k = count.resolve(n).min(n);
-                    Ok((0..k as u16).collect())
-                }
+                NodeSel::Ids(ids) => ids.clone(),
+                NodeSel::First(count) => (0..count.resolve(n).min(n) as u16).collect(),
             }
         }
 
         let mut schedule = FaultSchedule::new().crash_from_start(crashed.iter().copied());
         for entry in &self.faults.crashes {
             let at_us = entry.at.resolve_us(duration);
-            for node in resolve_nodes(&entry.nodes, n, "crash")? {
+            for node in resolve_nodes(&entry.nodes, n) {
                 schedule = schedule.crash(node, at_us);
             }
         }
         for entry in &self.faults.recovers {
             let at_us = entry.at.resolve_us(duration);
-            for node in resolve_nodes(&entry.nodes, n, "recover")? {
+            for node in resolve_nodes(&entry.nodes, n) {
                 schedule = schedule.recover(node, at_us);
             }
         }
         for entry in &self.faults.slowdowns {
             let from_us = entry.at.resolve_us(duration);
             let until_us = entry.until.map(|u| u.resolve_us(duration)).unwrap_or(u64::MAX);
-            for node in resolve_nodes(&entry.nodes, n, "slowdown")? {
+            for node in resolve_nodes(&entry.nodes, n) {
                 schedule = schedule.slowdown(node, from_us, until_us, entry.extra_ms * 1000);
             }
         }
         for entry in &self.faults.partitions {
             let (a, b) = match &entry.sel {
-                PartitionSel::Groups { a, b } => {
-                    for id in a.iter().chain(b) {
-                        if *id as usize >= n {
-                            return Err(ScenarioError::Invalid(format!(
-                                "partition validator {id} is outside the committee of {n}"
-                            )));
-                        }
-                    }
-                    (a.clone(), b.clone())
-                }
+                PartitionSel::Groups { a, b } => (a.clone(), b.clone()),
                 PartitionSel::IsolateFirst(count) => {
                     let k = count.resolve(n).min(n.saturating_sub(1));
                     ((0..k as u16).collect(), (k as u16..n as u16).collect())
@@ -2849,17 +2460,262 @@ run = ["bullshark", "hammerhead"]
         assert_eq!(plan.runs[4].labels[2].1, "13");
     }
 
-    #[test]
-    fn unknown_keys_rejected_everywhere() {
-        for doc in [
-            "name = \"x\"\ntypo = 1\n",
-            "name = \"x\"\n[committee]\nsize = 10\nbad = 1\n",
-            "name = \"x\"\n[run]\nduration = 5\n",
-            "name = \"x\"\n[hammerhead]\nperiod = 3\n",
-        ] {
-            let err = ScenarioSpec::parse(doc).unwrap_err();
-            assert!(matches!(err, ScenarioError::Schema(_)), "doc {doc:?} gave {err}");
+    /// Every section reachable from the root, each once.
+    fn all_sections() -> Vec<&'static Section> {
+        let mut sections: Vec<&'static Section> = vec![&ROOT];
+        let mut next = 0;
+        while next < sections.len() {
+            for field in sections[next].fields {
+                if let Kind::Table(sub) | Kind::Tables(sub) = field.kind {
+                    if !sections.iter().any(|s| std::ptr::eq(*s, sub)) {
+                        sections.push(sub);
+                    }
+                }
+            }
+            next += 1;
         }
+        sections
+    }
+
+    /// One well-typed value of `kind`, under the key it goes by.
+    fn sample(field: &Field) -> (String, Value) {
+        let value = match field.kind {
+            Kind::Str => Value::Str("x".into()),
+            Kind::StrAxis => Value::Array(vec![Value::Str("x".into()), Value::Str("y".into())]),
+            Kind::U64 | Kind::Id | Kind::Count | Kind::When => Value::Int(1),
+            Kind::U64Axis => Value::Array(vec![Value::Int(1), Value::Int(2)]),
+            Kind::F64 => Value::Float(0.5),
+            Kind::Bool => Value::Bool(true),
+            Kind::Ids => Value::Array(vec![Value::Int(1)]),
+            Kind::Table(sub) => Value::Table(minimal(sub)),
+            Kind::Tables(sub) => Value::Array(vec![Value::Table(minimal(sub))]),
+        };
+        (field.keys()[0].clone(), value)
+    }
+
+    /// The smallest raw table `section` accepts: its required keys only.
+    fn minimal(section: &Section) -> BTreeMap<String, Value> {
+        section.fields.iter().filter(|f| f.default == Def::Required).map(|f| sample(f)).collect()
+    }
+
+    /// Values of the wrong type for `field`, each under the key it goes by.
+    fn wrong_values(field: &Field) -> Vec<(String, Value)> {
+        let text = || Value::Str("seven".into());
+        let values = match field.kind {
+            Kind::Str => vec![Value::Int(1), Value::Array(vec![text()])],
+            Kind::StrAxis => vec![Value::Int(1), Value::Array(vec![Value::Int(1)])],
+            Kind::U64 => vec![text(), Value::Int(-1), Value::Float(1.5)],
+            Kind::Id => vec![text(), Value::Int(-1), Value::Int(65_536)],
+            Kind::U64Axis => vec![
+                text(),
+                Value::Int(-1),
+                Value::Array(vec![]),
+                Value::Array(vec![Value::Int(1), text()]),
+            ],
+            Kind::F64 => vec![text(), Value::Bool(true)],
+            Kind::Bool => vec![Value::Int(1), text()],
+            Kind::Ids => vec![Value::Int(1), Value::Array(vec![text()])],
+            Kind::Count => {
+                vec![Value::Float(1.5), text(), Value::Str("n/0".into()), Value::Int(-1)]
+            }
+            Kind::When => {
+                let [secs, frac] = field.keys().try_into().unwrap();
+                return vec![
+                    (secs.clone(), text()),
+                    (secs, Value::Int(-1)),
+                    (frac.clone(), text()),
+                    (frac, Value::Float(1.5)),
+                ];
+            }
+            Kind::Table(_) => vec![Value::Int(1), Value::Array(vec![])],
+            Kind::Tables(_) => vec![Value::Int(1), Value::Array(vec![Value::Int(1)])],
+        };
+        values.into_iter().map(|v| (field.key.to_string(), v)).collect()
+    }
+
+    /// The one place unknown-key rejection, per-kind type checking and
+    /// default filling are asserted, for every key of every table.
+    #[test]
+    fn every_field_table_is_strict_typed_and_defaulted() {
+        let sections = all_sections();
+        assert_eq!(sections.len(), 20, "a table was added or lost: {sections:#?}");
+        for section in sections {
+            let base = minimal(section);
+            let row = section.read(&base).unwrap_or_else(|e| panic!("{}: {e}", section.name));
+
+            let mut typo = base.clone();
+            typo.insert("no_such_key".into(), Value::Int(1));
+            let err = section.read(&typo).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("unknown key `no_such_key` in {} (allowed: ", section.name)),
+                "{err}"
+            );
+
+            for &field in section.fields {
+                let name = format!("`{}` in {}", field.key, section.name);
+                for (key, value) in wrong_values(field) {
+                    let mut table = base.clone();
+                    table.insert(key.clone(), value.clone());
+                    let err = match section.read(&table) {
+                        Err(ScenarioError::Schema(message)) => message,
+                        other => panic!("{name}: {key} = {value:?} gave {other:?}"),
+                    };
+                    assert!(!err.contains("unknown key"), "{name}: {err}");
+                }
+                if let Kind::When = field.kind {
+                    let mut both = base.clone();
+                    both.extend(field.keys().into_iter().map(|key| (key, Value::Int(0))));
+                    let err = section.read(&both).unwrap_err().to_string();
+                    assert!(err.contains("sets both"), "{name}: {err}");
+                }
+
+                // Given, the value reads back as given and is written back.
+                let (key, value) = sample(field);
+                let mut table = base.clone();
+                table.insert(key.clone(), value);
+                let given = section.read(&table).unwrap_or_else(|e| panic!("{name}: {e}"));
+                assert!(given.has(field), "{name}");
+                // (An empty sub-table, which is what `sample` gives, is omitted.)
+                let omitted = matches!(field.kind, Kind::Table(_));
+                assert!(omitted || given.to_table().contains_key(&key), "{name} is not written");
+
+                // Absent, it reads as exactly the declared default.
+                if field.default == Def::Required {
+                    let mut without = base.clone();
+                    without.remove(&key);
+                    let err = section.read(&without).unwrap_err().to_string();
+                    assert!(err.contains(&format!("{} requires `{key}`", section.name)), "{err}");
+                    continue;
+                }
+                assert!(!row.has(field), "{name}");
+                let absent = row.cells[row.index(field)].clone().or_else(|| field.default_cell());
+                let expected = match (field.default, field.kind) {
+                    (Def::None, Kind::Table(sub)) => Some(Cell::Table(Row::new(sub))),
+                    (Def::None, Kind::Tables(_)) => Some(Cell::Tables(Vec::new())),
+                    (Def::None, _) => None,
+                    (Def::U64(x), Kind::U64) => Some(Cell::U64(x)),
+                    (Def::U64(x), Kind::U64Axis) => Some(Cell::U64s(vec![x])),
+                    (Def::U64(x), Kind::Id) => Some(Cell::Id(x as u16)),
+                    (Def::U64(x), Kind::When) => Some(Cell::When(WhenSpec::Secs(x))),
+                    (Def::F64(x), Kind::F64) => Some(Cell::F64(x)),
+                    (Def::Str(s), Kind::Str) => Some(Cell::Str(s.into())),
+                    (Def::Str(s), Kind::StrAxis) => Some(Cell::Strs(vec![s.into()])),
+                    (Def::Bool(b), Kind::Bool) => Some(Cell::Bool(b)),
+                    (default, kind) => panic!("{name}: {default:?} cannot default a {kind:?}"),
+                };
+                assert_eq!(absent, expected, "{name}");
+                // And a cell holding the default is written only if `shown`.
+                if let Some(cell) = expected.filter(|_| !matches!(field.default, Def::None)) {
+                    let written = Row::new(section).with(field, cell).to_table();
+                    assert_eq!(!written.is_empty(), field.shown, "{name}: {written:?}");
+                }
+            }
+        }
+    }
+
+    /// Each key, and each string default, is spelled once per `Field`
+    /// static in the schema and nowhere else in it: the typed fill and
+    /// the emitter go through the statics.
+    #[test]
+    fn every_key_literal_appears_once_per_field() {
+        let source = include_str!("spec.rs");
+        let schema = source
+            .split("// The schema itself: one field table per TOML table")
+            .nth(1)
+            .and_then(|rest| rest.split("\n// Validation\n").next())
+            .expect("the schema section markers are in place");
+        let mut fields: Vec<&'static Field> = Vec::new();
+        for section in all_sections() {
+            for &field in section.fields {
+                if !fields.iter().any(|f| std::ptr::eq(*f, field)) {
+                    fields.push(field);
+                }
+            }
+        }
+        assert!(fields.len() > 90, "{} fields", fields.len());
+        for field in &fields {
+            let literal = format!("\"{}\"", field.key);
+            let declared = fields
+                .iter()
+                .filter(|f| f.key == field.key || f.default == Def::Str(field.key))
+                .count();
+            assert_eq!(schema.matches(&literal).count(), declared, "{literal} is spelled again");
+        }
+    }
+
+    /// `(key, type, default)` as the key tables of the docs print them.
+    fn doc_row(field: &Field) -> [String; 3] {
+        let keys: Vec<String> = field.keys().iter().map(|key| format!("`{key}`")).collect();
+        let kind = match field.kind {
+            Kind::Str => "string",
+            Kind::StrAxis => "string or list",
+            Kind::U64 => "int",
+            Kind::U64Axis => "int or list",
+            Kind::F64 => "float",
+            Kind::Bool => "bool",
+            Kind::Id => "id",
+            Kind::Ids => "list of ids",
+            Kind::Count => "int or `\"n/k\"`",
+            Kind::When => "time",
+            Kind::Table(_) | Kind::Tables(_) => unreachable!("sub-tables have their own heading"),
+        };
+        let default = match field.default {
+            Def::None => "—".to_string(),
+            Def::Required => "**required**".to_string(),
+            Def::U64(x) => format!("`{x}`"),
+            Def::F64(x) => format!("`{x:?}`"),
+            Def::Str(s) => format!("`\"{s}\"`"),
+            Def::Bool(b) => format!("`{b}`"),
+        };
+        [keys.join(" / "), kind.to_string(), default]
+    }
+
+    /// The first three columns of every key table in the docs are the
+    /// field tables; only the descriptions are hand-written.
+    #[test]
+    fn docs_key_tables_match_the_field_tables() {
+        let docs = [
+            include_str!("../../../docs/scenarios.md"),
+            include_str!("../../../docs/workloads.md"),
+        ]
+        .concat();
+        let mut documented = 0;
+        for section in all_sections() {
+            let heading = match section.name {
+                "the scenario root" => "## Top level".to_string(),
+                name => format!("`{name}`"),
+            };
+            // Every block under a heading naming the table, up to the next
+            // heading; only one of them carries the key table.
+            let mut rows: Vec<[String; 3]> = Vec::new();
+            let mut lines = docs.lines();
+            while let Some(line) = lines.next() {
+                if !(line.starts_with('#') && line.contains(&heading)) {
+                    continue;
+                }
+                let block = lines.by_ref().take_while(|line| !line.starts_with('#'));
+                let table = block
+                    .skip_while(|line| !line.starts_with("| Key | Type | Default |"))
+                    .skip(2)
+                    .take_while(|line| line.starts_with('|'));
+                rows.extend(table.map(|line| {
+                    let cells: Vec<&str> = line.split(" | ").collect();
+                    let key = cells[0].trim_start_matches("| ");
+                    [key.to_string(), cells[1].to_string(), cells[2].to_string()]
+                }));
+            }
+            let mut expected: Vec<[String; 3]> = section
+                .fields
+                .iter()
+                .filter(|f| !matches!(f.kind, Kind::Table(_) | Kind::Tables(_)))
+                .map(|f| doc_row(f))
+                .collect();
+            rows.sort();
+            expected.sort();
+            assert_eq!(rows, expected, "the key table of {} in docs/ is stale", section.name);
+            documented += rows.len();
+        }
+        assert!(documented > 80, "{documented} keys documented");
     }
 
     #[test]
@@ -3383,7 +3239,6 @@ arrival = "poisson"
                 "name = \"x\"\n[[workload.phase]]\narrival = \"ramp\"\nramp_to_scale = 2.0\nscale = 1.0\n",
                 "ramp phases take",
             ),
-            ("name = \"x\"\n[workload]\ntypo = 1\n", "unknown key"),
         ] {
             let err = ScenarioSpec::parse(doc).unwrap_err();
             assert!(err.to_string().contains(needle), "doc {doc:?} gave {err}");
