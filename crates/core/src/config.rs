@@ -91,19 +91,9 @@ pub struct HammerheadConfig {
     pub max_excluded_stake: Option<Stake>,
     /// The scoring rule in force.
     pub scoring_rule: ScoringRule,
-    /// Seed for the unbiased permutation of the initial schedule S0.
+    /// Seed for the unbiased permutation of the initial schedule S0,
+    /// against which every epoch's B→G slot swap is computed.
     pub schedule_seed: u64,
-    /// Recompute each epoch's B→G slot swap against the *base* schedule
-    /// S0 instead of the previously patched schedule — the production
-    /// implementation's leader-swap-table semantics. Under the default
-    /// incremental rule an excluded validator only regains slots by
-    /// ranking into `G`, so a recovered validator can stay locked out of
-    /// the schedule forever once scores saturate into ties; swapping from
-    /// the base schedule re-includes every validator that leaves the
-    /// bottom set automatically, which is what makes crash-recovery
-    /// re-inclusion observable. Off by default to preserve the historical
-    /// schedule trajectories of the checked-in figure scenarios.
-    pub swap_from_base: bool,
 }
 
 impl HammerheadConfig {
@@ -140,7 +130,6 @@ impl Default for HammerheadConfig {
             max_excluded_stake: None,
             scoring_rule: ScoringRule::VoteBased,
             schedule_seed: 0,
-            swap_from_base: false,
         }
     }
 }

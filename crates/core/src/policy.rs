@@ -217,17 +217,14 @@ impl SchedulePolicy for HammerheadPolicy {
                 self.scores.clone()
             };
 
-        // The swap base: the production implementation recomputes the
-        // bad→good swap against S0 every epoch (validators leaving the
-        // bottom set regain their base slots — the re-inclusion path);
-        // the incremental rule patches the active schedule cumulatively.
-        let prev = if self.config.swap_from_base {
-            self.schedules.first().expect("never empty").slots.clone()
-        } else {
-            self.active_schedule().clone()
-        };
+        // Every epoch's B→G swap is computed against S0, not against the
+        // schedule the previous epochs patched: a validator that leaves
+        // the bottom set regains its base slots. Patching cumulatively
+        // would hand them back only to a validator that ranks into G,
+        // which a recovered one never does once scores saturate into ties.
+        let base = &self.schedules.first().expect("never empty").slots;
         let change =
-            compute_next_schedule(&prev, &ranking_scores, &self.committee, self.stake_bound());
+            compute_next_schedule(base, &ranking_scores, &self.committee, self.stake_bound());
         self.history.push(EpochSummary {
             epoch: self.epoch,
             new_initial_round: anchor.round(),
@@ -383,26 +380,18 @@ mod tests {
     }
 
     #[test]
-    fn swap_from_base_reincludes_a_rebounded_validator() {
+    fn rebounded_validator_regains_its_base_slots() {
         // v3 loses its slots in epoch 0; from epoch 1 on its score ties
         // everyone's. Epoch 1's switch puts v3 in G (highest tied id not
-        // in B), and the two swap bases differ in what that restores:
-        //
-        // * incremental (default): v3 only receives the demoted v0's
-        //   single slot — its own base slot is gone for good;
-        // * swap-from-base (the production leader-swap-table semantics):
-        //   v3 regains its base slot *and* takes v0's, because the swap
-        //   is recomputed against S0 every epoch.
+        // in B) and demotes v0. Because the swap is computed against S0,
+        // v3 regains its own base slot *and* takes v0's, and epoch 0's
+        // promotee v2 is back to its one base slot. (A swap patched onto
+        // the previous epoch's schedule would hand v3 only v0's slot and
+        // leave v2 with two — v3's base slot gone for good.)
         let config = HammerheadConfig { period_rounds: 4, ..Default::default() };
-        let incremental = engine_after_rebound(config.clone());
-        assert!(incremental.policy().epoch() >= 2);
-        let sched = incremental.policy().active_schedule();
-        assert_eq!(sched.slot_count(ValidatorId(3)), 1, "only the swapped slot comes back");
-        assert_eq!(sched.slot_count(ValidatorId(2)), 2, "epoch 0's promotee keeps the spoils");
-
-        let rebased = engine_after_rebound(HammerheadConfig { swap_from_base: true, ..config });
-        assert!(rebased.policy().epoch() >= 2);
-        let sched = rebased.policy().active_schedule();
+        let engine = engine_after_rebound(config);
+        assert!(engine.policy().epoch() >= 2);
+        let sched = engine.policy().active_schedule();
         assert_eq!(sched.slot_count(ValidatorId(3)), 2, "base slot restored plus v0's");
         assert_eq!(sched.slot_count(ValidatorId(2)), 1, "promotions do not compound");
     }

@@ -627,10 +627,6 @@ pub struct ScenarioSpec {
     pub scoring: Vec<ScoringRule>,
     /// Seed for the initial schedule permutation.
     pub schedule_seed: u64,
-    /// Recompute each epoch's slot swap against the base schedule S0
-    /// (the production leader-swap-table semantics; required for
-    /// crash-recovery re-inclusion to be observable).
-    pub swap_from_base: bool,
     /// The workload shape (`[workload]`; defaults to the `[load] tps`
     /// constant-rate sugar).
     pub workload: WorkloadSpec,
@@ -1144,7 +1140,6 @@ section!(HAMMERHEAD_TABLE = "[hammerhead]", shares [], {
     MAX_EXCLUDED_STAKE = "max_excluded_stake", Kind::U64Axis, Def::None;
     SCORING = "scoring", Kind::StrAxis, Def::Str("vote-based");
     SCHEDULE_SEED = "schedule_seed", Kind::U64, Def::U64(0);
-    SWAP_FROM_BASE = "swap_from_base", Kind::Bool, Def::Bool(false);
 });
 
 fn read_exclusion_axis(hammerhead: &Row) -> Result<Vec<ExclusionSpec>, ScenarioError> {
@@ -1741,7 +1736,6 @@ impl ScenarioSpec {
                 .map(|s| parse_scoring(s))
                 .collect::<Result<_, _>>()?,
             schedule_seed: hammerhead.get(&SCHEDULE_SEED),
-            swap_from_base: hammerhead.get(&SWAP_FROM_BASE),
             workload: read_workload(&sub(&WORKLOAD), root.has(&WORKLOAD))?,
             variants: root
                 .get::<Vec<Row>>(&VARIANT)
@@ -1777,8 +1771,7 @@ impl ScenarioSpec {
         let hammerhead = Row::new(&HAMMERHEAD_TABLE)
             .with(&PERIOD_ROUNDS, self.period_rounds.clone())
             .with(&SCORING, scoring)
-            .with(&SCHEDULE_SEED, self.schedule_seed)
-            .with(&SWAP_FROM_BASE, self.swap_from_base);
+            .with(&SCHEDULE_SEED, self.schedule_seed);
         let quick = Row::new(&QUICK_TABLE)
             .with_opt(&QUICK_SIZES, self.quick.sizes.as_deref().map(to_u64s))
             .with_opt(&QUICK_TPS, self.quick.tps.clone())
@@ -2249,7 +2242,6 @@ impl ScenarioSpec {
                     .to_config(committee),
                 scoring_rule: variant.scoring.unwrap_or(self.scoring[0]),
                 schedule_seed: self.schedule_seed,
-                swap_from_base: self.swap_from_base,
             };
             hh.validate(committee).map_err(|e| {
                 ScenarioError::Invalid(format!("variant `{}` on n = {n}: {e}", variant.label))

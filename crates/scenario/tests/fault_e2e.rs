@@ -25,7 +25,6 @@ flat_ms = 10
 run = ["bullshark", "hammerhead"]
 [hammerhead]
 period_rounds = 10
-swap_from_base = true
 [[faults.crash]]
 nodes = [3]
 at_secs = 1
