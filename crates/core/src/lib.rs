@@ -60,7 +60,6 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 mod config;
-pub mod monitor;
 mod node;
 mod policy;
 mod schedule;
