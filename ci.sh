@@ -21,12 +21,12 @@
 # TCP with a SIGKILL + WAL-restart in the middle (zero safety
 # violations, clean shutdown, no orphans), a docs gate failing on
 # broken relative links in README.md and docs/*.md, a gate failing on
-# any reference to a deleted harness path or to a DESIGN.md, a gate
-# checking that --profile leaves the JSON report byte-identical, and a
-# benchmark gate that unit-tests the perfbench package against the
-# workspace's crates and requires a correct 2-second sim_n100_f33 run
-# whose peak resident set stays under 85 MB and whose simulated median
-# latency stays under 860 ms.
+# any reference to a deleted harness path, knob or module or to a
+# DESIGN.md, a gate checking that --profile leaves the JSON report
+# byte-identical, and a benchmark gate that unit-tests the perfbench
+# package against the workspace's crates and requires a correct
+# 2-second sim_n100_f33 run whose peak resident set stays under 85 MB
+# and whose simulated median latency stays under 860 ms.
 
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -198,11 +198,13 @@ for doc in README.md docs/*.md; do
     done
 done
 
-step "docs: nothing refers to the deleted bench crate, criterion shim or threaded runtime, or to a DESIGN.md"
+step "docs: nothing refers to the deleted bench crate, criterion shim, threaded runtime, swap_from_base knob or core::monitor, or to a DESIGN.md"
 # perfbench/ is the one benchmark and net/sim.rs + node/runtime.rs the
 # two drivers; the history files and this gate may name what they replaced.
 # There has never been a DESIGN.md: design notes live in docs/architecture.md.
-if git grep -nE 'hotpath_smoke|BENCH_hotpath|hh[-_]bench|threaded::|threaded_demo|vendor/criterion|DESIGN\.md' \
+# Recompute-against-S0 is the only slot-swap rule, and the hammerhead crate
+# has no monitor module.
+if git grep -nE 'hotpath_smoke|BENCH_hotpath|hh[-_]bench|threaded::|threaded_demo|vendor/criterion|DESIGN\.md|swap_from_base|core/src/monitor|hammerhead::monitor' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!ci.sh' ':!perfbench'; then
     echo "dangling reference to a deleted path"
     exit 1
