@@ -12,7 +12,10 @@
 //!   adversary may add arbitrary bounded delay and "drop" messages (they are
 //!   retransmitted and always delivered eventually, matching the reliable
 //!   links assumption); after GST every message arrives within `delta`.
-//! * [`FaultPlan`] — crash, recovery, slowdown and partition injection.
+//! * [`FaultSchedule`] — crash, recovery, slowdown and partition
+//!   injection — and [`ChaosSchedule`] — windows of frame drop,
+//!   duplication, corruption and reorder: the values a harness validates
+//!   are the values the simulator executes.
 //! * [`tcp`] — a framed TCP transport (length-prefixed frames,
 //!   thread-per-peer, reconnect with backoff): the wire layer of the real
 //!   `hh-node` runtime.
@@ -59,8 +62,8 @@ pub mod tcp;
 mod time;
 pub mod wheel;
 
-pub use chaos::{ChaosPlan, ChaosScope, ChaosWindow};
-pub use fault::{FaultPlan, PartitionSpec, SlowdownSpec};
+pub use chaos::{ChaosEntry, ChaosSchedule, ChaosScheduleError, ChaosTarget};
+pub use fault::{FaultEvent, FaultSchedule, FaultScheduleError};
 pub use latency::{GeoLatency, LatencyModel, Region, REGION_COUNT};
 pub use sim::{Context, NetworkConfig, Node, NodeId, PreGstAdversary, SimStats, Simulator};
 pub use time::{Duration, SimTime};

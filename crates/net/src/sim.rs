@@ -6,8 +6,8 @@
 //! bit-identical executions — the foundation for the reproducible
 //! experiments and the safety property tests.
 
-use crate::chaos::{ChaosPlan, ChaosWindow};
-use crate::fault::FaultPlan;
+use crate::chaos::{ChaosEntry, ChaosSchedule};
+use crate::fault::FaultSchedule;
 use crate::latency::LatencyModel;
 use crate::time::{Duration, SimTime};
 use crate::wheel::TimingWheel;
@@ -189,10 +189,10 @@ pub struct NetworkConfig {
     /// Delay for a node's messages to itself (loopback), should any be sent.
     pub loopback: Duration,
     /// The fault schedule.
-    pub faults: FaultPlan,
+    pub faults: FaultSchedule,
     /// Scheduled link chaos (drop / duplicate / reorder / corrupt).
-    /// Empty by default; an empty plan draws nothing from the RNG.
-    pub chaos: ChaosPlan,
+    /// Empty by default; an empty schedule draws nothing from the RNG.
+    pub chaos: ChaosSchedule,
 }
 
 impl Default for NetworkConfig {
@@ -203,8 +203,8 @@ impl Default for NetworkConfig {
             delta: Duration::from_millis(400),
             pre_gst: PreGstAdversary::default(),
             loopback: Duration::from_micros(50),
-            faults: FaultPlan::new(),
-            chaos: ChaosPlan::new(),
+            faults: FaultSchedule::new(),
+            chaos: ChaosSchedule::new(),
         }
     }
 }
@@ -310,12 +310,15 @@ impl<N: Node> Simulator<N> {
             action_scratch: Vec::new(),
             config,
         };
-        // Crash/recovery schedules become ordinary events.
-        for &(node, at) in sim.config.faults.crashes().to_vec().iter() {
-            sim.push(at, EventKind::Crash(node));
+        // Crash/recovery schedules become ordinary events: every crash in
+        // insertion order, then every recovery in insertion order. The
+        // sequence numbers break same-instant ties, so this seeding order
+        // is part of the byte-identity contract.
+        for (node, at_us) in sim.config.faults.crashes() {
+            sim.push(SimTime(at_us), EventKind::Crash(NodeId(node as usize)));
         }
-        for &(node, at) in sim.config.faults.recoveries().to_vec().iter() {
-            sim.push(at, EventKind::Recover(node));
+        for (node, at_us) in sim.config.faults.recoveries() {
+            sim.push(SimTime(at_us), EventKind::Recover(NodeId(node as usize)));
         }
         sim
     }
@@ -433,7 +436,7 @@ impl<N: Node> Simulator<N> {
         self.started = true;
         // Nodes crashed at t=0 don't start; they start on recovery.
         for i in 0..self.nodes.len() {
-            if self.config.faults.crashed_at(NodeId(i), SimTime::ZERO) {
+            if u16::try_from(i).is_ok_and(|id| self.config.faults.crashed_at(id, 0)) {
                 self.crashed[i] = true;
             }
         }
@@ -564,7 +567,7 @@ impl<N: Node> Simulator<N> {
         to: NodeId,
         msg: N::Message,
         at: SimTime,
-        w: ChaosWindow,
+        w: ChaosEntry,
     ) {
         if w.drop > 0.0 && self.rng.gen::<f64>() < w.drop {
             self.stats.chaos_dropped += 1;
@@ -593,8 +596,8 @@ impl<N: Node> Simulator<N> {
                 }
             }
             let mut deliver_at = at;
-            if w.reorder > Duration::ZERO {
-                let extra = self.rng.gen_range(0..=w.reorder.as_micros());
+            if w.reorder_us > 0 {
+                let extra = self.rng.gen_range(0..=w.reorder_us);
                 if extra > 0 {
                     self.stats.chaos_reordered += 1;
                 }
@@ -608,7 +611,6 @@ impl<N: Node> Simulator<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::SlowdownSpec;
 
     /// Test node: replies "pong" to "ping"; records everything it sees.
     struct Echo {
@@ -696,9 +698,7 @@ mod tests {
     fn crashed_node_receives_nothing_until_recovery() {
         let nodes = (0..3).map(|_| Echo::new()).collect();
         let mut cfg = constant_net(10);
-        cfg.faults = FaultPlan::new()
-            .crash(NodeId(1), SimTime::ZERO)
-            .recover(NodeId(1), SimTime::from_millis(500));
+        cfg.faults = FaultSchedule::new().crash(1, 0).recover(1, 500_000);
         let mut sim = Simulator::new(nodes, cfg, 1);
         sim.run_until(SimTime::from_secs(1));
         // The ping at t=10ms was dropped; node 1 only started on recovery.
@@ -713,12 +713,7 @@ mod tests {
     fn slowdown_delays_messages() {
         let nodes = (0..2).map(|_| Echo::new()).collect();
         let mut cfg = constant_net(10);
-        cfg.faults = FaultPlan::new().slowdown(SlowdownSpec {
-            node: NodeId(1),
-            from: SimTime::ZERO,
-            until: SimTime::MAX,
-            extra: Duration::from_millis(90),
-        });
+        cfg.faults = FaultSchedule::new().slowdown_from(1, 0, 90_000);
         let mut sim = Simulator::new(nodes, cfg, 1);
         sim.run_until(SimTime::from_secs(1));
         // ping took 10 + 90 = 100ms.
@@ -776,25 +771,21 @@ mod tests {
         assert_eq!(sim.now(), SimTime::from_secs(3));
     }
 
-    use crate::chaos::{ChaosScope, ChaosWindow};
-
-    fn chaos_window(drop: f64, duplicate: f64, corrupt: f64, reorder_ms: u64) -> ChaosWindow {
-        ChaosWindow {
-            scope: ChaosScope::AllLinks,
-            from: SimTime::ZERO,
-            until: SimTime::MAX,
+    fn chaos(drop: f64, duplicate: f64, corrupt: f64, reorder_ms: u64) -> ChaosSchedule {
+        ChaosSchedule::new().entry(ChaosEntry {
             drop,
             duplicate,
             corrupt,
-            reorder: Duration::from_millis(reorder_ms),
-        }
+            reorder_us: reorder_ms * 1_000,
+            ..ChaosEntry::all_links(0, u64::MAX)
+        })
     }
 
     #[test]
     fn chaos_drop_all_silences_every_link() {
         let nodes = (0..3).map(|_| Echo::new()).collect();
         let mut cfg = constant_net(10);
-        cfg.chaos = ChaosPlan::new().window(chaos_window(1.0, 0.0, 0.0, 0));
+        cfg.chaos = chaos(1.0, 0.0, 0.0, 0);
         let mut sim = Simulator::new(nodes, cfg, 1);
         sim.run_until(SimTime::from_secs(1));
         for i in 0..3 {
@@ -808,7 +799,7 @@ mod tests {
     fn chaos_duplicate_all_delivers_every_frame_twice() {
         let nodes = (0..2).map(|_| Echo::new()).collect();
         let mut cfg = constant_net(10);
-        cfg.chaos = ChaosPlan::new().window(chaos_window(0.0, 1.0, 0.0, 0));
+        cfg.chaos = chaos(0.0, 1.0, 0.0, 0);
         let mut sim = Simulator::new(nodes, cfg, 1);
         sim.run_until(SimTime::from_secs(1));
         // 1 ping -> 2 copies; each ping triggers a pong -> 2 pongs, each
@@ -824,7 +815,7 @@ mod tests {
         // corrupt-all window behaves like drop-all but counts rejects.
         let nodes = (0..3).map(|_| Echo::new()).collect();
         let mut cfg = constant_net(10);
-        cfg.chaos = ChaosPlan::new().window(chaos_window(0.0, 0.0, 1.0, 0));
+        cfg.chaos = chaos(0.0, 0.0, 1.0, 0);
         let mut sim = Simulator::new(nodes, cfg, 1);
         sim.run_until(SimTime::from_secs(1));
         for i in 1..3 {
@@ -839,7 +830,7 @@ mod tests {
     fn chaos_reorder_delays_within_bound() {
         let nodes = (0..2).map(|_| Echo::new()).collect();
         let mut cfg = constant_net(10);
-        cfg.chaos = ChaosPlan::new().window(chaos_window(0.0, 0.0, 0.0, 200));
+        cfg.chaos = chaos(0.0, 0.0, 0.0, 200);
         let mut sim = Simulator::new(nodes, cfg, 7);
         sim.run_until(SimTime::from_secs(1));
         let log = &sim.node(NodeId(1)).log;
@@ -854,7 +845,7 @@ mod tests {
         // Window covers [5s, 6s); the ping/pong exchange at t=0 must be
         // untouched and, with the same seed, bit-identical to a run with
         // no chaos at all (no RNG draw happens outside the window).
-        let run = |chaos: ChaosPlan| {
+        let run = |chaos: ChaosSchedule| {
             let nodes = (0..3).map(|_| Echo::new()).collect();
             let mut cfg = NetworkConfig {
                 latency: LatencyModel::Uniform(Duration::from_millis(1), Duration::from_millis(50)),
@@ -865,16 +856,14 @@ mod tests {
             sim.run_until(SimTime::from_secs(1));
             sim.nodes().map(|n| n.log.clone()).collect::<Vec<_>>()
         };
-        let late = ChaosPlan::new().window(ChaosWindow {
-            scope: ChaosScope::AllLinks,
-            from: SimTime::from_secs(5),
-            until: SimTime::from_secs(6),
+        let late = ChaosSchedule::new().entry(ChaosEntry {
             drop: 1.0,
             duplicate: 1.0,
             corrupt: 1.0,
-            reorder: Duration::from_millis(100),
+            reorder_us: 100_000,
+            ..ChaosEntry::all_links(5_000_000, 6_000_000)
         });
-        assert_eq!(run(late), run(ChaosPlan::new()));
+        assert_eq!(run(late), run(ChaosSchedule::new()));
     }
 
     #[test]
@@ -882,7 +871,7 @@ mod tests {
         let run = |seed| {
             let nodes = (0..5).map(|_| Echo::new()).collect();
             let mut cfg = constant_net(10);
-            cfg.chaos = ChaosPlan::new().window(chaos_window(0.3, 0.3, 0.0, 50));
+            cfg.chaos = chaos(0.3, 0.3, 0.0, 50);
             let mut sim = Simulator::new(nodes, cfg, seed);
             sim.run_until(SimTime::from_secs(1));
             sim.nodes().map(|n| n.log.clone()).collect::<Vec<_>>()

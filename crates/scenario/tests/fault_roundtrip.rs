@@ -1,13 +1,15 @@
 //! Property tests round-tripping random fault schedules through the
 //! whole declaration pipeline: generated `FaultsSpec` → canonical TOML →
 //! re-parsed `ScenarioSpec` → planned `ExperimentConfig` →
-//! `hh_sim::FaultSchedule` → lowered `hh_net::FaultPlan`.
+//! `hh_sim::FaultSchedule` → the `hh_net::Simulator` executing it.
 //!
-//! Three invariants: the canonical TOML re-parses to an equal spec, the
-//! planned schedule contains exactly the generated events, and the
-//! lowered plan agrees with the schedule on every crash window.
+//! Four invariants: the canonical TOML re-parses to an equal spec, the
+//! planned schedule contains exactly the generated events, the
+//! schedule's indexed `crashed_at` equals a linear scan of its events,
+//! and a simulator driven under the schedule has exactly the nodes down
+//! that `crashed_at` says are down.
 
-use hh_net::{NodeId, SimTime};
+use hh_net::{Context, NetworkConfig, Node, NodeId, SimTime, Simulator};
 use hh_scenario::{
     NodeSel, PartitionEntry, PartitionSel, PlanOptions, ScenarioSpec, SlowdownEntry,
     TimedFaultEntry, WhenSpec,
@@ -59,20 +61,28 @@ fn base_spec(n: usize) -> ScenarioSpec {
 
 /// Generates a valid dynamic fault spec on `n` validators: at most `f`
 /// nodes carry a crash/recover pair (never concurrent beyond `f` since
-/// each recovers before the run ends and crashes never overlap more
-/// than `f` nodes), plus optional slowdowns and one partition.
+/// only those nodes ever crash), plus optional slowdowns and one
+/// partition. A pair is sometimes a zero-length outage (recovery at the
+/// crash instant); a real outage is sometimes followed by a second,
+/// final crash. (`validate`'s concurrency sweep counts a zero-length
+/// outage as down from then on, so those get no second crash.)
 fn random_faults(rng: &mut Mix, n: usize, spec: &mut ScenarioSpec) {
     let f = (n - 1) / 3;
     let crash_nodes: Vec<u16> = (0..rng.below(f as u64 + 1)).map(|k| k as u16 * 2).collect();
     for &node in &crash_nodes {
-        // Crash somewhere in [1, 9], recover strictly later in [10, 18].
-        spec.faults
-            .crashes
-            .push(TimedFaultEntry { nodes: NodeSel::Ids(vec![node]), at: random_when(rng, 1, 9) });
-        spec.faults.recovers.push(TimedFaultEntry {
-            nodes: NodeSel::Ids(vec![node]),
-            at: random_when(rng, 10, 18),
-        });
+        let timed = |at| TimedFaultEntry { nodes: NodeSel::Ids(vec![node]), at };
+        // Crash somewhere in [1, 9]; recover at that very instant or
+        // strictly later in [10, 18].
+        let crash_at = random_when(rng, 1, 9);
+        spec.faults.crashes.push(timed(crash_at));
+        if rng.below(4) == 0 {
+            spec.faults.recovers.push(timed(crash_at));
+            continue;
+        }
+        spec.faults.recovers.push(timed(random_when(rng, 10, 18)));
+        if rng.below(3) == 0 {
+            spec.faults.crashes.push(timed(WhenSpec::Secs(19)));
+        }
     }
     for _ in 0..rng.below(3) {
         let from = 1 + rng.below(8);
@@ -103,6 +113,37 @@ fn random_faults(rng: &mut Mix, n: usize, spec: &mut ScenarioSpec) {
     }
 }
 
+/// The linear-scan definition of "crashed at `t_us`": crashed at or
+/// before, with no recovery at or after that crash up to `t_us`. The
+/// oracle for the schedule's binary-searched timeline.
+fn linear_scan_crashed_at(events: &[FaultEvent], node: u16, t_us: u64) -> bool {
+    let last_crash = events
+        .iter()
+        .filter_map(|e| match e {
+            FaultEvent::Crash { node: n, at_us } if *n == node && *at_us <= t_us => Some(*at_us),
+            _ => None,
+        })
+        .max();
+    let Some(crash_us) = last_crash else {
+        return false;
+    };
+    !events.iter().any(|e| {
+        matches!(e, FaultEvent::Recover { node: n, at_us }
+            if *n == node && *at_us >= crash_us && *at_us <= t_us)
+    })
+}
+
+/// A node that does nothing, so the simulator's crash bookkeeping is all
+/// that runs.
+struct Inert;
+
+impl Node for Inert {
+    type Message = ();
+    fn on_start(&mut self, _ctx: &mut Context<'_, ()>) {}
+    fn on_message(&mut self, _from: NodeId, _msg: (), _ctx: &mut Context<'_, ()>) {}
+    fn on_timer(&mut self, _token: u64, _ctx: &mut Context<'_, ()>) {}
+}
+
 /// The µs instant a generated `WhenSpec` resolves to.
 fn resolve(when: WhenSpec) -> u64 {
     when.resolve_us(DURATION_SECS)
@@ -111,7 +152,7 @@ fn resolve(when: WhenSpec) -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    fn fault_schedules_round_trip_to_the_wire_plan(
+    fn fault_schedules_round_trip_to_the_simulator(
         n in 4usize..11,
         seed in any::<u64>(),
     ) {
@@ -170,32 +211,31 @@ proptest! {
         }
         prop_assert_eq!(schedule.events(), expected.as_slice());
 
-        // Lowering to the wire plan preserves the crash/recovery events
-        // verbatim and agrees on every crash window.
-        let wire = schedule.to_plan();
-        let crashes: Vec<(u16, u64)> = wire
-            .crashes()
-            .iter()
-            .map(|(node, at)| (node.0 as u16, at.as_micros()))
-            .collect();
-        let schedule_crashes: Vec<(u16, u64)> = schedule
-            .events()
-            .iter()
-            .filter_map(|e| match e {
-                FaultEvent::Crash { node, at_us } => Some((*node, *at_us)),
-                _ => None,
-            })
-            .collect();
-        prop_assert_eq!(crashes, schedule_crashes);
-        for node in 0..n as u16 {
-            let mut t = 0u64;
-            while t <= DURATION_SECS * 1_000_000 {
+        // One answer to "who is down": at every crash / recovery instant
+        // ± 1 µs the indexed query equals the linear scan, and the
+        // simulator's `Crash` / `Recover` queue events have left exactly
+        // those nodes down.
+        let mut probes = vec![0, DURATION_SECS * 1_000_000];
+        for (_, at_us) in schedule.crashes().into_iter().chain(schedule.recoveries()) {
+            probes.extend([at_us - 1, at_us, at_us + 1]);
+        }
+        probes.sort_unstable();
+        let net = NetworkConfig { faults: schedule.clone(), ..NetworkConfig::default() };
+        let mut sim = Simulator::new((0..n).map(|_| Inert).collect(), net, seed);
+        for t in probes {
+            sim.run_until(SimTime(t));
+            for node in 0..n as u16 {
+                let down = schedule.crashed_at(node, t);
                 prop_assert_eq!(
-                    schedule.crashed_at(node, t),
-                    wire.crashed_at(NodeId(node as usize), SimTime(t)),
-                    "schedule and plan disagree for v{} at {}µs", node, t
+                    down,
+                    linear_scan_crashed_at(schedule.events(), node, t),
+                    "index and scan disagree for v{} at {}µs", node, t
                 );
-                t += 500_000;
+                prop_assert_eq!(
+                    sim.is_crashed(NodeId(node as usize)),
+                    down,
+                    "simulator and schedule disagree for v{} at {}µs", node, t
+                );
             }
         }
     }

@@ -3,8 +3,6 @@
 
 use crate::actor::{Actor, Client};
 use crate::byzantine::ByzantineSchedule;
-use crate::chaos_schedule::ChaosSchedule;
-use crate::fault_schedule::FaultSchedule;
 use crate::metrics::LatencySummary;
 use crate::safety::SafetyChecker;
 use crate::sink::MetricsSink;
@@ -13,8 +11,8 @@ use hammerhead::{HammerheadConfig, ScheduleConfig, Validator, ValidatorConfig};
 use hh_consensus::SchedulePolicy;
 use hh_crypto::Digest;
 use hh_net::{
-    Duration, GeoLatency, LatencyModel, NetworkConfig, NodeId, Region, SimTime, Simulator,
-    REGION_COUNT,
+    ChaosSchedule, Duration, FaultSchedule, GeoLatency, LatencyModel, NetworkConfig, NodeId,
+    Region, SimTime, Simulator, REGION_COUNT,
 };
 use hh_storage::MemBackend;
 use hh_types::{Committee, ValidatorId};
@@ -379,8 +377,9 @@ pub fn build_sim(config: &ExperimentConfig) -> SimHandle {
 
     let net = NetworkConfig {
         latency,
-        faults: config.faults.to_plan(),
-        chaos: config.chaos.to_plan(n),
+        faults: config.faults.clone(),
+        // Co-simulated clients (ids at and above `n`) keep clean links.
+        chaos: config.chaos.clone().restrict_to(n),
         gst: SimTime::from_secs(config.gst_secs),
         ..NetworkConfig::default()
     };

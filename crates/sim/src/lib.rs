@@ -17,8 +17,8 @@
 //!   byte goodput weighs each transaction by its modeled wire size;
 //! * a unified [`FaultSchedule`]: crash faults from t=0 (Fig. 2),
 //!   mid-run crashes with WAL-backed recovery, slowdown faults (the §1
-//!   incident) and partitions, validated up front and lowered to an
-//!   [`hh_net::FaultPlan`];
+//!   incident) and partitions, validated up front and executed as
+//!   declared by the network simulator;
 //! * a [`ByzantineSchedule`] of strategic adversaries attacking the
 //!   reputation mechanism — equivocation, vote withholding, lazy
 //!   leadership, flip-flopping — lowered to [`ByzantineBehavior`] hooks
@@ -27,8 +27,8 @@
 //! * a [`ChaosSchedule`] of adverse-network windows — probabilistic
 //!   frame drop, duplication, in-flight byte corruption (rejected at
 //!   the receiving codec) and reorder, scoped per link, node or the
-//!   whole mesh — lowered to an [`hh_net::ChaosPlan`] executed on the
-//!   run's seeded RNG, so chaos-free runs stay bit-identical;
+//!   whole mesh — executed on the run's seeded RNG, so chaos-free runs
+//!   stay bit-identical;
 //! * an agreement audit across all live validators' commit sequences after
 //!   every run, hardened by an always-on [`SafetyChecker`] asserting no
 //!   fork, `(round, author)` slot uniqueness and commit monotonicity
@@ -73,9 +73,7 @@
 
 mod actor;
 mod byzantine;
-mod chaos_schedule;
 mod experiment;
-mod fault_schedule;
 mod metrics;
 pub mod prof;
 mod safety;
@@ -88,13 +86,15 @@ pub use byzantine::{
     ByzantineBehavior, ByzantineEntry, ByzantineSchedule, ByzantineScheduleError,
     ByzantineStrategy, BYZANTINE_TOKEN_BASE,
 };
-pub use chaos_schedule::{ChaosEntry, ChaosSchedule, ChaosScheduleError, ChaosTarget};
 pub use experiment::{
     build_sim, collect_metrics, collect_streamed_metrics, run_experiment, run_experiment_limited,
     run_sim_limited, run_sim_streaming, ExperimentConfig, RecoverySample, RunLimit, RunResult,
     SimHandle, SystemKind,
 };
-pub use fault_schedule::{FaultEvent, FaultSchedule, FaultScheduleError};
+pub use hh_net::{
+    ChaosEntry, ChaosSchedule, ChaosScheduleError, ChaosTarget, FaultEvent, FaultSchedule,
+    FaultScheduleError,
+};
 pub use metrics::LatencySummary;
 pub use safety::{SafetyChecker, SafetyViolation};
 pub use sink::{MetricsSink, StreamingHistogram};

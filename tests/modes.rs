@@ -3,7 +3,7 @@
 
 use hammerhead_repro::hammerhead::{Validator, ValidatorConfig};
 use hammerhead_repro::hh_net::{
-    Duration, FaultPlan, LatencyModel, NetworkConfig, NodeId, PartitionSpec, SimTime, Simulator,
+    Duration, FaultSchedule, LatencyModel, NetworkConfig, NodeId, SimTime, Simulator,
 };
 use hammerhead_repro::hh_rbc::BroadcastMode;
 use hammerhead_repro::hh_sim::{Actor, Client};
@@ -22,7 +22,7 @@ fn fast_config() -> ValidatorConfig {
 fn build_network(
     committee: &Committee,
     config: &ValidatorConfig,
-    faults: FaultPlan,
+    faults: FaultSchedule,
     seed: u64,
 ) -> Simulator<Actor> {
     let n = committee.size();
@@ -69,7 +69,7 @@ fn certified_broadcast_mode_commits_end_to_end() {
     // one extra round-trip per vertex, but equivocation-proof.
     let committee = Committee::new_equal_stake(4);
     let config = ValidatorConfig { broadcast_mode: BroadcastMode::Certified, ..fast_config() };
-    let mut sim = build_network(&committee, &config, FaultPlan::new(), 5);
+    let mut sim = build_network(&committee, &config, FaultSchedule::new(), 5);
     sim.run_until(SimTime::from_secs(6));
     for i in 0..4 {
         assert!(commits(&sim, i) > 20, "validator {i}: {} commits", commits(&sim, i));
@@ -84,7 +84,7 @@ fn certified_broadcast_mode_commits_end_to_end() {
 fn certified_mode_survives_crash_faults() {
     let committee = Committee::new_equal_stake(4);
     let config = ValidatorConfig { broadcast_mode: BroadcastMode::Certified, ..fast_config() };
-    let faults = FaultPlan::new().crash(NodeId(3), SimTime::ZERO);
+    let faults = FaultSchedule::new().crash(3, 0);
     let mut sim = build_network(&committee, &config, faults, 6);
     sim.run_until(SimTime::from_secs(8));
     for i in 0..3 {
@@ -106,7 +106,7 @@ fn weighted_stake_committee_runs_and_respects_stake() {
         .build()
         .unwrap();
     let config = fast_config();
-    let mut sim = build_network(&committee, &config, FaultPlan::new(), 7);
+    let mut sim = build_network(&committee, &config, FaultSchedule::new(), 7);
     sim.run_until(SimTime::from_secs(6));
     assert_prefix_agreement(&sim, 5);
 
@@ -127,12 +127,7 @@ fn partition_heals_and_liveness_resumes() {
     // majority side keeps committing (it retains quorum 3 of 4); the
     // minority stalls, then catches up after the heal.
     let committee = Committee::new_equal_stake(4);
-    let faults = FaultPlan::new().partition(PartitionSpec {
-        group_a: vec![NodeId(0), NodeId(1), NodeId(2)],
-        group_b: vec![NodeId(3)],
-        from: SimTime::from_secs(2),
-        until: SimTime::from_secs(4),
-    });
+    let faults = FaultSchedule::new().partition(vec![0, 1, 2], vec![3], 2_000_000, 4_000_000);
     let mut sim = build_network(&committee, &fast_config(), faults, 8);
 
     sim.run_until(SimTime::from_secs(4));
@@ -157,12 +152,7 @@ fn majority_partition_stalls_and_recovers_total_order() {
     // then resume after the heal with no divergence — the safety-over-
     // liveness trade every BFT protocol must make.
     let committee = Committee::new_equal_stake(4);
-    let faults = FaultPlan::new().partition(PartitionSpec {
-        group_a: vec![NodeId(0), NodeId(1)],
-        group_b: vec![NodeId(2), NodeId(3)],
-        from: SimTime::from_secs(2),
-        until: SimTime::from_secs(5),
-    });
+    let faults = FaultSchedule::new().partition(vec![0, 1], vec![2, 3], 2_000_000, 5_000_000);
     let mut sim = build_network(&committee, &fast_config(), faults, 9);
 
     sim.run_until(SimTime::from_secs(2));

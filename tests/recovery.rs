@@ -5,7 +5,7 @@
 
 use hammerhead_repro::hammerhead::{Validator, ValidatorConfig};
 use hammerhead_repro::hh_net::{
-    Duration, FaultPlan, LatencyModel, NetworkConfig, NodeId, SimTime, Simulator,
+    Duration, FaultSchedule, LatencyModel, NetworkConfig, NodeId, SimTime, Simulator,
 };
 use hammerhead_repro::hh_sim::{Actor, Client};
 use hammerhead_repro::hh_storage::MemBackend;
@@ -43,7 +43,7 @@ fn build(crash_at: SimTime, recover_at: SimTime) -> (Simulator<Actor>, Vec<MemBa
 
     let net = NetworkConfig {
         latency: LatencyModel::Constant(Duration::from_millis(5)),
-        faults: FaultPlan::new().crash(NodeId(3), crash_at).recover(NodeId(3), recover_at),
+        faults: FaultSchedule::new().crash(3, crash_at.0).recover(3, recover_at.0),
         ..NetworkConfig::default()
     };
     (Simulator::new(actors, net, 17), backends)
@@ -131,11 +131,11 @@ fn repeated_crashes_survive() {
 
     let net = NetworkConfig {
         latency: LatencyModel::Constant(Duration::from_millis(5)),
-        faults: FaultPlan::new()
-            .crash(NodeId(3), SimTime::from_secs(2))
-            .recover(NodeId(3), SimTime::from_secs(4))
-            .crash(NodeId(3), SimTime::from_secs(6))
-            .recover(NodeId(3), SimTime::from_secs(8)),
+        faults: FaultSchedule::new()
+            .crash(3, 2_000_000)
+            .recover(3, 4_000_000)
+            .crash(3, 6_000_000)
+            .recover(3, 8_000_000),
         ..NetworkConfig::default()
     };
     let mut sim = Simulator::new(actors, net, 23);
@@ -185,9 +185,7 @@ fn hammerhead_node_recovers_with_schedule_state() {
 
     let net = NetworkConfig {
         latency: LatencyModel::Constant(Duration::from_millis(5)),
-        faults: FaultPlan::new()
-            .crash(NodeId(2), SimTime::from_secs(3))
-            .recover(NodeId(2), SimTime::from_secs(5)),
+        faults: FaultSchedule::new().crash(2, 3_000_000).recover(2, 5_000_000),
         ..NetworkConfig::default()
     };
     let mut sim = Simulator::new(actors, net, 31);
