@@ -90,7 +90,8 @@ impl NodeConfig {
         let committee = table(root, "committee")?;
         let validator = table(root, "validator")?;
 
-        let id = int(node, "id")? as u16;
+        let id = int(node, "id")?;
+        let id = u16::try_from(id).map_err(|_| format!("config: node id {id} is not a u16"))?;
         let wal = PathBuf::from(string(node, "wal")?);
         let peers = string_array(committee, "peers")?;
         let config = NodeConfig {
@@ -167,7 +168,7 @@ impl NodeConfig {
         for (i, peer) in self.peers.iter().enumerate() {
             peer.parse::<SocketAddr>().map_err(|e| format!("peer {i} address {peer:?}: {e}"))?;
         }
-        self.schedule_config().map(|_| ())
+        self.validator_config().map(|_| ())
     }
 
     /// Committee size (= number of peers).
@@ -218,13 +219,17 @@ impl NodeConfig {
     ///
     /// # Errors
     ///
-    /// Returns a description of an invalid schedule name.
+    /// Returns a description of an invalid schedule name or of a `*_ms`
+    /// value too large to express in microseconds.
     pub fn validator_config(&self) -> Result<ValidatorConfig, String> {
+        let us = |key: &str, ms: u64| {
+            ms.checked_mul(1_000).ok_or_else(|| format!("{key} = {ms} overflows microseconds"))
+        };
         Ok(ValidatorConfig {
             schedule: self.schedule_config()?,
-            min_round_delay_us: self.min_round_delay_ms * 1_000,
-            leader_timeout_us: self.leader_timeout_ms * 1_000,
-            sync_tick_us: self.sync_tick_ms * 1_000,
+            min_round_delay_us: us("min_round_delay_ms", self.min_round_delay_ms)?,
+            leader_timeout_us: us("leader_timeout_ms", self.leader_timeout_ms)?,
+            sync_tick_us: us("sync_tick_ms", self.sync_tick_ms)?,
             exec_rate_tps: self.exec_rate_tps,
             ..ValidatorConfig::default()
         })
@@ -301,6 +306,19 @@ mod tests {
         let mut bad_schedule = sample();
         bad_schedule.schedule = "static".into();
         assert!(bad_schedule.validate().is_err());
+    }
+
+    #[test]
+    fn parse_rejects_a_wrapped_id_and_an_overflowing_timeout() {
+        // 65538 = 2 mod 2^16: must not boot as validator 2.
+        let wrapped = sample().to_toml().replace("id = 2", "id = 65538");
+        let err = NodeConfig::parse(&wrapped).unwrap_err();
+        assert!(err.contains("node id 65538"), "{err}");
+
+        let absurd = format!("leader_timeout_ms = {}", i64::MAX);
+        let overflowing = sample().to_toml().replace("leader_timeout_ms = 400", &absurd);
+        let err = NodeConfig::parse(&overflowing).unwrap_err();
+        assert!(err.contains("leader_timeout_ms") && err.contains("overflows"), "{err}");
     }
 
     #[test]
