@@ -22,13 +22,6 @@ pub struct CommittedSubDag {
     pub vertices: Vec<Arc<Vertex>>,
 }
 
-impl CommittedSubDag {
-    /// Total transactions carried by this sub-DAG.
-    pub fn transaction_count(&self) -> usize {
-        self.vertices.iter().map(|v| v.block().len()).sum()
-    }
-}
-
 /// The Bullshark engine for one validator.
 ///
 /// Feed every vertex the broadcast layer delivers to
@@ -76,11 +69,6 @@ impl<P: SchedulePolicy> Bullshark<P> {
     /// The schedule policy (e.g. to inspect reputation state).
     pub fn policy(&self) -> &P {
         &self.policy
-    }
-
-    /// Mutable policy access (harness wiring).
-    pub fn policy_mut(&mut self) -> &mut P {
-        &mut self.policy
     }
 
     /// Number of commits so far.

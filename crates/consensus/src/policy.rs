@@ -116,12 +116,6 @@ impl SlotSchedule {
         &self.slots
     }
 
-    /// Mutable access for swap-table surgery (used by the reputation
-    /// scheduler when replacing `B` slots with `G` validators).
-    pub fn slots_mut(&mut self) -> &mut Vec<ValidatorId> {
-        &mut self.slots
-    }
-
     /// The leader of (even) `round`.
     pub fn leader_at(&self, round: Round) -> ValidatorId {
         debug_assert!(round.is_even(), "leaders live on even rounds");

@@ -435,11 +435,6 @@ impl<B: LogBackend> Validator<B> {
         self.halted
     }
 
-    /// Current pool depth (monitoring).
-    pub fn pool_len(&self) -> usize {
-        self.tx_pool.len()
-    }
-
     /// Startup: arm the maintenance tick and propose the genesis vertex.
     pub fn on_start(&mut self, now: u64) -> Vec<Output> {
         if self.halted {

@@ -384,11 +384,6 @@ impl Workload {
         let sum: f64 = weights.iter().sum();
         weights.into_iter().map(|w| total_tps * w / sum).collect()
     }
-
-    /// Whether any client submits without an in-flight window.
-    pub fn is_open_loop(&self) -> bool {
-        self.mode == SubmissionMode::Open
-    }
 }
 
 #[cfg(test)]

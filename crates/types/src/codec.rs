@@ -153,15 +153,6 @@ impl<'a> Decoder<'a> {
     pub fn take_array32(&mut self) -> Result<[u8; 32], TypeError> {
         Ok(self.take(32)?.try_into().unwrap())
     }
-
-    /// Reads a length-prefixed byte string.
-    pub fn take_bytes(&mut self) -> Result<Vec<u8>, TypeError> {
-        let len = self.take_u32()?;
-        if len > MAX_COLLECTION_LEN {
-            return Err(TypeError::Decode("collection length exceeds limit"));
-        }
-        Ok(self.take(len as usize)?.to_vec())
-    }
 }
 
 /// Convenience writers on `Vec<u8>`.
