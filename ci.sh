@@ -167,7 +167,7 @@ step "testnet smoke: 4 real hh-node processes, kill + restart, safety clean"
 # the way in and restarted against its WAL. Gates: >= 10 commits per
 # node, committed round >= 20, zero safety violations, victim catch-up,
 # clean stdin-close shutdown — all enforced by the harness (exit code).
-timeout 120 ./target/release/hh-cli testnet --nodes 4 --duration-secs 14 \
+timeout 120 ./target/release/hh-node testnet --nodes 4 --duration-secs 14 \
     --tps 200 --kill 2 --kill-after-secs 4 --restart-after-secs 2 \
     --min-commits 10 --min-rounds 20 > target/ci-testnet.json
 grep -q '"safety_violations": 0' target/ci-testnet.json \
@@ -198,13 +198,15 @@ for doc in README.md docs/*.md; do
     done
 done
 
-step "docs: nothing refers to the deleted bench crate, criterion shim, threaded runtime, swap_from_base knob or core::monitor, or to a DESIGN.md"
+step "docs: nothing refers to the deleted bench crate, criterion shim, threaded runtime, swap_from_base knob, core::monitor, plan layer, KvStore, executor trio or hh-cli testnet, or to a DESIGN.md"
 # perfbench/ is the one benchmark and net/sim.rs + node/runtime.rs the
 # two drivers; the history files and this gate may name what they replaced.
 # There has never been a DESIGN.md: design notes live in docs/architecture.md.
 # Recompute-against-S0 is the only slot-swap rule, and the hammerhead crate
-# has no monitor module.
-if git grep -nE 'hotpath_smoke|BENCH_hotpath|hh[-_]bench|threaded::|threaded_demo|vendor/criterion|DESIGN\.md|swap_from_base|core/src/monitor|hammerhead::monitor' \
+# has no monitor module. The simulator executes the FaultSchedule /
+# ChaosSchedule the harness validates (no plan layer under them), runs are
+# executed by one function, and the testnet harness is `hh-node testnet`.
+if git grep -nE 'hotpath_smoke|BENCH_hotpath|hh[-_]bench|threaded::|threaded_demo|vendor/criterion|DESIGN\.md|swap_from_base|core/src/monitor|hammerhead::monitor|FaultPlan|ChaosPlan|SlowdownSpec|PartitionSpec|ChaosWindow|ChaosScope|KvStore|SerialExecutor|PooledExecutor|hh-cli testnet' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!ci.sh' ':!perfbench'; then
     echo "dangling reference to a deleted path"
     exit 1

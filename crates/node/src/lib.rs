@@ -18,7 +18,7 @@
 //!   it, then audit every WAL with the safety checker.
 //!
 //! The binary (`hh-node --config node.toml`, `hh-node testnet ...`)
-//! lives in `src/main.rs`; `hh-cli testnet` delegates to it.
+//! lives in `src/main.rs`.
 
 #![deny(rustdoc::broken_intra_doc_links)]
 

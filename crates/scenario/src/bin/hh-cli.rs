@@ -30,9 +30,6 @@ USAGE:
                                               sweep patched parameter axes
     hh-cli list [dir]                         list scenarios (default: scenarios/)
     hh-cli validate <scenario.toml> [--dump]  parse + expand without running
-    hh-cli testnet [OPTIONS]                  run a local committee of real
-                                              hh-node processes over loopback
-                                              TCP (see `hh-node testnet --help`)
 
 OPTIONS (run / matrix):
     --quick           apply the scenario's [quick] scaled-down overrides
@@ -57,7 +54,6 @@ fn main() -> ExitCode {
         Some("matrix") => cmd_run(&args[1..], true),
         Some("list") => cmd_list(&args[1..]),
         Some("validate") => cmd_validate(&args[1..]),
-        Some("testnet") => return cmd_testnet(&args[1..]),
         Some("--help" | "-h" | "help") | None => {
             print!("{USAGE}");
             Ok(())
@@ -318,38 +314,4 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
         print!("{}", spec.to_toml());
     }
     Ok(())
-}
-
-/// `hh-cli testnet ...` delegates to the `hh-node` binary (which owns
-/// the harness) rather than linking it: `hh-node` depends on this crate
-/// for its TOML config format, so the dependency can only point one
-/// way. The binary is expected next to this executable — both are
-/// workspace bins, so any `cargo build --workspace` puts them side by
-/// side; `$HH_NODE_BIN` overrides the location.
-fn cmd_testnet(args: &[String]) -> ExitCode {
-    let binary = match std::env::var("HH_NODE_BIN").map(PathBuf::from) {
-        Ok(p) => p,
-        Err(_) => {
-            let sibling = std::env::current_exe()
-                .ok()
-                .and_then(|exe| exe.parent().map(|d| d.join("hh-node")));
-            match sibling {
-                Some(p) if p.is_file() => p,
-                _ => {
-                    eprintln!(
-                        "error: hh-node binary not found next to hh-cli; \
-                         build it with `cargo build -p hh-node` or set HH_NODE_BIN"
-                    );
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-    };
-    match std::process::Command::new(&binary).arg("testnet").args(args).status() {
-        Ok(status) => ExitCode::from(status.code().unwrap_or(1) as u8),
-        Err(e) => {
-            eprintln!("error: running {}: {e}", binary.display());
-            ExitCode::FAILURE
-        }
-    }
 }

@@ -12,7 +12,7 @@
 //! the executor contract guarantees, so worker threads never write to
 //! stdout and verbose/quiet runs build the same report.
 
-use crate::executor::{Executor, PooledExecutor, SerialExecutor};
+use crate::executor::execute;
 use crate::json::Json;
 use crate::spec::{PlannedRun, ScenarioPlan};
 use hh_sim::{LatencySummary, RunLimit, RunResult};
@@ -258,22 +258,8 @@ pub fn run_plan_with(plan: &ScenarioPlan, limit: RunLimit, opts: &ExecOptions) -
     // wall-clock never reaches the report either way, so the JSON stays
     // byte-identical with or without profiling.
     hh_sim::prof::set_enabled(opts.profile);
-    if opts.jobs > 1 {
-        build_report(plan, limit, &PooledExecutor::new(opts.jobs), opts)
-    } else {
-        build_report(plan, limit, &SerialExecutor, opts)
-    }
-}
-
-/// Assembles the [`ScenarioReport`] from whatever executor ran the
-/// plan. All stdout happens here, on the calling thread, from the
-/// executor's ordered emission.
-fn build_report(
-    plan: &ScenarioPlan,
-    limit: RunLimit,
-    executor: &dyn Executor,
-    opts: &ExecOptions,
-) -> ScenarioReport {
+    // All stdout happens here, on the calling thread, from the ordered
+    // emission.
     let mut emit = |row: &RunRow| {
         if opts.verbose {
             println!("{}", render_row(row));
@@ -284,7 +270,7 @@ fn build_report(
             eprintln!("{}", render_profile(row));
         }
     };
-    let rows = executor.execute(plan, limit, &mut emit);
+    let rows = execute(plan, limit, opts.jobs, &mut emit);
     ScenarioReport {
         name: plan.name.clone(),
         description: plan.description.clone(),

@@ -1,21 +1,21 @@
-//! Run execution: one planned run at a time, serially or on a worker
-//! pool.
+//! Run execution: one planned run at a time, on the calling thread or
+//! on a worker pool.
 //!
-//! The pipeline is `ScenarioPlan → Executor → ScenarioReport`: the plan
+//! The pipeline is `ScenarioPlan → execute → ScenarioReport`: the plan
 //! (from [`crate::spec`]) is an indexed list of independent simulated
-//! runs, an [`Executor`] turns every index into a [`RunRow`], and the
-//! report layer in [`crate::engine`] assembles and renders them. Runs
-//! are *dispatched by index* and rows are always surfaced in plan
-//! order, so the report — progress lines, text table, JSON bytes — is
-//! identical whichever executor (or worker count) produced it.
+//! runs, [`execute`] turns every index into a [`RunRow`], and the report
+//! layer in [`crate::engine`] assembles and renders them. Runs are
+//! *dispatched by index* and rows are always surfaced in plan order, so
+//! the report — progress lines, text table, JSON bytes — is identical
+//! whatever the worker count.
 //!
-//! [`PooledExecutor`] uses scoped worker threads pulling indices off a
-//! shared atomic counter (self-scheduling, so long runs never serialize
-//! behind short ones) and sending finished rows back over the vendored
-//! crossbeam channel. Workers never touch stdout; ordered emission
-//! happens on the collecting thread. A panicking run — the Total Order
-//! audit, above all — aborts the pool and is re-raised with the failing
-//! run's labels attached.
+//! Above one job, scoped worker threads pull indices off a shared atomic
+//! counter (self-scheduling, so long runs never serialize behind short
+//! ones) and send finished rows back over the vendored crossbeam
+//! channel. Workers never touch stdout; ordered emission happens on the
+//! collecting thread. A panicking run — the Total Order audit, above all
+//! — aborts the pool and is re-raised with the failing run's labels
+//! attached.
 
 use crate::engine::{
     AdversaryRow, AnalysisRow, ChaosRow, ReinclusionRow, RunProfile, RunRow, WindowRow,
@@ -35,9 +35,9 @@ pub(crate) fn describe(run: &PlannedRun) -> String {
 /// [`MetricsSink`] (with one accumulator per declared analysis window),
 /// audits Total Order, and computes the declared analyses.
 ///
-/// Pure in `(plan, index, limit)` — every executor produces the same
-/// row for the same index, which is what makes the report independent
-/// of scheduling.
+/// Pure in `(plan, index, limit)` — every worker produces the same row
+/// for the same index, which is what makes the report independent of
+/// scheduling.
 ///
 /// # Panics
 ///
@@ -298,142 +298,102 @@ fn reinclusion_rows(live: &[usize], handle: &SimHandle) -> Vec<ReinclusionRow> {
         .collect()
 }
 
-/// Turns every run of a plan into a [`RunRow`].
+/// Turns every run of a plan into a [`RunRow`], on `jobs` threads.
 ///
-/// Implementations must call `emit` exactly once per run, in plan order
-/// (run 0 first), each call made after that run finished — the report
-/// layer relies on this for race-free ordered progress output — and
-/// return the rows in plan order.
-pub trait Executor {
-    /// Executes the whole plan.
-    fn execute(
-        &self,
-        plan: &ScenarioPlan,
-        limit: RunLimit,
-        emit: &mut dyn FnMut(&RunRow),
-    ) -> Vec<RunRow>;
-}
-
-/// Runs everything on the calling thread, in plan order.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SerialExecutor;
-
-impl Executor for SerialExecutor {
-    fn execute(
-        &self,
-        plan: &ScenarioPlan,
-        limit: RunLimit,
-        emit: &mut dyn FnMut(&RunRow),
-    ) -> Vec<RunRow> {
-        (0..plan.runs.len())
+/// Calls `emit` exactly once per run, in plan order (run 0 first), each
+/// call made after that run finished — the report layer relies on this
+/// for race-free ordered progress output — and returns the rows in plan
+/// order.
+///
+/// With one job (or one run) everything runs on the calling thread.
+/// Otherwise indices are claimed from a shared atomic counter, so
+/// workers self-schedule: whoever finishes first takes the next run,
+/// keeping every thread busy through uneven run lengths. Finished rows
+/// flow back over an unbounded crossbeam channel to the collecting
+/// thread, which buffers out-of-order arrivals and emits strictly in
+/// plan order.
+pub(crate) fn execute(
+    plan: &ScenarioPlan,
+    limit: RunLimit,
+    jobs: usize,
+    emit: &mut dyn FnMut(&RunRow),
+) -> Vec<RunRow> {
+    let total = plan.runs.len();
+    let jobs = jobs.min(total);
+    if jobs <= 1 {
+        return (0..total)
             .map(|index| {
                 let row = execute_run(plan, index, limit);
                 emit(&row);
                 row
             })
-            .collect()
+            .collect();
     }
-}
 
-/// Runs the plan on `jobs` scoped worker threads.
-///
-/// Indices are claimed from a shared atomic counter, so workers
-/// self-schedule: whoever finishes first takes the next run, keeping
-/// every thread busy through uneven run lengths. Finished rows flow
-/// back over an unbounded crossbeam channel to the collecting thread,
-/// which buffers out-of-order arrivals and emits strictly in plan
-/// order.
-#[derive(Clone, Copy, Debug)]
-pub struct PooledExecutor {
-    jobs: usize,
-}
-
-impl PooledExecutor {
-    /// An executor with `jobs` workers (at least 1).
-    pub fn new(jobs: usize) -> Self {
-        PooledExecutor { jobs: jobs.max(1) }
-    }
-}
-
-impl Executor for PooledExecutor {
-    fn execute(
-        &self,
-        plan: &ScenarioPlan,
-        limit: RunLimit,
-        emit: &mut dyn FnMut(&RunRow),
-    ) -> Vec<RunRow> {
-        let total = plan.runs.len();
-        let jobs = self.jobs.min(total);
-        if jobs <= 1 {
-            return SerialExecutor.execute(plan, limit, emit);
+    let next = AtomicUsize::new(0);
+    let abort = AtomicBool::new(false);
+    let (row_tx, row_rx) = crossbeam::channel::unbounded();
+    std::thread::scope(|scope| {
+        for _ in 0..jobs {
+            let row_tx = row_tx.clone();
+            let (next, abort) = (&next, &abort);
+            scope.spawn(move || loop {
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                if index >= total || abort.load(Ordering::Relaxed) {
+                    break;
+                }
+                let outcome = catch_unwind(AssertUnwindSafe(|| execute_run(plan, index, limit)));
+                let failed = outcome.is_err();
+                if row_tx.send((index, outcome)).is_err() || failed {
+                    break;
+                }
+            });
         }
+        drop(row_tx);
 
-        let next = AtomicUsize::new(0);
-        let abort = AtomicBool::new(false);
-        let (row_tx, row_rx) = crossbeam::channel::unbounded();
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                let row_tx = row_tx.clone();
-                let (next, abort) = (&next, &abort);
-                scope.spawn(move || loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    if index >= total || abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let outcome =
-                        catch_unwind(AssertUnwindSafe(|| execute_run(plan, index, limit)));
-                    let failed = outcome.is_err();
-                    if row_tx.send((index, outcome)).is_err() || failed {
-                        break;
-                    }
-                });
-            }
-            drop(row_tx);
-
-            let mut slots: Vec<Option<RunRow>> = (0..total).map(|_| None).collect();
-            let mut emitted = 0;
-            for (index, outcome) in row_rx.iter() {
-                match outcome {
-                    Ok(row) => {
-                        slots[index] = Some(row);
-                        while emitted < total {
-                            match &slots[emitted] {
-                                Some(row) => emit(row),
-                                None => break,
-                            }
-                            emitted += 1;
+        let mut slots: Vec<Option<RunRow>> = (0..total).map(|_| None).collect();
+        let mut emitted = 0;
+        for (index, outcome) in row_rx.iter() {
+            match outcome {
+                Ok(row) => {
+                    slots[index] = Some(row);
+                    while emitted < total {
+                        match &slots[emitted] {
+                            Some(row) => emit(row),
+                            None => break,
                         }
+                        emitted += 1;
                     }
-                    Err(payload) => {
-                        // Stop handing out new work, then re-raise with
-                        // the failing run's labels so a Total Order
-                        // violation in a 300-run sweep names its run.
-                        abort.store(true, Ordering::Relaxed);
-                        let labels = describe(&plan.runs[index]);
-                        let message = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned());
-                        match message {
-                            Some(m) => panic!("run {index} ({labels}) failed: {m}"),
-                            None => {
-                                // Opaque payloads can't be wrapped without
-                                // losing them — name the run on stderr,
-                                // then re-raise the original.
-                                eprintln!("run {index} ({labels}) failed; re-raising its panic");
-                                std::panic::resume_unwind(payload)
-                            }
+                }
+                Err(payload) => {
+                    // Stop handing out new work, then re-raise with the
+                    // failing run's labels so a Total Order violation in
+                    // a 300-run sweep names its run.
+                    abort.store(true, Ordering::Relaxed);
+                    let labels = describe(&plan.runs[index]);
+                    let message = payload
+                        .downcast_ref::<&str>()
+                        .map(|s| s.to_string())
+                        .or_else(|| payload.downcast_ref::<String>().cloned());
+                    match message {
+                        Some(m) => panic!("run {index} ({labels}) failed: {m}"),
+                        None => {
+                            // Opaque payloads can't be wrapped without
+                            // losing them — name the run on stderr, then
+                            // re-raise the original.
+                            eprintln!("run {index} ({labels}) failed; re-raising its panic");
+                            std::panic::resume_unwind(payload)
                         }
                     }
                 }
             }
-            slots
-                .into_iter()
-                .enumerate()
-                .map(|(i, slot)| slot.unwrap_or_else(|| panic!("run {i} produced no row")))
-                .collect()
-        })
-    }
+        }
+        slots
+            .into_iter()
+            .enumerate()
+            .map(|(i, slot)| slot.unwrap_or_else(|| panic!("run {i} produced no row")))
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -467,11 +427,11 @@ model = "flat"
         let plan = sweep_plan();
         assert_eq!(plan.runs.len(), 6);
         let mut serial_seen = Vec::new();
-        let serial = SerialExecutor.execute(&plan, RunLimit::Duration, &mut |row| {
+        let serial = execute(&plan, RunLimit::Duration, 1, &mut |row| {
             serial_seen.push(row.run.labels.clone())
         });
         let mut pooled_seen = Vec::new();
-        let pooled = PooledExecutor::new(3).execute(&plan, RunLimit::Duration, &mut |row| {
+        let pooled = execute(&plan, RunLimit::Duration, 4, &mut |row| {
             pooled_seen.push(row.run.labels.clone())
         });
 
@@ -488,7 +448,7 @@ model = "flat"
     #[test]
     fn pooled_with_more_workers_than_runs_still_completes() {
         let plan = sweep_plan();
-        let rows = PooledExecutor::new(64).execute(&plan, RunLimit::Rounds(20), &mut |_| {});
+        let rows = execute(&plan, RunLimit::Rounds(20), 64, &mut |_| {});
         assert_eq!(rows.len(), plan.runs.len());
         assert!(rows.iter().all(|r| r.result.agreement_ok));
     }
@@ -518,7 +478,7 @@ model = "flat"
         };
 
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            PooledExecutor::new(2).execute(&plan, RunLimit::Rounds(10), &mut |_| {})
+            execute(&plan, RunLimit::Rounds(10), 4, &mut |_| {})
         }));
         let payload = result.expect_err("the worker panic must propagate");
         let message = payload

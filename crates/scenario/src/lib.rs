@@ -10,8 +10,8 @@
 //! * axis expansion ([`ScenarioSpec::plan`]): list-valued knobs
 //!   (committee sizes, loads, seeds, periods…) expand into the cross
 //!   product of concrete [`hh_sim::ExperimentConfig`]s;
-//! * a `plan → executor → report` pipeline: an [`Executor`] (serial or
-//!   a scoped worker pool, [`run_plan_with`] + [`ExecOptions`]) turns
+//! * a `plan → execute → report` pipeline: [`run_plan_with`] (on the
+//!   calling thread or a scoped worker pool, per [`ExecOptions`]) turns
 //!   every planned run into a row via the streaming bounded-memory
 //!   metrics sink, and the report layer assembles a [`ScenarioReport`]
 //!   with the paper's metrics plus declared analyses (latency windows,
@@ -56,7 +56,6 @@ pub use engine::{
     render_header, render_profile, render_row, report_json, run_plan, run_plan_with, AdversaryRow,
     AnalysisRow, ExecOptions, ReinclusionRow, RunProfile, RunRow, ScenarioReport, WindowRow,
 };
-pub use executor::{Executor, PooledExecutor, SerialExecutor};
 pub use hh_sim::RunLimit;
 pub use json::Json;
 pub use spec::{

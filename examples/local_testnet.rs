@@ -1,7 +1,7 @@
 //! Spin up a real 4-node committee as OS processes on loopback TCP,
 //! SIGKILL one validator mid-run, restart it against its WAL, and print
-//! the audited report. This is the library form of `hh-cli testnet` /
-//! `hh-node testnet`; see `docs/node.md` for the full walkthrough.
+//! the audited report. This is the library form of `hh-node testnet`;
+//! see `docs/node.md` for the full walkthrough.
 //!
 //! ```sh
 //! cargo run --release --example local_testnet
