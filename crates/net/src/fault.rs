@@ -409,32 +409,43 @@ impl FaultSchedule {
         // Sequencing: the timeline is already sorted per node by time (a
         // crash and recovery at the same instant order crash-first, a
         // zero-length outage); require strict crash/recover alternation
-        // starting with a crash.
-        let mut down_node = None;
+        // starting with a crash. Each outage's ends go on the sweep as
+        // they are met; a zero-length one occupies no instant, so its
+        // crash comes back off.
+        let mut open: Option<(u16, u64)> = None;
+        let mut sweep: Vec<(u64, bool)> = Vec::new();
         for &(node, at, phase) in &self.timeline {
-            let down = down_node == Some(node);
-            match (phase, down) {
-                (Phase::Crash, true) => {
+            let since = open.filter(|(down, _)| *down == node).map(|(_, since)| since);
+            match (phase, since) {
+                (Phase::Crash, Some(_)) => {
                     return Err(FaultScheduleError(format!(
                         "validator {node} crashes again at {at}µs without recovering first"
                     )))
                 }
-                (Phase::Recover, false) => {
+                (Phase::Recover, None) => {
                     return Err(FaultScheduleError(format!(
                         "validator {node} recovers at {at}µs without a preceding crash"
                     )))
                 }
-                (Phase::Crash, false) => down_node = Some(node),
-                (Phase::Recover, true) => down_node = None,
+                (Phase::Crash, None) => {
+                    open = Some((node, at));
+                    sweep.push((at, true));
+                }
+                (Phase::Recover, Some(since)) => {
+                    open = None;
+                    if at == since {
+                        sweep.pop();
+                    } else {
+                        sweep.push((at, false));
+                    }
+                }
             }
         }
 
         // Concurrency sweep: at no instant may more than f validators be
         // down. A recovery at t frees its node at t (window semantics), so
-        // process recoveries before crashes at equal times.
+        // another node's crash at t sorts after it.
         let f = n.saturating_sub(1) / 3;
-        let mut sweep: Vec<(u64, bool)> =
-            self.timeline.iter().map(|(_, at, phase)| (*at, *phase == Phase::Crash)).collect();
         sweep.sort_unstable();
         let mut down = 0usize;
         for (at, is_crash) in sweep {
@@ -447,7 +458,7 @@ impl FaultSchedule {
                     )));
                 }
             } else {
-                down = down.saturating_sub(1);
+                down -= 1;
             }
         }
         Ok(())
@@ -674,6 +685,24 @@ mod tests {
         let s =
             FaultSchedule::new().crash(0, 0).crash(1, 0).recover(0, 500_000).crash(2, 1_000_000);
         assert!(s.validate(7).is_ok());
+    }
+
+    #[test]
+    fn validate_counts_a_zero_length_outage_as_never_down() {
+        // n = 4 → f = 1. v0 crashes and recovers at the same instant, so
+        // it is never down and v1 may crash later ...
+        let s = FaultSchedule::new().crash(0, 1_000_000).recover(0, 1_000_000).crash(1, 2_000_000);
+        assert!(!s.crashed_at(0, 2_000_000));
+        assert_eq!(s.validate(4), Ok(()));
+        // ... or at that very instant, or while v0's later real outage is over.
+        let s = FaultSchedule::new().crash(0, 1_000_000).recover(0, 1_000_000).crash(1, 1_000_000);
+        assert_eq!(s.validate(4), Ok(()));
+        let s = s.recover(1, 3_000_000).crash(0, 3_000_000);
+        assert_eq!(s.validate(4), Ok(()));
+        // A real outage of v0 still counts against v1's crash.
+        let s = FaultSchedule::new().crash(0, 1_000_000).recover(0, 1_000_001).crash(1, 1_000_000);
+        let err = s.validate(4).unwrap_err().to_string();
+        assert!(err.contains("2 validators crashed at once at 1000000µs"), "{err}");
     }
 
     #[test]
