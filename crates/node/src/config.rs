@@ -168,6 +168,7 @@ impl NodeConfig {
         for (i, peer) in self.peers.iter().enumerate() {
             peer.parse::<SocketAddr>().map_err(|e| format!("peer {i} address {peer:?}: {e}"))?;
         }
+        self.status_interval_us()?;
         self.validator_config().map(|_| ())
     }
 
@@ -222,18 +223,29 @@ impl NodeConfig {
     /// Returns a description of an invalid schedule name or of a `*_ms`
     /// value too large to express in microseconds.
     pub fn validator_config(&self) -> Result<ValidatorConfig, String> {
-        let us = |key: &str, ms: u64| {
-            ms.checked_mul(1_000).ok_or_else(|| format!("{key} = {ms} overflows microseconds"))
-        };
         Ok(ValidatorConfig {
             schedule: self.schedule_config()?,
-            min_round_delay_us: us("min_round_delay_ms", self.min_round_delay_ms)?,
-            leader_timeout_us: us("leader_timeout_ms", self.leader_timeout_ms)?,
-            sync_tick_us: us("sync_tick_ms", self.sync_tick_ms)?,
+            min_round_delay_us: ms_to_us("min_round_delay_ms", self.min_round_delay_ms)?,
+            leader_timeout_us: ms_to_us("leader_timeout_ms", self.leader_timeout_ms)?,
+            sync_tick_us: ms_to_us("sync_tick_ms", self.sync_tick_ms)?,
             exec_rate_tps: self.exec_rate_tps,
             ..ValidatorConfig::default()
         })
     }
+
+    /// The spacing of `HH-STATUS` lines in microseconds (at least one
+    /// millisecond).
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of a value too large to express in microseconds.
+    pub fn status_interval_us(&self) -> Result<u64, String> {
+        ms_to_us("status_interval_ms", self.status_interval_ms.max(1))
+    }
+}
+
+fn ms_to_us(key: &str, ms: u64) -> Result<u64, String> {
+    ms.checked_mul(1_000).ok_or_else(|| format!("{key} = {ms} overflows microseconds"))
 }
 
 fn table<'a>(
@@ -315,10 +327,16 @@ mod tests {
         let err = NodeConfig::parse(&wrapped).unwrap_err();
         assert!(err.contains("node id 65538"), "{err}");
 
-        let absurd = format!("leader_timeout_ms = {}", i64::MAX);
-        let overflowing = sample().to_toml().replace("leader_timeout_ms = 400", &absurd);
-        let err = NodeConfig::parse(&overflowing).unwrap_err();
-        assert!(err.contains("leader_timeout_ms") && err.contains("overflows"), "{err}");
+        // (`min_round_delay_ms` must stay below `leader_timeout_ms`, which
+        // then overflows first.)
+        for (key, given) in
+            [("leader_timeout_ms", 400), ("sync_tick_ms", 200), ("status_interval_ms", 250)]
+        {
+            let absurd = format!("{key} = {}", i64::MAX);
+            let doc = sample().to_toml().replace(&format!("{key} = {given}"), &absurd);
+            let err = NodeConfig::parse(&doc).unwrap_err();
+            assert!(err.contains(&absurd) && err.contains("overflows"), "{err}");
+        }
     }
 
     #[test]

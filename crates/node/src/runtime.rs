@@ -154,7 +154,7 @@ pub fn run_node(cfg: &NodeConfig) -> Result<NodeReport, String> {
         cfg.peers[cfg.id as usize],
     );
 
-    let status_interval = cfg.status_interval_ms.max(1) * 1_000;
+    let status_interval = cfg.status_interval_us()?;
     let mut next_status = status_interval;
     let committed_round = |v: &Validator<FileBackend>| -> u64 {
         v.committed_anchors().last().map_or(0, |a| a.round.0)
