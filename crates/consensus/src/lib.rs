@@ -74,6 +74,4 @@ mod policy;
 
 pub use engine::{Bullshark, CommittedSubDag};
 pub use ordered::OrderedSet;
-pub use policy::{
-    RoundRobinPolicy, ScheduleDecision, SchedulePolicy, SlotSchedule, StaticLeaderPolicy,
-};
+pub use policy::{RoundRobinPolicy, ScheduleDecision, SchedulePolicy, SlotSchedule};

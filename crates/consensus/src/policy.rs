@@ -2,10 +2,10 @@
 //!
 //! [`SchedulePolicy`] is the seam between the generic Bullshark engine and
 //! the scheduling mechanism. The baseline [`RoundRobinPolicy`] reproduces
-//! vanilla Bullshark (static stake-weighted rotation); the `hammerhead`
-//! crate provides the reputation-based policy that actually switches
-//! schedules; [`StaticLeaderPolicy`] is the PBFT-style fixed leader the
-//! paper's §7 discusses as an extreme.
+//! vanilla Bullshark (static stake-weighted rotation) and, over a
+//! one-slot table, the PBFT-style fixed leader the paper's §7 discusses as
+//! an extreme; the `hammerhead` crate provides the reputation-based policy
+//! that actually switches schedules.
 
 use crate::ordered::OrderedSet;
 use hh_dag::Dag;
@@ -171,45 +171,6 @@ impl SchedulePolicy for RoundRobinPolicy {
     fn on_vertex_ordered(&mut self, _vertex: &Vertex, _dag: &Dag) {}
 }
 
-/// PBFT-style fixed leader (§7's "classic static leader" extreme). Used by
-/// the scoring-rule ablation; a single slow leader degrades every round.
-#[derive(Clone, Debug)]
-pub struct StaticLeaderPolicy {
-    leader: ValidatorId,
-}
-
-impl StaticLeaderPolicy {
-    /// Fixes `leader` for every round.
-    pub fn new(leader: ValidatorId) -> Self {
-        StaticLeaderPolicy { leader }
-    }
-}
-
-impl SchedulePolicy for StaticLeaderPolicy {
-    fn leader_at(&self, _round: Round) -> ValidatorId {
-        self.leader
-    }
-
-    fn initial_round(&self) -> Round {
-        Round(0)
-    }
-
-    fn epoch(&self) -> u64 {
-        0
-    }
-
-    fn before_order_anchor(
-        &mut self,
-        _anchor: &Vertex,
-        _dag: &Dag,
-        _ordered: &OrderedSet,
-    ) -> ScheduleDecision {
-        ScheduleDecision::Continue
-    }
-
-    fn on_vertex_ordered(&mut self, _vertex: &Vertex, _dag: &Dag) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,8 +219,8 @@ mod tests {
     }
 
     #[test]
-    fn static_leader_never_rotates() {
-        let p = StaticLeaderPolicy::new(ValidatorId(2));
+    fn one_slot_schedule_never_rotates() {
+        let p = RoundRobinPolicy::new(SlotSchedule::from_slots(vec![ValidatorId(2)]));
         for r in [0u64, 2, 4, 100] {
             assert_eq!(p.leader_at(Round(r)), ValidatorId(2));
         }

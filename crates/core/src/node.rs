@@ -26,7 +26,6 @@ use crate::config::{ScheduleConfig, ValidatorConfig};
 use crate::policy::HammerheadPolicy;
 use hh_consensus::{
     Bullshark, CommittedSubDag, RoundRobinPolicy, ScheduleDecision, SchedulePolicy, SlotSchedule,
-    StaticLeaderPolicy,
 };
 use hh_crypto::{Digest, Keypair, Sha256};
 use hh_dag::{Dag, EvidenceLedger};
@@ -193,12 +192,11 @@ pub struct ValidatorMetrics {
     pub exec_records: Vec<ExecRecord>,
 }
 
-/// Leader-schedule policy dispatch (the three configurations of
-/// [`ScheduleConfig`]).
+/// Leader-schedule policy dispatch: a fixed slot table (round-robin, or
+/// one pinned leader) or HammerHead's reputation schedule.
 enum PolicyKind {
     RoundRobin(RoundRobinPolicy),
     Hammerhead(Box<HammerheadPolicy>),
-    Static(StaticLeaderPolicy),
 }
 
 impl SchedulePolicy for PolicyKind {
@@ -206,21 +204,18 @@ impl SchedulePolicy for PolicyKind {
         match self {
             PolicyKind::RoundRobin(p) => p.leader_at(round),
             PolicyKind::Hammerhead(p) => p.leader_at(round),
-            PolicyKind::Static(p) => p.leader_at(round),
         }
     }
     fn initial_round(&self) -> Round {
         match self {
             PolicyKind::RoundRobin(p) => p.initial_round(),
             PolicyKind::Hammerhead(p) => p.initial_round(),
-            PolicyKind::Static(p) => p.initial_round(),
         }
     }
     fn epoch(&self) -> u64 {
         match self {
             PolicyKind::RoundRobin(p) => p.epoch(),
             PolicyKind::Hammerhead(p) => p.epoch(),
-            PolicyKind::Static(p) => p.epoch(),
         }
     }
     fn before_order_anchor(
@@ -232,14 +227,12 @@ impl SchedulePolicy for PolicyKind {
         match self {
             PolicyKind::RoundRobin(p) => p.before_order_anchor(anchor, dag, ordered),
             PolicyKind::Hammerhead(p) => p.before_order_anchor(anchor, dag, ordered),
-            PolicyKind::Static(p) => p.before_order_anchor(anchor, dag, ordered),
         }
     }
     fn on_vertex_ordered(&mut self, vertex: &Vertex, dag: &Dag) {
         match self {
             PolicyKind::RoundRobin(p) => p.on_vertex_ordered(vertex, dag),
             PolicyKind::Hammerhead(p) => p.on_vertex_ordered(vertex, dag),
-            PolicyKind::Static(p) => p.on_vertex_ordered(vertex, dag),
         }
     }
 }
@@ -342,7 +335,9 @@ impl<B: LogBackend> Validator<B> {
                 HammerheadPolicy::new(committee.clone(), h.clone()),
             )),
             ScheduleConfig::StaticLeader(leader) => {
-                PolicyKind::Static(StaticLeaderPolicy::new(*leader))
+                PolicyKind::RoundRobin(RoundRobinPolicy::new(SlotSchedule::from_slots(vec![
+                    *leader,
+                ])))
             }
         }
     }
@@ -479,8 +474,7 @@ impl<B: LogBackend> Validator<B> {
                 }
             }
             ValidatorMessage::Rbc(rbc_msg) => {
-                let sender = Self::rbc_sender(rbc_msg, from);
-                let fx = self.rbc.handle(sender, rbc_msg, &mut self.dag);
+                let fx = self.rbc.handle(from, rbc_msg, &mut self.dag);
                 self.absorb_rbc(fx, now, &mut out);
             }
             ValidatorMessage::Confirm { .. } => {
@@ -859,21 +853,6 @@ impl<B: LogBackend> Validator<B> {
         self.absorb_rbc(fx, now, out);
         self.next_round = round.next();
         self.last_proposal_at = now;
-    }
-
-    /// The logical sender of an RBC message (used for sync responses). For
-    /// vertex pushes the author is authoritative; for acks and syncs the
-    /// network-level sender is what matters.
-    fn rbc_sender(msg: &RbcMessage, network_from: ValidatorId) -> ValidatorId {
-        match msg {
-            RbcMessage::Vertex(_)
-            | RbcMessage::Propose(_)
-            | RbcMessage::Certified(_, _)
-            | RbcMessage::Ack { .. }
-            | RbcMessage::SyncRequest(_)
-            | RbcMessage::RangeRequest { .. }
-            | RbcMessage::SyncResponse(_) => network_from,
-        }
     }
 }
 

@@ -78,7 +78,6 @@ mod metrics;
 pub mod prof;
 mod safety;
 mod sink;
-mod timeseries;
 mod workload;
 
 pub use actor::{Actor, Client, NetMessage, MIN_CLIENT_WINDOW};
@@ -98,7 +97,6 @@ pub use hh_net::{
 pub use metrics::LatencySummary;
 pub use safety::{SafetyChecker, SafetyViolation};
 pub use sink::{MetricsSink, StreamingHistogram};
-pub use timeseries::{Bucket, TimeSeries};
 pub use workload::{
     Arrival, ArrivalKind, Phase, RateNow, SubmissionMode, Workload, WorkloadError,
     MAX_PAYLOAD_BYTES,

@@ -11,26 +11,9 @@
 //! cargo run --release --example incident_replay
 //! ```
 
-use hammerhead_repro::hh_net::SimTime;
 use hammerhead_repro::hh_sim::{
-    build_sim, ExperimentConfig, FaultSchedule, LatencySummary, SystemKind,
+    run_sim_streaming, ExperimentConfig, FaultSchedule, MetricsSink, RunLimit, SystemKind,
 };
-
-fn window_summary(
-    handle: &hammerhead_repro::hh_sim::SimHandle,
-    from_us: u64,
-    to_us: u64,
-) -> LatencySummary {
-    let mut latencies = Vec::new();
-    for i in 0..handle.n_validators {
-        for rec in &handle.validator(i).metrics().exec_records {
-            if rec.submitted_at >= from_us && rec.submitted_at < to_us && rec.executed_at <= to_us {
-                latencies.push(rec.executed_at - rec.submitted_at);
-            }
-        }
-    }
-    LatencySummary::from_micros(latencies)
-}
 
 fn main() {
     let committee = 13; // one validator per AWS region
@@ -50,21 +33,15 @@ fn main() {
         config.faults = (0..degraded).fold(FaultSchedule::new(), |faults, v| {
             faults.slowdown_from(v, onset_s * 1_000_000, 800_000)
         });
-        let mut handle = build_sim(&config);
-        handle.sim.run_until(SimTime::from_secs(end_s));
-
-        let healthy = window_summary(&handle, 5_000_000, onset_s * 1_000_000);
-        let incident = window_summary(&handle, onset_s * 1_000_000, end_s * 1_000_000);
-        // Per-2s latency sparkline across the whole run.
-        let all_records: Vec<_> = (0..handle.n_validators)
-            .flat_map(|i| handle.validator(i).metrics().exec_records.clone())
-            .collect();
-        let series = hammerhead_repro::hh_sim::TimeSeries::from_records(&all_records, 2, end_s);
+        // The two submission-time windows of `scenarios/incident_replay.toml`.
+        let mut sink = MetricsSink::new(config.warmup_secs * 1_000_000)
+            .with_window("healthy", 0, onset_s * 1_000_000)
+            .with_window("incident", onset_s * 1_000_000, end_s * 1_000_000);
+        let (handle, end_us) = run_sim_streaming(&config, RunLimit::Duration, &mut sink);
+        sink.finalize(end_us);
+        let windows = sink.window_summaries();
+        let (healthy, incident) = (windows[0].1, windows[1].1);
         println!("{}:", system.label());
-        println!(
-            "  mean latency / 2s: {}  (incident starts mid-line)",
-            hammerhead_repro::hh_sim::TimeSeries::sparkline(&series.mean_latency())
-        );
         println!(
             "  healthy window : p50 {:>5.2}s  p95 {:>5.2}s  ({} txs)",
             healthy.p50, healthy.p95, healthy.count
