@@ -262,23 +262,14 @@ fn cmd_list(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
     for path in entries {
-        match load_scenario(&path) {
-            Ok(spec) => {
-                let runs = spec
-                    .plan(&PlanOptions::default())
-                    .map(|p| p.runs.len().to_string())
-                    .unwrap_or_else(|_| "?".into());
-                println!(
-                    "{:<34} {:>4} runs  {}",
-                    path.file_name().unwrap_or_default().to_string_lossy(),
-                    runs,
-                    spec.description
-                );
+        let file = path.file_name().unwrap_or_default().to_string_lossy();
+        let planned =
+            load_scenario(&path).and_then(|spec| Ok((spec.plan(&PlanOptions::default())?, spec)));
+        match planned {
+            Ok((plan, spec)) => {
+                println!("{file:<34} {:>4} runs  {}", plan.runs.len(), spec.description)
             }
-            Err(e) => println!(
-                "{:<34} INVALID: {e}",
-                path.file_name().unwrap_or_default().to_string_lossy()
-            ),
+            Err(e) => println!("{file:<34} INVALID: {e}"),
         }
     }
     Ok(())

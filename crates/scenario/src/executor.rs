@@ -52,6 +52,8 @@ pub(crate) fn execute_run(plan: &ScenarioPlan, index: usize, limit: RunLimit) ->
     let crypto_before = hh_sim::prof::crypto_snapshot();
     let run = &plan.runs[index];
     let config = &run.config;
+    // `ScenarioSpec::plan` admits only durations that fit microseconds, and
+    // a warmup is shorter than its run.
     let duration_us = config.duration_secs * 1_000_000;
     let mut sink = MetricsSink::new(config.warmup_secs * 1_000_000);
     for window in &plan.analysis.windows {

@@ -4,12 +4,16 @@
 //! a fault schedule, a scheduling configuration, and the metrics that
 //! come out. This crate turns those from hard-coded binaries into data:
 //!
-//! * a TOML schema (see `docs/scenarios.md`) parsed and validated by
-//!   [`ScenarioSpec`] — unknown keys and unrunnable parameter
-//!   combinations are rejected up front;
+//! * a TOML schema (see `docs/scenarios.md`) parsed by [`ScenarioSpec`]
+//!   — unknown keys, wrong types and contradictory key pairs are
+//!   rejected there;
 //! * axis expansion ([`ScenarioSpec::plan`]): list-valued knobs
 //!   (committee sizes, loads, seeds, periods…) expand into the cross
-//!   product of concrete [`hh_sim::ExperimentConfig`]s;
+//!   product of concrete [`hh_sim::ExperimentConfig`]s. A scenario is
+//!   valid iff it plans: the fault, byzantine, chaos and workload tables
+//!   are lowered per run and judged by the lowered schedule's own
+//!   `validate` — the value the simulator executes — so each such rule
+//!   has one statement and one error text;
 //! * a `plan → execute → report` pipeline: [`run_plan_with`] (on the
 //!   calling thread or a scoped worker pool, per [`ExecOptions`]) turns
 //!   every planned run into a row via the streaming bounded-memory

@@ -3,39 +3,24 @@
 //! canonical TOML → re-parsed `ScenarioSpec` → planned
 //! `ExperimentConfig` → `hh_sim::ByzantineSchedule`.
 //!
-//! Two invariants: the canonical TOML re-parses to an equal spec, and
-//! the planned schedule contains exactly the generated windows with
-//! times resolved and units converted (ms → µs delays, s → µs flip
-//! periods). The deterministic tests below pin the rejection cases the
-//! grammar must catch: more than `f` attackers, unknown strategies,
-//! overlapping windows, bad withhold targets, misapplied parameters.
+//! Three invariants: the canonical TOML re-parses to an equal spec —
+//! also when the generator has broken a rule, since whether a schedule
+//! is runnable is `plan()`'s call alone — and plans to the same verdict
+//! in the same words; and the planned schedule contains exactly the
+//! generated windows with times resolved and units converted (ms → µs
+//! delays, s → µs flip periods). The deterministic tests below pin the
+//! rejection cases the grammar must catch: more than `f` attackers,
+//! unknown strategies, overlapping windows, bad withhold targets,
+//! misapplied parameters.
 
 use hh_scenario::{ByzantineEntrySpec, ByzantineStrategySpec, PlanOptions, ScenarioSpec, WhenSpec};
 use hh_sim::ByzantineSchedule;
 use proptest::prelude::*;
 
+mod common;
+use common::Mix;
+
 const DURATION_SECS: u64 = 20;
-
-/// SplitMix64 — drives the shape choices for one case.
-struct Mix(u64);
-
-impl Mix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        if bound == 0 {
-            0
-        } else {
-            self.next() % bound
-        }
-    }
-}
 
 /// A random instant, quantized so frac and secs forms both resolve
 /// exactly: whole seconds, or quarter fractions of the 20s run.
@@ -112,6 +97,58 @@ fn random_byzantine(rng: &mut Mix, n: usize, spec: &mut ScenarioSpec) {
     }
 }
 
+/// Replaces the generated windows (their attackers may already number
+/// `f`) with ones that break one rule `ByzantineSchedule::validate` owns,
+/// and returns the words they must be rejected in.
+fn spoil_byzantine(rng: &mut Mix, n: usize, spec: &mut ScenarioSpec) -> &'static str {
+    let windows = &mut spec.faults.byzantine;
+    windows.clear();
+    let whole_run = |node, strategy| ByzantineEntrySpec {
+        node,
+        strategy,
+        from: WhenSpec::Secs(0),
+        until: None,
+    };
+    let attacker = n as u16 - 1;
+    match rng.below(6) {
+        0 => {
+            let f = (n as u16 - 1) / 3;
+            windows.extend((0..=f).map(|node| whole_run(node, ByzantineStrategySpec::Equivocate)));
+            "byzantine validators exceeds f"
+        }
+        1 => {
+            windows.push(whole_run(attacker, ByzantineStrategySpec::Equivocate));
+            windows.push(whole_run(attacker, ByzantineStrategySpec::LazyLeader { delay_ms: 5 }));
+            "overlapping"
+        }
+        2 => {
+            let targets = vec![attacker];
+            windows.push(whole_run(attacker, ByzantineStrategySpec::WithholdVotes { targets }));
+            "cannot withhold votes from itself"
+        }
+        3 => {
+            windows.push(whole_run(attacker, ByzantineStrategySpec::LazyLeader { delay_ms: 0 }));
+            "has zero delay"
+        }
+        4 => {
+            windows.push(ByzantineEntrySpec {
+                until: Some(WhenSpec::Frac(0.0)),
+                ..whole_run(attacker, ByzantineStrategySpec::Equivocate)
+            });
+            "is empty"
+        }
+        _ => {
+            windows.push(whole_run(n as u16, ByzantineStrategySpec::Equivocate));
+            "is outside the committee"
+        }
+    }
+}
+
+/// The µs instant a generated `WhenSpec` resolves to.
+fn resolve(when: WhenSpec) -> u64 {
+    when.resolve_us(DURATION_SECS).expect("generated instants are small")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -123,45 +160,45 @@ proptest! {
         let mut rng = Mix(seed);
         let mut spec = base_spec(n);
         random_byzantine(&mut rng, n, &mut spec);
+        let spoiled = (rng.below(4) == 0).then(|| spoil_byzantine(&mut rng, n, &mut spec));
 
-        // TOML round trip: canonical serialization re-parses to equality.
-        let text = spec.to_toml();
-        let again = ScenarioSpec::parse(&text)
-            .unwrap_or_else(|e| panic!("canonical TOML does not re-parse: {e}\n{text}"));
-        prop_assert_eq!(&again, &spec);
-
-        // Planning lowers to a validated ByzantineSchedule with exactly
-        // the generated windows, times resolved and units converted.
-        let plan = spec.plan(&PlanOptions::default())
-            .unwrap_or_else(|e| panic!("valid schedule rejected: {e}\n{text}"));
-        prop_assert_eq!(plan.runs.len(), 1);
-
-        let mut expected = ByzantineSchedule::new();
-        for entry in &spec.faults.byzantine {
-            let from_us = entry.from.resolve_us(DURATION_SECS);
-            let until_us =
-                entry.until.map(|u| u.resolve_us(DURATION_SECS)).unwrap_or(u64::MAX);
-            expected = match &entry.strategy {
-                ByzantineStrategySpec::Equivocate => {
-                    expected.equivocate(entry.node, from_us, until_us)
-                }
-                ByzantineStrategySpec::WithholdVotes { targets } => {
-                    expected.withhold_votes(entry.node, targets.clone(), from_us, until_us)
-                }
-                ByzantineStrategySpec::LazyLeader { delay_ms } => {
-                    expected.lazy_leader(entry.node, delay_ms * 1_000, from_us, until_us)
-                }
-                ByzantineStrategySpec::FlipFlop { flip_secs, delay_ms } => expected.flip_flop(
-                    entry.node,
-                    flip_secs * 1_000_000,
-                    delay_ms * 1_000,
-                    from_us,
-                    until_us,
-                ),
-            };
+        if common::assert_round_trip(&spec, "byzantine schedule", spoiled) {
+            assert_lowers(&spec);
         }
-        prop_assert_eq!(&plan.runs[0].config.byzantine, &expected);
     }
+}
+
+/// Invariant three, for a spec that plans: planning lowers to a validated
+/// ByzantineSchedule with exactly the generated windows, times resolved
+/// and units converted.
+fn assert_lowers(spec: &ScenarioSpec) {
+    let plan = spec
+        .plan(&PlanOptions::default())
+        .unwrap_or_else(|e| panic!("valid schedule rejected: {e}\n{}", spec.to_toml()));
+    prop_assert_eq!(plan.runs.len(), 1);
+
+    let mut expected = ByzantineSchedule::new();
+    for entry in &spec.faults.byzantine {
+        let from_us = resolve(entry.from);
+        let until_us = entry.until.map(resolve).unwrap_or(u64::MAX);
+        expected = match &entry.strategy {
+            ByzantineStrategySpec::Equivocate => expected.equivocate(entry.node, from_us, until_us),
+            ByzantineStrategySpec::WithholdVotes { targets } => {
+                expected.withhold_votes(entry.node, targets.clone(), from_us, until_us)
+            }
+            ByzantineStrategySpec::LazyLeader { delay_ms } => {
+                expected.lazy_leader(entry.node, delay_ms * 1_000, from_us, until_us)
+            }
+            ByzantineStrategySpec::FlipFlop { flip_secs, delay_ms } => expected.flip_flop(
+                entry.node,
+                flip_secs * 1_000_000,
+                delay_ms * 1_000,
+                from_us,
+                until_us,
+            ),
+        };
+    }
+    prop_assert_eq!(&plan.runs[0].config.byzantine, &expected);
 }
 
 // ---------------------------------------------------------------------------

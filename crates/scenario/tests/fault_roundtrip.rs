@@ -3,11 +3,13 @@
 //! re-parsed `ScenarioSpec` → planned `ExperimentConfig` →
 //! `hh_sim::FaultSchedule` → the `hh_net::Simulator` executing it.
 //!
-//! Four invariants: the canonical TOML re-parses to an equal spec, the
-//! planned schedule contains exactly the generated events, the
-//! schedule's indexed `crashed_at` equals a linear scan of its events,
-//! and a simulator driven under the schedule has exactly the nodes down
-//! that `crashed_at` says are down.
+//! Five invariants: the canonical TOML re-parses to an equal spec —
+//! also when the generator has broken a rule, since whether a schedule
+//! is runnable is `plan()`'s call alone — and plans to the same verdict
+//! in the same words; the planned schedule contains exactly the generated
+//! events; the schedule's indexed `crashed_at` equals a linear scan of
+//! its events; and a simulator driven under the schedule has exactly the
+//! nodes down that `crashed_at` says are down.
 
 use hh_net::{Context, NetworkConfig, Node, NodeId, SimTime, Simulator};
 use hh_scenario::{
@@ -17,28 +19,10 @@ use hh_scenario::{
 use hh_sim::FaultEvent;
 use proptest::prelude::*;
 
+mod common;
+use common::Mix;
+
 const DURATION_SECS: u64 = 20;
-
-/// SplitMix64 — drives the shape choices for one case.
-struct Mix(u64);
-
-impl Mix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        if bound == 0 {
-            0
-        } else {
-            self.next() % bound
-        }
-    }
-}
 
 /// A random instant, quantized so frac and secs forms both resolve
 /// exactly: whole seconds, or quarter fractions of the 20s run.
@@ -59,30 +43,31 @@ fn base_spec(n: usize) -> ScenarioSpec {
     .expect("base spec parses")
 }
 
+fn timed(node: u16, at: WhenSpec) -> TimedFaultEntry {
+    TimedFaultEntry { nodes: NodeSel::Ids(vec![node]), at }
+}
+
 /// Generates a valid dynamic fault spec on `n` validators: at most `f`
-/// nodes carry a crash/recover pair (never concurrent beyond `f` since
-/// only those nodes ever crash), plus optional slowdowns and one
-/// partition. A pair is sometimes a zero-length outage (recovery at the
-/// crash instant); a real outage is sometimes followed by a second,
-/// final crash. (`validate`'s concurrency sweep counts a zero-length
-/// outage as down from then on, so those get no second crash.)
+/// even-numbered nodes carry a real outage (never concurrent beyond `f`
+/// since only those nodes are ever down), sometimes followed by a
+/// second, final crash; up to two odd-numbered nodes carry a zero-length
+/// outage (recovery at the crash instant), which takes nothing from the
+/// `f` budget however the others crash around it; plus optional
+/// slowdowns and one partition.
 fn random_faults(rng: &mut Mix, n: usize, spec: &mut ScenarioSpec) {
     let f = (n - 1) / 3;
-    let crash_nodes: Vec<u16> = (0..rng.below(f as u64 + 1)).map(|k| k as u16 * 2).collect();
-    for &node in &crash_nodes {
-        let timed = |at| TimedFaultEntry { nodes: NodeSel::Ids(vec![node]), at };
-        // Crash somewhere in [1, 9]; recover at that very instant or
-        // strictly later in [10, 18].
-        let crash_at = random_when(rng, 1, 9);
-        spec.faults.crashes.push(timed(crash_at));
-        if rng.below(4) == 0 {
-            spec.faults.recovers.push(timed(crash_at));
-            continue;
-        }
-        spec.faults.recovers.push(timed(random_when(rng, 10, 18)));
+    for node in (0..rng.below(f as u64 + 1)).map(|k| k as u16 * 2) {
+        // Crash somewhere in [1, 9]; recover in [10, 18].
+        spec.faults.crashes.push(timed(node, random_when(rng, 1, 9)));
+        spec.faults.recovers.push(timed(node, random_when(rng, 10, 18)));
         if rng.below(3) == 0 {
-            spec.faults.crashes.push(timed(WhenSpec::Secs(19)));
+            spec.faults.crashes.push(timed(node, WhenSpec::Secs(19)));
         }
+    }
+    for node in (0..rng.below(3)).map(|k| k as u16 * 2 + 1) {
+        let at = random_when(rng, 1, 19);
+        spec.faults.crashes.push(timed(node, at));
+        spec.faults.recovers.push(timed(node, at));
     }
     for _ in 0..rng.below(3) {
         let from = 1 + rng.below(8);
@@ -110,6 +95,60 @@ fn random_faults(rng: &mut Mix, n: usize, spec: &mut ScenarioSpec) {
             from: WhenSpec::Secs(from),
             until: WhenSpec::Secs(from + 1 + rng.below(9)),
         });
+    }
+}
+
+/// Breaks one rule `FaultSchedule::validate` owns in an otherwise valid
+/// spec and returns the words it must be rejected in.
+fn spoil_faults(rng: &mut Mix, n: usize, spec: &mut ScenarioSpec) -> &'static str {
+    let faults = &mut spec.faults;
+    let slowdown = |at, until, extra_ms| SlowdownEntry {
+        nodes: NodeSel::Ids(vec![0]),
+        at,
+        until: Some(until),
+        extra_ms,
+    };
+    let groups = |a: Vec<u16>, b: Vec<u16>| PartitionSel::Groups { a, b };
+    let cut = |sel, from, until| PartitionEntry { sel, from, until };
+    match rng.below(8) {
+        0 => {
+            faults.slowdowns.push(slowdown(WhenSpec::Secs(1), WhenSpec::Secs(2), 0));
+            "has zero extra delay"
+        }
+        1 => {
+            faults.slowdowns.push(slowdown(WhenSpec::Secs(9), WhenSpec::Secs(3), 5));
+            "slowdown window of validator 0 is empty"
+        }
+        2 => {
+            faults.slowdowns.push(slowdown(WhenSpec::Frac(0.5), WhenSpec::Frac(0.5), 5));
+            "slowdown window of validator 0 is empty"
+        }
+        3 => {
+            let sel = groups(vec![0, 1], vec![1, 2]);
+            faults.partitions.push(cut(sel, WhenSpec::Secs(1), WhenSpec::Secs(2)));
+            "validator 1 is on both sides of a partition"
+        }
+        4 => {
+            let sel = groups(vec![], vec![1]);
+            faults.partitions.push(cut(sel, WhenSpec::Secs(1), WhenSpec::Secs(2)));
+            "partition groups must both be non-empty"
+        }
+        5 => {
+            let sel = groups(vec![0], vec![1]);
+            faults.partitions.push(cut(sel, WhenSpec::Frac(0.75), WhenSpec::Frac(0.25)));
+            "partition window is empty"
+        }
+        6 => {
+            // Everyone the generator never crashes for real, at once.
+            faults.crashes.clear();
+            faults.recovers.clear();
+            faults.crashed = (0..=(n as u16 - 1) / 3).collect();
+            "validators crashed at once at 0µs exceeds f"
+        }
+        _ => {
+            faults.crashed = vec![n as u16];
+            "is outside the committee"
+        }
     }
 }
 
@@ -146,7 +185,7 @@ impl Node for Inert {
 
 /// The µs instant a generated `WhenSpec` resolves to.
 fn resolve(when: WhenSpec) -> u64 {
-    when.resolve_us(DURATION_SECS)
+    when.resolve_us(DURATION_SECS).expect("generated instants are small")
 }
 
 proptest! {
@@ -159,84 +198,91 @@ proptest! {
         let mut rng = Mix(seed);
         let mut spec = base_spec(n);
         random_faults(&mut rng, n, &mut spec);
+        let spoiled = (rng.below(4) == 0).then(|| spoil_faults(&mut rng, n, &mut spec));
 
-        // TOML round trip: canonical serialization re-parses to equality.
-        let text = spec.to_toml();
-        let again = ScenarioSpec::parse(&text)
-            .unwrap_or_else(|e| panic!("canonical TOML does not re-parse: {e}\n{text}"));
-        prop_assert_eq!(&again, &spec);
+        if common::assert_round_trip(&spec, "fault schedule", spoiled) {
+            assert_lowers_and_executes(&spec, n, seed);
+        }
+    }
+}
 
-        // Planning lowers to a validated FaultSchedule with exactly the
-        // generated events.
-        let plan = spec.plan(&PlanOptions::default())
-            .unwrap_or_else(|e| panic!("valid schedule rejected: {e}\n{text}"));
-        prop_assert_eq!(plan.runs.len(), 1);
-        let schedule = &plan.runs[0].config.faults;
+/// Invariants two to four, for a spec that plans.
+fn assert_lowers_and_executes(spec: &ScenarioSpec, n: usize, seed: u64) {
+    // Planning lowers to a validated FaultSchedule with exactly the
+    // generated events.
+    let plan = spec
+        .plan(&PlanOptions::default())
+        .unwrap_or_else(|e| panic!("valid schedule rejected: {e}\n{}", spec.to_toml()));
+    prop_assert_eq!(plan.runs.len(), 1);
+    let schedule = &plan.runs[0].config.faults;
 
-        let mut expected: Vec<FaultEvent> = Vec::new();
-        for entry in &spec.faults.crashes {
-            if let NodeSel::Ids(ids) = &entry.nodes {
-                expected.push(FaultEvent::Crash { node: ids[0], at_us: resolve(entry.at) });
-            }
+    let mut expected: Vec<FaultEvent> = Vec::new();
+    for entry in &spec.faults.crashes {
+        if let NodeSel::Ids(ids) = &entry.nodes {
+            expected.push(FaultEvent::Crash { node: ids[0], at_us: resolve(entry.at) });
         }
-        for entry in &spec.faults.recovers {
-            if let NodeSel::Ids(ids) = &entry.nodes {
-                expected.push(FaultEvent::Recover { node: ids[0], at_us: resolve(entry.at) });
-            }
+    }
+    for entry in &spec.faults.recovers {
+        if let NodeSel::Ids(ids) = &entry.nodes {
+            expected.push(FaultEvent::Recover { node: ids[0], at_us: resolve(entry.at) });
         }
-        for entry in &spec.faults.slowdowns {
-            if let NodeSel::Ids(ids) = &entry.nodes {
-                expected.push(FaultEvent::Slowdown {
-                    node: ids[0],
-                    from_us: resolve(entry.at),
-                    until_us: entry.until.map(resolve).unwrap_or(u64::MAX),
-                    extra_us: entry.extra_ms * 1000,
-                });
-            }
-        }
-        for entry in &spec.faults.partitions {
-            let (a, b) = match &entry.sel {
-                PartitionSel::Groups { a, b } => (a.clone(), b.clone()),
-                PartitionSel::IsolateFirst(count) => {
-                    let k = count.resolve(n).min(n - 1);
-                    ((0..k as u16).collect(), (k as u16..n as u16).collect())
-                }
-            };
-            expected.push(FaultEvent::Partition {
-                group_a: a,
-                group_b: b,
-                from_us: resolve(entry.from),
-                until_us: resolve(entry.until),
+    }
+    for entry in &spec.faults.slowdowns {
+        if let NodeSel::Ids(ids) = &entry.nodes {
+            expected.push(FaultEvent::Slowdown {
+                node: ids[0],
+                from_us: resolve(entry.at),
+                until_us: entry.until.map(resolve).unwrap_or(u64::MAX),
+                extra_us: entry.extra_ms * 1000,
             });
         }
-        prop_assert_eq!(schedule.events(), expected.as_slice());
-
-        // One answer to "who is down": at every crash / recovery instant
-        // ± 1 µs the indexed query equals the linear scan, and the
-        // simulator's `Crash` / `Recover` queue events have left exactly
-        // those nodes down.
-        let mut probes = vec![0, DURATION_SECS * 1_000_000];
-        for (_, at_us) in schedule.crashes().into_iter().chain(schedule.recoveries()) {
-            probes.extend([at_us - 1, at_us, at_us + 1]);
-        }
-        probes.sort_unstable();
-        let net = NetworkConfig { faults: schedule.clone(), ..NetworkConfig::default() };
-        let mut sim = Simulator::new((0..n).map(|_| Inert).collect(), net, seed);
-        for t in probes {
-            sim.run_until(SimTime(t));
-            for node in 0..n as u16 {
-                let down = schedule.crashed_at(node, t);
-                prop_assert_eq!(
-                    down,
-                    linear_scan_crashed_at(schedule.events(), node, t),
-                    "index and scan disagree for v{} at {}µs", node, t
-                );
-                prop_assert_eq!(
-                    sim.is_crashed(NodeId(node as usize)),
-                    down,
-                    "simulator and schedule disagree for v{} at {}µs", node, t
-                );
+    }
+    for entry in &spec.faults.partitions {
+        let (a, b) = match &entry.sel {
+            PartitionSel::Groups { a, b } => (a.clone(), b.clone()),
+            PartitionSel::IsolateFirst(count) => {
+                let k = count.resolve(n).min(n - 1);
+                ((0..k as u16).collect(), (k as u16..n as u16).collect())
             }
+        };
+        expected.push(FaultEvent::Partition {
+            group_a: a,
+            group_b: b,
+            from_us: resolve(entry.from),
+            until_us: resolve(entry.until),
+        });
+    }
+    prop_assert_eq!(schedule.events(), expected.as_slice());
+
+    // One answer to "who is down": at every crash / recovery instant
+    // ± 1 µs the indexed query equals the linear scan, and the
+    // simulator's `Crash` / `Recover` queue events have left exactly
+    // those nodes down.
+    let mut probes = vec![0, DURATION_SECS * 1_000_000];
+    for (_, at_us) in schedule.crashes().into_iter().chain(schedule.recoveries()) {
+        probes.extend([at_us - 1, at_us, at_us + 1]);
+    }
+    probes.sort_unstable();
+    let net = NetworkConfig { faults: schedule.clone(), ..NetworkConfig::default() };
+    let mut sim = Simulator::new((0..n).map(|_| Inert).collect(), net, seed);
+    for t in probes {
+        sim.run_until(SimTime(t));
+        for node in 0..n as u16 {
+            let down = schedule.crashed_at(node, t);
+            prop_assert_eq!(
+                down,
+                linear_scan_crashed_at(schedule.events(), node, t),
+                "index and scan disagree for v{} at {}µs",
+                node,
+                t
+            );
+            prop_assert_eq!(
+                sim.is_crashed(NodeId(node as usize)),
+                down,
+                "simulator and schedule disagree for v{} at {}µs",
+                node,
+                t
+            );
         }
     }
 }

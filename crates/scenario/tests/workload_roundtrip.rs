@@ -3,38 +3,22 @@
 //! re-parsed `ScenarioSpec` → planned `ExperimentConfig` →
 //! `hh_sim::Workload`.
 //!
-//! Three invariants: the canonical TOML re-parses to an equal spec, the
-//! planned workload contains exactly the generated phases (fracs and
-//! absolute rates resolved against the run), and the lowered workload
-//! passes `hh_sim`'s own validation.
+//! Four invariants: the canonical TOML re-parses to an equal spec —
+//! also when the generator has broken a rule, since whether a workload is
+//! runnable is `plan()`'s call alone — and plans to the same verdict in
+//! the same words; the planned workload contains exactly the generated
+//! phases (fracs and absolute rates resolved against the run); and the
+//! lowered workload passes `hh_sim`'s own validation.
 
 use hh_scenario::{ArrivalSpec, PlanOptions, RateSpec, ScenarioSpec, WhenSpec, WorkloadPhaseSpec};
 use hh_sim::{Arrival, Phase, SubmissionMode, Workload};
 use proptest::prelude::*;
 
+mod common;
+use common::Mix;
+
 const DURATION_SECS: u64 = 20;
 const LOAD_TPS: u64 = 800;
-
-/// SplitMix64 — drives the shape choices for one case.
-struct Mix(u64);
-
-impl Mix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        if bound == 0 {
-            0
-        } else {
-            self.next() % bound
-        }
-    }
-}
 
 fn base_spec() -> ScenarioSpec {
     ScenarioSpec::parse(&format!(
@@ -147,6 +131,64 @@ fn random_workload(rng: &mut Mix, spec: &mut ScenarioSpec) -> Vec<Phase> {
     expected
 }
 
+/// Breaks one rule `Workload::validate` owns in an otherwise valid spec
+/// and returns the words it must be rejected in.
+fn spoil_workload(rng: &mut Mix, spec: &mut ScenarioSpec) -> &'static str {
+    let w = &mut spec.workload;
+    // A timeline replaces the single-phase form, which only the default
+    // arrival can sit beside.
+    let mut timeline = |phases: Vec<WorkloadPhaseSpec>| {
+        w.arrival = ArrivalSpec::Constant;
+        w.phases = phases;
+    };
+    let phase = |from, arrival| WorkloadPhaseSpec { from, rate: RateSpec::Scale(1.0), arrival };
+    match rng.below(8) {
+        0 => {
+            w.spread = 0.5;
+            "spread must be ≥ 1, got 0.5"
+        }
+        1 => {
+            w.payload_bytes = 2 << 20;
+            "payload_bytes 2097152 exceeds the 1048576 cap"
+        }
+        2 => {
+            timeline(vec![phase(WhenSpec::Secs(3), ArrivalSpec::Constant)]);
+            "the first phase must start at 0"
+        }
+        3 => {
+            let starts = [WhenSpec::Secs(0), WhenSpec::Frac(0.5), WhenSpec::Frac(0.25)];
+            timeline(starts.map(|from| phase(from, ArrivalSpec::Poisson)).to_vec());
+            "phase starts must be strictly ascending (10000000 then 5000000)"
+        }
+        4 => {
+            timeline(vec![WorkloadPhaseSpec {
+                from: WhenSpec::Secs(0),
+                rate: RateSpec::Scale(0.0),
+                arrival: ArrivalSpec::Constant,
+            }]);
+            "every phase has zero rate — nothing ever arrives"
+        }
+        5 => {
+            let burst = ArrivalSpec::OnOff { burst_secs: 0.0, idle_secs: 1.0 };
+            timeline(vec![phase(WhenSpec::Secs(0), burst)]);
+            "burst_secs must be at least 1 µs, got 0"
+        }
+        6 => {
+            let burst = ArrivalSpec::OnOff { burst_secs: 1.0, idle_secs: -0.5 };
+            timeline(vec![phase(WhenSpec::Secs(0), burst)]);
+            "idle_secs must be non-negative, got -0.5"
+        }
+        _ => {
+            let flat = ArrivalSpec::Ramp { from_scale: 0.0, to_scale: 0.0 };
+            timeline(vec![
+                phase(WhenSpec::Secs(0), flat),
+                phase(WhenSpec::Secs(5), ArrivalSpec::Constant),
+            ]);
+            "ramp never leaves zero"
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -154,28 +196,32 @@ proptest! {
         let mut rng = Mix(seed);
         let mut spec = base_spec();
         let expected_phases = random_workload(&mut rng, &mut spec);
+        let spoiled = (rng.below(4) == 0).then(|| spoil_workload(&mut rng, &mut spec));
 
-        // TOML round trip: canonical serialization re-parses to equality.
-        let text = spec.to_toml();
-        let again = ScenarioSpec::parse(&text)
-            .unwrap_or_else(|e| panic!("canonical TOML does not re-parse: {e}\n{text}"));
-        prop_assert_eq!(&again, &spec);
-
-        // Planning lowers to a validated hh_sim::Workload with exactly
-        // the generated phases.
-        let plan = spec.plan(&PlanOptions::default())
-            .unwrap_or_else(|e| panic!("valid workload rejected: {e}\n{text}"));
-        prop_assert!(plan.workload_declared);
-        prop_assert_eq!(plan.runs.len(), 1);
-        let workload: &Workload = &plan.runs[0].config.workload;
-        prop_assert_eq!(&workload.phases, &expected_phases, "spec:\n{}", text);
-        prop_assert_eq!(workload.mode, spec.workload.mode);
-        prop_assert_eq!(workload.payload_bytes, spec.workload.payload_bytes);
-        prop_assert_eq!(workload.spread, spec.workload.spread);
-        prop_assert!(workload.validate().is_ok());
-        prop_assert_eq!(
-            plan.runs[0].config.max_block_bytes,
-            spec.workload.block_bytes.map(|b| b as usize)
-        );
+        if common::assert_round_trip(&spec, "workload", spoiled) {
+            assert_lowers(&spec, &expected_phases);
+        }
     }
+}
+
+/// Invariants three and four, for a spec that plans.
+fn assert_lowers(spec: &ScenarioSpec, expected_phases: &[Phase]) {
+    let text = spec.to_toml();
+    // Planning lowers to a validated hh_sim::Workload with exactly
+    // the generated phases.
+    let plan = spec
+        .plan(&PlanOptions::default())
+        .unwrap_or_else(|e| panic!("valid workload rejected: {e}\n{text}"));
+    prop_assert!(plan.workload_declared);
+    prop_assert_eq!(plan.runs.len(), 1);
+    let workload: &Workload = &plan.runs[0].config.workload;
+    prop_assert_eq!(workload.phases.as_slice(), expected_phases, "spec:\n{}", text);
+    prop_assert_eq!(workload.mode, spec.workload.mode);
+    prop_assert_eq!(workload.payload_bytes, spec.workload.payload_bytes);
+    prop_assert_eq!(workload.spread, spec.workload.spread);
+    prop_assert!(workload.validate().is_ok());
+    prop_assert_eq!(
+        plan.runs[0].config.max_block_bytes,
+        spec.workload.block_bytes.map(|b| b as usize)
+    );
 }

@@ -329,7 +329,7 @@ pub fn build_sim(config: &ExperimentConfig) -> SimHandle {
     // configs get the same up-front rejection here instead of a
     // mid-run surprise.
     if let Err(e) = config.workload.validate() {
-        panic!("{e}");
+        panic!("invalid workload: {e}");
     }
     let persist = config.faults.has_recoveries();
 

@@ -157,7 +157,7 @@ pub struct WorkloadError(String);
 
 impl fmt::Display for WorkloadError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid workload: {}", self.0)
+        write!(f, "{}", self.0)
     }
 }
 
@@ -208,9 +208,10 @@ impl Workload {
     }
 
     /// Checks the workload describes something runnable: a non-empty
-    /// timeline starting at 0 and strictly ascending, non-negative
-    /// finite scales with at least one positive, positive burst
-    /// lengths, `spread ≥ 1`, payload within [`MAX_PAYLOAD_BYTES`].
+    /// timeline starting at 0 with each phase later than the one before,
+    /// non-negative finite scales with at least one positive, no ramp
+    /// from 0 to 0, positive burst lengths, `spread ≥ 1`, payload within
+    /// [`MAX_PAYLOAD_BYTES`].
     pub fn validate(&self) -> Result<(), WorkloadError> {
         if self.phases.is_empty() {
             return Err(WorkloadError("at least one phase is required".into()));
@@ -257,8 +258,12 @@ impl Workload {
                     }
                 }
                 Arrival::Ramp { from_scale, to_scale } => {
-                    if from_scale < 0.0 || to_scale < 0.0 {
+                    // `peak_scale` is a max, which skips a NaN end.
+                    if [from_scale, to_scale].iter().any(|s| *s < 0.0 || !s.is_finite()) {
                         return Err(WorkloadError("ramp scales must be non-negative".into()));
+                    }
+                    if peak == 0.0 {
+                        return Err(WorkloadError("ramp never leaves zero".into()));
                     }
                 }
             }
@@ -565,6 +570,22 @@ mod tests {
             ..Workload::constant()
         };
         assert!(bad(w).contains("at least 1 µs"));
+
+        // A flat-zero ramp is a mistake even beside an active phase.
+        let w = Workload {
+            phases: vec![
+                phase(0, Arrival::Ramp { from_scale: 0.0, to_scale: 0.0 }),
+                phase(5, Arrival::Constant { scale: 1.0 }),
+            ],
+            ..Workload::constant()
+        };
+        assert!(bad(w).contains("ramp never leaves zero"));
+
+        let w = Workload {
+            phases: vec![phase(0, Arrival::Ramp { from_scale: f64::NAN, to_scale: 1.0 })],
+            ..Workload::constant()
+        };
+        assert!(bad(w).contains("ramp scales"));
 
         let w = Workload { spread: 0.5, ..Workload::constant() };
         assert!(bad(w).contains("spread"));
