@@ -173,7 +173,8 @@ impl<P: SchedulePolicy> Bullshark<P> {
         // counted over the whole local DAG ("the anchor has f+1 votes")
         // rather than within one triggering vertex's edges: once f+1
         // voters exist, every quorum of that round contains one, whoever
-        // looks. The DAG's vote index makes the check O(1).
+        // looks. The DAG reads it off the voting round's parent masks, one
+        // bit per author.
         if dag.vote_stake(&anchor.digest()) < self.committee.validity_threshold() {
             return None;
         }

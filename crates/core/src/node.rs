@@ -368,8 +368,9 @@ impl<B: LogBackend> Validator<B> {
     }
 
     /// Takes the commit records accumulated since the last call, in
-    /// commit order, leaving the buffer empty. The safety invariant
-    /// checker (`hh-sim`) drains this after every run slice.
+    /// commit order, leaving the buffer empty. The simulator's validator
+    /// actor (`hh-sim`) calls this after every handler call and feeds the
+    /// safety invariant checker; the WAL audits call it after a replay.
     pub fn take_commit_records(&mut self) -> Vec<CommitRecord> {
         std::mem::take(&mut self.commit_log)
     }

@@ -3,9 +3,10 @@
 //!
 //! Insertion enforces one vertex per `(round, author)`, so that pair is
 //! the only internal address. Each round keeps, per committee author, the
-//! shared `Arc<Vertex>`, its vote stake and one committee bitmask of its
-//! parents' authors; every traversal ORs those masks level by level and
-//! resolves authors through the round index. Lookup by digest survives
+//! shared `Arc<Vertex>` and one committee bitmask of its parents' authors;
+//! every traversal ORs those masks level by level and resolves authors
+//! through the round index, and a vertex's votes are read off the masks of
+//! the round above. Lookup by digest survives
 //! only at the boundary (wire messages identify vertices by digest), as a
 //! set of the same `Arc`s hashed by the digest each vertex carries. See
 //! `docs/architecture.md` ("DAG indexing & complexity") for the complexity
@@ -200,15 +201,11 @@ impl PartialEq for ByDigest {
 impl Eq for ByDigest {}
 
 /// One round of the DAG, indexed by author position. Everything a vertex
-/// costs beyond its shared payload lives in these three arrays — no
+/// costs beyond its shared payload lives in these two arrays — no
 /// per-vertex allocation.
 #[derive(Clone, Debug)]
 struct RoundIndex {
     vertices: Vec<Option<Arc<Vertex>>>,
-    /// Stake of the next-round vertices linking to each author's vertex
-    /// (its *votes*), maintained at insert time. Powers the O(1)
-    /// direct-commit check.
-    vote_stake: Vec<Stake>,
     /// One row of `⌈n/64⌉` words per author: the committee mask of its
     /// vertex's parents' authors (all in the previous round). Final at
     /// insert time and kept when that round is garbage-collected.
@@ -223,7 +220,6 @@ impl RoundIndex {
         let words = n.div_ceil(64);
         RoundIndex {
             vertices: vec![None; n],
-            vote_stake: vec![Stake(0); n],
             parents: vec![0; n * words],
             words,
             len: 0,
@@ -403,22 +399,14 @@ impl Dag {
             }
         }
 
-        // Commit the insert: charge vote stake to the parents, index the
-        // vertex at its address.
-        let author_stake = self.committee.stake_of(author);
-        if round != Round(0) {
-            let prev = self.rounds.get_mut(&round.prev()).expect("parents resolved in this round");
-            for p in ones(&parents) {
-                prev.vote_stake[p] += author_stake;
-            }
-        }
+        // Commit the insert: index the vertex at its address.
         let n = self.committee.size();
         let ri = self.rounds.entry(round).or_insert_with(|| RoundIndex::new(n));
         let idx = author.index();
         ri.parents[idx * ri.words..][..ri.words].copy_from_slice(&parents);
         ri.vertices[idx] = Some(vertex.clone());
         ri.len += 1;
-        ri.stake += author_stake;
+        ri.stake += self.committee.stake_of(author);
         self.by_digest.insert(ByDigest(vertex));
         Ok(InsertOutcome::Inserted)
     }
@@ -469,14 +457,26 @@ impl Dag {
     }
 
     /// Total stake of the next-round vertices linking to (voting for) the
-    /// vertex with this digest. O(1), maintained at insert time.
+    /// vertex with this digest: one probe of the target author's bit in
+    /// each parent-mask row of the round above, at most `n` of them.
     ///
     /// With one vertex per `(round, author)` (enforced at insertion), each
-    /// author contributes its stake at most once per target.
+    /// author contributes its stake at most once per target. An absent
+    /// author's row is all zeroes, so it never counts.
     pub fn vote_stake(&self, target: &Digest) -> Stake {
-        self.get(target)
-            .and_then(|v| Some(self.rounds.get(&v.round())?.vote_stake[v.author().index()]))
-            .unwrap_or(Stake(0))
+        let Some(v) = self.get(target) else {
+            return Stake(0);
+        };
+        let Some(above) = self.rounds.get(&v.round().next()) else {
+            return Stake(0);
+        };
+        let idx = v.author().index();
+        self.committee
+            .iter()
+            .enumerate()
+            .filter(|(voter, _)| test_bit(above.parent_mask(*voter), idx))
+            .map(|(_, info)| info.stake())
+            .sum()
     }
 
     /// The highest round containing any vertex.
@@ -1038,10 +1038,9 @@ mod tests {
         let round_index = rounds
             .values()
             .map(|ri| {
-                let RoundIndex { vertices, vote_stake, parents, words: _, len: _, stake: _ } = ri;
+                let RoundIndex { vertices, parents, words: _, len: _, stake: _ } = ri;
                 size_of::<(Round, RoundIndex)>()
                     + vertices.capacity() * size_of::<Option<Arc<Vertex>>>()
-                    + vote_stake.capacity() * size_of::<Stake>()
                     + parents.capacity() * size_of::<u64>()
             })
             .sum();
@@ -1058,21 +1057,30 @@ mod tests {
         // The paper's headline shape: n = 100 with the last 33 crashed
         // from the start, so every round stores 67 vertices. A per-vertex
         // index that grows with a lookback window (the 64-row reach index
-        // cost about 1,350 B here) must not come back unnoticed, and
-        // neither must a digest table that copies its 32-byte keys (41 B
-        // per bucket, 41-82 B per vertex).
+        // cost about 1,350 B here) must not come back unnoticed, nor a
+        // third array per author slot (the vote-stake array cost 8 B a
+        // slot for what the parent masks of the round above already say),
+        // nor a digest table that copies its 32-byte keys (41 B per
+        // bucket, 41-82 B per vertex).
         let n = 100;
-        let crashed: Vec<ValidatorId> = (67..n as u16).map(ValidatorId).collect();
+        let (present, rounds) = (67, 5);
+        let crashed: Vec<ValidatorId> = (present as u16..n as u16).map(ValidatorId).collect();
         let mut builder = DagBuilder::new(Committee::new_equal_stake(n));
-        for _ in 0..5 {
+        for _ in 0..rounds {
             builder.extend_round_without(&crashed);
         }
         let dag = builder.dag();
-        assert_eq!(dag.len(), 5 * 67);
+        assert_eq!(dag.len(), rounds * present);
         let (round_index, digest_table) = index_bytes(dag);
-        let per_vertex = round_index / dag.len();
-        let bound = 64 + 8 * n.div_ceil(64);
-        assert!(per_vertex <= bound, "{per_vertex} B of index per vertex, bound {bound} B");
+        // What two arrays cost: one pointer and one mask row per author
+        // slot and the round's header, 37 B per stored vertex here.
+        let per_round = n * (8 + 8 * n.div_ceil(64)) + 128;
+        assert!(
+            round_index <= rounds * per_round,
+            "{} B of index per vertex, bound {} B",
+            round_index / dag.len(),
+            per_round / present
+        );
         // 9 B per bucket; a table is at least 7/16 full once it has
         // grown, so under 24 B per stored vertex at any load factor.
         assert_eq!(std::mem::size_of::<ByDigest>(), 8);

@@ -2,10 +2,11 @@
 //! oracles.
 //!
 //! The store addresses vertices by `(round, author)` and answers
-//! `reachable` with a frontier-mask descent and `causal_sub_dag` with a
-//! level walk over per-vertex parent masks. Both are checked here against
+//! `reachable` with a frontier-mask descent, `causal_sub_dag` with a
+//! level walk over per-vertex parent masks and `vote_stake` with one bit
+//! probe per row of the round above. All three are checked here against
 //! independent implementations that work the way the pre-index store did
-//! — breadth-first over digests through the public API — on randomized
+//! — over digests and parent lists through the public API — on randomized
 //! DAGs with skipped authors, withheld edges, multi-round gaps, GC below
 //! the anchor, equivocation attempts and foreign vertices, at committee
 //! sizes either side of the 64-author mask word.
@@ -13,7 +14,7 @@
 use hh_crypto::Digest;
 use hh_dag::testkit::DagBuilder;
 use hh_dag::Dag;
-use hh_types::{Block, Committee, Round, ValidatorId, Vertex};
+use hh_types::{Block, Committee, Round, Stake, ValidatorId, Vertex};
 use proptest::prelude::*;
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
@@ -153,6 +154,15 @@ fn causal_sub_dag_oracle(
     out
 }
 
+/// The votes for `target` by digest scan: the stake of the next round's
+/// vertices whose parent list names it.
+fn vote_stake_oracle(dag: &Dag, target: &Vertex) -> Stake {
+    dag.round_vertices(target.round().next())
+        .filter(|v| v.has_parent(&target.digest()))
+        .map(|v| dag.committee().stake_of(v.author()))
+        .sum()
+}
+
 fn all_vertices(dag: &Dag) -> Vec<Arc<Vertex>> {
     let mut out = Vec::new();
     let mut r = dag.gc_round();
@@ -198,6 +208,19 @@ fn check_dag(dag: &Dag, rng: &mut Mix) {
             dag.reachable(from, to),
             reachable_oracle(dag, from, to),
             "mask descent vs oracle: {from} -> {to}"
+        );
+    }
+
+    let targets: Vec<&Arc<Vertex>> = if exhaustive {
+        vertices.iter().collect()
+    } else {
+        (0..32).map(|_| pick(&vertices, rng)).collect()
+    };
+    for target in targets {
+        assert_eq!(
+            dag.vote_stake(&target.digest()),
+            vote_stake_oracle(dag, target),
+            "parent-mask votes vs parent-list scan: {target}"
         );
     }
 
@@ -278,6 +301,11 @@ proptest! {
         let mut rng = Mix(seed ^ 0x5EED);
         let horizon = Round(1 + rng.below(rounds as u64 - 2));
         let links_before = links_of_round(&dag, horizon);
+        let collected = dag
+            .round_vertices(horizon.prev())
+            .map(|v| v.digest())
+            .find(|d| dag.vote_stake(d) > Stake(0))
+            .expect("the round above has parents");
         let mut scanned = Vec::new();
         for v in dag.round_vertices(horizon) {
             scanned.extend(dag.committee().ids().map(|author| {
@@ -290,6 +318,7 @@ proptest! {
         prop_assert_eq!(dag.gc_round(), horizon);
         prop_assert!(dag.round_len(horizon.prev()) == 0, "linked round is gone");
         prop_assert_eq!(links_of_round(&dag, horizon), links_before, "links_to_author across gc");
+        prop_assert_eq!(dag.vote_stake(&collected), Stake(0), "a collected vertex has no votes");
         check_dag(&dag, &mut rng);
     }
 
@@ -367,6 +396,11 @@ proptest! {
             );
         }
         for outsider in [&twin, &foreign] {
+            prop_assert_eq!(
+                dag.vote_stake(&outsider.digest()),
+                Stake(0),
+                "{} is not stored", outsider
+            );
             prop_assert!(dag.causal_sub_dag(outsider, |_| false).is_empty());
             prop_assert!(causal_sub_dag_oracle(&dag, outsider, |_| false).is_empty());
             for author in committee.ids() {

@@ -235,8 +235,8 @@ impl Default for ExecOptions {
 ///
 /// # Panics
 ///
-/// Panics if a run violates the Total Order audit — a safety violation
-/// is never something to report as a data point.
+/// Panics if a run breaks a safety invariant ([`hh_sim::SafetyChecker`])
+/// — a safety violation is never something to report as a data point.
 pub fn run_plan(plan: &ScenarioPlan, limit: RunLimit, verbose: bool) -> ScenarioReport {
     run_plan_with(plan, limit, &ExecOptions { jobs: 1, verbose, profile: false })
 }
@@ -251,8 +251,8 @@ pub fn run_plan(plan: &ScenarioPlan, limit: RunLimit, verbose: bool) -> Scenario
 ///
 /// # Panics
 ///
-/// Panics if a run violates the Total Order audit, with the failing
-/// run's labels in the message regardless of which worker hit it.
+/// Panics if a run breaks a safety invariant, with the failing run's
+/// labels in the message regardless of which worker hit it.
 pub fn run_plan_with(plan: &ScenarioPlan, limit: RunLimit, opts: &ExecOptions) -> ScenarioReport {
     // Arm (or disarm) the hot-path counters before any worker starts;
     // wall-clock never reaches the report either way, so the JSON stays

@@ -13,7 +13,7 @@
 //! counter (self-scheduling, so long runs never serialize behind short
 //! ones) and send finished rows back over the vendored crossbeam
 //! channel. Workers never touch stdout; ordered emission happens on the
-//! collecting thread. A panicking run — the Total Order audit, above all
+//! collecting thread. A panicking run — the safety checker, above all
 //! — aborts the pool and is re-raised with the failing run's labels
 //! attached.
 
@@ -33,7 +33,8 @@ pub(crate) fn describe(run: &PlannedRun) -> String {
 
 /// Executes run `index` of the plan: streams the simulation into a
 /// [`MetricsSink`] (with one accumulator per declared analysis window),
-/// audits Total Order, and computes the declared analyses.
+/// holds it to the always-on safety checker's verdict, and computes the
+/// declared analyses.
 ///
 /// Pure in `(plan, index, limit)` — every worker produces the same row
 /// for the same index, which is what makes the report independent of
@@ -41,8 +42,8 @@ pub(crate) fn describe(run: &PlannedRun) -> String {
 ///
 /// # Panics
 ///
-/// Panics if the run violates the Total Order audit — a safety
-/// violation is never something to report as a data point.
+/// Panics if the run breaks a safety invariant ([`hh_sim::SafetyChecker`])
+/// — a safety violation is never something to report as a data point.
 pub(crate) fn execute_run(plan: &ScenarioPlan, index: usize, limit: RunLimit) -> RunRow {
     let started = std::time::Instant::now();
     // Thread-local baselines: the whole run executes on this thread, so

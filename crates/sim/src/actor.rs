@@ -1,6 +1,7 @@
 //! Adapters putting validators and clients on the discrete-event network.
 
 use crate::byzantine::ByzantineBehavior;
+use crate::safety::SafetyChecker;
 use crate::workload::{ArrivalKind, RateNow, SubmissionMode, Workload};
 use hammerhead::{Output, Validator, ValidatorMessage};
 use hh_net::{Context, Node, NodeId};
@@ -275,23 +276,30 @@ impl Client {
 /// that filters its inbound messages and rewrites its outbound ones. The
 /// validator logic itself stays honest — the behavior models what a real
 /// attacker controls, the network boundary.
+///
+/// A validator always carries a [`SafetyChecker`] handle and gives it the
+/// commit records of each handler call before that call returns: the
+/// validators of one run share the run's checker, so the audit happens at
+/// the commit and a validator's commit log is empty between events.
 pub enum Actor {
-    /// A consensus validator, optionally byzantine.
-    Validator(Box<Validator<MemBackend>>, Option<Box<ByzantineBehavior>>),
+    /// A consensus validator, optionally byzantine, and the checker that
+    /// audits its commits.
+    Validator(Box<Validator<MemBackend>>, Option<Box<ByzantineBehavior>>, SafetyChecker),
     /// A load generator.
     Client(Client),
 }
 
 impl Actor {
-    /// An honest validator actor.
+    /// An honest validator actor audited by a checker of its own (build
+    /// the variant directly to share one across a committee).
     pub fn honest(v: Validator<MemBackend>) -> Self {
-        Actor::Validator(Box::new(v), None)
+        Actor::Validator(Box::new(v), None, SafetyChecker::new())
     }
 
     /// The validator inside, if this actor is one.
     pub fn as_validator(&self) -> Option<&Validator<MemBackend>> {
         match self {
-            Actor::Validator(v, _) => Some(v),
+            Actor::Validator(v, ..) => Some(v),
             Actor::Client(_) => None,
         }
     }
@@ -300,7 +308,7 @@ impl Actor {
     /// (streaming harnesses draining latency records mid-run).
     pub fn as_validator_mut(&mut self) -> Option<&mut Validator<MemBackend>> {
         match self {
-            Actor::Validator(v, _) => Some(v),
+            Actor::Validator(v, ..) => Some(v),
             Actor::Client(_) => None,
         }
     }
@@ -308,7 +316,7 @@ impl Actor {
     /// The byzantine behavior attached to this validator, if any.
     pub fn behavior(&self) -> Option<&ByzantineBehavior> {
         match self {
-            Actor::Validator(_, b) => b.as_deref(),
+            Actor::Validator(_, b, _) => b.as_deref(),
             Actor::Client(_) => None,
         }
     }
@@ -317,7 +325,7 @@ impl Actor {
     pub fn as_client(&self) -> Option<&Client> {
         match self {
             Actor::Client(c) => Some(c),
-            Actor::Validator(_, _) => None,
+            Actor::Validator(..) => None,
         }
     }
 }
@@ -346,6 +354,28 @@ fn emit(outputs: Vec<Output>, committee_size: usize, ctx: &mut Context<'_, NetMe
     }
 }
 
+/// How every validator handler call ends. The commit records it produced
+/// go to the checker first — a violation is recorded at the event that
+/// caused it, and no record outlives that event — then the outputs pass
+/// the byzantine shim, if any, and are routed.
+fn finish(
+    v: &mut Validator<MemBackend>,
+    behavior: &mut Option<Box<ByzantineBehavior>>,
+    safety: &mut SafetyChecker,
+    mut out: Vec<Output>,
+    now: u64,
+    ctx: &mut Context<'_, NetMessage>,
+) {
+    let records = v.take_commit_records();
+    if !records.is_empty() {
+        safety.observe_all(v.id().0, &records);
+    }
+    if let Some(b) = behavior {
+        out = b.process_outbound(out, now);
+    }
+    emit(out, v.dag().committee().size(), ctx);
+}
+
 impl Node for Actor {
     type Message = NetMessage;
 
@@ -370,14 +400,10 @@ impl Node for Actor {
 
     fn on_start(&mut self, ctx: &mut Context<'_, NetMessage>) {
         match self {
-            Actor::Validator(v, behavior) => {
-                let n = v.dag().committee().size();
+            Actor::Validator(v, behavior, safety) => {
                 let now = ctx.now().as_micros();
-                let mut out = v.on_start(now);
-                if let Some(b) = behavior {
-                    out = b.process_outbound(out, now);
-                }
-                emit(out, n, ctx);
+                let out = v.on_start(now);
+                finish(v, behavior, safety, out, now, ctx);
             }
             Actor::Client(c) => {
                 // Stagger client starts across one interval to avoid a
@@ -390,8 +416,7 @@ impl Node for Actor {
 
     fn on_message(&mut self, from: NodeId, msg: NetMessage, ctx: &mut Context<'_, NetMessage>) {
         match self {
-            Actor::Validator(v, behavior) => {
-                let n = v.dag().committee().size();
+            Actor::Validator(v, behavior, safety) => {
                 let now = ctx.now().as_micros();
                 if let Some(b) = behavior {
                     if !b.allows_inbound(&msg, now) {
@@ -404,11 +429,8 @@ impl Node for Actor {
                 // Borrowed dispatch: the shared frame is handed to the
                 // validator as-is; `Arc`'d vertex payloads inside make
                 // retention a refcount bump, so no deep copy happens here.
-                let mut out = v.on_message(sender, &msg, now);
-                if let Some(b) = behavior {
-                    out = b.process_outbound(out, now);
-                }
-                emit(out, n, ctx);
+                let out = v.on_message(sender, &msg, now);
+                finish(v, behavior, safety, out, now, ctx);
             }
             Actor::Client(c) => {
                 if let ValidatorMessage::Confirm { executed_at, .. } = &*msg {
@@ -420,23 +442,19 @@ impl Node for Actor {
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, NetMessage>) {
         match self {
-            Actor::Validator(v, behavior) => {
-                let n = v.dag().committee().size();
+            Actor::Validator(v, behavior, safety) => {
                 let now = ctx.now().as_micros();
                 if ByzantineBehavior::owns_token(token) {
                     // A release timer: emit the held outputs verbatim —
                     // they were already processed when first produced.
                     if let Some(b) = behavior {
                         let held = b.release(token);
-                        emit(held, n, ctx);
+                        emit(held, v.dag().committee().size(), ctx);
                     }
                     return;
                 }
-                let mut out = v.on_timer(token, now);
-                if let Some(b) = behavior {
-                    out = b.process_outbound(out, now);
-                }
-                emit(out, n, ctx);
+                let out = v.on_timer(token, now);
+                finish(v, behavior, safety, out, now, ctx);
             }
             Actor::Client(c) => {
                 if token == TOKEN_CLIENT_SUBMIT {
@@ -448,14 +466,10 @@ impl Node for Actor {
 
     fn on_restart(&mut self, ctx: &mut Context<'_, NetMessage>) {
         match self {
-            Actor::Validator(v, behavior) => {
-                let n = v.dag().committee().size();
+            Actor::Validator(v, behavior, safety) => {
                 let now = ctx.now().as_micros();
-                let mut out = v.on_restart(now);
-                if let Some(b) = behavior {
-                    out = b.process_outbound(out, now);
-                }
-                emit(out, n, ctx);
+                let out = v.on_restart(now);
+                finish(v, behavior, safety, out, now, ctx);
             }
             Actor::Client(_) => self.on_start(ctx),
         }

@@ -219,8 +219,9 @@ pub struct RunResult {
     /// from its last durable checkpoint (should never happen; the WAL
     /// replay tripwire).
     pub recovery_divergence: bool,
-    /// All live validators' commit sequences are prefix-consistent
-    /// (Total Order audit — checked on every run).
+    /// Every pair of commit sequences is prefix-consistent: the
+    /// [`SafetyChecker`]'s no-fork verdict over every commit index of
+    /// every validator, crashed ones and WAL replays included.
     pub agreement_ok: bool,
     /// Commit chain hash of the most advanced validator.
     pub chain_hash: Digest,
@@ -238,9 +239,9 @@ pub struct RunResult {
     pub rbc_retransmits: u64,
     /// Commit records audited by the always-on [`SafetyChecker`].
     pub safety_records: u64,
-    /// Safety violations detected. Always zero on a returned result —
-    /// the drivers abort the run with a diagnostic dump on any
-    /// violation — but reported so scenario output can gate on it.
+    /// Safety violations detected. Always zero on a result of this
+    /// module's drivers — they abort the run with a diagnostic dump on
+    /// any violation — but reported so scenario output can gate on it.
     pub safety_violations: u64,
 }
 
@@ -269,9 +270,11 @@ pub struct SimHandle {
     /// recovery instant (empty until then, and for schedules without
     /// recoveries).
     pub recovery_samples: Vec<RecoverySample>,
-    /// The always-on safety invariant checker, fed every validator's
-    /// commit records by the run drivers. A violation aborts the run
-    /// with [`SafetyChecker::diagnostic_dump`].
+    /// The always-on safety invariant checker: the one every validator
+    /// actor of this simulation hands its commit records to as it
+    /// commits, so it is up to date — and the validators' commit logs
+    /// empty — whenever [`Simulator::run_until`] returns. The run drivers
+    /// abort on a violation with [`SafetyChecker::diagnostic_dump`].
     pub safety: SafetyChecker,
 }
 
@@ -332,6 +335,7 @@ pub fn build_sim(config: &ExperimentConfig) -> SimHandle {
         panic!("invalid workload: {e}");
     }
     let persist = config.faults.has_recoveries();
+    let safety = SafetyChecker::new();
 
     // Validators at ids 0..n, one client per live validator above them.
     let mut actors: Vec<Actor> = (0..n)
@@ -345,6 +349,7 @@ pub fn build_sim(config: &ExperimentConfig) -> SimHandle {
                     persist.then(MemBackend::new),
                 )),
                 config.byzantine.behavior_for(id, &committee),
+                safety.clone(),
             )
         })
         .collect();
@@ -384,37 +389,7 @@ pub fn build_sim(config: &ExperimentConfig) -> SimHandle {
         ..NetworkConfig::default()
     };
     let sim = Simulator::new(actors, net, config.seed);
-    SimHandle {
-        sim,
-        committee,
-        n_validators: n,
-        recovery_samples: Vec::new(),
-        safety: SafetyChecker::new(),
-    }
-}
-
-/// Drains every validator's freshly produced commit records into the
-/// handle's [`SafetyChecker`] and aborts the run on any violation.
-///
-/// All validators are drained — crashed ones included: the records a
-/// validator committed before its crash are exactly the history a fork
-/// would have to contradict.
-///
-/// # Panics
-///
-/// Panics with the checker's per-validator diagnostic dump if any
-/// safety invariant is violated.
-fn audit_safety(handle: &mut SimHandle) {
-    for i in 0..handle.n_validators {
-        let records = handle
-            .sim
-            .node_mut(NodeId(i))
-            .as_validator_mut()
-            .expect("node is a validator")
-            .take_commit_records();
-        handle.safety.observe_all(i as u16, &records);
-    }
-    handle.safety.assert_clean();
+    SimHandle { sim, committee, n_validators: n, recovery_samples: Vec::new(), safety }
 }
 
 /// When a run stops (see [`run_experiment_limited`]).
@@ -484,12 +459,18 @@ fn next_boundary(now_us: u64, cap_us: u64, recoveries: &[u64]) -> u64 {
 /// The simulation advances from one [`next_boundary`] to the next. After
 /// each slice the recoveries scheduled at that instant are sampled,
 /// `on_slice(handle, validators, now_us)` runs with the
-/// [`drainable_validators`], the safety audit drains every validator's
-/// commit records, and a [`RunLimit::Rounds`] target is checked. After
+/// [`drainable_validators`], the run aborts if the slice's commits broke
+/// a safety invariant ([`SimHandle::safety`] saw each of them as it
+/// happened), and a [`RunLimit::Rounds`] target is checked. After
 /// the last slice `on_slice` runs once more with the validators that
 /// are live at the actual stop but were outside the conservative drain
 /// set — a run that stopped before a scheduled crash leaves that
 /// (healthy) validator's records buffered until then.
+///
+/// # Panics
+///
+/// Panics with the checker's per-validator diagnostic dump if any
+/// safety invariant is violated.
 fn drive(
     config: &ExperimentConfig,
     limit: RunLimit,
@@ -513,7 +494,7 @@ fn drive(
             handle.sample_recoveries(config, now_us);
         }
         on_slice(&mut handle, &live, now_us);
-        audit_safety(&mut handle);
+        handle.safety.assert_clean();
         if let RunLimit::Rounds(target) = limit {
             let best =
                 live.iter().map(|i| handle.validator(*i).current_round().0).max().unwrap_or(0);
@@ -525,7 +506,6 @@ fn drive(
     let mut late = config.faults.live_at(handle.n_validators, now_us);
     late.retain(|i| !live.contains(i));
     on_slice(&mut handle, &late, now_us);
-    audit_safety(&mut handle);
     (handle, now_us)
 }
 
@@ -575,7 +555,7 @@ pub fn run_sim_streaming(
 
 /// Finalizes a sink fed by [`run_sim_streaming`] and gathers the paper's
 /// metrics: the record-derived statistics come from the sink, the run
-/// counters and the Total Order audit from the live handle.
+/// counters and the safety verdict from the live handle.
 pub fn collect_streamed_metrics(
     config: &ExperimentConfig,
     handle: &SimHandle,
@@ -620,22 +600,6 @@ pub fn collect_streamed_metrics(
         }
     }
 
-    // Total Order audit: every pair of live validators agrees on the
-    // common prefix of committed anchors.
-    let mut agreement_ok = true;
-    let mut longest: &[hh_types::VertexRef] = &[];
-    for &i in &live {
-        let anchors = handle.validator(i).committed_anchors();
-        if anchors.len() > longest.len() {
-            longest = anchors;
-        }
-    }
-    for &i in &live {
-        let anchors = handle.validator(i).committed_anchors();
-        if anchors != &longest[..anchors.len()] {
-            agreement_ok = false;
-        }
-    }
     let chain_hash = live
         .iter()
         .map(|i| handle.validator(*i))
@@ -659,7 +623,7 @@ pub fn collect_streamed_metrics(
         schedule_epochs: epochs,
         restarts,
         recovery_divergence,
-        agreement_ok,
+        agreement_ok: handle.safety.fork_free(),
         chain_hash,
         chaos_dropped: net_stats.chaos_dropped,
         chaos_duplicated: net_stats.chaos_duplicated,
@@ -1248,36 +1212,71 @@ mod tests {
     }
 
     #[test]
+    fn commits_are_audited_where_they_happen() {
+        // Whoever drives `run_until`, the checker has seen every commit —
+        // live and replayed — and no validator holds a record when it
+        // returns. Millisecond slices: a record left behind by one handler
+        // would be swept up by the validator's next message within five.
+        let quick = ExperimentConfig::quick_test(SystemKind::Hammerhead);
+        let mut recovering = quick.clone();
+        recovering.duration_secs = 6;
+        recovering.faults = FaultSchedule::new().crash(3, 1_500_000).recover(3, 3_000_000);
+        for config in [quick, recovering] {
+            let mut handle = build_sim(&config);
+            for slice in 1..=config.duration_secs * 1_000 {
+                handle.sim.run_until(SimTime(slice * 1_000));
+                let mut reported = 0;
+                for i in 0..handle.n_validators {
+                    let v = handle.sim.node_mut(NodeId(i)).as_validator_mut().expect("validator");
+                    assert!(v.take_commit_records().is_empty(), "validator {i}, slice {slice}");
+                    reported += v.metrics().commits;
+                }
+                assert_eq!(handle.safety.records_seen(), reported, "slice {slice}");
+            }
+            assert!(handle.safety.records_seen() > 40, "{}", handle.safety.records_seen());
+            handle.safety.assert_clean();
+            if config.faults.has_recoveries() {
+                // `metrics().commits` survives the restart and the engine's
+                // count does not: the difference is what the replay
+                // committed a second time.
+                let recovered = handle.validator(3);
+                assert_eq!(recovered.metrics().restarts, 1);
+                assert!(recovered.metrics().commits > recovered.commit_count());
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "safety invariant violated")]
     fn injected_fork_fails_the_run_with_a_diagnostic() {
         // Acceptance gate: a forked history must abort the run. Two runs
-        // under different seeds commit different chains; replaying both
-        // histories into one audit as if they came from one cluster is
-        // exactly a fork, and the checker must kill it.
+        // under different seeds commit different chains; offering one
+        // run's history to the other run's checker as a validator's WAL
+        // replay is exactly a fork, and the checker must kill it.
         let config_a = ExperimentConfig::quick_test(SystemKind::Hammerhead);
         let mut config_b = config_a.clone();
         config_b.seed = 43;
-        let (handle_a, _) = run_sim_limited(&config_a, RunLimit::Duration);
+        let (mut handle_a, end_us) = run_sim_limited(&config_a, RunLimit::Duration);
         let (handle_b, _) = run_sim_limited(&config_b, RunLimit::Duration);
+        assert!(collect_metrics(&config_a, &handle_a, end_us).agreement_ok);
 
-        let mut audit = crate::SafetyChecker::new();
-        for (validator, handle) in [(0u16, &handle_a), (1u16, &handle_b)] {
-            let records: Vec<hammerhead::CommitRecord> = handle
-                .validator(0)
-                .committed_anchors()
-                .iter()
-                .enumerate()
-                .map(|(i, a)| hammerhead::CommitRecord {
-                    index: i as u64,
-                    anchor: *a,
-                    vertices: vec![*a],
-                    replayed: false,
-                })
-                .collect();
-            audit.observe_all(validator, &records);
-        }
-        assert!(!audit.is_clean(), "different seeds commit different anchors");
-        audit.assert_clean();
+        let rewrite: Vec<hammerhead::CommitRecord> = handle_b
+            .validator(0)
+            .committed_anchors()
+            .iter()
+            .enumerate()
+            .map(|(i, a)| hammerhead::CommitRecord {
+                index: i as u64,
+                anchor: *a,
+                vertices: vec![*a],
+                replayed: true,
+            })
+            .collect();
+        handle_a.safety.observe_all(0, &rewrite);
+        let r = collect_metrics(&config_a, &handle_a, end_us);
+        assert!(!r.agreement_ok, "different seeds commit different anchors");
+        assert!(r.safety_violations > 0);
+        handle_a.safety.assert_clean();
     }
 
     #[test]

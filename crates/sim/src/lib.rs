@@ -29,11 +29,11 @@
 //!   the receiving codec) and reorder, scoped per link, node or the
 //!   whole mesh — executed on the run's seeded RNG, so chaos-free runs
 //!   stay bit-identical;
-//! * an agreement audit across all live validators' commit sequences after
-//!   every run, hardened by an always-on [`SafetyChecker`] asserting no
-//!   fork, `(round, author)` slot uniqueness and commit monotonicity
-//!   across WAL replays (safety is checked on every experiment, not
-//!   assumed — a violation aborts the run with a diagnostic dump).
+//! * an always-on [`SafetyChecker`] that every validator hands each
+//!   commit to as it happens, asserting no fork, `(round, author)` slot
+//!   uniqueness and commit monotonicity across WAL replays (safety is
+//!   checked on every experiment, not assumed — a violation aborts the
+//!   run with a diagnostic dump).
 //!
 //! # Example
 //!

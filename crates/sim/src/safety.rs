@@ -15,6 +15,10 @@
 //!    must then reproduce the same prefix (rule 1 holds it to the
 //!    anchors the cluster already exposed before the crash).
 //!
+//! A simulated validator's records reach the checker inside the event
+//! that produced them (the validator [`crate::Actor`] hands them over
+//! before its handler returns), so a violation is recorded at the event
+//! that caused it and no validator holds a record between events.
 //! Violations are collected rather than panicking at the observation
 //! site, so a failing run can dump *all* divergence before the harness
 //! aborts with a per-validator diagnostic.
@@ -23,6 +27,7 @@ use hammerhead::CommitRecord;
 use hh_crypto::Digest;
 use hh_types::{Round, ValidatorId, VertexRef};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One detected safety violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -39,9 +44,9 @@ impl std::fmt::Display for SafetyViolation {
     }
 }
 
-/// Cross-validator safety invariant checker (see module docs).
+/// What the checker has seen so far.
 #[derive(Debug, Default)]
-pub struct SafetyChecker {
+struct Observed {
     /// Commit index → the first anchor any validator exposed for it.
     anchors: BTreeMap<u64, (u16, VertexRef)>,
     /// `(round, author)` → the first committed digest for that slot.
@@ -50,8 +55,18 @@ pub struct SafetyChecker {
     cursors: HashMap<u16, u64>,
     /// Total records observed.
     records_seen: u64,
+    /// Whether any of `violations` is a fork (invariant 1).
+    forked: bool,
     violations: Vec<SafetyViolation>,
 }
+
+/// Cross-validator safety invariant checker (see module docs).
+///
+/// A clone is another handle on the same checker: a run's validator
+/// actors each hold one and feed it as they commit, and
+/// [`crate::SimHandle::safety`] reads the verdict off the same state.
+#[derive(Clone, Debug, Default)]
+pub struct SafetyChecker(Arc<Mutex<Observed>>);
 
 impl SafetyChecker {
     /// A fresh checker with no observations.
@@ -59,16 +74,89 @@ impl SafetyChecker {
         Self::default()
     }
 
+    fn observed(&self) -> MutexGuard<'_, Observed> {
+        self.0.lock().expect("nothing panics while it holds the checker")
+    }
+
     /// Feeds one validator's commit records, in the order the validator
     /// produced them.
     pub fn observe_all(&mut self, validator: u16, records: &[CommitRecord]) {
+        let mut observed = self.observed();
         for r in records {
-            self.observe(validator, r);
+            observed.observe(validator, r);
         }
     }
 
     /// Feeds a single commit record.
     pub fn observe(&mut self, validator: u16, record: &CommitRecord) {
+        self.observed().observe(validator, record);
+    }
+
+    /// Violations detected so far, in detection order.
+    pub fn violations(&self) -> Vec<SafetyViolation> {
+        self.observed().violations.clone()
+    }
+
+    /// Whether no invariant has been violated.
+    pub fn is_clean(&self) -> bool {
+        self.observed().violations.is_empty()
+    }
+
+    /// Whether invariant 1 holds: no validator, live or replaying, ever
+    /// exposed an anchor other than the first one exposed for its commit
+    /// index — every pair of commit sequences is prefix-consistent.
+    pub fn fork_free(&self) -> bool {
+        !self.observed().forked
+    }
+
+    /// Total commit records observed.
+    pub fn records_seen(&self) -> u64 {
+        self.observed().records_seen
+    }
+
+    /// Aborts the run if any invariant has been violated.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`SafetyChecker::diagnostic_dump`] — every detected
+    /// violation plus each validator's commit cursor and the global
+    /// commit front — when the checker is not clean.
+    pub fn assert_clean(&self) {
+        if !self.is_clean() {
+            panic!("safety invariant violated\n{}", self.diagnostic_dump());
+        }
+    }
+
+    /// A per-validator diagnostic dump for failing runs: every
+    /// violation plus each validator's commit cursor and the global
+    /// commit front.
+    pub fn diagnostic_dump(&self) -> String {
+        use std::fmt::Write as _;
+        let observed = self.observed();
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "safety checker: {} violation(s) over {} record(s)",
+            observed.violations.len(),
+            observed.records_seen
+        );
+        for v in &observed.violations {
+            let _ = writeln!(out, "  - {v}");
+        }
+        let mut cursors: Vec<(&u16, &u64)> = observed.cursors.iter().collect();
+        cursors.sort();
+        for (validator, cursor) in cursors {
+            let _ = writeln!(out, "  validator {validator}: next commit index {cursor}");
+        }
+        if let Some((idx, (by, anchor))) = observed.anchors.iter().next_back() {
+            let _ = writeln!(out, "  commit front: index {idx} anchor {anchor} (first by {by})");
+        }
+        out
+    }
+}
+
+impl Observed {
+    fn observe(&mut self, validator: u16, record: &CommitRecord) {
         self.records_seen += 1;
 
         // Invariant 3: contiguous per-validator indices; only a WAL
@@ -97,6 +185,7 @@ impl SafetyChecker {
                 self.anchors.insert(record.index, (validator, record.anchor));
             }
             Some((first_by, first)) if *first != record.anchor => {
+                self.forked = true;
                 self.violations.push(SafetyViolation {
                     validator,
                     detail: format!(
@@ -127,60 +216,6 @@ impl SafetyChecker {
                 Some(_) => {}
             }
         }
-    }
-
-    /// Violations detected so far, in detection order.
-    pub fn violations(&self) -> &[SafetyViolation] {
-        &self.violations
-    }
-
-    /// Whether no invariant has been violated.
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// Total commit records observed.
-    pub fn records_seen(&self) -> u64 {
-        self.records_seen
-    }
-
-    /// Aborts the run if any invariant has been violated.
-    ///
-    /// # Panics
-    ///
-    /// Panics with [`SafetyChecker::diagnostic_dump`] — every detected
-    /// violation plus each validator's commit cursor and the global
-    /// commit front — when the checker is not clean.
-    pub fn assert_clean(&self) {
-        if !self.is_clean() {
-            panic!("safety invariant violated\n{}", self.diagnostic_dump());
-        }
-    }
-
-    /// A per-validator diagnostic dump for failing runs: every
-    /// violation plus each validator's commit cursor and the global
-    /// commit front.
-    pub fn diagnostic_dump(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "safety checker: {} violation(s) over {} record(s)",
-            self.violations.len(),
-            self.records_seen
-        );
-        for v in &self.violations {
-            let _ = writeln!(out, "  - {v}");
-        }
-        let mut cursors: Vec<(&u16, &u64)> = self.cursors.iter().collect();
-        cursors.sort();
-        for (validator, cursor) in cursors {
-            let _ = writeln!(out, "  validator {validator}: next commit index {cursor}");
-        }
-        if let Some((idx, (by, anchor))) = self.anchors.iter().next_back() {
-            let _ = writeln!(out, "  commit front: index {idx} anchor {anchor} (first by {by})");
-        }
-        out
     }
 }
 

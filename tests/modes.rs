@@ -28,15 +28,12 @@ fn build_network(
     let n = committee.size();
     let mut actors: Vec<Actor> = (0..n)
         .map(|i| {
-            Actor::Validator(
-                Box::new(Validator::<MemBackend>::new(
-                    committee.clone(),
-                    ValidatorId(i as u16),
-                    config.clone(),
-                    None,
-                )),
+            Actor::honest(Validator::<MemBackend>::new(
+                committee.clone(),
+                ValidatorId(i as u16),
+                config.clone(),
                 None,
-            )
+            ))
         })
         .collect();
     actors.push(Actor::Client(Client::new(0, NodeId(0), 120.0, 10.0)));

@@ -28,15 +28,12 @@ fn build(crash_at: SimTime, recover_at: SimTime) -> (Simulator<Actor>, Vec<MemBa
     let backends: Vec<MemBackend> = (0..4).map(|_| MemBackend::new()).collect();
     let mut actors: Vec<Actor> = (0..4)
         .map(|i| {
-            Actor::Validator(
-                Box::new(Validator::new(
-                    committee.clone(),
-                    ValidatorId(i as u16),
-                    fast_config(),
-                    Some(backends[i].clone()),
-                )),
-                None,
-            )
+            Actor::honest(Validator::new(
+                committee.clone(),
+                ValidatorId(i as u16),
+                fast_config(),
+                Some(backends[i].clone()),
+            ))
         })
         .collect();
     actors.push(Actor::Client(Client::new(0, NodeId(0), 150.0, 10.0)));
@@ -116,15 +113,12 @@ fn repeated_crashes_survive() {
     let backends: Vec<MemBackend> = (0..4).map(|_| MemBackend::new()).collect();
     let mut actors: Vec<Actor> = (0..4)
         .map(|i| {
-            Actor::Validator(
-                Box::new(Validator::new(
-                    committee.clone(),
-                    ValidatorId(i as u16),
-                    fast_config(),
-                    Some(backends[i].clone()),
-                )),
-                None,
-            )
+            Actor::honest(Validator::new(
+                committee.clone(),
+                ValidatorId(i as u16),
+                fast_config(),
+                Some(backends[i].clone()),
+            ))
         })
         .collect();
     actors.push(Actor::Client(Client::new(0, NodeId(1), 100.0, 10.0)));
@@ -170,15 +164,12 @@ fn hammerhead_node_recovers_with_schedule_state() {
     let backends: Vec<MemBackend> = (0..4).map(|_| MemBackend::new()).collect();
     let mut actors: Vec<Actor> = (0..4)
         .map(|i| {
-            Actor::Validator(
-                Box::new(Validator::new(
-                    committee.clone(),
-                    ValidatorId(i as u16),
-                    config.clone(),
-                    Some(backends[i].clone()),
-                )),
-                None,
-            )
+            Actor::honest(Validator::new(
+                committee.clone(),
+                ValidatorId(i as u16),
+                config.clone(),
+                Some(backends[i].clone()),
+            ))
         })
         .collect();
     actors.push(Actor::Client(Client::new(0, NodeId(0), 100.0, 10.0)));
