@@ -96,9 +96,11 @@ step "docs: nothing refers to a deleted path, knob, module or type, or to a DESI
 # ChaosSchedule the harness validates, one function executes runs, the
 # testnet harness is `hh-node testnet`, a pinned leader is a one-slot
 # RoundRobinPolicy, window latencies come from MetricsSink, the
-# workload rules are Workload::validate's, and the one safety audit is the
-# SafetyChecker the validator actors feed as they commit.
-if git grep -nE 'hotpath_smoke|BENCH_hotpath|hh[-_]bench|threaded::|threaded_demo|vendor/criterion|DESIGN\.md|swap_from_base|core/src/monitor|hammerhead::monitor|FaultPlan|ChaosPlan|SlowdownSpec|PartitionSpec|ChaosWindow|ChaosScope|KvStore|SerialExecutor|PooledExecutor|hh-cli testnet|StaticLeaderPolicy|TimeSeries|validate_workload|rbc_sender|audit_safety' \
+# workload rules are Workload::validate's, the one safety audit is the
+# SafetyChecker the validator actors feed as they commit, a run's validator
+# parameters and latency model are ExperimentConfig::{validator, network},
+# and the broadcast layer's ancestry buffer is the pending / awaited pair.
+if git grep -nE 'hotpath_smoke|BENCH_hotpath|hh[-_]bench|threaded::|threaded_demo|vendor/criterion|DESIGN\.md|swap_from_base|core/src/monitor|hammerhead::monitor|FaultPlan|ChaosPlan|SlowdownSpec|PartitionSpec|ChaosWindow|ChaosScope|KvStore|SerialExecutor|PooledExecutor|hh-cli testnet|StaticLeaderPolicy|TimeSeries|validate_workload|rbc_sender|audit_safety|derive_validator_config|schedule_override|flat_latency_ms|NetworkSpec|missing_index|missing_count' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!ci.sh' ':!perfbench'; then
     echo "dangling reference to a deleted path"
     exit 1

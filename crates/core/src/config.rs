@@ -78,7 +78,7 @@ pub enum ScoringRule {
 }
 
 /// Parameters of the HammerHead scheduling mechanism.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HammerheadConfig {
     /// Schedule-epoch length `T` in rounds (Algorithm 2 line 30). Anchors
     /// arrive every 2 rounds, so the paper's benchmark setting of
@@ -135,7 +135,7 @@ impl Default for HammerheadConfig {
 }
 
 /// Which leader schedule the validator runs.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ScheduleConfig {
     /// Vanilla Bullshark: static stake-weighted round-robin (the baseline).
     RoundRobin,
@@ -150,7 +150,7 @@ pub enum ScheduleConfig {
 /// Durations are in microseconds of simulation time; defaults are the
 /// calibration used by the experiment harness (see `docs/architecture.md`
 /// §2 and §6 for what each models).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ValidatorConfig {
     /// Leader schedule (HammerHead vs baseline).
     pub schedule: ScheduleConfig,
@@ -183,8 +183,6 @@ pub struct ValidatorConfig {
     pub exec_rate_tps: u64,
     /// Rounds retained below the last committed anchor before GC.
     pub gc_depth: u64,
-    /// Commits between durable checkpoints.
-    pub checkpoint_interval: u64,
     /// Broadcast-layer maintenance tick (µs): sync retries, proposal
     /// re-broadcast.
     pub sync_tick_us: u64,
@@ -211,7 +209,6 @@ impl Default for ValidatorConfig {
             max_uncommitted_txs: 10_000,
             exec_rate_tps: 4_200,
             gc_depth: 200,
-            checkpoint_interval: 10,
             sync_tick_us: 500_000,
         }
     }

@@ -62,11 +62,13 @@
 mod config;
 mod node;
 mod policy;
+mod safety;
 mod schedule;
 mod scores;
 
 pub use config::{ConfigError, HammerheadConfig, ScheduleConfig, ScoringRule, ValidatorConfig};
 pub use node::{CommitRecord, ExecRecord, Output, Validator, ValidatorMessage, ValidatorMetrics};
 pub use policy::{EpochSummary, HammerheadPolicy};
+pub use safety::{SafetyChecker, SafetyViolation};
 pub use schedule::{compute_next_schedule, ScheduleChange};
 pub use scores::ReputationScores;

@@ -43,6 +43,9 @@ pub const TOKEN_LEADER: u64 = 2;
 /// Timer token: broadcast-layer maintenance tick.
 pub const TOKEN_TICK: u64 = 3;
 
+/// Commits between durable checkpoints.
+const CHECKPOINT_INTERVAL: u64 = 10;
+
 /// Messages a validator exchanges (with peers and with clients).
 #[derive(Clone, Debug)]
 pub enum ValidatorMessage {
@@ -545,28 +548,21 @@ impl<B: LogBackend> Validator<B> {
                 }
             };
             self.replaying = true;
+            let mut replay_out = Vec::new();
             for vertex in recovered.vertices {
                 let digest = vertex.digest();
-                let author = vertex.author();
-                let round = vertex.round();
                 if self.dag.try_insert(vertex).is_ok() {
-                    if author == self.id {
-                        self.uncommitted_txs +=
-                            self.dag.get(&digest).map(|v| v.block().len() as u64).unwrap_or(0);
-                        if round >= self.next_round {
-                            self.next_round = round.next();
+                    let vertex = self.dag.get(&digest).expect("just inserted").clone();
+                    if vertex.author() == self.id {
+                        self.uncommitted_txs += vertex.block().len() as u64;
+                        if vertex.round() >= self.next_round {
+                            self.next_round = vertex.round().next();
                         }
                     }
-                    let arc = self.dag.get(&digest).expect("just inserted").clone();
-                    self.note_quorum(arc.round());
-                    let commits = self.engine.process_vertex(&arc, &self.dag);
-                    let mut replay_out = Vec::new();
-                    for sd in commits {
-                        self.on_commit(sd, now, &mut replay_out);
-                    }
-                    debug_assert!(replay_out.is_empty(), "replay must not emit effects");
+                    self.on_delivered(vertex, now, &mut replay_out);
                 }
             }
+            debug_assert!(replay_out.is_empty(), "replay must not emit effects");
             self.replaying = false;
             // Cross-check the recomputed chain against the durable
             // checkpoint.
@@ -718,7 +714,7 @@ impl<B: LogBackend> Validator<B> {
         }
         if !self.replaying {
             if let Some(store) = &mut self.store {
-                if sd.commit_index.is_multiple_of(self.config.checkpoint_interval.max(1)) {
+                if sd.commit_index.is_multiple_of(CHECKPOINT_INTERVAL) {
                     let result = store
                         .persist_checkpoint(self.engine.commit_count(), self.engine.chain_hash());
                     if let Err(e) = result {

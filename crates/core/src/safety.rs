@@ -16,14 +16,15 @@
 //!    anchors the cluster already exposed before the crash).
 //!
 //! A simulated validator's records reach the checker inside the event
-//! that produced them (the validator [`crate::Actor`] hands them over
-//! before its handler returns), so a violation is recorded at the event
-//! that caused it and no validator holds a record between events.
+//! that produced them (`hh-sim`'s validator actor hands them over before
+//! its handler returns), so a violation is recorded at the event that
+//! caused it and no validator holds a record between events; the node's
+//! testnet harness feeds it the commit sequences its WAL audit recomputes.
 //! Violations are collected rather than panicking at the observation
 //! site, so a failing run can dump *all* divergence before the harness
 //! aborts with a per-validator diagnostic.
 
-use hammerhead::CommitRecord;
+use crate::CommitRecord;
 use hh_crypto::Digest;
 use hh_types::{Round, ValidatorId, VertexRef};
 use std::collections::{BTreeMap, HashMap};
@@ -63,8 +64,8 @@ struct Observed {
 /// Cross-validator safety invariant checker (see module docs).
 ///
 /// A clone is another handle on the same checker: a run's validator
-/// actors each hold one and feed it as they commit, and
-/// [`crate::SimHandle::safety`] reads the verdict off the same state.
+/// actors each hold one and feed it as they commit, and the run's
+/// `SimHandle::safety` reads the verdict off the same state.
 #[derive(Clone, Debug, Default)]
 pub struct SafetyChecker(Arc<Mutex<Observed>>);
 

@@ -6,12 +6,15 @@
 //!
 //! * [`Simulator`] — a deterministic discrete-event loop driving a set of
 //!   [`Node`] state machines. Identical seeds produce identical executions.
+//!   Told to ([`Simulator::set_profiling`]), it times its queue operations
+//!   and dispatches into the [`prof`] counters; the crate has no profiling
+//!   flag of its own.
 //! * [`LatencyModel`] / [`GeoLatency`] — per-link one-way delays, including
 //!   an embedded RTT matrix for the paper's 13 AWS regions.
 //! * Partial synchrony ([`NetworkConfig`]): before GST the (simulated)
 //!   adversary may add arbitrary bounded delay and "drop" messages (they are
 //!   retransmitted and always delivered eventually, matching the reliable
-//!   links assumption); after GST every message arrives within `delta`.
+//!   links assumption); after GST every message arrives within Δ = 400 ms.
 //! * [`FaultSchedule`] — crash, recovery, slowdown and partition
 //!   injection — and [`ChaosSchedule`] — windows of frame drop,
 //!   duplication, corruption and reorder: the values a harness validates

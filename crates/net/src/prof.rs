@@ -1,10 +1,9 @@
-//! Flag-gated profiling counters for the simulator event loop.
+//! Profiling counters for the simulator event loop.
 //!
-//! The mirror of `hh_crypto::prof` for the net layer (the two crates
-//! share no dependency edge, so each carries its own flag). Off by
-//! default at one relaxed atomic load per instrumented site; when on,
-//! the [`crate::Simulator`] accrues wall-nanos and op counts for queue
-//! operations (timing-wheel push/pop) and event dispatch (deliveries
+//! A [`crate::Simulator`] told to time itself
+//! ([`crate::Simulator::set_profiling`]; the harness says so from the one
+//! profiling flag, `hh_crypto::prof`) accrues wall-nanos and op counts for
+//! queue operations (timing-wheel push/pop) and event dispatch (deliveries
 //! vs timers) into thread-local cells. Delivery time *includes* the
 //! handler's nested work — digest, verify, codec, queue pushes — so
 //! sub-shares reported alongside it nest inside it rather than summing
@@ -14,20 +13,6 @@
 //! JSON.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Turns event-loop profiling on or off, process-wide.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether profiling is on: one relaxed load, the entire off-cost.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
 
 thread_local! {
     static QUEUE_NS: Cell<u64> = const { Cell::new(0) };

@@ -212,22 +212,12 @@ pub struct TcpConfig {
     pub bind: SocketAddr,
     /// Outbound peers as `(id, addr)`; the own id, if present, is skipped.
     pub peers: Vec<(u16, SocketAddr)>,
-    /// First reconnect delay after a failed outbound connection.
-    pub initial_backoff: Duration,
-    /// Backoff cap.
-    pub max_backoff: Duration,
 }
 
 impl TcpConfig {
-    /// A loopback-testnet-friendly configuration with fast reconnects.
+    /// The configuration of endpoint `id`.
     pub fn new(id: u16, bind: SocketAddr, peers: Vec<(u16, SocketAddr)>) -> Self {
-        TcpConfig {
-            id,
-            bind,
-            peers,
-            initial_backoff: Duration::from_millis(50),
-            max_backoff: Duration::from_secs(2),
-        }
+        TcpConfig { id, bind, peers }
     }
 }
 
@@ -340,18 +330,8 @@ impl<M: WireCodec> TcpTransport<M> {
             peer_tx.insert(peer, tx);
             let stats = Arc::clone(&stats);
             let running = Arc::clone(&running);
-            let cfg = cfg.clone();
-            handles.push(thread::spawn(move || {
-                outbound_loop(
-                    cfg.id,
-                    addr,
-                    rx,
-                    stats,
-                    running,
-                    cfg.initial_backoff,
-                    cfg.max_backoff,
-                );
-            }));
+            let own_id = cfg.id;
+            handles.push(thread::spawn(move || outbound_loop(own_id, addr, rx, stats, running)));
         }
 
         Ok(TcpTransport {
@@ -544,6 +524,13 @@ fn inbound_connection<M: WireCodec>(
     let _ = events_tx.send(TcpEvent::Disconnected { from });
 }
 
+/// First reconnect delay after a failed outbound connection (fast: the
+/// peers of a loopback testnet come up within milliseconds of each other).
+const INITIAL_BACKOFF: Duration = Duration::from_millis(50);
+
+/// Reconnect backoff cap.
+const MAX_BACKOFF: Duration = Duration::from_secs(2);
+
 /// Owns the outbound connection to one peer: connect with capped
 /// exponential backoff, handshake, then drain the send queue. A write
 /// failure falls back to reconnecting; the frame in hand is retried once
@@ -554,10 +541,8 @@ fn outbound_loop(
     rx: Receiver<Arc<[u8]>>,
     stats: Arc<TcpStats>,
     running: Arc<AtomicBool>,
-    initial_backoff: Duration,
-    max_backoff: Duration,
 ) {
-    let mut backoff = initial_backoff;
+    let mut backoff = INITIAL_BACKOFF;
     let mut pending: Option<Arc<[u8]>> = None;
     'reconnect: while running.load(Ordering::SeqCst) {
         let mut stream = match TcpStream::connect_timeout(&addr, Duration::from_secs(1)) {
@@ -565,7 +550,7 @@ fn outbound_loop(
             Err(_) => {
                 TcpStats::bump(&stats.reconnects);
                 thread::sleep(backoff);
-                backoff = (backoff * 2).min(max_backoff);
+                backoff = (backoff * 2).min(MAX_BACKOFF);
                 continue;
             }
         };
@@ -573,10 +558,10 @@ fn outbound_loop(
         if write_handshake(&mut stream, own_id).is_err() {
             TcpStats::bump(&stats.reconnects);
             thread::sleep(backoff);
-            backoff = (backoff * 2).min(max_backoff);
+            backoff = (backoff * 2).min(MAX_BACKOFF);
             continue;
         }
-        backoff = initial_backoff;
+        backoff = INITIAL_BACKOFF;
 
         loop {
             let frame = match pending.take() {
@@ -597,7 +582,7 @@ fn outbound_loop(
                 pending = Some(frame);
                 TcpStats::bump(&stats.reconnects);
                 thread::sleep(backoff);
-                backoff = (backoff * 2).min(max_backoff);
+                backoff = (backoff * 2).min(MAX_BACKOFF);
                 continue 'reconnect;
             }
         }

@@ -28,7 +28,7 @@
 
 use hammerhead::{HammerheadConfig, ScheduleConfig, ValidatorConfig};
 use hh_net::tcp::TcpConfig;
-use hh_scenario::toml::{self, Value};
+use hh_types::toml::{self, Value};
 use hh_types::Committee;
 use std::collections::BTreeMap;
 use std::net::SocketAddr;

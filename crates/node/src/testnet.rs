@@ -8,8 +8,8 @@
 //!    ports),
 //! 2. spawn the committee as child processes of the real `hh-node`
 //!    binary,
-//! 3. drive load through per-node TCP clients paced by the workload
-//!    generator,
+//! 3. drive load through per-node TCP clients, each paced at an equal
+//!    share of the offered rate,
 //! 4. optionally SIGKILL one node mid-run and restart it against its
 //!    surviving WAL,
 //! 5. stop everyone gracefully (close stdin), and
@@ -25,9 +25,8 @@
 use crate::config::NodeConfig;
 use crate::runtime::parse_status_field;
 use crate::wire::WireMsg;
-use hammerhead::{Validator, ValidatorMessage};
+use hammerhead::{SafetyChecker, Validator, ValidatorMessage};
 use hh_net::tcp::{write_frame, write_handshake, WireCodec};
-use hh_sim::{RateNow, SafetyChecker, Workload};
 use hh_storage::FileBackend;
 use hh_types::{Transaction, ValidatorId};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -300,18 +299,15 @@ fn spawn_node(binary: &Path, config_path: &Path) -> Result<NodeProc, String> {
     Ok(NodeProc { child, progress })
 }
 
-/// One workload client: connects to its node, submits paced
-/// transactions, drains confirmations, reconnects if the node goes away
+/// One load client: connects to its node, submits transactions at a
+/// constant `tps`, drains confirmations, reconnects if the node goes away
 /// (it will, in a crash test).
-fn client_loop(
-    addr: String,
-    client_id: u16,
-    base_tps: f64,
-    payload_bytes: u32,
-    duration_us: u64,
-    stop: Arc<AtomicBool>,
-) {
-    let workload = Workload::constant();
+fn client_loop(addr: String, client_id: u16, tps: f64, payload_bytes: u32, stop: Arc<AtomicBool>) {
+    let interval = if tps > 0.0 {
+        Duration::from_secs_f64(1.0 / tps).min(Duration::from_millis(100))
+    } else {
+        Duration::from_millis(20)
+    };
     let start = Instant::now();
     let mut seq: u64 = 0;
     'reconnect: while !stop.load(Ordering::SeqCst) {
@@ -336,17 +332,13 @@ fn client_loop(
         }
         while !stop.load(Ordering::SeqCst) {
             let now_us = start.elapsed().as_micros() as u64;
-            let interval = match workload.rate_at(base_tps, now_us, duration_us) {
-                RateNow::Active { tps, .. } if tps > 0.0 => Duration::from_secs_f64(1.0 / tps),
-                _ => Duration::from_millis(20),
-            };
             let tx = Transaction::with_payload(client_id as u32, seq, now_us, payload_bytes);
             let frame = WireMsg::new(ValidatorMessage::Submit(tx)).encode_frame();
             if write_frame(&mut stream, &frame).is_err() {
                 continue 'reconnect; // Node died; retry against its restart.
             }
             seq += 1;
-            std::thread::sleep(interval.min(Duration::from_millis(100)));
+            std::thread::sleep(interval);
         }
         return;
     }
@@ -463,21 +455,20 @@ pub fn run_testnet(opts: &TestnetOpts) -> Result<TestnetReport, String> {
     }
     let procs = &mut fleet.0;
 
-    // Workload clients: client k drives node k; ids start past the
-    // committee's so the transport routes replies, never consensus.
+    // Load clients: client k drives node k at an equal share of the
+    // offered load; ids start past the committee's so the transport
+    // routes replies, never consensus.
     let stop = Arc::new(AtomicBool::new(false));
-    let rates = Workload::constant().client_rates(opts.tps, opts.nodes as usize);
-    let duration_us = opts.duration.as_micros() as u64;
+    let rate = opts.tps / opts.nodes as f64;
     let mut client_threads = Vec::new();
-    for (k, rate) in rates.into_iter().enumerate() {
-        let addr = peers[k].clone();
+    for (k, addr) in peers.iter().cloned().enumerate() {
         let id = opts.nodes + k as u16;
         let stop = stop.clone();
         let payload = opts.payload_bytes;
         client_threads.push(
             std::thread::Builder::new()
                 .name(format!("hh-client-{k}"))
-                .spawn(move || client_loop(addr, id, rate, payload, duration_us, stop))
+                .spawn(move || client_loop(addr, id, rate, payload, stop))
                 .map_err(|e| format!("spawn client: {e}"))?,
         );
     }

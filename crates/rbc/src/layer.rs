@@ -5,6 +5,7 @@ use hh_crypto::{Digest, Keypair, Signature};
 use hh_dag::{Dag, DagError, EquivocationEvidence, InsertOutcome};
 use hh_types::codec::{Decoder, Encode, EncodeExt};
 use hh_types::{Committee, DigestMap, Round, Stake, TypeError, ValidatorId, Vertex, VertexRef};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -167,7 +168,7 @@ impl Encode for RbcMessage {
 
 /// Per-item retransmit state: how often we have re-asked for a missing
 /// digest, and the earliest tick the next retry may go out.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct RetryState {
     attempts: u32,
     next_due_tick: u64,
@@ -197,6 +198,25 @@ fn jitter_ticks(digest: &Digest, attempts: u32, delay: u64) -> u64 {
     (digest.prefix_u64() >> 32).wrapping_add(u64::from(attempts)) % span
 }
 
+/// A validated vertex held back until its ancestry is in the DAG.
+struct Buffered {
+    vertex: Arc<Vertex>,
+    cert: Option<Certificate>,
+    /// Parents not yet in the DAG; each lists this vertex among its
+    /// [`Awaited::waiters`].
+    missing: usize,
+}
+
+/// A digest that buffered vertices name as a parent and the DAG lacks.
+struct Awaited {
+    /// The buffered children waiting on it, in arrival order; never empty.
+    waiters: Vec<Digest>,
+    /// Re-request schedule, kept until the digest is inserted. `None` for
+    /// a digest that was buffered before anyone waited on it (it is here,
+    /// waiting on ancestry of its own) — until it is dropped from there.
+    retry: Option<RetryState>,
+}
+
 struct PendingProposal {
     vertex: Arc<Vertex>,
     acks: BTreeMap<ValidatorId, Signature>,
@@ -215,16 +235,14 @@ pub struct Rbc {
     me: ValidatorId,
     keypair: Keypair,
     mode: BroadcastMode,
-    /// Vertices validated but awaiting ancestry: digest → (vertex, cert).
+    /// Vertices validated but awaiting ancestry, by their own digest.
     /// Digest-keyed maps here use the pass-through hasher — this layer
     /// does several lookups per delivered vertex.
-    pending: DigestMap<Digest, (Arc<Vertex>, Option<Certificate>)>,
-    /// missing parent digest → digests of pending children waiting on it.
-    missing_index: DigestMap<Digest, Vec<Digest>>,
-    /// pending child digest → number of parents still missing.
-    missing_count: DigestMap<Digest, usize>,
-    /// Outstanding sync requests: missing digest → retransmit state.
-    requested: DigestMap<Digest, RetryState>,
+    pending: DigestMap<Digest, Buffered>,
+    /// The missing parents of `pending`, by the missing digest. An entry
+    /// lives exactly as long as some buffered vertex waits on it, so
+    /// `tick` can only ever ask for a vertex somebody waits on.
+    awaited: DigestMap<Digest, Awaited>,
     /// Certified mode, author side: my proposals collecting acks.
     proposals: BTreeMap<Round, PendingProposal>,
     /// Certified mode, voter side: first header acked per (round, author).
@@ -264,9 +282,7 @@ impl Rbc {
             keypair,
             mode,
             pending: DigestMap::default(),
-            missing_index: DigestMap::default(),
-            missing_count: DigestMap::default(),
-            requested: DigestMap::default(),
+            awaited: DigestMap::default(),
             proposals: BTreeMap::new(),
             acked: HashMap::new(),
             certs: DigestMap::default(),
@@ -441,7 +457,7 @@ impl Rbc {
         let mut fx = RbcEffects::default();
         self.ticks += 1;
         let now = self.ticks;
-        // Re-request due missing digests from a rotating peer. `requested`
+        // Re-request due missing digests from a rotating peer. `awaited`
         // is a hash map, so its iteration order is arbitrary — the explicit
         // sort below is what makes retry batches deterministic. Digests
         // past the per-tick budget stay due and drain on later ticks.
@@ -449,15 +465,15 @@ impl Rbc {
         let n = self.committee.size() as u64;
         let mut by_peer: BTreeMap<ValidatorId, Vec<Digest>> = BTreeMap::new();
         let mut due: Vec<Digest> = self
-            .requested
+            .awaited
             .iter()
-            .filter(|(_, s)| s.next_due_tick <= now)
+            .filter(|(_, a)| a.retry.is_some_and(|s| s.next_due_tick <= now))
             .map(|(d, _)| *d)
             .collect();
         due.sort();
         due.truncate(SYNC_RETRY_BUDGET);
         for digest in due {
-            let state = self.requested.get_mut(&digest).expect("present");
+            let state = self.awaited.get_mut(&digest).and_then(|a| a.retry.as_mut()).expect("due");
             state.attempts += 1;
             let delay = backoff_ticks(state.attempts);
             state.next_due_tick = now + delay + jitter_ticks(&digest, state.attempts, delay);
@@ -474,7 +490,7 @@ impl Rbc {
         // the peers' advancing GC horizon, so pull whole rounds from a
         // rotating peer until the gap closes.
         let front = dag.highest_round().unwrap_or(Round(0));
-        let buffered_front = self.pending.iter().map(|(_, (v, _))| v.round().0).max().unwrap_or(0);
+        let buffered_front = self.pending.values().map(|b| b.vertex.round().0).max().unwrap_or(0);
         if buffered_front > front.0 + CATCH_UP_GAP {
             self.catch_up_attempts += 1;
             let mut idx = (me.0 as u64 + self.catch_up_attempts) % n;
@@ -540,7 +556,7 @@ impl Rbc {
         self.proposals.retain(|round, _| *round >= gc);
         self.certs.retain(|d, _| dag.contains(d));
         let stale: Vec<Digest> =
-            self.pending.iter().filter(|(_, (v, _))| v.round() < gc).map(|(d, _)| *d).collect();
+            self.pending.iter().filter(|(_, b)| b.vertex.round() < gc).map(|(d, _)| *d).collect();
         for d in stale {
             self.drop_pending(&d);
         }
@@ -652,47 +668,34 @@ impl Rbc {
                     if let Some(c) = cert {
                         self.certs.insert(digest, c);
                     }
-                    self.requested.remove(&digest);
                     fx.delivered.push(v);
-                    // Unblock children waiting on this digest.
-                    if let Some(children) = self.missing_index.remove(&digest) {
-                        for child in children {
-                            let ready = match self.missing_count.get_mut(&child) {
-                                Some(count) => {
-                                    *count = count.saturating_sub(1);
-                                    *count == 0
-                                }
-                                None => false,
-                            };
-                            if ready {
-                                self.missing_count.remove(&child);
-                                if let Some((cv, ccert)) = self.pending.remove(&child) {
-                                    queue.push_back((cv, ccert));
-                                }
-                            }
-                        }
-                    }
+                    queue.extend(self.release_waiters(&digest));
                 }
-                Ok(InsertOutcome::AlreadyPresent) => {
-                    self.requested.remove(&digest);
-                }
+                Ok(InsertOutcome::AlreadyPresent) => {}
                 Err(DagError::MissingParents(missing)) => {
-                    if self.pending.len() >= PENDING_CAP {
-                        self.evict_one_pending();
-                    }
                     if self.pending.contains_key(&digest) {
                         continue;
                     }
-                    self.pending.insert(digest, (v, cert));
-                    self.missing_count.insert(digest, missing.len());
+                    if self.pending.len() >= PENDING_CAP {
+                        self.evict_one_pending();
+                    }
                     let mut to_request = Vec::new();
                     for m in &missing {
-                        self.missing_index.entry(*m).or_default().push(digest);
-                        if !self.requested.contains_key(m) && !self.pending.contains_key(m) {
-                            self.requested.insert(*m, RetryState { attempts: 0, next_due_tick: 0 });
-                            to_request.push(*m);
+                        match self.awaited.entry(*m) {
+                            Entry::Occupied(awaited) => awaited.into_mut().waiters.push(digest),
+                            Entry::Vacant(slot) => {
+                                // A parent that is here, held back like this
+                                // vertex, is not asked for.
+                                let retry = (!self.pending.contains_key(m)).then(|| {
+                                    to_request.push(*m);
+                                    RetryState::default()
+                                });
+                                slot.insert(Awaited { waiters: vec![digest], retry });
+                            }
                         }
                     }
+                    self.pending
+                        .insert(digest, Buffered { vertex: v, cert, missing: missing.len() });
                     if !to_request.is_empty() {
                         // First ask the child's author: Claim 1 guarantees
                         // it holds the full ancestry.
@@ -718,26 +721,31 @@ impl Rbc {
         fx
     }
 
+    /// `digest` is in the DAG: nobody awaits it any more. Returns the
+    /// buffered vertices it was the last missing parent of, in arrival
+    /// order, for the caller to insert.
+    fn release_waiters(&mut self, digest: &Digest) -> Vec<(Arc<Vertex>, Option<Certificate>)> {
+        let Some(awaited) = self.awaited.remove(digest) else {
+            return Vec::new();
+        };
+        let mut ready = Vec::new();
+        for child in awaited.waiters {
+            let buffered = self.pending.get_mut(&child).expect("a waiter is buffered");
+            buffered.missing -= 1;
+            if buffered.missing == 0 {
+                let buffered = self.pending.remove(&child).expect("present above");
+                ready.push((buffered.vertex, buffered.cert));
+            }
+        }
+        ready
+    }
+
     /// Re-run the cascade as if `digest` was just inserted (used after
     /// crash-recovery replay inserts vertices directly into the DAG).
     fn cascade_from(&mut self, digest: Digest, dag: &mut Dag) -> RbcEffects {
         let mut fx = RbcEffects::default();
-        if let Some(children) = self.missing_index.remove(&digest) {
-            for child in children {
-                let ready = match self.missing_count.get_mut(&child) {
-                    Some(count) => {
-                        *count = count.saturating_sub(1);
-                        *count == 0
-                    }
-                    None => false,
-                };
-                if ready {
-                    self.missing_count.remove(&child);
-                    if let Some((cv, ccert)) = self.pending.remove(&child) {
-                        fx.merge(self.accept(cv, ccert, dag));
-                    }
-                }
-            }
+        for (vertex, cert) in self.release_waiters(&digest) {
+            fx.merge(self.accept(vertex, cert, dag));
         }
         fx
     }
@@ -803,19 +811,29 @@ impl Rbc {
 
     fn evict_one_pending(&mut self) {
         if let Some(victim) =
-            self.pending.iter().min_by_key(|(_, (v, _))| v.round()).map(|(d, _)| *d)
+            self.pending.iter().min_by_key(|(_, b)| b.vertex.round()).map(|(d, _)| *d)
         {
             self.drop_pending(&victim);
         }
     }
 
+    /// Forgets a buffered vertex: it stops waiting on its parents, and a
+    /// vertex still waiting on *it* goes back to asking for it.
     fn drop_pending(&mut self, digest: &Digest) {
-        self.pending.remove(digest);
-        self.missing_count.remove(digest);
-        for waiters in self.missing_index.values_mut() {
-            waiters.retain(|d| d != digest);
+        let Some(dropped) = self.pending.remove(digest) else {
+            return;
+        };
+        for parent in dropped.vertex.parents() {
+            if let Some(awaited) = self.awaited.get_mut(parent) {
+                awaited.waiters.retain(|d| d != digest);
+                if awaited.waiters.is_empty() {
+                    self.awaited.remove(parent);
+                }
+            }
         }
-        self.missing_index.retain(|_, w| !w.is_empty());
+        if let Some(awaited) = self.awaited.get_mut(digest) {
+            awaited.retry = Some(RetryState::default());
+        }
     }
 }
 
@@ -1348,7 +1366,7 @@ mod tests {
 
     #[test]
     fn arrival_resets_the_backoff() {
-        // After the missing digest arrives, `requested` forgets it; if
+        // After the missing digest arrives, `awaited` forgets it; if
         // it ever goes missing again the schedule restarts from attempt
         // one (reset-on-ack).
         let c = committee4();
@@ -1360,14 +1378,132 @@ mod tests {
         for _ in 0..10 {
             rbc1.tick(&dag1);
         }
-        assert!(rbc1.requested.iter().any(|(_, s)| s.attempts >= 3), "deep into backoff");
+        let attempts = |a: &Awaited| a.retry.map_or(0, |s| s.attempts);
+        assert!(rbc1.awaited.values().any(|a| attempts(a) >= 3), "deep into backoff");
         for g in &genesis {
             rbc1.handle(ValidatorId(0), &RbcMessage::Vertex(Arc::new(g.clone())), &mut dag1);
         }
-        assert!(rbc1.requested.is_empty(), "arrival clears retransmit state");
+        assert!(rbc1.awaited.is_empty(), "arrival clears retransmit state");
         let before = rbc1.sync_retransmits();
         rbc1.tick(&dag1);
         assert_eq!(rbc1.sync_retransmits(), before, "nothing left to retransmit");
+    }
+
+    /// How many digests `fx` asks peers for by name.
+    fn digests_requested(fx: &RbcEffects) -> Vec<Digest> {
+        fx.send
+            .iter()
+            .filter_map(|(_, m)| match m {
+                RbcMessage::SyncRequest(digests) => Some(digests.clone()),
+                _ => None,
+            })
+            .flatten()
+            .collect()
+    }
+
+    #[test]
+    fn pruned_child_stops_the_requests_for_its_parents() {
+        // A buffered child falls below the GC horizon and is pruned: its
+        // parents are wanted by nobody, so nothing may ask for them again
+        // (the retry state used to outlive the child, for ever).
+        let c = committee4();
+        let (mut rbc1, mut dag1) = node(&c, 1, BroadcastMode::BestEffort);
+        let parents: Vec<Digest> = (0..4).map(|i| make_vertex(&c, 0, i, vec![]).digest()).collect();
+        let child = make_vertex(&c, 1, 0, parents);
+        let fx = rbc1.handle(ValidatorId(0), &RbcMessage::Vertex(Arc::new(child)), &mut dag1);
+        assert_eq!(digests_requested(&fx).len(), 4);
+
+        dag1.gc(Round(5));
+        rbc1.tick(&dag1);
+        assert_eq!(rbc1.pending_len(), 0, "the tick pruned the child");
+        let asked: usize = (0..40).map(|_| digests_requested(&rbc1.tick(&dag1)).len()).sum();
+        assert_eq!(asked, 0, "requests for the parents of a pruned vertex");
+        assert!(rbc1.awaited.is_empty());
+    }
+
+    #[test]
+    fn duplicate_at_the_cap_evicts_nothing() {
+        // A full buffer sheds its lowest round to admit a *new* vertex; a
+        // retransmit of one it already holds must cost nobody their place.
+        let c = committee4();
+        let (mut rbc1, mut dag1) = node(&c, 1, BroadcastMode::BestEffort);
+        let buffered: Vec<Arc<Vertex>> = (0..PENDING_CAP as u64)
+            .map(|i| {
+                let unknown_parent = hh_crypto::sha256(&i.to_le_bytes());
+                Arc::new(make_vertex(&c, 1 + i / 4, (i % 4) as u16, vec![unknown_parent]))
+            })
+            .collect();
+        for v in &buffered {
+            rbc1.handle(v.author(), &RbcMessage::Vertex(v.clone()), &mut dag1);
+        }
+        assert_eq!(rbc1.pending_len(), PENDING_CAP);
+        let again = buffered.last().expect("non-empty").clone();
+        rbc1.handle(again.author(), &RbcMessage::Vertex(again), &mut dag1);
+        assert_eq!(rbc1.pending_len(), PENDING_CAP, "the duplicate evicted a buffered vertex");
+        // A new vertex does take the place of the lowest round.
+        let newcomer = make_vertex(&c, 9_999, 0, vec![hh_crypto::sha256(b"newcomer")]);
+        rbc1.handle(ValidatorId(0), &RbcMessage::Vertex(Arc::new(newcomer)), &mut dag1);
+        assert_eq!(rbc1.pending_len(), PENDING_CAP);
+        assert_eq!(rbc1.pending.values().filter(|b| b.vertex.round() == Round(1)).count(), 3);
+    }
+
+    /// The two maps describe each other: every awaited digest is missing
+    /// from the DAG, has waiters and is either asked for or buffered itself;
+    /// every waiter is buffered and counts exactly the lists that name it.
+    fn assert_buffer_consistent(rbc: &Rbc, dag: &Dag) {
+        let mut named: HashMap<Digest, usize> = HashMap::new();
+        for (digest, awaited) in rbc.awaited.iter() {
+            assert!(!dag.contains(digest), "awaiting a vertex the DAG holds");
+            assert!(!awaited.waiters.is_empty(), "awaited by nobody");
+            assert!(awaited.retry.is_some() || rbc.pending.contains_key(digest), "nobody asks");
+            for waiter in &awaited.waiters {
+                assert!(rbc.pending[waiter].vertex.parents().contains(digest));
+                *named.entry(*waiter).or_default() += 1;
+            }
+        }
+        for (digest, buffered) in rbc.pending.iter() {
+            assert_eq!(named.get(digest).copied().unwrap_or(0), buffered.missing);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Random arrival orders with losses (a vertex may never be picked),
+        /// duplicates, GC advances and ticks: a tick only ever asks for a
+        /// digest that a vertex buffered at that moment names as a parent.
+        #[test]
+        fn tick_only_names_digests_a_buffered_vertex_waits_on(
+            ops in proptest::collection::vec(proptest::any::<u64>(), 20..160),
+        ) {
+            let c = committee4();
+            let mut source = Dag::new(c.clone());
+            fill_rounds(&c, &mut source, 8);
+            let all: Vec<Arc<Vertex>> =
+                (0..8).flat_map(|r| source.round_vertices(Round(r)).cloned()).collect();
+            let (mut rbc1, mut dag1) = node(&c, 1, BroadcastMode::BestEffort);
+            for op in ops {
+                match op % 8 {
+                    0 => dag1.gc(Round(dag1.gc_round().0 + 1)),
+                    1 | 2 => {
+                        let waited_on: std::collections::HashSet<Digest> = rbc1
+                            .pending
+                            .values()
+                            .flat_map(|b| b.vertex.parents().iter().copied())
+                            .collect();
+                        for digest in digests_requested(&rbc1.tick(&dag1)) {
+                            proptest::prop_assert!(waited_on.contains(&digest), "nobody waits on it");
+                            proptest::prop_assert!(!dag1.contains(&digest));
+                        }
+                    }
+                    _ => {
+                        let v = all[(op >> 8) as usize % all.len()].clone();
+                        rbc1.handle(v.author(), &RbcMessage::Vertex(v), &mut dag1);
+                    }
+                }
+                assert_buffer_consistent(&rbc1, &dag1);
+            }
+        }
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //! without running.
 
 use hh_scenario::{
-    load_scenario, render_header, report_json, run_plan_with, toml, ExecOptions, PlanOptions,
-    RunLimit, ScenarioError, ScenarioSpec,
+    load_scenario, render_header, report_json, run_plan_with, ExecOptions, PlanOptions, RunLimit,
+    ScenarioError, ScenarioSpec,
 };
+use hh_types::toml;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 

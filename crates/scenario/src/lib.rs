@@ -54,7 +54,6 @@ mod engine;
 mod executor;
 mod json;
 mod spec;
-pub mod toml;
 
 pub use engine::{
     render_header, render_profile, render_row, report_json, run_plan, run_plan_with, AdversaryRow,
@@ -64,10 +63,10 @@ pub use hh_sim::RunLimit;
 pub use json::Json;
 pub use spec::{
     parse_scoring, scoring_name, AnalysisSpec, ArrivalSpec, ByzantineEntrySpec,
-    ByzantineStrategySpec, CountExpr, ExclusionSpec, FaultsSpec, NetworkSpec, NodeSel,
-    PartitionEntry, PartitionSel, PlanOptions, PlannedRun, QuickSpec, RateSpec, ScenarioError,
-    ScenarioPlan, ScenarioSpec, SlowdownEntry, SystemSpec, TimedFaultEntry, VariantSpec, WhenSpec,
-    WindowSpec, WorkloadPhaseSpec, WorkloadSpec,
+    ByzantineStrategySpec, CountExpr, ExclusionSpec, FaultsSpec, NodeSel, PartitionEntry,
+    PartitionSel, PlanOptions, PlannedRun, QuickSpec, RateSpec, ScenarioError, ScenarioPlan,
+    ScenarioSpec, SlowdownEntry, SystemSpec, TimedFaultEntry, VariantSpec, WhenSpec, WindowSpec,
+    WorkloadPhaseSpec, WorkloadSpec,
 };
 
 use std::path::{Path, PathBuf};

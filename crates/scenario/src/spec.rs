@@ -13,12 +13,12 @@
 //! [`Workload`] — the values the simulator executes — validate
 //! themselves. The full schema is documented in `docs/scenarios.md`.
 
-use crate::toml::{self, TomlError, Value};
 use hammerhead::{HammerheadConfig, ScheduleConfig, ScoringRule};
 use hh_sim::{
     Arrival, ByzantineSchedule, ChaosEntry, ChaosSchedule, ChaosTarget, ExperimentConfig,
-    FaultSchedule, Phase, SubmissionMode, SystemKind, Workload,
+    FaultSchedule, Network, Phase, SubmissionMode, SystemKind, Workload,
 };
+use hh_types::toml::{self, TomlError, Value};
 use hh_types::{Committee, Stake, ValidatorId, TX_HEADER_BYTES};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -86,18 +86,6 @@ impl SystemSpec {
             SystemSpec::StaticLeader => "static-leader",
         }
     }
-}
-
-/// The link-latency model of a run.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum NetworkSpec {
-    /// The paper's 13-region AWS matrix.
-    Geo,
-    /// A flat network with the given constant one-way delay.
-    Flat {
-        /// One-way delay in milliseconds.
-        ms: u64,
-    },
 }
 
 /// The schedule-exclusion budget (set `B`'s stake bound).
@@ -627,7 +615,7 @@ pub struct ScenarioSpec {
     /// Client in-flight window in seconds of offered rate.
     pub client_window_secs: f64,
     /// Link-latency model.
-    pub network: NetworkSpec,
+    pub network: Network,
     /// Systems axis, used when `variants` is empty.
     pub systems: Vec<SystemSpec>,
     /// HammerHead period axis.
@@ -1120,22 +1108,22 @@ section!(NETWORK_TABLE = "[network]", shares [], {
     FLAT_MS = "flat_ms", Kind::U64, Def::U64(5), shown;
 });
 
-fn read_network(network: &Row) -> Result<NetworkSpec, ScenarioError> {
+fn read_network(network: &Row) -> Result<Network, ScenarioError> {
     match network.get::<String>(&MODEL).as_str() {
         "geo" if network.has(&FLAT_MS) => {
             Err(schema("`network.flat_ms` only applies to model = \"flat\"".into()))
         }
-        "geo" => Ok(NetworkSpec::Geo),
-        "flat" => Ok(NetworkSpec::Flat { ms: network.get(&FLAT_MS) }),
+        "geo" => Ok(Network::Geo),
+        "flat" => Ok(Network::Flat { ms: network.get(&FLAT_MS) }),
         other => Err(schema(format!("unknown network model `{other}` (expected geo or flat)"))),
     }
 }
 
-fn write_network(network: NetworkSpec) -> Row {
+fn write_network(network: Network) -> Row {
     let row = Row::new(&NETWORK_TABLE);
     match network {
-        NetworkSpec::Geo => row.with(&MODEL, "geo".to_string()),
-        NetworkSpec::Flat { ms } => row.with(&MODEL, "flat".to_string()).with(&FLAT_MS, ms),
+        Network::Geo => row.with(&MODEL, "geo".to_string()),
+        Network::Flat { ms } => row.with(&MODEL, "flat".to_string()).with(&FLAT_MS, ms),
     }
 }
 
@@ -2025,15 +2013,9 @@ impl ScenarioSpec {
                                 ("duration_secs".into(), duration.to_string()),
                                 ("seed".into(), seed.to_string()),
                             ];
-                            if variant.system == SystemSpec::Hammerhead {
-                                labels.push((
-                                    "period_rounds".into(),
-                                    config.hammerhead.period_rounds.to_string(),
-                                ));
-                                labels.push((
-                                    "scoring".into(),
-                                    scoring_name(config.hammerhead.scoring_rule),
-                                ));
+                            if let ScheduleConfig::Hammerhead(hh) = &config.validator.schedule {
+                                labels.push(("period_rounds".into(), hh.period_rounds.to_string()));
+                                labels.push(("scoring".into(), scoring_name(hh.scoring_rule)));
                                 labels.push((
                                     "exclusion".into(),
                                     variant.exclusion.unwrap_or(ExclusionSpec::F).label(),
@@ -2091,25 +2073,15 @@ impl ScenarioSpec {
         load: u64,
         seed: u64,
     ) -> Result<ExperimentConfig, ScenarioError> {
-        let system = match variant.system {
-            SystemSpec::Hammerhead => SystemKind::Hammerhead,
-            SystemSpec::Bullshark | SystemSpec::StaticLeader => SystemKind::Bullshark,
-        };
-        let mut config = ExperimentConfig::paper(system, n, load);
+        // The baseline's round-robin; the other systems write their own
+        // schedule below.
+        let mut config = ExperimentConfig::paper(SystemKind::Bullshark, n, load);
         config.duration_secs = duration;
         config.warmup_secs = self.warmup_secs.unwrap_or((duration / 6).max(1));
         config.seed = seed;
         config.gst_secs = self.gst_secs;
         config.client_window_secs = self.client_window_secs;
-        match self.network {
-            NetworkSpec::Geo => {
-                config.geo = true;
-            }
-            NetworkSpec::Flat { ms } => {
-                config.geo = false;
-                config.flat_latency_ms = ms;
-            }
-        }
+        config.network = self.network;
 
         if variant.system == SystemSpec::Hammerhead {
             let hh = HammerheadConfig {
@@ -2124,7 +2096,7 @@ impl ScenarioSpec {
             hh.validate(committee).map_err(|e| {
                 ScenarioError::Invalid(format!("variant `{}` on n = {n}: {e}", variant.label))
             })?;
-            config.hammerhead = hh;
+            config.validator.schedule = ScheduleConfig::Hammerhead(hh);
         }
         if variant.system == SystemSpec::StaticLeader {
             let leader = variant.static_leader;
@@ -2138,11 +2110,13 @@ impl ScenarioSpec {
                     "static_leader {leader} is crashed — the run would never commit"
                 )));
             }
-            config.schedule_override = Some(ScheduleConfig::StaticLeader(ValidatorId(leader)));
+            config.validator.schedule = ScheduleConfig::StaticLeader(ValidatorId(leader));
         }
 
         config.workload = self.workload.build(duration, load)?;
-        config.max_block_bytes = self.workload.block_bytes.map(|b| b as usize);
+        if let Some(bytes) = self.workload.block_bytes {
+            config.validator.max_block_bytes = bytes as usize;
+        }
         config.faults = self.build_fault_schedule(n, crashed, duration)?;
         config.byzantine = self.build_byzantine_schedule(n, duration)?;
         config.chaos = self.build_chaos_schedule(n, duration)?;
@@ -2293,7 +2267,7 @@ mod tests {
         assert_eq!(spec.load_tps, vec![500]);
         assert_eq!(spec.duration_secs, vec![60]);
         assert_eq!(spec.seeds, vec![42]);
-        assert_eq!(spec.network, NetworkSpec::Geo);
+        assert_eq!(spec.network, Network::Geo);
         assert_eq!(spec.systems, vec![SystemSpec::Hammerhead]);
 
         let plan = spec.plan(&PlanOptions::default()).unwrap();
@@ -2303,8 +2277,12 @@ mod tests {
         assert_eq!(config.load_tps, 500);
         assert_eq!(config.duration_secs, 60);
         assert_eq!(config.warmup_secs, 10, "default warmup is duration/6");
-        assert!(config.geo);
-        assert_eq!(config.hammerhead.period_rounds, 20);
+        assert_eq!(config.network, Network::Geo);
+        let calibrated = hammerhead::ValidatorConfig {
+            exec_rate_tps: 4_130,
+            ..hammerhead::ValidatorConfig::hammerhead()
+        };
+        assert_eq!(config.validator, calibrated);
     }
 
     #[test]
@@ -2641,10 +2619,10 @@ static_leader = 2
         let plan = spec.plan(&PlanOptions::default()).unwrap();
         assert_eq!(plan.runs.len(), 2);
         assert_eq!(plan.runs[0].variant, "vote-based");
-        assert!(matches!(
-            plan.runs[1].config.schedule_override,
-            Some(ScheduleConfig::StaticLeader(ValidatorId(2)))
-        ));
+        assert_eq!(
+            plan.runs[1].config.validator.schedule,
+            ScheduleConfig::StaticLeader(ValidatorId(2))
+        );
     }
 
     #[test]
@@ -2975,7 +2953,10 @@ chaos = true
             ScenarioSpec::parse("name = \"x\"\n[hammerhead]\nmax_excluded_pct = 30\n").unwrap();
         let plan = spec.plan(&PlanOptions::default()).unwrap();
         // Equal-stake committee of 10: total stake 10, 30% → 3 = f.
-        assert_eq!(plan.runs[0].config.hammerhead.max_excluded_stake, Some(Stake(3)));
+        let ScheduleConfig::Hammerhead(hh) = &plan.runs[0].config.validator.schedule else {
+            panic!("the default system is hammerhead");
+        };
+        assert_eq!(hh.max_excluded_stake, Some(Stake(3)));
     }
 
     #[test]
@@ -2986,7 +2967,7 @@ chaos = true
         assert!(!plan.workload_declared);
         let config = &plan.runs[0].config;
         assert_eq!(config.workload, Workload::constant(), "sugar lowers to the exact default");
-        assert_eq!(config.max_block_bytes, None);
+        assert_eq!(config.validator.max_block_bytes, usize::MAX);
     }
 
     #[test]
@@ -3018,7 +2999,7 @@ block_bytes = 65536
         assert_eq!(config.workload.mode, SubmissionMode::Open);
         assert_eq!(config.workload.payload_bytes, 512);
         assert_eq!(config.workload.spread, 2.5);
-        assert_eq!(config.max_block_bytes, Some(65536));
+        assert_eq!(config.validator.max_block_bytes, 65536);
     }
 
     #[test]

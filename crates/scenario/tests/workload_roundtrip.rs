@@ -221,7 +221,7 @@ fn assert_lowers(spec: &ScenarioSpec, expected_phases: &[Phase]) {
     prop_assert_eq!(workload.spread, spec.workload.spread);
     prop_assert!(workload.validate().is_ok());
     prop_assert_eq!(
-        plan.runs[0].config.max_block_bytes,
-        spec.workload.block_bytes.map(|b| b as usize)
+        plan.runs[0].config.validator.max_block_bytes,
+        spec.workload.block_bytes.map_or(usize::MAX, |b| b as usize)
     );
 }

@@ -1,9 +1,8 @@
 //! Adapters putting validators and clients on the discrete-event network.
 
 use crate::byzantine::ByzantineBehavior;
-use crate::safety::SafetyChecker;
 use crate::workload::{ArrivalKind, RateNow, SubmissionMode, Workload};
-use hammerhead::{Output, Validator, ValidatorMessage};
+use hammerhead::{Output, SafetyChecker, Validator, ValidatorMessage};
 use hh_net::{Context, Node, NodeId};
 use hh_storage::MemBackend;
 use hh_types::{Transaction, ValidatorId};

@@ -4,10 +4,9 @@
 use crate::actor::{Actor, Client};
 use crate::byzantine::ByzantineSchedule;
 use crate::metrics::LatencySummary;
-use crate::safety::SafetyChecker;
 use crate::sink::MetricsSink;
 use crate::workload::Workload;
-use hammerhead::{HammerheadConfig, ScheduleConfig, Validator, ValidatorConfig};
+use hammerhead::{HammerheadConfig, SafetyChecker, ScheduleConfig, Validator, ValidatorConfig};
 use hh_consensus::SchedulePolicy;
 use hh_crypto::Digest;
 use hh_net::{
@@ -34,6 +33,27 @@ impl SystemKind {
             SystemKind::Hammerhead => "hammerhead",
         }
     }
+
+    /// The leader schedule this system runs, with `hammerhead` as the
+    /// reputation parameters.
+    fn schedule(self, hammerhead: HammerheadConfig) -> ScheduleConfig {
+        match self {
+            SystemKind::Bullshark => ScheduleConfig::RoundRobin,
+            SystemKind::Hammerhead => ScheduleConfig::Hammerhead(hammerhead),
+        }
+    }
+}
+
+/// The link-latency model of a run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Network {
+    /// The paper's 13-region AWS matrix.
+    Geo,
+    /// A flat network with the given constant one-way delay.
+    Flat {
+        /// One-way delay in milliseconds.
+        ms: u64,
+    },
 }
 
 /// Full description of one benchmark run.
@@ -41,10 +61,10 @@ impl SystemKind {
 pub struct ExperimentConfig {
     /// Number of validators (equal stake).
     pub committee_size: usize,
-    /// System under test.
-    pub system: SystemKind,
-    /// HammerHead parameters (used when `system` is Hammerhead).
-    pub hammerhead: HammerheadConfig,
+    /// The configuration every validator of the run is built from: the
+    /// leader schedule (the system under test), pacing, block bounds and
+    /// the execution-rate calibration.
+    pub validator: ValidatorConfig,
     /// Total offered load, transactions per second, split across one
     /// client per live validator.
     pub load_tps: u64,
@@ -53,10 +73,6 @@ pub struct ExperimentConfig {
     /// heterogeneity. [`Workload::constant`] (the default) reproduces
     /// the historical fixed-rate windowed client bit for bit.
     pub workload: Workload,
-    /// Overrides the proposer's block byte bound
-    /// ([`hammerhead::ValidatorConfig::max_block_bytes`]); `None` keeps
-    /// the validator config's value (unbounded by default).
-    pub max_block_bytes: Option<usize>,
     /// Measured run length (simulated seconds).
     pub duration_secs: u64,
     /// Initial window excluded from latency statistics.
@@ -73,17 +89,9 @@ pub struct ExperimentConfig {
     /// model). Empty by default — and an empty schedule draws no
     /// randomness, so it changes nothing about the run, bit for bit.
     pub chaos: ChaosSchedule,
-    /// Use the 13-region AWS latency matrix (`true`, the paper's setting)
-    /// or a flat network (`false`, fast unit tests).
-    pub geo: bool,
-    /// One-way delay of every link when `geo` is `false`, in milliseconds.
-    pub flat_latency_ms: u64,
-    /// Validator protocol parameters. `None` derives the paper-calibrated
-    /// defaults (see [`ExperimentConfig::derive_validator_config`]).
-    pub validator_config: Option<ValidatorConfig>,
-    /// Overrides the schedule derived from [`ExperimentConfig::system`]
-    /// (used by ablations running e.g. a static leader).
-    pub schedule_override: Option<ScheduleConfig>,
+    /// Link latencies: the paper's geo matrix, or a flat network (fast
+    /// unit tests).
+    pub network: Network,
     /// Client in-flight window, expressed in seconds of offered rate
     /// (window = per-client rate × this). Models the bounded concurrency of
     /// real benchmark drivers; see [`crate::Client`].
@@ -101,23 +109,28 @@ impl ExperimentConfig {
     /// The paper's benchmark shape: geo network, 60 simulated seconds
     /// (scaled down from the paper's 10 minutes), 10-second warmup,
     /// schedule recomputed every ~10 commits, bottom-f exclusion.
+    ///
+    /// Calibration (`docs/architecture.md` §6): the execution drain rate
+    /// models the Sui execution pipeline and carries a mild committee-size
+    /// penalty, `4200 − 7·n` tps, reproducing the paper's observed peaks
+    /// (≈4k tx/s at 10–50 validators, ≈3.5k at 100). It is written into
+    /// [`ExperimentConfig::validator`] here, for this `committee_size`.
     pub fn paper(system: SystemKind, committee_size: usize, load_tps: u64) -> Self {
         ExperimentConfig {
             committee_size,
-            system,
-            hammerhead: HammerheadConfig::default(),
+            validator: ValidatorConfig {
+                schedule: system.schedule(HammerheadConfig::default()),
+                exec_rate_tps: 4_200u64.saturating_sub(7 * committee_size as u64).max(500),
+                ..ValidatorConfig::default()
+            },
             load_tps,
             workload: Workload::constant(),
-            max_block_bytes: None,
             duration_secs: 60,
             warmup_secs: 10,
             faults: FaultSchedule::default(),
             byzantine: ByzantineSchedule::default(),
             chaos: ChaosSchedule::default(),
-            geo: true,
-            flat_latency_ms: 5,
-            validator_config: None,
-            schedule_override: None,
+            network: Network::Geo,
             client_window_secs: 2.0,
             gst_secs: 0,
             seed: 42,
@@ -129,54 +142,26 @@ impl ExperimentConfig {
     pub fn quick_test(system: SystemKind) -> Self {
         ExperimentConfig {
             committee_size: 4,
-            system,
-            hammerhead: HammerheadConfig { period_rounds: 8, ..HammerheadConfig::default() },
+            validator: ValidatorConfig {
+                schedule: system
+                    .schedule(HammerheadConfig { period_rounds: 8, ..HammerheadConfig::default() }),
+                min_round_delay_us: 20_000,
+                leader_timeout_us: 150_000,
+                sync_tick_us: 100_000,
+                ..ValidatorConfig::default()
+            },
             load_tps: 200,
             workload: Workload::constant(),
-            max_block_bytes: None,
             duration_secs: 3,
             warmup_secs: 0,
             faults: FaultSchedule::default(),
             byzantine: ByzantineSchedule::default(),
             chaos: ChaosSchedule::default(),
-            geo: false,
-            flat_latency_ms: 5,
-            validator_config: Some(ValidatorConfig {
-                min_round_delay_us: 20_000,
-                leader_timeout_us: 150_000,
-                sync_tick_us: 100_000,
-                ..ValidatorConfig::default()
-            }),
-            schedule_override: None,
+            network: Network::Flat { ms: 5 },
             client_window_secs: 10.0,
             gst_secs: 0,
             seed: 42,
         }
-    }
-
-    /// The validator configuration this experiment runs, either the
-    /// explicit override or the derived paper calibration.
-    ///
-    /// Calibration notes (`docs/architecture.md` §6): the execution drain
-    /// rate models the Sui execution pipeline and carries a mild committee-size
-    /// penalty, `4200 − 7·n` tps, reproducing the paper's observed peaks
-    /// (≈4k tx/s at 10–50 validators, ≈3.5k at 100).
-    pub fn derive_validator_config(&self) -> ValidatorConfig {
-        let mut config = self.validator_config.clone().unwrap_or_default();
-        if self.validator_config.is_none() {
-            config.exec_rate_tps = 4_200u64.saturating_sub(7 * self.committee_size as u64).max(500);
-        }
-        config.schedule = match &self.schedule_override {
-            Some(schedule) => schedule.clone(),
-            None => match self.system {
-                SystemKind::Bullshark => ScheduleConfig::RoundRobin,
-                SystemKind::Hammerhead => ScheduleConfig::Hammerhead(self.hammerhead.clone()),
-            },
-        };
-        if let Some(bytes) = self.max_block_bytes {
-            config.max_block_bytes = bytes;
-        }
-        config
     }
 }
 
@@ -311,7 +296,7 @@ impl SimHandle {
 pub fn build_sim(config: &ExperimentConfig) -> SimHandle {
     let n = config.committee_size;
     let committee = Committee::new_equal_stake(n);
-    let mut validator_config = config.derive_validator_config();
+    let mut validator_config = config.validator.clone();
     if let Err(e) = config.byzantine.validate(n) {
         panic!("invalid byzantine schedule: {e}");
     }
@@ -370,14 +355,16 @@ pub fn build_sim(config: &ExperimentConfig) -> SimHandle {
 
     // Latency: validators round-robin over regions; each client co-located
     // with its target validator.
-    let latency = if config.geo {
-        let mut assignment: Vec<Region> = (0..n).map(|i| Region::ALL[i % REGION_COUNT]).collect();
-        for v in &live {
-            assignment.push(Region::ALL[*v % REGION_COUNT]);
+    let latency = match config.network {
+        Network::Geo => {
+            let mut assignment: Vec<Region> =
+                (0..n).map(|i| Region::ALL[i % REGION_COUNT]).collect();
+            for v in &live {
+                assignment.push(Region::ALL[*v % REGION_COUNT]);
+            }
+            LatencyModel::Geo(GeoLatency::with_assignment(assignment))
         }
-        LatencyModel::Geo(GeoLatency::with_assignment(assignment))
-    } else {
-        LatencyModel::Constant(Duration::from_millis(config.flat_latency_ms))
+        Network::Flat { ms } => LatencyModel::Constant(Duration::from_millis(ms)),
     };
 
     let net = NetworkConfig {
@@ -388,7 +375,8 @@ pub fn build_sim(config: &ExperimentConfig) -> SimHandle {
         gst: SimTime::from_secs(config.gst_secs),
         ..NetworkConfig::default()
     };
-    let sim = Simulator::new(actors, net, config.seed);
+    let mut sim = Simulator::new(actors, net, config.seed);
+    sim.set_profiling(crate::prof::enabled());
     SimHandle { sim, committee, n_validators: n, recovery_samples: Vec::new(), safety }
 }
 
@@ -657,6 +645,35 @@ pub fn collect_metrics(config: &ExperimentConfig, handle: &SimHandle, end_us: u6
 mod tests {
     use super::*;
 
+    /// HammerHead with the schedule recomputed every `period_rounds`.
+    fn hammerhead_every(period_rounds: u64) -> ScheduleConfig {
+        ScheduleConfig::Hammerhead(HammerheadConfig {
+            period_rounds,
+            ..HammerheadConfig::default()
+        })
+    }
+
+    #[test]
+    fn paper_writes_the_calibration_into_the_validator_config() {
+        for (n, exec_rate_tps) in
+            [(10, 4_130), (50, 3_850), (100, 3_500), (528, 504), (529, 500), (1_000, 500)]
+        {
+            // The default schedule is the baseline's round-robin.
+            let bullshark = ValidatorConfig { exec_rate_tps, ..ValidatorConfig::default() };
+            let hammerhead = ValidatorConfig {
+                schedule: ScheduleConfig::Hammerhead(HammerheadConfig::default()),
+                ..bullshark.clone()
+            };
+            let paper = |system| ExperimentConfig::paper(system, n, 1_000).validator;
+            assert_eq!(paper(SystemKind::Bullshark), bullshark, "n = {n}");
+            assert_eq!(paper(SystemKind::Hammerhead), hammerhead, "n = {n}");
+        }
+        let quick = |system| ExperimentConfig::quick_test(system).validator;
+        assert_eq!(quick(SystemKind::Bullshark).schedule, ScheduleConfig::RoundRobin);
+        assert_eq!(quick(SystemKind::Hammerhead).schedule, hammerhead_every(8));
+        assert_eq!(quick(SystemKind::Hammerhead).exec_rate_tps, 4_200, "not calibrated");
+    }
+
     #[test]
     fn quick_bullshark_run_commits_and_agrees() {
         let config = ExperimentConfig::quick_test(SystemKind::Bullshark);
@@ -688,8 +705,7 @@ mod tests {
         let bullshark = run_experiment(&base);
 
         let mut hh = base.clone();
-        hh.system = SystemKind::Hammerhead;
-        hh.hammerhead = HammerheadConfig { period_rounds: 6, ..HammerheadConfig::default() };
+        hh.validator.schedule = hammerhead_every(6);
         let hammerhead = run_experiment(&hh);
 
         assert!(bullshark.agreement_ok && hammerhead.agreement_ok);
@@ -928,7 +944,6 @@ mod tests {
         let attacker: u16 = 3;
         let mut base = ExperimentConfig::quick_test(SystemKind::Bullshark);
         base.duration_secs = duration_secs;
-        base.hammerhead = HammerheadConfig { period_rounds: 6, ..HammerheadConfig::default() };
         base.byzantine = schedule;
         base.byzantine.validate(base.committee_size).expect("runnable byzantine schedule");
 
@@ -936,7 +951,7 @@ mod tests {
         let rr = collect_metrics(&base, &rr_handle, rr_end);
 
         let mut hh_config = base.clone();
-        hh_config.system = SystemKind::Hammerhead;
+        hh_config.validator.schedule = hammerhead_every(6);
         let (hh_handle, hh_end) = run_sim_limited(&hh_config, RunLimit::Duration);
         let hh = collect_metrics(&hh_config, &hh_handle, hh_end);
 
@@ -998,11 +1013,11 @@ mod tests {
         // late. The geo network makes that lateness visible to scoring.
         let mut base = ExperimentConfig::quick_test(SystemKind::Bullshark);
         base.committee_size = 7;
-        base.geo = true;
-        base.validator_config = None; // paper-calibrated vote windows
+        base.network = Network::Geo;
+        // Paper-calibrated vote windows.
+        base.validator = ExperimentConfig::paper(SystemKind::Bullshark, 7, 100).validator;
         base.duration_secs = 20;
         base.load_tps = 100;
-        base.hammerhead = HammerheadConfig { period_rounds: 6, ..HammerheadConfig::default() };
         let attacker: u16 = 6;
         base.byzantine = ByzantineSchedule::new().withhold_votes(attacker, vec![0, 1], 0, u64::MAX);
         base.byzantine.validate(base.committee_size).expect("runnable byzantine schedule");
@@ -1011,7 +1026,7 @@ mod tests {
         let rr = collect_metrics(&base, &rr_handle, rr_end);
 
         let mut hh_config = base.clone();
-        hh_config.system = SystemKind::Hammerhead;
+        hh_config.validator.schedule = hammerhead_every(6);
         let (hh_handle, hh_end) = run_sim_limited(&hh_config, RunLimit::Duration);
         let hh = collect_metrics(&hh_config, &hh_handle, hh_end);
 
@@ -1173,8 +1188,7 @@ mod tests {
         // (every outstanding item re-sent every tick) accumulates
         // dozens of digests per node under 50% loss and blows far past
         // this line; the backoff keeps it near one send per node-tick.
-        let ticks =
-            config.duration_secs * 1_000_000 / config.derive_validator_config().sync_tick_us;
+        let ticks = config.duration_secs * 1_000_000 / config.validator.sync_tick_us;
         let budget = ticks * config.committee_size as u64 * 4;
         assert!(
             lossy.rbc_retransmits <= budget,

@@ -29,11 +29,22 @@
 //!   the receiving codec) and reorder, scoped per link, node or the
 //!   whole mesh — executed on the run's seeded RNG, so chaos-free runs
 //!   stay bit-identical;
-//! * an always-on [`SafetyChecker`] that every validator hands each
-//!   commit to as it happens, asserting no fork, `(round, author)` slot
-//!   uniqueness and commit monotonicity across WAL replays (safety is
-//!   checked on every experiment, not assumed — a violation aborts the
-//!   run with a diagnostic dump).
+//! * an always-on [`SafetyChecker`] (it lives beside the validator, in
+//!   `hammerhead`) that every validator hands each commit to as it
+//!   happens, asserting no fork, `(round, author)` slot uniqueness and
+//!   commit monotonicity across WAL replays (safety is checked on every
+//!   experiment, not assumed — a violation aborts the run with a
+//!   diagnostic dump).
+//!
+//! A run is one [`ExperimentConfig`], and it says each thing once:
+//! [`ExperimentConfig::validator`] is the [`hammerhead::ValidatorConfig`]
+//! every validator is built from — leader schedule (the system under
+//! test), pacing, block bounds, execution rate — and
+//! [`ExperimentConfig::network`] the latency model. The constructors
+//! ([`ExperimentConfig::paper`], [`ExperimentConfig::quick_test`]) write
+//! the [`SystemKind`]'s schedule and the execution-rate calibration into
+//! it; comparing systems on an existing config is
+//! `config.validator.schedule = …`.
 //!
 //! # Example
 //!
@@ -76,7 +87,6 @@ mod byzantine;
 mod experiment;
 mod metrics;
 pub mod prof;
-mod safety;
 mod sink;
 mod workload;
 
@@ -87,15 +97,15 @@ pub use byzantine::{
 };
 pub use experiment::{
     build_sim, collect_metrics, collect_streamed_metrics, run_experiment, run_experiment_limited,
-    run_sim_limited, run_sim_streaming, ExperimentConfig, RecoverySample, RunLimit, RunResult,
-    SimHandle, SystemKind,
+    run_sim_limited, run_sim_streaming, ExperimentConfig, Network, RecoverySample, RunLimit,
+    RunResult, SimHandle, SystemKind,
 };
+pub use hammerhead::{SafetyChecker, SafetyViolation};
 pub use hh_net::{
     ChaosEntry, ChaosSchedule, ChaosScheduleError, ChaosTarget, FaultEvent, FaultSchedule,
     FaultScheduleError,
 };
 pub use metrics::LatencySummary;
-pub use safety::{SafetyChecker, SafetyViolation};
 pub use sink::{MetricsSink, StreamingHistogram};
 pub use workload::{
     Arrival, ArrivalKind, Phase, RateNow, SubmissionMode, Workload, WorkloadError,

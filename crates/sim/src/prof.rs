@@ -1,23 +1,11 @@
-//! One switch for the per-layer profiling counters.
+//! The per-layer profiling counters behind one switch.
 //!
-//! `hh_net::prof` (event loop: queue ops, deliveries, timers) and
-//! `hh_crypto::prof` (digests, signatures, framed codec) each carry
-//! their own flag because the two crates share no dependency edge; this
-//! façade flips both together and re-exports the snapshot types so the
-//! scenario executor has a single import. Counters are thread-local —
-//! diff [`net_snapshot`]/[`crypto_snapshot`] around a run *on the
-//! thread that executes it* to attribute cost to that run.
+//! The flag lives in `hh_crypto::prof` (digests, signatures, framed
+//! codec); [`crate::build_sim`] reads it once and tells the simulator it
+//! builds whether to time its event loop (`hh_net::prof`: queue ops,
+//! deliveries, timers), so flip it before building the run. Counters are
+//! thread-local — diff [`net_snapshot`]/[`crypto_snapshot`] around a run
+//! *on the thread that executes it* to attribute cost to that run.
 
-pub use hh_crypto::prof::{snapshot as crypto_snapshot, CryptoProf};
+pub use hh_crypto::prof::{enabled, set_enabled, snapshot as crypto_snapshot, CryptoProf};
 pub use hh_net::prof::{snapshot as net_snapshot, NetProf};
-
-/// Enables or disables all hot-path profiling counters, process-wide.
-pub fn set_enabled(on: bool) {
-    hh_net::prof::set_enabled(on);
-    hh_crypto::prof::set_enabled(on);
-}
-
-/// Whether profiling is on (the layers are only ever flipped together).
-pub fn enabled() -> bool {
-    hh_net::prof::enabled()
-}

@@ -36,6 +36,7 @@ pub mod codec;
 mod committee;
 mod error;
 mod hash;
+pub mod toml;
 mod transaction;
 mod vertex;
 

@@ -1,5 +1,6 @@
 //! Liveness and Leader Utilization integration tests (Lemmas 3, 4, 6).
 
+use hammerhead_repro::hammerhead::{HammerheadConfig, ScheduleConfig};
 use hammerhead_repro::hh_net::SimTime;
 use hammerhead_repro::hh_sim::{build_sim, ExperimentConfig, FaultSchedule, SystemKind};
 use std::collections::HashSet;
@@ -61,10 +62,9 @@ fn leader_utilization_bound_holds() {
         config.duration_secs = secs;
         config.load_tps = 70;
         config.faults = FaultSchedule::crash_last(7, 2).expect("2 of 7 is a valid crash spec");
-        config.hammerhead = hammerhead_repro::hammerhead::HammerheadConfig {
-            period_rounds: 6,
-            ..Default::default()
-        };
+        if let ScheduleConfig::Hammerhead(hammerhead) = &mut config.validator.schedule {
+            hammerhead.period_rounds = 6;
+        }
         let mut handle = build_sim(&config);
         handle.sim.run_until(SimTime::from_secs(secs));
         let anchors = (0..5)
@@ -96,8 +96,8 @@ fn crashed_validators_leave_schedule_and_return_on_recovery_of_scores() {
     config.committee_size = 5;
     config.duration_secs = 8;
     config.faults = FaultSchedule::crash_last(5, 1).expect("1 of 5 is a valid crash spec");
-    config.hammerhead =
-        hammerhead_repro::hammerhead::HammerheadConfig { period_rounds: 6, ..Default::default() };
+    config.validator.schedule =
+        ScheduleConfig::Hammerhead(HammerheadConfig { period_rounds: 6, ..Default::default() });
     let mut handle = build_sim(&config);
     handle.sim.run_until(SimTime::from_secs(8));
 

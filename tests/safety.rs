@@ -7,7 +7,7 @@
 
 use hammerhead_repro::hh_consensus::SchedulePolicy;
 use hammerhead_repro::hh_sim::{
-    build_sim, run_experiment, ExperimentConfig, FaultSchedule, SystemKind,
+    build_sim, run_experiment, ExperimentConfig, FaultSchedule, Network, SystemKind,
 };
 
 /// Prefix-checks anchors across all live validators of a finished run.
@@ -158,7 +158,7 @@ fn chaos_free_runs_take_zero_delivery_path_rng_draws() {
     // Control: the geo model draws jitter once per routed frame, so the
     // counter demonstrably counts — the zero above is not vacuous.
     let mut geo = ExperimentConfig::quick_test(SystemKind::Hammerhead);
-    geo.geo = true;
+    geo.network = Network::Geo;
     let mut handle = build_sim(&geo);
     handle.sim.run_until(SimTime::from_secs(3));
     assert!(
