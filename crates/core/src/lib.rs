@@ -67,7 +67,10 @@ mod schedule;
 mod scores;
 
 pub use config::{ConfigError, HammerheadConfig, ScheduleConfig, ScoringRule, ValidatorConfig};
-pub use node::{CommitRecord, ExecRecord, Output, Validator, ValidatorMessage, ValidatorMetrics};
+pub use node::{
+    CommitRecord, ExecLog, ExecLogIter, ExecRecord, Output, Validator, ValidatorMessage,
+    ValidatorMetrics,
+};
 pub use policy::{EpochSummary, HammerheadPolicy};
 pub use safety::{SafetyChecker, SafetyViolation};
 pub use schedule::{compute_next_schedule, ScheduleChange};

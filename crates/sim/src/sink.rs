@@ -211,16 +211,16 @@ impl MetricsSink {
     /// which the run is known to be inside the measurement window;
     /// records executing beyond it are deferred until
     /// [`MetricsSink::finalize`] decides whether they made the cut.
-    pub fn observe(&mut self, rec: &ExecRecord, frontier_us: u64) {
+    pub fn observe(&mut self, rec: ExecRecord, frontier_us: u64) {
         debug_assert!(!self.finalized, "observe after finalize");
         if rec.executed_at > frontier_us {
-            self.deferred.push(*rec);
+            self.deferred.push(rec);
         } else {
             self.ingest(rec);
         }
     }
 
-    fn ingest(&mut self, rec: &ExecRecord) {
+    fn ingest(&mut self, rec: ExecRecord) {
         self.executed += 1;
         self.executed_bytes += rec.bytes as u64;
         if rec.submitted_at < self.warmup_us {
@@ -242,7 +242,7 @@ impl MetricsSink {
     pub fn finalize(&mut self, end_us: u64) {
         for rec in std::mem::take(&mut self.deferred) {
             if rec.executed_at <= end_us {
-                self.ingest(&rec);
+                self.ingest(rec);
             }
         }
         self.finalized = true;
@@ -334,8 +334,8 @@ mod tests {
     #[test]
     fn sink_accumulates_executed_bytes() {
         let mut sink = MetricsSink::new(0);
-        sink.observe(&rec(0, 50, 100), u64::MAX);
-        sink.observe(&rec(10, 60, 200), u64::MAX);
+        sink.observe(rec(0, 50, 100), u64::MAX);
+        sink.observe(rec(10, 60, 200), u64::MAX);
         sink.finalize(u64::MAX);
         assert_eq!(sink.executed_bytes(), 40);
     }
@@ -343,9 +343,9 @@ mod tests {
     #[test]
     fn sink_defers_past_frontier_records_until_finalize() {
         let mut sink = MetricsSink::new(0);
-        sink.observe(&rec(0, 50, 100), 1_000); // inside frontier: counted
-        sink.observe(&rec(10, 60, 5_000), 1_000); // beyond frontier: deferred
-        sink.observe(&rec(20, 70, 9_000), 1_000); // deferred, then dropped
+        sink.observe(rec(0, 50, 100), 1_000); // inside frontier: counted
+        sink.observe(rec(10, 60, 5_000), 1_000); // beyond frontier: deferred
+        sink.observe(rec(20, 70, 9_000), 1_000); // deferred, then dropped
         assert_eq!(sink.executed(), 1);
         sink.finalize(5_000);
         assert_eq!(sink.executed(), 2, "one deferred record made the cut");
@@ -355,8 +355,8 @@ mod tests {
     #[test]
     fn sink_warmup_excludes_latency_but_counts_execution() {
         let mut sink = MetricsSink::new(1_000);
-        sink.observe(&rec(500, 600, 700), u64::MAX); // pre-warmup
-        sink.observe(&rec(2_000, 2_500, 3_000), u64::MAX);
+        sink.observe(rec(500, 600, 700), u64::MAX); // pre-warmup
+        sink.observe(rec(2_000, 2_500, 3_000), u64::MAX);
         sink.finalize(u64::MAX);
         assert_eq!(sink.executed(), 2);
         let s = sink.latency_summary();
@@ -368,9 +368,9 @@ mod tests {
     fn sink_windows_partition_by_submission_time() {
         let mut sink =
             MetricsSink::new(0).with_window("early", 0, 1_000).with_window("late", 1_000, 2_000);
-        sink.observe(&rec(100, 150, 200), u64::MAX);
-        sink.observe(&rec(1_500, 1_600, 1_700), u64::MAX);
-        sink.observe(&rec(999, 1_100, 1_200), u64::MAX);
+        sink.observe(rec(100, 150, 200), u64::MAX);
+        sink.observe(rec(1_500, 1_600, 1_700), u64::MAX);
+        sink.observe(rec(999, 1_100, 1_200), u64::MAX);
         sink.finalize(u64::MAX);
         let windows = sink.window_summaries();
         assert_eq!(windows[0].0, "early");

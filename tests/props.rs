@@ -2,7 +2,7 @@
 //! round-trips, schedule-computation invariants, and commit-sequence
 //! agreement under randomized DAG shapes and delivery orders.
 
-use hammerhead_repro::hammerhead::{compute_next_schedule, ReputationScores};
+use hammerhead_repro::hammerhead::{compute_next_schedule, ExecLog, ExecRecord, ReputationScores};
 use hammerhead_repro::hh_consensus::{Bullshark, RoundRobinPolicy, SlotSchedule};
 use hammerhead_repro::hh_dag::testkit::DagBuilder;
 use hammerhead_repro::hh_types::codec::{decode_from_slice, encode_to_vec};
@@ -16,8 +16,52 @@ fn arb_transaction() -> impl Strategy<Value = Transaction> {
         .prop_map(|(client, seq, at)| Transaction::new(client, seq, at))
 }
 
+/// A timestamp from `{0, 1, u64::MAX, any}`: the edges a delta code can
+/// trip on, as often as the values between them.
+fn arb_edge_u64() -> impl Strategy<Value = u64> {
+    (0u8..4, any::<u64>()).prop_map(|(pick, v)| [0, 1, u64::MAX, v][pick as usize])
+}
+
+/// Any record at all: times in no order, `committed_at` below
+/// `submitted_at` as readily as above it.
+fn arb_exec_record() -> impl Strategy<Value = ExecRecord> {
+    (arb_edge_u64(), arb_edge_u64(), arb_edge_u64(), 0u8..3, any::<u32>()).prop_map(
+        |(submitted_at, committed_at, executed_at, pick, v)| ExecRecord {
+            submitted_at,
+            committed_at,
+            executed_at,
+            bytes: [0, u32::MAX, v][pick as usize],
+        },
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn exec_log_yields_what_was_pushed(
+        recs in proptest::collection::vec(arb_exec_record(), 0..200),
+        cut in any::<usize>(),
+    ) {
+        // Push, take, push on: the taken log and the one that goes on
+        // after it each decode alone (at `cut == len` that is one log).
+        let (before, after) = recs.split_at(cut % (recs.len() + 1));
+        let mut log = ExecLog::default();
+        for &rec in before {
+            log.push(rec);
+        }
+        let taken = std::mem::take(&mut log);
+        prop_assert!(log.is_empty());
+        for &rec in after {
+            log.push(rec);
+        }
+        for (log, pushed) in [(&taken, before), (&log, after)] {
+            prop_assert_eq!(log.len(), pushed.len());
+            prop_assert_eq!(log.is_empty(), pushed.is_empty());
+            prop_assert_eq!(log.iter().collect::<Vec<_>>(), pushed);
+            prop_assert_eq!(log.into_iter().collect::<Vec<_>>(), pushed);
+        }
+    }
 
     #[test]
     fn codec_roundtrip_transactions(txs in proptest::collection::vec(arb_transaction(), 0..64)) {
