@@ -100,8 +100,12 @@ step "docs: nothing refers to a deleted path, knob, module or type, or to a DESI
 # workload rules are Workload::validate's, the one safety audit is the
 # SafetyChecker the validator actors feed as they commit, a run's validator
 # parameters and latency model are ExperimentConfig::{validator, network},
-# and the broadcast layer's ancestry buffer is the pending / awaited pair.
-if git grep -nE 'hotpath_smoke|BENCH_hotpath|hh[-_]bench|threaded::|threaded_demo|vendor/criterion|DESIGN\.md|swap_from_base|core/src/monitor|hammerhead::monitor|FaultPlan|ChaosPlan|SlowdownSpec|PartitionSpec|ChaosWindow|ChaosScope|KvStore|SerialExecutor|PooledExecutor|hh-cli testnet|StaticLeaderPolicy|TimeSeries|validate_workload|rbc_sender|audit_safety|derive_validator_config|schedule_override|flat_latency_ms|NetworkSpec|missing_index|missing_count' \
+# the broadcast layer's ancestry buffer is the pending / awaited pair, the
+# simulator has one run driver (hh_sim::run_sim; collect_metrics reads a
+# handle somebody else drove), a report row's blocks follow from the run's
+# fault families, S0's seed is a constant, std's TcpListener::bind sets
+# SO_REUSEADDR, and the validator has one wake token.
+if git grep -nE 'hotpath_smoke|BENCH_hotpath|hh[-_]bench|threaded::|threaded_demo|vendor/criterion|DESIGN\.md|swap_from_base|core/src/monitor|hammerhead::monitor|FaultPlan|ChaosPlan|SlowdownSpec|PartitionSpec|ChaosWindow|ChaosScope|KvStore|SerialExecutor|PooledExecutor|hh-cli testnet|StaticLeaderPolicy|TimeSeries|validate_workload|rbc_sender|audit_safety|derive_validator_config|schedule_override|flat_latency_ms|NetworkSpec|missing_index|missing_count|workload_declared|run_sim_streaming|run_sim_limited|run_experiment_limited|collect_streamed_metrics|ChaosRow|schedule_seed|bind_reusable|TOKEN_LEADER' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!ci.sh' ':!perfbench'; then
     echo "dangling reference to a deleted path"
     exit 1
@@ -140,19 +144,12 @@ ceiling() {
 # speed, and the simulated median latency is seed-exact, so one ceiling
 # each holds on any host.
 bench sim_n100_f33
-# 97.7 MB before the pointer-keyed digest table, exact-size parent lists
-# and the slab-backed wheel, 59 MB while every validator kept its commit
-# records and a vote-stake array per round, 39 MB while a latency record
-# cost 32 B, about 38 MB since.
+# About 38 MB and 833.317 ms on seed 1.
 ceiling target/ci-sim_n100_f33.txt peak_rss_mb 48
-# 883.2 ms while the commit rule waited for a vertex two rounds above the
-# anchor, 833.3 ms since it runs at the vote.
 ceiling target/ci-sim_n100_f33.txt sim_latency_p50_ms 860
 bench sim_n10_long
-# The paper-length run, two repetitions of it: 131 MB with the queue's
-# per-slot buffers, 100 MB with the commit records held, 82 MB with 1.8
-# million latency records at 32 B each, about 42 MB with the log at 9 B a
-# record; 387.987 ms on seed 1 (460.6 before the commit rule ran at the vote).
+# The paper-length run, two repetitions of it: about 42.5 MB and
+# 387.987 ms on seed 1.
 ceiling target/ci-sim_n10_long.txt peak_rss_mb 50
 ceiling target/ci-sim_n10_long.txt sim_latency_p50_ms 400
 

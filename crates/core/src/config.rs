@@ -91,9 +91,6 @@ pub struct HammerheadConfig {
     pub max_excluded_stake: Option<Stake>,
     /// The scoring rule in force.
     pub scoring_rule: ScoringRule,
-    /// Seed for the unbiased permutation of the initial schedule S0,
-    /// against which every epoch's B→G slot swap is computed.
-    pub schedule_seed: u64,
 }
 
 impl HammerheadConfig {
@@ -129,7 +126,6 @@ impl Default for HammerheadConfig {
             period_rounds: 20,
             max_excluded_stake: None,
             scoring_rule: ScoringRule::VoteBased,
-            schedule_seed: 0,
         }
     }
 }

@@ -36,12 +36,11 @@ use hh_types::{Block, Committee, Round, Transaction, TypeError, ValidatorId, Ver
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Timer token: re-check round advancement (pacing deadline).
-pub const TOKEN_ROUND: u64 = 1;
-/// Timer token: leader-await deadline.
-pub const TOKEN_LEADER: u64 = 2;
+/// Timer token: re-check round advancement (the pacing or the
+/// leader-await deadline, whichever [`Validator::drive`] armed).
+const TOKEN_WAKE: u64 = 1;
 /// Timer token: broadcast-layer maintenance tick.
-pub const TOKEN_TICK: u64 = 3;
+const TOKEN_TICK: u64 = 2;
 
 /// Commits between durable checkpoints.
 const CHECKPOINT_INTERVAL: u64 = 10;
@@ -393,6 +392,8 @@ pub struct Validator<B: LogBackend> {
     /// Network address each client submitted from, for finality
     /// confirmations. Client addresses live outside the committee's id
     /// range; `ValidatorId` doubles as the generic network address here.
+    /// Kept across [`Validator::on_restart`]: a simulated client does not
+    /// reconnect, so this stands in for its doing so.
     client_addr: std::collections::HashMap<u32, ValidatorId>,
 
     /// Commit records awaiting collection by the safety checker (see
@@ -619,7 +620,7 @@ impl<B: LogBackend> Validator<B> {
                     token: TOKEN_TICK,
                 });
             }
-            TOKEN_ROUND | TOKEN_LEADER if self.next_wake <= now => {
+            TOKEN_WAKE if self.next_wake <= now => {
                 self.next_wake = u64::MAX;
             }
             _ => {}
@@ -635,23 +636,20 @@ impl<B: LogBackend> Validator<B> {
     /// fresh engine — never trusted from disk — and cross-checked against
     /// the last durable checkpoint.
     pub fn on_restart(&mut self, now: u64) -> Vec<Output> {
+        // Volatile state dies with the crash — a storage-fault halt too:
+        // the node retries against its (possibly repaired) store from
+        // scratch. What survives is named here: the store; the metrics,
+        // the evidence ledger and the commit log, which belong to whoever
+        // observes the node; and the clients' addresses, the simulator's
+        // stand-in for clients reconnecting to a restarted node.
+        let fresh = Self::new(self.committee.clone(), self.id, self.config.clone(), None);
+        let crashed = std::mem::replace(self, fresh);
+        self.store = crashed.store;
+        self.metrics = crashed.metrics;
+        self.evidence = crashed.evidence;
+        self.commit_log = crashed.commit_log;
+        self.client_addr = crashed.client_addr;
         self.metrics.restarts += 1;
-        // A restart clears a storage-fault halt: the node retries against
-        // its (possibly repaired) store from scratch.
-        self.halted = false;
-        // Volatile state dies with the crash.
-        self.dag = Dag::new(self.committee.clone());
-        self.rbc = Rbc::new(self.committee.clone(), self.id, self.config.broadcast_mode);
-        self.engine = Bullshark::new(
-            self.committee.clone(),
-            Self::build_policy(&self.committee, &self.config),
-        );
-        self.tx_pool.clear();
-        self.uncommitted_txs = 0;
-        self.exec_free_at = now;
-        self.next_wake = u64::MAX;
-        self.next_round = Round(0);
-        self.best_quorum_round = None;
 
         if let Some(store) = &self.store {
             let recovered = match store.recover() {
@@ -890,12 +888,7 @@ impl<B: LogBackend> Validator<B> {
             }
             let elapsed = now.saturating_sub(self.last_proposal_at);
             if elapsed < self.config.min_round_delay_us {
-                self.arm_wake(
-                    now,
-                    self.last_proposal_at + self.config.min_round_delay_us,
-                    TOKEN_ROUND,
-                    out,
-                );
+                self.arm_wake(now, self.last_proposal_at + self.config.min_round_delay_us, out);
                 return;
             }
             if prev.is_even() {
@@ -910,7 +903,6 @@ impl<B: LogBackend> Validator<B> {
                         self.arm_wake(
                             now,
                             self.last_proposal_at + self.config.leader_timeout_us,
-                            TOKEN_LEADER,
                             out,
                         );
                         return;
@@ -923,10 +915,11 @@ impl<B: LogBackend> Validator<B> {
         }
     }
 
-    fn arm_wake(&mut self, now: u64, deadline: u64, token: u64, out: &mut Vec<Output>) {
+    fn arm_wake(&mut self, now: u64, deadline: u64, out: &mut Vec<Output>) {
         if deadline < self.next_wake || self.next_wake <= now {
             self.next_wake = deadline;
-            out.push(Output::SetTimer { delay_us: deadline.saturating_sub(now).max(1), token });
+            let delay_us = deadline.saturating_sub(now).max(1);
+            out.push(Output::SetTimer { delay_us, token: TOKEN_WAKE });
         }
     }
 
@@ -1133,6 +1126,71 @@ mod tests {
         pump2.absorb(out);
         pump2.run_until(1_200_000);
         assert!(pump2.v.commit_count() > commits_before);
+    }
+
+    #[test]
+    fn restart_on_an_empty_store_is_a_new_validator_but_for_the_survivors() {
+        /// Every field that dies with a crash, as something comparable.
+        /// The pattern is exhaustive: a new field has to be placed here or
+        /// among the survivors before this compiles.
+        fn volatile(v: &Validator<MemBackend>) -> impl PartialEq + std::fmt::Debug {
+            let Validator {
+                id,
+                committee,
+                config,
+                keypair,
+                dag,
+                rbc,
+                engine,
+                next_round,
+                last_proposal_at,
+                best_quorum_round,
+                tx_pool,
+                uncommitted_txs,
+                exec_free_at,
+                next_wake,
+                replaying,
+                halted,
+                store: _,
+                metrics: _,
+                evidence: _,
+                commit_log: _,
+                client_addr: _,
+            } = v;
+            (
+                (*id, committee.size(), config.clone(), keypair.public()),
+                (dag.len(), dag.highest_round(), rbc.pending_len(), rbc.retransmits()),
+                (engine.commit_count(), engine.chain_hash(), engine.current_leader(Round(2))),
+                (*next_round, *last_proposal_at, *best_quorum_round, tx_pool.clone()),
+                (*uncommitted_txs, *exec_free_at, *next_wake, *replaying, *halted),
+            )
+        }
+
+        let committee = Committee::new_equal_stake(4);
+        let make =
+            |backend| Validator::new(committee.clone(), ValidatorId(1), fast_config(), backend);
+        // A validator that ran, without a store to fill: its volatile parts
+        // go onto one whose store is there and empty.
+        let mut ran: Validator<MemBackend> = make(None);
+        let submit = ValidatorMessage::Submit(Transaction::new(7, 0, 0));
+        ran.on_message(ValidatorId(40), &submit, 5);
+        ran.on_message(ValidatorId(40), &submit, 5);
+        ran.on_start(10);
+        ran.halted = true;
+        let fresh = volatile(&make(None));
+        assert_ne!(volatile(&ran), fresh);
+        let mut crashed = Validator { store: Some(ValidatorStore::new(MemBackend::new())), ..ran };
+
+        let mut started = make(Some(MemBackend::new()));
+        let restarted = format!("{:?}", crashed.on_restart(50));
+        assert_eq!(restarted, format!("{:?}", started.on_start(50)));
+        assert_eq!(volatile(&crashed), volatile(&started));
+        assert_ne!(volatile(&crashed), fresh, "both proposed their genesis vertex");
+        // The survivors.
+        assert!(crashed.store.is_some());
+        assert_eq!(crashed.client_addr.get(&7), Some(&ValidatorId(40)));
+        let m = crashed.metrics();
+        assert_eq!((m.restarts, m.txs_accepted, m.proposals), (1, 2, 2));
     }
 
     #[test]
@@ -1414,7 +1472,7 @@ mod tests {
         let mut v = Validator::new(committee, me, fast_config(), None);
         let mut r0 = vec![own_broadcasts(&v.on_start(0), me)[0].digest()];
         r0.extend(deliver_from(&mut v, &peers, 0, &[], 100).0);
-        let mut r1 = vec![own_broadcasts(&v.on_timer(TOKEN_ROUND, 1_000), me)[0].digest()];
+        let mut r1 = vec![own_broadcasts(&v.on_timer(TOKEN_WAKE, 1_000), me)[0].digest()];
         r1.extend(deliver_from(&mut v, &peers, 1, &r0, 1_100).0);
         assert_eq!(v.current_round(), Round(2));
         (v, peers, r1)
@@ -1432,7 +1490,7 @@ mod tests {
         let (mut r2, early) = deliver_from(&mut v, &peers, 2, &r1, 1_500);
         assert!(early.is_empty(), "pacing holds the proposer back");
         assert!(v.dag().is_quorum_at(Round(2)));
-        let proposed = own_broadcasts(&v.on_timer(TOKEN_ROUND, 2_000), me);
+        let proposed = own_broadcasts(&v.on_timer(TOKEN_WAKE, 2_000), me);
         assert_eq!(proposed.len(), 1);
         assert_eq!(proposed[0].round(), Round(2), "the leader proposes its anchor, late or not");
         assert!(v.dag().vertex_by_author(Round(2), me).is_some());
@@ -1443,7 +1501,7 @@ mod tests {
         // both up and resumes at round 5.
         let (r3, _) = deliver_from(&mut v, &peers, 3, &r2, 2_400);
         deliver_from(&mut v, &peers, 4, &r3, 2_500);
-        let proposed = own_broadcasts(&v.on_timer(TOKEN_ROUND, 3_000), me);
+        let proposed = own_broadcasts(&v.on_timer(TOKEN_WAKE, 3_000), me);
         assert_eq!(proposed.len(), 1);
         assert_eq!(proposed[0].round(), Round(5));
         assert!(v.dag().vertex_by_author(Round(3), me).is_none());
@@ -1460,9 +1518,9 @@ mod tests {
         let others: Vec<ValidatorId> = peers.into_iter().filter(|p| *p != leader).collect();
 
         // Round 2 forms without its leader's anchor: the await begins.
-        let mut r2 = vec![own_broadcasts(&v.on_timer(TOKEN_ROUND, 2_000), me)[0].digest()];
+        let mut r2 = vec![own_broadcasts(&v.on_timer(TOKEN_WAKE, 2_000), me)[0].digest()];
         r2.extend(deliver_from(&mut v, &others, 2, &r1, 2_100).0);
-        assert!(own_broadcasts(&v.on_timer(TOKEN_ROUND, 3_000), me).is_empty());
+        assert!(own_broadcasts(&v.on_timer(TOKEN_WAKE, 3_000), me).is_empty());
         assert_eq!(v.current_round(), Round(3));
 
         // The leader's round-3 vertex shows it skipped round 2; waiting out

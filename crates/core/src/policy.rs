@@ -59,6 +59,11 @@ pub struct HammerheadPolicy {
     scratch: SubDagScratch,
 }
 
+/// Seed of the permutation that makes the initial schedule S0 unbiased.
+/// Every validator must use the same one; a deployment would derive it
+/// from the epoch's randomness, which this reproduction does not model.
+const S0_SEED: u64 = 0;
+
 impl HammerheadPolicy {
     /// Creates the policy with the unbiased initial schedule S0
     /// (stake-weighted slots, seeded permutation — §3).
@@ -73,7 +78,7 @@ impl HammerheadPolicy {
             config.period_rounds >= 2,
             "period_rounds must be at least 2 (one anchor per epoch)"
         );
-        let s0 = SlotSchedule::permuted(&committee, config.schedule_seed);
+        let s0 = SlotSchedule::permuted(&committee, S0_SEED);
         let scores = ReputationScores::new(&committee);
         let n = committee.size();
         HammerheadPolicy {

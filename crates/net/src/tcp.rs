@@ -24,8 +24,10 @@
 //!   peer thread or wedge the endpoint — the offending connection is
 //!   dropped, a counter ticks, and everything else keeps flowing;
 //! * outbound connections reconnect with capped exponential backoff, so a
-//!   peer that crashes and restarts (even on the same port, see
-//!   [`bind_reusable`]) is re-linked without operator action;
+//!   peer that crashes and restarts is re-linked without operator action
+//!   — even on the same port: on Unix std's `TcpListener::bind` sets
+//!   `SO_REUSEADDR`, so the restarted listener does not wait out the
+//!   TIME-WAIT of its predecessor's connections;
 //! * writer queues are bounded: a dead or slow peer costs a fixed amount
 //!   of memory, never the whole process (the broadcast layer's
 //!   retransmission logic recovers anything dropped here).
@@ -136,73 +138,6 @@ pub fn read_handshake(r: &mut impl Read) -> Result<u16, FrameError> {
     Ok(u16::from_be_bytes([hs[6], hs[7]]))
 }
 
-/// Binds a listener with `SO_REUSEADDR`, so a node killed and restarted on
-/// the same port rebinds immediately instead of waiting out the TIME_WAIT
-/// quarantine of its previous connections (std's `TcpListener::bind` does
-/// not set the option, and the kill-and-restart path depends on it).
-///
-/// On Linux the socket is built through direct libc calls (the C library
-/// is already linked by std; no new dependency); elsewhere this falls back
-/// to a plain bind.
-#[cfg(target_os = "linux")]
-pub fn bind_reusable(addr: SocketAddr) -> io::Result<TcpListener> {
-    use std::os::fd::FromRawFd;
-
-    extern "C" {
-        fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
-        fn setsockopt(fd: i32, level: i32, name: i32, value: *const u8, len: u32) -> i32;
-        fn bind(fd: i32, addr: *const u8, len: u32) -> i32;
-        fn listen(fd: i32, backlog: i32) -> i32;
-        fn close(fd: i32) -> i32;
-    }
-    const AF_INET: i32 = 2;
-    const SOCK_STREAM: i32 = 1;
-    const SOCK_CLOEXEC: i32 = 0o2000000;
-    const SOL_SOCKET: i32 = 1;
-    const SO_REUSEADDR: i32 = 2;
-
-    let v4 = match addr {
-        SocketAddr::V4(v4) => v4,
-        // The node runtime only configures IPv4; a v6 address still works,
-        // just without the fast-rebind guarantee.
-        SocketAddr::V6(_) => return TcpListener::bind(addr),
-    };
-    unsafe {
-        let fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-        if fd < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        let fail = |fd: i32| -> io::Error {
-            let e = io::Error::last_os_error();
-            close(fd);
-            e
-        };
-        let one: i32 = 1;
-        if setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one as *const i32 as *const u8, 4) != 0 {
-            return Err(fail(fd));
-        }
-        // struct sockaddr_in: family (native u16), port (BE), addr (BE),
-        // 8 bytes of zero padding.
-        let mut sa = [0u8; 16];
-        sa[0..2].copy_from_slice(&(AF_INET as u16).to_ne_bytes());
-        sa[2..4].copy_from_slice(&v4.port().to_be_bytes());
-        sa[4..8].copy_from_slice(&v4.ip().octets());
-        if bind(fd, sa.as_ptr(), sa.len() as u32) != 0 {
-            return Err(fail(fd));
-        }
-        if listen(fd, 1024) != 0 {
-            return Err(fail(fd));
-        }
-        Ok(TcpListener::from_raw_fd(fd))
-    }
-}
-
-/// Fallback for non-Linux hosts: plain bind, no fast-rebind guarantee.
-#[cfg(not(target_os = "linux"))]
-pub fn bind_reusable(addr: SocketAddr) -> io::Result<TcpListener> {
-    TcpListener::bind(addr)
-}
-
 /// Static transport configuration for one endpoint.
 #[derive(Clone, Debug)]
 pub struct TcpConfig {
@@ -304,7 +239,7 @@ impl<M: WireCodec> TcpTransport<M> {
     /// threads. Returns as soon as the listener is live; outbound
     /// connections are established (and re-established) in the background.
     pub fn start(cfg: TcpConfig) -> io::Result<Self> {
-        let listener = bind_reusable(cfg.bind)?;
+        let listener = TcpListener::bind(cfg.bind)?;
         let local_addr = listener.local_addr()?;
         let (events_tx, events_rx) = unbounded();
         let stats = Arc::new(TcpStats::default());
@@ -656,8 +591,8 @@ mod tests {
         let b = transport(1, vec![(0, addr)]);
         b.send(0, &TestMsg(1));
         assert!(recv_message(&a, Duration::from_secs(5)).is_some());
-        // Kill and immediately rebind the same port: SO_REUSEADDR plus
-        // the outbound backoff loop must re-link the pair.
+        // Kill and immediately rebind the same port: std's SO_REUSEADDR
+        // plus the outbound backoff loop must re-link the pair.
         a.shutdown();
         let a2 = TcpTransport::<TestMsg>::start(TcpConfig::new(0, addr, vec![]))
             .expect("rebind same port");

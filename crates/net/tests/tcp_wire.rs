@@ -13,7 +13,7 @@ use hh_net::tcp::{
     MAX_FRAME_LEN,
 };
 use proptest::prelude::*;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
@@ -218,4 +218,24 @@ fn hostile_stream_does_not_starve_concurrent_honest_traffic() {
     }
     hostile.join().expect("hostile thread");
     t.shutdown();
+}
+
+#[test]
+fn rebinds_an_address_right_after_closing_a_connection_accepted_on_it() {
+    let t = endpoint();
+    let addr = t.local_addr();
+    // A frame that fails its checksum makes the endpoint hang up first —
+    // the read below ends only once it has — so it is the endpoint's side
+    // of the connection, on the listener's port, that sits in TIME-WAIT.
+    let mut sock = raw_client(&t, 55);
+    write_frame(&mut sock, &[0xFF; 9]).expect("frame");
+    assert_eq!(sock.read(&mut [0u8; 1]).expect("orderly close"), 0);
+    drop(sock);
+    t.shutdown();
+    // A restarted node binds that port at once: on Unix std's
+    // `TcpListener::bind` sets SO_REUSEADDR.
+    let cfg = TcpConfig::new(0, addr, vec![]);
+    let again = TcpTransport::<TestMsg>::start(cfg).expect("rebind over TIME-WAIT");
+    assert_still_serving(&again, 7);
+    again.shutdown();
 }

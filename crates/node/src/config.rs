@@ -81,14 +81,27 @@ impl NodeConfig {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first syntax or semantic problem.
+    /// Returns a description of the first syntax or semantic problem; a
+    /// table or key the format does not have is one.
     pub fn parse(text: &str) -> Result<Self, String> {
         let root = toml::parse(text).map_err(|e| format!("config: {e}"))?;
         let root = root.as_table().ok_or("config: root is not a table")?;
 
-        let node = table(root, "node")?;
-        let committee = table(root, "committee")?;
-        let validator = table(root, "validator")?;
+        only_keys(root, &["node", "committee", "validator"], "the config root")?;
+        let node = table(root, "node", &["id", "wal"])?;
+        let committee = table(root, "committee", &["peers"])?;
+        let validator = table(
+            root,
+            "validator",
+            &[
+                "schedule",
+                "min_round_delay_ms",
+                "leader_timeout_ms",
+                "sync_tick_ms",
+                "status_interval_ms",
+                "exec_rate_tps",
+            ],
+        )?;
 
         let id = int(node, "id")?;
         let id = u16::try_from(id).map_err(|_| format!("config: node id {id} is not a u16"))?;
@@ -248,11 +261,28 @@ fn ms_to_us(key: &str, ms: u64) -> Result<u64, String> {
     ms.checked_mul(1_000).ok_or_else(|| format!("{key} = {ms} overflows microseconds"))
 }
 
+/// A key outside `allowed` would be read by nobody: the file does not say
+/// what its author meant.
+fn only_keys(t: &BTreeMap<String, Value>, allowed: &[&str], at: &str) -> Result<(), String> {
+    match t.keys().find(|key| !allowed.contains(&key.as_str())) {
+        Some(key) => {
+            Err(format!("config: unknown key `{key}` in {at} (allowed: {})", allowed.join(", ")))
+        }
+        None => Ok(()),
+    }
+}
+
 fn table<'a>(
     root: &'a BTreeMap<String, Value>,
     key: &str,
+    allowed: &[&str],
 ) -> Result<&'a BTreeMap<String, Value>, String> {
-    root.get(key).and_then(Value::as_table).ok_or_else(|| format!("config: missing [{key}] table"))
+    let table = root
+        .get(key)
+        .and_then(Value::as_table)
+        .ok_or_else(|| format!("config: missing [{key}] table"))?;
+    only_keys(table, allowed, &format!("[{key}]"))?;
+    Ok(table)
 }
 
 fn string(t: &BTreeMap<String, Value>, key: &str) -> Result<String, String> {
@@ -337,6 +367,27 @@ mod tests {
             let err = NodeConfig::parse(&doc).unwrap_err();
             assert!(err.contains(&absurd) && err.contains("overflows"), "{err}");
         }
+    }
+
+    #[test]
+    fn parse_rejects_tables_and_keys_nobody_reads() {
+        let doc = sample().to_toml();
+        for (extra, message) in [
+            (
+                "pool_capacity = 5\n",
+                "unknown key `pool_capacity` in [validator] (allowed: schedule, ",
+            ),
+            (
+                "[storage]\nsync = true\n",
+                "unknown key `storage` in the config root (allowed: node, ",
+            ),
+        ] {
+            let err = NodeConfig::parse(&format!("{doc}{extra}")).unwrap_err();
+            assert!(err.contains(message), "{err}");
+        }
+        let misplaced = doc.replace("[committee]", "wal_dir = \"x\"\n[committee]");
+        let err = NodeConfig::parse(&misplaced).unwrap_err();
+        assert!(err.contains("unknown key `wal_dir` in [node] (allowed: id, wal)"), "{err}");
     }
 
     #[test]

@@ -2,10 +2,15 @@
 //! and renders it.
 //!
 //! One [`RunRow`] per planned run: the standard paper metrics
-//! ([`hh_sim::RunResult`]) plus whatever extra analyses the scenario
-//! declared (windowed latency percentiles, skipped leader rounds, B/G
-//! schedule churn). Reports render as an aligned text table for humans
-//! and as deterministic JSON for `BENCH_*.json`-style artifacts.
+//! ([`hh_sim::RunResult`]) plus the analyses of the finished simulation
+//! ([`AnalysisRow`]). Which blocks a row renders follows from the run
+//! itself: every row carries the metrics (with the `workload` and
+//! `recovery` blocks), the latency windows, skipped leader rounds and
+//! B/G churn; the `reinclusion`, `adversary` and `chaos` blocks appear
+//! exactly when the run's fault schedule has recoveries, its byzantine
+//! schedule is non-empty and its chaos schedule is non-empty. Reports
+//! render as an aligned text table for humans and as deterministic JSON
+//! for `BENCH_*.json`-style artifacts.
 //!
 //! Execution itself lives in [`crate::executor`]; this module owns all
 //! output. Progress rows are printed here, from the ordered emission
@@ -17,15 +22,6 @@ use crate::json::Json;
 use crate::spec::{PlannedRun, ScenarioPlan};
 use hh_sim::{LatencySummary, RunLimit, RunResult};
 use std::fmt::Write as _;
-
-/// Latency summary for one named submission-time window.
-#[derive(Clone, Debug)]
-pub struct WindowRow {
-    /// Window name from the scenario.
-    pub name: String,
-    /// Post-warmup latencies of transactions submitted inside the window.
-    pub latency: LatencySummary,
-}
 
 /// Re-inclusion measurements for one recovered validator: how long the
 /// leader schedule took to hand it slots again after its restart.
@@ -83,55 +79,25 @@ pub struct AdversaryRow {
     pub evidence_units: u64,
 }
 
-/// Chaos-delivery accounting for one run: what the adverse network did
-/// to the wire and what the self-healing delivery layer spent riding it
-/// out — plus the safety checker's verdict, which must always be zero
-/// violations for a run to produce a row at all.
-#[derive(Clone, Copy, Debug)]
-pub struct ChaosRow {
-    /// Frames delivered (after chaos effects).
-    pub delivered: u64,
-    /// Frames the chaos plan dropped outright.
-    pub dropped: u64,
-    /// Frames delivered twice.
-    pub duplicated: u64,
-    /// Corrupted frames rejected at the receiver's codec.
-    pub corrupt_rejected: u64,
-    /// Frames given extra reorder delay.
-    pub reordered: u64,
-    /// RBC retransmits (sync retries, proposal re-broadcasts, stall
-    /// pulls) spent recovering the lost traffic.
-    pub retransmits: u64,
-    /// Commit records audited by the safety checker.
-    pub safety_records: u64,
-    /// Safety invariant violations (always zero on a reported run —
-    /// violations abort before reporting; surfaced so artifacts can
-    /// gate on it explicitly).
-    pub safety_violations: u64,
-}
-
-/// Extra per-run analysis results.
-#[derive(Clone, Debug, Default)]
+/// What the finished simulation shows beyond the standard metrics.
+#[derive(Clone, Debug)]
 pub struct AnalysisRow {
-    /// One entry per `[[analysis.window]]`.
-    pub windows: Vec<WindowRow>,
+    /// One `(name, latency)` per `[[analysis.window]]`: post-warmup
+    /// latencies of transactions submitted inside the window, as
+    /// [`hh_sim::MetricsSink::window_summaries`] yields them.
+    pub windows: Vec<(String, LatencySummary)>,
     /// Even rounds ≤ the last committed anchor without a committed anchor
-    /// (Lemma 6's metric), when requested.
-    pub skipped_rounds: Option<u64>,
-    /// Round of the last committed anchor, when `skipped_rounds` is on.
-    pub last_anchor_round: Option<u64>,
+    /// (Lemma 6's metric).
+    pub skipped_rounds: u64,
+    /// Round of the last committed anchor.
+    pub last_anchor_round: u64,
     /// Total validators swapped out across all schedule switches (the
-    /// size of every epoch's B set summed), when requested.
-    pub bg_churn: Option<u64>,
-    /// One entry per recovery event, when the `reinclusion` analysis is
-    /// requested (`Some([])` for runs whose schedule has no recoveries).
-    pub reinclusion: Option<Vec<ReinclusionRow>>,
-    /// One entry per byzantine validator, when the `adversary` analysis
-    /// is requested (`Some([])` for runs with no byzantine schedule).
-    pub adversary: Option<Vec<AdversaryRow>>,
-    /// Chaos-delivery accounting, when the `chaos` analysis is
-    /// requested.
-    pub chaos: Option<ChaosRow>,
+    /// size of every epoch's B set summed; 0 for the baseline).
+    pub bg_churn: u64,
+    /// One entry per recovery event the run reached.
+    pub reinclusion: Vec<ReinclusionRow>,
+    /// One entry per byzantine validator.
+    pub adversary: Vec<AdversaryRow>,
 }
 
 /// Execution-cost sample for one run, rendered only under `--profile`.
@@ -176,7 +142,7 @@ pub struct RunRow {
     pub run: PlannedRun,
     /// Standard metrics.
     pub result: RunResult,
-    /// Scenario-declared analyses.
+    /// Analyses of the finished simulation.
     pub analysis: AnalysisRow,
     /// Execution-cost sample (never part of the report output).
     pub profile: RunProfile,
@@ -193,10 +159,6 @@ pub struct ScenarioReport {
     pub figure: Option<String>,
     /// Stop rule the runs used.
     pub limit: RunLimit,
-    /// Whether the scenario declared a `[workload]` table; gates the
-    /// per-run workload goodput block in rows and JSON (undeclared
-    /// workloads keep legacy report bytes).
-    pub workload_declared: bool,
     /// One row per run, in plan order.
     pub rows: Vec<RunRow>,
 }
@@ -276,7 +238,6 @@ pub fn run_plan_with(plan: &ScenarioPlan, limit: RunLimit, opts: &ExecOptions) -
         description: plan.description.clone(),
         figure: plan.figure.clone(),
         limit,
-        workload_declared: plan.workload_declared,
         rows,
     }
 }
@@ -304,81 +265,74 @@ pub fn render_row(row: &RunRow) -> String {
         r.leader_timeouts,
         r.schedule_epochs,
     );
-    for w in &row.analysis.windows {
+    let a = &row.analysis;
+    for (name, latency) in &a.windows {
         let _ = write!(
             line,
             "\n      window {:<10} p50 {:>6.3}s p95 {:>6.3}s mean {:>6.3}s ({} txs)",
-            w.name, w.latency.p50, w.latency.p95, w.latency.mean, w.latency.count
+            name, latency.p50, latency.p95, latency.mean, latency.count
         );
     }
-    if let (Some(skipped), Some(last)) =
-        (row.analysis.skipped_rounds, row.analysis.last_anchor_round)
-    {
-        let _ = write!(
-            line,
-            "\n      skipped {skipped} of {} leader rounds (last anchor round {last})",
-            last / 2 + 1
-        );
-    }
-    if let Some(churn) = row.analysis.bg_churn {
-        let _ = write!(line, "\n      schedule churn: {churn} validators swapped out");
-    }
-    if row.result.restarts > 0 {
+    let _ = write!(
+        line,
+        "\n      skipped {} of {} leader rounds (last anchor round {}) | schedule churn: {} \
+         validators swapped out",
+        a.skipped_rounds,
+        a.last_anchor_round / 2 + 1,
+        a.last_anchor_round,
+        a.bg_churn,
+    );
+    if r.restarts > 0 {
         let _ = write!(
             line,
             "\n      recovery: {} restart(s){}",
-            row.result.restarts,
-            if row.result.recovery_divergence { " [DIVERGENCE]" } else { "" }
+            r.restarts,
+            if r.recovery_divergence { " [DIVERGENCE]" } else { "" }
         );
     }
-    if let Some(reinclusion) = &row.analysis.reinclusion {
-        for r in reinclusion {
-            let fmt_rounds = |x: Option<u64>| match x {
-                Some(rounds) => format!("+{rounds}"),
-                None => "never".to_string(),
-            };
-            let _ = write!(
-                line,
-                "\n      reinclusion v{}: recovered at round {} | first slot {} | \
-                 first commit {}",
-                r.validator,
-                r.recovery_round,
-                fmt_rounds(r.rounds_to_first_leader),
-                fmt_rounds(r.rounds_to_first_commit),
-            );
-        }
+    for r in &a.reinclusion {
+        let fmt_rounds = |x: Option<u64>| match x {
+            Some(rounds) => format!("+{rounds}"),
+            None => "never".to_string(),
+        };
+        let _ = write!(
+            line,
+            "\n      reinclusion v{}: recovered at round {} | first slot {} | first commit {}",
+            r.validator,
+            r.recovery_round,
+            fmt_rounds(r.rounds_to_first_leader),
+            fmt_rounds(r.rounds_to_first_commit),
+        );
     }
-    if let Some(adversary) = &row.analysis.adversary {
-        for a in adversary {
-            let demotion = match (a.epochs_to_demotion, a.rounds_to_demotion) {
-                (Some(e), Some(r)) => format!("demoted after epoch {e} (round {r})"),
-                _ => "never demoted".to_string(),
-            };
-            let _ = write!(
-                line,
-                "\n      adversary v{} ({}): {demotion} | excluded {}x | \
-                 slot share {:.1}% | evidence {}",
-                a.validator,
-                a.strategy,
-                a.exclusions,
-                a.leader_share_overall * 100.0,
-                a.evidence_units,
-            );
-        }
+    for adv in &a.adversary {
+        let demotion = match (adv.epochs_to_demotion, adv.rounds_to_demotion) {
+            (Some(e), Some(r)) => format!("demoted after epoch {e} (round {r})"),
+            _ => "never demoted".to_string(),
+        };
+        let _ = write!(
+            line,
+            "\n      adversary v{} ({}): {demotion} | excluded {}x | \
+             slot share {:.1}% | evidence {}",
+            adv.validator,
+            adv.strategy,
+            adv.exclusions,
+            adv.leader_share_overall * 100.0,
+            adv.evidence_units,
+        );
     }
-    if let Some(c) = &row.analysis.chaos {
+    if !row.run.config.chaos.is_empty() {
         let _ = write!(
             line,
             "\n      chaos: delivered {} | dropped {} dup {} corrupt-rejected {} reordered {} \
              | retransmits {} | safety {} records, {} violations",
-            c.delivered,
-            c.dropped,
-            c.duplicated,
-            c.corrupt_rejected,
-            c.reordered,
-            c.retransmits,
-            c.safety_records,
-            c.safety_violations,
+            r.frames_delivered,
+            r.chaos_dropped,
+            r.chaos_duplicated,
+            r.chaos_corrupt_rejected,
+            r.chaos_reordered,
+            r.rbc_retransmits,
+            r.safety_records,
+            r.safety_violations,
         );
     }
     line
@@ -448,8 +402,7 @@ fn latency_json(latency: &LatencySummary) -> Json {
 }
 
 /// The per-run workload block: offered vs accepted vs committed
-/// goodput, shed rate, byte goodput. Only rendered for scenarios that
-/// declared a `[workload]` table.
+/// goodput, shed rate, byte goodput.
 fn workload_json(row: &RunRow) -> Json {
     let r = &row.result;
     let offered = r.submitted + r.client_skipped;
@@ -470,7 +423,59 @@ fn workload_json(row: &RunRow) -> Json {
         .with("goodput_bytes_per_sec", Json::Float(r.bytes_committed as f64 / elapsed))
 }
 
-fn row_json(row: &RunRow, workload_declared: bool) -> Json {
+fn opt_int(x: Option<u64>) -> Json {
+    match x {
+        Some(v) => Json::Int(v as i64),
+        None => Json::Null,
+    }
+}
+
+fn reinclusion_json(r: &ReinclusionRow) -> Json {
+    Json::object()
+        .with("validator", Json::Int(r.validator as i64))
+        .with("recovered_at_us", Json::Int(r.recovered_at_us as i64))
+        .with("recovery_round", Json::Int(r.recovery_round as i64))
+        .with("first_leader_round", opt_int(r.first_leader_round))
+        .with("rounds_to_first_leader", opt_int(r.rounds_to_first_leader))
+        .with("first_commit_round", opt_int(r.first_commit_round))
+        .with("rounds_to_first_commit", opt_int(r.rounds_to_first_commit))
+        .with(
+            "score_trajectory",
+            Json::Array(r.score_trajectory.iter().map(|s| Json::Int(*s as i64)).collect()),
+        )
+}
+
+fn adversary_json(adv: &AdversaryRow) -> Json {
+    Json::object()
+        .with("validator", Json::Int(adv.validator as i64))
+        .with("strategy", Json::Str(adv.strategy.clone()))
+        .with("rounds_to_demotion", opt_int(adv.rounds_to_demotion))
+        .with("epochs_to_demotion", opt_int(adv.epochs_to_demotion))
+        .with("exclusions", Json::Int(adv.exclusions as i64))
+        .with("leader_share_overall", Json::Float(adv.leader_share_overall))
+        .with(
+            "leader_share_by_epoch",
+            Json::Array(adv.leader_share_by_epoch.iter().map(|s| Json::Float(*s)).collect()),
+        )
+        .with("evidence_units", Json::Int(adv.evidence_units as i64))
+}
+
+/// Chaos-delivery accounting: what the adverse network did to the wire,
+/// what the self-healing delivery layer spent riding it out, and the
+/// safety checker's verdict (zero violations on any run that reports).
+fn chaos_json(r: &RunResult) -> Json {
+    Json::object()
+        .with("delivered", Json::Int(r.frames_delivered as i64))
+        .with("dropped", Json::Int(r.chaos_dropped as i64))
+        .with("duplicated", Json::Int(r.chaos_duplicated as i64))
+        .with("corrupt_rejected", Json::Int(r.chaos_corrupt_rejected as i64))
+        .with("reordered", Json::Int(r.chaos_reordered as i64))
+        .with("retransmits", Json::Int(r.rbc_retransmits as i64))
+        .with("safety_records", Json::Int(r.safety_records as i64))
+        .with("safety_violations", Json::Int(r.safety_violations as i64))
+}
+
+fn row_json(row: &RunRow) -> Json {
     // Only inherently numeric labels render as JSON numbers; free-form
     // labels (variant, scoring, exclusion) stay strings even when they
     // happen to look numeric, so consumers see stable types.
@@ -489,7 +494,7 @@ fn row_json(row: &RunRow, workload_declared: bool) -> Json {
         );
     }
     let r = &row.result;
-    let mut metrics = Json::object()
+    let metrics = Json::object()
         .with("throughput_tps", Json::Float(r.throughput_tps))
         .with("latency", latency_json(&r.latency))
         .with("commit_latency", latency_json(&r.commit_latency))
@@ -500,138 +505,39 @@ fn row_json(row: &RunRow, workload_declared: bool) -> Json {
         .with("shed", Json::Int(r.shed as i64))
         .with("schedule_epochs", Json::Int(r.schedule_epochs as i64))
         .with("agreement_ok", Json::Bool(r.agreement_ok))
-        .with("chain_hash", Json::Str(r.chain_hash.to_string()));
-    if workload_declared {
-        metrics = metrics.with("workload", workload_json(row));
-    }
-    // Recovery counters appear only for runs that actually restarted (or
-    // diverged), so fault-free reports keep their exact bytes.
-    if r.restarts > 0 || r.recovery_divergence {
-        metrics = metrics.with(
+        .with("chain_hash", Json::Str(r.chain_hash.to_string()))
+        .with("workload", workload_json(row))
+        .with(
             "recovery",
             Json::object()
                 .with("restarts", Json::Int(r.restarts as i64))
                 .with("recovery_divergence", Json::Bool(r.recovery_divergence)),
         );
-    }
 
-    let mut out = Json::object().with("labels", labels).with("metrics", metrics);
     let a = &row.analysis;
-    if !a.windows.is_empty()
-        || a.skipped_rounds.is_some()
-        || a.bg_churn.is_some()
-        || a.reinclusion.is_some()
-        || a.adversary.is_some()
-        || a.chaos.is_some()
-    {
-        let mut analysis = Json::object();
-        if !a.windows.is_empty() {
-            analysis = analysis.with(
-                "windows",
-                Json::Array(
-                    a.windows
-                        .iter()
-                        .map(|w| {
-                            Json::object()
-                                .with("name", Json::Str(w.name.clone()))
-                                .with("latency", latency_json(&w.latency))
-                        })
-                        .collect(),
-                ),
-            );
-        }
-        if let Some(skipped) = a.skipped_rounds {
-            analysis = analysis.with("skipped_leader_rounds", Json::Int(skipped as i64));
-        }
-        if let Some(last) = a.last_anchor_round {
-            analysis = analysis.with("last_anchor_round", Json::Int(last as i64));
-        }
-        if let Some(churn) = a.bg_churn {
-            analysis = analysis.with("bg_churn", Json::Int(churn as i64));
-        }
-        if let Some(reinclusion) = &a.reinclusion {
-            let opt_round = |x: Option<u64>| match x {
-                Some(r) => Json::Int(r as i64),
-                None => Json::Null,
-            };
-            analysis = analysis.with(
-                "reinclusion",
-                Json::Array(
-                    reinclusion
-                        .iter()
-                        .map(|r| {
-                            Json::object()
-                                .with("validator", Json::Int(r.validator as i64))
-                                .with("recovered_at_us", Json::Int(r.recovered_at_us as i64))
-                                .with("recovery_round", Json::Int(r.recovery_round as i64))
-                                .with("first_leader_round", opt_round(r.first_leader_round))
-                                .with("rounds_to_first_leader", opt_round(r.rounds_to_first_leader))
-                                .with("first_commit_round", opt_round(r.first_commit_round))
-                                .with("rounds_to_first_commit", opt_round(r.rounds_to_first_commit))
-                                .with(
-                                    "score_trajectory",
-                                    Json::Array(
-                                        r.score_trajectory
-                                            .iter()
-                                            .map(|s| Json::Int(*s as i64))
-                                            .collect(),
-                                    ),
-                                )
-                        })
-                        .collect(),
-                ),
-            );
-        }
-        if let Some(adversary) = &a.adversary {
-            let opt_int = |x: Option<u64>| match x {
-                Some(v) => Json::Int(v as i64),
-                None => Json::Null,
-            };
-            analysis = analysis.with(
-                "adversary",
-                Json::Array(
-                    adversary
-                        .iter()
-                        .map(|adv| {
-                            Json::object()
-                                .with("validator", Json::Int(adv.validator as i64))
-                                .with("strategy", Json::Str(adv.strategy.clone()))
-                                .with("rounds_to_demotion", opt_int(adv.rounds_to_demotion))
-                                .with("epochs_to_demotion", opt_int(adv.epochs_to_demotion))
-                                .with("exclusions", Json::Int(adv.exclusions as i64))
-                                .with("leader_share_overall", Json::Float(adv.leader_share_overall))
-                                .with(
-                                    "leader_share_by_epoch",
-                                    Json::Array(
-                                        adv.leader_share_by_epoch
-                                            .iter()
-                                            .map(|s| Json::Float(*s))
-                                            .collect(),
-                                    ),
-                                )
-                                .with("evidence_units", Json::Int(adv.evidence_units as i64))
-                        })
-                        .collect(),
-                ),
-            );
-        }
-        if let Some(c) = &a.chaos {
-            analysis = analysis.with(
-                "chaos",
-                Json::object()
-                    .with("delivered", Json::Int(c.delivered as i64))
-                    .with("dropped", Json::Int(c.dropped as i64))
-                    .with("duplicated", Json::Int(c.duplicated as i64))
-                    .with("corrupt_rejected", Json::Int(c.corrupt_rejected as i64))
-                    .with("reordered", Json::Int(c.reordered as i64))
-                    .with("retransmits", Json::Int(c.retransmits as i64))
-                    .with("safety_records", Json::Int(c.safety_records as i64))
-                    .with("safety_violations", Json::Int(c.safety_violations as i64)),
-            );
-        }
-        out = out.with("analysis", analysis);
+    let windows = a.windows.iter().map(|(name, latency)| {
+        Json::object().with("name", Json::Str(name.clone())).with("latency", latency_json(latency))
+    });
+    let mut analysis = Json::object()
+        .with("windows", Json::Array(windows.collect()))
+        .with("skipped_leader_rounds", Json::Int(a.skipped_rounds as i64))
+        .with("last_anchor_round", Json::Int(a.last_anchor_round as i64))
+        .with("bg_churn", Json::Int(a.bg_churn as i64));
+    // The fault-derived blocks: present exactly when the run's schedules
+    // hold that fault family, whatever the run then measured.
+    let config = &row.run.config;
+    if config.faults.has_recoveries() {
+        analysis = analysis
+            .with("reinclusion", Json::Array(a.reinclusion.iter().map(reinclusion_json).collect()));
     }
-    out
+    if !config.byzantine.is_empty() {
+        analysis = analysis
+            .with("adversary", Json::Array(a.adversary.iter().map(adversary_json).collect()));
+    }
+    if !config.chaos.is_empty() {
+        analysis = analysis.with("chaos", chaos_json(r));
+    }
+    Json::object().with("labels", labels).with("metrics", metrics).with("analysis", analysis)
 }
 
 /// Renders the whole report as deterministic JSON.
@@ -651,12 +557,7 @@ pub fn report_json(report: &ScenarioReport) -> Json {
             },
         )
         .with("limit", limit)
-        .with(
-            "runs",
-            Json::Array(
-                report.rows.iter().map(|row| row_json(row, report.workload_declared)).collect(),
-            ),
-        )
+        .with("runs", Json::Array(report.rows.iter().map(row_json).collect()))
 }
 
 #[cfg(test)]
@@ -697,11 +598,8 @@ model = "flat"
     }
 
     #[test]
-    fn analyses_populate_when_requested() {
+    fn a_fault_free_row_carries_the_windows_and_no_fault_block() {
         let extra = r#"
-[analysis]
-skipped_rounds = true
-schedule_churn = true
 [[analysis.window]]
 name = "early"
 from_frac = 0.0
@@ -715,11 +613,14 @@ to_frac = 1.0
         let report = run_plan(&plan, RunLimit::Duration, false);
         let a = &report.rows[0].analysis;
         assert_eq!(a.windows.len(), 2);
-        assert!(a.skipped_rounds.is_some());
-        assert!(a.bg_churn.is_some());
+        assert!(a.last_anchor_round > 0 && a.skipped_rounds < a.last_anchor_round);
         let json = report_json(&report).render();
-        assert!(json.contains("skipped_leader_rounds"));
-        assert!(json.contains("\"early\""));
+        for key in ["skipped_leader_rounds", "bg_churn", "\"early\"", "goodput_tps", "restarts"] {
+            assert!(json.contains(key), "{key} is in every row");
+        }
+        for key in ["reinclusion", "adversary", "chaos"] {
+            assert!(!json.contains(key), "{key} needs its fault family");
+        }
     }
 
     #[test]
@@ -761,8 +662,6 @@ period_rounds = 120
         // execution path — toggling it must not change a byte of the
         // report.
         let extra = r#"
-[analysis]
-skipped_rounds = true
 [[analysis.window]]
 name = "whole"
 from_frac = 0.0
@@ -789,8 +688,6 @@ warmup_secs = 1
 seeds = [1, 2]
 [network]
 model = "flat"
-[analysis]
-skipped_rounds = true
 [[analysis.window]]
 name = "late"
 from_frac = 0.5

@@ -17,11 +17,10 @@
 //! — aborts the pool and is re-raised with the failing run's labels
 //! attached.
 
-use crate::engine::{
-    AdversaryRow, AnalysisRow, ChaosRow, ReinclusionRow, RunProfile, RunRow, WindowRow,
-};
-use crate::spec::{AnalysisSpec, PlannedRun, ScenarioPlan};
-use hh_sim::{collect_streamed_metrics, run_sim_streaming, MetricsSink, RunLimit, SimHandle};
+use crate::engine::{AdversaryRow, AnalysisRow, ReinclusionRow, RunProfile, RunRow};
+use crate::spec::{PlannedRun, ScenarioPlan};
+use hh_sim::{run_sim, ByzantineSchedule, LatencySummary, MetricsSink, RunLimit, SimHandle};
+use hh_types::{Round, ValidatorId};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -31,10 +30,9 @@ pub(crate) fn describe(run: &PlannedRun) -> String {
     run.labels.iter().map(|(k, v)| format!("{k}={v}")).collect::<Vec<_>>().join(" ")
 }
 
-/// Executes run `index` of the plan: streams the simulation into a
-/// [`MetricsSink`] (with one accumulator per declared analysis window),
-/// holds it to the always-on safety checker's verdict, and computes the
-/// declared analyses.
+/// Executes run `index` of the plan: [`run_sim`] with a [`MetricsSink`]
+/// carrying one accumulator per declared analysis window, held to the
+/// always-on safety checker's verdict, then the analyses of the handle.
 ///
 /// Pure in `(plan, index, limit)` — every worker produces the same row
 /// for the same index, which is what makes the report independent of
@@ -62,8 +60,7 @@ pub(crate) fn execute_run(plan: &ScenarioPlan, index: usize, limit: RunLimit) ->
         let to_us = (duration_us as f64 * window.to_frac) as u64;
         sink = sink.with_window(&window.name, from_us, to_us);
     }
-    let (handle, end_us) = run_sim_streaming(config, limit, &mut sink);
-    let result = collect_streamed_metrics(config, &handle, end_us, &mut sink);
+    let (handle, result) = run_sim(config, limit, &mut sink);
     assert!(
         result.agreement_ok,
         "TOTAL ORDER VIOLATION in scenario `{}`, run {} ({})",
@@ -71,27 +68,7 @@ pub(crate) fn execute_run(plan: &ScenarioPlan, index: usize, limit: RunLimit) ->
         index,
         describe(run)
     );
-    let mut analysis = analyze(&plan.analysis, run, &handle, end_us);
-    if plan.analysis.chaos {
-        // Network-level counters come off the simulator; the retransmit
-        // and safety totals are already aggregated into the result.
-        let stats = handle.sim.stats();
-        analysis.chaos = Some(ChaosRow {
-            delivered: stats.delivered,
-            dropped: stats.chaos_dropped,
-            duplicated: stats.chaos_duplicated,
-            corrupt_rejected: stats.chaos_corrupt_rejected,
-            reordered: stats.chaos_reordered,
-            retransmits: result.rbc_retransmits,
-            safety_records: result.safety_records,
-            safety_violations: result.safety_violations,
-        });
-    }
-    analysis.windows = sink
-        .window_summaries()
-        .into_iter()
-        .map(|(name, latency)| WindowRow { name, latency })
-        .collect();
+    let analysis = analyze(run, &handle, sink.window_summaries());
     // Execution-cost sample: always taken (it is two reads), only
     // rendered under --profile, and kept out of the report output so
     // rows and JSON stay deterministic.
@@ -107,81 +84,79 @@ pub(crate) fn execute_run(plan: &ScenarioPlan, index: usize, limit: RunLimit) ->
 }
 
 /// Computes the handle-derived analyses (skipped leader rounds, B/G
-/// churn, re-inclusion). Window latencies come straight from the run's
-/// sink.
-fn analyze(spec: &AnalysisSpec, run: &PlannedRun, handle: &SimHandle, end_us: u64) -> AnalysisRow {
-    let mut analysis = AnalysisRow::default();
-    let config = &run.config;
-    // Live at the actual stop, matching the metrics collectors.
-    let live: Vec<usize> = config.faults.live_at(handle.n_validators, end_us);
+/// churn, re-inclusion, adversary) beside the window latencies of the
+/// run's sink.
+fn analyze(
+    run: &PlannedRun,
+    handle: &SimHandle,
+    windows: Vec<(String, LatencySummary)>,
+) -> AnalysisRow {
+    // Live at the actual stop, matching the metrics collector.
+    let live: Vec<usize> =
+        run.config.faults.live_at(handle.n_validators, handle.sim.now().as_micros());
 
-    if spec.skipped_rounds {
-        // Lemma 6: count even (anchor) rounds at or below the last
-        // committed anchor that never committed, in the most advanced
-        // live validator's view.
-        let anchors = live
-            .iter()
-            .map(|i| handle.validator(*i).committed_anchors().to_vec())
-            .max_by_key(|a| a.len())
-            .unwrap_or_default();
-        let last = anchors.last().map(|a| a.round.0).unwrap_or(0);
-        let committed: std::collections::HashSet<u64> = anchors.iter().map(|a| a.round.0).collect();
-        let skipped = (0..=last).step_by(2).filter(|r| !committed.contains(r)).count() as u64;
-        analysis.skipped_rounds = Some(skipped);
-        analysis.last_anchor_round = Some(last);
-    }
+    // Lemma 6: count even (anchor) rounds at or below the last committed
+    // anchor that never committed, in the most advanced live validator's
+    // view.
+    let anchors = live
+        .iter()
+        .map(|i| handle.validator(*i).committed_anchors())
+        .max_by_key(|a| a.len())
+        .unwrap_or_default();
+    let last_anchor_round = anchors.last().map(|a| a.round.0).unwrap_or(0);
+    let committed: std::collections::HashSet<u64> = anchors.iter().map(|a| a.round.0).collect();
+    let skipped_rounds =
+        (0..=last_anchor_round).step_by(2).filter(|r| !committed.contains(r)).count() as u64;
 
-    if spec.schedule_churn {
-        let churn = live
-            .iter()
-            .filter_map(|i| handle.validator(*i).hammerhead_policy())
-            .map(|p| p.epoch_history().iter().map(|e| e.excluded.len() as u64).sum::<u64>())
-            .max()
-            .unwrap_or(0);
-        analysis.bg_churn = Some(churn);
-    }
+    let bg_churn = live
+        .iter()
+        .filter_map(|i| handle.validator(*i).hammerhead_policy())
+        .map(|p| p.epoch_history().iter().map(|e| e.excluded.len() as u64).sum::<u64>())
+        .max()
+        .unwrap_or(0);
 
-    if spec.reinclusion {
-        analysis.reinclusion = Some(reinclusion_rows(&live, handle));
-    }
+    // Re-inclusion and demotion are judged through the most advanced live
+    // validator's view (ties break toward the lowest index): its schedule
+    // history resolves `leader_at` for every committed round, its
+    // committed anchors bound the search (a slot past the last anchor is
+    // unknown, not pending) and its evidence ledger is as complete as any
+    // honest node's.
+    let observer = live
+        .iter()
+        .copied()
+        .max_by_key(|i| (handle.validator(*i).commit_count(), std::cmp::Reverse(*i)));
+    let (reinclusion, adversary) = match observer {
+        Some(observer) => (
+            reinclusion_rows(handle, observer),
+            adversary_rows(handle, observer, &run.config.byzantine),
+        ),
+        None => (Vec::new(), Vec::new()),
+    };
 
-    if spec.adversary {
-        analysis.adversary = Some(adversary_rows(run, &live, handle));
-    }
-
-    analysis
+    AnalysisRow { windows, skipped_rounds, last_anchor_round, bg_churn, reinclusion, adversary }
 }
 
 /// The adversary analysis: for every byzantine validator, how fast the
 /// schedule demoted it (rounds and epochs to its first exclusion), how
 /// its leader-slot share evolved across epochs, and how much
-/// equivocation evidence the network holds against it.
-///
-/// Judged through the most advanced live validator's view, like the
-/// re-inclusion analysis: its schedule history resolves `leader_at` for
-/// every committed round and its evidence ledger is as complete as any
-/// honest node's.
-fn adversary_rows(run: &PlannedRun, live: &[usize], handle: &SimHandle) -> Vec<AdversaryRow> {
-    let observer_index = live
-        .iter()
-        .copied()
-        .max_by_key(|i| (handle.validator(*i).commit_count(), std::cmp::Reverse(*i)));
-    let Some(observer_index) = observer_index else {
-        return Vec::new();
-    };
-    let observer = handle.validator(observer_index);
+/// equivocation evidence validator `observer` holds against it.
+fn adversary_rows(
+    handle: &SimHandle,
+    observer: usize,
+    schedule: &ByzantineSchedule,
+) -> Vec<AdversaryRow> {
+    let observer = handle.validator(observer);
     let last_anchor_round = observer.committed_anchors().last().map(|a| a.round.0).unwrap_or(0);
-    let schedule = &run.config.byzantine;
 
     // Leader-slot share of `v` over the even (anchor) rounds in
     // `[from, until)`.
-    let share_over = |from: u64, until: u64, v: hh_types::ValidatorId| -> f64 {
+    let share_over = |from: u64, until: u64, v: ValidatorId| -> f64 {
         let from = from + (from % 2);
         let slots = (from..until).step_by(2);
         let (mut held, mut total) = (0u64, 0u64);
         for r in slots {
             total += 1;
-            if observer.leader_at(hh_types::Round(r)) == v {
+            if observer.leader_at(Round(r)) == v {
                 held += 1;
             }
         }
@@ -196,7 +171,7 @@ fn adversary_rows(run: &PlannedRun, live: &[usize], handle: &SimHandle) -> Vec<A
         .nodes()
         .into_iter()
         .map(|node| {
-            let v = hh_types::ValidatorId(node);
+            let v = ValidatorId(node);
             let mut labels: Vec<&str> = schedule
                 .entries()
                 .iter()
@@ -244,21 +219,8 @@ fn adversary_rows(run: &PlannedRun, live: &[usize], handle: &SimHandle) -> Vec<A
 /// first committed anchor, measured in rounds from the network round at
 /// its recovery (sampled by the sim driver), plus its per-epoch score
 /// trajectory under HammerHead.
-///
-/// Rounds are judged through the most advanced live validator's view —
-/// its schedule history resolves `leader_at` for every committed round,
-/// and its committed anchors bound the search (a slot past the last
-/// anchor is unknown, not pending).
-fn reinclusion_rows(live: &[usize], handle: &SimHandle) -> Vec<ReinclusionRow> {
-    // Most advanced live validator; ties break toward the lowest index.
-    let observer_index = live
-        .iter()
-        .copied()
-        .max_by_key(|i| (handle.validator(*i).commit_count(), std::cmp::Reverse(*i)));
-    let Some(observer_index) = observer_index else {
-        return Vec::new();
-    };
-    let observer = handle.validator(observer_index);
+fn reinclusion_rows(handle: &SimHandle, observer: usize) -> Vec<ReinclusionRow> {
+    let observer = handle.validator(observer);
     let anchors = observer.committed_anchors();
     let last_anchor_round = anchors.last().map(|a| a.round.0).unwrap_or(0);
 
@@ -266,14 +228,14 @@ fn reinclusion_rows(live: &[usize], handle: &SimHandle) -> Vec<ReinclusionRow> {
         .recovery_samples
         .iter()
         .map(|sample| {
-            let v = hh_types::ValidatorId(sample.validator);
+            let v = ValidatorId(sample.validator);
             let recovery_round = sample.network_round;
             // Leader slots live on even rounds; scan from the first even
             // round at or after recovery up to the last committed anchor.
             let first_even = recovery_round + (recovery_round % 2);
             let first_leader_round = (first_even..=last_anchor_round)
                 .step_by(2)
-                .find(|r| observer.leader_at(hh_types::Round(*r)) == v);
+                .find(|r| observer.leader_at(Round(*r)) == v);
             let first_commit_round = anchors
                 .iter()
                 .find(|a| a.author == v && a.round.0 >= recovery_round)
@@ -476,8 +438,7 @@ model = "flat"
             description: String::new(),
             figure: None,
             runs: vec![good.runs[0].clone(), bad],
-            analysis: AnalysisSpec::default(),
-            workload_declared: false,
+            analysis: crate::spec::AnalysisSpec::default(),
         };
 
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {

@@ -16,10 +16,13 @@
 //!   has one statement and one error text;
 //! * a `plan → execute → report` pipeline: [`run_plan_with`] (on the
 //!   calling thread or a scoped worker pool, per [`ExecOptions`]) turns
-//!   every planned run into a row via the streaming bounded-memory
-//!   metrics sink, and the report layer assembles a [`ScenarioReport`]
-//!   with the paper's metrics plus declared analyses (latency windows,
-//!   skipped leader rounds, B/G churn);
+//!   every planned run into a row via the simulator's one driver
+//!   ([`hh_sim::run_sim`]) and its bounded-memory metrics sink, and the
+//!   report layer assembles a [`ScenarioReport`] whose rows are a
+//!   function of the run: the paper's metrics, the declared latency
+//!   windows, skipped leader rounds and B/G churn always, the
+//!   re-inclusion / adversary / chaos blocks when the run's schedules
+//!   hold recoveries / byzantine validators / chaos windows;
 //! * deterministic JSON output ([`report_json`]) — same seeds, same
 //!   bytes, for any `--jobs` worker count;
 //! * the `hh-cli` binary: `hh-cli run scenarios/fig1_faultless.toml`,
@@ -57,7 +60,7 @@ mod spec;
 
 pub use engine::{
     render_header, render_profile, render_row, report_json, run_plan, run_plan_with, AdversaryRow,
-    AnalysisRow, ExecOptions, ReinclusionRow, RunProfile, RunRow, ScenarioReport, WindowRow,
+    AnalysisRow, ExecOptions, ReinclusionRow, RunProfile, RunRow, ScenarioReport,
 };
 pub use hh_sim::RunLimit;
 pub use json::Json;

@@ -453,16 +453,10 @@ pub struct WorkloadPhaseSpec {
 /// [`hh_sim::Workload`], resolved per planned run (duration fixes
 /// `from_frac` instants, the load axis fixes absolute `tps` rates).
 ///
-/// A scenario without this table desugars to a constant closed-loop
-/// workload at the `[load] tps` rate — the historical client, bit for
-/// bit.
+/// A scenario without this table runs the table's defaults: a constant
+/// closed-loop workload at the `[load] tps` rate, the paper's client.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WorkloadSpec {
-    /// Whether the scenario wrote a `[workload]` table at all. Only
-    /// declared workloads add the per-run `workload` block (offered vs
-    /// accepted vs committed goodput, shed rate, byte goodput) to the
-    /// report, keeping legacy scenario JSON byte-identical.
-    pub declared: bool,
     /// Open- vs closed-loop submission.
     pub mode: SubmissionMode,
     /// Modeled payload bytes per transaction.
@@ -491,7 +485,7 @@ impl WorkloadSpec {
 
     /// Resolves the declarative workload against a run of `duration`
     /// seconds at `load_tps` offered load into the concrete
-    /// [`hh_sim::Workload`], and validates the result. An undeclared
+    /// [`hh_sim::Workload`], and validates the result. The default
     /// workload lowers to exactly [`Workload::constant`] — the `[load]
     /// tps` sugar.
     pub fn build(&self, duration: u64, load_tps: u64) -> Result<Workload, ScenarioError> {
@@ -551,29 +545,13 @@ pub struct WindowSpec {
     pub to_frac: f64,
 }
 
-/// Extra per-run analyses beyond the standard metrics.
+/// What a scenario asks to be measured beyond what every run reports.
+/// (Which fault-derived blocks a report row carries follows from the
+/// run's schedules, not from here.)
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct AnalysisSpec {
     /// Latency percentiles per named submission-time window.
     pub windows: Vec<WindowSpec>,
-    /// Count even rounds ≤ the last committed anchor with no committed
-    /// anchor (the Lemma 6 "skipped leader rounds" metric).
-    pub skipped_rounds: bool,
-    /// Report per-epoch B/G churn from the schedule history.
-    pub schedule_churn: bool,
-    /// Per recovered validator: rounds from recovery to its first
-    /// post-recovery leader slot and first committed anchor, plus its
-    /// score trajectory across epochs (HammerHead runs).
-    pub reinclusion: bool,
-    /// Per byzantine validator: rounds and epochs until first demotion,
-    /// leader-slot share over time, equivocation evidence, and the
-    /// honest commit latency alongside (runs with `[[faults.byzantine]]`).
-    pub adversary: bool,
-    /// Chaos-delivery accounting: frames delivered / dropped /
-    /// duplicated / corrupt-rejected / reordered, RBC retransmits spent
-    /// digging out, and the safety checker's record and violation counts
-    /// (runs with `[[faults.chaos]]`).
-    pub chaos: bool,
 }
 
 /// Scaled-down axis overrides applied by `--quick`.
@@ -624,8 +602,6 @@ pub struct ScenarioSpec {
     pub exclusion: Vec<ExclusionSpec>,
     /// HammerHead scoring-rule axis.
     pub scoring: Vec<ScoringRule>,
-    /// Seed for the initial schedule permutation.
-    pub schedule_seed: u64,
     /// The workload shape (`[workload]`; defaults to the `[load] tps`
     /// constant-rate sugar).
     pub workload: WorkloadSpec,
@@ -634,7 +610,7 @@ pub struct ScenarioSpec {
     pub variants: Vec<VariantSpec>,
     /// Fault schedule applied to every run.
     pub faults: FaultsSpec,
-    /// Extra analyses.
+    /// Latency windows.
     pub analysis: AnalysisSpec,
     /// `--quick` overrides.
     pub quick: QuickSpec,
@@ -663,7 +639,6 @@ enum Kind {
     Str,
     U64,
     F64,
-    Bool,
     /// One validator id.
     Id,
     /// A scalar or a non-empty list of non-negative integers.
@@ -694,7 +669,6 @@ enum Def {
     U64(u64),
     F64(f64),
     Str(&'static str),
-    Bool(bool),
 }
 
 /// One key of one TOML table.
@@ -758,7 +732,6 @@ cells! {
     Str(String),
     U64(u64),
     F64(f64),
-    Bool(bool),
     Id(u16),
     U64s(Vec<u64>),
     Strs(Vec<String>),
@@ -815,8 +788,6 @@ impl Kind {
             (Kind::Str, _) => return Err(bad("a string")),
             (Kind::U64, v) => as_u64(v, at)?.into(),
             (Kind::F64, v) => as_f64(v, at)?.into(),
-            (Kind::Bool, Value::Bool(b)) => (*b).into(),
-            (Kind::Bool, _) => return Err(bad("a boolean")),
             (Kind::Id, v) => as_id(v, at)?.into(),
             (Kind::U64Axis, Value::Array(items)) if items.is_empty() => {
                 return Err(schema(format!("{at} must not be empty")))
@@ -888,7 +859,6 @@ impl Field {
             (Kind::Id, Def::U64(x)) => u16::try_from(x).expect("a default id fits u16").into(),
             (Kind::When, Def::U64(secs)) => WhenSpec::Secs(secs).into(),
             (Kind::F64, Def::F64(x)) => x.into(),
-            (Kind::Bool, Def::Bool(b)) => b.into(),
             (kind, default) => panic!("`{}`: {default:?} is no default for {kind:?}", self.key),
         })
     }
@@ -1001,7 +971,6 @@ impl Row {
                 Cell::Str(s) => Value::Str(s.clone()),
                 Cell::U64(x) => int(*x),
                 Cell::F64(x) => Value::Float(*x),
-                Cell::Bool(b) => Value::Bool(*b),
                 Cell::Id(id) => int(*id as u64),
                 Cell::U64s(xs) if xs.len() == 1 => int(xs[0]),
                 Cell::U64s(xs) => Value::Array(xs.iter().map(|x| int(*x)).collect()),
@@ -1138,7 +1107,6 @@ section!(HAMMERHEAD_TABLE = "[hammerhead]", shares [], {
     MAX_EXCLUDED_PCT = "max_excluded_pct", Kind::U64Axis, Def::None;
     MAX_EXCLUDED_STAKE = "max_excluded_stake", Kind::U64Axis, Def::None;
     SCORING = "scoring", Kind::StrAxis, Def::Str("vote-based");
-    SCHEDULE_SEED = "schedule_seed", Kind::U64, Def::U64(0);
 });
 
 fn read_exclusion_axis(hammerhead: &Row) -> Result<Vec<ExclusionSpec>, ScenarioError> {
@@ -1270,7 +1238,7 @@ fn write_phase(phase: &WorkloadPhaseSpec) -> Row {
 
 /// The single-phase arrival keys and a `[[workload.phase]]` timeline
 /// exclude each other.
-fn read_workload(workload: &Row, declared: bool) -> Result<WorkloadSpec, ScenarioError> {
+fn read_workload(workload: &Row) -> Result<WorkloadSpec, ScenarioError> {
     let mode = match workload.get::<String>(&MODE).as_str() {
         "closed" => SubmissionMode::Closed,
         "open" => SubmissionMode::Open,
@@ -1306,7 +1274,6 @@ fn read_workload(workload: &Row, declared: bool) -> Result<WorkloadSpec, Scenari
         _ => read_arrival(workload)?,
     };
     Ok(WorkloadSpec {
-        declared,
         mode,
         payload_bytes,
         spread: workload.get(&SPREAD),
@@ -1633,11 +1600,6 @@ section!(WINDOW_TABLE = "[[analysis.window]]", shares [], {
     TO_FRAC = "to_frac", Kind::F64, Def::F64(1.0), shown;
 });
 section!(ANALYSIS_TABLE = "[analysis]", shares [], {
-    SKIPPED_ROUNDS = "skipped_rounds", Kind::Bool, Def::Bool(false);
-    SCHEDULE_CHURN = "schedule_churn", Kind::Bool, Def::Bool(false);
-    REINCLUSION = "reinclusion", Kind::Bool, Def::Bool(false);
-    ADVERSARY = "adversary", Kind::Bool, Def::Bool(false);
-    ANALYSIS_CHAOS = "chaos", Kind::Bool, Def::Bool(false);
     WINDOW = "window", Kind::Tables(&WINDOW_TABLE), Def::None;
 });
 
@@ -1647,14 +1609,7 @@ fn read_analysis(analysis: &Row) -> AnalysisSpec {
         from_frac: w.get(&FROM_FRAC),
         to_frac: w.get(&TO_FRAC),
     };
-    AnalysisSpec {
-        windows: analysis.get::<Vec<Row>>(&WINDOW).iter().map(window).collect(),
-        skipped_rounds: analysis.get(&SKIPPED_ROUNDS),
-        schedule_churn: analysis.get(&SCHEDULE_CHURN),
-        reinclusion: analysis.get(&REINCLUSION),
-        adversary: analysis.get(&ADVERSARY),
-        chaos: analysis.get(&ANALYSIS_CHAOS),
-    }
+    AnalysisSpec { windows: analysis.get::<Vec<Row>>(&WINDOW).iter().map(window).collect() }
 }
 
 fn write_analysis(analysis: &AnalysisSpec) -> Row {
@@ -1664,13 +1619,7 @@ fn write_analysis(analysis: &AnalysisSpec) -> Row {
             .with(&FROM_FRAC, w.from_frac)
             .with(&TO_FRAC, w.to_frac)
     };
-    Row::new(&ANALYSIS_TABLE)
-        .with(&SKIPPED_ROUNDS, analysis.skipped_rounds)
-        .with(&SCHEDULE_CHURN, analysis.schedule_churn)
-        .with(&REINCLUSION, analysis.reinclusion)
-        .with(&ADVERSARY, analysis.adversary)
-        .with(&ANALYSIS_CHAOS, analysis.chaos)
-        .with(&WINDOW, analysis.windows.iter().map(window).collect::<Vec<_>>())
+    Row::new(&ANALYSIS_TABLE).with(&WINDOW, analysis.windows.iter().map(window).collect::<Vec<_>>())
 }
 
 section!(QUICK_TABLE = "[quick]", shares [], {
@@ -1694,9 +1643,9 @@ fn to_u64s(xs: &[usize]) -> Vec<u64> {
 // ---------------------------------------------------------------------------
 
 impl Default for WorkloadSpec {
-    /// The undeclared workload: every `[workload]` key at its default.
+    /// Every `[workload]` key at its default.
     fn default() -> Self {
-        read_workload(&Row::new(&WORKLOAD_TABLE), false).expect("the defaults are a valid workload")
+        read_workload(&Row::new(&WORKLOAD_TABLE)).expect("the defaults are a valid workload")
     }
 }
 
@@ -1743,8 +1692,7 @@ impl ScenarioSpec {
                 .iter()
                 .map(|s| parse_scoring(s))
                 .collect::<Result<_, _>>()?,
-            schedule_seed: hammerhead.get(&SCHEDULE_SEED),
-            workload: read_workload(&sub(&WORKLOAD), root.has(&WORKLOAD))?,
+            workload: read_workload(&sub(&WORKLOAD))?,
             variants: root
                 .get::<Vec<Row>>(&VARIANT)
                 .iter()
@@ -1778,8 +1726,7 @@ impl ScenarioSpec {
         let scoring: Vec<String> = self.scoring.iter().map(|s| scoring_name(*s)).collect();
         let hammerhead = Row::new(&HAMMERHEAD_TABLE)
             .with(&PERIOD_ROUNDS, self.period_rounds.clone())
-            .with(&SCORING, scoring)
-            .with(&SCHEDULE_SEED, self.schedule_seed);
+            .with(&SCORING, scoring);
         let quick = Row::new(&QUICK_TABLE)
             .with_opt(&QUICK_SIZES, self.quick.sizes.as_deref().map(to_u64s))
             .with_opt(&QUICK_TPS, self.quick.tps.clone())
@@ -1796,7 +1743,12 @@ impl ScenarioSpec {
             .with(&NETWORK, write_network(self.network))
             .with(&SYSTEMS, Row::new(&SYSTEMS_TABLE).with(&SYSTEMS_RUN, systems))
             .with(&HAMMERHEAD, write_exclusion_axis(hammerhead, &self.exclusion))
-            .with_opt(&WORKLOAD, self.workload.declared.then(|| write_workload(&self.workload)))
+            // `mode` is shown, so the table of a default workload would not
+            // be empty; the canonical form leaves it out all the same.
+            .with_opt(
+                &WORKLOAD,
+                (self.workload != WorkloadSpec::default()).then(|| write_workload(&self.workload)),
+            )
             .with(&VARIANT, self.variants.iter().map(write_variant).collect::<Vec<_>>())
             .with(&FAULTS, write_faults(&self.faults))
             .with(&ANALYSIS, write_analysis(&self.analysis))
@@ -1910,11 +1862,8 @@ pub struct ScenarioPlan {
     pub figure: Option<String>,
     /// The runs, ordered committee → variant → duration → load → seed.
     pub runs: Vec<PlannedRun>,
-    /// Analyses to compute per run.
+    /// Latency windows to measure per run.
     pub analysis: AnalysisSpec,
-    /// Whether the scenario declared a `[workload]` table — only then
-    /// does the report add the per-run workload goodput block.
-    pub workload_declared: bool,
 }
 
 /// The variants in force after merging the axis defaults.
@@ -2039,7 +1988,6 @@ impl ScenarioSpec {
             figure: self.figure.clone(),
             runs,
             analysis: self.analysis.clone(),
-            workload_declared: self.workload.declared,
         })
     }
 
@@ -2091,7 +2039,6 @@ impl ScenarioSpec {
                     .unwrap_or(self.exclusion[0])
                     .to_config(committee),
                 scoring_rule: variant.scoring.unwrap_or(self.scoring[0]),
-                schedule_seed: self.schedule_seed,
             };
             hh.validate(committee).map_err(|e| {
                 ScenarioError::Invalid(format!("variant `{}` on n = {n}: {e}", variant.label))
@@ -2335,7 +2282,6 @@ run = ["bullshark", "hammerhead"]
             Kind::U64 | Kind::Id | Kind::Count | Kind::When => Value::Int(1),
             Kind::U64Axis => Value::Array(vec![Value::Int(1), Value::Int(2)]),
             Kind::F64 => Value::Float(0.5),
-            Kind::Bool => Value::Bool(true),
             Kind::Ids => Value::Array(vec![Value::Int(1)]),
             Kind::Table(sub) => Value::Table(minimal(sub)),
             Kind::Tables(sub) => Value::Array(vec![Value::Table(minimal(sub))]),
@@ -2363,7 +2309,6 @@ run = ["bullshark", "hammerhead"]
                 Value::Array(vec![Value::Int(1), text()]),
             ],
             Kind::F64 => vec![text(), Value::Bool(true)],
-            Kind::Bool => vec![Value::Int(1), text()],
             Kind::Ids => vec![Value::Int(1), Value::Array(vec![text()])],
             Kind::Count => {
                 vec![Value::Float(1.5), text(), Value::Str("n/0".into()), Value::Int(-1)]
@@ -2451,7 +2396,6 @@ run = ["bullshark", "hammerhead"]
                     (Def::F64(x), Kind::F64) => Some(Cell::F64(x)),
                     (Def::Str(s), Kind::Str) => Some(Cell::Str(s.into())),
                     (Def::Str(s), Kind::StrAxis) => Some(Cell::Strs(vec![s.into()])),
-                    (Def::Bool(b), Kind::Bool) => Some(Cell::Bool(b)),
                     (default, kind) => panic!("{name}: {default:?} cannot default a {kind:?}"),
                 };
                 assert_eq!(absent, expected, "{name}");
@@ -2483,7 +2427,7 @@ run = ["bullshark", "hammerhead"]
                 }
             }
         }
-        assert!(fields.len() > 90, "{} fields", fields.len());
+        assert!(fields.len() > 80, "{} fields", fields.len());
         for field in &fields {
             let literal = format!("\"{}\"", field.key);
             let declared = fields
@@ -2503,7 +2447,6 @@ run = ["bullshark", "hammerhead"]
             Kind::U64 => "int",
             Kind::U64Axis => "int or list",
             Kind::F64 => "float",
-            Kind::Bool => "bool",
             Kind::Id => "id",
             Kind::Ids => "list of ids",
             Kind::Count => "int or `\"n/k\"`",
@@ -2516,7 +2459,6 @@ run = ["bullshark", "hammerhead"]
             Def::U64(x) => format!("`{x}`"),
             Def::F64(x) => format!("`{x:?}`"),
             Def::Str(s) => format!("`\"{s}\"`"),
-            Def::Bool(b) => format!("`{b}`"),
         };
         [keys.join(" / "), kind.to_string(), default]
     }
@@ -2567,6 +2509,19 @@ run = ["bullshark", "hammerhead"]
             documented += rows.len();
         }
         assert!(documented > 80, "{documented} keys documented");
+    }
+
+    /// The report switches are gone from the schema: a file that still
+    /// sets one is told so, with what the table takes.
+    #[test]
+    fn removed_report_switches_are_unknown_keys() {
+        for key in ["skipped_rounds", "schedule_churn", "reinclusion", "adversary", "chaos"] {
+            let err = ScenarioSpec::parse(&format!("name = \"x\"\n[analysis]\n{key} = true\n"))
+                .unwrap_err()
+                .to_string();
+            let expected = format!("unknown key `{key}` in [analysis] (allowed: window)");
+            assert!(err.contains(&expected), "{err}");
+        }
     }
 
     #[test]
@@ -2785,7 +2740,6 @@ run = ["bullshark", "hammerhead"]
 period_rounds = [4, 20]
 max_excluded_pct = [10, 20]
 scoring = ["vote-based", "vote-ema-30"]
-schedule_seed = 3
 [faults]
 crashed = [1]
 crash_last = "n/5"
@@ -2805,9 +2759,6 @@ a = [0, 1]
 b = [2, 3]
 from_secs = 3
 until_frac = 0.5
-[analysis]
-skipped_rounds = true
-reinclusion = true
 [[analysis.window]]
 name = "late"
 from_frac = 0.5
@@ -2844,13 +2795,10 @@ to = 1
 from_secs = 5
 until_secs = 7
 drop = 0.9
-[analysis]
-chaos = true
 "#,
         )
         .unwrap();
         assert_eq!(spec.faults.chaos.len(), 3);
-        assert!(spec.analysis.chaos);
         let plan = spec.plan(&PlanOptions::default()).unwrap();
         let schedule = &plan.runs[0].config.chaos;
         let entries = schedule.entries();
@@ -2883,8 +2831,6 @@ from = 2
 to = 3
 from_secs = 1
 corrupt = 0.1
-[analysis]
-chaos = true
 "#;
         let spec = ScenarioSpec::parse(doc).unwrap();
         let text = spec.to_toml();
@@ -2960,11 +2906,10 @@ chaos = true
     }
 
     #[test]
-    fn undeclared_workload_is_the_constant_sugar() {
+    fn absent_workload_table_is_the_constant_sugar() {
         let spec = ScenarioSpec::parse(MINIMAL).unwrap();
-        assert!(!spec.workload.declared);
+        assert_eq!(spec.workload, WorkloadSpec::default());
         let plan = spec.plan(&PlanOptions::default()).unwrap();
-        assert!(!plan.workload_declared);
         let config = &plan.runs[0].config;
         assert_eq!(config.workload, Workload::constant(), "sugar lowers to the exact default");
         assert_eq!(config.validator.max_block_bytes, usize::MAX);
@@ -2988,9 +2933,7 @@ block_bytes = 65536
 "#,
         )
         .unwrap();
-        assert!(spec.workload.declared);
         let plan = spec.plan(&PlanOptions::default()).unwrap();
-        assert!(plan.workload_declared);
         let config = &plan.runs[0].config;
         assert_eq!(
             config.workload.phases,
@@ -3322,11 +3265,10 @@ ramp_to_scale = 2.0
         let text = spec.to_toml();
         let again = ScenarioSpec::parse(&text).unwrap();
         assert_eq!(spec, again, "canonical form:\n{text}");
-        // And the declared flag itself round-trips for a minimal table.
+        // An empty table is the absent one, and the canonical form omits it.
         let minimal = ScenarioSpec::parse("name = \"x\"\n[workload]\n").unwrap();
-        assert!(minimal.workload.declared);
-        let again = ScenarioSpec::parse(&minimal.to_toml()).unwrap();
-        assert_eq!(minimal, again);
+        assert_eq!(minimal, ScenarioSpec::parse("name = \"x\"\n").unwrap());
+        assert!(!minimal.to_toml().contains("workload"), "{}", minimal.to_toml());
     }
 
     #[test]

@@ -34,9 +34,6 @@ a = [0]
 b = [1, 2, 3, 4, 5, 6]
 from_secs = 4
 until_secs = 5
-[analysis]
-skipped_rounds = true
-reinclusion = true
 "#;
 
 #[test]
@@ -77,10 +74,8 @@ fn recovery_runs_restart_without_divergence_and_report_reinclusion() {
         assert!(row.result.agreement_ok);
         assert_eq!(row.result.restarts, 1, "v3 restarts exactly once per run");
         assert!(!row.result.recovery_divergence, "WAL replay must match the checkpoint");
-        let reinclusion =
-            row.analysis.reinclusion.as_ref().expect("reinclusion analysis requested");
-        assert_eq!(reinclusion.len(), 1, "one recovery event, one row");
-        let r = &reinclusion[0];
+        assert_eq!(row.analysis.reinclusion.len(), 1, "one recovery event, one row");
+        let r = &row.analysis.reinclusion[0];
         assert_eq!(r.validator, 3);
         assert_eq!(r.recovered_at_us, 3_000_000);
         assert!(r.recovery_round > 0);
@@ -107,7 +102,6 @@ fn round_robin_reschedules_recovered_validator_within_one_cycle() {
     let report = run_plan_with(&plan, RunLimit::Duration, &ExecOptions::default());
     let row =
         report.rows.iter().find(|r| r.run.system == "bullshark").expect("bullshark row present");
-    let reinclusion = &row.analysis.reinclusion.as_ref().expect("requested")[0];
-    let rounds = reinclusion.rounds_to_first_leader.expect("always scheduled");
+    let rounds = row.analysis.reinclusion[0].rounds_to_first_leader.expect("always scheduled");
     assert!(rounds <= 14, "2n rounds for n = 7, got {rounds}");
 }

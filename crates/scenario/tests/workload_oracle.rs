@@ -56,13 +56,12 @@ fn explicit_constant_workload_reproduces_the_sugar_bit_for_bit() {
     assert_eq!(a.client_skipped, b.client_skipped);
     assert_eq!(a.shed, b.shed);
 
-    // The only report difference a declared workload may introduce is
-    // the additive `workload` goodput block.
+    // Writing the table out changes no byte of the report, goodput block
+    // included.
     let sugar_json = hh_scenario::report_json(&sugar_report).render();
     let explicit_json = hh_scenario::report_json(&explicit_report).render();
-    assert!(!sugar_json.contains("\"workload\""), "sugar reports keep their legacy shape");
-    assert!(explicit_json.contains("\"goodput_tps\""));
-    assert!(explicit_json.contains("\"shed_rate\""));
+    assert_eq!(sugar_json, explicit_json);
+    assert!(sugar_json.contains("\"goodput_tps\"") && sugar_json.contains("\"shed_rate\""));
 }
 
 #[test]

@@ -212,7 +212,6 @@ fn assert_lowers(spec: &ScenarioSpec, expected_phases: &[Phase]) {
     let plan = spec
         .plan(&PlanOptions::default())
         .unwrap_or_else(|e| panic!("valid workload rejected: {e}\n{text}"));
-    prop_assert!(plan.workload_declared);
     prop_assert_eq!(plan.runs.len(), 1);
     let workload: &Workload = &plan.runs[0].config.workload;
     prop_assert_eq!(workload.phases.as_slice(), expected_phases, "spec:\n{}", text);

@@ -166,7 +166,7 @@ impl ExperimentConfig {
 }
 
 /// Measurements from one run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RunResult {
     /// Distinct transactions reaching execution finality, divided by the
     /// run duration (the paper's throughput metric).
@@ -210,6 +210,8 @@ pub struct RunResult {
     pub agreement_ok: bool,
     /// Commit chain hash of the most advanced validator.
     pub chain_hash: Digest,
+    /// Frames the simulated network delivered (after chaos effects).
+    pub frames_delivered: u64,
     /// Frames dropped by chaos windows.
     pub chaos_dropped: u64,
     /// Frames delivered twice by chaos windows.
@@ -224,9 +226,9 @@ pub struct RunResult {
     pub rbc_retransmits: u64,
     /// Commit records audited by the always-on [`SafetyChecker`].
     pub safety_records: u64,
-    /// Safety violations detected. Always zero on a result of this
-    /// module's drivers — they abort the run with a diagnostic dump on
-    /// any violation — but reported so scenario output can gate on it.
+    /// Safety violations detected. Always zero on a result of [`run_sim`]
+    /// — it aborts the run with a diagnostic dump on any violation — but
+    /// reported so scenario output can gate on it.
     pub safety_violations: u64,
 }
 
@@ -251,15 +253,15 @@ pub struct SimHandle {
     pub committee: Committee,
     /// Number of validator nodes.
     pub n_validators: usize,
-    /// One sample per scheduled recovery, filled as the drivers pass each
+    /// One sample per scheduled recovery, filled as [`run_sim`] passes each
     /// recovery instant (empty until then, and for schedules without
     /// recoveries).
     pub recovery_samples: Vec<RecoverySample>,
     /// The always-on safety invariant checker: the one every validator
     /// actor of this simulation hands its commit records to as it
     /// commits, so it is up to date — and the validators' commit logs
-    /// empty — whenever [`Simulator::run_until`] returns. The run drivers
-    /// abort on a violation with [`SafetyChecker::diagnostic_dump`].
+    /// empty — whenever [`Simulator::run_until`] returns. [`run_sim`]
+    /// aborts on a violation with [`SafetyChecker::diagnostic_dump`].
     pub safety: SafetyChecker,
 }
 
@@ -281,6 +283,22 @@ impl SimHandle {
         for (validator, t) in config.faults.recoveries() {
             if t == at_us {
                 self.recovery_samples.push(RecoverySample { validator, at_us, network_round });
+            }
+        }
+    }
+
+    /// Takes the latency records `validators` produced since the last
+    /// call and feeds them to `sink`.
+    fn drain_exec_records(&mut self, validators: &[usize], now_us: u64, sink: &mut MetricsSink) {
+        for &i in validators {
+            let records = self
+                .sim
+                .node_mut(NodeId(i))
+                .as_validator_mut()
+                .expect("node is a validator")
+                .take_exec_records();
+            for rec in &records {
+                sink.observe(rec, now_us);
             }
         }
     }
@@ -380,7 +398,7 @@ pub fn build_sim(config: &ExperimentConfig) -> SimHandle {
     SimHandle { sim, committee, n_validators: n, recovery_samples: Vec::new(), safety }
 }
 
-/// When a run stops (see [`run_experiment_limited`]).
+/// When a run stops (see [`run_sim`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RunLimit {
     /// Run for the config's full `duration_secs` of simulated time — the
@@ -392,31 +410,12 @@ pub enum RunLimit {
     Rounds(u64),
 }
 
-/// Runs the experiment to completion and gathers the paper's metrics.
+/// Runs the experiment for its full duration and gathers the paper's
+/// metrics: [`run_sim`] with [`RunLimit::Duration`] and a sink without
+/// windows.
 pub fn run_experiment(config: &ExperimentConfig) -> RunResult {
-    run_experiment_limited(config, RunLimit::Duration)
-}
-
-/// Runs the experiment until `limit` is hit and gathers the paper's
-/// metrics over the actually-elapsed window.
-///
-/// The simulation advances in quarter-second slices, so a
-/// [`RunLimit::Rounds`] stop is prompt; throughput and the measurement
-/// window are computed from the real stop time, keeping the metrics
-/// comparable across limit modes.
-pub fn run_experiment_limited(config: &ExperimentConfig, limit: RunLimit) -> RunResult {
-    let (handle, end_us) = run_sim_limited(config, limit);
-    collect_metrics(config, &handle, end_us)
-}
-
-/// The validator indices the run driver may safely drain mid-run:
-/// not crashed at any point through the configured cap, so no record of
-/// a validator that later turns out to be crashed-at-stop ever reaches
-/// the sink. The metrics collectors use [`FaultSchedule::live_at`] at
-/// the *actual* stop time instead — a run stopped before a scheduled
-/// crash counts that (never-crashed) validator as live.
-fn drainable_validators(config: &ExperimentConfig, n_validators: usize) -> Vec<usize> {
-    config.faults.live_at(n_validators, config.duration_secs.saturating_mul(1_000_000))
+    let mut sink = MetricsSink::new(config.warmup_secs * 1_000_000);
+    run_sim(config, RunLimit::Duration, &mut sink).1
 }
 
 /// The scheduled recovery instants at or below `cap_us`, ascending and
@@ -441,33 +440,44 @@ fn next_boundary(now_us: u64, cap_us: u64, recoveries: &[u64]) -> u64 {
     grid.min(recovery).min(cap_us)
 }
 
-/// Builds the simulation and drives it until `limit`, returning the
-/// live handle and the stop time in microseconds.
+/// The run driver: builds the simulation, drives it until `limit` and
+/// gathers the paper's metrics over the actually-elapsed window (the
+/// handle's `sim.now()` is the stop time), returning the live handle for
+/// post-run analyses beside them.
 ///
-/// The simulation advances from one [`next_boundary`] to the next. After
-/// each slice the recoveries scheduled at that instant are sampled,
-/// `on_slice(handle, validators, now_us)` runs with the
-/// [`drainable_validators`], the run aborts if the slice's commits broke
-/// a safety invariant ([`SimHandle::safety`] saw each of them as it
-/// happened), and a [`RunLimit::Rounds`] target is checked. After
-/// the last slice `on_slice` runs once more with the validators that
-/// are live at the actual stop but were outside the conservative drain
-/// set — a run that stopped before a scheduled crash leaves that
-/// (healthy) validator's records buffered until then.
+/// The simulation advances from one [`next_boundary`] to the next, so a
+/// [`RunLimit::Rounds`] stop is prompt. After each slice the recoveries
+/// scheduled at that instant are sampled, the freshly produced
+/// [`hammerhead::ExecRecord`]s are taken off the validators and fed to
+/// `sink` — per-run memory stays bounded by the sink's fixed histograms
+/// (plus the small execution backlog) instead of growing with run length
+/// × load — and the run aborts if the slice's commits broke a safety
+/// invariant ([`SimHandle::safety`] saw each of them as it happened).
+/// Draining changes no event: the simulator's queue is ordered by
+/// `(time, seq)` and never sees the sink.
+///
+/// Mid-run only the validators that are up at the configured cap are
+/// drained, so no record of a validator that turns out to be crashed at
+/// the stop ever reaches the sink. After the last slice the validators
+/// that are live at the actual stop but were outside that conservative
+/// set follow — a run that stopped before a scheduled crash leaves that
+/// (healthy) validator's records buffered until then. `sink` is finalized
+/// on return.
 ///
 /// # Panics
 ///
 /// Panics with the checker's per-validator diagnostic dump if any
 /// safety invariant is violated.
-fn drive(
+pub fn run_sim(
     config: &ExperimentConfig,
     limit: RunLimit,
-    mut on_slice: impl FnMut(&mut SimHandle, &[usize], u64),
-) -> (SimHandle, u64) {
+    sink: &mut MetricsSink,
+) -> (SimHandle, RunResult) {
     let mut handle = build_sim(config);
     let cap_us = SimTime::from_secs(config.duration_secs).as_micros();
     let recoveries = recovery_times(config, cap_us);
-    let live = drainable_validators(config, handle.n_validators);
+    // Up at the cap: the validators that may be drained mid-run.
+    let steady = config.faults.live_at(handle.n_validators, cap_us);
     let mut now_us = 0u64;
     // A recovery at t=0 is a boundary the loop below never visits (it
     // only moves forward from 0).
@@ -481,70 +491,27 @@ fn drive(
         if recoveries.binary_search(&now_us).is_ok() {
             handle.sample_recoveries(config, now_us);
         }
-        on_slice(&mut handle, &live, now_us);
+        handle.drain_exec_records(&steady, now_us, sink);
         handle.safety.assert_clean();
         if let RunLimit::Rounds(target) = limit {
             let best =
-                live.iter().map(|i| handle.validator(*i).current_round().0).max().unwrap_or(0);
+                steady.iter().map(|i| handle.validator(*i).current_round().0).max().unwrap_or(0);
             if best >= target {
                 break;
             }
         }
     }
     let mut late = config.faults.live_at(handle.n_validators, now_us);
-    late.retain(|i| !live.contains(i));
-    on_slice(&mut handle, &late, now_us);
-    (handle, now_us)
+    late.retain(|i| !steady.contains(i));
+    handle.drain_exec_records(&late, now_us, sink);
+    let result = summarize(config, &handle, now_us, sink);
+    (handle, result)
 }
 
-/// Builds and drives the simulation until `limit`, returning the live
-/// handle (for custom post-run analyses) and the stop time in
-/// microseconds. Pass both to [`collect_metrics`] for the standard
-/// metrics.
-///
-/// Latency records stay buffered on the validators; for the
-/// bounded-memory streaming path use [`run_sim_streaming`].
-pub fn run_sim_limited(config: &ExperimentConfig, limit: RunLimit) -> (SimHandle, u64) {
-    drive(config, limit, |_, _, _| {})
-}
-
-/// Builds and drives the simulation until `limit`, draining every live
-/// validator's latency records into `sink` as they are produced.
-///
-/// The simulation advances in quarter-second slices; after each slice
-/// the freshly produced [`hammerhead::ExecRecord`]s are taken off the
-/// validators and fed to the sink, so per-run memory stays bounded by
-/// the sink's fixed histograms (plus the small execution backlog)
-/// instead of growing with run length × load. Draining changes no
-/// event — the simulator's queue is ordered by `(time, seq)` and never
-/// sees the sink — so results match [`run_sim_limited`] bit for bit.
-///
-/// Finish with [`collect_streamed_metrics`] to finalize the sink and
-/// gather the standard [`RunResult`].
-pub fn run_sim_streaming(
-    config: &ExperimentConfig,
-    limit: RunLimit,
-    sink: &mut MetricsSink,
-) -> (SimHandle, u64) {
-    drive(config, limit, |handle, validators, now_us| {
-        for &i in validators {
-            let records = handle
-                .sim
-                .node_mut(NodeId(i))
-                .as_validator_mut()
-                .expect("node is a validator")
-                .take_exec_records();
-            for rec in &records {
-                sink.observe(rec, now_us);
-            }
-        }
-    })
-}
-
-/// Finalizes a sink fed by [`run_sim_streaming`] and gathers the paper's
-/// metrics: the record-derived statistics come from the sink, the run
-/// counters and the safety verdict from the live handle.
-pub fn collect_streamed_metrics(
+/// Finalizes `sink` and gathers the paper's metrics: the record-derived
+/// statistics come from the sink, the run counters and the safety verdict
+/// from the handle.
+fn summarize(
     config: &ExperimentConfig,
     handle: &SimHandle,
     end_us: u64,
@@ -613,6 +580,7 @@ pub fn collect_streamed_metrics(
         recovery_divergence,
         agreement_ok: handle.safety.fork_free(),
         chain_hash,
+        frames_delivered: net_stats.delivered,
         chaos_dropped: net_stats.chaos_dropped,
         chaos_duplicated: net_stats.chaos_duplicated,
         chaos_corrupt_rejected: net_stats.chaos_corrupt_rejected,
@@ -623,14 +591,13 @@ pub fn collect_streamed_metrics(
     }
 }
 
-/// Gathers the paper's metrics from a finished run that stopped at
-/// `end_us` (as returned by [`run_sim_limited`]).
+/// Gathers the paper's metrics from a handle somebody else drove — with
+/// [`build_sim`] and [`Simulator::run_until`] — up to `end_us`.
 ///
-/// This is the post-run convenience over the incremental path: it feeds
-/// the records still buffered on the validators through a fresh
-/// [`MetricsSink`]. The sink's accumulators are order-independent
-/// integers, so the result is identical to streaming the same records
-/// during the run.
+/// The latency records are still buffered on the validators; they go
+/// through a fresh [`MetricsSink`] here. The sink's accumulators are
+/// order-independent integers, so the result is identical to what
+/// [`run_sim`] gathers by draining the same records during the run.
 pub fn collect_metrics(config: &ExperimentConfig, handle: &SimHandle, end_us: u64) -> RunResult {
     let mut sink = MetricsSink::new(config.warmup_secs * 1_000_000);
     for i in config.faults.live_at(handle.n_validators, end_us) {
@@ -638,7 +605,7 @@ pub fn collect_metrics(config: &ExperimentConfig, handle: &SimHandle, end_us: u6
             sink.observe(rec, end_us);
         }
     }
-    collect_streamed_metrics(config, handle, end_us, &mut sink)
+    summarize(config, handle, end_us, &mut sink)
 }
 
 #[cfg(test)]
@@ -651,6 +618,11 @@ mod tests {
             period_rounds,
             ..HammerheadConfig::default()
         })
+    }
+
+    /// [`run_sim`] for the full duration, with a sink without windows.
+    fn run(config: &ExperimentConfig) -> (SimHandle, RunResult) {
+        run_sim(config, RunLimit::Duration, &mut MetricsSink::new(config.warmup_secs * 1_000_000))
     }
 
     #[test]
@@ -725,7 +697,7 @@ mod tests {
     fn rounds_limit_stops_early_with_consistent_metrics() {
         let mut config = ExperimentConfig::quick_test(SystemKind::Bullshark);
         config.duration_secs = 30;
-        let r = run_experiment_limited(&config, RunLimit::Rounds(10));
+        let (_, r) = run_sim(&config, RunLimit::Rounds(10), &mut MetricsSink::new(0));
         assert!(r.agreement_ok);
         assert!(r.commits > 0, "should have committed by round 10");
         // A 10-round run at ~20ms/round finishes far before the 30s cap,
@@ -770,8 +742,7 @@ mod tests {
         config.faults = FaultSchedule::new().crash(3, 1_500_000).recover(3, 3_000_000);
         config.faults.validate(config.committee_size).expect("runnable schedule");
 
-        let (handle, end_us) = run_sim_limited(&config, RunLimit::Duration);
-        let r = collect_metrics(&config, &handle, end_us);
+        let (handle, r) = run(&config);
         assert!(r.agreement_ok, "recovered validator must stay prefix-consistent");
         assert_eq!(r.restarts, 1, "exactly one restart scheduled");
         assert!(!r.recovery_divergence, "WAL replay must match the checkpoint");
@@ -812,77 +783,57 @@ mod tests {
     }
 
     #[test]
-    fn early_stop_counts_validators_whose_crash_never_happened() {
+    fn a_hand_driven_handle_collects_what_the_driver_reports() {
+        // The driver drains records in 250 ms slices (plus recovery
+        // boundaries) into its sink; `collect_metrics` reads them off a
+        // handle somebody else drove. Every field must agree, bit for bit.
+        let quick = ExperimentConfig::quick_test(SystemKind::Hammerhead);
+        let mut recovering = quick.clone();
+        recovering.duration_secs = 5;
+        recovering.faults = FaultSchedule::new().crash(2, 1_100_000).recover(2, 2_700_000);
         // A crash scheduled just before the cap, with a Rounds limit that
         // stops long before it: the validator was healthy for the whole
-        // actual run, so it must be counted live — by both collectors,
-        // identically.
-        let mut config = ExperimentConfig::quick_test(SystemKind::Bullshark);
-        config.duration_secs = 30;
-        config.faults = FaultSchedule::new().crash(3, 29_000_000);
+        // actual run, so it must be counted live.
+        let mut stops_early = ExperimentConfig::quick_test(SystemKind::Bullshark);
+        stops_early.duration_secs = 30;
+        stops_early.faults = FaultSchedule::new().crash(3, 29_000_000);
 
-        let (handle, end_us) = run_sim_limited(&config, RunLimit::Rounds(10));
-        assert!(end_us < 29_000_000, "the run stopped before the scheduled crash");
-        let buffered = collect_metrics(&config, &handle, end_us);
-        // v3's exec records were consumed by the collector — live at stop.
-        assert!(!handle.validator(3).committed_anchors().is_empty());
+        for (config, limit) in [
+            (quick, RunLimit::Duration),
+            (recovering, RunLimit::Duration),
+            (stops_early, RunLimit::Rounds(10)),
+        ] {
+            let mut sink = MetricsSink::new(config.warmup_secs * 1_000_000);
+            let (driven, reported) = run_sim(&config, limit, &mut sink);
+            let end_us = driven.sim.now().as_micros();
+            // The driver leaves no record buffered on a validator that is
+            // live at the stop — the bounded-memory property, and the late
+            // drain of one outside the conservative mid-run set.
+            for i in config.faults.live_at(driven.n_validators, end_us) {
+                assert!(driven.validator(i).metrics().exec_records.is_empty(), "validator {i}");
+            }
 
-        let mut sink = crate::MetricsSink::new(config.warmup_secs * 1_000_000);
-        let (handle2, end_us2) = run_sim_streaming(&config, RunLimit::Rounds(10), &mut sink);
-        let streamed = collect_streamed_metrics(&config, &handle2, end_us2, &mut sink);
-        assert_eq!(end_us, end_us2);
-        assert_eq!(buffered.latency, streamed.latency);
-        assert_eq!(buffered.throughput_tps, streamed.throughput_tps);
-        assert_eq!(buffered.submitted, streamed.submitted);
-        // The late drain picked up v3's buffered records.
-        assert!(handle2.validator(3).metrics().exec_records.is_empty());
-        assert!(streamed.latency.count > 0);
-    }
+            // By hand, as perfbench does: one-second slices, and the same
+            // stop (slicing `run_until` never reorders events).
+            let mut handle = build_sim(&config);
+            for t in (1..).map(|s| s * 1_000_000).take_while(|t| *t < end_us) {
+                handle.sim.run_until(SimTime(t));
+            }
+            handle.sim.run_until(SimTime(end_us));
+            let collected = collect_metrics(&config, &handle, end_us);
 
-    #[test]
-    fn streaming_matches_buffered_for_recovery_runs() {
-        // The extra recovery boundaries in the streaming driver must not
-        // change a single metric relative to the buffered path.
-        let mut config = ExperimentConfig::quick_test(SystemKind::Hammerhead);
-        config.duration_secs = 5;
-        config.faults = FaultSchedule::new().crash(2, 1_100_000).recover(2, 2_700_000);
-
-        let (handle, end_us) = run_sim_limited(&config, RunLimit::Duration);
-        let buffered = collect_metrics(&config, &handle, end_us);
-
-        let mut sink = crate::MetricsSink::new(config.warmup_secs * 1_000_000);
-        let (handle2, end_us2) = run_sim_streaming(&config, RunLimit::Duration, &mut sink);
-        let streamed = collect_streamed_metrics(&config, &handle2, end_us2, &mut sink);
-
-        assert_eq!(buffered.chain_hash, streamed.chain_hash);
-        assert_eq!(buffered.commits, streamed.commits);
-        assert_eq!(buffered.throughput_tps, streamed.throughput_tps);
-        assert_eq!(buffered.latency, streamed.latency);
-        assert_eq!(buffered.restarts, streamed.restarts);
-        assert_eq!(handle.recovery_samples, handle2.recovery_samples);
-    }
-
-    #[test]
-    fn streaming_run_matches_buffered_collection() {
-        // The incremental sink fed in 250 ms slices and the post-run
-        // buffered path must agree on every metric, bit for bit.
-        let config = ExperimentConfig::quick_test(SystemKind::Hammerhead);
-        let (handle, end_us) = run_sim_limited(&config, RunLimit::Duration);
-        let buffered = collect_metrics(&config, &handle, end_us);
-
-        let mut sink = crate::MetricsSink::new(config.warmup_secs * 1_000_000);
-        let (handle, end_us) = run_sim_streaming(&config, RunLimit::Duration, &mut sink);
-        let streamed = collect_streamed_metrics(&config, &handle, end_us, &mut sink);
-
-        assert_eq!(buffered.chain_hash, streamed.chain_hash);
-        assert_eq!(buffered.commits, streamed.commits);
-        assert_eq!(buffered.throughput_tps, streamed.throughput_tps);
-        assert_eq!(buffered.latency, streamed.latency);
-        assert_eq!(buffered.commit_latency, streamed.commit_latency);
-        assert_eq!(buffered.submitted, streamed.submitted);
-        // And the streaming run leaves no records buffered on live
-        // validators — the bounded-memory property.
-        assert!(handle.validator(0).metrics().exec_records.is_empty());
+            assert!(reported.latency.count > 0 && reported.commits > 0, "{reported:?}");
+            assert_eq!(collected, reported, "{limit:?}");
+            if limit != RunLimit::Duration {
+                assert!(end_us < 29_000_000, "the run stopped before the scheduled crash");
+                assert!(!handle.validator(3).metrics().exec_records.is_empty());
+            }
+            if config.faults.has_recoveries() {
+                assert_eq!(reported.restarts, 1);
+                assert_eq!(driven.recovery_samples.len(), 1);
+                assert_eq!(driven.recovery_samples[0].at_us, 2_700_000);
+            }
+        }
     }
 
     /// Rounds the attacker held leader slots: under round-robin that is
@@ -947,13 +898,11 @@ mod tests {
         base.byzantine = schedule;
         base.byzantine.validate(base.committee_size).expect("runnable byzantine schedule");
 
-        let (rr_handle, rr_end) = run_sim_limited(&base, RunLimit::Duration);
-        let rr = collect_metrics(&base, &rr_handle, rr_end);
+        let (rr_handle, rr) = run(&base);
 
         let mut hh_config = base.clone();
         hh_config.validator.schedule = hammerhead_every(6);
-        let (hh_handle, hh_end) = run_sim_limited(&hh_config, RunLimit::Duration);
-        let hh = collect_metrics(&hh_config, &hh_handle, hh_end);
+        let (hh_handle, hh) = run(&hh_config);
 
         assert!(rr.agreement_ok && hh.agreement_ok, "{label}: safety must hold under attack");
         assert!(hh.schedule_epochs >= 2, "{label}: epochs: {}", hh.schedule_epochs);
@@ -1022,13 +971,11 @@ mod tests {
         base.byzantine = ByzantineSchedule::new().withhold_votes(attacker, vec![0, 1], 0, u64::MAX);
         base.byzantine.validate(base.committee_size).expect("runnable byzantine schedule");
 
-        let (rr_handle, rr_end) = run_sim_limited(&base, RunLimit::Duration);
-        let rr = collect_metrics(&base, &rr_handle, rr_end);
+        let (rr_handle, rr) = run(&base);
 
         let mut hh_config = base.clone();
         hh_config.validator.schedule = hammerhead_every(6);
-        let (hh_handle, hh_end) = run_sim_limited(&hh_config, RunLimit::Duration);
-        let hh = collect_metrics(&hh_config, &hh_handle, hh_end);
+        let (hh_handle, hh) = run(&hh_config);
 
         assert!(rr.agreement_ok && hh.agreement_ok, "withhold: safety must hold under attack");
         assert!(hh.schedule_epochs >= 2, "withhold: epochs: {}", hh.schedule_epochs);
@@ -1058,8 +1005,7 @@ mod tests {
         config.faults = FaultSchedule::new().crash(1, 1_500_000).recover(1, 3_000_000);
         config.faults.validate(config.committee_size).expect("runnable schedule");
 
-        let (handle, end_us) = run_sim_limited(&config, RunLimit::Duration);
-        let r = collect_metrics(&config, &handle, end_us);
+        let (handle, r) = run(&config);
         assert!(r.agreement_ok, "equivocation must not break safety");
         assert_eq!(r.restarts, 1);
         assert!(!r.recovery_divergence);
@@ -1270,9 +1216,10 @@ mod tests {
         let config_a = ExperimentConfig::quick_test(SystemKind::Hammerhead);
         let mut config_b = config_a.clone();
         config_b.seed = 43;
-        let (mut handle_a, end_us) = run_sim_limited(&config_a, RunLimit::Duration);
-        let (handle_b, _) = run_sim_limited(&config_b, RunLimit::Duration);
-        assert!(collect_metrics(&config_a, &handle_a, end_us).agreement_ok);
+        let (mut handle_a, clean) = run(&config_a);
+        let (handle_b, _) = run(&config_b);
+        assert!(clean.agreement_ok);
+        let end_us = handle_a.sim.now().as_micros();
 
         let rewrite: Vec<hammerhead::CommitRecord> = handle_b
             .validator(0)

@@ -46,6 +46,14 @@
 //! it; comparing systems on an existing config is
 //! `config.validator.schedule = …`.
 //!
+//! One driver runs it: [`run_sim`] builds the simulation, advances it in
+//! quarter-second slices until the [`RunLimit`], drains the validators'
+//! latency records into a [`MetricsSink`] after every slice and returns
+//! the [`SimHandle`] beside the [`RunResult`]. [`run_experiment`] is that
+//! for the full duration with the result alone, and [`collect_metrics`]
+//! gathers the same result from a handle a caller built with
+//! [`build_sim`] and drove through `Simulator::run_until` itself.
+//!
 //! # Example
 //!
 //! ```
@@ -96,9 +104,8 @@ pub use byzantine::{
     ByzantineStrategy, BYZANTINE_TOKEN_BASE,
 };
 pub use experiment::{
-    build_sim, collect_metrics, collect_streamed_metrics, run_experiment, run_experiment_limited,
-    run_sim_limited, run_sim_streaming, ExperimentConfig, Network, RecoverySample, RunLimit,
-    RunResult, SimHandle, SystemKind,
+    build_sim, collect_metrics, run_experiment, run_sim, ExperimentConfig, Network, RecoverySample,
+    RunLimit, RunResult, SimHandle, SystemKind,
 };
 pub use hammerhead::{SafetyChecker, SafetyViolation};
 pub use hh_net::{

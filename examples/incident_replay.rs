@@ -12,7 +12,7 @@
 //! ```
 
 use hammerhead_repro::hh_sim::{
-    run_sim_streaming, ExperimentConfig, FaultSchedule, MetricsSink, RunLimit, SystemKind,
+    run_sim, ExperimentConfig, FaultSchedule, MetricsSink, RunLimit, SystemKind,
 };
 
 fn main() {
@@ -37,8 +37,7 @@ fn main() {
         let mut sink = MetricsSink::new(config.warmup_secs * 1_000_000)
             .with_window("healthy", 0, onset_s * 1_000_000)
             .with_window("incident", onset_s * 1_000_000, end_s * 1_000_000);
-        let (handle, end_us) = run_sim_streaming(&config, RunLimit::Duration, &mut sink);
-        sink.finalize(end_us);
+        let (handle, _) = run_sim(&config, RunLimit::Duration, &mut sink);
         let windows = sink.window_summaries();
         let (healthy, incident) = (windows[0].1, windows[1].1);
         println!("{}:", system.label());
