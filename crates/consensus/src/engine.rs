@@ -1,5 +1,6 @@
 //! The Bullshark commit engine (Algorithm 2's `TryCommitting`,
-//! `orderAnchors`, `orderHistory`), generic over the schedule policy.
+//! `orderAnchors`, `orderHistory`) run one commit instance per ordered
+//! anchor (Shoal's pipelining), generic over the schedule policy.
 
 use crate::ordered::OrderedSet;
 use crate::policy::{ScheduleDecision, SchedulePolicy};
@@ -34,10 +35,12 @@ pub struct Bullshark<P: SchedulePolicy> {
     policy: P,
     /// The ordered (delivered) vertices still within the DAG's GC horizon.
     ordered: OrderedSet,
-    /// Round of the last *ordered* anchor (the paper's `lastOrderedRound`):
-    /// the floor of every walk-back. It advances only when an anchor is
-    /// ordered, never when one is merely looked at.
-    last_ordered_anchor_round: Option<Round>,
+    /// First round of the current commit instance: 0 at genesis, one above
+    /// the last ordered anchor afterwards (the paper's `lastOrderedRound`,
+    /// plus one). It is the floor of every walk-back and fixes which rounds
+    /// hold anchor candidates; it advances only when an anchor is ordered,
+    /// never when one is merely looked at.
+    instance_start: Round,
     commit_index: u64,
     /// Running hash over the commit sequence (anchor digests in order).
     chain_hash: Digest,
@@ -46,8 +49,6 @@ pub struct Bullshark<P: SchedulePolicy> {
     /// Reusable state for the indexed sub-DAG walk (no per-commit
     /// allocations beyond the delivered vertex list).
     scratch: SubDagScratch,
-    /// Reusable `orderAnchors` stack.
-    anchor_stack: Vec<Arc<Vertex>>,
 }
 
 impl<P: SchedulePolicy> Bullshark<P> {
@@ -57,12 +58,11 @@ impl<P: SchedulePolicy> Bullshark<P> {
             ordered: OrderedSet::new(committee.size()),
             committee,
             policy,
-            last_ordered_anchor_round: None,
+            instance_start: Round(0),
             commit_index: 0,
             chain_hash: Digest::ZERO,
             committed_anchors: Vec::new(),
             scratch: SubDagScratch::new(),
-            anchor_stack: Vec::new(),
         }
     }
 
@@ -93,9 +93,11 @@ impl<P: SchedulePolicy> Bullshark<P> {
         self.ordered.contains(vertex)
     }
 
-    /// Round of the last ordered anchor, if any.
-    pub fn last_ordered_anchor_round(&self) -> Option<Round> {
-        self.last_ordered_anchor_round
+    /// Whether `round` holds an anchor candidate of the current commit
+    /// instance: the instance's first round, or an even number of rounds
+    /// above it. The proposer's leader-await asks this.
+    pub fn is_candidate_round(&self, round: Round) -> bool {
+        round >= self.instance_start && (round.0 - self.instance_start.0).is_multiple_of(2)
     }
 
     /// The leader of `round` under the currently active schedule — exposed
@@ -104,46 +106,76 @@ impl<P: SchedulePolicy> Bullshark<P> {
         self.policy.leader_at(round)
     }
 
-    /// Algorithm 2's `TryCommitting`, run where an anchor's votes change,
-    /// extended with the schedule-switch re-walk. Call with every delivered
+    /// Algorithm 2's `TryCommitting`, run where an anchor's votes change
+    /// and restarted above every ordered anchor. Call with every delivered
     /// vertex, after it entered `dag`; returns the sub-DAGs this vertex's
     /// arrival committed (usually empty).
     ///
-    /// **Trigger.** An anchor's vote stake changes only when a vertex of
-    /// the voting (odd) round above it is inserted — children enter the
-    /// DAG after their parents — so the rule runs on delivery of an odd
-    /// vertex `v`, for the anchor of `v.round − 1`: it commits with the
-    /// (f+1)-th vote. Algorithm 2 runs it literally one round later, on a
-    /// round-`r` vertex for the round-`r−2` anchor; a validator's first
-    /// such vertex is its own, proposed only after a full quorum of votes
-    /// plus pacing. A [`ScheduleDecision::Switched`] renames the leaders of
-    /// every round from the switching anchor's up, so those rounds are
-    /// evaluated once more under the new schedule.
+    /// **Rule.** The engine runs one Bullshark *instance* at a time. An
+    /// instance starts at `instance_start` (round 0 at genesis); its anchor
+    /// *candidates* are the active-schedule leader vertices of rounds
+    /// `instance_start, instance_start + 2, …`. A candidate of round `c`
+    /// commits directly once round-`c+1` vertices linking to it carry
+    /// validity-threshold stake (`f+1`). The walk-back (`orderAnchors`)
+    /// then descends over the instance's candidates down to
+    /// `instance_start`, chaining each earlier candidate the chain reaches —
+    /// and only the **earliest** anchor of that chain is ordered. The next
+    /// instance starts one round above it, and every round from there to
+    /// the DAG's top is evaluated again, as candidates of the new instance.
+    /// In a DAG where every leader is voted for, every round's leader
+    /// vertex is therefore an anchor: the fixed even-round grid cost a
+    /// transaction up to two rounds of waiting for the next anchor, this
+    /// rule at most one (Shoal, Spiegelman et al., FC 2024, does the same
+    /// to Bullshark and leaves who leads to the schedule).
     ///
-    /// **Invariant.** When this returns, no even round above
-    /// [`Bullshark::last_ordered_anchor_round`] has an active-schedule
-    /// leader vertex that is in `dag`, unordered, and carries
-    /// validity-threshold vote stake (given the same held before `v` was
-    /// inserted).
+    /// **Trigger.** A candidate's vote stake changes only when a vertex of
+    /// the round above it is inserted — children enter the DAG after their
+    /// parents — so the rule runs on delivery of `v`, for round
+    /// `v.round − 1` when that is a candidate round: it commits with the
+    /// (f+1)-th vote. A [`ScheduleDecision::Switched`] renames the leaders
+    /// of every round from the switching anchor's up, so those rounds are
+    /// evaluated once more under the new schedule, within the same
+    /// instance.
     ///
-    /// **Order.** The total order is the same function of the DAG as under
-    /// the literal trigger: safety needs only that f+1 votes exist (every
-    /// round-`r+2` vertex has 2f+1 parents and so meets a voter, hence
-    /// every later anchor reaches this one in its walk-back), not when a
-    /// validator notices them.
+    /// **Invariant.** When this returns, no candidate round of the current
+    /// instance has an active-schedule leader vertex that is in `dag` and
+    /// carries validity-threshold vote stake (given the same held before
+    /// `v` was inserted). Nothing at or above `instance_start` is ordered.
+    ///
+    /// **Safety.** Bullshark's argument per instance, induction over
+    /// instances. Validators that agree on the ordered prefix agree on
+    /// `instance_start` and on the schedule, hence on the instance's
+    /// candidates. Inside an instance candidates are two rounds apart:
+    /// every vertex of round `c + 2` or above has `2f+1` parents and so
+    /// meets one of the `f+1` voters of a directly committed candidate `c`,
+    /// which puts `c` in the causal history of every later candidate. Take
+    /// the lowest candidate `c*` that ever holds `f+1` votes: whichever
+    /// candidate a validator commits directly is `c*` or above it, its
+    /// walk-back reaches `c*`, and below `c*` the walk reads only `c*`'s
+    /// causal history, which is the same at everyone. All validators thus
+    /// order the same earliest anchor — or switch schedules at it, a
+    /// function of the ordered prefix and that anchor, and repeat the
+    /// argument under the new schedule — and agree on the next
+    /// `instance_start` and on everything after it. Safety needs only that
+    /// the votes exist, not when a validator notices them, so the order is
+    /// a function of the DAG alone.
     pub fn process_vertex(&mut self, v: &Arc<Vertex>, dag: &Dag) -> Vec<CommittedSubDag> {
         let mut outputs = Vec::new();
-        if v.round().is_even() {
+        // Round-0 vertices vote for nothing.
+        let Some(mut round) = v.round().0.checked_sub(1).map(Round) else {
+            return outputs;
+        };
+        if !self.is_candidate_round(round) {
             return outputs;
         }
-        let mut round = v.round() - 1;
         let mut last = round;
         while round <= last {
             match self.try_commit(round, dag, &mut outputs) {
-                // Each switch starts strictly above the previous one's
-                // initial round, so the sweep terminates.
-                Some(switched_at) => {
-                    round = switched_at;
+                // An ordered anchor moves `instance_start` above itself; a
+                // switch starts strictly above the previous one's initial
+                // round. Either way the sweep terminates.
+                Some(again_from) => {
+                    round = again_from;
                     last = dag.highest_round().unwrap_or(last);
                 }
                 None => round = round + 2,
@@ -152,11 +184,13 @@ impl<P: SchedulePolicy> Bullshark<P> {
         outputs
     }
 
-    /// Commits the anchor of (even) `anchor_round` if it holds
-    /// validity-threshold votes, together with every earlier unordered
-    /// anchor it reaches. Returns the round of the anchor at which the
-    /// policy switched schedules, if it did: the anchors still stacked
-    /// were derived under the old schedule and are dropped.
+    /// Evaluates the candidate of `anchor_round`: if it holds
+    /// validity-threshold votes, orders the earliest anchor of the
+    /// current instance it reaches. Returns the round to evaluate again
+    /// from when something changed: the new `instance_start` after an
+    /// ordered anchor, or the round of the anchor at which the policy
+    /// switched schedules (that anchor was derived under the old schedule
+    /// and is dropped).
     fn try_commit(
         &mut self,
         anchor_round: Round,
@@ -164,10 +198,7 @@ impl<P: SchedulePolicy> Bullshark<P> {
         outputs: &mut Vec<CommittedSubDag>,
     ) -> Option<Round> {
         let leader = self.policy.leader_at(anchor_round);
-        let anchor = dag.vertex_by_author(anchor_round, leader)?.clone(); // line 7: no anchor vertex
-        if self.ordered.contains(&anchor) {
-            return None; // already committed by an earlier vote
-        }
+        let anchor = dag.vertex_by_author(anchor_round, leader)?; // line 7: no anchor vertex
 
         // Lines 12-13: validity-threshold stake of votes for the anchor,
         // counted over the whole local DAG ("the anchor has f+1 votes")
@@ -179,42 +210,38 @@ impl<P: SchedulePolicy> Bullshark<P> {
             return None;
         }
 
-        // Lines 15-24 (`orderAnchors`): walk back to the last ordered
-        // anchor, keeping earlier anchors reachable from later ones.
+        // Lines 15-24 (`orderAnchors`): walk back over the instance's
+        // candidates, keeping earlier ones reachable from later ones.
         // Each `reachable` is one frontier-mask descent over the DAG's
-        // parent masks, two rounds deep between consecutive anchors;
-        // the stack buffer is reused across calls.
-        self.anchor_stack.clear();
-        self.anchor_stack.push(anchor.clone());
-        let mut cur = anchor;
+        // parent masks, two rounds deep between consecutive candidates.
+        // Only the bottom of the chain is ordered now; the rest of it is
+        // found again by the instances that follow.
+        let mut earliest = anchor;
         let mut r = anchor_round;
-        while r.0 >= 2 {
+        while r.0 >= self.instance_start.0 + 2 {
             r = r - 2;
-            if self.last_ordered_anchor_round.is_some_and(|floor| r <= floor) {
-                break;
-            }
-            let prev_leader = self.policy.leader_at(r);
-            if let Some(prev) = dag.vertex_by_author(r, prev_leader) {
-                if !self.ordered.contains(prev) && dag.reachable(&cur, prev) {
-                    self.anchor_stack.push(prev.clone());
-                    cur = prev.clone();
+            if let Some(prev) = dag.vertex_by_author(r, self.policy.leader_at(r)) {
+                if dag.reachable(earliest, prev) {
+                    earliest = prev;
                 }
             }
         }
+        let earliest = earliest.clone();
 
-        // Lines 27-37 (`orderHistory`): oldest anchor first.
-        while let Some(a) = self.anchor_stack.pop() {
-            match self.policy.before_order_anchor(&a, dag, &self.ordered) {
-                // Lines 30-33: a new schedule starts at `a`.
-                ScheduleDecision::Switched => return Some(a.round()),
-                ScheduleDecision::Continue => outputs.push(self.order_sub_dag(&a, dag)),
+        match self.policy.before_order_anchor(&earliest, dag, &self.ordered) {
+            // Lines 30-33: a new schedule starts at `earliest`.
+            ScheduleDecision::Switched => Some(earliest.round()),
+            // Lines 27-37 (`orderHistory`).
+            ScheduleDecision::Continue => {
+                outputs.push(self.order_sub_dag(&earliest, dag));
+                Some(self.instance_start)
             }
         }
-        None
     }
 
     /// Orders the anchor's not-yet-ordered causal history deterministically
-    /// (lines 34-37) and advances the commit bookkeeping.
+    /// (lines 34-37), advances the commit bookkeeping and starts the next
+    /// instance one round above the anchor.
     fn order_sub_dag(&mut self, anchor: &Arc<Vertex>, dag: &Dag) -> CommittedSubDag {
         // Only DAG-resident vertices are ever looked up, so marks below
         // the DAG's GC horizon are dead weight that would otherwise grow
@@ -229,7 +256,7 @@ impl<P: SchedulePolicy> Bullshark<P> {
             self.ordered.insert(v);
             self.policy.on_vertex_ordered(v, dag);
         }
-        self.last_ordered_anchor_round = Some(anchor.round());
+        self.instance_start = anchor.round().next();
         let commit_index = self.commit_index;
         self.commit_index += 1;
 
@@ -247,6 +274,20 @@ impl<P: SchedulePolicy> Bullshark<P> {
             vertices,
         }
     }
+}
+
+/// The candidate rounds a committed anchor sequence passed over — Lemma
+/// 6's skipped leader rounds. The instance above an ordered anchor `a`
+/// tries the leaders of rounds `a+1, a+3, …` until it orders the anchor of
+/// one, `b`: the passed-over candidates between consecutive ordered
+/// anchors `a < b` are `a+1, a+3, …, b−2`, and before the first anchor
+/// `0, 2, …`. Rounds that held no candidate of any instance are no leader
+/// round and are not counted.
+pub fn passed_over_candidates(anchors: &[VertexRef]) -> impl Iterator<Item = Round> + '_ {
+    let instance_starts = std::iter::once(0).chain(anchors.iter().map(|a| a.round.0 + 1));
+    instance_starts
+        .zip(anchors)
+        .flat_map(|(start, anchor)| (start..anchor.round.0).step_by(2).map(Round))
 }
 
 #[cfg(test)]
@@ -290,12 +331,31 @@ mod tests {
         let dag = b.into_dag();
         let mut e = engine(&c);
         let commits = feed_all(&mut e, &dag, 8);
+        // Every round's leader vertex is an anchor; round 8's awaits votes.
         let rounds: Vec<u64> = commits.iter().map(|cmt| cmt.anchor.round.0).collect();
-        assert_eq!(rounds, vec![0, 2, 4, 6]);
-        // Leaders rotate.
-        let leaders: Vec<ValidatorId> = commits.iter().map(|cmt| cmt.anchor.author).collect();
-        assert_eq!(leaders, vec![ValidatorId(0), ValidatorId(1), ValidatorId(2), ValidatorId(3)]);
-        assert_eq!(e.commit_count(), 4);
+        assert_eq!(rounds, vec![0, 1, 2, 3, 4, 5, 6, 7]);
+        // Leaders rotate, each slot anchoring its two rounds.
+        let leaders: Vec<u16> = commits.iter().map(|cmt| cmt.anchor.author.0).collect();
+        assert_eq!(leaders, vec![0, 0, 1, 1, 2, 2, 3, 3]);
+        assert_eq!(e.commit_count(), 8);
+    }
+
+    #[test]
+    fn passed_over_candidates_follow_the_instances() {
+        let at = |round: u64| VertexRef {
+            round: Round(round),
+            author: ValidatorId(0),
+            digest: Digest::ZERO,
+        };
+        let rounds = |anchors: &[VertexRef]| -> Vec<u64> {
+            passed_over_candidates(anchors).map(|r| r.0).collect()
+        };
+        assert_eq!(rounds(&[]), Vec::<u64>::new());
+        assert_eq!(rounds(&[at(0), at(1), at(2)]), Vec::<u64>::new());
+        // Instances start at 0, 5, 6 and 11; the one at 6 passed 6 and 8.
+        assert_eq!(rounds(&[at(4), at(5), at(10), at(11)]), vec![0, 2, 6, 8]);
+        // An odd start: rounds 4 and 6 held no candidate.
+        assert_eq!(rounds(&[at(2), at(7)]), vec![0, 3, 5]);
     }
 
     #[test]
@@ -317,8 +377,8 @@ mod tests {
             sorted.sort();
             assert_eq!(keys, sorted);
         }
-        // Everything up to round 5 is ordered once round-6 anchor commits
-        // (the last commit orders history through its round).
+        // Everything below the last anchor's round is ordered (a commit
+        // orders the anchor's history through the round below it).
         let last_round = commits.last().unwrap().anchor.round;
         for r in 0..last_round.0 {
             for v in dag.round_vertices(Round(r)) {
@@ -328,53 +388,85 @@ mod tests {
     }
 
     #[test]
-    fn crashed_leader_round_is_skipped_then_bridged() {
+    fn crashed_slot_costs_one_candidate_and_the_next_is_two_rounds_up() {
         let c = committee4();
         let mut b = DagBuilder::new(c.clone());
-        // Rounds 0,1 full. Round 2's leader is v1 — leave v1 out.
+        // Rounds 0,1 full. Slot 1 — rounds 2 and 3 — is v1's: leave v1 out.
         b.extend_full_rounds(2);
         b.extend_round_without(&[ValidatorId(1)]);
-        b.extend_full_rounds(6); // rounds 3..=8
+        b.extend_round_without(&[ValidatorId(1)]);
+        b.extend_full_rounds(5); // rounds 4..=8
         let dag = b.into_dag();
         let mut e = engine(&c);
         let commits = feed_all(&mut e, &dag, 8);
         let rounds: Vec<u64> = commits.iter().map(|cmt| cmt.anchor.round.0).collect();
-        // Round 2 has no anchor vertex: skipped entirely; its vertices are
-        // swept up by round 4's anchor.
-        assert_eq!(rounds, vec![0, 4, 6]);
+        // The instance above anchor 1 finds no candidate in round 2 and
+        // has its next one in round 4: round 3 never holds a candidate, so
+        // the crashed slot is tried once. Its rounds' vertices are swept up
+        // by round 4's anchor, and the grid is back to every round.
+        assert_eq!(rounds, vec![0, 1, 4, 5, 6, 7]);
         let r4 = commits.iter().find(|cmt| cmt.anchor.round.0 == 4).unwrap();
-        assert!(
-            r4.vertices.iter().any(|v| v.round().0 == 2),
-            "round-2 vertices ordered transitively"
+        for skipped in [2, 3] {
+            assert_eq!(
+                r4.vertices.iter().filter(|v| v.round().0 == skipped).count(),
+                3,
+                "round-{skipped} vertices ordered transitively"
+            );
+        }
+    }
+
+    /// Rounds 0..=6 of four validators, full but for round 3, where only
+    /// `voters` link to the round-2 candidate (v1's vertex; the validity
+    /// threshold is 2), delivered one round at a time: the anchor rounds
+    /// each round's delivery committed.
+    fn commits_per_round_with_round_2_voters(voters: &'static [ValidatorId]) -> Vec<Vec<u64>> {
+        let c = committee4();
+        let mut b = DagBuilder::new(c.clone());
+        b.extend_full_rounds(3); // rounds 0,1,2
+        b.extend_round_custom(&c.ids().collect::<Vec<_>>(), move |voter| {
+            (!voters.contains(&voter)).then(|| vec![ValidatorId(1)])
+        }); // round 3
+        b.extend_full_rounds(3); // rounds 4,5,6
+        let full = b.into_dag();
+        let mut dag = Dag::new(c.clone());
+        let mut e = engine(&c);
+        (0..=6)
+            .map(|r| {
+                let mut committed = Vec::new();
+                for v in full.round_vertices(Round(r)) {
+                    dag.try_insert_arc(v.clone()).unwrap();
+                    committed.extend(e.process_vertex(v, &dag).iter().map(|sd| sd.anchor.round.0));
+                }
+                committed
+            })
+            .collect()
+    }
+
+    #[test]
+    fn candidate_short_of_votes_is_bridged_and_the_instance_restarts_above_it() {
+        // One vote for the round-2 candidate. Round 4's commits directly in
+        // round 5 and reaches it through the voter's round-3 vertex — and
+        // only it, the earliest, is ordered: the next instance starts at
+        // round 3, whose leader vertex holds its votes already, then
+        // round 4's is found again.
+        let per_round = commits_per_round_with_round_2_voters(&[ValidatorId(0)]);
+        let none = Vec::<u64>::new();
+        assert_eq!(
+            per_round,
+            vec![none.clone(), vec![0], vec![1], none.clone(), none, vec![2, 3, 4], vec![5]]
         );
     }
 
     #[test]
-    fn sub_validity_votes_defer_commit_to_next_anchor() {
-        let c = committee4();
-        // Validity threshold for n=4 is 2. Round-2 leader is v1 (round-robin
-        // slot 1). Make only ONE round-3 vertex vote for (link to) it.
-        let mut b = DagBuilder::new(c.clone());
-        b.extend_full_rounds(3); // rounds 0,1,2
-        let anchor_author = ValidatorId(1);
-        b.extend_round_custom(&c.ids().collect::<Vec<_>>(), move |voter| {
-            if voter == ValidatorId(0) {
-                None // v0 votes for the anchor
-            } else {
-                Some(vec![anchor_author]) // others exclude it
-            }
-        }); // round 3
-        b.extend_full_rounds(3); // rounds 4,5,6
-        let dag = b.into_dag();
-        let mut e = engine(&c);
-        let commits = feed_all(&mut e, &dag, 6);
-        let rounds: Vec<u64> = commits.iter().map(|cmt| cmt.anchor.round.0).collect();
-        // Round 2's anchor lacks direct validity votes; round 4's anchor
-        // reaches it through v0's round-3 vertex, so it commits then.
-        assert_eq!(rounds, vec![0, 2, 4]);
-        let positions: Vec<(u64, u64)> =
-            commits.iter().map(|cmt| (cmt.commit_index, cmt.anchor.round.0)).collect();
-        assert_eq!(positions, vec![(0, 0), (1, 2), (2, 4)]);
+    fn candidate_nobody_links_to_is_passed_over() {
+        // No round-3 vertex links to the round-2 candidate: round 4's walk
+        // back does not reach it, and the next instance starts at round 5.
+        let per_round = commits_per_round_with_round_2_voters(&[]);
+        let none = Vec::<u64>::new();
+        assert_eq!(
+            per_round,
+            vec![none.clone(), vec![0], vec![1], none.clone(), none, vec![4], vec![5]]
+        );
     }
 
     #[test]
@@ -425,7 +517,7 @@ mod tests {
         let mut b = DagBuilder::new(c.clone());
         b.extend_full_rounds(2); // rounds 0,1
         b.extend_round_without(&[ValidatorId(1)]); // round 2: its leader v1 is absent
-        b.extend_full_rounds(4); // rounds 3..=6
+        b.extend_full_rounds(4); // rounds 3..=6, v1 back
         let full = b.into_dag();
 
         // Deliver one vertex at a time, the way the node does.
@@ -448,26 +540,33 @@ mod tests {
         // anchor, the rest change nothing.
         assert_eq!(deliver(0), vec![none.clone(); 4]);
         assert_eq!(deliver(1), vec![none.clone(), vec![0], none.clone(), none.clone()]);
-        // The next round's vertices are no trigger any more.
-        assert_eq!(deliver(2), vec![none.clone(); 3]);
-        // Votes for an anchor that is not there commit nothing.
+        // The next instance starts at round 1: round 2 holds its votes.
+        assert_eq!(deliver(2), vec![none.clone(), vec![1], none.clone()]);
+        // Votes for a candidate that is not there commit nothing.
         assert_eq!(deliver(3), vec![none.clone(); 4]);
+        // Nor do votes for a round that holds no candidate: the instance
+        // started at round 2, so its next one is in round 4, although v1,
+        // whose slot round 3 is too, has a vertex there.
         assert_eq!(deliver(4), vec![none.clone(); 4]);
         assert_eq!(deliver(5), vec![none.clone(), vec![4], none.clone(), none.clone()]);
-        assert_eq!(deliver(6), vec![none.clone(); 4]);
+        assert_eq!(deliver(6), vec![none.clone(), vec![5], none.clone(), none.clone()]);
     }
 
     #[test]
     fn commit_chain_hash_tracks_sequence() {
         let c = committee4();
-        let mut b = DagBuilder::new(c.clone());
-        b.extend_full_rounds(7);
-        let dag = b.into_dag();
+        // The builder is deterministic: the shorter DAG is a prefix.
+        let dag_of = |rounds: usize| {
+            let mut b = DagBuilder::new(c.clone());
+            b.extend_full_rounds(rounds);
+            b.into_dag()
+        };
         let mut e1 = engine(&c);
         let mut e2 = engine(&c);
-        feed_all(&mut e1, &dag, 6);
-        feed_all(&mut e2, &dag, 4); // shorter prefix
+        feed_all(&mut e1, &dag_of(7), 6);
+        feed_all(&mut e2, &dag_of(5), 4);
         assert_ne!(e1.chain_hash(), e2.chain_hash());
+        assert_eq!(e2.commit_count(), 4);
         // Prefix property: e2's anchors are a prefix of e1's.
         assert_eq!(&e1.committed_anchors()[..e2.committed_anchors().len()], e2.committed_anchors());
     }
@@ -478,7 +577,7 @@ mod tests {
         // it: after every commit the DAG drops what lies more than
         // `GC_DEPTH` rounds below the anchor, and the engine follows the
         // DAG's horizon. Every twelfth round loses its leader, so some
-        // anchors are skipped and bridged.
+        // candidates are passed over.
         const ROUNDS: u64 = 160;
         const GC_DEPTH: u64 = 10;
         const SLACK: u64 = 6;

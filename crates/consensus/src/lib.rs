@@ -2,32 +2,44 @@
 //!
 //! This crate implements the commit rule and recursive anchor ordering of
 //! eventually-synchronous Bullshark as the paper's Algorithm 2 frames
-//! them — except for *when* the rule runs, below — with the leader
-//! schedule abstracted behind [`SchedulePolicy`]:
+//! them — except for *when* the rule runs and *which* rounds hold anchors,
+//! below — with the leader schedule abstracted behind [`SchedulePolicy`]:
 //!
-//! * anchors live on even rounds; the round-`r` anchor is *directly
-//!   committed* once round-`r+1` vertices linking to it — its votes — carry
-//!   validity-threshold stake (`f+1`). The rule runs where that stake can
-//!   change: on delivery of each round-`r+1` vertex, so the commit fires
-//!   with the (f+1)-th vote, and once more over the renamed rounds after a
-//!   schedule switch. When [`Bullshark::process_vertex`] returns, no even
-//!   round above the last ordered anchor has an active-schedule leader
-//!   vertex that is in the DAG, unordered, and holds `f+1` votes.
-//!   Algorithm 2 runs the rule literally one round later (a round-`r`
-//!   vertex checks the round-`r−2` anchor); the total order is the same
-//!   function of the DAG — safety needs only that `f+1` votes exist, since
-//!   every round-`r+2` vertex has `2f+1` parents and so meets a voter — and
-//!   only the instant of the commit moves (`tests/delivery_order.rs` holds
-//!   the engine to the literal trigger's order);
-//! * on a direct commit the engine walks back through even rounds down to
-//!   the last ordered anchor, pushing every earlier anchor reachable from
-//!   the later one (`orderAnchors`), then pops them oldest-first and
-//!   delivers each anchor's not-yet-ordered causal sub-DAG in a
-//!   deterministic `(round, author)` order (`orderHistory`);
+//! * every round has a leader, and the engine runs one commit *instance*
+//!   at a time: it starts at `instance_start` (round 0 at genesis) and its
+//!   anchor *candidates* are the leader vertices of rounds
+//!   `instance_start, instance_start + 2, …`
+//!   ([`Bullshark::is_candidate_round`]). The candidate of round `c` is
+//!   *directly committed* once round-`c+1` vertices linking to it — its
+//!   votes — carry validity-threshold stake (`f+1`). The rule runs where
+//!   that stake can change: on delivery of each round-`c+1` vertex, so the
+//!   commit fires with the (f+1)-th vote, and once more over the rounds
+//!   above an ordered anchor or a schedule switch. When
+//!   [`Bullshark::process_vertex`] returns, no candidate round of the
+//!   current instance has an active-schedule leader vertex that is in the
+//!   DAG, unordered, and holds `f+1` votes. Algorithm 2 runs the rule
+//!   literally one round later (a round-`r` vertex checks the round-`r−2`
+//!   anchor); safety needs only that `f+1` votes exist, since every
+//!   round-`c+2` vertex has `2f+1` parents and so meets a voter, and only
+//!   the instant of the commit moves;
+//! * on a direct commit the engine walks back over the instance's
+//!   candidates down to `instance_start`, chaining every earlier candidate
+//!   reachable from the later one (`orderAnchors`), and orders the
+//!   **earliest** anchor of the chain: it delivers that anchor's
+//!   not-yet-ordered causal sub-DAG in a deterministic `(round, author)`
+//!   order (`orderHistory`). The next instance starts one round above it,
+//!   and every round from there to the DAG's top is evaluated again.
+//!   Algorithm 2 keeps a fixed grid of even rounds and orders the whole
+//!   chain at once; restarting the grid above every ordered anchor is
+//!   Shoal's pipelining (Spiegelman et al., FC 2024) and puts an anchor in
+//!   every round of a healthy DAG. The total order is a different — still
+//!   deterministic — function of the DAG; the safety argument is on
+//!   [`Bullshark::process_vertex`], and `tests/delivery_order.rs` holds the
+//!   engine to an oracle that reads the order off the finished DAG;
 //! * **the HammerHead hook**: before an anchor is ordered, the policy may
 //!   switch schedules ([`ScheduleDecision::Switched`]). The engine then
-//!   discards the remaining (stale) anchor stack and evaluates the rounds
-//!   from that anchor's up under the new schedule — the retroactive
+//!   drops that (stale) anchor and evaluates the rounds from its round up
+//!   under the new schedule, in the same instance — the retroactive
 //!   re-interpretation of the DAG that §3.1 of the paper describes.
 //!   [`RoundRobinPolicy`] never switches, which makes the engine vanilla
 //!   Bullshark (the paper's baseline).
@@ -60,10 +72,12 @@
 //!         commits.extend(engine.process_vertex(&v, &dag));
 //!     }
 //! }
-//! // Rounds 0 and 2 committed (round 4's anchor needs round-5 votes).
-//! assert_eq!(commits.len(), 2);
-//! assert_eq!(commits[0].anchor.round, Round(0));
-//! assert_eq!(commits[1].anchor.round, Round(2));
+//! // One anchor per round (round 4's needs round-5 votes), each of the
+//! // first two leader slots anchoring its two rounds.
+//! assert_eq!(commits.len(), 4);
+//! assert_eq!(commits[1].anchor.round, Round(1));
+//! assert_eq!(commits[1].anchor.author, commits[0].anchor.author);
+//! assert_ne!(commits[2].anchor.author, commits[1].anchor.author);
 //! ```
 
 #![deny(rustdoc::broken_intra_doc_links)]
@@ -72,6 +86,6 @@ mod engine;
 mod ordered;
 mod policy;
 
-pub use engine::{Bullshark, CommittedSubDag};
+pub use engine::{passed_over_candidates, Bullshark, CommittedSubDag};
 pub use ordered::OrderedSet;
 pub use policy::{RoundRobinPolicy, ScheduleDecision, SchedulePolicy, SlotSchedule};

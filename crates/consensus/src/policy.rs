@@ -17,8 +17,8 @@ pub enum ScheduleDecision {
     /// Keep the active schedule; order the anchor.
     Continue,
     /// A new schedule was installed starting at this anchor's round. The
-    /// engine must discard the pending anchor stack (it was derived under
-    /// the old schedule) and re-interpret the DAG.
+    /// engine must drop the anchor (it was derived under the old schedule)
+    /// and re-interpret the DAG.
     Switched,
 }
 
@@ -29,7 +29,9 @@ pub enum ScheduleDecision {
 /// sequence of anchors and vertices, so every honest validator must derive
 /// the same schedule (the paper's Proposition 1 relies on exactly this).
 pub trait SchedulePolicy {
-    /// The leader of (even) `round` under the active schedule.
+    /// The leader of `round` under the active schedule. Every round has
+    /// one; whether its vertex is an anchor candidate is the engine's
+    /// question ([`crate::Bullshark::is_candidate_round`]).
     fn leader_at(&self, round: Round) -> ValidatorId;
 
     /// First round covered by the active schedule
@@ -55,7 +57,10 @@ pub trait SchedulePolicy {
     fn on_vertex_ordered(&mut self, vertex: &Vertex, dag: &Dag);
 }
 
-/// A leader slot table: `leader(round) = slots[(round / 2) % len]`.
+/// A leader slot table: `leader(round) = slots[(round / 2) % len]`, so
+/// slot `k` leads rounds `2k` and `2k + 1`. A live leader anchors both; a
+/// commit instance that passes over the slot's first round has its next
+/// candidate two rounds up, so a crashed slot is tried once per pass.
 ///
 /// Slots repeat validators proportionally to stake, so election frequency
 /// matches voting power (§3: each validator `u` leads
@@ -116,9 +121,8 @@ impl SlotSchedule {
         &self.slots
     }
 
-    /// The leader of (even) `round`.
+    /// The leader of `round`.
     pub fn leader_at(&self, round: Round) -> ValidatorId {
-        debug_assert!(round.is_even(), "leaders live on even rounds");
         self.slots[((round.0 / 2) as usize) % self.slots.len()]
     }
 
@@ -188,13 +192,11 @@ mod tests {
     }
 
     #[test]
-    fn leader_cycles_over_even_rounds() {
+    fn each_slot_leads_two_consecutive_rounds() {
         let committee = Committee::new_equal_stake(3);
         let s = SlotSchedule::round_robin(&committee);
-        assert_eq!(s.leader_at(Round(0)), ValidatorId(0));
-        assert_eq!(s.leader_at(Round(2)), ValidatorId(1));
-        assert_eq!(s.leader_at(Round(4)), ValidatorId(2));
-        assert_eq!(s.leader_at(Round(6)), ValidatorId(0));
+        let leaders: Vec<u16> = (0..8).map(|r| s.leader_at(Round(r)).0).collect();
+        assert_eq!(leaders, vec![0, 0, 1, 1, 2, 2, 0, 0]);
     }
 
     #[test]
@@ -221,7 +223,7 @@ mod tests {
     #[test]
     fn one_slot_schedule_never_rotates() {
         let p = RoundRobinPolicy::new(SlotSchedule::from_slots(vec![ValidatorId(2)]));
-        for r in [0u64, 2, 4, 100] {
+        for r in [0u64, 1, 2, 4, 100] {
             assert_eq!(p.leader_at(Round(r)), ValidatorId(2));
         }
     }

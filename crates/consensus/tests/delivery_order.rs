@@ -1,20 +1,22 @@
 //! The commit engine under random delivery orders.
 //!
 //! `Bullshark::process_vertex` evaluates the commit rule when a vote is
-//! delivered. Three properties, on randomized DAGs (skipped authors,
-//! withheld leader edges, absent leaders) delivered one vertex at a time
-//! in random parent-respecting orders, under the static round-robin
+//! delivered, and starts the next commit instance right above every
+//! anchor it orders. Three properties, on randomized DAGs (skipped
+//! authors, withheld leader edges, absent leaders) delivered one vertex at
+//! a time in random parent-respecting orders, under the static round-robin
 //! schedule and under HammerHead switching schedules every 4 rounds:
 //!
-//! * **promptness** — after every call, no even round above the last
-//!   ordered anchor has an active-schedule leader vertex that is in the
-//!   DAG, unordered, and holds `f+1` votes;
+//! * **promptness** — after every call, no candidate round of the current
+//!   instance has an active-schedule leader vertex that is in the DAG,
+//!   unordered, and holds `f+1` votes;
 //! * **order independence** — two delivery orders of one DAG agree on a
 //!   common prefix of commits at every step and on everything at the end;
-//! * **same order as the literal trigger** — [`EvenRoundOracle`], which
-//!   runs Algorithm 2's rule where the paper's pseudocode does (a
-//!   round-`r` vertex for the round-`r−2` anchor), ends with the same
-//!   commits.
+//! * **the order is a function of the DAG** — [`instance_oracle`] derives
+//!   the commits from the finished DAG alone, instance by instance (the
+//!   lowest candidate with `f+1` votes, the walk back from it, the earliest
+//!   anchor reached, the next instance one round above that), and every
+//!   delivery order commits a prefix of that sequence and ends on all of it.
 
 use hammerhead::{HammerheadConfig, HammerheadPolicy};
 use hh_consensus::{
@@ -103,8 +105,12 @@ fn random_dag<P: SchedulePolicy>(
         }
         let prev: Vec<ValidatorId> =
             b.dag().round_vertices(Round(round - 1)).map(|v| v.author()).collect();
-        let leader = (round % 2 == 1).then(|| probe.current_leader(Round(round - 1)));
-        let next_leader = (round % 2 == 0).then(|| probe.current_leader(Round(round)));
+        // The probe has seen every vertex below `round`, so it knows whether
+        // the round below holds a candidate of the instance then current;
+        // whether `round` itself will depends on votes not yet cast.
+        let below = Round(round - 1);
+        let leader = probe.is_candidate_round(below).then(|| probe.current_leader(below));
+        let next_leader = Some(probe.current_leader(Round(round)));
 
         let mut absent: Vec<ValidatorId> = Vec::new();
         for &id in &ids {
@@ -259,9 +265,8 @@ impl<P: SchedulePolicy> Run<P> {
     /// The promptness invariant.
     fn assert_prompt(&self, after: &Vertex, case: &str) {
         let threshold = self.dag.committee().validity_threshold();
-        let first = self.engine.last_ordered_anchor_round().map_or(0, |r| r.0 + 2);
         let top = self.dag.highest_round().expect("non-empty").0;
-        for r in (first..=top).step_by(2) {
+        for r in (0..=top).filter(|r| self.engine.is_candidate_round(Round(*r))) {
             let leader = self.engine.current_leader(Round(r));
             if let Some(anchor) = self.dag.vertex_by_author(Round(r), leader) {
                 assert!(
@@ -275,126 +280,77 @@ impl<P: SchedulePolicy> Run<P> {
     }
 }
 
-/// The commit engine with Algorithm 2's literal trigger — a vertex of even
-/// round `r ≥ 2` evaluates the round-`r−2` anchor, and nothing else does —
-/// over the public `Dag` queries. This is `process_vertex` as it stood
-/// before the rule moved to the voting round; kept here as the reference
-/// the moved rule must agree with.
-struct EvenRoundOracle<P: SchedulePolicy> {
-    policy: P,
-    ordered: OrderedSet,
-    last_ordered_anchor_round: Option<Round>,
-    scratch: SubDagScratch,
-    commits: Vec<Commit>,
-}
-
-impl<P: SchedulePolicy> EvenRoundOracle<P> {
-    fn new(committee: &Committee, policy: P) -> Self {
-        EvenRoundOracle {
-            policy,
-            ordered: OrderedSet::new(committee.size()),
-            last_ordered_anchor_round: None,
-            scratch: SubDagScratch::new(),
-            commits: Vec::new(),
-        }
-    }
-
-    fn on_vertex(&mut self, v: &Vertex, dag: &Dag) {
-        if !v.round().is_even() || v.round().0 == 0 {
-            return;
-        }
-        let anchor_round = v.round() - 2;
-        loop {
-            let leader = self.policy.leader_at(anchor_round);
-            let Some(anchor) = dag.vertex_by_author(anchor_round, leader).cloned() else {
-                return;
-            };
-            if self.ordered.contains(&anchor)
-                || dag.vote_stake(&anchor.digest()) < dag.committee().validity_threshold()
-            {
-                return;
-            }
-            let mut stack = vec![anchor.clone()];
-            let mut cur = anchor;
-            let mut r = anchor_round;
-            while r.0 >= 2 {
-                r = r - 2;
-                if self.last_ordered_anchor_round.is_some_and(|floor| r <= floor) {
-                    break;
-                }
-                if let Some(prev) = dag.vertex_by_author(r, self.policy.leader_at(r)) {
-                    if !self.ordered.contains(prev) && dag.reachable(&cur, prev) {
-                        stack.push(prev.clone());
-                        cur = prev.clone();
-                    }
-                }
-            }
-            let mut switched = false;
-            while let Some(a) = stack.pop() {
-                match self.policy.before_order_anchor(&a, dag, &self.ordered) {
-                    ScheduleDecision::Switched => {
-                        switched = true;
-                        break;
-                    }
-                    ScheduleDecision::Continue => self.order_sub_dag(&a, dag),
-                }
-            }
-            if !switched {
-                return;
+/// The commit sequence of the finished DAG `dag`, derived without any
+/// delivery order: instance by instance, the lowest candidate holding
+/// `f+1` votes, the walk back from it over the instance's candidates, the
+/// earliest anchor the walk reaches — ordered, with the next instance one
+/// round above it, or the point of a schedule switch, after which the same
+/// instance is read again under the new schedule. Written over the public
+/// `Dag` queries only; the reference `process_vertex` must agree with.
+fn instance_oracle<P: SchedulePolicy>(dag: &Dag, mut policy: P) -> Vec<Commit> {
+    let threshold = dag.committee().validity_threshold();
+    let top = dag.highest_round().expect("non-empty").0;
+    let mut ordered = OrderedSet::new(dag.committee().size());
+    let mut scratch = SubDagScratch::new();
+    let mut commits = Vec::new();
+    let mut instance_start = 0u64;
+    let candidate = |r: u64, policy: &P| dag.vertex_by_author(Round(r), policy.leader_at(Round(r)));
+    loop {
+        let direct = (instance_start..=top).step_by(2).find(|r| {
+            candidate(*r, &policy).is_some_and(|a| dag.vote_stake(&a.digest()) >= threshold)
+        });
+        let Some(direct) = direct else {
+            return commits;
+        };
+        let mut earliest = candidate(direct, &policy).expect("found above");
+        let mut r = direct;
+        while r > instance_start {
+            r -= 2;
+            if let Some(prev) = candidate(r, &policy).filter(|prev| dag.reachable(earliest, prev)) {
+                earliest = prev;
             }
         }
-    }
-
-    fn order_sub_dag(&mut self, anchor: &Arc<Vertex>, dag: &Dag) {
-        let ordered = &self.ordered;
+        if policy.before_order_anchor(earliest, dag, &ordered) == ScheduleDecision::Switched {
+            continue;
+        }
         let vertices =
-            dag.causal_sub_dag_with(anchor, |d| ordered.contains_digest(dag, d), &mut self.scratch);
+            dag.causal_sub_dag_with(earliest, |d| ordered.contains_digest(dag, d), &mut scratch);
         for v in &vertices {
-            self.ordered.insert(v);
-            self.policy.on_vertex_ordered(v, dag);
+            ordered.insert(v);
+            policy.on_vertex_ordered(v, dag);
         }
-        self.last_ordered_anchor_round = Some(anchor.round());
-        self.commits.push((anchor.reference(), vertices.iter().map(|v| v.digest()).collect()));
+        commits.push((earliest.reference(), vertices.iter().map(|v| v.digest()).collect()));
+        instance_start = earliest.round().0 + 1;
     }
 }
 
-/// One case: a random DAG, two delivery orders of it, the oracle on the
-/// first. Returns the number of commits, so the caller can tell the cases
+/// One case: a random DAG, the oracle's reading of it, two delivery orders
+/// of it. Returns the number of commits, so the caller can tell the cases
 /// were not vacuous.
 fn check_case<P: SchedulePolicy>(make: impl Fn(&Committee) -> P, name: &str, seed: u64) -> usize {
     let case = format!("{name} case {seed}");
     let mut rng = Mix(seed);
     let committee = Committee::new_equal_stake(if rng.below(4) == 0 { 4 } else { 7 });
-    // An even top round: the oracle needs round `r+2` to judge round `r`.
-    let rounds = 13 + 2 * rng.below(6);
+    let rounds = 13 + rng.below(12);
     let full = random_dag(&committee, make(&committee), rounds, &mut rng);
     let order_a = delivery_order(&full, &mut rng);
     let order_b = delivery_order(&full, &mut rng);
+    let oracle = instance_oracle(&full, make(&committee));
 
     let mut a = Run::new(&committee, make(&committee));
     let mut b = Run::new(&committee, make(&committee));
-    let mut oracle = EvenRoundOracle::new(&committee, make(&committee));
     for (va, vb) in order_a.iter().zip(&order_b) {
         a.deliver(va, &case);
         b.deliver(vb, &case);
-        oracle.on_vertex(va, &a.dag);
         let common = a.commits.len().min(b.commits.len());
         assert_eq!(a.commits[..common], b.commits[..common], "{case}: the two orders diverged");
-        let common = a.commits.len().min(oracle.commits.len());
-        assert_eq!(a.commits[..common], oracle.commits[..common], "{case}: oracle diverged");
+        assert!(a.commits.len() <= oracle.len(), "{case}: more commits than the DAG holds");
+        assert_eq!(a.commits[..], oracle[..a.commits.len()], "{case}: not the DAG's order");
     }
     assert_eq!(a.commits, b.commits, "{case}: the two orders end apart");
     assert_eq!(a.engine.chain_hash(), b.engine.chain_hash(), "{case}");
     assert_eq!(a.engine.committed_anchors(), b.engine.committed_anchors(), "{case}");
-
-    // A vote delivered after every vertex of the round above it is a vote
-    // the literal trigger never looks at again — in a DAG that keeps
-    // growing a later anchor picks it up, here the DAG ends. Let the oracle
-    // see every trigger once more against the complete DAG.
-    for v in order_a.iter().filter(|v| v.round().is_even()) {
-        oracle.on_vertex(v, &a.dag);
-    }
-    assert_eq!(a.commits, oracle.commits, "{case}: not the literal trigger's order");
+    assert_eq!(a.commits, oracle, "{case}: the finished DAG holds more commits");
     a.commits.len()
 }
 

@@ -8,9 +8,8 @@ use std::fmt;
 /// [`HammerheadConfig::validate`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
-    /// `period_rounds` below 2: anchors live on even rounds, so an epoch
-    /// shorter than 2 rounds can never contain a committed anchor to
-    /// trigger the switch.
+    /// `period_rounds` below 2: a leader slot spans two rounds, so a
+    /// shorter epoch would close before one slot's votes are in.
     PeriodTooShort {
         /// The rejected period.
         period_rounds: u64,
@@ -36,7 +35,7 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::PeriodTooShort { period_rounds } => write!(
                 f,
-                "period_rounds must be at least 2 (anchors live on even rounds), got {period_rounds}"
+                "period_rounds must be at least 2 (a leader slot spans two rounds), got {period_rounds}"
             ),
             ConfigError::ExcludedStakeAboveF { requested, max_faulty } => write!(
                 f,
@@ -80,10 +79,12 @@ pub enum ScoringRule {
 /// Parameters of the HammerHead scheduling mechanism.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HammerheadConfig {
-    /// Schedule-epoch length `T` in rounds (Algorithm 2 line 30). Anchors
-    /// arrive every 2 rounds, so the paper's benchmark setting of
-    /// "recompute every 10 commits" is ≈ 20 rounds; Sui mainnet's
-    /// 300 commits ≈ 600 rounds (footnote 15).
+    /// Schedule-epoch length `T` in rounds (Algorithm 2 line 30). The
+    /// paper's anchors arrive every 2 rounds, so its benchmark setting of
+    /// "recompute every 10 commits" is ≈ 20 rounds and Sui mainnet's
+    /// 300 commits ≈ 600 rounds (footnote 15). This engine can order an
+    /// anchor in every round, so 20 rounds are here up to 20 commits: the
+    /// same rounds, hence the same wall-clock epoch.
     pub period_rounds: u64,
     /// Maximum total stake removable from the schedule (set `B`). The
     /// paper's benchmarks exclude the bottom 33% (= `f`); Sui mainnet uses
@@ -155,8 +156,8 @@ pub struct ValidatorConfig {
     /// Minimum spacing between a validator's own proposals (µs). Paces the
     /// DAG; Narwhal's `min_header_delay` analogue.
     pub min_round_delay_us: u64,
-    /// How long a proposer leaving an even round waits for that round's
-    /// anchor vertex before giving up (µs). This is what makes crashed
+    /// How long a proposer leaving an anchor-candidate round waits for
+    /// that round's leader vertex before giving up (µs). This is what makes crashed
     /// leaders expensive for the baseline.
     pub leader_timeout_us: u64,
     /// Max transactions per vertex.

@@ -6,7 +6,8 @@
 //!
 //! * [`ReputationScores`] — the on-chain metric (§3): a validator earns a
 //!   point whenever one of its vertices *votes* for a leader (carries a
-//!   parent edge to the previous round's anchor). Scores are computed only
+//!   parent edge to the previous round's leader vertex — one vote a
+//!   round). Scores are computed only
 //!   from committed sub-DAGs, so every honest validator derives identical
 //!   scores.
 //! * [`compute_next_schedule`] — the schedule switch: the lowest-scoring

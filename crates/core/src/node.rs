@@ -11,10 +11,11 @@
 //! Protocol flow per round `r`:
 //!
 //! 1. wait for quorum stake of round `r-1` vertices;
-//! 2. pace (`min_round_delay_us`), and when leaving an *even* round wait up
-//!    to `leader_timeout_us` for that round's anchor vertex — the leader-
-//!    await that makes crashed leaders expensive for static schedules —
-//!    unless its leader has already proposed above it;
+//! 2. pace (`min_round_delay_us`), and when leaving an anchor-*candidate*
+//!    round of the engine's commit instance wait up to `leader_timeout_us`
+//!    for that round's leader vertex — the leader-await that makes crashed
+//!    leaders expensive for static schedules — unless its leader has
+//!    already proposed above it;
 //! 3. propose: batch transactions (bounded by block size and the
 //!    uncommitted-tx backpressure budget), link to all known `r-1`
 //!    vertices, broadcast via the reliable-broadcast layer;
@@ -854,17 +855,26 @@ impl<B: LogBackend> Validator<B> {
     /// Catch-up: when a round at or above the next proposal already holds
     /// quorum, the rounds up to it are lost — the committee moved on
     /// without this validator's vertices — and the proposer resumes above
-    /// it. The one exception is a quorum round this validator *leads*: the
-    /// others are sitting in their leader-await for exactly that anchor, so
-    /// skipping it would cost everyone `leader_timeout_us` for an honest
-    /// leader. The proposer resumes *at* that round instead (the round
-    /// below it holds quorum: every stored vertex has its parents stored).
+    /// it. The one exception is a quorum candidate round this validator
+    /// *leads*: the others are sitting in their leader-await for exactly
+    /// that anchor, so skipping it would cost everyone `leader_timeout_us`
+    /// for an honest leader. The proposer resumes *at* that round instead
+    /// (the round below it holds quorum: every stored vertex has its
+    /// parents stored).
     ///
-    /// Leader-await: leaving an even round waits for its anchor, but not for
-    /// one that cannot come. A commit at the (f+1)-th vote can switch
-    /// schedules while slower validators are still in the anchor's round,
-    /// and the new schedule may name for that round a leader that skipped
-    /// it; its vertex one round up says so.
+    /// Leader-await: leaving a round that holds an anchor candidate
+    /// ([`Bullshark::is_candidate_round`]) waits for its leader's vertex,
+    /// but not for one that cannot come. A commit at the (f+1)-th vote can
+    /// switch schedules while slower validators are still in the anchor's
+    /// round, and the new schedule may name for that round a leader that
+    /// skipped it; its vertex one round up says so.
+    ///
+    /// Which rounds are candidates is read off this validator's own engine,
+    /// whose instance may be one commit behind the committee's: then it
+    /// awaits the leader of a round that is no candidate any more, or
+    /// passes by one that has become one. Either costs latency — a wait
+    /// that was not needed, an anchor short of a vote — never safety: the
+    /// order is a function of the DAG, not of who waited for whom.
     fn drive(&mut self, now: u64, out: &mut Vec<Output>) {
         loop {
             if self.halted {
@@ -876,7 +886,8 @@ impl<B: LogBackend> Validator<B> {
             }
             if let Some(best) = self.best_quorum_round {
                 if best >= self.next_round {
-                    let leads = best.is_even() && self.engine.current_leader(best) == self.id;
+                    let leads = self.engine.is_candidate_round(best)
+                        && self.engine.current_leader(best) == self.id;
                     let resume = if leads { best } else { best.next() };
                     self.metrics.rounds_skipped += resume.0 - self.next_round.0;
                     self.next_round = resume;
@@ -891,7 +902,7 @@ impl<B: LogBackend> Validator<B> {
                 self.arm_wake(now, self.last_proposal_at + self.config.min_round_delay_us, out);
                 return;
             }
-            if prev.is_even() {
+            if self.engine.is_candidate_round(prev) {
                 let leader = self.engine.current_leader(prev);
                 // An anchor is still to come only while its author has not
                 // proposed above it: nobody returns to a round they passed.
@@ -1465,7 +1476,9 @@ mod tests {
     /// with its three peers — which are the test: it signs their vertices
     /// and hands them over. Returns the validator, the peers and the
     /// round-1 digests; the next pacing deadline is t = 2 000. Under
-    /// round-robin v1 leads round 2 and v2 round 4.
+    /// round-robin v1 leads rounds 2 and 3 and v2 round 4; the anchors of
+    /// rounds 0 and 1 are ordered once round 2 forms, so round 2 holds the
+    /// next candidate.
     fn one_of_four(me: ValidatorId) -> (Validator<MemBackend>, Vec<ValidatorId>, Vec<Digest>) {
         let committee = Committee::new_equal_stake(4);
         let peers: Vec<ValidatorId> = committee.ids().filter(|id| *id != me).collect();
@@ -1497,8 +1510,10 @@ mod tests {
         assert_eq!(v.metrics().rounds_skipped, 0);
         r2.push(proposed[0].digest());
 
-        // Rounds 3 and 4 form without it too; it leads neither, so it gives
-        // both up and resumes at round 5.
+        // Rounds 3 and 4 form without it too. Round 3 is its slot as well,
+        // but an anchor there could gather no votes any more — round 4 is
+        // already up — and round 4 it does not lead: it gives both up and
+        // resumes at round 5.
         let (r3, _) = deliver_from(&mut v, &peers, 3, &r2, 2_400);
         deliver_from(&mut v, &peers, 4, &r3, 2_500);
         let proposed = own_broadcasts(&v.on_timer(TOKEN_WAKE, 3_000), me);

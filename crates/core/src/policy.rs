@@ -70,13 +70,13 @@ impl HammerheadPolicy {
     ///
     /// # Panics
     ///
-    /// Panics if `config.period_rounds < 2`: anchors arrive every 2 rounds,
-    /// so shorter epochs would re-trigger the switch on the same anchor and
-    /// the engine's re-walk would never make progress.
+    /// Panics if `config.period_rounds < 2`, which
+    /// [`HammerheadConfig::validate`] rejects: a leader slot spans two
+    /// rounds.
     pub fn new(committee: Committee, config: HammerheadConfig) -> Self {
         assert!(
             config.period_rounds >= 2,
-            "period_rounds must be at least 2 (one anchor per epoch)"
+            "period_rounds must be at least 2 (a leader slot spans two rounds)"
         );
         let s0 = SlotSchedule::permuted(&committee, S0_SEED);
         let scores = ReputationScores::new(&committee);
@@ -127,20 +127,21 @@ impl HammerheadPolicy {
 
     /// Counts `vertex`'s vote (if any) toward the current epoch.
     ///
-    /// A vote is a parent edge from an odd-round vertex to the previous
-    /// (even) round's leader vertex. Only leader rounds at or after the
-    /// active schedule's initial round count: earlier rounds belong to a
-    /// closed epoch, which prevents double counting across switches.
+    /// A vote is a parent edge from a round-`r` vertex (`r ≥ 1`) to the
+    /// round-`r−1` vertex of `leader_at(r − 1)`, whether or not that round
+    /// was an anchor candidate of the engine's instance at the time: the
+    /// score stays a function of the ordered vertices alone. Only leader
+    /// rounds at or after the active schedule's initial round count:
+    /// earlier rounds belong to a closed epoch, which prevents double
+    /// counting across switches.
     ///
     /// The edge test reads the vertex's stored parent mask
     /// ([`Dag::links_to_author`]): one probe instead of a digest scan
     /// over the parent list, and no leader-vertex lookup on the miss path.
     fn accumulate_vote(&mut self, vertex: &Vertex, dag: &Dag) {
-        let round = vertex.round();
-        if round.is_even() || round.0 == 0 {
+        let Some(leader_round) = vertex.round().0.checked_sub(1).map(Round) else {
             return;
-        }
-        let leader_round = round - 1;
+        };
         if leader_round < self.initial_round() {
             return;
         }
@@ -276,6 +277,18 @@ mod tests {
         }
     }
 
+    /// [`feed_all`] in descending author order: another causally valid
+    /// delivery schedule of the same DAG.
+    fn feed_all_reversed(engine: &mut Bullshark<HammerheadPolicy>, dag: &Dag, max: u64) {
+        for r in 0..=max {
+            let mut vs: Vec<_> = dag.round_vertices(Round(r)).cloned().collect();
+            vs.sort_by_key(|v| std::cmp::Reverse(v.author()));
+            for v in vs {
+                engine.process_vertex(&v, dag);
+            }
+        }
+    }
+
     #[test]
     fn epoch_rolls_over_at_period_boundary() {
         let c = committee4();
@@ -285,9 +298,9 @@ mod tests {
         b.extend_full_rounds(13);
         let dag = b.into_dag();
         feed_all(&mut e, &dag, 12);
-        // Anchors at rounds 0,2,4,...; boundary at initial+4: the anchor at
-        // round 4 triggers S0→S1, round 8 S1→S2, round 12 waits for round-13
-        // votes.
+        // An anchor in every round; boundary at initial+4: the anchor at
+        // round 4 triggers S0→S1, round 8 S1→S2, round 12 S2→S3 once the
+        // round-13 votes are in.
         assert!(e.policy().epoch() >= 2, "epoch = {}", e.policy().epoch());
         let hist = e.policy().epoch_history();
         assert_eq!(hist[0].new_initial_round, Round(4));
@@ -311,46 +324,66 @@ mod tests {
         assert!(scores.iter().all(|s| *s == scores[0] && *s > 0), "{scores:?}");
     }
 
+    /// Appends rounds `from..=to` to `b`: full, except that in the rounds
+    /// `withholds(r)` holds for, v3 leaves the previous round's leader (when
+    /// that is someone else) out of its parents — it withholds its vote.
+    fn extend_with_v3_withholding(
+        b: &mut DagBuilder,
+        c: &Committee,
+        probe: &HammerheadPolicy,
+        rounds: std::ops::RangeInclusive<u64>,
+        withholds: impl Fn(u64) -> bool,
+    ) {
+        for r in rounds {
+            let leader = probe.leader_at(Round(r - 1));
+            if withholds(r) && leader != ValidatorId(3) {
+                b.extend_round_custom(&c.ids().collect::<Vec<_>>(), move |author| {
+                    (author == ValidatorId(3)).then(|| vec![leader])
+                });
+            } else {
+                b.extend_full_rounds(1);
+            }
+        }
+    }
+
     #[test]
-    fn silent_validator_scores_zero_and_is_excluded() {
+    fn vote_withholder_scores_lowest_and_is_excluded() {
         let c = committee4();
         let config = HammerheadConfig { period_rounds: 4, ..Default::default() };
-        let mut e = engine_with(&c, config.clone());
 
-        // v3 authors vertices but never links to leaders (withholds votes):
-        // exclude the previous leader from v3's parent set each odd round.
+        // v3 authors vertices but never links to a leader's: a vote is cast
+        // in every round, so it withholds in every round.
         let mut b = DagBuilder::new(c.clone());
         b.extend_full_rounds(1); // round 0
-        let p0 = HammerheadPolicy::new(c.clone(), config);
-        for r in 1..=12u64 {
-            let round = Round(r);
-            if !round.is_even() {
-                let leader = p0.leader_at(round - 1);
-                if leader != ValidatorId(3) {
-                    b.extend_round_custom(&c.ids().collect::<Vec<_>>(), move |author| {
-                        if author == ValidatorId(3) {
-                            Some(vec![leader])
-                        } else {
-                            None
-                        }
-                    });
-                    continue;
-                }
-            }
-            b.extend_full_rounds(1);
-        }
+        let p0 = HammerheadPolicy::new(c.clone(), config.clone());
+        extend_with_v3_withholding(&mut b, &c, &p0, 1..=12, |_| true);
         let dag = b.into_dag();
+
+        let mut e = engine_with(&c, config.clone());
         feed_all(&mut e, &dag, 12);
         let hist = e.policy().epoch_history();
         assert!(!hist.is_empty());
-        // v3 withheld votes, so its score is strictly the lowest and it is
-        // the excluded validator of the first epoch.
+        // Epoch 0 closes at the anchor of round 4 on the votes cast in
+        // rounds 1..=3: three points for a voter, and for v3 only the vote
+        // its own vertex is where S0 has it lead. It is the one excluded.
         let scores = &hist[0].final_scores;
-        assert!(scores[3] < scores[0].min(scores[1]).min(scores[2]), "{scores:?}");
+        assert_eq!(scores[..3], [3, 3, 3], "one vote a round");
+        assert!(scores[3] < 3, "{scores:?}");
         assert_eq!(hist[0].excluded, vec![ValidatorId(3)]);
         // Note: leader_at for v3's slots now maps elsewhere.
         let excluded_slots = e.policy().active_schedule().slot_count(ValidatorId(3));
         assert_eq!(excluded_slots, 0);
+
+        // Scores are a function of the ordered prefix: an engine fed the
+        // same DAG in another order holds the same ones, closed and live.
+        let mut e2 = engine_with(&c, config);
+        feed_all_reversed(&mut e2, &dag, 12);
+        assert_eq!(e.committed_anchors(), e2.committed_anchors());
+        assert_eq!(e.policy().scores().as_slice(), e2.policy().scores().as_slice());
+        let closed = |e: &Bullshark<HammerheadPolicy>| -> Vec<Vec<u64>> {
+            e.policy().epoch_history().iter().map(|h| h.final_scores.clone()).collect()
+        };
+        assert_eq!(closed(&e), closed(&e2));
     }
 
     /// Builds a DAG where v3 withholds votes during epoch 0 (rounds
@@ -361,23 +394,7 @@ mod tests {
         let p0 = HammerheadPolicy::new(c.clone(), config.clone());
         let mut b = DagBuilder::new(c.clone());
         b.extend_full_rounds(1); // round 0
-        for r in 1..=12u64 {
-            let round = Round(r);
-            if !round.is_even() && r <= 4 {
-                let leader = p0.leader_at(round - 1);
-                if leader != ValidatorId(3) {
-                    b.extend_round_custom(&c.ids().collect::<Vec<_>>(), move |author| {
-                        if author == ValidatorId(3) {
-                            Some(vec![leader])
-                        } else {
-                            None
-                        }
-                    });
-                    continue;
-                }
-            }
-            b.extend_full_rounds(1);
-        }
+        extend_with_v3_withholding(&mut b, &c, &p0, 1..=12, |r| r <= 4);
         let dag = b.into_dag();
         let mut e = engine_with(&c, config);
         feed_all(&mut e, &dag, 12);
@@ -432,7 +449,7 @@ mod tests {
         b.extend_full_rounds(9);
         let dag = b.into_dag();
         feed_all(&mut e, &dag, 8);
-        // Committed anchors at rounds 0,2,4,6 → their authors hold bonuses.
+        // Committed anchors at rounds 0..=7 → their authors hold bonuses.
         let committed_authors: std::collections::HashSet<ValidatorId> =
             e.committed_anchors().iter().map(|a| a.author).collect();
         for author in committed_authors {
@@ -442,29 +459,26 @@ mod tests {
 
     #[test]
     fn deep_catch_up_crosses_multiple_epochs_in_one_walk() {
-        // Proposition 1's induction case: anchors fail to commit directly
+        // Proposition 1's induction case: no candidate commits directly
         // for a long stretch (votes stay below validity), then one late
-        // vertex commits transitively — the single `process_vertex` call
-        // must walk back through several epoch boundaries, switching
-        // schedules mid-walk and re-interpreting the DAG each time.
+        // vertex brings the votes — the single `process_vertex` call must
+        // run instance after instance, each walking back from the top of
+        // the DAG to the earliest anchor it reaches, switching schedules
+        // at the epoch boundaries on the way and re-interpreting the DAG
+        // each time.
         let c = committee4();
         let config = HammerheadConfig { period_rounds: 4, ..Default::default() };
         let probe = HammerheadPolicy::new(c.clone(), config.clone());
 
-        // Rounds 1..=13: at every odd round, all but one validator exclude
-        // the previous leader from their parents (1 vote < validity 2), so
-        // no anchor commits directly under any schedule.
+        // Rounds 1..=13: all but one validator exclude the previous
+        // round's leader from their parents (1 vote < validity 2), so no
+        // candidate commits directly under any schedule.
         let mut b = DagBuilder::new(c.clone());
         b.extend_full_rounds(1);
         for r in 1..=13u64 {
-            let round = Round(r);
-            if round.is_even() {
-                b.extend_full_rounds(1);
-                continue;
-            }
             // The leader under ANY schedule the engine might be in — use
             // S0's leader; what matters is keeping direct votes scarce.
-            let leader = probe.leader_at(round - 1);
+            let leader = probe.leader_at(Round(r - 1));
             let committee_ids = c.ids().collect::<Vec<_>>();
             let voter = committee_ids.iter().find(|id| **id != leader).copied().expect("n > 1");
             b.extend_round_custom(&committee_ids, move |author| {
@@ -476,19 +490,13 @@ mod tests {
             });
         }
         // Rounds 14..=16 fully connected: round 15's vertices finally carry
-        // validity votes for round 14's anchor, unleashing the walk.
+        // validity votes for round 14's anchor, unleashing the walks.
         b.extend_full_rounds(3);
         let dag = b.into_dag();
 
         let mut e = engine_with(&c, config);
-        for r in 0..=16u64 {
-            let mut vs: Vec<_> = dag.round_vertices(Round(r)).cloned().collect();
-            vs.sort_by_key(|v| v.author());
-            for v in vs {
-                e.process_vertex(&v, &dag);
-            }
-        }
-        // The walk crossed at least two epoch boundaries (rounds 4 and 8
+        feed_all(&mut e, &dag, 16);
+        // The walks crossed at least two epoch boundaries (rounds 4 and 8
         // under T=4) and still committed a consistent sequence.
         assert!(e.policy().epoch() >= 2, "epochs: {}", e.policy().epoch());
         assert!(e.commit_count() >= 1);
@@ -500,13 +508,7 @@ mod tests {
 
         // A second engine fed in reverse author order agrees exactly.
         let mut e2 = engine_with(&c, HammerheadConfig { period_rounds: 4, ..Default::default() });
-        for r in 0..=16u64 {
-            let mut vs: Vec<_> = dag.round_vertices(Round(r)).cloned().collect();
-            vs.sort_by_key(|v| std::cmp::Reverse(v.author()));
-            for v in vs {
-                e2.process_vertex(&v, &dag);
-            }
-        }
+        feed_all_reversed(&mut e2, &dag, 16);
         assert_eq!(e.chain_hash(), e2.chain_hash());
         assert_eq!(e.policy().epoch(), e2.policy().epoch());
     }
@@ -569,13 +571,7 @@ mod tests {
         let mut e2 = engine_with(&c, config);
         feed_all(&mut e1, &dag, 16);
         // e2 sees vertices in a different (reverse-author) order.
-        for r in 0..=16u64 {
-            let mut vs: Vec<_> = dag.round_vertices(Round(r)).cloned().collect();
-            vs.sort_by_key(|v| std::cmp::Reverse(v.author()));
-            for v in vs {
-                e2.process_vertex(&v, &dag);
-            }
-        }
+        feed_all_reversed(&mut e2, &dag, 16);
         assert_eq!(e1.chain_hash(), e2.chain_hash());
         assert_eq!(e1.policy().epoch(), e2.policy().epoch());
         assert_eq!(e1.policy().active_schedule().slots(), e2.policy().active_schedule().slots());

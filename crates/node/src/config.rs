@@ -48,7 +48,7 @@ pub struct NodeConfig {
     pub schedule: String,
     /// Minimum spacing between own proposals (ms).
     pub min_round_delay_ms: u64,
-    /// How long to wait for an even round's anchor before advancing (ms).
+    /// How long to wait for a candidate round's anchor before advancing (ms).
     pub leader_timeout_ms: u64,
     /// Broadcast-layer maintenance tick (ms): sync retries, re-broadcasts.
     pub sync_tick_ms: u64,

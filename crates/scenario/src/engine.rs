@@ -66,8 +66,8 @@ pub struct AdversaryRow {
     pub epochs_to_demotion: Option<u64>,
     /// Completed epochs whose closing scores excluded the attacker.
     pub exclusions: u64,
-    /// Fraction of anchor (even) rounds up to the last committed anchor
-    /// where the schedule named the attacker leader. Round-robin pins
+    /// Fraction of the rounds up to the last committed anchor where the
+    /// schedule named the attacker leader. Round-robin pins
     /// this near `1/n`; a demoting scorer drives it toward zero.
     pub leader_share_overall: f64,
     /// The same share per completed epoch, oldest first (HammerHead
@@ -86,8 +86,8 @@ pub struct AnalysisRow {
     /// latencies of transactions submitted inside the window, as
     /// [`hh_sim::MetricsSink::window_summaries`] yields them.
     pub windows: Vec<(String, LatencySummary)>,
-    /// Even rounds ≤ the last committed anchor without a committed anchor
-    /// (Lemma 6's metric).
+    /// Candidate rounds the committed anchor sequence passed over (Lemma
+    /// 6's metric, [`hh_consensus::passed_over_candidates`]).
     pub skipped_rounds: u64,
     /// Round of the last committed anchor.
     pub last_anchor_round: u64,
@@ -278,7 +278,9 @@ pub fn render_row(row: &RunRow) -> String {
         "\n      skipped {} of {} leader rounds (last anchor round {}) | schedule churn: {} \
          validators swapped out",
         a.skipped_rounds,
-        a.last_anchor_round / 2 + 1,
+        // Every candidate round up to the last anchor was ordered or
+        // passed over.
+        r.commits + a.skipped_rounds,
         a.last_anchor_round,
         a.bg_churn,
     );

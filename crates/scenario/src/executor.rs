@@ -19,6 +19,7 @@
 
 use crate::engine::{AdversaryRow, AnalysisRow, ReinclusionRow, RunProfile, RunRow};
 use crate::spec::{PlannedRun, ScenarioPlan};
+use hh_consensus::passed_over_candidates;
 use hh_sim::{run_sim, ByzantineSchedule, LatencySummary, MetricsSink, RunLimit, SimHandle};
 use hh_types::{Round, ValidatorId};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -95,18 +96,15 @@ fn analyze(
     let live: Vec<usize> =
         run.config.faults.live_at(handle.n_validators, handle.sim.now().as_micros());
 
-    // Lemma 6: count even (anchor) rounds at or below the last committed
-    // anchor that never committed, in the most advanced live validator's
-    // view.
+    // Lemma 6: count the candidate rounds the committed anchor sequence
+    // passed over, in the most advanced live validator's view.
     let anchors = live
         .iter()
         .map(|i| handle.validator(*i).committed_anchors())
         .max_by_key(|a| a.len())
         .unwrap_or_default();
     let last_anchor_round = anchors.last().map(|a| a.round.0).unwrap_or(0);
-    let committed: std::collections::HashSet<u64> = anchors.iter().map(|a| a.round.0).collect();
-    let skipped_rounds =
-        (0..=last_anchor_round).step_by(2).filter(|r| !committed.contains(r)).count() as u64;
+    let skipped_rounds = passed_over_candidates(anchors).count() as u64;
 
     let bg_churn = live
         .iter()
@@ -148,13 +146,10 @@ fn adversary_rows(
     let observer = handle.validator(observer);
     let last_anchor_round = observer.committed_anchors().last().map(|a| a.round.0).unwrap_or(0);
 
-    // Leader-slot share of `v` over the even (anchor) rounds in
-    // `[from, until)`.
+    // Share of the rounds in `[from, until)` that `v` leads.
     let share_over = |from: u64, until: u64, v: ValidatorId| -> f64 {
-        let from = from + (from % 2);
-        let slots = (from..until).step_by(2);
         let (mut held, mut total) = (0u64, 0u64);
-        for r in slots {
+        for r in from..until {
             total += 1;
             if observer.leader_at(Round(r)) == v {
                 held += 1;
@@ -230,12 +225,10 @@ fn reinclusion_rows(handle: &SimHandle, observer: usize) -> Vec<ReinclusionRow> 
         .map(|sample| {
             let v = ValidatorId(sample.validator);
             let recovery_round = sample.network_round;
-            // Leader slots live on even rounds; scan from the first even
-            // round at or after recovery up to the last committed anchor.
-            let first_even = recovery_round + (recovery_round % 2);
-            let first_leader_round = (first_even..=last_anchor_round)
-                .step_by(2)
-                .find(|r| observer.leader_at(Round(*r)) == v);
+            // Every round has a leader; scan from the recovery round up
+            // to the last committed anchor.
+            let first_leader_round =
+                (recovery_round..=last_anchor_round).find(|r| observer.leader_at(Round(*r)) == v);
             let first_commit_round = anchors
                 .iter()
                 .find(|a| a.author == v && a.round.0 >= recovery_round)

@@ -14,13 +14,14 @@ use std::fmt;
 /// Domain-separation context for vertex signatures.
 const VERTEX_CONTEXT: &[u8] = b"hammerhead-vertex-v1";
 
-/// A DAG round number. Round 0 holds the parentless genesis vertices;
-/// anchors (leader vertices) live on even rounds.
+/// A DAG round number. Round 0 holds the parentless genesis vertices.
+/// Every round has a leader; which rounds hold anchor candidates is the
+/// commit engine's state (`hh_consensus::Bullshark::is_candidate_round`).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Round(pub u64);
 
 impl Round {
-    /// Whether this is an anchor (leader) round.
+    /// Whether the round number is even.
     pub fn is_even(self) -> bool {
         self.0.is_multiple_of(2)
     }

@@ -1,15 +1,9 @@
 //! Liveness and Leader Utilization integration tests (Lemmas 3, 4, 6).
 
 use hammerhead_repro::hammerhead::{HammerheadConfig, ScheduleConfig};
+use hammerhead_repro::hh_consensus::passed_over_candidates;
 use hammerhead_repro::hh_net::SimTime;
 use hammerhead_repro::hh_sim::{build_sim, ExperimentConfig, FaultSchedule, SystemKind};
-use std::collections::HashSet;
-
-fn skipped_leader_rounds(anchors: &[hammerhead_repro::hh_types::VertexRef]) -> u64 {
-    let Some(last) = anchors.last() else { return 0 };
-    let committed: HashSet<u64> = anchors.iter().map(|a| a.round.0).collect();
-    (0..=last.round.0).step_by(2).filter(|r| !committed.contains(r)).count() as u64
-}
 
 #[test]
 fn commits_progress_after_gst() {
@@ -71,7 +65,7 @@ fn leader_utilization_bound_holds() {
             .map(|i| handle.validator(i).committed_anchors().to_vec())
             .max_by_key(|a| a.len())
             .unwrap();
-        skipped_leader_rounds(&anchors)
+        passed_over_candidates(&anchors).count() as u64
     };
 
     let hh_short = run(SystemKind::Hammerhead, 6);

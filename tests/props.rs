@@ -172,9 +172,8 @@ proptest! {
         }
         let dag = builder.into_dag();
 
-        // Engine A: ascending author order. Engine B: descending, and only
-        // even rounds trigger (odd-round vertices skipped entirely —
-        // they're only reachable through parents anyway).
+        // Engine A: ascending author order. Engine B: descending. Both are
+        // handed the finished DAG, so each sees every vote from the start.
         let mut ea = Bullshark::new(
             committee.clone(),
             RoundRobinPolicy::new(SlotSchedule::round_robin(&committee)),

@@ -79,6 +79,14 @@ fn validator_recovers_and_catches_up() {
     let recovered = v3.committed_anchors();
     let shared = reference.len().min(recovered.len());
     assert_eq!(&reference[..shared], &recovered[..shared]);
+    // Anchors of odd rounds included, among those the replay recomputed
+    // from the WAL and among those committed since: the restart rebuilt
+    // the engine's commit instance along with the order.
+    let (replayed, since) = recovered[..shared].split_at(before_crash as usize);
+    for (what, anchors) in [("replayed", replayed), ("since the restart", since)] {
+        let odd = anchors.iter().filter(|a| !a.round.is_even()).count();
+        assert!(odd * 3 > anchors.len(), "{odd} of {} {what} anchors on odd rounds", anchors.len());
+    }
 }
 
 #[test]
