@@ -52,6 +52,12 @@ step "determinism: --jobs 1 and --jobs 4 emit identical JSON"
 ./target/release/hh-cli run scenarios/fig2_faults.toml \
     --quick --seed 7 --json --jobs 4 > target/ci-jobs4.json
 cmp target/ci-jobs1.json target/ci-jobs4.json
+# And with [[analysis.window]] tables, which fig2 does not declare.
+./target/release/hh-cli run scenarios/incident_replay.toml \
+    --quick --seed 7 --json --jobs 1 > target/ci-windows-jobs1.json
+./target/release/hh-cli run scenarios/incident_replay.toml \
+    --quick --seed 7 --json --jobs 4 > target/ci-windows-jobs4.json
+cmp target/ci-windows-jobs1.json target/ci-windows-jobs4.json
 
 step "testnet smoke: 4 real hh-node processes, kill + restart, safety clean"
 # Real OS processes over loopback TCP: node 2 is SIGKILLed a third of
@@ -96,16 +102,19 @@ step "docs: nothing refers to a deleted path, knob, module or type, or to a DESI
 # only slot-swap rule, the simulator executes the FaultSchedule /
 # ChaosSchedule the harness validates, one function executes runs, the
 # testnet harness is `hh-node testnet`, a pinned leader is a one-slot
-# RoundRobinPolicy, window latencies come from MetricsSink, the
+# RoundRobinPolicy, window latencies are RunResult::windows of the
+# ExperimentConfig::windows the plan resolved, the
 # workload rules are Workload::validate's, the one safety audit is the
 # SafetyChecker the validator actors feed as they commit, a run's validator
 # parameters and latency model are ExperimentConfig::{validator, network},
 # the broadcast layer's ancestry buffer is the pending / awaited pair, the
-# simulator has one run driver (hh_sim::run_sim; collect_metrics reads a
-# handle somebody else drove), a report row's blocks follow from the run's
+# simulator has one run driver and one way to measure a run (hh_sim::run_sim
+# ends in collect_metrics, which also reads a handle somebody else drove;
+# nothing drains the latency logs mid-run), the exclusion budget is a
+# percentage or f, the testnet's transactions model no payload, a report row's blocks follow from the run's
 # fault families, S0's seed is a constant, std's TcpListener::bind sets
 # SO_REUSEADDR, and the validator has one wake token.
-if git grep -nE 'hotpath_smoke|BENCH_hotpath|hh[-_]bench|threaded::|threaded_demo|vendor/criterion|DESIGN\.md|swap_from_base|core/src/monitor|hammerhead::monitor|FaultPlan|ChaosPlan|SlowdownSpec|PartitionSpec|ChaosWindow|ChaosScope|KvStore|SerialExecutor|PooledExecutor|hh-cli testnet|StaticLeaderPolicy|TimeSeries|validate_workload|rbc_sender|audit_safety|derive_validator_config|schedule_override|flat_latency_ms|NetworkSpec|missing_index|missing_count|workload_declared|run_sim_streaming|run_sim_limited|run_experiment_limited|collect_streamed_metrics|ChaosRow|schedule_seed|bind_reusable|TOKEN_LEADER' \
+if git grep -nE 'hotpath_smoke|BENCH_hotpath|hh[-_]bench|threaded::|threaded_demo|vendor/criterion|DESIGN\.md|swap_from_base|core/src/monitor|hammerhead::monitor|FaultPlan|ChaosPlan|SlowdownSpec|PartitionSpec|ChaosWindow|ChaosScope|KvStore|SerialExecutor|PooledExecutor|hh-cli testnet|StaticLeaderPolicy|TimeSeries|validate_workload|rbc_sender|audit_safety|derive_validator_config|schedule_override|flat_latency_ms|NetworkSpec|missing_index|missing_count|workload_declared|run_sim_streaming|run_sim_limited|run_experiment_limited|collect_streamed_metrics|ChaosRow|schedule_seed|bind_reusable|TOKEN_LEADER|drain_exec_records|with_window|ExclusionSpec::Stake|payload-bytes' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!ci.sh' ':!perfbench'; then
     echo "dangling reference to a deleted path"
     exit 1

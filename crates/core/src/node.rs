@@ -475,9 +475,10 @@ impl<B: LogBackend> Validator<B> {
     /// Takes the latency records accumulated since the last call,
     /// leaving the buffer empty.
     ///
-    /// Streaming harnesses drain this periodically so per-transaction
-    /// state never accumulates for a whole run; the other counters in
-    /// [`ValidatorMetrics`] are untouched.
+    /// The real node drains this every status interval, so that a process
+    /// that runs for days holds no per-transaction state (the simulator
+    /// leaves a run's log in place and reads it when the run stops); the
+    /// other counters in [`ValidatorMetrics`] are untouched.
     pub fn take_exec_records(&mut self) -> ExecLog {
         std::mem::take(&mut self.metrics.exec_records)
     }

@@ -215,7 +215,9 @@ impl TcpStats {
 /// it must never block the node's event loop.
 const WRITER_QUEUE: usize = 8192;
 
-type SharedWriters = Arc<Mutex<HashMap<u16, SyncSender<Arc<[u8]>>>>>;
+/// Reply routes by handshake id. The `Arc` is the route's identity: the
+/// connection that installed it holds a clone to recognise it by.
+type SharedWriters = Arc<Mutex<HashMap<u16, Arc<SyncSender<Arc<[u8]>>>>>>;
 
 /// A running framed-TCP endpoint.
 ///
@@ -312,9 +314,9 @@ impl<M: WireCodec> TcpTransport<M> {
     /// Sends an already-encoded frame (shared broadcast path).
     fn send_raw(&self, to: u16, frame: Arc<[u8]>) {
         let sent = if let Some(tx) = self.peer_tx.get(&to) {
-            enqueue(tx, frame, &self.stats)
+            enqueue(tx, frame)
         } else if let Some(tx) = self.inbound_writers.lock().expect("writer registry").get(&to) {
-            enqueue(tx, frame, &self.stats)
+            enqueue(tx, frame)
         } else {
             false
         };
@@ -347,7 +349,7 @@ impl<M: WireCodec> TcpTransport<M> {
     }
 }
 
-fn enqueue(tx: &SyncSender<Arc<[u8]>>, frame: Arc<[u8]>, _stats: &TcpStats) -> bool {
+fn enqueue(tx: &SyncSender<Arc<[u8]>>, frame: Arc<[u8]>) -> bool {
     match tx.try_send(frame) {
         Ok(()) => true,
         Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => false,
@@ -418,7 +420,8 @@ fn inbound_connection<M: WireCodec>(
             }
         })
     });
-    inbound_writers.lock().expect("writer registry").insert(from, writer_tx);
+    let writer_tx = Arc::new(writer_tx);
+    inbound_writers.lock().expect("writer registry").insert(from, Arc::clone(&writer_tx));
     let _ = events_tx.send(TcpEvent::Connected { from });
 
     loop {
@@ -453,7 +456,9 @@ fn inbound_connection<M: WireCodec>(
     // installed a fresh one under the same id.
     {
         let mut writers = inbound_writers.lock().expect("writer registry");
-        writers.remove(&from);
+        if writers.get(&from).is_some_and(|route| Arc::ptr_eq(route, &writer_tx)) {
+            writers.remove(&from);
+        }
     }
     drop(writer_handle);
     let _ = events_tx.send(TcpEvent::Disconnected { from });
@@ -624,6 +629,36 @@ mod tests {
         assert_eq!((from, msg), (100, TestMsg(7)));
         node.send(100, &TestMsg(8));
         let payload = read_frame(&mut sock).expect("reply");
+        assert_eq!(TestMsg::decode_frame(&payload).expect("decode"), TestMsg(8));
+        node.shutdown();
+    }
+
+    #[test]
+    fn a_reconnected_client_keeps_its_reply_route_when_the_old_connection_ends() {
+        let node = transport(0, vec![]);
+        let wait_for = |what: &str, wanted: fn(&TcpEvent<TestMsg>) -> bool| loop {
+            let event = node.events().recv_timeout(Duration::from_secs(5));
+            if wanted(&event.unwrap_or_else(|_| panic!("no {what} event"))) {
+                break;
+            }
+        };
+        let connect = || {
+            let mut sock = TcpStream::connect(node.local_addr()).expect("connect");
+            write_handshake(&mut sock, 100).expect("handshake");
+            wait_for("Connected", |e| matches!(e, TcpEvent::Connected { from: 100 }));
+            sock
+        };
+        // The same client twice: the second handshake replaces the route,
+        // and only afterwards does the first connection's reader see EOF.
+        let old = connect();
+        let mut new = connect();
+        drop(old);
+        wait_for("Disconnected", |e| matches!(e, TcpEvent::Disconnected { from: 100 }));
+
+        node.send(100, &TestMsg(8));
+        assert_eq!(node.stats().dropped.load(Ordering::Relaxed), 0, "the new route is gone");
+        new.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+        let payload = read_frame(&mut new).expect("reply on the second socket");
         assert_eq!(TestMsg::decode_frame(&payload).expect("decode"), TestMsg(8));
         node.shutdown();
     }

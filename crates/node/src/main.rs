@@ -19,7 +19,6 @@ TESTNET OPTIONS:
     --nodes <n>               committee size, 4..=20 (default 4)
     --duration-secs <s>       load phase length (default 10)
     --tps <n>                 total offered load, tx/s (default 200)
-    --payload-bytes <n>       modeled payload per tx (default 0)
     --base-port <p>           first listener port; 0 = OS-assigned (default 0)
     --schedule <s>            hammerhead | round-robin (default hammerhead)
     --kill <id>               SIGKILL node <id> mid-run and restart it
@@ -113,7 +112,6 @@ fn parse_testnet_args(args: &[String]) -> Result<TestnetOpts, String> {
                 opts.duration = Duration::from_secs(parse(&value("--duration-secs")?)?)
             }
             "--tps" => opts.tps = parse(&value("--tps")?)?,
-            "--payload-bytes" => opts.payload_bytes = parse(&value("--payload-bytes")?)?,
             "--base-port" => opts.base_port = parse(&value("--base-port")?)?,
             "--schedule" => opts.schedule = value("--schedule")?,
             "--kill" => kill_victim = Some(parse(&value("--kill")?)?),

@@ -58,8 +58,6 @@ pub struct TestnetOpts {
     pub duration: Duration,
     /// Total offered load across all clients (tx/s).
     pub tps: f64,
-    /// Modeled payload per transaction (accounting only, never on wire).
-    pub payload_bytes: u32,
     /// First listener port; node `i` binds `base_port + i`. `0` asks the
     /// OS for free ports instead.
     pub base_port: u16,
@@ -90,7 +88,6 @@ impl TestnetOpts {
             nodes,
             duration: Duration::from_secs(10),
             tps: 200.0,
-            payload_bytes: 0,
             base_port: 0,
             schedule: "hammerhead".into(),
             kill: None,
@@ -302,7 +299,7 @@ fn spawn_node(binary: &Path, config_path: &Path) -> Result<NodeProc, String> {
 /// One load client: connects to its node, submits transactions at a
 /// constant `tps`, drains confirmations, reconnects if the node goes away
 /// (it will, in a crash test).
-fn client_loop(addr: String, client_id: u16, tps: f64, payload_bytes: u32, stop: Arc<AtomicBool>) {
+fn client_loop(addr: String, client_id: u16, tps: f64, stop: Arc<AtomicBool>) {
     let interval = if tps > 0.0 {
         Duration::from_secs_f64(1.0 / tps).min(Duration::from_millis(100))
     } else {
@@ -332,7 +329,7 @@ fn client_loop(addr: String, client_id: u16, tps: f64, payload_bytes: u32, stop:
         }
         while !stop.load(Ordering::SeqCst) {
             let now_us = start.elapsed().as_micros() as u64;
-            let tx = Transaction::with_payload(client_id as u32, seq, now_us, payload_bytes);
+            let tx = Transaction::new(client_id as u32, seq, now_us);
             let frame = WireMsg::new(ValidatorMessage::Submit(tx)).encode_frame();
             if write_frame(&mut stream, &frame).is_err() {
                 continue 'reconnect; // Node died; retry against its restart.
@@ -464,11 +461,10 @@ pub fn run_testnet(opts: &TestnetOpts) -> Result<TestnetReport, String> {
     for (k, addr) in peers.iter().cloned().enumerate() {
         let id = opts.nodes + k as u16;
         let stop = stop.clone();
-        let payload = opts.payload_bytes;
         client_threads.push(
             std::thread::Builder::new()
                 .name(format!("hh-client-{k}"))
-                .spawn(move || client_loop(addr, id, rate, payload, stop))
+                .spawn(move || client_loop(addr, id, rate, stop))
                 .map_err(|e| format!("spawn client: {e}"))?,
         );
     }

@@ -82,10 +82,6 @@ pub struct AdversaryRow {
 /// What the finished simulation shows beyond the standard metrics.
 #[derive(Clone, Debug)]
 pub struct AnalysisRow {
-    /// One `(name, latency)` per `[[analysis.window]]`: post-warmup
-    /// latencies of transactions submitted inside the window, as
-    /// [`hh_sim::MetricsSink::window_summaries`] yields them.
-    pub windows: Vec<(String, LatencySummary)>,
     /// Candidate rounds the committed anchor sequence passed over (Lemma
     /// 6's metric, [`hh_consensus::passed_over_candidates`]).
     pub skipped_rounds: u64,
@@ -266,7 +262,7 @@ pub fn render_row(row: &RunRow) -> String {
         r.schedule_epochs,
     );
     let a = &row.analysis;
-    for (name, latency) in &a.windows {
+    for (name, latency) in &r.windows {
         let _ = write!(
             line,
             "\n      window {:<10} p50 {:>6.3}s p95 {:>6.3}s mean {:>6.3}s ({} txs)",
@@ -517,7 +513,7 @@ fn row_json(row: &RunRow) -> Json {
         );
 
     let a = &row.analysis;
-    let windows = a.windows.iter().map(|(name, latency)| {
+    let windows = r.windows.iter().map(|(name, latency)| {
         Json::object().with("name", Json::Str(name.clone())).with("latency", latency_json(latency))
     });
     let mut analysis = Json::object()
@@ -613,8 +609,8 @@ to_frac = 1.0
 "#;
         let plan = tiny_spec(extra).plan(&PlanOptions::default()).unwrap();
         let report = run_plan(&plan, RunLimit::Duration, false);
+        assert_eq!(report.rows[0].result.windows.len(), 2);
         let a = &report.rows[0].analysis;
-        assert_eq!(a.windows.len(), 2);
         assert!(a.last_anchor_round > 0 && a.skipped_rounds < a.last_anchor_round);
         let json = report_json(&report).render();
         for key in ["skipped_leader_rounds", "bg_churn", "\"early\"", "goodput_tps", "restarts"] {

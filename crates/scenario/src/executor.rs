@@ -20,7 +20,7 @@
 use crate::engine::{AdversaryRow, AnalysisRow, ReinclusionRow, RunProfile, RunRow};
 use crate::spec::{PlannedRun, ScenarioPlan};
 use hh_consensus::passed_over_candidates;
-use hh_sim::{run_sim, ByzantineSchedule, LatencySummary, MetricsSink, RunLimit, SimHandle};
+use hh_sim::{run_sim, ByzantineSchedule, RunLimit, SimHandle};
 use hh_types::{Round, ValidatorId};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -31,9 +31,8 @@ pub(crate) fn describe(run: &PlannedRun) -> String {
     run.labels.iter().map(|(k, v)| format!("{k}={v}")).collect::<Vec<_>>().join(" ")
 }
 
-/// Executes run `index` of the plan: [`run_sim`] with a [`MetricsSink`]
-/// carrying one accumulator per declared analysis window, held to the
-/// always-on safety checker's verdict, then the analyses of the handle.
+/// Executes run `index` of the plan: [`run_sim`], held to the always-on
+/// safety checker's verdict, then the analyses of the handle.
 ///
 /// Pure in `(plan, index, limit)` — every worker produces the same row
 /// for the same index, which is what makes the report independent of
@@ -51,17 +50,7 @@ pub(crate) fn execute_run(plan: &ScenarioPlan, index: usize, limit: RunLimit) ->
     let net_before = hh_sim::prof::net_snapshot();
     let crypto_before = hh_sim::prof::crypto_snapshot();
     let run = &plan.runs[index];
-    let config = &run.config;
-    // `ScenarioSpec::plan` admits only durations that fit microseconds, and
-    // a warmup is shorter than its run.
-    let duration_us = config.duration_secs * 1_000_000;
-    let mut sink = MetricsSink::new(config.warmup_secs * 1_000_000);
-    for window in &plan.analysis.windows {
-        let from_us = (duration_us as f64 * window.from_frac) as u64;
-        let to_us = (duration_us as f64 * window.to_frac) as u64;
-        sink = sink.with_window(&window.name, from_us, to_us);
-    }
-    let (handle, result) = run_sim(config, limit, &mut sink);
+    let (handle, result) = run_sim(&run.config, limit);
     assert!(
         result.agreement_ok,
         "TOTAL ORDER VIOLATION in scenario `{}`, run {} ({})",
@@ -69,7 +58,7 @@ pub(crate) fn execute_run(plan: &ScenarioPlan, index: usize, limit: RunLimit) ->
         index,
         describe(run)
     );
-    let analysis = analyze(run, &handle, sink.window_summaries());
+    let analysis = analyze(run, &handle);
     // Execution-cost sample: always taken (it is two reads), only
     // rendered under --profile, and kept out of the report output so
     // rows and JSON stay deterministic.
@@ -84,14 +73,9 @@ pub(crate) fn execute_run(plan: &ScenarioPlan, index: usize, limit: RunLimit) ->
     RunRow { run: run.clone(), result, analysis, profile }
 }
 
-/// Computes the handle-derived analyses (skipped leader rounds, B/G
-/// churn, re-inclusion, adversary) beside the window latencies of the
-/// run's sink.
-fn analyze(
-    run: &PlannedRun,
-    handle: &SimHandle,
-    windows: Vec<(String, LatencySummary)>,
-) -> AnalysisRow {
+/// Computes the handle-derived analyses: skipped leader rounds, B/G
+/// churn, re-inclusion, adversary.
+fn analyze(run: &PlannedRun, handle: &SimHandle) -> AnalysisRow {
     // Live at the actual stop, matching the metrics collector.
     let live: Vec<usize> =
         run.config.faults.live_at(handle.n_validators, handle.sim.now().as_micros());
@@ -131,7 +115,7 @@ fn analyze(
         None => (Vec::new(), Vec::new()),
     };
 
-    AnalysisRow { windows, skipped_rounds, last_anchor_round, bg_churn, reinclusion, adversary }
+    AnalysisRow { skipped_rounds, last_anchor_round, bg_churn, reinclusion, adversary }
 }
 
 /// The adversary analysis: for every byzantine validator, how fast the
@@ -431,7 +415,6 @@ model = "flat"
             description: String::new(),
             figure: None,
             runs: vec![good.runs[0].clone(), bad],
-            analysis: crate::spec::AnalysisSpec::default(),
         };
 
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {

@@ -17,7 +17,7 @@
 //! * a `plan → execute → report` pipeline: [`run_plan_with`] (on the
 //!   calling thread or a scoped worker pool, per [`ExecOptions`]) turns
 //!   every planned run into a row via the simulator's one driver
-//!   ([`hh_sim::run_sim`]) and its bounded-memory metrics sink, and the
+//!   ([`hh_sim::run_sim`]), and the
 //!   report layer assembles a [`ScenarioReport`] whose rows are a
 //!   function of the run: the paper's metrics, the declared latency
 //!   windows, skipped leader rounds and B/G churn always, the

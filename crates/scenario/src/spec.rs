@@ -95,8 +95,6 @@ pub enum ExclusionSpec {
     F,
     /// A percentage of total committee stake (Sui mainnet runs 20%).
     Pct(u64),
-    /// An absolute stake amount.
-    Stake(u64),
 }
 
 impl ExclusionSpec {
@@ -109,7 +107,6 @@ impl ExclusionSpec {
                 let stake = committee.total_stake().0 as u128 * pct as u128 / 100;
                 Some(Stake(u64::try_from(stake).unwrap_or(u64::MAX)))
             }
-            ExclusionSpec::Stake(s) => Some(Stake(s)),
         }
     }
 
@@ -117,7 +114,6 @@ impl ExclusionSpec {
         match self {
             ExclusionSpec::F => "f".to_string(),
             ExclusionSpec::Pct(p) => format!("{p}%"),
-            ExclusionSpec::Stake(s) => format!("stake{s}"),
         }
     }
 }
@@ -1100,43 +1096,33 @@ section!(SYSTEMS_TABLE = "[systems]", shares [], {
     SYSTEMS_RUN = "run", Kind::StrAxis, Def::Str("hammerhead"), shown;
 });
 
-// The exclusion budget is an axis of percentages or an axis of stakes,
-// never both; neither means the committee's `f`.
+// Without an exclusion-budget axis the budget is the committee's `f`.
 section!(HAMMERHEAD_TABLE = "[hammerhead]", shares [], {
     PERIOD_ROUNDS = "period_rounds", Kind::U64Axis, Def::U64(20), shown;
     MAX_EXCLUDED_PCT = "max_excluded_pct", Kind::U64Axis, Def::None;
-    MAX_EXCLUDED_STAKE = "max_excluded_stake", Kind::U64Axis, Def::None;
     SCORING = "scoring", Kind::StrAxis, Def::Str("vote-based");
 });
 
-fn read_exclusion_axis(hammerhead: &Row) -> Result<Vec<ExclusionSpec>, ScenarioError> {
-    at_most_one(hammerhead, &MAX_EXCLUDED_PCT, &MAX_EXCLUDED_STAKE)?;
-    let pcts = hammerhead.opt::<Vec<u64>>(&MAX_EXCLUDED_PCT);
-    let stakes = hammerhead.opt::<Vec<u64>>(&MAX_EXCLUDED_STAKE);
-    Ok(match (pcts, stakes) {
-        (Some(pcts), _) => pcts.into_iter().map(ExclusionSpec::Pct).collect(),
-        (_, Some(stakes)) => stakes.into_iter().map(ExclusionSpec::Stake).collect(),
-        _ => vec![ExclusionSpec::F],
-    })
+fn read_exclusion_axis(hammerhead: &Row) -> Vec<ExclusionSpec> {
+    match hammerhead.opt::<Vec<u64>>(&MAX_EXCLUDED_PCT) {
+        Some(pcts) => pcts.into_iter().map(ExclusionSpec::Pct).collect(),
+        None => vec![ExclusionSpec::F],
+    }
 }
 
 /// # Panics
 ///
-/// Panics on an axis that mixes budget kinds, which no file can express.
+/// Panics on an axis that mixes `f` with percentages, which no file can
+/// express.
 fn write_exclusion_axis(hammerhead: Row, axis: &[ExclusionSpec]) -> Row {
     let mut pcts = Vec::new();
-    let mut stakes = Vec::new();
     for budget in axis {
         match budget {
             ExclusionSpec::F => assert_eq!(axis.len(), 1, "mixed exclusion axis {axis:?}"),
             ExclusionSpec::Pct(pct) => pcts.push(*pct),
-            ExclusionSpec::Stake(stake) => stakes.push(*stake),
         }
     }
-    assert!(pcts.is_empty() || stakes.is_empty(), "mixed exclusion axis {axis:?}");
-    hammerhead
-        .with_opt(&MAX_EXCLUDED_PCT, Some(pcts).filter(|xs| !xs.is_empty()))
-        .with_opt(&MAX_EXCLUDED_STAKE, Some(stakes).filter(|xs| !xs.is_empty()))
+    hammerhead.with_opt(&MAX_EXCLUDED_PCT, Some(pcts).filter(|xs| !xs.is_empty()))
 }
 
 // An arrival process is a name plus the parameters that name takes; the
@@ -1309,19 +1295,16 @@ section!(VARIANT_TABLE = "[[variant]]", shares [], {
     VARIANT_SCORING = "scoring", Kind::Str, Def::None;
     VARIANT_PERIOD_ROUNDS = "period_rounds", Kind::U64, Def::None;
     VARIANT_PCT = "max_excluded_pct", Kind::U64, Def::None;
-    VARIANT_STAKE = "max_excluded_stake", Kind::U64, Def::None;
 });
 
 fn read_variant(variant: &Row) -> Result<VariantSpec, ScenarioError> {
-    at_most_one(variant, &VARIANT_PCT, &VARIANT_STAKE)?;
-    let pct = variant.opt(&VARIANT_PCT).map(ExclusionSpec::Pct);
     Ok(VariantSpec {
         label: variant.get(&LABEL),
         system: SystemSpec::parse(&variant.get::<String>(&SYSTEM))?,
         static_leader: variant.get(&STATIC_LEADER),
         scoring: variant.opt::<String>(&VARIANT_SCORING).map(|s| parse_scoring(&s)).transpose()?,
         period_rounds: variant.opt(&VARIANT_PERIOD_ROUNDS),
-        exclusion: pct.or(variant.opt(&VARIANT_STAKE).map(ExclusionSpec::Stake)),
+        exclusion: variant.opt(&VARIANT_PCT).map(ExclusionSpec::Pct),
     })
 }
 
@@ -1335,7 +1318,6 @@ fn write_variant(variant: &VariantSpec) -> Row {
         .with_opt(&VARIANT_PERIOD_ROUNDS, variant.period_rounds);
     match variant.exclusion {
         Some(ExclusionSpec::Pct(pct)) => row.with(&VARIANT_PCT, pct),
-        Some(ExclusionSpec::Stake(stake)) => row.with(&VARIANT_STAKE, stake),
         Some(ExclusionSpec::F) | None => row,
     }
 }
@@ -1686,7 +1668,7 @@ impl ScenarioSpec {
                 .map(|s| SystemSpec::parse(s))
                 .collect::<Result<_, _>>()?,
             period_rounds: hammerhead.get(&PERIOD_ROUNDS),
-            exclusion: read_exclusion_axis(&hammerhead)?,
+            exclusion: read_exclusion_axis(&hammerhead),
             scoring: hammerhead
                 .get::<Vec<String>>(&SCORING)
                 .iter()
@@ -1862,8 +1844,6 @@ pub struct ScenarioPlan {
     pub figure: Option<String>,
     /// The runs, ordered committee → variant → duration → load → seed.
     pub runs: Vec<PlannedRun>,
-    /// Latency windows to measure per run.
-    pub analysis: AnalysisSpec,
 }
 
 /// The variants in force after merging the axis defaults.
@@ -1987,7 +1967,6 @@ impl ScenarioSpec {
             description: self.description.clone(),
             figure: self.figure.clone(),
             runs,
-            analysis: self.analysis.clone(),
         })
     }
 
@@ -2026,6 +2005,10 @@ impl ScenarioSpec {
         let mut config = ExperimentConfig::paper(SystemKind::Bullshark, n, load);
         config.duration_secs = duration;
         config.warmup_secs = self.warmup_secs.unwrap_or((duration / 6).max(1));
+        let edge = |frac| WhenSpec::Frac(frac).resolve_us(duration);
+        for w in &self.analysis.windows {
+            config.windows.push((w.name.clone(), edge(w.from_frac)?, edge(w.to_frac)?));
+        }
         config.seed = seed;
         config.gst_secs = self.gst_secs;
         config.client_window_secs = self.client_window_secs;
@@ -3273,7 +3256,12 @@ ramp_to_scale = 2.0
 
     #[test]
     fn duration_and_seed_overrides() {
-        let spec = ScenarioSpec::parse("name = \"x\"\n[run]\nseeds = [1, 2]\n").unwrap();
+        let spec = ScenarioSpec::parse(
+            "name = \"x\"\n[run]\nduration_secs = 60\nseeds = [1, 2]\n\
+             [[analysis.window]]\nname = \"early\"\nto_frac = 0.25\n\
+             [[analysis.window]]\nname = \"late\"\nfrom_frac = 0.5\n",
+        )
+        .unwrap();
         let plan = spec
             .plan(&PlanOptions {
                 duration_override: Some(9),
@@ -3284,7 +3272,15 @@ ramp_to_scale = 2.0
         assert_eq!(plan.runs.len(), 1);
         assert_eq!(plan.runs[0].config.duration_secs, 9);
         assert_eq!(plan.runs[0].config.seed, 77);
-        // Warmup follows the overridden duration.
+        // Warmup and the analysis windows follow the overridden duration.
         assert_eq!(plan.runs[0].config.warmup_secs, 1);
+        let windows = |plan: &ScenarioPlan| plan.runs[0].config.windows.clone();
+        let (early, late) = ("early".to_string(), "late".to_string());
+        assert_eq!(
+            windows(&plan),
+            [(early.clone(), 0, 2_250_000), (late.clone(), 4_500_000, 9_000_000)]
+        );
+        let as_written = spec.plan(&PlanOptions::default()).unwrap();
+        assert_eq!(windows(&as_written), [(early, 0, 15_000_000), (late, 30_000_000, 60_000_000)]);
     }
 }

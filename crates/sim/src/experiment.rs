@@ -77,6 +77,11 @@ pub struct ExperimentConfig {
     pub duration_secs: u64,
     /// Initial window excluded from latency statistics.
     pub warmup_secs: u64,
+    /// Named submission-time windows `(name, from_us, to_us)`, the end
+    /// exclusive: the end-to-end latency of the post-warmup transactions
+    /// submitted inside each is summarised on its own, as
+    /// [`RunResult::windows`]. Empty by default.
+    pub windows: Vec<(String, u64, u64)>,
     /// The fault schedule: crashes, recoveries, slowdowns, partitions.
     pub faults: FaultSchedule,
     /// The byzantine schedule: strategic adversaries (equivocation, vote
@@ -127,6 +132,7 @@ impl ExperimentConfig {
             workload: Workload::constant(),
             duration_secs: 60,
             warmup_secs: 10,
+            windows: Vec::new(),
             faults: FaultSchedule::default(),
             byzantine: ByzantineSchedule::default(),
             chaos: ChaosSchedule::default(),
@@ -154,6 +160,7 @@ impl ExperimentConfig {
             workload: Workload::constant(),
             duration_secs: 3,
             warmup_secs: 0,
+            windows: Vec::new(),
             faults: FaultSchedule::default(),
             byzantine: ByzantineSchedule::default(),
             chaos: ChaosSchedule::default(),
@@ -178,6 +185,9 @@ pub struct RunResult {
     pub latency: LatencySummary,
     /// Submission → consensus commit latency, post-warmup.
     pub commit_latency: LatencySummary,
+    /// One `(name, end-to-end latency)` per entry of
+    /// [`ExperimentConfig::windows`], in that order.
+    pub windows: Vec<(String, LatencySummary)>,
     /// Highest commit count across live validators.
     pub commits: u64,
     /// Sum of leader-await timeouts across live validators.
@@ -283,22 +293,6 @@ impl SimHandle {
         for (validator, t) in config.faults.recoveries() {
             if t == at_us {
                 self.recovery_samples.push(RecoverySample { validator, at_us, network_round });
-            }
-        }
-    }
-
-    /// Takes the latency records `validators` produced since the last
-    /// call and feeds them to `sink`.
-    fn drain_exec_records(&mut self, validators: &[usize], now_us: u64, sink: &mut MetricsSink) {
-        for &i in validators {
-            let records = self
-                .sim
-                .node_mut(NodeId(i))
-                .as_validator_mut()
-                .expect("node is a validator")
-                .take_exec_records();
-            for rec in &records {
-                sink.observe(rec, now_us);
             }
         }
     }
@@ -411,11 +405,9 @@ pub enum RunLimit {
 }
 
 /// Runs the experiment for its full duration and gathers the paper's
-/// metrics: [`run_sim`] with [`RunLimit::Duration`] and a sink without
-/// windows.
+/// metrics: [`run_sim`] with [`RunLimit::Duration`], the result alone.
 pub fn run_experiment(config: &ExperimentConfig) -> RunResult {
-    let mut sink = MetricsSink::new(config.warmup_secs * 1_000_000);
-    run_sim(config, RunLimit::Duration, &mut sink).1
+    run_sim(config, RunLimit::Duration).1
 }
 
 /// The scheduled recovery instants at or below `cap_us`, ascending and
@@ -432,7 +424,8 @@ fn recovery_times(config: &ExperimentConfig, cap_us: u64) -> Vec<u64> {
 /// The next driver stop: the following 250 ms grid point, the next
 /// scheduled recovery, or the cap — whichever comes first. Slicing
 /// `run_until` never reorders events, so boundary choice cannot change
-/// results; it only controls where sampling and draining happen.
+/// results; it only controls where the driver samples recoveries, audits
+/// safety and checks a [`RunLimit::Rounds`] stop.
 fn next_boundary(now_us: u64, cap_us: u64, recoveries: &[u64]) -> u64 {
     const SLICE_US: u64 = 250_000;
     let grid = ((now_us / SLICE_US) + 1) * SLICE_US;
@@ -442,42 +435,25 @@ fn next_boundary(now_us: u64, cap_us: u64, recoveries: &[u64]) -> u64 {
 
 /// The run driver: builds the simulation, drives it until `limit` and
 /// gathers the paper's metrics over the actually-elapsed window (the
-/// handle's `sim.now()` is the stop time), returning the live handle for
-/// post-run analyses beside them.
+/// handle's `sim.now()` is the stop time) with [`collect_metrics`],
+/// returning the live handle for post-run analyses beside them.
 ///
 /// The simulation advances from one [`next_boundary`] to the next, so a
 /// [`RunLimit::Rounds`] stop is prompt. After each slice the recoveries
-/// scheduled at that instant are sampled, the freshly produced
-/// [`hammerhead::ExecRecord`]s are taken off the validators and fed to
-/// `sink` — per-run memory stays bounded by the sink's fixed histograms
-/// (plus the small execution backlog) instead of growing with run length
-/// × load — and the run aborts if the slice's commits broke a safety
-/// invariant ([`SimHandle::safety`] saw each of them as it happened).
-/// Draining changes no event: the simulator's queue is ordered by
-/// `(time, seq)` and never sees the sink.
-///
-/// Mid-run only the validators that are up at the configured cap are
-/// drained, so no record of a validator that turns out to be crashed at
-/// the stop ever reaches the sink. After the last slice the validators
-/// that are live at the actual stop but were outside that conservative
-/// set follow — a run that stopped before a scheduled crash leaves that
-/// (healthy) validator's records buffered until then. `sink` is finalized
-/// on return.
+/// scheduled at that instant are sampled and the run aborts if the
+/// slice's commits broke a safety invariant ([`SimHandle::safety`] saw
+/// each of them as it happened). A `Rounds` stop looks at the validators
+/// that are up at the configured cap.
 ///
 /// # Panics
 ///
 /// Panics with the checker's per-validator diagnostic dump if any
 /// safety invariant is violated.
-pub fn run_sim(
-    config: &ExperimentConfig,
-    limit: RunLimit,
-    sink: &mut MetricsSink,
-) -> (SimHandle, RunResult) {
+pub fn run_sim(config: &ExperimentConfig, limit: RunLimit) -> (SimHandle, RunResult) {
     let mut handle = build_sim(config);
     let cap_us = SimTime::from_secs(config.duration_secs).as_micros();
     let recoveries = recovery_times(config, cap_us);
-    // Up at the cap: the validators that may be drained mid-run.
-    let steady = config.faults.live_at(handle.n_validators, cap_us);
+    let up_at_cap = config.faults.live_at(handle.n_validators, cap_us);
     let mut now_us = 0u64;
     // A recovery at t=0 is a boundary the loop below never visits (it
     // only moves forward from 0).
@@ -491,37 +467,40 @@ pub fn run_sim(
         if recoveries.binary_search(&now_us).is_ok() {
             handle.sample_recoveries(config, now_us);
         }
-        handle.drain_exec_records(&steady, now_us, sink);
         handle.safety.assert_clean();
         if let RunLimit::Rounds(target) = limit {
             let best =
-                steady.iter().map(|i| handle.validator(*i).current_round().0).max().unwrap_or(0);
+                up_at_cap.iter().map(|i| handle.validator(*i).current_round().0).max().unwrap_or(0);
             if best >= target {
                 break;
             }
         }
     }
-    let mut late = config.faults.live_at(handle.n_validators, now_us);
-    late.retain(|i| !steady.contains(i));
-    handle.drain_exec_records(&late, now_us, sink);
-    let result = summarize(config, &handle, now_us, sink);
+    let result = collect_metrics(config, &handle, now_us);
     (handle, result)
 }
 
-/// Finalizes `sink` and gathers the paper's metrics: the record-derived
-/// statistics come from the sink, the run counters and the safety verdict
-/// from the handle.
-fn summarize(
-    config: &ExperimentConfig,
-    handle: &SimHandle,
-    end_us: u64,
-    sink: &mut MetricsSink,
-) -> RunResult {
-    sink.finalize(end_us);
-    let net_stats = handle.sim.stats();
-    // Live at the *actual* stop: a run stopped before a scheduled crash
-    // counts that (never-crashed) validator.
+/// Gathers the paper's metrics from a handle driven — by [`run_sim`], or
+/// by hand with [`build_sim`] and [`Simulator::run_until`] — up to
+/// `end_us`.
+///
+/// Every validator keeps the latency records of its whole run (about 9 B
+/// each). The ones that count are those of the validators live at
+/// `end_us` — a run stopped before a scheduled crash counts that
+/// (never-crashed) validator — that executed at or before it; the rest
+/// never reached finality inside the run. The run counters and the
+/// safety verdict come from the same handle.
+pub fn collect_metrics(config: &ExperimentConfig, handle: &SimHandle, end_us: u64) -> RunResult {
     let live = config.faults.live_at(handle.n_validators, end_us);
+    let mut sink = MetricsSink::new(config);
+    for &i in &live {
+        for rec in &handle.validator(i).metrics().exec_records {
+            if rec.executed_at <= end_us {
+                sink.observe(rec);
+            }
+        }
+    }
+    let net_stats = handle.sim.stats();
 
     let mut commits = 0u64;
     let mut leader_timeouts = 0u64;
@@ -563,17 +542,18 @@ fn summarize(
         .unwrap_or(Digest::ZERO);
 
     RunResult {
-        throughput_tps: sink.executed() as f64 / (end_us as f64 / 1e6).max(1e-6),
-        executed: sink.executed(),
-        latency: sink.latency_summary(),
-        commit_latency: sink.commit_latency_summary(),
+        throughput_tps: sink.executed as f64 / (end_us as f64 / 1e6).max(1e-6),
+        executed: sink.executed,
+        latency: sink.latency.summary(),
+        commit_latency: sink.commit_latency.summary(),
+        windows: sink.window_summaries(),
         commits,
         leader_timeouts,
         submitted,
         client_skipped,
         shed,
         bytes_submitted,
-        bytes_committed: sink.executed_bytes(),
+        bytes_committed: sink.executed_bytes,
         elapsed_secs: end_us as f64 / 1e6,
         schedule_epochs: epochs,
         restarts,
@@ -591,23 +571,6 @@ fn summarize(
     }
 }
 
-/// Gathers the paper's metrics from a handle somebody else drove — with
-/// [`build_sim`] and [`Simulator::run_until`] — up to `end_us`.
-///
-/// The latency records are still buffered on the validators; they go
-/// through a fresh [`MetricsSink`] here. The sink's accumulators are
-/// order-independent integers, so the result is identical to what
-/// [`run_sim`] gathers by draining the same records during the run.
-pub fn collect_metrics(config: &ExperimentConfig, handle: &SimHandle, end_us: u64) -> RunResult {
-    let mut sink = MetricsSink::new(config.warmup_secs * 1_000_000);
-    for i in config.faults.live_at(handle.n_validators, end_us) {
-        for rec in &handle.validator(i).metrics().exec_records {
-            sink.observe(rec, end_us);
-        }
-    }
-    summarize(config, handle, end_us, &mut sink)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -618,11 +581,6 @@ mod tests {
             period_rounds,
             ..HammerheadConfig::default()
         })
-    }
-
-    /// [`run_sim`] for the full duration, with a sink without windows.
-    fn run(config: &ExperimentConfig) -> (SimHandle, RunResult) {
-        run_sim(config, RunLimit::Duration, &mut MetricsSink::new(config.warmup_secs * 1_000_000))
     }
 
     #[test]
@@ -697,7 +655,7 @@ mod tests {
     fn rounds_limit_stops_early_with_consistent_metrics() {
         let mut config = ExperimentConfig::quick_test(SystemKind::Bullshark);
         config.duration_secs = 30;
-        let (_, r) = run_sim(&config, RunLimit::Rounds(10), &mut MetricsSink::new(0));
+        let (_, r) = run_sim(&config, RunLimit::Rounds(10));
         assert!(r.agreement_ok);
         assert!(r.commits > 0, "should have committed by round 10");
         // A 10-round run at ~20ms/round finishes far before the 30s cap,
@@ -742,7 +700,7 @@ mod tests {
         config.faults = FaultSchedule::new().crash(3, 1_500_000).recover(3, 3_000_000);
         config.faults.validate(config.committee_size).expect("runnable schedule");
 
-        let (handle, r) = run(&config);
+        let (handle, r) = run_sim(&config, RunLimit::Duration);
         assert!(r.agreement_ok, "recovered validator must stay prefix-consistent");
         assert_eq!(r.restarts, 1, "exactly one restart scheduled");
         assert!(!r.recovery_divergence, "WAL replay must match the checkpoint");
@@ -784,10 +742,12 @@ mod tests {
 
     #[test]
     fn a_hand_driven_handle_collects_what_the_driver_reports() {
-        // The driver drains records in 250 ms slices (plus recovery
-        // boundaries) into its sink; `collect_metrics` reads them off a
-        // handle somebody else drove. Every field must agree, bit for bit.
-        let quick = ExperimentConfig::quick_test(SystemKind::Hammerhead);
+        // `run_sim` stops on its own boundaries; perfbench drives a handle
+        // in one-second slices. Slicing `run_until` never reorders events,
+        // so the two must report the same result, windows included.
+        let mut quick = ExperimentConfig::quick_test(SystemKind::Hammerhead);
+        quick.warmup_secs = 1;
+        quick.windows = vec![("early".into(), 0, 2_000_000), ("late".into(), 2_000_000, 3_000_000)];
         let mut recovering = quick.clone();
         recovering.duration_secs = 5;
         recovering.faults = FaultSchedule::new().crash(2, 1_100_000).recover(2, 2_700_000);
@@ -803,18 +763,9 @@ mod tests {
             (recovering, RunLimit::Duration),
             (stops_early, RunLimit::Rounds(10)),
         ] {
-            let mut sink = MetricsSink::new(config.warmup_secs * 1_000_000);
-            let (driven, reported) = run_sim(&config, limit, &mut sink);
+            let (driven, reported) = run_sim(&config, limit);
             let end_us = driven.sim.now().as_micros();
-            // The driver leaves no record buffered on a validator that is
-            // live at the stop — the bounded-memory property, and the late
-            // drain of one outside the conservative mid-run set.
-            for i in config.faults.live_at(driven.n_validators, end_us) {
-                assert!(driven.validator(i).metrics().exec_records.is_empty(), "validator {i}");
-            }
 
-            // By hand, as perfbench does: one-second slices, and the same
-            // stop (slicing `run_until` never reorders events).
             let mut handle = build_sim(&config);
             for t in (1..).map(|s| s * 1_000_000).take_while(|t| *t < end_us) {
                 handle.sim.run_until(SimTime(t));
@@ -823,10 +774,17 @@ mod tests {
             let collected = collect_metrics(&config, &handle, end_us);
 
             assert!(reported.latency.count > 0 && reported.commits > 0, "{reported:?}");
+            assert_eq!(reported.windows.len(), config.windows.len());
+            assert!(reported.windows.iter().all(|(_, w)| w.count > 0), "{:?}", reported.windows);
             assert_eq!(collected, reported, "{limit:?}");
             if limit != RunLimit::Duration {
                 assert!(end_us < 29_000_000, "the run stopped before the scheduled crash");
                 assert!(!handle.validator(3).metrics().exec_records.is_empty());
+                let by_all_four: usize = (0..4)
+                    .map(|i| &handle.validator(i).metrics().exec_records)
+                    .map(|log| log.iter().filter(|r| r.executed_at <= end_us).count())
+                    .sum();
+                assert_eq!(reported.executed, by_all_four as u64, "validator 3 counts as live");
             }
             if config.faults.has_recoveries() {
                 assert_eq!(reported.restarts, 1);
@@ -898,11 +856,11 @@ mod tests {
         base.byzantine = schedule;
         base.byzantine.validate(base.committee_size).expect("runnable byzantine schedule");
 
-        let (rr_handle, rr) = run(&base);
+        let (rr_handle, rr) = run_sim(&base, RunLimit::Duration);
 
         let mut hh_config = base.clone();
         hh_config.validator.schedule = hammerhead_every(6);
-        let (hh_handle, hh) = run(&hh_config);
+        let (hh_handle, hh) = run_sim(&hh_config, RunLimit::Duration);
 
         assert!(rr.agreement_ok && hh.agreement_ok, "{label}: safety must hold under attack");
         assert!(hh.schedule_epochs >= 2, "{label}: epochs: {}", hh.schedule_epochs);
@@ -971,11 +929,11 @@ mod tests {
         base.byzantine = ByzantineSchedule::new().withhold_votes(attacker, vec![0, 1], 0, u64::MAX);
         base.byzantine.validate(base.committee_size).expect("runnable byzantine schedule");
 
-        let (rr_handle, rr) = run(&base);
+        let (rr_handle, rr) = run_sim(&base, RunLimit::Duration);
 
         let mut hh_config = base.clone();
         hh_config.validator.schedule = hammerhead_every(6);
-        let (hh_handle, hh) = run(&hh_config);
+        let (hh_handle, hh) = run_sim(&hh_config, RunLimit::Duration);
 
         assert!(rr.agreement_ok && hh.agreement_ok, "withhold: safety must hold under attack");
         assert!(hh.schedule_epochs >= 2, "withhold: epochs: {}", hh.schedule_epochs);
@@ -1005,7 +963,7 @@ mod tests {
         config.faults = FaultSchedule::new().crash(1, 1_500_000).recover(1, 3_000_000);
         config.faults.validate(config.committee_size).expect("runnable schedule");
 
-        let (handle, r) = run(&config);
+        let (handle, r) = run_sim(&config, RunLimit::Duration);
         assert!(r.agreement_ok, "equivocation must not break safety");
         assert_eq!(r.restarts, 1);
         assert!(!r.recovery_divergence);
@@ -1216,8 +1174,8 @@ mod tests {
         let config_a = ExperimentConfig::quick_test(SystemKind::Hammerhead);
         let mut config_b = config_a.clone();
         config_b.seed = 43;
-        let (mut handle_a, clean) = run(&config_a);
-        let (handle_b, _) = run(&config_b);
+        let (mut handle_a, clean) = run_sim(&config_a, RunLimit::Duration);
+        let (handle_b, _) = run_sim(&config_b, RunLimit::Duration);
         assert!(clean.agreement_ok);
         let end_us = handle_a.sim.now().as_micros();
 

@@ -46,13 +46,17 @@
 //! it; comparing systems on an existing config is
 //! `config.validator.schedule = …`.
 //!
-//! One driver runs it: [`run_sim`] builds the simulation, advances it in
-//! quarter-second slices until the [`RunLimit`], drains the validators'
-//! latency records into a [`MetricsSink`] after every slice and returns
-//! the [`SimHandle`] beside the [`RunResult`]. [`run_experiment`] is that
-//! for the full duration with the result alone, and [`collect_metrics`]
-//! gathers the same result from a handle a caller built with
-//! [`build_sim`] and drove through `Simulator::run_until` itself.
+//! A run is measured once. [`run_sim`] builds the simulation, advances it
+//! in quarter-second slices until the [`RunLimit`] and returns the
+//! [`SimHandle`] beside the [`RunResult`] that [`collect_metrics`] reads
+//! off it: the validators keep their latency records for the whole run,
+//! and the ones executed by the stop are summarised in one pass —
+//! post-warmup ([`ExperimentConfig::warmup_secs`]) and once more per
+//! submission-time window ([`ExperimentConfig::windows`]).
+//! [`run_experiment`] is [`run_sim`] for the full duration with the result
+//! alone, and a caller that drives a [`build_sim`] handle through
+//! `Simulator::run_until` itself calls [`collect_metrics`] for the same
+//! result.
 //!
 //! # Example
 //!
@@ -113,7 +117,7 @@ pub use hh_net::{
     FaultScheduleError,
 };
 pub use metrics::LatencySummary;
-pub use sink::{MetricsSink, StreamingHistogram};
+pub use sink::StreamingHistogram;
 pub use workload::{
     Arrival, ArrivalKind, Phase, RateNow, SubmissionMode, Workload, WorkloadError,
     MAX_PAYLOAD_BYTES,

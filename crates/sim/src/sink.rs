@@ -1,26 +1,17 @@
-//! Incremental, bounded-memory metrics: the streaming replacement for
-//! the collect-every-sample-then-sort path.
-//!
-//! A [`MetricsSink`] is fed [`ExecRecord`]s as the simulation produces
-//! them and keeps only fixed-size state per run: a log-scale
-//! [`StreamingHistogram`] per tracked distribution (end-to-end latency,
-//! commit latency, one per declared analysis window) plus exact integer
-//! moments. Memory per run is O(histogram buckets), independent of run
-//! length, committee size, or offered load — the property that lets a
-//! parallel executor keep every core busy on wide sweeps without the
-//! resident set growing with the sweep.
+//! Fixed-size latency statistics: a log-scale [`StreamingHistogram`]
+//! per tracked distribution and exact integer moments, so summarising a
+//! run never buffers or sorts its samples.
 //!
 //! Determinism: every accumulator is an integer (`u64`/`u128` counts and
-//! sums), so the result is independent of the order records are fed.
-//! Feeding the sink incrementally in 250 ms slices, post-run in one
-//! pass, or from validators in any interleaving produces bit-identical
-//! summaries — the argument behind `--jobs N` emitting byte-identical
-//! JSON for every `N`.
+//! sums), so a summary does not depend on the order the records are fed
+//! in — validators can be read in any order, which is part of why
+//! `--jobs N` emits byte-identical JSON for every `N`.
 //!
 //! [`LatencySummary::from_micros`] remains the exact oracle; the
 //! histogram's percentiles are upper bounds within one bucket width
 //! (≤ 1/32 relative) of it, which the property tests pin down.
 
+use crate::experiment::ExperimentConfig;
 use crate::metrics::LatencySummary;
 use hammerhead::ExecRecord;
 
@@ -149,8 +140,8 @@ impl StreamingHistogram {
     }
 }
 
-/// One named submission-time window accumulated by the sink.
-#[derive(Clone, Debug)]
+/// One named submission-time window of the run.
+#[derive(Debug)]
 struct WindowSink {
     name: String,
     from_us: u64,
@@ -159,68 +150,49 @@ struct WindowSink {
     hist: StreamingHistogram,
 }
 
-/// Streaming per-run metrics accumulator.
-///
-/// Feed it every [`ExecRecord`] (via [`MetricsSink::observe`]) as the
-/// run produces them, then [`MetricsSink::finalize`] once the stop time
-/// is known. Records whose execution completes beyond the current drain
-/// frontier are parked in a small deferred buffer (bounded by the
-/// execution backlog) and classified at finalize — this is what lets
-/// [`RunLimit::Rounds`](crate::RunLimit) runs stream too, where the stop
-/// time is only known at the end.
-#[derive(Clone, Debug)]
-pub struct MetricsSink {
+/// The record-derived part of a [`RunResult`](crate::RunResult): what
+/// [`collect_metrics`](crate::collect_metrics) feeds every counted
+/// [`ExecRecord`] of a run into.
+#[derive(Debug)]
+pub(crate) struct MetricsSink {
     warmup_us: u64,
-    executed: u64,
-    executed_bytes: u64,
-    latency: StreamingHistogram,
-    commit_latency: StreamingHistogram,
+    /// Transactions that reached execution finality inside the run.
+    pub(crate) executed: u64,
+    /// Modeled wire bytes of those transactions (byte goodput).
+    pub(crate) executed_bytes: u64,
+    /// Post-warmup end-to-end latency.
+    pub(crate) latency: StreamingHistogram,
+    /// Post-warmup submission → commit latency.
+    pub(crate) commit_latency: StreamingHistogram,
     windows: Vec<WindowSink>,
-    deferred: Vec<ExecRecord>,
-    finalized: bool,
 }
 
 impl MetricsSink {
-    /// A sink excluding samples submitted before `warmup_us`.
-    pub fn new(warmup_us: u64) -> Self {
+    /// An empty sink for a run of `config`: latency samples submitted
+    /// before its warmup are excluded, and each of its windows gets a
+    /// histogram of its own.
+    pub(crate) fn new(config: &ExperimentConfig) -> Self {
         MetricsSink {
-            warmup_us,
+            warmup_us: config.warmup_secs * 1_000_000,
             executed: 0,
             executed_bytes: 0,
             latency: StreamingHistogram::new(),
             commit_latency: StreamingHistogram::new(),
-            windows: Vec::new(),
-            deferred: Vec::new(),
-            finalized: false,
+            windows: config
+                .windows
+                .iter()
+                .map(|(name, from_us, to_us)| WindowSink {
+                    name: name.clone(),
+                    from_us: *from_us,
+                    to_us: *to_us,
+                    hist: StreamingHistogram::new(),
+                })
+                .collect(),
         }
     }
 
-    /// Adds a named submission-time window `[from_us, to_us)` whose
-    /// end-to-end latency distribution is tracked separately.
-    pub fn with_window(mut self, name: &str, from_us: u64, to_us: u64) -> Self {
-        self.windows.push(WindowSink {
-            name: name.to_string(),
-            from_us,
-            to_us,
-            hist: StreamingHistogram::new(),
-        });
-        self
-    }
-
-    /// Feeds one record. `frontier_us` is the simulation time up to
-    /// which the run is known to be inside the measurement window;
-    /// records executing beyond it are deferred until
-    /// [`MetricsSink::finalize`] decides whether they made the cut.
-    pub fn observe(&mut self, rec: ExecRecord, frontier_us: u64) {
-        debug_assert!(!self.finalized, "observe after finalize");
-        if rec.executed_at > frontier_us {
-            self.deferred.push(rec);
-        } else {
-            self.ingest(rec);
-        }
-    }
-
-    fn ingest(&mut self, rec: ExecRecord) {
+    /// Counts one executed transaction.
+    pub(crate) fn observe(&mut self, rec: ExecRecord) {
         self.executed += 1;
         self.executed_bytes += rec.bytes as u64;
         if rec.submitted_at < self.warmup_us {
@@ -236,41 +208,9 @@ impl MetricsSink {
         }
     }
 
-    /// Classifies the deferred records against the final stop time:
-    /// those executing at or before `end_us` count, the rest never
-    /// reached finality inside the run and are dropped.
-    pub fn finalize(&mut self, end_us: u64) {
-        for rec in std::mem::take(&mut self.deferred) {
-            if rec.executed_at <= end_us {
-                self.ingest(rec);
-            }
-        }
-        self.finalized = true;
-    }
-
-    /// Transactions that reached execution finality inside the run.
-    pub fn executed(&self) -> u64 {
-        self.executed
-    }
-
-    /// Modeled wire bytes of those transactions (byte goodput).
-    pub fn executed_bytes(&self) -> u64 {
-        self.executed_bytes
-    }
-
-    /// Post-warmup end-to-end latency summary.
-    pub fn latency_summary(&self) -> LatencySummary {
-        self.latency.summary()
-    }
-
-    /// Post-warmup submission → commit latency summary.
-    pub fn commit_latency_summary(&self) -> LatencySummary {
-        self.commit_latency.summary()
-    }
-
     /// `(name, latency summary)` per declared window, in declaration
     /// order.
-    pub fn window_summaries(&self) -> Vec<(String, LatencySummary)> {
+    pub(crate) fn window_summaries(&self) -> Vec<(String, LatencySummary)> {
         self.windows.iter().map(|w| (w.name.clone(), w.hist.summary())).collect()
     }
 }
@@ -331,47 +271,39 @@ mod tests {
         ExecRecord { submitted_at, committed_at, executed_at, bytes: 20 }
     }
 
-    #[test]
-    fn sink_accumulates_executed_bytes() {
-        let mut sink = MetricsSink::new(0);
-        sink.observe(rec(0, 50, 100), u64::MAX);
-        sink.observe(rec(10, 60, 200), u64::MAX);
-        sink.finalize(u64::MAX);
-        assert_eq!(sink.executed_bytes(), 40);
+    /// A sink with the given warmup and `(name, from_us, to_us)` windows.
+    fn sink_for(warmup_secs: u64, windows: &[(&str, u64, u64)]) -> MetricsSink {
+        let mut config = ExperimentConfig::quick_test(crate::SystemKind::Bullshark);
+        config.warmup_secs = warmup_secs;
+        config.windows = windows.iter().map(|(n, from, to)| (n.to_string(), *from, *to)).collect();
+        MetricsSink::new(&config)
     }
 
     #[test]
-    fn sink_defers_past_frontier_records_until_finalize() {
-        let mut sink = MetricsSink::new(0);
-        sink.observe(rec(0, 50, 100), 1_000); // inside frontier: counted
-        sink.observe(rec(10, 60, 5_000), 1_000); // beyond frontier: deferred
-        sink.observe(rec(20, 70, 9_000), 1_000); // deferred, then dropped
-        assert_eq!(sink.executed(), 1);
-        sink.finalize(5_000);
-        assert_eq!(sink.executed(), 2, "one deferred record made the cut");
-        assert_eq!(sink.latency_summary().count, 2);
+    fn sink_accumulates_executed_bytes() {
+        let mut sink = sink_for(0, &[]);
+        sink.observe(rec(0, 50, 100));
+        sink.observe(rec(10, 60, 200));
+        assert_eq!(sink.executed_bytes, 40);
     }
 
     #[test]
     fn sink_warmup_excludes_latency_but_counts_execution() {
-        let mut sink = MetricsSink::new(1_000);
-        sink.observe(rec(500, 600, 700), u64::MAX); // pre-warmup
-        sink.observe(rec(2_000, 2_500, 3_000), u64::MAX);
-        sink.finalize(u64::MAX);
-        assert_eq!(sink.executed(), 2);
-        let s = sink.latency_summary();
+        let mut sink = sink_for(1, &[]);
+        sink.observe(rec(500_000, 600_000, 700_000)); // pre-warmup
+        sink.observe(rec(2_000_000, 2_500_000, 3_000_000));
+        assert_eq!(sink.executed, 2);
+        let s = sink.latency.summary();
         assert_eq!(s.count, 1);
-        assert!((s.mean - 1e-3).abs() < 1e-12);
+        assert!((s.mean - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn sink_windows_partition_by_submission_time() {
-        let mut sink =
-            MetricsSink::new(0).with_window("early", 0, 1_000).with_window("late", 1_000, 2_000);
-        sink.observe(rec(100, 150, 200), u64::MAX);
-        sink.observe(rec(1_500, 1_600, 1_700), u64::MAX);
-        sink.observe(rec(999, 1_100, 1_200), u64::MAX);
-        sink.finalize(u64::MAX);
+        let mut sink = sink_for(0, &[("early", 0, 1_000), ("late", 1_000, 2_000)]);
+        sink.observe(rec(100, 150, 200));
+        sink.observe(rec(1_500, 1_600, 1_700));
+        sink.observe(rec(999, 1_100, 1_200));
         let windows = sink.window_summaries();
         assert_eq!(windows[0].0, "early");
         assert_eq!(windows[0].1.count, 2);

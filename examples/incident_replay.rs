@@ -11,9 +11,7 @@
 //! cargo run --release --example incident_replay
 //! ```
 
-use hammerhead_repro::hh_sim::{
-    run_sim, ExperimentConfig, FaultSchedule, MetricsSink, RunLimit, SystemKind,
-};
+use hammerhead_repro::hh_sim::{run_sim, ExperimentConfig, FaultSchedule, RunLimit, SystemKind};
 
 fn main() {
     let committee = 13; // one validator per AWS region
@@ -34,12 +32,12 @@ fn main() {
             faults.slowdown_from(v, onset_s * 1_000_000, 800_000)
         });
         // The two submission-time windows of `scenarios/incident_replay.toml`.
-        let mut sink = MetricsSink::new(config.warmup_secs * 1_000_000)
-            .with_window("healthy", 0, onset_s * 1_000_000)
-            .with_window("incident", onset_s * 1_000_000, end_s * 1_000_000);
-        let (handle, _) = run_sim(&config, RunLimit::Duration, &mut sink);
-        let windows = sink.window_summaries();
-        let (healthy, incident) = (windows[0].1, windows[1].1);
+        config.windows = vec![
+            ("healthy".into(), 0, onset_s * 1_000_000),
+            ("incident".into(), onset_s * 1_000_000, end_s * 1_000_000),
+        ];
+        let (handle, result) = run_sim(&config, RunLimit::Duration);
+        let (healthy, incident) = (result.windows[0].1, result.windows[1].1);
         println!("{}:", system.label());
         println!(
             "  healthy window : p50 {:>5.2}s  p95 {:>5.2}s  ({} txs)",
