@@ -19,7 +19,7 @@
 # report byte-identical, and a benchmark gate that unit-tests the
 # perfbench package against the workspace's crates and requires two
 # correct 2-second runs: sim_n100_f33 with its peak resident set under
-# 48 MB and its simulated median latency under 830 ms, and sim_n10_long
+# 36 MB and its simulated median latency under 830 ms, and sim_n10_long
 # (600 simulated seconds) under 50 MB and 320 ms.
 
 set -euo pipefail
@@ -153,8 +153,8 @@ ceiling() {
 # speed, and the simulated median latency is seed-exact, so one ceiling
 # each holds on any host.
 bench sim_n100_f33
-# About 38 MB and 801.224 ms on seed 1.
-ceiling target/ci-sim_n100_f33.txt peak_rss_mb 48
+# About 29.9 MB and 801.224 ms on seed 1.
+ceiling target/ci-sim_n100_f33.txt peak_rss_mb 36
 ceiling target/ci-sim_n100_f33.txt sim_latency_p50_ms 830
 bench sim_n10_long
 # The paper-length run, two repetitions of it: about 43.7 MB and

@@ -8,7 +8,9 @@
 //! * [`Dag`] — insertion with full structural validation (Algorithm 1's
 //!   `struct vertex` invariants). Vertices are addressed by
 //!   `(round, author)` — insertion enforces one per address — and each
-//!   keeps one committee bitmask of its parents' authors; lookup by
+//!   carries one committee bitmask of its parents' authors, stored with
+//!   the vertex by the first DAG to resolve them and read by every DAG
+//!   holding the same allocation; lookup by
 //!   digest survives only at the boundary, as a set of the stored
 //!   pointers keyed by the digest each vertex carries;
 //! * reachability ([`Dag::reachable`], the paper's `path(v, u)`) — one

@@ -2,11 +2,13 @@
 //! parent-mask reachability, histories, GC.
 //!
 //! Insertion enforces one vertex per `(round, author)`, so that pair is
-//! the only internal address. Each round keeps, per committee author, the
-//! shared `Arc<Vertex>` and one committee bitmask of its parents' authors;
-//! every traversal ORs those masks level by level and resolves authors
-//! through the round index, and a vertex's votes are read off the masks of
-//! the round above. Lookup by digest survives
+//! the only internal address. Each round keeps, per committee author, only
+//! the shared `Arc<Vertex>`; the committee bitmask of a vertex's parents'
+//! authors is stored once, with the vertex ([`Vertex::parent_authors`]),
+//! by the first DAG that resolves its parents, and every DAG holding the
+//! same allocation reads it there. Every traversal ORs those masks level
+//! by level and resolves authors through the round index, and a vertex's
+//! votes are read off the masks of the round above. Lookup by digest survives
 //! only at the boundary (wire messages identify vertices by digest), as a
 //! set of the same `Arc`s hashed by the digest each vertex carries. See
 //! `docs/architecture.md` ("DAG indexing & complexity") for the complexity
@@ -110,8 +112,10 @@ pub enum InsertOutcome {
     AlreadyPresent,
 }
 
+/// Whether bit `i` is set; a row shorter than the bit (an absent
+/// author's, which is empty) has it clear.
 fn test_bit(mask: &[u64], i: usize) -> bool {
-    mask[i / 64] & (1 << (i % 64)) != 0
+    mask.get(i / 64).is_some_and(|word| word & (1 << (i % 64)) != 0)
 }
 
 fn set_bit(mask: &mut [u64], i: usize) {
@@ -200,35 +204,26 @@ impl PartialEq for ByDigest {
 
 impl Eq for ByDigest {}
 
-/// One round of the DAG, indexed by author position. Everything a vertex
-/// costs beyond its shared payload lives in these two arrays — no
-/// per-vertex allocation.
+/// One round of the DAG, indexed by author position: one pointer per
+/// author slot is all a vertex costs this DAG beyond its shared payload.
 #[derive(Clone, Debug)]
 struct RoundIndex {
     vertices: Vec<Option<Arc<Vertex>>>,
-    /// One row of `⌈n/64⌉` words per author: the committee mask of its
-    /// vertex's parents' authors (all in the previous round). Final at
-    /// insert time and kept when that round is garbage-collected.
-    parents: Vec<u64>,
-    words: usize,
     len: usize,
     stake: Stake,
 }
 
 impl RoundIndex {
     fn new(n: usize) -> Self {
-        let words = n.div_ceil(64);
-        RoundIndex {
-            vertices: vec![None; n],
-            parents: vec![0; n * words],
-            words,
-            len: 0,
-            stake: Stake(0),
-        }
+        RoundIndex { vertices: vec![None; n], len: 0, stake: Stake(0) }
     }
 
+    /// The committee mask of `author`'s vertex's parents' authors (all in
+    /// the previous round), read through the stored vertex: final at
+    /// insert time and kept when that round is garbage-collected. An
+    /// absent author's row is empty.
     fn parent_mask(&self, author: usize) -> &[u64] {
-        &self.parents[author * self.words..][..self.words]
+        self.vertices[author].as_deref().map_or(&[], Vertex::parent_authors)
     }
 }
 
@@ -349,8 +344,9 @@ impl Dag {
         }
 
         // The parents' author mask: the duplicate-author check fills it,
-        // the round index keeps it. Nothing on the all-parents-present
-        // path allocates.
+        // and the vertex keeps it unless another DAG stored it first.
+        // Nothing on the all-parents-present path allocates but that
+        // first store.
         let mut parents = MaskBuf::new(self.words());
         if round == Round(0) {
             if !vertex.parents().is_empty() {
@@ -399,12 +395,13 @@ impl Dag {
             }
         }
 
-        // Commit the insert: index the vertex at its address.
+        // Commit the insert: store the mask with the vertex, index the
+        // vertex at its address.
+        let stored = vertex.init_parent_authors(&parents);
+        debug_assert_eq!(stored, &parents[..], "parent authors resolved differently");
         let n = self.committee.size();
         let ri = self.rounds.entry(round).or_insert_with(|| RoundIndex::new(n));
-        let idx = author.index();
-        ri.parents[idx * ri.words..][..ri.words].copy_from_slice(&parents);
-        ri.vertices[idx] = Some(vertex.clone());
+        ri.vertices[author.index()] = Some(vertex.clone());
         ri.len += 1;
         ri.stake += self.committee.stake_of(author);
         self.by_digest.insert(ByDigest(vertex));
@@ -458,11 +455,12 @@ impl Dag {
 
     /// Total stake of the next-round vertices linking to (voting for) the
     /// vertex with this digest: one probe of the target author's bit in
-    /// each parent-mask row of the round above, at most `n` of them.
+    /// the parent mask of each vertex of the round above, at most `n` of
+    /// them.
     ///
     /// With one vertex per `(round, author)` (enforced at insertion), each
     /// author contributes its stake at most once per target. An absent
-    /// author's row is all zeroes, so it never counts.
+    /// author has no vertex and so an empty row, which never counts.
     pub fn vote_stake(&self, target: &Digest) -> Stake {
         let Some(v) = self.get(target) else {
             return Stake(0);
@@ -677,9 +675,9 @@ impl Dag {
     /// Drops all rounds strictly below `round`. Future inserts below the
     /// horizon are rejected with [`DagError::BelowGc`].
     ///
-    /// The lowest retained round keeps its parent masks: they name
-    /// addresses in a round that no longer resolves, which every
-    /// traversal treats as a dead end.
+    /// The lowest retained round keeps its parent masks, since they are
+    /// stored with its vertices: they name addresses in a round that no
+    /// longer resolves, which every traversal treats as a dead end.
     ///
     /// Callers must only GC rounds whose vertices are already ordered
     /// everywhere they are needed (the validator keeps a safety margin,
@@ -1029,19 +1027,18 @@ mod tests {
     }
 
     /// Heap bytes the DAG owns for its index, as `(round index, digest
-    /// table)`: everything except the shared `Arc<Vertex>` payloads. The
-    /// exhaustive destructuring makes a new field fail to compile until it
-    /// is accounted for here.
+    /// table)`: everything except the shared `Arc<Vertex>` payloads, parent
+    /// masks included. The exhaustive destructuring makes a new field fail
+    /// to compile until it is accounted for here.
     fn index_bytes(dag: &Dag) -> (usize, usize) {
         use std::mem::size_of;
         let Dag { committee: _, by_digest, rounds, gc_round: _, equivocations: _ } = dag;
         let round_index = rounds
             .values()
             .map(|ri| {
-                let RoundIndex { vertices, parents, words: _, len: _, stake: _ } = ri;
+                let RoundIndex { vertices, len: _, stake: _ } = ri;
                 size_of::<(Round, RoundIndex)>()
                     + vertices.capacity() * size_of::<Option<Arc<Vertex>>>()
-                    + parents.capacity() * size_of::<u64>()
             })
             .sum();
         // std's table: a power of two of buckets of which 7/8 may fill
@@ -1058,10 +1055,12 @@ mod tests {
         // from the start, so every round stores 67 vertices. A per-vertex
         // index that grows with a lookback window (the 64-row reach index
         // cost about 1,350 B here) must not come back unnoticed, nor a
-        // third array per author slot (the vote-stake array cost 8 B a
-        // slot for what the parent masks of the round above already say),
-        // nor a digest table that copies its 32-byte keys (41 B per
-        // bucket, 41-82 B per vertex).
+        // second array per author slot (the vote-stake array cost 8 B a
+        // slot for what the parent masks of the round above already say;
+        // a mask row per slot cost 16 B for what the stored vertex already
+        // holds, once for every validator storing it), nor a digest table
+        // that copies its 32-byte keys (41 B per bucket, 41-82 B per
+        // vertex).
         let n = 100;
         let (present, rounds) = (67, 5);
         let crashed: Vec<ValidatorId> = (present as u16..n as u16).map(ValidatorId).collect();
@@ -1072,9 +1071,9 @@ mod tests {
         let dag = builder.dag();
         assert_eq!(dag.len(), rounds * present);
         let (round_index, digest_table) = index_bytes(dag);
-        // What two arrays cost: one pointer and one mask row per author
-        // slot and the round's header, 37 B per stored vertex here.
-        let per_round = n * (8 + 8 * n.div_ceil(64)) + 128;
+        // What one array costs: one pointer per author slot and the
+        // round's header, 12.7 B per stored vertex here.
+        let per_round = n * 8 + std::mem::size_of::<(Round, RoundIndex)>();
         assert!(
             round_index <= rounds * per_round,
             "{} B of index per vertex, bound {} B",
@@ -1086,6 +1085,44 @@ mod tests {
         assert_eq!(std::mem::size_of::<ByDigest>(), 8);
         let per_vertex = digest_table / dag.len();
         assert!(per_vertex <= 24, "{per_vertex} B of digest table per vertex");
+    }
+
+    #[test]
+    fn a_vertex_stored_by_two_dags_has_one_parent_mask() {
+        let mut builder = DagBuilder::new(committee4());
+        builder.extend_full_rounds(2);
+        builder.extend_round_excluding(&[ValidatorId(1)]);
+        let first = builder.dag();
+        let mut second = Dag::new(committee4());
+        for r in 0..3 {
+            for v in first.round_vertices(Round(r)) {
+                assert_eq!(second.try_insert_arc(v.clone()), Ok(InsertOutcome::Inserted));
+            }
+        }
+        let (a, b) = (&first.rounds[&Round(2)], &second.rounds[&Round(2)]);
+        for author in 0..4 {
+            let mask = a.parent_mask(author);
+            assert_eq!(mask, [0b1101], "v1 is left out of every parent list");
+            assert!(std::ptr::eq(mask, b.parent_mask(author)), "author {author}: two masks");
+            assert!(std::ptr::eq(mask, a.vertices[author].as_ref().unwrap().parent_authors()));
+        }
+
+        // A private copy of the same content gets a mask of its own, equal
+        // to the shared one, which stays where it was.
+        use hh_types::codec::{decode_from_slice, encode_to_vec};
+        let v = a.vertices[0].as_ref().unwrap();
+        let copy: Vertex = decode_from_slice(&encode_to_vec(&**v)).unwrap();
+        assert!(copy.parent_authors().is_empty(), "no DAG has stored the copy");
+        let mut third = Dag::new(committee4());
+        for r in 0..2 {
+            for v in first.round_vertices(Round(r)) {
+                third.try_insert_arc(v.clone()).unwrap();
+            }
+        }
+        third.try_insert(copy).unwrap();
+        let own = third.rounds[&Round(2)].parent_mask(0);
+        assert_eq!(own, a.parent_mask(0));
+        assert!(!std::ptr::eq(own, a.parent_mask(0)));
     }
 
     #[test]

@@ -9,11 +9,13 @@
 //! — over digests and parent lists through the public API — on randomized
 //! DAGs with skipped authors, withheld edges, multi-round gaps, GC below
 //! the anchor, equivocation attempts and foreign vertices, at committee
-//! sizes either side of the 64-author mask word.
+//! sizes either side of the 64-author mask word — and on DAGs that share
+//! vertex allocations, and so parent masks, with each other.
 
 use hh_crypto::Digest;
-use hh_dag::testkit::DagBuilder;
-use hh_dag::Dag;
+use hh_dag::testkit::{twin_of, DagBuilder};
+use hh_dag::{Dag, DagError, InsertOutcome};
+use hh_types::codec::{decode_from_slice, encode_to_vec};
 use hh_types::{Block, Committee, Round, Stake, ValidatorId, Vertex};
 use proptest::prelude::*;
 use std::collections::{HashSet, VecDeque};
@@ -267,6 +269,23 @@ fn links_of_round(dag: &Dag, round: Round) -> Vec<bool> {
     links
 }
 
+/// A fresh allocation of `v`'s content, `decode(encode(v))`: it carries no
+/// parent mask stored by a DAG that holds `v`.
+fn private_copy(v: &Vertex) -> Arc<Vertex> {
+    Arc::new(decode_from_slice(&encode_to_vec(v)).expect("a vertex round-trips"))
+}
+
+/// The pre-index vote edge test: a parent scan of `v` against the stored
+/// `(round, author)` vertex of the round below, resolved in `full` (a DAG
+/// nothing was collected from) when `dag` stores `v` and in `dag` itself
+/// when `v` is foreign to it.
+fn links_oracle(dag: &Dag, full: &Dag, v: &Vertex, author: ValidatorId) -> bool {
+    let resolver = if dag.contains(&v.digest()) { full } else { dag };
+    resolver
+        .vertex_by_author(v.round().prev(), author)
+        .is_some_and(|linked| v.has_parent(&linked.digest()))
+}
+
 /// `(committee size, rounds)`: small committees up to 10 rounds deep,
 /// where every pair is checked, and 65 / 100 / 130 authors — masks of two
 /// and three words, with 1, 36 and 2 bits in the last — kept shallow so
@@ -413,5 +432,101 @@ proptest! {
             }
         }
         check_dag(&dag, &mut rng);
+    }
+}
+
+proptest! {
+    // Three DAGs a case, each checked against the oracles.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A parent mask is stored once, with the vertex, by whichever DAG
+    /// resolves its parents first, and read by every DAG holding the same
+    /// allocation. Two DAGs take the same allocations in different
+    /// parent-respecting orders — A round by round, B in a random
+    /// topological order, one insert at a time from either at random — B
+    /// holds an equivocation twin where A holds the original, and the two
+    /// are GC'd at different rounds. A third DAG takes private copies and
+    /// so shares no mask. All three answer every query as the oracles do,
+    /// asked with their own vertices and with copies of them.
+    fn shared_parent_masks_answer_like_private_ones(shape in shape(4), seed in any::<u64>()) {
+        let (n, rounds) = shape;
+        let source = random_dag(n, rounds, seed);
+        let committee = source.committee().clone();
+        let mut rng = Mix(seed ^ 0x5A4E);
+        let shared: Vec<Arc<Vertex>> = all_vertices(&source).iter().map(|v| private_copy(v)).collect();
+        // The twin replaces a top-round vertex, so no vertex B takes names
+        // the original.
+        let top = source.highest_round().expect("non-empty");
+        let top_round: Vec<Arc<Vertex>> =
+            shared.iter().filter(|v| v.round() == top).cloned().collect();
+        let victim = pick(&top_round, &mut rng).clone();
+        let twin = Arc::new(twin_of(&victim, &committee.keypair(victim.author())));
+
+        let mut a = Dag::new(committee.clone());
+        let mut b = Dag::new(committee.clone());
+        let mut a_feed = shared.iter();
+        let mut b_pending: Vec<Arc<Vertex>> = shared
+            .iter()
+            .map(|v| if v.digest() == victim.digest() { twin.clone() } else { v.clone() })
+            .collect();
+        while a_feed.len() > 0 || !b_pending.is_empty() {
+            if rng.below(2) == 0 {
+                if let Some(v) = a_feed.next() {
+                    prop_assert_eq!(a.try_insert_arc(v.clone()), Ok(InsertOutcome::Inserted));
+                }
+            } else if !b_pending.is_empty() {
+                let i = rng.below(b_pending.len() as u64) as usize;
+                match b.try_insert_arc(b_pending[i].clone()) {
+                    Ok(outcome) => {
+                        prop_assert_eq!(outcome, InsertOutcome::Inserted);
+                        b_pending.swap_remove(i);
+                    }
+                    Err(e) => prop_assert!(matches!(e, DagError::MissingParents(_)), "{}", e),
+                }
+            }
+        }
+        let mut c = Dag::new(committee.clone());
+        for v in &shared {
+            prop_assert_eq!(c.try_insert_arc(private_copy(v)), Ok(InsertOutcome::Inserted));
+        }
+        for v in &shared {
+            prop_assert!(!v.parent_authors().is_empty(), "{} has no mask", v);
+            if let Some(stored) = b.get(&v.digest()) {
+                prop_assert!(Arc::ptr_eq(stored, v), "B stores a copy of {}", v);
+            }
+            let own = c.get(&v.digest()).expect("C stores everything");
+            prop_assert_eq!(own.parent_authors(), v.parent_authors());
+            prop_assert!(!std::ptr::eq(own.parent_authors(), v.parent_authors()));
+        }
+        prop_assert!(b.contains(&twin.digest()) && !b.contains(&victim.digest()));
+        prop_assert_eq!(twin.parent_authors(), victim.parent_authors());
+
+        let horizon_a = Round(rng.below(top.0));
+        let horizon_b = Round((horizon_a.0 + 1 + rng.below(top.0 - 1)) % top.0);
+        a.gc(horizon_a);
+        b.gc(horizon_b);
+
+        let mut asked: Vec<&Arc<Vertex>> = if shared.len() <= 80 {
+            shared.iter().collect()
+        } else {
+            (0..16).map(|_| pick(&shared, &mut rng)).collect()
+        };
+        asked.push(&twin);
+        for dag in [&a, &b, &c] {
+            check_dag(dag, &mut rng);
+            for &v in &asked {
+                let to = pick(&shared, &mut rng);
+                for from in [v.clone(), private_copy(v)] {
+                    prop_assert_eq!(dag.reachable(&from, to), reachable_oracle(dag, &from, to));
+                    for author in committee.ids() {
+                        prop_assert_eq!(
+                            dag.links_to_author(&from, author),
+                            links_oracle(dag, &source, &from, author),
+                            "{} links to {}", from, author
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -180,6 +180,13 @@ pub struct Vertex {
     /// the shared `Arc` means one recipient's encode (e.g. the first WAL
     /// persist) serves every other holder of the same allocation.
     encoded: std::sync::OnceLock<Vec<u8>>,
+    /// Memoized committee mask of the parents' authors
+    /// ([`Vertex::parent_authors`]). A parent digest names one vertex and
+    /// so one author, which makes the mask a function of the content too:
+    /// the first DAG to resolve the parents fills it, and every validator
+    /// storing the same allocation reads these words instead of keeping a
+    /// copy of its own.
+    parent_authors: std::sync::OnceLock<Box<[u64]>>,
 }
 
 impl Clone for Vertex {
@@ -199,11 +206,13 @@ impl Clone for Vertex {
             // Not carried over: clones are off the hot path (chaos frame
             // materialization, recovery replay) and re-encode lazily.
             encoded: std::sync::OnceLock::new(),
+            // A function of the content as well, and small: kept.
+            parent_authors: self.parent_authors.clone(),
         }
     }
 }
 
-/// Equality is content equality; the verify memo is ignored.
+/// Equality is content equality; the memos are ignored.
 impl PartialEq for Vertex {
     fn eq(&self, other: &Self) -> bool {
         self.digest == other.digest && self.signature == other.signature
@@ -238,6 +247,7 @@ impl Vertex {
             signature,
             verify_cache: std::sync::atomic::AtomicU64::new(0),
             encoded: std::sync::OnceLock::new(),
+            parent_authors: std::sync::OnceLock::new(),
         }
     }
 
@@ -342,6 +352,20 @@ impl Vertex {
         self.parents.contains(parent)
     }
 
+    /// The committee mask of the parents' authors (`⌈n/64⌉` words, bit `i`
+    /// set when a parent was authored by validator `i`), as stored by
+    /// [`Vertex::init_parent_authors`]; empty until a DAG stores it.
+    pub fn parent_authors(&self) -> &[u64] {
+        self.parent_authors.get().map_or(&[], |mask| mask)
+    }
+
+    /// Stores `mask` as the parents' author mask if none is stored yet and
+    /// returns the stored one, which every caller that resolved the same
+    /// parents computed identically.
+    pub fn init_parent_authors(&self, mask: &[u64]) -> &[u64] {
+        self.parent_authors.get_or_init(|| mask.into())
+    }
+
     /// Verifies the author signature over the content digest.
     ///
     /// The digest field is private and only ever produced by
@@ -426,6 +450,7 @@ impl Encode for Vertex {
             signature,
             verify_cache: std::sync::atomic::AtomicU64::new(0),
             encoded: std::sync::OnceLock::new(),
+            parent_authors: std::sync::OnceLock::new(),
         })
     }
 }
@@ -529,6 +554,17 @@ mod tests {
         let v = sample_vertex();
         assert!(v.has_parent(&hh_crypto::sha256(b"p1")));
         assert!(!v.has_parent(&hh_crypto::sha256(b"p3")));
+    }
+
+    #[test]
+    fn parent_authors_are_written_once_and_cloned_but_not_decoded() {
+        let v = sample_vertex();
+        assert!(v.parent_authors().is_empty());
+        assert_eq!(v.init_parent_authors(&[0b110]), [0b110]);
+        assert_eq!(v.init_parent_authors(&[0b1]), [0b110], "the first store stays");
+        assert_eq!(v.clone().parent_authors(), [0b110]);
+        let decoded: Vertex = decode_from_slice(&encode_to_vec(&v)).unwrap();
+        assert!(decoded.parent_authors().is_empty());
     }
 
     /// Heap bytes behind a vertex's parent list. The annotation pins the

@@ -137,15 +137,13 @@ fn vote_withholder_loses_leader_slots() {
     let probe = HammerheadPolicy::new(committee.clone(), config);
     let mut engine = Bullshark::new(committee.clone(), policy);
 
-    // v2 authors vertices but never links to any leader vertex.
+    // v2 authors vertices but never links to any leader vertex: every
+    // round holds a leader, and every round's vertices vote for the one
+    // below.
     let mut builder = DagBuilder::new(committee.clone());
     builder.extend_full_rounds(1);
     for r in 1..=16u64 {
         let round = Round(r);
-        if round.is_even() {
-            builder.extend_full_rounds(1);
-            continue;
-        }
         let leader = probe.leader_at(round - 1);
         if leader == ValidatorId(2) {
             builder.extend_full_rounds(1);
@@ -176,5 +174,10 @@ fn vote_withholder_loses_leader_slots() {
         "withholder not excluded: {:?} (scores {:?})",
         first.excluded,
         first.final_scores
+    );
+    let scores = &first.final_scores;
+    assert!(
+        scores.iter().enumerate().all(|(id, s)| id == 2 || *s > scores[2]),
+        "withholder's score is not strictly the lowest: {scores:?}"
     );
 }
