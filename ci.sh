@@ -20,7 +20,8 @@
 # perfbench package against the workspace's crates and requires two
 # correct 2-second runs: sim_n100_f33 with its peak resident set under
 # 36 MB and its simulated median latency under 830 ms, and sim_n10_long
-# (600 simulated seconds) under 50 MB and 320 ms.
+# (600 simulated seconds) under 50 MB and 275 ms, a ceiling only a
+# timely validator's own vertex ordering its transactions meets.
 
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -113,8 +114,10 @@ step "docs: nothing refers to a deleted path, knob, module or type, or to a DESI
 # nothing drains the latency logs mid-run), the exclusion budget is a
 # percentage or f, the testnet's transactions model no payload, a report row's blocks follow from the run's
 # fault families, S0's seed is a constant, std's TcpListener::bind sets
-# SO_REUSEADDR, and the validator has one wake token.
-if git grep -nE 'hotpath_smoke|BENCH_hotpath|hh[-_]bench|threaded::|threaded_demo|vendor/criterion|DESIGN\.md|swap_from_base|core/src/monitor|hammerhead::monitor|FaultPlan|ChaosPlan|SlowdownSpec|PartitionSpec|ChaosWindow|ChaosScope|KvStore|SerialExecutor|PooledExecutor|hh-cli testnet|StaticLeaderPolicy|TimeSeries|validate_workload|rbc_sender|audit_safety|derive_validator_config|schedule_override|flat_latency_ms|NetworkSpec|missing_index|missing_count|workload_declared|run_sim_streaming|run_sim_limited|run_experiment_limited|collect_streamed_metrics|ChaosRow|schedule_seed|bind_reusable|TOKEN_LEADER|drain_exec_records|with_window|ExclusionSpec::Stake|payload-bytes' \
+# SO_REUSEADDR, the validator has one wake token, the commit engine records
+# the leader slots it decided skip, and a restart checks that its replay
+# passes through the checkpointed commit count and chain hash.
+if git grep -nE 'hotpath_smoke|BENCH_hotpath|hh[-_]bench|threaded::|threaded_demo|vendor/criterion|DESIGN\.md|swap_from_base|core/src/monitor|hammerhead::monitor|FaultPlan|ChaosPlan|SlowdownSpec|PartitionSpec|ChaosWindow|ChaosScope|KvStore|SerialExecutor|PooledExecutor|hh-cli testnet|StaticLeaderPolicy|TimeSeries|validate_workload|rbc_sender|audit_safety|derive_validator_config|schedule_override|flat_latency_ms|NetworkSpec|missing_index|missing_count|workload_declared|run_sim_streaming|run_sim_limited|run_experiment_limited|collect_streamed_metrics|ChaosRow|schedule_seed|bind_reusable|TOKEN_LEADER|drain_exec_records|with_window|ExclusionSpec::Stake|payload-bytes|chain_hash_prefix|hh_consensus::passed_over_candidates' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!ci.sh' ':!perfbench'; then
     echo "dangling reference to a deleted path"
     exit 1
@@ -153,13 +156,14 @@ ceiling() {
 # speed, and the simulated median latency is seed-exact, so one ceiling
 # each holds on any host.
 bench sim_n100_f33
-# About 29.9 MB and 801.224 ms on seed 1.
+# About 30.0 MB and 799.125 ms on seed 1.
 ceiling target/ci-sim_n100_f33.txt peak_rss_mb 36
 ceiling target/ci-sim_n100_f33.txt sim_latency_p50_ms 830
 bench sim_n10_long
-# The paper-length run, two repetitions of it: about 43.7 MB and
-# 302.403 ms on seed 1.
+# The paper-length run, two repetitions of it: about 43.8 MB and
+# 253.818 ms on seed 1 (302.403 while only the leader's vertex was an
+# anchor candidate).
 ceiling target/ci-sim_n10_long.txt peak_rss_mb 50
-ceiling target/ci-sim_n10_long.txt sim_latency_p50_ms 320
+ceiling target/ci-sim_n10_long.txt sim_latency_p50_ms 275
 
 step "all green"

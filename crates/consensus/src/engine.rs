@@ -1,27 +1,45 @@
 //! The Bullshark commit engine (Algorithm 2's `TryCommitting`,
 //! `orderAnchors`, `orderHistory`) run one commit instance per ordered
-//! anchor (Shoal's pipelining), generic over the schedule policy.
+//! round (Shoal's pipelining), with the policy's earned anchor candidates
+//! beside each candidate round's leader (Mysticeti's slots), generic over
+//! the schedule policy.
 
 use crate::ordered::OrderedSet;
 use crate::policy::{ScheduleDecision, SchedulePolicy};
 use hh_crypto::{Digest, Sha256};
 use hh_dag::{Dag, SubDagScratch};
-use hh_types::{Committee, Round, ValidatorId, Vertex, VertexRef};
+use hh_types::{Committee, Round, Stake, ValidatorId, Vertex, VertexRef};
 use std::sync::Arc;
 
-/// One committed anchor and the sub-DAG it orders.
+/// One decided round's committed anchors and the sub-DAG they order.
 #[derive(Clone, Debug)]
 pub struct CommittedSubDag {
-    /// The committed anchor (leader vertex).
+    /// The round's first committed anchor: its leader vertex when that
+    /// committed, otherwise the best-ranked earned candidate's.
     pub anchor: VertexRef,
     /// Position in the total order of commits (0-based).
     pub commit_index: u64,
-    /// The schedule epoch the anchor was committed under.
+    /// The schedule epoch the round was committed under.
     pub schedule_epoch: u64,
-    /// All newly ordered vertices, in delivery order (ascending
-    /// `(round, author)`), ending with the anchor's round peers.
+    /// All newly ordered vertices: each committed anchor's not-yet-ordered
+    /// causal history in ascending `(round, author)` order, the anchors
+    /// taken in slot order, so the round's anchors are the only vertices of
+    /// `anchor.round`.
     pub vertices: Vec<Arc<Vertex>>,
 }
+
+/// What the local DAG decides about one anchor slot.
+#[derive(Clone, Copy, Debug)]
+enum Decision<'d> {
+    Commit(&'d Arc<Vertex>),
+    Skip,
+    Undecided,
+}
+
+/// Per candidate round of the instance, by `(round − instance_start) / 2`:
+/// the anchor that decides its slots indirectly, once looked for (`None`
+/// inside: none yet, or the first one above is undecided).
+type AnchorMemo<'d> = Vec<Option<Option<&'d Arc<Vertex>>>>;
 
 /// The Bullshark engine for one validator.
 ///
@@ -36,16 +54,18 @@ pub struct Bullshark<P: SchedulePolicy> {
     /// The ordered (delivered) vertices still within the DAG's GC horizon.
     ordered: OrderedSet,
     /// First round of the current commit instance: 0 at genesis, one above
-    /// the last ordered anchor afterwards (the paper's `lastOrderedRound`,
-    /// plus one). It is the floor of every walk-back and fixes which rounds
-    /// hold anchor candidates; it advances only when an anchor is ordered,
-    /// never when one is merely looked at.
+    /// the last ordered round afterwards (the paper's `lastOrderedRound`,
+    /// plus one). It is the floor of every decision and fixes which rounds
+    /// hold anchor candidates; it advances only when a round is ordered.
     instance_start: Round,
     commit_index: u64,
     /// Running hash over the commit sequence (anchor digests in order).
     chain_hash: Digest,
-    /// Full anchor sequence, kept for agreement assertions and monitoring.
+    /// The first anchor of every commit, kept for agreement assertions and
+    /// monitoring.
     committed_anchors: Vec<VertexRef>,
+    /// The rounds whose leader slot the ordered prefix decided skip.
+    passed_over: Vec<Round>,
     /// Reusable state for the indexed sub-DAG walk (no per-commit
     /// allocations beyond the delivered vertex list).
     scratch: SubDagScratch,
@@ -62,6 +82,7 @@ impl<P: SchedulePolicy> Bullshark<P> {
             commit_index: 0,
             chain_hash: Digest::ZERO,
             committed_anchors: Vec::new(),
+            passed_over: Vec::new(),
             scratch: SubDagScratch::new(),
         }
     }
@@ -76,9 +97,16 @@ impl<P: SchedulePolicy> Bullshark<P> {
         self.commit_index
     }
 
-    /// Anchor references in commit order.
+    /// The first anchor of every commit, in commit order.
     pub fn committed_anchors(&self) -> &[VertexRef] {
         &self.committed_anchors
+    }
+
+    /// The candidate rounds whose leader slot the ordered prefix decided
+    /// skip, ascending — Lemma 6's skipped leader rounds. A round whose
+    /// earned candidate committed is listed when its leader did not.
+    pub fn passed_over_candidates(&self) -> &[Round] {
+        &self.passed_over
     }
 
     /// Running hash over the commit sequence: equal hashes ⇒ equal
@@ -93,7 +121,7 @@ impl<P: SchedulePolicy> Bullshark<P> {
         self.ordered.contains(vertex)
     }
 
-    /// Whether `round` holds an anchor candidate of the current commit
+    /// Whether `round` holds anchor candidates of the current commit
     /// instance: the instance's first round, or an even number of rounds
     /// above it. The proposer's leader-await asks this.
     pub fn is_candidate_round(&self, round: Round) -> bool {
@@ -106,188 +134,288 @@ impl<P: SchedulePolicy> Bullshark<P> {
         self.policy.leader_at(round)
     }
 
-    /// Algorithm 2's `TryCommitting`, run where an anchor's votes change
-    /// and restarted above every ordered anchor. Call with every delivered
+    /// Algorithm 2's `TryCommitting`, run where a candidate's votes change
+    /// and restarted above every ordered round. Call with every delivered
     /// vertex, after it entered `dag`; returns the sub-DAGs this vertex's
     /// arrival committed (usually empty).
     ///
-    /// **Rule.** The engine runs one Bullshark *instance* at a time. An
-    /// instance starts at `instance_start` (round 0 at genesis); its anchor
-    /// *candidates* are the active-schedule leader vertices of rounds
-    /// `instance_start, instance_start + 2, …`. A candidate of round `c`
-    /// commits directly once round-`c+1` vertices linking to it carry
-    /// validity-threshold stake (`f+1`). The walk-back (`orderAnchors`)
-    /// then descends over the instance's candidates down to
-    /// `instance_start`, chaining each earlier candidate the chain reaches —
-    /// and only the **earliest** anchor of that chain is ordered. The next
-    /// instance starts one round above it, and every round from there to
-    /// the DAG's top is evaluated again, as candidates of the new instance.
-    /// In a DAG where every leader is voted for, every round's leader
-    /// vertex is therefore an anchor: the fixed even-round grid cost a
-    /// transaction up to two rounds of waiting for the next anchor, this
-    /// rule at most one (Shoal, Spiegelman et al., FC 2024, does the same
-    /// to Bullshark and leaves who leads to the schedule).
+    /// **Slots.** The engine runs one commit *instance* at a time. An
+    /// instance starts at `instance_start` (round 0 at genesis) and its
+    /// candidate rounds are `instance_start, instance_start + 2, …`. A
+    /// candidate round `r` holds anchor *slots*: its active-schedule
+    /// leader's first, then the policy's earned candidates in rank order
+    /// ([`SchedulePolicy::candidates_at`]). Each slot is decided commit,
+    /// skip, or not yet:
     ///
-    /// **Trigger.** A candidate's vote stake changes only when a vertex of
-    /// the round above it is inserted — children enter the DAG after their
-    /// parents — so the rule runs on delivery of `v`, for round
-    /// `v.round − 1` when that is a candidate round: it commits with the
-    /// (f+1)-th vote. A [`ScheduleDecision::Switched`] renames the leaders
-    /// of every round from the switching anchor's up, so those rounds are
-    /// evaluated once more under the new schedule, within the same
-    /// instance.
+    /// * the leader slot commits directly once round-`r+1` vertices linking
+    ///   to its vertex — its votes — carry validity-threshold stake
+    ///   (`f+1`); otherwise the instance's next committed anchor above
+    ///   decides it, commit iff that anchor reaches it;
+    /// * an earned slot commits directly at quorum (`2f+1`) vote stake, and
+    ///   is skipped directly once round-`r+1` vertices not linking to it
+    ///   carry quorum stake; otherwise the next committed anchor above
+    ///   decides it, commit iff the round-`r+1` vertices in that anchor's
+    ///   causal history carry `f+1` vote stake for it.
     ///
-    /// **Invariant.** When this returns, no candidate round of the current
-    /// instance has an active-schedule leader vertex that is in `dag` and
-    /// carries validity-threshold vote stake (given the same held before
-    /// `v` was inserted). Nothing at or above `instance_start` is ordered.
+    /// The anchor that decides round `r`'s slots indirectly is the first
+    /// slot of the candidate rounds `r+2, r+4, …`, in slot order, that is
+    /// not decided skip; if it is undecided, so is the slot. From
+    /// `instance_start` up, the first round none of whose slots is
+    /// undecided and some of whose slots commit is ordered: the committed
+    /// anchors' histories in slot order, one [`CommittedSubDag`]. Rounds
+    /// below it were all skip. Ordering stops at the first undecided slot.
+    /// The next instance starts one round above the ordered round, and
+    /// every round from there up is decided again. In a DAG where the
+    /// round above votes for every candidate, a transaction in a
+    /// candidate's vertex is ordered by its own round's votes, one round
+    /// before the leader one round up would order it.
     ///
-    /// **Safety.** Bullshark's argument per instance, induction over
-    /// instances. Validators that agree on the ordered prefix agree on
-    /// `instance_start` and on the schedule, hence on the instance's
-    /// candidates. Inside an instance candidates are two rounds apart:
-    /// every vertex of round `c + 2` or above has `2f+1` parents and so
-    /// meets one of the `f+1` voters of a directly committed candidate `c`,
-    /// which puts `c` in the causal history of every later candidate. Take
-    /// the lowest candidate `c*` that ever holds `f+1` votes: whichever
-    /// candidate a validator commits directly is `c*` or above it, its
-    /// walk-back reaches `c*`, and below `c*` the walk reads only `c*`'s
-    /// causal history, which is the same at everyone. All validators thus
-    /// order the same earliest anchor — or switch schedules at it, a
-    /// function of the ordered prefix and that anchor, and repeat the
-    /// argument under the new schedule — and agree on the next
-    /// `instance_start` and on everything after it. Safety needs only that
-    /// the votes exist, not when a validator notices them, so the order is
-    /// a function of the DAG alone.
+    /// **Trigger.** A slot's votes change only when a vertex of the round
+    /// above it is inserted — children enter the DAG after their parents —
+    /// and so do its non-votes and every decision built on them. The rule
+    /// therefore runs on delivery of `v` when round `v.round − 1` is a
+    /// candidate round. A [`ScheduleDecision::Switched`] renames the slots
+    /// of every round from the switching anchor's up, and the instance is
+    /// decided again under the new schedule.
+    ///
+    /// **Invariant.** When this returns, deciding the current instance
+    /// again on the same DAG orders nothing. Nothing at or above
+    /// `instance_start` is ordered.
+    ///
+    /// **Safety.** Per instance, then by induction over instances.
+    /// Validators that agree on the ordered prefix agree on
+    /// `instance_start`, the schedule and the candidacy — the policy is a
+    /// function of the ordered prefix at a fixed point in the sequence —
+    /// hence on every slot. Within an instance a validator's decision of a
+    /// slot is the one every validator reaches, if it reaches one:
+    ///
+    /// * any two quorums of round `r+1` share `f+1` stake, and every anchor
+    ///   at round `r+2` or above has a quorum of round `r+1` in its history:
+    ///   an earned slot's direct commit (`2f+1` votes) forces the indirect
+    ///   commit (`f+1` of them in the anchor's history). A leader's `f+1`
+    ///   voters meet that quorum, so the anchor reaches the leader;
+    /// * a quorum of non-votes leaves at most `f` votes anywhere, so a
+    ///   direct skip forces the indirect skip. Direct commit and direct skip
+    ///   need two disjoint quorums and exclude each other;
+    /// * the anchor of an indirect decision is the same at every validator
+    ///   that has one, by induction from the top (Mysticeti's argument): a
+    ///   slot above that one validator decided skip is skip wherever it is
+    ///   decided, so nobody takes a later slot while an earlier one may
+    ///   still commit, and the anchor's causal history is the same
+    ///   everywhere.
+    ///
+    /// So every validator orders the same round with the same anchors — or
+    /// switches schedules at its first anchor, a function of the ordered
+    /// prefix and that anchor, and repeats the argument under the new
+    /// schedule — and agrees on the next `instance_start` and on everything
+    /// after it. Safety needs only that the votes exist, not when a
+    /// validator notices them, so the order is a function of the DAG alone.
     pub fn process_vertex(&mut self, v: &Arc<Vertex>, dag: &Dag) -> Vec<CommittedSubDag> {
         let mut outputs = Vec::new();
         // Round-0 vertices vote for nothing.
-        let Some(mut round) = v.round().0.checked_sub(1).map(Round) else {
-            return outputs;
-        };
-        if !self.is_candidate_round(round) {
-            return outputs;
-        }
-        let mut last = round;
-        while round <= last {
-            match self.try_commit(round, dag, &mut outputs) {
-                // An ordered anchor moves `instance_start` above itself; a
-                // switch starts strictly above the previous one's initial
-                // round. Either way the sweep terminates.
-                Some(again_from) => {
-                    round = again_from;
-                    last = dag.highest_round().unwrap_or(last);
-                }
-                None => round = round + 2,
-            }
+        if v.round().0.checked_sub(1).is_some_and(|r| self.is_candidate_round(Round(r))) {
+            // An ordered round moves `instance_start` above itself and a
+            // switch moves the schedule's initial round up, so this ends.
+            while self.try_order(dag, &mut outputs) {}
         }
         outputs
     }
 
-    /// Evaluates the candidate of `anchor_round`: if it holds
-    /// validity-threshold votes, orders the earliest anchor of the
-    /// current instance it reaches. Returns the round to evaluate again
-    /// from when something changed: the new `instance_start` after an
-    /// ordered anchor, or the round of the anchor at which the policy
-    /// switched schedules (that anchor was derived under the old schedule
-    /// and is dropped).
-    fn try_commit(
-        &mut self,
-        anchor_round: Round,
-        dag: &Dag,
-        outputs: &mut Vec<CommittedSubDag>,
-    ) -> Option<Round> {
-        let leader = self.policy.leader_at(anchor_round);
-        let anchor = dag.vertex_by_author(anchor_round, leader)?; // line 7: no anchor vertex
+    /// The slots of `round`: its leader's (`true`), then the earned
+    /// candidates' in rank order.
+    fn slots(&self, round: Round) -> impl DoubleEndedIterator<Item = (bool, ValidatorId)> + '_ {
+        let leader = self.policy.leader_at(round);
+        std::iter::once((true, leader)).chain(
+            self.policy
+                .candidates_at(round)
+                .iter()
+                .filter(move |c| **c != leader)
+                .map(|c| (false, *c)),
+        )
+    }
 
-        // Lines 12-13: validity-threshold stake of votes for the anchor,
-        // counted over the whole local DAG ("the anchor has f+1 votes")
-        // rather than within one triggering vertex's edges: once f+1
-        // voters exist, every quorum of that round contains one, whoever
-        // looks. The DAG reads it off the voting round's parent masks, one
-        // bit per author.
-        if dag.vote_stake(&anchor.digest()) < self.committee.validity_threshold() {
-            return None;
-        }
-
-        // Lines 15-24 (`orderAnchors`): walk back over the instance's
-        // candidates, keeping earlier ones reachable from later ones.
-        // Each `reachable` is one frontier-mask descent over the DAG's
-        // parent masks, two rounds deep between consecutive candidates.
-        // Only the bottom of the chain is ordered now; the rest of it is
-        // found again by the instances that follow.
-        let mut earliest = anchor;
-        let mut r = anchor_round;
-        while r.0 >= self.instance_start.0 + 2 {
-            r = r - 2;
-            if let Some(prev) = dag.vertex_by_author(r, self.policy.leader_at(r)) {
-                if dag.reachable(earliest, prev) {
-                    earliest = prev;
+    /// Decides `author`'s slot in candidate round `round`: directly from
+    /// the round above, else from the anchor above (see
+    /// [`Bullshark::process_vertex`]).
+    fn decide<'d>(
+        &self,
+        round: Round,
+        leads: bool,
+        author: ValidatorId,
+        dag: &'d Dag,
+        memo: &mut AnchorMemo<'d>,
+    ) -> Decision<'d> {
+        let vertex = dag.vertex_by_author(round, author);
+        // Votes are read off the voting round's parent masks, one bit per
+        // author, over the whole local DAG: once they exist, whoever looks
+        // finds them.
+        let votes = || vertex.map_or(Stake(0), |v| dag.vote_stake(&v.digest()));
+        if leads {
+            if let Some(v) = vertex.filter(|_| votes() >= self.committee.validity_threshold()) {
+                return Decision::Commit(v);
+            }
+        } else {
+            // Neither votes nor non-votes reach a quorum before the round
+            // above does.
+            let quorum = self.committee.quorum_threshold();
+            let voting = dag.round_stake(round.next());
+            if voting >= quorum {
+                let votes = votes();
+                match vertex {
+                    Some(v) if votes >= quorum => return Decision::Commit(v),
+                    _ if voting.0 - votes.0 >= quorum.0 => return Decision::Skip,
+                    _ => {}
                 }
             }
         }
-        let earliest = earliest.clone();
-
-        match self.policy.before_order_anchor(&earliest, dag, &self.ordered) {
-            // Lines 30-33: a new schedule starts at `earliest`.
-            ScheduleDecision::Switched => Some(earliest.round()),
-            // Lines 27-37 (`orderHistory`).
-            ScheduleDecision::Continue => {
-                outputs.push(self.order_sub_dag(&earliest, dag));
-                Some(self.instance_start)
-            }
+        let Some(anchor) = self.anchor_above(round, dag, memo) else {
+            return Decision::Undecided;
+        };
+        match vertex {
+            Some(v) if leads && dag.reachable(anchor, v) => Decision::Commit(v),
+            Some(v) if !leads && self.votes_seen_by(anchor, v, dag) => Decision::Commit(v),
+            _ => Decision::Skip,
         }
     }
 
-    /// Orders the anchor's not-yet-ordered causal history deterministically
-    /// (lines 34-37), advances the commit bookkeeping and starts the next
-    /// instance one round above the anchor.
-    fn order_sub_dag(&mut self, anchor: &Arc<Vertex>, dag: &Dag) -> CommittedSubDag {
+    /// Whether the round-`v.round+1` vertices in `anchor`'s causal history
+    /// carry validity-threshold vote stake for `v`.
+    fn votes_seen_by(&self, anchor: &Vertex, v: &Vertex, dag: &Dag) -> bool {
+        let seen: Stake = dag
+            .round_vertices(v.round().next())
+            .filter(|w| dag.links_to_author(w, v.author()) && dag.reachable(anchor, w))
+            .map(|w| self.committee.stake_of(w.author()))
+            .sum();
+        seen >= self.committee.validity_threshold()
+    }
+
+    /// The anchor that decides candidate round `round`'s slots indirectly:
+    /// the first slot of a higher candidate round, in slot order, not
+    /// decided skip — `None` if there is none yet or it is undecided.
+    fn anchor_above<'d>(
+        &self,
+        round: Round,
+        dag: &'d Dag,
+        memo: &mut AnchorMemo<'d>,
+    ) -> Option<&'d Arc<Vertex>> {
+        // A slot of the DAG's top round has neither votes nor non-votes.
+        let top = dag.highest_round().unwrap_or(round);
+        if round + 2 >= top {
+            return None;
+        }
+        let key = ((round.0 - self.instance_start.0) / 2) as usize;
+        if let Some(Some(known)) = memo.get(key) {
+            return *known;
+        }
+        let mut found = None;
+        let mut r = round + 2;
+        'rounds: while r < top {
+            for (leads, author) in self.slots(r) {
+                match self.decide(r, leads, author, dag, memo) {
+                    Decision::Skip => {}
+                    Decision::Commit(v) => {
+                        found = Some(v);
+                        break 'rounds;
+                    }
+                    Decision::Undecided => break 'rounds,
+                }
+            }
+            r = r + 2;
+        }
+        if memo.len() <= key {
+            memo.resize(key + 1, None);
+        }
+        memo[key] = Some(found);
+        found
+    }
+
+    /// Decides the current instance from `instance_start` up to the first
+    /// round with a committed slot and orders that round, unless the policy
+    /// switches schedules at its first anchor. Returns whether anything
+    /// changed: a round ordered or a schedule switched.
+    fn try_order(&mut self, dag: &Dag, outputs: &mut Vec<CommittedSubDag>) -> bool {
+        let Some(top) = dag.highest_round() else {
+            return false;
+        };
+        let mut memo = AnchorMemo::new();
+        let mut passed = Vec::new();
+        let mut round = self.instance_start;
+        while round < top {
+            // A round is ordered only with every slot decided, and no
+            // decision depends on the order slots are looked at: last first
+            // finds a still undecided earned slot before the leader's votes
+            // are counted.
+            let mut committed = Vec::new();
+            for (leads, author) in self.slots(round).rev() {
+                match self.decide(round, leads, author, dag, &mut memo) {
+                    Decision::Commit(v) => committed.push(v),
+                    Decision::Skip if leads => passed.push(round),
+                    Decision::Skip => {}
+                    Decision::Undecided => return false,
+                }
+            }
+            committed.reverse();
+            let Some(first) = committed.first() else {
+                round = round + 2;
+                continue;
+            };
+            return match self.policy.before_order_anchor(first, dag, &self.ordered) {
+                // Lines 30-33: a new schedule starts at `first`'s round.
+                ScheduleDecision::Switched => true,
+                // Lines 27-37 (`orderHistory`).
+                ScheduleDecision::Continue => {
+                    self.passed_over.extend(passed);
+                    outputs.push(self.order_round(&committed, dag));
+                    true
+                }
+            };
+        }
+        false
+    }
+
+    /// Orders the committed anchors' not-yet-ordered causal histories in
+    /// slot order (lines 34-37), advances the commit bookkeeping and starts
+    /// the next instance one round above them.
+    fn order_round(&mut self, anchors: &[&Arc<Vertex>], dag: &Dag) -> CommittedSubDag {
         // Only DAG-resident vertices are ever looked up, so marks below
         // the DAG's GC horizon are dead weight that would otherwise grow
         // for as long as the node runs.
         self.ordered.forget_below(dag.gc_round());
-        // "in some deterministic order": the indexed walk already emits
-        // ascending (round, author).
-        let ordered = &self.ordered;
-        let vertices =
-            dag.causal_sub_dag_with(anchor, |d| ordered.contains_digest(dag, d), &mut self.scratch);
-        for v in &vertices {
-            self.ordered.insert(v);
-            self.policy.on_vertex_ordered(v, dag);
-        }
-        self.instance_start = anchor.round().next();
-        let commit_index = self.commit_index;
-        self.commit_index += 1;
-
-        // Extend the commit chain hash with this anchor.
+        let mut vertices = Vec::new();
         let mut h = Sha256::new();
         h.update(self.chain_hash.as_bytes());
-        h.update(anchor.digest().as_bytes());
-        self.chain_hash = h.finalize();
-        self.committed_anchors.push(anchor.reference());
-
-        CommittedSubDag {
-            anchor: anchor.reference(),
-            commit_index,
-            schedule_epoch: self.policy.epoch(),
-            vertices,
+        for anchor in anchors {
+            // Ordering delivers whole histories, so an anchor whose parents
+            // are all ordered brings only itself — as every earned anchor
+            // of a round whose round below was ordered whole does.
+            // Otherwise "in some deterministic order": the indexed walk
+            // already emits ascending (round, author).
+            let ordered = &self.ordered;
+            let history = if ordered.contains_all(anchor.round().prev(), anchor.parent_authors()) {
+                vec![Arc::clone(anchor)]
+            } else {
+                dag.causal_sub_dag_with(
+                    anchor,
+                    |d| ordered.contains_digest(dag, d),
+                    &mut self.scratch,
+                )
+            };
+            for v in &history {
+                self.ordered.insert(v);
+                self.policy.on_vertex_ordered(v, dag, &self.ordered);
+            }
+            vertices.extend(history);
+            h.update(anchor.digest().as_bytes());
         }
-    }
-}
+        self.chain_hash = h.finalize();
+        let anchor = anchors[0].reference();
+        self.instance_start = anchor.round.next();
+        let commit_index = self.commit_index;
+        self.commit_index += 1;
+        self.committed_anchors.push(anchor);
 
-/// The candidate rounds a committed anchor sequence passed over — Lemma
-/// 6's skipped leader rounds. The instance above an ordered anchor `a`
-/// tries the leaders of rounds `a+1, a+3, …` until it orders the anchor of
-/// one, `b`: the passed-over candidates between consecutive ordered
-/// anchors `a < b` are `a+1, a+3, …, b−2`, and before the first anchor
-/// `0, 2, …`. Rounds that held no candidate of any instance are no leader
-/// round and are not counted.
-pub fn passed_over_candidates(anchors: &[VertexRef]) -> impl Iterator<Item = Round> + '_ {
-    let instance_starts = std::iter::once(0).chain(anchors.iter().map(|a| a.round.0 + 1));
-    instance_starts
-        .zip(anchors)
-        .flat_map(|(start, anchor)| (start..anchor.round.0).step_by(2).map(Round))
+        CommittedSubDag { anchor, commit_index, schedule_epoch: self.policy.epoch(), vertices }
+    }
 }
 
 #[cfg(test)]
@@ -306,9 +434,40 @@ mod tests {
         Bullshark::new(c.clone(), RoundRobinPolicy::new(SlotSchedule::round_robin(c)))
     }
 
+    /// Round-robin leaders and the same earned candidates in every round.
+    struct Earned {
+        leaders: RoundRobinPolicy,
+        candidates: Vec<ValidatorId>,
+    }
+
+    impl SchedulePolicy for Earned {
+        fn leader_at(&self, round: Round) -> ValidatorId {
+            self.leaders.leader_at(round)
+        }
+        fn candidates_at(&self, _round: Round) -> &[ValidatorId] {
+            &self.candidates
+        }
+        fn initial_round(&self) -> Round {
+            Round(0)
+        }
+        fn epoch(&self) -> u64 {
+            0
+        }
+        fn before_order_anchor(&mut self, _: &Vertex, _: &Dag, _: &OrderedSet) -> ScheduleDecision {
+            ScheduleDecision::Continue
+        }
+        fn on_vertex_ordered(&mut self, _: &Vertex, _: &Dag, _: &OrderedSet) {}
+    }
+
+    fn earned_engine(c: &Committee, candidates: &[u16]) -> Bullshark<Earned> {
+        let leaders = RoundRobinPolicy::new(SlotSchedule::round_robin(c));
+        let candidates = candidates.iter().map(|i| ValidatorId(*i)).collect();
+        Bullshark::new(c.clone(), Earned { leaders, candidates })
+    }
+
     /// Feeds all vertices of rounds `0..=max` in (round, author) order.
-    fn feed_all(
-        engine: &mut Bullshark<RoundRobinPolicy>,
+    fn feed_all<P: SchedulePolicy>(
+        engine: &mut Bullshark<P>,
         dag: &Dag,
         max: u64,
     ) -> Vec<CommittedSubDag> {
@@ -321,6 +480,29 @@ mod tests {
             }
         }
         out
+    }
+
+    /// Inserts `full`'s rounds into a fresh DAG one vertex at a time in
+    /// (round, author) order, and lists per round, per delivered vertex,
+    /// the anchor rounds its delivery committed.
+    fn per_delivery<P: SchedulePolicy>(
+        engine: &mut Bullshark<P>,
+        full: &Dag,
+        rounds: u64,
+    ) -> Vec<Vec<Vec<u64>>> {
+        let mut dag = Dag::new(full.committee().clone());
+        (0..rounds)
+            .map(|r| {
+                let mut vs: Vec<_> = full.round_vertices(Round(r)).cloned().collect();
+                vs.sort_by_key(|v| v.author());
+                vs.iter()
+                    .map(|v| {
+                        dag.try_insert_arc(v.clone()).unwrap();
+                        engine.process_vertex(v, &dag).iter().map(|sd| sd.anchor.round.0).collect()
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     #[test]
@@ -338,24 +520,7 @@ mod tests {
         let leaders: Vec<u16> = commits.iter().map(|cmt| cmt.anchor.author.0).collect();
         assert_eq!(leaders, vec![0, 0, 1, 1, 2, 2, 3, 3]);
         assert_eq!(e.commit_count(), 8);
-    }
-
-    #[test]
-    fn passed_over_candidates_follow_the_instances() {
-        let at = |round: u64| VertexRef {
-            round: Round(round),
-            author: ValidatorId(0),
-            digest: Digest::ZERO,
-        };
-        let rounds = |anchors: &[VertexRef]| -> Vec<u64> {
-            passed_over_candidates(anchors).map(|r| r.0).collect()
-        };
-        assert_eq!(rounds(&[]), Vec::<u64>::new());
-        assert_eq!(rounds(&[at(0), at(1), at(2)]), Vec::<u64>::new());
-        // Instances start at 0, 5, 6 and 11; the one at 6 passed 6 and 8.
-        assert_eq!(rounds(&[at(4), at(5), at(10), at(11)]), vec![0, 2, 6, 8]);
-        // An odd start: rounds 4 and 6 held no candidate.
-        assert_eq!(rounds(&[at(2), at(7)]), vec![0, 3, 5]);
+        assert!(e.passed_over_candidates().is_empty());
     }
 
     #[test]
@@ -405,6 +570,7 @@ mod tests {
         // the crashed slot is tried once. Its rounds' vertices are swept up
         // by round 4's anchor, and the grid is back to every round.
         assert_eq!(rounds, vec![0, 1, 4, 5, 6, 7]);
+        assert_eq!(e.passed_over_candidates(), [Round(2)]);
         let r4 = commits.iter().find(|cmt| cmt.anchor.round.0 == 4).unwrap();
         for skipped in [2, 3] {
             assert_eq!(
@@ -428,18 +594,7 @@ mod tests {
         }); // round 3
         b.extend_full_rounds(3); // rounds 4,5,6
         let full = b.into_dag();
-        let mut dag = Dag::new(c.clone());
-        let mut e = engine(&c);
-        (0..=6)
-            .map(|r| {
-                let mut committed = Vec::new();
-                for v in full.round_vertices(Round(r)) {
-                    dag.try_insert_arc(v.clone()).unwrap();
-                    committed.extend(e.process_vertex(v, &dag).iter().map(|sd| sd.anchor.round.0));
-                }
-                committed
-            })
-            .collect()
+        per_delivery(&mut engine(&c), &full, 7).into_iter().map(|r| r.concat()).collect()
     }
 
     #[test]
@@ -519,37 +674,95 @@ mod tests {
         b.extend_round_without(&[ValidatorId(1)]); // round 2: its leader v1 is absent
         b.extend_full_rounds(4); // rounds 3..=6, v1 back
         let full = b.into_dag();
-
-        // Deliver one vertex at a time, the way the node does.
-        let mut dag = Dag::new(c.clone());
-        let mut e = engine(&c);
-        let mut deliver = |round: u64| -> Vec<Vec<u64>> {
-            let mut vs: Vec<_> = full.round_vertices(Round(round)).cloned().collect();
-            vs.sort_by_key(|v| v.author());
-            vs.iter()
-                .map(|v| {
-                    dag.try_insert_arc(v.clone()).unwrap();
-                    e.process_vertex(v, &dag).iter().map(|sd| sd.anchor.round.0).collect()
-                })
-                .collect()
-        };
         let none = Vec::<u64>::new();
 
         // Round 0 holds no votes. In round 1 the first vote is below the
         // validity threshold (f+1 = 2), the second commits the round-0
-        // anchor, the rest change nothing.
-        assert_eq!(deliver(0), vec![none.clone(); 4]);
-        assert_eq!(deliver(1), vec![none.clone(), vec![0], none.clone(), none.clone()]);
-        // The next instance starts at round 1: round 2 holds its votes.
-        assert_eq!(deliver(2), vec![none.clone(), vec![1], none.clone()]);
-        // Votes for a candidate that is not there commit nothing.
-        assert_eq!(deliver(3), vec![none.clone(); 4]);
-        // Nor do votes for a round that holds no candidate: the instance
-        // started at round 2, so its next one is in round 4, although v1,
-        // whose slot round 3 is too, has a vertex there.
-        assert_eq!(deliver(4), vec![none.clone(); 4]);
-        assert_eq!(deliver(5), vec![none.clone(), vec![4], none.clone(), none.clone()]);
-        assert_eq!(deliver(6), vec![none.clone(), vec![5], none.clone(), none.clone()]);
+        // anchor, the rest change nothing. The next instance starts at
+        // round 1: round 2 holds its votes. Votes for a candidate that is
+        // not there commit nothing (round 3), nor do votes for a round
+        // that holds no candidate (round 4): the instance started at round
+        // 2, so its next one is in round 4, although v1, whose slot round
+        // 3 is too, has a vertex there.
+        assert_eq!(
+            per_delivery(&mut engine(&c), &full, 7),
+            vec![
+                vec![none.clone(); 4],
+                vec![none.clone(), vec![0], none.clone(), none.clone()],
+                vec![none.clone(), vec![1], none.clone()],
+                vec![none.clone(); 4],
+                vec![none.clone(); 4],
+                vec![none.clone(), vec![4], none.clone(), none.clone()],
+                vec![none.clone(), vec![5], none.clone(), none],
+            ]
+        );
+    }
+
+    #[test]
+    fn earned_candidates_commit_at_quorum_votes_in_their_own_round() {
+        let c = committee4();
+        let mut b = DagBuilder::new(c.clone());
+        b.extend_full_rounds(5); // rounds 0..=4
+        let full = b.into_dag();
+        let none = Vec::<u64>::new();
+        // Everyone is a candidate: a round's leader commits with its second
+        // vote as before, but the round is ordered with the third, the
+        // quorum the earned slots wait for.
+        let mut e = earned_engine(&c, &[0, 1, 2, 3]);
+        for (r, deliveries) in per_delivery(&mut e, &full, 5).into_iter().enumerate().skip(1) {
+            assert_eq!(deliveries, [none.clone(), none.clone(), vec![r as u64 - 1], none.clone()]);
+        }
+        // Each commit orders its whole round, leader first.
+        let mut e = earned_engine(&c, &[3, 2, 1, 0]);
+        let commits = feed_all(&mut e, &full, 4);
+        assert_eq!(commits.len(), 4);
+        for (r, cmt) in commits.iter().enumerate() {
+            let own: Vec<u16> = cmt
+                .vertices
+                .iter()
+                .filter(|v| v.round().0 == r as u64)
+                .map(|v| v.author().0)
+                .collect();
+            let leader = (r / 2) as u16;
+            let mut slots = vec![leader];
+            slots.extend([3, 2, 1, 0].into_iter().filter(|a| *a != leader));
+            assert_eq!(own, slots, "round {r}");
+            assert_eq!(cmt.anchor.author.0, leader);
+        }
+        // The chain hash covers every committed slot.
+        assert_ne!(e.chain_hash(), feed_and_hash(&mut engine(&c), &full));
+    }
+
+    fn feed_and_hash<P: SchedulePolicy>(e: &mut Bullshark<P>, dag: &Dag) -> Digest {
+        feed_all(e, dag, dag.highest_round().unwrap().0);
+        e.chain_hash()
+    }
+
+    #[test]
+    fn an_earned_anchor_in_a_passed_over_leader_round_counts_the_leader_as_skipped() {
+        // Round 2's leader v1 is absent; v0, v2 and v3 are earned
+        // candidates and hold quorum votes. The leader slot stays undecided
+        // until round 4's leader commits and does not reach it, then round
+        // 2 is ordered on its earned anchors: a commit in a round whose
+        // leader was passed over. Lemma 6 counts the leader slot all the
+        // same, and the anchor rounds alone would not show it.
+        let c = committee4();
+        let mut b = DagBuilder::new(c.clone());
+        b.extend_full_rounds(2);
+        b.extend_round_without(&[ValidatorId(1)]);
+        b.extend_full_rounds(4); // rounds 3..=6
+        let full = b.into_dag();
+        let mut e = earned_engine(&c, &[0, 2, 3]);
+        let per_round: Vec<Vec<u64>> =
+            per_delivery(&mut e, &full, 7).into_iter().map(|r| r.concat()).collect();
+        let none = Vec::<u64>::new();
+        assert_eq!(
+            per_round,
+            vec![none.clone(), vec![0], vec![1], none.clone(), none, vec![2, 3, 4], vec![5]]
+        );
+        assert_eq!(e.passed_over_candidates(), [Round(2)]);
+        let round2 = e.committed_anchors()[2];
+        assert_eq!((round2.round, round2.author), (Round(2), ValidatorId(0)));
     }
 
     #[test]

@@ -2,47 +2,53 @@
 //!
 //! This crate implements the commit rule and recursive anchor ordering of
 //! eventually-synchronous Bullshark as the paper's Algorithm 2 frames
-//! them — except for *when* the rule runs and *which* rounds hold anchors,
-//! below — with the leader schedule abstracted behind [`SchedulePolicy`]:
+//! them — except for *when* the rule runs, *which* rounds hold anchors and
+//! *how many* a round holds, below — with the leader schedule abstracted
+//! behind [`SchedulePolicy`]:
 //!
 //! * every round has a leader, and the engine runs one commit *instance*
 //!   at a time: it starts at `instance_start` (round 0 at genesis) and its
-//!   anchor *candidates* are the leader vertices of rounds
-//!   `instance_start, instance_start + 2, …`
-//!   ([`Bullshark::is_candidate_round`]). The candidate of round `c` is
-//!   *directly committed* once round-`c+1` vertices linking to it — its
-//!   votes — carry validity-threshold stake (`f+1`). The rule runs where
-//!   that stake can change: on delivery of each round-`c+1` vertex, so the
-//!   commit fires with the (f+1)-th vote, and once more over the rounds
-//!   above an ordered anchor or a schedule switch. When
-//!   [`Bullshark::process_vertex`] returns, no candidate round of the
-//!   current instance has an active-schedule leader vertex that is in the
-//!   DAG, unordered, and holds `f+1` votes. Algorithm 2 runs the rule
-//!   literally one round later (a round-`r` vertex checks the round-`r−2`
-//!   anchor); safety needs only that `f+1` votes exist, since every
-//!   round-`c+2` vertex has `2f+1` parents and so meets a voter, and only
-//!   the instant of the commit moves;
-//! * on a direct commit the engine walks back over the instance's
-//!   candidates down to `instance_start`, chaining every earlier candidate
-//!   reachable from the later one (`orderAnchors`), and orders the
-//!   **earliest** anchor of the chain: it delivers that anchor's
-//!   not-yet-ordered causal sub-DAG in a deterministic `(round, author)`
-//!   order (`orderHistory`). The next instance starts one round above it,
-//!   and every round from there to the DAG's top is evaluated again.
-//!   Algorithm 2 keeps a fixed grid of even rounds and orders the whole
-//!   chain at once; restarting the grid above every ordered anchor is
-//!   Shoal's pipelining (Spiegelman et al., FC 2024) and puts an anchor in
-//!   every round of a healthy DAG. The total order is a different — still
-//!   deterministic — function of the DAG; the safety argument is on
+//!   candidate rounds are `instance_start, instance_start + 2, …`
+//!   ([`Bullshark::is_candidate_round`]). A candidate round `c` holds anchor
+//!   *slots*: the leader's vertex first, then the vertices of the policy's
+//!   earned candidates in rank order ([`SchedulePolicy::candidates_at`];
+//!   none under [`RoundRobinPolicy`]). The leader's is *directly committed*
+//!   once round-`c+1` vertices linking to it — its votes — carry
+//!   validity-threshold stake (`f+1`); an earned candidate's at quorum
+//!   (`2f+1`), and it is directly skipped once quorum stake of round
+//!   `c+1` does not link to it. The rule runs where that stake can change:
+//!   on delivery of each round-`c+1` vertex, so a commit fires with the
+//!   deciding vote, and once more over the rounds above an ordered round
+//!   or a schedule switch. Algorithm 2 runs the leader rule literally one
+//!   round later (a round-`r` vertex checks the round-`r−2` anchor);
+//!   safety needs only that the votes exist, and only the instant of the
+//!   commit moves;
+//! * a slot not decided directly is decided by the first slot above it,
+//!   in slot order, that is not skipped, once that one commits: a leader
+//!   commits iff that anchor reaches it (`orderAnchors`), an earned
+//!   candidate iff the round-`c+1` vertices in the anchor's causal history
+//!   carry `f+1` votes for it (Mysticeti's indirect rule). The lowest
+//!   round with a committed slot and no undecided slot up to it is
+//!   ordered: its committed anchors' not-yet-ordered causal sub-DAGs, in
+//!   slot order and within each in a deterministic `(round, author)`
+//!   order, make one commit (`orderHistory`). The next instance starts one
+//!   round above it, and every round from there to the DAG's top is
+//!   decided again. Algorithm 2 keeps a fixed grid of even rounds, one
+//!   anchor per round, and orders the whole chain at once; restarting the
+//!   grid above every ordered round is Shoal's pipelining (Spiegelman et
+//!   al., FC 2024), which puts an anchor in every round of a healthy DAG,
+//!   and the earned slots order a candidate's vertex by its own round's
+//!   votes. The total order is a different — still deterministic —
+//!   function of the DAG; the safety argument is on
 //!   [`Bullshark::process_vertex`], and `tests/delivery_order.rs` holds the
-//!   engine to an oracle that reads the order off the finished DAG;
-//! * **the HammerHead hook**: before an anchor is ordered, the policy may
-//!   switch schedules ([`ScheduleDecision::Switched`]). The engine then
-//!   drops that (stale) anchor and evaluates the rounds from its round up
-//!   under the new schedule, in the same instance — the retroactive
-//!   re-interpretation of the DAG that §3.1 of the paper describes.
-//!   [`RoundRobinPolicy`] never switches, which makes the engine vanilla
-//!   Bullshark (the paper's baseline).
+//!   engine to an oracle that decides every slot of the finished DAG;
+//! * **the HammerHead hook**: before a round is ordered, the policy may
+//!   switch schedules at its first anchor ([`ScheduleDecision::Switched`]).
+//!   The engine then drops that (stale) round and decides the instance
+//!   again under the new schedule — the retroactive re-interpretation of
+//!   the DAG that §3.1 of the paper describes. [`RoundRobinPolicy`] never
+//!   switches and names no candidates, which makes the engine vanilla
+//!   Bullshark with Shoal's pipelining (the paper's baseline).
 //!
 //! Since every honest validator feeds the engine the same DAG (reliable
 //! broadcast) and the policy is a deterministic function of the committed
@@ -86,6 +92,6 @@ mod engine;
 mod ordered;
 mod policy;
 
-pub use engine::{passed_over_candidates, Bullshark, CommittedSubDag};
+pub use engine::{Bullshark, CommittedSubDag};
 pub use ordered::OrderedSet;
 pub use policy::{RoundRobinPolicy, ScheduleDecision, SchedulePolicy, SlotSchedule};

@@ -48,6 +48,21 @@ impl OrderedSet {
         dag.get(digest).is_some_and(|v| self.contains(v))
     }
 
+    /// Whether the `round` vertices of every author in the committee mask
+    /// `authors` have been ordered. Rounds below the floor have been
+    /// garbage-collected from the DAG, where a history walk ends, and
+    /// count as ordered.
+    pub(crate) fn contains_all(&self, round: Round, authors: &[u64]) -> bool {
+        let Some(row) = round.0.checked_sub(self.floor.0) else {
+            return true;
+        };
+        let first = row as usize * self.words;
+        authors
+            .iter()
+            .enumerate()
+            .all(|(i, word)| word & !self.masks.get(first + i).copied().unwrap_or(0) == 0)
+    }
+
     /// Marks the vertex stored at `v`'s `(round, author)` as ordered.
     pub fn insert(&mut self, v: &Vertex) {
         let Some((word, bit)) = self.slot(v) else {

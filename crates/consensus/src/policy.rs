@@ -34,6 +34,16 @@ pub trait SchedulePolicy {
     /// question ([`crate::Bullshark::is_candidate_round`]).
     fn leader_at(&self, round: Round) -> ValidatorId;
 
+    /// The validators whose round-`round` vertices are anchor candidates
+    /// beside the leader's, best-ranked first (the leader is skipped if
+    /// listed). The engine commits such a vertex at quorum votes rather
+    /// than `f+1` (see [`crate::Bullshark::process_vertex`]). Like the
+    /// schedule, the list must be a function of the ordered prefix. None
+    /// by default.
+    fn candidates_at(&self, _round: Round) -> &[ValidatorId] {
+        &[]
+    }
+
     /// First round covered by the active schedule
     /// (`activeSchedule.initialRound` in Algorithm 2).
     fn initial_round(&self) -> Round;
@@ -53,8 +63,9 @@ pub trait SchedulePolicy {
     ) -> ScheduleDecision;
 
     /// Called for every vertex as it is ordered (in delivery order), after
-    /// the decision to order its anchor. Reputation scoring lives here.
-    fn on_vertex_ordered(&mut self, vertex: &Vertex, dag: &Dag);
+    /// the decision to order its anchor; `ordered` already holds it.
+    /// Reputation scoring lives here.
+    fn on_vertex_ordered(&mut self, vertex: &Vertex, dag: &Dag, ordered: &OrderedSet);
 }
 
 /// A leader slot table: `leader(round) = slots[(round / 2) % len]`, so
@@ -132,7 +143,8 @@ impl SlotSchedule {
     }
 }
 
-/// Vanilla Bullshark: a fixed stake-weighted rotation, never switching.
+/// Vanilla Bullshark: a fixed stake-weighted rotation, never switching,
+/// with no anchor candidate but the leader.
 #[derive(Clone, Debug)]
 pub struct RoundRobinPolicy {
     schedule: SlotSchedule,
@@ -172,7 +184,7 @@ impl SchedulePolicy for RoundRobinPolicy {
         ScheduleDecision::Continue
     }
 
-    fn on_vertex_ordered(&mut self, _vertex: &Vertex, _dag: &Dag) {}
+    fn on_vertex_ordered(&mut self, _vertex: &Vertex, _dag: &Dag, _ordered: &OrderedSet) {}
 }
 
 #[cfg(test)]

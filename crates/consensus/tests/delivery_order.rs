@@ -1,22 +1,30 @@
 //! The commit engine under random delivery orders.
 //!
-//! `Bullshark::process_vertex` evaluates the commit rule when a vote is
-//! delivered, and starts the next commit instance right above every
-//! anchor it orders. Three properties, on randomized DAGs (skipped
-//! authors, withheld leader edges, absent leaders) delivered one vertex at
-//! a time in random parent-respecting orders, under the static round-robin
-//! schedule and under HammerHead switching schedules every 4 rounds:
+//! `Bullshark::process_vertex` decides a candidate round's anchor slots —
+//! its leader's, then the policy's earned candidates' — when a vote is
+//! delivered, and starts the next commit instance right above every round
+//! it orders. Three properties, on randomized DAGs (skipped authors,
+//! withheld leader edges, absent leaders, earned candidates some voters
+//! see late) delivered one vertex at a time in random parent-respecting
+//! orders, under the static round-robin schedule, under round-robin with
+//! every validator a candidate, and under HammerHead switching schedules
+//! and granting candidacy every 4 rounds:
 //!
-//! * **promptness** — after every call, no candidate round of the current
-//!   instance has an active-schedule leader vertex that is in the DAG,
-//!   unordered, and holds `f+1` votes;
+//! * **promptness** — after every call, deciding the current instance
+//!   again orders nothing;
 //! * **order independence** — two delivery orders of one DAG agree on a
 //!   common prefix of commits at every step and on everything at the end;
-//! * **the order is a function of the DAG** — [`instance_oracle`] derives
-//!   the commits from the finished DAG alone, instance by instance (the
-//!   lowest candidate with `f+1` votes, the walk back from it, the earliest
-//!   anchor reached, the next instance one round above that), and every
-//!   delivery order commits a prefix of that sequence and ends on all of it.
+//! * **the order is a function of the DAG** — [`slot_oracle`] decides
+//!   every slot of the finished DAG from the top down, instance by
+//!   instance, and every delivery order commits a prefix of that sequence
+//!   and ends on all of it. With candidacy forced empty it is the
+//!   leader-only [`leader_oracle`] the engine was held to before earned
+//!   candidates.
+//!
+//! Beside them, a mutation check: on a four-validator DAG where an earned
+//! candidate holds `f+1` votes but not `2f+1`, the engine waits for the
+//! anchor above in either delivery order, and the oracle shows that a
+//! direct commit at `f+1` would fork.
 
 use hammerhead::{HammerheadConfig, HammerheadPolicy};
 use hh_consensus::{
@@ -25,7 +33,7 @@ use hh_consensus::{
 use hh_crypto::Digest;
 use hh_dag::testkit::DagBuilder;
 use hh_dag::{Dag, SubDagScratch};
-use hh_types::{Committee, Round, ValidatorId, Vertex, VertexRef};
+use hh_types::{Committee, Round, Stake, ValidatorId, Vertex, VertexRef};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -54,8 +62,8 @@ impl Mix {
 type Commit = (VertexRef, Vec<Digest>);
 
 /// A random structurally valid DAG of `rounds` rounds, shaped around the
-/// schedule: an engine fed alongside tells which author leads a round
-/// under the schedule then in force.
+/// schedule: an engine fed alongside tells which author leads a round and
+/// who is a candidate under the schedule then in force.
 ///
 /// * Up to `f` authors are *bad*: often absent from the rounds they lead
 ///   and never voting — which is what loses a slot at the next switch.
@@ -68,6 +76,10 @@ type Commit = (VertexRef, Vec<Digest>);
 ///   vote decides is left childless for sure, and mostly a drought of one
 ///   to three starved anchors follows — otherwise the next anchor commits
 ///   first and sweeps the waiting one in.
+/// * Each earned candidate of a candidate round is seen late by none, one,
+///   `f` or a random number of the round above's authors, who leave it
+///   out: its votes fall short of the quorum that commits it directly, and
+///   sometimes of `f+1` too, so the anchor above decides it.
 ///
 /// Every vertex keeps a quorum of parents; what an author may leave out is
 /// taken in the order above.
@@ -106,11 +118,29 @@ fn random_dag<P: SchedulePolicy>(
         let prev: Vec<ValidatorId> =
             b.dag().round_vertices(Round(round - 1)).map(|v| v.author()).collect();
         // The probe has seen every vertex below `round`, so it knows whether
-        // the round below holds a candidate of the instance then current;
+        // the round below holds candidates of the instance then current;
         // whether `round` itself will depends on votes not yet cast.
         let below = Round(round - 1);
         let leader = probe.is_candidate_round(below).then(|| probe.current_leader(below));
         let next_leader = Some(probe.current_leader(Round(round)));
+        let late: Vec<(ValidatorId, Vec<ValidatorId>)> = match leader {
+            Some(leader) => probe
+                .policy()
+                .candidates_at(below)
+                .iter()
+                .filter(|c| **c != leader && prev.contains(c))
+                .map(|&c| {
+                    let count = match rng.below(4) {
+                        0 => 0,
+                        1 => 1,
+                        2 => f as u64,
+                        _ => rng.below(n as u64),
+                    };
+                    (c, (0..count).map(|_| ids[rng.below(n as u64) as usize]).collect())
+                })
+                .collect(),
+            None => Vec::new(),
+        };
 
         let mut absent: Vec<ValidatorId> = Vec::new();
         for &id in &ids {
@@ -169,6 +199,11 @@ fn random_dag<P: SchedulePolicy>(
                 };
                 if !votes {
                     out.push(leader);
+                }
+            }
+            for (candidate, seen_late_by) in &late {
+                if seen_late_by.contains(&author) && !out.contains(candidate) {
+                    out.push(*candidate);
                 }
             }
             for &target in &prev {
@@ -243,6 +278,10 @@ struct Run<P: SchedulePolicy> {
     dag: Dag,
     engine: Bullshark<P>,
     commits: Vec<Commit>,
+    /// Commits that ordered more than one anchor of their round.
+    multi_slot: usize,
+    /// The current instance's first round, as far as the last check found.
+    instance_start: u64,
 }
 
 impl<P: SchedulePolicy> Run<P> {
@@ -251,43 +290,155 @@ impl<P: SchedulePolicy> Run<P> {
             dag: Dag::new(committee.clone()),
             engine: Bullshark::new(committee.clone(), policy),
             commits: Vec::new(),
+            multi_slot: 0,
+            instance_start: 0,
         }
     }
 
     fn deliver(&mut self, v: &Arc<Vertex>, case: &str) {
         self.dag.try_insert_arc(v.clone()).expect("parents were delivered first");
         for sd in self.engine.process_vertex(v, &self.dag) {
+            let anchors = sd.vertices.iter().filter(|v| v.round() == sd.anchor.round).count();
+            self.multi_slot += usize::from(anchors > 1);
             self.commits.push((sd.anchor, sd.vertices.iter().map(|v| v.digest()).collect()));
         }
         self.assert_prompt(v, case);
     }
 
-    /// The promptness invariant.
-    fn assert_prompt(&self, after: &Vertex, case: &str) {
-        let threshold = self.dag.committee().validity_threshold();
-        let top = self.dag.highest_round().expect("non-empty").0;
-        for r in (0..=top).filter(|r| self.engine.is_candidate_round(Round(*r))) {
-            let leader = self.engine.current_leader(Round(r));
-            if let Some(anchor) = self.dag.vertex_by_author(Round(r), leader) {
-                assert!(
-                    self.engine.is_ordered(anchor)
-                        || self.dag.vote_stake(&anchor.digest()) < threshold,
-                    "{case}: after {:?} the round-{r} anchor of {leader} holds f+1 votes, unordered",
-                    after.reference(),
-                );
-            }
+    /// The promptness invariant: a vertex of the round above the
+    /// instance's first triggers a decision of the whole instance, and
+    /// delivering one again finds nothing left to order.
+    fn assert_prompt(&mut self, after: &Vertex, case: &str) {
+        while !self.engine.is_candidate_round(Round(self.instance_start)) {
+            self.instance_start += 1;
+        }
+        let voter = self.dag.round_vertices(Round(self.instance_start + 1)).next().cloned();
+        if let Some(voter) = voter {
+            assert!(
+                self.engine.process_vertex(&voter, &self.dag).is_empty(),
+                "{case}: after {:?} round {} was left committable",
+                after.reference(),
+                self.instance_start,
+            );
         }
     }
 }
 
+/// A slot as the oracle decides it: `None` undecided, `Some(None)` skip,
+/// `Some(Some(v))` commit.
+type Slot<'d> = Option<Option<&'d Arc<Vertex>>>;
+
 /// The commit sequence of the finished DAG `dag`, derived without any
-/// delivery order: instance by instance, the lowest candidate holding
-/// `f+1` votes, the walk back from it over the instance's candidates, the
+/// delivery order, committing an earned slot directly at `earned_direct`
+/// vote stake (the quorum threshold; lower it to see what breaks).
+/// Instance by instance, every slot of every candidate round is decided
+/// from the top down — the direct rules first, then the first non-skipped
+/// slot above as the anchor — and the lowest round with a committed slot
+/// and nothing undecided up to it is ordered, with the next instance one
+/// round above it; or the policy switches schedules at its first anchor,
+/// after which the same instance is decided again under the new schedule.
+/// Written over the public `Dag` queries only, with causal histories
+/// where the engine walks parent masks; `process_vertex` must agree with
+/// it.
+fn slot_oracle<P: SchedulePolicy>(dag: &Dag, mut policy: P, earned_direct: Stake) -> Vec<Commit> {
+    let committee = dag.committee();
+    let (validity, quorum) = (committee.validity_threshold(), committee.quorum_threshold());
+    let top = dag.highest_round().expect("non-empty").0;
+    let mut ordered = OrderedSet::new(committee.size());
+    let mut scratch = SubDagScratch::new();
+    let mut commits = Vec::new();
+    let mut instance_start = 0u64;
+    'instances: loop {
+        // Top down: `above` is the anchor for the round being decided.
+        let mut decided: Vec<(u64, Vec<Slot>)> = Vec::new();
+        let mut above: Option<&Arc<Vertex>> = None;
+        let rounds: Vec<u64> = (instance_start..top).step_by(2).collect();
+        for r in rounds.into_iter().rev() {
+            let leader = policy.leader_at(Round(r));
+            let mut slots = vec![(true, leader)];
+            slots.extend(
+                policy
+                    .candidates_at(Round(r))
+                    .iter()
+                    .filter(|c| **c != leader)
+                    .map(|c| (false, *c)),
+            );
+            let history: Option<HashSet<Digest>> =
+                above.map(|a| dag.causal_history(a).iter().map(|v| v.digest()).collect());
+            let round: Vec<Slot> = slots
+                .into_iter()
+                .map(|(leads, author)| {
+                    let v = dag.vertex_by_author(Round(r), author);
+                    let stake = |counts: &dyn Fn(&Vertex) -> bool| -> Stake {
+                        dag.round_vertices(Round(r + 1))
+                            .filter(|w| counts(w))
+                            .map(|w| committee.stake_of(w.author()))
+                            .sum()
+                    };
+                    let links = |w: &Vertex| dag.links_to_author(w, author);
+                    let votes = stake(&links);
+                    let others = stake(&|w| !links(w));
+                    match (v, &history) {
+                        (Some(v), _) if leads && votes >= validity => Some(Some(v)),
+                        (Some(v), _) if !leads && votes >= earned_direct => Some(Some(v)),
+                        _ if !leads && others >= quorum => Some(None),
+                        (_, None) => None,
+                        (Some(v), Some(seen)) if leads => {
+                            Some(seen.contains(&v.digest()).then_some(v))
+                        }
+                        (Some(v), Some(seen)) => {
+                            let seen_votes = stake(&|w| seen.contains(&w.digest()) && links(w));
+                            Some((seen_votes >= validity).then_some(v))
+                        }
+                        (None, Some(_)) => Some(None),
+                    }
+                })
+                .collect();
+            match round.iter().find(|slot| !matches!(slot, Some(None))) {
+                Some(Some(Some(v))) => above = Some(v),
+                Some(_) => above = None,
+                None => {}
+            }
+            decided.push((r, round));
+        }
+        for (r, round) in decided.iter().rev() {
+            if round.iter().any(Option::is_none) {
+                return commits;
+            }
+            let anchors: Vec<&Arc<Vertex>> =
+                round.iter().filter_map(|slot| slot.flatten()).collect();
+            let Some(first) = anchors.first() else {
+                continue;
+            };
+            if policy.before_order_anchor(first, dag, &ordered) == ScheduleDecision::Switched {
+                continue 'instances;
+            }
+            let mut vertices = Vec::new();
+            for anchor in &anchors {
+                for v in dag.causal_sub_dag_with(
+                    anchor,
+                    |d| ordered.contains_digest(dag, d),
+                    &mut scratch,
+                ) {
+                    ordered.insert(&v);
+                    policy.on_vertex_ordered(&v, dag, &ordered);
+                    vertices.push(v.digest());
+                }
+            }
+            commits.push((first.reference(), vertices));
+            instance_start = r + 1;
+            continue 'instances;
+        }
+        return commits;
+    }
+}
+
+/// The leader-only commit sequence the engine was held to before earned
+/// candidates: instance by instance, the lowest candidate holding `f+1`
+/// votes, the walk back from it over the instance's candidates, the
 /// earliest anchor the walk reaches — ordered, with the next instance one
-/// round above it, or the point of a schedule switch, after which the same
-/// instance is read again under the new schedule. Written over the public
-/// `Dag` queries only; the reference `process_vertex` must agree with.
-fn instance_oracle<P: SchedulePolicy>(dag: &Dag, mut policy: P) -> Vec<Commit> {
+/// round above it, or the point of a schedule switch.
+fn leader_oracle<P: SchedulePolicy>(dag: &Dag, mut policy: P) -> Vec<Commit> {
     let threshold = dag.committee().validity_threshold();
     let top = dag.highest_round().expect("non-empty").0;
     let mut ordered = OrderedSet::new(dag.committee().size());
@@ -317,17 +468,77 @@ fn instance_oracle<P: SchedulePolicy>(dag: &Dag, mut policy: P) -> Vec<Commit> {
             dag.causal_sub_dag_with(earliest, |d| ordered.contains_digest(dag, d), &mut scratch);
         for v in &vertices {
             ordered.insert(v);
-            policy.on_vertex_ordered(v, dag);
+            policy.on_vertex_ordered(v, dag, &ordered);
         }
         commits.push((earliest.reference(), vertices.iter().map(|v| v.digest()).collect()));
         instance_start = earliest.round().0 + 1;
     }
 }
 
+/// `P` with candidacy forced empty: leaders only.
+struct NoCandidates<P>(P);
+
+impl<P: SchedulePolicy> SchedulePolicy for NoCandidates<P> {
+    fn leader_at(&self, round: Round) -> ValidatorId {
+        self.0.leader_at(round)
+    }
+    fn initial_round(&self) -> Round {
+        self.0.initial_round()
+    }
+    fn epoch(&self) -> u64 {
+        self.0.epoch()
+    }
+    fn before_order_anchor(&mut self, a: &Vertex, d: &Dag, o: &OrderedSet) -> ScheduleDecision {
+        self.0.before_order_anchor(a, d, o)
+    }
+    fn on_vertex_ordered(&mut self, v: &Vertex, d: &Dag, o: &OrderedSet) {
+        self.0.on_vertex_ordered(v, d, o)
+    }
+}
+
+/// Round-robin leaders, and every validator named in `candidates` a
+/// candidate in every round.
+struct Everyone {
+    leaders: RoundRobinPolicy,
+    candidates: Vec<ValidatorId>,
+}
+
+impl Everyone {
+    fn new(c: &Committee, candidates: &[u16]) -> Self {
+        Everyone {
+            leaders: RoundRobinPolicy::new(SlotSchedule::round_robin(c)),
+            candidates: candidates.iter().map(|i| ValidatorId(*i)).collect(),
+        }
+    }
+}
+
+impl SchedulePolicy for Everyone {
+    fn leader_at(&self, round: Round) -> ValidatorId {
+        self.leaders.leader_at(round)
+    }
+    fn candidates_at(&self, _round: Round) -> &[ValidatorId] {
+        &self.candidates
+    }
+    fn initial_round(&self) -> Round {
+        Round(0)
+    }
+    fn epoch(&self) -> u64 {
+        0
+    }
+    fn before_order_anchor(&mut self, _: &Vertex, _: &Dag, _: &OrderedSet) -> ScheduleDecision {
+        ScheduleDecision::Continue
+    }
+    fn on_vertex_ordered(&mut self, _: &Vertex, _: &Dag, _: &OrderedSet) {}
+}
+
 /// One case: a random DAG, the oracle's reading of it, two delivery orders
-/// of it. Returns the number of commits, so the caller can tell the cases
-/// were not vacuous.
-fn check_case<P: SchedulePolicy>(make: impl Fn(&Committee) -> P, name: &str, seed: u64) -> usize {
+/// of it. Returns the number of commits and of those with more than one
+/// anchor, so the caller can tell the cases were not vacuous.
+fn check_case<P: SchedulePolicy>(
+    make: impl Fn(&Committee) -> P,
+    name: &str,
+    seed: u64,
+) -> (usize, usize) {
     let case = format!("{name} case {seed}");
     let mut rng = Mix(seed);
     let committee = Committee::new_equal_stake(if rng.below(4) == 0 { 4 } else { 7 });
@@ -335,7 +546,13 @@ fn check_case<P: SchedulePolicy>(make: impl Fn(&Committee) -> P, name: &str, see
     let full = random_dag(&committee, make(&committee), rounds, &mut rng);
     let order_a = delivery_order(&full, &mut rng);
     let order_b = delivery_order(&full, &mut rng);
-    let oracle = instance_oracle(&full, make(&committee));
+    let quorum = committee.quorum_threshold();
+    let oracle = slot_oracle(&full, make(&committee), quorum);
+    assert_eq!(
+        slot_oracle(&full, NoCandidates(make(&committee)), quorum),
+        leader_oracle(&full, make(&committee)),
+        "{case}: leaders only, the slot oracle is not the leader oracle"
+    );
 
     let mut a = Run::new(&committee, make(&committee));
     let mut b = Run::new(&committee, make(&committee));
@@ -350,18 +567,33 @@ fn check_case<P: SchedulePolicy>(make: impl Fn(&Committee) -> P, name: &str, see
     assert_eq!(a.commits, b.commits, "{case}: the two orders end apart");
     assert_eq!(a.engine.chain_hash(), b.engine.chain_hash(), "{case}");
     assert_eq!(a.engine.committed_anchors(), b.engine.committed_anchors(), "{case}");
+    assert_eq!(a.engine.passed_over_candidates(), b.engine.passed_over_candidates(), "{case}");
     assert_eq!(a.commits, oracle, "{case}: the finished DAG holds more commits");
-    a.commits.len()
+    (a.commits.len(), a.multi_slot)
 }
 
-fn check_policy<P: SchedulePolicy>(make: impl Fn(&Committee) -> P, name: &str) {
-    let commits: usize = (0..CASES).map(|seed| check_case(&make, name, seed)).sum();
+/// Runs every case under one policy; returns the share of commits that
+/// ordered more than one anchor.
+fn check_policy<P: SchedulePolicy>(make: impl Fn(&Committee) -> P, name: &str) -> f64 {
+    let (commits, multi_slot) = (0..CASES)
+        .map(|seed| check_case(&make, name, seed))
+        .fold((0, 0), |(c, m), (dc, dm)| (c + dc, m + dm));
     assert!(commits as u64 > 4 * CASES, "{name}: only {commits} commits in {CASES} cases");
+    multi_slot as f64 / commits as f64
 }
 
 #[test]
 fn round_robin_commits_promptly_in_one_order() {
-    check_policy(|c| RoundRobinPolicy::new(SlotSchedule::round_robin(c)), "round-robin");
+    let multi_slot =
+        check_policy(|c| RoundRobinPolicy::new(SlotSchedule::round_robin(c)), "round-robin");
+    assert_eq!(multi_slot, 0.0);
+}
+
+#[test]
+fn every_candidate_commits_promptly_in_one_order() {
+    let all = |c: &Committee| (0..c.size() as u16).rev().collect::<Vec<_>>();
+    let multi_slot = check_policy(|c| Everyone::new(c, &all(c)), "every-candidate");
+    assert!(multi_slot > 0.5, "{multi_slot}");
 }
 
 #[test]
@@ -372,5 +604,94 @@ fn hammerhead_commits_promptly_in_one_order() {
             HammerheadConfig { period_rounds: 4, ..HammerheadConfig::default() },
         )
     };
-    check_policy(policy, "hammerhead");
+    // The committee earns candidacy in some epochs only: about one commit
+    // in eleven orders more than its leader.
+    let multi_slot = check_policy(policy, "hammerhead");
+    assert!(multi_slot > 0.05, "{multi_slot}");
+}
+
+/// Rounds 0..=5 of four validators (`f = 1`), v3 a candidate in every
+/// round. Round 2's leader is v1, and v3's round-2 vertex gets `f+1 = 2`
+/// votes from round 3: v0's, which round 4 then leaves out, and v1's; v2
+/// and v3 do not link it. So round 4's leader, the anchor above, holds one
+/// of the two votes in its history.
+fn split_vote_dag() -> (Committee, Dag, Arc<Vertex>) {
+    let c = Committee::new_equal_stake(4);
+    let mut b = DagBuilder::new(c.clone());
+    b.extend_full_rounds(3); // rounds 0..=2
+    let ids: Vec<ValidatorId> = c.ids().collect();
+    b.extend_round_custom(&ids, |a| (a.0 >= 2).then(|| vec![ValidatorId(3)])); // round 3
+    b.extend_round_excluding(&[ValidatorId(0)]); // round 4
+    b.extend_full_rounds(1); // round 5
+    let late_voter = b.dag().vertex_by_author(Round(3), ValidatorId(0)).unwrap().clone();
+    (c, b.into_dag(), late_voter)
+}
+
+#[test]
+fn an_earned_candidate_with_f_plus_1_votes_waits_for_the_anchor_in_any_order() {
+    let (c, full, late_voter) = split_vote_dag();
+    let candidate = full.vertex_by_author(Round(2), ValidatorId(3)).unwrap().digest();
+    assert_eq!(full.vote_stake(&candidate), c.validity_threshold());
+    assert!(full.vote_stake(&candidate) < c.quorum_threshold());
+
+    // Order A: (round, author); v0's round-3 vote arrives before round 4.
+    // Order B: the same with that vote last.
+    let order_a: Vec<Arc<Vertex>> =
+        (0..=5).flat_map(|r| full.round_vertices(Round(r)).cloned()).collect();
+    let mut order_b: Vec<Arc<Vertex>> =
+        order_a.iter().filter(|v| v.digest() != late_voter.digest()).cloned().collect();
+    order_b.push(late_voter);
+
+    let mut ends = Vec::new();
+    for order in [order_a, order_b] {
+        let mut run = Run::new(&c, Everyone::new(&c, &[3]));
+        let mut anchor_voted = false;
+        for v in &order {
+            run.deliver(v, "split vote");
+            // Until round 5 votes for round 4's leader, round 2 stays
+            // undecided: its leader holds four votes, v3 two of them.
+            anchor_voted |= v.round() == Round(5);
+            if !anchor_voted {
+                assert!(
+                    run.commits.iter().all(|(a, _)| a.round < Round(2)),
+                    "round 2 ordered early"
+                );
+            }
+        }
+        // The anchor holds one vote for v3's vertex in its history: skip.
+        assert!(run.commits[2].1.iter().all(|d| *d != candidate));
+        assert_eq!(run.commits, slot_oracle(&full, Everyone::new(&c, &[3]), c.quorum_threshold()));
+        ends.push(run.commits);
+    }
+    assert_eq!(ends[0], ends[1]);
+}
+
+#[test]
+fn a_direct_commit_at_f_plus_1_votes_would_fork() {
+    // Two views of one DAG: a validator that has v0's round-3 vote, and one
+    // that does not yet — the anchor above leaves it out, so the second
+    // view is a valid state on the way to the first.
+    let (c, full, late_voter) = split_vote_dag();
+    let mut without = Dag::new(c.clone());
+    for v in (0..=5).flat_map(|r| full.round_vertices(Round(r))) {
+        if v.digest() != late_voter.digest() {
+            without.try_insert_arc(v.clone()).unwrap();
+        }
+    }
+    let commits = |dag: &Dag, direct: Stake| slot_oracle(dag, Everyone::new(&c, &[3]), direct);
+    let is_prefix = |a: &[Commit], b: &[Commit]| a.len() <= b.len() && a == &b[..a.len()];
+
+    // The rule: quorum votes commit directly, and the view without the
+    // vote commits a prefix of what the full view commits.
+    let (seen, unseen) =
+        (commits(&full, c.quorum_threshold()), commits(&without, c.quorum_threshold()));
+    assert!(is_prefix(&unseen, &seen), "the rule forks");
+
+    // The mutation: f+1 votes commit directly. The full view commits v3's
+    // round-2 vertex at once; the other decides it by the anchor, whose
+    // history holds one vote, and skips it. Round 2's commits differ.
+    let (seen, unseen) =
+        (commits(&full, c.validity_threshold()), commits(&without, c.validity_threshold()));
+    assert_ne!(seen[2], unseen[2]);
+    assert!(!is_prefix(&unseen, &seen) && !is_prefix(&seen, &unseen));
 }

@@ -28,7 +28,7 @@ use crate::policy::HammerheadPolicy;
 use hh_consensus::{
     Bullshark, CommittedSubDag, RoundRobinPolicy, ScheduleDecision, SchedulePolicy, SlotSchedule,
 };
-use hh_crypto::{Digest, Keypair, Sha256};
+use hh_crypto::{Digest, Keypair};
 use hh_dag::{Dag, EvidenceLedger};
 use hh_rbc::{Rbc, RbcMessage};
 use hh_storage::{LogBackend, ValidatorStore};
@@ -324,6 +324,12 @@ impl SchedulePolicy for PolicyKind {
             PolicyKind::Hammerhead(p) => p.leader_at(round),
         }
     }
+    fn candidates_at(&self, round: Round) -> &[ValidatorId] {
+        match self {
+            PolicyKind::RoundRobin(p) => p.candidates_at(round),
+            PolicyKind::Hammerhead(p) => p.candidates_at(round),
+        }
+    }
     fn initial_round(&self) -> Round {
         match self {
             PolicyKind::RoundRobin(p) => p.initial_round(),
@@ -347,10 +353,15 @@ impl SchedulePolicy for PolicyKind {
             PolicyKind::Hammerhead(p) => p.before_order_anchor(anchor, dag, ordered),
         }
     }
-    fn on_vertex_ordered(&mut self, vertex: &Vertex, dag: &Dag) {
+    fn on_vertex_ordered(
+        &mut self,
+        vertex: &Vertex,
+        dag: &Dag,
+        ordered: &hh_consensus::OrderedSet,
+    ) {
         match self {
-            PolicyKind::RoundRobin(p) => p.on_vertex_ordered(vertex, dag),
-            PolicyKind::Hammerhead(p) => p.on_vertex_ordered(vertex, dag),
+            PolicyKind::RoundRobin(p) => p.on_vertex_ordered(vertex, dag, ordered),
+            PolicyKind::Hammerhead(p) => p.on_vertex_ordered(vertex, dag, ordered),
         }
     }
 }
@@ -520,9 +531,15 @@ impl<B: LogBackend> Validator<B> {
         self.engine.chain_hash()
     }
 
-    /// Committed anchors in order.
+    /// The first anchor of every commit, in order.
     pub fn committed_anchors(&self) -> &[hh_types::VertexRef] {
         self.engine.committed_anchors()
+    }
+
+    /// The rounds whose leader slot the ordered prefix decided skip
+    /// (Lemma 6's skipped leader rounds; [`Bullshark::passed_over_candidates`]).
+    pub fn passed_over_candidates(&self) -> &[Round] {
+        self.engine.passed_over_candidates()
     }
 
     /// The round of this validator's next proposal.
@@ -664,6 +681,15 @@ impl<B: LogBackend> Validator<B> {
             };
             self.replaying = true;
             let mut replay_out = Vec::new();
+            // The replay feeds the engine the vertices in the order it
+            // first saw them, so it passes through the checkpointed state
+            // between two deliveries.
+            let at_checkpoint = |engine: &Bullshark<PolicyKind>| {
+                recovered.last_checkpoint.is_none_or(|(idx, expected)| {
+                    engine.commit_count() == idx && engine.chain_hash() == expected
+                })
+            };
+            let mut reached = at_checkpoint(&self.engine);
             for vertex in recovered.vertices {
                 let digest = vertex.digest();
                 if self.dag.try_insert(vertex).is_ok() {
@@ -675,20 +701,14 @@ impl<B: LogBackend> Validator<B> {
                         }
                     }
                     self.on_delivered(vertex, now, &mut replay_out);
+                    reached |= at_checkpoint(&self.engine);
                 }
             }
             debug_assert!(replay_out.is_empty(), "replay must not emit effects");
             self.replaying = false;
             // Cross-check the recomputed chain against the durable
             // checkpoint.
-            if let Some((idx, expected)) = recovered.last_checkpoint {
-                let anchors = self.engine.committed_anchors();
-                if anchors.len() < idx as usize
-                    || chain_hash_prefix(&anchors[..idx as usize]) != expected
-                {
-                    self.metrics.recovery_divergence = true;
-                }
-            }
+            self.metrics.recovery_divergence |= !reached;
         }
 
         self.last_proposal_at = now;
@@ -977,19 +997,6 @@ impl<B: LogBackend> Validator<B> {
     }
 }
 
-/// Recomputes the commit chain hash over an anchor prefix (checkpoint
-/// cross-check during recovery).
-fn chain_hash_prefix(anchors: &[hh_types::VertexRef]) -> Digest {
-    let mut hash = Digest::ZERO;
-    for a in anchors {
-        let mut h = Sha256::new();
-        h.update(hash.as_bytes());
-        h.update(a.digest.as_bytes());
-        hash = h.finalize();
-    }
-    hash
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1117,7 +1124,7 @@ mod tests {
         }
         pump.run_until(500_000);
         let commits_before = pump.v.commit_count();
-        let chain_before = pump.v.chain_hash();
+        let anchors_before = pump.v.committed_anchors().to_vec();
         assert!(commits_before > 0);
 
         // Crash: rebuild the validator object from the same backend.
@@ -1129,8 +1136,7 @@ mod tests {
         assert!(revived.commit_count() >= commits_before.saturating_sub(1));
         assert!(!revived.metrics().recovery_divergence, "checkpoint must match");
         // The recomputed prefix extends the pre-crash chain.
-        let prefix = chain_hash_prefix(&revived.committed_anchors()[..commits_before as usize]);
-        assert_eq!(prefix, chain_before);
+        assert_eq!(revived.committed_anchors()[..anchors_before.len()], anchors_before);
         // Replay must not duplicate execution records.
         assert!(revived.metrics().exec_records.is_empty());
         // And the node keeps committing after recovery.

@@ -6,7 +6,7 @@ use crate::schedule::compute_next_schedule;
 use crate::scores::ReputationScores;
 use hh_consensus::{OrderedSet, ScheduleDecision, SchedulePolicy, SlotSchedule};
 use hh_dag::{Dag, SubDagScratch};
-use hh_types::{Committee, Round, ValidatorId, Vertex};
+use hh_types::{Committee, Round, Stake, ValidatorId, Vertex};
 
 /// Bonus awarded to a committed anchor's author under
 /// [`ScoringRule::LeaderOutcome`].
@@ -25,14 +25,21 @@ pub struct EpochSummary {
     pub promoted: Vec<ValidatorId>,
     /// Final scores of the ended epoch, indexed by validator id.
     pub final_scores: Vec<u64>,
+    /// The new epoch's anchor candidates, best score first: everyone
+    /// outside `excluded` if the committee earned candidacy, else nobody
+    /// (see [`HammerheadPolicy`]).
+    pub candidates: Vec<ValidatorId>,
 }
 
-/// One entry of the schedule history: `slots` governs rounds
-/// `[initial_round, next_entry.initial_round)`.
+/// One entry of the schedule history: `slots` and `candidates` govern
+/// rounds `[initial_round, next_entry.initial_round)`.
 #[derive(Clone, Debug)]
 struct ScheduleEntry {
     initial_round: Round,
     slots: SlotSchedule,
+    /// The epoch's anchor candidates, best score first; emptied by the
+    /// first miss.
+    candidates: Vec<ValidatorId>,
 }
 
 /// The reputation-based leader schedule (the paper's contribution).
@@ -41,6 +48,22 @@ struct ScheduleEntry {
 /// transitions are driven exclusively by the committed sequence, so every
 /// honest validator's policy walks through identical schedules
 /// (Proposition 1).
+///
+/// Beside the leaders it names the epoch's *anchor candidates*, whose
+/// vertices the engine commits at quorum votes in their own round. The
+/// bar is timeliness: a vertex is *timely* when it is ordered and the
+/// ordered vertices of the round above that link to it carry quorum stake.
+/// Candidacy is earned and lost by the committee as a whole, since one
+/// late candidate holds up the ordering of its round until the anchor two
+/// rounds up decides it. Nobody is a candidate in epoch 0. At each switch
+/// every validator outside *B* becomes a candidate for the new epoch,
+/// ranked by the score the swap ranked by, iff each of them had ordered
+/// vertices in the closing epoch's rounds up to four below the switch and
+/// each of those was timely. The first candidate whose round-`r` vertex is
+/// not timely when the first vertex of round `r+2` is ordered ends
+/// everyone's candidacy for the rest of the epoch. Every input is read off
+/// the ordered set and the parent masks at a fixed point of the ordered
+/// sequence, so candidacy agrees everywhere too.
 #[derive(Clone, Debug)]
 pub struct HammerheadPolicy {
     committee: Committee,
@@ -57,6 +80,8 @@ pub struct HammerheadPolicy {
     history: Vec<EpochSummary>,
     /// Reusable traversal state for the epoch-boundary pending walk.
     scratch: SubDagScratch,
+    /// The lowest round whose candidates' timeliness is not checked yet.
+    unchecked: Round,
 }
 
 /// Seed of the permutation that makes the initial schedule S0 unbiased.
@@ -84,12 +109,17 @@ impl HammerheadPolicy {
         HammerheadPolicy {
             committee,
             config,
-            schedules: vec![ScheduleEntry { initial_round: Round(0), slots: s0 }],
+            schedules: vec![ScheduleEntry {
+                initial_round: Round(0),
+                slots: s0,
+                candidates: Vec::new(),
+            }],
             scores,
             ema_milli: vec![0; n],
             epoch: 0,
             history: Vec::new(),
             scratch: SubDagScratch::new(),
+            unchecked: Round(0),
         }
     }
 
@@ -151,7 +181,7 @@ impl HammerheadPolicy {
         }
     }
 
-    fn stake_bound(&self) -> hh_types::Stake {
+    fn stake_bound(&self) -> Stake {
         self.config.max_excluded_stake.unwrap_or_else(|| self.committee.max_faulty_stake())
     }
 }
@@ -159,6 +189,10 @@ impl HammerheadPolicy {
 impl SchedulePolicy for HammerheadPolicy {
     fn leader_at(&self, round: Round) -> ValidatorId {
         self.entry_for(round).slots.leader_at(round)
+    }
+
+    fn candidates_at(&self, round: Round) -> &[ValidatorId] {
+        &self.entry_for(round).candidates
     }
 
     fn initial_round(&self) -> Round {
@@ -178,8 +212,10 @@ impl SchedulePolicy for HammerheadPolicy {
         let boundary = self.initial_round() + self.config.period_rounds;
         if anchor.round() < boundary {
             // Not switching: under the leader-outcome rule, the committed
-            // anchor's author earns the bonus now.
-            if self.config.scoring_rule == ScoringRule::LeaderOutcome {
+            // leader earns the bonus now.
+            if self.config.scoring_rule == ScoringRule::LeaderOutcome
+                && anchor.author() == self.leader_at(anchor.round())
+            {
                 self.scores.add(anchor.author(), LEADER_COMMIT_BONUS);
             }
             return ScheduleDecision::Continue;
@@ -231,26 +267,88 @@ impl SchedulePolicy for HammerheadPolicy {
         let base = &self.schedules.first().expect("never empty").slots;
         let change =
             compute_next_schedule(base, &ranking_scores, &self.committee, self.stake_bound());
+
+        // Candidacy for the new epoch, read off the closing epoch's rounds
+        // whose round above has had time to be ordered.
+        let evidence =
+            self.initial_round().max(dag.gc_round()).0..=anchor.round().0.saturating_sub(4);
+        let mut candidates: Vec<ValidatorId> = ranking_scores
+            .ranked_ascending()
+            .into_iter()
+            .rev()
+            .map(|(id, _)| id)
+            .filter(|id| !change.excluded.contains(id))
+            .collect();
+        let timely: Vec<(Round, Vec<bool>)> =
+            evidence.map(|r| (Round(r), timely(&self.committee, Round(r), dag, ordered))).collect();
+        let earned = candidates.iter().all(|id| {
+            let mut own = timely
+                .iter()
+                .filter(|(r, _)| dag.vertex_by_author(*r, *id).is_some_and(|v| ordered.contains(v)))
+                .peekable();
+            own.peek().is_some() && own.all(|(_, timely)| timely[id.index()])
+        });
+        if !earned {
+            candidates.clear();
+        }
+
         self.history.push(EpochSummary {
             epoch: self.epoch,
             new_initial_round: anchor.round(),
             excluded: change.excluded.clone(),
             promoted: change.promoted.clone(),
             final_scores: self.scores.as_slice().to_vec(),
+            candidates: candidates.clone(),
         });
-        self.schedules
-            .push(ScheduleEntry { initial_round: anchor.round(), slots: change.schedule });
+        self.schedules.push(ScheduleEntry {
+            initial_round: anchor.round(),
+            slots: change.schedule,
+            candidates,
+        });
+        self.unchecked = self.unchecked.max(anchor.round());
         self.epoch += 1;
         self.scores.reset();
         ScheduleDecision::Switched
     }
 
-    fn on_vertex_ordered(&mut self, vertex: &Vertex, dag: &Dag) {
+    fn on_vertex_ordered(&mut self, vertex: &Vertex, dag: &Dag, ordered: &OrderedSet) {
+        // The first ordered vertex of round r+2 closes round r's evidence.
+        while self.unchecked + 2 <= vertex.round() {
+            let round = self.unchecked;
+            let entry = self.schedules.last_mut().expect("never empty");
+            if !entry.candidates.is_empty() {
+                let timely = timely(&self.committee, round, dag, ordered);
+                if !entry.candidates.iter().all(|c| timely[c.index()]) {
+                    entry.candidates.clear();
+                }
+            }
+            self.unchecked = round.next();
+        }
         if matches!(self.config.scoring_rule, ScoringRule::VoteBased | ScoringRule::VoteEma { .. })
         {
             self.accumulate_vote(vertex, dag);
         }
     }
+}
+
+/// Which authors' `round` vertices are timely, by author index: the
+/// ordered vertices of the round above that link to one carry quorum
+/// stake. One pass over those vertices' parent masks; a vertex an ordered
+/// one links to is ordered itself, since ordering delivers whole histories.
+fn timely(committee: &Committee, round: Round, dag: &Dag, ordered: &OrderedSet) -> Vec<bool> {
+    let mut votes = vec![Stake(0); committee.size()];
+    for w in dag.round_vertices(round.next()).filter(|w| ordered.contains(w)) {
+        let stake = committee.stake_of(w.author());
+        for (author, votes) in votes.iter_mut().enumerate() {
+            if w.parent_authors()
+                .get(author / 64)
+                .is_some_and(|word| word >> (author % 64) & 1 == 1)
+            {
+                *votes += stake;
+            }
+        }
+    }
+    votes.into_iter().map(|votes| votes >= committee.quorum_threshold()).collect()
 }
 
 #[cfg(test)]
@@ -305,6 +403,83 @@ mod tests {
         let hist = e.policy().epoch_history();
         assert_eq!(hist[0].new_initial_round, Round(4));
         assert_eq!(hist[1].new_initial_round, Round(8));
+    }
+
+    #[test]
+    fn a_timely_committee_earns_candidacy_at_the_switch() {
+        let c = committee4();
+        let config = HammerheadConfig { period_rounds: 4, ..Default::default() };
+        let mut e = engine_with(&c, config);
+        let mut b = DagBuilder::new(c);
+        b.extend_full_rounds(9);
+        let dag = b.into_dag();
+        feed_all(&mut e, &dag, 8);
+        // Nobody in epoch 0. Tied scores put v0 in B; everyone else is a
+        // candidate from the switch at round 4 on, highest (score, id)
+        // first, and the rounds it governs order the whole round at once.
+        let p = e.policy();
+        assert!(p.candidates_at(Round(3)).is_empty());
+        let ids = |ids: &[u16]| ids.iter().map(|i| ValidatorId(*i)).collect::<Vec<_>>();
+        assert_eq!(p.epoch_history()[0].excluded, ids(&[0]));
+        assert_eq!(p.epoch_history()[0].candidates, ids(&[3, 2, 1]));
+        assert_eq!(p.candidates_at(Round(5)), ids(&[3, 2, 1]));
+    }
+
+    #[test]
+    fn one_late_validator_outside_b_keeps_the_committee_from_earning_candidacy() {
+        // Epoch 0's evidence is round 0 (switch at 4, minus 4). Only two of
+        // the round-1 vertices link to one validator's round-0 vertex, not
+        // the quorum of three, so nobody is a candidate in epoch 1; epoch
+        // 2's evidence, round 4, is clean.
+        let c = committee4();
+        let config = HammerheadConfig { period_rounds: 4, ..Default::default() };
+        let leader = HammerheadPolicy::new(c.clone(), config.clone()).leader_at(Round(0));
+        let late = if leader == ValidatorId(3) { ValidatorId(2) } else { ValidatorId(3) };
+        let mut b = DagBuilder::new(c.clone());
+        b.extend_full_rounds(1);
+        b.extend_round_custom(&c.ids().collect::<Vec<_>>(), |author| {
+            (author.0 < 2).then(|| vec![late])
+        });
+        b.extend_full_rounds(8); // rounds 2..=9
+        let dag = b.into_dag();
+        let mut e = engine_with(&c, config);
+        feed_all(&mut e, &dag, 9);
+        let hist = e.policy().epoch_history();
+        assert!(!hist[0].excluded.contains(&late));
+        assert!(hist[0].candidates.is_empty());
+        assert!(!hist[1].candidates.is_empty());
+    }
+
+    #[test]
+    fn one_late_candidate_ends_the_committees_candidacy_for_the_epoch() {
+        // As above, but only v2 and v3 link to v3's round-5 vertex: two
+        // votes of a quorum of three. The anchor above commits it, and
+        // once round 7 is ordered nobody is a candidate for the rest of
+        // epoch 1. Epoch 2's evidence (round 8 − 4 = 4) is clean again.
+        let c = committee4();
+        let config = HammerheadConfig { period_rounds: 4, ..Default::default() };
+        let mut b = DagBuilder::new(c.clone());
+        b.extend_full_rounds(6); // rounds 0..=5
+        b.extend_round_custom(&c.ids().collect::<Vec<_>>(), |author| {
+            (author.0 < 2).then(|| vec![ValidatorId(3)])
+        }); // round 6
+        b.extend_full_rounds(7); // rounds 7..=13
+        let dag = b.into_dag();
+        let mut e = engine_with(&c, config.clone());
+        feed_all(&mut e, &dag, 13);
+        let p = e.policy();
+        assert!(!p.epoch_history()[0].candidates.is_empty());
+        assert!(p.candidates_at(Round(5)).is_empty());
+        assert!(!p.epoch_history()[1].candidates.is_empty());
+        assert_eq!(p.candidates_at(Round(9)), p.epoch_history()[1].candidates);
+        let late = dag.vertex_by_author(Round(5), ValidatorId(3)).unwrap();
+        assert!(e.is_ordered(late));
+
+        // Candidacy is a function of the ordered prefix.
+        let mut e2 = engine_with(&c, config);
+        feed_all_reversed(&mut e2, &dag, 13);
+        assert_eq!(e.chain_hash(), e2.chain_hash());
+        assert!(e2.policy().candidates_at(Round(5)).is_empty());
     }
 
     #[test]

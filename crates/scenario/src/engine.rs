@@ -82,9 +82,12 @@ pub struct AdversaryRow {
 /// What the finished simulation shows beyond the standard metrics.
 #[derive(Clone, Debug)]
 pub struct AnalysisRow {
-    /// Candidate rounds the committed anchor sequence passed over (Lemma
-    /// 6's metric, [`hh_consensus::passed_over_candidates`]).
+    /// Leader slots the ordered prefix decided skip (Lemma 6's metric,
+    /// [`hh_consensus::Bullshark::passed_over_candidates`]).
     pub skipped_rounds: u64,
+    /// Rounds whose leader slot the ordered prefix decided: the ordered
+    /// rounds and the rounds passed over below them.
+    pub leader_rounds: u64,
     /// Round of the last committed anchor.
     pub last_anchor_round: u64,
     /// Total validators swapped out across all schedule switches (the
@@ -273,12 +276,7 @@ pub fn render_row(row: &RunRow) -> String {
         line,
         "\n      skipped {} of {} leader rounds (last anchor round {}) | schedule churn: {} \
          validators swapped out",
-        a.skipped_rounds,
-        // Every candidate round up to the last anchor was ordered or
-        // passed over.
-        r.commits + a.skipped_rounds,
-        a.last_anchor_round,
-        a.bg_churn,
+        a.skipped_rounds, a.leader_rounds, a.last_anchor_round, a.bg_churn,
     );
     if r.restarts > 0 {
         let _ = write!(

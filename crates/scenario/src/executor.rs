@@ -19,7 +19,6 @@
 
 use crate::engine::{AdversaryRow, AnalysisRow, ReinclusionRow, RunProfile, RunRow};
 use crate::spec::{PlannedRun, ScenarioPlan};
-use hh_consensus::passed_over_candidates;
 use hh_sim::{run_sim, ByzantineSchedule, RunLimit, SimHandle};
 use hh_types::{Round, ValidatorId};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -80,15 +79,19 @@ fn analyze(run: &PlannedRun, handle: &SimHandle) -> AnalysisRow {
     let live: Vec<usize> =
         run.config.faults.live_at(handle.n_validators, handle.sim.now().as_micros());
 
-    // Lemma 6: count the candidate rounds the committed anchor sequence
-    // passed over, in the most advanced live validator's view.
-    let anchors = live
-        .iter()
-        .map(|i| handle.validator(*i).committed_anchors())
-        .max_by_key(|a| a.len())
-        .unwrap_or_default();
+    // Lemma 6: count the leader slots the ordered prefix decided skip, in
+    // the most advanced live validator's view. A round ordered on an
+    // earned anchor whose leader was skipped is one leader round, counted
+    // once.
+    let most_advanced =
+        live.iter().map(|i| handle.validator(*i)).max_by_key(|v| v.committed_anchors().len());
+    let anchors = most_advanced.map(|v| v.committed_anchors()).unwrap_or_default();
+    let skipped = most_advanced.map(|v| v.passed_over_candidates()).unwrap_or_default();
     let last_anchor_round = anchors.last().map(|a| a.round.0).unwrap_or(0);
-    let skipped_rounds = passed_over_candidates(anchors).count() as u64;
+    let skipped_rounds = skipped.len() as u64;
+    let leader_rounds = anchors.len() as u64
+        + skipped.iter().filter(|r| anchors.binary_search_by_key(*r, |a| a.round).is_err()).count()
+            as u64;
 
     let bg_churn = live
         .iter()
@@ -115,7 +118,14 @@ fn analyze(run: &PlannedRun, handle: &SimHandle) -> AnalysisRow {
         None => (Vec::new(), Vec::new()),
     };
 
-    AnalysisRow { skipped_rounds, last_anchor_round, bg_churn, reinclusion, adversary }
+    AnalysisRow {
+        skipped_rounds,
+        leader_rounds,
+        last_anchor_round,
+        bg_churn,
+        reinclusion,
+        adversary,
+    }
 }
 
 /// The adversary analysis: for every byzantine validator, how fast the
@@ -194,8 +204,8 @@ fn adversary_rows(
 }
 
 /// The re-inclusion analysis: for every recovered validator, how long the
-/// schedule took to hand it a leader slot again and how long until its
-/// first committed anchor, measured in rounds from the network round at
+/// schedule took to hand it a leader slot again and how long until the
+/// first of them committed, measured in rounds from the network round at
 /// its recovery (sampled by the sim driver), plus its per-epoch score
 /// trajectory under HammerHead.
 fn reinclusion_rows(handle: &SimHandle, observer: usize) -> Vec<ReinclusionRow> {
@@ -215,7 +225,9 @@ fn reinclusion_rows(handle: &SimHandle, observer: usize) -> Vec<ReinclusionRow> 
                 (recovery_round..=last_anchor_round).find(|r| observer.leader_at(Round(*r)) == v);
             let first_commit_round = anchors
                 .iter()
-                .find(|a| a.author == v && a.round.0 >= recovery_round)
+                .find(|a| {
+                    a.author == v && a.round.0 >= recovery_round && observer.leader_at(a.round) == v
+                })
                 .map(|a| a.round.0);
             let score_trajectory = observer
                 .hammerhead_policy()
