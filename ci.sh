@@ -161,7 +161,7 @@ ceiling target/ci-sim_n100_f33.txt peak_rss_mb 36
 ceiling target/ci-sim_n100_f33.txt sim_latency_p50_ms 830
 bench sim_n10_long
 # The paper-length run, two repetitions of it: about 43.8 MB and
-# 253.818 ms on seed 1 (302.403 while only the leader's vertex was an
+# 253.834 ms on seed 1 (302.403 while only the leader's vertex was an
 # anchor candidate).
 ceiling target/ci-sim_n10_long.txt peak_rss_mb 50
 ceiling target/ci-sim_n10_long.txt sim_latency_p50_ms 275

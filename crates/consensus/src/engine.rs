@@ -64,8 +64,10 @@ pub struct Bullshark<P: SchedulePolicy> {
     /// The first anchor of every commit, kept for agreement assertions and
     /// monitoring.
     committed_anchors: Vec<VertexRef>,
-    /// The rounds whose leader slot the ordered prefix decided skip.
-    passed_over: Vec<Round>,
+    /// Leader slots the ordered prefix decided skip.
+    passed_over: u64,
+    /// Of those, the ones whose round was ordered on its earned anchors.
+    passed_over_in_ordered_rounds: u64,
     /// Reusable state for the indexed sub-DAG walk (no per-commit
     /// allocations beyond the delivered vertex list).
     scratch: SubDagScratch,
@@ -82,7 +84,8 @@ impl<P: SchedulePolicy> Bullshark<P> {
             commit_index: 0,
             chain_hash: Digest::ZERO,
             committed_anchors: Vec::new(),
-            passed_over: Vec::new(),
+            passed_over: 0,
+            passed_over_in_ordered_rounds: 0,
             scratch: SubDagScratch::new(),
         }
     }
@@ -102,11 +105,17 @@ impl<P: SchedulePolicy> Bullshark<P> {
         &self.committed_anchors
     }
 
-    /// The candidate rounds whose leader slot the ordered prefix decided
-    /// skip, ascending — Lemma 6's skipped leader rounds. A round whose
-    /// earned candidate committed is listed when its leader did not.
-    pub fn passed_over_candidates(&self) -> &[Round] {
-        &self.passed_over
+    /// How many candidate rounds' leader slots the ordered prefix decided
+    /// skip — Lemma 6's skipped leader rounds. A round ordered on its
+    /// earned anchors counts when its leader did not commit.
+    pub fn passed_over_candidates(&self) -> u64 {
+        self.passed_over
+    }
+
+    /// How many candidate rounds' leader slots the ordered prefix decided:
+    /// every ordered round's, and every passed-over round's below it.
+    pub fn leader_rounds(&self) -> u64 {
+        self.commit_index + self.passed_over - self.passed_over_in_ordered_rounds
     }
 
     /// Running hash over the commit sequence: equal hashes ⇒ equal
@@ -338,7 +347,8 @@ impl<P: SchedulePolicy> Bullshark<P> {
             return false;
         };
         let mut memo = AnchorMemo::new();
-        let mut passed = Vec::new();
+        // Leader slots decided skip in the rounds passed over so far.
+        let mut passed = 0;
         let mut round = self.instance_start;
         while round < top {
             // A round is ordered only with every slot decided, and no
@@ -346,16 +356,17 @@ impl<P: SchedulePolicy> Bullshark<P> {
             // finds a still undecided earned slot before the leader's votes
             // are counted.
             let mut committed = Vec::new();
+            let mut leader_skipped = false;
             for (leads, author) in self.slots(round).rev() {
                 match self.decide(round, leads, author, dag, &mut memo) {
                     Decision::Commit(v) => committed.push(v),
-                    Decision::Skip if leads => passed.push(round),
-                    Decision::Skip => {}
+                    Decision::Skip => leader_skipped |= leads,
                     Decision::Undecided => return false,
                 }
             }
             committed.reverse();
             let Some(first) = committed.first() else {
+                passed += 1;
                 round = round + 2;
                 continue;
             };
@@ -364,7 +375,9 @@ impl<P: SchedulePolicy> Bullshark<P> {
                 ScheduleDecision::Switched => true,
                 // Lines 27-37 (`orderHistory`).
                 ScheduleDecision::Continue => {
-                    self.passed_over.extend(passed);
+                    let leader_skipped = u64::from(leader_skipped);
+                    self.passed_over += passed + leader_skipped;
+                    self.passed_over_in_ordered_rounds += leader_skipped;
                     outputs.push(self.order_round(&committed, dag));
                     true
                 }
@@ -520,7 +533,7 @@ mod tests {
         let leaders: Vec<u16> = commits.iter().map(|cmt| cmt.anchor.author.0).collect();
         assert_eq!(leaders, vec![0, 0, 1, 1, 2, 2, 3, 3]);
         assert_eq!(e.commit_count(), 8);
-        assert!(e.passed_over_candidates().is_empty());
+        assert_eq!((e.passed_over_candidates(), e.leader_rounds()), (0, 8));
     }
 
     #[test]
@@ -570,7 +583,8 @@ mod tests {
         // the crashed slot is tried once. Its rounds' vertices are swept up
         // by round 4's anchor, and the grid is back to every round.
         assert_eq!(rounds, vec![0, 1, 4, 5, 6, 7]);
-        assert_eq!(e.passed_over_candidates(), [Round(2)]);
+        // Round 2's leader slot is the one passed over; round 3 held none.
+        assert_eq!((e.passed_over_candidates(), e.leader_rounds()), (1, 7));
         let r4 = commits.iter().find(|cmt| cmt.anchor.round.0 == 4).unwrap();
         for skipped in [2, 3] {
             assert_eq!(
@@ -745,7 +759,8 @@ mod tests {
         // until round 4's leader commits and does not reach it, then round
         // 2 is ordered on its earned anchors: a commit in a round whose
         // leader was passed over. Lemma 6 counts the leader slot all the
-        // same, and the anchor rounds alone would not show it.
+        // same, and the anchor rounds alone would not show it; the round
+        // is one leader round, not two.
         let c = committee4();
         let mut b = DagBuilder::new(c.clone());
         b.extend_full_rounds(2);
@@ -760,7 +775,7 @@ mod tests {
             per_round,
             vec![none.clone(), vec![0], vec![1], none.clone(), none, vec![2, 3, 4], vec![5]]
         );
-        assert_eq!(e.passed_over_candidates(), [Round(2)]);
+        assert_eq!((e.passed_over_candidates(), e.leader_rounds()), (1, 6));
         let round2 = e.committed_anchors()[2];
         assert_eq!((round2.round, round2.author), (Round(2), ValidatorId(0)));
     }

@@ -10,16 +10,17 @@
 //! every validator a candidate, and under HammerHead switching schedules
 //! and granting candidacy every 4 rounds:
 //!
-//! * **promptness** — after every call, deciding the current instance
-//!   again orders nothing;
-//! * **order independence** — two delivery orders of one DAG agree on a
-//!   common prefix of commits at every step and on everything at the end;
 //! * **the order is a function of the DAG** — [`slot_oracle`] decides
-//!   every slot of the finished DAG from the top down, instance by
-//!   instance, and every delivery order commits a prefix of that sequence
-//!   and ends on all of it. With candidacy forced empty it is the
-//!   leader-only [`leader_oracle`] the engine was held to before earned
-//!   candidates.
+//!   every slot of a DAG from the top down, instance by instance, without
+//!   any delivery order. With candidacy forced empty it is the leader-only
+//!   [`leader_oracle`] the engine was held to before earned candidates;
+//! * **promptness** — after every delivery the engine has committed
+//!   exactly what the oracle reads off the DAG delivered so far: nothing
+//!   the DAG already decides is held back, and nothing it leaves open is
+//!   ordered;
+//! * **order independence** — two delivery orders of one DAG agree on a
+//!   common prefix of commits at every step, each commits a prefix of the
+//!   finished DAG's sequence, and both end on all of it.
 //!
 //! Beside them, a mutation check: on a four-validator DAG where an earned
 //! candidate holds `f+1` votes but not `2f+1`, the engine waits for the
@@ -280,8 +281,6 @@ struct Run<P: SchedulePolicy> {
     commits: Vec<Commit>,
     /// Commits that ordered more than one anchor of their round.
     multi_slot: usize,
-    /// The current instance's first round, as far as the last check found.
-    instance_start: u64,
 }
 
 impl<P: SchedulePolicy> Run<P> {
@@ -291,35 +290,15 @@ impl<P: SchedulePolicy> Run<P> {
             engine: Bullshark::new(committee.clone(), policy),
             commits: Vec::new(),
             multi_slot: 0,
-            instance_start: 0,
         }
     }
 
-    fn deliver(&mut self, v: &Arc<Vertex>, case: &str) {
+    fn deliver(&mut self, v: &Arc<Vertex>) {
         self.dag.try_insert_arc(v.clone()).expect("parents were delivered first");
         for sd in self.engine.process_vertex(v, &self.dag) {
             let anchors = sd.vertices.iter().filter(|v| v.round() == sd.anchor.round).count();
             self.multi_slot += usize::from(anchors > 1);
             self.commits.push((sd.anchor, sd.vertices.iter().map(|v| v.digest()).collect()));
-        }
-        self.assert_prompt(v, case);
-    }
-
-    /// The promptness invariant: a vertex of the round above the
-    /// instance's first triggers a decision of the whole instance, and
-    /// delivering one again finds nothing left to order.
-    fn assert_prompt(&mut self, after: &Vertex, case: &str) {
-        while !self.engine.is_candidate_round(Round(self.instance_start)) {
-            self.instance_start += 1;
-        }
-        let voter = self.dag.round_vertices(Round(self.instance_start + 1)).next().cloned();
-        if let Some(voter) = voter {
-            assert!(
-                self.engine.process_vertex(&voter, &self.dag).is_empty(),
-                "{case}: after {:?} round {} was left committable",
-                after.reference(),
-                self.instance_start,
-            );
         }
     }
 }
@@ -328,8 +307,8 @@ impl<P: SchedulePolicy> Run<P> {
 /// `Some(Some(v))` commit.
 type Slot<'d> = Option<Option<&'d Arc<Vertex>>>;
 
-/// The commit sequence of the finished DAG `dag`, derived without any
-/// delivery order, committing an earned slot directly at `earned_direct`
+/// The commit sequence of the DAG `dag`, finished or partly delivered,
+/// derived without any delivery order, committing an earned slot directly at `earned_direct`
 /// vote stake (the quorum threshold; lower it to see what breaks).
 /// Instance by instance, every slot of every candidate round is decided
 /// from the top down — the direct rules first, then the first non-skipped
@@ -344,14 +323,32 @@ fn slot_oracle<P: SchedulePolicy>(dag: &Dag, mut policy: P, earned_direct: Stake
     let committee = dag.committee();
     let (validity, quorum) = (committee.validity_threshold(), committee.quorum_threshold());
     let top = dag.highest_round().expect("non-empty").0;
+    let stake_of = |voters: &mut dyn Iterator<Item = &Arc<Vertex>>| -> Stake {
+        voters.map(|w| committee.stake_of(w.author())).sum()
+    };
+    // Per round `r` below the top, whatever the instance: round `r+1`'s
+    // stake, and per author the stake of round-`r+1` vertices linking to
+    // its round-`r` vertex.
+    let tally: Vec<(Stake, Vec<Stake>)> = (0..top)
+        .map(|r| {
+            let voting = || dag.round_vertices(Round(r + 1));
+            let votes = committee
+                .ids()
+                .map(|a| stake_of(&mut voting().filter(|w| dag.links_to_author(w, a))))
+                .collect();
+            (stake_of(&mut voting()), votes)
+        })
+        .collect();
     let mut ordered = OrderedSet::new(committee.size());
     let mut scratch = SubDagScratch::new();
     let mut commits = Vec::new();
     let mut instance_start = 0u64;
     'instances: loop {
-        // Top down: `above` is the anchor for the round being decided.
+        // Top down: `above` is the anchor for the round being decided, and
+        // `history` its causal history once a slot needed it.
         let mut decided: Vec<(u64, Vec<Slot>)> = Vec::new();
         let mut above: Option<&Arc<Vertex>> = None;
+        let mut history: Option<HashSet<Digest>> = None;
         let rounds: Vec<u64> = (instance_start..top).step_by(2).collect();
         for r in rounds.into_iter().rev() {
             let leader = policy.leader_at(Round(r));
@@ -363,40 +360,40 @@ fn slot_oracle<P: SchedulePolicy>(dag: &Dag, mut policy: P, earned_direct: Stake
                     .filter(|c| **c != leader)
                     .map(|c| (false, *c)),
             );
-            let history: Option<HashSet<Digest>> =
-                above.map(|a| dag.causal_history(a).iter().map(|v| v.digest()).collect());
             let round: Vec<Slot> = slots
                 .into_iter()
                 .map(|(leads, author)| {
                     let v = dag.vertex_by_author(Round(r), author);
-                    let stake = |counts: &dyn Fn(&Vertex) -> bool| -> Stake {
-                        dag.round_vertices(Round(r + 1))
-                            .filter(|w| counts(w))
-                            .map(|w| committee.stake_of(w.author()))
-                            .sum()
+                    let (voting, votes) = &tally[r as usize];
+                    let votes = votes[author.index()];
+                    let others = Stake(voting.0 - votes.0);
+                    match v {
+                        Some(v) if leads && votes >= validity => return Some(Some(v)),
+                        Some(v) if !leads && votes >= earned_direct => return Some(Some(v)),
+                        _ if !leads && others >= quorum => return Some(None),
+                        _ => {}
+                    }
+                    let anchor = above?;
+                    let Some(v) = v else {
+                        return Some(None);
                     };
-                    let links = |w: &Vertex| dag.links_to_author(w, author);
-                    let votes = stake(&links);
-                    let others = stake(&|w| !links(w));
-                    match (v, &history) {
-                        (Some(v), _) if leads && votes >= validity => Some(Some(v)),
-                        (Some(v), _) if !leads && votes >= earned_direct => Some(Some(v)),
-                        _ if !leads && others >= quorum => Some(None),
-                        (_, None) => None,
-                        (Some(v), Some(seen)) if leads => {
-                            Some(seen.contains(&v.digest()).then_some(v))
-                        }
-                        (Some(v), Some(seen)) => {
-                            let seen_votes = stake(&|w| seen.contains(&w.digest()) && links(w));
-                            Some((seen_votes >= validity).then_some(v))
-                        }
-                        (None, Some(_)) => Some(None),
+                    let seen = history.get_or_insert_with(|| {
+                        dag.causal_history(anchor).iter().map(|v| v.digest()).collect()
+                    });
+                    if leads {
+                        Some(seen.contains(&v.digest()).then_some(v))
+                    } else {
+                        let seen_votes =
+                            stake_of(&mut dag.round_vertices(Round(r + 1)).filter(|w| {
+                                seen.contains(&w.digest()) && dag.links_to_author(w, author)
+                            }));
+                        Some((seen_votes >= validity).then_some(v))
                     }
                 })
                 .collect();
             match round.iter().find(|slot| !matches!(slot, Some(None))) {
-                Some(Some(Some(v))) => above = Some(v),
-                Some(_) => above = None,
+                Some(Some(Some(v))) => (above, history) = (Some(*v), None),
+                Some(_) => (above, history) = (None, None),
                 None => {}
             }
             decided.push((r, round));
@@ -557,8 +554,15 @@ fn check_case<P: SchedulePolicy>(
     let mut a = Run::new(&committee, make(&committee));
     let mut b = Run::new(&committee, make(&committee));
     for (va, vb) in order_a.iter().zip(&order_b) {
-        a.deliver(va, &case);
-        b.deliver(vb, &case);
+        for (run, v) in [(&mut a, va), (&mut b, vb)] {
+            run.deliver(v);
+            assert_eq!(
+                run.commits,
+                slot_oracle(&run.dag, make(&committee), quorum),
+                "{case}: after {:?}, not the order of the DAG delivered so far",
+                v.reference()
+            );
+        }
         let common = a.commits.len().min(b.commits.len());
         assert_eq!(a.commits[..common], b.commits[..common], "{case}: the two orders diverged");
         assert!(a.commits.len() <= oracle.len(), "{case}: more commits than the DAG holds");
@@ -647,7 +651,7 @@ fn an_earned_candidate_with_f_plus_1_votes_waits_for_the_anchor_in_any_order() {
         let mut run = Run::new(&c, Everyone::new(&c, &[3]));
         let mut anchor_voted = false;
         for v in &order {
-            run.deliver(v, "split vote");
+            run.deliver(v);
             // Until round 5 votes for round 4's leader, round 2 stays
             // undecided: its leader holds four votes, v3 two of them.
             anchor_voted |= v.round() == Round(5);

@@ -536,10 +536,16 @@ impl<B: LogBackend> Validator<B> {
         self.engine.committed_anchors()
     }
 
-    /// The rounds whose leader slot the ordered prefix decided skip
-    /// (Lemma 6's skipped leader rounds; [`Bullshark::passed_over_candidates`]).
-    pub fn passed_over_candidates(&self) -> &[Round] {
+    /// How many leader slots the ordered prefix decided skip (Lemma 6's
+    /// skipped leader rounds; [`Bullshark::passed_over_candidates`]).
+    pub fn passed_over_candidates(&self) -> u64 {
         self.engine.passed_over_candidates()
+    }
+
+    /// How many leader slots the ordered prefix decided
+    /// ([`Bullshark::leader_rounds`]).
+    pub fn leader_rounds(&self) -> u64 {
+        self.engine.leader_rounds()
     }
 
     /// The round of this validator's next proposal.
@@ -1124,8 +1130,9 @@ mod tests {
         }
         pump.run_until(500_000);
         let commits_before = pump.v.commit_count();
-        let anchors_before = pump.v.committed_anchors().to_vec();
+        let log_before = pump.v.take_commit_records();
         assert!(commits_before > 0);
+        assert_eq!(log_before.len() as u64, commits_before);
 
         // Crash: rebuild the validator object from the same backend.
         let committee = Committee::new_equal_stake(1);
@@ -1135,8 +1142,16 @@ mod tests {
         assert!(!out.is_empty());
         assert!(revived.commit_count() >= commits_before.saturating_sub(1));
         assert!(!revived.metrics().recovery_divergence, "checkpoint must match");
-        // The recomputed prefix extends the pre-crash chain.
-        assert_eq!(revived.committed_anchors()[..anchors_before.len()], anchors_before);
+        // The replay recomputes every pre-crash commit: the same index,
+        // anchor and sub-DAG, commit by commit.
+        let replayed = revived.take_commit_records();
+        assert!(replayed.iter().all(|r| r.replayed));
+        let without_origin = |r: &CommitRecord| (r.index, r.anchor, r.vertices.clone());
+        assert!(replayed.len() >= log_before.len());
+        assert_eq!(
+            replayed[..log_before.len()].iter().map(without_origin).collect::<Vec<_>>(),
+            log_before.iter().map(without_origin).collect::<Vec<_>>()
+        );
         // Replay must not duplicate execution records.
         assert!(revived.metrics().exec_records.is_empty());
         // And the node keeps committing after recovery.

@@ -55,15 +55,17 @@ struct ScheduleEntry {
 /// ordered vertices of the round above that link to it carry quorum stake.
 /// Candidacy is earned and lost by the committee as a whole, since one
 /// late candidate holds up the ordering of its round until the anchor two
-/// rounds up decides it. Nobody is a candidate in epoch 0. At each switch
-/// every validator outside *B* becomes a candidate for the new epoch,
-/// ranked by the score the swap ranked by, iff each of them had ordered
-/// vertices in the closing epoch's rounds up to four below the switch and
-/// each of those was timely. The first candidate whose round-`r` vertex is
-/// not timely when the first vertex of round `r+2` is ordered ends
-/// everyone's candidacy for the rest of the epoch. Every input is read off
-/// the ordered set and the parent masks at a fixed point of the ordered
-/// sequence, so candidacy agrees everywhere too.
+/// rounds up decides it. Round `r` is *closed* when the first vertex of
+/// round `r+2` is ordered, and its timeliness is judged then, once. The
+/// first candidate whose vertex in a closed round is not timely ends
+/// everyone's candidacy for the rest of the epoch. Nobody is a candidate
+/// in epoch 0. At each switch every validator outside *B* becomes a
+/// candidate for the new epoch, ranked by the score the swap ranked by,
+/// iff each of them had ordered vertices in the closing epoch's closed
+/// rounds and each of those was timely. Every input is read off the
+/// ordered set and the parent masks when a round closes, a fixed point of
+/// the ordered sequence, so candidacy agrees everywhere too: no
+/// validator's garbage collection or delivery batching enters it.
 #[derive(Clone, Debug)]
 pub struct HammerheadPolicy {
     committee: Committee,
@@ -80,8 +82,23 @@ pub struct HammerheadPolicy {
     history: Vec<EpochSummary>,
     /// Reusable traversal state for the epoch-boundary pending walk.
     scratch: SubDagScratch,
-    /// The lowest round whose candidates' timeliness is not checked yet.
+    /// The lowest round not closed yet.
     unchecked: Round,
+    /// What the current epoch's closed rounds showed of each validator's
+    /// vertices, by validator index.
+    timeliness: Vec<Timeliness>,
+}
+
+/// What one validator's vertices in an epoch's closed rounds showed.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+enum Timeliness {
+    /// None was ordered.
+    #[default]
+    Unseen,
+    /// Every ordered one was timely.
+    Timely,
+    /// An ordered one was not.
+    Late,
 }
 
 /// Seed of the permutation that makes the initial schedule S0 unbiased.
@@ -120,6 +137,7 @@ impl HammerheadPolicy {
             history: Vec::new(),
             scratch: SubDagScratch::new(),
             unchecked: Round(0),
+            timeliness: vec![Timeliness::Unseen; n],
         }
     }
 
@@ -268,10 +286,8 @@ impl SchedulePolicy for HammerheadPolicy {
         let change =
             compute_next_schedule(base, &ranking_scores, &self.committee, self.stake_bound());
 
-        // Candidacy for the new epoch, read off the closing epoch's rounds
-        // whose round above has had time to be ordered.
-        let evidence =
-            self.initial_round().max(dag.gc_round()).0..=anchor.round().0.saturating_sub(4);
+        // Candidacy for the new epoch, as the closing epoch's closed rounds
+        // showed it.
         let mut candidates: Vec<ValidatorId> = ranking_scores
             .ranked_ascending()
             .into_iter()
@@ -279,16 +295,7 @@ impl SchedulePolicy for HammerheadPolicy {
             .map(|(id, _)| id)
             .filter(|id| !change.excluded.contains(id))
             .collect();
-        let timely: Vec<(Round, Vec<bool>)> =
-            evidence.map(|r| (Round(r), timely(&self.committee, Round(r), dag, ordered))).collect();
-        let earned = candidates.iter().all(|id| {
-            let mut own = timely
-                .iter()
-                .filter(|(r, _)| dag.vertex_by_author(*r, *id).is_some_and(|v| ordered.contains(v)))
-                .peekable();
-            own.peek().is_some() && own.all(|(_, timely)| timely[id.index()])
-        });
-        if !earned {
+        if !candidates.iter().all(|id| self.timeliness[id.index()] == Timeliness::Timely) {
             candidates.clear();
         }
 
@@ -305,21 +312,33 @@ impl SchedulePolicy for HammerheadPolicy {
             slots: change.schedule,
             candidates,
         });
+        // The closing epoch's rounds that are still open belong to no
+        // epoch's evidence.
         self.unchecked = self.unchecked.max(anchor.round());
+        self.timeliness.fill(Timeliness::Unseen);
         self.epoch += 1;
         self.scores.reset();
         ScheduleDecision::Switched
     }
 
     fn on_vertex_ordered(&mut self, vertex: &Vertex, dag: &Dag, ordered: &OrderedSet) {
-        // The first ordered vertex of round r+2 closes round r's evidence.
+        // The first ordered vertex of round r+2 closes round r. No anchor
+        // above round r+1 was ordered before it, so a DAG that keeps two
+        // or more rounds below its last anchor still holds rounds r and
+        // r+1, however the validator's deliveries were batched.
         while self.unchecked + 2 <= vertex.round() {
             let round = self.unchecked;
+            let timely = timely(&self.committee, round, dag, ordered);
             let entry = self.schedules.last_mut().expect("never empty");
-            if !entry.candidates.is_empty() {
-                let timely = timely(&self.committee, round, dag, ordered);
-                if !entry.candidates.iter().all(|c| timely[c.index()]) {
-                    entry.candidates.clear();
+            if !entry.candidates.iter().all(|c| timely[c.index()]) {
+                entry.candidates.clear();
+            }
+            for (id, seen) in self.committee.ids().zip(&mut self.timeliness) {
+                if dag.vertex_by_author(round, id).is_some_and(|v| ordered.contains(v)) {
+                    *seen = match (*seen, timely[id.index()]) {
+                        (Timeliness::Late, _) | (_, false) => Timeliness::Late,
+                        _ => Timeliness::Timely,
+                    };
                 }
             }
             self.unchecked = round.next();
@@ -354,8 +373,9 @@ fn timely(committee: &Committee, round: Round, dag: &Dag, ordered: &OrderedSet) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hh_consensus::Bullshark;
+    use hh_consensus::{Bullshark, CommittedSubDag};
     use hh_dag::testkit::DagBuilder;
+    use std::sync::Arc;
 
     fn committee4() -> Committee {
         Committee::new_equal_stake(4)
@@ -427,10 +447,10 @@ mod tests {
 
     #[test]
     fn one_late_validator_outside_b_keeps_the_committee_from_earning_candidacy() {
-        // Epoch 0's evidence is round 0 (switch at 4, minus 4). Only two of
-        // the round-1 vertices link to one validator's round-0 vertex, not
-        // the quorum of three, so nobody is a candidate in epoch 1; epoch
-        // 2's evidence, round 4, is clean.
+        // Only two of the round-1 vertices link to one validator's round-0
+        // vertex, not the quorum of three. Round 0 closes before the switch
+        // at round 4, so nobody is a candidate in epoch 1; epoch 1's closed
+        // rounds, 4 and up, are clean.
         let c = committee4();
         let config = HammerheadConfig { period_rounds: 4, ..Default::default() };
         let leader = HammerheadPolicy::new(c.clone(), config.clone()).leader_at(Round(0));
@@ -455,7 +475,9 @@ mod tests {
         // As above, but only v2 and v3 link to v3's round-5 vertex: two
         // votes of a quorum of three. The anchor above commits it, and
         // once round 7 is ordered nobody is a candidate for the rest of
-        // epoch 1. Epoch 2's evidence (round 8 − 4 = 4) is clean again.
+        // epoch 1. The late round closed before the switch at round 8, so
+        // epoch 2 holds no candidates either; epoch 2's closed rounds are
+        // clean again.
         let c = committee4();
         let config = HammerheadConfig { period_rounds: 4, ..Default::default() };
         let mut b = DagBuilder::new(c.clone());
@@ -468,10 +490,12 @@ mod tests {
         let mut e = engine_with(&c, config.clone());
         feed_all(&mut e, &dag, 13);
         let p = e.policy();
-        assert!(!p.epoch_history()[0].candidates.is_empty());
+        let hist = p.epoch_history();
+        assert!(!hist[0].candidates.is_empty() && hist[0].candidates.contains(&ValidatorId(3)));
         assert!(p.candidates_at(Round(5)).is_empty());
-        assert!(!p.epoch_history()[1].candidates.is_empty());
-        assert_eq!(p.candidates_at(Round(9)), p.epoch_history()[1].candidates);
+        assert!(hist[1].candidates.is_empty());
+        assert!(!hist[2].candidates.is_empty());
+        assert_eq!(p.candidates_at(Round(13)), hist[2].candidates);
         let late = dag.vertex_by_author(Round(5), ValidatorId(3)).unwrap();
         assert!(e.is_ordered(late));
 
@@ -480,6 +504,74 @@ mod tests {
         feed_all_reversed(&mut e2, &dag, 13);
         assert_eq!(e.chain_hash(), e2.chain_hash());
         assert!(e2.policy().candidates_at(Round(5)).is_empty());
+    }
+
+    #[test]
+    fn candidacy_agrees_between_a_validator_that_collects_as_it_goes_and_one_that_batches() {
+        // Epochs of 12 rounds against a GC depth of 4, and one late vertex
+        // early in epoch 0: two of a quorum of three link to a validator's
+        // round-1 vertex. Validator A receives the DAG a vertex at a time
+        // and collects garbage after every delivery that committed, as
+        // `Validator` does, so at the switch at round 12 its DAG starts at
+        // round 7. Validator B receives the whole DAG before ordering
+        // anything: one delivery orders it all, and B collects nothing
+        // until that returns. Both judged round 1 when it closed, so
+        // neither grants candidacy at the switch, and they agree.
+        const GC_DEPTH: u64 = 4;
+        let c = committee4();
+        let config = HammerheadConfig { period_rounds: 12, ..Default::default() };
+        let leader = HammerheadPolicy::new(c.clone(), config.clone()).leader_at(Round(1));
+        let late = if leader == ValidatorId(3) { ValidatorId(2) } else { ValidatorId(3) };
+        let mut b = DagBuilder::new(c.clone());
+        b.extend_full_rounds(2); // rounds 0, 1
+        b.extend_round_custom(&c.ids().collect::<Vec<_>>(), |author| {
+            (author.0 < 2).then(|| vec![late])
+        }); // round 2
+        b.extend_full_rounds(15); // rounds 3..=17
+        let full = b.into_dag();
+        let vertices: Vec<Arc<Vertex>> =
+            (0..=17).flat_map(|r| full.round_vertices(Round(r)).cloned()).collect();
+        let collect = |dag: &mut Dag, commits: &[CommittedSubDag]| {
+            if let Some(h) = commits.last().and_then(|sd| sd.anchor.round.0.checked_sub(GC_DEPTH)) {
+                dag.gc(Round(h));
+            }
+        };
+
+        let mut a = engine_with(&c, config.clone());
+        let mut dag_a = Dag::new(c.clone());
+        let mut horizon_at_switch = Round(0);
+        for v in &vertices {
+            dag_a.try_insert_arc(v.clone()).unwrap();
+            let before = dag_a.gc_round();
+            let commits = a.process_vertex(v, &dag_a);
+            if a.policy().epoch() == 1 && horizon_at_switch == Round(0) {
+                horizon_at_switch = before;
+            }
+            collect(&mut dag_a, &commits);
+        }
+
+        let mut b = engine_with(&c, config);
+        let mut dag_b = Dag::new(c.clone());
+        for v in &vertices {
+            dag_b.try_insert_arc(v.clone()).unwrap();
+        }
+        let mut batches = Vec::new();
+        for v in &vertices {
+            let commits = b.process_vertex(v, &dag_b);
+            batches.extend((!commits.is_empty()).then_some(commits.len()));
+            collect(&mut dag_b, &commits);
+        }
+
+        assert!(horizon_at_switch > Round(2), "A collected rounds 1 and 2 before the switch");
+        assert_eq!(batches, [b.commit_count() as usize], "B ordered everything at once");
+        for e in [&a, &b] {
+            let hist = e.policy().epoch_history();
+            assert_eq!(hist[0].new_initial_round, Round(12));
+            assert!(!hist[0].excluded.contains(&late));
+            assert!(hist[0].candidates.is_empty(), "{:?}", hist[0].candidates);
+        }
+        assert_eq!(a.chain_hash(), b.chain_hash());
+        assert_eq!(a.commit_count(), b.commit_count());
     }
 
     #[test]

@@ -79,19 +79,15 @@ fn analyze(run: &PlannedRun, handle: &SimHandle) -> AnalysisRow {
     let live: Vec<usize> =
         run.config.faults.live_at(handle.n_validators, handle.sim.now().as_micros());
 
-    // Lemma 6: count the leader slots the ordered prefix decided skip, in
-    // the most advanced live validator's view. A round ordered on an
-    // earned anchor whose leader was skipped is one leader round, counted
-    // once.
+    // Lemma 6: the leader slots the ordered prefix decided skip, and all
+    // it decided, in the most advanced live validator's view, as its
+    // engine counted them.
     let most_advanced =
         live.iter().map(|i| handle.validator(*i)).max_by_key(|v| v.committed_anchors().len());
-    let anchors = most_advanced.map(|v| v.committed_anchors()).unwrap_or_default();
-    let skipped = most_advanced.map(|v| v.passed_over_candidates()).unwrap_or_default();
-    let last_anchor_round = anchors.last().map(|a| a.round.0).unwrap_or(0);
-    let skipped_rounds = skipped.len() as u64;
-    let leader_rounds = anchors.len() as u64
-        + skipped.iter().filter(|r| anchors.binary_search_by_key(*r, |a| a.round).is_err()).count()
-            as u64;
+    let last_anchor_round =
+        most_advanced.and_then(|v| v.committed_anchors().last()).map(|a| a.round.0).unwrap_or(0);
+    let skipped_rounds = most_advanced.map_or(0, |v| v.passed_over_candidates());
+    let leader_rounds = most_advanced.map_or(0, |v| v.leader_rounds());
 
     let bg_churn = live
         .iter()
