@@ -19,9 +19,11 @@
 # report byte-identical, and a benchmark gate that unit-tests the
 # perfbench package against the workspace's crates and requires two
 # correct 2-second runs: sim_n100_f33 with its peak resident set under
-# 36 MB and its simulated median latency under 830 ms, and sim_n10_long
-# (600 simulated seconds) under 50 MB and 275 ms, a ceiling only a
-# timely validator's own vertex ordering its transactions meets.
+# 26 MB, which only proposers sharing equal parent lists meet, and its
+# simulated median latency under 560 ms, which only a proposer that stops
+# awaiting leaders it has never heard from meets, and sim_n10_long (600
+# simulated seconds) under 50 MB and 275 ms, a ceiling only a timely
+# validator's own vertex ordering its transactions meets.
 
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -156,12 +158,14 @@ ceiling() {
 # speed, and the simulated median latency is seed-exact, so one ceiling
 # each holds on any host.
 bench sim_n100_f33
-# About 30.0 MB and 799.125 ms on seed 1.
-ceiling target/ci-sim_n100_f33.txt peak_rss_mb 36
-ceiling target/ci-sim_n100_f33.txt sim_latency_p50_ms 830
+# About 22.4 MB and 511 ms on seed 1 (30.0 MB and 799.125 ms while every
+# proposer kept its own parent list and leaders crashed from t = 0 were
+# awaited through epoch 0).
+ceiling target/ci-sim_n100_f33.txt peak_rss_mb 26
+ceiling target/ci-sim_n100_f33.txt sim_latency_p50_ms 560
 bench sim_n10_long
-# The paper-length run, two repetitions of it: about 43.8 MB and
-# 253.834 ms on seed 1 (302.403 while only the leader's vertex was an
+# The paper-length run, two repetitions of it: about 44 MB and
+# 253.825 ms on seed 1 (302.403 while only the leader's vertex was an
 # anchor candidate).
 ceiling target/ci-sim_n10_long.txt peak_rss_mb 50
 ceiling target/ci-sim_n10_long.txt sim_latency_p50_ms 275

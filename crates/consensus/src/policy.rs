@@ -44,6 +44,15 @@ pub trait SchedulePolicy {
         &[]
     }
 
+    /// Whether a proposer leaving a candidate round led by `leader` should
+    /// wait for its anchor, as far as the ordered prefix can tell. A
+    /// `false` lets the proposer pass a leader its own DAG has never heard
+    /// from (the proposer still awaits one whose vertices it holds). Like
+    /// the schedule, a function of the ordered prefix. Always by default.
+    fn awaits_leader(&self, _leader: ValidatorId) -> bool {
+        true
+    }
+
     /// First round covered by the active schedule
     /// (`activeSchedule.initialRound` in Algorithm 2).
     fn initial_round(&self) -> Round;

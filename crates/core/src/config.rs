@@ -158,7 +158,9 @@ pub struct ValidatorConfig {
     pub min_round_delay_us: u64,
     /// How long a proposer leaving an anchor-candidate round waits for
     /// that round's leader vertex before giving up (µs). This is what makes crashed
-    /// leaders expensive for the baseline.
+    /// leaders expensive for the baseline. Under HammerHead, once round 0
+    /// has closed, only a leader with an ordered vertex or a vertex in the
+    /// proposer's DAG is awaited (see `Validator::drive`).
     pub leader_timeout_us: u64,
     /// Max transactions per vertex.
     pub max_block_txs: usize,

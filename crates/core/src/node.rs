@@ -15,10 +15,12 @@
 //!    round of the engine's commit instance wait up to `leader_timeout_us`
 //!    for that round's leader vertex — the leader-await that makes crashed
 //!    leaders expensive for static schedules — unless its leader has
-//!    already proposed above it;
+//!    already proposed above it or, under HammerHead, has never been
+//!    heard from;
 //! 3. propose: batch transactions (bounded by block size and the
 //!    uncommitted-tx backpressure budget), link to all known `r-1`
-//!    vertices, broadcast via the reliable-broadcast layer;
+//!    vertices (sharing the parent list of a round-`r` vertex that links
+//!    to the same ones), broadcast via the reliable-broadcast layer;
 //! 4. feed every delivered vertex to the consensus engine; committed
 //!    sub-DAGs drain through the execution-rate model, release
 //!    backpressure budget, trigger checkpoints and DAG garbage collection.
@@ -328,6 +330,12 @@ impl SchedulePolicy for PolicyKind {
         match self {
             PolicyKind::RoundRobin(p) => p.candidates_at(round),
             PolicyKind::Hammerhead(p) => p.candidates_at(round),
+        }
+    }
+    fn awaits_leader(&self, leader: ValidatorId) -> bool {
+        match self {
+            PolicyKind::RoundRobin(p) => p.awaits_leader(leader),
+            PolicyKind::Hammerhead(p) => p.awaits_leader(leader),
         }
     }
     fn initial_round(&self) -> Round {
@@ -894,7 +902,22 @@ impl<B: LogBackend> Validator<B> {
     /// but not for one that cannot come. A commit at the (f+1)-th vote can
     /// switch schedules while slower validators are still in the anchor's
     /// round, and the new schedule may name for that round a leader that
-    /// skipped it; its vertex one round up says so.
+    /// skipped it; its vertex one round up says so. Nor does it wait for a
+    /// leader nobody has heard from: once round 0 has closed, a leader the
+    /// policy reports never ordered ([`SchedulePolicy::awaits_leader`]) is
+    /// passed by at once unless this validator's DAG holds one of its
+    /// vertices in a retained round.
+    ///
+    /// That last guard is what keeps the rule live. A validator that is
+    /// sending has vertices in this DAG, ordered yet or not, and is awaited
+    /// exactly as without the rule, so no live leader loses the wait it
+    /// needs to anchor; one whose first vertex arrives late is awaited
+    /// from that delivery on. Only a leader that has stayed silent towards
+    /// this validator is passed, and such a validator scores zero and
+    /// ranks lowest at the first switch anyway. Without the guard a leader
+    /// that is delivered but never ordered (an equivocator nobody links to)
+    /// would never be awaited, and its clients' transactions would stop
+    /// committing.
     ///
     /// Which rounds are candidates is read off this validator's own engine,
     /// whose instance may be one commit behind the committee's: then it
@@ -933,9 +956,12 @@ impl<B: LogBackend> Validator<B> {
                 let leader = self.engine.current_leader(prev);
                 // An anchor is still to come only while its author has not
                 // proposed above it: nobody returns to a round they passed.
+                // And only from a leader that has been heard from.
                 let awaited = leader != self.id
                     && self.dag.vertex_by_author(prev, leader).is_none()
-                    && self.dag.vertex_by_author(self.next_round, leader).is_none();
+                    && self.dag.vertex_by_author(self.next_round, leader).is_none()
+                    && (self.engine.policy().awaits_leader(leader)
+                        || self.dag.holds_author(leader));
                 if awaited {
                     if elapsed < self.config.leader_timeout_us {
                         self.arm_wake(
@@ -971,6 +997,15 @@ impl<B: LogBackend> Validator<B> {
             parents.reserve_exact(self.dag.round_len(round.prev()));
             parents.extend(self.dag.round_vertices(round.prev()).map(|v| v.digest()));
         }
+        // Where the committee is in step every proposer links the same
+        // parents: a round-`round` vertex already held with an equal list
+        // lends its allocation, so the round stores the list once. The
+        // digest, the signature and the wire bytes are the same either way.
+        let parents: Arc<[Digest]> =
+            match self.dag.round_vertices(round).find(|v| v.parents() == parents.as_slice()) {
+                Some(v) => v.shared_parents().clone(),
+                None => parents.into(),
+            };
         // Backpressure: stop pulling from the pool once too many of our
         // transactions sit uncommitted.
         let budget = (self.config.max_uncommitted_txs as u64).saturating_sub(self.uncommitted_txs);
@@ -1547,6 +1582,37 @@ mod tests {
     }
 
     #[test]
+    fn a_proposal_shares_an_equal_parent_list_it_holds() {
+        let me = ValidatorId(0);
+        let (mut v, peers, r1) = one_of_four(me);
+        let held = |v: &Validator<MemBackend>, round: u64, author| {
+            v.dag().vertex_by_author(Round(round), author).expect("held").clone()
+        };
+        // Round 2: one peer links all of round 1, as this validator will;
+        // one links three of it. The proposal shares the first one's list.
+        deliver_from(&mut v, &peers[..1], 2, &r1, 1_500);
+        deliver_from(&mut v, &peers[1..2], 2, &r1[..3], 1_500);
+        let mine = own_broadcasts(&v.on_timer(TOKEN_WAKE, 2_000), me).remove(0);
+        assert_eq!(mine.parents(), r1);
+        assert!(Arc::ptr_eq(mine.shared_parents(), held(&v, 2, peers[0]).shared_parents()));
+        assert!(!Arc::ptr_eq(mine.shared_parents(), held(&v, 2, peers[1]).shared_parents()));
+        // The same vertex, digest and bytes as from a list of its own.
+        let fresh = Vertex::new(Round(2), me, mine.block().clone(), r1.clone(), &v.keypair);
+        assert_eq!(fresh.digest(), mine.digest());
+        assert_eq!(hh_types::codec::encode_to_vec(&fresh), hh_types::codec::encode_to_vec(&*mine));
+
+        // Round 3: the one peer vertex held links only three of round 2,
+        // so the proposal, linking all four, gets its own allocation.
+        deliver_from(&mut v, &peers[2..], 2, &r1, 2_100);
+        let r2: Vec<Digest> = v.dag().round_vertices(Round(2)).map(|w| w.digest()).collect();
+        assert_eq!(r2.len(), 4);
+        deliver_from(&mut v, &peers[..1], 3, &r2[..3], 2_500);
+        let mine = own_broadcasts(&v.on_timer(TOKEN_WAKE, 3_000), me).remove(0);
+        assert_eq!(mine.parents(), r2);
+        assert!(!Arc::ptr_eq(mine.shared_parents(), held(&v, 3, peers[0]).shared_parents()));
+    }
+
+    #[test]
     fn nobody_waits_for_a_leader_that_moved_on() {
         let me = ValidatorId(0);
         let (mut v, peers, r1) = one_of_four(me);
@@ -1566,6 +1632,73 @@ mod tests {
         assert_eq!(proposed.len(), 1);
         assert_eq!(proposed[0].round(), Round(3));
         assert_eq!(v.metrics().leader_timeouts, 0);
+    }
+
+    /// One HammerHead validator of four in step with two peers through
+    /// rounds 0..=4, a round a millisecond. The fourth, `slow`, leads round
+    /// 4 and nobody links to its vertices. If `slow_sends`, each of them
+    /// reaches the validator just after the validator proposed one round
+    /// up: delivered, never ordered. Otherwise `slow` is silent. Returns
+    /// the validator before its t = 5 000 pacing timer, and `slow`.
+    fn facing_an_unordered_round_4_leader(
+        slow_sends: bool,
+    ) -> (Validator<MemBackend>, ValidatorId) {
+        let committee = Committee::new_equal_stake(4);
+        let config = ValidatorConfig {
+            schedule: ScheduleConfig::Hammerhead(crate::HammerheadConfig::default()),
+            ..fast_config()
+        };
+        let probe: Validator<MemBackend> =
+            Validator::new(committee.clone(), ValidatorId(0), config.clone(), None);
+        let slow = probe.leader_at(Round(4));
+        let me = committee.ids().find(|id| *id != slow).expect("n > 1");
+        let peers: Vec<ValidatorId> =
+            committee.ids().filter(|id| *id != me && *id != slow).collect();
+        let mut v = Validator::new(committee, me, config, None);
+        // The digests of round `round − 1` but `slow`'s.
+        let linked = |v: &Validator<MemBackend>, round: u64| -> Vec<Digest> {
+            round.checked_sub(1).map_or(Vec::new(), |prev| {
+                let held = v.dag().round_vertices(Round(prev));
+                held.filter(|w| w.author() != slow).map(|w| w.digest()).collect()
+            })
+        };
+        for round in 0..=4u64 {
+            let now = round * 1_000;
+            let out = if round == 0 { v.on_start(now) } else { v.on_timer(TOKEN_WAKE, now) };
+            assert_eq!(own_broadcasts(&out, me).len(), 1, "round {round} proposed on pacing");
+            let parents = linked(&v, round);
+            deliver_from(&mut v, &peers, round, &parents, now + 100);
+            if slow_sends && round > 0 {
+                let parents = linked(&v, round - 1);
+                deliver_from(&mut v, &[slow], round - 1, &parents, now + 200);
+            }
+        }
+        (v, slow)
+    }
+
+    #[test]
+    fn a_leader_never_heard_from_is_passed_but_one_delivered_unordered_is_awaited() {
+        for slow_sends in [false, true] {
+            let (mut v, slow) = facing_an_unordered_round_4_leader(slow_sends);
+            // Round 0 has closed, `slow` has never been ordered, and round
+            // 4 holds quorum without its anchor.
+            assert!(v.engine.is_candidate_round(Round(4)));
+            assert!(!v.engine.policy().awaits_leader(slow));
+            assert_eq!(v.dag().holds_author(slow), slow_sends);
+            assert!(v.dag().vertex_by_author(Round(4), slow).is_none());
+            let proposed = own_broadcasts(&v.on_timer(TOKEN_WAKE, 5_000), v.id);
+            if slow_sends {
+                // Sending, so awaited in full: its vertices are here.
+                assert!(proposed.is_empty(), "a leader whose vertices arrive is awaited");
+                let proposed = own_broadcasts(&v.on_timer(TOKEN_WAKE, 14_000), v.id);
+                assert_eq!(proposed.len(), 1);
+                assert_eq!(v.metrics().leader_timeouts, 1);
+            } else {
+                assert_eq!(proposed.len(), 1, "nobody waits for a leader never heard from");
+                assert_eq!(v.metrics().leader_timeouts, 0);
+            }
+            assert_eq!(v.current_round(), Round(6));
+        }
     }
 
     #[test]

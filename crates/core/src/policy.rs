@@ -66,6 +66,11 @@ struct ScheduleEntry {
 /// ordered set and the parent masks when a round closes, a fixed point of
 /// the ordered sequence, so candidacy agrees everywhere too: no
 /// validator's garbage collection or delivery batching enters it.
+///
+/// The ordered sequence also says whom a proposer need not await: once
+/// round 0 has closed, a validator none of whose vertices was ever ordered
+/// ([`SchedulePolicy::awaits_leader`]). It has scored nothing, so the
+/// first switch ranks it lowest.
 #[derive(Clone, Debug)]
 pub struct HammerheadPolicy {
     committee: Committee,
@@ -87,6 +92,9 @@ pub struct HammerheadPolicy {
     /// What the current epoch's closed rounds showed of each validator's
     /// vertices, by validator index.
     timeliness: Vec<Timeliness>,
+    /// Whether any vertex of each validator was ever ordered, by validator
+    /// index; never reset.
+    ordered_once: Vec<bool>,
 }
 
 /// What one validator's vertices in an epoch's closed rounds showed.
@@ -138,6 +146,7 @@ impl HammerheadPolicy {
             scratch: SubDagScratch::new(),
             unchecked: Round(0),
             timeliness: vec![Timeliness::Unseen; n],
+            ordered_once: vec![false; n],
         }
     }
 
@@ -211,6 +220,13 @@ impl SchedulePolicy for HammerheadPolicy {
 
     fn candidates_at(&self, round: Round) -> &[ValidatorId] {
         &self.entry_for(round).candidates
+    }
+
+    /// Everyone until round 0 closes; after that, only a validator with an
+    /// ordered vertex. One that never had one scores zero and ranks lowest
+    /// at the first switch, so waiting out its slots buys nothing.
+    fn awaits_leader(&self, leader: ValidatorId) -> bool {
+        self.unchecked == Round(0) || self.ordered_once[leader.index()]
     }
 
     fn initial_round(&self) -> Round {
@@ -343,6 +359,7 @@ impl SchedulePolicy for HammerheadPolicy {
             }
             self.unchecked = round.next();
         }
+        self.ordered_once[vertex.author().index()] = true;
         if matches!(self.config.scoring_rule, ScoringRule::VoteBased | ScoringRule::VoteEma { .. })
         {
             self.accumulate_vote(vertex, dag);
@@ -373,7 +390,7 @@ fn timely(committee: &Committee, round: Round, dag: &Dag, ordered: &OrderedSet) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hh_consensus::{Bullshark, CommittedSubDag};
+    use hh_consensus::{Bullshark, CommittedSubDag, RoundRobinPolicy};
     use hh_dag::testkit::DagBuilder;
     use std::sync::Arc;
 
@@ -385,8 +402,14 @@ mod tests {
         Bullshark::new(c.clone(), HammerheadPolicy::new(c.clone(), config))
     }
 
-    fn feed_all(engine: &mut Bullshark<HammerheadPolicy>, dag: &Dag, max: u64) {
-        for r in 0..=max {
+    /// Feeds `rounds` of `dag` to `engine`, ascending author order within
+    /// each round.
+    fn feed<P: SchedulePolicy>(
+        engine: &mut Bullshark<P>,
+        dag: &Dag,
+        rounds: std::ops::RangeInclusive<u64>,
+    ) {
+        for r in rounds {
             let mut vs: Vec<_> = dag.round_vertices(Round(r)).cloned().collect();
             vs.sort_by_key(|v| v.author());
             for v in vs {
@@ -395,8 +418,8 @@ mod tests {
         }
     }
 
-    /// [`feed_all`] in descending author order: another causally valid
-    /// delivery schedule of the same DAG.
+    /// [`feed`] of rounds `0..=max` in descending author order: another
+    /// causally valid delivery schedule of the same DAG.
     fn feed_all_reversed(engine: &mut Bullshark<HammerheadPolicy>, dag: &Dag, max: u64) {
         for r in 0..=max {
             let mut vs: Vec<_> = dag.round_vertices(Round(r)).cloned().collect();
@@ -415,7 +438,7 @@ mod tests {
         let mut b = DagBuilder::new(c);
         b.extend_full_rounds(13);
         let dag = b.into_dag();
-        feed_all(&mut e, &dag, 12);
+        feed(&mut e, &dag, 0..=12);
         // An anchor in every round; boundary at initial+4: the anchor at
         // round 4 triggers S0→S1, round 8 S1→S2, round 12 S2→S3 once the
         // round-13 votes are in.
@@ -433,7 +456,7 @@ mod tests {
         let mut b = DagBuilder::new(c);
         b.extend_full_rounds(9);
         let dag = b.into_dag();
-        feed_all(&mut e, &dag, 8);
+        feed(&mut e, &dag, 0..=8);
         // Nobody in epoch 0. Tied scores put v0 in B; everyone else is a
         // candidate from the switch at round 4 on, highest (score, id)
         // first, and the rounds it governs order the whole round at once.
@@ -463,7 +486,7 @@ mod tests {
         b.extend_full_rounds(8); // rounds 2..=9
         let dag = b.into_dag();
         let mut e = engine_with(&c, config);
-        feed_all(&mut e, &dag, 9);
+        feed(&mut e, &dag, 0..=9);
         let hist = e.policy().epoch_history();
         assert!(!hist[0].excluded.contains(&late));
         assert!(hist[0].candidates.is_empty());
@@ -488,7 +511,7 @@ mod tests {
         b.extend_full_rounds(7); // rounds 7..=13
         let dag = b.into_dag();
         let mut e = engine_with(&c, config.clone());
-        feed_all(&mut e, &dag, 13);
+        feed(&mut e, &dag, 0..=13);
         let p = e.policy();
         let hist = p.epoch_history();
         assert!(!hist[0].candidates.is_empty() && hist[0].candidates.contains(&ValidatorId(3)));
@@ -574,6 +597,65 @@ mod tests {
         assert_eq!(a.commit_count(), b.commit_count());
     }
 
+    /// Appends `rounds` rounds in which v3 does not propose.
+    fn extend_without_v3(b: &mut DagBuilder, rounds: usize) {
+        for _ in 0..rounds {
+            b.extend_round_without(&[ValidatorId(3)]);
+        }
+    }
+
+    #[test]
+    fn everyone_is_awaited_until_round_zero_closes_then_only_the_ordered() {
+        let c = committee4();
+        let silent = ValidatorId(3);
+        let mut b = DagBuilder::new(c.clone());
+        let mut e = engine_with(&c, HammerheadConfig { period_rounds: 20, ..Default::default() });
+        assert!(c.ids().all(|id| e.policy().awaits_leader(id)), "nothing ordered yet");
+        // Rounds 0 and 1 may order round 0, but no round-2 vertex: round 0
+        // is still open, and nobody has been judged.
+        extend_without_v3(&mut b, 2);
+        feed(&mut e, b.dag(), 0..=1);
+        assert_eq!(e.policy().unchecked, Round(0));
+        assert!(c.ids().all(|id| e.policy().awaits_leader(id)));
+        // An anchor at round 2 or above orders a round-2 vertex and closes
+        // round 0: v3, never ordered, is not awaited from then on.
+        extend_without_v3(&mut b, 6);
+        feed(&mut e, b.dag(), 2..=7);
+        assert!(e.policy().unchecked > Round(0));
+        assert!(!e.policy().awaits_leader(silent));
+        assert!(c.ids().filter(|id| *id != silent).all(|id| e.policy().awaits_leader(id)));
+    }
+
+    #[test]
+    fn a_validator_ordered_once_stays_awaited_across_switches() {
+        // v3 proposes in rounds 0..=2, then falls silent for good. Its
+        // vertices were ordered, so it is still awaited after two switches,
+        // though it has been in B since the first.
+        let c = committee4();
+        let silent = ValidatorId(3);
+        let mut b = DagBuilder::new(c.clone());
+        b.extend_full_rounds(3);
+        extend_without_v3(&mut b, 14);
+        let dag = b.into_dag();
+        let mut e = engine_with(&c, HammerheadConfig { period_rounds: 4, ..Default::default() });
+        feed(&mut e, &dag, 0..=16);
+        let p = e.policy();
+        assert!(p.epoch() >= 2, "epoch {}", p.epoch());
+        assert!(p.epoch_history().iter().all(|h| h.excluded == [silent]));
+        assert!(c.ids().all(|id| p.awaits_leader(id)));
+    }
+
+    #[test]
+    fn round_robin_awaits_every_leader() {
+        let c = committee4();
+        let mut b = DagBuilder::new(c.clone());
+        extend_without_v3(&mut b, 8);
+        let mut e = Bullshark::new(c.clone(), RoundRobinPolicy::new(SlotSchedule::round_robin(&c)));
+        feed(&mut e, b.dag(), 0..=7);
+        assert!(e.commit_count() > 0);
+        assert!(c.ids().all(|id| e.policy().awaits_leader(id)));
+    }
+
     #[test]
     fn full_dag_everyone_scores_equally() {
         let c = committee4();
@@ -582,7 +664,7 @@ mod tests {
         let mut b = DagBuilder::new(c);
         b.extend_full_rounds(13);
         let dag = b.into_dag();
-        feed_all(&mut e, &dag, 12);
+        feed(&mut e, &dag, 0..=12);
         let hist = e.policy().epoch_history();
         assert!(!hist.is_empty());
         let scores = &hist[0].final_scores;
@@ -627,7 +709,7 @@ mod tests {
         let dag = b.into_dag();
 
         let mut e = engine_with(&c, config.clone());
-        feed_all(&mut e, &dag, 12);
+        feed(&mut e, &dag, 0..=12);
         let hist = e.policy().epoch_history();
         assert!(!hist.is_empty());
         // Epoch 0 closes at the anchor of round 4 on the votes cast in
@@ -664,7 +746,7 @@ mod tests {
         extend_with_v3_withholding(&mut b, &c, &p0, 1..=12, |r| r <= 4);
         let dag = b.into_dag();
         let mut e = engine_with(&c, config);
-        feed_all(&mut e, &dag, 12);
+        feed(&mut e, &dag, 0..=12);
         e
     }
 
@@ -696,7 +778,7 @@ mod tests {
 
         // Record pre-switch leader assignments.
         let before: Vec<ValidatorId> = (0..3).map(|i| e.policy().leader_at(Round(i * 2))).collect();
-        feed_all(&mut e, &dag, 12);
+        feed(&mut e, &dag, 0..=12);
         assert!(e.policy().epoch() >= 1);
         // Old rounds still resolve to the same leaders after switches.
         let after: Vec<ValidatorId> = (0..3).map(|i| e.policy().leader_at(Round(i * 2))).collect();
@@ -715,7 +797,7 @@ mod tests {
         let mut b = DagBuilder::new(c);
         b.extend_full_rounds(9);
         let dag = b.into_dag();
-        feed_all(&mut e, &dag, 8);
+        feed(&mut e, &dag, 0..=8);
         // Committed anchors at rounds 0..=7 → their authors hold bonuses.
         let committed_authors: std::collections::HashSet<ValidatorId> =
             e.committed_anchors().iter().map(|a| a.author).collect();
@@ -762,7 +844,7 @@ mod tests {
         let dag = b.into_dag();
 
         let mut e = engine_with(&c, config);
-        feed_all(&mut e, &dag, 16);
+        feed(&mut e, &dag, 0..=16);
         // The walks crossed at least two epoch boundaries (rounds 4 and 8
         // under T=4) and still committed a consistent sequence.
         assert!(e.policy().epoch() >= 2, "epochs: {}", e.policy().epoch());
@@ -795,8 +877,8 @@ mod tests {
         };
         let mut ev = engine_with(&c, vote);
         let mut ee = engine_with(&c, ema);
-        feed_all(&mut ev, &dag, 12);
-        feed_all(&mut ee, &dag, 12);
+        feed(&mut ev, &dag, 0..=12);
+        feed(&mut ee, &dag, 0..=12);
         assert_eq!(ev.chain_hash(), ee.chain_hash());
         assert_eq!(ev.policy().active_schedule().slots(), ee.policy().active_schedule().slots());
         // EMA with alpha=1 carries score×1000 exactly.
@@ -818,7 +900,7 @@ mod tests {
         let mut b = DagBuilder::new(c);
         b.extend_full_rounds(13);
         let dag = b.into_dag();
-        feed_all(&mut e, &dag, 12);
+        feed(&mut e, &dag, 0..=12);
         assert!(e.policy().epoch() >= 2);
         // Fully-connected DAG: every epoch every validator scored; EMA is
         // positive and equal across validators.
@@ -836,7 +918,7 @@ mod tests {
 
         let mut e1 = engine_with(&c, config.clone());
         let mut e2 = engine_with(&c, config);
-        feed_all(&mut e1, &dag, 16);
+        feed(&mut e1, &dag, 0..=16);
         // e2 sees vertices in a different (reverse-author) order.
         feed_all_reversed(&mut e2, &dag, 16);
         assert_eq!(e1.chain_hash(), e2.chain_hash());

@@ -433,6 +433,11 @@ impl Dag {
         self.rounds.get(&round)?.vertices.get(author.index())?.as_ref()
     }
 
+    /// Whether any retained round holds a vertex authored by `author`.
+    pub fn holds_author(&self, author: ValidatorId) -> bool {
+        self.rounds.values().any(|ri| ri.vertices.get(author.index()).is_some_and(Option::is_some))
+    }
+
     /// All vertices of `round`, in ascending author order.
     pub fn round_vertices(&self, round: Round) -> impl Iterator<Item = &Arc<Vertex>> {
         self.rounds.get(&round).into_iter().flat_map(|ri| ri.vertices.iter().flatten())
@@ -968,6 +973,20 @@ mod tests {
         // GC going backwards is a no-op.
         dag.gc(Round(1));
         assert_eq!(dag.gc_round(), Round(2));
+    }
+
+    #[test]
+    fn holds_author_looks_at_retained_rounds_only() {
+        let c = committee4();
+        let mut builder = DagBuilder::new(c);
+        builder.extend_full_rounds(1);
+        builder.extend_round_without(&[ValidatorId(3)]);
+        builder.extend_round_without(&[ValidatorId(3)]);
+        let mut dag = builder.into_dag();
+        assert!(dag.holds_author(ValidatorId(3)), "its round-0 vertex");
+        dag.gc(Round(1));
+        assert!(!dag.holds_author(ValidatorId(3)));
+        assert!(dag.holds_author(ValidatorId(0)));
     }
 
     #[test]

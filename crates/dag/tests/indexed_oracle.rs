@@ -384,7 +384,7 @@ proptest! {
             top.next(),
             author,
             Block::empty(),
-            dag.round_vertices(top).skip(rng.below(2) as usize).map(|v| v.digest()).collect(),
+            dag.round_vertices(top).skip(rng.below(2) as usize).map(|v| v.digest()).collect::<Vec<_>>(),
             &committee.keypair(author),
         );
 

@@ -10,6 +10,7 @@ use crate::codec::{encode_slice, Decoder, Encode};
 use crate::{Transaction, TypeError, ValidatorId};
 use hh_crypto::{Digest, Keypair, PublicKey, Sha256, Signature};
 use std::fmt;
+use std::sync::Arc;
 
 /// Domain-separation context for vertex signatures.
 const VERTEX_CONTEXT: &[u8] = b"hammerhead-vertex-v1";
@@ -163,7 +164,7 @@ pub struct Vertex {
     /// slice so that the allocation is exactly the digests: a proposer's
     /// list grown by doubling would otherwise ride along at up to twice
     /// its length for as long as any validator stores the vertex.
-    parents: std::sync::Arc<[Digest]>,
+    parents: Arc<[Digest]>,
     digest: Digest,
     signature: Signature,
     /// Memoized [`Vertex::verify`] outcome. The fields above are immutable
@@ -225,13 +226,16 @@ impl Vertex {
     ///
     /// The digest covers `(round, author, parents, block)`; the signature
     /// covers the digest under the vertex domain-separation context.
+    /// `parents` may be another vertex's [`Vertex::shared_parents`]: an
+    /// equal list shared is one allocation for both.
     pub fn new(
         round: Round,
         author: ValidatorId,
         block: Block,
-        parents: Vec<Digest>,
+        parents: impl Into<Arc<[Digest]>>,
         keypair: &Keypair,
     ) -> Self {
+        let parents = parents.into();
         let digest = Self::compute_digest(round, author, &block, &parents);
         let signature = keypair.sign(VERTEX_CONTEXT, digest.as_bytes());
         // Deliberately NOT pre-marked valid: `new` signs with whatever
@@ -242,7 +246,7 @@ impl Vertex {
             round,
             author,
             block,
-            parents: parents.into(),
+            parents,
             digest,
             signature,
             verify_cache: std::sync::atomic::AtomicU64::new(0),
@@ -307,6 +311,12 @@ impl Vertex {
 
     /// Edges to previous-round vertices (`v.edges`), as digests.
     pub fn parents(&self) -> &[Digest] {
+        &self.parents
+    }
+
+    /// The parent list's allocation, to hand [`Vertex::new`] for a vertex
+    /// with equal parents.
+    pub fn shared_parents(&self) -> &Arc<[Digest]> {
         &self.parents
     }
 
@@ -591,6 +601,22 @@ mod tests {
         for v in [&built, &decoded] {
             assert_eq!(parent_storage_bytes(v), 32 * v.parents().len());
         }
+    }
+
+    #[test]
+    fn an_equal_parent_list_is_shared_and_changes_no_byte() {
+        let a = sample_vertex();
+        let kp = keypair(3);
+        let build = |parents: Arc<[Digest]>| {
+            Vertex::new(a.round(), ValidatorId(3), Block::empty(), parents, &kp)
+        };
+        let shared = build(a.shared_parents().clone());
+        let fresh = build(a.parents().to_vec().into());
+        assert!(Arc::ptr_eq(a.shared_parents(), shared.shared_parents()));
+        assert!(!Arc::ptr_eq(a.shared_parents(), fresh.shared_parents()));
+        assert_eq!(shared.digest(), fresh.digest());
+        assert_eq!(shared.signature(), fresh.signature());
+        assert_eq!(encode_to_vec(&shared), encode_to_vec(&fresh));
     }
 
     #[test]

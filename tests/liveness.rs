@@ -2,7 +2,7 @@
 
 use hammerhead_repro::hammerhead::{HammerheadConfig, ScheduleConfig};
 use hammerhead_repro::hh_net::SimTime;
-use hammerhead_repro::hh_sim::{build_sim, ExperimentConfig, FaultSchedule, SystemKind};
+use hammerhead_repro::hh_sim::{build_sim, ExperimentConfig, FaultSchedule, SimHandle, SystemKind};
 
 #[test]
 fn commits_progress_after_gst() {
@@ -44,21 +44,37 @@ fn rounds_advance_with_maximum_faults() {
     }
 }
 
+/// A committee of `n` whose last `crashed` validators are down from t = 0,
+/// at 70 tx/s with HammerHead epochs of `period_rounds`, built and not yet
+/// run.
+fn crashed_from_start(
+    system: SystemKind,
+    n: usize,
+    crashed: usize,
+    period_rounds: u64,
+) -> SimHandle {
+    let mut config = ExperimentConfig::quick_test(system);
+    config.committee_size = n;
+    config.load_tps = 70;
+    config.faults = FaultSchedule::crash_last(n, crashed).expect("a valid crash spec");
+    if let ScheduleConfig::Hammerhead(hammerhead) = &mut config.validator.schedule {
+        hammerhead.period_rounds = period_rounds;
+    }
+    build_sim(&config)
+}
+
+/// Leader timeouts summed over the first `live` validators.
+fn leader_timeouts(handle: &SimHandle, live: usize) -> u64 {
+    (0..live).map(|i| handle.validator(i).metrics().leader_timeouts).sum()
+}
+
 #[test]
 fn leader_utilization_bound_holds() {
     // Lemma 6: HammerHead's skipped-leader-round count must not grow with
     // run length (crashed validators leave the schedule and stay out),
     // while the static baseline accumulates skips forever.
     let run = |system: SystemKind, secs: u64| -> u64 {
-        let mut config = ExperimentConfig::quick_test(system);
-        config.committee_size = 7;
-        config.duration_secs = secs;
-        config.load_tps = 70;
-        config.faults = FaultSchedule::crash_last(7, 2).expect("2 of 7 is a valid crash spec");
-        if let ScheduleConfig::Hammerhead(hammerhead) = &mut config.validator.schedule {
-            hammerhead.period_rounds = 6;
-        }
-        let mut handle = build_sim(&config);
+        let mut handle = crashed_from_start(system, 7, 2, 6);
         handle.sim.run_until(SimTime::from_secs(secs));
         let most_advanced =
             (0..5).map(|i| handle.validator(i)).max_by_key(|v| v.commit_count()).unwrap();
@@ -76,6 +92,50 @@ fn leader_utilization_bound_holds() {
     // (epoch-boundary effects), far below the baseline's growth.
     assert!(hh_long <= hh_short + 4, "hammerhead skips must plateau: {hh_short} -> {hh_long}");
     assert!(hh_long < bs_long, "hammerhead must skip fewer rounds overall");
+}
+
+#[test]
+fn no_leader_timeout_survives_the_first_switch() {
+    // Under crash faults from t = 0, HammerHead's every leader timeout
+    // falls before the first schedule switch, at the paper's 20-round
+    // epochs and at short ones: a crashed validator is not awaited once
+    // round 0 has closed, and it has no slot after the switch.
+    for (n, crashed, period_rounds) in [(7, 2, 20), (10, 3, 20), (7, 2, 6)] {
+        let live = n - crashed;
+        let mut handle = crashed_from_start(SystemKind::Hammerhead, n, crashed, period_rounds);
+        let mut t = 0;
+        while (0..live)
+            .any(|i| handle.validator(i).hammerhead_policy().unwrap().epoch_history().is_empty())
+        {
+            t += 10;
+            assert!(t < 10_000, "n = {n}: no first switch within 10 s");
+            handle.sim.run_until(SimTime::from_millis(t));
+        }
+        let at_switch = leader_timeouts(&handle, live);
+        handle.sim.run_until(SimTime::from_secs(12));
+        assert!(handle.validator(0).hammerhead_policy().unwrap().epoch_history().len() > 5);
+        assert_eq!(leader_timeouts(&handle, live), at_switch, "n = {n}: a timeout after {t} ms");
+    }
+}
+
+#[test]
+fn hammerhead_leader_timeouts_stop_while_round_robins_keep_growing() {
+    // Under HammerHead only rounds led by a crashed validator before round
+    // 0 closes wait out the timeout, at most two per live validator, however
+    // long epoch 0 is (the paper's 20 rounds here); round-robin waits out
+    // every crashed slot for as long as it runs.
+    let timeouts = |system: SystemKind, secs: u64| -> u64 {
+        let mut handle = crashed_from_start(system, 7, 2, 20);
+        handle.sim.run_until(SimTime::from_secs(secs));
+        leader_timeouts(&handle, 5)
+    };
+    let (hh_short, hh_long) =
+        (timeouts(SystemKind::Hammerhead, 6), timeouts(SystemKind::Hammerhead, 18));
+    assert_eq!(hh_short, hh_long);
+    assert!(hh_long <= 2 * 5, "{hh_long} timeouts");
+    let (bs_short, bs_long) =
+        (timeouts(SystemKind::Bullshark, 6), timeouts(SystemKind::Bullshark, 18));
+    assert!(bs_long >= bs_short * 2, "round-robin timeouts: {bs_short} -> {bs_long}");
 }
 
 #[test]
