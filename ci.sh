@@ -22,8 +22,9 @@
 # 26 MB, which only proposers sharing equal parent lists meet, and its
 # simulated median latency under 560 ms, which only a proposer that stops
 # awaiting leaders it has never heard from meets, and sim_n10_long (600
-# simulated seconds) under 50 MB and 275 ms, a ceiling only a timely
-# validator's own vertex ordering its transactions meets.
+# simulated seconds) under 38 MB, which only a log of about 2 B a record
+# meets, and 275 ms, a ceiling only a timely validator's own vertex
+# ordering its transactions meets.
 
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -164,10 +165,10 @@ bench sim_n100_f33
 ceiling target/ci-sim_n100_f33.txt peak_rss_mb 26
 ceiling target/ci-sim_n100_f33.txt sim_latency_p50_ms 560
 bench sim_n10_long
-# The paper-length run, two repetitions of it: about 44 MB and
-# 253.825 ms on seed 1 (302.403 while only the leader's vertex was an
-# anchor candidate).
-ceiling target/ci-sim_n10_long.txt peak_rss_mb 50
+# The paper-length run, two repetitions of it: about 32.2 MB (43.8 while
+# the log stored four varints a record) and 253.825 ms on seed 1
+# (302.403 while only the leader's vertex was an anchor candidate).
+ceiling target/ci-sim_n10_long.txt peak_rss_mb 38
 ceiling target/ci-sim_n10_long.txt sim_latency_p50_ms 275
 
 step "all green"

@@ -22,7 +22,8 @@
 //!   truncated or oversized length prefixes, CRC-corrupt payloads,
 //!   mid-frame disconnects, byte-at-a-time slow writes) can never panic a
 //!   peer thread or wedge the endpoint — the offending connection is
-//!   dropped, a counter ticks, and everything else keeps flowing;
+//!   dropped, a counter ticks, and everything else keeps flowing; so is
+//!   a connection the OS refuses a thread for;
 //! * outbound connections reconnect with capped exponential backoff, so a
 //!   peer that crashes and restarts is re-linked without operator action
 //!   — even on the same port: on Unix std's `TcpListener::bind` sets
@@ -38,7 +39,7 @@ use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -192,6 +193,9 @@ pub struct TcpStats {
     pub reconnects: AtomicU64,
     /// Messages dropped for lack of a route or a full writer queue.
     pub dropped: AtomicU64,
+    /// Inbound connections closed because the OS refused a thread to
+    /// serve them (their reader or their reply writer).
+    pub spawn_failures: AtomicU64,
 }
 
 impl TcpStats {
@@ -199,14 +203,16 @@ impl TcpStats {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Snapshot of (sent, received, decode_errors, reconnects, dropped).
-    pub fn snapshot(&self) -> (u64, u64, u64, u64, u64) {
+    /// Snapshot of (sent, received, decode_errors, reconnects, dropped,
+    /// spawn_failures).
+    pub fn snapshot(&self) -> (u64, u64, u64, u64, u64, u64) {
         (
             self.frames_sent.load(Ordering::Relaxed),
             self.frames_received.load(Ordering::Relaxed),
             self.decode_errors.load(Ordering::Relaxed),
             self.reconnects.load(Ordering::Relaxed),
             self.dropped.load(Ordering::Relaxed),
+            self.spawn_failures.load(Ordering::Relaxed),
         )
     }
 }
@@ -217,7 +223,15 @@ const WRITER_QUEUE: usize = 8192;
 
 /// Reply routes by handshake id. The `Arc` is the route's identity: the
 /// connection that installed it holds a clone to recognise it by.
-type SharedWriters = Arc<Mutex<HashMap<u16, Arc<SyncSender<Arc<[u8]>>>>>>;
+type Routes = HashMap<u16, Arc<SyncSender<Arc<[u8]>>>>;
+type SharedWriters = Arc<Mutex<Routes>>;
+
+/// Locks the reply routes. Every critical section is a single map
+/// operation, so a thread that panicked holding the lock left the map
+/// whole, and a poisoned lock is used as it is.
+fn routes(writers: &SharedWriters) -> MutexGuard<'_, Routes> {
+    writers.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A running framed-TCP endpoint.
 ///
@@ -240,47 +254,50 @@ impl<M: WireCodec> TcpTransport<M> {
     /// Binds the listener and spawns the acceptor and per-peer writer
     /// threads. Returns as soon as the listener is live; outbound
     /// connections are established (and re-established) in the background.
+    /// A thread the OS refuses stops whatever had started and is returned
+    /// as the error.
     pub fn start(cfg: TcpConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(cfg.bind)?;
-        let local_addr = listener.local_addr()?;
         let (events_tx, events_rx) = unbounded();
-        let stats = Arc::new(TcpStats::default());
-        let running = Arc::new(AtomicBool::new(true));
-        let inbound_writers: SharedWriters = Arc::new(Mutex::new(HashMap::new()));
-        let mut handles = Vec::new();
+        let mut transport = TcpTransport {
+            id: cfg.id,
+            local_addr: listener.local_addr()?,
+            events_rx,
+            peer_tx: HashMap::new(),
+            inbound_writers: Arc::new(Mutex::new(HashMap::new())),
+            stats: Arc::new(TcpStats::default()),
+            running: Arc::new(AtomicBool::new(true)),
+            handles: Vec::new(),
+        };
 
         // Acceptor.
-        {
-            let events_tx = events_tx.clone();
-            let stats = Arc::clone(&stats);
-            let running = Arc::clone(&running);
-            let inbound_writers = Arc::clone(&inbound_writers);
-            handles.push(thread::spawn(move || {
-                accept_loop(listener, events_tx, stats, running, inbound_writers);
-            }));
-        }
+        let stats = Arc::clone(&transport.stats);
+        let running = Arc::clone(&transport.running);
+        let inbound_writers = Arc::clone(&transport.inbound_writers);
+        transport.handles.push(thread::Builder::new().spawn(move || {
+            accept_loop(listener, events_tx, stats, running, inbound_writers);
+        })?);
 
         // One outbound writer per peer.
-        let mut peer_tx = HashMap::new();
         for &(peer, addr) in cfg.peers.iter().filter(|&&(p, _)| p != cfg.id) {
             let (tx, rx) = bounded::<Arc<[u8]>>(WRITER_QUEUE);
-            peer_tx.insert(peer, tx);
-            let stats = Arc::clone(&stats);
-            let running = Arc::clone(&running);
+            let stats = Arc::clone(&transport.stats);
+            let running = Arc::clone(&transport.running);
             let own_id = cfg.id;
-            handles.push(thread::spawn(move || outbound_loop(own_id, addr, rx, stats, running)));
+            match thread::Builder::new()
+                .spawn(move || outbound_loop(own_id, addr, rx, stats, running))
+            {
+                Ok(handle) => {
+                    transport.peer_tx.insert(peer, tx);
+                    transport.handles.push(handle);
+                }
+                Err(e) => {
+                    transport.shutdown();
+                    return Err(e);
+                }
+            }
         }
-
-        Ok(TcpTransport {
-            id: cfg.id,
-            local_addr,
-            events_rx,
-            peer_tx,
-            inbound_writers,
-            stats,
-            running,
-            handles,
-        })
+        Ok(transport)
     }
 
     /// This endpoint's id.
@@ -315,7 +332,7 @@ impl<M: WireCodec> TcpTransport<M> {
     fn send_raw(&self, to: u16, frame: Arc<[u8]>) {
         let sent = if let Some(tx) = self.peer_tx.get(&to) {
             enqueue(tx, frame)
-        } else if let Some(tx) = self.inbound_writers.lock().expect("writer registry").get(&to) {
+        } else if let Some(tx) = routes(&self.inbound_writers).get(&to) {
             enqueue(tx, frame)
         } else {
             false
@@ -340,7 +357,7 @@ impl<M: WireCodec> TcpTransport<M> {
     pub fn shutdown(mut self) {
         self.running.store(false, Ordering::SeqCst);
         self.peer_tx.clear();
-        self.inbound_writers.lock().expect("writer registry").clear();
+        routes(&self.inbound_writers).clear();
         // Unblock the acceptor with a throwaway connection.
         let _ = TcpStream::connect_timeout(&self.local_addr, Duration::from_millis(200));
         for handle in self.handles.drain(..) {
@@ -372,12 +389,18 @@ fn accept_loop<M: WireCodec>(
             return;
         }
         let events_tx = events_tx.clone();
-        let stats = Arc::clone(&stats);
+        let conn_stats = Arc::clone(&stats);
         let running = Arc::clone(&running);
         let inbound_writers = Arc::clone(&inbound_writers);
-        thread::spawn(move || {
-            inbound_connection(stream, events_tx, stats, running, inbound_writers);
+        let spawned = thread::Builder::new().spawn(move || {
+            inbound_connection(stream, events_tx, conn_stats, running, inbound_writers);
         });
+        // A peer opening connections can exhaust the OS's threads: the
+        // refused closure took the stream with it, so the connection is
+        // closed, and the node keeps going.
+        if spawned.is_err() {
+            TcpStats::bump(&stats.spawn_failures);
+        }
     }
 }
 
@@ -410,18 +433,26 @@ fn inbound_connection<M: WireCodec>(
     // never block the owner. Last handshake for an id wins (a reconnecting
     // client replaces its dead route).
     let (writer_tx, writer_rx) = bounded::<Arc<[u8]>>(WRITER_QUEUE);
-    let write_half = stream.try_clone().ok();
-    let writer_handle = write_half.map(|mut half| {
-        thread::spawn(move || {
+    let mut writer_handle = None;
+    if let Ok(mut half) = stream.try_clone() {
+        let spawned = thread::Builder::new().spawn(move || {
             while let Ok(frame) = writer_rx.recv() {
                 if write_frame(&mut half, &frame).is_err() {
                     return;
                 }
             }
-        })
-    });
+        });
+        match spawned {
+            Ok(handle) => writer_handle = Some(handle),
+            Err(_) => {
+                // No thread to reply with: close the connection unannounced.
+                TcpStats::bump(&stats.spawn_failures);
+                return;
+            }
+        }
+    }
     let writer_tx = Arc::new(writer_tx);
-    inbound_writers.lock().expect("writer registry").insert(from, Arc::clone(&writer_tx));
+    routes(&inbound_writers).insert(from, Arc::clone(&writer_tx));
     let _ = events_tx.send(TcpEvent::Connected { from });
 
     loop {
@@ -455,7 +486,7 @@ fn inbound_connection<M: WireCodec>(
     // Only unregister our own route: a reconnect may already have
     // installed a fresh one under the same id.
     {
-        let mut writers = inbound_writers.lock().expect("writer registry");
+        let mut writers = routes(&inbound_writers);
         if writers.get(&from).is_some_and(|route| Arc::ptr_eq(route, &writer_tx)) {
             writers.remove(&from);
         }
@@ -659,6 +690,32 @@ mod tests {
         assert_eq!(node.stats().dropped.load(Ordering::Relaxed), 0, "the new route is gone");
         new.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
         let payload = read_frame(&mut new).expect("reply on the second socket");
+        assert_eq!(TestMsg::decode_frame(&payload).expect("decode"), TestMsg(8));
+        node.shutdown();
+    }
+
+    #[test]
+    fn a_poisoned_writer_registry_still_routes_and_shuts_down() {
+        let node = transport(0, vec![]);
+        let mut sock = TcpStream::connect(node.local_addr()).expect("connect");
+        write_handshake(&mut sock, 100).expect("handshake");
+        while !matches!(
+            node.events().recv_timeout(Duration::from_secs(5)).expect("no Connected event"),
+            TcpEvent::Connected { from: 100 }
+        ) {}
+        // A thread that panics holding the lock poisons it.
+        let registry = Arc::clone(&node.inbound_writers);
+        let _ = thread::spawn(move || {
+            let _held = registry.lock();
+            panic!("poisoning the writer registry on purpose");
+        })
+        .join();
+        assert!(node.inbound_writers.is_poisoned());
+
+        node.send(100, &TestMsg(8));
+        assert_eq!(node.stats().dropped.load(Ordering::Relaxed), 0, "the route is gone");
+        sock.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+        let payload = read_frame(&mut sock).expect("reply");
         assert_eq!(TestMsg::decode_frame(&payload).expect("decode"), TestMsg(8));
         node.shutdown();
     }

@@ -55,21 +55,19 @@ pub struct NodeReport {
 /// Watches stdin on a helper thread; flips `stop` on EOF or a
 /// `shutdown` line. The thread never needs joining: once `stop` is set
 /// its work is done, and process exit reaps it.
-fn watch_stdin(stop: Arc<AtomicBool>) {
-    std::thread::Builder::new()
-        .name("hh-node-stdin".into())
-        .spawn(move || {
-            let stdin = std::io::stdin();
-            for line in stdin.lock().lines() {
-                match line {
-                    Ok(l) if l.trim() == "shutdown" => break,
-                    Ok(_) => continue,
-                    Err(_) => break,
-                }
+fn watch_stdin(stop: Arc<AtomicBool>) -> std::io::Result<()> {
+    std::thread::Builder::new().name("hh-node-stdin".into()).spawn(move || {
+        let stdin = std::io::stdin();
+        for line in stdin.lock().lines() {
+            match line {
+                Ok(l) if l.trim() == "shutdown" => break,
+                Ok(_) => continue,
+                Err(_) => break,
             }
-            stop.store(true, Ordering::SeqCst);
-        })
-        .expect("spawn stdin watcher");
+        }
+        stop.store(true, Ordering::SeqCst);
+    })?;
+    Ok(())
 }
 
 /// Most events one wake-up handles before the loop looks at its timers,
@@ -99,8 +97,8 @@ fn drain_burst<T>(first: T, events: &Receiver<T>, mut handle: impl FnMut(T) -> b
 ///
 /// # Errors
 ///
-/// Returns a description of a boot failure (WAL or socket) or of the
-/// storage error that halted the validator.
+/// Returns a description of a boot failure (WAL, socket or the stdin
+/// watcher's thread) or of the storage error that halted the validator.
 pub fn run_node(cfg: &NodeConfig) -> Result<NodeReport, String> {
     cfg.validate()?;
     let backend =
@@ -117,7 +115,10 @@ pub fn run_node(cfg: &NodeConfig) -> Result<NodeReport, String> {
         .map_err(|e| format!("bind {}: {e}", cfg.peers[cfg.id as usize]))?;
 
     let stop = Arc::new(AtomicBool::new(false));
-    watch_stdin(stop.clone());
+    if let Err(e) = watch_stdin(stop.clone()) {
+        transport.shutdown();
+        return Err(format!("spawn stdin watcher: {e}"));
+    }
 
     let start = Instant::now();
     let now_us = |start: &Instant| start.elapsed().as_micros() as u64;

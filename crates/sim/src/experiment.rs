@@ -484,9 +484,9 @@ pub fn run_sim(config: &ExperimentConfig, limit: RunLimit) -> (SimHandle, RunRes
 /// by hand with [`build_sim`] and [`Simulator::run_until`] — up to
 /// `end_us`.
 ///
-/// Every validator keeps the latency records of its whole run (about 9 B
-/// each). The ones that count are those of the validators live at
-/// `end_us` — a run stopped before a scheduled crash counts that
+/// Every validator keeps the latency records of its whole run (two to
+/// four bytes each). The ones that count are those of the validators
+/// live at `end_us` — a run stopped before a scheduled crash counts that
 /// (never-crashed) validator — that executed at or before it; the rest
 /// never reached finality inside the run. The run counters and the
 /// safety verdict come from the same handle.

@@ -35,6 +35,118 @@ fn arb_exec_record() -> impl Strategy<Value = ExecRecord> {
     )
 }
 
+/// How a commit's records may leave the execution pipeline's pattern,
+/// from one record on.
+#[derive(Clone, Copy, Debug)]
+enum Twist {
+    /// The records from here on are this many µs apart.
+    Stride(u64),
+    /// The transactions from here on are this many bytes long.
+    Size(u32),
+    /// This record was submitted this long (wrapping) after the last.
+    Jump(u64),
+    /// This record was submitted at exactly this instant.
+    Edge(u64),
+}
+
+fn arb_twist() -> impl Strategy<Value = Twist> {
+    // Jumps of ±2⁶² and ±2⁶³ and their neighbours, where the zigzag code
+    // of a submission difference crosses 2⁶³ and the flag bit no longer
+    // fits beside it.
+    let jumps: [u64; 5] = [1 << 62, (1 << 62) + 1, 1 << 63, (1 << 63) - 1, (1 << 63) + 1];
+    (0u8..4, 1u64..5_000, any::<u32>(), (0usize..5, any::<bool>()), arb_edge_u64()).prop_map(
+        move |(pick, stride, size, (jump, negate), edge)| match pick {
+            0 => Twist::Stride(stride),
+            1 => Twist::Size(size),
+            2 => Twist::Jump(if negate { jumps[jump].wrapping_neg() } else { jumps[jump] }),
+            _ => Twist::Edge(edge),
+        },
+    )
+}
+
+/// One commit as `Validator::on_commit` logs it: records sharing
+/// `committed_at`, executed `stride` µs apart from `backlog` after it,
+/// `bytes` long, each submitted its `submit_steps` entry after the last;
+/// and a twist at one record.
+#[derive(Clone, Debug)]
+struct Commit {
+    gap: u64,
+    backlog: u64,
+    stride: u64,
+    bytes: u32,
+    submit_steps: Vec<i64>,
+    twist: Option<(usize, Twist)>,
+}
+
+fn arb_commit() -> impl Strategy<Value = Commit> {
+    (
+        (0u64..500_000, 0u64..1_000_000, 1u64..5_000),
+        (0u8..3, 0u32..64).prop_map(|(pick, b)| [20, 32, b][pick as usize]),
+        proptest::collection::vec((0u64..8_000).prop_map(|s| s as i64 - 4_000), 1..61),
+        (any::<bool>(), any::<usize>(), arb_twist()),
+    )
+        .prop_map(|((gap, backlog, stride), bytes, submit_steps, (twisted, at, twist))| {
+            Commit {
+                gap,
+                backlog,
+                stride,
+                bytes,
+                submit_steps,
+                twist: twisted.then_some((at, twist)),
+            }
+        })
+}
+
+/// The records `commits` log, in push order, with their twists when
+/// `twisted`.
+fn protocol_stream(commits: &[Commit], twisted: bool) -> Vec<ExecRecord> {
+    let (mut committed_at, mut submitted_at) = (0u64, 0u64);
+    let mut recs = Vec::new();
+    for c in commits {
+        committed_at = committed_at.wrapping_add(c.gap);
+        let (mut stride, mut bytes) = (c.stride, c.bytes);
+        let mut executed_at = committed_at.wrapping_add(c.backlog).wrapping_sub(stride);
+        let twist = c.twist.filter(|_| twisted).map(|(at, t)| (at % c.submit_steps.len(), t));
+        for (i, &step) in c.submit_steps.iter().enumerate() {
+            submitted_at = submitted_at.wrapping_add_signed(step);
+            match twist {
+                Some((at, Twist::Stride(s))) if at == i => stride = s,
+                Some((at, Twist::Size(b))) if at == i => bytes = b,
+                Some((at, Twist::Jump(j))) if at == i => {
+                    submitted_at = submitted_at.wrapping_add(j)
+                }
+                Some((at, Twist::Edge(t))) if at == i => submitted_at = t,
+                _ => {}
+            }
+            executed_at = executed_at.wrapping_add(stride);
+            recs.push(ExecRecord { submitted_at, committed_at, executed_at, bytes });
+        }
+    }
+    recs
+}
+
+/// Pushes `recs` into a log, takes it at `cut` and pushes the rest into
+/// the log that goes on: each of the two must decode alone to what went
+/// into it (at `cut == len` the second is empty).
+fn assert_take_round_trips(recs: &[ExecRecord], cut: usize) {
+    let (before, after) = recs.split_at(cut % (recs.len() + 1));
+    let mut log = ExecLog::default();
+    for &rec in before {
+        log.push(rec);
+    }
+    let taken = std::mem::take(&mut log);
+    assert!(log.is_empty());
+    for &rec in after {
+        log.push(rec);
+    }
+    for (log, pushed) in [(&taken, before), (&log, after)] {
+        assert_eq!(log.len(), pushed.len());
+        assert_eq!(log.is_empty(), pushed.is_empty());
+        assert_eq!(log.iter().collect::<Vec<_>>(), pushed);
+        assert_eq!(log.into_iter().collect::<Vec<_>>(), pushed);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -43,24 +155,32 @@ proptest! {
         recs in proptest::collection::vec(arb_exec_record(), 0..200),
         cut in any::<usize>(),
     ) {
-        // Push, take, push on: the taken log and the one that goes on
-        // after it each decode alone (at `cut == len` that is one log).
-        let (before, after) = recs.split_at(cut % (recs.len() + 1));
+        assert_take_round_trips(&recs, cut);
+    }
+
+    #[test]
+    fn exec_log_predicts_the_protocols_stream_and_yields_what_was_pushed(
+        commits in proptest::collection::vec(arb_commit(), 24..40),
+        cut in any::<usize>(),
+    ) {
+        // The pipeline's own pattern: after the first record or two of a
+        // commit every record is regular, one varint of at most two bytes,
+        // and a commit's first two cost at most 24 B between them: L
+        // records take at most 2L + 20 B, under 4 B a record whenever
+        // commits average over 10 records (these average 30.5).
+        let shaped = protocol_stream(&commits, false);
         let mut log = ExecLog::default();
-        for &rec in before {
+        for &rec in &shaped {
             log.push(rec);
         }
-        let taken = std::mem::take(&mut log);
-        prop_assert!(log.is_empty());
-        for &rec in after {
-            log.push(rec);
-        }
-        for (log, pushed) in [(&taken, before), (&log, after)] {
-            prop_assert_eq!(log.len(), pushed.len());
-            prop_assert_eq!(log.is_empty(), pushed.is_empty());
-            prop_assert_eq!(log.iter().collect::<Vec<_>>(), pushed);
-            prop_assert_eq!(log.into_iter().collect::<Vec<_>>(), pushed);
-        }
+        prop_assert_eq!(log.iter().collect::<Vec<_>>(), shaped);
+        prop_assert!(
+            log.encoded_bytes() < 4 * log.len(),
+            "{} B for {} records", log.encoded_bytes(), log.len()
+        );
+        // Strides and sizes changing inside a commit, submission times
+        // jumping by ±2⁶³ or landing on the edges, and a take anywhere.
+        assert_take_round_trips(&protocol_stream(&commits, true), cut);
     }
 
     #[test]
