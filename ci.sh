@@ -19,7 +19,8 @@
 # report byte-identical, and a benchmark gate that unit-tests the
 # perfbench package against the workspace's crates and requires two
 # correct 2-second runs: sim_n100_f33 with its peak resident set under
-# 26 MB, which only proposers sharing equal parent lists meet, and its
+# 20 MB, which only a DAG whose round index is its only index (no digest
+# table beside it) meets, and its
 # simulated median latency under 560 ms, which only a proposer that stops
 # awaiting leaders it has never heard from meets, and sim_n10_long (600
 # simulated seconds) under 38 MB, which only a log of about 2 B a record
@@ -119,8 +120,10 @@ step "docs: nothing refers to a deleted path, knob, module or type, or to a DESI
 # fault families, S0's seed is a constant, std's TcpListener::bind sets
 # SO_REUSEADDR, the validator has one wake token, the commit engine records
 # the leader slots it decided skip, and a restart checks that its replay
-# passes through the checkpointed commit count and chain hash.
-if git grep -nE 'hotpath_smoke|BENCH_hotpath|hh[-_]bench|threaded::|threaded_demo|vendor/criterion|DESIGN\.md|swap_from_base|core/src/monitor|hammerhead::monitor|FaultPlan|ChaosPlan|SlowdownSpec|PartitionSpec|ChaosWindow|ChaosScope|KvStore|SerialExecutor|PooledExecutor|hh-cli testnet|StaticLeaderPolicy|TimeSeries|validate_workload|rbc_sender|audit_safety|derive_validator_config|schedule_override|flat_latency_ms|NetworkSpec|missing_index|missing_count|workload_declared|run_sim_streaming|run_sim_limited|run_experiment_limited|collect_streamed_metrics|ChaosRow|schedule_seed|bind_reusable|TOKEN_LEADER|drain_exec_records|with_window|ExclusionSpec::Stake|payload-bytes|chain_hash_prefix|hh_consensus::passed_over_candidates' \
+# passes through the checkpointed commit count and chain hash, and the DAG
+# resolves a parent in the round below (no digest table, no wrong-round
+# error, no separate missing-parent scan, no digest-keyed ordered lookup).
+if git grep -nE 'hotpath_smoke|BENCH_hotpath|hh[-_]bench|threaded::|threaded_demo|vendor/criterion|DESIGN\.md|swap_from_base|core/src/monitor|hammerhead::monitor|FaultPlan|ChaosPlan|SlowdownSpec|PartitionSpec|ChaosWindow|ChaosScope|KvStore|SerialExecutor|PooledExecutor|hh-cli testnet|StaticLeaderPolicy|TimeSeries|validate_workload|rbc_sender|audit_safety|derive_validator_config|schedule_override|flat_latency_ms|NetworkSpec|missing_index|missing_count|workload_declared|run_sim_streaming|run_sim_limited|run_experiment_limited|collect_streamed_metrics|ChaosRow|schedule_seed|bind_reusable|TOKEN_LEADER|drain_exec_records|with_window|ExclusionSpec::Stake|payload-bytes|chain_hash_prefix|hh_consensus::passed_over_candidates|ByDigest|contains_digest|WrongParentRound|missing_from\(' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!ci.sh' ':!perfbench'; then
     echo "dangling reference to a deleted path"
     exit 1
@@ -159,10 +162,11 @@ ceiling() {
 # speed, and the simulated median latency is seed-exact, so one ceiling
 # each holds on any host.
 bench sim_n100_f33
-# About 22.4 MB and 511 ms on seed 1 (30.0 MB and 799.125 ms while every
+# About 17.5 MB and 511 ms on seed 1 (22.3 MB while every DAG kept a
+# digest table beside its round index; 30.0 MB and 799.125 ms while every
 # proposer kept its own parent list and leaders crashed from t = 0 were
 # awaited through epoch 0).
-ceiling target/ci-sim_n100_f33.txt peak_rss_mb 26
+ceiling target/ci-sim_n100_f33.txt peak_rss_mb 20
 ceiling target/ci-sim_n100_f33.txt sim_latency_p50_ms 560
 bench sim_n10_long
 # The paper-length run, two repetitions of it: about 32.2 MB (43.8 while

@@ -258,7 +258,7 @@ impl<P: SchedulePolicy> Bullshark<P> {
         // Votes are read off the voting round's parent masks, one bit per
         // author, over the whole local DAG: once they exist, whoever looks
         // finds them.
-        let votes = || vertex.map_or(Stake(0), |v| dag.vote_stake(&v.digest()));
+        let votes = || vertex.map_or(Stake(0), |v| dag.vote_stake(v));
         if leads {
             if let Some(v) = vertex.filter(|_| votes() >= self.committee.validity_threshold()) {
                 return Decision::Commit(v);
@@ -407,11 +407,7 @@ impl<P: SchedulePolicy> Bullshark<P> {
             let history = if ordered.contains_all(anchor.round().prev(), anchor.parent_authors()) {
                 vec![Arc::clone(anchor)]
             } else {
-                dag.causal_sub_dag_with(
-                    anchor,
-                    |d| ordered.contains_digest(dag, d),
-                    &mut self.scratch,
-                )
+                dag.causal_sub_dag_with(anchor, |v| ordered.contains(v), &mut self.scratch)
             };
             for v in &history {
                 self.ordered.insert(v);

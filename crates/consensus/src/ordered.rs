@@ -1,7 +1,5 @@
 //! The set of ordered (delivered) vertices, addressed the way the DAG is.
 
-use hh_crypto::Digest;
-use hh_dag::Dag;
 use hh_types::{Round, Vertex};
 use std::collections::VecDeque;
 
@@ -37,15 +35,10 @@ impl OrderedSet {
     }
 
     /// Whether the vertex stored at `v`'s `(round, author)` has been
-    /// ordered. Meaningful for DAG-resident vertices.
+    /// ordered. Meaningful for DAG-resident vertices, which is all
+    /// `Dag::causal_sub_dag_with` asks about (`|v| ordered.contains(v)`).
     pub fn contains(&self, v: &Vertex) -> bool {
         self.slot(v).and_then(|(word, bit)| Some(self.masks.get(word)? & bit != 0)).unwrap_or(false)
-    }
-
-    /// [`OrderedSet::contains`] for the DAG-resident vertex with this
-    /// digest — the predicate form [`Dag::causal_sub_dag_with`] takes.
-    pub fn contains_digest(&self, dag: &Dag, digest: &Digest) -> bool {
-        dag.get(digest).is_some_and(|v| self.contains(v))
     }
 
     /// Whether the `round` vertices of every author in the committee mask

@@ -412,11 +412,7 @@ fn slot_oracle<P: SchedulePolicy>(dag: &Dag, mut policy: P, earned_direct: Stake
             }
             let mut vertices = Vec::new();
             for anchor in &anchors {
-                for v in dag.causal_sub_dag_with(
-                    anchor,
-                    |d| ordered.contains_digest(dag, d),
-                    &mut scratch,
-                ) {
+                for v in dag.causal_sub_dag_with(anchor, |v| ordered.contains(v), &mut scratch) {
                     ordered.insert(&v);
                     policy.on_vertex_ordered(&v, dag, &ordered);
                     vertices.push(v.digest());
@@ -444,9 +440,9 @@ fn leader_oracle<P: SchedulePolicy>(dag: &Dag, mut policy: P) -> Vec<Commit> {
     let mut instance_start = 0u64;
     let candidate = |r: u64, policy: &P| dag.vertex_by_author(Round(r), policy.leader_at(Round(r)));
     loop {
-        let direct = (instance_start..=top).step_by(2).find(|r| {
-            candidate(*r, &policy).is_some_and(|a| dag.vote_stake(&a.digest()) >= threshold)
-        });
+        let direct = (instance_start..=top)
+            .step_by(2)
+            .find(|r| candidate(*r, &policy).is_some_and(|a| dag.vote_stake(a) >= threshold));
         let Some(direct) = direct else {
             return commits;
         };
@@ -461,8 +457,7 @@ fn leader_oracle<P: SchedulePolicy>(dag: &Dag, mut policy: P) -> Vec<Commit> {
         if policy.before_order_anchor(earliest, dag, &ordered) == ScheduleDecision::Switched {
             continue;
         }
-        let vertices =
-            dag.causal_sub_dag_with(earliest, |d| ordered.contains_digest(dag, d), &mut scratch);
+        let vertices = dag.causal_sub_dag_with(earliest, |v| ordered.contains(v), &mut scratch);
         for v in &vertices {
             ordered.insert(v);
             policy.on_vertex_ordered(v, dag, &ordered);
@@ -634,9 +629,9 @@ fn split_vote_dag() -> (Committee, Dag, Arc<Vertex>) {
 #[test]
 fn an_earned_candidate_with_f_plus_1_votes_waits_for_the_anchor_in_any_order() {
     let (c, full, late_voter) = split_vote_dag();
-    let candidate = full.vertex_by_author(Round(2), ValidatorId(3)).unwrap().digest();
-    assert_eq!(full.vote_stake(&candidate), c.validity_threshold());
-    assert!(full.vote_stake(&candidate) < c.quorum_threshold());
+    let candidate = full.vertex_by_author(Round(2), ValidatorId(3)).unwrap();
+    assert_eq!(full.vote_stake(candidate), c.validity_threshold());
+    assert!(full.vote_stake(candidate) < c.quorum_threshold());
 
     // Order A: (round, author); v0's round-3 vote arrives before round 4.
     // Order B: the same with that vote last.
@@ -663,7 +658,7 @@ fn an_earned_candidate_with_f_plus_1_votes_waits_for_the_anchor_in_any_order() {
             }
         }
         // The anchor holds one vote for v3's vertex in its history: skip.
-        assert!(run.commits[2].1.iter().all(|d| *d != candidate));
+        assert!(run.commits[2].1.iter().all(|d| *d != candidate.digest()));
         assert_eq!(run.commits, slot_oracle(&full, Everyone::new(&c, &[3]), c.quorum_threshold()));
         ends.push(run.commits);
     }

@@ -31,7 +31,7 @@ use hh_consensus::{
     Bullshark, CommittedSubDag, RoundRobinPolicy, ScheduleDecision, SchedulePolicy, SlotSchedule,
 };
 use hh_crypto::{Digest, Keypair};
-use hh_dag::{Dag, EvidenceLedger};
+use hh_dag::{Dag, EvidenceLedger, InsertOutcome};
 use hh_rbc::{Rbc, RbcMessage};
 use hh_storage::{LogBackend, ValidatorStore};
 use hh_types::codec::{Decoder, Encode, EncodeExt};
@@ -794,9 +794,10 @@ impl<B: LogBackend> Validator<B> {
             };
             let mut reached = at_checkpoint(&self.engine);
             for vertex in recovered.vertices {
-                let digest = vertex.digest();
-                if self.dag.try_insert(vertex).is_ok() {
-                    let vertex = self.dag.get(&digest).expect("just inserted").clone();
+                // The log holds each digest once, so a fresh DAG stores this
+                // very allocation.
+                let vertex = Arc::new(vertex);
+                if self.dag.try_insert_arc(vertex.clone()) == Ok(InsertOutcome::Inserted) {
                     if vertex.author() == self.id {
                         self.uncommitted_txs += vertex.block().len() as u64;
                         if vertex.round() >= self.next_round {

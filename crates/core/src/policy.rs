@@ -265,11 +265,8 @@ impl SchedulePolicy for HammerheadPolicy {
             // The indexed walk already emits canonically — ascending
             // (round, author) — so the votes accumulate in deterministic
             // order with no sorting and no vertex clones.
-            let pending = dag.causal_sub_dag_with(
-                anchor,
-                |d| ordered.contains_digest(dag, d),
-                &mut self.scratch,
-            );
+            let pending =
+                dag.causal_sub_dag_with(anchor, |v| ordered.contains(v), &mut self.scratch);
             for v in pending.iter().filter(|v| v.digest() != anchor.digest()) {
                 self.accumulate_vote(v, dag);
             }

@@ -10,9 +10,10 @@
 //!   `(round, author)` — insertion enforces one per address — and each
 //!   carries one committee bitmask of its parents' authors, stored with
 //!   the vertex by the first DAG to resolve them and read by every DAG
-//!   holding the same allocation; lookup by
-//!   digest survives only at the boundary, as a set of the stored
-//!   pointers keyed by the digest each vertex carries;
+//!   holding the same allocation. There is no digest-keyed table: a
+//!   parent is resolved inside the round below, with one forward pass
+//!   over its author slots, and [`Dag::find_all`] serves the rare lookup
+//!   by digest alone, a set of digests per scan of the retained rounds;
 //! * reachability ([`Dag::reachable`], the paper's `path(v, u)`) — one
 //!   frontier-mask descent, a round per step;
 //! * causal histories ([`Dag::causal_history`], [`Dag::causal_sub_dag`],

@@ -8,18 +8,19 @@
 //! by the first DAG that resolves its parents, and every DAG holding the
 //! same allocation reads it there. Every traversal ORs those masks level
 //! by level and resolves authors through the round index, and a vertex's
-//! votes are read off the masks of the round above. Lookup by digest survives
-//! only at the boundary (wire messages identify vertices by digest), as a
-//! set of the same `Arc`s hashed by the digest each vertex carries. See
-//! `docs/architecture.md` ("DAG indexing & complexity") for the complexity
-//! table.
+//! votes are read off the masks of the round above. A digest is resolved
+//! only at the boundary (wire messages and parent lists identify vertices
+//! by digest), inside the round it has to live in: validity puts every
+//! parent in the round below, so insertion finds each one with a forward
+//! pass over that round's author slots, and no digest-keyed table exists.
+//! The lookup by digest alone, [`Dag::find_all`], answers a set of digests
+//! with one scan of the retained rounds from the newest down. See `docs/architecture.md` ("DAG indexing &
+//! complexity") for the complexity table.
 
 use hh_crypto::Digest;
-use hh_types::{Committee, DigestHasher, Round, Stake, TypeError, ValidatorId, Vertex};
-use std::borrow::Borrow;
-use std::collections::{BTreeMap, HashSet};
+use hh_types::{Committee, DigestMap, DigestSet, Round, Stake, TypeError, ValidatorId, Vertex};
+use std::collections::BTreeMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
@@ -28,18 +29,11 @@ use std::sync::Arc;
 pub enum DagError {
     /// The author is not a committee member.
     UnknownAuthor(ValidatorId),
-    /// One or more parents are not in the DAG yet. The caller (the broadcast
-    /// layer) should fetch them and retry; the missing digests are listed.
+    /// One or more parents are not in the round below yet. The caller (the
+    /// broadcast layer) should fetch them and retry; the missing digests are
+    /// listed in parent order. A parent stored in any other round counts as
+    /// missing: validity allows it nowhere but the round below.
     MissingParents(Vec<Digest>),
-    /// A parent is present but lives in the wrong round.
-    WrongParentRound {
-        /// The inserted vertex's round.
-        round: Round,
-        /// The misplaced parent.
-        parent: Digest,
-        /// The round that parent actually occupies.
-        parent_round: Round,
-    },
     /// The parents carry less than quorum stake.
     InsufficientParentStake {
         /// Stake carried by the vertex's parents.
@@ -49,8 +43,8 @@ pub enum DagError {
     },
     /// The parents list contains a duplicate digest or duplicate author.
     DuplicateParents,
-    /// A non-genesis vertex carries no parents, or a genesis vertex carries
-    /// some.
+    /// A non-genesis vertex carries no parents or more than the committee
+    /// has validators, or a genesis vertex carries some.
     MalformedParents(&'static str),
     /// The vertex's round is below the garbage-collection horizon.
     BelowGc {
@@ -76,9 +70,6 @@ impl fmt::Display for DagError {
         match self {
             DagError::UnknownAuthor(id) => write!(f, "unknown author {id}"),
             DagError::MissingParents(p) => write!(f, "{} parents missing from the dag", p.len()),
-            DagError::WrongParentRound { round, parent, parent_round } => {
-                write!(f, "parent {parent} of round-{round} vertex lives in round {parent_round}")
-            }
             DagError::InsufficientParentStake { have, need } => {
                 write!(f, "parent stake {have} below quorum {need}")
             }
@@ -176,34 +167,6 @@ impl DerefMut for MaskBuf {
     }
 }
 
-/// A stored vertex as an entry of the digest table: hashed and compared by
-/// the digest the vertex carries, so the table holds one pointer per
-/// vertex and no copy of the key. `Borrow<Digest>` lets the set be probed
-/// with a bare digest; that is sound because `Hash` and `Eq` here are
-/// exactly `Digest`'s.
-#[derive(Clone, Debug)]
-struct ByDigest(Arc<Vertex>);
-
-impl Borrow<Digest> for ByDigest {
-    fn borrow(&self) -> &Digest {
-        self.0.digest_ref()
-    }
-}
-
-impl Hash for ByDigest {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.0.digest_ref().hash(state);
-    }
-}
-
-impl PartialEq for ByDigest {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.digest_ref() == other.0.digest_ref()
-    }
-}
-
-impl Eq for ByDigest {}
-
 /// One round of the DAG, indexed by author position: one pointer per
 /// author slot is all a vertex costs this DAG beyond its shared payload.
 #[derive(Clone, Debug)]
@@ -225,6 +188,36 @@ impl RoundIndex {
     fn parent_mask(&self, author: usize) -> &[u64] {
         self.vertices[author].as_deref().map_or(&[], Vertex::parent_authors)
     }
+
+    /// The author slot of the vertex with `digest`, probing from slot `from`
+    /// (`from ≤ n`) to the last and then wrapping around to the first: at
+    /// most `n` probes, and one when `digest` is the next stored vertex.
+    fn position(&self, digest: &Digest, from: usize) -> Option<usize> {
+        let holds =
+            |slot: &Option<Arc<Vertex>>| slot.as_deref().is_some_and(|v| v.digest_ref() == digest);
+        let (wrapped, ahead) = self.vertices.split_at(from);
+        ahead.iter().position(holds).map(|i| from + i).or_else(|| wrapped.iter().position(holds))
+    }
+}
+
+/// Resolves each of `parents`, in list order, to its author slot in
+/// `below` — the round a parent must live in — or to `None` where `below`
+/// does not hold it (absent, or no such round). Each probe starts one slot
+/// past the previous match, so a list in ascending author order (what
+/// honest proposers send) costs one pass over the round, and any other
+/// order at most `n` probes a parent.
+fn resolve<'a>(
+    below: Option<&'a RoundIndex>,
+    parents: &'a [Digest],
+) -> impl Iterator<Item = (&'a Digest, Option<usize>)> + 'a {
+    let mut cursor = 0;
+    parents.iter().map(move |parent| {
+        let slot = below.and_then(|ri| ri.position(parent, cursor));
+        if let Some(idx) = slot {
+            cursor = idx + 1;
+        }
+        (parent, slot)
+    })
 }
 
 /// Reusable traversal state for the sub-DAG walk.
@@ -260,23 +253,18 @@ impl SubDagScratch {
 #[derive(Clone, Debug)]
 pub struct Dag {
     committee: Committee,
-    /// Boundary index: digest → stored vertex (pass-through hashed).
-    by_digest: HashSet<ByDigest, BuildHasherDefault<DigestHasher>>,
+    /// The only index: each retained round's author slots.
     rounds: BTreeMap<Round, RoundIndex>,
     gc_round: Round,
+    /// Vertices stored in `rounds`.
+    len: usize,
     equivocations: u64,
 }
 
 impl Dag {
     /// An empty DAG for `committee`.
     pub fn new(committee: Committee) -> Self {
-        Dag {
-            committee,
-            by_digest: HashSet::default(),
-            rounds: BTreeMap::new(),
-            gc_round: Round(0),
-            equivocations: 0,
-        }
+        Dag { committee, rounds: BTreeMap::new(), gc_round: Round(0), len: 0, equivocations: 0 }
     }
 
     /// The committee this DAG validates against.
@@ -296,16 +284,17 @@ impl Dag {
         let ri = self.rounds.get(&v.round())?;
         let idx = v.author().index();
         let stored = ri.vertices.get(idx)?.as_ref()?;
-        (stored.digest() == v.digest()).then_some((ri, idx))
+        (stored.digest_ref() == v.digest_ref()).then_some((ri, idx))
     }
 
     /// Validates and stores a vertex.
     ///
     /// Validation enforces Algorithm 1's invariants:
     /// * the author is a committee member;
-    /// * round 0 vertices have no parents; later rounds have parents that
-    ///   (a) are all present, (b) all live in `round - 1`, (c) have distinct
-    ///   authors, and (d) carry at least quorum stake;
+    /// * round 0 vertices have no parents; later rounds have at most `n`
+    ///   parents that (a) are all present in `round - 1` (a parent stored
+    ///   in any other round counts as missing), (b) have distinct authors,
+    ///   and (c) carry at least quorum stake;
     /// * the author has no *different* vertex in this round.
     ///
     /// # Errors
@@ -356,36 +345,34 @@ impl Dag {
             if vertex.parents().is_empty() {
                 return Err(DagError::MalformedParents("non-genesis vertex without parents"));
             }
-            // One pass, one map lookup per parent; missing parents are only
-            // *counted* here. A duplicate digest implies a duplicate author
-            // (digests resolve to unique vertices), so the author mask
-            // covers both duplicate checks for resolvable parents;
-            // unresolvable duplicates surface via the missing path and are
-            // re-validated after sync.
-            let mut missing = 0usize;
+            // An honest list names each author once. Rejecting a longer one
+            // before resolving caps `resolve` at `n` probes for each of at
+            // most `n` parents, whatever a signed frame carries.
+            if vertex.parents().len() > self.committee.size() {
+                return Err(DagError::MalformedParents("more parents than validators"));
+            }
+            // One pass over the round below resolves the list (see
+            // `resolve`). Missing parents are collected in list order; the
+            // list allocates only on that path. A duplicate digest implies a
+            // duplicate author (digests resolve to unique vertices), so the
+            // author mask covers both duplicate checks for resolvable
+            // parents; unresolvable duplicates surface via the missing path
+            // and are re-validated after sync.
+            let mut missing = Vec::new();
             let mut stake = Stake(0);
-            for parent in vertex.parents() {
-                let Some(pv) = self.get(parent) else {
-                    missing += 1;
+            for (parent, slot) in resolve(self.rounds.get(&round.prev()), vertex.parents()) {
+                let Some(idx) = slot else {
+                    missing.push(*parent);
                     continue;
                 };
-                if pv.round() != round.prev() {
-                    return Err(DagError::WrongParentRound {
-                        round,
-                        parent: *parent,
-                        parent_round: pv.round(),
-                    });
-                }
-                let idx = pv.author().index();
                 if test_bit(&parents, idx) {
                     return Err(DagError::DuplicateParents);
                 }
                 set_bit(&mut parents, idx);
-                stake += self.committee.stake_of(pv.author());
+                stake += self.committee.stake_of(ValidatorId(idx as u16));
             }
-            if missing > 0 {
-                // Second pass only on the incomplete-ancestry path.
-                return Err(DagError::MissingParents(self.missing_from(vertex.parents())));
+            if !missing.is_empty() {
+                return Err(DagError::MissingParents(missing));
             }
             if stake < self.committee.quorum_threshold() {
                 return Err(DagError::InsufficientParentStake {
@@ -401,31 +388,40 @@ impl Dag {
         debug_assert_eq!(stored, &parents[..], "parent authors resolved differently");
         let n = self.committee.size();
         let ri = self.rounds.entry(round).or_insert_with(|| RoundIndex::new(n));
-        ri.vertices[author.index()] = Some(vertex.clone());
+        ri.vertices[author.index()] = Some(vertex);
         ri.len += 1;
         ri.stake += self.committee.stake_of(author);
-        self.by_digest.insert(ByDigest(vertex));
+        self.len += 1;
         Ok(InsertOutcome::Inserted)
     }
 
-    /// Which of `parents` are not yet in the DAG. Returns without
-    /// allocating when everything is present (the common case on the
-    /// insert path).
-    pub fn missing_from(&self, parents: &[Digest]) -> Vec<Digest> {
-        if parents.iter().all(|d| self.contains(d)) {
-            return Vec::new();
+    /// The vertex with this digest in `round`, if stored: one scan of the
+    /// round's `n` author slots.
+    pub fn get(&self, round: Round, digest: &Digest) -> Option<&Arc<Vertex>> {
+        self.round_vertices(round).find(|v| v.digest_ref() == digest)
+    }
+
+    /// The stored vertices among `digests`, by digest: one pass over the
+    /// retained rounds from the newest down, which stops once every digest
+    /// is found. However many digests are asked for, a call costs at most
+    /// one pass over every retained round (`n` slot reads and one set probe
+    /// per stored vertex). For lookups that know no round (a peer's sync
+    /// request); everything else addresses by `(round, author)` or
+    /// [`Dag::get`].
+    pub fn find_all(&self, digests: &DigestSet) -> DigestMap<Digest, &Arc<Vertex>> {
+        let mut found = DigestMap::default();
+        if digests.is_empty() {
+            return found;
         }
-        parents.iter().filter(|d| !self.contains(d)).copied().collect()
-    }
-
-    /// Looks a vertex up by digest.
-    pub fn get(&self, digest: &Digest) -> Option<&Arc<Vertex>> {
-        self.by_digest.get(digest).map(|entry| &entry.0)
-    }
-
-    /// Whether a vertex with this digest is present.
-    pub fn contains(&self, digest: &Digest) -> bool {
-        self.by_digest.contains(digest)
+        for v in self.rounds.values().rev().flat_map(|ri| ri.vertices.iter().flatten()) {
+            if digests.contains(v.digest_ref()) {
+                found.insert(v.digest(), v);
+                if found.len() == digests.len() {
+                    break;
+                }
+            }
+        }
+        found
     }
 
     /// The vertex authored by `author` in `round`, if any.
@@ -458,22 +454,22 @@ impl Dag {
         self.round_stake(round) >= self.committee.quorum_threshold()
     }
 
-    /// Total stake of the next-round vertices linking to (voting for) the
-    /// vertex with this digest: one probe of the target author's bit in
-    /// the parent mask of each vertex of the round above, at most `n` of
-    /// them.
+    /// Total stake of the next-round vertices linking to (voting for)
+    /// `target`: one probe of the target author's bit in the parent mask of
+    /// each vertex of the round above, at most `n` of them. A `target` not
+    /// stored at its `(round, author)` (foreign, equivocating or
+    /// garbage-collected) has no votes.
     ///
     /// With one vertex per `(round, author)` (enforced at insertion), each
     /// author contributes its stake at most once per target. An absent
     /// author has no vertex and so an empty row, which never counts.
-    pub fn vote_stake(&self, target: &Digest) -> Stake {
-        let Some(v) = self.get(target) else {
+    pub fn vote_stake(&self, target: &Vertex) -> Stake {
+        let Some((_, idx)) = self.locate(target) else {
             return Stake(0);
         };
-        let Some(above) = self.rounds.get(&v.round().next()) else {
+        let Some(above) = self.rounds.get(&target.round().next()) else {
             return Stake(0);
         };
-        let idx = v.author().index();
         self.committee
             .iter()
             .enumerate()
@@ -499,12 +495,12 @@ impl Dag {
 
     /// Total number of stored vertices.
     pub fn len(&self) -> usize {
-        self.by_digest.len()
+        self.len
     }
 
     /// Whether the DAG holds no vertices.
     pub fn is_empty(&self) -> bool {
-        self.by_digest.is_empty()
+        self.len == 0
     }
 
     /// The paper's `path(v, u)`: is there a chain of parent edges from
@@ -518,7 +514,7 @@ impl Dag {
     /// reference stored vertices, so a foreign or equivocating `to` is
     /// unreachable, and rounds pruned by GC are dead ends (their history
     /// is already ordered). A `from` foreign to the DAG reaches whatever
-    /// its parent digests resolve to.
+    /// its parent digests resolve to in the round below it.
     pub fn reachable(&self, from: &Vertex, to: &Vertex) -> bool {
         if from.digest() == to.digest() {
             return true;
@@ -532,9 +528,9 @@ impl Dag {
         match self.locate(from) {
             Some((ri, idx)) => frontier.copy_from_slice(ri.parent_mask(idx)),
             None => {
-                for pv in from.parents().iter().filter_map(|p| self.get(p)) {
-                    if pv.round() == r {
-                        set_bit(&mut frontier, pv.author().index());
+                for (_, slot) in resolve(self.rounds.get(&r), from.parents()) {
+                    if let Some(idx) = slot {
+                        set_bit(&mut frontier, idx);
                     }
                 }
             }
@@ -568,7 +564,7 @@ impl Dag {
     pub fn causal_sub_dag(
         &self,
         anchor: &Vertex,
-        is_ordered: impl Fn(&Digest) -> bool,
+        is_ordered: impl Fn(&Vertex) -> bool,
     ) -> Vec<Arc<Vertex>> {
         self.causal_sub_dag_with(anchor, is_ordered, &mut SubDagScratch::new())
     }
@@ -591,13 +587,13 @@ impl Dag {
     pub fn causal_sub_dag_with(
         &self,
         anchor: &Vertex,
-        is_ordered: impl Fn(&Digest) -> bool,
+        is_ordered: impl Fn(&Vertex) -> bool,
         scratch: &mut SubDagScratch,
     ) -> Vec<Arc<Vertex>> {
         let Some((mut ri, idx)) = self.locate(anchor) else {
             return Vec::new();
         };
-        if is_ordered(&anchor.digest()) {
+        if is_ordered(anchor) {
             return Vec::new();
         }
         let words = self.words();
@@ -626,7 +622,7 @@ impl Dag {
             for (w, word) in level.iter_mut().enumerate() {
                 for bit in ones(&[*word]) {
                     let v = below.vertices[w * 64 + bit].as_ref().expect("a parent is stored");
-                    if is_ordered(&v.digest()) {
+                    if is_ordered(v) {
                         *word &= !(1 << bit);
                     } else {
                         kept += 1;
@@ -692,11 +688,8 @@ impl Dag {
             return;
         }
         let keep = self.rounds.split_off(&round);
-        for (_, dropped) in std::mem::replace(&mut self.rounds, keep) {
-            for vertex in dropped.vertices.into_iter().flatten() {
-                self.by_digest.remove(vertex.digest_ref());
-            }
-        }
+        let dropped = std::mem::replace(&mut self.rounds, keep);
+        self.len -= dropped.values().map(|ri| ri.len).sum::<usize>();
         self.gc_round = round;
     }
 }
@@ -761,6 +754,27 @@ mod tests {
     }
 
     #[test]
+    fn more_parents_than_validators_rejected_before_resolving() {
+        let c = committee4();
+        let mut builder = DagBuilder::new(c.clone());
+        builder.extend_full_rounds(1);
+        let kp = c.keypair(ValidatorId(0));
+        let mut parents: Vec<Digest> =
+            builder.dag().round_vertices(Round(0)).map(|v| v.digest()).collect();
+        let mut dag = builder.into_dag();
+        // n parents are fine; one more, known or made up, is malformed
+        // rather than a duplicate or a missing parent.
+        let full = Vertex::new(Round(1), ValidatorId(0), Block::empty(), parents.clone(), &kp);
+        for extra in [parents[1], hh_crypto::sha256(b"ghost")] {
+            parents.push(extra);
+            let v = Vertex::new(Round(1), ValidatorId(0), Block::empty(), parents.clone(), &kp);
+            assert!(matches!(dag.try_insert(v), Err(DagError::MalformedParents(_))));
+            parents.pop();
+        }
+        assert_eq!(dag.try_insert(full), Ok(InsertOutcome::Inserted));
+    }
+
+    #[test]
     fn insufficient_parent_stake_rejected() {
         let c = committee4();
         let mut builder = DagBuilder::new(c.clone());
@@ -788,17 +802,57 @@ mod tests {
     }
 
     #[test]
-    fn wrong_parent_round_rejected() {
+    fn parent_outside_the_round_below_is_missing() {
         let c = committee4();
         let mut builder = DagBuilder::new(c.clone());
         builder.extend_full_rounds(2); // rounds 0 and 1
-                                       // A round-2 vertex pointing straight at round-0 vertices.
-        let parents: Vec<Digest> =
-            builder.dag().round_vertices(Round(0)).map(|v| v.digest()).collect();
+        let dag = builder.dag();
+        // A round-2 vertex linking three round-1 vertices and one stored
+        // in round 0.
+        let stale = dag.vertex_by_author(Round(0), ValidatorId(3)).unwrap().digest();
+        let mut parents: Vec<Digest> =
+            dag.round_vertices(Round(1)).take(3).map(|v| v.digest()).collect();
+        parents.push(stale);
         let kp = c.keypair(ValidatorId(0));
         let v = Vertex::new(Round(2), ValidatorId(0), Block::empty(), parents, &kp);
         let mut dag = builder.into_dag();
-        assert!(matches!(dag.try_insert(v), Err(DagError::WrongParentRound { .. })));
+        assert_eq!(dag.try_insert(v), Err(DagError::MissingParents(vec![stale])));
+        assert_eq!(dag.round_len(Round(2)), 0, "never inserted");
+    }
+
+    #[test]
+    fn parent_order_does_not_change_the_mask() {
+        let c = committee4();
+        let mut builder = DagBuilder::new(c.clone());
+        builder.extend_full_rounds(1);
+        builder.extend_round_excluding(&[ValidatorId(2)]);
+        let dag = builder.dag();
+        let sorted: Vec<Digest> = [0, 1, 3]
+            .map(|a| dag.vertex_by_author(Round(1), ValidatorId(a)).unwrap().digest())
+            .to_vec();
+        let kp = |a| c.keypair(ValidatorId(a));
+        let make = |author: u16, parents: Vec<Digest>| {
+            Vertex::new(Round(2), ValidatorId(author), Block::empty(), parents, &kp(author))
+        };
+        let mut dag = builder.into_dag();
+        // The sorted list first, then three shuffles of it.
+        for (author, order) in [(0, [0, 1, 2]), (1, [2, 0, 1]), (2, [1, 2, 0]), (3, [2, 1, 0])] {
+            let list = order.map(|i| sorted[i]).to_vec();
+            assert_eq!(dag.try_insert(make(author, list)), Ok(InsertOutcome::Inserted));
+            assert_eq!(
+                dag.vertex_by_author(Round(2), ValidatorId(author)).unwrap().parent_authors(),
+                [0b1011],
+                "order {order:?}"
+            );
+        }
+        // A duplicate is a duplicate wherever it sits, sorted or not.
+        let above: Vec<Digest> = dag.round_vertices(Round(2)).take(3).map(|v| v.digest()).collect();
+        for (at, twice) in [(0, 0), (1, 2), (3, 2), (2, 1)] {
+            let mut parents = above.clone();
+            parents.insert(at, above[twice]);
+            let v = Vertex::new(Round(3), ValidatorId(0), Block::empty(), parents, &kp(0));
+            assert_eq!(dag.try_insert(v), Err(DagError::DuplicateParents), "{twice} at {at}");
+        }
     }
 
     #[test]
@@ -932,7 +986,7 @@ mod tests {
             .chain(dag.round_vertices(Round(1)))
             .map(|v| v.digest())
             .collect();
-        let sub = dag.causal_sub_dag(&top, |d| ordered.contains(d));
+        let sub = dag.causal_sub_dag(&top, |v| ordered.contains(v.digest_ref()));
         assert_eq!(sub.len(), 1 + 4, "self plus round 2");
         assert!(sub.iter().all(|v| v.round() >= Round(2)));
     }
@@ -963,7 +1017,7 @@ mod tests {
         let victim = dag.vertex_by_author(Round(0), ValidatorId(0)).unwrap().clone();
         dag.gc(Round(2));
         assert_eq!(dag.gc_round(), Round(2));
-        assert!(!dag.contains(&victim.digest()));
+        assert!(dag.get(Round(0), &victim.digest()).is_none());
         assert_eq!(dag.round_len(Round(0)), 0);
         assert_eq!(dag.round_len(Round(2)), 4);
         let kp = c.keypair(ValidatorId(0));
@@ -1034,38 +1088,37 @@ mod tests {
     }
 
     #[test]
-    fn missing_from_lists_unknown_digests() {
+    fn only_unresolved_parents_are_listed_missing() {
         let c = committee4();
-        let mut builder = DagBuilder::new(c);
+        let mut builder = DagBuilder::new(c.clone());
         builder.extend_full_rounds(1);
         let dag = builder.dag();
-        let known = dag.vertex_by_author(Round(0), ValidatorId(0)).unwrap().digest();
-        let ghost = hh_crypto::sha256(b"ghost");
-        assert_eq!(dag.missing_from(&[known, ghost]), vec![ghost]);
-        assert!(dag.missing_from(&[known]).is_empty());
+        let known: Vec<Digest> = dag.round_vertices(Round(0)).map(|v| v.digest()).collect();
+        let (ghost1, ghost2) = (hh_crypto::sha256(b"ghost1"), hh_crypto::sha256(b"ghost2"));
+        let kp = c.keypair(ValidatorId(0));
+        let parents = vec![ghost2, known[0], ghost1, known[2]];
+        let v = Vertex::new(Round(1), ValidatorId(0), Block::empty(), parents, &kp);
+        let mut dag = builder.into_dag();
+        assert_eq!(dag.try_insert(v), Err(DagError::MissingParents(vec![ghost2, ghost1])));
+        let v = Vertex::new(Round(1), ValidatorId(0), Block::empty(), known, &kp);
+        assert_eq!(dag.try_insert(v), Ok(InsertOutcome::Inserted));
     }
 
-    /// Heap bytes the DAG owns for its index, as `(round index, digest
-    /// table)`: everything except the shared `Arc<Vertex>` payloads, parent
-    /// masks included. The exhaustive destructuring makes a new field fail
-    /// to compile until it is accounted for here.
-    fn index_bytes(dag: &Dag) -> (usize, usize) {
+    /// Heap bytes the DAG owns for its index: everything except the shared
+    /// `Arc<Vertex>` payloads, parent masks included. The exhaustive
+    /// destructuring makes a new field fail to compile until it is
+    /// accounted for here.
+    fn index_bytes(dag: &Dag) -> usize {
         use std::mem::size_of;
-        let Dag { committee: _, by_digest, rounds, gc_round: _, equivocations: _ } = dag;
-        let round_index = rounds
+        let Dag { committee: _, rounds, gc_round: _, len: _, equivocations: _ } = dag;
+        rounds
             .values()
             .map(|ri| {
                 let RoundIndex { vertices, len: _, stake: _ } = ri;
                 size_of::<(Round, RoundIndex)>()
                     + vertices.capacity() * size_of::<Option<Arc<Vertex>>>()
             })
-            .sum();
-        // std's table: a power of two of buckets of which 7/8 may fill
-        // (what `capacity` reports), one entry and one control byte per
-        // bucket, one group of control bytes repeated at the end.
-        let buckets = by_digest.capacity() * 8 / 7;
-        assert!(buckets.is_power_of_two(), "{buckets} buckets");
-        (round_index, buckets * (size_of::<ByDigest>() + 1) + 16)
+            .sum()
     }
 
     #[test]
@@ -1078,8 +1131,9 @@ mod tests {
         // slot for what the parent masks of the round above already say;
         // a mask row per slot cost 16 B for what the stored vertex already
         // holds, once for every validator storing it), nor a digest table
-        // that copies its 32-byte keys (41 B per bucket, 41-82 B per
-        // vertex).
+        // beside the round index (one pointer and one control byte per
+        // bucket, 12.3 B per vertex at the headline point, for what the
+        // round index already says).
         let n = 100;
         let (present, rounds) = (67, 5);
         let crashed: Vec<ValidatorId> = (present as u16..n as u16).map(ValidatorId).collect();
@@ -1089,7 +1143,7 @@ mod tests {
         }
         let dag = builder.dag();
         assert_eq!(dag.len(), rounds * present);
-        let (round_index, digest_table) = index_bytes(dag);
+        let round_index = index_bytes(dag);
         // What one array costs: one pointer per author slot and the
         // round's header, 12.7 B per stored vertex here.
         let per_round = n * 8 + std::mem::size_of::<(Round, RoundIndex)>();
@@ -1099,11 +1153,6 @@ mod tests {
             round_index / dag.len(),
             per_round / present
         );
-        // 9 B per bucket; a table is at least 7/16 full once it has
-        // grown, so under 24 B per stored vertex at any load factor.
-        assert_eq!(std::mem::size_of::<ByDigest>(), 8);
-        let per_vertex = digest_table / dag.len();
-        assert!(per_vertex <= 24, "{per_vertex} B of digest table per vertex");
     }
 
     #[test]
@@ -1145,47 +1194,51 @@ mod tests {
     }
 
     #[test]
-    fn digest_table_is_probed_by_bare_digest() {
-        use std::hash::BuildHasher;
+    fn digest_lookups_see_stored_vertices_only() {
         let c = committee4();
         let mut builder = DagBuilder::new(c.clone());
         builder.extend_full_rounds(3);
         let mut dag = builder.into_dag();
 
-        // The `Borrow` contract: an entry hashes as its digest does.
-        let hasher = BuildHasherDefault::<DigestHasher>::default();
-        for entry in &dag.by_digest {
-            assert_eq!(hasher.hash_one(entry), hasher.hash_one(entry.0.digest_ref()));
-        }
+        let find = |dag: &Dag, digests: &[Digest]| -> Vec<Digest> {
+            let mut found: Vec<Digest> =
+                dag.find_all(&digests.iter().copied().collect()).into_keys().collect();
+            found.sort();
+            found
+        };
 
         let present = dag.vertex_by_author(Round(2), ValidatorId(1)).unwrap().clone();
-        assert!(dag.contains(&present.digest()));
-        assert!(Arc::ptr_eq(dag.get(&present.digest()).unwrap(), &present));
+        assert!(Arc::ptr_eq(dag.get(Round(2), &present.digest()).unwrap(), &present));
+        assert!(dag.get(Round(1), &present.digest()).is_none(), "another round");
 
+        // A set answers with what is stored of it, from any retained round,
+        // as the allocation stored.
         let ghost = hh_crypto::sha256(b"ghost");
-        assert!(!dag.contains(&ghost));
-        assert!(dag.get(&ghost).is_none());
+        assert!(dag.get(Round(2), &ghost).is_none());
+        let oldest = dag.vertex_by_author(Round(0), ValidatorId(2)).unwrap().clone();
+        let asked: DigestSet = [present.digest(), ghost, oldest.digest()].into_iter().collect();
+        let found = dag.find_all(&asked);
+        assert_eq!(found.len(), 2);
+        assert!(Arc::ptr_eq(found[&present.digest()], &present));
+        assert!(Arc::ptr_eq(found[&oldest.digest()], &oldest));
+        assert!(find(&dag, &[ghost]).is_empty());
+        assert!(find(&dag, &[]).is_empty());
 
         // A twin at a stored address: rejected, so its digest resolves to
         // nothing while the original's still does.
-        let twin = Vertex::new(
-            Round(2),
-            ValidatorId(1),
-            Block::new(vec![hh_types::Transaction::new(0, 0, 0)]),
-            present.parents().to_vec(),
-            &c.keypair(ValidatorId(1)),
-        );
+        let twin = crate::testkit::twin_of(&present, &c.keypair(ValidatorId(1)));
         assert!(matches!(dag.try_insert(twin.clone()), Err(DagError::Equivocation { .. })));
-        assert!(!dag.contains(&twin.digest()));
-        assert!(dag.get(&twin.digest()).is_none());
-        assert!(dag.contains(&present.digest()));
+        assert_eq!(find(&dag, &[twin.digest(), present.digest()]), [present.digest()]);
+        assert_eq!(dag.vote_stake(&twin), Stake(0));
 
         let collected = dag.vertex_by_author(Round(0), ValidatorId(3)).unwrap().clone();
+        let voted = dag.vertex_by_author(Round(1), ValidatorId(3)).unwrap().clone();
+        assert_eq!(dag.vote_stake(&collected), Stake(4));
         dag.gc(Round(1));
-        assert!(!dag.contains(&collected.digest()));
-        assert!(dag.get(&collected.digest()).is_none());
-        assert_eq!(dag.vote_stake(&collected.digest()), Stake(0));
-        assert_eq!(dag.missing_from(&[present.digest(), collected.digest()]), [collected.digest()]);
+        assert_eq!(find(&dag, &[collected.digest(), voted.digest()]), [voted.digest()]);
+        assert!(dag.get(Round(0), &collected.digest()).is_none());
+        assert_eq!(dag.vote_stake(&collected), Stake(0));
+        assert_eq!(dag.vote_stake(&voted), Stake(4));
         assert_eq!(dag.len(), 2 * 4);
     }
 }

@@ -11,14 +11,19 @@
 //! the anchor, equivocation attempts and foreign vertices, at committee
 //! sizes either side of the 64-author mask word — and on DAGs that share
 //! vertex allocations, and so parent masks, with each other.
+//!
+//! Insertion itself, which resolves each parent inside the round below
+//! with one forward pass over its author slots, is checked against the
+//! rules of the store that kept a digest table: same outcome, same stored
+//! allocation, same parent mask, same missing list.
 
 use hh_crypto::Digest;
 use hh_dag::testkit::{twin_of, DagBuilder};
 use hh_dag::{Dag, DagError, InsertOutcome};
 use hh_types::codec::{decode_from_slice, encode_to_vec};
-use hh_types::{Block, Committee, Round, Stake, ValidatorId, Vertex};
+use hh_types::{Block, Committee, DigestSet, Round, Stake, Transaction, ValidatorId, Vertex};
 use proptest::prelude::*;
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 /// SplitMix64 — the shape generator, seeded per case.
@@ -89,8 +94,16 @@ fn random_dag(n: usize, rounds: usize, seed: u64) -> Dag {
     b.into_dag()
 }
 
-/// The pre-index reachability: BFS over digests through the public API.
-fn reachable_oracle(dag: &Dag, from: &Vertex, to: &Vertex) -> bool {
+/// Every stored vertex by digest: the table the pre-index store kept,
+/// built from the public API.
+type DigestTable = HashMap<Digest, Arc<Vertex>>;
+
+fn digest_table(dag: &Dag) -> DigestTable {
+    all_vertices(dag).into_iter().map(|v| (v.digest(), v)).collect()
+}
+
+/// The pre-index reachability: BFS over digests.
+fn reachable_oracle(table: &DigestTable, from: &Vertex, to: &Vertex) -> bool {
     if from.digest() == to.digest() {
         return true;
     }
@@ -102,7 +115,7 @@ fn reachable_oracle(dag: &Dag, from: &Vertex, to: &Vertex) -> bool {
     let mut frontier: VecDeque<&Arc<Vertex>> = VecDeque::new();
     let mut seen: HashSet<Digest> = HashSet::new();
     for parent in from.parents() {
-        if let Some(pv) = dag.get(parent) {
+        if let Some(pv) = table.get(parent) {
             if seen.insert(*parent) {
                 frontier.push_back(pv);
             }
@@ -116,7 +129,7 @@ fn reachable_oracle(dag: &Dag, from: &Vertex, to: &Vertex) -> bool {
             continue;
         }
         for parent in v.parents() {
-            if let Some(pv) = dag.get(parent) {
+            if let Some(pv) = table.get(parent) {
                 if pv.round() >= target_round && seen.insert(*parent) {
                     frontier.push_back(pv);
                 }
@@ -129,14 +142,14 @@ fn reachable_oracle(dag: &Dag, from: &Vertex, to: &Vertex) -> bool {
 /// The pre-index sub-DAG traversal: BFS over digests, then the
 /// deterministic `(round, author)` sort its consumers used to apply.
 fn causal_sub_dag_oracle(
-    dag: &Dag,
+    table: &DigestTable,
     anchor: &Vertex,
     is_ordered: impl Fn(&Digest) -> bool,
 ) -> Vec<Arc<Vertex>> {
     let mut out = Vec::new();
     let mut seen: HashSet<Digest> = HashSet::new();
     let mut frontier: VecDeque<Arc<Vertex>> = VecDeque::new();
-    if let Some(a) = dag.get(&anchor.digest()) {
+    if let Some(a) = table.get(&anchor.digest()) {
         if !is_ordered(&a.digest()) {
             seen.insert(a.digest());
             frontier.push_back(a.clone());
@@ -144,7 +157,7 @@ fn causal_sub_dag_oracle(
     }
     while let Some(v) = frontier.pop_front() {
         for parent in v.parents() {
-            if let Some(pv) = dag.get(parent) {
+            if let Some(pv) = table.get(parent) {
                 if !is_ordered(parent) && seen.insert(*parent) {
                     frontier.push_back(pv.clone());
                 }
@@ -191,6 +204,7 @@ fn pick<'a>(vertices: &'a [Arc<Vertex>], rng: &mut Mix) -> &'a Arc<Vertex> {
 /// seeded sample of `from`s, each against the whole round below it (every
 /// bit of its parent mask) and a few arbitrary targets (the descent).
 fn check_dag(dag: &Dag, rng: &mut Mix) {
+    let table = digest_table(dag);
     let vertices = all_vertices(dag);
     let exhaustive = vertices.len() <= 80;
 
@@ -208,7 +222,7 @@ fn check_dag(dag: &Dag, rng: &mut Mix) {
     for (from, to) in pairs {
         assert_eq!(
             dag.reachable(from, to),
-            reachable_oracle(dag, from, to),
+            reachable_oracle(&table, from, to),
             "mask descent vs oracle: {from} -> {to}"
         );
     }
@@ -220,7 +234,7 @@ fn check_dag(dag: &Dag, rng: &mut Mix) {
     };
     for target in targets {
         assert_eq!(
-            dag.vote_stake(&target.digest()),
+            dag.vote_stake(target),
             vote_stake_oracle(dag, target),
             "parent-mask votes vs parent-list scan: {target}"
         );
@@ -247,13 +261,13 @@ fn check_dag(dag: &Dag, rng: &mut Mix) {
         let fresh = dag.causal_sub_dag(anchor, |_| false);
         assert_eq!(
             digests(&fresh),
-            digests(&causal_sub_dag_oracle(dag, anchor, |_| false)),
+            digests(&causal_sub_dag_oracle(&table, anchor, |_| false)),
             "full history from {anchor}"
         );
-        let pruned = dag.causal_sub_dag(anchor, |d| ordered.contains(d));
+        let pruned = dag.causal_sub_dag(anchor, |v| ordered.contains(v.digest_ref()));
         assert_eq!(
             digests(&pruned),
-            digests(&causal_sub_dag_oracle(dag, anchor, |d| ordered.contains(d))),
+            digests(&causal_sub_dag_oracle(&table, anchor, |d| ordered.contains(d))),
             "pruned history from {anchor} (prefix {prefix})"
         );
     }
@@ -280,7 +294,9 @@ fn private_copy(v: &Vertex) -> Arc<Vertex> {
 /// nothing was collected from) when `dag` stores `v` and in `dag` itself
 /// when `v` is foreign to it.
 fn links_oracle(dag: &Dag, full: &Dag, v: &Vertex, author: ValidatorId) -> bool {
-    let resolver = if dag.contains(&v.digest()) { full } else { dag };
+    let stored =
+        dag.vertex_by_author(v.round(), v.author()).is_some_and(|s| s.digest() == v.digest());
+    let resolver = if stored { full } else { dag };
     resolver
         .vertex_by_author(v.round().prev(), author)
         .is_some_and(|linked| v.has_parent(&linked.digest()))
@@ -322,8 +338,8 @@ proptest! {
         let links_before = links_of_round(&dag, horizon);
         let collected = dag
             .round_vertices(horizon.prev())
-            .map(|v| v.digest())
-            .find(|d| dag.vote_stake(d) > Stake(0))
+            .find(|v| dag.vote_stake(v) > Stake(0))
+            .cloned()
             .expect("the round above has parents");
         let mut scanned = Vec::new();
         for v in dag.round_vertices(horizon) {
@@ -388,6 +404,7 @@ proptest! {
             &committee.keypair(author),
         );
 
+        let table = digest_table(&dag);
         let vertices = all_vertices(&dag);
         let sampled: Vec<&Arc<Vertex>> = if vertices.len() <= 80 {
             vertices.iter().collect()
@@ -399,29 +416,29 @@ proptest! {
             for outsider in [&twin, &foreign] {
                 prop_assert_eq!(
                     dag.reachable(outsider, v),
-                    reachable_oracle(&dag, outsider, v),
+                    reachable_oracle(&table, outsider, v),
                     "{} -> {}", outsider, v
                 );
                 prop_assert_eq!(
                     dag.reachable(v, outsider),
-                    reachable_oracle(&dag, v, outsider),
+                    reachable_oracle(&table, v, outsider),
                     "{} -> {}", v, outsider
                 );
             }
             prop_assert_eq!(
                 dag.reachable(v, &victim),
-                reachable_oracle(&dag, v, &victim),
+                reachable_oracle(&table, v, &victim),
                 "victim query diverged after equivocation attempt"
             );
         }
         for outsider in [&twin, &foreign] {
             prop_assert_eq!(
-                dag.vote_stake(&outsider.digest()),
+                dag.vote_stake(outsider),
                 Stake(0),
                 "{} is not stored", outsider
             );
             prop_assert!(dag.causal_sub_dag(outsider, |_| false).is_empty());
-            prop_assert!(causal_sub_dag_oracle(&dag, outsider, |_| false).is_empty());
+            prop_assert!(causal_sub_dag_oracle(&table, outsider, |_| false).is_empty());
             for author in committee.ids() {
                 let linked = dag.vertex_by_author(outsider.round().prev(), author);
                 prop_assert_eq!(
@@ -491,14 +508,15 @@ proptest! {
         }
         for v in &shared {
             prop_assert!(!v.parent_authors().is_empty(), "{} has no mask", v);
-            if let Some(stored) = b.get(&v.digest()) {
+            if let Some(stored) = b.get(v.round(), &v.digest()) {
                 prop_assert!(Arc::ptr_eq(stored, v), "B stores a copy of {}", v);
             }
-            let own = c.get(&v.digest()).expect("C stores everything");
+            let own = c.get(v.round(), &v.digest()).expect("C stores everything");
             prop_assert_eq!(own.parent_authors(), v.parent_authors());
             prop_assert!(!std::ptr::eq(own.parent_authors(), v.parent_authors()));
         }
-        prop_assert!(b.contains(&twin.digest()) && !b.contains(&victim.digest()));
+        prop_assert!(b.get(twin.round(), &twin.digest()).is_some());
+        prop_assert!(b.get(victim.round(), &victim.digest()).is_none());
         prop_assert_eq!(twin.parent_authors(), victim.parent_authors());
 
         let horizon_a = Round(rng.below(top.0));
@@ -514,10 +532,11 @@ proptest! {
         asked.push(&twin);
         for dag in [&a, &b, &c] {
             check_dag(dag, &mut rng);
+            let table = digest_table(dag);
             for &v in &asked {
                 let to = pick(&shared, &mut rng);
                 for from in [v.clone(), private_copy(v)] {
-                    prop_assert_eq!(dag.reachable(&from, to), reachable_oracle(dag, &from, to));
+                    prop_assert_eq!(dag.reachable(&from, to), reachable_oracle(&table, &from, to));
                     for author in committee.ids() {
                         prop_assert_eq!(
                             dag.links_to_author(&from, author),
@@ -527,6 +546,244 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+}
+
+/// The insertion rules of the store that kept a digest table, over a
+/// `HashMap` from digest to stored vertex, with two changes: a parent
+/// stored in a round other than the one below is missing, where that
+/// store rejected the vertex as a wrong-round link, and a list longer than
+/// the committee is malformed.
+#[derive(Clone)]
+struct InsertOracle {
+    committee: Committee,
+    by_digest: HashMap<Digest, Arc<Vertex>>,
+    gc_round: Round,
+    equivocations: u64,
+}
+
+impl InsertOracle {
+    fn new(committee: Committee) -> Self {
+        InsertOracle { committee, by_digest: HashMap::new(), gc_round: Round(0), equivocations: 0 }
+    }
+
+    /// The outcome of inserting `v`, and on insertion its parent mask.
+    fn insert(&mut self, v: &Arc<Vertex>) -> (Result<InsertOutcome, DagError>, Vec<u64>) {
+        let (round, author) = (v.round(), v.author());
+        let mut mask = vec![0u64; self.committee.size().div_ceil(64)];
+        if !self.committee.contains(author) {
+            return (Err(DagError::UnknownAuthor(author)), mask);
+        }
+        if round < self.gc_round {
+            return (Err(DagError::BelowGc { round, gc_round: self.gc_round }), mask);
+        }
+        let address = |s: &&Arc<Vertex>| s.round() == round && s.author() == author;
+        if let Some(stored) = self.by_digest.values().find(address) {
+            if stored.digest() == v.digest() {
+                return (Ok(InsertOutcome::AlreadyPresent), mask);
+            }
+            self.equivocations += 1;
+            return (Err(DagError::Equivocation { author, round }), mask);
+        }
+        match (round.0, v.parents().is_empty()) {
+            (0, false) => {
+                return (Err(DagError::MalformedParents("genesis vertex with parents")), mask)
+            }
+            (0, true) => {}
+            (_, true) => {
+                return (
+                    Err(DagError::MalformedParents("non-genesis vertex without parents")),
+                    mask,
+                )
+            }
+            (_, false) if v.parents().len() > self.committee.size() => {
+                return (Err(DagError::MalformedParents("more parents than validators")), mask)
+            }
+            (_, false) => {
+                let mut missing = Vec::new();
+                let mut stake = Stake(0);
+                for parent in v.parents() {
+                    let pv = self.by_digest.get(parent).filter(|pv| pv.round().next() == round);
+                    let Some(pv) = pv else {
+                        missing.push(*parent);
+                        continue;
+                    };
+                    let idx = pv.author().index();
+                    if mask[idx / 64] & (1 << (idx % 64)) != 0 {
+                        return (Err(DagError::DuplicateParents), mask);
+                    }
+                    mask[idx / 64] |= 1 << (idx % 64);
+                    stake += self.committee.stake_of(pv.author());
+                }
+                if !missing.is_empty() {
+                    return (Err(DagError::MissingParents(missing)), mask);
+                }
+                let need = self.committee.quorum_threshold();
+                if stake < need {
+                    return (Err(DagError::InsufficientParentStake { have: stake, need }), mask);
+                }
+            }
+        }
+        self.by_digest.insert(v.digest(), v.clone());
+        (Ok(InsertOutcome::Inserted), mask)
+    }
+
+    fn gc(&mut self, round: Round) {
+        if round > self.gc_round {
+            self.by_digest.retain(|_, v| v.round() >= round);
+            self.gc_round = round;
+        }
+    }
+}
+
+/// Inserts `v` into both and checks they agree: the same outcome and, on
+/// insertion, `v` itself stored with the oracle's parent mask.
+fn insert_both(
+    dag: &mut Dag,
+    oracle: &mut InsertOracle,
+    v: &Arc<Vertex>,
+) -> Result<InsertOutcome, DagError> {
+    let got = dag.try_insert_arc(v.clone());
+    let (want, mask) = oracle.insert(v);
+    prop_assert_eq!(&got, &want, "insert of {}", v);
+    if got == Ok(InsertOutcome::Inserted) {
+        let stored = dag.vertex_by_author(v.round(), v.author()).expect("stored");
+        prop_assert!(Arc::ptr_eq(stored, v), "{} stored as another allocation", v);
+        prop_assert_eq!(v.parent_authors(), &mask[..], "parent mask of {}", v);
+    }
+    got
+}
+
+fn shuffle<T>(items: &mut [T], rng: &mut Mix) {
+    for i in (1..items.len()).rev() {
+        items.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+}
+
+/// A vertex by `author` in `v`'s round whose parent list is `v`'s, bent
+/// one way — with a digest repeated, a fabricated digest, a digest from
+/// two rounds down, cut short (possibly below quorum or to nothing) or
+/// unchanged — and then possibly shuffled; or, by `v`'s author, `v`'s
+/// equivocation twin.
+fn variant(v: &Vertex, author: ValidatorId, source: &Dag, rng: &mut Mix) -> Vertex {
+    let committee = source.committee();
+    let mut parents = v.parents().to_vec();
+    let len = parents.len() as u64;
+    match rng.below(7) {
+        0 if author == v.author() => return twin_of(v, &committee.keypair(author)),
+        1 if len > 0 => {
+            parents.insert(rng.below(len + 1) as usize, parents[rng.below(len) as usize])
+        }
+        2 => {
+            let fabricated = hh_crypto::sha256(&rng.next().to_le_bytes());
+            parents.insert(rng.below(len + 1) as usize, fabricated);
+        }
+        3 if v.round().0 >= 2 => {
+            let two_down: Vec<&Arc<Vertex>> =
+                source.round_vertices(Round(v.round().0 - 2)).collect();
+            let stale = two_down[rng.below(two_down.len() as u64) as usize].digest();
+            match rng.below(2) {
+                0 if len > 0 => parents[rng.below(len) as usize] = stale,
+                _ => parents.insert(rng.below(len + 1) as usize, stale),
+            }
+        }
+        4 => parents.truncate(rng.below(len + 1) as usize),
+        _ => {}
+    }
+    if rng.below(3) != 0 {
+        shuffle(&mut parents, rng);
+    }
+    let marker = Transaction::new(u32::MAX - 1, rng.next(), 0);
+    Vertex::new(v.round(), author, Block::new(vec![marker]), parents, &committee.keypair(author))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Random DAGs fed round by round as private copies, some held back a
+    /// round, with GC advancing between rounds. Before a round is fed,
+    /// variants of its vertices (shuffled, duplicated, fabricated and
+    /// two-rounds-down parents, short lists, twins) are inserted into
+    /// copies of both stores, where the round's slots are still free. One
+    /// in four goes into the stores themselves instead: into a slot the
+    /// round leaves empty, after the round, or in the last round anywhere
+    /// (a taken slot stalls every round above). Every insert answers as
+    /// the digest-table oracle does and stores the same allocation with the
+    /// same parent mask, and the two stores end up holding the same
+    /// vertices.
+    fn inserts_match_the_digest_table_oracle(shape in shape(2), seed in any::<u64>()) {
+        let (n, rounds) = shape;
+        let source = random_dag(n, rounds, seed);
+        let committee = source.committee().clone();
+        let mut rng = Mix(seed ^ 0x1A5E);
+        let mut dag = Dag::new(committee.clone());
+        let mut oracle = InsertOracle::new(committee.clone());
+        let mut late: Vec<Arc<Vertex>> = Vec::new();
+        for r in 0..rounds as u64 {
+            if r >= 3 && rng.below(3) == 0 {
+                let horizon = Round(dag.gc_round().0.max(r - 3) + 1);
+                dag.gc(horizon);
+                oracle.gc(horizon);
+            }
+            // Last round's held-back vertices, and what they held up.
+            for v in std::mem::take(&mut late) {
+                if let Err(DagError::MissingParents(_)) = insert_both(&mut dag, &mut oracle, &v) {
+                    late.push(v);
+                }
+            }
+            let mut this_round: Vec<Arc<Vertex>> =
+                source.round_vertices(Round(r)).map(|v| private_copy(v)).collect();
+            let empty: Vec<ValidatorId> = committee
+                .ids()
+                .filter(|a| source.vertex_by_author(Round(r), *a).is_none())
+                .collect();
+            let mut bent_after = Vec::new();
+            for v in source.round_vertices(Round(r)) {
+                let anyone = ValidatorId(rng.below(n as u64) as u16);
+                let author = if rng.below(2) == 0 { v.author() } else { anyone };
+                let real = rng.below(4) == 0;
+                if real && r + 1 == rounds as u64 {
+                    this_round.push(Arc::new(variant(v, author, &source, &mut rng)));
+                } else if real && !empty.is_empty() {
+                    let author = empty[rng.below(empty.len() as u64) as usize];
+                    bent_after.push(Arc::new(variant(v, author, &source, &mut rng)));
+                } else {
+                    let bent = Arc::new(variant(v, author, &source, &mut rng));
+                    let _ = insert_both(&mut dag.clone(), &mut oracle.clone(), &bent);
+                }
+            }
+            shuffle(&mut this_round, &mut rng);
+            this_round.extend(bent_after);
+            for v in this_round {
+                if rng.below(10) == 0 {
+                    late.push(v);
+                } else if let Err(DagError::MissingParents(_)) =
+                    insert_both(&mut dag, &mut oracle, &v)
+                {
+                    late.push(v);
+                }
+            }
+        }
+        for v in &late {
+            let _ = insert_both(&mut dag, &mut oracle, v);
+        }
+        prop_assert_eq!(dag.len(), oracle.by_digest.len());
+        prop_assert_eq!(dag.equivocations(), oracle.equivocations);
+        for (digest, v) in &oracle.by_digest {
+            let stored = dag.vertex_by_author(v.round(), v.author()).expect("the oracle's vertex");
+            prop_assert!(Arc::ptr_eq(stored, v));
+            prop_assert!(Arc::ptr_eq(dag.get(v.round(), digest).expect("found in its round"), v));
+        }
+        // Every digest the source holds, collected ones included, and every
+        // stored one, asked at once.
+        let everything = (0..rounds as u64).flat_map(|r| source.round_vertices(Round(r)));
+        let asked: DigestSet =
+            everything.map(|v| v.digest()).chain(oracle.by_digest.keys().copied()).collect();
+        let found = dag.find_all(&asked);
+        prop_assert_eq!(found.len(), oracle.by_digest.len());
+        for (digest, v) in &found {
+            prop_assert!(Arc::ptr_eq(v, &oracle.by_digest[digest]));
         }
     }
 }

@@ -413,7 +413,7 @@ impl Rbc {
                 if self.mode != BroadcastMode::Certified {
                     return RbcEffects::default();
                 }
-                if !self.author_signature_ok(v) || cert.vertex().digest != v.digest() {
+                if !self.author_signature_ok(v) || cert.vertex() != v.reference() {
                     return RbcEffects::default();
                 }
                 if cert.verify(&self.committee).is_err() {
@@ -434,7 +434,7 @@ impl Rbc {
                             fx.merge(self.accept(v.clone(), None, dag));
                         }
                         (BroadcastMode::Certified, Some(cert)) => {
-                            if cert.vertex().digest == v.digest()
+                            if cert.vertex() == v.reference()
                                 && cert.verify(&self.committee).is_ok()
                             {
                                 fx.merge(self.accept(v.clone(), Some(cert.clone()), dag));
@@ -524,7 +524,7 @@ impl Rbc {
                 idx = (idx + 1) % n;
             }
             fx.send.push((ValidatorId(idx as u16), RbcMessage::RangeRequest { from: front }));
-            if let Some(mine) = dag.round_vertices(front).find(|v| v.author() == me).cloned() {
+            if let Some(mine) = dag.vertex_by_author(front, me).cloned() {
                 match self.mode {
                     BroadcastMode::BestEffort => fx.broadcast.push(RbcMessage::Vertex(mine)),
                     // Certified mode: a vertex in our DAG carries a
@@ -550,11 +550,14 @@ impl Rbc {
                 fx.broadcast.push(RbcMessage::Propose(p.vertex.clone()));
             }
         }
-        // Prune below GC.
+        // Prune below GC. A certificate is kept exactly while its vertex
+        // is in the DAG: it is stored when the vertex is inserted, names
+        // the vertex's own round (checked at intake), and only GC removes
+        // vertices.
         let gc = dag.gc_round();
         self.acked.retain(|(round, _), _| *round >= gc);
         self.proposals.retain(|round, _| *round >= gc);
-        self.certs.retain(|d, _| dag.contains(d));
+        self.certs.retain(|_, cert| cert.vertex().round >= gc);
         let stale: Vec<Digest> =
             self.pending.iter().filter(|(_, b)| b.vertex.round() < gc).map(|(d, _)| *d).collect();
         for d in stale {
@@ -671,7 +674,17 @@ impl Rbc {
                     fx.delivered.push(v);
                     queue.extend(self.release_waiters(&digest));
                 }
-                Ok(InsertOutcome::AlreadyPresent) => {}
+                Ok(InsertOutcome::AlreadyPresent) => {
+                    // Buffered children await only digests the DAG lacked
+                    // in their round below. One awaiting a vertex the DAG
+                    // holds names it from another round, which no arrival
+                    // can fix: drop it rather than ask again until GC.
+                    if let Some(awaited) = self.awaited.get(&digest) {
+                        for child in awaited.waiters.clone() {
+                            self.drop_pending(&child);
+                        }
+                    }
+                }
                 Err(DagError::MissingParents(missing)) => {
                     if self.pending.contains_key(&digest) {
                         continue;
@@ -750,11 +763,19 @@ impl Rbc {
         fx
     }
 
+    /// Serves the first [`SYNC_RESPONSE_CAP`] of `digests`, in request
+    /// order. A request names no rounds, so they are looked up together
+    /// with [`Dag::find_all`]: one scan of the retained rounds, newest
+    /// first, that ends when the last of them is found. A request costs at
+    /// most one pass over the retained rounds (`gc_depth` rounds and the
+    /// uncommitted front, `n` slots each), whatever it asks for.
     fn on_sync_request(&self, from: ValidatorId, digests: &[Digest], dag: &Dag) -> RbcEffects {
         let mut fx = RbcEffects::default();
+        let asked = &digests[..digests.len().min(SYNC_RESPONSE_CAP)];
+        let stored = dag.find_all(&asked.iter().copied().collect());
         let mut found: Vec<(Arc<Vertex>, Option<Certificate>)> = Vec::new();
-        for d in digests.iter().take(SYNC_RESPONSE_CAP) {
-            if let Some(v) = dag.get(d) {
+        for d in asked {
+            if let Some(&v) = stored.get(d) {
                 let cert = self.certs.get(d).cloned();
                 if self.mode == BroadcastMode::Certified && cert.is_none() {
                     continue; // cannot prove availability without the cert
@@ -884,7 +905,7 @@ mod tests {
 
         let fx1 = rbc1.handle(ValidatorId(0), &fx.broadcast[0], &mut dag1);
         assert_eq!(fx1.delivered.len(), 1);
-        assert!(dag1.contains(&v.digest()));
+        assert!(dag1.get(v.round(), &v.digest()).is_some());
     }
 
     /// Inserts fully-connected rounds `0..rounds` into `dag`.
@@ -923,7 +944,7 @@ mod tests {
             &RbcMessage::Vertex(Arc::new(front_vertex.clone())),
             &mut dag_behind,
         );
-        assert!(!dag_behind.contains(&front_vertex.digest()), "buffered, not inserted");
+        assert!(dag_behind.get(Round(29), &front_vertex.digest()).is_none(), "buffered");
 
         // Tick detects the gap and asks a peer for whole rounds.
         let fx = behind.tick(&dag_behind);
@@ -943,7 +964,7 @@ mod tests {
         let fx = behind.handle(ValidatorId(0), &reply, &mut dag_behind);
         assert!(!fx.delivered.is_empty());
         assert_eq!(dag_behind.highest_round(), Some(Round(29)));
-        assert!(dag_behind.contains(&front_vertex.digest()));
+        assert!(dag_behind.get(Round(29), &front_vertex.digest()).is_some());
 
         // Once caught up, ticks stop range-requesting.
         let fx = behind.tick(&dag_behind);
@@ -1028,7 +1049,7 @@ mod tests {
             delivered += fx.delivered.len();
         }
         assert_eq!(delivered, 5, "4 parents + cascaded child");
-        assert!(dag1.contains(&child.digest()));
+        assert!(dag1.get(child.round(), &child.digest()).is_some());
         assert_eq!(rbc1.pending_len(), 0);
     }
 
@@ -1062,6 +1083,134 @@ mod tests {
             }
             other => panic!("unexpected effects {other:?}"),
         }
+    }
+
+    /// The served digests of the one `SyncResponse` in `fx`, or none.
+    fn served(fx: &RbcEffects) -> Vec<Digest> {
+        fx.send
+            .iter()
+            .filter_map(|(_, m)| match m {
+                RbcMessage::SyncResponse(pairs) => Some(pairs.iter().map(|(v, _)| v.digest())),
+                _ => None,
+            })
+            .flatten()
+            .collect()
+    }
+
+    #[test]
+    fn sync_request_serves_any_retained_round_and_nothing_else() {
+        let c = committee4();
+        let (mut rbc0, mut dag0) = node(&c, 0, BroadcastMode::BestEffort);
+        fill_rounds(&c, &mut dag0, 6);
+        let at = |dag: &Dag, r, a| dag.vertex_by_author(Round(r), ValidatorId(a)).unwrap().digest();
+        let (old, front) = (at(&dag0, 1, 2), at(&dag0, 5, 3));
+        let ghost = hh_crypto::sha256(b"ghost");
+        let ask = |rbc: &mut Rbc, dag: &mut Dag, wanted: Vec<Digest>| {
+            served(&rbc.handle(ValidatorId(1), &RbcMessage::SyncRequest(wanted), dag))
+        };
+        assert_eq!(ask(&mut rbc0, &mut dag0, vec![front, ghost, old]), [old, front]);
+        assert!(ask(&mut rbc0, &mut dag0, vec![ghost]).is_empty(), "nothing to send");
+        // Only unknown digests, past the cap: one scan finds none of them,
+        // and a stored digest beyond the cap is not looked at.
+        let mut unknown: Vec<Digest> = (0..2 * SYNC_RESPONSE_CAP as u32)
+            .map(|i| hh_crypto::sha256(&i.to_le_bytes()))
+            .collect();
+        assert!(ask(&mut rbc0, &mut dag0, unknown.clone()).is_empty());
+        unknown.push(front);
+        assert!(ask(&mut rbc0, &mut dag0, unknown).is_empty(), "past the cap");
+        // Request order is kept within a round, repeats included.
+        let (a, b) = (at(&dag0, 3, 1), at(&dag0, 3, 0));
+        assert_eq!(ask(&mut rbc0, &mut dag0, vec![a, front, b, a]), [a, b, a, front]);
+        dag0.gc(Round(2));
+        assert_eq!(ask(&mut rbc0, &mut dag0, vec![old, front]), [front], "round 1 is collected");
+    }
+
+    #[test]
+    fn a_parent_named_from_the_wrong_round_is_dropped_after_one_round_trip() {
+        let c = committee4();
+        let (mut rbc0, mut dag0) = node(&c, 0, BroadcastMode::BestEffort);
+        let (mut rbc1, mut dag1) = node(&c, 1, BroadcastMode::BestEffort);
+        fill_rounds(&c, &mut dag0, 3);
+        fill_rounds(&c, &mut dag1, 3);
+        // Validator 0 signs a round-3 vertex that names three round-2
+        // vertices and one from round 1, which both DAGs hold.
+        let two_down = dag1.vertex_by_author(Round(1), ValidatorId(3)).unwrap().digest();
+        let mut parents: Vec<Digest> = dag1.round_vertices(Round(2)).map(|v| v.digest()).collect();
+        parents[3] = two_down;
+        let bent = Arc::new(make_vertex(&c, 3, 0, parents));
+        let fx = rbc1.handle(ValidatorId(0), &RbcMessage::Vertex(bent.clone()), &mut dag1);
+        assert!(fx.delivered.is_empty());
+        assert_eq!(rbc1.pending_len(), 1);
+        let [(ValidatorId(0), request)] = &fx.send[..] else {
+            panic!("expected one sync request to the author, got {:?}", fx.send);
+        };
+        assert!(matches!(request, RbcMessage::SyncRequest(d) if d == &[two_down]));
+
+        // The author serves the round-1 vertex; it is already stored, so
+        // nothing can ever release the child and it is dropped.
+        let reply = rbc0.handle(ValidatorId(1), request, &mut dag0);
+        let [(_, response)] = &reply.send[..] else { panic!("expected one reply") };
+        let fx = rbc1.handle(ValidatorId(0), response, &mut dag1);
+        assert!(fx.delivered.is_empty());
+        assert_eq!(rbc1.pending_len(), 0);
+        assert!(rbc1.awaited.is_empty());
+        assert_buffer_consistent(&rbc1, &dag1);
+        assert!(rbc1.tick(&dag1).send.is_empty(), "nothing left to ask for");
+        assert!(dag1.get(bent.round(), &bent.digest()).is_none());
+    }
+
+    /// Certifies `v` with the acks of validators 0-2.
+    fn certify(c: &Committee, v: &Vertex) -> Certificate {
+        let acks = (0..3u16)
+            .map(|i| {
+                (ValidatorId(i), c.keypair(ValidatorId(i)).sign(ACK_CONTEXT, v.digest().as_bytes()))
+            })
+            .collect();
+        Certificate::new(v.reference(), acks)
+    }
+
+    #[test]
+    fn certified_tick_keeps_certificates_from_the_gc_horizon_up() {
+        let c = committee4();
+        let (mut rbc0, mut dag0) = node(&c, 0, BroadcastMode::Certified);
+        let mut source = Dag::new(c.clone());
+        fill_rounds(&c, &mut source, 5);
+        for r in 0..5 {
+            for v in source.round_vertices(Round(r)) {
+                let msg = RbcMessage::Certified(v.clone(), certify(&c, v));
+                assert_eq!(rbc0.handle(v.author(), &msg, &mut dag0).delivered.len(), 1);
+            }
+        }
+        // A certificate naming another round than its vertex's is refused:
+        // the signatures cover the digest alone.
+        let v = Arc::new(make_vertex(
+            &c,
+            5,
+            1,
+            source.round_vertices(Round(4)).map(|v| v.digest()).collect(),
+        ));
+        let mut cert = certify(&c, &v);
+        let VertexRef { author, digest, .. } = cert.vertex();
+        cert =
+            Certificate::new(VertexRef { round: Round(99), author, digest }, cert.acks().to_vec());
+        assert!(cert.verify(&c).is_ok());
+        let fx = rbc0.handle(ValidatorId(1), &RbcMessage::Certified(v, cert), &mut dag0);
+        assert!(fx.delivered.is_empty());
+
+        assert_eq!(rbc0.certs.len(), 5 * 4);
+        dag0.gc(Round(2));
+        rbc0.tick(&dag0);
+        let mut kept: Vec<u64> = rbc0.certs.values().map(|cert| cert.vertex().round.0).collect();
+        kept.sort();
+        assert_eq!(kept, [2, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4]);
+        // What is kept is served, with its certificate.
+        let wanted = vec![source.vertex_by_author(Round(2), ValidatorId(3)).unwrap().digest()];
+        let fx = rbc0.handle(ValidatorId(1), &RbcMessage::SyncRequest(wanted.clone()), &mut dag0);
+        assert!(matches!(
+            &fx.send[..],
+            [(_, RbcMessage::SyncResponse(pairs))] if pairs.len() == 1 && pairs[0].1.is_some()
+        ));
+        assert_eq!(served(&fx), wanted);
     }
 
     #[test]
@@ -1099,7 +1248,7 @@ mod tests {
         let (mut rbc3, mut dag3) = node(&c, 3, BroadcastMode::Certified);
         let fx3 = rbc3.handle(ValidatorId(0), certified, &mut dag3);
         assert_eq!(fx3.delivered.len(), 1);
-        assert!(dag3.contains(&v.digest()));
+        assert!(dag3.get(v.round(), &v.digest()).is_some());
     }
 
     #[test]
@@ -1202,7 +1351,7 @@ mod tests {
             let sig = c.keypair(ValidatorId(i)).sign(ACK_CONTEXT, v.digest().as_bytes());
             rbc0.handle(ValidatorId(i), &RbcMessage::Ack { vertex: v.reference(), sig }, &mut dag0);
         }
-        assert!(dag0.contains(&v.digest()));
+        assert!(dag0.get(v.round(), &v.digest()).is_some());
     }
 
     #[test]
@@ -1450,10 +1599,13 @@ mod tests {
     /// The two maps describe each other: every awaited digest is missing
     /// from the DAG, has waiters and is either asked for or buffered itself;
     /// every waiter is buffered and counts exactly the lists that name it.
+    /// (A list naming a stored vertex from the wrong round breaks the first
+    /// clause until the one sync round trip that drops its vertex.)
     fn assert_buffer_consistent(rbc: &Rbc, dag: &Dag) {
+        let awaited_digests = rbc.awaited.keys().copied().collect();
+        assert!(dag.find_all(&awaited_digests).is_empty(), "awaiting a vertex the DAG holds");
         let mut named: HashMap<Digest, usize> = HashMap::new();
         for (digest, awaited) in rbc.awaited.iter() {
-            assert!(!dag.contains(digest), "awaiting a vertex the DAG holds");
             assert!(!awaited.waiters.is_empty(), "awaited by nobody");
             assert!(awaited.retry.is_some() || rbc.pending.contains_key(digest), "nobody asks");
             for waiter in &awaited.waiters {
@@ -1491,10 +1643,12 @@ mod tests {
                             .values()
                             .flat_map(|b| b.vertex.parents().iter().copied())
                             .collect();
-                        for digest in digests_requested(&rbc1.tick(&dag1)) {
-                            proptest::prop_assert!(waited_on.contains(&digest), "nobody waits on it");
-                            proptest::prop_assert!(!dag1.contains(&digest));
+                        let requested = digests_requested(&rbc1.tick(&dag1));
+                        for digest in &requested {
+                            proptest::prop_assert!(waited_on.contains(digest), "nobody waits on it");
                         }
+                        let requested = requested.into_iter().collect();
+                        proptest::prop_assert!(dag1.find_all(&requested).is_empty());
                     }
                     _ => {
                         let v = all[(op >> 8) as usize % all.len()].clone();

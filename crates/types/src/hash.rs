@@ -2,9 +2,9 @@
 //!
 //! Digests are SHA-256 outputs: already uniformly distributed over
 //! 32 bytes. Feeding them through SipHash (std's default) re-mixes
-//! entropy that is already perfect and shows up on the DAG hot path,
-//! where every vertex insert and every ancestry query does several map
-//! lookups. [`DigestHasher`] instead folds the written bytes into a
+//! entropy that is already perfect and shows up on the broadcast layer's
+//! hot path, where every delivered vertex costs several map lookups.
+//! [`DigestHasher`] instead folds the written bytes into a
 //! `u64` with xor — for a digest key that means "take 8 of its random
 //! bytes", which is exactly as collision-resistant as SipHash on this
 //! key distribution while costing a couple of instructions.

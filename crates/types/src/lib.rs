@@ -13,7 +13,7 @@
 //! * [`codec`] — a deterministic hand-rolled binary codec used for wire
 //!   messages and the storage WAL (the [`codec`] docs say why no serde);
 //! * [`DigestHasher`], [`DigestMap`], [`DigestSet`] — pass-through
-//!   hashing for digest-keyed collections on the DAG hot path (digests
+//!   hashing for the broadcast layer's digest-keyed collections (digests
 //!   are already uniform; re-hashing them through SipHash is pure cost).
 //!
 //! # Example

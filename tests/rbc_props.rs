@@ -205,7 +205,7 @@ fn tx_payloads_survive_broadcast() {
     net.broadcast_own(0, v);
     net.run(|_| 0, 0);
     for i in 1..4 {
-        let stored = net.parties[i].1.get(&digest).expect("delivered");
+        let stored = net.parties[i].1.get(Round(0), &digest).expect("delivered");
         assert_eq!(stored.block().transactions(), &[tx]);
     }
 }
