@@ -61,8 +61,9 @@ pub struct Bullshark<P: SchedulePolicy> {
     commit_index: u64,
     /// Running hash over the commit sequence (anchor digests in order).
     chain_hash: Digest,
-    /// The first anchor of every commit, kept for agreement assertions and
-    /// monitoring.
+    /// The first anchor of every commit whose round the DAG still holds,
+    /// in commit order (monitoring); the agreement summary is
+    /// `commit_index` and `chain_hash`.
     committed_anchors: Vec<VertexRef>,
     /// Leader slots the ordered prefix decided skip.
     passed_over: u64,
@@ -100,7 +101,10 @@ impl<P: SchedulePolicy> Bullshark<P> {
         self.commit_index
     }
 
-    /// The first anchor of every commit, in commit order.
+    /// The first anchor of each of the latest commits, in commit order:
+    /// those whose round was at or above the DAG's GC horizon when the
+    /// last of them was ordered (all of them while nothing is collected).
+    /// The last is commit `commit_count() − 1`.
     pub fn committed_anchors(&self) -> &[VertexRef] {
         &self.committed_anchors
     }
@@ -392,8 +396,10 @@ impl<P: SchedulePolicy> Bullshark<P> {
     fn order_round(&mut self, anchors: &[&Arc<Vertex>], dag: &Dag) -> CommittedSubDag {
         // Only DAG-resident vertices are ever looked up, so marks below
         // the DAG's GC horizon are dead weight that would otherwise grow
-        // for as long as the node runs.
+        // for as long as the node runs; so are the anchors there.
         self.ordered.forget_below(dag.gc_round());
+        let collected = self.committed_anchors.partition_point(|a| a.round < dag.gc_round());
+        self.committed_anchors.drain(..collected);
         let mut vertices = Vec::new();
         let mut h = Sha256::new();
         h.update(self.chain_hash.as_bytes());
@@ -833,13 +839,17 @@ mod tests {
                     peak = peak.max(e.ordered.len());
                 }
             }
-            (e.chain_hash(), commits, peak)
+            (e.chain_hash(), commits, peak, e.committed_anchors().to_vec())
         };
-        let (hash, commits, peak) = run(Some(GC_DEPTH));
-        let (full_hash, full_commits, full_peak) = run(None);
+        let (hash, commits, peak, anchors) = run(Some(GC_DEPTH));
+        let (full_hash, full_commits, full_peak, full_anchors) = run(None);
 
         assert!(commits.len() > 60, "only {} commits", commits.len());
         assert_eq!(hash, full_hash);
+        // The engine keeps the anchors the DAG still holds: a suffix.
+        assert_eq!(full_anchors.len(), full_commits.len());
+        assert!(anchors.len() <= (GC_DEPTH + SLACK) as usize, "{} anchors kept", anchors.len());
+        assert_eq!(anchors[..], full_anchors[full_anchors.len() - anchors.len()..]);
         assert_eq!(commits.len(), full_commits.len());
         for (a, b) in commits.iter().zip(&full_commits) {
             assert_eq!((a.anchor, a.commit_index), (b.anchor, b.commit_index));

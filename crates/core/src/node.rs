@@ -114,6 +114,10 @@ pub struct CommitRecord {
     /// Every vertex of the sub-DAG, in commit (deterministic traversal)
     /// order.
     pub vertices: Vec<VertexRef>,
+    /// The GC round the committing DAG moves to after this commit
+    /// (`anchor.round − gc_depth`, saturating): no later commit of this
+    /// validator can name a vertex below it.
+    pub horizon: Round,
     /// Whether this record was produced by crash-recovery replay rather
     /// than live consensus.
     pub replayed: bool,
@@ -911,10 +915,12 @@ impl<B: LogBackend> Validator<B> {
 
     fn on_commit(&mut self, sd: CommittedSubDag, now: u64, out: &mut Vec<Output>) {
         self.metrics.commits += 1;
+        let horizon = Round(sd.anchor.round.0.saturating_sub(self.config.gc_depth));
         self.commit_log.push(CommitRecord {
             index: sd.commit_index,
             anchor: sd.anchor,
             vertices: sd.vertices.iter().map(|v| v.reference()).collect(),
+            horizon,
             replayed: self.replaying,
         });
         let tx_interval_us = 1_000_000 / self.config.exec_rate_tps.max(1);
@@ -968,10 +974,7 @@ impl<B: LogBackend> Validator<B> {
             }
         }
         // Garbage-collect far-ordered history.
-        let anchor_round = sd.anchor.round;
-        if anchor_round.0 > self.config.gc_depth {
-            self.dag.gc(Round(anchor_round.0 - self.config.gc_depth));
-        }
+        self.dag.gc(horizon);
     }
 
     /// The proposer loop: advance as many rounds as conditions allow; on a
@@ -1271,7 +1274,7 @@ mod tests {
         // anchor and sub-DAG, commit by commit.
         let replayed = revived.take_commit_records();
         assert!(replayed.iter().all(|r| r.replayed));
-        let without_origin = |r: &CommitRecord| (r.index, r.anchor, r.vertices.clone());
+        let without_origin = |r: &CommitRecord| (r.index, r.anchor, r.vertices.clone(), r.horizon);
         assert!(replayed.len() >= log_before.len());
         assert_eq!(
             replayed[..log_before.len()].iter().map(without_origin).collect::<Vec<_>>(),

@@ -2,18 +2,27 @@
 //!
 //! Every run feeds the committed sub-DAGs of every validator — live
 //! commits and crash-recovery replay alike — into a [`SafetyChecker`],
-//! which asserts the three invariants an adversarial network must never
+//! which asserts the four invariants an adversarial network must never
 //! be able to break (it may only slow the system down):
 //!
-//! 1. **No fork**: all validators agree on the anchor at every commit
-//!    index — pairwise commit-prefix consistency, checked against the
+//! 1. **No fork**: all validators agree on the whole commit at every
+//!    commit index — its anchor and its vertex list — checked against the
 //!    first writer of each index.
 //! 2. **Slot uniqueness**: across every committed sub-DAG, a
 //!    `(round, author)` slot resolves to exactly one vertex digest.
 //! 3. **Commit monotonicity**: each validator's commit indices advance
 //!    contiguously; a WAL replay may restart the sequence from zero but
 //!    must then reproduce the same prefix (rule 1 holds it to the
-//!    anchors the cluster already exposed before the crash).
+//!    commits the cluster already exposed before the crash).
+//! 4. **Nothing ordered from a collected round**: no commit names a
+//!    vertex below the GC horizon of the same validator's previous
+//!    commit ([`CommitRecord::horizon`]); a replay rewinding to zero
+//!    starts again from horizon zero.
+//!
+//! The checker holds one entry per commit index, the run's one full copy
+//! of the anchor sequence ([`SafetyChecker::anchor_prefix`]), and the
+//! slots of the rounds no validator has collected yet: what it keeps
+//! grows with the commit count by that entry alone.
 //!
 //! A simulated validator's records reach the checker inside the event
 //! that produced them (`hh-sim`'s validator actor hands them over before
@@ -25,9 +34,10 @@
 //! aborts with a per-validator diagnostic.
 
 use crate::CommitRecord;
-use hh_crypto::Digest;
+use hh_crypto::{Digest, Sha256};
 use hh_types::{Round, ValidatorId, VertexRef};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One detected safety violation.
@@ -45,15 +55,63 @@ impl std::fmt::Display for SafetyViolation {
     }
 }
 
+/// How far the slot floor rises before the slots below it are dropped:
+/// one pass over the window every this many rounds, for at most this
+/// many rounds' slots held beyond it.
+const SLOT_PRUNE_SLACK: u64 = 32;
+
+/// The first record any validator exposed for one commit index.
+#[derive(Debug)]
+struct FirstWrite {
+    /// The validator that exposed it.
+    by: u16,
+    anchor: VertexRef,
+    /// SHA-256 over the record's vertex digests, in commit order.
+    list: Digest,
+}
+
+/// Where one validator's commit sequence stands.
+#[derive(Debug, Default)]
+struct Cursor {
+    /// The next commit index expected (invariant 3).
+    next: u64,
+    /// The horizon of its previous record (invariant 4).
+    horizon: Round,
+}
+
 /// What the checker has seen so far.
+///
+/// **Why invariant 2 needs only a window.** Slots are checked for the
+/// first write of each index alone, and only at or above `slot_floor`,
+/// the previous first write's horizon; the slots below it are dropped
+/// once it has risen [`SLOT_PRUNE_SLACK`] rounds past the last drop.
+/// Nothing a validator commits escapes the check:
+///
+/// * a record for an index already written is held to the first
+///   writer's vertex list by invariant 1's digest, so its slots are the
+///   first writer's;
+/// * the first writer of index `i` committed index `i − 1` before it
+///   (invariant 3), with the anchor of that index's first write
+///   (invariant 1), hence with the same horizon: a horizon is the anchor
+///   round less `gc_depth`, and every validator of a run is built from
+///   one `ValidatorConfig`, so `gc_depth` is the same run-wide.
+///   Invariant 4 then stops that writer from naming a slot below
+///   `slot_floor`;
+/// * floors only rise, so a slot at or above the current floor that an
+///   earlier first write named was recorded then and is still held.
 #[derive(Debug, Default)]
 struct Observed {
-    /// Commit index → the first anchor any validator exposed for it.
-    anchors: BTreeMap<u64, (u16, VertexRef)>,
-    /// `(round, author)` → the first committed digest for that slot.
+    /// Commit index `i` → its first write, at position `i`: indices are
+    /// dense, and one past the end is a monotonicity violation already.
+    commits: Vec<FirstWrite>,
+    /// `(round, author)` → the committed digest, for the rounds at or
+    /// above `pruned_below`.
     slots: HashMap<(Round, ValidatorId), Digest>,
-    /// Per-validator next expected commit index.
-    cursors: HashMap<u16, u64>,
+    /// The horizon of the latest first write.
+    slot_floor: Round,
+    /// The floor when `slots` was last pruned.
+    pruned_below: Round,
+    cursors: HashMap<u16, Cursor>,
     /// Total records observed.
     records_seen: u64,
     /// Whether any of `violations` is a fork (invariant 1).
@@ -104,7 +162,7 @@ impl SafetyChecker {
     }
 
     /// Whether invariant 1 holds: no validator, live or replaying, ever
-    /// exposed an anchor other than the first one exposed for its commit
+    /// exposed a commit other than the first one exposed for its commit
     /// index — every pair of commit sequences is prefix-consistent.
     pub fn fork_free(&self) -> bool {
         !self.observed().forked
@@ -113,6 +171,18 @@ impl SafetyChecker {
     /// Total commit records observed.
     pub fn records_seen(&self) -> u64 {
         self.observed().records_seen
+    }
+
+    /// The anchors of the first `len` commit indices, as first exposed
+    /// (all of them when fewer were observed). A validator that has made
+    /// `k` commits without a violation committed `anchor_prefix(k)`.
+    pub fn anchor_prefix(&self, len: u64) -> Vec<VertexRef> {
+        self.observed().commits.iter().take(len as usize).map(|c| c.anchor).collect()
+    }
+
+    /// How many `(round, author)` slots invariant 2 holds right now.
+    pub fn retained_slots(&self) -> usize {
+        self.observed().slots.len()
     }
 
     /// Aborts the run if any invariant has been violated.
@@ -144,13 +214,23 @@ impl SafetyChecker {
         for v in &observed.violations {
             let _ = writeln!(out, "  - {v}");
         }
-        let mut cursors: Vec<(&u16, &u64)> = observed.cursors.iter().collect();
-        cursors.sort();
+        let mut cursors: Vec<(&u16, &Cursor)> = observed.cursors.iter().collect();
+        cursors.sort_by_key(|(validator, _)| **validator);
         for (validator, cursor) in cursors {
-            let _ = writeln!(out, "  validator {validator}: next commit index {cursor}");
+            let _ = writeln!(
+                out,
+                "  validator {validator}: next commit index {}, horizon {}",
+                cursor.next, cursor.horizon
+            );
         }
-        if let Some((idx, (by, anchor))) = observed.anchors.iter().next_back() {
-            let _ = writeln!(out, "  commit front: index {idx} anchor {anchor} (first by {by})");
+        if let Some(front) = observed.commits.last() {
+            let _ = writeln!(
+                out,
+                "  commit front: index {} anchor {} (first by {})",
+                observed.commits.len() - 1,
+                front.anchor,
+                front.by
+            );
         }
         out
     }
@@ -162,61 +242,95 @@ impl Observed {
 
         // Invariant 3: contiguous per-validator indices; only a WAL
         // replay may rewind, and only to the very start of the sequence.
-        let cursor = self.cursors.entry(validator).or_insert(0);
-        if record.index == *cursor {
-            *cursor += 1;
-        } else if record.replayed && record.index == 0 {
-            *cursor = 1;
-        } else {
+        let rewinds = record.replayed && record.index == 0;
+        let cursor = self.cursors.entry(validator).or_default();
+        if record.index != cursor.next && !rewinds {
             self.violations.push(SafetyViolation {
                 validator,
                 detail: format!(
                     "non-monotonic commit: index {} arrived while expecting {}{}",
                     record.index,
-                    cursor,
+                    cursor.next,
                     if record.replayed { " (during replay)" } else { "" }
                 ),
             });
-            *cursor = record.index + 1;
         }
+        cursor.next = record.index + 1;
 
-        // Invariant 1: every validator exposes the same anchor per index.
-        match self.anchors.get(&record.index) {
-            None => {
-                self.anchors.insert(record.index, (validator, record.anchor));
-            }
-            Some((first_by, first)) if *first != record.anchor => {
+        // Invariant 4: the DAG that committed this dropped every round
+        // below its previous commit's horizon.
+        if rewinds {
+            cursor.horizon = Round(0);
+        }
+        if let Some(v) = record.vertices.iter().find(|v| v.round < cursor.horizon) {
+            self.violations.push(SafetyViolation {
+                validator,
+                detail: format!(
+                    "commit index {} orders vertex {} of round {}, below horizon {} of this \
+                     validator's previous commit",
+                    record.index, v.digest, v.round, cursor.horizon
+                ),
+            });
+        }
+        cursor.horizon = cursor.horizon.max(record.horizon);
+
+        // Invariant 1: every validator exposes the same commit per index.
+        let mut h = Sha256::new();
+        for v in &record.vertices {
+            h.update(v.digest.as_bytes());
+        }
+        let list = h.finalize();
+        match self.commits.get(record.index as usize) {
+            Some(first) if first.anchor != record.anchor || first.list != list => {
                 self.forked = true;
                 self.violations.push(SafetyViolation {
                     validator,
                     detail: format!(
-                        "fork at commit index {}: anchor {} disagrees with {} first exposed \
-                         by validator {}",
-                        record.index, record.anchor, first, first_by
+                        "fork at commit index {}: anchor {} with vertex list {} disagrees with \
+                         anchor {} with vertex list {} first exposed by validator {}",
+                        record.index, record.anchor, list, first.anchor, first.list, first.by
                     ),
                 });
             }
             Some(_) => {}
+            None if record.index == self.commits.len() as u64 => {
+                self.first_write(validator, record);
+                self.commits.push(FirstWrite { by: validator, anchor: record.anchor, list });
+            }
+            // Past the front: invariant 3 has flagged the gap.
+            None => {}
         }
+    }
 
-        // Invariant 2: one digest per (round, author) slot, ever.
-        for v in &record.vertices {
-            match self.slots.get(&(v.round, v.author)) {
-                None => {
-                    self.slots.insert((v.round, v.author), v.digest);
+    /// Invariant 2 over a first write: one digest per `(round, author)`
+    /// slot, ever — checked in the window `Observed` argues is enough.
+    fn first_write(&mut self, validator: u16, record: &CommitRecord) {
+        let floor = self.slot_floor;
+        if floor.0 >= self.pruned_below.0 + SLOT_PRUNE_SLACK {
+            self.slots.retain(|(round, _), _| *round >= floor);
+            self.pruned_below = floor;
+        }
+        for v in record.vertices.iter().filter(|v| v.round >= floor) {
+            match self.slots.entry((v.round, v.author)) {
+                Entry::Vacant(slot) => {
+                    slot.insert(v.digest);
                 }
-                Some(first) if *first != v.digest => {
+                Entry::Occupied(slot) if *slot.get() != v.digest => {
                     self.violations.push(SafetyViolation {
                         validator,
                         detail: format!(
                             "two committed vertices for slot ({}, {}): {} and {}",
-                            v.round, v.author, first, v.digest
+                            v.round,
+                            v.author,
+                            slot.get(),
+                            v.digest
                         ),
                     });
                 }
-                Some(_) => {}
+                Entry::Occupied(_) => {}
             }
         }
+        self.slot_floor = floor.max(record.horizon);
     }
 }
 
@@ -233,7 +347,7 @@ mod tests {
     }
 
     fn record(index: u64, anchor: VertexRef, vertices: Vec<VertexRef>) -> CommitRecord {
-        CommitRecord { index, anchor, vertices, replayed: false }
+        CommitRecord { index, anchor, vertices, horizon: Round(0), replayed: false }
     }
 
     #[test]
@@ -266,16 +380,73 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_slot_with_distinct_digest_is_detected() {
+    fn equal_anchors_with_different_vertex_lists_are_a_fork() {
         let mut c = SafetyChecker::new();
         let a = vref(2, 0, 0);
-        let twin_a = vref(1, 3, 0);
-        let twin_b = vref(1, 3, 7); // same slot (round 1, author 3), new digest
-        c.observe(0, &record(0, a, vec![twin_a, a]));
-        c.observe(1, &record(0, a, vec![twin_b, a]));
+        c.observe(0, &record(0, a, vec![vref(1, 3, 0), a]));
+        c.observe(1, &record(0, a, vec![vref(1, 2, 0), a]));
+        assert!(!c.fork_free());
         let dump = c.diagnostic_dump();
         assert_eq!(c.violations().len(), 1, "{dump}");
-        assert!(dump.contains("two committed vertices for slot"), "{dump}");
+        assert!(dump.contains("fork at commit index 0"), "{dump}");
+    }
+
+    #[test]
+    fn twins_at_two_first_written_indices_are_a_slot_violation() {
+        let mut c = SafetyChecker::new();
+        let a0 = vref(2, 0, 0);
+        let a1 = vref(3, 1, 0);
+        let twin_a = vref(1, 3, 0);
+        let twin_b = vref(1, 3, 7); // same slot (round 1, author 3), new digest
+        c.observe(0, &record(0, a0, vec![twin_a, a0]));
+        c.observe(0, &record(1, a1, vec![twin_b, a1]));
+        let dump = c.diagnostic_dump();
+        assert!(c.fork_free(), "{dump}");
+        assert_eq!(c.violations().len(), 1, "{dump}");
+        assert!(dump.contains("two committed vertices for slot (1, v3)"), "{dump}");
+    }
+
+    #[test]
+    fn slots_below_the_previous_first_writes_horizon_are_dropped() {
+        let mut c = SafetyChecker::new();
+        for index in 0..200u64 {
+            let round = index + 10;
+            let anchor = vref(round, 0, 0);
+            let vertices = vec![vref(round - 1, 1, 0), vref(round - 1, 2, 0), anchor];
+            let horizon = Round(round - 4);
+            for validator in 0..3 {
+                let r = CommitRecord { horizon, ..record(index, anchor, vertices.clone()) };
+                c.observe(validator, &r);
+            }
+        }
+        assert!(c.is_clean(), "{}", c.diagnostic_dump());
+        // Three slots a round, from at most the slack below the last
+        // floor (anchor 208 less 4) up to the last anchor.
+        let bound = (SLOT_PRUNE_SLACK + 6) as usize * 3;
+        assert!(c.retained_slots() <= bound, "{} slots, bound {bound}", c.retained_slots());
+        assert_eq!(c.anchor_prefix(1_000).len(), 200);
+        assert_eq!(c.anchor_prefix(2), vec![vref(10, 0, 0), vref(11, 0, 0)]);
+    }
+
+    #[test]
+    fn naming_a_vertex_below_the_previous_horizon_is_flagged_unless_replay_rewound() {
+        let a0 = vref(12, 0, 0);
+        let a1 = vref(13, 1, 0);
+        let first = CommitRecord { horizon: Round(2), ..record(0, a0, vec![vref(1, 1, 0), a0]) };
+
+        let mut c = SafetyChecker::new();
+        c.observe(0, &first);
+        c.observe(0, &CommitRecord { horizon: Round(3), ..record(1, a1, vec![vref(1, 2, 0), a1]) });
+        let dump = c.diagnostic_dump();
+        assert_eq!(c.violations().len(), 1, "{dump}");
+        assert!(dump.contains("of round 1, below horizon 2"), "{dump}");
+
+        // A replay rewinding to index 0 starts from an empty DAG again.
+        let mut c = SafetyChecker::new();
+        c.observe(0, &first);
+        c.observe(0, &CommitRecord { horizon: Round(3), ..record(1, a1, vec![a1]) });
+        c.observe(0, &CommitRecord { replayed: true, ..first.clone() });
+        assert!(c.is_clean(), "{}", c.diagnostic_dump());
     }
 
     #[test]

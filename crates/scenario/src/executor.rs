@@ -82,8 +82,7 @@ fn analyze(run: &PlannedRun, handle: &SimHandle) -> AnalysisRow {
     // Lemma 6: the leader slots the ordered prefix decided skip, and all
     // it decided, in the most advanced live validator's view, as its
     // engine counted them.
-    let most_advanced =
-        live.iter().map(|i| handle.validator(*i)).max_by_key(|v| v.committed_anchors().len());
+    let most_advanced = live.iter().map(|i| handle.validator(*i)).max_by_key(|v| v.commit_count());
     let last_anchor_round =
         most_advanced.and_then(|v| v.committed_anchors().last()).map(|a| a.round.0).unwrap_or(0);
     let skipped_rounds = most_advanced.map_or(0, |v| v.passed_over_candidates());
@@ -99,9 +98,10 @@ fn analyze(run: &PlannedRun, handle: &SimHandle) -> AnalysisRow {
     // Re-inclusion and demotion are judged through the most advanced live
     // validator's view (ties break toward the lowest index): its schedule
     // history resolves `leader_at` for every committed round, its
-    // committed anchors bound the search (a slot past the last anchor is
-    // unknown, not pending) and its evidence ledger is as complete as any
-    // honest node's.
+    // committed anchors (the checker's sequence up to its commit count)
+    // bound the search (a slot past the last anchor is unknown, not
+    // pending) and its evidence ledger is as complete as any honest
+    // node's.
     let observer = live
         .iter()
         .copied()
@@ -206,7 +206,7 @@ fn adversary_rows(
 /// trajectory under HammerHead.
 fn reinclusion_rows(handle: &SimHandle, observer: usize) -> Vec<ReinclusionRow> {
     let observer = handle.validator(observer);
-    let anchors = observer.committed_anchors();
+    let anchors = handle.safety.anchor_prefix(observer.commit_count());
     let last_anchor_round = anchors.last().map(|a| a.round.0).unwrap_or(0);
 
     handle

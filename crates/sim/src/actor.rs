@@ -493,14 +493,11 @@ mod tests {
             sync_tick_us: 100_000,
             ..ValidatorConfig::default()
         };
+        let safety = SafetyChecker::new();
         let mut actors: Vec<Actor> = (0..4)
             .map(|i| {
-                Actor::honest(Validator::new(
-                    committee.clone(),
-                    ValidatorId(i),
-                    config.clone(),
-                    None,
-                ))
+                let v = Validator::new(committee.clone(), ValidatorId(i), config.clone(), None);
+                Actor::Validator(Box::new(v), None, safety.clone())
             })
             .collect();
         // One client targeting validator 0.
@@ -517,14 +514,9 @@ mod tests {
             (0..4).map(|i| sim.node(NodeId(i)).as_validator().unwrap().commit_count()).collect();
         assert!(commit_counts.iter().all(|c| *c > 10), "commits: {commit_counts:?}");
 
-        // Agreement: equal-length prefixes match.
-        let anchors: Vec<_> = (0..4)
-            .map(|i| sim.node(NodeId(i)).as_validator().unwrap().committed_anchors().to_vec())
-            .collect();
-        let min_len = anchors.iter().map(|a| a.len()).min().unwrap();
-        for v in 1..4 {
-            assert_eq!(&anchors[0][..min_len], &anchors[v][..min_len]);
-        }
+        // Agreement: the shared checker saw every commit, and no fork.
+        safety.assert_clean();
+        assert_eq!(safety.records_seen(), commit_counts.iter().sum::<u64>());
 
         // The client's transactions flowed through to execution records.
         let recs = sim.node(NodeId(0)).as_validator().unwrap().metrics().exec_records.len();

@@ -1180,14 +1180,15 @@ mod tests {
         let end_us = handle_a.sim.now().as_micros();
 
         let rewrite: Vec<hammerhead::CommitRecord> = handle_b
-            .validator(0)
-            .committed_anchors()
-            .iter()
+            .safety
+            .anchor_prefix(handle_b.validator(0).commit_count())
+            .into_iter()
             .enumerate()
             .map(|(i, a)| hammerhead::CommitRecord {
                 index: i as u64,
-                anchor: *a,
-                vertices: vec![*a],
+                anchor: a,
+                vertices: vec![a],
+                horizon: hh_types::Round(0),
                 replayed: true,
             })
             .collect();

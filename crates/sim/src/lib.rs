@@ -31,8 +31,9 @@
 //!   stay bit-identical;
 //! * an always-on [`SafetyChecker`] (it lives beside the validator, in
 //!   `hammerhead`) that every validator hands each commit to as it
-//!   happens, asserting no fork, `(round, author)` slot uniqueness and
-//!   commit monotonicity across WAL replays (safety is checked on every
+//!   happens, asserting no fork, `(round, author)` slot uniqueness,
+//!   commit monotonicity across WAL replays and that nothing is ordered
+//!   from a garbage-collected round (safety is checked on every
 //!   experiment, not assumed — a violation aborts the run with a
 //!   diagnostic dump).
 //!

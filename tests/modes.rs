@@ -6,7 +6,7 @@ use hammerhead_repro::hh_net::{
     Duration, FaultSchedule, LatencyModel, NetworkConfig, NodeId, SimTime, Simulator,
 };
 use hammerhead_repro::hh_rbc::BroadcastMode;
-use hammerhead_repro::hh_sim::{Actor, Client};
+use hammerhead_repro::hh_sim::{Actor, Client, SafetyChecker};
 use hammerhead_repro::hh_storage::MemBackend;
 use hammerhead_repro::hh_types::{Committee, CommitteeBuilder, Stake, ValidatorId};
 
@@ -19,21 +19,24 @@ fn fast_config() -> ValidatorConfig {
     }
 }
 
+/// The simulator, and the one checker every validator's commits feed.
 fn build_network(
     committee: &Committee,
     config: &ValidatorConfig,
     faults: FaultSchedule,
     seed: u64,
-) -> Simulator<Actor> {
+) -> (Simulator<Actor>, SafetyChecker) {
     let n = committee.size();
+    let safety = SafetyChecker::new();
     let mut actors: Vec<Actor> = (0..n)
         .map(|i| {
-            Actor::honest(Validator::<MemBackend>::new(
+            let v = Validator::<MemBackend>::new(
                 committee.clone(),
                 ValidatorId(i as u16),
                 config.clone(),
                 None,
-            ))
+            );
+            Actor::Validator(Box::new(v), None, safety.clone())
         })
         .collect();
     actors.push(Actor::Client(Client::new(0, NodeId(0), 120.0, 10.0)));
@@ -42,21 +45,22 @@ fn build_network(
         faults,
         ..NetworkConfig::default()
     };
-    Simulator::new(actors, net, seed)
+    (Simulator::new(actors, net, seed), safety)
 }
 
 fn commits(sim: &Simulator<Actor>, i: usize) -> u64 {
     sim.node(NodeId(i)).as_validator().unwrap().commit_count()
 }
 
-fn assert_prefix_agreement(sim: &Simulator<Actor>, n: usize) {
-    let longest = (0..n)
-        .map(|i| sim.node(NodeId(i)).as_validator().unwrap().committed_anchors().to_vec())
-        .max_by_key(|a| a.len())
-        .unwrap();
+/// No fork anywhere, and every validator's retained anchors sit at their
+/// commit indices in the checker's sequence.
+fn assert_prefix_agreement(sim: &Simulator<Actor>, safety: &SafetyChecker, n: usize) {
+    safety.assert_clean();
+    let sequence = safety.anchor_prefix(u64::MAX);
     for i in 0..n {
-        let anchors = sim.node(NodeId(i)).as_validator().unwrap().committed_anchors();
-        assert_eq!(anchors, &longest[..anchors.len()], "validator {i} diverged");
+        let v = sim.node(NodeId(i)).as_validator().unwrap();
+        let (count, anchors) = (v.commit_count() as usize, v.committed_anchors());
+        assert_eq!(anchors, &sequence[count - anchors.len()..count], "validator {i} diverged");
     }
 }
 
@@ -66,12 +70,12 @@ fn certified_broadcast_mode_commits_end_to_end() {
     // one extra round-trip per vertex, but equivocation-proof.
     let committee = Committee::new_equal_stake(4);
     let config = ValidatorConfig { broadcast_mode: BroadcastMode::Certified, ..fast_config() };
-    let mut sim = build_network(&committee, &config, FaultSchedule::new(), 5);
+    let (mut sim, safety) = build_network(&committee, &config, FaultSchedule::new(), 5);
     sim.run_until(SimTime::from_secs(6));
     for i in 0..4 {
         assert!(commits(&sim, i) > 20, "validator {i}: {} commits", commits(&sim, i));
     }
-    assert_prefix_agreement(&sim, 4);
+    assert_prefix_agreement(&sim, &safety, 4);
     // Certified transactions flow end to end.
     let recs = sim.node(NodeId(0)).as_validator().unwrap().metrics().exec_records.len();
     assert!(recs > 300, "exec records: {recs}");
@@ -82,12 +86,12 @@ fn certified_mode_survives_crash_faults() {
     let committee = Committee::new_equal_stake(4);
     let config = ValidatorConfig { broadcast_mode: BroadcastMode::Certified, ..fast_config() };
     let faults = FaultSchedule::new().crash(3, 0);
-    let mut sim = build_network(&committee, &config, faults, 6);
+    let (mut sim, safety) = build_network(&committee, &config, faults, 6);
     sim.run_until(SimTime::from_secs(8));
     for i in 0..3 {
         assert!(commits(&sim, i) > 10, "validator {i}");
     }
-    assert_prefix_agreement(&sim, 3);
+    assert_prefix_agreement(&sim, &safety, 3);
 }
 
 #[test]
@@ -103,12 +107,12 @@ fn weighted_stake_committee_runs_and_respects_stake() {
         .build()
         .unwrap();
     let config = fast_config();
-    let mut sim = build_network(&committee, &config, FaultSchedule::new(), 7);
+    let (mut sim, safety) = build_network(&committee, &config, FaultSchedule::new(), 7);
     sim.run_until(SimTime::from_secs(6));
-    assert_prefix_agreement(&sim, 5);
+    assert_prefix_agreement(&sim, &safety, 5);
 
     // The whale leads half the slots: count anchors per author.
-    let anchors = sim.node(NodeId(0)).as_validator().unwrap().committed_anchors();
+    let anchors = safety.anchor_prefix(commits(&sim, 0));
     assert!(anchors.len() > 20);
     let whale_anchors = anchors.iter().filter(|a| a.author == ValidatorId(0)).count();
     let share = whale_anchors as f64 / anchors.len() as f64;
@@ -125,7 +129,7 @@ fn partition_heals_and_liveness_resumes() {
     // minority stalls, then catches up after the heal.
     let committee = Committee::new_equal_stake(4);
     let faults = FaultSchedule::new().partition(vec![0, 1, 2], vec![3], 2_000_000, 4_000_000);
-    let mut sim = build_network(&committee, &fast_config(), faults, 8);
+    let (mut sim, safety) = build_network(&committee, &fast_config(), faults, 8);
 
     sim.run_until(SimTime::from_secs(4));
     let majority_mid = commits(&sim, 0);
@@ -140,7 +144,7 @@ fn partition_heals_and_liveness_resumes() {
         minority_end + 15 >= majority_end,
         "minority failed to catch up: {minority_end} vs {majority_end}"
     );
-    assert_prefix_agreement(&sim, 4);
+    assert_prefix_agreement(&sim, &safety, 4);
 }
 
 #[test]
@@ -150,7 +154,7 @@ fn majority_partition_stalls_and_recovers_total_order() {
     // liveness trade every BFT protocol must make.
     let committee = Committee::new_equal_stake(4);
     let faults = FaultSchedule::new().partition(vec![0, 1], vec![2, 3], 2_000_000, 5_000_000);
-    let mut sim = build_network(&committee, &fast_config(), faults, 9);
+    let (mut sim, safety) = build_network(&committee, &fast_config(), faults, 9);
 
     sim.run_until(SimTime::from_secs(2));
     let before: Vec<u64> = (0..4).map(|i| commits(&sim, i)).collect();
@@ -167,5 +171,5 @@ fn majority_partition_stalls_and_recovers_total_order() {
     for (i, commits_during) in during.iter().enumerate() {
         assert!(commits(&sim, i) > commits_during + 10, "validator {i} did not resume");
     }
-    assert_prefix_agreement(&sim, 4);
+    assert_prefix_agreement(&sim, &safety, 4);
 }

@@ -10,20 +10,18 @@ use hammerhead_repro::hh_sim::{
     build_sim, run_experiment, ExperimentConfig, FaultSchedule, Network, SystemKind,
 };
 
-/// Prefix-checks anchors across all live validators of a finished run.
+/// Prefix-checks anchors across all live validators of a run: the run's
+/// checker saw no fork, and every validator's retained anchors sit at
+/// their commit indices in the checker's sequence.
 fn assert_agreement(handle: &hammerhead_repro::hh_sim::SimHandle, crashed: &[u16]) {
-    let live: Vec<usize> =
-        (0..handle.n_validators).filter(|i| !crashed.contains(&(*i as u16))).collect();
-    let longest = live
-        .iter()
-        .map(|i| handle.validator(*i).committed_anchors().to_vec())
-        .max_by_key(|a| a.len())
-        .expect("at least one live validator");
-    for &i in &live {
-        let anchors = handle.validator(i).committed_anchors();
+    handle.safety.assert_clean();
+    let sequence = handle.safety.anchor_prefix(u64::MAX);
+    for i in (0..handle.n_validators).filter(|i| !crashed.contains(&(*i as u16))) {
+        let v = handle.validator(i);
+        let (count, anchors) = (v.commit_count() as usize, v.committed_anchors());
         assert_eq!(
             anchors,
-            &longest[..anchors.len()],
+            &sequence[count - anchors.len()..count],
             "validator {i} diverged from the common prefix"
         );
     }
@@ -134,6 +132,43 @@ fn hammerhead_schedule_agreement_across_validators() {
         }
     }
     assert_agreement(&handle, &[]);
+}
+
+#[test]
+fn per_commit_history_ends_at_the_gc_horizon() {
+    // A validator keeps the anchors its DAG still holds, and the checker
+    // the slots of the rounds nobody has collected: neither grows with
+    // the commit count. The checker's window runs from the previous
+    // anchor's horizon to the latest anchor, and it drops what falls
+    // below every `WINDOW_SLACK` rounds (the checker's pruning slack);
+    // `ANCHOR_GAP` bounds how far apart consecutive anchors are in a
+    // faultless run.
+    const GC_DEPTH: u64 = 10;
+    const WINDOW_SLACK: u64 = 32;
+    const ANCHOR_GAP: u64 = 2;
+    let mut config = ExperimentConfig::quick_test(SystemKind::Hammerhead);
+    config.validator.gc_depth = GC_DEPTH;
+    config.duration_secs = 8;
+    let mut handle = build_sim(&config);
+    let n = handle.n_validators;
+    for second in 1..=config.duration_secs {
+        handle.sim.run_until(hammerhead_repro::hh_net::SimTime::from_secs(second));
+        let slots = handle.safety.retained_slots();
+        let bound = (GC_DEPTH + WINDOW_SLACK + ANCHOR_GAP + 2) as usize * n;
+        assert!(slots <= bound, "t = {second} s: the checker holds {slots} slots, bound {bound}");
+        for i in 0..n {
+            let anchors = handle.validator(i).committed_anchors();
+            let (first, last) = (anchors[0].round.0, anchors[anchors.len() - 1].round.0);
+            assert!(last - first <= GC_DEPTH + 2, "t = {second} s, v{i}: rounds {first}..={last}");
+        }
+    }
+    assert_agreement(&handle, &[]);
+    for i in 0..n {
+        let v = handle.validator(i);
+        assert!(v.current_round().0 >= 300, "v{i} reached round {}", v.current_round());
+        let kept = v.committed_anchors().len() as u64;
+        assert!(v.commit_count() > 10 * kept, "v{i}: {} commits, {kept} kept", v.commit_count());
+    }
 }
 
 #[test]
