@@ -23,10 +23,12 @@
 # table beside it) meets, and its
 # simulated median latency under 560 ms, which only a proposer that stops
 # awaiting leaders it has never heard from meets, and sim_n10_long (600
-# simulated seconds) under 30 MB, which only a log of about 2 B a record
-# and per-commit bookkeeping that ends at the GC horizon (the engine's
-# anchors, the safety checker's slots) meet, and 275 ms, a ceiling only
-# a timely validator's own vertex ordering its transactions meets.
+# simulated seconds) under 28 MB, which only a log of about 2 B a record,
+# per-commit bookkeeping that ends at the GC horizon (the engine's
+# anchors, the safety checker's slots) and validators that keep only the
+# live schedules (the checker holds the one schedule history) meet, and
+# 275 ms, a ceiling only a timely validator's own vertex ordering its
+# transactions meets.
 
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -123,8 +125,10 @@ step "docs: nothing refers to a deleted path, knob, module or type, or to a DESI
 # the leader slots it decided skip, and a restart checks that its replay
 # passes through the checkpointed commit count and chain hash, and the DAG
 # resolves a parent in the round below (no digest table, no wrong-round
-# error, no separate missing-parent scan, no digest-keyed ordered lookup).
-if git grep -nE 'hotpath_smoke|BENCH_hotpath|hh[-_]bench|threaded::|threaded_demo|vendor/criterion|DESIGN\.md|swap_from_base|core/src/monitor|hammerhead::monitor|FaultPlan|ChaosPlan|SlowdownSpec|PartitionSpec|ChaosWindow|ChaosScope|KvStore|SerialExecutor|PooledExecutor|hh-cli testnet|StaticLeaderPolicy|TimeSeries|validate_workload|rbc_sender|audit_safety|derive_validator_config|schedule_override|flat_latency_ms|NetworkSpec|missing_index|missing_count|workload_declared|run_sim_streaming|run_sim_limited|run_experiment_limited|collect_streamed_metrics|ChaosRow|schedule_seed|bind_reusable|TOKEN_LEADER|drain_exec_records|with_window|ExclusionSpec::Stake|payload-bytes|chain_hash_prefix|hh_consensus::passed_over_candidates|ByDigest|contains_digest|WrongParentRound|missing_from\(' \
+# error, no separate missing-parent scan, no digest-keyed ordered lookup),
+# and the run's safety checker holds the schedule history (no validator
+# keeps an epoch history).
+if git grep -nE 'hotpath_smoke|BENCH_hotpath|hh[-_]bench|threaded::|threaded_demo|vendor/criterion|DESIGN\.md|swap_from_base|core/src/monitor|hammerhead::monitor|FaultPlan|ChaosPlan|SlowdownSpec|PartitionSpec|ChaosWindow|ChaosScope|KvStore|SerialExecutor|PooledExecutor|hh-cli testnet|StaticLeaderPolicy|TimeSeries|validate_workload|rbc_sender|audit_safety|derive_validator_config|schedule_override|flat_latency_ms|NetworkSpec|missing_index|missing_count|workload_declared|run_sim_streaming|run_sim_limited|run_experiment_limited|collect_streamed_metrics|ChaosRow|schedule_seed|bind_reusable|TOKEN_LEADER|drain_exec_records|with_window|ExclusionSpec::Stake|payload-bytes|chain_hash_prefix|hh_consensus::passed_over_candidates|ByDigest|contains_digest|WrongParentRound|missing_from\(|epoch_history' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!ci.sh' ':!perfbench'; then
     echo "dangling reference to a deleted path"
     exit 1
@@ -163,18 +167,19 @@ ceiling() {
 # speed, and the simulated median latency is seed-exact, so one ceiling
 # each holds on any host.
 bench sim_n100_f33
-# About 17.5 MB and 511 ms on seed 1 (22.3 MB while every DAG kept a
+# About 17.3 MB and 511 ms on seed 1 (22.3 MB while every DAG kept a
 # digest table beside its round index; 30.0 MB and 799.125 ms while every
 # proposer kept its own parent list and leaders crashed from t = 0 were
 # awaited through epoch 0).
 ceiling target/ci-sim_n100_f33.txt peak_rss_mb 20
 ceiling target/ci-sim_n100_f33.txt sim_latency_p50_ms 560
 bench sim_n10_long
-# The paper-length run, two repetitions of it: about 26 MB (32.2 while
-# every engine kept every anchor and the checker every slot, 43.8 while
-# the log stored four varints a record) and 253.825 ms on seed 1
+# The paper-length run, two repetitions of it: about 25.3 MB (26.1 while
+# every validator kept its own epoch history and every schedule, 32.2
+# while every engine kept every anchor and the checker every slot, 43.8
+# while the log stored four varints a record) and 253.825 ms on seed 1
 # (302.403 while only the leader's vertex was an anchor candidate).
-ceiling target/ci-sim_n10_long.txt peak_rss_mb 30
+ceiling target/ci-sim_n10_long.txt peak_rss_mb 28
 ceiling target/ci-sim_n10_long.txt sim_latency_p50_ms 275
 
 step "all green"

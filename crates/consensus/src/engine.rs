@@ -96,6 +96,12 @@ impl<P: SchedulePolicy> Bullshark<P> {
         &self.policy
     }
 
+    /// The schedule policy, to hand over what it records (the HammerHead
+    /// policy's epoch summaries). Changing its schedule breaks agreement.
+    pub fn policy_mut(&mut self) -> &mut P {
+        &mut self.policy
+    }
+
     /// Number of commits so far.
     pub fn commit_count(&self) -> u64 {
         self.commit_index

@@ -20,9 +20,13 @@
 //!   on the first committed anchor at or past the boundary, finalizing
 //!   scores from the anchor's (agreed) causal history *up to but excluding
 //!   the committed leader*, and the engine re-interprets the DAG under the
-//!   new schedule — the retroactive application §3.1 describes. A schedule
-//!   history keyed by initial round keeps `getLeader` well-defined across
-//!   switches (Proposition 1's agreement argument in code).
+//!   new schedule — the retroactive application §3.1 describes. The
+//!   schedules keyed by initial round that govern the rounds above the
+//!   DAG's GC horizon keep `getLeader` well-defined across switches, and
+//!   each switch's [`EpochSummary`] leaves on the record of the commit
+//!   that opens its epoch, where the run's [`SafetyChecker`] holds every
+//!   validator to the same switches (Proposition 1's agreement argument in
+//!   code).
 //! * [`Validator`] — the production-shaped node: proposer with
 //!   leader-await, reliable broadcast, consensus, transaction pool with
 //!   backpressure, execution-rate model, persistence and crash-recovery.

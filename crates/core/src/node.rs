@@ -26,7 +26,7 @@
 //!    backpressure budget, trigger checkpoints and DAG garbage collection.
 
 use crate::config::{ScheduleConfig, ValidatorConfig};
-use crate::policy::HammerheadPolicy;
+use crate::policy::{EpochSummary, HammerheadPolicy};
 use hh_consensus::{
     Bullshark, CommittedSubDag, RoundRobinPolicy, ScheduleDecision, SchedulePolicy, SlotSchedule,
 };
@@ -121,6 +121,11 @@ pub struct CommitRecord {
     /// Whether this record was produced by crash-recovery replay rather
     /// than live consensus.
     pub replayed: bool,
+    /// The schedule switches made since the previous commit, oldest first:
+    /// empty unless this is the first commit of a new epoch (see
+    /// [`HammerheadPolicy::take_summaries_before`]). Each switch leaves the
+    /// validator here and nowhere else.
+    pub summaries: Vec<EpochSummary>,
 }
 
 /// Effects a handler asks the runtime to perform.
@@ -467,6 +472,25 @@ impl SchedulePolicy for PolicyKind {
     }
 }
 
+impl PolicyKind {
+    /// The slot table the run starts from.
+    fn initial_schedule(&self) -> &SlotSchedule {
+        match self {
+            PolicyKind::RoundRobin(p) => p.schedule(),
+            PolicyKind::Hammerhead(p) => p.initial_schedule(),
+        }
+    }
+
+    /// See [`HammerheadPolicy::take_summaries_before`]; a fixed table never
+    /// switches.
+    fn take_summaries_before(&mut self, epoch: u64) -> Vec<EpochSummary> {
+        match self {
+            PolicyKind::RoundRobin(_) => Vec::new(),
+            PolicyKind::Hammerhead(p) => p.take_summaries_before(epoch),
+        }
+    }
+}
+
 /// A full HammerHead (or baseline Bullshark) validator.
 ///
 /// See the module docs for the protocol flow and `hh-sim` for how nodes are
@@ -662,12 +686,18 @@ impl<B: LogBackend> Validator<B> {
         }
     }
 
-    /// The leader this validator's schedule assigns to `round` (past
-    /// rounds resolve through the schedule history) — the probe the
-    /// re-inclusion analysis uses to find a validator's first
-    /// post-recovery leader slot.
+    /// The leader this validator's schedule assigns to `round`, a round
+    /// at or above its DAG's GC horizon: the validator keeps no schedule
+    /// below it. The run's [`SafetyChecker`](crate::SafetyChecker) answers
+    /// for past rounds.
     pub fn leader_at(&self, round: Round) -> ValidatorId {
         self.engine.current_leader(round)
+    }
+
+    /// The slot table the run starts from: S0 under HammerHead, the fixed
+    /// table otherwise. It leads every round below the first switch.
+    pub fn initial_schedule(&self) -> &SlotSchedule {
+        self.engine.policy().initial_schedule()
     }
 
     /// Whether the node has fail-stopped after a storage error (see
@@ -777,7 +807,7 @@ impl<B: LogBackend> Validator<B> {
         self.client_addr = crashed.client_addr;
         self.metrics.restarts += 1;
 
-        if let Some(store) = &self.store {
+        if let Some(store) = &mut self.store {
             let recovered = match store.recover() {
                 Ok(recovered) => recovered,
                 Err(e) => {
@@ -922,6 +952,7 @@ impl<B: LogBackend> Validator<B> {
             vertices: sd.vertices.iter().map(|v| v.reference()).collect(),
             horizon,
             replayed: self.replaying,
+            summaries: self.engine.policy_mut().take_summaries_before(sd.schedule_epoch),
         });
         let tx_interval_us = 1_000_000 / self.config.exec_rate_tps.max(1);
         for vertex in &sd.vertices {
@@ -1274,7 +1305,9 @@ mod tests {
         // anchor and sub-DAG, commit by commit.
         let replayed = revived.take_commit_records();
         assert!(replayed.iter().all(|r| r.replayed));
-        let without_origin = |r: &CommitRecord| (r.index, r.anchor, r.vertices.clone(), r.horizon);
+        let without_origin = |r: &CommitRecord| {
+            (r.index, r.anchor, r.vertices.clone(), r.horizon, r.summaries.clone())
+        };
         assert!(replayed.len() >= log_before.len());
         assert_eq!(
             replayed[..log_before.len()].iter().map(without_origin).collect::<Vec<_>>(),

@@ -12,8 +12,14 @@ use hh_types::{Committee, Round, Stake, ValidatorId, Vertex};
 /// [`ScoringRule::LeaderOutcome`].
 const LEADER_COMMIT_BONUS: u64 = 10;
 
-/// Monitoring record for one completed schedule epoch.
-#[derive(Clone, Debug)]
+/// The record of one schedule switch: the epoch it closed and the schedule
+/// it opened.
+///
+/// The policy hands each one over once, on the commit record of the first
+/// commit of the epoch it opens, and keeps none: the run's
+/// [`SafetyChecker`](crate::SafetyChecker) holds the one copy of the
+/// schedule history ([`SafetyChecker::epoch_summaries`](crate::SafetyChecker::epoch_summaries)).
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EpochSummary {
     /// The epoch that just *ended* (scores below were accumulated in it).
     pub epoch: u64,
@@ -29,10 +35,13 @@ pub struct EpochSummary {
     /// outside `excluded` if the committee earned candidacy, else nobody
     /// (see [`HammerheadPolicy`]).
     pub candidates: Vec<ValidatorId>,
+    /// The new epoch's slot table: it names the leader of every round
+    /// from `new_initial_round` up to the next switch's.
+    pub slots: SlotSchedule,
 }
 
-/// One entry of the schedule history: `slots` and `candidates` govern
-/// rounds `[initial_round, next_entry.initial_round)`.
+/// One live schedule: `slots` and `candidates` govern rounds
+/// `[initial_round, next_entry.initial_round)`.
 #[derive(Clone, Debug)]
 struct ScheduleEntry {
     initial_round: Round,
@@ -75,16 +84,23 @@ struct ScheduleEntry {
 pub struct HammerheadPolicy {
     committee: Committee,
     config: HammerheadConfig,
-    /// Piecewise schedule history; the last entry is active. Keyed by
-    /// initial round so `leader_at` stays well-defined for rounds committed
-    /// late across a switch (the retroactive re-interpretation of §3.1).
+    /// S0, the base every switch swaps against.
+    base: SlotSchedule,
+    /// The schedules that govern a round at or above the DAG's GC horizon,
+    /// oldest first; the last entry is active. Keyed by initial round so
+    /// `leader_at` stays well-defined for rounds committed late across a
+    /// switch (the retroactive re-interpretation of §3.1). Each switch
+    /// drops the entries wholly below the horizon (see
+    /// [`HammerheadPolicy::entry_for`]).
     schedules: Vec<ScheduleEntry>,
     scores: ReputationScores,
     /// Cross-epoch smoothed scores (milli-points), maintained only under
     /// [`ScoringRule::VoteEma`].
     ema_milli: Vec<u64>,
     epoch: u64,
-    history: Vec<EpochSummary>,
+    /// Summaries of the switches no commit has carried yet (see
+    /// [`HammerheadPolicy::take_summaries_before`]).
+    unsent: Vec<EpochSummary>,
     /// Reusable traversal state for the epoch-boundary pending walk.
     scratch: SubDagScratch,
     /// The lowest round not closed yet.
@@ -136,13 +152,14 @@ impl HammerheadPolicy {
             config,
             schedules: vec![ScheduleEntry {
                 initial_round: Round(0),
-                slots: s0,
+                slots: s0.clone(),
                 candidates: Vec::new(),
             }],
+            base: s0,
             scores,
             ema_milli: vec![0; n],
             epoch: 0,
-            history: Vec::new(),
+            unsent: Vec::new(),
             scratch: SubDagScratch::new(),
             unchecked: Round(0),
             timeliness: vec![Timeliness::Unseen; n],
@@ -161,9 +178,25 @@ impl HammerheadPolicy {
         &self.ema_milli
     }
 
-    /// Completed-epoch records, oldest first.
-    pub fn epoch_history(&self) -> &[EpochSummary] {
-        &self.history
+    /// Hands over the summaries of the switches that opened the epochs up
+    /// to `epoch`, oldest first, and forgets them. A commit made in epoch
+    /// `epoch` carries them: the first commit after a switch carries its
+    /// summary, and a deep catch-up that switched twice before committing
+    /// hands both to the one commit.
+    pub fn take_summaries_before(&mut self, epoch: u64) -> Vec<EpochSummary> {
+        let due = self.unsent.partition_point(|s| s.epoch < epoch);
+        self.unsent.drain(..due).collect()
+    }
+
+    /// The summaries of the switches no commit has carried yet, oldest
+    /// first: at most the ones the next commit will carry.
+    pub fn unsent_summaries(&self) -> &[EpochSummary] {
+        &self.unsent
+    }
+
+    /// The initial schedule S0, which every switch swaps against.
+    pub fn initial_schedule(&self) -> &SlotSchedule {
+        &self.base
     }
 
     /// The active slot table.
@@ -171,15 +204,28 @@ impl HammerheadPolicy {
         &self.schedules.last().expect("never empty").slots
     }
 
+    /// How many schedules the policy holds: the active one and those still
+    /// governing a round at or above the DAG's GC horizon.
+    pub fn retained_schedules(&self) -> usize {
+        self.schedules.len()
+    }
+
     /// The schedule entry covering `round`.
+    ///
+    /// Only rounds at or above the DAG's GC horizon are asked for, and a
+    /// switch keeps every entry that governs one. The engine decides slots
+    /// from its instance start up, one round above its last ordered anchor
+    /// and so above the horizon, which that anchor's round less `gc_depth`
+    /// set. The proposer asks for a round only once the engine calls it a
+    /// candidate round, at or above the instance start too. A vote counts
+    /// only for a leader round at or above the active schedule's initial
+    /// round. A round below the oldest entry is therefore a bug.
     fn entry_for(&self, round: Round) -> &ScheduleEntry {
         // Entries are ascending by initial_round; pick the last one at or
-        // below `round`. Rounds before round 0 cannot occur.
-        self.schedules
-            .iter()
-            .rev()
-            .find(|e| e.initial_round <= round)
-            .unwrap_or_else(|| self.schedules.first().expect("never empty"))
+        // below `round`.
+        let covering = self.schedules.partition_point(|e| e.initial_round <= round);
+        debug_assert!(covering > 0, "round {round} is below every retained schedule");
+        &self.schedules[covering.saturating_sub(1)]
     }
 
     /// Counts `vertex`'s vote (if any) toward the current epoch.
@@ -295,9 +341,8 @@ impl SchedulePolicy for HammerheadPolicy {
         // the bottom set regains its base slots. Patching cumulatively
         // would hand them back only to a validator that ranks into G,
         // which a recovered one never does once scores saturate into ties.
-        let base = &self.schedules.first().expect("never empty").slots;
         let change =
-            compute_next_schedule(base, &ranking_scores, &self.committee, self.stake_bound());
+            compute_next_schedule(&self.base, &ranking_scores, &self.committee, self.stake_bound());
 
         // Candidacy for the new epoch, as the closing epoch's closed rounds
         // showed it.
@@ -312,19 +357,24 @@ impl SchedulePolicy for HammerheadPolicy {
             candidates.clear();
         }
 
-        self.history.push(EpochSummary {
+        self.unsent.push(EpochSummary {
             epoch: self.epoch,
             new_initial_round: anchor.round(),
-            excluded: change.excluded.clone(),
-            promoted: change.promoted.clone(),
+            excluded: change.excluded,
+            promoted: change.promoted,
             final_scores: self.scores.as_slice().to_vec(),
             candidates: candidates.clone(),
+            slots: change.schedule.clone(),
         });
         self.schedules.push(ScheduleEntry {
             initial_round: anchor.round(),
             slots: change.schedule,
             candidates,
         });
+        // Keep the entry that governs the horizon and those above it; the
+        // new one starts at the anchor, above the horizon.
+        let at_or_below = self.schedules.partition_point(|e| e.initial_round <= dag.gc_round());
+        self.schedules.drain(..at_or_below.saturating_sub(1));
         // The closing epoch's rounds that are still open belong to no
         // epoch's evidence.
         self.unchecked = self.unchecked.max(anchor.round());
@@ -399,6 +449,12 @@ mod tests {
         Bullshark::new(c.clone(), HammerheadPolicy::new(c.clone(), config))
     }
 
+    /// Every summary `engine`'s policy has not handed over yet: with no
+    /// validator taking them at its commits, all it switched through.
+    fn summaries(engine: &mut Bullshark<HammerheadPolicy>) -> Vec<EpochSummary> {
+        engine.policy_mut().take_summaries_before(u64::MAX)
+    }
+
     /// Feeds `rounds` of `dag` to `engine`, ascending author order within
     /// each round.
     fn feed<P: SchedulePolicy>(
@@ -440,9 +496,13 @@ mod tests {
         // round 4 triggers S0→S1, round 8 S1→S2, round 12 S2→S3 once the
         // round-13 votes are in.
         assert!(e.policy().epoch() >= 2, "epoch = {}", e.policy().epoch());
-        let hist = e.policy().epoch_history();
+        let hist = summaries(&mut e);
+        assert_eq!(hist.len() as u64, e.policy().epoch());
         assert_eq!(hist[0].new_initial_round, Round(4));
         assert_eq!(hist[1].new_initial_round, Round(8));
+        // Each summary carries the slot table its epoch runs on.
+        assert_eq!(&hist[hist.len() - 1].slots, e.policy().active_schedule());
+        assert!(summaries(&mut e).is_empty(), "each summary is handed over once");
     }
 
     #[test]
@@ -457,11 +517,12 @@ mod tests {
         // Nobody in epoch 0. Tied scores put v0 in B; everyone else is a
         // candidate from the switch at round 4 on, highest (score, id)
         // first, and the rounds it governs order the whole round at once.
+        let hist = summaries(&mut e);
         let p = e.policy();
         assert!(p.candidates_at(Round(3)).is_empty());
         let ids = |ids: &[u16]| ids.iter().map(|i| ValidatorId(*i)).collect::<Vec<_>>();
-        assert_eq!(p.epoch_history()[0].excluded, ids(&[0]));
-        assert_eq!(p.epoch_history()[0].candidates, ids(&[3, 2, 1]));
+        assert_eq!(hist[0].excluded, ids(&[0]));
+        assert_eq!(hist[0].candidates, ids(&[3, 2, 1]));
         assert_eq!(p.candidates_at(Round(5)), ids(&[3, 2, 1]));
     }
 
@@ -484,7 +545,7 @@ mod tests {
         let dag = b.into_dag();
         let mut e = engine_with(&c, config);
         feed(&mut e, &dag, 0..=9);
-        let hist = e.policy().epoch_history();
+        let hist = summaries(&mut e);
         assert!(!hist[0].excluded.contains(&late));
         assert!(hist[0].candidates.is_empty());
         assert!(!hist[1].candidates.is_empty());
@@ -509,8 +570,8 @@ mod tests {
         let dag = b.into_dag();
         let mut e = engine_with(&c, config.clone());
         feed(&mut e, &dag, 0..=13);
+        let hist = summaries(&mut e);
         let p = e.policy();
-        let hist = p.epoch_history();
         assert!(!hist[0].candidates.is_empty() && hist[0].candidates.contains(&ValidatorId(3)));
         assert!(p.candidates_at(Round(5)).is_empty());
         assert!(hist[1].candidates.is_empty());
@@ -584,8 +645,8 @@ mod tests {
 
         assert!(horizon_at_switch > Round(2), "A collected rounds 1 and 2 before the switch");
         assert_eq!(batches, [b.commit_count() as usize], "B ordered everything at once");
-        for e in [&a, &b] {
-            let hist = e.policy().epoch_history();
+        for e in [&mut a, &mut b] {
+            let hist = summaries(e);
             assert_eq!(hist[0].new_initial_round, Round(12));
             assert!(!hist[0].excluded.contains(&late));
             assert!(hist[0].candidates.is_empty(), "{:?}", hist[0].candidates);
@@ -636,10 +697,9 @@ mod tests {
         let dag = b.into_dag();
         let mut e = engine_with(&c, HammerheadConfig { period_rounds: 4, ..Default::default() });
         feed(&mut e, &dag, 0..=16);
-        let p = e.policy();
-        assert!(p.epoch() >= 2, "epoch {}", p.epoch());
-        assert!(p.epoch_history().iter().all(|h| h.excluded == [silent]));
-        assert!(c.ids().all(|id| p.awaits_leader(id)));
+        assert!(e.policy().epoch() >= 2, "epoch {}", e.policy().epoch());
+        assert!(summaries(&mut e).iter().all(|h| h.excluded == [silent]));
+        assert!(c.ids().all(|id| e.policy().awaits_leader(id)));
     }
 
     #[test]
@@ -662,7 +722,7 @@ mod tests {
         b.extend_full_rounds(13);
         let dag = b.into_dag();
         feed(&mut e, &dag, 0..=12);
-        let hist = e.policy().epoch_history();
+        let hist = summaries(&mut e);
         assert!(!hist.is_empty());
         let scores = &hist[0].final_scores;
         // Fully-connected DAG: every validator voted for every leader; all
@@ -707,7 +767,7 @@ mod tests {
 
         let mut e = engine_with(&c, config.clone());
         feed(&mut e, &dag, 0..=12);
-        let hist = e.policy().epoch_history();
+        let hist = summaries(&mut e);
         assert!(!hist.is_empty());
         // Epoch 0 closes at the anchor of round 4 on the votes cast in
         // rounds 1..=3: three points for a voter, and for v3 only the vote
@@ -726,10 +786,10 @@ mod tests {
         feed_all_reversed(&mut e2, &dag, 12);
         assert_eq!(e.committed_anchors(), e2.committed_anchors());
         assert_eq!(e.policy().scores().as_slice(), e2.policy().scores().as_slice());
-        let closed = |e: &Bullshark<HammerheadPolicy>| -> Vec<Vec<u64>> {
-            e.policy().epoch_history().iter().map(|h| h.final_scores.clone()).collect()
+        let closed = |hist: Vec<EpochSummary>| -> Vec<Vec<u64>> {
+            hist.into_iter().map(|h| h.final_scores).collect()
         };
-        assert_eq!(closed(&e), closed(&e2));
+        assert_eq!(closed(hist), closed(summaries(&mut e2)));
     }
 
     /// Builds a DAG where v3 withholds votes during epoch 0 (rounds
@@ -777,9 +837,51 @@ mod tests {
         let before: Vec<ValidatorId> = (0..3).map(|i| e.policy().leader_at(Round(i * 2))).collect();
         feed(&mut e, &dag, 0..=12);
         assert!(e.policy().epoch() >= 1);
-        // Old rounds still resolve to the same leaders after switches.
+        // Old rounds still resolve to the same leaders after switches, as
+        // long as the DAG holds them (this one collects nothing).
         let after: Vec<ValidatorId> = (0..3).map(|i| e.policy().leader_at(Round(i * 2))).collect();
         assert_eq!(before, after);
+    }
+
+    #[test]
+    fn a_switch_drops_the_schedules_wholly_below_the_gc_horizon() {
+        // Epochs of 4 rounds against a GC depth of 6: after a switch the
+        // policy holds the schedules of at most three epochs, and names the
+        // same leaders for the rounds it keeps as a policy whose DAG
+        // collects nothing.
+        const GC_DEPTH: u64 = 6;
+        let c = committee4();
+        let config = HammerheadConfig { period_rounds: 4, ..Default::default() };
+        let mut b = DagBuilder::new(c.clone());
+        b.extend_full_rounds(41);
+        let full = b.into_dag();
+        let mut collecting = engine_with(&c, config.clone());
+        let mut keeping = engine_with(&c, config);
+        let mut dag = Dag::new(c.clone());
+        for r in 0..=40 {
+            for v in full.round_vertices(Round(r)) {
+                dag.try_insert_arc(v.clone()).unwrap();
+                let commits = collecting.process_vertex(v, &dag);
+                if let Some(h) =
+                    commits.last().and_then(|sd| sd.anchor.round.0.checked_sub(GC_DEPTH))
+                {
+                    dag.gc(Round(h));
+                }
+                keeping.process_vertex(v, &full);
+                assert!(collecting.policy().retained_schedules() <= 3, "round {r}");
+            }
+        }
+        assert!(collecting.policy().epoch() >= 8, "epoch {}", collecting.policy().epoch());
+        let all = keeping.policy().retained_schedules() as u64;
+        assert_eq!(all, keeping.policy().epoch() + 1, "a DAG that keeps everything");
+        assert_eq!(collecting.chain_hash(), keeping.chain_hash());
+        for r in dag.gc_round().0..=40 {
+            assert_eq!(
+                collecting.policy().leader_at(Round(r)),
+                keeping.policy().leader_at(Round(r))
+            );
+        }
+        assert_eq!(collecting.policy().initial_schedule(), keeping.policy().initial_schedule());
     }
 
     #[test]
@@ -879,8 +981,7 @@ mod tests {
         assert_eq!(ev.chain_hash(), ee.chain_hash());
         assert_eq!(ev.policy().active_schedule().slots(), ee.policy().active_schedule().slots());
         // EMA with alpha=1 carries score×1000 exactly.
-        let hist = ee.policy().epoch_history();
-        assert!(!hist.is_empty());
+        assert!(!summaries(&mut ee).is_empty());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Every run feeds the committed sub-DAGs of every validator — live
 //! commits and crash-recovery replay alike — into a [`SafetyChecker`],
-//! which asserts the four invariants an adversarial network must never
+//! which asserts the five invariants an adversarial network must never
 //! be able to break (it may only slow the system down):
 //!
 //! 1. **No fork**: all validators agree on the whole commit at every
@@ -18,11 +18,17 @@
 //!    vertex below the GC horizon of the same validator's previous
 //!    commit ([`CommitRecord::horizon`]); a replay rewinding to zero
 //!    starts again from horizon zero.
+//! 5. **Schedule agreement** (Proposition 1): all validators make the
+//!    same schedule switches at every commit index — the
+//!    [`CommitRecord::summaries`] of a record equal those of the first
+//!    write of its index.
 //!
 //! The checker holds one entry per commit index, the run's one full copy
-//! of the anchor sequence ([`SafetyChecker::anchor_prefix`]), and the
-//! slots of the rounds no validator has collected yet: what it keeps
-//! grows with the commit count by that entry alone.
+//! of the anchor sequence ([`SafetyChecker::anchor_prefix`]); one summary
+//! per schedule switch, the run's one copy of the schedule history
+//! ([`SafetyChecker::epoch_summaries`], [`SafetyChecker::leader_at`]); and
+//! the slots of the rounds no validator has collected yet. What it keeps
+//! grows with the commit count by the first two alone.
 //!
 //! A simulated validator's records reach the checker inside the event
 //! that produced them (`hh-sim`'s validator actor hands them over before
@@ -33,7 +39,7 @@
 //! site, so a failing run can dump *all* divergence before the harness
 //! aborts with a per-validator diagnostic.
 
-use crate::CommitRecord;
+use crate::{CommitRecord, EpochSummary};
 use hh_crypto::{Digest, Sha256};
 use hh_types::{Round, ValidatorId, VertexRef};
 use std::collections::hash_map::Entry;
@@ -70,6 +76,14 @@ struct FirstWrite {
     list: Digest,
 }
 
+/// A schedule switch as the first write of its commit index exposed it.
+#[derive(Debug)]
+struct Switch {
+    /// The commit index whose record carried it.
+    index: u64,
+    summary: EpochSummary,
+}
+
 /// Where one validator's commit sequence stands.
 #[derive(Debug, Default)]
 struct Cursor {
@@ -104,6 +118,8 @@ struct Observed {
     /// Commit index `i` → its first write, at position `i`: indices are
     /// dense, and one past the end is a monotonicity violation already.
     commits: Vec<FirstWrite>,
+    /// The first writes' schedule switches, in commit order.
+    switches: Vec<Switch>,
     /// `(round, author)` → the committed digest, for the rounds at or
     /// above `pruned_below`.
     slots: HashMap<(Round, ValidatorId), Digest>,
@@ -178,6 +194,26 @@ impl SafetyChecker {
     /// `k` commits without a violation committed `anchor_prefix(k)`.
     pub fn anchor_prefix(&self, len: u64) -> Vec<VertexRef> {
         self.observed().commits.iter().take(len as usize).map(|c| c.anchor).collect()
+    }
+
+    /// The schedule switches the first `len` commit indices carried,
+    /// oldest first (all of them when fewer were observed): a validator
+    /// that has made `k` commits without a violation made these switches,
+    /// and besides them only those its next commit will carry.
+    pub fn epoch_summaries(&self, len: u64) -> Vec<EpochSummary> {
+        let observed = self.observed();
+        let carried = observed.switches.partition_point(|s| s.index < len);
+        observed.switches[..carried].iter().map(|s| s.summary.clone()).collect()
+    }
+
+    /// The leader of `round` under the latest switch observed that starts
+    /// at or below it, or `None` when none does: the initial schedule S0
+    /// leads such a round.
+    pub fn leader_at(&self, round: Round) -> Option<ValidatorId> {
+        let observed = self.observed();
+        let switched = observed.switches.partition_point(|s| s.summary.new_initial_round <= round);
+        let latest = &observed.switches[..switched].last()?.summary;
+        Some(latest.slots.leader_at(round))
     }
 
     /// How many `(round, author)` slots invariant 2 holds right now.
@@ -292,10 +328,33 @@ impl Observed {
                     ),
                 });
             }
-            Some(_) => {}
+            // Invariant 5: and the same schedule switches.
+            Some(first) => {
+                let from = self.switches.partition_point(|s| s.index < record.index);
+                let to = self.switches.partition_point(|s| s.index <= record.index);
+                let carried = &self.switches[from..to];
+                if !carried.iter().map(|s| &s.summary).eq(&record.summaries) {
+                    let mine = describe(&record.summaries);
+                    let theirs = describe(carried.iter().map(|s| &s.summary));
+                    self.violations.push(SafetyViolation {
+                        validator,
+                        detail: format!(
+                            "schedule divergence at commit index {}: switches {mine} disagree \
+                             with {theirs} first exposed by validator {}",
+                            record.index, first.by
+                        ),
+                    });
+                }
+            }
             None if record.index == self.commits.len() as u64 => {
                 self.first_write(validator, record);
                 self.commits.push(FirstWrite { by: validator, anchor: record.anchor, list });
+                self.switches.extend(
+                    record
+                        .summaries
+                        .iter()
+                        .map(|s| Switch { index: record.index, summary: s.clone() }),
+                );
             }
             // Past the front: invariant 3 has flagged the gap.
             None => {}
@@ -334,6 +393,27 @@ impl Observed {
     }
 }
 
+/// Names a commit's schedule switches for a violation: the epoch each
+/// opened, where, and whom it excluded.
+fn describe<'a>(summaries: impl IntoIterator<Item = &'a EpochSummary>) -> String {
+    let named: Vec<String> = summaries
+        .into_iter()
+        .map(|s| {
+            format!(
+                "epoch {} from round {} without {:?}",
+                s.epoch + 1,
+                s.new_initial_round,
+                s.excluded
+            )
+        })
+        .collect();
+    if named.is_empty() {
+        "[none]".into()
+    } else {
+        format!("[{}]", named.join("; "))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,7 +427,14 @@ mod tests {
     }
 
     fn record(index: u64, anchor: VertexRef, vertices: Vec<VertexRef>) -> CommitRecord {
-        CommitRecord { index, anchor, vertices, horizon: Round(0), replayed: false }
+        CommitRecord {
+            index,
+            anchor,
+            vertices,
+            horizon: Round(0),
+            replayed: false,
+            summaries: Vec::new(),
+        }
     }
 
     #[test]
@@ -447,6 +534,87 @@ mod tests {
         c.observe(0, &CommitRecord { horizon: Round(3), ..record(1, a1, vec![a1]) });
         c.observe(0, &CommitRecord { replayed: true, ..first.clone() });
         assert!(c.is_clean(), "{}", c.diagnostic_dump());
+    }
+
+    fn switch(epoch: u64, from: u64, excluded: u16, slots: &[u16]) -> EpochSummary {
+        let ids = |ids: &[u16]| ids.iter().map(|i| ValidatorId(*i)).collect::<Vec<_>>();
+        EpochSummary {
+            epoch,
+            new_initial_round: Round(from),
+            excluded: ids(&[excluded]),
+            promoted: ids(&[slots[0]]),
+            final_scores: vec![1; 4],
+            candidates: Vec::new(),
+            slots: hh_consensus::SlotSchedule::from_slots(ids(slots)),
+        }
+    }
+
+    #[test]
+    fn the_first_write_of_each_switch_is_the_runs_schedule_history() {
+        let mut c = SafetyChecker::new();
+        let a = [vref(2, 0, 0), vref(9, 1, 0), vref(12, 2, 0), vref(21, 0, 0)];
+        let s0 = switch(0, 8, 3, &[1, 2, 0, 1]);
+        let s1 = switch(1, 20, 1, &[0, 2, 0, 3]);
+        let summaries = [vec![], vec![s0.clone()], vec![], vec![s1.clone()]];
+        for validator in 0..3u16 {
+            for (index, (anchor, summaries)) in a.iter().zip(&summaries).enumerate() {
+                let r = CommitRecord {
+                    summaries: summaries.clone(),
+                    ..record(index as u64, *anchor, vec![*anchor])
+                };
+                c.observe(validator, &r);
+            }
+        }
+        assert!(c.is_clean(), "{}", c.diagnostic_dump());
+        assert_eq!(c.epoch_summaries(u64::MAX), vec![s0.clone(), s1.clone()]);
+        assert_eq!(c.epoch_summaries(3), vec![s0]);
+        assert_eq!(c.epoch_summaries(1), vec![]);
+        // S0 leads below the first switch; each switch's slots from its round up.
+        assert_eq!(c.leader_at(Round(7)), None);
+        assert_eq!(c.leader_at(Round(8)), Some(ValidatorId(1)));
+        assert_eq!(c.leader_at(Round(19)), Some(ValidatorId(2)));
+        assert_eq!(c.leader_at(Round(20)), Some(ValidatorId(0)));
+        assert_eq!(c.leader_at(Round(22)), Some(ValidatorId(3)));
+    }
+
+    #[test]
+    fn a_switch_other_than_the_first_write_at_its_index_is_a_violation() {
+        let a0 = vref(2, 0, 0);
+        let a1 = vref(9, 1, 0);
+        let first = CommitRecord {
+            summaries: vec![switch(0, 8, 3, &[1, 2, 0, 1])],
+            ..record(1, a1, vec![a1])
+        };
+        let cases = [
+            ("another B", vec![switch(0, 8, 2, &[1, 3, 0, 1])]),
+            ("no switch", vec![]),
+            ("a second switch", vec![first.summaries[0].clone(), switch(1, 9, 3, &[1, 2, 0, 1])]),
+        ];
+        for (what, summaries) in cases {
+            let mut c = SafetyChecker::new();
+            for validator in 0..2 {
+                c.observe(validator, &record(0, a0, vec![a0]));
+            }
+            c.observe(0, &first);
+            c.observe(1, &CommitRecord { summaries, ..first.clone() });
+            let dump = c.diagnostic_dump();
+            assert!(c.fork_free(), "{what}: {dump}");
+            assert_eq!(c.violations().len(), 1, "{what}: {dump}");
+            assert!(
+                dump.contains("validator 1: schedule divergence at commit index 1"),
+                "{what}: {dump}"
+            );
+            assert!(dump.contains("first exposed by validator 0"), "{what}: {dump}");
+        }
+        // A switch where the first write had none diverges just as much.
+        let mut c = SafetyChecker::new();
+        c.observe(0, &record(0, a0, vec![a0]));
+        c.observe(
+            1,
+            &CommitRecord { summaries: first.summaries.clone(), ..record(0, a0, vec![a0]) },
+        );
+        assert_eq!(c.violations().len(), 1, "{}", c.diagnostic_dump());
+        assert_eq!(c.epoch_summaries(u64::MAX), vec![]);
     }
 
     #[test]

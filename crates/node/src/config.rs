@@ -178,6 +178,11 @@ impl NodeConfig {
         if self.min_round_delay_ms == 0 || self.min_round_delay_ms >= self.leader_timeout_ms {
             return Err("need 0 < min_round_delay_ms < leader_timeout_ms".into());
         }
+        // A zero tick re-arms itself at the instant it fires, and the
+        // driver loop would fire it forever without reading the socket.
+        if self.sync_tick_ms == 0 {
+            return Err("need sync_tick_ms > 0".into());
+        }
         for (i, peer) in self.peers.iter().enumerate() {
             peer.parse::<SocketAddr>().map_err(|e| format!("peer {i} address {peer:?}: {e}"))?;
         }
@@ -348,6 +353,10 @@ mod tests {
         let mut bad_schedule = sample();
         bad_schedule.schedule = "static".into();
         assert!(bad_schedule.validate().is_err());
+
+        let mut zero_tick = sample();
+        zero_tick.sync_tick_ms = 0;
+        assert_eq!(zero_tick.validate().unwrap_err(), "need sync_tick_ms > 0");
     }
 
     #[test]

@@ -184,8 +184,9 @@ pub fn run_node(cfg: &NodeConfig) -> Result<NodeReport, String> {
                 committed_round(&validator),
             );
             let _ = std::io::stdout().flush();
-            // Keep the in-memory run bounded: the harness audits commits
-            // from the WAL, not from this process's memory.
+            // Keep the in-memory run bounded: the harness audits commits,
+            // and the schedule switches they carry, from the WAL, not from
+            // this process's memory.
             validator.take_commit_records();
             validator.take_exec_records();
         }

@@ -16,7 +16,8 @@
 //! 6. **audit from disk**: replay every node's WAL through a fresh
 //!    [`Validator`] and feed the recomputed commit sequences to the
 //!    [`SafetyChecker`] — the committed prefixes of independent OS
-//!    processes must agree, including across the victim's crash.
+//!    processes must agree, including across the victim's crash, and so
+//!    must the schedule switches their commits carry.
 //!
 //! The audit replays a *copy* of each WAL: `Validator::on_restart`
 //! appends a fresh proposal after recovery, and the audit must not

@@ -19,6 +19,7 @@
 
 use crate::engine::{AdversaryRow, AnalysisRow, ReinclusionRow, RunProfile, RunRow};
 use crate::spec::{PlannedRun, ScenarioPlan};
+use hammerhead::EpochSummary;
 use hh_sim::{run_sim, ByzantineSchedule, RunLimit, SimHandle};
 use hh_types::{Round, ValidatorId};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -88,28 +89,25 @@ fn analyze(run: &PlannedRun, handle: &SimHandle) -> AnalysisRow {
     let skipped_rounds = most_advanced.map_or(0, |v| v.passed_over_candidates());
     let leader_rounds = most_advanced.map_or(0, |v| v.leader_rounds());
 
-    let bg_churn = live
-        .iter()
-        .filter_map(|i| handle.validator(*i).hammerhead_policy())
-        .map(|p| p.epoch_history().iter().map(|e| e.excluded.len() as u64).sum::<u64>())
-        .max()
-        .unwrap_or(0);
-
     // Re-inclusion and demotion are judged through the most advanced live
-    // validator's view (ties break toward the lowest index): its schedule
-    // history resolves `leader_at` for every committed round, its
-    // committed anchors (the checker's sequence up to its commit count)
-    // bound the search (a slot past the last anchor is unknown, not
-    // pending) and its evidence ledger is as complete as any honest
-    // node's.
+    // validator's view (ties break toward the lowest index): the run's
+    // schedule history resolves the leader of every committed round, the
+    // switches it made and the anchors it committed (the checker's records
+    // up to its commit count) bound the search (a slot past the last
+    // anchor is unknown, not pending) and its evidence ledger is as
+    // complete as any honest node's.
     let observer = live
         .iter()
         .copied()
         .max_by_key(|i| (handle.validator(*i).commit_count(), std::cmp::Reverse(*i)));
+    let churn =
+        |summaries: &[EpochSummary]| summaries.iter().map(|e| e.excluded.len() as u64).sum();
+    let bg_churn = live.iter().map(|i| churn(&handle.epoch_summaries(*i))).max().unwrap_or(0);
+    let summaries = observer.map(|i| handle.epoch_summaries(i)).unwrap_or_default();
     let (reinclusion, adversary) = match observer {
         Some(observer) => (
-            reinclusion_rows(handle, observer),
-            adversary_rows(handle, observer, &run.config.byzantine),
+            reinclusion_rows(handle, observer, &summaries),
+            adversary_rows(handle, observer, &summaries, &run.config.byzantine),
         ),
         None => (Vec::new(), Vec::new()),
     };
@@ -126,11 +124,12 @@ fn analyze(run: &PlannedRun, handle: &SimHandle) -> AnalysisRow {
 
 /// The adversary analysis: for every byzantine validator, how fast the
 /// schedule demoted it (rounds and epochs to its first exclusion), how
-/// its leader-slot share evolved across epochs, and how much
-/// equivocation evidence validator `observer` holds against it.
+/// its leader-slot share evolved across the epochs of `summaries`, and how
+/// much equivocation evidence validator `observer` holds against it.
 fn adversary_rows(
     handle: &SimHandle,
     observer: usize,
+    summaries: &[EpochSummary],
     schedule: &ByzantineSchedule,
 ) -> Vec<AdversaryRow> {
     let observer = handle.validator(observer);
@@ -141,7 +140,7 @@ fn adversary_rows(
         let (mut held, mut total) = (0u64, 0u64);
         for r in from..until {
             total += 1;
-            if observer.leader_at(Round(r)) == v {
+            if handle.leader_at(Round(r)) == v {
                 held += 1;
             }
         }
@@ -168,22 +167,20 @@ fn adversary_rows(
             let mut epochs_to_demotion = None;
             let mut exclusions = 0u64;
             let mut leader_share_by_epoch = Vec::new();
-            if let Some(p) = observer.hammerhead_policy() {
-                // Epoch k's schedule governs the rounds between boundary
-                // k-1's new round and boundary k's.
-                let mut span_start = 0u64;
-                for summary in p.epoch_history() {
-                    let boundary = summary.new_initial_round.0;
-                    leader_share_by_epoch.push(share_over(span_start, boundary, v));
-                    if summary.excluded.contains(&v) {
-                        exclusions += 1;
-                        if epochs_to_demotion.is_none() {
-                            epochs_to_demotion = Some(summary.epoch);
-                            rounds_to_demotion = Some(boundary);
-                        }
+            // Epoch k's schedule governs the rounds between boundary k-1's
+            // new round and boundary k's.
+            let mut span_start = 0u64;
+            for summary in summaries {
+                let boundary = summary.new_initial_round.0;
+                leader_share_by_epoch.push(share_over(span_start, boundary, v));
+                if summary.excluded.contains(&v) {
+                    exclusions += 1;
+                    if epochs_to_demotion.is_none() {
+                        epochs_to_demotion = Some(summary.epoch);
+                        rounds_to_demotion = Some(boundary);
                     }
-                    span_start = boundary;
                 }
+                span_start = boundary;
             }
             AdversaryRow {
                 validator: node,
@@ -203,8 +200,12 @@ fn adversary_rows(
 /// schedule took to hand it a leader slot again and how long until the
 /// first of them committed, measured in rounds from the network round at
 /// its recovery (sampled by the sim driver), plus its per-epoch score
-/// trajectory under HammerHead.
-fn reinclusion_rows(handle: &SimHandle, observer: usize) -> Vec<ReinclusionRow> {
+/// trajectory across `summaries` (none under round-robin).
+fn reinclusion_rows(
+    handle: &SimHandle,
+    observer: usize,
+    summaries: &[EpochSummary],
+) -> Vec<ReinclusionRow> {
     let observer = handle.validator(observer);
     let anchors = handle.safety.anchor_prefix(observer.commit_count());
     let last_anchor_round = anchors.last().map(|a| a.round.0).unwrap_or(0);
@@ -218,22 +219,17 @@ fn reinclusion_rows(handle: &SimHandle, observer: usize) -> Vec<ReinclusionRow> 
             // Every round has a leader; scan from the recovery round up
             // to the last committed anchor.
             let first_leader_round =
-                (recovery_round..=last_anchor_round).find(|r| observer.leader_at(Round(*r)) == v);
+                (recovery_round..=last_anchor_round).find(|r| handle.leader_at(Round(*r)) == v);
             let first_commit_round = anchors
                 .iter()
                 .find(|a| {
-                    a.author == v && a.round.0 >= recovery_round && observer.leader_at(a.round) == v
+                    a.author == v && a.round.0 >= recovery_round && handle.leader_at(a.round) == v
                 })
                 .map(|a| a.round.0);
-            let score_trajectory = observer
-                .hammerhead_policy()
-                .map(|p| {
-                    p.epoch_history()
-                        .iter()
-                        .map(|e| e.final_scores.get(v.index()).copied().unwrap_or(0))
-                        .collect()
-                })
-                .unwrap_or_default();
+            let score_trajectory = summaries
+                .iter()
+                .map(|e| e.final_scores.get(v.index()).copied().unwrap_or(0))
+                .collect();
             ReinclusionRow {
                 validator: sample.validator,
                 recovered_at_us: sample.at_us,

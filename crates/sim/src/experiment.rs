@@ -6,7 +6,9 @@ use crate::byzantine::ByzantineSchedule;
 use crate::metrics::LatencySummary;
 use crate::sink::MetricsSink;
 use crate::workload::Workload;
-use hammerhead::{HammerheadConfig, SafetyChecker, ScheduleConfig, Validator, ValidatorConfig};
+use hammerhead::{
+    EpochSummary, HammerheadConfig, SafetyChecker, ScheduleConfig, Validator, ValidatorConfig,
+};
 use hh_consensus::SchedulePolicy;
 use hh_crypto::Digest;
 use hh_net::{
@@ -14,7 +16,7 @@ use hh_net::{
     Region, SimTime, Simulator, REGION_COUNT,
 };
 use hh_storage::MemBackend;
-use hh_types::{Committee, ValidatorId};
+use hh_types::{Committee, Round, ValidatorId};
 
 /// Which system a run benchmarks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -283,6 +285,27 @@ impl SimHandle {
     /// Panics if node `i` is not a validator.
     pub fn validator(&self, i: usize) -> &Validator<hh_storage::MemBackend> {
         self.sim.node(NodeId(i)).as_validator().expect("node is a validator")
+    }
+
+    /// The schedule switches validator `i` has made, oldest first: those
+    /// its commits carried, from the run's one record of them
+    /// ([`SafetyChecker::epoch_summaries`]), then those its next commit
+    /// will carry, from its policy.
+    pub fn epoch_summaries(&self, i: usize) -> Vec<EpochSummary> {
+        let v = self.validator(i);
+        let mut summaries = self.safety.epoch_summaries(v.commit_count());
+        if let Some(p) = v.hammerhead_policy() {
+            summaries.extend_from_slice(p.unsent_summaries());
+        }
+        summaries
+    }
+
+    /// The leader of `round` in the run's schedule history: under the
+    /// latest switch at or below it, else under the initial schedule.
+    pub fn leader_at(&self, round: Round) -> ValidatorId {
+        self.safety
+            .leader_at(round)
+            .unwrap_or_else(|| self.validator(0).initial_schedule().leader_at(round))
     }
 
     /// Records the network round for every recovery scheduled at exactly
@@ -797,14 +820,15 @@ mod tests {
     /// Rounds the attacker held leader slots: under round-robin that is
     /// every round where the static schedule elects it; under HammerHead
     /// epochs where the attacker sits in the excluded set contribute
-    /// nothing. Computed from the epoch history so past epochs keep their
-    /// own schedules (the active schedule only describes the present).
+    /// nothing. Computed from the run's epoch summaries so past epochs
+    /// keep their own schedules (the active schedule only describes the
+    /// present).
     fn attacker_slot_rounds(handle: &SimHandle, observer: usize, attacker: u16, n: usize) -> u64 {
         let v = handle.validator(observer);
         let last_round = v.committed_anchors().last().map(|a| a.round.0).unwrap_or(0);
         match v.hammerhead_policy() {
             None => last_round / n as u64,
-            Some(p) => {
+            Some(_) => {
                 // Epoch k spans [boundary k-1's new round, boundary k's).
                 // The attacker holds ~1/n of the rounds of every epoch
                 // whose *schedule* includes it, i.e. where the previous
@@ -812,7 +836,7 @@ mod tests {
                 let mut held = 0u64;
                 let mut span_start = 0u64;
                 let mut excluded_now = false;
-                for summary in p.epoch_history() {
+                for summary in handle.epoch_summaries(observer) {
                     let span = summary.new_initial_round.0.saturating_sub(span_start);
                     if !excluded_now {
                         held += span / n as u64;
@@ -828,14 +852,12 @@ mod tests {
         }
     }
 
-    /// How often each validator was excluded across the epoch history.
+    /// How often each validator was excluded across the epoch summaries.
     fn exclusion_counts(handle: &SimHandle, observer: usize, n: usize) -> Vec<u64> {
         let mut counts = vec![0u64; n];
-        if let Some(p) = handle.validator(observer).hammerhead_policy() {
-            for summary in p.epoch_history() {
-                for v in &summary.excluded {
-                    counts[v.0 as usize] += 1;
-                }
+        for summary in handle.epoch_summaries(observer) {
+            for v in &summary.excluded {
+                counts[v.0 as usize] += 1;
             }
         }
         counts
@@ -1190,6 +1212,7 @@ mod tests {
                 vertices: vec![a],
                 horizon: hh_types::Round(0),
                 replayed: true,
+                summaries: Vec::new(),
             })
             .collect();
         handle_a.safety.observe_all(0, &rewrite);

@@ -130,7 +130,7 @@ impl<B: LogBackend> ValidatorStore<B> {
     ///
     /// Returns [`WalError::Io`] if the medium cannot be read. Undecodable
     /// records (torn writes already excluded by the WAL) are skipped.
-    pub fn recover(&self) -> Result<RecoveredState, WalError> {
+    pub fn recover(&mut self) -> Result<RecoveredState, WalError> {
         let mut state = RecoveredState::default();
         let mut seen = std::collections::HashSet::new();
         for raw in self.wal.replay()? {

@@ -44,11 +44,17 @@ impl From<std::io::Error> for WalError {
 ///
 /// Replay stops silently at the first torn or corrupted frame: everything
 /// before it is intact (CRC-verified), everything after is discarded —
-/// which models exactly what a crash mid-append may leave behind.
+/// which models exactly what a crash mid-append may leave behind. The
+/// first append after such a replay cuts the log back to its intact
+/// prefix, so what is appended after a restart is not hidden behind the
+/// torn frame at the next replay.
 #[derive(Debug)]
 pub struct Wal<B: LogBackend> {
     backend: B,
     records: u64,
+    /// Where the intact prefix ends, when the last replay found bytes
+    /// after it that the next append must cut off.
+    intact_len: Option<usize>,
     /// Reused framing buffer; appends happen once per persisted vertex on
     /// the simulator's hot path, so the frame is assembled in place.
     frame: Vec<u8>,
@@ -58,15 +64,22 @@ impl<B: LogBackend> Wal<B> {
     /// Wraps a backend. Existing contents are preserved (call
     /// [`Wal::replay`] to read them).
     pub fn new(backend: B) -> Self {
-        Wal { backend, records: 0, frame: Vec::new() }
+        Wal { backend, records: 0, intact_len: None, frame: Vec::new() }
     }
 
-    /// Appends one record.
+    /// Appends one record, after cutting off the torn tail the last
+    /// [`Wal::replay`] stopped at, if any.
     ///
     /// # Errors
     ///
-    /// Returns [`WalError::Io`] if the backend write fails.
+    /// Returns [`WalError::Io`] if the backend read, rewrite or write fails.
     pub fn append(&mut self, record: &[u8]) -> Result<(), WalError> {
+        if let Some(len) = self.intact_len {
+            let mut bytes = self.backend.read_all()?;
+            bytes.truncate(len);
+            self.backend.rewrite(&bytes)?;
+            self.intact_len = None;
+        }
         self.frame.clear();
         self.frame.reserve(HEADER_LEN + record.len());
         self.frame.extend_from_slice(&(record.len() as u32).to_be_bytes());
@@ -77,13 +90,14 @@ impl<B: LogBackend> Wal<B> {
         Ok(())
     }
 
-    /// Reads every intact record from the start of the log.
+    /// Reads every intact record from the start of the log, and remembers
+    /// where they end for the next [`Wal::append`].
     ///
     /// # Errors
     ///
     /// Returns [`WalError::Io`] if the backend read fails. Torn or
     /// corrupted tails are not errors; replay simply stops there.
-    pub fn replay(&self) -> Result<Vec<Vec<u8>>, WalError> {
+    pub fn replay(&mut self) -> Result<Vec<Vec<u8>>, WalError> {
         let bytes = self.backend.read_all()?;
         let mut out = Vec::new();
         let mut pos = 0usize;
@@ -105,6 +119,7 @@ impl<B: LogBackend> Wal<B> {
             out.push(payload.to_vec());
             pos = end;
         }
+        self.intact_len = (pos < bytes.len()).then_some(pos);
         Ok(out)
     }
 
@@ -130,6 +145,7 @@ impl<B: LogBackend> Wal<B> {
             bytes.extend_from_slice(r);
         }
         self.backend.rewrite(&bytes)?;
+        self.intact_len = None;
         self.records = records.len() as u64;
         Ok(())
     }
@@ -228,9 +244,53 @@ mod tests {
         assert_eq!(records, vec![b"snapshot".to_vec(), b"tail".to_vec()]);
     }
 
+    /// Appends `alpha` and `bravo`, tears `bravo`, then restarts twice
+    /// over the same medium: what the first restart appends survives the
+    /// second.
+    fn appends_after_a_torn_tail_survive_the_next_replay<B: LogBackend>(
+        open: impl Fn() -> B,
+        tear: impl FnOnce(usize),
+    ) {
+        let mut wal = Wal::new(open());
+        wal.append(b"alpha").unwrap();
+        wal.append(b"bravo").unwrap();
+        tear(wal.size_bytes() - 2);
+        let mut wal = Wal::new(open());
+        assert_eq!(wal.replay().unwrap(), vec![b"alpha".to_vec()]);
+        wal.append(b"charlie").unwrap();
+        let mut wal = Wal::new(open());
+        assert_eq!(wal.replay().unwrap(), vec![b"alpha".to_vec(), b"charlie".to_vec()]);
+        // An intact log is appended to as it is.
+        wal.append(b"delta").unwrap();
+        let expected: Vec<Vec<u8>> = vec![b"alpha".into(), b"charlie".into(), b"delta".into()];
+        assert_eq!(Wal::new(open()).replay().unwrap(), expected);
+    }
+
+    #[test]
+    fn appends_after_a_torn_tail_survive_in_memory() {
+        let mem = MemBackend::new();
+        appends_after_a_torn_tail_survive_the_next_replay(|| mem.clone(), |len| mem.truncate(len));
+    }
+
+    #[test]
+    fn appends_after_a_torn_tail_survive_on_file() {
+        use crate::backend::FileBackend;
+        let path =
+            std::env::temp_dir().join(format!("hh-wal-torn-tail-{}.log", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        appends_after_a_torn_tail_survive_the_next_replay(
+            || FileBackend::open(&path).unwrap(),
+            |len| {
+                let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+                file.set_len(len as u64).unwrap();
+            },
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
     #[test]
     fn empty_log_replays_empty() {
-        let wal = Wal::new(MemBackend::new());
+        let mut wal = Wal::new(MemBackend::new());
         assert!(wal.replay().unwrap().is_empty());
     }
 }

@@ -60,7 +60,7 @@ fn torn_tail_on_disk_recovers_prefix() {
     file.set_len(full - 10).unwrap();
     drop(file);
 
-    let wal = Wal::new(FileBackend::open(&tmp.0).unwrap());
+    let mut wal = Wal::new(FileBackend::open(&tmp.0).unwrap());
     let records = wal.replay().unwrap();
     assert_eq!(records.len(), 4, "only the torn tail record is lost");
     for (i, r) in records.iter().enumerate() {
@@ -85,7 +85,7 @@ fn torn_header_on_disk_recovers_prefix() {
     file.set_len(first_len + 3).unwrap();
     drop(file);
 
-    let wal = Wal::new(FileBackend::open(&tmp.0).unwrap());
+    let mut wal = Wal::new(FileBackend::open(&tmp.0).unwrap());
     let records = wal.replay().unwrap();
     assert_eq!(records.len(), 1);
     assert_eq!(records[0].as_slice(), b"first");
@@ -106,9 +106,9 @@ fn appends_resume_after_torn_recovery() {
     file.set_len(full - 2).unwrap();
     drop(file);
 
-    // The torn tail is garbage bytes mid-file; recovery is read-side
-    // (replay stops at the tear), and compaction rewrites the log to
-    // just the valid prefix, after which appends are replayable again.
+    // The torn tail is garbage bytes mid-file: replay stops at the tear,
+    // and compaction rewrites the log to just the valid prefix, after
+    // which appends are replayable again.
     let mut wal = Wal::new(FileBackend::open(&tmp.0).unwrap());
     let prefix = wal.replay().unwrap();
     assert_eq!(prefix.len(), 1);

@@ -51,8 +51,7 @@ fn main() {
             (incident.p95 / healthy.p95.max(1e-9) - 1.0) * 100.0
         );
         if system == SystemKind::Hammerhead {
-            let policy = handle.validator(2).hammerhead_policy().expect("configured");
-            if let Some(last) = policy.epoch_history().last() {
+            if let Some(last) = handle.epoch_summaries(2).last() {
                 println!(
                     "  last schedule switch excluded {:?} (degraded validators leave the rotation)",
                     last.excluded

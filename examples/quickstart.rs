@@ -35,7 +35,7 @@ fn main() {
     let policy = v0.hammerhead_policy().expect("hammerhead is configured");
     println!("\nschedule epochs completed: {}", policy.epoch());
     println!("live reputation scores:    {}", policy.scores());
-    if let Some(last) = policy.epoch_history().last() {
+    if let Some(last) = handle.epoch_summaries(0).last() {
         println!(
             "last switch at round {}: excluded {:?}, promoted {:?}",
             last.new_initial_round.0, last.excluded, last.promoted

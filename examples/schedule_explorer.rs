@@ -24,11 +24,14 @@ fn main() {
     let mut handle = build_sim(&config);
     handle.sim.run_until(SimTime::from_secs(40));
 
+    // The run's safety checker holds the one copy of the schedule history:
+    // every switch, as the commit that opened its epoch carried it.
     let v0 = handle.validator(0);
     let policy = v0.hammerhead_policy().expect("hammerhead configured");
+    let history = handle.epoch_summaries(0);
 
     println!("epoch history ({} switches):", policy.epoch());
-    for summary in policy.epoch_history() {
+    for summary in &history {
         let scores: Vec<String> =
             summary.final_scores.iter().enumerate().map(|(i, s)| format!("v{i}:{s}")).collect();
         println!(

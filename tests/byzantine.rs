@@ -158,15 +158,18 @@ fn vote_withholder_loses_leader_slots() {
         });
     }
     let dag = builder.into_dag();
+    // The switches, as the commits that open each new epoch carry them.
+    let mut history = Vec::new();
     for r in 0..=16u64 {
         let mut vs: Vec<_> = dag.round_vertices(Round(r)).cloned().collect();
         vs.sort_by_key(|v| v.author());
         for v in vs {
-            engine.process_vertex(&v, &dag);
+            for sd in engine.process_vertex(&v, &dag) {
+                history.extend(engine.policy_mut().take_summaries_before(sd.schedule_epoch));
+            }
         }
     }
 
-    let history = engine.policy().epoch_history();
     assert!(!history.is_empty());
     let first = &history[0];
     assert!(

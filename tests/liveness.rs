@@ -104,16 +104,14 @@ fn no_leader_timeout_survives_the_first_switch() {
         let live = n - crashed;
         let mut handle = crashed_from_start(SystemKind::Hammerhead, n, crashed, period_rounds);
         let mut t = 0;
-        while (0..live)
-            .any(|i| handle.validator(i).hammerhead_policy().unwrap().epoch_history().is_empty())
-        {
+        while (0..live).any(|i| handle.epoch_summaries(i).is_empty()) {
             t += 10;
             assert!(t < 10_000, "n = {n}: no first switch within 10 s");
             handle.sim.run_until(SimTime::from_millis(t));
         }
         let at_switch = leader_timeouts(&handle, live);
         handle.sim.run_until(SimTime::from_secs(12));
-        assert!(handle.validator(0).hammerhead_policy().unwrap().epoch_history().len() > 5);
+        assert!(handle.epoch_summaries(0).len() > 5);
         assert_eq!(leader_timeouts(&handle, live), at_switch, "n = {n}: a timeout after {t} ms");
     }
 }

@@ -157,8 +157,9 @@ fn repeated_crashes_survive() {
 #[test]
 fn hammerhead_node_recovers_with_schedule_state() {
     // Recovery rebuilds the HammerHead policy by replaying the committed
-    // sequence: epochs and schedules must match the survivors'.
-    use hammerhead_repro::hammerhead::{HammerheadConfig, ScheduleConfig};
+    // sequence: the switches its replayed and live commits carry must be
+    // the survivors', which the run's one checker holds them to.
+    use hammerhead_repro::hammerhead::{HammerheadConfig, SafetyChecker, ScheduleConfig};
     use hammerhead_repro::hh_consensus::SchedulePolicy;
 
     let committee = Committee::new_equal_stake(4);
@@ -170,14 +171,16 @@ fn hammerhead_node_recovers_with_schedule_state() {
         ..fast_config()
     };
     let backends: Vec<MemBackend> = (0..4).map(|_| MemBackend::new()).collect();
+    let safety = SafetyChecker::new();
     let mut actors: Vec<Actor> = (0..4)
         .map(|i| {
-            Actor::honest(Validator::new(
+            let v = Validator::new(
                 committee.clone(),
                 ValidatorId(i as u16),
                 config.clone(),
                 Some(backends[i].clone()),
-            ))
+            );
+            Actor::Validator(Box::new(v), None, safety.clone())
         })
         .collect();
     actors.push(Actor::Client(Client::new(0, NodeId(0), 100.0, 10.0)));
@@ -190,17 +193,18 @@ fn hammerhead_node_recovers_with_schedule_state() {
     let mut sim = Simulator::new(actors, net, 31);
     sim.run_until(SimTime::from_secs(12));
 
+    safety.assert_clean();
     let survivor = sim.node(NodeId(0)).as_validator().unwrap();
     let recovered = sim.node(NodeId(2)).as_validator().unwrap();
-    let se = survivor.hammerhead_policy().unwrap();
-    let re = recovered.hammerhead_policy().unwrap();
-    assert!(se.epoch() >= 2, "schedules rotated during the test");
-    let shared = se.epoch_history().len().min(re.epoch_history().len());
-    for e in 0..shared {
-        assert_eq!(
-            se.epoch_history()[e].new_initial_round,
-            re.epoch_history()[e].new_initial_round
-        );
-        assert_eq!(se.epoch_history()[e].excluded, re.epoch_history()[e].excluded);
-    }
+    assert_eq!(recovered.metrics().restarts, 1);
+    assert!(survivor.hammerhead_policy().unwrap().epoch() >= 2, "schedules rotated");
+    // The recovered policy made every switch its commits carried, and at
+    // most one more, which its next commit will carry.
+    let carried = safety.epoch_summaries(recovered.commit_count());
+    let epoch = recovered.hammerhead_policy().unwrap().epoch();
+    assert!(carried.len() >= 2, "the recovered node's commits carried {} switches", carried.len());
+    assert!((carried.len() as u64..=carried.len() as u64 + 1).contains(&epoch), "epoch {epoch}");
+    // And it names the run's leader for the round it last committed.
+    let last = recovered.committed_anchors().last().expect("it commits again").round;
+    assert_eq!(Some(recovered.leader_at(last)), safety.leader_at(last));
 }

@@ -90,48 +90,26 @@ fn agreement_with_geo_latency_and_faults() {
 #[test]
 fn hammerhead_schedule_agreement_across_validators() {
     // Proposition 1 end-to-end: all validators walk through identical
-    // schedules even while committing at different times.
+    // schedules even while committing at different times. The run's
+    // checker holds every commit's switches to the first write of its
+    // index (invariant 5); each validator's live schedule is the one the
+    // record names.
     let mut config = ExperimentConfig::quick_test(SystemKind::Hammerhead);
     config.committee_size = 5;
     config.duration_secs = 6;
     let mut handle = build_sim(&config);
     handle.sim.run_until(hammerhead_repro::hh_net::SimTime::from_secs(6));
 
-    // Compare schedule histories on the shared epoch prefix.
-    let histories: Vec<_> = (0..5)
-        .map(|i| {
-            handle
-                .validator(i)
-                .hammerhead_policy()
-                .expect("hammerhead configured")
-                .epoch_history()
-                .to_vec()
-        })
-        .collect();
-    let min_epochs = histories.iter().map(|h| h.len()).min().unwrap();
-    assert!(min_epochs >= 1, "every validator switched at least once");
-    #[allow(clippy::needless_range_loop)]
-    for epoch in 0..min_epochs {
-        for v in 1..5 {
-            assert_eq!(
-                histories[0][epoch].new_initial_round, histories[v][epoch].new_initial_round,
-                "epoch {epoch}: switch rounds diverge"
-            );
-            assert_eq!(
-                histories[0][epoch].excluded, histories[v][epoch].excluded,
-                "epoch {epoch}: B sets diverge"
-            );
-            assert_eq!(
-                histories[0][epoch].promoted, histories[v][epoch].promoted,
-                "epoch {epoch}: G sets diverge"
-            );
-            assert_eq!(
-                histories[0][epoch].final_scores, histories[v][epoch].final_scores,
-                "epoch {epoch}: scores diverge"
-            );
+    assert_agreement(&handle, &[]);
+    for i in 0..5 {
+        let v = handle.validator(i);
+        let switched = handle.epoch_summaries(i).len() as u64;
+        assert!(switched >= 1, "v{i}: every validator switched at least once");
+        assert_eq!(v.hammerhead_policy().expect("hammerhead configured").epoch(), switched);
+        for anchor in v.committed_anchors() {
+            assert_eq!(v.leader_at(anchor.round), handle.leader_at(anchor.round), "v{i}");
         }
     }
-    assert_agreement(&handle, &[]);
 }
 
 #[test]
@@ -169,6 +147,45 @@ fn per_commit_history_ends_at_the_gc_horizon() {
         let kept = v.committed_anchors().len() as u64;
         assert!(v.commit_count() > 10 * kept, "v{i}: {} commits, {kept} kept", v.commit_count());
     }
+}
+
+#[test]
+fn schedule_history_lives_in_the_run_record() {
+    // A validator keeps only the schedules that govern a round at or above
+    // its GC horizon: the one covering the horizon, at most
+    // ⌈gc_depth / period_rounds⌉ more up to the active one, and one of
+    // slack for a switch whose anchor sits a round or two above the last.
+    // The run's checker holds the one copy of the history, one summary
+    // per switch.
+    use hammerhead_repro::hammerhead::{HammerheadConfig, ScheduleConfig};
+    const GC_DEPTH: u64 = 10;
+    const PERIOD: u64 = 5;
+    let mut config = ExperimentConfig::quick_test(SystemKind::Hammerhead);
+    config.validator.gc_depth = GC_DEPTH;
+    config.validator.schedule = ScheduleConfig::Hammerhead(HammerheadConfig {
+        period_rounds: PERIOD,
+        ..Default::default()
+    });
+    config.duration_secs = 8;
+    let mut handle = build_sim(&config);
+    let n = handle.n_validators;
+    let bound = GC_DEPTH.div_ceil(PERIOD) as usize + 2;
+    for second in 1..=config.duration_secs {
+        handle.sim.run_until(hammerhead_repro::hh_net::SimTime::from_secs(second));
+        let summaries = handle.safety.epoch_summaries(u64::MAX);
+        for (k, summary) in summaries.iter().enumerate() {
+            assert_eq!(summary.epoch, k as u64, "t = {second} s: one summary per switch");
+        }
+        for i in 0..n {
+            let policy = handle.validator(i).hammerhead_policy().unwrap();
+            let kept = policy.retained_schedules();
+            assert!(kept <= bound, "t = {second} s, v{i}: {kept} schedules, bound {bound}");
+            assert_eq!(policy.epoch(), handle.epoch_summaries(i).len() as u64, "v{i}");
+        }
+    }
+    assert_agreement(&handle, &[]);
+    let epochs = handle.safety.epoch_summaries(u64::MAX).len();
+    assert!(epochs >= 50, "{epochs} switches");
 }
 
 #[test]
@@ -218,29 +235,47 @@ fn determinism_full_stack() {
 
 #[test]
 fn epoch_histories_match_schedule_policy_state() {
-    use hammerhead_repro::hammerhead::{HammerheadConfig, HammerheadPolicy};
-    // The policy driven inside the full stack must equal a policy replayed
-    // from the committed sequence offline — schedules are a function of
-    // the committed prefix only.
+    use hammerhead_repro::hammerhead::{
+        compute_next_schedule, HammerheadConfig, HammerheadPolicy, ReputationScores,
+    };
+    use hammerhead_repro::hh_types::Round;
+    // The schedules the full stack switched through, as the run records
+    // them, must equal those recomputed offline from S0 and each epoch's
+    // recorded scores — schedules are a function of the committed prefix
+    // only.
     let mut config = ExperimentConfig::quick_test(SystemKind::Hammerhead);
     config.committee_size = 4;
     config.duration_secs = 5;
     let mut handle = build_sim(&config);
     handle.sim.run_until(hammerhead_repro::hh_net::SimTime::from_secs(5));
 
+    let committee = handle.committee.clone();
     let reference = handle.validator(0).hammerhead_policy().unwrap();
     let offline = HammerheadPolicy::new(
-        handle.committee.clone(),
+        committee.clone(),
         HammerheadConfig { period_rounds: 8, ..HammerheadConfig::default() },
     );
-    // Same construction parameters ⇒ same S0.
-    assert_eq!(
-        offline.active_schedule().slots().len(),
-        reference
-            .epoch_history()
-            .first()
-            .map(|_| offline.active_schedule().slots().len())
-            .unwrap_or(offline.active_schedule().slots().len())
-    );
-    assert!(reference.epoch() >= 1);
+    // Same construction parameters ⇒ same S0, which leads every round
+    // below the first switch.
+    assert_eq!(offline.initial_schedule(), reference.initial_schedule());
+    let summaries = handle.epoch_summaries(0);
+    assert!(!summaries.is_empty() && reference.epoch() >= 1);
+    for r in 0..summaries[0].new_initial_round.0 {
+        assert_eq!(handle.leader_at(Round(r)), offline.leader_at(Round(r)));
+    }
+    for summary in &summaries {
+        let mut scores = ReputationScores::new(&committee);
+        for (id, score) in committee.ids().zip(&summary.final_scores) {
+            scores.add(id, *score);
+        }
+        let change = compute_next_schedule(
+            offline.initial_schedule(),
+            &scores,
+            &committee,
+            committee.max_faulty_stake(),
+        );
+        assert_eq!(summary.slots, change.schedule, "epoch {}", summary.epoch);
+        assert_eq!(summary.excluded, change.excluded, "epoch {}", summary.epoch);
+        assert_eq!(summary.promoted, change.promoted, "epoch {}", summary.epoch);
+    }
 }
