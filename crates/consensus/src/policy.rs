@@ -9,7 +9,8 @@
 
 use crate::ordered::OrderedSet;
 use hh_dag::Dag;
-use hh_types::{Committee, Round, ValidatorId, Vertex};
+use hh_types::{permute_slots, Committee, Round, ValidatorId, Vertex};
+use std::sync::Arc;
 
 /// What the policy decided when shown an anchor about to be ordered.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,44 +87,33 @@ pub trait SchedulePolicy {
 /// matches voting power (§3: each validator `u` leads
 /// `TR × stake(u) / Σ stake` rounds). An optional seeded permutation
 /// unbiases the initial order, as the paper prescribes for S0.
+///
+/// The table is shared: a clone is a pointer, and every
+/// [`SlotSchedule::initial`] of one committee is the committee's own S0.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SlotSchedule {
-    slots: Vec<ValidatorId>,
+    slots: Arc<[ValidatorId]>,
 }
 
 impl SlotSchedule {
     /// Stake-weighted slots in validator-id order (deterministic).
     pub fn round_robin(committee: &Committee) -> Self {
-        let mut slots = Vec::new();
-        for v in committee.iter() {
-            for _ in 0..v.stake().0 {
-                slots.push(v.id());
-            }
-        }
-        SlotSchedule { slots }
+        SlotSchedule { slots: committee.weighted_slots().into() }
     }
 
-    /// Stake-weighted slots permuted by a deterministic seed (the paper's
-    /// "randomly permute" for the initial schedule; all validators must use
-    /// the same seed, e.g. derived from the epoch randomness).
+    /// Stake-weighted slots permuted by a deterministic seed
+    /// ([`permute_slots`]); all validators must use the same seed.
     pub fn permuted(committee: &Committee, seed: u64) -> Self {
-        let mut schedule = Self::round_robin(committee);
-        // Fisher–Yates driven by a splitmix64 stream: no dependency on a
-        // particular RNG crate's stability guarantees.
-        let mut state = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        let n = schedule.slots.len();
-        for i in (1..n).rev() {
-            let j = (next() % (i as u64 + 1)) as usize;
-            schedule.slots.swap(i, j);
-        }
-        schedule
+        let mut slots = committee.weighted_slots();
+        permute_slots(&mut slots, seed);
+        SlotSchedule { slots: slots.into() }
+    }
+
+    /// The initial schedule S0 (§3): the committee's
+    /// [`Committee::initial_slots`], shared, not copied. Equal to
+    /// [`SlotSchedule::permuted`] under [`hh_types::S0_SEED`].
+    pub fn initial(committee: &Committee) -> Self {
+        SlotSchedule { slots: Arc::clone(committee.initial_slots()) }
     }
 
     /// Builds a schedule from explicit slots.
@@ -133,7 +123,7 @@ impl SlotSchedule {
     /// Panics if `slots` is empty.
     pub fn from_slots(slots: Vec<ValidatorId>) -> Self {
         assert!(!slots.is_empty(), "schedule needs at least one slot");
-        SlotSchedule { slots }
+        SlotSchedule { slots: slots.into() }
     }
 
     /// The slot table.
@@ -239,6 +229,23 @@ mod tests {
         let c = SlotSchedule::permuted(&committee, 8);
         let d = SlotSchedule::permuted(&committee, 9);
         assert!(a != c || a != d, "permutation actually permutes");
+    }
+
+    #[test]
+    fn initial_is_the_s0_seed_permutation_and_shared() {
+        let weighted = CommitteeBuilder::new()
+            .add(Stake(5))
+            .add(Stake(3))
+            .add(Stake(1))
+            .add(Stake(1))
+            .build()
+            .unwrap();
+        for committee in [Committee::new_equal_stake(4), Committee::new_equal_stake(100), weighted]
+        {
+            let s0 = SlotSchedule::initial(&committee);
+            assert_eq!(s0, SlotSchedule::permuted(&committee, hh_types::S0_SEED));
+            assert!(Arc::ptr_eq(&s0.slots, committee.initial_slots()));
+        }
     }
 
     #[test]

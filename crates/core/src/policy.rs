@@ -84,7 +84,8 @@ struct ScheduleEntry {
 pub struct HammerheadPolicy {
     committee: Committee,
     config: HammerheadConfig,
-    /// S0, the base every switch swaps against.
+    /// S0, the base every switch swaps against: the committee's table,
+    /// shared by every validator's policy.
     base: SlotSchedule,
     /// The schedules that govern a round at or above the DAG's GC horizon,
     /// oldest first; the last entry is active. Keyed by initial round so
@@ -125,14 +126,10 @@ enum Timeliness {
     Late,
 }
 
-/// Seed of the permutation that makes the initial schedule S0 unbiased.
-/// Every validator must use the same one; a deployment would derive it
-/// from the epoch's randomness, which this reproduction does not model.
-const S0_SEED: u64 = 0;
-
 impl HammerheadPolicy {
     /// Creates the policy with the unbiased initial schedule S0
-    /// (stake-weighted slots, seeded permutation — §3).
+    /// (stake-weighted slots, seeded permutation — §3), the committee's
+    /// one table ([`SlotSchedule::initial`]).
     ///
     /// # Panics
     ///
@@ -144,7 +141,7 @@ impl HammerheadPolicy {
             config.period_rounds >= 2,
             "period_rounds must be at least 2 (a leader slot spans two rounds)"
         );
-        let s0 = SlotSchedule::permuted(&committee, S0_SEED);
+        let s0 = SlotSchedule::initial(&committee);
         let scores = ReputationScores::new(&committee);
         let n = committee.size();
         HammerheadPolicy {

@@ -628,6 +628,18 @@ mod tests {
     }
 
     #[test]
+    fn every_validator_starts_from_the_committees_one_s0() {
+        let mut config = ExperimentConfig::paper(SystemKind::Hammerhead, 10, 1_000);
+        config.faults = FaultSchedule::crash_last(10, 3).expect("within f");
+        let handle = build_sim(&config);
+        let s0 = handle.committee.initial_slots();
+        for i in 0..handle.n_validators {
+            let schedule = handle.validator(i).initial_schedule();
+            assert!(std::ptr::eq(schedule.slots(), &s0[..]), "v{i} holds a copy of S0");
+        }
+    }
+
+    #[test]
     fn quick_bullshark_run_commits_and_agrees() {
         let config = ExperimentConfig::quick_test(SystemKind::Bullshark);
         let r = run_experiment(&config);

@@ -2,7 +2,7 @@
 
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -32,6 +32,20 @@ pub trait LogBackend {
     ///
     /// Returns an I/O error if the medium rejects the rewrite.
     fn rewrite(&mut self, bytes: &[u8]) -> std::io::Result<()>;
+
+    /// Cuts the log back to its first `len` bytes (how the WAL drops a
+    /// torn tail). The default rewrites the prefix it reads back; a medium
+    /// that can cut in place should, so that no crash during the cut can
+    /// take the prefix with it.
+    ///
+    /// # Errors
+    ///
+    /// Returns an I/O error if the medium cannot be read or cut.
+    fn truncate_to(&mut self, len: usize) -> std::io::Result<()> {
+        let mut bytes = self.read_all()?;
+        bytes.truncate(len);
+        self.rewrite(&bytes)
+    }
 
     /// Current log size in bytes.
     fn len(&self) -> usize;
@@ -148,9 +162,14 @@ impl LogBackend for FileBackend {
         let mut f = OpenOptions::new().write(true).truncate(true).open(&self.path)?;
         f.write_all(bytes)?;
         f.flush()?;
-        f.seek(SeekFrom::End(0))?;
         self.file = OpenOptions::new().append(true).read(true).open(&self.path)?;
         Ok(())
+    }
+
+    /// One `ftruncate`: the file has either its old length or `len`, never
+    /// less.
+    fn truncate_to(&mut self, len: usize) -> std::io::Result<()> {
+        self.file.set_len(len as u64)
     }
 
     fn len(&self) -> usize {

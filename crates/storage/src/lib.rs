@@ -36,4 +36,4 @@ mod wal;
 
 pub use backend::{FileBackend, LogBackend, MemBackend};
 pub use validator_store::{RecoveredState, StoreRecord, ValidatorStore};
-pub use wal::{Wal, WalError};
+pub use wal::{Wal, WalError, MAX_RECORD_LEN};

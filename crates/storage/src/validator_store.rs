@@ -85,7 +85,9 @@ impl<B: LogBackend> ValidatorStore<B> {
     ///
     /// # Errors
     ///
-    /// Returns [`WalError::Io`] if the medium rejects the append.
+    /// Returns [`WalError::Io`] if the medium rejects the append, and
+    /// [`WalError::RecordTooLarge`] for a vertex whose record the log
+    /// could not replay (see [`crate::MAX_RECORD_LEN`]).
     pub fn persist_vertex(&mut self, vertex: &Vertex) -> Result<(), WalError> {
         // Byte-for-byte the encoding of `StoreRecord::Vertex(..)`, written
         // without cloning the vertex into a temporary record. The vertex's

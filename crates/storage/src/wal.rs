@@ -7,21 +7,28 @@ use std::fmt;
 /// Frame header: 4-byte length + 4-byte CRC32 of the payload.
 const HEADER_LEN: usize = 8;
 
-/// Maximum record size (guards recovery against absurd length fields from
-/// corruption).
-const MAX_RECORD_LEN: u32 = 1 << 26; // 64 MiB
+/// Maximum record size. Replay takes a longer length field for
+/// corruption, so appends refuse a longer record instead of writing one
+/// that replay would stop at.
+pub const MAX_RECORD_LEN: usize = 1 << 26; // 64 MiB
 
 /// Errors from WAL operations.
 #[derive(Debug)]
 pub enum WalError {
     /// The medium failed.
     Io(std::io::Error),
+    /// A record longer than [`MAX_RECORD_LEN`] bytes, which the log would
+    /// not replay; nothing was written.
+    RecordTooLarge(usize),
 }
 
 impl fmt::Display for WalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             WalError::Io(e) => write!(f, "wal i/o error: {e}"),
+            WalError::RecordTooLarge(len) => {
+                write!(f, "wal record of {len} bytes exceeds the {MAX_RECORD_LEN}-byte limit")
+            }
         }
     }
 }
@@ -30,6 +37,7 @@ impl std::error::Error for WalError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             WalError::Io(e) => Some(e),
+            WalError::RecordTooLarge(_) => None,
         }
     }
 }
@@ -72,19 +80,18 @@ impl<B: LogBackend> Wal<B> {
     ///
     /// # Errors
     ///
-    /// Returns [`WalError::Io`] if the backend read, rewrite or write fails.
+    /// * [`WalError::RecordTooLarge`] if `record` is longer than
+    ///   [`MAX_RECORD_LEN`]; the log is left as it was.
+    /// * [`WalError::Io`] if the backend truncation or write fails.
     pub fn append(&mut self, record: &[u8]) -> Result<(), WalError> {
+        check_len(record)?;
         if let Some(len) = self.intact_len {
-            let mut bytes = self.backend.read_all()?;
-            bytes.truncate(len);
-            self.backend.rewrite(&bytes)?;
+            self.backend.truncate_to(len)?;
             self.intact_len = None;
         }
         self.frame.clear();
         self.frame.reserve(HEADER_LEN + record.len());
-        self.frame.extend_from_slice(&(record.len() as u32).to_be_bytes());
-        self.frame.extend_from_slice(&crc32(record).to_be_bytes());
-        self.frame.extend_from_slice(record);
+        frame_into(&mut self.frame, record);
         self.backend.append(&self.frame)?;
         self.records += 1;
         Ok(())
@@ -104,11 +111,12 @@ impl<B: LogBackend> Wal<B> {
         while pos + HEADER_LEN <= bytes.len() {
             let len = u32::from_be_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes"));
             let crc = u32::from_be_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
+            let len = len as usize;
             if len > MAX_RECORD_LEN {
                 break; // corrupted length field
             }
             let start = pos + HEADER_LEN;
-            let end = start + len as usize;
+            let end = start + len;
             if end > bytes.len() {
                 break; // torn tail
             }
@@ -136,13 +144,14 @@ impl<B: LogBackend> Wal<B> {
     ///
     /// # Errors
     ///
-    /// Returns [`WalError::Io`] if the backend rewrite fails.
+    /// * [`WalError::RecordTooLarge`] if any record is longer than
+    ///   [`MAX_RECORD_LEN`]; the log is left as it was.
+    /// * [`WalError::Io`] if the backend rewrite fails.
     pub fn compact_to(&mut self, records: &[Vec<u8>]) -> Result<(), WalError> {
         let mut bytes = Vec::new();
         for r in records {
-            bytes.extend_from_slice(&(r.len() as u32).to_be_bytes());
-            bytes.extend_from_slice(&crc32(r).to_be_bytes());
-            bytes.extend_from_slice(r);
+            check_len(r)?;
+            frame_into(&mut bytes, r);
         }
         self.backend.rewrite(&bytes)?;
         self.intact_len = None;
@@ -164,6 +173,21 @@ impl<B: LogBackend> Wal<B> {
     pub fn backend(&self) -> &B {
         &self.backend
     }
+}
+
+fn check_len(record: &[u8]) -> Result<(), WalError> {
+    if record.len() > MAX_RECORD_LEN {
+        return Err(WalError::RecordTooLarge(record.len()));
+    }
+    Ok(())
+}
+
+/// Appends `record`'s frame to `out`; `record` passed [`check_len`], so
+/// its length fits the header's `u32`.
+fn frame_into(out: &mut Vec<u8>, record: &[u8]) {
+    out.extend_from_slice(&(record.len() as u32).to_be_bytes());
+    out.extend_from_slice(&crc32(record).to_be_bytes());
+    out.extend_from_slice(record);
 }
 
 #[cfg(test)]
@@ -286,6 +310,25 @@ mod tests {
             },
         );
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_record_replay_would_reject_is_refused() {
+        let mem = MemBackend::new();
+        let mut wal = Wal::new(mem.clone());
+        wal.append(b"alpha").unwrap();
+        let big = vec![0u8; MAX_RECORD_LEN + 1];
+        assert!(matches!(wal.append(&big), Err(WalError::RecordTooLarge(len)) if len == big.len()));
+        wal.append(b"charlie").unwrap();
+        let mut wal = Wal::new(mem.clone());
+        assert_eq!(wal.replay().unwrap(), vec![b"alpha".to_vec(), b"charlie".to_vec()]);
+        wal.append(b"delta").unwrap();
+        let expected: Vec<Vec<u8>> = vec![b"alpha".into(), b"charlie".into(), b"delta".into()];
+        assert_eq!(Wal::new(mem.clone()).replay().unwrap(), expected);
+        // Compaction refuses it too, and keeps the log it had.
+        let refused = wal.compact_to(&[b"snapshot".to_vec(), big]);
+        assert!(matches!(refused, Err(WalError::RecordTooLarge(_))));
+        assert_eq!(Wal::new(mem).replay().unwrap(), expected);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Validator identities, stake, and committees.
+//! Validator identities, stake, and committees, with what every member
+//! shares: the key registry and the initial leader schedule S0.
 //!
 //! The paper's model (§2.1): `n` parties, an adversary corrupting parties
 //! holding at most `f < n/3` of the stake. Thresholds are stake sums:
@@ -8,6 +9,33 @@
 use crate::TypeError;
 use hh_crypto::{Keypair, PublicKey};
 use std::fmt;
+use std::sync::Arc;
+
+/// Seed of the permutation that makes the initial schedule S0 unbiased
+/// (§3). Every validator must use the same one; a deployment would derive
+/// it from the epoch's randomness, which this reproduction does not model.
+pub const S0_SEED: u64 = 0;
+
+/// Permutes a leader slot table in place by a deterministic seed: the
+/// paper's "randomly permute" for S0 ([`Committee::initial_slots`], seed
+/// [`S0_SEED`]) and the one permutation any schedule uses.
+///
+/// Fisher–Yates driven by a splitmix64 stream: no dependency on a
+/// particular RNG crate's stability guarantees.
+pub fn permute_slots(slots: &mut [ValidatorId], seed: u64) {
+    let mut state = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    for i in (1..slots.len()).rev() {
+        let j = (next() % (i as u64 + 1)) as usize;
+        slots.swap(i, j);
+    }
+}
 
 /// Index of a validator within its committee.
 ///
@@ -59,12 +87,16 @@ impl std::iter::Sum for Stake {
     }
 }
 
-/// Public information about one committee member.
+/// Public information about one committee member, and the key registry's
+/// entry for it (see `hh-crypto` for the simulation caveat).
 #[derive(Clone, Debug)]
 pub struct ValidatorInfo {
     id: ValidatorId,
     stake: Stake,
     public_key: PublicKey,
+    /// Derived once, when the committee is built; handed out by
+    /// [`Committee::keypair`].
+    keypair: Keypair,
 }
 
 impl ValidatorInfo {
@@ -106,7 +138,10 @@ impl ValidatorInfo {
 pub struct Committee {
     /// Shared: a validator's DAG, broadcast layer, consensus engine and
     /// schedule policy each hold the committee, and a clone is a pointer.
-    validators: std::sync::Arc<[ValidatorInfo]>,
+    validators: Arc<[ValidatorInfo]>,
+    /// S0, shared the same way: every validator's schedule policy starts
+    /// from this one table.
+    initial_slots: Arc<[ValidatorId]>,
     total_stake: Stake,
     f: Stake,
 }
@@ -119,11 +154,7 @@ impl Committee {
     /// Panics if `n == 0` (an empty committee is meaningless; the fallible
     /// path is [`CommitteeBuilder::build`]).
     pub fn new_equal_stake(n: usize) -> Self {
-        let mut b = CommitteeBuilder::new();
-        for _ in 0..n {
-            b = b.add(Stake(1));
-        }
-        b.build().expect("n > 0")
+        CommitteeBuilder { stakes: vec![Stake(1); n] }.build().expect("n > 0")
     }
 
     /// Number of validators.
@@ -209,14 +240,38 @@ impl Committee {
         self.stake_of_set(ids) >= self.validity_threshold()
     }
 
-    /// The keypair of validator `id`.
+    /// The keypair of validator `id`: for a member, a copy of the one the
+    /// registry derived when the committee was built.
     ///
-    /// Key material is deterministic (seeded by the id), so any component —
-    /// including tests — can reconstruct it. See `hh-crypto` for the
-    /// simulation caveat.
+    /// Key material is deterministic (`Keypair::from_seed` of the id), so
+    /// any component — including tests — can reconstruct it, a foreign
+    /// id's too. See `hh-crypto` for the simulation caveat.
     pub fn keypair(&self, id: ValidatorId) -> Keypair {
-        Keypair::from_seed(id.0 as u64)
+        self.validators
+            .get(id.index())
+            .map_or_else(|| Keypair::from_seed(id.0 as u64), |v| v.keypair.clone())
     }
+
+    /// The stake-weighted slot table in validator-id order: every member
+    /// once per unit of its stake.
+    pub fn weighted_slots(&self) -> Vec<ValidatorId> {
+        weighted_slots(&self.validators, self.total_stake)
+    }
+
+    /// The initial leader schedule S0 (§3): [`Committee::weighted_slots`]
+    /// permuted by [`permute_slots`] under [`S0_SEED`]. Computed once, when
+    /// the committee is built; every clone of the committee shares it.
+    pub fn initial_slots(&self) -> &Arc<[ValidatorId]> {
+        &self.initial_slots
+    }
+}
+
+fn weighted_slots(validators: &[ValidatorInfo], total_stake: Stake) -> Vec<ValidatorId> {
+    let mut slots = Vec::with_capacity(usize::try_from(total_stake.0).unwrap_or(0));
+    for v in validators {
+        slots.extend(std::iter::repeat_n(v.id, v.stake.0 as usize));
+    }
+    slots
 }
 
 /// Incrementally builds a stake-weighted [`Committee`].
@@ -239,7 +294,8 @@ impl CommitteeBuilder {
         self
     }
 
-    /// Finalizes the committee.
+    /// Finalizes the committee: derives every member's key and the initial
+    /// schedule S0, once for every clone of it.
     ///
     /// # Errors
     ///
@@ -252,18 +308,21 @@ impl CommitteeBuilder {
         if let Some(pos) = self.stakes.iter().position(|s| s.0 == 0) {
             return Err(TypeError::ZeroStake(ValidatorId(pos as u16)));
         }
-        let validators: std::sync::Arc<[ValidatorInfo]> = self
+        let validators: Arc<[ValidatorInfo]> = self
             .stakes
             .iter()
             .enumerate()
             .map(|(i, &stake)| {
                 let id = ValidatorId(i as u16);
-                ValidatorInfo { id, stake, public_key: Keypair::from_seed(id.0 as u64).public() }
+                let keypair = Keypair::from_seed(id.0 as u64);
+                ValidatorInfo { id, stake, public_key: keypair.public(), keypair }
             })
             .collect();
         let total_stake: Stake = self.stakes.iter().copied().sum();
         let f = Stake((total_stake.0.saturating_sub(1)) / 3);
-        Ok(Committee { validators, total_stake, f })
+        let mut slots = weighted_slots(&validators, total_stake);
+        permute_slots(&mut slots, S0_SEED);
+        Ok(Committee { validators, initial_slots: slots.into(), total_stake, f })
     }
 }
 
@@ -345,12 +404,43 @@ mod tests {
     }
 
     #[test]
+    fn initial_slots_are_pinned() {
+        let ids = |c: &Committee| c.initial_slots().iter().map(|v| v.0).collect::<Vec<_>>();
+        assert_eq!(ids(&Committee::new_equal_stake(4)), [2, 3, 1, 0]);
+        assert_eq!(ids(&Committee::new_equal_stake(10)), [8, 7, 6, 5, 3, 9, 2, 4, 1, 0]);
+        let weighted = CommitteeBuilder::new()
+            .add(Stake(5))
+            .add(Stake(3))
+            .add(Stake(1))
+            .add(Stake(1))
+            .build()
+            .unwrap();
+        assert_eq!(ids(&weighted), [2, 1, 1, 1, 0, 3, 0, 0, 0, 0]);
+        let n100 = ids(&Committee::new_equal_stake(100));
+        assert_eq!(
+            n100,
+            [
+                77, 2, 84, 85, 12, 50, 71, 93, 53, 44, 29, 30, 27, 8, 89, 69, 25, 9, 14, 75, 54, 4,
+                17, 82, 65, 28, 86, 97, 76, 40, 37, 99, 20, 43, 96, 73, 87, 68, 39, 16, 91, 31, 7,
+                36, 24, 52, 32, 94, 35, 26, 72, 6, 90, 45, 51, 66, 3, 21, 83, 81, 41, 98, 56, 33,
+                58, 79, 88, 49, 60, 80, 15, 34, 11, 70, 5, 67, 13, 22, 55, 61, 78, 95, 59, 62, 10,
+                57, 38, 23, 47, 46, 19, 74, 92, 64, 63, 42, 48, 18, 1, 0,
+            ]
+        );
+    }
+
+    #[test]
     fn keypairs_match_registry() {
         let c = Committee::new_equal_stake(3);
         for v in c.iter() {
             let kp = c.keypair(v.id());
             let sig = kp.sign(b"t", b"m");
             assert!(v.public_key().verify(b"t", b"m", &sig));
+            let seeded = Keypair::from_seed(v.id().0 as u64);
+            assert_eq!(sig, seeded.sign(b"t", b"m"), "the key is the seeded one");
+            assert_eq!(*v.public_key(), seeded.public());
         }
+        // A foreign id's key is derived on the spot.
+        assert_eq!(c.keypair(ValidatorId(7)).public(), Keypair::from_seed(7).public());
     }
 }

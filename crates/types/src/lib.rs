@@ -40,7 +40,9 @@ pub mod toml;
 mod transaction;
 mod vertex;
 
-pub use committee::{Committee, CommitteeBuilder, Stake, ValidatorId, ValidatorInfo};
+pub use committee::{
+    permute_slots, Committee, CommitteeBuilder, Stake, ValidatorId, ValidatorInfo, S0_SEED,
+};
 pub use error::TypeError;
 pub use hash::{DigestHasher, DigestMap, DigestSet};
 pub use transaction::{Transaction, TxId, TX_HEADER_BYTES};
