@@ -157,11 +157,14 @@ fn parse_set(kv: &str) -> Result<(Vec<String>, toml::Value), String> {
     Ok((path, value))
 }
 
+/// A `--set` value as the TOML reader would type it: `nan`, `inf` and an
+/// overflowing literal are no float there, so they stay strings here (and
+/// a float key turns them away).
 fn parse_scalar(s: &str) -> toml::Value {
     if let Ok(i) = s.parse::<i64>() {
         return toml::Value::Int(i);
     }
-    if let Ok(x) = s.parse::<f64>() {
+    if let Some(x) = s.parse::<f64>().ok().filter(|x| x.is_finite()) {
         return toml::Value::Float(x);
     }
     match s {
@@ -306,4 +309,23 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
         print!("{}", spec.to_toml());
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn set_values_are_never_non_finite_floats() {
+        assert_eq!(parse_scalar("2.5"), toml::Value::Float(2.5));
+        assert_eq!(parse_scalar("7"), toml::Value::Int(7));
+        for text in ["nan", "NaN", "inf", "-inf", "infinity", "1e400"] {
+            assert_eq!(parse_scalar(text), toml::Value::Str(text.into()), "{text}");
+        }
+        let (_, value) = parse_set("run.client_window_secs=nan").unwrap();
+        let mut root = toml::parse("name = \"x\"\n").unwrap();
+        apply_set(&mut root, &["run".into(), "client_window_secs".into()], value).unwrap();
+        let err = ScenarioSpec::from_value(&root).unwrap_err().to_string();
+        assert!(err.contains("client_window_secs` in [run] must be a number"), "{err}");
+    }
 }

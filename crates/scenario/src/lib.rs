@@ -5,15 +5,14 @@
 //! come out. This crate turns those from hard-coded binaries into data:
 //!
 //! * a TOML schema (see `docs/scenarios.md`) parsed by [`ScenarioSpec`]
-//!   — unknown keys, wrong types and contradictory key pairs are
-//!   rejected there;
+//!   — unknown keys and wrong types are rejected there;
 //! * axis expansion ([`ScenarioSpec::plan`]): list-valued knobs
 //!   (committee sizes, loads, seeds, periods…) expand into the cross
 //!   product of concrete [`hh_sim::ExperimentConfig`]s. A scenario is
 //!   valid iff it plans: the fault, byzantine, chaos and workload tables
-//!   are lowered per run and judged by the lowered schedule's own
-//!   `validate` — the value the simulator executes — so each such rule
-//!   has one statement and one error text;
+//!   are lowered per run straight from their schema rows and judged by
+//!   the lowered schedule's own `validate` — the value the simulator
+//!   executes — so each such rule has one statement and one error text;
 //! * a `plan → execute → report` pipeline: [`run_plan_with`] (on the
 //!   calling thread or a scoped worker pool, per [`ExecOptions`]) turns
 //!   every planned run into a row via the simulator's one driver
@@ -65,11 +64,8 @@ pub use engine::{
 pub use hh_sim::RunLimit;
 pub use json::Json;
 pub use spec::{
-    parse_scoring, scoring_name, AnalysisSpec, ArrivalSpec, ByzantineEntrySpec,
-    ByzantineStrategySpec, CountExpr, ExclusionSpec, FaultsSpec, NodeSel, PartitionEntry,
-    PartitionSel, PlanOptions, PlannedRun, QuickSpec, RateSpec, ScenarioError, ScenarioPlan,
-    ScenarioSpec, SlowdownEntry, SystemSpec, TimedFaultEntry, VariantSpec, WhenSpec, WindowSpec,
-    WorkloadPhaseSpec, WorkloadSpec,
+    parse_scoring, scoring_name, CountExpr, ExclusionSpec, PlanOptions, PlannedRun, ScenarioError,
+    ScenarioPlan, ScenarioSpec, SystemSpec, VariantSpec, WhenSpec,
 };
 
 use std::path::{Path, PathBuf};

@@ -4,22 +4,23 @@
 //! A scenario file is declarative: it names the committee/load/duration/
 //! seed *axes* (scalar or list — lists expand to the cross product), the
 //! system variants to compare, the fault schedule, and optional analyses.
-//! [`ScenarioSpec::parse`] rejects unknown keys, wrong types and
-//! contradictory key pairs, so a typo'd knob fails loudly instead of
-//! silently running the default. Whether the faults, the chaos and the
-//! workload a file describes can run is not decided here twice:
-//! [`ScenarioSpec::plan`] lowers them per run and the lowered
+//! [`ScenarioSpec::parse`] rejects unknown keys and wrong types, so a
+//! typo'd knob fails loudly instead of silently running the default. The
+//! `[workload]`, `[faults]` and `[analysis]` tables stay the rows the schema
+//! read them into: [`ScenarioSpec::plan`] lowers each row per run, judging
+//! which of an entry's keys go together as it reads them, and the lowered
 //! [`FaultSchedule`] / [`ByzantineSchedule`] / [`ChaosSchedule`] /
 //! [`Workload`] — the values the simulator executes — validate
 //! themselves. The full schema is documented in `docs/scenarios.md`.
 
 use hammerhead::{HammerheadConfig, ScheduleConfig, ScoringRule};
 use hh_sim::{
-    Arrival, ByzantineSchedule, ChaosEntry, ChaosSchedule, ChaosTarget, ExperimentConfig,
-    FaultSchedule, Network, Phase, SubmissionMode, SystemKind, Workload,
+    Arrival, ByzantineEntry, ByzantineSchedule, ByzantineStrategy, ChaosEntry, ChaosSchedule,
+    ChaosTarget, ExperimentConfig, FaultSchedule, Network, Phase, SubmissionMode, SystemKind,
+    Workload,
 };
 use hh_types::toml::{self, TomlError, Value};
-use hh_types::{Committee, Stake, ValidatorId, TX_HEADER_BYTES};
+use hh_types::{Committee, Stake, ValidatorId, MAX_COMMITTEE_SIZE, TX_HEADER_BYTES};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -244,328 +245,11 @@ impl WhenSpec {
             WhenSpec::Frac(frac) => Ok((duration_secs as f64 * frac * 1e6) as u64),
         }
     }
-
-    /// [`WhenSpec::resolve_us`] of a window end, where absent means "until
-    /// the run ends".
-    fn resolve_end_us(end: Option<WhenSpec>, duration_secs: u64) -> Result<u64, ScenarioError> {
-        end.map_or(Ok(u64::MAX), |end| end.resolve_us(duration_secs))
-    }
 }
 
-/// Which validators a fault hits.
-#[derive(Clone, Debug, PartialEq)]
-pub enum NodeSel {
-    /// Explicit validator ids.
-    Ids(Vec<u16>),
-    /// The first `count` validators (low ids hold early leader slots).
-    First(CountExpr),
-}
-
-/// One slowdown window from the scenario's fault schedule.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SlowdownEntry {
-    /// Affected validators.
-    pub nodes: NodeSel,
-    /// Window start.
-    pub at: WhenSpec,
-    /// Window end; `None` degrades until the end of the run.
-    pub until: Option<WhenSpec>,
-    /// Extra one-way delay while degraded, in milliseconds.
-    pub extra_ms: u64,
-}
-
-/// One timed crash or recovery event (`[[faults.crash]]` /
-/// `[[faults.recover]]`).
-#[derive(Clone, Debug, PartialEq)]
-pub struct TimedFaultEntry {
-    /// Affected validators.
-    pub nodes: NodeSel,
-    /// When the event fires.
-    pub at: WhenSpec,
-}
-
-/// Which validators a partition cuts off from the rest.
-#[derive(Clone, Debug, PartialEq)]
-pub enum PartitionSel {
-    /// Explicit groups on each side of the cut.
-    Groups {
-        /// One side.
-        a: Vec<u16>,
-        /// The other side.
-        b: Vec<u16>,
-    },
-    /// The first `count` validators against everyone else (scales with
-    /// the committee axis).
-    IsolateFirst(CountExpr),
-}
-
-/// One partition window (`[[faults.partition]]`).
-#[derive(Clone, Debug, PartialEq)]
-pub struct PartitionEntry {
-    /// The cut.
-    pub sel: PartitionSel,
-    /// Window start.
-    pub from: WhenSpec,
-    /// Heal time.
-    pub until: WhenSpec,
-}
-
-/// The strategy of one `[[faults.byzantine]]` entry — the declarative
-/// form of [`hh_sim::ByzantineStrategy`], with times in scenario units
-/// (ms delays, whole-second flip periods).
-#[derive(Clone, Debug, PartialEq)]
-pub enum ByzantineStrategySpec {
-    /// Broadcast a conflicting twin before every own vertex.
-    Equivocate,
-    /// Drop inbound vertex pushes from `targets`, forcing own proposals
-    /// to wait for the slowest quorum.
-    WithholdVotes {
-        /// Victim validators whose pushes are ignored (≤ f of them).
-        targets: Vec<u16>,
-    },
-    /// Hold every own broadcast back by a fixed delay.
-    LazyLeader {
-        /// Delay in milliseconds.
-        delay_ms: u64,
-    },
-    /// Alternate honest and lazy half-periods.
-    FlipFlop {
-        /// Half-period length in seconds.
-        flip_secs: u64,
-        /// Delay in milliseconds during lazy half-periods.
-        delay_ms: u64,
-    },
-}
-
-/// One byzantine window (`[[faults.byzantine]]`).
-#[derive(Clone, Debug, PartialEq)]
-pub struct ByzantineEntrySpec {
-    /// The attacker.
-    pub node: u16,
-    /// What it does.
-    pub strategy: ByzantineStrategySpec,
-    /// Window start.
-    pub from: WhenSpec,
-    /// Window end (`None` = until the run ends).
-    pub until: Option<WhenSpec>,
-}
-
-/// One chaos window (`[[faults.chaos]]`) — the declarative form of
-/// [`hh_sim::ChaosEntry`], with the reorder bound in milliseconds.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ChaosEntrySpec {
-    /// The links afflicted: all of them unless the entry names one
-    /// validator (`node`) or one directed link (`from` + `to`).
-    pub target: ChaosTarget,
-    /// Window start.
-    pub from: WhenSpec,
-    /// Window end (`None` = until the run ends).
-    pub until: Option<WhenSpec>,
-    /// Probability a frame is dropped outright.
-    pub drop: f64,
-    /// Probability a frame is delivered twice.
-    pub duplicate: f64,
-    /// Probability a frame's encoded bytes are flipped in flight.
-    pub corrupt: f64,
-    /// Maximum extra per-frame delay in milliseconds, drawn uniformly.
-    pub reorder_ms: u64,
-}
-
-/// The scenario's fault schedule — the declarative form of
-/// [`hh_sim::FaultSchedule`], resolved per planned run (committee size
-/// and duration fix the `n/k` counts and `*_frac` times).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct FaultsSpec {
-    /// Explicitly crashed validator ids (from t=0).
-    pub crashed: Vec<u16>,
-    /// Crash the last `count` validators from t=0 (Fig. 2's setting).
-    pub crash_last: Option<CountExpr>,
-    /// Slowdown windows (the §1 incident's shape).
-    pub slowdowns: Vec<SlowdownEntry>,
-    /// Mid-run crash events.
-    pub crashes: Vec<TimedFaultEntry>,
-    /// Recovery events (each must follow a crash of the same validator;
-    /// recovered nodes replay their WAL through `Validator::on_restart`).
-    pub recovers: Vec<TimedFaultEntry>,
-    /// Partition windows.
-    pub partitions: Vec<PartitionEntry>,
-    /// Byzantine strategy windows (the adversary suite).
-    pub byzantine: Vec<ByzantineEntrySpec>,
-    /// Adverse-network chaos windows (frame drop / duplicate / corrupt /
-    /// reorder on selected links).
-    pub chaos: Vec<ChaosEntrySpec>,
-}
-
-/// The arrival process of a `[workload]` table or `[[workload.phase]]`
-/// entry — the declarative form of [`hh_sim::Arrival`], with rates as
-/// scales on the run's `[load] tps` axis.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ArrivalSpec {
-    /// Fixed-rate with ±10% jitter (the `[load] tps` sugar).
-    Constant,
-    /// Exponential inter-arrivals at the same mean rate.
-    Poisson,
-    /// `burst_secs` on at the scaled rate, `idle_secs` off, repeating.
-    OnOff {
-        /// Burst length, seconds.
-        burst_secs: f64,
-        /// Idle gap, seconds.
-        idle_secs: f64,
-    },
-    /// Rate interpolated linearly across the phase (or whole run).
-    Ramp {
-        /// Scale at the phase start (default 0).
-        from_scale: f64,
-        /// Scale at the phase end.
-        to_scale: f64,
-    },
-}
-
-/// The rate of one workload phase, relative or absolute.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum RateSpec {
-    /// A multiplier on the run's `[load] tps` value (sweeps with the
-    /// load axis).
-    Scale(f64),
-    /// An absolute rate in tx/s (divided by the run's load to recover
-    /// the scale; requires a non-zero load).
-    Tps(u64),
-}
-
-/// One `[[workload.phase]]` entry.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WorkloadPhaseSpec {
-    /// Phase start (`from_secs` / `from_frac`); the first phase must
-    /// start at 0.
-    pub from: WhenSpec,
-    /// The phase's rate (ignored by [`ArrivalSpec::Ramp`], which
-    /// carries its own scales).
-    pub rate: RateSpec,
-    /// The arrival process in force.
-    pub arrival: ArrivalSpec,
-}
-
-/// The `[workload]` table — the declarative form of
-/// [`hh_sim::Workload`], resolved per planned run (duration fixes
-/// `from_frac` instants, the load axis fixes absolute `tps` rates).
-///
-/// A scenario without this table runs the table's defaults: a constant
-/// closed-loop workload at the `[load] tps` rate, the paper's client.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WorkloadSpec {
-    /// Open- vs closed-loop submission.
-    pub mode: SubmissionMode,
-    /// Modeled payload bytes per transaction.
-    pub payload_bytes: u32,
-    /// Heaviest/lightest per-client rate ratio (1 = uniform).
-    pub spread: f64,
-    /// Proposer block byte bound, when set.
-    pub block_bytes: Option<u64>,
-    /// Single-phase arrival process (used when `phases` is empty).
-    pub arrival: ArrivalSpec,
-    /// Multi-phase timeline; non-empty replaces `arrival`.
-    pub phases: Vec<WorkloadPhaseSpec>,
-}
-
-impl WorkloadSpec {
-    fn lower_arrival(arrival: &ArrivalSpec, scale: f64) -> Arrival {
-        match *arrival {
-            ArrivalSpec::Constant => Arrival::Constant { scale },
-            ArrivalSpec::Poisson => Arrival::Poisson { scale },
-            ArrivalSpec::OnOff { burst_secs, idle_secs } => {
-                Arrival::OnOff { scale, burst_secs, idle_secs }
-            }
-            ArrivalSpec::Ramp { from_scale, to_scale } => Arrival::Ramp { from_scale, to_scale },
-        }
-    }
-
-    /// Resolves the declarative workload against a run of `duration`
-    /// seconds at `load_tps` offered load into the concrete
-    /// [`hh_sim::Workload`], and validates the result. The default
-    /// workload lowers to exactly [`Workload::constant`] — the `[load]
-    /// tps` sugar.
-    pub fn build(&self, duration: u64, load_tps: u64) -> Result<Workload, ScenarioError> {
-        let duration_us = duration.saturating_mul(1_000_000);
-        let phases = if self.phases.is_empty() {
-            vec![Phase { from_us: 0, arrival: Self::lower_arrival(&self.arrival, 1.0) }]
-        } else {
-            let mut phases = Vec::with_capacity(self.phases.len());
-            for spec in &self.phases {
-                let scale = match spec.rate {
-                    RateSpec::Scale(s) => s,
-                    RateSpec::Tps(tps) => {
-                        if load_tps == 0 {
-                            return Err(ScenarioError::Invalid(
-                                "a workload phase gives an absolute tps but the load axis \
-                                 is 0 — use `scale`, or set [load] tps"
-                                    .into(),
-                            ));
-                        }
-                        tps as f64 / load_tps as f64
-                    }
-                };
-                phases.push(Phase {
-                    from_us: spec.from.resolve_us(duration)?,
-                    arrival: Self::lower_arrival(&spec.arrival, scale),
-                });
-            }
-            // `Workload::validate` below knows the timeline's shape but
-            // not where the run ends.
-            if let Some(late) = phases.iter().find(|p| p.from_us >= duration_us) {
-                return Err(ScenarioError::Invalid(format!(
-                    "workload phase at {} µs starts at or after the {duration}s run ends",
-                    late.from_us
-                )));
-            }
-            phases
-        };
-        let workload = Workload {
-            phases,
-            mode: self.mode,
-            payload_bytes: self.payload_bytes,
-            spread: self.spread,
-        };
-        workload.validate().map_err(|e| ScenarioError::Invalid(format!("workload: {e}")))?;
-        Ok(workload)
-    }
-}
-
-/// A named latency-measurement window over submission times.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WindowSpec {
-    /// Window name in the report.
-    pub name: String,
-    /// Start, as a fraction of the run duration (inclusive).
-    pub from_frac: f64,
-    /// End, as a fraction of the run duration (exclusive).
-    pub to_frac: f64,
-}
-
-/// What a scenario asks to be measured beyond what every run reports.
-/// (Which fault-derived blocks a report row carries follows from the
-/// run's schedules, not from here.)
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct AnalysisSpec {
-    /// Latency percentiles per named submission-time window.
-    pub windows: Vec<WindowSpec>,
-}
-
-/// Scaled-down axis overrides applied by `--quick`.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct QuickSpec {
-    /// Committee-size axis override.
-    pub sizes: Option<Vec<usize>>,
-    /// Load axis override.
-    pub tps: Option<Vec<u64>>,
-    /// Duration axis override.
-    pub duration_secs: Option<Vec<u64>>,
-    /// Seed axis override.
-    pub seeds: Option<Vec<u64>>,
-    /// Period axis override.
-    pub period_rounds: Option<Vec<u64>>,
-}
-
-/// A fully parsed scenario file.
+/// A fully parsed scenario file: the root axes typed, and the `[workload]`,
+/// `[faults]`, `[analysis]` and `[quick]` tables as the schema read them —
+/// [`ScenarioSpec::plan`] lowers those per run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ScenarioSpec {
     /// Scenario name (used in output and by `hh-cli list`).
@@ -598,18 +282,18 @@ pub struct ScenarioSpec {
     pub exclusion: Vec<ExclusionSpec>,
     /// HammerHead scoring-rule axis.
     pub scoring: Vec<ScoringRule>,
-    /// The workload shape (`[workload]`; defaults to the `[load] tps`
-    /// constant-rate sugar).
-    pub workload: WorkloadSpec,
     /// Explicit variants; when non-empty they replace the systems ×
     /// hammerhead-knob axes.
     pub variants: Vec<VariantSpec>,
-    /// Fault schedule applied to every run.
-    pub faults: FaultsSpec,
+    /// The workload shape; without a `[workload]` table, the `[load] tps`
+    /// constant-rate sugar.
+    workload: Row,
+    /// The fault, byzantine and chaos schedule applied to every run.
+    faults: Row,
     /// Latency windows.
-    pub analysis: AnalysisSpec,
-    /// `--quick` overrides.
-    pub quick: QuickSpec,
+    analysis: Row,
+    /// `--quick` axis overrides.
+    quick: Row,
 }
 
 // ---------------------------------------------------------------------------
@@ -620,10 +304,11 @@ pub struct ScenarioSpec {
 // listed in the `Section` of the TOML table it lives in. `Section::read`
 // turns a raw TOML table into a `Row` (unknown keys rejected, values
 // type-checked and normalised, required keys insisted on) and
-// `Row::to_table` turns a `Row` back into TOML (defaults omitted), so the
-// typed structs above are filled from rows and written to rows without a
-// key or a default being spelled a second time. `docs/scenarios.md` is
-// checked against the same tables by a unit test.
+// `Row::to_table` turns a `Row` back into TOML (defaults omitted). The
+// root axes are filled from rows and written to rows; the other tables stay
+// rows, read once where a run is lowered. No key or default is spelled a
+// second time. `docs/scenarios.md` is checked against the same tables by a
+// unit test.
 
 fn schema(message: String) -> ScenarioError {
     ScenarioError::Schema(message)
@@ -658,7 +343,7 @@ enum Kind {
 /// What an absent key yields.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Def {
-    /// Nothing: the typed field is an `Option`, or a cross-key rule decides.
+    /// Nothing: the key is optional, or a cross-key rule decides.
     None,
     /// A schema error.
     Required,
@@ -680,10 +365,16 @@ struct Field {
 }
 
 /// One TOML table: its name as error messages print it, and its keys.
-#[derive(Debug)]
 struct Section {
     name: &'static str,
     fields: &'static [&'static Field],
+}
+
+impl fmt::Debug for Section {
+    /// The name alone: a row prints its table, not the schema under it.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name)
+    }
 }
 
 /// Declares the `Field` statics of one TOML table (`NAME = key, kind,
@@ -747,8 +438,14 @@ struct Row {
 }
 
 impl PartialEq for Row {
+    /// Equal when every key reads the same, given or defaulted: the
+    /// canonical form, which omits defaults, re-reads as an equal row.
     fn eq(&self, other: &Row) -> bool {
-        std::ptr::eq(self.section, other.section) && self.cells == other.cells
+        let value = |row: &Row, i: usize| {
+            row.cells[i].clone().or_else(|| row.section.fields[i].default_cell())
+        };
+        std::ptr::eq(self.section, other.section)
+            && (0..self.cells.len()).all(|i| value(self, i) == value(other, i))
     }
 }
 
@@ -939,6 +636,17 @@ impl Row {
         self.opt(field).unwrap_or_else(|| panic!("`{}` is optional; read it with opt", field.key))
     }
 
+    /// The instant a `When` field names in a run of `duration` seconds, in
+    /// µs; an optional one left out names the end of the run.
+    fn instant_us(&self, field: &Field, duration: u64) -> Result<u64, ScenarioError> {
+        self.opt::<WhenSpec>(field).map_or(Ok(u64::MAX), |when| when.resolve_us(duration))
+    }
+
+    /// An integer field given in units of `per_unit` µs, in µs.
+    fn micros(&self, field: &Field, per_unit: u64) -> Result<u64, ScenarioError> {
+        to_micros(self.get(field), per_unit, field.key)
+    }
+
     fn with(mut self, field: &Field, value: impl Into<Cell>) -> Row {
         let index = self.index(field);
         self.cells[index] = Some(value.into());
@@ -952,15 +660,16 @@ impl Row {
         }
     }
 
-    /// The generic writer: every given cell as TOML, except a cell that
-    /// holds its field's default (unless the field is `shown`), an empty
-    /// sub-table and an empty array of tables.
+    /// The generic writer: every given cell as TOML, except a scalar that
+    /// holds its field's default (unless the field is `shown`), a sub-table
+    /// that writes nothing and an empty array of tables.
     fn to_table(&self) -> BTreeMap<String, Value> {
         let int = |x: u64| Value::Int(x as i64);
         let mut out = BTreeMap::new();
         for (field, cell) in self.section.fields.iter().zip(&self.cells) {
             let Some(cell) = cell else { continue };
-            if !field.shown && field.default_cell().as_ref() == Some(cell) {
+            let scalar = !matches!(cell, Cell::Table(_));
+            if scalar && !field.shown && field.default_cell().as_ref() == Some(cell) {
                 continue;
             }
             let value = match cell {
@@ -1028,7 +737,8 @@ fn only_params(
 
 // ---------------------------------------------------------------------------
 // The schema itself: one field table per TOML table, each followed by the
-// code that fills its typed struct from a row and writes it back to one
+// code that reads its rows — into a typed root field, or into what a run
+// executes
 // ---------------------------------------------------------------------------
 
 section!(ROOT = "the scenario root", shares [], {
@@ -1142,7 +852,10 @@ section!(WORKLOAD_TABLE = "[workload]", shares [], {
 });
 static ARRIVAL_PARAMS: [&Field; 4] = [&BURST_SECS, &IDLE_SECS, &RAMP_FROM_SCALE, &RAMP_TO_SCALE];
 
-fn read_arrival(row: &Row) -> Result<ArrivalSpec, ScenarioError> {
+/// The arrival process `row` names, at `scale` times the run's `[load]
+/// tps` (a ramp carries its own scales); only the parameters the process
+/// takes may be given.
+fn lower_arrival(row: &Row, scale: f64) -> Result<Arrival, ScenarioError> {
     let name: String = row.get(&ARRIVAL);
     let variant = format!("arrival = \"{name}\"");
     let param = |field: &Field| {
@@ -1150,15 +863,19 @@ fn read_arrival(row: &Row) -> Result<ArrivalSpec, ScenarioError> {
             .ok_or_else(|| schema(format!("{} {variant} requires {}", row.section.name, field.key)))
     };
     let (takes, arrival): (&[&Field], _) = match name.as_str() {
-        "constant" => (&[], ArrivalSpec::Constant),
-        "poisson" => (&[], ArrivalSpec::Poisson),
+        "constant" => (&[], Arrival::Constant { scale }),
+        "poisson" => (&[], Arrival::Poisson { scale }),
         "onoff" => (
             &[&BURST_SECS, &IDLE_SECS],
-            ArrivalSpec::OnOff { burst_secs: param(&BURST_SECS)?, idle_secs: param(&IDLE_SECS)? },
+            Arrival::OnOff {
+                scale,
+                burst_secs: param(&BURST_SECS)?,
+                idle_secs: param(&IDLE_SECS)?,
+            },
         ),
         "ramp" => (
             &[&RAMP_FROM_SCALE, &RAMP_TO_SCALE],
-            ArrivalSpec::Ramp {
+            Arrival::Ramp {
                 from_scale: row.get(&RAMP_FROM_SCALE),
                 to_scale: param(&RAMP_TO_SCALE)?,
             },
@@ -1173,21 +890,6 @@ fn read_arrival(row: &Row) -> Result<ArrivalSpec, ScenarioError> {
     Ok(arrival)
 }
 
-fn write_arrival(row: Row, arrival: &ArrivalSpec) -> Row {
-    match *arrival {
-        ArrivalSpec::Constant => row.with(&ARRIVAL, "constant".to_string()),
-        ArrivalSpec::Poisson => row.with(&ARRIVAL, "poisson".to_string()),
-        ArrivalSpec::OnOff { burst_secs, idle_secs } => row
-            .with(&ARRIVAL, "onoff".to_string())
-            .with(&BURST_SECS, burst_secs)
-            .with(&IDLE_SECS, idle_secs),
-        ArrivalSpec::Ramp { from_scale, to_scale } => row
-            .with(&ARRIVAL, "ramp".to_string())
-            .with(&RAMP_FROM_SCALE, from_scale)
-            .with(&RAMP_TO_SCALE, to_scale),
-    }
-}
-
 // Windows and phases start at `from` (default: the start of the run).
 section!(PHASE_TABLE = "[[workload.phase]]",
     shares [ARRIVAL, BURST_SECS, IDLE_SECS, RAMP_FROM_SCALE, RAMP_TO_SCALE], {
@@ -1196,35 +898,16 @@ section!(PHASE_TABLE = "[[workload.phase]]",
     PHASE_TPS = "tps", Kind::U64, Def::None;
 });
 
-/// A phase's rate is a `scale` or an absolute `tps`, not both; a ramp
-/// carries its own scales and takes neither.
-fn read_phase(phase: &Row) -> Result<WorkloadPhaseSpec, ScenarioError> {
-    let arrival = read_arrival(phase)?;
-    if matches!(arrival, ArrivalSpec::Ramp { .. }) && (phase.has(&SCALE) || phase.has(&PHASE_TPS)) {
-        return Err(schema(
-            "ramp phases take ramp_from_scale / ramp_to_scale, not scale or tps".into(),
-        ));
-    }
-    at_most_one(phase, &SCALE, &PHASE_TPS)?;
-    let rate = match phase.opt(&PHASE_TPS) {
-        Some(tps) => RateSpec::Tps(tps),
-        None => RateSpec::Scale(phase.get(&SCALE)),
-    };
-    Ok(WorkloadPhaseSpec { from: phase.get(&FROM), rate, arrival })
-}
-
-fn write_phase(phase: &WorkloadPhaseSpec) -> Row {
-    let row = write_arrival(Row::new(&PHASE_TABLE).with(&FROM, phase.from), &phase.arrival);
-    match (phase.rate, phase.arrival) {
-        (_, ArrivalSpec::Ramp { .. }) => row,
-        (RateSpec::Scale(scale), _) => row.with(&SCALE, scale),
-        (RateSpec::Tps(tps), _) => row.with(&PHASE_TPS, tps),
-    }
-}
-
+/// Lowers the `[workload]` row for a run of `config`'s duration and load
+/// into `config.workload`, validated, and the proposer's block bound. A
+/// scenario without the table runs exactly [`Workload::constant`], the
+/// `[load] tps` sugar.
+///
 /// The single-phase arrival keys and a `[[workload.phase]]` timeline
-/// exclude each other.
-fn read_workload(workload: &Row) -> Result<WorkloadSpec, ScenarioError> {
+/// exclude each other; a phase's rate is a `scale` or an absolute `tps`
+/// (divided by the run's load), not both, and a ramp takes neither.
+fn lower_workload(workload: &Row, config: &mut ExperimentConfig) -> Result<(), ScenarioError> {
+    let (duration, load_tps) = (config.duration_secs, config.load_tps);
     let mode = match workload.get::<String>(&MODE).as_str() {
         "closed" => SubmissionMode::Closed,
         "open" => SubmissionMode::Open,
@@ -1240,50 +923,58 @@ fn read_workload(workload: &Row) -> Result<WorkloadSpec, ScenarioError> {
     let payload_bytes = u32::try_from(payload_bytes).map_err(|_| {
         ScenarioError::Invalid(format!("workload payload_bytes {payload_bytes} does not fit u32"))
     })?;
-    let block_bytes: Option<u64> = workload.opt(&BLOCK_BYTES);
-    let one_tx = TX_HEADER_BYTES as u64 + payload_bytes as u64;
-    if let Some(block_bytes) = block_bytes.filter(|b| *b < one_tx) {
-        return Err(ScenarioError::Invalid(format!(
-            "workload block_bytes {block_bytes} cannot fit one {one_tx}-byte transaction"
+    if let Some(block_bytes) = workload.opt::<u64>(&BLOCK_BYTES) {
+        let one_tx = TX_HEADER_BYTES as u64 + payload_bytes as u64;
+        if block_bytes < one_tx {
+            return Err(ScenarioError::Invalid(format!(
+                "workload block_bytes {block_bytes} cannot fit one {one_tx}-byte transaction"
+            )));
+        }
+        config.validator.max_block_bytes = block_bytes as usize;
+    }
+    let timeline: Vec<Row> = workload.get(&PHASE);
+    let mut single_phase_keys = [&ARRIVAL].into_iter().chain(ARRIVAL_PARAMS);
+    let mut phases = Vec::with_capacity(timeline.len().max(1));
+    if timeline.is_empty() {
+        phases.push(Phase { from_us: 0, arrival: lower_arrival(workload, 1.0)? });
+    } else if let Some(key) = single_phase_keys.find(|key| workload.has(key)) {
+        return Err(schema(format!(
+            "`workload.{}` conflicts with an explicit [[workload.phase]] timeline",
+            key.key
         )));
     }
-    let phases =
-        workload.get::<Vec<Row>>(&PHASE).iter().map(read_phase).collect::<Result<Vec<_>, _>>()?;
-    let mut single_phase_keys = [&ARRIVAL].into_iter().chain(ARRIVAL_PARAMS);
-    let arrival = match single_phase_keys.find(|key| workload.has(key)) {
-        Some(key) if !phases.is_empty() => {
-            return Err(schema(format!(
-                "`workload.{}` conflicts with an explicit [[workload.phase]] timeline",
-                key.key
-            )))
+    for phase in &timeline {
+        at_most_one(phase, &SCALE, &PHASE_TPS)?;
+        let scale = match phase.opt::<u64>(&PHASE_TPS) {
+            Some(_) if load_tps == 0 => {
+                return Err(ScenarioError::Invalid(
+                    "a workload phase gives an absolute tps but the load axis is 0 — use \
+                     `scale`, or set [load] tps"
+                        .into(),
+                ))
+            }
+            Some(tps) => tps as f64 / load_tps as f64,
+            None => phase.get(&SCALE),
+        };
+        let arrival = lower_arrival(phase, scale)?;
+        if matches!(arrival, Arrival::Ramp { .. }) && (phase.has(&SCALE) || phase.has(&PHASE_TPS)) {
+            return Err(schema(
+                "ramp phases take ramp_from_scale / ramp_to_scale, not scale or tps".into(),
+            ));
         }
-        _ => read_arrival(workload)?,
-    };
-    Ok(WorkloadSpec {
-        mode,
-        payload_bytes,
-        spread: workload.get(&SPREAD),
-        block_bytes,
-        arrival,
-        phases,
-    })
-}
-
-fn write_workload(workload: &WorkloadSpec) -> Row {
-    let mode = match workload.mode {
-        SubmissionMode::Closed => "closed",
-        SubmissionMode::Open => "open",
-    };
-    let row = Row::new(&WORKLOAD_TABLE)
-        .with(&MODE, mode.to_string())
-        .with(&PAYLOAD_BYTES, workload.payload_bytes as u64)
-        .with(&SPREAD, workload.spread)
-        .with_opt(&BLOCK_BYTES, workload.block_bytes);
-    if workload.phases.is_empty() {
-        write_arrival(row, &workload.arrival)
-    } else {
-        row.with(&PHASE, workload.phases.iter().map(write_phase).collect::<Vec<_>>())
+        phases.push(Phase { from_us: phase.instant_us(&FROM, duration)?, arrival });
     }
+    // `Workload::validate` below knows the timeline's shape but not where
+    // the run ends.
+    let duration_us = duration.saturating_mul(1_000_000);
+    if let Some(late) = phases.iter().find(|p| p.from_us >= duration_us) {
+        return Err(ScenarioError::Invalid(format!(
+            "workload phase at {} µs starts at or after the {duration}s run ends",
+            late.from_us
+        )));
+    }
+    config.workload = Workload { phases, mode, payload_bytes, spread: workload.get(&SPREAD) };
+    config.workload.validate().map_err(|e| ScenarioError::Invalid(format!("workload: {e}")))
 }
 
 // A variant overrides one point of the `[hammerhead]` axes; `static_leader`
@@ -1333,26 +1024,28 @@ section!(SLOWDOWN_TABLE = "[[faults.slowdown]]", shares [], {
     EXTRA_MS = "extra_ms", Kind::U64, Def::Required;
 });
 
-fn read_node_sel(entry: &Row) -> Result<NodeSel, ScenarioError> {
-    match (entry.opt(&NODES), entry.opt(&FIRST)) {
-        (Some(ids), None) => Ok(NodeSel::Ids(ids)),
-        (None, Some(count)) => Ok(NodeSel::First(count)),
-        _ => Err(schema(format!(
-            "{} needs exactly one of `{}` (id list) or `{}` (count)",
-            entry.section.name, NODES.key, FIRST.key
-        ))),
+/// The validators a fault entry names, in a committee of `n`. Ids outside
+/// the committee are the fault schedule's to reject, which never sees an
+/// entry that lowers to no event at all.
+fn lower_nodes(entry: &Row, n: usize) -> Result<Vec<u16>, ScenarioError> {
+    let ids: Vec<u16> = match (entry.opt(&NODES), entry.opt::<CountExpr>(&FIRST)) {
+        (Some(ids), None) => ids,
+        (None, Some(count)) => (0..count.resolve(n).min(n) as u16).collect(),
+        _ => {
+            return Err(schema(format!(
+                "{} needs exactly one of `{}` (id list) or `{}` (count)",
+                entry.section.name, NODES.key, FIRST.key
+            )))
+        }
+    };
+    if ids.is_empty() {
+        return Err(ScenarioError::Invalid(format!("{} selects no validator", entry.section.name)));
     }
-}
-
-fn write_node_sel(entry: Row, sel: &NodeSel) -> Row {
-    match sel {
-        NodeSel::Ids(ids) => entry.with(&NODES, ids.clone()),
-        NodeSel::First(count) => entry.with(&FIRST, *count),
-    }
+    Ok(ids)
 }
 
 // `recover_at` on a crash is sugar for a `[[faults.recover]]` entry of the
-// same validators; the canonical form writes the recover entry.
+// same validators, placed after every explicit one.
 section!(CRASH_TABLE = "[[faults.crash]]", shares [NODES, FIRST, AT], {
     RECOVER_AT = "recover_at", Kind::When, Def::None;
 });
@@ -1369,29 +1062,6 @@ section!(PARTITION_TABLE = "[[faults.partition]]", shares [FROM], {
     HEAL = "until", Kind::When, Def::Required;
 });
 
-fn read_partition(entry: &Row) -> Result<PartitionEntry, ScenarioError> {
-    let groups = (entry.opt(&GROUP_A), entry.opt(&GROUP_B));
-    let sel =
-        match (groups, entry.opt(&ISOLATE_FIRST)) {
-            ((Some(a), Some(b)), None) => PartitionSel::Groups { a, b },
-            ((None, None), Some(count)) => PartitionSel::IsolateFirst(count),
-            _ => return Err(schema(
-                "[[faults.partition]] needs either both `a` and `b` id lists or `isolate_first` \
-                 (count)"
-                    .into(),
-            )),
-        };
-    Ok(PartitionEntry { sel, from: entry.get(&FROM), until: entry.get(&HEAL) })
-}
-
-fn write_partition(entry: &PartitionEntry) -> Row {
-    let row = Row::new(&PARTITION_TABLE).with(&FROM, entry.from).with(&HEAL, entry.until);
-    match &entry.sel {
-        PartitionSel::Groups { a, b } => row.with(&GROUP_A, a.clone()).with(&GROUP_B, b.clone()),
-        PartitionSel::IsolateFirst(count) => row.with(&ISOLATE_FIRST, *count),
-    }
-}
-
 // A byzantine strategy is a name plus the parameters that name takes.
 section!(BYZANTINE_TABLE = "[[faults.byzantine]]", shares [FROM, UNTIL], {
     ATTACKER = "node", Kind::Id, Def::Required;
@@ -1401,63 +1071,60 @@ section!(BYZANTINE_TABLE = "[[faults.byzantine]]", shares [FROM, UNTIL], {
     FLIP_SECS = "flip_secs", Kind::U64, Def::None;
 });
 
-fn read_byzantine(entry: &Row) -> Result<ByzantineEntrySpec, ScenarioError> {
-    let name: String = entry.get(&STRATEGY);
-    let variant = format!("the `{name}` strategy");
-    let missing = |field: &Field| schema(format!("{variant} requires `{}`", field.key));
-    let delay_ms = || entry.opt(&DELAY_MS).ok_or_else(|| missing(&DELAY_MS));
-    let (takes, strategy): (&[&Field], _) = match name.as_str() {
-        "equivocate" => (&[], ByzantineStrategySpec::Equivocate),
-        "withhold_votes" => (
-            &[&TARGETS],
-            ByzantineStrategySpec::WithholdVotes {
-                targets: entry.opt(&TARGETS).ok_or_else(|| missing(&TARGETS))?,
-            },
-        ),
-        "lazy_leader" => {
-            (&[&DELAY_MS], ByzantineStrategySpec::LazyLeader { delay_ms: delay_ms()? })
-        }
-        "flip_flop" => (
-            &[&FLIP_SECS, &DELAY_MS],
-            ByzantineStrategySpec::FlipFlop {
-                flip_secs: entry.opt(&FLIP_SECS).ok_or_else(|| missing(&FLIP_SECS))?,
-                delay_ms: delay_ms()?,
-            },
-        ),
-        other => {
-            return Err(schema(format!(
-                "unknown byzantine strategy `{other}` (expected equivocate, withhold_votes, \
-                 lazy_leader or flip_flop)"
-            )))
-        }
-    };
-    only_params(entry, &[&TARGETS, &DELAY_MS, &FLIP_SECS], takes, &variant)?;
-    Ok(ByzantineEntrySpec {
-        node: entry.get(&ATTACKER),
-        strategy,
-        from: entry.get(&FROM),
-        until: entry.opt(&UNTIL),
-    })
-}
-
-fn write_byzantine(entry: &ByzantineEntrySpec) -> Row {
-    let row = Row::new(&BYZANTINE_TABLE)
-        .with(&ATTACKER, entry.node)
-        .with(&FROM, entry.from)
-        .with_opt(&UNTIL, entry.until);
-    let (name, row) = match &entry.strategy {
-        ByzantineStrategySpec::Equivocate => ("equivocate", row),
-        ByzantineStrategySpec::WithholdVotes { targets } => {
-            ("withhold_votes", row.with(&TARGETS, targets.clone()))
-        }
-        ByzantineStrategySpec::LazyLeader { delay_ms } => {
-            ("lazy_leader", row.with(&DELAY_MS, *delay_ms))
-        }
-        ByzantineStrategySpec::FlipFlop { flip_secs, delay_ms } => {
-            ("flip_flop", row.with(&DELAY_MS, *delay_ms).with(&FLIP_SECS, *flip_secs))
-        }
-    };
-    row.with(&STRATEGY, name.to_string())
+/// Lowers the `[[faults.byzantine]]` entries for a committee of `n` and a
+/// run of `duration` seconds into the [`ByzantineSchedule`], in file order,
+/// and validates it: more than `f` attackers, out-of-range nodes or
+/// targets, and overlapping windows per node are rejected there.
+fn lower_byzantine(
+    faults: &Row,
+    n: usize,
+    duration: u64,
+) -> Result<ByzantineSchedule, ScenarioError> {
+    let mut schedule = ByzantineSchedule::new();
+    for entry in faults.get::<Vec<Row>>(&BYZANTINE) {
+        let name: String = entry.get(&STRATEGY);
+        let variant = format!("the `{name}` strategy");
+        let missing = |field: &Field| schema(format!("{variant} requires `{}`", field.key));
+        let micros = |field: &Field, per_unit: u64| match entry.opt::<u64>(field) {
+            Some(value) => to_micros(value, per_unit, field.key),
+            None => Err(missing(field)),
+        };
+        let (takes, strategy): (&[&Field], _) = match name.as_str() {
+            "equivocate" => (&[], ByzantineStrategy::Equivocate),
+            "withhold_votes" => (
+                &[&TARGETS],
+                ByzantineStrategy::WithholdVotes {
+                    targets: entry.opt(&TARGETS).ok_or_else(|| missing(&TARGETS))?,
+                },
+            ),
+            "lazy_leader" => (
+                &[&DELAY_MS],
+                ByzantineStrategy::LazyLeader { delay_us: micros(&DELAY_MS, 1_000)? },
+            ),
+            "flip_flop" => (
+                &[&FLIP_SECS, &DELAY_MS],
+                ByzantineStrategy::FlipFlop {
+                    flip_us: micros(&FLIP_SECS, 1_000_000)?,
+                    delay_us: micros(&DELAY_MS, 1_000)?,
+                },
+            ),
+            other => {
+                return Err(schema(format!(
+                    "unknown byzantine strategy `{other}` (expected equivocate, withhold_votes, \
+                     lazy_leader or flip_flop)"
+                )))
+            }
+        };
+        only_params(&entry, &[&TARGETS, &DELAY_MS, &FLIP_SECS], takes, &variant)?;
+        schedule = schedule.entry(ByzantineEntry {
+            node: entry.get(&ATTACKER),
+            strategy,
+            from_us: entry.instant_us(&FROM, duration)?,
+            until_us: entry.instant_us(&UNTIL, duration)?,
+        });
+    }
+    schedule.validate(n).map_err(|e| ScenarioError::Invalid(format!("byzantine schedule: {e}")))?;
+    Ok(schedule)
 }
 
 // A chaos window afflicts every link, one validator's links (`node`), or
@@ -1472,43 +1139,38 @@ section!(CHAOS_TABLE = "[[faults.chaos]]", shares [FROM, UNTIL], {
     REORDER_MS = "reorder_ms", Kind::U64, Def::U64(0);
 });
 
-fn read_chaos(entry: &Row) -> Result<ChaosEntrySpec, ScenarioError> {
-    let target = match (entry.opt(&CHAOS_NODE), entry.opt(&LINK_FROM), entry.opt(&LINK_TO)) {
-        (None, None, None) => ChaosTarget::AllLinks,
-        (Some(node), None, None) => ChaosTarget::Node(node),
-        (None, Some(from), Some(to)) => ChaosTarget::Pair { from, to },
-        _ => {
-            return Err(schema(
-                "[[faults.chaos]] afflicts all links by default; narrow it with either `node` \
-                 or the directed pair `from` + `to`, not a mix"
-                    .into(),
-            ))
-        }
-    };
-    Ok(ChaosEntrySpec {
-        target,
-        from: entry.get(&FROM),
-        until: entry.opt(&UNTIL),
-        drop: entry.get(&DROP),
-        duplicate: entry.get(&DUPLICATE),
-        corrupt: entry.get(&CORRUPT),
-        reorder_ms: entry.get(&REORDER_MS),
-    })
-}
-
-fn write_chaos(entry: &ChaosEntrySpec) -> Row {
-    let row = Row::new(&CHAOS_TABLE)
-        .with(&FROM, entry.from)
-        .with_opt(&UNTIL, entry.until)
-        .with(&DROP, entry.drop)
-        .with(&DUPLICATE, entry.duplicate)
-        .with(&CORRUPT, entry.corrupt)
-        .with(&REORDER_MS, entry.reorder_ms);
-    match entry.target {
-        ChaosTarget::AllLinks => row,
-        ChaosTarget::Node(node) => row.with(&CHAOS_NODE, node),
-        ChaosTarget::Pair { from, to } => row.with(&LINK_FROM, from).with(&LINK_TO, to),
+/// Lowers the `[[faults.chaos]]` entries for a committee of `n` and a run
+/// of `duration` seconds into the [`ChaosSchedule`], in file order, and
+/// validates it: rates outside `[0, 1]`, out-of-range validators, empty or
+/// effect-free windows, and ambiguously overlapping same-link windows are
+/// rejected there.
+fn lower_chaos(faults: &Row, n: usize, duration: u64) -> Result<ChaosSchedule, ScenarioError> {
+    let mut schedule = ChaosSchedule::new();
+    for entry in faults.get::<Vec<Row>>(&CHAOS) {
+        let target = match (entry.opt(&CHAOS_NODE), entry.opt(&LINK_FROM), entry.opt(&LINK_TO)) {
+            (None, None, None) => ChaosTarget::AllLinks,
+            (Some(node), None, None) => ChaosTarget::Node(node),
+            (None, Some(from), Some(to)) => ChaosTarget::Pair { from, to },
+            _ => {
+                return Err(schema(
+                    "[[faults.chaos]] afflicts all links by default; narrow it with either \
+                     `node` or the directed pair `from` + `to`, not a mix"
+                        .into(),
+                ))
+            }
+        };
+        schedule = schedule.entry(ChaosEntry {
+            target,
+            from_us: entry.instant_us(&FROM, duration)?,
+            until_us: entry.instant_us(&UNTIL, duration)?,
+            drop: entry.get(&DROP),
+            duplicate: entry.get(&DUPLICATE),
+            corrupt: entry.get(&CORRUPT),
+            reorder_us: entry.micros(&REORDER_MS, 1_000)?,
+        });
     }
+    schedule.validate(n).map_err(|e| ScenarioError::Invalid(format!("chaos schedule: {e}")))?;
+    Ok(schedule)
 }
 
 section!(FAULTS_TABLE = "[faults]", shares [], {
@@ -1522,58 +1184,90 @@ section!(FAULTS_TABLE = "[faults]", shares [], {
     CHAOS = "chaos", Kind::Tables(&CHAOS_TABLE), Def::None;
 });
 
-fn read_faults(faults: &Row) -> Result<FaultsSpec, ScenarioError> {
-    let entries = |field: &Field| faults.get::<Vec<Row>>(field);
-    let mut spec = FaultsSpec {
-        crashed: faults.opt(&CRASHED).unwrap_or_default(),
-        crash_last: faults.opt(&CRASH_LAST),
-        partitions: entries(&PARTITION).iter().map(read_partition).collect::<Result<_, _>>()?,
-        byzantine: entries(&BYZANTINE).iter().map(read_byzantine).collect::<Result<_, _>>()?,
-        chaos: entries(&CHAOS).iter().map(read_chaos).collect::<Result<_, _>>()?,
-        ..FaultsSpec::default()
-    };
-    for entry in entries(&SLOWDOWN) {
-        spec.slowdowns.push(SlowdownEntry {
-            nodes: read_node_sel(&entry)?,
-            at: entry.get(&AT),
-            until: entry.opt(&UNTIL),
-            extra_ms: entry.get(&EXTRA_MS),
-        });
-    }
-    // [[faults.recover]] first, then the `recover_at` sugar of each crash.
-    for entry in entries(&RECOVER) {
-        spec.recovers
-            .push(TimedFaultEntry { nodes: read_node_sel(&entry)?, at: entry.get(&RESTART_AT) });
-    }
-    for entry in entries(&CRASH) {
-        let nodes = read_node_sel(&entry)?;
-        if let Some(at) = entry.opt(&RECOVER_AT) {
-            spec.recovers.push(TimedFaultEntry { nodes: nodes.clone(), at });
+/// The validators down from t=0 in a committee of `n`: `crashed` and the
+/// last `crash_last`. Whether they exist and number at most `f` is the
+/// fault schedule's call.
+fn lower_crashed(faults: &Row, n: usize) -> Result<Vec<u16>, ScenarioError> {
+    let mut crashed: Vec<u16> = faults.opt(&CRASHED).unwrap_or_default();
+    if let Some(expr) = faults.opt::<CountExpr>(&CRASH_LAST) {
+        let count = expr.resolve(n);
+        if count >= n {
+            return Err(ScenarioError::Invalid(format!(
+                "crash_last resolves to {count} of {n} validators — nobody left alive"
+            )));
         }
-        spec.crashes.push(TimedFaultEntry { nodes, at: entry.get(&AT) });
+        crashed.extend(((n - count)..n).map(|i| i as u16));
     }
-    Ok(spec)
+    crashed.sort_unstable();
+    crashed.dedup();
+    Ok(crashed)
 }
 
-fn write_faults(faults: &FaultsSpec) -> Row {
-    let timed = |table: &'static Section, at: &Field, entries: &[TimedFaultEntry]| -> Vec<Row> {
-        entries.iter().map(|e| write_node_sel(Row::new(table), &e.nodes).with(at, e.at)).collect()
+/// Lowers the crash, recovery, slowdown and partition entries for a
+/// committee of `n` and a run of `duration` seconds, `crashed` (see
+/// [`lower_crashed`]) down from t=0, into the [`FaultSchedule`], and
+/// validates it: recover-before-crash, contradictory windows and more than
+/// `f` concurrent crashes are rejected there.
+///
+/// The simulator numbers same-instant events in insertion order, so the
+/// order is part of a run's bytes: `crashed`, the crash entries, the
+/// `[[faults.recover]]` entries, each crash's `recover_at`, the slowdowns,
+/// the partitions — each kind in file order.
+fn lower_fault_schedule(
+    faults: &Row,
+    n: usize,
+    crashed: &[u16],
+    duration: u64,
+) -> Result<FaultSchedule, ScenarioError> {
+    type Event = fn(FaultSchedule, u16, u64) -> FaultSchedule;
+    // One event per validator `entry` names, at the instant `at` holds.
+    let timed = |schedule: FaultSchedule, entry: &Row, at: &Field, event: Event| {
+        let at_us = entry.instant_us(at, duration)?;
+        let nodes = lower_nodes(entry, n)?;
+        Ok::<_, ScenarioError>(nodes.into_iter().fold(schedule, |s, node| event(s, node, at_us)))
     };
-    let slowdowns = faults.slowdowns.iter().map(|s| {
-        write_node_sel(Row::new(&SLOWDOWN_TABLE), &s.nodes)
-            .with(&AT, s.at)
-            .with_opt(&UNTIL, s.until)
-            .with(&EXTRA_MS, s.extra_ms)
-    });
-    Row::new(&FAULTS_TABLE)
-        .with_opt(&CRASHED, Some(faults.crashed.clone()).filter(|ids| !ids.is_empty()))
-        .with_opt(&CRASH_LAST, faults.crash_last)
-        .with(&SLOWDOWN, slowdowns.collect::<Vec<_>>())
-        .with(&CRASH, timed(&CRASH_TABLE, &AT, &faults.crashes))
-        .with(&RECOVER, timed(&RECOVER_TABLE, &RESTART_AT, &faults.recovers))
-        .with(&PARTITION, faults.partitions.iter().map(write_partition).collect::<Vec<_>>())
-        .with(&BYZANTINE, faults.byzantine.iter().map(write_byzantine).collect::<Vec<_>>())
-        .with(&CHAOS, faults.chaos.iter().map(write_chaos).collect::<Vec<_>>())
+    let entries = |field: &Field| faults.get::<Vec<Row>>(field);
+    let crashes = entries(&CRASH);
+    let mut schedule = FaultSchedule::new().crash_from_start(crashed.iter().copied());
+    for entry in &crashes {
+        schedule = timed(schedule, entry, &AT, FaultSchedule::crash)?;
+    }
+    for entry in &entries(&RECOVER) {
+        schedule = timed(schedule, entry, &RESTART_AT, FaultSchedule::recover)?;
+    }
+    for entry in crashes.iter().filter(|entry| entry.has(&RECOVER_AT)) {
+        schedule = timed(schedule, entry, &RECOVER_AT, FaultSchedule::recover)?;
+    }
+    for entry in &entries(&SLOWDOWN) {
+        let from_us = entry.instant_us(&AT, duration)?;
+        let until_us = entry.instant_us(&UNTIL, duration)?;
+        let extra_us = entry.micros(&EXTRA_MS, 1_000)?;
+        for node in lower_nodes(entry, n)? {
+            schedule = schedule.slowdown(node, from_us, until_us, extra_us);
+        }
+    }
+    for entry in &entries(&PARTITION) {
+        let groups = (entry.opt(&GROUP_A), entry.opt(&GROUP_B));
+        let (a, b): (Vec<u16>, Vec<u16>) = match (groups, entry.opt::<CountExpr>(&ISOLATE_FIRST)) {
+            ((Some(a), Some(b)), None) => (a, b),
+            ((None, None), Some(count)) => {
+                let k = count.resolve(n).min(n.saturating_sub(1));
+                ((0..k as u16).collect(), (k as u16..n as u16).collect())
+            }
+            _ => {
+                return Err(schema(
+                    "[[faults.partition]] needs either both `a` and `b` id lists or \
+                     `isolate_first` (count)"
+                        .into(),
+                ))
+            }
+        };
+        let (from_us, until_us) =
+            (entry.instant_us(&FROM, duration)?, entry.instant_us(&HEAL, duration)?);
+        schedule = schedule.partition(a, b, from_us, until_us);
+    }
+    schedule.validate(n).map_err(|e| ScenarioError::Invalid(format!("fault schedule: {e}")))?;
+    Ok(schedule)
 }
 
 section!(WINDOW_TABLE = "[[analysis.window]]", shares [], {
@@ -1585,23 +1279,22 @@ section!(ANALYSIS_TABLE = "[analysis]", shares [], {
     WINDOW = "window", Kind::Tables(&WINDOW_TABLE), Def::None;
 });
 
-fn read_analysis(analysis: &Row) -> AnalysisSpec {
-    let window = |w: &Row| WindowSpec {
-        name: w.get(&WINDOW_NAME),
-        from_frac: w.get(&FROM_FRAC),
-        to_frac: w.get(&TO_FRAC),
-    };
-    AnalysisSpec { windows: analysis.get::<Vec<Row>>(&WINDOW).iter().map(window).collect() }
-}
-
-fn write_analysis(analysis: &AnalysisSpec) -> Row {
-    let window = |w: &WindowSpec| {
-        Row::new(&WINDOW_TABLE)
-            .with(&WINDOW_NAME, w.name.clone())
-            .with(&FROM_FRAC, w.from_frac)
-            .with(&TO_FRAC, w.to_frac)
-    };
-    Row::new(&ANALYSIS_TABLE).with(&WINDOW, analysis.windows.iter().map(window).collect::<Vec<_>>())
+/// The `[[analysis.window]]` latency windows over submission times, as
+/// `(name, from_us, to_us)` of a run of `duration` seconds.
+fn lower_windows(analysis: &Row, duration: u64) -> Result<Vec<(String, u64, u64)>, ScenarioError> {
+    let mut windows = Vec::new();
+    for window in analysis.get::<Vec<Row>>(&WINDOW) {
+        let name: String = window.get(&WINDOW_NAME);
+        let (from, to): (f64, f64) = (window.get(&FROM_FRAC), window.get(&TO_FRAC));
+        if !(0.0..=1.0).contains(&from) || !(0.0..=1.0).contains(&to) || from >= to {
+            return Err(ScenarioError::Invalid(format!(
+                "analysis window `{name}` must satisfy 0 <= from_frac < to_frac <= 1"
+            )));
+        }
+        let edge = |frac| WhenSpec::Frac(frac).resolve_us(duration);
+        windows.push((name, edge(from)?, edge(to)?));
+    }
+    Ok(windows)
 }
 
 section!(QUICK_TABLE = "[quick]", shares [], {
@@ -1616,23 +1309,12 @@ fn to_usizes(xs: Vec<u64>) -> Vec<usize> {
     xs.into_iter().map(|x| x as usize).collect()
 }
 
-fn to_u64s(xs: &[usize]) -> Vec<u64> {
-    xs.iter().map(|x| *x as u64).collect()
-}
-
 // ---------------------------------------------------------------------------
 // Parsing
 // ---------------------------------------------------------------------------
 
-impl Default for WorkloadSpec {
-    /// Every `[workload]` key at its default.
-    fn default() -> Self {
-        read_workload(&Row::new(&WORKLOAD_TABLE)).expect("the defaults are a valid workload")
-    }
-}
-
 impl ScenarioSpec {
-    /// Parses and validates scenario TOML text.
+    /// Parses scenario TOML text and checks its root axes.
     pub fn parse(text: &str) -> Result<Self, ScenarioError> {
         Self::from_value(&toml::parse(text)?)
     }
@@ -1644,8 +1326,7 @@ impl ScenarioSpec {
             root_value.as_table().ok_or_else(|| schema("scenario root must be a table".into()))?;
         let root = ROOT.read(table)?;
         let sub = |field: &Field| root.get::<Row>(field);
-        let (committee, run, hammerhead, quick) =
-            (sub(&COMMITTEE), sub(&RUN), sub(&HAMMERHEAD), sub(&QUICK));
+        let (committee, run, hammerhead) = (sub(&COMMITTEE), sub(&RUN), sub(&HAMMERHEAD));
         at_most_one(&committee, &SIZE, &SIZES)?;
         at_most_one(&run, &SEED, &SEEDS)?;
         let spec = ScenarioSpec {
@@ -1674,21 +1355,15 @@ impl ScenarioSpec {
                 .iter()
                 .map(|s| parse_scoring(s))
                 .collect::<Result<_, _>>()?,
-            workload: read_workload(&sub(&WORKLOAD))?,
             variants: root
                 .get::<Vec<Row>>(&VARIANT)
                 .iter()
                 .map(read_variant)
                 .collect::<Result<_, _>>()?,
-            faults: read_faults(&sub(&FAULTS))?,
-            analysis: read_analysis(&sub(&ANALYSIS)),
-            quick: QuickSpec {
-                sizes: quick.opt(&QUICK_SIZES).map(to_usizes),
-                tps: quick.opt(&QUICK_TPS),
-                duration_secs: quick.opt(&QUICK_DURATION_SECS),
-                seeds: quick.opt(&QUICK_SEEDS),
-                period_rounds: quick.opt(&QUICK_PERIOD_ROUNDS),
-            },
+            workload: sub(&WORKLOAD),
+            faults: sub(&FAULTS),
+            analysis: sub(&ANALYSIS),
+            quick: sub(&QUICK),
         };
         spec.validate()?;
         Ok(spec)
@@ -1697,7 +1372,7 @@ impl ScenarioSpec {
     /// Serializes the spec back to a TOML value (the canonical form used
     /// by round-trip tests and `hh-cli validate --dump`).
     pub fn to_value(&self) -> Value {
-        let committee = Row::new(&COMMITTEE_TABLE).with(&SIZES, to_u64s(&self.committee_sizes));
+        let sizes: Vec<u64> = self.committee_sizes.iter().map(|n| *n as u64).collect();
         let run = Row::new(&RUN_TABLE)
             .with(&DURATION_SECS, self.duration_secs.clone())
             .with_opt(&WARMUP_SECS, self.warmup_secs)
@@ -1709,32 +1384,21 @@ impl ScenarioSpec {
         let hammerhead = Row::new(&HAMMERHEAD_TABLE)
             .with(&PERIOD_ROUNDS, self.period_rounds.clone())
             .with(&SCORING, scoring);
-        let quick = Row::new(&QUICK_TABLE)
-            .with_opt(&QUICK_SIZES, self.quick.sizes.as_deref().map(to_u64s))
-            .with_opt(&QUICK_TPS, self.quick.tps.clone())
-            .with_opt(&QUICK_DURATION_SECS, self.quick.duration_secs.clone())
-            .with_opt(&QUICK_SEEDS, self.quick.seeds.clone())
-            .with_opt(&QUICK_PERIOD_ROUNDS, self.quick.period_rounds.clone());
         let root = Row::new(&ROOT)
             .with(&NAME, self.name.clone())
             .with(&DESCRIPTION, self.description.clone())
             .with_opt(&FIGURE, self.figure.clone())
-            .with(&COMMITTEE, committee)
+            .with(&COMMITTEE, Row::new(&COMMITTEE_TABLE).with(&SIZES, sizes))
             .with(&LOAD, Row::new(&LOAD_TABLE).with(&TPS, self.load_tps.clone()))
             .with(&RUN, run)
             .with(&NETWORK, write_network(self.network))
             .with(&SYSTEMS, Row::new(&SYSTEMS_TABLE).with(&SYSTEMS_RUN, systems))
             .with(&HAMMERHEAD, write_exclusion_axis(hammerhead, &self.exclusion))
-            // `mode` is shown, so the table of a default workload would not
-            // be empty; the canonical form leaves it out all the same.
-            .with_opt(
-                &WORKLOAD,
-                (self.workload != WorkloadSpec::default()).then(|| write_workload(&self.workload)),
-            )
+            .with(&WORKLOAD, self.workload.clone())
             .with(&VARIANT, self.variants.iter().map(write_variant).collect::<Vec<_>>())
-            .with(&FAULTS, write_faults(&self.faults))
-            .with(&ANALYSIS, write_analysis(&self.analysis))
-            .with(&QUICK, quick);
+            .with(&FAULTS, self.faults.clone())
+            .with(&ANALYSIS, self.analysis.clone())
+            .with(&QUICK, self.quick.clone());
         Value::Table(root.to_table())
     }
 
@@ -1757,6 +1421,11 @@ impl ScenarioSpec {
                 "committee size {small} cannot tolerate any fault (n = 3f + 1)"
             )));
         }
+        if let Some(large) = sizes.iter().find(|n| **n > MAX_COMMITTEE_SIZE) {
+            return Err(ScenarioError::Invalid(format!(
+                "committee size {large} exceeds {MAX_COMMITTEE_SIZE}, the number of validator ids"
+            )));
+        }
         if durations.contains(&0) {
             return Err(ScenarioError::Invalid("duration_secs must be positive".into()));
         }
@@ -1773,31 +1442,23 @@ impl ScenarioSpec {
         Ok(())
     }
 
-    /// What only the spec can know beyond per-key type checks. Whether the
-    /// faults, the chaos and the workload are runnable is decided by the
-    /// schedules they lower to, during [`ScenarioSpec::plan`], where the
-    /// committee size and the run length are known.
+    /// What only the spec can know beyond per-key type checks. What the
+    /// `[workload]`, `[faults]` and `[analysis]` tables describe is judged
+    /// as [`ScenarioSpec::plan`] lowers it, where the committee size and
+    /// the run length are known.
     fn validate(&self) -> Result<(), ScenarioError> {
         self.check_axes(&self.committee_sizes, &self.duration_secs)?;
-        if self.client_window_secs <= 0.0 {
+        if self.client_window_secs.is_nan() || self.client_window_secs <= 0.0 {
             return Err(ScenarioError::Invalid("client_window_secs must be positive".into()));
+        }
+        if self.client_window_secs.is_infinite() {
+            return Err(ScenarioError::Invalid("client_window_secs must be finite".into()));
         }
         let mut labels: Vec<&str> = self.variants.iter().map(|v| v.label.as_str()).collect();
         labels.sort_unstable();
         labels.dedup();
         if labels.len() != self.variants.len() {
             return Err(ScenarioError::Invalid("variant labels must be unique".into()));
-        }
-        for w in &self.analysis.windows {
-            if !(0.0..=1.0).contains(&w.from_frac)
-                || !(0.0..=1.0).contains(&w.to_frac)
-                || w.from_frac >= w.to_frac
-            {
-                return Err(ScenarioError::Invalid(format!(
-                    "analysis window `{}` must satisfy 0 <= from_frac < to_frac <= 1",
-                    w.name
-                )));
-            }
         }
         Ok(())
     }
@@ -1894,25 +1555,26 @@ fn effective_variants(spec: &ScenarioSpec, period_axis: &[u64]) -> Vec<VariantSp
 }
 
 impl ScenarioSpec {
-    /// Expands the axes into concrete runs, validating every combination.
+    /// Expands the axes into concrete runs, lowering and validating every
+    /// combination.
     pub fn plan(&self, opts: &PlanOptions) -> Result<ScenarioPlan, ScenarioError> {
-        fn axis<T: Clone>(quick: bool, over: &Option<Vec<T>>, base: &[T]) -> Vec<T> {
-            over.as_ref().filter(|_| quick).cloned().unwrap_or_else(|| base.to_vec())
-        }
-        let sizes = axis(opts.quick, &self.quick.sizes, &self.committee_sizes);
-        let loads = axis(opts.quick, &self.quick.tps, &self.load_tps);
-        let mut durations = axis(opts.quick, &self.quick.duration_secs, &self.duration_secs);
+        // A `[quick]` axis replaces the file's under `--quick` only.
+        let quick = |field: &Field| self.quick.opt::<Vec<u64>>(field).filter(|_| opts.quick);
+        let sizes = quick(&QUICK_SIZES).map_or_else(|| self.committee_sizes.clone(), to_usizes);
+        let loads = quick(&QUICK_TPS).unwrap_or_else(|| self.load_tps.clone());
+        let mut durations =
+            quick(&QUICK_DURATION_SECS).unwrap_or_else(|| self.duration_secs.clone());
         if let Some(d) = opts.duration_override {
             if d == 0 {
                 return Err(ScenarioError::Invalid("duration override must be positive".into()));
             }
             durations = vec![d];
         }
-        let mut seeds = axis(opts.quick, &self.quick.seeds, &self.seeds);
+        let mut seeds = quick(&QUICK_SEEDS).unwrap_or_else(|| self.seeds.clone());
         if let Some(s) = opts.seed_override {
             seeds = vec![s];
         }
-        let period_axis = axis(opts.quick, &self.quick.period_rounds, &self.period_rounds);
+        let period_axis = quick(&QUICK_PERIOD_ROUNDS).unwrap_or_else(|| self.period_rounds.clone());
         // Quick/CLI overrides bypass parse-time validation, so the
         // effective axes are re-checked here.
         self.check_axes(&sizes, &durations)?;
@@ -1921,7 +1583,7 @@ impl ScenarioSpec {
         let mut runs = Vec::new();
         for &n in &sizes {
             let committee = Committee::new_equal_stake(n);
-            let crashed = self.resolve_crashes(n)?;
+            let crashed = lower_crashed(&self.faults, n)?;
             for variant in &variants {
                 for &duration in &durations {
                     for &load in &loads {
@@ -1970,25 +1632,6 @@ impl ScenarioSpec {
         })
     }
 
-    /// The validators down from t=0: `crashed` and the last `crash_last`.
-    /// Whether they exist and number at most `f` is the fault schedule's
-    /// call.
-    fn resolve_crashes(&self, n: usize) -> Result<Vec<u16>, ScenarioError> {
-        let mut crashed: Vec<u16> = self.faults.crashed.clone();
-        if let Some(expr) = self.faults.crash_last {
-            let count = expr.resolve(n);
-            if count >= n {
-                return Err(ScenarioError::Invalid(format!(
-                    "crash_last resolves to {count} of {n} validators — nobody left alive"
-                )));
-            }
-            crashed.extend(((n - count)..n).map(|i| i as u16));
-        }
-        crashed.sort_unstable();
-        crashed.dedup();
-        Ok(crashed)
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn build_config(
         &self,
@@ -2005,10 +1648,7 @@ impl ScenarioSpec {
         let mut config = ExperimentConfig::paper(SystemKind::Bullshark, n, load);
         config.duration_secs = duration;
         config.warmup_secs = self.warmup_secs.unwrap_or((duration / 6).max(1));
-        let edge = |frac| WhenSpec::Frac(frac).resolve_us(duration);
-        for w in &self.analysis.windows {
-            config.windows.push((w.name.clone(), edge(w.from_frac)?, edge(w.to_frac)?));
-        }
+        config.windows = lower_windows(&self.analysis, duration)?;
         config.seed = seed;
         config.gst_secs = self.gst_secs;
         config.client_window_secs = self.client_window_secs;
@@ -2043,144 +1683,11 @@ impl ScenarioSpec {
             config.validator.schedule = ScheduleConfig::StaticLeader(ValidatorId(leader));
         }
 
-        config.workload = self.workload.build(duration, load)?;
-        if let Some(bytes) = self.workload.block_bytes {
-            config.validator.max_block_bytes = bytes as usize;
-        }
-        config.faults = self.build_fault_schedule(n, crashed, duration)?;
-        config.byzantine = self.build_byzantine_schedule(n, duration)?;
-        config.chaos = self.build_chaos_schedule(n, duration)?;
+        lower_workload(&self.workload, &mut config)?;
+        config.faults = lower_fault_schedule(&self.faults, n, crashed, duration)?;
+        config.byzantine = lower_byzantine(&self.faults, n, duration)?;
+        config.chaos = lower_chaos(&self.faults, n, duration)?;
         Ok(config)
-    }
-
-    /// Resolves the `[[faults.chaos]]` entries against a committee of
-    /// `n` and a run of `duration` seconds into the concrete
-    /// [`hh_sim::ChaosSchedule`], and validates the result (rates
-    /// outside `[0, 1]`, out-of-range validators, empty or effect-free
-    /// windows, and ambiguously overlapping same-link windows are all
-    /// rejected here).
-    fn build_chaos_schedule(
-        &self,
-        n: usize,
-        duration: u64,
-    ) -> Result<ChaosSchedule, ScenarioError> {
-        let mut schedule = ChaosSchedule::new();
-        for entry in &self.faults.chaos {
-            schedule = schedule.entry(ChaosEntry {
-                target: entry.target,
-                from_us: entry.from.resolve_us(duration)?,
-                until_us: WhenSpec::resolve_end_us(entry.until, duration)?,
-                drop: entry.drop,
-                duplicate: entry.duplicate,
-                corrupt: entry.corrupt,
-                reorder_us: to_micros(entry.reorder_ms, 1_000, REORDER_MS.key)?,
-            });
-        }
-        schedule.validate(n).map_err(|e| ScenarioError::Invalid(format!("chaos schedule: {e}")))?;
-        Ok(schedule)
-    }
-
-    /// Resolves the `[[faults.byzantine]]` entries against a committee of
-    /// `n` and a run of `duration` seconds into the concrete
-    /// [`hh_sim::ByzantineSchedule`], and validates the result (more than
-    /// `f` attackers, out-of-range nodes or targets, and overlapping
-    /// windows per node are all rejected here).
-    fn build_byzantine_schedule(
-        &self,
-        n: usize,
-        duration: u64,
-    ) -> Result<ByzantineSchedule, ScenarioError> {
-        let mut schedule = ByzantineSchedule::new();
-        for entry in &self.faults.byzantine {
-            let from_us = entry.from.resolve_us(duration)?;
-            let until_us = WhenSpec::resolve_end_us(entry.until, duration)?;
-            let delay_us = |delay_ms: &u64| to_micros(*delay_ms, 1_000, DELAY_MS.key);
-            schedule = match &entry.strategy {
-                ByzantineStrategySpec::Equivocate => {
-                    schedule.equivocate(entry.node, from_us, until_us)
-                }
-                ByzantineStrategySpec::WithholdVotes { targets } => {
-                    schedule.withhold_votes(entry.node, targets.clone(), from_us, until_us)
-                }
-                ByzantineStrategySpec::LazyLeader { delay_ms } => {
-                    schedule.lazy_leader(entry.node, delay_us(delay_ms)?, from_us, until_us)
-                }
-                ByzantineStrategySpec::FlipFlop { flip_secs, delay_ms } => schedule.flip_flop(
-                    entry.node,
-                    to_micros(*flip_secs, 1_000_000, FLIP_SECS.key)?,
-                    delay_us(delay_ms)?,
-                    from_us,
-                    until_us,
-                ),
-            };
-        }
-        schedule
-            .validate(n)
-            .map_err(|e| ScenarioError::Invalid(format!("byzantine schedule: {e}")))?;
-        Ok(schedule)
-    }
-
-    /// Resolves the declarative fault spec against a committee of `n` and
-    /// a run of `duration` seconds into the concrete event timeline, and
-    /// validates the result (recover-before-crash, contradictory windows,
-    /// more than `f` concurrent crashes are all rejected here).
-    fn build_fault_schedule(
-        &self,
-        n: usize,
-        crashed: &[u16],
-        duration: u64,
-    ) -> Result<FaultSchedule, ScenarioError> {
-        // Ids outside the committee are rejected by `schedule.validate(n)`,
-        // which never sees an entry that lowers to no event at all.
-        let resolve_nodes = |sel: &NodeSel, table: &Section| {
-            let ids: Vec<u16> = match sel {
-                NodeSel::Ids(ids) => ids.clone(),
-                NodeSel::First(count) => (0..count.resolve(n).min(n) as u16).collect(),
-            };
-            if ids.is_empty() {
-                return Err(ScenarioError::Invalid(format!("{} selects no validator", table.name)));
-            }
-            Ok(ids)
-        };
-
-        let mut schedule = FaultSchedule::new().crash_from_start(crashed.iter().copied());
-        for entry in &self.faults.crashes {
-            let at_us = entry.at.resolve_us(duration)?;
-            for node in resolve_nodes(&entry.nodes, &CRASH_TABLE)? {
-                schedule = schedule.crash(node, at_us);
-            }
-        }
-        for entry in &self.faults.recovers {
-            let at_us = entry.at.resolve_us(duration)?;
-            for node in resolve_nodes(&entry.nodes, &RECOVER_TABLE)? {
-                schedule = schedule.recover(node, at_us);
-            }
-        }
-        for entry in &self.faults.slowdowns {
-            let from_us = entry.at.resolve_us(duration)?;
-            let until_us = WhenSpec::resolve_end_us(entry.until, duration)?;
-            let extra_us = to_micros(entry.extra_ms, 1_000, EXTRA_MS.key)?;
-            for node in resolve_nodes(&entry.nodes, &SLOWDOWN_TABLE)? {
-                schedule = schedule.slowdown(node, from_us, until_us, extra_us);
-            }
-        }
-        for entry in &self.faults.partitions {
-            let (a, b) = match &entry.sel {
-                PartitionSel::Groups { a, b } => (a.clone(), b.clone()),
-                PartitionSel::IsolateFirst(count) => {
-                    let k = count.resolve(n).min(n.saturating_sub(1));
-                    ((0..k as u16).collect(), (k as u16..n as u16).collect())
-                }
-            };
-            schedule = schedule.partition(
-                a,
-                b,
-                entry.from.resolve_us(duration)?,
-                entry.until.resolve_us(duration)?,
-            );
-        }
-        schedule.validate(n).map_err(|e| ScenarioError::Invalid(format!("fault schedule: {e}")))?;
-        Ok(schedule)
     }
 }
 
@@ -2392,8 +1899,8 @@ run = ["bullshark", "hammerhead"]
     }
 
     /// Each key, and each string default, is spelled once per `Field`
-    /// static in the schema and nowhere else in it: the typed fill and
-    /// the emitter go through the statics.
+    /// static in the schema and nowhere else in it: the typed fill, the
+    /// emitter and the lowering go through the statics.
     #[test]
     fn every_key_literal_appears_once_per_field() {
         let source = include_str!("spec.rs");
@@ -2670,6 +2177,64 @@ until_frac = 0.75
         assert_eq!(plan.runs[0].fault_count, 1);
     }
 
+    /// The simulator numbers same-instant events in insertion order, so the
+    /// lowering's order is part of a run's bytes: `crashed` / `crash_last`,
+    /// crashes, `[[faults.recover]]` entries, each crash's `recover_at`,
+    /// slowdowns, partitions — whatever order the file gives them in.
+    #[test]
+    fn fault_events_keep_the_lowering_order() {
+        let spec = ScenarioSpec::parse(
+            r#"
+name = "order"
+[committee]
+size = 10
+[run]
+duration_secs = 20
+[faults]
+crash_last = 1
+[[faults.partition]]
+isolate_first = 1
+from_secs = 5
+until_secs = 6
+[[faults.slowdown]]
+nodes = [3]
+at_secs = 5
+extra_ms = 10
+[[faults.recover]]
+nodes = [2]
+at_secs = 5
+[[faults.crash]]
+nodes = [1]
+at_secs = 2
+recover_at_secs = 5
+[[faults.crash]]
+nodes = [2]
+at_secs = 3
+"#,
+        )
+        .unwrap();
+        let plan = spec.plan(&PlanOptions::default()).unwrap();
+        use hh_sim::FaultEvent::{Crash, Partition, Recover, Slowdown};
+        let s = 1_000_000;
+        assert_eq!(
+            plan.runs[0].config.faults.events(),
+            &[
+                Crash { node: 9, at_us: 0 },
+                Crash { node: 1, at_us: 2 * s },
+                Crash { node: 2, at_us: 3 * s },
+                Recover { node: 2, at_us: 5 * s },
+                Recover { node: 1, at_us: 5 * s },
+                Slowdown { node: 3, from_us: 5 * s, until_us: u64::MAX, extra_us: 10_000 },
+                Partition {
+                    group_a: vec![0],
+                    group_b: (1..10).collect(),
+                    from_us: 5 * s,
+                    until_us: 6 * s,
+                },
+            ]
+        );
+    }
+
     #[test]
     fn contradictory_fault_schedules_are_rejected() {
         // Recovery with no preceding crash.
@@ -2781,7 +2346,6 @@ drop = 0.9
 "#,
         )
         .unwrap();
-        assert_eq!(spec.faults.chaos.len(), 3);
         let plan = spec.plan(&PlanOptions::default()).unwrap();
         let schedule = &plan.runs[0].config.chaos;
         let entries = schedule.entries();
@@ -2821,15 +2385,18 @@ corrupt = 0.1
         assert_eq!(spec, again, "canonical form:\n{text}");
     }
 
+    /// Parses `doc` and returns why it does not plan.
+    fn plan_error(doc: &str) -> ScenarioError {
+        let spec = ScenarioSpec::parse(doc).unwrap_or_else(|e| panic!("{doc:?}: {e}"));
+        spec.plan(&PlanOptions::default()).map(|plan| plan.runs.len()).unwrap_err()
+    }
+
     #[test]
     fn rejects_mixed_chaos_scope() {
-        let err = ScenarioSpec::parse(
-            "name = \"x\"\n[[faults.chaos]]\nnode = 1\nfrom = 0\nto = 2\ndrop = 0.5\n",
-        )
-        .unwrap_err();
+        let err =
+            plan_error("name = \"x\"\n[[faults.chaos]]\nnode = 1\nfrom = 0\nto = 2\ndrop = 0.5\n");
         assert!(matches!(err, ScenarioError::Schema(_)), "{err}");
-        let err = ScenarioSpec::parse("name = \"x\"\n[[faults.chaos]]\nfrom = 0\ndrop = 0.5\n")
-            .unwrap_err();
+        let err = plan_error("name = \"x\"\n[[faults.chaos]]\nfrom = 0\ndrop = 0.5\n");
         assert!(err.to_string().contains("`from` + `to`"), "{err}");
     }
 
@@ -2865,6 +2432,42 @@ corrupt = 0.1
         assert!(err.to_string().contains("committee size 2"), "{err}");
     }
 
+    /// A validator id is a `u16`: a larger committee would wrap ids (and
+    /// keys) onto earlier members, so it is no scenario.
+    #[test]
+    fn committees_beyond_the_validator_ids_are_invalid() {
+        let err = ScenarioSpec::parse("name = \"x\"\n[committee]\nsize = 65537\n").unwrap_err();
+        let expected = "invalid scenario: committee size 65537 exceeds 65536, the number of \
+                        validator ids";
+        assert_eq!(err.to_string(), expected);
+        // And a `[quick]` axis is held to the same bound.
+        let spec = ScenarioSpec::parse("name = \"x\"\n[quick]\nsizes = 70000\n").unwrap();
+        let err = spec.plan(&PlanOptions { quick: true, ..PlanOptions::default() }).unwrap_err();
+        assert!(err.to_string().contains("committee size 70000 exceeds"), "{err}");
+    }
+
+    /// The reader turns an overflowing literal away, and a value patched in
+    /// past it (as `hh-cli --set` patches) must still be a finite, positive
+    /// window.
+    #[test]
+    fn client_window_must_be_finite_and_positive() {
+        let err =
+            ScenarioSpec::parse("name = \"x\"\n[run]\nclient_window_secs = 1e400\n").unwrap_err();
+        assert!(err.to_string().contains("bad float `1e400`"), "{err}");
+        for (window, words) in [
+            (f64::NAN, "client_window_secs must be positive"),
+            (-1.0, "client_window_secs must be positive"),
+            (f64::INFINITY, "client_window_secs must be finite"),
+        ] {
+            let mut root = toml::parse(MINIMAL).unwrap();
+            let Value::Table(table) = &mut root else { unreachable!("a document is a table") };
+            let run = BTreeMap::from([("client_window_secs".to_string(), Value::Float(window))]);
+            table.insert("run".into(), Value::Table(run));
+            let err = ScenarioSpec::from_value(&root).unwrap_err();
+            assert_eq!(err.to_string(), format!("invalid scenario: {words}"), "{window}");
+        }
+    }
+
     #[test]
     fn conflicting_scalar_and_plural_keys_rejected() {
         for doc in [
@@ -2891,7 +2494,6 @@ corrupt = 0.1
     #[test]
     fn absent_workload_table_is_the_constant_sugar() {
         let spec = ScenarioSpec::parse(MINIMAL).unwrap();
-        assert_eq!(spec.workload, WorkloadSpec::default());
         let plan = spec.plan(&PlanOptions::default()).unwrap();
         let config = &plan.runs[0].config;
         assert_eq!(config.workload, Workload::constant(), "sugar lowers to the exact default");
@@ -2991,7 +2593,7 @@ arrival = "poisson"
                 "ramp phases take",
             ),
         ] {
-            let err = ScenarioSpec::parse(doc).unwrap_err();
+            let err = plan_error(doc);
             assert!(err.to_string().contains(needle), "doc {doc:?} gave {err}");
         }
     }
@@ -3005,7 +2607,7 @@ arrival = "poisson"
                 "cannot fit one",
             ),
         ] {
-            let err = ScenarioSpec::parse(doc).unwrap_err();
+            let err = plan_error(doc);
             assert!(err.to_string().contains(needle), "doc {doc:?} gave {err}");
         }
     }

@@ -1,6 +1,6 @@
 //! Property tests round-tripping random byzantine schedules through the
-//! whole declaration pipeline: generated `ByzantineEntrySpec`s →
-//! canonical TOML → re-parsed `ScenarioSpec` → planned
+//! whole declaration pipeline: generated `[[faults.byzantine]]` text →
+//! `ScenarioSpec` → canonical TOML → re-parsed `ScenarioSpec` → planned
 //! `ExperimentConfig` → `hh_sim::ByzantineSchedule`.
 //!
 //! Three invariants: the canonical TOML re-parses to an equal spec —
@@ -13,41 +13,63 @@
 //! unknown strategies, overlapping windows, bad withhold targets,
 //! misapplied parameters.
 
-use hh_scenario::{ByzantineEntrySpec, ByzantineStrategySpec, PlanOptions, ScenarioSpec, WhenSpec};
-use hh_sim::ByzantineSchedule;
+use hh_scenario::{PlanOptions, ScenarioSpec};
+use hh_sim::{ByzantineEntry, ByzantineSchedule, ByzantineStrategy};
 use proptest::prelude::*;
 
 mod common;
-use common::Mix;
+use common::{Mix, When};
 
-const DURATION_SECS: u64 = 20;
+/// Generated `[[faults.byzantine]]` entries: their text, and the schedule
+/// they lower to.
+#[derive(Default)]
+struct Windows {
+    text: String,
+    expected: ByzantineSchedule,
+}
 
-/// A random instant, quantized so frac and secs forms both resolve
-/// exactly: whole seconds, or quarter fractions of the 20s run.
-fn random_when(rng: &mut Mix, lo_secs: u64, hi_secs: u64) -> WhenSpec {
-    let secs = lo_secs + rng.below(hi_secs.saturating_sub(lo_secs).max(1));
-    if rng.below(3) == 0 && secs.is_multiple_of(5) {
-        WhenSpec::Frac(secs as f64 / DURATION_SECS as f64)
-    } else {
-        WhenSpec::Secs(secs)
+impl Windows {
+    /// One window of `node` running `strategy` (given as its TOML lines)
+    /// from `from` until `until`, or the end of the run.
+    fn push(
+        &mut self,
+        node: u16,
+        (lines, strategy): (String, ByzantineStrategy),
+        from: When,
+        until: Option<When>,
+    ) {
+        let until_line = until.map_or(String::new(), |until| until.line("until"));
+        self.text += &format!(
+            "[[faults.byzantine]]\nnode = {node}\n{lines}{}{until_line}",
+            from.line("from")
+        );
+        let until_us = until.map_or(u64::MAX, When::us);
+        let entry = ByzantineEntry { node, strategy, from_us: from.us(), until_us };
+        self.expected = std::mem::take(&mut self.expected).entry(entry);
     }
 }
 
-fn base_spec(n: usize) -> ScenarioSpec {
-    ScenarioSpec::parse(&format!(
-        "name = \"byzantine-roundtrip\"\n[committee]\nsize = {n}\n[run]\nduration_secs = \
-         {DURATION_SECS}\nwarmup_secs = 2\n[network]\nmodel = \"flat\"\n"
-    ))
-    .expect("base spec parses")
+fn equivocate() -> (String, ByzantineStrategy) {
+    ("strategy = \"equivocate\"\n".into(), ByzantineStrategy::Equivocate)
+}
+
+fn withhold_votes(targets: Vec<u16>) -> (String, ByzantineStrategy) {
+    let lines = format!("strategy = \"withhold_votes\"\ntargets = {targets:?}\n");
+    (lines, ByzantineStrategy::WithholdVotes { targets })
+}
+
+fn lazy_leader(delay_ms: u64) -> (String, ByzantineStrategy) {
+    let lines = format!("strategy = \"lazy_leader\"\ndelay_ms = {delay_ms}\n");
+    (lines, ByzantineStrategy::LazyLeader { delay_us: delay_ms * 1_000 })
 }
 
 /// A random strategy whose parameters are valid for attacker `node` in
 /// a committee of `n`: withhold targets are 1..=f validators other than
 /// the attacker, delays are positive, flip periods are whole seconds.
-fn random_strategy(rng: &mut Mix, node: u16, n: usize) -> ByzantineStrategySpec {
+fn random_strategy(rng: &mut Mix, node: u16, n: usize) -> (String, ByzantineStrategy) {
     let f = (n - 1) / 3;
     match rng.below(4) {
-        0 => ByzantineStrategySpec::Equivocate,
+        0 => equivocate(),
         1 => {
             let count = 1 + rng.below(f as u64) as usize;
             let mut pool: Vec<u16> = (0..n as u16).filter(|v| *v != node).collect();
@@ -55,98 +77,83 @@ fn random_strategy(rng: &mut Mix, node: u16, n: usize) -> ByzantineStrategySpec 
             pool.rotate_left(rot);
             let mut targets: Vec<u16> = pool.into_iter().take(count).collect();
             targets.sort_unstable();
-            ByzantineStrategySpec::WithholdVotes { targets }
+            withhold_votes(targets)
         }
-        2 => ByzantineStrategySpec::LazyLeader { delay_ms: 1 + rng.below(1_000) },
-        _ => ByzantineStrategySpec::FlipFlop {
-            flip_secs: 1 + rng.below(5),
-            delay_ms: 1 + rng.below(1_000),
-        },
+        2 => lazy_leader(1 + rng.below(1_000)),
+        _ => {
+            let (flip_secs, delay_ms) = (1 + rng.below(5), 1 + rng.below(1_000));
+            let lines = format!(
+                "strategy = \"flip_flop\"\nflip_secs = {flip_secs}\ndelay_ms = {delay_ms}\n"
+            );
+            let (flip_us, delay_us) = (flip_secs * 1_000_000, delay_ms * 1_000);
+            (lines, ByzantineStrategy::FlipFlop { flip_us, delay_us })
+        }
     }
 }
 
-/// Generates a valid byzantine spec on `n` validators: at most `f`
+/// Generates valid byzantine windows on `n` validators: at most `f`
 /// attackers, each with one window — or two disjoint windows split
 /// around the 10s midpoint, possibly with different strategies.
-fn random_byzantine(rng: &mut Mix, n: usize, spec: &mut ScenarioSpec) {
+fn random_byzantine(rng: &mut Mix, n: usize) -> Windows {
     let f = (n - 1) / 3;
+    let mut windows = Windows::default();
     for node in 0..rng.below(f as u64 + 1) as u16 {
         if rng.below(2) == 0 {
-            spec.faults.byzantine.push(ByzantineEntrySpec {
-                node,
-                strategy: random_strategy(rng, node, n),
-                from: random_when(rng, 0, 10),
-                until: if rng.below(3) == 0 { None } else { Some(random_when(rng, 11, 19)) },
-            });
+            let strategy = random_strategy(rng, node, n);
+            let from = When::random(rng, 0, 10);
+            let until = (rng.below(3) != 0).then(|| When::random(rng, 11, 19));
+            windows.push(node, strategy, from, until);
         } else {
             // First window inside [0, 10), second starting at or after
             // 10 — disjoint by construction, back-to-back allowed.
-            spec.faults.byzantine.push(ByzantineEntrySpec {
-                node,
-                strategy: random_strategy(rng, node, n),
-                from: random_when(rng, 0, 5),
-                until: Some(random_when(rng, 5, 10)),
-            });
-            spec.faults.byzantine.push(ByzantineEntrySpec {
-                node,
-                strategy: random_strategy(rng, node, n),
-                from: random_when(rng, 10, 15),
-                until: if rng.below(2) == 0 { None } else { Some(random_when(rng, 15, 19)) },
-            });
+            let strategy = random_strategy(rng, node, n);
+            let (from, until) = (When::random(rng, 0, 5), When::random(rng, 5, 10));
+            windows.push(node, strategy, from, Some(until));
+            let strategy = random_strategy(rng, node, n);
+            let from = When::random(rng, 10, 15);
+            let until = (rng.below(2) != 0).then(|| When::random(rng, 15, 19));
+            windows.push(node, strategy, from, until);
         }
     }
+    windows
 }
 
 /// Replaces the generated windows (their attackers may already number
 /// `f`) with ones that break one rule `ByzantineSchedule::validate` owns,
 /// and returns the words they must be rejected in.
-fn spoil_byzantine(rng: &mut Mix, n: usize, spec: &mut ScenarioSpec) -> &'static str {
-    let windows = &mut spec.faults.byzantine;
-    windows.clear();
-    let whole_run = |node, strategy| ByzantineEntrySpec {
-        node,
-        strategy,
-        from: WhenSpec::Secs(0),
-        until: None,
-    };
+fn spoil_byzantine(rng: &mut Mix, n: usize) -> (Windows, &'static str) {
+    let mut windows = Windows::default();
+    let mut whole_run = |node, strategy| windows.push(node, strategy, When::secs(0), None);
     let attacker = n as u16 - 1;
-    match rng.below(6) {
+    let words = match rng.below(6) {
         0 => {
             let f = (n as u16 - 1) / 3;
-            windows.extend((0..=f).map(|node| whole_run(node, ByzantineStrategySpec::Equivocate)));
+            (0..=f).for_each(|node| whole_run(node, equivocate()));
             "byzantine validators exceeds f"
         }
         1 => {
-            windows.push(whole_run(attacker, ByzantineStrategySpec::Equivocate));
-            windows.push(whole_run(attacker, ByzantineStrategySpec::LazyLeader { delay_ms: 5 }));
+            whole_run(attacker, equivocate());
+            whole_run(attacker, lazy_leader(5));
             "overlapping"
         }
         2 => {
-            let targets = vec![attacker];
-            windows.push(whole_run(attacker, ByzantineStrategySpec::WithholdVotes { targets }));
+            whole_run(attacker, withhold_votes(vec![attacker]));
             "cannot withhold votes from itself"
         }
         3 => {
-            windows.push(whole_run(attacker, ByzantineStrategySpec::LazyLeader { delay_ms: 0 }));
+            whole_run(attacker, lazy_leader(0));
             "has zero delay"
         }
         4 => {
-            windows.push(ByzantineEntrySpec {
-                until: Some(WhenSpec::Frac(0.0)),
-                ..whole_run(attacker, ByzantineStrategySpec::Equivocate)
-            });
+            windows.push(attacker, equivocate(), When::secs(0), Some(When::frac(0)));
             "is empty"
         }
         _ => {
-            windows.push(whole_run(n as u16, ByzantineStrategySpec::Equivocate));
+            whole_run(n as u16, equivocate());
             "is outside the committee"
         }
-    }
-}
-
-/// The µs instant a generated `WhenSpec` resolves to.
-fn resolve(when: WhenSpec) -> u64 {
-    when.resolve_us(DURATION_SECS).expect("generated instants are small")
+    };
+    (windows, words)
 }
 
 proptest! {
@@ -158,12 +165,16 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let mut rng = Mix(seed);
-        let mut spec = base_spec(n);
-        random_byzantine(&mut rng, n, &mut spec);
-        let spoiled = (rng.below(4) == 0).then(|| spoil_byzantine(&mut rng, n, &mut spec));
+        let mut windows = random_byzantine(&mut rng, n);
+        let spoiled = (rng.below(4) == 0).then(|| {
+            let (spoilt, words) = spoil_byzantine(&mut rng, n);
+            windows = spoilt;
+            words
+        });
+        let spec = common::parse(&(common::base("byzantine-roundtrip", n) + &windows.text));
 
         if common::assert_round_trip(&spec, "byzantine schedule", spoiled) {
-            assert_lowers(&spec);
+            assert_lowers(&spec, &windows.expected);
         }
     }
 }
@@ -171,34 +182,12 @@ proptest! {
 /// Invariant three, for a spec that plans: planning lowers to a validated
 /// ByzantineSchedule with exactly the generated windows, times resolved
 /// and units converted.
-fn assert_lowers(spec: &ScenarioSpec) {
+fn assert_lowers(spec: &ScenarioSpec, expected: &ByzantineSchedule) {
     let plan = spec
         .plan(&PlanOptions::default())
         .unwrap_or_else(|e| panic!("valid schedule rejected: {e}\n{}", spec.to_toml()));
     prop_assert_eq!(plan.runs.len(), 1);
-
-    let mut expected = ByzantineSchedule::new();
-    for entry in &spec.faults.byzantine {
-        let from_us = resolve(entry.from);
-        let until_us = entry.until.map(resolve).unwrap_or(u64::MAX);
-        expected = match &entry.strategy {
-            ByzantineStrategySpec::Equivocate => expected.equivocate(entry.node, from_us, until_us),
-            ByzantineStrategySpec::WithholdVotes { targets } => {
-                expected.withhold_votes(entry.node, targets.clone(), from_us, until_us)
-            }
-            ByzantineStrategySpec::LazyLeader { delay_ms } => {
-                expected.lazy_leader(entry.node, delay_ms * 1_000, from_us, until_us)
-            }
-            ByzantineStrategySpec::FlipFlop { flip_secs, delay_ms } => expected.flip_flop(
-                entry.node,
-                flip_secs * 1_000_000,
-                delay_ms * 1_000,
-                from_us,
-                until_us,
-            ),
-        };
-    }
-    prop_assert_eq!(&plan.runs[0].config.byzantine, &expected);
+    prop_assert_eq!(&plan.runs[0].config.byzantine, expected);
 }
 
 // ---------------------------------------------------------------------------
@@ -214,17 +203,16 @@ fn spec_with(faults: &str) -> Result<ScenarioSpec, hh_scenario::ScenarioError> {
 
 /// Parses fine, fails at plan time with the given message fragment.
 fn assert_plan_rejects(faults: &str, fragment: &str) {
-    let spec = spec_with(faults).expect("schema-valid spec parses");
+    let spec = spec_with(faults).expect("well-typed spec parses");
     let err = spec.plan(&PlanOptions::default()).expect_err("unrunnable schedule must be rejected");
     let message = err.to_string();
     assert!(message.contains(fragment), "expected `{fragment}` in: {message}");
 }
 
-/// Fails at parse time with the given message fragment.
-fn assert_parse_rejects(faults: &str, fragment: &str) {
-    let err = spec_with(faults).expect_err("schema violation must be rejected");
-    let message = err.to_string();
-    assert!(message.contains(fragment), "expected `{fragment}` in: {message}");
+/// [`assert_plan_rejects`] for a rule of the entry's shape: a schema error.
+fn assert_shape_rejects(faults: &str, fragment: &str) {
+    assert_plan_rejects(faults, "schema error: ");
+    assert_plan_rejects(faults, fragment);
 }
 
 #[test]
@@ -238,8 +226,8 @@ fn more_than_f_byzantine_nodes_is_rejected() {
 }
 
 #[test]
-fn unknown_strategy_is_rejected_at_parse_time() {
-    assert_parse_rejects(
+fn unknown_strategy_is_a_schema_error() {
+    assert_shape_rejects(
         "[[faults.byzantine]]\nnode = 0\nstrategy = \"bribe\"\n",
         "unknown byzantine strategy `bribe`",
     );
@@ -273,7 +261,7 @@ fn withhold_targets_are_validated() {
         "committee",
     );
     // Missing targets entirely is a schema error.
-    assert_parse_rejects(
+    assert_shape_rejects(
         "[[faults.byzantine]]\nnode = 0\nstrategy = \"withhold_votes\"\n",
         "requires `targets`",
     );
@@ -282,18 +270,17 @@ fn withhold_targets_are_validated() {
 #[test]
 fn strategy_parameters_are_strict() {
     // A missing required parameter.
-    assert_parse_rejects(
+    assert_shape_rejects(
         "[[faults.byzantine]]\nnode = 0\nstrategy = \"lazy_leader\"\n",
         "requires `delay_ms`",
     );
     // A parameter from a different strategy.
-    assert_parse_rejects(
+    assert_shape_rejects(
         "[[faults.byzantine]]\nnode = 0\nstrategy = \"equivocate\"\ndelay_ms = 100\n",
         "does not apply",
     );
-    // An unknown key is caught by the strict table check.
-    assert_parse_rejects(
-        "[[faults.byzantine]]\nnode = 0\nstrategy = \"equivocate\"\nbribe = 1\n",
-        "unknown key",
-    );
+    // An unknown key is caught by the strict table check, as the file parses.
+    let err = spec_with("[[faults.byzantine]]\nnode = 0\nstrategy = \"equivocate\"\nbribe = 1\n")
+        .expect_err("an unknown key must be rejected");
+    assert!(err.to_string().contains("unknown key"), "{err}");
 }

@@ -1,152 +1,184 @@
 //! Property tests round-tripping random fault schedules through the
-//! whole declaration pipeline: generated `FaultsSpec` → canonical TOML →
-//! re-parsed `ScenarioSpec` → planned `ExperimentConfig` →
-//! `hh_sim::FaultSchedule` → the `hh_net::Simulator` executing it.
+//! whole declaration pipeline: generated `[faults]` text → `ScenarioSpec`
+//! → canonical TOML → re-parsed `ScenarioSpec` → planned
+//! `ExperimentConfig` → `hh_sim::FaultSchedule` → the `hh_net::Simulator`
+//! executing it.
 //!
 //! Five invariants: the canonical TOML re-parses to an equal spec —
 //! also when the generator has broken a rule, since whether a schedule
 //! is runnable is `plan()`'s call alone — and plans to the same verdict
-//! in the same words; the planned schedule contains exactly the generated
-//! events; the schedule's indexed `crashed_at` equals a linear scan of
-//! its events; and a simulator driven under the schedule has exactly the
-//! nodes down that `crashed_at` says are down.
+//! in the same words; the planned schedule holds exactly the events the
+//! generator declared, in the lowering's order; the schedule's indexed
+//! `crashed_at` equals a linear scan of its events; and a simulator driven
+//! under the schedule has exactly the nodes down that `crashed_at` says
+//! are down.
 
 use hh_net::{Context, NetworkConfig, Node, NodeId, SimTime, Simulator};
-use hh_scenario::{
-    NodeSel, PartitionEntry, PartitionSel, PlanOptions, ScenarioSpec, SlowdownEntry,
-    TimedFaultEntry, WhenSpec,
-};
+use hh_scenario::{PlanOptions, ScenarioSpec};
 use hh_sim::FaultEvent;
 use proptest::prelude::*;
 
 mod common;
-use common::Mix;
+use common::{Mix, When, DURATION_SECS};
 
-const DURATION_SECS: u64 = 20;
+/// A generated fault declaration: the text of its `[faults]` table, of its
+/// crash and recover entries and of its other entries, and the events each
+/// kind of entry lowers to, in file order.
+#[derive(Default)]
+struct Faults {
+    table: String,
+    outages: String,
+    others: String,
+    crashes: Vec<FaultEvent>,
+    recovers: Vec<FaultEvent>,
+    /// What the `recover_at` of a crash lowers to.
+    sugar: Vec<FaultEvent>,
+    slowdowns: Vec<FaultEvent>,
+    partitions: Vec<FaultEvent>,
+}
 
-/// A random instant, quantized so frac and secs forms both resolve
-/// exactly: whole seconds, or quarter fractions of the 20s run.
-fn random_when(rng: &mut Mix, lo_secs: u64, hi_secs: u64) -> WhenSpec {
-    let secs = lo_secs + rng.below(hi_secs.saturating_sub(lo_secs).max(1));
-    if rng.below(3) == 0 && secs.is_multiple_of(5) {
-        WhenSpec::Frac(secs as f64 / DURATION_SECS as f64)
-    } else {
-        WhenSpec::Secs(secs)
+impl Faults {
+    fn text(&self, n: usize) -> String {
+        let base = common::base("fault-roundtrip", n);
+        format!("{base}{}{}{}", self.table, self.outages, self.others)
+    }
+
+    /// The planned schedule's events: the kinds in the order the lowering
+    /// pushes them, each in file order.
+    fn events(&self) -> Vec<FaultEvent> {
+        [&self.crashes, &self.recovers, &self.sugar, &self.slowdowns, &self.partitions]
+            .into_iter()
+            .flatten()
+            .cloned()
+            .collect()
+    }
+
+    /// One `[[faults.crash]]` of `node` at `at`, recovered by the crash's
+    /// own `recover_at` when `sugar`, else by a `[[faults.recover]]`.
+    fn outage(&mut self, node: u16, at: When, recover: Option<(When, bool)>) {
+        self.outages += &format!("[[faults.crash]]\nnodes = [{node}]\n{}", at.line("at"));
+        self.crashes.push(FaultEvent::Crash { node, at_us: at.us() });
+        let Some((until, sugar)) = recover else { return };
+        let event = FaultEvent::Recover { node, at_us: until.us() };
+        if sugar {
+            self.outages += &until.line("recover_at");
+            self.sugar.push(event);
+        } else {
+            self.outages += &format!("[[faults.recover]]\nnodes = [{node}]\n{}", until.line("at"));
+            self.recovers.push(event);
+        }
+    }
+
+    fn slowdown(&mut self, node: u16, at: When, until: Option<When>, extra_ms: u64) {
+        let until_line = until.map_or(String::new(), |until| until.line("until"));
+        self.others += &format!(
+            "[[faults.slowdown]]\nnodes = [{node}]\n{}{until_line}extra_ms = {extra_ms}\n",
+            at.line("at")
+        );
+        self.slowdowns.push(FaultEvent::Slowdown {
+            node,
+            from_us: at.us(),
+            until_us: until.map_or(u64::MAX, When::us),
+            extra_us: extra_ms * 1_000,
+        });
+    }
+
+    /// A partition of `a` against `b`, declared as the two groups, or as
+    /// `isolate_first` when `isolate` (and `a` is the first validators).
+    fn partition(&mut self, a: Vec<u16>, b: Vec<u16>, isolate: bool, from: When, until: When) {
+        let cut = match isolate {
+            true => format!("isolate_first = {}\n", a.len()),
+            false => format!("a = {a:?}\nb = {b:?}\n"),
+        };
+        let window = from.line("from") + &until.line("until");
+        self.others += &format!("[[faults.partition]]\n{cut}{window}");
+        let (from_us, until_us) = (from.us(), until.us());
+        self.partitions.push(FaultEvent::Partition { group_a: a, group_b: b, from_us, until_us });
     }
 }
 
-fn base_spec(n: usize) -> ScenarioSpec {
-    ScenarioSpec::parse(&format!(
-        "name = \"fault-roundtrip\"\n[committee]\nsize = {n}\n[run]\nduration_secs = \
-         {DURATION_SECS}\nwarmup_secs = 2\n[network]\nmodel = \"flat\"\n"
-    ))
-    .expect("base spec parses")
-}
-
-fn timed(node: u16, at: WhenSpec) -> TimedFaultEntry {
-    TimedFaultEntry { nodes: NodeSel::Ids(vec![node]), at }
-}
-
-/// Generates a valid dynamic fault spec on `n` validators: at most `f`
-/// even-numbered nodes carry a real outage (never concurrent beyond `f`
-/// since only those nodes are ever down), sometimes followed by a
+/// Generates a valid dynamic fault declaration on `n` validators: at most
+/// `f` even-numbered nodes carry a real outage (never concurrent beyond
+/// `f` since only those nodes are ever down), sometimes followed by a
 /// second, final crash; up to two odd-numbered nodes carry a zero-length
 /// outage (recovery at the crash instant), which takes nothing from the
 /// `f` budget however the others crash around it; plus optional
-/// slowdowns and one partition.
-fn random_faults(rng: &mut Mix, n: usize, spec: &mut ScenarioSpec) {
+/// slowdowns and one partition. A recovery is a `[[faults.recover]]`
+/// entry or its crash's `recover_at`, at random.
+fn random_faults(rng: &mut Mix, n: usize) -> Faults {
     let f = (n - 1) / 3;
+    let mut faults = Faults::default();
     for node in (0..rng.below(f as u64 + 1)).map(|k| k as u16 * 2) {
         // Crash somewhere in [1, 9]; recover in [10, 18].
-        spec.faults.crashes.push(timed(node, random_when(rng, 1, 9)));
-        spec.faults.recovers.push(timed(node, random_when(rng, 10, 18)));
+        let (at, until) = (When::random(rng, 1, 9), When::random(rng, 10, 18));
+        faults.outage(node, at, Some((until, rng.below(2) == 0)));
         if rng.below(3) == 0 {
-            spec.faults.crashes.push(timed(node, WhenSpec::Secs(19)));
+            faults.outage(node, When::secs(19), None);
         }
     }
     for node in (0..rng.below(3)).map(|k| k as u16 * 2 + 1) {
-        let at = random_when(rng, 1, 19);
-        spec.faults.crashes.push(timed(node, at));
-        spec.faults.recovers.push(timed(node, at));
+        let at = When::random(rng, 1, 19);
+        faults.outage(node, at, Some((at, rng.below(2) == 0)));
     }
     for _ in 0..rng.below(3) {
-        let from = 1 + rng.below(8);
-        spec.faults.slowdowns.push(SlowdownEntry {
-            nodes: NodeSel::Ids(vec![rng.below(n as u64) as u16]),
-            at: WhenSpec::Secs(from),
-            until: if rng.below(2) == 0 {
-                Some(WhenSpec::Secs(from + 1 + rng.below(8)))
-            } else {
-                None
-            },
-            extra_ms: 1 + rng.below(500),
-        });
+        let (node, from) = (rng.below(n as u64) as u16, 1 + rng.below(8));
+        let until = (rng.below(2) == 0).then(|| When::secs(from + 1 + rng.below(8)));
+        faults.slowdown(node, When::secs(from), until, 1 + rng.below(500));
     }
     if rng.below(2) == 0 {
-        let k = 1 + rng.below((n - 1) as u64) as usize;
-        let sel = if rng.below(2) == 0 {
-            PartitionSel::IsolateFirst(hh_scenario::CountExpr::Abs(k as u64))
-        } else {
-            PartitionSel::Groups { a: (0..k as u16).collect(), b: (k as u16..n as u16).collect() }
-        };
+        let k = 1 + rng.below((n - 1) as u64) as u16;
+        let isolate = rng.below(2) == 0;
         let from = 1 + rng.below(9);
-        spec.faults.partitions.push(PartitionEntry {
-            sel,
-            from: WhenSpec::Secs(from),
-            until: WhenSpec::Secs(from + 1 + rng.below(9)),
-        });
+        let until = When::secs(from + 1 + rng.below(9));
+        faults.partition(
+            (0..k).collect(),
+            (k..n as u16).collect(),
+            isolate,
+            When::secs(from),
+            until,
+        );
     }
+    faults
 }
 
 /// Breaks one rule `FaultSchedule::validate` owns in an otherwise valid
-/// spec and returns the words it must be rejected in.
-fn spoil_faults(rng: &mut Mix, n: usize, spec: &mut ScenarioSpec) -> &'static str {
-    let faults = &mut spec.faults;
-    let slowdown = |at, until, extra_ms| SlowdownEntry {
-        nodes: NodeSel::Ids(vec![0]),
-        at,
-        until: Some(until),
-        extra_ms,
-    };
-    let groups = |a: Vec<u16>, b: Vec<u16>| PartitionSel::Groups { a, b };
-    let cut = |sel, from, until| PartitionEntry { sel, from, until };
+/// declaration and returns the words it must be rejected in.
+fn spoil_faults(rng: &mut Mix, n: usize, faults: &mut Faults) -> &'static str {
+    let (one, two) = (When::secs(1), When::secs(2));
     match rng.below(8) {
         0 => {
-            faults.slowdowns.push(slowdown(WhenSpec::Secs(1), WhenSpec::Secs(2), 0));
+            faults.slowdown(0, one, Some(two), 0);
             "has zero extra delay"
         }
         1 => {
-            faults.slowdowns.push(slowdown(WhenSpec::Secs(9), WhenSpec::Secs(3), 5));
+            faults.slowdown(0, When::secs(9), Some(When::secs(3)), 5);
             "slowdown window of validator 0 is empty"
         }
         2 => {
-            faults.slowdowns.push(slowdown(WhenSpec::Frac(0.5), WhenSpec::Frac(0.5), 5));
+            faults.slowdown(0, When::frac(10), Some(When::frac(10)), 5);
             "slowdown window of validator 0 is empty"
         }
         3 => {
-            let sel = groups(vec![0, 1], vec![1, 2]);
-            faults.partitions.push(cut(sel, WhenSpec::Secs(1), WhenSpec::Secs(2)));
+            faults.partition(vec![0, 1], vec![1, 2], false, one, two);
             "validator 1 is on both sides of a partition"
         }
         4 => {
-            let sel = groups(vec![], vec![1]);
-            faults.partitions.push(cut(sel, WhenSpec::Secs(1), WhenSpec::Secs(2)));
+            faults.partition(vec![], vec![1], false, one, two);
             "partition groups must both be non-empty"
         }
         5 => {
-            let sel = groups(vec![0], vec![1]);
-            faults.partitions.push(cut(sel, WhenSpec::Frac(0.75), WhenSpec::Frac(0.25)));
+            faults.partition(vec![0], vec![1], false, When::frac(15), When::frac(5));
             "partition window is empty"
         }
         6 => {
             // Everyone the generator never crashes for real, at once.
-            faults.crashes.clear();
-            faults.recovers.clear();
-            faults.crashed = (0..=(n as u16 - 1) / 3).collect();
+            faults.outages.clear();
+            let crashed: Vec<u16> = (0..=(n as u16 - 1) / 3).collect();
+            faults.table = format!("[faults]\ncrashed = {crashed:?}\n");
             "validators crashed at once at 0µs exceeds f"
         }
         _ => {
-            faults.crashed = vec![n as u16];
+            faults.table = format!("[faults]\ncrashed = [{n}]\n");
             "is outside the committee"
         }
     }
@@ -183,11 +215,6 @@ impl Node for Inert {
     fn on_timer(&mut self, _token: u64, _ctx: &mut Context<'_, ()>) {}
 }
 
-/// The µs instant a generated `WhenSpec` resolves to.
-fn resolve(when: WhenSpec) -> u64 {
-    when.resolve_us(DURATION_SECS).expect("generated instants are small")
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -196,18 +223,18 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let mut rng = Mix(seed);
-        let mut spec = base_spec(n);
-        random_faults(&mut rng, n, &mut spec);
-        let spoiled = (rng.below(4) == 0).then(|| spoil_faults(&mut rng, n, &mut spec));
+        let mut faults = random_faults(&mut rng, n);
+        let spoiled = (rng.below(4) == 0).then(|| spoil_faults(&mut rng, n, &mut faults));
+        let spec = common::parse(&faults.text(n));
 
         if common::assert_round_trip(&spec, "fault schedule", spoiled) {
-            assert_lowers_and_executes(&spec, n, seed);
+            assert_lowers_and_executes(&spec, &faults.events(), n, seed);
         }
     }
 }
 
 /// Invariants two to four, for a spec that plans.
-fn assert_lowers_and_executes(spec: &ScenarioSpec, n: usize, seed: u64) {
+fn assert_lowers_and_executes(spec: &ScenarioSpec, expected: &[FaultEvent], n: usize, seed: u64) {
     // Planning lowers to a validated FaultSchedule with exactly the
     // generated events.
     let plan = spec
@@ -215,44 +242,7 @@ fn assert_lowers_and_executes(spec: &ScenarioSpec, n: usize, seed: u64) {
         .unwrap_or_else(|e| panic!("valid schedule rejected: {e}\n{}", spec.to_toml()));
     prop_assert_eq!(plan.runs.len(), 1);
     let schedule = &plan.runs[0].config.faults;
-
-    let mut expected: Vec<FaultEvent> = Vec::new();
-    for entry in &spec.faults.crashes {
-        if let NodeSel::Ids(ids) = &entry.nodes {
-            expected.push(FaultEvent::Crash { node: ids[0], at_us: resolve(entry.at) });
-        }
-    }
-    for entry in &spec.faults.recovers {
-        if let NodeSel::Ids(ids) = &entry.nodes {
-            expected.push(FaultEvent::Recover { node: ids[0], at_us: resolve(entry.at) });
-        }
-    }
-    for entry in &spec.faults.slowdowns {
-        if let NodeSel::Ids(ids) = &entry.nodes {
-            expected.push(FaultEvent::Slowdown {
-                node: ids[0],
-                from_us: resolve(entry.at),
-                until_us: entry.until.map(resolve).unwrap_or(u64::MAX),
-                extra_us: entry.extra_ms * 1000,
-            });
-        }
-    }
-    for entry in &spec.faults.partitions {
-        let (a, b) = match &entry.sel {
-            PartitionSel::Groups { a, b } => (a.clone(), b.clone()),
-            PartitionSel::IsolateFirst(count) => {
-                let k = count.resolve(n).min(n - 1);
-                ((0..k as u16).collect(), (k as u16..n as u16).collect())
-            }
-        };
-        expected.push(FaultEvent::Partition {
-            group_a: a,
-            group_b: b,
-            from_us: resolve(entry.from),
-            until_us: resolve(entry.until),
-        });
-    }
-    prop_assert_eq!(schedule.events(), expected.as_slice());
+    prop_assert_eq!(schedule.events(), expected);
 
     // One answer to "who is down": at every crash / recovery instant
     // ± 1 µs the indexed query equals the linear scan, and the

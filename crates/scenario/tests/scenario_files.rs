@@ -1,6 +1,7 @@
 //! Tests over the checked-in `scenarios/*.toml` files: every file must
-//! parse, expand, survive a serialize/parse round trip, and the fig2
-//! scenario must lower to exactly the configuration built by hand.
+//! parse, expand, survive a serialize/parse round trip that plans to the
+//! same runs, and the fig2 scenario must lower to exactly the
+//! configuration built by hand.
 
 use hh_scenario::{load_scenario, repo_scenarios_dir, PlanOptions, ScenarioSpec};
 use hh_sim::{run_experiment, ExperimentConfig, FaultSchedule, SystemKind};
@@ -37,8 +38,15 @@ fn every_checked_in_scenario_parses_and_plans() {
     }
 }
 
+/// The canonical form (`hh-cli validate --dump`) re-parses to an equal
+/// spec, and — since equal rows alone do not prove the lowering unchanged —
+/// plans, full and `--quick`, to runs whose configurations print the same.
 #[test]
 fn every_checked_in_scenario_round_trips() {
+    let configs = |spec: &ScenarioSpec, quick: bool| -> Vec<String> {
+        let plan = spec.plan(&PlanOptions { quick, ..PlanOptions::default() }).expect("plans");
+        plan.runs.iter().map(|run| format!("{:?}", run.config)).collect()
+    };
     for path in checked_in_scenarios() {
         let spec = load_scenario(&path).expect("parses");
         let canonical = spec.to_toml();
@@ -46,6 +54,14 @@ fn every_checked_in_scenario_round_trips() {
             panic!("{} canonical form does not re-parse: {e}\n{canonical}", path.display())
         });
         assert_eq!(spec, again, "{} round trip changed the spec", path.display());
+        for quick in [false, true] {
+            assert_eq!(
+                configs(&spec, quick),
+                configs(&again, quick),
+                "{} (quick={quick}) plans differently from its canonical form",
+                path.display()
+            );
+        }
     }
 }
 

@@ -16,6 +16,9 @@ use std::sync::Arc;
 /// it from the epoch's randomness, which this reproduction does not model.
 pub const S0_SEED: u64 = 0;
 
+/// The most members a committee can hold: one per [`ValidatorId`].
+pub const MAX_COMMITTEE_SIZE: usize = u16::MAX as usize + 1;
+
 /// Permutes a leader slot table in place by a deterministic seed: the
 /// paper's "randomly permute" for S0 ([`Committee::initial_slots`], seed
 /// [`S0_SEED`]) and the one permutation any schedule uses.
@@ -151,10 +154,11 @@ impl Committee {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0` (an empty committee is meaningless; the fallible
-    /// path is [`CommitteeBuilder::build`]).
+    /// Panics if `n == 0` (an empty committee is meaningless) or `n`
+    /// exceeds [`MAX_COMMITTEE_SIZE`]; the fallible path is
+    /// [`CommitteeBuilder::build`].
     pub fn new_equal_stake(n: usize) -> Self {
-        CommitteeBuilder { stakes: vec![Stake(1); n] }.build().expect("n > 0")
+        CommitteeBuilder { stakes: vec![Stake(1); n] }.build().expect("0 < n <= MAX_COMMITTEE_SIZE")
     }
 
     /// Number of validators.
@@ -300,10 +304,15 @@ impl CommitteeBuilder {
     /// # Errors
     ///
     /// * [`TypeError::EmptyCommittee`] if no validators were added.
+    /// * [`TypeError::TooManyValidators`] beyond [`MAX_COMMITTEE_SIZE`]
+    ///   members, whose ids would wrap.
     /// * [`TypeError::ZeroStake`] if any validator has zero stake.
     pub fn build(self) -> Result<Committee, TypeError> {
         if self.stakes.is_empty() {
             return Err(TypeError::EmptyCommittee);
+        }
+        if self.stakes.len() > MAX_COMMITTEE_SIZE {
+            return Err(TypeError::TooManyValidators(self.stakes.len()));
         }
         if let Some(pos) = self.stakes.iter().position(|s| s.0 == 0) {
             return Err(TypeError::ZeroStake(ValidatorId(pos as u16)));
@@ -329,6 +338,15 @@ impl CommitteeBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn build_refuses_more_members_than_validator_ids() {
+        let stakes = |n| CommitteeBuilder { stakes: vec![Stake(1); n] };
+        let over = MAX_COMMITTEE_SIZE + 1;
+        assert_eq!(stakes(over).build().unwrap_err(), TypeError::TooManyValidators(over));
+        let full = stakes(MAX_COMMITTEE_SIZE).build().expect("one member per id");
+        assert_eq!(full.iter().last().map(|v| v.id), Some(ValidatorId(u16::MAX)));
+    }
 
     #[test]
     fn equal_stake_thresholds() {

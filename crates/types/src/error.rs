@@ -1,6 +1,6 @@
 //! Error types shared across the workspace.
 
-use crate::{Round, ValidatorId};
+use crate::{Round, ValidatorId, MAX_COMMITTEE_SIZE};
 use std::fmt;
 
 /// Errors produced when constructing or validating domain types.
@@ -8,6 +8,9 @@ use std::fmt;
 pub enum TypeError {
     /// A committee must contain at least one validator.
     EmptyCommittee,
+    /// A committee holds at most one member per validator id; carries the
+    /// size asked for.
+    TooManyValidators(usize),
     /// Validators must hold positive stake.
     ZeroStake(ValidatorId),
     /// The referenced validator is not a committee member.
@@ -29,6 +32,13 @@ impl fmt::Display for TypeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TypeError::EmptyCommittee => write!(f, "committee has no validators"),
+            TypeError::TooManyValidators(n) => {
+                write!(
+                    f,
+                    "committee of {n} validators exceeds the {} validator ids",
+                    MAX_COMMITTEE_SIZE
+                )
+            }
             TypeError::ZeroStake(id) => write!(f, "validator {id} has zero stake"),
             TypeError::UnknownValidator(id) => write!(f, "validator {id} is not in the committee"),
             TypeError::InvalidVertex { round, author, reason } => {
@@ -49,6 +59,7 @@ mod tests {
     fn display_is_nonempty_and_lowercase_ish() {
         let errs = [
             TypeError::EmptyCommittee,
+            TypeError::TooManyValidators(65_537),
             TypeError::ZeroStake(ValidatorId(1)),
             TypeError::UnknownValidator(ValidatorId(2)),
             TypeError::InvalidVertex {

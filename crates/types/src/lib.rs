@@ -41,7 +41,8 @@ mod transaction;
 mod vertex;
 
 pub use committee::{
-    permute_slots, Committee, CommitteeBuilder, Stake, ValidatorId, ValidatorInfo, S0_SEED,
+    permute_slots, Committee, CommitteeBuilder, Stake, ValidatorId, ValidatorInfo,
+    MAX_COMMITTEE_SIZE, S0_SEED,
 };
 pub use error::TypeError;
 pub use hash::{DigestHasher, DigestMap, DigestSet};

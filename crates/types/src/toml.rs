@@ -322,7 +322,11 @@ impl<'a> Parser<'a> {
         }
         let raw = String::from_utf8_lossy(&self.bytes[start..self.pos]).replace('_', "");
         if raw.contains('.') || raw.to_ascii_lowercase().contains('e') {
-            raw.parse::<f64>().map(Value::Float).map_err(|_| self.err(format!("bad float `{raw}`")))
+            // An overflowing literal parses to ±inf, which no key takes.
+            match raw.parse::<f64>() {
+                Ok(x) if x.is_finite() => Ok(Value::Float(x)),
+                _ => Err(self.err(format!("bad float `{raw}`"))),
+            }
         } else {
             raw.parse::<i64>().map(Value::Int).map_err(|_| self.err(format!("bad integer `{raw}`")))
         }
@@ -583,6 +587,15 @@ inline = { a = 1, b = "two" }
             }
             other => panic!("runs should be an array, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn overflowing_floats_are_bad_floats() {
+        for doc in ["x = 1e400\n", "x = -1e400\n", "x = [1.0, 1e999]\n"] {
+            let err = parse(doc).unwrap_err().to_string();
+            assert!(err.contains("bad float"), "{doc:?} gave {err}");
+        }
+        assert_eq!(parse("x = 1e300\n").unwrap().as_table().unwrap()["x"], Value::Float(1e300));
     }
 
     #[test]
