@@ -31,8 +31,10 @@
 # transactions meets. Both runs print their set-up time (`setup_s`) to the
 # log with no ceiling, since host time holds no fixed limit on every host;
 # its regression guard is crates/sim/tests/setup_allocs.rs, part of the
-# test suite, which bounds the allocations one `build_sim` makes (a run
-# that copied S0 or re-derived the members' keys per validator exceeds it).
+# test suite, which bounds the allocations one `build_sim` makes and the
+# bytes they request (a run that copied S0 or re-derived the members' keys
+# per validator, kept two words per event-queue slot or built the EMA
+# table under every scoring rule exceeds it).
 
 set -euo pipefail
 cd "$(dirname "$0")"

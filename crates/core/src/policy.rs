@@ -95,8 +95,9 @@ pub struct HammerheadPolicy {
     /// [`HammerheadPolicy::entry_for`]).
     schedules: Vec<ScheduleEntry>,
     scores: ReputationScores,
-    /// Cross-epoch smoothed scores (milli-points), maintained only under
-    /// [`ScoringRule::VoteEma`].
+    /// Cross-epoch smoothed scores (milli-points), by validator index;
+    /// allocated and maintained only under [`ScoringRule::VoteEma`], and
+    /// empty under every other rule.
     ema_milli: Vec<u64>,
     epoch: u64,
     /// Summaries of the switches no commit has carried yet (see
@@ -106,12 +107,18 @@ pub struct HammerheadPolicy {
     scratch: SubDagScratch,
     /// The lowest round not closed yet.
     unchecked: Round,
-    /// What the current epoch's closed rounds showed of each validator's
-    /// vertices, by validator index.
-    timeliness: Vec<Timeliness>,
-    /// Whether any vertex of each validator was ever ordered, by validator
-    /// index; never reset.
-    ordered_once: Vec<bool>,
+    /// What the ordered sequence showed of each validator, by validator
+    /// index.
+    seen: Vec<Seen>,
+}
+
+/// What the ordered sequence showed of one validator's vertices.
+#[derive(Clone, Copy, Debug, Default)]
+struct Seen {
+    /// What the current epoch's closed rounds showed.
+    timeliness: Timeliness,
+    /// Whether any of its vertices was ever ordered; never reset.
+    ordered_once: bool,
 }
 
 /// What one validator's vertices in an epoch's closed rounds showed.
@@ -144,6 +151,10 @@ impl HammerheadPolicy {
         let s0 = SlotSchedule::initial(&committee);
         let scores = ReputationScores::new(&committee);
         let n = committee.size();
+        let ema_milli = match config.scoring_rule {
+            ScoringRule::VoteEma { .. } => vec![0; n],
+            _ => Vec::new(),
+        };
         HammerheadPolicy {
             committee,
             config,
@@ -154,13 +165,12 @@ impl HammerheadPolicy {
             }],
             base: s0,
             scores,
-            ema_milli: vec![0; n],
+            ema_milli,
             epoch: 0,
             unsent: Vec::new(),
             scratch: SubDagScratch::new(),
             unchecked: Round(0),
-            timeliness: vec![Timeliness::Unseen; n],
-            ordered_once: vec![false; n],
+            seen: vec![Seen::default(); n],
         }
     }
 
@@ -169,8 +179,8 @@ impl HammerheadPolicy {
         &self.scores
     }
 
-    /// Cross-epoch smoothed scores in milli-points (only meaningful under
-    /// [`ScoringRule::VoteEma`]).
+    /// Cross-epoch smoothed scores in milli-points, by validator index,
+    /// under [`ScoringRule::VoteEma`]; empty under every other rule.
     pub fn ema_scores_milli(&self) -> &[u64] {
         &self.ema_milli
     }
@@ -269,7 +279,7 @@ impl SchedulePolicy for HammerheadPolicy {
     /// ordered vertex. One that never had one scores zero and ranks lowest
     /// at the first switch, so waiting out its slots buys nothing.
     fn awaits_leader(&self, leader: ValidatorId) -> bool {
-        self.unchecked == Round(0) || self.ordered_once[leader.index()]
+        self.unchecked == Round(0) || self.seen[leader.index()].ordered_once
     }
 
     fn initial_round(&self) -> Round {
@@ -350,7 +360,7 @@ impl SchedulePolicy for HammerheadPolicy {
             .map(|(id, _)| id)
             .filter(|id| !change.excluded.contains(id))
             .collect();
-        if !candidates.iter().all(|id| self.timeliness[id.index()] == Timeliness::Timely) {
+        if !candidates.iter().all(|id| self.seen[id.index()].timeliness == Timeliness::Timely) {
             candidates.clear();
         }
 
@@ -375,7 +385,9 @@ impl SchedulePolicy for HammerheadPolicy {
         // The closing epoch's rounds that are still open belong to no
         // epoch's evidence.
         self.unchecked = self.unchecked.max(anchor.round());
-        self.timeliness.fill(Timeliness::Unseen);
+        for seen in &mut self.seen {
+            seen.timeliness = Timeliness::Unseen;
+        }
         self.epoch += 1;
         self.scores.reset();
         ScheduleDecision::Switched
@@ -393,9 +405,9 @@ impl SchedulePolicy for HammerheadPolicy {
             if !entry.candidates.iter().all(|c| timely[c.index()]) {
                 entry.candidates.clear();
             }
-            for (id, seen) in self.committee.ids().zip(&mut self.timeliness) {
+            for (id, seen) in self.committee.ids().zip(&mut self.seen) {
                 if dag.vertex_by_author(round, id).is_some_and(|v| ordered.contains(v)) {
-                    *seen = match (*seen, timely[id.index()]) {
+                    seen.timeliness = match (seen.timeliness, timely[id.index()]) {
                         (Timeliness::Late, _) | (_, false) => Timeliness::Late,
                         _ => Timeliness::Timely,
                     };
@@ -403,7 +415,7 @@ impl SchedulePolicy for HammerheadPolicy {
             }
             self.unchecked = round.next();
         }
-        self.ordered_once[vertex.author().index()] = true;
+        self.seen[vertex.author().index()].ordered_once = true;
         if matches!(self.config.scoring_rule, ScoringRule::VoteBased | ScoringRule::VoteEma { .. })
         {
             self.accumulate_vote(vertex, dag);
@@ -979,6 +991,9 @@ mod tests {
         assert_eq!(ev.policy().active_schedule().slots(), ee.policy().active_schedule().slots());
         // EMA with alpha=1 carries score×1000 exactly.
         assert!(!summaries(&mut ee).is_empty());
+        // Only the rule that reads the smoothed table has one.
+        assert_eq!(ee.policy().ema_scores_milli().len(), c.size());
+        assert!(ev.policy().ema_scores_milli().is_empty());
     }
 
     #[test]
@@ -1000,6 +1015,7 @@ mod tests {
         // Fully-connected DAG: every epoch every validator scored; EMA is
         // positive and equal across validators.
         let ema = e.policy().ema_scores_milli();
+        assert_eq!(ema.len(), 4);
         assert!(ema.iter().all(|m| *m > 0 && *m == ema[0]), "{ema:?}");
     }
 

@@ -90,15 +90,19 @@ impl Sha256 {
     /// Completes the hash and returns the digest, consuming the hasher.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.len.wrapping_mul(8);
-        // Append 0x80 then zero-pad to 56 mod 64, then the 64-bit length.
-        self.update_padding_byte();
-        while self.buf_len != 56 {
-            self.update_zero_byte();
+        // Append 0x80, zero-pad to 56 mod 64, then the 64-bit length: one
+        // block, or two when the 0x80 leaves no room for the length.
+        let mut end = self.buf_len;
+        self.buf[end] = 0x80;
+        end += 1;
+        if end > 56 {
+            self.buf[end..].fill(0);
+            let block = self.buf;
+            self.compress(&block);
+            end = 0;
         }
-        let mut len_bytes = [0u8; 8];
-        len_bytes.copy_from_slice(&bit_len.to_be_bytes());
-        // Manual append: these 8 bytes complete the final block.
-        self.buf[56..64].copy_from_slice(&len_bytes);
+        self.buf[end..56].fill(0);
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.compress(&block);
 
@@ -107,26 +111,6 @@ impl Sha256 {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         Digest::new(out)
-    }
-
-    fn update_padding_byte(&mut self) {
-        self.buf[self.buf_len] = 0x80;
-        self.buf_len += 1;
-        if self.buf_len == 64 {
-            let block = self.buf;
-            self.compress(&block);
-            self.buf_len = 0;
-        }
-    }
-
-    fn update_zero_byte(&mut self) {
-        self.buf[self.buf_len] = 0;
-        self.buf_len += 1;
-        if self.buf_len == 64 {
-            let block = self.buf;
-            self.compress(&block);
-            self.buf_len = 0;
-        }
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
@@ -346,18 +330,6 @@ ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
     }
 
     #[test]
-    fn streaming_matches_oneshot_at_all_split_points() {
-        let msg: Vec<u8> = (0..200u16).map(|i| (i % 251) as u8).collect();
-        let want = sha256(&msg);
-        for split in 0..msg.len() {
-            let mut h = Sha256::new();
-            h.update(&msg[..split]);
-            h.update(&msg[split..]);
-            assert_eq!(h.finalize(), want, "split at {split}");
-        }
-    }
-
-    #[test]
     fn streaming_many_small_updates() {
         let msg: Vec<u8> = (0..1000u32).map(|i| (i * 7 % 256) as u8).collect();
         let want = sha256(&msg);
@@ -369,19 +341,6 @@ ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
     }
 
     #[test]
-    fn padding_boundary_lengths() {
-        // Lengths around the 55/56/64 padding boundaries must all differ and
-        // round-trip through the streaming API.
-        for len in [54usize, 55, 56, 57, 63, 64, 65, 119, 120, 127, 128] {
-            let msg = vec![0xABu8; len];
-            let one = sha256(&msg);
-            let mut h = Sha256::new();
-            h.update(&msg);
-            assert_eq!(h.finalize(), one, "len {len}");
-        }
-    }
-
-    #[test]
     fn distinct_inputs_distinct_digests() {
         let a = sha256(b"hammerhead");
         let b = sha256(b"hammerheaD");
@@ -389,7 +348,9 @@ ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
     }
 
     /// Runs the full hash over `msg` through one specific compression
-    /// function, bypassing the runtime dispatch in `compress`.
+    /// function, bypassing the runtime dispatch in `compress`: the message
+    /// padded per FIPS 180-4 §5.1.1 into a `Vec`, one byte at a time, then
+    /// compressed block by block.
     fn digest_via(msg: &[u8], compress: impl Fn(&mut [u32; 8], &[u8; 64])) -> Digest {
         let mut padded = msg.to_vec();
         let bit_len = (msg.len() as u64).wrapping_mul(8);
@@ -409,18 +370,40 @@ ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
         Digest::new(out)
     }
 
+    /// The portable compression on its own.
+    fn soft(state: &mut [u32; 8], block: &[u8; 64]) {
+        let mut h = Sha256 { state: *state, buf: [0; 64], buf_len: 0, len: 0 };
+        h.compress_soft(block);
+        *state = h.state;
+    }
+
     /// The portable round loop stays covered (and equal to the public
     /// entry point) even on machines where dispatch picks SHA-NI.
     #[test]
     fn software_path_matches_public_digest() {
         for len in [0usize, 1, 31, 55, 56, 63, 64, 65, 127, 128, 500] {
             let msg: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
-            let soft = digest_via(&msg, |state, block| {
-                let mut h = Sha256 { state: *state, buf: [0; 64], buf_len: 0, len: 0 };
-                h.compress_soft(block);
-                *state = h.state;
-            });
-            assert_eq!(soft, sha256(&msg), "len {len}");
+            assert_eq!(digest_via(&msg, soft), sha256(&msg), "len {len}");
+        }
+    }
+
+    /// `finalize` pads in place, in one block or two; at every length up to
+    /// three blocks (the 55/56, 63/64, 119/120 and 127/128 boundaries among
+    /// them) it must equal the reference padding, one-shot and streamed
+    /// with the message split at every offset.
+    #[test]
+    fn padding_matches_reference_at_every_length() {
+        let bytes: Vec<u8> = (0..200u32).map(|i| (i * 13 % 256) as u8).collect();
+        for len in 0..=bytes.len() {
+            let msg = &bytes[..len];
+            let want = digest_via(msg, soft);
+            assert_eq!(sha256(msg), want, "len {len}");
+            for split in 0..=len {
+                let mut h = Sha256::new();
+                h.update(&msg[..split]);
+                h.update(&msg[split..]);
+                assert_eq!(h.finalize(), want, "len {len} split at {split}");
+            }
         }
     }
 
@@ -436,12 +419,7 @@ ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
             let msg: Vec<u8> = (0..len).map(|i| (i * 37 % 253) as u8).collect();
             // SAFETY: gated on `ni::available`.
             let fast = digest_via(&msg, |state, block| unsafe { ni::compress(state, block) });
-            let soft = digest_via(&msg, |state, block| {
-                let mut h = Sha256 { state: *state, buf: [0; 64], buf_len: 0, len: 0 };
-                h.compress_soft(block);
-                *state = h.state;
-            });
-            assert_eq!(fast, soft, "len {len}");
+            assert_eq!(fast, digest_via(&msg, soft), "len {len}");
         }
     }
 }

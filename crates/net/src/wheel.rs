@@ -18,18 +18,20 @@
 //!   WHEEL_SLOTS`, so a slot can never hold two distinct times at once —
 //!   every entry in a slot shares one `at`, and draining a slot in `seq`
 //!   order is exactly global `(at, seq)` order.
-//! * **Slab**: a slot is a `(head, tail)` pair of indices into one slab
-//!   of `{seq, next, value}` nodes shared by the whole ring, with a free
-//!   list threaded through `next`. Each slot's list is kept in ascending
-//!   `seq`: the simulator's `seq` is a monotonic counter, so a push is an
-//!   append at the tail, and a caller that pushes a lower `seq` into an
-//!   occupied slot pays a walk from the head to its place. The slab grows
-//!   to the largest number of events the ring ever held at once and no
-//!   further, whatever the burst any one slot saw.
+//! * **Slab**: a slot is one `u32`, the index of its list's tail in one
+//!   slab of `{seq, next, value}` nodes shared by the whole ring, with a
+//!   free list threaded through `next`. Each slot's list is circular and
+//!   kept in ascending `seq`: the tail's `next` is the head, so a push at
+//!   the tail and a pop at the head are both O(1) from the one index. The
+//!   simulator's `seq` is a monotonic counter, so a push is an append at
+//!   the tail, and a caller that pushes a lower `seq` into an occupied
+//!   slot pays a walk from the head to its place. The slab grows to the
+//!   largest number of events the ring ever held at once and no further,
+//!   whatever the burst any one slot saw.
 //! * **Occupancy bitmap**: one bit per slot, plus a second-level summary
 //!   word per 64 slots, so finding the next occupied slot is a handful of
 //!   word scans (`trailing_zeros`) instead of walking empty slots. A
-//!   slot's `(head, tail)` is meaningful only while its bit is set.
+//!   slot's tail index is meaningful only while its bit is set.
 //! * **Overflow**: events beyond the horizon (sync ticks, leader
 //!   timeouts, client windows, far-future fault injections, and every
 //!   delivery slower than 32.8 ms) go to a `BTreeMap` keyed by
@@ -68,8 +70,8 @@ const NIL: u32 = u32::MAX;
 /// One ringed event, or a link of the free list (`value` is `None`).
 struct Node<T> {
     seq: u64,
-    /// The slot's next event in ascending `seq`; the next free node when
-    /// this one is free. Not read on a slot's tail.
+    /// The slot's next event in ascending `seq`, and on the slot's tail
+    /// its head; the next free node when this one is free.
     next: u32,
     value: Option<T>,
 }
@@ -83,10 +85,10 @@ struct Earliest {
 
 /// A deterministic `(at, seq)`-ordered event queue. See the module docs.
 pub struct TimingWheel<T> {
-    /// Per-slot `(head, tail)` indices into `nodes`, valid while the
+    /// Per-slot index of the list's tail in `nodes`, valid while the
     /// slot's occupancy bit is set. All entries of a slot share one `at`
-    /// and are linked in ascending `seq`.
-    slots: Box<[(u32, u32)]>,
+    /// and are linked in ascending `seq`, the tail back to the head.
+    slots: Box<[u32]>,
     /// The slab behind every slot's list.
     nodes: Vec<Node<T>>,
     /// Head of the free list through `nodes`, or [`NIL`].
@@ -114,7 +116,7 @@ impl<T> TimingWheel<T> {
     pub fn new() -> Self {
         TimingWheel {
             // One zeroed allocation: pages are touched as slots are used.
-            slots: vec![(0, 0); WHEEL_SLOTS].into_boxed_slice(),
+            slots: vec![0; WHEEL_SLOTS].into_boxed_slice(),
             nodes: Vec::new(),
             free: NIL,
             words: Box::new([0u64; WORDS]),
@@ -143,7 +145,9 @@ impl<T> TimingWheel<T> {
             let slot = (at.0 as usize) & (WHEEL_SLOTS - 1);
             let node = self.alloc(seq, value);
             if self.words[slot >> 6] & (1 << (slot & 63)) == 0 {
-                self.slots[slot] = (node, node);
+                // A list of one: the node is its own head.
+                self.nodes[node as usize].next = node;
+                self.slots[slot] = node;
                 self.words[slot >> 6] |= 1 << (slot & 63);
                 self.summary[slot >> 12] |= 1 << ((slot >> 6) & 63);
             } else {
@@ -175,24 +179,26 @@ impl<T> TimingWheel<T> {
 
     /// Links `node` into the occupied `slot`'s list at its `seq`.
     fn link_in_order(&mut self, slot: usize, node: u32, seq: u64) {
-        let (head, tail) = self.slots[slot];
+        let tail = self.slots[slot];
+        let head = self.nodes[tail as usize].next;
         if self.nodes[tail as usize].seq <= seq {
+            // The new tail, linked back to the head.
+            self.nodes[node as usize].next = head;
             self.nodes[tail as usize].next = node;
-            self.slots[slot].1 = node;
+            self.slots[slot] = node;
             return;
         }
-        // Below the tail, so the walk stops at the tail at the latest.
-        let mut before = None;
+        // Below the tail, so the walk stops at the tail at the latest. It
+        // starts behind the head, at the tail, so a new head needs no case
+        // of its own: the tail's `next` becomes it.
+        let mut before = tail;
         let mut at = head;
         while self.nodes[at as usize].seq <= seq {
-            before = Some(at);
+            before = at;
             at = self.nodes[at as usize].next;
         }
         self.nodes[node as usize].next = at;
-        match before {
-            Some(before) => self.nodes[before as usize].next = node,
-            None => self.slots[slot].0 = node,
-        }
+        self.nodes[before as usize].next = node;
     }
 
     /// The time of the next event, if any.
@@ -235,7 +241,8 @@ impl<T> TimingWheel<T> {
         let slot = self.next_occupied(start).expect("in_ring > 0");
         let delta = slot.wrapping_sub(start) & (WHEEL_SLOTS - 1);
         let at = self.cursor.0 + delta as u64;
-        let seq = self.nodes[self.slots[slot].0 as usize].seq;
+        let head = self.nodes[self.slots[slot] as usize].next;
+        let seq = self.nodes[head as usize].seq;
         match over {
             Some(key) if key < (at, seq) => Some(Earliest { at: key.0, ring_slot: None }),
             _ => Some(Earliest { at, ring_slot: Some(slot) }),
@@ -252,19 +259,20 @@ impl<T> TimingWheel<T> {
             }
             return (SimTime(at), seq, value);
         };
-        let (head, tail) = self.slots[slot];
+        let tail = self.slots[slot];
+        let head = self.nodes[tail as usize].next;
         let node = &mut self.nodes[head as usize];
         let seq = node.seq;
         let value = node.value.take().expect("a linked node holds a value");
+        let next = std::mem::replace(&mut node.next, self.free);
         if head == tail {
             self.words[slot >> 6] &= !(1 << (slot & 63));
             if self.words[slot >> 6] == 0 {
                 self.summary[slot >> 12] &= !(1 << ((slot >> 6) & 63));
             }
         } else {
-            self.slots[slot].0 = node.next;
+            self.nodes[tail as usize].next = next;
         }
-        node.next = self.free;
         self.free = head;
         self.in_ring -= 1;
         self.cursor = SimTime(earliest.at);
@@ -373,6 +381,64 @@ mod tests {
             popped,
             vec![(41, 6), (42, 0), (42, 1), (42, 5), (42, 7), (42, 8), (42, 9), (42, 12)]
         );
+    }
+
+    #[test]
+    fn one_slot_reused_keeps_its_circular_list_in_seq_order() {
+        // Every event lands in the one slot at t = 42: a single event that
+        // empties it again, an append, lower seqs landing at the head, in
+        // the middle and just before the tail, and pops interleaved with
+        // pushes. After each step, a fresh wheel given the steps so far
+        // must pop exactly the sorted model.
+        enum Step {
+            Push(u64),
+            Pop,
+        }
+        use Step::{Pop, Push};
+        let steps = [
+            Push(10),
+            Pop,
+            Push(20),
+            Push(30),
+            Push(15),
+            Push(25),
+            Push(28),
+            Pop,
+            Push(16),
+            Push(40),
+            Pop,
+            Push(29),
+            Pop,
+            Pop,
+            Push(12),
+            Pop,
+            Pop,
+            Pop,
+            Push(50),
+            Push(45),
+            Pop,
+            Pop,
+            Push(60),
+        ];
+        for done in 1..=steps.len() {
+            let mut w = TimingWheel::new();
+            let mut model: Vec<u64> = Vec::new();
+            for step in &steps[..done] {
+                match *step {
+                    Push(seq) => {
+                        w.push(SimTime(42), seq, seq as u32);
+                        model.push(seq);
+                        model.sort_unstable();
+                    }
+                    Pop => {
+                        let want = model.remove(0);
+                        assert_eq!(w.pop(), Some((SimTime(42), want, want as u32)));
+                    }
+                }
+            }
+            let popped: Vec<u64> = drain(&mut w).iter().map(|(_, seq, _)| *seq).collect();
+            assert_eq!(popped, model, "after {done} steps");
+        }
     }
 
     #[test]
@@ -495,7 +561,7 @@ mod tests {
         assert_eq!(w.nodes.len(), high_water, "a push with a free node at hand grew the slab");
         // `Vec` doubles, so in general the slab's capacity is the high-
         // water mark rounded up to a power of two; 8,192 is one already.
-        let bound = WHEEL_SLOTS * std::mem::size_of::<(u32, u32)>()
+        let bound = WHEEL_SLOTS * std::mem::size_of::<u32>()
             + WORDS * std::mem::size_of::<u64>()
             + high_water.next_power_of_two() * std::mem::size_of::<Node<u64>>();
         assert!(ring_bytes(&w) <= bound, "{} B owned, bound {bound} B", ring_bytes(&w));

@@ -158,12 +158,24 @@ impl LogBackend for FileBackend {
         Ok(out)
     }
 
+    /// Write-then-rename: the new contents go to `<log>.tmp`, which is
+    /// synced and then renamed over the log, so a crash at any point
+    /// leaves the old log or the new one whole. A `.tmp` an earlier crash
+    /// left behind is overwritten, never read.
     fn rewrite(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        let mut f = OpenOptions::new().write(true).truncate(true).open(&self.path)?;
+        let mut tmp = self.path.clone().into_os_string();
+        tmp.push(".tmp");
+        let mut f = OpenOptions::new().write(true).create(true).truncate(true).open(&tmp)?;
         f.write_all(bytes)?;
-        f.flush()?;
+        f.sync_all()?;
+        std::fs::rename(&tmp, &self.path)?;
         self.file = OpenOptions::new().append(true).read(true).open(&self.path)?;
-        Ok(())
+        // The rename itself is durable once the directory is.
+        let dir = match self.path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        File::open(dir)?.sync_all()
     }
 
     /// One `ftruncate`: the file has either its old length or `len`, never

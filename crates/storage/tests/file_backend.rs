@@ -1,5 +1,6 @@
 //! File-backed WAL durability tests: torn writes against a *real* file,
-//! and bit-equivalence between the file and memory backends.
+//! crash-atomic rewrites, and bit-equivalence between the file and memory
+//! backends.
 //!
 //! The in-crate unit tests cover these properties on `MemBackend`
 //! (where truncation is a method call); this suite proves the same
@@ -11,7 +12,7 @@ use hh_types::{Block, Committee, Round, ValidatorId, Vertex};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A unique scratch file per test, removed on drop.
+/// A unique scratch file per test, removed on drop with its `.tmp`.
 struct TempFile(PathBuf);
 
 impl TempFile {
@@ -25,11 +26,19 @@ impl TempFile {
         let _ = std::fs::remove_file(&path);
         TempFile(path)
     }
+
+    /// Where `FileBackend::rewrite` stages a new log: `<log>.tmp`.
+    fn staged(&self) -> PathBuf {
+        let mut tmp = self.0.clone().into_os_string();
+        tmp.push(".tmp");
+        tmp.into()
+    }
 }
 
 impl Drop for TempFile {
     fn drop(&mut self) {
         let _ = std::fs::remove_file(&self.0);
+        let _ = std::fs::remove_file(self.staged());
     }
 }
 
@@ -172,4 +181,57 @@ fn sync_then_reopen_sees_everything() {
     let recovered = ValidatorStore::new(FileBackend::open(&tmp.0).unwrap()).recover().unwrap();
     assert_eq!(recovered.vertices.len(), 1);
     assert!(recovered.last_checkpoint.is_some());
+}
+
+/// A rewrite replaces the log's contents whole, appends continue after
+/// it, and it leaves no staging file behind.
+#[test]
+fn rewrite_replaces_contents_and_leaves_no_tmp() {
+    let tmp = TempFile::new("rewrite");
+    let mut log = FileBackend::open(&tmp.0).unwrap();
+    log.append(b"old contents").unwrap();
+    log.rewrite(b"new").unwrap();
+    assert_eq!(std::fs::read(&tmp.0).unwrap(), b"new");
+    assert!(!tmp.staged().exists(), "the staging file was renamed away");
+    log.append(b"+").unwrap();
+    assert_eq!(FileBackend::open(&tmp.0).unwrap().read_all().unwrap(), b"new+");
+}
+
+/// A `.tmp` a crash left mid-rewrite is never read as the log: not when
+/// the log is reopened, and not by the next rewrite, which overwrites it.
+#[test]
+fn stale_tmp_never_shows_up_in_the_log() {
+    let tmp = TempFile::new("stale");
+    let mut wal = Wal::new(FileBackend::open(&tmp.0).unwrap());
+    wal.append(b"kept").unwrap();
+    drop(wal);
+    std::fs::write(tmp.staged(), b"a half-written compaction, longer than the log").unwrap();
+
+    assert_eq!(Wal::new(FileBackend::open(&tmp.0).unwrap()).replay().unwrap(), vec![b"kept"]);
+    let mut log = FileBackend::open(&tmp.0).unwrap();
+    log.rewrite(b"xy").unwrap();
+    assert_eq!(log.read_all().unwrap(), b"xy");
+    assert!(!tmp.staged().exists());
+}
+
+/// Replay after `compact_to` yields exactly the compacted records, and
+/// records appended after the compaction follow them.
+#[test]
+fn replay_after_compaction_yields_the_compacted_records() {
+    let tmp = TempFile::new("compact");
+    let mut wal = Wal::new(FileBackend::open(&tmp.0).unwrap());
+    for i in 0..6u8 {
+        wal.append(&[i; 16]).unwrap();
+    }
+    let kept: Vec<Vec<u8>> = wal.replay().unwrap().into_iter().skip(4).collect();
+    wal.compact_to(&kept).unwrap();
+    drop(wal);
+
+    let mut wal = Wal::new(FileBackend::open(&tmp.0).unwrap());
+    assert_eq!(wal.replay().unwrap(), kept);
+    wal.append(b"after").unwrap();
+    let mut want = kept;
+    want.push(b"after".to_vec());
+    assert_eq!(Wal::new(FileBackend::open(&tmp.0).unwrap()).replay().unwrap(), want);
+    assert!(!tmp.staged().exists());
 }

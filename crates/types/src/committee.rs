@@ -140,10 +140,18 @@ impl ValidatorInfo {
 #[derive(Clone, Debug)]
 pub struct Committee {
     /// Shared: a validator's DAG, broadcast layer, consensus engine and
-    /// schedule policy each hold the committee, and a clone is a pointer.
-    validators: Arc<[ValidatorInfo]>,
-    /// S0, shared the same way: every validator's schedule policy starts
-    /// from this one table.
+    /// schedule policy each hold the committee, and a clone is one pointer
+    /// and one reference count.
+    members: Arc<Members>,
+}
+
+/// Everything a [`Committee`] knows, built once by
+/// [`CommitteeBuilder::build`].
+#[derive(Debug)]
+struct Members {
+    validators: Box<[ValidatorInfo]>,
+    /// S0: every validator's schedule policy starts from this one table
+    /// ([`Committee::initial_slots`]).
     initial_slots: Arc<[ValidatorId]>,
     total_stake: Stake,
     f: Stake,
@@ -163,35 +171,35 @@ impl Committee {
 
     /// Number of validators.
     pub fn size(&self) -> usize {
-        self.validators.len()
+        self.members.validators.len()
     }
 
     /// Total voting power.
     pub fn total_stake(&self) -> Stake {
-        self.total_stake
+        self.members.total_stake
     }
 
     /// The maximum stake the adversary may hold: `f = floor((N - 1) / 3)`.
     pub fn max_faulty_stake(&self) -> Stake {
-        self.f
+        self.members.f
     }
 
     /// Quorum threshold: `⌊2N/3⌋ + 1` stake (equals `2f + 1` when
     /// `N = 3f + 1`). Any two quorums intersect in more than `f` stake, so
     /// in at least one honest validator.
     pub fn quorum_threshold(&self) -> Stake {
-        Stake(2 * self.total_stake.0 / 3 + 1)
+        Stake(2 * self.members.total_stake.0 / 3 + 1)
     }
 
     /// Validity threshold: `⌈N/3⌉` stake (equals `f + 1` when `N = 3f + 1`).
     /// Any set with this much stake contains at least one honest validator.
     pub fn validity_threshold(&self) -> Stake {
-        Stake(self.total_stake.0.div_ceil(3))
+        Stake(self.members.total_stake.0.div_ceil(3))
     }
 
     /// Whether `id` is a member.
     pub fn contains(&self, id: ValidatorId) -> bool {
-        id.index() < self.validators.len()
+        id.index() < self.members.validators.len()
     }
 
     /// Member info, or an error for foreign ids.
@@ -200,28 +208,28 @@ impl Committee {
     ///
     /// Returns [`TypeError::UnknownValidator`] if `id` is not a member.
     pub fn validator(&self, id: ValidatorId) -> Result<&ValidatorInfo, TypeError> {
-        self.validators.get(id.index()).ok_or(TypeError::UnknownValidator(id))
+        self.members.validators.get(id.index()).ok_or(TypeError::UnknownValidator(id))
     }
 
     /// The stake of `id`, or zero for foreign ids (convenient in hot paths
     /// where foreign ids have already been filtered out).
     pub fn stake_of(&self, id: ValidatorId) -> Stake {
-        self.validators.get(id.index()).map(|v| v.stake).unwrap_or(Stake(0))
+        self.members.validators.get(id.index()).map(|v| v.stake).unwrap_or(Stake(0))
     }
 
     /// Iterates over members in id order.
     pub fn iter(&self) -> impl Iterator<Item = &ValidatorInfo> {
-        self.validators.iter()
+        self.members.validators.iter()
     }
 
     /// All member ids in order.
     pub fn ids(&self) -> impl Iterator<Item = ValidatorId> + '_ {
-        self.validators.iter().map(|v| v.id)
+        self.members.validators.iter().map(|v| v.id)
     }
 
     /// Sums the stake of the given validators, counting duplicates once.
     pub fn stake_of_set<I: IntoIterator<Item = ValidatorId>>(&self, ids: I) -> Stake {
-        let mut seen = vec![false; self.validators.len()];
+        let mut seen = vec![false; self.members.validators.len()];
         let mut total = Stake(0);
         for id in ids {
             if let Some(slot) = seen.get_mut(id.index()) {
@@ -251,7 +259,8 @@ impl Committee {
     /// any component — including tests — can reconstruct it, a foreign
     /// id's too. See `hh-crypto` for the simulation caveat.
     pub fn keypair(&self, id: ValidatorId) -> Keypair {
-        self.validators
+        self.members
+            .validators
             .get(id.index())
             .map_or_else(|| Keypair::from_seed(id.0 as u64), |v| v.keypair.clone())
     }
@@ -259,14 +268,14 @@ impl Committee {
     /// The stake-weighted slot table in validator-id order: every member
     /// once per unit of its stake.
     pub fn weighted_slots(&self) -> Vec<ValidatorId> {
-        weighted_slots(&self.validators, self.total_stake)
+        weighted_slots(&self.members.validators, self.members.total_stake)
     }
 
     /// The initial leader schedule S0 (§3): [`Committee::weighted_slots`]
     /// permuted by [`permute_slots`] under [`S0_SEED`]. Computed once, when
     /// the committee is built; every clone of the committee shares it.
     pub fn initial_slots(&self) -> &Arc<[ValidatorId]> {
-        &self.initial_slots
+        &self.members.initial_slots
     }
 }
 
@@ -317,7 +326,7 @@ impl CommitteeBuilder {
         if let Some(pos) = self.stakes.iter().position(|s| s.0 == 0) {
             return Err(TypeError::ZeroStake(ValidatorId(pos as u16)));
         }
-        let validators: Arc<[ValidatorInfo]> = self
+        let validators: Box<[ValidatorInfo]> = self
             .stakes
             .iter()
             .enumerate()
@@ -331,7 +340,8 @@ impl CommitteeBuilder {
         let f = Stake((total_stake.0.saturating_sub(1)) / 3);
         let mut slots = weighted_slots(&validators, total_stake);
         permute_slots(&mut slots, S0_SEED);
-        Ok(Committee { validators, initial_slots: slots.into(), total_stake, f })
+        let members = Members { validators, initial_slots: slots.into(), total_stake, f };
+        Ok(Committee { members: Arc::new(members) })
     }
 }
 
