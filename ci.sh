@@ -7,7 +7,8 @@
 # build, the full workspace test suite (unit, integration and doc tests;
 # what a recovery, byzantine, chaos, saturation or bursty report must
 # show is asserted there, on typed rows, by crates/scenario/tests/
-# fault_e2e.rs and scenario_gates.rs), an hh-cli smoke run of the
+# fault_e2e.rs and scenario_gates.rs), an hh-cli list of every checked-in
+# scenario that fails on any that does not plan, an hh-cli smoke run of the
 # Figure 1 scenario capped at 50 DAG rounds, a parallel matrix smoke run,
 # a determinism gate checking that --jobs 1 and --jobs 4 emit
 # byte-identical JSON for a fixed seed, a testnet smoke running 4 real
@@ -52,6 +53,15 @@ cargo build --release --workspace
 
 step "cargo test -q"
 cargo test --workspace -q
+
+step "hh-cli list: every checked-in scenario plans"
+# `list` plans every file in scenarios/ and prints INVALID beside one
+# that does not.
+./target/release/hh-cli list scenarios | tee target/ci-list.txt
+if grep -q 'INVALID' target/ci-list.txt; then
+    echo "a checked-in scenario does not plan"
+    exit 1
+fi
 
 step "hh-cli smoke run (fig1, 50 rounds)"
 ./target/release/hh-cli run scenarios/fig1_faultless.toml --quick --rounds 50
@@ -135,8 +145,10 @@ step "docs: nothing refers to a deleted path, knob, module or type, or to a DESI
 # error, no separate missing-parent scan, no digest-keyed ordered lookup),
 # and the run's safety checker holds the schedule history (no validator
 # keeps an epoch history), and a scenario section lowers from its schema
-# row (no typed mirror of the grammar, no per-section reader or writer).
-if git grep -nE 'hotpath_smoke|BENCH_hotpath|hh[-_]bench|threaded::|threaded_demo|vendor/criterion|DESIGN\.md|swap_from_base|core/src/monitor|hammerhead::monitor|FaultPlan|ChaosPlan|SlowdownSpec|PartitionSpec|ChaosWindow|ChaosScope|KvStore|SerialExecutor|PooledExecutor|hh-cli testnet|StaticLeaderPolicy|TimeSeries|validate_workload|rbc_sender|audit_safety|derive_validator_config|schedule_override|flat_latency_ms|NetworkSpec|missing_index|missing_count|workload_declared|run_sim_streaming|run_sim_limited|run_experiment_limited|collect_streamed_metrics|ChaosRow|schedule_seed|bind_reusable|TOKEN_LEADER|drain_exec_records|with_window|ExclusionSpec::Stake|payload-bytes|chain_hash_prefix|hh_consensus::passed_over_candidates|ByDigest|contains_digest|WrongParentRound|missing_from\(|epoch_history|NodeSel|SlowdownEntry|TimedFaultEntry|PartitionSel|PartitionEntry|ByzantineStrategySpec|ByzantineEntrySpec|ChaosEntrySpec|FaultsSpec|ArrivalSpec|RateSpec|WorkloadPhaseSpec|WorkloadSpec|WindowSpec|AnalysisSpec|QuickSpec|read_faults|write_faults|write_workload|write_chaos' \
+# row (no typed mirror of the grammar, no per-section reader or writer),
+# the root too (no typed system, variant or exclusion budget, and no
+# network, variant or exclusion-axis reader or writer).
+if git grep -nE 'hotpath_smoke|BENCH_hotpath|hh[-_]bench|threaded::|threaded_demo|vendor/criterion|DESIGN\.md|swap_from_base|core/src/monitor|hammerhead::monitor|FaultPlan|ChaosPlan|SlowdownSpec|PartitionSpec|ChaosWindow|ChaosScope|KvStore|SerialExecutor|PooledExecutor|hh-cli testnet|StaticLeaderPolicy|TimeSeries|validate_workload|rbc_sender|audit_safety|derive_validator_config|schedule_override|flat_latency_ms|NetworkSpec|missing_index|missing_count|workload_declared|run_sim_streaming|run_sim_limited|run_experiment_limited|collect_streamed_metrics|ChaosRow|schedule_seed|bind_reusable|TOKEN_LEADER|drain_exec_records|with_window|ExclusionSpec|payload-bytes|chain_hash_prefix|hh_consensus::passed_over_candidates|ByDigest|contains_digest|WrongParentRound|missing_from\(|epoch_history|NodeSel|SlowdownEntry|TimedFaultEntry|PartitionSel|PartitionEntry|ByzantineStrategySpec|ByzantineEntrySpec|ChaosEntrySpec|FaultsSpec|ArrivalSpec|RateSpec|WorkloadPhaseSpec|WorkloadSpec|WindowSpec|AnalysisSpec|QuickSpec|read_faults|write_faults|write_workload|write_chaos|SystemSpec|VariantSpec|read_variant|write_variant|read_network|write_network|read_exclusion_axis|write_exclusion_axis' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!ci.sh' ':!perfbench'; then
     echo "dangling reference to a deleted path"
     exit 1

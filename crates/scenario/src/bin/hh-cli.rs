@@ -15,11 +15,11 @@
 //! without running.
 
 use hh_scenario::{
-    load_scenario, render_header, report_json, run_plan_with, ExecOptions, PlanOptions, RunLimit,
-    ScenarioError, ScenarioSpec,
+    load_scenario, load_with_sets, parse_set, render_header, report_json, run_plan_with,
+    ExecOptions, PlanOptions, RunLimit, ScenarioError,
 };
 use hh_types::toml;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -139,71 +139,6 @@ fn flag_u64<'a>(it: &mut impl Iterator<Item = &'a String>, flag: &str) -> Result
         .map_err(|e| format!("{flag}: {e}"))
 }
 
-/// Parses `a.b.c=v1,v2` into a key path and a TOML value (an array when
-/// multiple comma-separated values are given).
-fn parse_set(kv: &str) -> Result<(Vec<String>, toml::Value), String> {
-    let (path, values) =
-        kv.split_once('=').ok_or_else(|| format!("--set `{kv}` is not of the form key=value"))?;
-    let path: Vec<String> = path.split('.').map(str::to_string).collect();
-    if path.iter().any(String::is_empty) {
-        return Err(format!("--set `{kv}` has an empty key segment"));
-    }
-    let parts: Vec<toml::Value> = values.split(',').map(parse_scalar).collect();
-    let value = if parts.len() == 1 {
-        parts.into_iter().next().expect("split yields at least one part")
-    } else {
-        toml::Value::Array(parts)
-    };
-    Ok((path, value))
-}
-
-/// A `--set` value as the TOML reader would type it: `nan`, `inf` and an
-/// overflowing literal are no float there, so they stay strings here (and
-/// a float key turns them away).
-fn parse_scalar(s: &str) -> toml::Value {
-    if let Ok(i) = s.parse::<i64>() {
-        return toml::Value::Int(i);
-    }
-    if let Some(x) = s.parse::<f64>().ok().filter(|x| x.is_finite()) {
-        return toml::Value::Float(x);
-    }
-    match s {
-        "true" => toml::Value::Bool(true),
-        "false" => toml::Value::Bool(false),
-        _ => toml::Value::Str(s.to_string()),
-    }
-}
-
-/// Applies a `--set` patch to the parsed scenario document, creating
-/// intermediate tables as needed.
-fn apply_set(root: &mut toml::Value, path: &[String], value: toml::Value) -> Result<(), String> {
-    let (last, prefix) = path.split_last().expect("parse_set rejects empty paths");
-    let mut table = match root {
-        toml::Value::Table(t) => t,
-        _ => return Err("scenario root is not a table".into()),
-    };
-    for part in prefix {
-        table = match table.entry(part.clone()).or_insert_with(toml::Value::table) {
-            toml::Value::Table(t) => t,
-            other => return Err(format!("--set path segment `{part}` is not a table ({other:?})")),
-        };
-    }
-    table.insert(last.clone(), value);
-    Ok(())
-}
-
-fn load_with_sets(
-    path: &Path,
-    sets: &[(Vec<String>, toml::Value)],
-) -> Result<ScenarioSpec, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let mut root = toml::parse(&text).map_err(|e| e.to_string())?;
-    for (set_path, value) in sets {
-        apply_set(&mut root, set_path, value.clone())?;
-    }
-    ScenarioSpec::from_value(&root).map_err(|e| e.to_string())
-}
-
 fn cmd_run(args: &[String], require_set: bool) -> Result<(), String> {
     let args = parse_run_args(args)?;
     if require_set && args.sets.is_empty() {
@@ -267,12 +202,8 @@ fn cmd_list(args: &[String]) -> Result<(), String> {
     }
     for path in entries {
         let file = path.file_name().unwrap_or_default().to_string_lossy();
-        let planned =
-            load_scenario(&path).and_then(|spec| Ok((spec.plan(&PlanOptions::default())?, spec)));
-        match planned {
-            Ok((plan, spec)) => {
-                println!("{file:<34} {:>4} runs  {}", plan.runs.len(), spec.description)
-            }
+        match load_scenario(&path).and_then(|spec| spec.plan(&PlanOptions::default())) {
+            Ok(plan) => println!("{file:<34} {:>4} runs  {}", plan.runs.len(), plan.description),
             Err(e) => println!("{file:<34} INVALID: {e}"),
         }
     }
@@ -299,33 +230,17 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
         other => other.to_string(),
     })?;
     let plan = spec.plan(&PlanOptions::default()).map_err(|e| e.to_string())?;
+    // The runs are committee-major: one stretch of runs per size.
+    let mut sizes: Vec<usize> = plan.runs.iter().map(|run| run.config.committee_size).collect();
+    sizes.dedup();
     println!(
         "{}: ok — {} run(s) across {} committee size(s)",
-        spec.name,
+        plan.name,
         plan.runs.len(),
-        spec.committee_sizes.len()
+        sizes.len()
     );
     if dump {
         print!("{}", spec.to_toml());
     }
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn set_values_are_never_non_finite_floats() {
-        assert_eq!(parse_scalar("2.5"), toml::Value::Float(2.5));
-        assert_eq!(parse_scalar("7"), toml::Value::Int(7));
-        for text in ["nan", "NaN", "inf", "-inf", "infinity", "1e400"] {
-            assert_eq!(parse_scalar(text), toml::Value::Str(text.into()), "{text}");
-        }
-        let (_, value) = parse_set("run.client_window_secs=nan").unwrap();
-        let mut root = toml::parse("name = \"x\"\n").unwrap();
-        apply_set(&mut root, &["run".into(), "client_window_secs".into()], value).unwrap();
-        let err = ScenarioSpec::from_value(&root).unwrap_err().to_string();
-        assert!(err.contains("client_window_secs` in [run] must be a number"), "{err}");
-    }
 }

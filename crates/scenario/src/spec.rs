@@ -5,13 +5,14 @@
 //! seed *axes* (scalar or list — lists expand to the cross product), the
 //! system variants to compare, the fault schedule, and optional analyses.
 //! [`ScenarioSpec::parse`] rejects unknown keys and wrong types, so a
-//! typo'd knob fails loudly instead of silently running the default. The
-//! `[workload]`, `[faults]` and `[analysis]` tables stay the rows the schema
-//! read them into: [`ScenarioSpec::plan`] lowers each row per run, judging
-//! which of an entry's keys go together as it reads them, and the lowered
-//! [`FaultSchedule`] / [`ByzantineSchedule`] / [`ChaosSchedule`] /
-//! [`Workload`] — the values the simulator executes — validate
-//! themselves. The full schema is documented in `docs/scenarios.md`.
+//! typo'd knob fails loudly instead of silently running the default. Every
+//! table, the root included, stays the row the schema read it into:
+//! [`ScenarioSpec::plan`] lowers the rows per run, judging which of an
+//! entry's keys go together as it reads them, and the lowered
+//! [`ScheduleConfig`] / [`FaultSchedule`] / [`ByzantineSchedule`] /
+//! [`ChaosSchedule`] / [`Workload`] — the values the simulator executes —
+//! validate themselves. The full schema is documented in
+//! `docs/scenarios.md`.
 
 use hammerhead::{HammerheadConfig, ScheduleConfig, ScoringRule};
 use hh_sim::{
@@ -53,69 +54,6 @@ impl std::error::Error for ScenarioError {}
 impl From<TomlError> for ScenarioError {
     fn from(e: TomlError) -> Self {
         ScenarioError::Toml(e)
-    }
-}
-
-/// Which system a variant benchmarks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SystemSpec {
-    /// Static stake-weighted round-robin Bullshark (the baseline).
-    Bullshark,
-    /// HammerHead reputation scheduling.
-    Hammerhead,
-    /// One pinned leader (the §7 extreme; ablations only).
-    StaticLeader,
-}
-
-impl SystemSpec {
-    fn parse(s: &str) -> Result<Self, ScenarioError> {
-        match s {
-            "bullshark" | "round-robin" => Ok(SystemSpec::Bullshark),
-            "hammerhead" => Ok(SystemSpec::Hammerhead),
-            "static-leader" => Ok(SystemSpec::StaticLeader),
-            other => Err(ScenarioError::Schema(format!(
-                "unknown system `{other}` (expected bullshark, hammerhead or static-leader)"
-            ))),
-        }
-    }
-
-    /// The label used in output rows.
-    pub fn label(self) -> &'static str {
-        match self {
-            SystemSpec::Bullshark => "bullshark",
-            SystemSpec::Hammerhead => "hammerhead",
-            SystemSpec::StaticLeader => "static-leader",
-        }
-    }
-}
-
-/// The schedule-exclusion budget (set `B`'s stake bound).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExclusionSpec {
-    /// The committee's `f` (the paper's benchmark setting).
-    F,
-    /// A percentage of total committee stake (Sui mainnet runs 20%).
-    Pct(u64),
-}
-
-impl ExclusionSpec {
-    fn to_config(self, committee: &Committee) -> Option<Stake> {
-        match self {
-            ExclusionSpec::F => None,
-            ExclusionSpec::Pct(pct) => {
-                // Exact in 128 bits; a budget beyond `u64` is beyond `f`
-                // too, which `HammerheadConfig::validate` turns away.
-                let stake = committee.total_stake().0 as u128 * pct as u128 / 100;
-                Some(Stake(u64::try_from(stake).unwrap_or(u64::MAX)))
-            }
-        }
-    }
-
-    fn label(self) -> String {
-        match self {
-            ExclusionSpec::F => "f".to_string(),
-            ExclusionSpec::Pct(p) => format!("{p}%"),
-        }
     }
 }
 
@@ -197,23 +135,6 @@ impl CountExpr {
     }
 }
 
-/// One named system configuration under test.
-#[derive(Clone, Debug, PartialEq)]
-pub struct VariantSpec {
-    /// Output label for this variant's rows.
-    pub label: String,
-    /// System override (defaults to hammerhead).
-    pub system: SystemSpec,
-    /// Pinned leader for [`SystemSpec::StaticLeader`].
-    pub static_leader: u16,
-    /// Scoring-rule override.
-    pub scoring: Option<ScoringRule>,
-    /// Period override.
-    pub period_rounds: Option<u64>,
-    /// Exclusion-budget override.
-    pub exclusion: Option<ExclusionSpec>,
-}
-
 /// When a fault event fires or a window opens/closes.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum WhenSpec {
@@ -247,53 +168,12 @@ impl WhenSpec {
     }
 }
 
-/// A fully parsed scenario file: the root axes typed, and the `[workload]`,
-/// `[faults]`, `[analysis]` and `[quick]` tables as the schema read them —
-/// [`ScenarioSpec::plan`] lowers those per run.
+/// A fully parsed scenario file: the row the schema read its root table
+/// into, every sub-table a row inside it. [`ScenarioSpec::plan`] lowers the
+/// rows per run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ScenarioSpec {
-    /// Scenario name (used in output and by `hh-cli list`).
-    pub name: String,
-    /// Human description.
-    pub description: String,
-    /// The paper figure/section this scenario reproduces, if any.
-    pub figure: Option<String>,
-    /// Committee-size axis.
-    pub committee_sizes: Vec<usize>,
-    /// Offered-load axis (tx/s).
-    pub load_tps: Vec<u64>,
-    /// Run-length axis (simulated seconds).
-    pub duration_secs: Vec<u64>,
-    /// Warmup excluded from latency stats; default `max(1, duration/6)`.
-    pub warmup_secs: Option<u64>,
-    /// Seed axis.
-    pub seeds: Vec<u64>,
-    /// Global Stabilization Time (0 = synchronous, the benchmark setting).
-    pub gst_secs: u64,
-    /// Client in-flight window in seconds of offered rate.
-    pub client_window_secs: f64,
-    /// Link-latency model.
-    pub network: Network,
-    /// Systems axis, used when `variants` is empty.
-    pub systems: Vec<SystemSpec>,
-    /// HammerHead period axis.
-    pub period_rounds: Vec<u64>,
-    /// HammerHead exclusion-budget axis.
-    pub exclusion: Vec<ExclusionSpec>,
-    /// HammerHead scoring-rule axis.
-    pub scoring: Vec<ScoringRule>,
-    /// Explicit variants; when non-empty they replace the systems ×
-    /// hammerhead-knob axes.
-    pub variants: Vec<VariantSpec>,
-    /// The workload shape; without a `[workload]` table, the `[load] tps`
-    /// constant-rate sugar.
-    workload: Row,
-    /// The fault, byzantine and chaos schedule applied to every run.
-    faults: Row,
-    /// Latency windows.
-    analysis: Row,
-    /// `--quick` axis overrides.
-    quick: Row,
+    root: Row,
 }
 
 // ---------------------------------------------------------------------------
@@ -304,11 +184,10 @@ pub struct ScenarioSpec {
 // listed in the `Section` of the TOML table it lives in. `Section::read`
 // turns a raw TOML table into a `Row` (unknown keys rejected, values
 // type-checked and normalised, required keys insisted on) and
-// `Row::to_table` turns a `Row` back into TOML (defaults omitted). The
-// root axes are filled from rows and written to rows; the other tables stay
-// rows, read once where a run is lowered. No key or default is spelled a
-// second time. `docs/scenarios.md` is checked against the same tables by a
-// unit test.
+// `Row::to_table` turns a `Row` back into TOML (defaults omitted). Every
+// table stays a row, read where a run is lowered. No key or default is
+// spelled a second time. `docs/scenarios.md` is checked against the same
+// tables by a unit test.
 
 fn schema(message: String) -> ScenarioError {
     ScenarioError::Schema(message)
@@ -358,9 +237,9 @@ struct Field {
     key: &'static str,
     kind: Kind,
     default: Def,
-    /// Written by the canonical form even when it holds its default: the
-    /// axes and the discriminators (`model`, `mode`, `system`) stay
-    /// visible in `hh-cli validate --dump`.
+    /// Written by the canonical form even when absent, as its default: the
+    /// axes and the discriminators (`model`, `system`) stay visible in
+    /// `hh-cli validate --dump`.
     shown: bool,
 }
 
@@ -660,19 +539,21 @@ impl Row {
         }
     }
 
-    /// The generic writer: every given cell as TOML, except a scalar that
-    /// holds its field's default (unless the field is `shown`), a sub-table
+    /// The generic writer: every given cell as TOML, and a `shown` field or
+    /// a sub-table the file left out as its default; omitted are a scalar
+    /// at its field's default (unless the field is `shown`), a sub-table
     /// that writes nothing and an empty array of tables.
     fn to_table(&self) -> BTreeMap<String, Value> {
         let int = |x: u64| Value::Int(x as i64);
         let mut out = BTreeMap::new();
         for (field, cell) in self.section.fields.iter().zip(&self.cells) {
-            let Some(cell) = cell else { continue };
-            let scalar = !matches!(cell, Cell::Table(_));
-            if scalar && !field.shown && field.default_cell().as_ref() == Some(cell) {
+            let scalar = !matches!(field.kind, Kind::Table(_));
+            let absent = || field.default_cell().filter(|_| field.shown || !scalar);
+            let Some(cell) = cell.clone().or_else(absent) else { continue };
+            if scalar && !field.shown && field.default_cell().as_ref() == Some(&cell) {
                 continue;
             }
-            let value = match cell {
+            let value = match &cell {
                 Cell::Str(s) => Value::Str(s.clone()),
                 Cell::U64(x) => int(*x),
                 Cell::F64(x) => Value::Float(*x),
@@ -737,8 +618,7 @@ fn only_params(
 
 // ---------------------------------------------------------------------------
 // The schema itself: one field table per TOML table, each followed by the
-// code that reads its rows — into a typed root field, or into what a run
-// executes
+// code that lowers its rows into what a run executes
 // ---------------------------------------------------------------------------
 
 section!(ROOT = "the scenario root", shares [], {
@@ -780,10 +660,10 @@ section!(RUN_TABLE = "[run]", shares [], {
 
 section!(NETWORK_TABLE = "[network]", shares [], {
     MODEL = "model", Kind::Str, Def::Str("geo"), shown;
-    FLAT_MS = "flat_ms", Kind::U64, Def::U64(5), shown;
+    FLAT_MS = "flat_ms", Kind::U64, Def::U64(5);
 });
 
-fn read_network(network: &Row) -> Result<Network, ScenarioError> {
+fn lower_network(network: &Row) -> Result<Network, ScenarioError> {
     match network.get::<String>(&MODEL).as_str() {
         "geo" if network.has(&FLAT_MS) => {
             Err(schema("`network.flat_ms` only applies to model = \"flat\"".into()))
@@ -791,14 +671,6 @@ fn read_network(network: &Row) -> Result<Network, ScenarioError> {
         "geo" => Ok(Network::Geo),
         "flat" => Ok(Network::Flat { ms: network.get(&FLAT_MS) }),
         other => Err(schema(format!("unknown network model `{other}` (expected geo or flat)"))),
-    }
-}
-
-fn write_network(network: Network) -> Row {
-    let row = Row::new(&NETWORK_TABLE);
-    match network {
-        Network::Geo => row.with(&MODEL, "geo".to_string()),
-        Network::Flat { ms } => row.with(&MODEL, "flat".to_string()).with(&FLAT_MS, ms),
     }
 }
 
@@ -813,34 +685,12 @@ section!(HAMMERHEAD_TABLE = "[hammerhead]", shares [], {
     SCORING = "scoring", Kind::StrAxis, Def::Str("vote-based");
 });
 
-fn read_exclusion_axis(hammerhead: &Row) -> Vec<ExclusionSpec> {
-    match hammerhead.opt::<Vec<u64>>(&MAX_EXCLUDED_PCT) {
-        Some(pcts) => pcts.into_iter().map(ExclusionSpec::Pct).collect(),
-        None => vec![ExclusionSpec::F],
-    }
-}
-
-/// # Panics
-///
-/// Panics on an axis that mixes `f` with percentages, which no file can
-/// express.
-fn write_exclusion_axis(hammerhead: Row, axis: &[ExclusionSpec]) -> Row {
-    let mut pcts = Vec::new();
-    for budget in axis {
-        match budget {
-            ExclusionSpec::F => assert_eq!(axis.len(), 1, "mixed exclusion axis {axis:?}"),
-            ExclusionSpec::Pct(pct) => pcts.push(*pct),
-        }
-    }
-    hammerhead.with_opt(&MAX_EXCLUDED_PCT, Some(pcts).filter(|xs| !xs.is_empty()))
-}
-
 // An arrival process is a name plus the parameters that name takes; the
 // keys are shared by `[workload]` (single-phase form) and
 // `[[workload.phase]]`.
 section!(WORKLOAD_TABLE = "[workload]", shares [], {
     ARRIVAL = "arrival", Kind::Str, Def::Str("constant");
-    MODE = "mode", Kind::Str, Def::Str("closed"), shown;
+    MODE = "mode", Kind::Str, Def::Str("closed");
     PAYLOAD_BYTES = "payload_bytes", Kind::U64, Def::U64(0);
     SPREAD = "spread", Kind::F64, Def::F64(1.0);
     BLOCK_BYTES = "block_bytes", Kind::U64, Def::None;
@@ -977,41 +827,16 @@ fn lower_workload(workload: &Row, config: &mut ExperimentConfig) -> Result<(), S
     config.workload.validate().map_err(|e| ScenarioError::Invalid(format!("workload: {e}")))
 }
 
-// A variant overrides one point of the `[hammerhead]` axes; `static_leader`
-// is written for `system = "static-leader"` only.
+// A variant names its system and the keys that system reads: one point of
+// the `[hammerhead]` axes, or the pinned leader of a static-leader run.
 section!(VARIANT_TABLE = "[[variant]]", shares [], {
     LABEL = "label", Kind::Str, Def::Required;
     SYSTEM = "system", Kind::Str, Def::Str("hammerhead"), shown;
-    STATIC_LEADER = "static_leader", Kind::Id, Def::U64(0), shown;
+    STATIC_LEADER = "static_leader", Kind::Id, Def::U64(0);
     VARIANT_SCORING = "scoring", Kind::Str, Def::None;
     VARIANT_PERIOD_ROUNDS = "period_rounds", Kind::U64, Def::None;
     VARIANT_PCT = "max_excluded_pct", Kind::U64, Def::None;
 });
-
-fn read_variant(variant: &Row) -> Result<VariantSpec, ScenarioError> {
-    Ok(VariantSpec {
-        label: variant.get(&LABEL),
-        system: SystemSpec::parse(&variant.get::<String>(&SYSTEM))?,
-        static_leader: variant.get(&STATIC_LEADER),
-        scoring: variant.opt::<String>(&VARIANT_SCORING).map(|s| parse_scoring(&s)).transpose()?,
-        period_rounds: variant.opt(&VARIANT_PERIOD_ROUNDS),
-        exclusion: variant.opt(&VARIANT_PCT).map(ExclusionSpec::Pct),
-    })
-}
-
-fn write_variant(variant: &VariantSpec) -> Row {
-    let leader = Some(variant.static_leader).filter(|_| variant.system == SystemSpec::StaticLeader);
-    let row = Row::new(&VARIANT_TABLE)
-        .with(&LABEL, variant.label.clone())
-        .with(&SYSTEM, variant.system.label().to_string())
-        .with_opt(&STATIC_LEADER, leader)
-        .with_opt(&VARIANT_SCORING, variant.scoring.map(scoring_name))
-        .with_opt(&VARIANT_PERIOD_ROUNDS, variant.period_rounds);
-    match variant.exclusion {
-        Some(ExclusionSpec::Pct(pct)) => row.with(&VARIANT_PCT, pct),
-        Some(ExclusionSpec::F) | None => row,
-    }
-}
 
 // Fault entries name their validators by exactly one of `nodes` (ids) or
 // `first` (a count), and their instants as `When` fields; `UNTIL` open
@@ -1314,57 +1139,29 @@ fn to_usizes(xs: Vec<u64>) -> Vec<usize> {
 // ---------------------------------------------------------------------------
 
 impl ScenarioSpec {
-    /// Parses scenario TOML text and checks its root axes.
+    /// Parses scenario TOML text and checks what the file alone decides.
     pub fn parse(text: &str) -> Result<Self, ScenarioError> {
         Self::from_value(&toml::parse(text)?)
     }
 
     /// Builds a spec from an already-parsed TOML document (the hook
-    /// `hh-cli --set` uses to patch knobs before schema validation).
+    /// [`crate::load_with_sets`] uses to patch knobs before schema
+    /// validation).
     pub fn from_value(root_value: &Value) -> Result<Self, ScenarioError> {
         let table =
             root_value.as_table().ok_or_else(|| schema("scenario root must be a table".into()))?;
-        let root = ROOT.read(table)?;
-        let sub = |field: &Field| root.get::<Row>(field);
-        let (committee, run, hammerhead) = (sub(&COMMITTEE), sub(&RUN), sub(&HAMMERHEAD));
-        at_most_one(&committee, &SIZE, &SIZES)?;
-        at_most_one(&run, &SEED, &SEEDS)?;
-        let spec = ScenarioSpec {
-            name: root.get(&NAME),
-            description: root.get(&DESCRIPTION),
-            figure: root.opt(&FIGURE),
-            committee_sizes: to_usizes(
-                committee.opt(&SIZE).unwrap_or_else(|| committee.get(&SIZES)),
-            ),
-            load_tps: sub(&LOAD).get(&TPS),
-            duration_secs: run.get(&DURATION_SECS),
-            warmup_secs: run.opt(&WARMUP_SECS),
-            seeds: run.opt(&SEED).unwrap_or_else(|| run.get(&SEEDS)),
-            gst_secs: run.get(&GST_SECS),
-            client_window_secs: run.get(&CLIENT_WINDOW_SECS),
-            network: read_network(&sub(&NETWORK))?,
-            systems: sub(&SYSTEMS)
-                .get::<Vec<String>>(&SYSTEMS_RUN)
-                .iter()
-                .map(|s| SystemSpec::parse(s))
-                .collect::<Result<_, _>>()?,
-            period_rounds: hammerhead.get(&PERIOD_ROUNDS),
-            exclusion: read_exclusion_axis(&hammerhead),
-            scoring: hammerhead
-                .get::<Vec<String>>(&SCORING)
-                .iter()
-                .map(|s| parse_scoring(s))
-                .collect::<Result<_, _>>()?,
-            variants: root
-                .get::<Vec<Row>>(&VARIANT)
-                .iter()
-                .map(read_variant)
-                .collect::<Result<_, _>>()?,
-            workload: sub(&WORKLOAD),
-            faults: sub(&FAULTS),
-            analysis: sub(&ANALYSIS),
-            quick: sub(&QUICK),
-        };
+        let mut root = ROOT.read(table)?;
+        // A singular spelling names the plural's axis; it is folded in here,
+        // once, so only the plural is read or written past this point.
+        for (sub, one, many) in [(&COMMITTEE, &SIZE, &SIZES), (&RUN, &SEED, &SEEDS)] {
+            let mut row: Row = root.get(sub);
+            at_most_one(&row, one, many)?;
+            let index = row.index(one);
+            if let Some(axis) = row.cells[index].take() {
+                root = root.with(sub, row.with(many, axis));
+            }
+        }
+        let spec = ScenarioSpec { root };
         spec.validate()?;
         Ok(spec)
     }
@@ -1372,34 +1169,7 @@ impl ScenarioSpec {
     /// Serializes the spec back to a TOML value (the canonical form used
     /// by round-trip tests and `hh-cli validate --dump`).
     pub fn to_value(&self) -> Value {
-        let sizes: Vec<u64> = self.committee_sizes.iter().map(|n| *n as u64).collect();
-        let run = Row::new(&RUN_TABLE)
-            .with(&DURATION_SECS, self.duration_secs.clone())
-            .with_opt(&WARMUP_SECS, self.warmup_secs)
-            .with(&SEEDS, self.seeds.clone())
-            .with(&GST_SECS, self.gst_secs)
-            .with(&CLIENT_WINDOW_SECS, self.client_window_secs);
-        let systems: Vec<String> = self.systems.iter().map(|s| s.label().to_string()).collect();
-        let scoring: Vec<String> = self.scoring.iter().map(|s| scoring_name(*s)).collect();
-        let hammerhead = Row::new(&HAMMERHEAD_TABLE)
-            .with(&PERIOD_ROUNDS, self.period_rounds.clone())
-            .with(&SCORING, scoring);
-        let root = Row::new(&ROOT)
-            .with(&NAME, self.name.clone())
-            .with(&DESCRIPTION, self.description.clone())
-            .with_opt(&FIGURE, self.figure.clone())
-            .with(&COMMITTEE, Row::new(&COMMITTEE_TABLE).with(&SIZES, sizes))
-            .with(&LOAD, Row::new(&LOAD_TABLE).with(&TPS, self.load_tps.clone()))
-            .with(&RUN, run)
-            .with(&NETWORK, write_network(self.network))
-            .with(&SYSTEMS, Row::new(&SYSTEMS_TABLE).with(&SYSTEMS_RUN, systems))
-            .with(&HAMMERHEAD, write_exclusion_axis(hammerhead, &self.exclusion))
-            .with(&WORKLOAD, self.workload.clone())
-            .with(&VARIANT, self.variants.iter().map(write_variant).collect::<Vec<_>>())
-            .with(&FAULTS, self.faults.clone())
-            .with(&ANALYSIS, self.analysis.clone())
-            .with(&QUICK, self.quick.clone());
-        Value::Table(root.to_table())
+        Value::Table(self.root.to_table())
     }
 
     /// Serializes to canonical TOML text.
@@ -1412,52 +1182,59 @@ impl ScenarioSpec {
 // Validation
 // ---------------------------------------------------------------------------
 
-impl ScenarioSpec {
-    /// What every committee-size and duration axis must satisfy, as parsed
-    /// and again after the `[quick]` / CLI overrides.
-    fn check_axes(&self, sizes: &[usize], durations: &[u64]) -> Result<(), ScenarioError> {
-        if let Some(small) = sizes.iter().find(|n| **n < 4) {
-            return Err(ScenarioError::Invalid(format!(
-                "committee size {small} cannot tolerate any fault (n = 3f + 1)"
-            )));
-        }
-        if let Some(large) = sizes.iter().find(|n| **n > MAX_COMMITTEE_SIZE) {
-            return Err(ScenarioError::Invalid(format!(
-                "committee size {large} exceeds {MAX_COMMITTEE_SIZE}, the number of validator ids"
-            )));
-        }
-        if durations.contains(&0) {
-            return Err(ScenarioError::Invalid("duration_secs must be positive".into()));
-        }
-        for duration in durations {
-            to_micros(*duration, 1_000_000, DURATION_SECS.key)?;
-        }
-        if let Some(w) = self.warmup_secs {
-            if let Some(short) = durations.iter().find(|d| **d <= w) {
-                return Err(ScenarioError::Invalid(format!(
-                    "warmup_secs {w} does not leave a measurement window in a {short}s run"
-                )));
-            }
-        }
-        Ok(())
+/// What every committee-size and duration axis must satisfy, as parsed and
+/// again after the `[quick]` / CLI overrides.
+fn check_axes(
+    sizes: &[usize],
+    durations: &[u64],
+    warmup: Option<u64>,
+) -> Result<(), ScenarioError> {
+    if let Some(small) = sizes.iter().find(|n| **n < 4) {
+        return Err(ScenarioError::Invalid(format!(
+            "committee size {small} cannot tolerate any fault (n = 3f + 1)"
+        )));
     }
+    if let Some(large) = sizes.iter().find(|n| **n > MAX_COMMITTEE_SIZE) {
+        return Err(ScenarioError::Invalid(format!(
+            "committee size {large} exceeds {MAX_COMMITTEE_SIZE}, the number of validator ids"
+        )));
+    }
+    if durations.contains(&0) {
+        return Err(ScenarioError::Invalid("duration_secs must be positive".into()));
+    }
+    for duration in durations {
+        to_micros(*duration, 1_000_000, DURATION_SECS.key)?;
+    }
+    if let Some(w) = warmup {
+        if let Some(short) = durations.iter().find(|d| **d <= w) {
+            return Err(ScenarioError::Invalid(format!(
+                "warmup_secs {w} does not leave a measurement window in a {short}s run"
+            )));
+        }
+    }
+    Ok(())
+}
 
+impl ScenarioSpec {
     /// What only the spec can know beyond per-key type checks. What the
-    /// `[workload]`, `[faults]` and `[analysis]` tables describe is judged
-    /// as [`ScenarioSpec::plan`] lowers it, where the committee size and
-    /// the run length are known.
+    /// other tables describe is judged as [`ScenarioSpec::plan`] lowers it,
+    /// where the committee size and the run length are known.
     fn validate(&self) -> Result<(), ScenarioError> {
-        self.check_axes(&self.committee_sizes, &self.duration_secs)?;
-        if self.client_window_secs.is_nan() || self.client_window_secs <= 0.0 {
+        let run: Row = self.root.get(&RUN);
+        let sizes = to_usizes(self.root.get::<Row>(&COMMITTEE).get(&SIZES));
+        check_axes(&sizes, &run.get::<Vec<u64>>(&DURATION_SECS), run.opt(&WARMUP_SECS))?;
+        let client_window: f64 = run.get(&CLIENT_WINDOW_SECS);
+        if client_window.is_nan() || client_window <= 0.0 {
             return Err(ScenarioError::Invalid("client_window_secs must be positive".into()));
         }
-        if self.client_window_secs.is_infinite() {
+        if client_window.is_infinite() {
             return Err(ScenarioError::Invalid("client_window_secs must be finite".into()));
         }
-        let mut labels: Vec<&str> = self.variants.iter().map(|v| v.label.as_str()).collect();
+        let variants: Vec<Row> = self.root.get(&VARIANT);
+        let mut labels: Vec<String> = variants.iter().map(|v| v.get(&LABEL)).collect();
         labels.sort_unstable();
         labels.dedup();
-        if labels.len() != self.variants.len() {
+        if labels.len() != variants.len() {
             return Err(ScenarioError::Invalid("variant labels must be unique".into()));
         }
         Ok(())
@@ -1507,169 +1284,137 @@ pub struct ScenarioPlan {
     pub runs: Vec<PlannedRun>,
 }
 
-/// The variants in force after merging the axis defaults.
-fn effective_variants(spec: &ScenarioSpec, period_axis: &[u64]) -> Vec<VariantSpec> {
-    if !spec.variants.is_empty() {
-        return spec.variants.clone();
-    }
-    let mut out = Vec::new();
-    for system in &spec.systems {
-        match system {
-            SystemSpec::Bullshark | SystemSpec::StaticLeader => out.push(VariantSpec {
-                label: system.label().to_string(),
-                system: *system,
-                static_leader: 0,
-                scoring: None,
-                period_rounds: None,
-                exclusion: None,
-            }),
-            SystemSpec::Hammerhead => {
-                for &period in period_axis {
-                    for &exclusion in &spec.exclusion {
-                        for &scoring in &spec.scoring {
-                            let mut label = "hammerhead".to_string();
-                            if period_axis.len() > 1 {
-                                label.push_str(&format!("-T{period}"));
-                            }
-                            if spec.exclusion.len() > 1 {
-                                label.push_str(&format!("-ex{}", exclusion.label()));
-                            }
-                            if spec.scoring.len() > 1 {
-                                label.push_str(&format!("-{}", scoring_name(scoring)));
-                            }
-                            out.push(VariantSpec {
-                                label,
-                                system: SystemSpec::Hammerhead,
-                                static_leader: 0,
-                                scoring: Some(scoring),
-                                period_rounds: Some(period),
-                                exclusion: Some(exclusion),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out
+/// A HammerHead `[[variant]]` row at one point of the `[hammerhead]` axes;
+/// a key the row gives wins over the point's.
+fn at_point(row: Row, period: u64, pct: Option<u64>, scoring: &str) -> Row {
+    let period = row.opt(&VARIANT_PERIOD_ROUNDS).unwrap_or(period);
+    let scoring = row.opt(&VARIANT_SCORING).unwrap_or_else(|| scoring.to_string());
+    let pct = row.opt(&VARIANT_PCT).or(pct);
+    row.with(&VARIANT_PERIOD_ROUNDS, period)
+        .with(&VARIANT_SCORING, scoring)
+        .with_opt(&VARIANT_PCT, pct)
 }
 
 impl ScenarioSpec {
-    /// Expands the axes into concrete runs, lowering and validating every
-    /// combination.
-    pub fn plan(&self, opts: &PlanOptions) -> Result<ScenarioPlan, ScenarioError> {
-        // A `[quick]` axis replaces the file's under `--quick` only.
-        let quick = |field: &Field| self.quick.opt::<Vec<u64>>(field).filter(|_| opts.quick);
-        let sizes = quick(&QUICK_SIZES).map_or_else(|| self.committee_sizes.clone(), to_usizes);
-        let loads = quick(&QUICK_TPS).unwrap_or_else(|| self.load_tps.clone());
-        let mut durations =
-            quick(&QUICK_DURATION_SECS).unwrap_or_else(|| self.duration_secs.clone());
-        if let Some(d) = opts.duration_override {
-            if d == 0 {
-                return Err(ScenarioError::Invalid("duration override must be positive".into()));
+    /// The `[[variant]]` rows a plan runs, each HammerHead one at its
+    /// point of the `[hammerhead]` axes (`periods` is the period axis in
+    /// effect). Without `[[variant]]` tables, one row per `[systems] run`
+    /// entry, a `hammerhead` entry crossed with the axes; beside them,
+    /// every axis is the one point a variant defaults to.
+    fn variants(&self, hammerhead: &Row, periods: Vec<u64>) -> Result<Vec<Row>, ScenarioError> {
+        let pcts: Vec<Option<u64>> = match hammerhead.opt::<Vec<u64>>(&MAX_EXCLUDED_PCT) {
+            Some(pcts) => pcts.into_iter().map(Some).collect(),
+            None => vec![None],
+        };
+        let scorings: Vec<String> = hammerhead
+            .get::<Vec<String>>(&SCORING)
+            .iter()
+            .map(|s| parse_scoring(s).map(scoring_name))
+            .collect::<Result<_, _>>()?;
+        let given: Vec<Row> = self.root.get(&VARIANT);
+        if !given.is_empty() {
+            let axes = [
+                (&PERIOD_ROUNDS, periods.len()),
+                (&MAX_EXCLUDED_PCT, pcts.len()),
+                (&SCORING, scorings.len()),
+            ];
+            if let Some((axis, len)) = axes.into_iter().find(|(_, len)| *len > 1) {
+                return Err(schema(format!(
+                    "`hammerhead.{}` holds {len} values beside [[variant]] tables, where it is \
+                     the one value a variant defaults to; set it per variant instead",
+                    axis.key
+                )));
             }
-            durations = vec![d];
+            let point = |row: Row| match row.get::<String>(&SYSTEM).as_str() {
+                "hammerhead" => at_point(row, periods[0], pcts[0], &scorings[0]),
+                _ => row,
+            };
+            return Ok(given.into_iter().map(point).collect());
         }
-        let mut seeds = quick(&QUICK_SEEDS).unwrap_or_else(|| self.seeds.clone());
-        if let Some(s) = opts.seed_override {
-            seeds = vec![s];
-        }
-        let period_axis = quick(&QUICK_PERIOD_ROUNDS).unwrap_or_else(|| self.period_rounds.clone());
-        // Quick/CLI overrides bypass parse-time validation, so the
-        // effective axes are re-checked here.
-        self.check_axes(&sizes, &durations)?;
-        let variants = effective_variants(self, &period_axis);
-
-        let mut runs = Vec::new();
-        for &n in &sizes {
-            let committee = Committee::new_equal_stake(n);
-            let crashed = lower_crashed(&self.faults, n)?;
-            for variant in &variants {
-                for &duration in &durations {
-                    for &load in &loads {
-                        for &seed in &seeds {
-                            let config = self.build_config(
-                                n, &committee, &crashed, variant, duration, load, seed,
-                            )?;
-                            // Fault count = distinct crashed validators
-                            // anywhere on the timeline (mid-run crashes
-                            // included).
-                            let fault_count = config.faults.crashed_nodes().len();
-                            let mut labels: Vec<(String, String)> = vec![
-                                ("variant".into(), variant.label.clone()),
-                                ("system".into(), variant.system.label().into()),
-                                ("committee".into(), n.to_string()),
-                                ("faults".into(), fault_count.to_string()),
-                                ("load_tps".into(), load.to_string()),
-                                ("duration_secs".into(), duration.to_string()),
-                                ("seed".into(), seed.to_string()),
-                            ];
-                            if let ScheduleConfig::Hammerhead(hh) = &config.validator.schedule {
-                                labels.push(("period_rounds".into(), hh.period_rounds.to_string()));
-                                labels.push(("scoring".into(), scoring_name(hh.scoring_rule)));
-                                labels.push((
-                                    "exclusion".into(),
-                                    variant.exclusion.unwrap_or(ExclusionSpec::F).label(),
-                                ));
-                            }
-                            runs.push(PlannedRun {
-                                variant: variant.label.clone(),
-                                system: variant.system.label().to_string(),
-                                labels,
-                                fault_count,
-                                config,
-                            });
+        let mut rows = Vec::new();
+        for system in self.root.get::<Row>(&SYSTEMS).get::<Vec<String>>(&SYSTEMS_RUN) {
+            // Any other system's row takes its label from what it lowers to.
+            let row = Row::new(&VARIANT_TABLE).with(&SYSTEM, system.clone());
+            if system != "hammerhead" {
+                rows.push(row);
+                continue;
+            }
+            for &period in &periods {
+                for &pct in &pcts {
+                    for scoring in &scorings {
+                        let mut label = "hammerhead".to_string();
+                        if periods.len() > 1 {
+                            label.push_str(&format!("-T{period}"));
                         }
+                        if let Some(pct) = pct.filter(|_| pcts.len() > 1) {
+                            label.push_str(&format!("-ex{pct}%"));
+                        }
+                        if scorings.len() > 1 {
+                            label.push_str(&format!("-{scoring}"));
+                        }
+                        rows.push(at_point(row.clone().with(&LABEL, label), period, pct, scoring));
                     }
                 }
             }
         }
-        Ok(ScenarioPlan {
-            name: self.name.clone(),
-            description: self.description.clone(),
-            figure: self.figure.clone(),
-            runs,
-        })
+        Ok(rows)
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn build_config(
-        &self,
-        n: usize,
-        committee: &Committee,
-        crashed: &[u16],
-        variant: &VariantSpec,
-        duration: u64,
-        load: u64,
-        seed: u64,
-    ) -> Result<ExperimentConfig, ScenarioError> {
-        // The baseline's round-robin; the other systems write their own
-        // schedule below.
-        let mut config = ExperimentConfig::paper(SystemKind::Bullshark, n, load);
-        config.duration_secs = duration;
-        config.warmup_secs = self.warmup_secs.unwrap_or((duration / 6).max(1));
-        config.windows = lower_windows(&self.analysis, duration)?;
-        config.seed = seed;
-        config.gst_secs = self.gst_secs;
-        config.client_window_secs = self.client_window_secs;
-        config.network = self.network;
+/// Ordered key/value labels identifying a run in reports.
+type Labels = Vec<(String, String)>;
 
-        if variant.system == SystemSpec::Hammerhead {
+/// Lowers a `[[variant]]` row, given or expanded, on `committee` with
+/// `crashed` down from t=0: the label of its system, its schedule and the
+/// report labels read off that schedule. Of the keys the systems share
+/// out, only those its system reads may be given.
+fn lower_variant(
+    variant: &Row,
+    committee: &Committee,
+    crashed: &[u16],
+) -> Result<(&'static str, ScheduleConfig, Labels), ScenarioError> {
+    let name: String = variant.get(&SYSTEM);
+    let params = [&STATIC_LEADER, &VARIANT_SCORING, &VARIANT_PERIOD_ROUNDS, &VARIANT_PCT];
+    let (system, takes): (_, &[&Field]) = match name.as_str() {
+        "bullshark" | "round-robin" => ("bullshark", &[]),
+        "hammerhead" => ("hammerhead", &params[1..]),
+        "static-leader" => ("static-leader", &params[..1]),
+        other => {
+            return Err(schema(format!(
+                "unknown system `{other}` (expected bullshark, hammerhead or static-leader)"
+            )))
+        }
+    };
+    only_params(variant, &params, takes, &format!("system = \"{name}\""))?;
+    let n = committee.size();
+    match system {
+        "hammerhead" => {
+            let pct = variant.opt::<u64>(&VARIANT_PCT);
+            // Exact in 128 bits; a budget beyond `u64` is beyond `f` too,
+            // which `HammerheadConfig::validate` turns away.
+            let stake = |pct: u64| {
+                let stake = committee.total_stake().0 as u128 * pct as u128 / 100;
+                Stake(u64::try_from(stake).unwrap_or(u64::MAX))
+            };
+            let scoring: String = variant.opt(&VARIANT_SCORING).expect("a variant at its point");
             let hh = HammerheadConfig {
-                period_rounds: variant.period_rounds.unwrap_or(self.period_rounds[0]),
-                max_excluded_stake: variant
-                    .exclusion
-                    .unwrap_or(self.exclusion[0])
-                    .to_config(committee),
-                scoring_rule: variant.scoring.unwrap_or(self.scoring[0]),
+                period_rounds: variant.opt(&VARIANT_PERIOD_ROUNDS).expect("a variant at its point"),
+                max_excluded_stake: pct.map(stake),
+                scoring_rule: parse_scoring(&scoring)?,
             };
             hh.validate(committee).map_err(|e| {
-                ScenarioError::Invalid(format!("variant `{}` on n = {n}: {e}", variant.label))
+                let label: String = variant.get(&LABEL);
+                ScenarioError::Invalid(format!("variant `{label}` on n = {n}: {e}"))
             })?;
-            config.validator.schedule = ScheduleConfig::Hammerhead(hh);
+            let labels = vec![
+                ("period_rounds".into(), hh.period_rounds.to_string()),
+                ("scoring".into(), scoring_name(hh.scoring_rule)),
+                ("exclusion".into(), pct.map_or("f".into(), |pct| format!("{pct}%"))),
+            ];
+            Ok((system, ScheduleConfig::Hammerhead(hh), labels))
         }
-        if variant.system == SystemSpec::StaticLeader {
-            let leader = variant.static_leader;
+        "static-leader" => {
+            let leader: u16 = variant.get(&STATIC_LEADER);
             if leader as usize >= n {
                 return Err(ScenarioError::Invalid(format!(
                     "static_leader {leader} is outside the committee of {n}"
@@ -1680,14 +1425,106 @@ impl ScenarioSpec {
                     "static_leader {leader} is crashed — the run would never commit"
                 )));
             }
-            config.validator.schedule = ScheduleConfig::StaticLeader(ValidatorId(leader));
+            Ok((system, ScheduleConfig::StaticLeader(ValidatorId(leader)), Vec::new()))
         }
+        _ => Ok((system, ScheduleConfig::RoundRobin, Vec::new())),
+    }
+}
 
-        lower_workload(&self.workload, &mut config)?;
-        config.faults = lower_fault_schedule(&self.faults, n, crashed, duration)?;
-        config.byzantine = lower_byzantine(&self.faults, n, duration)?;
-        config.chaos = lower_chaos(&self.faults, n, duration)?;
-        Ok(config)
+impl ScenarioSpec {
+    /// Expands the axes into concrete runs, lowering and validating every
+    /// combination.
+    pub fn plan(&self, opts: &PlanOptions) -> Result<ScenarioPlan, ScenarioError> {
+        let sub = |field: &Field| self.root.get::<Row>(field);
+        let (run, hammerhead, quick) = (sub(&RUN), sub(&HAMMERHEAD), sub(&QUICK));
+        // A `[quick]` axis replaces the file's under `--quick` only.
+        let axis = |row: &Row, field: &Field, quick_field: &Field| {
+            quick
+                .opt::<Vec<u64>>(quick_field)
+                .filter(|_| opts.quick)
+                .unwrap_or_else(|| row.get(field))
+        };
+        let sizes = to_usizes(axis(&sub(&COMMITTEE), &SIZES, &QUICK_SIZES));
+        let loads = axis(&sub(&LOAD), &TPS, &QUICK_TPS);
+        let mut durations = axis(&run, &DURATION_SECS, &QUICK_DURATION_SECS);
+        if let Some(d) = opts.duration_override {
+            if d == 0 {
+                return Err(ScenarioError::Invalid("duration override must be positive".into()));
+            }
+            durations = vec![d];
+        }
+        let mut seeds = axis(&run, &SEEDS, &QUICK_SEEDS);
+        if let Some(s) = opts.seed_override {
+            seeds = vec![s];
+        }
+        let warmup = run.opt::<u64>(&WARMUP_SECS);
+        // Quick/CLI overrides bypass parse-time validation, so the
+        // effective axes are re-checked here.
+        check_axes(&sizes, &durations, warmup)?;
+        let network = lower_network(&sub(&NETWORK))?;
+        let periods = axis(&hammerhead, &PERIOD_ROUNDS, &QUICK_PERIOD_ROUNDS);
+        let variants = self.variants(&hammerhead, periods)?;
+        let (workload, faults, analysis) = (sub(&WORKLOAD), sub(&FAULTS), sub(&ANALYSIS));
+
+        let mut runs = Vec::new();
+        for &n in &sizes {
+            let committee = Committee::new_equal_stake(n);
+            let crashed = lower_crashed(&faults, n)?;
+            for variant in &variants {
+                let (system, schedule, schedule_labels) =
+                    lower_variant(variant, &committee, &crashed)?;
+                let label = variant.opt::<String>(&LABEL).unwrap_or_else(|| system.to_string());
+                for &duration in &durations {
+                    for &load in &loads {
+                        for &seed in &seeds {
+                            // The paper's calibration, at the variant's
+                            // schedule.
+                            let mut config =
+                                ExperimentConfig::paper(SystemKind::Bullshark, n, load);
+                            config.duration_secs = duration;
+                            config.warmup_secs = warmup.unwrap_or((duration / 6).max(1));
+                            config.windows = lower_windows(&analysis, duration)?;
+                            config.seed = seed;
+                            config.gst_secs = run.get(&GST_SECS);
+                            config.client_window_secs = run.get(&CLIENT_WINDOW_SECS);
+                            config.network = network;
+                            config.validator.schedule = schedule.clone();
+                            lower_workload(&workload, &mut config)?;
+                            config.faults = lower_fault_schedule(&faults, n, &crashed, duration)?;
+                            config.byzantine = lower_byzantine(&faults, n, duration)?;
+                            config.chaos = lower_chaos(&faults, n, duration)?;
+                            // Fault count = distinct crashed validators
+                            // anywhere on the timeline (mid-run crashes
+                            // included).
+                            let fault_count = config.faults.crashed_nodes().len();
+                            let mut labels: Labels = vec![
+                                ("variant".into(), label.clone()),
+                                ("system".into(), system.into()),
+                                ("committee".into(), n.to_string()),
+                                ("faults".into(), fault_count.to_string()),
+                                ("load_tps".into(), load.to_string()),
+                                ("duration_secs".into(), duration.to_string()),
+                                ("seed".into(), seed.to_string()),
+                            ];
+                            labels.extend(schedule_labels.iter().cloned());
+                            runs.push(PlannedRun {
+                                variant: label.clone(),
+                                system: system.to_string(),
+                                labels,
+                                fault_count,
+                                config,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        Ok(ScenarioPlan {
+            name: self.root.get(&NAME),
+            description: self.root.get(&DESCRIPTION),
+            figure: self.root.opt(&FIGURE),
+            runs,
+        })
     }
 }
 
@@ -1700,19 +1537,14 @@ mod tests {
     #[test]
     fn minimal_spec_uses_paper_defaults() {
         let spec = ScenarioSpec::parse(MINIMAL).unwrap();
-        assert_eq!(spec.committee_sizes, vec![10]);
-        assert_eq!(spec.load_tps, vec![500]);
-        assert_eq!(spec.duration_secs, vec![60]);
-        assert_eq!(spec.seeds, vec![42]);
-        assert_eq!(spec.network, Network::Geo);
-        assert_eq!(spec.systems, vec![SystemSpec::Hammerhead]);
-
         let plan = spec.plan(&PlanOptions::default()).unwrap();
         assert_eq!(plan.runs.len(), 1);
+        assert_eq!(plan.runs[0].system, "hammerhead");
         let config = &plan.runs[0].config;
         assert_eq!(config.committee_size, 10);
         assert_eq!(config.load_tps, 500);
         assert_eq!(config.duration_secs, 60);
+        assert_eq!(config.seed, 42);
         assert_eq!(config.warmup_secs, 10, "default warmup is duration/6");
         assert_eq!(config.network, Network::Geo);
         let calibrated = hammerhead::ValidatorConfig {
@@ -1889,17 +1721,19 @@ run = ["bullshark", "hammerhead"]
                     (default, kind) => panic!("{name}: {default:?} cannot default a {kind:?}"),
                 };
                 assert_eq!(absent, expected, "{name}");
-                // And a cell holding the default is written only if `shown`.
+                // And its default, given or absent, is written only if `shown`.
                 if let Some(cell) = expected.filter(|_| !matches!(field.default, Def::None)) {
-                    let written = Row::new(section).with(field, cell).to_table();
-                    assert_eq!(!written.is_empty(), field.shown, "{name}: {written:?}");
+                    for row in [Row::new(section), Row::new(section).with(field, cell)] {
+                        let written = row.to_table();
+                        assert_eq!(written.contains_key(&key), field.shown, "{name}: {written:?}");
+                    }
                 }
             }
         }
     }
 
     /// Each key, and each string default, is spelled once per `Field`
-    /// static in the schema and nowhere else in it: the typed fill, the
+    /// static in the schema and nowhere else in it: the reader, the
     /// emitter and the lowering go through the statics.
     #[test]
     fn every_key_literal_appears_once_per_field() {
@@ -2068,6 +1902,111 @@ static_leader = 2
             plan.runs[1].config.validator.schedule,
             ScheduleConfig::StaticLeader(ValidatorId(2))
         );
+    }
+
+    /// A variant without a budget of its own runs the `[hammerhead]` one,
+    /// and its label names that budget, as the `[systems]` expansion's does.
+    #[test]
+    fn a_variant_labels_the_budget_it_ran() {
+        let axis = "name = \"x\"\n[committee]\nsize = 10\n[hammerhead]\nmax_excluded_pct = 20\n";
+        for doc in [
+            format!("{axis}[[variant]]\nlabel = \"hh\"\n"),
+            format!("{axis}[systems]\nrun = \"hammerhead\"\n"),
+        ] {
+            let plan = ScenarioSpec::parse(&doc).unwrap().plan(&PlanOptions::default()).unwrap();
+            let run = &plan.runs[0];
+            let label = ("exclusion".to_string(), "20%".to_string());
+            assert!(run.labels.contains(&label), "{doc:?}: {:?}", run.labels);
+            let ScheduleConfig::Hammerhead(hh) = &run.config.validator.schedule else {
+                panic!("{doc:?} runs hammerhead");
+            };
+            assert_eq!(hh.max_excluded_stake, Some(Stake(2)), "{doc:?}");
+        }
+    }
+
+    /// Gives a one-variant scenario of `system` the `[[variant]]` keys
+    /// `keys`: `Ok` when it plans, else the schema error's words.
+    fn variant_keys(system: &str, keys: &str) -> Result<(), String> {
+        let doc =
+            format!("name = \"x\"\n[[variant]]\nlabel = \"v\"\nsystem = \"{system}\"\n{keys}");
+        match ScenarioSpec::parse(&doc).unwrap().plan(&PlanOptions::default()) {
+            Ok(_) => Ok(()),
+            Err(ScenarioError::Schema(message)) => Err(message),
+            Err(other) => panic!("{doc:?} gave {other}"),
+        }
+    }
+
+    /// `keys` of a `[[variant]]` of `system`, each a schema error naming it.
+    fn assert_strays(system: &str, keys: &[&str]) {
+        for line in keys {
+            let key = line.split(' ').next().unwrap();
+            let expected =
+                format!("`{key}` in [[variant]] does not apply to system = \"{system}\"");
+            assert_eq!(variant_keys(system, &format!("{line}\n")), Err(expected));
+        }
+    }
+
+    const SCHEDULE_KEYS: [&str; 3] =
+        ["scoring = \"leader-outcome\"", "period_rounds = 4", "max_excluded_pct = 20"];
+
+    #[test]
+    fn a_bullshark_variant_takes_no_schedule_keys() {
+        assert_strays("bullshark", &SCHEDULE_KEYS);
+        assert_strays("bullshark", &["static_leader = 3"]);
+        assert_eq!(variant_keys("bullshark", ""), Ok(()));
+    }
+
+    #[test]
+    fn a_hammerhead_variant_takes_no_static_leader() {
+        assert_strays("hammerhead", &["static_leader = 3"]);
+        assert_eq!(variant_keys("hammerhead", &format!("{}\n", SCHEDULE_KEYS.join("\n"))), Ok(()));
+    }
+
+    #[test]
+    fn a_static_leader_variant_takes_no_hammerhead_keys() {
+        assert_strays("static-leader", &SCHEDULE_KEYS);
+        assert_eq!(variant_keys("static-leader", "static_leader = 3\n"), Ok(()));
+    }
+
+    /// Beside `[[variant]]` tables a `[hammerhead]` axis, as `[quick]` and
+    /// `--set` leave it, is the one value a variant defaults to.
+    #[test]
+    fn hammerhead_axes_beside_variants_hold_one_value() {
+        // `hh-cli matrix scenarios/byzantine.toml --quick --set
+        // hammerhead.period_rounds=4,20`
+        let path = crate::repo_scenarios_dir().join("byzantine.toml");
+        let sets = [crate::parse_set("hammerhead.period_rounds=4,20").unwrap()];
+        let spec = crate::load_with_sets(&path, &sets).unwrap();
+        let quick = PlanOptions { quick: true, ..PlanOptions::default() };
+        let err = spec.plan(&quick).unwrap_err().to_string();
+        assert!(
+            err.starts_with("schema error: `hammerhead.period_rounds` holds 2 values"),
+            "{err}"
+        );
+        for (axis, key) in [
+            ("max_excluded_pct = [10, 20]", "max_excluded_pct"),
+            ("scoring = [\"vote-based\", \"leader-outcome\"]", "scoring"),
+        ] {
+            let doc = format!("name = \"x\"\n[hammerhead]\n{axis}\n[[variant]]\nlabel = \"v\"\n");
+            let err = plan_error(&doc).to_string();
+            assert!(err.contains(&format!("`hammerhead.{key}` holds 2 values")), "{err}");
+        }
+        // A one-value `[quick]` axis is the one the variants read.
+        let spec = ScenarioSpec::parse(
+            "name = \"x\"\n[hammerhead]\nperiod_rounds = 8\n[[variant]]\nlabel = \"v\"\n\
+             [quick]\nperiod_rounds = 4\n",
+        )
+        .unwrap();
+        let period = |opts: &PlanOptions| match &spec.plan(opts).unwrap().runs[0]
+            .config
+            .validator
+            .schedule
+        {
+            ScheduleConfig::Hammerhead(hh) => hh.period_rounds,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(period(&PlanOptions::default()), 8);
+        assert_eq!(period(&quick), 4);
     }
 
     #[test]

@@ -10,20 +10,16 @@
 //! `fault_e2e.rs::recovery_runs_restart_without_divergence_and_report_reinclusion`.)
 
 use hh_scenario::{
-    load_scenario, repo_scenarios_dir, run_plan_with, ExecOptions, PlanOptions, RunLimit,
-    ScenarioReport, ScenarioSpec, SystemSpec,
+    load_with_sets, parse_set, repo_scenarios_dir, run_plan_with, ExecOptions, PlanOptions,
+    RunLimit, ScenarioReport,
 };
 
-/// Runs `scenarios/<file>` as `hh-cli run <file> --quick [--seed <seed>]`
-/// does, after `patch` (the `--set` of the command line).
-fn quick_report(
-    file: &str,
-    seed: Option<u64>,
-    patch: impl FnOnce(&mut ScenarioSpec),
-) -> ScenarioReport {
-    let mut spec =
-        load_scenario(&repo_scenarios_dir().join(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
-    patch(&mut spec);
+/// Runs `scenarios/<file>` as `hh-cli run <file> --quick [--seed <seed>]
+/// [--set <set>]...` does.
+fn quick_report(file: &str, seed: Option<u64>, sets: &[&str]) -> ScenarioReport {
+    let sets: Vec<_> = sets.iter().map(|set| parse_set(set).unwrap()).collect();
+    let spec = load_with_sets(&repo_scenarios_dir().join(file), &sets)
+        .unwrap_or_else(|e| panic!("{file}: {e}"));
     let opts = PlanOptions { quick: true, seed_override: seed, ..PlanOptions::default() };
     let plan = spec.plan(&opts).unwrap_or_else(|e| panic!("{file}: {e}"));
     run_plan_with(&plan, RunLimit::Duration, &ExecOptions::default())
@@ -31,7 +27,7 @@ fn quick_report(
 
 #[test]
 fn byzantine_vote_scorers_demote_the_lazy_leader_and_round_robin_never_does() {
-    let report = quick_report("byzantine.toml", None, |_| {});
+    let report = quick_report("byzantine.toml", None, &[]);
     let mut demoting_scorers = 0;
     for row in &report.rows {
         let variant = row.run.variant.as_str();
@@ -56,7 +52,7 @@ fn byzantine_vote_scorers_demote_the_lazy_leader_and_round_robin_never_does() {
 fn chaos_runs_stay_safe_reject_corruption_and_keep_committing() {
     let mut corrupt_rejected = 0;
     for seed in [7, 11, 13] {
-        let report = quick_report("chaos.toml", Some(seed), |_| {});
+        let report = quick_report("chaos.toml", Some(seed), &[]);
         assert!(!report.rows.is_empty());
         for row in &report.rows {
             let variant = row.run.variant.as_str();
@@ -74,8 +70,7 @@ fn chaos_runs_stay_safe_reject_corruption_and_keep_committing() {
 
 #[test]
 fn saturation_goodput_has_a_knee_with_nothing_shed_below_it() {
-    let report =
-        quick_report("saturation.toml", None, |spec| spec.systems = vec![SystemSpec::Hammerhead]);
+    let report = quick_report("saturation.toml", None, &["systems.run=hammerhead"]);
     let points: Vec<(f64, f64, u64)> = report
         .rows
         .iter()
@@ -101,7 +96,7 @@ fn saturation_goodput_has_a_knee_with_nothing_shed_below_it() {
 
 #[test]
 fn bursty_report_carries_the_goodput_and_the_restart() {
-    let report = quick_report("bursty.toml", None, |_| {});
+    let report = quick_report("bursty.toml", None, &[]);
     assert!(!report.rows.is_empty());
     for row in &report.rows {
         assert_eq!(row.result.restarts, 1, "{}", row.run.variant);
