@@ -7,7 +7,8 @@
 # build, the full workspace test suite (unit, integration and doc tests;
 # what a recovery, byzantine, chaos, saturation or bursty report must
 # show is asserted there, on typed rows, by crates/scenario/tests/
-# fault_e2e.rs and scenario_gates.rs), an hh-cli list of every checked-in
+# fault_e2e.rs and scenario_gates.rs), a check that hh-node's dependency
+# tree names neither hh-sim nor hh-scenario, an hh-cli list of every checked-in
 # scenario that fails on any that does not plan, an hh-cli smoke run of the
 # Figure 1 scenario capped at 50 DAG rounds, a parallel matrix smoke run,
 # a determinism gate checking that --jobs 1 and --jobs 4 emit
@@ -53,6 +54,16 @@ cargo build --release --workspace
 
 step "cargo test -q"
 cargo test --workspace -q
+
+step "hh-node links the validator, not the simulator"
+# README's "Nothing depends on the simulator" row: hh-node runs the
+# validator on the simulator's driver (hammerhead::Driver), and must name
+# neither hh-sim nor hh-scenario among its normal dependencies.
+node_deps=$(cargo tree -p hh-node -e normal --offline)
+if grep -E 'hh-(sim|scenario) v' <<< "$node_deps"; then
+    echo "hh-node depends on the simulator"
+    exit 1
+fi
 
 step "hh-cli list: every checked-in scenario plans"
 # `list` plans every file in scenarios/ and prints INVALID beside one
@@ -121,7 +132,9 @@ done
 
 step "docs: nothing refers to a deleted path, knob, module or type, or to a DESIGN.md"
 # The history files and this gate may name what was replaced: perfbench/
-# is the one benchmark, net/sim.rs + node/runtime.rs the two drivers,
+# is the one benchmark, hammerhead::Driver the one driver (its route the
+# one place an Output becomes an effect, one test transport, no hand-rolled
+# timer heap),
 # docs/architecture.md holds the design notes, recompute-against-S0 is the
 # only slot-swap rule, the simulator executes the FaultSchedule /
 # ChaosSchedule the harness validates, one function executes runs, the
@@ -148,7 +161,7 @@ step "docs: nothing refers to a deleted path, knob, module or type, or to a DESI
 # row (no typed mirror of the grammar, no per-section reader or writer),
 # the root too (no typed system, variant or exclusion budget, and no
 # network, variant or exclusion-axis reader or writer).
-if git grep -nE 'hotpath_smoke|BENCH_hotpath|hh[-_]bench|threaded::|threaded_demo|vendor/criterion|DESIGN\.md|swap_from_base|core/src/monitor|hammerhead::monitor|FaultPlan|ChaosPlan|SlowdownSpec|PartitionSpec|ChaosWindow|ChaosScope|KvStore|SerialExecutor|PooledExecutor|hh-cli testnet|StaticLeaderPolicy|TimeSeries|validate_workload|rbc_sender|audit_safety|derive_validator_config|schedule_override|flat_latency_ms|NetworkSpec|missing_index|missing_count|workload_declared|run_sim_streaming|run_sim_limited|run_experiment_limited|collect_streamed_metrics|ChaosRow|schedule_seed|bind_reusable|TOKEN_LEADER|drain_exec_records|with_window|ExclusionSpec|payload-bytes|chain_hash_prefix|hh_consensus::passed_over_candidates|ByDigest|contains_digest|WrongParentRound|missing_from\(|epoch_history|NodeSel|SlowdownEntry|TimedFaultEntry|PartitionSel|PartitionEntry|ByzantineStrategySpec|ByzantineEntrySpec|ChaosEntrySpec|FaultsSpec|ArrivalSpec|RateSpec|WorkloadPhaseSpec|WorkloadSpec|WindowSpec|AnalysisSpec|QuickSpec|read_faults|write_faults|write_workload|write_chaos|SystemSpec|VariantSpec|read_variant|write_variant|read_network|write_network|read_exclusion_axis|write_exclusion_axis' \
+if git grep -nE 'hotpath_smoke|BENCH_hotpath|hh[-_]bench|threaded::|threaded_demo|vendor/criterion|DESIGN\.md|swap_from_base|core/src/monitor|hammerhead::monitor|FaultPlan|ChaosPlan|SlowdownSpec|PartitionSpec|ChaosWindow|ChaosScope|KvStore|SerialExecutor|PooledExecutor|hh-cli testnet|StaticLeaderPolicy|TimeSeries|validate_workload|rbc_sender|audit_safety|derive_validator_config|schedule_override|flat_latency_ms|NetworkSpec|missing_index|missing_count|workload_declared|run_sim_streaming|run_sim_limited|run_experiment_limited|collect_streamed_metrics|ChaosRow|schedule_seed|bind_reusable|TOKEN_LEADER|drain_exec_records|with_window|ExclusionSpec|payload-bytes|chain_hash_prefix|hh_consensus::passed_over_candidates|ByDigest|contains_digest|WrongParentRound|missing_from\(|epoch_history|NodeSel|SlowdownEntry|TimedFaultEntry|PartitionSel|PartitionEntry|ByzantineStrategySpec|ByzantineEntrySpec|ChaosEntrySpec|FaultsSpec|ArrivalSpec|RateSpec|WorkloadPhaseSpec|WorkloadSpec|WindowSpec|AnalysisSpec|QuickSpec|read_faults|write_faults|write_workload|write_chaos|SystemSpec|VariantSpec|read_variant|write_variant|read_network|write_network|read_exclusion_axis|write_exclusion_axis|SoloPump|fn emit\(outputs|finish\(v, behavior|let dispatch =|BinaryHeap<Reverse<\(u64, u64\)>>' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!ci.sh' ':!perfbench'; then
     echo "dangling reference to a deleted path"
     exit 1

@@ -31,7 +31,8 @@
 //!   leader-await, reliable broadcast, consensus, transaction pool with
 //!   backpressure, execution-rate model, persistence and crash-recovery.
 //!   The Bullshark baseline is the same node with
-//!   [`ScheduleConfig::RoundRobin`].
+//!   [`ScheduleConfig::RoundRobin`]. Every runtime runs it on the one
+//!   [`Driver`]: event → step → audit → [`route`].
 //!
 //! # Quickstart
 //!
@@ -65,6 +66,7 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 mod config;
+mod driver;
 mod node;
 mod policy;
 mod safety;
@@ -72,9 +74,10 @@ mod schedule;
 mod scores;
 
 pub use config::{ConfigError, HammerheadConfig, ScheduleConfig, ScoringRule, ValidatorConfig};
+pub use driver::{route, Driver, Event, Transport};
 pub use node::{
-    CommitRecord, ExecLog, ExecLogIter, ExecRecord, Output, Validator, ValidatorMessage,
-    ValidatorMetrics,
+    CommitRecord, ExecLog, ExecLogIter, ExecRecord, Output, StorageFault, Validator,
+    ValidatorMessage, ValidatorMetrics,
 };
 pub use policy::{EpochSummary, HammerheadPolicy};
 pub use safety::{SafetyChecker, SafetyViolation};

@@ -3,10 +3,10 @@
 //!
 //! [`Validator`] is a runtime-agnostic state machine: handlers take the
 //! current time in microseconds and return [`Output`]s (messages to send,
-//! timers to arm). The simulation harness (`hh-sim`) adapts it to the
-//! discrete-event network; `hh-node` drives the same type over TCP on
-//! the wall clock. The Bullshark baseline and HammerHead are the *same*
-//! node, differing only in [`ScheduleConfig`].
+//! timers to arm). The simulation harness (`hh-sim`) and `hh-node` both
+//! run it on [`crate::Driver`], over the discrete-event network and over
+//! TCP on the wall clock. The Bullshark baseline and HammerHead are the
+//! *same* node, differing only in [`ScheduleConfig`].
 //!
 //! Protocol flow per round `r`:
 //!
@@ -148,13 +148,23 @@ pub enum Output {
     /// — a node that cannot uphold the write-ahead discipline must not keep
     /// acting, but a storage fault is the *runtime's* problem to surface,
     /// never a reason to panic the whole process.
-    StorageError {
-        /// What the node was persisting ("persist vertex", "persist
-        /// checkpoint", "recover").
-        context: &'static str,
-        /// The underlying I/O error.
-        detail: String,
-    },
+    StorageError(StorageFault),
+}
+
+/// A storage fault that fail-stopped a validator ([`Output::StorageError`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct StorageFault {
+    /// What the node was doing ("persist vertex", "persist checkpoint",
+    /// "recover", "shutdown flush").
+    pub context: &'static str,
+    /// The underlying I/O error.
+    pub detail: String,
+}
+
+impl std::fmt::Display for StorageFault {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "storage error ({}): {}", self.context, self.detail)
+    }
 }
 
 /// Latency record for one of this validator's own transactions.
@@ -625,9 +635,9 @@ impl<B: LogBackend> Validator<B> {
     }
 
     /// Takes the commit records accumulated since the last call, in
-    /// commit order, leaving the buffer empty. The simulator's validator
-    /// actor (`hh-sim`) calls this after every handler call and feeds the
-    /// safety invariant checker; the WAL audits call it after a replay.
+    /// commit order, leaving the buffer empty. [`crate::Driver::step`]
+    /// calls this after every handler call and feeds the safety invariant
+    /// checker.
     pub fn take_commit_records(&mut self) -> Vec<CommitRecord> {
         std::mem::take(&mut self.commit_log)
     }
@@ -704,6 +714,11 @@ impl<B: LogBackend> Validator<B> {
     /// [`Output::StorageError`]).
     pub fn is_halted(&self) -> bool {
         self.halted
+    }
+
+    /// Whether the store holds a log to restart from.
+    pub(crate) fn holds_log(&self) -> bool {
+        self.store.as_ref().is_some_and(|s| s.size_bytes() > 0)
     }
 
     /// Startup: arm the maintenance tick and propose the genesis vertex.
@@ -869,9 +884,10 @@ impl<B: LogBackend> Validator<B> {
     ///
     /// Idempotent and safe on a halted node (a storage fault during the
     /// flush is surfaced as [`Output::StorageError`], like any other write
-    /// failure). The real-node runtime (`hh-node`) calls this when its
-    /// control stdin closes, before exiting; the simulator never needs it
-    /// because `MemBackend` has nothing to flush.
+    /// failure). `hh-node` steps its driver through
+    /// [`Event::Shutdown`](crate::Event::Shutdown) when its control stdin
+    /// closes, before exiting; the simulator never needs it because
+    /// `MemBackend` has nothing to flush.
     pub fn on_shutdown(&mut self, _now: u64) -> Vec<Output> {
         let mut out = Vec::new();
         if let Some(store) = &mut self.store {
@@ -934,7 +950,7 @@ impl<B: LogBackend> Validator<B> {
     ) {
         self.metrics.storage_errors += 1;
         self.halted = true;
-        out.push(Output::StorageError { context, detail: error.to_string() });
+        out.push(Output::StorageError(StorageFault { context, detail: error.to_string() }));
     }
 
     fn note_quorum(&mut self, round: Round) {
@@ -1165,63 +1181,71 @@ impl<B: LogBackend> Validator<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{route, Driver, Event, SafetyChecker, Transport};
+    use hh_net::wheel::TimingWheel;
+    use hh_net::SimTime;
     use hh_storage::MemBackend;
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
 
-    /// Drives a single validator through its timers: a committee of one has
-    /// quorum 1, so the node self-paces rounds and commits alone —
-    /// exercising the full propose → deliver → commit → execute pipeline
-    /// without a network.
-    struct SoloPump {
-        v: Validator<MemBackend>,
+    /// A validator alone in its committee on the driver: quorum 1, so it
+    /// self-paces rounds and commits alone, exercising the whole propose →
+    /// deliver → commit → execute pipeline without a network. Its commits
+    /// go to `checker`; storage faults are collected in `faults`.
+    ///
+    /// It is its own transport: with no peers, sends and broadcasts go
+    /// nowhere, and timers wait in the simulator's wheel, keyed by
+    /// deadline and arming order.
+    struct Solo<B: LogBackend = MemBackend> {
+        driver: Driver<B>,
+        timers: TimingWheel<u64>,
         now: u64,
-        timers: BinaryHeap<Reverse<(u64, u64)>>,
+        checker: SafetyChecker,
+        faults: Vec<StorageFault>,
     }
 
-    impl SoloPump {
-        fn new(config: ValidatorConfig, backend: Option<MemBackend>) -> Self {
-            let committee = Committee::new_equal_stake(1);
-            let v = Validator::new(committee, ValidatorId(0), config, backend);
-            SoloPump { v, now: 0, timers: BinaryHeap::new() }
+    impl<B: LogBackend> Transport for Solo<B> {
+        fn send(&mut self, _: ValidatorId, _: ValidatorMessage) {}
+        fn broadcast(&mut self, _: ValidatorMessage) {}
+        fn set_timer(&mut self, delay_us: u64, token: u64) {
+            self.timers.arm(SimTime(self.now + delay_us), token);
+        }
+    }
+
+    impl Solo {
+        fn volatile(config: ValidatorConfig) -> Self {
+            Solo::new(config, None, SafetyChecker::new())
+        }
+    }
+
+    impl<B: LogBackend> Solo<B> {
+        fn new(config: ValidatorConfig, backend: Option<B>, checker: SafetyChecker) -> Self {
+            let v = Validator::new(Committee::new_equal_stake(1), ValidatorId(0), config, backend);
+            let driver = Driver::new(v, Some(checker.clone()));
+            let (timers, now, faults) = (TimingWheel::new(), 0, Vec::new());
+            Solo { driver, timers, now, checker, faults }
         }
 
-        fn start(&mut self) {
-            let out = self.v.on_start(self.now);
-            self.absorb(out);
+        fn v(&self) -> &Validator<B> {
+            self.driver.validator()
         }
 
-        fn absorb(&mut self, out: Vec<Output>) {
-            for o in out {
-                match o {
-                    Output::SetTimer { delay_us, token } => {
-                        self.timers.push(Reverse((self.now + delay_us, token)));
-                    }
-                    // Committee of one: no peers to send to.
-                    Output::Send(_, _) | Output::Broadcast(_) => {}
-                    Output::StorageError { context, detail } => {
-                        panic!("unexpected storage error ({context}): {detail}")
-                    }
-                }
+        fn step(&mut self, event: Event<'_>) {
+            let out = self.driver.step(event, self.now);
+            if let Err(fault) = route(out, self) {
+                self.faults.push(fault);
             }
-        }
-
-        fn run_until(&mut self, deadline: u64) {
-            while let Some(Reverse((at, token))) = self.timers.peek().copied() {
-                if at > deadline {
-                    break;
-                }
-                self.timers.pop();
-                self.now = at;
-                let out = self.v.on_timer(token, self.now);
-                self.absorb(out);
-            }
-            self.now = deadline;
         }
 
         fn submit(&mut self, tx: Transaction) {
-            let out = self.v.on_message(ValidatorId(0), &ValidatorMessage::Submit(tx), self.now);
-            self.absorb(out);
+            self.step(Event::Message(ValidatorId(0), &ValidatorMessage::Submit(tx)));
+        }
+
+        /// Fires every timer due by `deadline`, then moves the clock there.
+        fn run_until(&mut self, deadline: u64) {
+            while let Some((at, _, token)) = self.timers.pop_if_at_most(SimTime(deadline)) {
+                self.now = at.0;
+                self.step(Event::Timer(token));
+            }
+            self.now = deadline;
         }
     }
 
@@ -1236,34 +1260,37 @@ mod tests {
 
     #[test]
     fn solo_validator_commits_and_executes() {
-        let mut pump = SoloPump::new(fast_config(), None);
-        pump.start();
+        let mut solo = Solo::volatile(fast_config());
+        solo.step(Event::Boot);
         for i in 0..10 {
-            pump.submit(Transaction::new(0, i, 0));
+            solo.submit(Transaction::new(0, i, 0));
         }
-        pump.run_until(1_000_000);
-        assert!(pump.v.commit_count() > 10, "commits: {}", pump.v.commit_count());
-        assert_eq!(pump.v.metrics().txs_accepted, 10);
-        assert_eq!(pump.v.metrics().own_txs_committed, 10);
-        assert_eq!(pump.v.metrics().exec_records.len(), 10);
-        for rec in &pump.v.metrics().exec_records {
+        solo.run_until(1_000_000);
+        let v = solo.v();
+        assert!(v.commit_count() > 10, "commits: {}", v.commit_count());
+        assert_eq!(solo.checker.records_seen(), v.commit_count(), "the driver audits every commit");
+        solo.checker.assert_clean();
+        assert_eq!(v.metrics().txs_accepted, 10);
+        assert_eq!(v.metrics().own_txs_committed, 10);
+        assert_eq!(v.metrics().exec_records.len(), 10);
+        for rec in &v.metrics().exec_records {
             assert!(rec.committed_at >= rec.submitted_at);
             assert!(rec.executed_at > rec.committed_at);
         }
         // No leader timeouts: the solo node is always its own leader.
-        assert_eq!(pump.v.metrics().leader_timeouts, 0);
+        assert_eq!(v.metrics().leader_timeouts, 0);
     }
 
     #[test]
     fn pool_capacity_sheds_excess() {
         let config = ValidatorConfig { pool_capacity: 5, ..fast_config() };
-        let mut pump = SoloPump::new(config, None);
-        pump.start();
+        let mut solo = Solo::volatile(config);
+        solo.step(Event::Boot);
         // Submit while the proposer is paced out, so the pool fills up.
         for i in 0..10 {
-            pump.submit(Transaction::new(0, i, 0));
+            solo.submit(Transaction::new(0, i, 0));
         }
-        let m = pump.v.metrics();
+        let m = solo.v().metrics();
         assert_eq!(m.txs_accepted + m.txs_shed, 10);
         assert!(m.txs_shed > 0, "pool should shed beyond capacity");
     }
@@ -1271,55 +1298,46 @@ mod tests {
     #[test]
     fn rounds_are_paced() {
         let config = ValidatorConfig { min_round_delay_us: 100_000, ..fast_config() };
-        let mut pump = SoloPump::new(config, None);
-        pump.start();
-        pump.run_until(1_000_000);
+        let mut solo = Solo::volatile(config);
+        solo.step(Event::Boot);
+        solo.run_until(1_000_000);
         // ~1s / 100ms pacing → about 10 proposals (plus genesis).
-        let proposals = pump.v.metrics().proposals;
+        let proposals = solo.v().metrics().proposals;
         assert!((8..=13).contains(&proposals), "proposals: {proposals}");
     }
 
     #[test]
     fn crash_recovery_restores_commits_from_storage() {
         let backend = MemBackend::new();
-        let mut pump = SoloPump::new(fast_config(), Some(backend.clone()));
-        pump.start();
+        let mut solo = Solo::new(fast_config(), Some(backend.clone()), SafetyChecker::new());
+        solo.step(Event::Boot);
         for i in 0..5 {
-            pump.submit(Transaction::new(0, i, 0));
+            solo.submit(Transaction::new(0, i, 0));
         }
-        pump.run_until(500_000);
-        let commits_before = pump.v.commit_count();
-        let log_before = pump.v.take_commit_records();
+        solo.run_until(500_000);
+        let commits_before = solo.v().commit_count();
+        let chain_before = solo.v().committed_anchors().to_vec();
         assert!(commits_before > 0);
-        assert_eq!(log_before.len() as u64, commits_before);
 
-        // Crash: rebuild the validator object from the same backend.
-        let committee = Committee::new_equal_stake(1);
-        let mut revived: Validator<MemBackend> =
-            Validator::new(committee, ValidatorId(0), fast_config(), Some(backend));
-        let out = revived.on_restart(600_000);
-        assert!(!out.is_empty());
-        assert!(revived.commit_count() >= commits_before.saturating_sub(1));
-        assert!(!revived.metrics().recovery_divergence, "checkpoint must match");
-        // The replay recomputes every pre-crash commit: the same index,
-        // anchor and sub-DAG, commit by commit.
-        let replayed = revived.take_commit_records();
-        assert!(replayed.iter().all(|r| r.replayed));
-        let without_origin = |r: &CommitRecord| {
-            (r.index, r.anchor, r.vertices.clone(), r.horizon, r.summaries.clone())
-        };
-        assert!(replayed.len() >= log_before.len());
-        assert_eq!(
-            replayed[..log_before.len()].iter().map(without_origin).collect::<Vec<_>>(),
-            log_before.iter().map(without_origin).collect::<Vec<_>>()
-        );
+        // Crash: a fresh validator boots from the same store, audited by
+        // the same checker, which holds every replayed commit to the
+        // pre-crash one of its index: anchor, sub-DAG and schedule switches.
+        let mut revived = Solo::new(fast_config(), Some(backend), solo.checker.clone());
+        revived.now = 600_000;
+        revived.step(Event::Boot);
+        assert_eq!(revived.v().metrics().restarts, 1, "a store holding a log boots a restart");
+        assert!(revived.v().commit_count() >= commits_before.saturating_sub(1));
+        assert!(!revived.v().metrics().recovery_divergence, "checkpoint must match");
+        // The replay recomputes the pre-crash chain, commit by commit.
+        let recovered = revived.v().committed_anchors();
+        assert_eq!(recovered, &chain_before[..recovered.len()], "not a prefix");
+        assert_eq!(revived.checker.records_seen(), commits_before + revived.v().commit_count());
         // Replay must not duplicate execution records.
-        assert!(revived.metrics().exec_records.is_empty());
+        assert!(revived.v().metrics().exec_records.is_empty());
         // And the node keeps committing after recovery.
-        let mut pump2 = SoloPump { v: revived, now: 600_000, timers: BinaryHeap::new() };
-        pump2.absorb(out);
-        pump2.run_until(1_200_000);
-        assert!(pump2.v.commit_count() > commits_before);
+        revived.run_until(1_200_000);
+        assert!(revived.v().commit_count() > commits_before);
+        revived.checker.assert_clean();
     }
 
     #[test]
@@ -1394,24 +1412,21 @@ mod tests {
         // pipeline again would make the next transaction wait that long.
         let config = ValidatorConfig { max_block_txs: 100, ..fast_config() };
         let backend = MemBackend::new();
-        let mut pump = SoloPump::new(config.clone(), Some(backend.clone()));
-        pump.start();
+        let mut solo = Solo::new(config.clone(), Some(backend.clone()), SafetyChecker::new());
+        solo.step(Event::Boot);
         for i in 0..1_200 {
-            pump.submit(Transaction::new(0, i, 0));
+            solo.submit(Transaction::new(0, i, 0));
         }
-        pump.run_until(1_000_000);
-        assert_eq!(pump.v.metrics().own_txs_committed, 1_200);
+        solo.run_until(1_000_000);
+        assert_eq!(solo.v().metrics().own_txs_committed, 1_200);
 
-        let committee = Committee::new_equal_stake(1);
-        let mut revived: Validator<MemBackend> =
-            Validator::new(committee, ValidatorId(0), config.clone(), Some(backend));
-        let out = revived.on_restart(1_000_000);
-        let mut pump = SoloPump { v: revived, now: 1_000_000, timers: BinaryHeap::new() };
-        pump.absorb(out);
-        pump.submit(Transaction::new(0, 1_200, pump.now));
-        pump.run_until(1_500_000);
+        let mut revived = Solo::new(config.clone(), Some(backend), SafetyChecker::new());
+        revived.now = 1_000_000;
+        revived.step(Event::Boot);
+        revived.submit(Transaction::new(0, 1_200, revived.now));
+        revived.run_until(1_500_000);
 
-        let recs: Vec<_> = pump.v.metrics().exec_records.iter().collect();
+        let recs: Vec<_> = revived.v().metrics().exec_records.iter().collect();
         assert_eq!(recs.len(), 1, "only the transaction submitted after the restart");
         let block_us = config.max_block_txs as u64 * (1_000_000 / config.exec_rate_tps);
         let waited = recs[0].executed_at - recs[0].committed_at;
@@ -1426,14 +1441,14 @@ mod tests {
         // against 8.8 B while every record stored four varints, and 32 B
         // for the struct. A prediction that stops holding must not go
         // unnoticed.
-        let mut pump = SoloPump::new(ValidatorConfig::default(), None);
-        pump.start();
+        let mut solo = Solo::volatile(ValidatorConfig::default());
+        solo.step(Event::Boot);
         for i in 0..5_000 {
-            pump.run_until(i * 1_000);
-            pump.submit(Transaction::new(0, i, pump.now));
+            solo.run_until(i * 1_000);
+            solo.submit(Transaction::new(0, i, solo.now));
         }
-        pump.run_until(6_000_000);
-        let log = &pump.v.metrics().exec_records;
+        solo.run_until(6_000_000);
+        let log = &solo.v().metrics().exec_records;
         assert_eq!(log.len(), 5_000);
         assert!(
             log.encoded_bytes() <= 3 * log.len(),
@@ -1478,109 +1493,146 @@ mod tests {
         assert!(copy.iter().eq((0..=300_000).map(rec)));
     }
 
-    /// A backend that accepts a fixed number of appends, then fails every
-    /// write — the "disk full / device gone" shape.
-    #[derive(Clone, Debug)]
+    /// Which writes a [`FailingBackend`] fails; its handles share one.
+    #[derive(Debug, Default)]
+    struct Plan {
+        /// Appends that went through.
+        appends: usize,
+        /// Fail every append from this one (0-based) on.
+        fail_from: Option<usize>,
+        /// Fail the next rewrite.
+        fail_rewrite: bool,
+        /// Fail the next sync.
+        fail_sync: bool,
+    }
+
+    /// A memory log whose writes fail as its [`Plan`] says: the "disk full
+    /// / device gone" shape.
+    #[derive(Clone, Debug, Default)]
     struct FailingBackend {
         inner: MemBackend,
-        appends_left: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+        plan: Arc<std::sync::Mutex<Plan>>,
     }
 
     impl FailingBackend {
-        fn failing_after(appends: usize) -> Self {
-            FailingBackend {
-                inner: MemBackend::new(),
-                appends_left: std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(appends)),
-            }
+        fn plan(&self) -> std::sync::MutexGuard<'_, Plan> {
+            self.plan.lock().expect("no test panics holding the plan")
         }
     }
 
-    impl hh_storage::LogBackend for FailingBackend {
+    fn injected() -> std::io::Error {
+        std::io::Error::other("injected fault")
+    }
+
+    impl LogBackend for FailingBackend {
         fn append(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-            use std::sync::atomic::Ordering;
-            let left = self.appends_left.load(Ordering::SeqCst);
-            if left == 0 {
-                return Err(std::io::Error::other("injected append failure"));
+            {
+                let mut plan = self.plan();
+                if plan.fail_from.is_some_and(|k| plan.appends >= k) {
+                    return Err(injected());
+                }
+                plan.appends += 1;
             }
-            self.appends_left.store(left - 1, Ordering::SeqCst);
             self.inner.append(bytes)
         }
         fn read_all(&self) -> std::io::Result<Vec<u8>> {
             self.inner.read_all()
         }
         fn rewrite(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+            if std::mem::take(&mut self.plan().fail_rewrite) {
+                return Err(injected());
+            }
             self.inner.rewrite(bytes)
         }
         fn len(&self) -> usize {
-            hh_storage::LogBackend::len(&self.inner)
+            LogBackend::len(&self.inner)
         }
+        fn sync(&mut self) -> std::io::Result<()> {
+            if std::mem::take(&mut self.plan().fail_sync) {
+                return Err(injected());
+            }
+            Ok(())
+        }
+    }
+
+    /// The storage sweep's fixed solo run: ten transactions, then 150
+    /// rounds of 1 ms, inside the GC window, so the run's
+    /// `committed_anchors` are its whole chain.
+    fn fixed_run(backend: &FailingBackend) -> Solo<FailingBackend> {
+        let mut solo = Solo::new(fast_config(), Some(backend.clone()), SafetyChecker::new());
+        solo.step(Event::Boot);
+        for i in 0..10 {
+            solo.submit(Transaction::new(0, i, 0));
+        }
+        solo.run_until(150_000);
+        solo
+    }
+
+    /// `solo` fail-stopped on exactly one typed fault, in `context`, and
+    /// ignores input; restarted on the repaired store, it recovers a
+    /// prefix of the fault-free run's `chain`.
+    fn fails_once_then_recovers_a_prefix(
+        mut solo: Solo<FailingBackend>,
+        backend: &FailingBackend,
+        context: &str,
+        chain: &[VertexRef],
+    ) {
+        assert_eq!(solo.faults.len(), 1, "one typed error, then silence: {:?}", solo.faults);
+        assert_eq!(solo.faults[0].context, context);
+        assert!(solo.faults[0].detail.contains("injected fault"), "{}", solo.faults[0]);
+        assert!(solo.v().is_halted(), "the node fail-stops");
+        assert_eq!(solo.v().metrics().storage_errors, 1);
+        let submit = ValidatorMessage::Submit(Transaction::new(0, 99, solo.now));
+        let out = solo.driver.step(Event::Message(ValidatorId(0), &submit), solo.now);
+        assert!(out.is_empty(), "a halted node emits nothing");
+
+        *backend.plan() = Plan::default();
+        solo.step(Event::Restart);
+        assert_eq!(solo.faults.len(), 1, "{context}: the repaired store takes every write");
+        assert!(!solo.v().is_halted());
+        assert!(!solo.v().metrics().recovery_divergence);
+        let recovered = solo.v().committed_anchors();
+        assert_eq!(recovered, &chain[..recovered.len()], "{context}: not a prefix");
+        solo.checker.assert_clean();
     }
 
     #[test]
     fn storage_failure_fail_stops_instead_of_panicking() {
-        // A solo validator on a backend that dies after 3 appends: the
-        // node must surface Output::StorageError, halt, and never panic.
-        let committee = Committee::new_equal_stake(1);
-        let backend = FailingBackend::failing_after(3);
-        let appends_left = backend.appends_left.clone();
-        let mut v: Validator<FailingBackend> =
-            Validator::new(committee, ValidatorId(0), fast_config(), Some(backend));
-        let mut timers: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-        let mut storage_errors = Vec::new();
-        let absorb = |out: Vec<Output>,
-                      now: u64,
-                      timers: &mut BinaryHeap<Reverse<(u64, u64)>>,
-                      errors: &mut Vec<&'static str>| {
-            for o in out {
-                match o {
-                    Output::SetTimer { delay_us, token } => {
-                        timers.push(Reverse((now + delay_us, token)));
-                    }
-                    Output::StorageError { context, detail } => {
-                        assert!(detail.contains("injected append failure"), "{detail}");
-                        errors.push(context);
-                    }
-                    Output::Send(_, _) | Output::Broadcast(_) => {}
-                }
-            }
-        };
+        let clean = FailingBackend::default();
+        let solo = fixed_run(&clean);
+        assert!(solo.faults.is_empty());
+        let chain = solo.v().committed_anchors().to_vec();
+        assert_eq!(chain.len() as u64, solo.v().commit_count(), "the chain is whole");
+        let appends = clean.plan().appends;
+        assert!(appends > 100, "{appends} appends");
 
-        let out = v.on_start(0);
-        absorb(out, 0, &mut timers, &mut storage_errors);
-        let mut now = 0u64;
-        while let Some(Reverse((at, token))) = timers.peek().copied() {
-            if at > 2_000_000 {
-                break;
-            }
-            timers.pop();
-            now = at;
-            let out = v.on_timer(token, now);
-            absorb(out, now, &mut timers, &mut storage_errors);
+        let mut contexts = std::collections::BTreeSet::new();
+        for k in 0..appends {
+            let backend = FailingBackend::default();
+            backend.plan().fail_from = Some(k);
+            let solo = fixed_run(&backend);
+            let context = solo.faults.first().map_or("none", |f| f.context);
+            contexts.insert(context);
+            fails_once_then_recovers_a_prefix(solo, &backend, context, &chain);
         }
+        assert_eq!(Vec::from_iter(contexts), ["persist checkpoint", "persist vertex"]);
 
-        assert_eq!(storage_errors.len(), 1, "one typed error, then silence: {storage_errors:?}");
-        assert!(
-            storage_errors[0] == "persist vertex" || storage_errors[0] == "persist checkpoint",
-            "{storage_errors:?}"
-        );
-        assert_eq!(v.metrics().storage_errors, 1);
-        assert!(v.is_halted(), "the node fail-stops");
-        let proposals_at_halt = v.metrics().proposals;
-        // Further input is ignored without panicking.
-        let out = v.on_message(
-            ValidatorId(0),
-            &ValidatorMessage::Submit(Transaction::new(0, 0, now)),
-            now,
-        );
-        assert!(out.is_empty(), "halted node emits nothing");
-        assert_eq!(v.metrics().proposals, proposals_at_halt);
+        // A rewrite: the restart after a torn write cuts the tear off,
+        // through `rewrite`, before its next append.
+        let backend = FailingBackend::default();
+        let mut solo = fixed_run(&backend);
+        backend.inner.truncate(LogBackend::len(&backend.inner) - 3);
+        backend.plan().fail_rewrite = true;
+        solo.step(Event::Restart);
+        solo.run_until(300_000);
+        fails_once_then_recovers_a_prefix(solo, &backend, "persist vertex", &chain);
 
-        // A restart against a repaired store clears the halt and resumes.
-        appends_left.store(usize::MAX, std::sync::atomic::Ordering::SeqCst);
-        let out = v.on_restart(now + 1_000);
-        assert!(!v.is_halted());
-        assert!(!out.is_empty(), "restart resumes the protocol");
-        assert!(!v.metrics().recovery_divergence);
+        // A sync: the graceful-shutdown flush.
+        let backend = FailingBackend::default();
+        let mut solo = fixed_run(&backend);
+        backend.plan().fail_sync = true;
+        solo.step(Event::Shutdown);
+        fails_once_then_recovers_a_prefix(solo, &backend, "shutdown flush", &chain);
     }
 
     #[test]
@@ -1594,13 +1646,13 @@ mod tests {
             min_round_delay_us: 100_000,
             ..fast_config()
         };
-        let mut pump = SoloPump::new(config, None);
-        pump.start();
+        let mut solo = Solo::volatile(config);
+        solo.step(Event::Boot);
         for i in 0..10 {
-            pump.submit(Transaction::with_payload(0, i, 0, 1_000));
+            solo.submit(Transaction::with_payload(0, i, 0, 1_000));
         }
-        pump.run_until(2_000_000);
-        let m = pump.v.metrics();
+        solo.run_until(2_000_000);
+        let m = solo.v().metrics();
         assert_eq!(m.own_txs_committed, 10, "everything commits across several blocks");
         assert_eq!(m.bytes_proposed, 10 * 1_020, "all batched bytes are accounted");
         assert_eq!(m.bytes_committed, 10 * 1_020);
@@ -1626,27 +1678,27 @@ mod tests {
         // One transaction bigger than the whole block cap must still be
         // proposed (alone) instead of wedging the pool forever.
         let config = ValidatorConfig { max_block_bytes: 64, max_block_txs: 100, ..fast_config() };
-        let mut pump = SoloPump::new(config, None);
-        pump.start();
-        pump.submit(Transaction::with_payload(0, 0, 0, 10_000));
-        pump.submit(Transaction::with_payload(0, 1, 0, 10_000));
-        pump.run_until(1_000_000);
-        assert_eq!(pump.v.metrics().own_txs_committed, 2);
+        let mut solo = Solo::volatile(config);
+        solo.step(Event::Boot);
+        solo.submit(Transaction::with_payload(0, 0, 0, 10_000));
+        solo.submit(Transaction::with_payload(0, 1, 0, 10_000));
+        solo.run_until(1_000_000);
+        assert_eq!(solo.v().metrics().own_txs_committed, 2);
     }
 
     #[test]
     fn backpressure_limits_uncommitted() {
         // Tiny budget: only 3 txs may be in flight.
         let config = ValidatorConfig { max_uncommitted_txs: 3, max_block_txs: 10, ..fast_config() };
-        let mut pump = SoloPump::new(config, None);
-        pump.start();
+        let mut solo = Solo::volatile(config);
+        solo.step(Event::Boot);
         for i in 0..9 {
-            pump.submit(Transaction::new(0, i, 0));
+            solo.submit(Transaction::new(0, i, 0));
         }
-        pump.run_until(2_000_000);
+        solo.run_until(2_000_000);
         // All eventually commit (budget releases on commit), but never more
         // than 3 in one block.
-        assert_eq!(pump.v.metrics().own_txs_committed, 9);
+        assert_eq!(solo.v().metrics().own_txs_committed, 9);
     }
 
     /// This validator's own vertices among the broadcasts in `out`.
@@ -1871,11 +1923,11 @@ mod tests {
             }),
             ..fast_config()
         };
-        let mut pump = SoloPump::new(config, None);
-        pump.start();
-        pump.run_until(1_000_000);
-        assert!(pump.v.commit_count() > 4);
-        let policy = pump.v.hammerhead_policy().expect("hammerhead policy");
+        let mut solo = Solo::volatile(config);
+        solo.step(Event::Boot);
+        solo.run_until(1_000_000);
+        assert!(solo.v().commit_count() > 4);
+        let policy = solo.v().hammerhead_policy().expect("hammerhead policy");
         assert!(policy.epoch() >= 1, "schedule rotated for solo committee");
     }
 }

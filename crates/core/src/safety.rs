@@ -30,11 +30,11 @@
 //! the slots of the rounds no validator has collected yet. What it keeps
 //! grows with the commit count by the first two alone.
 //!
-//! A simulated validator's records reach the checker inside the event
-//! that produced them (`hh-sim`'s validator actor hands them over before
-//! its handler returns), so a violation is recorded at the event that
-//! caused it and no validator holds a record between events; the node's
-//! testnet harness feeds it the commit sequences its WAL audit recomputes.
+//! A validator's records reach the checker inside the event that produced
+//! them ([`crate::Driver::step`] hands them over before it returns), so a
+//! violation is recorded at the event that caused it and no validator
+//! holds a record between events; the node's testnet harness restarts
+//! every WAL on a driver with one checker.
 //! Violations are collected rather than panicking at the observation
 //! site, so a failing run can dump *all* divergence before the harness
 //! aborts with a per-validator diagnostic.
@@ -138,7 +138,7 @@ struct Observed {
 /// Cross-validator safety invariant checker (see module docs).
 ///
 /// A clone is another handle on the same checker: a run's validator
-/// actors each hold one and feed it as they commit, and the run's
+/// drivers each hold one and feed it as they commit, and the run's
 /// `SimHandle::safety` reads the verdict off the same state.
 #[derive(Clone, Debug, Default)]
 pub struct SafetyChecker(Arc<Mutex<Observed>>);

@@ -280,10 +280,10 @@ pub struct Simulator<N: Node> {
     nodes: Vec<N>,
     crashed: Vec<bool>,
     config: NetworkConfig,
-    /// The event queue: exact `(at, seq)` order (see [`crate::wheel`]).
+    /// The event queue: exact `(at, arming order)` order (see
+    /// [`crate::wheel`]).
     queue: TimingWheel<EventKind<N::Message>>,
     now: SimTime,
-    seq: u64,
     rng: CountingRng,
     stats: SimStats,
     started: bool,
@@ -306,7 +306,6 @@ impl<N: Node> Simulator<N> {
             nodes,
             queue: TimingWheel::new(),
             now: SimTime::ZERO,
-            seq: 0,
             rng: CountingRng { inner: StdRng::seed_from_u64(seed), draws: 0 },
             stats: SimStats::default(),
             started: false,
@@ -398,9 +397,7 @@ impl<N: Node> Simulator<N> {
     }
 
     fn push(&mut self, at: SimTime, kind: EventKind<N::Message>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.timed(crate::prof::accrue_queue, |sim| sim.queue.push(at, seq, kind));
+        self.timed(crate::prof::accrue_queue, |sim| sim.queue.arm(at, kind));
     }
 
     /// [`TimingWheel::pop_if_at_most`], a queue op like [`Simulator::push`].

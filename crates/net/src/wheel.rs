@@ -1,6 +1,7 @@
-//! The simulator's event queue: a microsecond-granularity timing wheel
-//! (bucketed calendar queue) with a hierarchical occupancy bitmap, backed
-//! by an ordered overflow map for beyond-horizon events.
+//! The simulator's event queue, and `hh-node`'s timers: a
+//! microsecond-granularity timing wheel (bucketed calendar queue) with a
+//! hierarchical occupancy bitmap, backed by an ordered overflow map for
+//! beyond-horizon events.
 //!
 //! The queue's contract is *exact* `(at, seq)` priority order: `pop`
 //! returns events in ascending `at`, ties broken by ascending `seq` — the
@@ -22,10 +23,11 @@
 //!   slab of `{seq, next, value}` nodes shared by the whole ring, with a
 //!   free list threaded through `next`. Each slot's list is circular and
 //!   kept in ascending `seq`: the tail's `next` is the head, so a push at
-//!   the tail and a pop at the head are both O(1) from the one index. The
-//!   simulator's `seq` is a monotonic counter, so a push is an append at
-//!   the tail, and a caller that pushes a lower `seq` into an occupied
-//!   slot pays a walk from the head to its place. The slab grows to the
+//!   the tail and a pop at the head are both O(1) from the one index.
+//!   [`TimingWheel::arm`] numbers events from the wheel's own monotonic
+//!   counter, so an arm is an append at the tail, and a caller that
+//!   pushes a lower `seq` into an occupied slot pays a walk from the head
+//!   to its place. The slab grows to the
 //!   largest number of events the ring ever held at once and no further,
 //!   whatever the burst any one slot saw.
 //! * **Occupancy bitmap**: one bit per slot, plus a second-level summary
@@ -103,6 +105,8 @@ pub struct TimingWheel<T> {
     in_ring: usize,
     /// Beyond-horizon events, keyed by `(at, seq)`.
     overflow: BTreeMap<(u64, u64), T>,
+    /// The `seq` the next [`TimingWheel::arm`] gives its event.
+    armed: u64,
 }
 
 impl<T> Default for TimingWheel<T> {
@@ -124,6 +128,7 @@ impl<T> TimingWheel<T> {
             cursor: SimTime::ZERO,
             in_ring: 0,
             overflow: BTreeMap::new(),
+            armed: 0,
         }
     }
 
@@ -137,8 +142,17 @@ impl<T> TimingWheel<T> {
         self.len() == 0
     }
 
-    /// Enqueues `value` at `(at, seq)`. `seq` values must be unique
-    /// (the simulator hands out a fresh one per push).
+    /// Enqueues `value` at `at` under the wheel's next sequence number,
+    /// so values due at one instant pop in the order they were armed: the
+    /// tie rule of the simulator's event queue and of every validator
+    /// runtime's timers. A wheel that arms takes no [`TimingWheel::push`].
+    pub fn arm(&mut self, at: SimTime, value: T) {
+        let seq = self.armed;
+        self.armed += 1;
+        self.push(at, seq, value);
+    }
+
+    /// Enqueues `value` at `(at, seq)`. `seq` values must be unique.
     pub fn push(&mut self, at: SimTime, seq: u64, value: T) {
         let horizon = at.0.wrapping_sub(self.cursor.0);
         if at.0 >= self.cursor.0 && horizon < WHEEL_SLOTS as u64 {
@@ -521,6 +535,7 @@ mod tests {
             cursor: _,
             in_ring: _,
             overflow,
+            armed: _,
         } = wheel;
         assert!(overflow.is_empty(), "the overflow map's nodes are not counted");
         size_of_val(&**slots) + nodes.capacity() * size_of::<Node<T>>() + size_of_val(&**words)

@@ -1,38 +1,39 @@
 //! The node runtime: one OS process driving one [`Validator`] over real
 //! sockets.
 //!
-//! The event loop is the operational twin of the simulator's
-//! [`hh_net::sim`] runtime: the validator is the same pure state machine
-//! returning [`Output`] effects, but here "now" is a monotonic wall
-//! clock, timers live in a local heap, and sends go through
-//! [`hh_net::tcp::TcpTransport`] instead of a latency model.
+//! The validator runs on [`hammerhead::Driver`], the driver the simulator
+//! runs it on: each event is stepped, audited and routed by the same
+//! code. What this runtime adds are the OS concerns: "now" is a
+//! monotonic wall clock, sends go through [`hh_net::tcp::TcpTransport`]
+//! instead of a latency model, stdin is the control channel, and a status
+//! line goes to stdout. Timers wait in the simulator's
+//! [`TimingWheel`], keyed by deadline and arming order, so timers due at
+//! the same instant fire in the order they were armed in both runtimes.
 //!
 //! # Lifecycle
 //!
-//! * **Boot** — open the WAL file; a non-empty log means this is a
-//!   restart, so boot through [`Validator::on_restart`] (WAL replay +
-//!   RBC re-announce for range-sync) instead of
-//!   [`Validator::on_start`].
+//! * **Boot** — open the WAL file; [`Event::Boot`] restarts from a
+//!   non-empty log ([`Validator::on_restart`]: WAL replay + RBC
+//!   re-announce for range-sync) and starts otherwise.
 //! * **Run** — deliver frames, fire timers, and print an `HH-STATUS`
 //!   line every `status_interval_ms` so a harness can watch progress
 //!   without any extra protocol.
 //! * **Shutdown** — the node owns no signal handlers (pure std): its
 //!   control channel is **stdin**. A `shutdown` line or EOF triggers a
-//!   graceful exit: [`Validator::on_shutdown`] writes a final
-//!   checkpoint and fsyncs the WAL, an `HH-FINAL` line reports the
-//!   closing state, and the process exits 0. A SIGKILL simply never
-//!   reaches any of this — which is exactly what the crash-recovery
-//!   test wants.
+//!   graceful exit: [`Event::Shutdown`] writes a final checkpoint and
+//!   fsyncs the WAL, an `HH-FINAL` line reports the closing state, and
+//!   the process exits 0. A SIGKILL simply never reaches any of this —
+//!   which is exactly what the crash-recovery test wants.
 
 use crate::config::NodeConfig;
 use crate::wire::WireMsg;
 use crossbeam::channel::Receiver;
-use hammerhead::{Output, Validator};
+use hammerhead::{route, Driver, Event, Transport, Validator, ValidatorMessage};
 use hh_net::tcp::{TcpEvent, TcpTransport};
+use hh_net::wheel::TimingWheel;
+use hh_net::SimTime;
 use hh_storage::FileBackend;
 use hh_types::ValidatorId;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::io::{BufRead, Write as _};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -90,6 +91,43 @@ fn drain_burst<T>(first: T, events: &Receiver<T>, mut handle: impl FnMut(T) -> b
     }
 }
 
+/// The validator's side of the process, and its [`Transport`]: the
+/// driver, the sockets, the timers, the time of the event being routed,
+/// and the storage fault that ended the run, if one did.
+struct NodeState<'a> {
+    driver: Driver<FileBackend>,
+    tcp: &'a TcpTransport<WireMsg>,
+    /// One-shot timers on the wall clock (µs since boot).
+    timers: TimingWheel<u64>,
+    now: u64,
+    fatal: Option<String>,
+}
+
+impl NodeState<'_> {
+    /// Steps `event` at `now` and routes what it produced.
+    fn handle(&mut self, event: Event<'_>, now: u64) {
+        self.now = now;
+        let out = self.driver.step(event, now);
+        if let Err(fault) = route(out, self) {
+            self.fatal.get_or_insert(fault.to_string());
+        }
+    }
+}
+
+impl Transport for NodeState<'_> {
+    fn send(&mut self, to: ValidatorId, msg: ValidatorMessage) {
+        self.tcp.send(to.0, &WireMsg::new(msg));
+    }
+
+    fn broadcast(&mut self, msg: ValidatorMessage) {
+        self.tcp.broadcast(&WireMsg::new(msg));
+    }
+
+    fn set_timer(&mut self, delay_us: u64, token: u64) {
+        self.timers.arm(SimTime(self.now.saturating_add(delay_us)), token);
+    }
+}
+
 /// Runs a node to completion.
 ///
 /// Returns when stdin closes (graceful shutdown) or the validator
@@ -103,55 +141,34 @@ pub fn run_node(cfg: &NodeConfig) -> Result<NodeReport, String> {
     cfg.validate()?;
     let backend =
         FileBackend::open(&cfg.wal).map_err(|e| format!("open WAL {}: {e}", cfg.wal.display()))?;
-    let resumed = !hh_storage::LogBackend::is_empty(&backend);
-
-    let mut validator = Validator::new(
+    let validator = Validator::new(
         cfg.committee(),
         ValidatorId(cfg.id),
         cfg.validator_config()?,
         Some(backend),
     );
-    let transport = TcpTransport::<WireMsg>::start(cfg.tcp_config()?)
+    let tcp = TcpTransport::<WireMsg>::start(cfg.tcp_config()?)
         .map_err(|e| format!("bind {}: {e}", cfg.peers[cfg.id as usize]))?;
 
     let stop = Arc::new(AtomicBool::new(false));
     if let Err(e) = watch_stdin(stop.clone()) {
-        transport.shutdown();
+        tcp.shutdown();
         return Err(format!("spawn stdin watcher: {e}"));
     }
 
     let start = Instant::now();
-    let now_us = |start: &Instant| start.elapsed().as_micros() as u64;
-    // One-shot timers: (deadline_us, token), earliest first.
-    let mut timers: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-    let mut fatal: Option<String> = None;
-
-    let dispatch = |outputs: Vec<Output>,
-                    now: u64,
-                    timers: &mut BinaryHeap<Reverse<(u64, u64)>>,
-                    fatal: &mut Option<String>| {
-        for out in outputs {
-            match out {
-                Output::Send(to, msg) => transport.send(to.0, &WireMsg::new(msg)),
-                Output::Broadcast(msg) => transport.broadcast(&WireMsg::new(msg)),
-                Output::SetTimer { delay_us, token } => {
-                    timers.push(Reverse((now.saturating_add(delay_us), token)));
-                }
-                Output::StorageError { context, detail } => {
-                    *fatal = Some(format!("storage error ({context}): {detail}"));
-                }
-            }
-        }
-    };
-
-    let boot_now = now_us(&start);
-    let boot = if resumed { validator.on_restart(boot_now) } else { validator.on_start(boot_now) };
-    dispatch(boot, boot_now, &mut timers, &mut fatal);
+    let now_us = || start.elapsed().as_micros() as u64;
+    // The harness audits commits, and the schedule switches they carry,
+    // from the WAL: the driver drops the records, keeping the run bounded.
+    let driver = Driver::new(validator, None);
+    let mut node = NodeState { driver, tcp: &tcp, timers: TimingWheel::new(), now: 0, fatal: None };
+    node.handle(Event::Boot, now_us());
+    let v = node.driver.validator();
     eprintln!(
         "hh-node {}: {} with {} recovered commits, listening on {}",
         cfg.id,
-        if resumed { "restarted" } else { "started" },
-        validator.commit_count(),
+        if v.metrics().restarts > 0 { "restarted" } else { "started" },
+        v.commit_count(),
         cfg.peers[cfg.id as usize],
     );
 
@@ -161,83 +178,66 @@ pub fn run_node(cfg: &NodeConfig) -> Result<NodeReport, String> {
         v.committed_anchors().last().map_or(0, |a| a.round.0)
     };
 
-    while fatal.is_none() && !stop.load(Ordering::SeqCst) {
-        let now = now_us(&start);
+    while node.fatal.is_none() && !stop.load(Ordering::SeqCst) {
+        let now = now_us();
 
         // Fire every due timer before blocking again.
-        while let Some(&Reverse((deadline, token))) = timers.peek() {
-            if deadline > now {
-                break;
-            }
-            timers.pop();
-            let outs = validator.on_timer(token, now);
-            dispatch(outs, now, &mut timers, &mut fatal);
+        while let Some((_, _, token)) = node.timers.pop_if_at_most(SimTime(now)) {
+            node.handle(Event::Timer(token), now);
         }
 
         if now >= next_status {
             next_status = now + status_interval;
+            let v = node.driver.validator_mut();
             println!(
                 "HH-STATUS id={} commits={} round={} cround={}",
                 cfg.id,
-                validator.commit_count(),
-                validator.current_round().0,
-                committed_round(&validator),
+                v.commit_count(),
+                v.current_round().0,
+                committed_round(v),
             );
             let _ = std::io::stdout().flush();
-            // Keep the in-memory run bounded: the harness audits commits,
-            // and the schedule switches they carry, from the WAL, not from
-            // this process's memory.
-            validator.take_commit_records();
-            validator.take_exec_records();
+            // Keep the in-memory run bounded: nothing here reads latencies.
+            v.take_exec_records();
         }
 
         // Sleep until the next timer, status tick, or inbound frame.
-        let next_deadline =
-            timers.peek().map_or(next_status, |&Reverse((d, _))| d.min(next_status));
+        let next_deadline = node.timers.peek_at().map_or(next_status, |at| at.0.min(next_status));
         let wait = Duration::from_micros(next_deadline.saturating_sub(now).clamp(100, 20_000));
-        match transport.events().recv_timeout(wait) {
+        match tcp.events().recv_timeout(wait) {
             Ok(first) => {
                 // Drain a burst without re-checking timers per frame.
-                drain_burst(first, transport.events(), |ev| {
+                drain_burst(first, tcp.events(), |ev| {
                     // Connected / Disconnected are transport-level noise.
                     if let TcpEvent::Message { from, msg } = ev {
-                        let now = now_us(&start);
-                        let outs = validator.on_message(ValidatorId(from), msg.0.as_ref(), now);
-                        dispatch(outs, now, &mut timers, &mut fatal);
+                        node.handle(Event::Message(ValidatorId(from), &msg.0), now_us());
                     }
-                    fatal.is_none()
+                    node.fatal.is_none()
                 });
             }
             Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
             Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                fatal = Some("transport event channel closed".into());
+                node.fatal = Some("transport event channel closed".into());
             }
         }
     }
 
     // Graceful close: final checkpoint + fsync, then report.
-    let now = now_us(&start);
-    let mut clean = fatal.is_none();
-    for out in validator.on_shutdown(now) {
-        if let Output::StorageError { context, detail } = out {
-            clean = false;
-            if fatal.is_none() {
-                fatal = Some(format!("storage error ({context}): {detail}"));
-            }
-        }
-    }
+    node.handle(Event::Shutdown, now_us());
+    let v = node.driver.validator();
     let report = NodeReport {
         id: cfg.id,
-        commits: validator.commit_count(),
-        committed_round: committed_round(&validator),
-        clean,
+        commits: v.commit_count(),
+        committed_round: committed_round(v),
+        clean: node.fatal.is_none(),
     };
     println!(
         "HH-FINAL id={} commits={} cround={} clean={}",
         report.id, report.commits, report.committed_round, report.clean,
     );
     let _ = std::io::stdout().flush();
-    transport.shutdown();
+    let fatal = node.fatal;
+    tcp.shutdown();
 
     match fatal {
         Some(e) => Err(e),
@@ -287,6 +287,27 @@ mod tests {
             true
         });
         assert_eq!(seen, (MAX_BURST + 4..2 * MAX_BURST).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn timers_due_together_fire_in_arming_order() {
+        // Due at one instant, in the wheel's ring or beyond its horizon,
+        // timers fire in the order they were armed, as in the simulator:
+        // a validator that arms its sync tick (token 2) and then a wake-up
+        // (token 1) for the same deadline gets the tick first.
+        let mut timers = TimingWheel::new();
+        for (deadline, token) in
+            [(500, 2), (500, 1), (300, 7), (500, 0), (900_000, 5), (900_000, 4)]
+        {
+            timers.arm(SimTime(deadline), token);
+        }
+        let mut fire = |now| {
+            std::iter::from_fn(|| timers.pop_if_at_most(SimTime(now)).map(|(_, _, t)| t))
+                .collect::<Vec<u64>>()
+        };
+        assert!(fire(299).is_empty());
+        assert_eq!(fire(500), [7, 2, 1, 0]);
+        assert_eq!(fire(u64::MAX), [5, 4]);
     }
 
     #[test]

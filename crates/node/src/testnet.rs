@@ -26,7 +26,7 @@
 use crate::config::NodeConfig;
 use crate::runtime::parse_status_field;
 use crate::wire::WireMsg;
-use hammerhead::{SafetyChecker, Validator, ValidatorMessage};
+use hammerhead::{Driver, Event, SafetyChecker, Validator, ValidatorMessage};
 use hh_net::tcp::{write_frame, write_handshake, WireCodec};
 use hh_storage::FileBackend;
 use hh_types::{Transaction, ValidatorId};
@@ -371,23 +371,24 @@ fn stop_gracefully(child: &mut Child, grace: Duration) -> Result<(), String> {
     }
 }
 
-/// Replays a copy of one node's WAL through a fresh validator and
-/// returns its recomputed commit history.
-fn audit_node(cfg: &NodeConfig) -> Result<(u64, u64, Vec<hammerhead::CommitRecord>), String> {
+/// Replays a copy of one node's WAL through a fresh validator on the
+/// driver, which hands the recomputed commit history to `checker`, and
+/// returns its commit count and committed round.
+fn audit_node(cfg: &NodeConfig, checker: &SafetyChecker) -> Result<(u64, u64), String> {
     let copy = cfg.wal.with_extension("audit");
     std::fs::copy(&cfg.wal, &copy)
         .map_err(|e| format!("copying WAL {}: {e}", cfg.wal.display()))?;
     let backend = FileBackend::open(&copy).map_err(|e| format!("open audit WAL: {e}"))?;
-    let mut v = Validator::new(
+    let v = Validator::new(
         cfg.committee(),
         ValidatorId(cfg.id),
         cfg.validator_config()?,
         Some(backend),
     );
-    v.on_restart(0);
-    let records = v.take_commit_records();
-    let round = v.committed_anchors().last().map_or(0, |a| a.round.0);
-    Ok((v.commit_count(), round, records))
+    let mut driver = Driver::new(v, Some(checker.clone()));
+    driver.step(Event::Restart, 0);
+    let v = driver.validator();
+    Ok((v.commit_count(), v.committed_anchors().last().map_or(0, |a| a.round.0)))
 }
 
 /// Runs a full local testnet. See the module docs for the phases.
@@ -529,13 +530,12 @@ pub fn run_testnet(opts: &TestnetOpts) -> Result<TestnetReport, String> {
     drop(fleet);
 
     // Audit every WAL from disk; cross-check with the safety checker.
-    let mut checker = SafetyChecker::new();
+    let checker = SafetyChecker::new();
     let mut commits = Vec::new();
     let mut committed_rounds = Vec::new();
     for cfg in &configs {
-        match audit_node(cfg) {
-            Ok((count, round, records)) => {
-                checker.observe_all(cfg.id, &records);
+        match audit_node(cfg, &checker) {
+            Ok((count, round)) => {
                 commits.push(count);
                 committed_rounds.push(round);
                 if count < opts.min_commits {

@@ -2,9 +2,11 @@
 
 use crate::byzantine::ByzantineBehavior;
 use crate::workload::{ArrivalKind, RateNow, SubmissionMode, Workload};
-use hammerhead::{Output, SafetyChecker, Validator, ValidatorMessage};
+use hammerhead::{
+    route, Driver, Event, Output, SafetyChecker, Transport, Validator, ValidatorMessage,
+};
 use hh_net::{Context, Node, NodeId};
-use hh_storage::MemBackend;
+use hh_storage::{LogBackend, MemBackend};
 use hh_types::{Transaction, ValidatorId};
 use rand::Rng;
 use std::sync::Arc;
@@ -12,7 +14,7 @@ use std::sync::Arc;
 /// Wire messages on the simulated network. A broadcast enqueues one
 /// `Arc`'d message (`Context::broadcast_to_first`); the runtime's
 /// fan-out then bumps the refcount once per recipient, so no path —
-/// emit, routing, or delivery — deep-copies a frame. Chaos corruption
+/// routing or delivery — deep-copies a frame. Chaos corruption
 /// is the only place an owned frame is materialized.
 pub type NetMessage = Arc<ValidatorMessage>;
 
@@ -271,43 +273,44 @@ impl Client {
 /// Validators occupy node ids `0..n`; clients live above them. Broadcasts
 /// from validators go to validators only.
 ///
-/// A validator may carry a [`ByzantineBehavior`]: the adversarial shim
-/// that filters its inbound messages and rewrites its outbound ones. The
-/// validator logic itself stays honest — the behavior models what a real
-/// attacker controls, the network boundary.
+/// A validator runs on the [`Driver`] `hh-node` runs, with the run's
+/// [`SafetyChecker`]: it audits the commits of each event before the
+/// event's handler returns, so a validator's commit log is empty between
+/// events. Its store is any [`LogBackend`]; the simulator's own is a
+/// [`MemBackend`] whose handle survives a crash.
 ///
-/// A validator always carries a [`SafetyChecker`] handle and gives it the
-/// commit records of each handler call before that call returns: the
-/// validators of one run share the run's checker, so the audit happens at
-/// the commit and a validator's commit log is empty between events.
-pub enum Actor {
-    /// A consensus validator, optionally byzantine, and the checker that
-    /// audits its commits.
-    Validator(Box<Validator<MemBackend>>, Option<Box<ByzantineBehavior>>, SafetyChecker),
+/// A validator may carry a [`ByzantineBehavior`]: the adversarial shim
+/// that filters its inbound messages and rewrites its outbound ones
+/// between the driver's step and its route. The validator logic itself
+/// stays honest — the behavior models what a real attacker controls, the
+/// network boundary.
+pub enum Actor<B: LogBackend = MemBackend> {
+    /// A consensus validator on its driver, optionally byzantine.
+    Validator(Box<Driver<B>>, Option<Box<ByzantineBehavior>>),
     /// A load generator.
     Client(Client),
 }
 
-impl Actor {
-    /// An honest validator actor audited by a checker of its own (build
-    /// the variant directly to share one across a committee).
-    pub fn honest(v: Validator<MemBackend>) -> Self {
-        Actor::Validator(Box::new(v), None, SafetyChecker::new())
+impl<B: LogBackend> Actor<B> {
+    /// An honest validator actor whose commits `safety` audits (a clone
+    /// shares one checker across a committee).
+    pub fn honest(v: Validator<B>, safety: SafetyChecker) -> Self {
+        Actor::Validator(Box::new(Driver::new(v, Some(safety))), None)
     }
 
     /// The validator inside, if this actor is one.
-    pub fn as_validator(&self) -> Option<&Validator<MemBackend>> {
+    pub fn as_validator(&self) -> Option<&Validator<B>> {
         match self {
-            Actor::Validator(v, ..) => Some(v),
+            Actor::Validator(d, _) => Some(d.validator()),
             Actor::Client(_) => None,
         }
     }
 
     /// Mutable access to the validator inside, if this actor is one
     /// (streaming harnesses draining latency records mid-run).
-    pub fn as_validator_mut(&mut self) -> Option<&mut Validator<MemBackend>> {
+    pub fn as_validator_mut(&mut self) -> Option<&mut Validator<B>> {
         match self {
-            Actor::Validator(v, ..) => Some(v),
+            Actor::Validator(d, _) => Some(d.validator_mut()),
             Actor::Client(_) => None,
         }
     }
@@ -315,7 +318,7 @@ impl Actor {
     /// The byzantine behavior attached to this validator, if any.
     pub fn behavior(&self) -> Option<&ByzantineBehavior> {
         match self {
-            Actor::Validator(_, b, _) => b.as_deref(),
+            Actor::Validator(_, b) => b.as_deref(),
             Actor::Client(_) => None,
         }
     }
@@ -329,53 +332,59 @@ impl Actor {
     }
 }
 
-/// Routes validator outputs onto the network. Broadcast targets are
-/// validators only (`committee_size` of them, ids `0..committee_size`).
-fn emit(outputs: Vec<Output>, committee_size: usize, ctx: &mut Context<'_, NetMessage>) {
-    for output in outputs {
-        match output {
-            Output::Send(to, msg) => ctx.send(NodeId(to.0 as usize), Arc::new(msg)),
-            Output::Broadcast(msg) => {
-                // One queued action; the runtime fans out per recipient
-                // with an `Arc` bump each — no deep copies, no per-peer
-                // queue entries at emit time.
-                ctx.broadcast_to_first(committee_size, Arc::new(msg));
-            }
-            Output::SetTimer { delay_us, token } => {
-                ctx.set_timer(hh_net::Duration::from_micros(delay_us), token);
-            }
-            Output::StorageError { .. } => {
-                // The validator has fail-stopped and recorded the fault in
-                // its metrics (`storage_errors`); nothing to route. The
-                // harness keeps the rest of the committee running.
-            }
-        }
+/// The simulated network as a validator's [`Transport`]. Broadcast
+/// targets are validators only (`committee_size` of them, ids
+/// `0..committee_size`): one queued action each, which the runtime fans
+/// out per recipient with an `Arc` bump — no deep copies.
+struct SimNet<'a, 'c> {
+    ctx: &'a mut Context<'c, NetMessage>,
+    committee_size: usize,
+}
+
+impl Transport for SimNet<'_, '_> {
+    fn send(&mut self, to: ValidatorId, msg: ValidatorMessage) {
+        self.ctx.send(NodeId(to.0 as usize), Arc::new(msg));
+    }
+
+    fn broadcast(&mut self, msg: ValidatorMessage) {
+        self.ctx.broadcast_to_first(self.committee_size, Arc::new(msg));
+    }
+
+    fn set_timer(&mut self, delay_us: u64, token: u64) {
+        self.ctx.set_timer(hh_net::Duration::from_micros(delay_us), token);
     }
 }
 
-/// How every validator handler call ends. The commit records it produced
-/// go to the checker first — a violation is recorded at the event that
-/// caused it, and no record outlives that event — then the outputs pass
-/// the byzantine shim, if any, and are routed.
-fn finish(
-    v: &mut Validator<MemBackend>,
-    behavior: &mut Option<Box<ByzantineBehavior>>,
-    safety: &mut SafetyChecker,
-    mut out: Vec<Output>,
-    now: u64,
+/// Routes `outputs` onto the simulated network. A storage fault needs no
+/// routing: the validator has fail-stopped and counted it
+/// (`storage_errors`), and the rest of the committee runs on.
+fn route_on<B: LogBackend>(
+    driver: &Driver<B>,
+    outputs: Vec<Output>,
     ctx: &mut Context<'_, NetMessage>,
 ) {
-    let records = v.take_commit_records();
-    if !records.is_empty() {
-        safety.observe_all(v.id().0, &records);
-    }
+    let committee_size = driver.validator().dag().committee().size();
+    let _fail_stopped = route(outputs, &mut SimNet { ctx, committee_size });
+}
+
+/// How every validator event is handled: the driver steps it and audits
+/// its commits, the byzantine shim, if any, rewrites the outputs, and the
+/// driver's route sends them.
+fn drive<B: LogBackend>(
+    driver: &mut Driver<B>,
+    behavior: &mut Option<Box<ByzantineBehavior>>,
+    event: Event<'_>,
+    ctx: &mut Context<'_, NetMessage>,
+) {
+    let now = ctx.now().as_micros();
+    let mut out = driver.step(event, now);
     if let Some(b) = behavior {
         out = b.process_outbound(out, now);
     }
-    emit(out, v.dag().committee().size(), ctx);
+    route_on(driver, out, ctx);
 }
 
-impl Node for Actor {
+impl<B: LogBackend> Node for Actor<B> {
     type Message = NetMessage;
 
     /// Chaos-layer corruption: flip 1–3 random bits in the message's
@@ -399,11 +408,7 @@ impl Node for Actor {
 
     fn on_start(&mut self, ctx: &mut Context<'_, NetMessage>) {
         match self {
-            Actor::Validator(v, behavior, safety) => {
-                let now = ctx.now().as_micros();
-                let out = v.on_start(now);
-                finish(v, behavior, safety, out, now, ctx);
-            }
+            Actor::Validator(driver, behavior) => drive(driver, behavior, Event::Boot, ctx),
             Actor::Client(c) => {
                 // Stagger client starts across one interval to avoid a
                 // synchronized burst at t=0.
@@ -415,21 +420,18 @@ impl Node for Actor {
 
     fn on_message(&mut self, from: NodeId, msg: NetMessage, ctx: &mut Context<'_, NetMessage>) {
         match self {
-            Actor::Validator(v, behavior, safety) => {
+            Actor::Validator(driver, behavior) => {
                 let now = ctx.now().as_micros();
-                if let Some(b) = behavior {
-                    if !b.allows_inbound(&msg, now) {
-                        // A withholding attacker pretends it never saw
-                        // this vertex.
-                        return;
-                    }
+                if behavior.as_ref().is_some_and(|b| !b.allows_inbound(&msg, now)) {
+                    // A withholding attacker pretends it never saw this
+                    // vertex.
+                    return;
                 }
                 let sender = ValidatorId(from.0.min(u16::MAX as usize) as u16);
                 // Borrowed dispatch: the shared frame is handed to the
                 // validator as-is; `Arc`'d vertex payloads inside make
                 // retention a refcount bump, so no deep copy happens here.
-                let out = v.on_message(sender, &msg, now);
-                finish(v, behavior, safety, out, now, ctx);
+                drive(driver, behavior, Event::Message(sender, &msg), ctx);
             }
             Actor::Client(c) => {
                 if let ValidatorMessage::Confirm { executed_at, .. } = &*msg {
@@ -441,19 +443,16 @@ impl Node for Actor {
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, NetMessage>) {
         match self {
-            Actor::Validator(v, behavior, safety) => {
-                let now = ctx.now().as_micros();
+            Actor::Validator(driver, behavior) => {
                 if ByzantineBehavior::owns_token(token) {
-                    // A release timer: emit the held outputs verbatim —
+                    // A release timer: route the held outputs verbatim —
                     // they were already processed when first produced.
                     if let Some(b) = behavior {
-                        let held = b.release(token);
-                        emit(held, v.dag().committee().size(), ctx);
+                        route_on(driver, b.release(token), ctx);
                     }
                     return;
                 }
-                let out = v.on_timer(token, now);
-                finish(v, behavior, safety, out, now, ctx);
+                drive(driver, behavior, Event::Timer(token), ctx);
             }
             Actor::Client(c) => {
                 if token == TOKEN_CLIENT_SUBMIT {
@@ -465,11 +464,7 @@ impl Node for Actor {
 
     fn on_restart(&mut self, ctx: &mut Context<'_, NetMessage>) {
         match self {
-            Actor::Validator(v, behavior, safety) => {
-                let now = ctx.now().as_micros();
-                let out = v.on_restart(now);
-                finish(v, behavior, safety, out, now, ctx);
-            }
+            Actor::Validator(driver, behavior) => drive(driver, behavior, Event::Restart, ctx),
             Actor::Client(_) => self.on_start(ctx),
         }
     }
@@ -497,7 +492,7 @@ mod tests {
         let mut actors: Vec<Actor> = (0..4)
             .map(|i| {
                 let v = Validator::new(committee.clone(), ValidatorId(i), config.clone(), None);
-                Actor::Validator(Box::new(v), None, safety.clone())
+                Actor::honest(v, safety.clone())
             })
             .collect();
         // One client targeting validator 0.
@@ -612,7 +607,8 @@ mod tests {
         let committee = Committee::new_equal_stake(1);
         let v = Validator::new(committee, ValidatorId(0), ValidatorConfig::default(), None);
         let client = Client::with_workload(0, NodeId(0), base_tps, 2.0, workload, secs * 1_000_000);
-        let actors = vec![Actor::honest(v), Actor::Client(client)];
+        let actors: Vec<Actor> =
+            vec![Actor::honest(v, SafetyChecker::new()), Actor::Client(client)];
         let net = NetworkConfig {
             latency: hh_net::LatencyModel::Constant(hh_net::Duration::from_millis(1)),
             ..NetworkConfig::default()

@@ -7,7 +7,8 @@ use crate::metrics::LatencySummary;
 use crate::sink::MetricsSink;
 use crate::workload::Workload;
 use hammerhead::{
-    EpochSummary, HammerheadConfig, SafetyChecker, ScheduleConfig, Validator, ValidatorConfig,
+    Driver, EpochSummary, HammerheadConfig, SafetyChecker, ScheduleConfig, Validator,
+    ValidatorConfig,
 };
 use hh_consensus::SchedulePolicy;
 use hh_crypto::Digest;
@@ -361,15 +362,15 @@ pub fn build_sim(config: &ExperimentConfig) -> SimHandle {
     let mut actors: Vec<Actor> = (0..n)
         .map(|i| {
             let id = ValidatorId(i as u16);
+            let v = Validator::new(
+                committee.clone(),
+                id,
+                validator_config.clone(),
+                persist.then(MemBackend::new),
+            );
             Actor::Validator(
-                Box::new(Validator::new(
-                    committee.clone(),
-                    id,
-                    validator_config.clone(),
-                    persist.then(MemBackend::new),
-                )),
+                Box::new(Driver::new(v, Some(safety.clone()))),
                 config.byzantine.behavior_for(id, &committee),
-                safety.clone(),
             )
         })
         .collect();

@@ -36,7 +36,7 @@ fn build_network(
                 config.clone(),
                 None,
             );
-            Actor::Validator(Box::new(v), None, safety.clone())
+            Actor::honest(v, safety.clone())
         })
         .collect();
     actors.push(Actor::Client(Client::new(0, NodeId(0), 120.0, 10.0)));

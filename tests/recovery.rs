@@ -3,12 +3,13 @@
 //! consensus — the "production-ready and fully-featured (crash-recovery)"
 //! behaviour §4 claims.
 
-use hammerhead_repro::hammerhead::{Validator, ValidatorConfig};
+use hammerhead_repro::hammerhead::{SafetyChecker, Validator, ValidatorConfig};
+use hammerhead_repro::hh_crypto::Digest;
 use hammerhead_repro::hh_net::{
     Duration, FaultSchedule, LatencyModel, NetworkConfig, NodeId, SimTime, Simulator,
 };
 use hammerhead_repro::hh_sim::{Actor, Client};
-use hammerhead_repro::hh_storage::MemBackend;
+use hammerhead_repro::hh_storage::{FileBackend, LogBackend, MemBackend};
 use hammerhead_repro::hh_types::{Committee, ValidatorId};
 
 fn fast_config() -> ValidatorConfig {
@@ -21,29 +22,44 @@ fn fast_config() -> ValidatorConfig {
     }
 }
 
-/// Builds a 4-validator network with persistent backends, one client, and
-/// a crash/recovery window for validator 3.
-fn build(crash_at: SimTime, recover_at: SimTime) -> (Simulator<Actor>, Vec<MemBackend>) {
-    let committee = Committee::new_equal_stake(4);
-    let backends: Vec<MemBackend> = (0..4).map(|_| MemBackend::new()).collect();
-    let mut actors: Vec<Actor> = (0..4)
-        .map(|i| {
-            Actor::honest(Validator::new(
-                committee.clone(),
-                ValidatorId(i as u16),
-                fast_config(),
-                Some(backends[i].clone()),
-            ))
+/// Validators on `backends` under one checker, with `config`, beside
+/// `client`, over a flat 5 ms network with `faults`.
+fn network<B: LogBackend>(
+    backends: Vec<B>,
+    config: &ValidatorConfig,
+    client: Client,
+    faults: FaultSchedule,
+    seed: u64,
+) -> (Simulator<Actor<B>>, SafetyChecker) {
+    let committee = Committee::new_equal_stake(backends.len());
+    let safety = SafetyChecker::new();
+    let mut actors: Vec<Actor<B>> = (0..)
+        .zip(backends)
+        .map(|(i, backend)| {
+            let v =
+                Validator::new(committee.clone(), ValidatorId(i), config.clone(), Some(backend));
+            Actor::honest(v, safety.clone())
         })
         .collect();
-    actors.push(Actor::Client(Client::new(0, NodeId(0), 150.0, 10.0)));
-
+    actors.push(Actor::Client(client));
     let net = NetworkConfig {
         latency: LatencyModel::Constant(Duration::from_millis(5)),
-        faults: FaultSchedule::new().crash(3, crash_at.0).recover(3, recover_at.0),
+        faults,
         ..NetworkConfig::default()
     };
-    (Simulator::new(actors, net, 17), backends)
+    (Simulator::new(actors, net, seed), safety)
+}
+
+fn in_memory() -> Vec<MemBackend> {
+    (0..4).map(|_| MemBackend::new()).collect()
+}
+
+/// Four validators, one client, and a crash/recovery window for
+/// validator 3.
+fn build(crash_at: SimTime, recover_at: SimTime) -> Simulator<Actor> {
+    let client = Client::new(0, NodeId(0), 150.0, 10.0);
+    let faults = FaultSchedule::new().crash(3, crash_at.0).recover(3, recover_at.0);
+    network(in_memory(), &fast_config(), client, faults, 17).0
 }
 
 fn commits(sim: &Simulator<Actor>, i: usize) -> u64 {
@@ -54,7 +70,7 @@ fn commits(sim: &Simulator<Actor>, i: usize) -> u64 {
 fn validator_recovers_and_catches_up() {
     let crash_at = SimTime::from_secs(3);
     let recover_at = SimTime::from_secs(6);
-    let (mut sim, _backends) = build(crash_at, recover_at);
+    let mut sim = build(crash_at, recover_at);
 
     sim.run_until(SimTime::from_secs(3));
     let before_crash = commits(&sim, 3);
@@ -93,7 +109,7 @@ fn validator_recovers_and_catches_up() {
 fn recovery_preserves_pre_crash_prefix() {
     let crash_at = SimTime::from_secs(3);
     let recover_at = SimTime::from_secs(5);
-    let (mut sim, _backends) = build(crash_at, recover_at);
+    let mut sim = build(crash_at, recover_at);
 
     sim.run_until(SimTime::from_secs(3));
     let pre_crash: Vec<_> =
@@ -117,30 +133,13 @@ fn recovery_preserves_pre_crash_prefix() {
 
 #[test]
 fn repeated_crashes_survive() {
-    let committee = Committee::new_equal_stake(4);
-    let backends: Vec<MemBackend> = (0..4).map(|_| MemBackend::new()).collect();
-    let mut actors: Vec<Actor> = (0..4)
-        .map(|i| {
-            Actor::honest(Validator::new(
-                committee.clone(),
-                ValidatorId(i as u16),
-                fast_config(),
-                Some(backends[i].clone()),
-            ))
-        })
-        .collect();
-    actors.push(Actor::Client(Client::new(0, NodeId(1), 100.0, 10.0)));
-
-    let net = NetworkConfig {
-        latency: LatencyModel::Constant(Duration::from_millis(5)),
-        faults: FaultSchedule::new()
-            .crash(3, 2_000_000)
-            .recover(3, 4_000_000)
-            .crash(3, 6_000_000)
-            .recover(3, 8_000_000),
-        ..NetworkConfig::default()
-    };
-    let mut sim = Simulator::new(actors, net, 23);
+    let faults = FaultSchedule::new()
+        .crash(3, 2_000_000)
+        .recover(3, 4_000_000)
+        .crash(3, 6_000_000)
+        .recover(3, 8_000_000);
+    let client = Client::new(0, NodeId(1), 100.0, 10.0);
+    let (mut sim, _) = network(in_memory(), &fast_config(), client, faults, 23);
     sim.run_until(SimTime::from_secs(14));
 
     let v3 = sim.node(NodeId(3)).as_validator().unwrap();
@@ -159,10 +158,9 @@ fn hammerhead_node_recovers_with_schedule_state() {
     // Recovery rebuilds the HammerHead policy by replaying the committed
     // sequence: the switches its replayed and live commits carry must be
     // the survivors', which the run's one checker holds them to.
-    use hammerhead_repro::hammerhead::{HammerheadConfig, SafetyChecker, ScheduleConfig};
+    use hammerhead_repro::hammerhead::{HammerheadConfig, ScheduleConfig};
     use hammerhead_repro::hh_consensus::SchedulePolicy;
 
-    let committee = Committee::new_equal_stake(4);
     let config = ValidatorConfig {
         schedule: ScheduleConfig::Hammerhead(HammerheadConfig {
             period_rounds: 8,
@@ -170,27 +168,9 @@ fn hammerhead_node_recovers_with_schedule_state() {
         }),
         ..fast_config()
     };
-    let backends: Vec<MemBackend> = (0..4).map(|_| MemBackend::new()).collect();
-    let safety = SafetyChecker::new();
-    let mut actors: Vec<Actor> = (0..4)
-        .map(|i| {
-            let v = Validator::new(
-                committee.clone(),
-                ValidatorId(i as u16),
-                config.clone(),
-                Some(backends[i].clone()),
-            );
-            Actor::Validator(Box::new(v), None, safety.clone())
-        })
-        .collect();
-    actors.push(Actor::Client(Client::new(0, NodeId(0), 100.0, 10.0)));
-
-    let net = NetworkConfig {
-        latency: LatencyModel::Constant(Duration::from_millis(5)),
-        faults: FaultSchedule::new().crash(2, 3_000_000).recover(2, 5_000_000),
-        ..NetworkConfig::default()
-    };
-    let mut sim = Simulator::new(actors, net, 31);
+    let client = Client::new(0, NodeId(0), 100.0, 10.0);
+    let faults = FaultSchedule::new().crash(2, 3_000_000).recover(2, 5_000_000);
+    let (mut sim, safety) = network(in_memory(), &config, client, faults, 31);
     sim.run_until(SimTime::from_secs(12));
 
     safety.assert_clean();
@@ -207,4 +187,54 @@ fn hammerhead_node_recovers_with_schedule_state() {
     // And it names the run's leader for the round it last committed.
     let last = recovered.committed_anchors().last().expect("it commits again").round;
     assert_eq!(Some(recovered.leader_at(last)), safety.leader_at(last));
+}
+
+/// Four validators on `backends`, one client, and v3 down from 1 s to
+/// 2 s, run for 5 s. Returns the simulation, its checker and v3's commit
+/// count at the crash.
+fn crash_v3_for_a_second<B: LogBackend>(
+    backends: Vec<B>,
+) -> (Simulator<Actor<B>>, SafetyChecker, u64) {
+    let client = Client::new(0, NodeId(0), 150.0, 10.0);
+    let faults = FaultSchedule::new().crash(3, 1_000_000).recover(3, 2_000_000);
+    let (mut sim, safety) = network(backends, &fast_config(), client, faults, 17);
+    sim.run_until(SimTime::from_secs(1));
+    let at_crash = sim.node(NodeId(3)).as_validator().unwrap().commit_count();
+    sim.run_until(SimTime::from_secs(5));
+    (sim, safety, at_crash)
+}
+
+/// Each validator's commit count and chain hash.
+fn chains<B: LogBackend>(sim: &Simulator<Actor<B>>) -> Vec<(u64, Digest)> {
+    let validators = sim.nodes().filter_map(Actor::as_validator);
+    validators.map(|v| (v.commit_count(), v.chain_hash())).collect()
+}
+
+#[test]
+fn the_node_backend_recovers_under_the_simulators_crash() {
+    // The WAL files `hh-node` opens, under the simulator's own actor.
+    let dir = std::env::temp_dir().join(format!("hh-recovery-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let files: Vec<FileBackend> =
+        (0..4).map(|i| FileBackend::open(dir.join(format!("wal-{i}.log"))).unwrap()).collect();
+    let (on_files, safety, at_crash) = crash_v3_for_a_second(files);
+    safety.assert_clean();
+
+    let v3 = on_files.node(NodeId(3)).as_validator().unwrap();
+    assert_eq!(v3.metrics().restarts, 1);
+    assert!(!v3.metrics().recovery_divergence);
+    let v0 = on_files.node(NodeId(0)).as_validator().unwrap();
+    assert!(at_crash > 10, "v3 was committing before the crash");
+    assert!(
+        v3.commit_count() + 20 >= v0.commit_count() && v3.commit_count() > at_crash + 20,
+        "v3 caught up: {at_crash} at the crash, {} of {}",
+        v3.commit_count(),
+        v0.commit_count()
+    );
+
+    // The medium changes nothing the validators do.
+    let (on_memory, _, _) = crash_v3_for_a_second(in_memory());
+    assert_eq!(chains(&on_files), chains(&on_memory));
+    std::fs::remove_dir_all(&dir).unwrap();
 }
