@@ -1241,7 +1241,7 @@ mod tests {
 
         /// Fires every timer due by `deadline`, then moves the clock there.
         fn run_until(&mut self, deadline: u64) {
-            while let Some((at, _, token)) = self.timers.pop_if_at_most(SimTime(deadline)) {
+            while let Some((at, token)) = self.timers.pop_if_at_most(SimTime(deadline)) {
                 self.now = at.0;
                 self.step(Event::Timer(token));
             }

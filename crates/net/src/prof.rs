@@ -3,11 +3,14 @@
 //! A [`crate::Simulator`] told to time itself
 //! ([`crate::Simulator::set_profiling`]; the harness says so from the one
 //! profiling flag, `hh_crypto::prof`) accrues wall-nanos and op counts for
-//! queue operations (timing-wheel push/pop) and event dispatch (deliveries
-//! vs timers) into thread-local cells. Delivery time *includes* the
-//! handler's nested work — digest, verify, codec, queue pushes — so
-//! sub-shares reported alongside it nest inside it rather than summing
-//! with it.
+//! queue operations (timing-wheel arm/pop) and event dispatch (deliveries
+//! vs timers) into thread-local cells. Delivery and timer time *include*
+//! the handler's nested work — digest, sign/verify, codec, queue arms —
+//! so sub-shares reported alongside them nest inside them rather than
+//! summing with them: a proposal made on a wake timer is hashed and
+//! signed inside the timer share, and an arm a handler makes counts in
+//! both the queue share and that handler's. A node's start and restart
+//! (`Node::on_start`, `Node::on_restart`) are in no dispatch share.
 //!
 //! Wall-clock is nondeterministic: stderr-only, never report rows or
 //! JSON.
@@ -41,9 +44,9 @@ pub(crate) fn accrue_timer(ns: u64) {
 /// This thread's accumulated event-loop profile.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NetProf {
-    /// Nanos spent in timing-wheel push/pop operations.
+    /// Nanos spent in timing-wheel arm/pop operations.
     pub queue_ns: u64,
-    /// Queue operations (pushes + pops).
+    /// Queue operations (arms + pops).
     pub queue_ops: u64,
     /// Nanos spent dispatching message deliveries (handler inclusive).
     pub deliver_ns: u64,

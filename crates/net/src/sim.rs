@@ -76,7 +76,6 @@ pub trait Node {
 pub struct Context<'a, M> {
     id: NodeId,
     now: SimTime,
-    num_nodes: usize,
     rng: &'a mut StdRng,
     actions: Vec<Action<M>>,
 }
@@ -111,11 +110,6 @@ impl<'a, M: Clone> Context<'a, M> {
         self.now
     }
 
-    /// Total number of nodes in the simulation.
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
     /// The deterministic random source (shared, seeded by the simulator).
     pub fn rng(&mut self) -> &mut StdRng {
         self.rng
@@ -126,24 +120,17 @@ impl<'a, M: Clone> Context<'a, M> {
         self.actions.push(Action::Send { to, msg });
     }
 
-    /// Sends `msg` to every *other* node. Self-delivery is the protocol's
-    /// job (processing a locally-created message directly is free and
-    /// avoids a queue round-trip).
+    /// Sends `msg` to every other node with id below `k` — a committee
+    /// broadcast in simulations where load generators occupy the ids
+    /// above the validators. Self-delivery is the protocol's job
+    /// (processing a locally-created message directly is free and avoids
+    /// a queue round-trip).
     ///
     /// Enqueues a single action; the runtime fans out per recipient in
     /// ascending node order (identical delivery and RNG-draw order to a
     /// loop of [`Context::send`] calls), cloning the message handle per
     /// peer — one `Arc` bump each for `Arc`'d message types, never a
     /// deep copy.
-    pub fn broadcast(&mut self, msg: M) {
-        let to_first = self.num_nodes;
-        self.actions.push(Action::Broadcast { msg, to_first });
-    }
-
-    /// Sends `msg` to every other node with id below `k` — a committee
-    /// broadcast in simulations where load generators occupy the ids
-    /// above the validators. Same single-action, ascending-order,
-    /// handle-clone fan-out as [`Context::broadcast`].
     pub fn broadcast_to_first(&mut self, k: usize, msg: M) {
         self.actions.push(Action::Broadcast { msg, to_first: k });
     }
@@ -375,13 +362,6 @@ impl<N: Node> Simulator<N> {
         self.crashed[id.0]
     }
 
-    /// Injects a raw message delivered to `to` at exactly `at` (no latency
-    /// model applied), appearing to come `from`. Used by tests and by
-    /// harnesses injecting external inputs.
-    pub fn schedule_message(&mut self, at: SimTime, from: NodeId, to: NodeId, msg: N::Message) {
-        self.push(at.max(self.now), EventKind::Deliver { to, from, msg });
-    }
-
     /// Runs `f`, charging its wall time to `accrue` when profiling is on.
     /// `f` has one call site, so each use compiles to the plain call with a
     /// clock read on either side (two call sites cost the n = 10 event loop
@@ -401,40 +381,21 @@ impl<N: Node> Simulator<N> {
     }
 
     /// [`TimingWheel::pop_if_at_most`], a queue op like [`Simulator::push`].
-    fn pop_at_most(&mut self, deadline: SimTime) -> Option<(SimTime, u64, EventKind<N::Message>)> {
+    fn pop_at_most(&mut self, deadline: SimTime) -> Option<(SimTime, EventKind<N::Message>)> {
         self.timed(crate::prof::accrue_queue, |sim| sim.queue.pop_if_at_most(deadline))
     }
 
     /// Processes all events up to and including `deadline`, then advances
-    /// the clock to `deadline`.
+    /// the clock to `deadline`. A deadline already passed is a no-op: the
+    /// clock never runs backwards.
     pub fn run_until(&mut self, deadline: SimTime) {
         self.ensure_started();
-        while let Some((at, _, kind)) = self.pop_at_most(deadline) {
+        while let Some((at, kind)) = self.pop_at_most(deadline) {
             self.now = at;
             self.dispatch(kind);
         }
-        self.now = deadline;
-        self.queue.advance_to(deadline);
-    }
-
-    /// Runs until the event queue drains or `deadline` passes; returns the
-    /// final simulation time. Useful for tests that want quiescence.
-    pub fn run_until_idle(&mut self, deadline: SimTime) -> SimTime {
-        self.ensure_started();
-        loop {
-            match self.pop_at_most(deadline) {
-                Some((at, _, kind)) => {
-                    self.now = at;
-                    self.dispatch(kind);
-                }
-                None if self.queue.is_empty() => return self.now,
-                None => {
-                    self.now = deadline;
-                    self.queue.advance_to(deadline);
-                    return self.now;
-                }
-            }
-        }
+        self.now = self.now.max(deadline);
+        self.queue.advance_to(self.now);
     }
 
     fn ensure_started(&mut self) {
@@ -492,7 +453,6 @@ impl<N: Node> Simulator<N> {
         let mut ctx = Context {
             id,
             now: self.now,
-            num_nodes: self.nodes.len(),
             rng: &mut self.rng.inner,
             actions: std::mem::take(&mut self.action_scratch),
         };
@@ -627,7 +587,8 @@ mod tests {
         fn on_start(&mut self, ctx: &mut Context<'_, Self::Message>) {
             self.started += 1;
             if ctx.id() == NodeId(0) {
-                ctx.broadcast("ping");
+                // Every id is below `usize::MAX`: a ping to every peer.
+                ctx.broadcast_to_first(usize::MAX, "ping");
                 ctx.set_timer(Duration::from_millis(100), 7);
             }
         }
@@ -740,30 +701,42 @@ mod tests {
     }
 
     #[test]
-    fn schedule_message_injects_at_exact_time() {
-        let nodes = (0..2).map(|_| Echo::new()).collect();
-        let mut sim = Simulator::new(nodes, constant_net(10), 1);
-        sim.schedule_message(SimTime::from_millis(123), NodeId(99), NodeId(1), "external");
-        sim.run_until(SimTime::from_secs(1));
-        let log = &sim.node(NodeId(1)).log;
-        assert!(log.contains(&(SimTime::from_millis(123), NodeId(99), "external")));
-    }
-
-    #[test]
-    fn run_until_idle_stops_at_quiescence() {
-        let nodes = (0..2).map(|_| Echo::new()).collect();
-        let mut sim = Simulator::new(nodes, constant_net(10), 1);
-        let end = sim.run_until_idle(SimTime::from_secs(60));
-        // Last event is the 100ms timer on node 0.
-        assert_eq!(end, SimTime::from_millis(100));
-    }
-
-    #[test]
     fn clock_advances_to_deadline_even_without_events() {
         let nodes: Vec<Echo> = vec![];
         let mut sim: Simulator<Echo> = Simulator::new(nodes, constant_net(1), 0);
         sim.run_until(SimTime::from_secs(3));
         assert_eq!(sim.now(), SimTime::from_secs(3));
+    }
+
+    /// Test node: re-arms a one-second timer on every firing and records
+    /// when each fired.
+    struct Ticker(Vec<SimTime>);
+
+    impl Node for Ticker {
+        type Message = ();
+
+        fn on_start(&mut self, ctx: &mut Context<'_, Self::Message>) {
+            ctx.set_timer(Duration::from_secs(1), 0);
+        }
+
+        fn on_message(&mut self, _: NodeId, _: (), _: &mut Context<'_, Self::Message>) {}
+
+        fn on_timer(&mut self, _token: u64, ctx: &mut Context<'_, Self::Message>) {
+            self.0.push(ctx.now());
+            ctx.set_timer(Duration::from_secs(1), 0);
+        }
+    }
+
+    #[test]
+    fn a_deadline_in_the_past_leaves_the_clock_where_it_is() {
+        let mut sim = Simulator::new(vec![Ticker(Vec::new())], constant_net(1), 0);
+        sim.run_until(SimTime::from_secs(5));
+        sim.run_until(SimTime::from_secs(2));
+        assert_eq!(sim.now(), SimTime::from_secs(5));
+        sim.run_until(SimTime::from_millis(6_500));
+        let fired: Vec<u64> = sim.node(NodeId(0)).0.iter().map(|t| t.as_micros()).collect();
+        assert_eq!(fired, (1..=6).map(|s| s * 1_000_000).collect::<Vec<_>>());
+        assert_eq!(sim.now(), SimTime::from_millis(6_500));
     }
 
     fn chaos(drop: f64, duplicate: f64, corrupt: f64, reorder_ms: u64) -> ChaosSchedule {

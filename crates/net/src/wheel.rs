@@ -3,12 +3,15 @@
 //! hierarchical occupancy bitmap, backed by an ordered overflow map for
 //! beyond-horizon events.
 //!
-//! The queue's contract is *exact* `(at, seq)` priority order: `pop`
-//! returns events in ascending `at`, ties broken by ascending `seq` — the
-//! FIFO tie-break the simulator's determinism (and every scenario JSON
-//! byte) depends on. The wheel is a drop-in replacement for the
-//! `BinaryHeap<Reverse<Event>>` it displaced; a property test in
-//! `tests/queue_props.rs` pins pop order against that heap as an oracle.
+//! One way in, one way out: [`TimingWheel::arm`] queues an event under
+//! the wheel's own sequence number `seq`, which counts arms, and
+//! [`TimingWheel::pop_if_at_most`] hands back the earliest. The queue's
+//! contract is *exact* `(at, seq)` order: ascending `at`, ties broken in
+//! arming order — the FIFO tie-break the simulator's determinism (and
+//! every scenario JSON byte) depends on. The wheel is a drop-in
+//! replacement for the `BinaryHeap<Reverse<Event>>` it displaced; a
+//! property test in `tests/queue_props.rs` pins pop order against that
+//! heap as an oracle.
 //!
 //! Design:
 //!
@@ -21,13 +24,10 @@
 //!   order is exactly global `(at, seq)` order.
 //! * **Slab**: a slot is one `u32`, the index of its list's tail in one
 //!   slab of `{seq, next, value}` nodes shared by the whole ring, with a
-//!   free list threaded through `next`. Each slot's list is circular and
-//!   kept in ascending `seq`: the tail's `next` is the head, so a push at
-//!   the tail and a pop at the head are both O(1) from the one index.
-//!   [`TimingWheel::arm`] numbers events from the wheel's own monotonic
-//!   counter, so an arm is an append at the tail, and a caller that
-//!   pushes a lower `seq` into an occupied slot pays a walk from the head
-//!   to its place. The slab grows to the
+//!   free list threaded through `next`. Each slot's list is circular: the
+//!   tail's `next` is the head, so an arm at the tail and a pop at the
+//!   head are both O(1) from the one index, and since `seq` only grows,
+//!   appending keeps the list in `seq` order. The slab grows to the
 //!   largest number of events the ring ever held at once and no further,
 //!   whatever the burst any one slot saw.
 //! * **Occupancy bitmap**: one bit per slot, plus a second-level summary
@@ -37,19 +37,19 @@
 //! * **Overflow**: events beyond the horizon (sync ticks, leader
 //!   timeouts, client windows, far-future fault injections, and every
 //!   delivery slower than 32.8 ms) go to a `BTreeMap` keyed by
-//!   `(at, seq)`. `pop` compares the ring head and the overflow head and
+//!   `(at, seq)`. A pop compares the ring head and the overflow head and
 //!   takes the smaller key, so overflow events never migrate into the
-//!   ring, and the ring never sees a push out of the overflow.
+//!   ring, and the ring never sees an arm out of the overflow.
 //!
 //! Where the traffic goes, counted over one repetition of each benchmark
 //! workload (seed 1). `sim_n10_long` (10 validators, 600 simulated
-//! seconds): 5,546,593 of 5,825,928 pushes (95 %) go through the ring,
+//! seconds): 5,546,593 of 5,825,928 arms (95 %) go through the ring,
 //! 30 % of those into a slot that already holds an event (same-instant
 //! bursts); the ring holds at most 4,831 events at once, the whole queue
 //! 4,885. `sim_n100_f33` (100 validators over the geo latency matrix):
-//! 407,366 of 663,923 pushes (61 %) land in the overflow map, because a
+//! 407,366 of 663,923 arms (61 %) land in the overflow map, because a
 //! one-way delay between regions more than a 65 ms round trip apart (most
-//! pairs; up to 150 ms) exceeds the horizon, and 9 % of the ring's pushes
+//! pairs; up to 150 ms) exceeds the horizon, and 9 % of the ring's arms
 //! find their slot occupied; the ring holds at most 1,663 events at once,
 //! the whole queue 6,800. The 4-validator
 //! flat-latency probe this queue was first tuned on (hundreds of
@@ -145,15 +145,11 @@ impl<T> TimingWheel<T> {
     /// Enqueues `value` at `at` under the wheel's next sequence number,
     /// so values due at one instant pop in the order they were armed: the
     /// tie rule of the simulator's event queue and of every validator
-    /// runtime's timers. A wheel that arms takes no [`TimingWheel::push`].
+    /// runtime's timers. The number only grows, so an event ringed into an
+    /// occupied slot is always its list's new tail.
     pub fn arm(&mut self, at: SimTime, value: T) {
         let seq = self.armed;
         self.armed += 1;
-        self.push(at, seq, value);
-    }
-
-    /// Enqueues `value` at `(at, seq)`. `seq` values must be unique.
-    pub fn push(&mut self, at: SimTime, seq: u64, value: T) {
         let horizon = at.0.wrapping_sub(self.cursor.0);
         if at.0 >= self.cursor.0 && horizon < WHEEL_SLOTS as u64 {
             let slot = (at.0 as usize) & (WHEEL_SLOTS - 1);
@@ -161,12 +157,15 @@ impl<T> TimingWheel<T> {
             if self.words[slot >> 6] & (1 << (slot & 63)) == 0 {
                 // A list of one: the node is its own head.
                 self.nodes[node as usize].next = node;
-                self.slots[slot] = node;
                 self.words[slot >> 6] |= 1 << (slot & 63);
                 self.summary[slot >> 12] |= 1 << ((slot >> 6) & 63);
             } else {
-                self.link_in_order(slot, node, seq);
+                // The new tail, linked back to the head.
+                let tail = self.slots[slot] as usize;
+                self.nodes[node as usize].next = self.nodes[tail].next;
+                self.nodes[tail].next = node;
             }
+            self.slots[slot] = node;
             self.in_ring += 1;
         } else {
             // Beyond the horizon — or, defensively, before the cursor
@@ -191,51 +190,21 @@ impl<T> TimingWheel<T> {
         }
     }
 
-    /// Links `node` into the occupied `slot`'s list at its `seq`.
-    fn link_in_order(&mut self, slot: usize, node: u32, seq: u64) {
-        let tail = self.slots[slot];
-        let head = self.nodes[tail as usize].next;
-        if self.nodes[tail as usize].seq <= seq {
-            // The new tail, linked back to the head.
-            self.nodes[node as usize].next = head;
-            self.nodes[tail as usize].next = node;
-            self.slots[slot] = node;
-            return;
-        }
-        // Below the tail, so the walk stops at the tail at the latest. It
-        // starts behind the head, at the tail, so a new head needs no case
-        // of its own: the tail's `next` becomes it.
-        let mut before = tail;
-        let mut at = head;
-        while self.nodes[at as usize].seq <= seq {
-            before = at;
-            at = self.nodes[at as usize].next;
-        }
-        self.nodes[node as usize].next = at;
-        self.nodes[before as usize].next = node;
-    }
-
     /// The time of the next event, if any.
     pub fn peek_at(&self) -> Option<SimTime> {
         self.earliest().map(|e| SimTime(e.at))
     }
 
-    /// Removes and returns the earliest event as `(at, seq, value)`,
-    /// advancing the cursor to its time.
-    pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
-        let earliest = self.earliest()?;
-        Some(self.take(earliest))
-    }
-
-    /// Pops the earliest event only if its time is `<= deadline`.
-    pub fn pop_if_at_most(&mut self, deadline: SimTime) -> Option<(SimTime, u64, T)> {
+    /// Removes and returns the earliest event as `(at, value)` if its
+    /// time is `<= deadline`, advancing the cursor to that time.
+    pub fn pop_if_at_most(&mut self, deadline: SimTime) -> Option<(SimTime, T)> {
         let earliest = self.earliest()?;
         (earliest.at <= deadline.0).then(|| self.take(earliest))
     }
 
     /// Moves the cursor forward to `to`, re-anchoring the ring horizon.
     /// The caller must have drained every event at or before `to`
-    /// (as `Simulator::run_until` does); an event pushed later but dated
+    /// (as `Simulator::run_until` does); an event armed later but dated
     /// earlier would still be ordered exactly, via the overflow map.
     pub fn advance_to(&mut self, to: SimTime) {
         debug_assert!(self.peek_at().is_none_or(|at| at >= to), "advancing past queued events");
@@ -265,18 +234,17 @@ impl<T> TimingWheel<T> {
 
     /// Removes the event [`TimingWheel::earliest`] found and advances the
     /// cursor to its time.
-    fn take(&mut self, earliest: Earliest) -> (SimTime, u64, T) {
+    fn take(&mut self, earliest: Earliest) -> (SimTime, T) {
         let Some(slot) = earliest.ring_slot else {
-            let ((at, seq), value) = self.overflow.pop_first().expect("overflow head");
+            let ((at, _), value) = self.overflow.pop_first().expect("overflow head");
             if at > self.cursor.0 {
                 self.cursor = SimTime(at);
             }
-            return (SimTime(at), seq, value);
+            return (SimTime(at), value);
         };
         let tail = self.slots[slot];
         let head = self.nodes[tail as usize].next;
         let node = &mut self.nodes[head as usize];
-        let seq = node.seq;
         let value = node.value.take().expect("a linked node holds a value");
         let next = std::mem::replace(&mut node.next, self.free);
         if head == tail {
@@ -290,7 +258,7 @@ impl<T> TimingWheel<T> {
         self.free = head;
         self.in_ring -= 1;
         self.cursor = SimTime(earliest.at);
-        (self.cursor, seq, value)
+        (self.cursor, value)
     }
 
     /// First occupied slot in the wrapped window starting at `start`
@@ -347,141 +315,93 @@ impl<T> TimingWheel<T> {
 mod tests {
     use super::*;
 
-    fn drain(wheel: &mut TimingWheel<u32>) -> Vec<(u64, u64, u32)> {
-        let mut out = Vec::new();
-        while let Some((at, seq, v)) = wheel.pop() {
-            out.push((at.0, seq, v));
-        }
-        out
+    fn pop(wheel: &mut TimingWheel<u32>) -> Option<(u64, u32)> {
+        wheel.pop_if_at_most(SimTime::MAX).map(|(at, v)| (at.0, v))
+    }
+
+    fn drain(wheel: &mut TimingWheel<u32>) -> Vec<(u64, u32)> {
+        std::iter::from_fn(|| pop(wheel)).collect()
     }
 
     #[test]
-    fn pops_in_time_then_seq_order() {
+    fn pops_in_time_then_arming_order() {
         let mut w = TimingWheel::new();
-        w.push(SimTime(50), 0, 1);
-        w.push(SimTime(10), 1, 2);
-        w.push(SimTime(10), 2, 3);
-        w.push(SimTime(7), 3, 4);
-        assert_eq!(drain(&mut w), vec![(7, 3, 4), (10, 1, 2), (10, 2, 3), (50, 0, 1)]);
+        w.arm(SimTime(50), 1);
+        w.arm(SimTime(10), 2);
+        w.arm(SimTime(10), 3);
+        w.arm(SimTime(7), 4);
+        assert_eq!(drain(&mut w), vec![(7, 4), (10, 2), (10, 3), (50, 1)]);
         assert!(w.is_empty());
     }
 
     #[test]
     fn same_instant_burst_is_fifo() {
         let mut w = TimingWheel::new();
-        for seq in 0..100u64 {
-            w.push(SimTime(42), seq, seq as u32);
+        for v in 0..100u32 {
+            w.arm(SimTime(42), v);
         }
-        let popped = drain(&mut w);
-        assert_eq!(popped.len(), 100);
-        for (i, (at, seq, _)) in popped.iter().enumerate() {
-            assert_eq!((*at, *seq), (42, i as u64));
-        }
+        assert_eq!(drain(&mut w), (0..100).map(|v| (42, v)).collect::<Vec<_>>());
     }
 
     #[test]
-    fn lower_seq_pushed_later_is_linked_in_order() {
-        // Not what the simulator does (its seq only grows), but the
-        // contract is (at, seq) order for any caller: below the tail,
-        // below the head, between two nodes, and above the tail again.
-        let mut w = TimingWheel::new();
-        for seq in [5u64, 9, 7, 1, 8, 12, 0] {
-            w.push(SimTime(42), seq, seq as u32);
-        }
-        w.push(SimTime(41), 6, 6);
-        let popped: Vec<(u64, u64)> =
-            drain(&mut w).iter().map(|(at, seq, _)| (*at, *seq)).collect();
-        assert_eq!(
-            popped,
-            vec![(41, 6), (42, 0), (42, 1), (42, 5), (42, 7), (42, 8), (42, 9), (42, 12)]
-        );
-    }
-
-    #[test]
-    fn one_slot_reused_keeps_its_circular_list_in_seq_order() {
+    fn one_slot_reused_keeps_its_circular_list_fifo() {
         // Every event lands in the one slot at t = 42: a single event that
-        // empties it again, an append, lower seqs landing at the head, in
-        // the middle and just before the tail, and pops interleaved with
-        // pushes. After each step, a fresh wheel given the steps so far
-        // must pop exactly the sorted model.
-        enum Step {
-            Push(u64),
-            Pop,
-        }
-        use Step::{Pop, Push};
+        // empties it again, appends onto a list of one and of several, and
+        // pops interleaved with arms. `Some(v)` arms `v`, `None` pops.
         let steps = [
-            Push(10),
-            Pop,
-            Push(20),
-            Push(30),
-            Push(15),
-            Push(25),
-            Push(28),
-            Pop,
-            Push(16),
-            Push(40),
-            Pop,
-            Push(29),
-            Pop,
-            Pop,
-            Push(12),
-            Pop,
-            Pop,
-            Pop,
-            Push(50),
-            Push(45),
-            Pop,
-            Pop,
-            Push(60),
+            Some(10),
+            None,
+            Some(20),
+            Some(30),
+            Some(15),
+            None,
+            Some(16),
+            None,
+            None,
+            Some(12),
+            Some(50),
+            None,
+            Some(60),
         ];
-        for done in 1..=steps.len() {
-            let mut w = TimingWheel::new();
-            let mut model: Vec<u64> = Vec::new();
-            for step in &steps[..done] {
-                match *step {
-                    Push(seq) => {
-                        w.push(SimTime(42), seq, seq as u32);
-                        model.push(seq);
-                        model.sort_unstable();
-                    }
-                    Pop => {
-                        let want = model.remove(0);
-                        assert_eq!(w.pop(), Some((SimTime(42), want, want as u32)));
-                    }
+        let mut w = TimingWheel::new();
+        let mut model = std::collections::VecDeque::new();
+        for step in steps {
+            match step {
+                Some(v) => {
+                    w.arm(SimTime(42), v);
+                    model.push_back(v);
                 }
+                None => assert_eq!(pop(&mut w), model.pop_front().map(|v| (42, v))),
             }
-            let popped: Vec<u64> = drain(&mut w).iter().map(|(_, seq, _)| *seq).collect();
-            assert_eq!(popped, model, "after {done} steps");
         }
+        assert_eq!(drain(&mut w), model.into_iter().map(|v| (42, v)).collect::<Vec<_>>());
     }
 
     #[test]
     fn far_future_events_round_trip_through_overflow() {
         let mut w = TimingWheel::new();
         let far = WHEEL_SLOTS as u64 * 10;
-        w.push(SimTime(far), 0, 1);
-        w.push(SimTime(3), 1, 2);
+        w.arm(SimTime(far), 1);
+        w.arm(SimTime(3), 2);
         assert_eq!(w.len(), 2);
         assert_eq!(w.peek_at(), Some(SimTime(3)));
-        assert_eq!(w.pop(), Some((SimTime(3), 1, 2)));
-        assert_eq!(w.pop(), Some((SimTime(far), 0, 1)));
-        assert_eq!(w.pop(), None);
+        assert_eq!(drain(&mut w), vec![(3, 2), (far, 1)]);
     }
 
     #[test]
     fn overflow_and_ring_interleave_exactly_at_the_same_instant() {
-        // seq 0 lands in overflow (far future at push time); after the
-        // cursor advances, seq 1 rings the same instant. The overflow
-        // entry must still pop first — the FIFO tie-break crosses
+        // The first arm lands in overflow (far future when armed); after
+        // the cursor advances, the third rings the same instant. The
+        // overflow entry must still pop first — the FIFO tie-break crosses
         // structures.
         let mut w = TimingWheel::new();
         let t = WHEEL_SLOTS as u64 + 100;
-        w.push(SimTime(t), 0, 1);
-        w.push(SimTime(200), 1, 2);
-        assert_eq!(w.pop(), Some((SimTime(200), 1, 2)));
-        w.push(SimTime(t), 2, 3); // now within horizon: rings
-        assert_eq!(w.pop(), Some((SimTime(t), 0, 1)), "overflow seq 0 before ring seq 2");
-        assert_eq!(w.pop(), Some((SimTime(t), 2, 3)));
+        w.arm(SimTime(t), 1);
+        w.arm(SimTime(200), 2);
+        assert_eq!(pop(&mut w), Some((200, 2)));
+        w.arm(SimTime(t), 3); // now within horizon: rings
+        assert_eq!(pop(&mut w), Some((t, 1)), "armed first, into overflow");
+        assert_eq!(pop(&mut w), Some((t, 3)));
     }
 
     #[test]
@@ -489,34 +409,33 @@ mod tests {
         let mut w = TimingWheel::new();
         // Events straddling a horizon multiple: the wrapped scan must
         // order slot indices by cursor distance, not raw index.
-        w.push(SimTime(WHEEL_SLOTS as u64 - 1), 0, 1);
-        w.push(SimTime(WHEEL_SLOTS as u64 - 2), 1, 2);
-        assert_eq!(w.pop(), Some((SimTime(WHEEL_SLOTS as u64 - 2), 1, 2)));
-        // Cursor is near the edge; a push wrapping past the boundary
+        let edge = WHEEL_SLOTS as u64;
+        w.arm(SimTime(edge - 1), 1);
+        w.arm(SimTime(edge - 2), 2);
+        assert_eq!(pop(&mut w), Some((edge - 2, 2)));
+        // Cursor is near the edge; an arm wrapping past the boundary
         // lands in a low slot index but must pop after the edge event.
-        w.push(SimTime(WHEEL_SLOTS as u64 + 5), 2, 3);
-        assert_eq!(w.pop(), Some((SimTime(WHEEL_SLOTS as u64 - 1), 0, 1)));
-        assert_eq!(w.pop(), Some((SimTime(WHEEL_SLOTS as u64 + 5), 2, 3)));
+        w.arm(SimTime(edge + 5), 3);
+        assert_eq!(drain(&mut w), vec![(edge - 1, 1), (edge + 5, 3)]);
     }
 
     #[test]
     fn advance_to_reanchors_without_losing_events() {
         let mut w = TimingWheel::new();
-        w.push(SimTime(1_000_000), 0, 1);
+        w.arm(SimTime(1_000_000), 1);
         w.advance_to(SimTime(999_990));
-        // Now within the horizon of the new cursor — and a fresh push
+        // Now within the horizon of the new cursor — and a fresh arm
         // right behind it keeps exact order.
-        w.push(SimTime(999_995), 1, 2);
-        assert_eq!(w.pop(), Some((SimTime(999_995), 1, 2)));
-        assert_eq!(w.pop(), Some((SimTime(1_000_000), 0, 1)));
+        w.arm(SimTime(999_995), 2);
+        assert_eq!(drain(&mut w), vec![(999_995, 2), (1_000_000, 1)]);
     }
 
     #[test]
     fn pop_if_at_most_respects_the_deadline() {
         let mut w = TimingWheel::new();
-        w.push(SimTime(10), 0, 1);
-        w.push(SimTime(20), 1, 2);
-        assert_eq!(w.pop_if_at_most(SimTime(15)), Some((SimTime(10), 0, 1)));
+        w.arm(SimTime(10), 1);
+        w.arm(SimTime(20), 2);
+        assert_eq!(w.pop_if_at_most(SimTime(15)), Some((SimTime(10), 1)));
         assert_eq!(w.pop_if_at_most(SimTime(15)), None);
         assert_eq!(w.len(), 1);
     }
@@ -544,7 +463,7 @@ mod tests {
     #[test]
     fn footprint_follows_events_in_flight() {
         // Every slot in turn takes a burst of 32 events due 255 µs ahead:
-        // 1,048,576 pushes and pops, and once the pipeline has filled, 256
+        // 1,048,576 arms and pops, and once the pipeline has filled, 256
         // occupied slots x 32 = 8,192 events in flight at the moment
         // before each instant is drained. Per-slot buffers kept for ever
         // cost 32,768 x 32 entries here; the slab must stop at the high-
@@ -552,19 +471,19 @@ mod tests {
         const BURST: u64 = 32;
         const AHEAD: u64 = 255;
         let mut w: TimingWheel<u64> = TimingWheel::new();
-        let mut seq = 0u64;
+        let mut armed = 0u64;
         let mut popped = 0u64;
         let mut high_water = 0usize;
         for now in 0..WHEEL_SLOTS as u64 + AHEAD + 1 {
             if now < WHEEL_SLOTS as u64 {
                 for _ in 0..BURST {
-                    w.push(SimTime(now + AHEAD), seq, seq);
-                    seq += 1;
+                    w.arm(SimTime(now + AHEAD), armed);
+                    armed += 1;
                 }
             }
             high_water = high_water.max(w.len());
-            while let Some((at, s, v)) = w.pop_if_at_most(SimTime(now)) {
-                assert_eq!((at.0, s, v), (now, popped, popped), "FIFO across reused nodes");
+            while let Some((at, v)) = w.pop_if_at_most(SimTime(now)) {
+                assert_eq!((at.0, v), (now, popped), "FIFO across reused nodes");
                 popped += 1;
             }
             w.advance_to(SimTime(now));
@@ -573,7 +492,7 @@ mod tests {
         assert_eq!(popped, WHEEL_SLOTS as u64 * BURST);
         assert!(popped >= 1_000_000);
         assert_eq!(high_water as u64, (AHEAD + 1) * BURST);
-        assert_eq!(w.nodes.len(), high_water, "a push with a free node at hand grew the slab");
+        assert_eq!(w.nodes.len(), high_water, "an arm with a free node at hand grew the slab");
         // `Vec` doubles, so in general the slab's capacity is the high-
         // water mark rounded up to a power of two; 8,192 is one already.
         let bound = WHEEL_SLOTS * std::mem::size_of::<u32>()

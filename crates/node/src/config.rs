@@ -23,8 +23,10 @@
 //! The committee is *derived*: `peers.len()` fixes its size and
 //! `Committee::new_equal_stake` reconstructs the same deterministic
 //! keypairs in every process, so a config needs no key material — only
-//! who listens where. Every `[validator]` knob must be identical across
-//! the committee (they parameterize consensus, not the local host).
+//! who listens where. Every `[validator]` knob but one must be identical
+//! across the committee (they parameterize consensus, not the local
+//! host); `status_interval_ms`, the cadence of this node's `HH-STATUS`
+//! line, is local and may differ from node to node.
 
 use hammerhead::{HammerheadConfig, ScheduleConfig, ValidatorConfig};
 use hh_net::tcp::TcpConfig;

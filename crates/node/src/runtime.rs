@@ -182,7 +182,7 @@ pub fn run_node(cfg: &NodeConfig) -> Result<NodeReport, String> {
         let now = now_us();
 
         // Fire every due timer before blocking again.
-        while let Some((_, _, token)) = node.timers.pop_if_at_most(SimTime(now)) {
+        while let Some((_, token)) = node.timers.pop_if_at_most(SimTime(now)) {
             node.handle(Event::Timer(token), now);
         }
 
@@ -302,7 +302,7 @@ mod tests {
             timers.arm(SimTime(deadline), token);
         }
         let mut fire = |now| {
-            std::iter::from_fn(|| timers.pop_if_at_most(SimTime(now)).map(|(_, _, t)| t))
+            std::iter::from_fn(|| timers.pop_if_at_most(SimTime(now)).map(|(_, t)| t))
                 .collect::<Vec<u64>>()
         };
         assert!(fire(299).is_empty());

@@ -15,8 +15,8 @@
 //! without running.
 
 use hh_scenario::{
-    load_scenario, load_with_sets, parse_set, render_header, report_json, run_plan_with,
-    ExecOptions, PlanOptions, RunLimit, ScenarioError,
+    load_scenario, load_with_sets, parse_set, render_header, report_json, run_plan, ExecOptions,
+    PlanOptions, RunLimit, ScenarioError,
 };
 use hh_types::toml;
 use std::path::PathBuf;
@@ -167,7 +167,7 @@ fn cmd_run(args: &[String], require_set: bool) -> Result<(), String> {
         );
     }
     let opts = ExecOptions { jobs: args.jobs, verbose: !args.json, profile: args.profile };
-    let report = run_plan_with(&plan, limit, &opts);
+    let report = run_plan(&plan, limit, &opts);
     if !args.json {
         println!("{}", render_header(&report));
     }

@@ -116,9 +116,12 @@ pub struct RunProfile {
 }
 
 /// Where a run's wall-clock went, from the flag-gated hot-path
-/// counters. Delivery time includes the handler's nested work, so the
-/// digest/signature/codec shares nest *inside* the delivery share
-/// rather than summing with it.
+/// counters. The shares overlap rather than sum: delivery and timer time
+/// include the handler's nested work, so digests, signatures and codec
+/// passes nest inside whichever dispatched them (a proposal made on a
+/// wake timer is hashed and signed inside the timer share), and a queue
+/// op a handler makes counts in both the queue share and that handler's.
+/// Boot and restart replay run outside both dispatch shares.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ProfBreakdown {
     /// Event-loop counters: queue ops, deliveries, timers.
@@ -165,7 +168,7 @@ pub struct ScenarioReport {
 /// How a plan executes: worker count, progress verbosity, profiling.
 #[derive(Clone, Copy, Debug)]
 pub struct ExecOptions {
-    /// Worker threads; 1 runs serially on the calling thread.
+    /// Worker threads (0 counts as 1); every run executes on a worker.
     pub jobs: usize,
     /// Print one progress row per finished run (always in plan order).
     pub verbose: bool,
@@ -188,20 +191,6 @@ impl Default for ExecOptions {
     }
 }
 
-/// Executes every run of the plan serially, printing progress rows to
-/// stdout as they finish when `verbose`.
-///
-/// Shorthand for [`run_plan_with`] at `jobs = 1`; sweeps wanting the
-/// worker pool pass an explicit [`ExecOptions`].
-///
-/// # Panics
-///
-/// Panics if a run breaks a safety invariant ([`hh_sim::SafetyChecker`])
-/// — a safety violation is never something to report as a data point.
-pub fn run_plan(plan: &ScenarioPlan, limit: RunLimit, verbose: bool) -> ScenarioReport {
-    run_plan_with(plan, limit, &ExecOptions { jobs: 1, verbose, profile: false })
-}
-
 /// Executes every run of the plan on `opts.jobs` workers and assembles
 /// the report.
 ///
@@ -214,7 +203,7 @@ pub fn run_plan(plan: &ScenarioPlan, limit: RunLimit, verbose: bool) -> Scenario
 ///
 /// Panics if a run breaks a safety invariant, with the failing run's
 /// labels in the message regardless of which worker hit it.
-pub fn run_plan_with(plan: &ScenarioPlan, limit: RunLimit, opts: &ExecOptions) -> ScenarioReport {
+pub fn run_plan(plan: &ScenarioPlan, limit: RunLimit, opts: &ExecOptions) -> ScenarioReport {
     // Arm (or disarm) the hot-path counters before any worker starts;
     // wall-clock never reaches the report either way, so the JSON stays
     // byte-identical with or without profiling.
@@ -353,7 +342,8 @@ pub fn render_profile(row: &RunRow) -> String {
             line,
             "\n  profile   breakdown: queue {:.1}% ({} ops) | deliver {:.1}% ({} msgs) | \
              timers {:.1}% ({}) | digest {:.1}% ({}) | sign/verify {:.1}% ({}) | \
-             codec {:.1}% ({} frames)  [crypto+codec shares nest inside deliver]",
+             codec {:.1}% ({} frames)  [shares overlap: crypto, codec and a handler's \
+             queue ops nest inside deliver or timers; boot and restart replay are in neither]",
             pct(b.net.queue_ns),
             b.net.queue_ops,
             pct(b.net.deliver_ns),
@@ -583,7 +573,7 @@ model = "flat"
     #[test]
     fn runs_plan_and_reports_metrics() {
         let plan = tiny_spec("").plan(&PlanOptions::default()).unwrap();
-        let report = run_plan(&plan, RunLimit::Duration, false);
+        let report = run_plan(&plan, RunLimit::Duration, &ExecOptions::default());
         assert_eq!(report.rows.len(), 1);
         let row = &report.rows[0];
         assert!(row.result.agreement_ok);
@@ -606,7 +596,7 @@ from_frac = 0.5
 to_frac = 1.0
 "#;
         let plan = tiny_spec(extra).plan(&PlanOptions::default()).unwrap();
-        let report = run_plan(&plan, RunLimit::Duration, false);
+        let report = run_plan(&plan, RunLimit::Duration, &ExecOptions::default());
         assert_eq!(report.rows[0].result.windows.len(), 2);
         let a = &report.rows[0].analysis;
         assert!(a.last_anchor_round > 0 && a.skipped_rounds < a.last_anchor_round);
@@ -638,7 +628,7 @@ period_rounds = 120
         )
         .unwrap();
         let plan = spec.plan(&PlanOptions::default()).unwrap();
-        let report = run_plan(&plan, RunLimit::Duration, false);
+        let report = run_plan(&plan, RunLimit::Duration, &ExecOptions::default());
         let json = report_json(&report).render();
         assert!(json.contains("\"variant\": \"120\""), "free-form label must stay a string");
         assert!(json.contains("\"period_rounds\": 120"), "numeric label renders as a number");
@@ -647,8 +637,8 @@ period_rounds = 120
     #[test]
     fn identical_seeds_render_identical_json() {
         let plan = tiny_spec("").plan(&PlanOptions::default()).unwrap();
-        let a = report_json(&run_plan(&plan, RunLimit::Duration, false)).render();
-        let b = report_json(&run_plan(&plan, RunLimit::Duration, false)).render();
+        let a = report_json(&run_plan(&plan, RunLimit::Duration, &ExecOptions::default())).render();
+        let b = report_json(&run_plan(&plan, RunLimit::Duration, &ExecOptions::default())).render();
         assert_eq!(a, b);
     }
 
@@ -664,8 +654,14 @@ from_frac = 0.0
 to_frac = 1.0
 "#;
         let plan = tiny_spec(extra).plan(&PlanOptions::default()).unwrap();
-        let quiet = report_json(&run_plan(&plan, RunLimit::Duration, false)).render();
-        let verbose = report_json(&run_plan(&plan, RunLimit::Duration, true)).render();
+        let quiet =
+            report_json(&run_plan(&plan, RunLimit::Duration, &ExecOptions::default())).render();
+        let verbose = report_json(&run_plan(
+            &plan,
+            RunLimit::Duration,
+            &ExecOptions { verbose: true, ..ExecOptions::default() },
+        ))
+        .render();
         assert_eq!(quiet, verbose);
     }
 
@@ -692,13 +688,13 @@ to_frac = 1.0
         )
         .unwrap();
         let plan = spec.plan(&PlanOptions::default()).unwrap();
-        let serial = report_json(&run_plan_with(
+        let serial = report_json(&run_plan(
             &plan,
             RunLimit::Duration,
             &ExecOptions { jobs: 1, verbose: false, profile: false },
         ))
         .render();
-        let pooled = report_json(&run_plan_with(
+        let pooled = report_json(&run_plan(
             &plan,
             RunLimit::Duration,
             &ExecOptions { jobs: 4, verbose: false, profile: false },

@@ -1,5 +1,5 @@
-//! Run execution: one planned run at a time, on the calling thread or
-//! on a worker pool.
+//! Run execution: every planned run on a scoped worker pool, one worker
+//! at `--jobs 1`.
 //!
 //! The pipeline is `ScenarioPlan → execute → ScenarioReport`: the plan
 //! (from [`crate::spec`]) is an indexed list of independent simulated
@@ -9,13 +9,12 @@
 //! the report — progress lines, text table, JSON bytes — is identical
 //! whatever the worker count.
 //!
-//! Above one job, scoped worker threads pull indices off a shared atomic
-//! counter (self-scheduling, so long runs never serialize behind short
-//! ones) and send finished rows back over the vendored crossbeam
-//! channel. Workers never touch stdout; ordered emission happens on the
-//! collecting thread. A panicking run — the safety checker, above all
-//! — aborts the pool and is re-raised with the failing run's labels
-//! attached.
+//! Scoped worker threads pull indices off a shared atomic counter
+//! (self-scheduling, so long runs never serialize behind short ones) and
+//! send finished rows back over the vendored crossbeam channel. Workers
+//! never touch stdout; ordered emission happens on the collecting thread.
+//! A panicking run — the safety checker, above all — aborts the pool and
+//! is re-raised with the failing run's labels attached.
 
 use crate::engine::{AdversaryRow, AnalysisRow, ReinclusionRow, RunProfile, RunRow};
 use crate::spec::{PlannedRun, ScenarioPlan};
@@ -251,13 +250,13 @@ fn reinclusion_rows(
 /// for race-free ordered progress output — and returns the rows in plan
 /// order.
 ///
-/// With one job (or one run) everything runs on the calling thread.
-/// Otherwise indices are claimed from a shared atomic counter, so
-/// workers self-schedule: whoever finishes first takes the next run,
-/// keeping every thread busy through uneven run lengths. Finished rows
-/// flow back over an unbounded crossbeam channel to the collecting
-/// thread, which buffers out-of-order arrivals and emits strictly in
-/// plan order.
+/// Indices are claimed from a shared atomic counter, so workers
+/// self-schedule: whoever finishes first takes the next run, keeping
+/// every thread busy through uneven run lengths. Finished rows flow back
+/// over an unbounded crossbeam channel to the calling thread, which
+/// buffers out-of-order arrivals and emits strictly in plan order. One
+/// job is one worker: the same path, so a failing run is named the same
+/// way at any worker count.
 pub(crate) fn execute(
     plan: &ScenarioPlan,
     limit: RunLimit,
@@ -265,17 +264,7 @@ pub(crate) fn execute(
     emit: &mut dyn FnMut(&RunRow),
 ) -> Vec<RunRow> {
     let total = plan.runs.len();
-    let jobs = jobs.min(total);
-    if jobs <= 1 {
-        return (0..total)
-            .map(|index| {
-                let row = execute_run(plan, index, limit);
-                emit(&row);
-                row
-            })
-            .collect();
-    }
-
+    let jobs = jobs.min(total).max(1);
     let next = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
     let (row_tx, row_rx) = crossbeam::channel::unbounded();
@@ -402,8 +391,9 @@ model = "flat"
     #[test]
     fn pooled_panic_carries_run_labels() {
         // A plan whose second run cannot even build (everyone crashed)
-        // panics inside a worker; the pool must re-raise on the calling
-        // thread with that run's labels attached, not hang or lose it.
+        // panics inside a worker; at one job as at four, the pool must
+        // re-raise on the calling thread with that run's labels attached,
+        // not hang or lose it.
         let good = sweep_plan();
         let mut bad_config = good.runs[0].config.clone();
         bad_config.faults = hh_sim::FaultSchedule::new().crash_from_start([0, 1, 2, 3]);
@@ -421,18 +411,20 @@ model = "flat"
             runs: vec![good.runs[0].clone(), bad],
         };
 
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            execute(&plan, RunLimit::Rounds(10), 4, &mut |_| {})
-        }));
-        let payload = result.expect_err("the worker panic must propagate");
-        let message = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default();
-        assert!(
-            message.contains("variant=doomed"),
-            "panic message should carry the failing run's labels, got: {message}"
-        );
+        for jobs in [1, 4] {
+            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                execute(&plan, RunLimit::Rounds(10), jobs, &mut |_| {})
+            }));
+            let payload = result.expect_err("the worker panic must propagate");
+            let message = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default();
+            assert!(
+                message.contains("variant=doomed"),
+                "jobs = {jobs}: the panic should carry the failing run's labels, got: {message}"
+            );
+        }
     }
 }

@@ -13,15 +13,15 @@
 //!   are lowered per run straight from their schema rows and judged by
 //!   the lowered schedule's own `validate` — the value the simulator
 //!   executes — so each such rule has one statement and one error text;
-//! * a `plan → execute → report` pipeline: [`run_plan_with`] (on the
-//!   calling thread or a scoped worker pool, per [`ExecOptions`]) turns
-//!   every planned run into a row via the simulator's one driver
-//!   ([`hh_sim::run_sim`]), and the
-//!   report layer assembles a [`ScenarioReport`] whose rows are a
-//!   function of the run: the paper's metrics, the declared latency
-//!   windows, skipped leader rounds and B/G churn always, the
-//!   re-inclusion / adversary / chaos blocks when the run's schedules
-//!   hold recoveries / byzantine validators / chaos windows;
+//! * a `plan → execute → report` pipeline: [`run_plan`] (on a scoped
+//!   worker pool of [`ExecOptions::jobs`] workers, one at `--jobs 1`)
+//!   turns every planned run into a row via the simulator's one driver
+//!   ([`hh_sim::run_sim`]), and the report layer assembles a
+//!   [`ScenarioReport`] whose rows are a function of the run: the paper's
+//!   metrics, the declared latency windows, skipped leader rounds and B/G
+//!   churn always, the re-inclusion / adversary / chaos blocks when the
+//!   run's schedules hold recoveries / byzantine validators / chaos
+//!   windows;
 //! * deterministic JSON output ([`report_json`]) — same seeds, same
 //!   bytes, for any `--jobs` worker count;
 //! * `--set` patches ([`parse_set`], applied by [`load_with_sets`]), which
@@ -36,7 +36,7 @@
 //! # Example
 //!
 //! ```
-//! use hh_scenario::{PlanOptions, RunLimit, ScenarioSpec};
+//! use hh_scenario::{ExecOptions, PlanOptions, RunLimit, ScenarioSpec};
 //!
 //! let spec = ScenarioSpec::parse(r#"
 //! name = "smoke"
@@ -49,7 +49,7 @@
 //! model = "flat"
 //! "#).unwrap();
 //! let plan = spec.plan(&PlanOptions::default()).unwrap();
-//! let report = hh_scenario::run_plan(&plan, RunLimit::Duration, false);
+//! let report = hh_scenario::run_plan(&plan, RunLimit::Duration, &ExecOptions::default());
 //! assert!(report.rows[0].result.agreement_ok);
 //! ```
 
@@ -61,8 +61,8 @@ mod json;
 mod spec;
 
 pub use engine::{
-    render_header, render_profile, render_row, report_json, run_plan, run_plan_with, AdversaryRow,
-    AnalysisRow, ExecOptions, ReinclusionRow, RunProfile, RunRow, ScenarioReport,
+    render_header, render_profile, render_row, report_json, run_plan, AdversaryRow, AnalysisRow,
+    ExecOptions, ReinclusionRow, RunProfile, RunRow, ScenarioReport,
 };
 pub use hh_sim::RunLimit;
 pub use json::Json;

@@ -3,7 +3,7 @@
 //! recover, analyze — and produce byte-identical JSON on one worker and
 //! four.
 
-use hh_scenario::{report_json, run_plan_with, ExecOptions, PlanOptions, RunLimit, ScenarioSpec};
+use hh_scenario::{report_json, run_plan, ExecOptions, PlanOptions, RunLimit, ScenarioSpec};
 
 /// A small recovery + partition scenario: v3 crashes at 1.5s and
 /// restarts at 3s (WAL replay); v0 is cut off from everyone between 4s
@@ -44,13 +44,13 @@ fn recovery_and_partition_json_is_identical_across_worker_counts() {
         .expect("plans");
     assert_eq!(plan.runs.len(), 4);
 
-    let serial = report_json(&run_plan_with(
+    let serial = report_json(&run_plan(
         &plan,
         RunLimit::Duration,
         &ExecOptions { jobs: 1, verbose: false, profile: false },
     ))
     .render();
-    let pooled = report_json(&run_plan_with(
+    let pooled = report_json(&run_plan(
         &plan,
         RunLimit::Duration,
         &ExecOptions { jobs: 4, verbose: false, profile: false },
@@ -65,7 +65,7 @@ fn recovery_runs_restart_without_divergence_and_report_reinclusion() {
         .expect("parses")
         .plan(&PlanOptions::default())
         .expect("plans");
-    let report = run_plan_with(
+    let report = run_plan(
         &plan,
         RunLimit::Duration,
         &ExecOptions { jobs: 2, verbose: false, profile: false },
@@ -99,7 +99,7 @@ fn round_robin_reschedules_recovered_validator_within_one_cycle() {
         .expect("parses")
         .plan(&PlanOptions { seed_override: Some(7), ..PlanOptions::default() })
         .expect("plans");
-    let report = run_plan_with(&plan, RunLimit::Duration, &ExecOptions::default());
+    let report = run_plan(&plan, RunLimit::Duration, &ExecOptions::default());
     let row =
         report.rows.iter().find(|r| r.run.system == "bullshark").expect("bullshark row present");
     let rounds = row.analysis.reinclusion[0].rounds_to_first_leader.expect("always scheduled");

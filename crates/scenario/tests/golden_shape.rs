@@ -9,7 +9,7 @@
 //! regenerate `tests/golden/report_shape.txt` deliberately when
 //! extending the format (instructions in the assertion message).
 
-use hh_scenario::{report_json, run_plan, Json, PlanOptions, RunLimit, ScenarioSpec};
+use hh_scenario::{report_json, run_plan, ExecOptions, Json, PlanOptions, RunLimit, ScenarioSpec};
 use std::collections::BTreeSet;
 
 const GOLDEN: &str = include_str!("golden/report_shape.txt");
@@ -86,7 +86,11 @@ fn report_json_shape_is_pinned() {
                 .expect("golden scenario parses");
             let plan = spec.plan(&PlanOptions::default()).expect("plans");
             let mut got = BTreeSet::new();
-            shape(&report_json(&run_plan(&plan, RunLimit::Duration, false)), "", &mut got);
+            shape(
+                &report_json(&run_plan(&plan, RunLimit::Duration, &ExecOptions::default())),
+                "",
+                &mut got,
+            );
             got
         })
         .collect();

@@ -10,8 +10,8 @@
 //! `fault_e2e.rs::recovery_runs_restart_without_divergence_and_report_reinclusion`.)
 
 use hh_scenario::{
-    load_with_sets, parse_set, repo_scenarios_dir, run_plan_with, ExecOptions, PlanOptions,
-    RunLimit, ScenarioReport,
+    load_with_sets, parse_set, repo_scenarios_dir, run_plan, ExecOptions, PlanOptions, RunLimit,
+    ScenarioReport,
 };
 
 /// Runs `scenarios/<file>` as `hh-cli run <file> --quick [--seed <seed>]
@@ -22,7 +22,7 @@ fn quick_report(file: &str, seed: Option<u64>, sets: &[&str]) -> ScenarioReport 
         .unwrap_or_else(|e| panic!("{file}: {e}"));
     let opts = PlanOptions { quick: true, seed_override: seed, ..PlanOptions::default() };
     let plan = spec.plan(&opts).unwrap_or_else(|e| panic!("{file}: {e}"));
-    run_plan_with(&plan, RunLimit::Duration, &ExecOptions::default())
+    run_plan(&plan, RunLimit::Duration, &ExecOptions::default())
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! JSON against `--jobs 4` output (and across releases, against its
 //! checked-in byte-identical history).
 
-use hh_scenario::{run_plan_with, ExecOptions, PlanOptions, RunLimit, ScenarioSpec};
+use hh_scenario::{run_plan, ExecOptions, PlanOptions, RunLimit, ScenarioSpec};
 
 const BASE: &str = r#"
 name = "sugar-oracle"
@@ -44,8 +44,8 @@ fn explicit_constant_workload_reproduces_the_sugar_bit_for_bit() {
 
     // ...and so is every simulated metric, including the chain hash —
     // same RNG draws, same event sequence, same bytes.
-    let sugar_report = run_plan_with(&sugar_plan, RunLimit::Duration, &opts(1));
-    let explicit_report = run_plan_with(&explicit_plan, RunLimit::Duration, &opts(1));
+    let sugar_report = run_plan(&sugar_plan, RunLimit::Duration, &opts(1));
+    let explicit_report = run_plan(&explicit_plan, RunLimit::Duration, &opts(1));
     let (a, b) = (&sugar_report.rows[0].result, &explicit_report.rows[0].result);
     assert_eq!(a.chain_hash, b.chain_hash);
     assert_eq!(a.commits, b.commits);
@@ -71,7 +71,7 @@ fn workload_reports_are_worker_count_independent() {
     ))
     .unwrap();
     let plan = spec.plan(&PlanOptions::default()).unwrap();
-    let serial = hh_scenario::report_json(&run_plan_with(&plan, RunLimit::Duration, &opts(1)));
-    let pooled = hh_scenario::report_json(&run_plan_with(&plan, RunLimit::Duration, &opts(4)));
+    let serial = hh_scenario::report_json(&run_plan(&plan, RunLimit::Duration, &opts(1)));
+    let pooled = hh_scenario::report_json(&run_plan(&plan, RunLimit::Duration, &opts(4)));
     assert_eq!(serial.render(), pooled.render(), "--jobs must never change workload reports");
 }

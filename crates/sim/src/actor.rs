@@ -142,11 +142,6 @@ impl Client {
         self.skipped
     }
 
-    /// Transactions the workload offered: submitted plus window-skipped.
-    pub fn offered(&self) -> u64 {
-        self.submitted + self.skipped
-    }
-
     /// Modeled wire bytes of everything submitted.
     pub fn bytes_submitted(&self) -> u64 {
         self.bytes_submitted

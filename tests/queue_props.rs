@@ -1,12 +1,11 @@
 //! Property tests for the simulator hot path's two load-bearing swaps:
 //!
 //! * the [`TimingWheel`] event queue must pop in *exactly* the order the
-//!   `BinaryHeap<Reverse<(at, seq)>>` it displaced would have — ascending
-//!   `at`, `seq` tie-break — across same-instant bursts whose `seq`s
-//!   arrive in any order, pushes that straddle wheel-rollover boundaries,
-//!   far-future timers that live in the overflow map, and enough
-//!   push/drain rounds that the ring's node slab is recycled many times
-//!   over;
+//!   `BinaryHeap<Reverse<(at, arm index)>>` it displaced would have —
+//!   ascending `at`, ties in arming order — across same-instant bursts,
+//!   arms that straddle wheel-rollover boundaries, far-future timers that
+//!   live in the overflow map, and enough arm/drain rounds that the
+//!   ring's node slab is recycled many times over;
 //! * `Arc` broadcast fan-out must hand every recipient the *same* frame —
 //!   one allocation, byte-identical content — rather than per-peer deep
 //!   copies.
@@ -22,7 +21,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-/// A push offset (µs ahead of the current deadline), weighted toward the
+/// An arm offset (µs ahead of the current deadline), weighted toward the
 /// shapes that stress distinct wheel machinery: same-instant bursts and
 /// near-term ring traffic, times straddling a rollover boundary (the slot
 /// index wraps every `WHEEL_SLOTS` µs), and far-future timers beyond the
@@ -31,7 +30,7 @@ fn arb_offset() -> impl Strategy<Value = u64> {
     let slots = WHEEL_SLOTS as u64;
     // Weighted choice by hand (the offline proptest stand-in has no
     // `prop_oneof!`): 4/11 bursts (half of them onto four adjacent
-    // instants, so one slot's list takes several pushes), 2/11 general
+    // instants, so one slot's list takes several arms), 2/11 general
     // ring traffic, 3/11 rollover straddles, 2/11 far-future overflow.
     (0u32..11, 0u64..200, 0u64..(2 * slots), (1u64..4, 0u64..5), 1_000_000u64..5_000_000).prop_map(
         move |(sel, burst, general, (k, d), far)| match sel {
@@ -44,28 +43,25 @@ fn arb_offset() -> impl Strategy<Value = u64> {
     )
 }
 
-/// A batch of `(offset, seq band)` pushes followed by a deadline advance
-/// that drains both queues; interleaving push and pop phases is what
-/// exercises cursor movement (a slot being reused for a later time after
-/// rollover) and hands freed slab nodes to later pushes. Up to 1,600
-/// pushes against at most a few hundred events queued at once.
-fn arb_script() -> impl Strategy<Value = Vec<(Vec<(u64, u64)>, u64)>> {
-    proptest::collection::vec(
-        (proptest::collection::vec((arb_offset(), 0u64..4), 0..40), 0u64..70_000),
-        1..40,
-    )
+/// A batch of arm offsets followed by a deadline advance that drains
+/// both queues; interleaving arm and pop phases is what exercises cursor
+/// movement (a slot being reused for a later time after rollover) and
+/// hands freed slab nodes to later arms. Up to 1,600 arms against at
+/// most a few hundred events queued at once.
+fn arb_script() -> impl Strategy<Value = Vec<(Vec<u64>, u64)>> {
+    proptest::collection::vec((proptest::collection::vec(arb_offset(), 0..40), 0u64..70_000), 1..40)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Wheel pop order ≡ heap pop order, element for element, on random
-    /// interleaved push/drain schedules.
+    /// interleaved arm/drain schedules.
     #[test]
     fn wheel_pop_order_matches_binary_heap_oracle(script in arb_script()) {
         let mut wheel: TimingWheel<u32> = TimingWheel::new();
         let mut heap: BinaryHeap<Reverse<(u64, u64, u32)>> = BinaryHeap::new();
-        let mut pushed = 0u64;
+        let mut armed = 0u64;
         let mut now = 0u64;
 
         let drain = |wheel: &mut TimingWheel<u32>,
@@ -74,14 +70,12 @@ proptest! {
             loop {
                 let expected = match heap.peek() {
                     Some(Reverse(entry)) if entry.0 <= deadline => {
-                        let Reverse(entry) = heap.pop().expect("peeked");
-                        Some(entry)
+                        let Reverse((at, _, value)) = heap.pop().expect("peeked");
+                        Some((at, value))
                     }
                     _ => None,
                 };
-                let got = wheel
-                    .pop_if_at_most(SimTime(deadline))
-                    .map(|(at, s, v)| (at.as_micros(), s, v));
+                let got = wheel.pop_if_at_most(SimTime(deadline)).map(|(at, v)| (at.as_micros(), v));
                 prop_assert_eq!(got, expected, "divergence at deadline {}", deadline);
                 if got.is_none() {
                     return;
@@ -89,20 +83,16 @@ proptest! {
             }
         };
 
-        for (pushes, advance) in script {
-            for (offset, band) in pushes {
+        for (arms, advance) in script {
+            for offset in arms {
                 let at = now + offset;
-                // Unique, but not in push order: the band decides first,
-                // so a same-instant push often carries a `seq` below,
-                // between or above the ones its slot already links.
-                let seq = band << 32 | pushed;
-                // The value makes each event distinguishable beyond its
-                // key, so a swapped payload can't hide behind a matching
-                // `(at, seq)`.
-                let value = pushed as u32;
-                wheel.push(SimTime(at), seq, value);
-                heap.push(Reverse((at, seq, value)));
-                pushed += 1;
+                // The heap keys an event by its arm index, the wheel's
+                // tie rule; the value names the event, so a pop out of
+                // arming order shows as a value mismatch.
+                let value = armed as u32;
+                wheel.arm(SimTime(at), value);
+                heap.push(Reverse((at, armed, value)));
+                armed += 1;
             }
             now += advance;
             drain(&mut wheel, &mut heap, now);
