@@ -86,17 +86,16 @@ impl<B: LogBackend> Driver<B> {
 ///
 /// # Errors
 ///
-/// The [`StorageFault`] that fail-stopped the validator, after routing
-/// every other output.
+/// The [`StorageFault`] that fail-stopped the validator: a failing
+/// step's only output.
 pub fn route(outputs: Vec<Output>, transport: &mut impl Transport) -> Result<(), StorageFault> {
-    let mut result = Ok(());
     for output in outputs {
         match output {
             Output::Send(to, msg) => transport.send(to, msg),
             Output::Broadcast(msg) => transport.broadcast(msg),
             Output::SetTimer { delay_us, token } => transport.set_timer(delay_us, token),
-            Output::StorageError(fault) => result = result.and(Err(fault)),
+            Output::StorageError(fault) => return Err(fault),
         }
     }
-    result
+    Ok(())
 }

@@ -32,7 +32,7 @@ use hh_consensus::{
 };
 use hh_crypto::{Digest, Keypair};
 use hh_dag::{Dag, EvidenceLedger, InsertOutcome};
-use hh_rbc::{Rbc, RbcMessage};
+use hh_rbc::{BroadcastMode, Rbc, RbcMessage};
 use hh_storage::{LogBackend, ValidatorStore};
 use hh_types::codec::{Decoder, Encode, EncodeExt};
 use hh_types::{Block, Committee, Round, Transaction, TypeError, ValidatorId, Vertex, VertexRef};
@@ -147,15 +147,16 @@ pub enum Output {
     /// operation and ignores further input until [`Validator::on_restart`]
     /// — a node that cannot uphold the write-ahead discipline must not keep
     /// acting, but a storage fault is the *runtime's* problem to surface,
-    /// never a reason to panic the whole process.
+    /// never a reason to panic the whole process. It is the failing step's
+    /// only output: nothing the step queued leaves, own vertex included.
     StorageError(StorageFault),
 }
 
 /// A storage fault that fail-stopped a validator ([`Output::StorageError`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StorageFault {
-    /// What the node was doing ("persist vertex", "persist checkpoint",
-    /// "recover", "shutdown flush").
+    /// What the node was doing ("persist vertex", "persist proposal",
+    /// "persist checkpoint", "recover", "shutdown flush").
     pub context: &'static str,
     /// The underlying I/O error.
     pub detail: String,
@@ -822,6 +823,7 @@ impl<B: LogBackend> Validator<B> {
         self.client_addr = crashed.client_addr;
         self.metrics.restarts += 1;
 
+        let mut unfinished = None;
         if let Some(store) = &mut self.store {
             let recovered = match store.recover() {
                 Ok(recovered) => recovered,
@@ -862,6 +864,9 @@ impl<B: LogBackend> Validator<B> {
             // Cross-check the recomputed chain against the durable
             // checkpoint.
             self.metrics.recovery_divergence |= !reached;
+            // The newest own proposal the replay did not deliver was in
+            // flight at the crash (certified mode).
+            unfinished = recovered.proposal.filter(|v| v.round() >= self.next_round);
         }
 
         self.last_proposal_at = now;
@@ -873,6 +878,13 @@ impl<B: LogBackend> Validator<B> {
             if let Some(v) = self.dag.vertex_by_author(self.next_round.prev(), self.id) {
                 out.push(Output::Broadcast(ValidatorMessage::Rbc(RbcMessage::Vertex(v.clone()))));
             }
+        }
+        // Its acks may be out: propose that very vertex again.
+        if let Some(vertex) = unfinished {
+            self.uncommitted_txs += vertex.block().len() as u64;
+            self.next_round = vertex.round().next();
+            let fx = self.rbc.broadcast_own(vertex, &mut self.dag);
+            self.absorb_rbc(fx, now, &mut out);
         }
         self.drive(now, &mut out);
         out
@@ -940,8 +952,9 @@ impl<B: LogBackend> Validator<B> {
         }
     }
 
-    /// Fail-stop on a storage fault: record it, surface a typed
-    /// [`Output::StorageError`], and ignore further input until restart.
+    /// Fail-stop on a storage fault: record it, replace the step's queued
+    /// outputs with a typed [`Output::StorageError`], and ignore further
+    /// input until restart.
     fn halt_on_storage_error(
         &mut self,
         context: &'static str,
@@ -950,6 +963,7 @@ impl<B: LogBackend> Validator<B> {
     ) {
         self.metrics.storage_errors += 1;
         self.halted = true;
+        out.clear();
         out.push(Output::StorageError(StorageFault { context, detail: error.to_string() }));
     }
 
@@ -1171,6 +1185,16 @@ impl<B: LogBackend> Validator<B> {
 
         let vertex = Vertex::new(round, self.id, Block::new(batch), parents, &self.keypair);
         self.metrics.proposals += 1;
+        // Certified mode asks for acks before the vertex is delivered, and
+        // so persisted: write it ahead, so that a restart proposes it again
+        // instead of a second vertex for its round.
+        let certified = self.rbc.mode() == BroadcastMode::Certified;
+        if let Some(store) = self.store.as_mut().filter(|_| certified) {
+            if let Err(e) = store.persist_proposal(&vertex) {
+                self.halt_on_storage_error("persist proposal", &e, out);
+                return;
+            }
+        }
         let fx = self.rbc.broadcast_own(vertex, &mut self.dag);
         self.absorb_rbc(fx, now, out);
         self.next_round = round.next();
@@ -1192,20 +1216,26 @@ mod tests {
     /// go to `checker`; storage faults are collected in `faults`.
     ///
     /// It is its own transport: with no peers, sends and broadcasts go
-    /// nowhere, and timers wait in the simulator's wheel, keyed by
-    /// deadline and arming order.
+    /// nowhere but are counted in `routed`, and timers wait in the
+    /// simulator's wheel, keyed by deadline and arming order.
     struct Solo<B: LogBackend = MemBackend> {
         driver: Driver<B>,
         timers: TimingWheel<u64>,
         now: u64,
         checker: SafetyChecker,
         faults: Vec<StorageFault>,
+        routed: usize,
     }
 
     impl<B: LogBackend> Transport for Solo<B> {
-        fn send(&mut self, _: ValidatorId, _: ValidatorMessage) {}
-        fn broadcast(&mut self, _: ValidatorMessage) {}
+        fn send(&mut self, _: ValidatorId, _: ValidatorMessage) {
+            self.routed += 1;
+        }
+        fn broadcast(&mut self, _: ValidatorMessage) {
+            self.routed += 1;
+        }
         fn set_timer(&mut self, delay_us: u64, token: u64) {
+            self.routed += 1;
             self.timers.arm(SimTime(self.now + delay_us), token);
         }
     }
@@ -1221,7 +1251,7 @@ mod tests {
             let v = Validator::new(Committee::new_equal_stake(1), ValidatorId(0), config, backend);
             let driver = Driver::new(v, Some(checker.clone()));
             let (timers, now, faults) = (TimingWheel::new(), 0, Vec::new());
-            Solo { driver, timers, now, checker, faults }
+            Solo { driver, timers, now, checker, faults, routed: 0 }
         }
 
         fn v(&self) -> &Validator<B> {
@@ -1230,7 +1260,9 @@ mod tests {
 
         fn step(&mut self, event: Event<'_>) {
             let out = self.driver.step(event, self.now);
+            let routed = self.routed;
             if let Err(fault) = route(out, self) {
+                assert_eq!(self.routed, routed, "{fault}: the failing step routed its outputs");
                 self.faults.push(fault);
             }
         }
@@ -1701,18 +1733,33 @@ mod tests {
         assert_eq!(solo.v().metrics().own_txs_committed, 9);
     }
 
-    /// This validator's own vertices among the broadcasts in `out`.
+    /// This validator's own vertices among the broadcasts in `out`, as
+    /// delivered vertices (best-effort) or proposals (certified).
     fn own_broadcasts(out: &[Output], me: ValidatorId) -> Vec<Arc<Vertex>> {
         out.iter()
             .filter_map(|o| match o {
-                Output::Broadcast(ValidatorMessage::Rbc(RbcMessage::Vertex(vertex)))
-                    if vertex.author() == me =>
-                {
-                    Some(vertex.clone())
-                }
+                Output::Broadcast(ValidatorMessage::Rbc(
+                    RbcMessage::Vertex(vertex) | RbcMessage::Propose(vertex),
+                )) if vertex.author() == me => Some(vertex.clone()),
                 _ => None,
             })
             .collect()
+    }
+
+    #[test]
+    fn a_restart_proposes_the_vertex_it_had_proposed_for_the_round() {
+        for broadcast_mode in [BroadcastMode::BestEffort, BroadcastMode::Certified] {
+            let config = ValidatorConfig { broadcast_mode, ..fast_config() };
+            let committee = Committee::new_equal_stake(4);
+            let me = ValidatorId(0);
+            let mut v = Validator::new(committee, me, config, Some(MemBackend::new()));
+            let mut out = v.on_message(me, &ValidatorMessage::Submit(Transaction::new(0, 0, 0)), 0);
+            out.extend(v.on_start(0));
+            let before = own_broadcasts(&out, me);
+            let after = own_broadcasts(&v.on_restart(1_000), me);
+            assert_eq!((before.len(), before[0].round()), (1, Round(0)), "{broadcast_mode:?}");
+            assert_eq!(before, after, "{broadcast_mode:?}: a second vertex for round 0");
+        }
     }
 
     /// Hands `v` a round-`round` vertex of every one of `peers`, each linking

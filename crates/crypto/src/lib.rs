@@ -16,6 +16,8 @@
 //!   against the committee's key registry but are **not** secure against a
 //!   real adversary holding the registry; the simulated adversary in this
 //!   reproduction never forges (the paper's evaluation is crash-fault only).
+//! * [`prof`] — the process's one profiling registry: one switch, six
+//!   hot-path sites.
 //!
 //! # Example
 //!

@@ -17,6 +17,7 @@
 //! the simulated Byzantine behaviours used in tests (equivocation, vote
 //! withholding) do not involve forgery.
 
+use crate::prof::{self, Site};
 use crate::{sha256, Digest, Sha256};
 use std::fmt;
 
@@ -55,7 +56,7 @@ pub struct PublicKey {
 impl PublicKey {
     /// Checks that `sig` is `kp.sign(context, msg)` for the matching keypair.
     pub fn verify(&self, context: &[u8], msg: &[u8], sig: &Signature) -> bool {
-        crate::prof::time_sig(|| sign_inner(&self.seed, context, msg) == sig.0)
+        prof::time(Site::Sig, || sign_inner(&self.seed, context, msg) == sig.0)
     }
 
     /// A stable numeric identifier derived from the seed, handy for logs.
@@ -98,7 +99,7 @@ impl Keypair {
     /// Distinct contexts (e.g. `b"vertex"` vs `b"ack"`) guarantee a signature
     /// from one protocol message type can never be replayed as another.
     pub fn sign(&self, context: &[u8], msg: &[u8]) -> Signature {
-        crate::prof::time_sig(|| Signature(sign_inner(&self.seed, context, msg)))
+        prof::time(Site::Sig, || Signature(sign_inner(&self.seed, context, msg)))
     }
 
     /// Returns the verifying half.

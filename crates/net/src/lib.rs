@@ -6,9 +6,9 @@
 //!
 //! * [`Simulator`] — a deterministic discrete-event loop driving a set of
 //!   [`Node`] state machines. Identical seeds produce identical executions.
-//!   Told to ([`Simulator::set_profiling`]), it times its queue operations
-//!   and dispatches into the [`prof`] counters; the crate has no profiling
-//!   flag of its own.
+//!   While its node type's [`Node::loop_profiler`] is on, it times its
+//!   queue operations and dispatches through that hook; the crate has no
+//!   profiling switch or counters of its own.
 //! * [`LatencyModel`] / [`GeoLatency`] — per-link one-way delays, including
 //!   an embedded RTT matrix for the paper's 13 AWS regions.
 //! * Partial synchrony ([`NetworkConfig`]): before GST the (simulated)
@@ -59,7 +59,6 @@
 mod chaos;
 mod fault;
 mod latency;
-pub mod prof;
 mod sim;
 pub mod tcp;
 mod time;
@@ -68,5 +67,7 @@ pub mod wheel;
 pub use chaos::{ChaosEntry, ChaosSchedule, ChaosScheduleError, ChaosTarget};
 pub use fault::{FaultEvent, FaultSchedule, FaultScheduleError};
 pub use latency::{GeoLatency, LatencyModel, Region, REGION_COUNT};
-pub use sim::{Context, NetworkConfig, Node, NodeId, PreGstAdversary, SimStats, Simulator};
+pub use sim::{
+    Context, LoopSite, NetworkConfig, Node, NodeId, PreGstAdversary, SimStats, Simulator,
+};
 pub use time::{Duration, SimTime};

@@ -70,6 +70,25 @@ pub trait Node {
         let _ = (msg, rng);
         None
     }
+
+    /// Where the simulator charges the wall time of its queue ops and
+    /// dispatches, asked at every op: `Some` while the node type's
+    /// profiling switch is on. Wall time never reaches a node, so the
+    /// execution is the same either way. The default times nothing.
+    fn loop_profiler() -> Option<fn(LoopSite, u64)> {
+        None
+    }
+}
+
+/// An event-loop site the simulator times for [`Node::loop_profiler`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LoopSite {
+    /// An event-queue arm or pop.
+    Queue,
+    /// A message delivery, handler inclusive.
+    Deliver,
+    /// A timer callback, handler inclusive.
+    Timer,
 }
 
 /// The effect interface handed to [`Node`] handlers.
@@ -274,9 +293,6 @@ pub struct Simulator<N: Node> {
     rng: CountingRng,
     stats: SimStats,
     started: bool,
-    /// Whether queue ops and dispatches accrue their wall time to
-    /// [`crate::prof`] (see [`Simulator::set_profiling`]).
-    profiling: bool,
     /// Reused [`Context`] action buffer: `invoke` is not reentrant, so
     /// one scratch allocation serves every event instead of a fresh
     /// `Vec` per dispatch.
@@ -296,7 +312,6 @@ impl<N: Node> Simulator<N> {
             rng: CountingRng { inner: StdRng::seed_from_u64(seed), draws: 0 },
             stats: SimStats::default(),
             started: false,
-            profiling: false,
             action_scratch: Vec::new(),
             config,
         };
@@ -311,13 +326,6 @@ impl<N: Node> Simulator<N> {
             sim.push(SimTime(at_us), EventKind::Recover(NodeId(node as usize)));
         }
         sim
-    }
-
-    /// Makes the event loop time its queue operations and dispatches into
-    /// this thread's [`crate::prof`] counters (off by default). Wall time
-    /// never reaches a node, so the execution is the same either way.
-    pub fn set_profiling(&mut self, on: bool) {
-        self.profiling = on;
     }
 
     /// The current simulation time.
@@ -362,27 +370,27 @@ impl<N: Node> Simulator<N> {
         self.crashed[id.0]
     }
 
-    /// Runs `f`, charging its wall time to `accrue` when profiling is on.
-    /// `f` has one call site, so each use compiles to the plain call with a
-    /// clock read on either side (two call sites cost the n = 10 event loop
-    /// 2.7 % of its host time).
+    /// Runs `f`, charging its wall time to `site` while
+    /// [`Node::loop_profiler`] is on. `f` has one call site, so each use
+    /// compiles to the plain call with a clock read on either side (two
+    /// call sites cost the n = 10 event loop 2.7 % of its host time).
     #[inline]
-    fn timed<R>(&mut self, accrue: fn(u64), f: impl FnOnce(&mut Self) -> R) -> R {
-        let started = self.profiling.then(std::time::Instant::now);
+    fn timed<R>(&mut self, site: LoopSite, f: impl FnOnce(&mut Self) -> R) -> R {
+        let started = N::loop_profiler().map(|accrue| (accrue, std::time::Instant::now()));
         let r = f(self);
-        if let Some(t) = started {
-            accrue(t.elapsed().as_nanos() as u64);
+        if let Some((accrue, t)) = started {
+            accrue(site, t.elapsed().as_nanos() as u64);
         }
         r
     }
 
     fn push(&mut self, at: SimTime, kind: EventKind<N::Message>) {
-        self.timed(crate::prof::accrue_queue, |sim| sim.queue.arm(at, kind));
+        self.timed(LoopSite::Queue, |sim| sim.queue.arm(at, kind));
     }
 
     /// [`TimingWheel::pop_if_at_most`], a queue op like [`Simulator::push`].
     fn pop_at_most(&mut self, deadline: SimTime) -> Option<(SimTime, EventKind<N::Message>)> {
-        self.timed(crate::prof::accrue_queue, |sim| sim.queue.pop_if_at_most(deadline))
+        self.timed(LoopSite::Queue, |sim| sim.queue.pop_if_at_most(deadline))
     }
 
     /// Processes all events up to and including `deadline`, then advances
@@ -425,7 +433,7 @@ impl<N: Node> Simulator<N> {
                     return;
                 }
                 self.stats.delivered += 1;
-                self.timed(crate::prof::accrue_deliver, |sim| {
+                self.timed(LoopSite::Deliver, |sim| {
                     sim.invoke(to, |node, ctx| node.on_message(from, msg, ctx))
                 });
             }
@@ -433,7 +441,7 @@ impl<N: Node> Simulator<N> {
                 if self.crashed[node.0] {
                     return;
                 }
-                self.timed(crate::prof::accrue_timer, |sim| {
+                self.timed(LoopSite::Timer, |sim| {
                     sim.invoke(node, |n, ctx| n.on_timer(token, ctx))
                 });
             }

@@ -110,31 +110,10 @@ pub struct RunProfile {
     pub wall_s: f64,
     /// Simulator events the run processed (deterministic).
     pub sim_events: u64,
-    /// Event-loop cost breakdown, populated only while profiling is
-    /// enabled (the counters are dead weight otherwise).
-    pub breakdown: Option<ProfBreakdown>,
-}
-
-/// Where a run's wall-clock went, from the flag-gated hot-path
-/// counters. The shares overlap rather than sum: delivery and timer time
-/// include the handler's nested work, so digests, signatures and codec
-/// passes nest inside whichever dispatched them (a proposal made on a
-/// wake timer is hashed and signed inside the timer share), and a queue
-/// op a handler makes counts in both the queue share and that handler's.
-/// Boot and restart replay run outside both dispatch shares.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ProfBreakdown {
-    /// Event-loop counters: queue ops, deliveries, timers.
-    pub net: hh_sim::prof::NetProf,
-    /// Crypto/codec counters: digests, signatures, framed passes.
-    pub crypto: hh_sim::prof::CryptoProf,
-}
-
-impl RunProfile {
-    /// Simulated events per wall-clock second.
-    pub fn events_per_sec(&self) -> f64 {
-        self.sim_events as f64 / self.wall_s.max(1e-9)
-    }
+    /// Where the run's wall-clock went, by site, while profiling was on.
+    /// The shares overlap: deliver and timer time include what their
+    /// handlers hashed, signed, encoded and queued.
+    pub breakdown: Option<hh_sim::prof::Prof>,
 }
 
 /// One finished run.
@@ -333,7 +312,7 @@ pub fn render_profile(row: &RunRow) -> String {
         row.run.config.load_tps,
         p.wall_s,
         p.sim_events,
-        p.events_per_sec(),
+        p.sim_events as f64 / p.wall_s.max(1e-9),
     );
     if let Some(b) = &p.breakdown {
         let wall_ns = (p.wall_s * 1e9).max(1.0);
@@ -344,18 +323,18 @@ pub fn render_profile(row: &RunRow) -> String {
              timers {:.1}% ({}) | digest {:.1}% ({}) | sign/verify {:.1}% ({}) | \
              codec {:.1}% ({} frames)  [shares overlap: crypto, codec and a handler's \
              queue ops nest inside deliver or timers; boot and restart replay are in neither]",
-            pct(b.net.queue_ns),
-            b.net.queue_ops,
-            pct(b.net.deliver_ns),
-            b.net.deliver_ops,
-            pct(b.net.timer_ns),
-            b.net.timer_ops,
-            pct(b.crypto.digest_ns),
-            b.crypto.digest_ops,
-            pct(b.crypto.sig_ns),
-            b.crypto.sig_ops,
-            pct(b.crypto.codec_ns),
-            b.crypto.codec_ops,
+            pct(b.queue_ns),
+            b.queue_ops,
+            pct(b.deliver_ns),
+            b.deliver_ops,
+            pct(b.timer_ns),
+            b.timer_ops,
+            pct(b.digest_ns),
+            b.digest_ops,
+            pct(b.sig_ns),
+            b.sig_ops,
+            pct(b.codec_ns),
+            b.codec_ops,
         );
     }
     line

@@ -45,9 +45,7 @@ pub(crate) fn execute_run(plan: &ScenarioPlan, index: usize, limit: RunLimit) ->
     let started = std::time::Instant::now();
     // Thread-local baselines: the whole run executes on this thread, so
     // the counter movement from here to the end is exactly its cost.
-    let profiling = hh_sim::prof::enabled();
-    let net_before = hh_sim::prof::net_snapshot();
-    let crypto_before = hh_sim::prof::crypto_snapshot();
+    let before = hh_sim::prof::enabled().then(hh_sim::prof::snapshot);
     let run = &plan.runs[index];
     let (handle, result) = run_sim(&run.config, limit);
     assert!(
@@ -64,10 +62,7 @@ pub(crate) fn execute_run(plan: &ScenarioPlan, index: usize, limit: RunLimit) ->
     let profile = RunProfile {
         wall_s: started.elapsed().as_secs_f64(),
         sim_events: handle.sim.stats().events,
-        breakdown: profiling.then(|| crate::engine::ProfBreakdown {
-            net: hh_sim::prof::net_snapshot().since(&net_before),
-            crypto: hh_sim::prof::crypto_snapshot().since(&crypto_before),
-        }),
+        breakdown: before.map(|before| hh_sim::prof::snapshot().since(&before)),
     };
     RunRow { run: run.clone(), result, analysis, profile }
 }

@@ -5,7 +5,8 @@ use crate::workload::{ArrivalKind, RateNow, SubmissionMode, Workload};
 use hammerhead::{
     route, Driver, Event, Output, SafetyChecker, Transport, Validator, ValidatorMessage,
 };
-use hh_net::{Context, Node, NodeId};
+use hh_crypto::prof::Site;
+use hh_net::{Context, LoopSite, Node, NodeId};
 use hh_storage::{LogBackend, MemBackend};
 use hh_types::{Transaction, ValidatorId};
 use rand::Rng;
@@ -399,6 +400,20 @@ impl<B: LogBackend> Node for Actor<B> {
             frame[byte] ^= 1 << bit;
         }
         hh_types::codec::decode_framed::<ValidatorMessage>(&frame).ok().map(Arc::new)
+    }
+
+    /// The run's queue and dispatch sites accrue into the one registry,
+    /// [`crate::prof`], while its switch is on.
+    fn loop_profiler() -> Option<fn(LoopSite, u64)> {
+        let accrue: fn(LoopSite, u64) = |site, ns| {
+            let site = match site {
+                LoopSite::Queue => Site::Queue,
+                LoopSite::Deliver => Site::Deliver,
+                LoopSite::Timer => Site::Timer,
+            };
+            hh_crypto::prof::accrue(site, ns);
+        };
+        crate::prof::enabled().then_some(accrue)
     }
 
     fn on_start(&mut self, ctx: &mut Context<'_, NetMessage>) {

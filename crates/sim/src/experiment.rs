@@ -411,8 +411,7 @@ pub fn build_sim(config: &ExperimentConfig) -> SimHandle {
         gst: SimTime::from_secs(config.gst_secs),
         ..NetworkConfig::default()
     };
-    let mut sim = Simulator::new(actors, net, config.seed);
-    sim.set_profiling(crate::prof::enabled());
+    let sim = Simulator::new(actors, net, config.seed);
     SimHandle { sim, committee, n_validators: n, recovery_samples: Vec::new(), safety }
 }
 

@@ -1,4 +1,5 @@
-//! Typed persistence for a validator: vertices + commit checkpoints.
+//! Typed persistence for a validator: vertices, commit checkpoints and
+//! its own certified-mode proposals.
 
 use crate::backend::LogBackend;
 use crate::wal::{Wal, WalError};
@@ -20,6 +21,10 @@ pub enum StoreRecord {
         /// The engine's commit chain hash at that point.
         chain_hash: Digest,
     },
+    /// This validator's own proposal, written before its acks are asked
+    /// for (certified mode), so a restart proposes that vertex again
+    /// instead of a second one for its round.
+    Proposal(Vertex),
 }
 
 impl Encode for StoreRecord {
@@ -34,6 +39,10 @@ impl Encode for StoreRecord {
                 buf.put_u64(*commit_index);
                 chain_hash.encode(buf);
             }
+            StoreRecord::Proposal(v) => {
+                buf.put_u8(3);
+                v.encode(buf);
+            }
         }
     }
 
@@ -44,6 +53,7 @@ impl Encode for StoreRecord {
                 commit_index: d.take_u64()?,
                 chain_hash: Digest::decode(d)?,
             }),
+            3 => Ok(StoreRecord::Proposal(Vertex::decode(d)?)),
             _ => Err(TypeError::Decode("unknown store record tag")),
         }
     }
@@ -58,6 +68,8 @@ pub struct RecoveredState {
     pub vertices: Vec<Vertex>,
     /// The latest commit checkpoint, if any.
     pub last_checkpoint: Option<(u64, Digest)>,
+    /// The newest own proposal, if any (certified mode).
+    pub proposal: Option<Vertex>,
 }
 
 /// The durable log a validator appends to as it runs.
@@ -89,12 +101,25 @@ impl<B: LogBackend> ValidatorStore<B> {
     /// [`WalError::RecordTooLarge`] for a vertex whose record the log
     /// could not replay (see [`crate::MAX_RECORD_LEN`]).
     pub fn persist_vertex(&mut self, vertex: &Vertex) -> Result<(), WalError> {
-        // Byte-for-byte the encoding of `StoreRecord::Vertex(..)`, written
-        // without cloning the vertex into a temporary record. The vertex's
-        // memoized canonical encoding makes every persist after the first
-        // holder's (across all validators sharing the `Arc`) a plain copy.
+        self.append_vertex(1, vertex)
+    }
+
+    /// Persists this validator's own proposal ([`StoreRecord::Proposal`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`ValidatorStore::persist_vertex`].
+    pub fn persist_proposal(&mut self, vertex: &Vertex) -> Result<(), WalError> {
+        self.append_vertex(3, vertex)
+    }
+
+    fn append_vertex(&mut self, tag: u8, vertex: &Vertex) -> Result<(), WalError> {
+        // Byte-for-byte the encoding of the `tag`'s record, written without
+        // cloning the vertex into a temporary record. The vertex's memoized
+        // canonical encoding makes every persist after the first holder's
+        // (across all validators sharing the `Arc`) a plain copy.
         self.scratch.clear();
-        self.scratch.put_u8(1);
+        self.scratch.put_u8(tag);
         self.scratch.extend_from_slice(vertex.encoded_bytes());
         self.wal.append(&self.scratch)
     }
@@ -145,6 +170,7 @@ impl<B: LogBackend> ValidatorStore<B> {
                 Ok(StoreRecord::CommitCheckpoint { commit_index, chain_hash }) => {
                     state.last_checkpoint = Some((commit_index, chain_hash));
                 }
+                Ok(StoreRecord::Proposal(v)) => state.proposal = Some(v),
                 Err(_) => {}
             }
         }
@@ -222,6 +248,21 @@ mod tests {
         store.persist_checkpoint(7, hh_crypto::sha256(b"b")).unwrap();
         let recovered = ValidatorStore::new(backend).recover().unwrap();
         assert_eq!(recovered.last_checkpoint, Some((7, hh_crypto::sha256(b"b"))));
+    }
+
+    #[test]
+    fn newest_proposal_wins_and_is_no_delivered_vertex() {
+        let c = Committee::new_equal_stake(4);
+        let backend = MemBackend::new();
+        let mut store = ValidatorStore::new(backend.clone());
+        let r0 = vertex(&c, 0, 0, vec![]);
+        let r1 = vertex(&c, 1, 0, vec![r0.digest()]);
+        store.persist_proposal(&r0).unwrap();
+        store.persist_vertex(&r0).unwrap();
+        store.persist_proposal(&r1).unwrap();
+        let recovered = ValidatorStore::new(backend).recover().unwrap();
+        assert_eq!(recovered.proposal, Some(r1));
+        assert_eq!(recovered.vertices, [r0]);
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! ```
 
 use crate::TypeError;
+use hh_crypto::prof::{self, Site};
 use hh_crypto::{Digest, Signature};
 
 /// Maximum number of elements a decoded collection may claim. Guards the
@@ -68,7 +69,7 @@ pub fn decode_from_slice<T: Encode>(bytes: &[u8]) -> Result<T, TypeError> {
 /// touching the payload, so in-flight bit flips die here instead of
 /// surfacing as a different valid message.
 pub fn encode_framed<T: Encode>(value: &T) -> Vec<u8> {
-    hh_crypto::prof::time_codec(|| {
+    prof::time(Site::Codec, || {
         let mut buf = Vec::new();
         value.encode(&mut buf);
         let crc = hh_crypto::crc32(&buf);
@@ -85,7 +86,7 @@ pub fn encode_framed<T: Encode>(value: &T) -> Vec<u8> {
 /// trailer, the CRC-32 does not match the payload, or the payload
 /// itself is truncated, malformed, or has leftover bytes.
 pub fn decode_framed<T: Encode>(frame: &[u8]) -> Result<T, TypeError> {
-    hh_crypto::prof::time_codec(|| {
+    prof::time(Site::Codec, || {
         if frame.len() < 4 {
             return Err(TypeError::Decode("frame shorter than its checksum"));
         }

@@ -8,6 +8,7 @@
 
 use crate::codec::{encode_slice, Decoder, Encode};
 use crate::{Transaction, TypeError, ValidatorId};
+use hh_crypto::prof::{self, Site};
 use hh_crypto::{Digest, Keypair, PublicKey, Sha256, Signature};
 use std::fmt;
 use std::sync::Arc;
@@ -261,7 +262,7 @@ impl Vertex {
         block: &Block,
         parents: &[Digest],
     ) -> Digest {
-        hh_crypto::prof::time_digest(|| Self::compute_digest_inner(round, author, block, parents))
+        prof::time(Site::Digest, || Self::compute_digest_inner(round, author, block, parents))
     }
 
     fn compute_digest_inner(

@@ -8,6 +8,7 @@ use hammerhead_repro::hh_crypto::Digest;
 use hammerhead_repro::hh_net::{
     Duration, FaultSchedule, LatencyModel, NetworkConfig, NodeId, SimTime, Simulator,
 };
+use hammerhead_repro::hh_rbc::BroadcastMode;
 use hammerhead_repro::hh_sim::{Actor, Client};
 use hammerhead_repro::hh_storage::{FileBackend, LogBackend, MemBackend};
 use hammerhead_repro::hh_types::{Committee, ValidatorId};
@@ -187,6 +188,37 @@ fn hammerhead_node_recovers_with_schedule_state() {
     // And it names the run's leader for the round it last committed.
     let last = recovered.committed_anchors().last().expect("it commits again").round;
     assert_eq!(Some(recovered.leader_at(last)), safety.leader_at(last));
+}
+
+/// Under `broadcast_mode`, v1, which the client submits to, crashes for
+/// 1 ms at 1 s + k · 3.137 ms, k = 0..39, on seed k, and its restarts
+/// leave no equivocation evidence against it: a certified proposal in
+/// flight at the crash, transactions and all, is proposed again, the same
+/// vertex, instead of a second one for its round.
+fn restarts_never_equivocate(broadcast_mode: BroadcastMode) {
+    let config = ValidatorConfig { broadcast_mode, ..fast_config() };
+    for k in 0..40 {
+        let crash_at = 1_000_000 + k * 3_137;
+        let faults = FaultSchedule::new().crash(1, crash_at).recover(1, crash_at + 1_000);
+        let client = Client::new(0, NodeId(1), 200.0, 10.0);
+        let (mut sim, safety) = network(in_memory(), &config, client, faults, k);
+        sim.run_until(SimTime::from_secs(6));
+        safety.assert_clean();
+        for (i, v) in sim.nodes().filter_map(Actor::as_validator).enumerate() {
+            let evidence = v.equivocation_evidence().count_for(ValidatorId(1));
+            assert_eq!(evidence, 0, "{broadcast_mode:?}, k = {k}: v{i} holds evidence against v1");
+        }
+    }
+}
+
+#[test]
+fn a_best_effort_restart_never_equivocates() {
+    restarts_never_equivocate(BroadcastMode::BestEffort);
+}
+
+#[test]
+fn a_certified_restart_never_equivocates() {
+    restarts_never_equivocate(BroadcastMode::Certified);
 }
 
 /// Four validators on `backends`, one client, and v3 down from 1 s to
