@@ -174,7 +174,12 @@ impl<P: SchedulePolicy> Bullshark<P> {
     ///   is skipped directly once round-`r+1` vertices not linking to it
     ///   carry quorum stake; otherwise the next committed anchor above
     ///   decides it, commit iff the round-`r+1` vertices in that anchor's
-    ///   causal history carry `f+1` vote stake for it.
+    ///   causal history carry `f+1` vote stake for it;
+    /// * the leader slot of a leader the ordered prefix has not heard from
+    ///   ([`SchedulePolicy::heard_from`]) is decided by the earned-slot
+    ///   rule, so a silent leader's round is skipped at its round above's
+    ///   quorum instead of at the anchor two rounds up. It is still the
+    ///   round's leader slot for [`Bullshark::passed_over_candidates`].
     ///
     /// The anchor that decides round `r`'s slots indirectly is the first
     /// slot of the candidate rounds `r+2, r+4, …`, in slot order, that is
@@ -203,16 +208,18 @@ impl<P: SchedulePolicy> Bullshark<P> {
     ///
     /// **Safety.** Per instance, then by induction over instances.
     /// Validators that agree on the ordered prefix agree on
-    /// `instance_start`, the schedule and the candidacy — the policy is a
-    /// function of the ordered prefix at a fixed point in the sequence —
-    /// hence on every slot. Within an instance a validator's decision of a
-    /// slot is the one every validator reaches, if it reaches one:
+    /// `instance_start`, the schedule, the candidacy and whom it has heard
+    /// from — the policy is a function of the ordered prefix at a fixed
+    /// point in the sequence — hence on every slot and on the rule that
+    /// decides it. Within an instance a validator's decision of a slot is
+    /// the one every validator reaches, if it reaches one:
     ///
     /// * any two quorums of round `r+1` share `f+1` stake, and every anchor
     ///   at round `r+2` or above has a quorum of round `r+1` in its history:
-    ///   an earned slot's direct commit (`2f+1` votes) forces the indirect
-    ///   commit (`f+1` of them in the anchor's history). A leader's `f+1`
-    ///   voters meet that quorum, so the anchor reaches the leader;
+    ///   a direct commit at `2f+1` votes (an earned slot's, or a silent
+    ///   leader's) forces the indirect commit (`f+1` of them in the
+    ///   anchor's history). An awaited leader's `f+1` voters meet that
+    ///   quorum, so the anchor reaches the leader;
     /// * a quorum of non-votes leaves at most `f` votes anywhere, so a
     ///   direct skip forces the indirect skip. Direct commit and direct skip
     ///   need two disjoint quorums and exclude each other;
@@ -265,11 +272,14 @@ impl<P: SchedulePolicy> Bullshark<P> {
         memo: &mut AnchorMemo<'d>,
     ) -> Decision<'d> {
         let vertex = dag.vertex_by_author(round, author);
+        // A leader the ordered prefix never heard from has its slot decided
+        // the way an earned one is.
+        let awaited = leads && self.policy.heard_from(author);
         // Votes are read off the voting round's parent masks, one bit per
         // author, over the whole local DAG: once they exist, whoever looks
         // finds them.
         let votes = || vertex.map_or(Stake(0), |v| dag.vote_stake(v));
-        if leads {
+        if awaited {
             if let Some(v) = vertex.filter(|_| votes() >= self.committee.validity_threshold()) {
                 return Decision::Commit(v);
             }
@@ -291,8 +301,8 @@ impl<P: SchedulePolicy> Bullshark<P> {
             return Decision::Undecided;
         };
         match vertex {
-            Some(v) if leads && dag.reachable(anchor, v) => Decision::Commit(v),
-            Some(v) if !leads && self.votes_seen_by(anchor, v, dag) => Decision::Commit(v),
+            Some(v) if awaited && dag.reachable(anchor, v) => Decision::Commit(v),
+            Some(v) if !awaited && self.votes_seen_by(anchor, v, dag) => Decision::Commit(v),
             _ => Decision::Skip,
         }
     }
@@ -455,10 +465,12 @@ mod tests {
         Bullshark::new(c.clone(), RoundRobinPolicy::new(SlotSchedule::round_robin(c)))
     }
 
-    /// Round-robin leaders and the same earned candidates in every round.
+    /// Round-robin leaders and the same earned candidates in every round;
+    /// the ordered prefix has heard from everyone but `unheard`.
     struct Earned {
         leaders: RoundRobinPolicy,
         candidates: Vec<ValidatorId>,
+        unheard: Vec<ValidatorId>,
     }
 
     impl SchedulePolicy for Earned {
@@ -467,6 +479,9 @@ mod tests {
         }
         fn candidates_at(&self, _round: Round) -> &[ValidatorId] {
             &self.candidates
+        }
+        fn heard_from(&self, leader: ValidatorId) -> bool {
+            !self.unheard.contains(&leader)
         }
         fn initial_round(&self) -> Round {
             Round(0)
@@ -481,9 +496,16 @@ mod tests {
     }
 
     fn earned_engine(c: &Committee, candidates: &[u16]) -> Bullshark<Earned> {
+        unheard_engine(c, candidates, &[])
+    }
+
+    fn unheard_engine(c: &Committee, candidates: &[u16], unheard: &[u16]) -> Bullshark<Earned> {
         let leaders = RoundRobinPolicy::new(SlotSchedule::round_robin(c));
-        let candidates = candidates.iter().map(|i| ValidatorId(*i)).collect();
-        Bullshark::new(c.clone(), Earned { leaders, candidates })
+        let ids = |ids: &[u16]| ids.iter().map(|i| ValidatorId(*i)).collect();
+        Bullshark::new(
+            c.clone(),
+            Earned { leaders, candidates: ids(candidates), unheard: ids(unheard) },
+        )
     }
 
     /// Feeds all vertices of rounds `0..=max` in (round, author) order.
@@ -786,6 +808,30 @@ mod tests {
         assert_eq!((e.passed_over_candidates(), e.leader_rounds()), (1, 6));
         let round2 = e.committed_anchors()[2];
         assert_eq!((round2.round, round2.author), (Round(2), ValidatorId(0)));
+    }
+
+    #[test]
+    fn a_silent_leaders_slot_is_skipped_at_the_quorum_of_the_round_above() {
+        // The DAG above: round 2's leader v1 is absent, and v0, v2 and v3
+        // are earned candidates. Heard from, v1's slot waits for round 4's
+        // anchor, as above. Never heard from, it is skipped directly once
+        // the round-3 vertices not linking to it carry quorum stake, and
+        // round 2 is ordered on its earned anchors at its own votes. The
+        // slot still counts as round 2's passed-over leader slot.
+        let c = committee4();
+        let mut b = DagBuilder::new(c.clone());
+        b.extend_full_rounds(2);
+        b.extend_round_without(&[ValidatorId(1)]);
+        b.extend_full_rounds(4); // rounds 3..=6
+        let full = b.into_dag();
+        let none = Vec::<u64>::new();
+        let mut heard = unheard_engine(&c, &[0, 2, 3], &[]);
+        let mut unheard = unheard_engine(&c, &[0, 2, 3], &[1]);
+        let round_3 = |e: &mut Bullshark<Earned>| per_delivery(e, &full, 7).swap_remove(3);
+        assert_eq!(round_3(&mut heard), vec![none.clone(); 4]);
+        assert_eq!(round_3(&mut unheard), [none.clone(), none.clone(), vec![2], none]);
+        assert_eq!((unheard.passed_over_candidates(), unheard.leader_rounds()), (1, 6));
+        assert_eq!(heard.chain_hash(), unheard.chain_hash());
     }
 
     #[test]

@@ -45,12 +45,15 @@ pub trait SchedulePolicy {
         &[]
     }
 
-    /// Whether a proposer leaving a candidate round led by `leader` should
-    /// wait for its anchor, as far as the ordered prefix can tell. A
-    /// `false` lets the proposer pass a leader its own DAG has never heard
-    /// from (the proposer still awaits one whose vertices it holds). Like
-    /// the schedule, a function of the ordered prefix. Always by default.
-    fn awaits_leader(&self, _leader: ValidatorId) -> bool {
+    /// Whether the ordered prefix has heard from `leader`, which decides how
+    /// its leader slots are awaited in two places. A proposer leaving a
+    /// candidate round led by a leader not heard from passes it at once
+    /// (unless its own DAG holds one of its vertices), and the engine
+    /// decides that slot by the earned-slot quorum rule instead of waiting
+    /// for the anchor above (see [`crate::Bullshark::process_vertex`]).
+    /// Like the schedule, a function of the ordered prefix. Always by
+    /// default.
+    fn heard_from(&self, _leader: ValidatorId) -> bool {
         true
     }
 

@@ -352,7 +352,7 @@ fn slot_oracle<P: SchedulePolicy>(dag: &Dag, mut policy: P, earned_direct: Stake
         let rounds: Vec<u64> = (instance_start..top).step_by(2).collect();
         for r in rounds.into_iter().rev() {
             let leader = policy.leader_at(Round(r));
-            let mut slots = vec![(true, leader)];
+            let mut slots = vec![(policy.heard_from(leader), leader)];
             slots.extend(
                 policy
                     .candidates_at(Round(r))

@@ -441,10 +441,10 @@ impl SchedulePolicy for PolicyKind {
             PolicyKind::Hammerhead(p) => p.candidates_at(round),
         }
     }
-    fn awaits_leader(&self, leader: ValidatorId) -> bool {
+    fn heard_from(&self, leader: ValidatorId) -> bool {
         match self {
-            PolicyKind::RoundRobin(p) => p.awaits_leader(leader),
-            PolicyKind::Hammerhead(p) => p.awaits_leader(leader),
+            PolicyKind::RoundRobin(p) => p.heard_from(leader),
+            PolicyKind::Hammerhead(p) => p.heard_from(leader),
         }
     }
     fn initial_round(&self) -> Round {
@@ -1058,9 +1058,11 @@ impl<B: LogBackend> Validator<B> {
     /// round, and the new schedule may name for that round a leader that
     /// skipped it; its vertex one round up says so. Nor does it wait for a
     /// leader nobody has heard from: once round 0 has closed, a leader the
-    /// policy reports never ordered ([`SchedulePolicy::awaits_leader`]) is
+    /// policy reports never ordered ([`SchedulePolicy::heard_from`]) is
     /// passed by at once unless this validator's DAG holds one of its
-    /// vertices in a retained round.
+    /// vertices in a retained round. The engine reads the same predicate
+    /// and decides such a leader's slot at the quorum of the round above
+    /// ([`Bullshark::process_vertex`]), so no commit waits for it either.
     ///
     /// That last guard is what keeps the rule live. A validator that is
     /// sending has vertices in this DAG, ordered yet or not, and is awaited
@@ -1114,8 +1116,7 @@ impl<B: LogBackend> Validator<B> {
                 let awaited = leader != self.id
                     && self.dag.vertex_by_author(prev, leader).is_none()
                     && self.dag.vertex_by_author(self.next_round, leader).is_none()
-                    && (self.engine.policy().awaits_leader(leader)
-                        || self.dag.holds_author(leader));
+                    && (self.engine.policy().heard_from(leader) || self.dag.holds_author(leader));
                 if awaited {
                     if elapsed < self.config.leader_timeout_us {
                         self.arm_wake(
@@ -1943,7 +1944,7 @@ mod tests {
             // Round 0 has closed, `slow` has never been ordered, and round
             // 4 holds quorum without its anchor.
             assert!(v.engine.is_candidate_round(Round(4)));
-            assert!(!v.engine.policy().awaits_leader(slow));
+            assert!(!v.engine.policy().heard_from(slow));
             assert_eq!(v.dag().holds_author(slow), slow_sends);
             assert!(v.dag().vertex_by_author(Round(4), slow).is_none());
             let proposed = own_broadcasts(&v.on_timer(TOKEN_WAKE, 5_000), v.id);

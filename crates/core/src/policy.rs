@@ -33,7 +33,8 @@ pub struct EpochSummary {
     pub final_scores: Vec<u64>,
     /// The new epoch's anchor candidates, best score first: everyone
     /// outside `excluded` if the committee earned candidacy, else nobody
-    /// (see [`HammerheadPolicy`]).
+    /// (see [`HammerheadPolicy`]). Epoch 0's are earned when round 0
+    /// closes, and no summary carries them.
     pub candidates: Vec<ValidatorId>,
     /// The new epoch's slot table: it names the leader of every round
     /// from `new_initial_round` up to the next switch's.
@@ -67,19 +68,24 @@ struct ScheduleEntry {
 /// rounds up decides it. Round `r` is *closed* when the first vertex of
 /// round `r+2` is ordered, and its timeliness is judged then, once. The
 /// first candidate whose vertex in a closed round is not timely ends
-/// everyone's candidacy for the rest of the epoch. Nobody is a candidate
-/// in epoch 0. At each switch every validator outside *B* becomes a
-/// candidate for the new epoch, ranked by the score the swap ranked by,
-/// iff each of them had ordered vertices in the closing epoch's closed
-/// rounds and each of those was timely. Every input is read off the
-/// ordered set and the parent masks when a round closes, a fixed point of
-/// the ordered sequence, so candidacy agrees everywhere too: no
-/// validator's garbage collection or delivery batching enters it.
+/// everyone's candidacy for the rest of the epoch. Candidacy is earned by
+/// one rule at two points: at each switch, for the new epoch, with the
+/// switch's *B*; and when round 0 closes, for the rest of epoch 0, with
+/// *B* taken to be the validators that have no ordered round-0 vertex.
+/// Every validator outside *B* becomes a candidate, ranked by score, iff
+/// each of them had ordered vertices in the epoch's closed rounds and each
+/// of those was timely. Every input is read off the ordered set and the
+/// parent masks when a round closes, a fixed point of the ordered
+/// sequence, so candidacy agrees everywhere too: no validator's garbage
+/// collection or delivery batching enters it.
 ///
-/// The ordered sequence also says whom a proposer need not await: once
-/// round 0 has closed, a validator none of whose vertices was ever ordered
-/// ([`SchedulePolicy::awaits_leader`]). It has scored nothing, so the
-/// first switch ranks it lowest.
+/// The ordered sequence also says whom the committee has heard from
+/// ([`SchedulePolicy::heard_from`]): once round 0 has closed, not from a
+/// validator none of whose vertices was ever ordered. A proposer does not
+/// await such a leader, and the engine decides its slot at the quorum of
+/// the round above, as an earned slot's, so a leader crashed from the
+/// start costs epoch 0 no round. It has scored nothing, so the first
+/// switch ranks it lowest.
 #[derive(Clone, Debug)]
 pub struct HammerheadPolicy {
     committee: Committee,
@@ -264,6 +270,29 @@ impl HammerheadPolicy {
     fn stake_bound(&self) -> Stake {
         self.config.max_excluded_stake.unwrap_or_else(|| self.committee.max_faulty_stake())
     }
+
+    /// The one candidacy rule: every validator outside `excluded`, best
+    /// `scores` first, if each of them had ordered vertices in the epoch's
+    /// closed rounds and each of those was timely; otherwise nobody.
+    fn earned_candidates(
+        &self,
+        scores: &ReputationScores,
+        excluded: impl Fn(ValidatorId) -> bool,
+    ) -> Vec<ValidatorId> {
+        let candidates: Vec<ValidatorId> = scores
+            .ranked_ascending()
+            .into_iter()
+            .rev()
+            .map(|(id, _)| id)
+            .filter(|id| !excluded(*id))
+            .collect();
+        let timely = |id: &ValidatorId| self.seen[id.index()].timeliness == Timeliness::Timely;
+        if candidates.iter().all(timely) {
+            candidates
+        } else {
+            Vec::new()
+        }
+    }
 }
 
 impl SchedulePolicy for HammerheadPolicy {
@@ -278,7 +307,16 @@ impl SchedulePolicy for HammerheadPolicy {
     /// Everyone until round 0 closes; after that, only a validator with an
     /// ordered vertex. One that never had one scores zero and ranks lowest
     /// at the first switch, so waiting out its slots buys nothing.
-    fn awaits_leader(&self, leader: ValidatorId) -> bool {
+    ///
+    /// Round 0 is awaited in full because until it closes the ordered
+    /// prefix has shown nobody: every leader, live or crashed, would be
+    /// passed by the proposers and decided at quorum by the engine, and
+    /// the run would start without the waits that let a slow leader
+    /// anchor. Under heavy message loss such a start is slow to converge
+    /// (at 50 % loss it made 3 commits where the awaited start makes 14),
+    /// and what it saves, the round-0 timeout per crashed leader, does not
+    /// show in the latency of a run with a third of the committee crashed.
+    fn heard_from(&self, leader: ValidatorId) -> bool {
         self.unchecked == Round(0) || self.seen[leader.index()].ordered_once
     }
 
@@ -353,16 +391,8 @@ impl SchedulePolicy for HammerheadPolicy {
 
         // Candidacy for the new epoch, as the closing epoch's closed rounds
         // showed it.
-        let mut candidates: Vec<ValidatorId> = ranking_scores
-            .ranked_ascending()
-            .into_iter()
-            .rev()
-            .map(|(id, _)| id)
-            .filter(|id| !change.excluded.contains(id))
-            .collect();
-        if !candidates.iter().all(|id| self.seen[id.index()].timeliness == Timeliness::Timely) {
-            candidates.clear();
-        }
+        let candidates =
+            self.earned_candidates(&ranking_scores, |id| change.excluded.contains(&id));
 
         self.unsent.push(EpochSummary {
             epoch: self.epoch,
@@ -412,6 +442,15 @@ impl SchedulePolicy for HammerheadPolicy {
                         _ => Timeliness::Timely,
                     };
                 }
+            }
+            if round == Round(0) {
+                // Epoch 0 earns candidacy here, not at its end: `B` is
+                // whoever round 0 did not show. A switch moves `unchecked`
+                // past round 0, so only epoch 0 gets here.
+                let unseen =
+                    |id: ValidatorId| self.seen[id.index()].timeliness == Timeliness::Unseen;
+                let candidates = self.earned_candidates(&self.scores, unseen);
+                self.schedules.last_mut().expect("never empty").candidates = candidates;
             }
             self.unchecked = round.next();
         }
@@ -523,16 +562,72 @@ mod tests {
         b.extend_full_rounds(9);
         let dag = b.into_dag();
         feed(&mut e, &dag, 0..=8);
-        // Nobody in epoch 0. Tied scores put v0 in B; everyone else is a
+        // Epoch 0's candidacy was earned when round 0 closed, with nobody
+        // in B. Tied scores put v0 in the switch's B; everyone else is a
         // candidate from the switch at round 4 on, highest (score, id)
         // first, and the rounds it governs order the whole round at once.
         let hist = summaries(&mut e);
         let p = e.policy();
-        assert!(p.candidates_at(Round(3)).is_empty());
         let ids = |ids: &[u16]| ids.iter().map(|i| ValidatorId(*i)).collect::<Vec<_>>();
+        assert_eq!(p.candidates_at(Round(3)), ids(&[3, 2, 1, 0]));
         assert_eq!(hist[0].excluded, ids(&[0]));
         assert_eq!(hist[0].candidates, ids(&[3, 2, 1]));
         assert_eq!(p.candidates_at(Round(5)), ids(&[3, 2, 1]));
+    }
+
+    #[test]
+    fn a_timely_committee_earns_candidacy_when_round_zero_closes() {
+        // v3 is silent from the start, everyone else timely. Round 0 closes
+        // when the anchor of round 2 orders a round-2 vertex: v3, without
+        // an ordered round-0 vertex, is round 0's B, and the others are
+        // candidates for the rest of epoch 0, long before its switch.
+        let c = committee4();
+        let mut b = DagBuilder::new(c.clone());
+        let mut e = engine_with(&c, HammerheadConfig { period_rounds: 20, ..Default::default() });
+        extend_without_v3(&mut b, 2);
+        feed(&mut e, b.dag(), 0..=1);
+        assert!(e.policy().candidates_at(Round(1)).is_empty(), "round 0 is still open");
+        extend_without_v3(&mut b, 10);
+        feed(&mut e, b.dag(), 2..=11);
+        assert_eq!(e.policy().epoch(), 0);
+        let ids = |ids: &[u16]| ids.iter().map(|i| ValidatorId(*i)).collect::<Vec<_>>();
+        assert_eq!(e.policy().candidates_at(Round(10)), ids(&[2, 1, 0]));
+        // From round 4 on, the first candidate round after round 0 closed,
+        // every round is ordered on its own votes, v3's leader rounds too:
+        // the engine skips its slot at the quorum of the round above and
+        // orders the round on its earned anchors.
+        let rounds: Vec<u64> = e.committed_anchors().iter().map(|a| a.round.0).collect();
+        assert_eq!(rounds[rounds.len() - 7..], [4, 5, 6, 7, 8, 9, 10]);
+        assert!((4..=10).any(|r| e.policy().leader_at(Round(r)) == ValidatorId(3)));
+        assert!(e.passed_over_candidates() > 0);
+    }
+
+    #[test]
+    fn one_late_round_zero_vertex_leaves_epoch_zero_leader_only() {
+        // Only two of the round-1 vertices link to one validator's round-0
+        // vertex, not the quorum of three: when round 0 closes, nobody
+        // becomes a candidate, where the same DAG with that vertex timely
+        // earns everyone candidacy.
+        let c = committee4();
+        let config = HammerheadConfig { period_rounds: 20, ..Default::default() };
+        let leader = HammerheadPolicy::new(c.clone(), config.clone()).leader_at(Round(0));
+        let late = if leader == ValidatorId(3) { ValidatorId(2) } else { ValidatorId(3) };
+        let candidates_after_round_zero = |late_in_round_0: bool| {
+            let mut b = DagBuilder::new(c.clone());
+            b.extend_full_rounds(1);
+            b.extend_round_custom(&c.ids().collect::<Vec<_>>(), |author| {
+                (late_in_round_0 && author.0 < 2).then(|| vec![late])
+            });
+            b.extend_full_rounds(6); // rounds 2..=7
+            let dag = b.into_dag();
+            let mut e = engine_with(&c, config.clone());
+            feed(&mut e, &dag, 0..=7);
+            assert!(e.policy().unchecked > Round(0), "round 0 closed");
+            assert_eq!(e.policy().epoch(), 0);
+            e.policy().candidates_at(Round(6)).to_vec()
+        };
+        assert!(candidates_after_round_zero(true).is_empty());
+        assert_eq!(candidates_after_round_zero(false).len(), 4);
     }
 
     #[test]
@@ -677,20 +772,20 @@ mod tests {
         let silent = ValidatorId(3);
         let mut b = DagBuilder::new(c.clone());
         let mut e = engine_with(&c, HammerheadConfig { period_rounds: 20, ..Default::default() });
-        assert!(c.ids().all(|id| e.policy().awaits_leader(id)), "nothing ordered yet");
+        assert!(c.ids().all(|id| e.policy().heard_from(id)), "nothing ordered yet");
         // Rounds 0 and 1 may order round 0, but no round-2 vertex: round 0
         // is still open, and nobody has been judged.
         extend_without_v3(&mut b, 2);
         feed(&mut e, b.dag(), 0..=1);
         assert_eq!(e.policy().unchecked, Round(0));
-        assert!(c.ids().all(|id| e.policy().awaits_leader(id)));
+        assert!(c.ids().all(|id| e.policy().heard_from(id)));
         // An anchor at round 2 or above orders a round-2 vertex and closes
         // round 0: v3, never ordered, is not awaited from then on.
         extend_without_v3(&mut b, 6);
         feed(&mut e, b.dag(), 2..=7);
         assert!(e.policy().unchecked > Round(0));
-        assert!(!e.policy().awaits_leader(silent));
-        assert!(c.ids().filter(|id| *id != silent).all(|id| e.policy().awaits_leader(id)));
+        assert!(!e.policy().heard_from(silent));
+        assert!(c.ids().filter(|id| *id != silent).all(|id| e.policy().heard_from(id)));
     }
 
     #[test]
@@ -708,7 +803,7 @@ mod tests {
         feed(&mut e, &dag, 0..=16);
         assert!(e.policy().epoch() >= 2, "epoch {}", e.policy().epoch());
         assert!(summaries(&mut e).iter().all(|h| h.excluded == [silent]));
-        assert!(c.ids().all(|id| e.policy().awaits_leader(id)));
+        assert!(c.ids().all(|id| e.policy().heard_from(id)));
     }
 
     #[test]
@@ -719,7 +814,7 @@ mod tests {
         let mut e = Bullshark::new(c.clone(), RoundRobinPolicy::new(SlotSchedule::round_robin(&c)));
         feed(&mut e, b.dag(), 0..=7);
         assert!(e.commit_count() > 0);
-        assert!(c.ids().all(|id| e.policy().awaits_leader(id)));
+        assert!(c.ids().all(|id| e.policy().heard_from(id)));
     }
 
     #[test]

@@ -117,6 +117,26 @@ fn no_leader_timeout_survives_the_first_switch() {
 }
 
 #[test]
+fn epoch_zero_anchors_every_round_once_round_zero_closes() {
+    // The paper's shape at n = 10 with the last 3 crashed from t = 0 (its
+    // 20-round epochs, geo latency, 3,000 tx/s). When round 0 closes the
+    // seven live validators earn candidacy for the rest of epoch 0 and a
+    // crashed leader's slot is skipped at the quorum of the round above,
+    // so from the first committed anchor on every round anchors a commit
+    // of its own, and the first switch is the anchor of round 20.
+    let mut config = ExperimentConfig::paper(SystemKind::Hammerhead, 10, 3_000);
+    config.faults = FaultSchedule::crash_last(10, 3).expect("3 of 10 is a valid crash spec");
+    let mut handle = build_sim(&config);
+    handle.sim.run_until(SimTime::from_secs(6));
+    let commits = handle.validator(0).commit_count();
+    let rounds: Vec<u64> = handle.safety.anchor_prefix(commits).iter().map(|a| a.round.0).collect();
+    assert!(rounds.len() > 20, "{rounds:?}");
+    let first = rounds[0];
+    assert_eq!(rounds, (first..first + rounds.len() as u64).collect::<Vec<_>>());
+    assert_eq!(handle.epoch_summaries(0)[0].new_initial_round.0, 20);
+}
+
+#[test]
 fn hammerhead_leader_timeouts_stop_while_round_robins_keep_growing() {
     // Under HammerHead only rounds led by a crashed validator before round
     // 0 closes wait out the timeout, at most two per live validator, however
