@@ -28,22 +28,24 @@
 //!   commits iff that anchor reaches it (`orderAnchors`), an earned
 //!   candidate iff the round-`c+1` vertices in the anchor's causal history
 //!   carry `f+1` votes for it (Mysticeti's indirect rule). The lowest
-//!   round with a committed slot and no undecided slot up to it is
-//!   ordered: its committed anchors' not-yet-ordered causal sub-DAGs, in
-//!   slot order and within each in a deterministic `(round, author)`
-//!   order, make one commit (`orderHistory`). The next instance starts one
-//!   round above it, and every round from there to the DAG's top is
-//!   decided again. Algorithm 2 keeps a fixed grid of even rounds, one
+//!   round with a committed slot is ordered, in up to two commits of
+//!   not-yet-ordered causal sub-DAGs, each in a deterministic
+//!   `(round, author)` order (`orderHistory`): its leader's as soon as
+//!   that slot commits, then its committed earned anchors', in slot order,
+//!   once none of them is undecided (a round whose leader is skip is the
+//!   second alone). The next instance starts one round above it, and
+//!   every round from there to the DAG's top is decided again. Algorithm 2 keeps a fixed grid of even rounds, one
 //!   anchor per round, and orders the whole chain at once; restarting the
 //!   grid above every ordered round is Shoal's pipelining (Spiegelman et
 //!   al., FC 2024), which puts an anchor in every round of a healthy DAG,
 //!   and the earned slots order a candidate's vertex by its own round's
-//!   votes. The total order is a different — still deterministic —
+//!   votes, while the leader's is ordered at its own `f+1` without
+//!   waiting for them. The total order is a different — still deterministic —
 //!   function of the DAG; the safety argument is on
 //!   [`Bullshark::process_vertex`], and `tests/delivery_order.rs` holds the
 //!   engine to an oracle that decides every slot of the finished DAG;
-//! * **the HammerHead hook**: before a round is ordered, the policy may
-//!   switch schedules at its first anchor ([`ScheduleDecision::Switched`]).
+//! * **the HammerHead hook**: before a round's first commit, the policy
+//!   may switch schedules at its first anchor ([`ScheduleDecision::Switched`]).
 //!   The engine then drops that (stale) round and decides the instance
 //!   again under the new schedule — the retroactive re-interpretation of
 //!   the DAG that §3.1 of the paper describes. [`RoundRobinPolicy`] never

@@ -2,8 +2,9 @@
 //!
 //! `Bullshark::process_vertex` decides a candidate round's anchor slots —
 //! its leader's, then the policy's earned candidates' — when a vote is
-//! delivered, and starts the next commit instance right above every round
-//! it orders. Three properties, on randomized DAGs (skipped authors,
+//! delivered, orders a committed leader as a commit of its own ahead of
+//! its round's earned anchors, and starts the next commit instance right
+//! above every round it orders. Three properties, on randomized DAGs (skipped authors,
 //! withheld leader edges, absent leaders, earned candidates some voters
 //! see late) delivered one vertex at a time in random parent-respecting
 //! orders, under the static round-robin schedule, under round-robin with
@@ -279,8 +280,12 @@ struct Run<P: SchedulePolicy> {
     dag: Dag,
     engine: Bullshark<P>,
     commits: Vec<Commit>,
-    /// Commits that ordered more than one anchor of their round.
+    /// Rounds ordered, and of those the ones with more than one anchor
+    /// (over one commit or two).
+    rounds: usize,
     multi_slot: usize,
+    /// The anchors ordered so far in the round last ordered.
+    last_round: Option<(Round, usize)>,
 }
 
 impl<P: SchedulePolicy> Run<P> {
@@ -289,15 +294,26 @@ impl<P: SchedulePolicy> Run<P> {
             dag: Dag::new(committee.clone()),
             engine: Bullshark::new(committee.clone(), policy),
             commits: Vec::new(),
+            rounds: 0,
             multi_slot: 0,
+            last_round: None,
         }
     }
 
     fn deliver(&mut self, v: &Arc<Vertex>) {
         self.dag.try_insert_arc(v.clone()).expect("parents were delivered first");
         for sd in self.engine.process_vertex(v, &self.dag) {
-            let anchors = sd.vertices.iter().filter(|v| v.round() == sd.anchor.round).count();
-            self.multi_slot += usize::from(anchors > 1);
+            let round = sd.anchor.round;
+            let anchors = sd.vertices.iter().filter(|v| v.round() == round).count();
+            let before = match self.last_round {
+                Some((r, before)) if r == round => before,
+                _ => {
+                    self.rounds += 1;
+                    0
+                }
+            };
+            self.multi_slot += usize::from(before <= 1 && before + anchors > 1);
+            self.last_round = Some((round, before + anchors));
             self.commits.push((sd.anchor, sd.vertices.iter().map(|v| v.digest()).collect()));
         }
     }
@@ -313,9 +329,13 @@ type Slot<'d> = Option<Option<&'d Arc<Vertex>>>;
 /// Instance by instance, every slot of every candidate round is decided
 /// from the top down — the direct rules first, then the first non-skipped
 /// slot above as the anchor — and the lowest round with a committed slot
-/// and nothing undecided up to it is ordered, with the next instance one
-/// round above it; or the policy switches schedules at its first anchor,
-/// after which the same instance is decided again under the new schedule.
+/// is ordered from the bottom up: its leader, once committed, as a commit
+/// of its own, after which the instance is decided again with that
+/// round's earned slots named anew; then, with none of them undecided,
+/// its committed earned slots as one commit, and the next instance one
+/// round above it. A round whose leader is skip is ordered in one commit.
+/// The policy may switch schedules at a round's first anchor, after which
+/// the same instance is decided again under the new schedule.
 /// Written over the public `Dag` queries only, with causal histories
 /// where the engine walks parent masks; `process_vertex` must agree with
 /// it.
@@ -343,16 +363,24 @@ fn slot_oracle<P: SchedulePolicy>(dag: &Dag, mut policy: P, earned_direct: Stake
     let mut scratch = SubDagScratch::new();
     let mut commits = Vec::new();
     let mut instance_start = 0u64;
+    // Whether `instance_start`'s leader is ordered: only its earned slots
+    // are left to decide.
+    let mut leader_ordered = false;
     'instances: loop {
         // Top down: `above` is the anchor for the round being decided, and
         // `history` its causal history once a slot needed it.
-        let mut decided: Vec<(u64, Vec<Slot>)> = Vec::new();
+        let mut decided: Vec<(u64, bool, Vec<Slot>)> = Vec::new();
         let mut above: Option<&Arc<Vertex>> = None;
         let mut history: Option<HashSet<Digest>> = None;
         let rounds: Vec<u64> = (instance_start..top).step_by(2).collect();
         for r in rounds.into_iter().rev() {
             let leader = policy.leader_at(Round(r));
-            let mut slots = vec![(policy.heard_from(leader), leader)];
+            // Whether the leader's slot is still to decide, and first.
+            let leads_first = r != instance_start || !leader_ordered;
+            let mut slots = Vec::new();
+            if leads_first {
+                slots.push((policy.heard_from(leader), leader));
+            }
             slots.extend(
                 policy
                     .candidates_at(Round(r))
@@ -396,34 +424,68 @@ fn slot_oracle<P: SchedulePolicy>(dag: &Dag, mut policy: P, earned_direct: Stake
                 Some(_) => (above, history) = (None, None),
                 None => {}
             }
-            decided.push((r, round));
+            decided.push((r, leads_first, round));
         }
-        for (r, round) in decided.iter().rev() {
-            if round.iter().any(Option::is_none) {
+        // Bottom up: a committed leader is a commit of its own; the earned
+        // slots of its round are decided again, named after it.
+        for (r, leads_first, round) in decided.iter().rev() {
+            let (leader, earned) =
+                if *leads_first { (Some(round[0]), &round[1..]) } else { (None, &round[..]) };
+            match leader {
+                Some(None) => return commits,
+                Some(Some(Some(v))) => {
+                    if policy.before_order_anchor(v, dag, &ordered) == ScheduleDecision::Switched {
+                        continue 'instances;
+                    }
+                    commits.push(order(dag, &mut policy, &mut ordered, &mut scratch, &[v]));
+                    (instance_start, leader_ordered) = (*r, true);
+                    continue 'instances;
+                }
+                Some(Some(None)) | None => {}
+            }
+            if earned.iter().any(Option::is_none) {
                 return commits;
             }
             let anchors: Vec<&Arc<Vertex>> =
-                round.iter().filter_map(|slot| slot.flatten()).collect();
-            let Some(first) = anchors.first() else {
-                continue;
-            };
-            if policy.before_order_anchor(first, dag, &ordered) == ScheduleDecision::Switched {
-                continue 'instances;
-            }
-            let mut vertices = Vec::new();
-            for anchor in &anchors {
-                for v in dag.causal_sub_dag_with(anchor, |v| ordered.contains(v), &mut scratch) {
-                    ordered.insert(&v);
-                    policy.on_vertex_ordered(&v, dag, &ordered);
-                    vertices.push(v.digest());
+                earned.iter().filter_map(|slot| slot.flatten()).collect();
+            match anchors.first() {
+                None if leader.is_some() => continue,
+                None => {}
+                Some(first) => {
+                    if leader.is_some()
+                        && policy.before_order_anchor(first, dag, &ordered)
+                            == ScheduleDecision::Switched
+                    {
+                        continue 'instances;
+                    }
+                    commits.push(order(dag, &mut policy, &mut ordered, &mut scratch, &anchors));
                 }
             }
-            commits.push((first.reference(), vertices));
-            instance_start = r + 1;
+            (instance_start, leader_ordered) = (r + 1, false);
             continue 'instances;
         }
         return commits;
     }
+}
+
+/// Orders `anchors`' not-yet-ordered causal histories, in slot order, as
+/// one commit.
+fn order<P: SchedulePolicy>(
+    dag: &Dag,
+    policy: &mut P,
+    ordered: &mut OrderedSet,
+    scratch: &mut SubDagScratch,
+    anchors: &[&Arc<Vertex>],
+) -> Commit {
+    let mut vertices = Vec::new();
+    for anchor in anchors {
+        for v in dag.causal_sub_dag_with(anchor, |v| ordered.contains(v), scratch) {
+            ordered.insert(&v);
+            policy.on_vertex_ordered(&v, dag, ordered);
+            vertices.push(v.digest());
+        }
+    }
+    (anchors[0].reference(), vertices)
 }
 
 /// The leader-only commit sequence the engine was held to before earned
@@ -524,8 +586,8 @@ impl SchedulePolicy for Everyone {
 }
 
 /// One case: a random DAG, the oracle's reading of it, two delivery orders
-/// of it. Returns the number of commits and of those with more than one
-/// anchor, so the caller can tell the cases were not vacuous.
+/// of it. Returns the number of ordered rounds and of those with more than
+/// one anchor, so the caller can tell the cases were not vacuous.
 fn check_case<P: SchedulePolicy>(
     make: impl Fn(&Committee) -> P,
     name: &str,
@@ -568,17 +630,17 @@ fn check_case<P: SchedulePolicy>(
     assert_eq!(a.engine.committed_anchors(), b.engine.committed_anchors(), "{case}");
     assert_eq!(a.engine.passed_over_candidates(), b.engine.passed_over_candidates(), "{case}");
     assert_eq!(a.commits, oracle, "{case}: the finished DAG holds more commits");
-    (a.commits.len(), a.multi_slot)
+    (a.rounds, a.multi_slot)
 }
 
-/// Runs every case under one policy; returns the share of commits that
-/// ordered more than one anchor.
+/// Runs every case under one policy; returns the share of ordered rounds
+/// that held more than one anchor.
 fn check_policy<P: SchedulePolicy>(make: impl Fn(&Committee) -> P, name: &str) -> f64 {
-    let (commits, multi_slot) = (0..CASES)
+    let (rounds, multi_slot) = (0..CASES)
         .map(|seed| check_case(&make, name, seed))
         .fold((0, 0), |(c, m), (dc, dm)| (c + dc, m + dm));
-    assert!(commits as u64 > 4 * CASES, "{name}: only {commits} commits in {CASES} cases");
-    multi_slot as f64 / commits as f64
+    assert!(rounds as u64 > 4 * CASES, "{name}: only {rounds} rounds ordered in {CASES} cases");
+    multi_slot as f64 / rounds as f64
 }
 
 #[test]
@@ -603,8 +665,8 @@ fn hammerhead_commits_promptly_in_one_order() {
             HammerheadConfig { period_rounds: 4, ..HammerheadConfig::default() },
         )
     };
-    // The committee earns candidacy in some epochs only: about one commit
-    // in eleven orders more than its leader.
+    // The committee earns candidacy in some epochs only: about one ordered
+    // round in five holds more than its leader.
     let multi_slot = check_policy(policy, "hammerhead");
     assert!(multi_slot > 0.05, "{multi_slot}");
 }
@@ -632,6 +694,7 @@ fn an_earned_candidate_with_f_plus_1_votes_waits_for_the_anchor_in_any_order() {
     let candidate = full.vertex_by_author(Round(2), ValidatorId(3)).unwrap();
     assert_eq!(full.vote_stake(candidate), c.validity_threshold());
     assert!(full.vote_stake(candidate) < c.quorum_threshold());
+    let leader = full.vertex_by_author(Round(2), ValidatorId(1)).unwrap().reference();
 
     // Order A: (round, author); v0's round-3 vote arrives before round 4.
     // Order B: the same with that vote last.
@@ -647,18 +710,20 @@ fn an_earned_candidate_with_f_plus_1_votes_waits_for_the_anchor_in_any_order() {
         let mut anchor_voted = false;
         for v in &order {
             run.deliver(v);
-            // Until round 5 votes for round 4's leader, round 2 stays
-            // undecided: its leader holds four votes, v3 two of them.
+            // Until round 5 votes for round 4's leader, round 2's earned
+            // slot stays undecided: its leader holds four votes and is a
+            // commit of its own, v3 holds two.
             anchor_voted |= v.round() == Round(5);
             if !anchor_voted {
                 assert!(
-                    run.commits.iter().all(|(a, _)| a.round < Round(2)),
-                    "round 2 ordered early"
+                    run.commits.iter().all(|(a, _)| a.round < Round(2) || *a == leader),
+                    "round 2's earned commit ordered early"
                 );
             }
         }
         // The anchor holds one vote for v3's vertex in its history: skip.
-        assert!(run.commits[2].1.iter().all(|d| *d != candidate.digest()));
+        assert!(run.commits.iter().any(|(a, _)| *a == leader));
+        assert!(run.commits.iter().all(|(a, _)| *a != candidate.reference()));
         assert_eq!(run.commits, slot_oracle(&full, Everyone::new(&c, &[3]), c.quorum_threshold()));
         ends.push(run.commits);
     }
@@ -688,9 +753,14 @@ fn a_direct_commit_at_f_plus_1_votes_would_fork() {
 
     // The mutation: f+1 votes commit directly. The full view commits v3's
     // round-2 vertex at once; the other decides it by the anchor, whose
-    // history holds one vote, and skips it. Round 2's commits differ.
+    // history holds one vote, and skips it. Both order round 2's leader
+    // alike; the commits after it differ.
     let (seen, unseen) =
         (commits(&full, c.validity_threshold()), commits(&without, c.validity_threshold()));
-    assert_ne!(seen[2], unseen[2]);
+    let candidate = full.vertex_by_author(Round(2), ValidatorId(3)).unwrap().reference();
+    let after_leader = seen.iter().position(|(a, _)| a.round == Round(2)).unwrap() + 1;
+    assert_eq!(seen[..after_leader], unseen[..after_leader]);
+    assert_eq!(seen[after_leader].0, candidate);
+    assert!(unseen.iter().all(|(a, _)| *a != candidate));
     assert!(!is_prefix(&unseen, &seen) && !is_prefix(&seen, &unseen));
 }

@@ -122,14 +122,18 @@ fn epoch_zero_anchors_every_round_once_round_zero_closes() {
     // 20-round epochs, geo latency, 3,000 tx/s). When round 0 closes the
     // seven live validators earn candidacy for the rest of epoch 0 and a
     // crashed leader's slot is skipped at the quorum of the round above,
-    // so from the first committed anchor on every round anchors a commit
-    // of its own, and the first switch is the anchor of round 20.
+    // so from the first committed anchor on every round anchors commits
+    // of its own (its live leader's, then its earned anchors'), and the
+    // first switch is the anchor of round 20.
     let mut config = ExperimentConfig::paper(SystemKind::Hammerhead, 10, 3_000);
     config.faults = FaultSchedule::crash_last(10, 3).expect("3 of 10 is a valid crash spec");
     let mut handle = build_sim(&config);
     handle.sim.run_until(SimTime::from_secs(6));
     let commits = handle.validator(0).commit_count();
-    let rounds: Vec<u64> = handle.safety.anchor_prefix(commits).iter().map(|a| a.round.0).collect();
+    let mut rounds: Vec<u64> =
+        handle.safety.anchor_prefix(commits).iter().map(|a| a.round.0).collect();
+    assert!(rounds.windows(2).all(|w| w[0] <= w[1]), "{rounds:?}");
+    rounds.dedup();
     assert!(rounds.len() > 20, "{rounds:?}");
     let first = rounds[0];
     assert_eq!(rounds, (first..first + rounds.len() as u64).collect::<Vec<_>>());
