@@ -874,7 +874,9 @@ impl<B: LogBackend> Validator<B> {
         out.push(Output::SetTimer { delay_us: self.config.sync_tick_us, token: TOKEN_TICK });
         // Re-announce our latest vertex so peers learn we are back and can
         // serve us anything we missed (their responses resync us forward).
-        if self.next_round.0 > 0 {
+        // Best-effort only: a certified peer accepts a vertex only with its
+        // certificate, and certificates are not persisted.
+        if self.next_round.0 > 0 && self.rbc.mode() == BroadcastMode::BestEffort {
             if let Some(v) = self.dag.vertex_by_author(self.next_round.prev(), self.id) {
                 out.push(Output::Broadcast(ValidatorMessage::Rbc(RbcMessage::Vertex(v.clone()))));
             }
@@ -1760,6 +1762,26 @@ mod tests {
             let after = own_broadcasts(&v.on_restart(1_000), me);
             assert_eq!((before.len(), before[0].round()), (1, Round(0)), "{broadcast_mode:?}");
             assert_eq!(before, after, "{broadcast_mode:?}: a second vertex for round 0");
+        }
+    }
+
+    #[test]
+    fn a_restart_re_announces_its_latest_vertex_only_in_best_effort_mode() {
+        let committee = Committee::new_equal_stake(4);
+        let me = ValidatorId(0);
+        let own =
+            Vertex::new(Round(0), me, Block::new(Vec::new()), Vec::new(), &committee.keypair(me));
+        for broadcast_mode in [BroadcastMode::BestEffort, BroadcastMode::Certified] {
+            let backend = MemBackend::new();
+            ValidatorStore::new(backend.clone()).persist_vertex(&own).unwrap();
+            let config = ValidatorConfig { broadcast_mode, ..fast_config() };
+            let mut v = Validator::new(committee.clone(), me, config, Some(backend));
+            // A certified peer accepts a vertex only with its certificate.
+            let expected = match broadcast_mode {
+                BroadcastMode::BestEffort => vec![Arc::new(own.clone())],
+                BroadcastMode::Certified => vec![],
+            };
+            assert_eq!(own_broadcasts(&v.on_restart(0), me), expected, "{broadcast_mode:?}");
         }
     }
 

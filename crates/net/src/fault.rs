@@ -15,7 +15,7 @@
 //! * "less responsive" validators (the §1 Sui mainnet incident: 10% of
 //!   validators suddenly slow);
 //! * recovery (the crash-recovery feature of the production implementation);
-//! * partitions, modelling the pre-GST adversary in liveness tests.
+//! * partitions: a split of the committee that heals at a set time.
 //!
 //! The queries the simulator makes on the hot path —
 //! [`FaultSchedule::slowdown_delay`] and

@@ -2,9 +2,8 @@
 //!
 //! The paper's testbed spreads validators over 13 AWS regions (§5). The
 //! [`GeoLatency`] model embeds an approximate inter-region RTT matrix for
-//! exactly those regions and assigns nodes to regions round-robin ("as
-//! equally as possible", like the paper). One-way delay is half the RTT plus
-//! multiplicative jitter.
+//! exactly those regions; the harness that builds it decides which node
+//! lives where. One-way delay is half the RTT plus multiplicative jitter.
 
 use crate::time::Duration;
 use crate::NodeId;
@@ -110,49 +109,30 @@ const RTT_MS: [[u32; REGION_COUNT]; REGION_COUNT] = [
     /* apne2 */ [180, 120, 175, 240, 240, 235, 235, 260, 130, 75, 135, 35, 1],
 ];
 
-/// Geo-distributed latency: nodes assigned to the 13 regions round-robin.
+/// Multiplicative jitter bound: a one-way delay is scaled by a factor
+/// drawn uniformly from `[1.0, 1.0 + JITTER]`.
+const JITTER: f64 = 0.10;
+
+/// Geo-distributed latency: each node lives in the region its caller
+/// assigned it (`build_sim` spreads validators over the 13 regions
+/// round-robin, "as equally as possible" like the paper, and puts each
+/// client beside its validator).
 #[derive(Clone, Debug)]
 pub struct GeoLatency {
     assignment: Vec<Region>,
-    /// Multiplicative jitter bound: delay is scaled by a factor drawn
-    /// uniformly from `[1.0, 1.0 + jitter]`.
-    jitter: f64,
 }
 
 impl GeoLatency {
-    /// Assigns `n` nodes to regions round-robin with 10% jitter.
-    pub fn round_robin(n: usize) -> Self {
-        let assignment = (0..n).map(|i| Region::ALL[i % REGION_COUNT]).collect();
-        GeoLatency { assignment, jitter: 0.10 }
-    }
-
-    /// Uses an explicit region assignment.
+    /// Node `i` lives in `assignment[i]`.
     pub fn with_assignment(assignment: Vec<Region>) -> Self {
-        GeoLatency { assignment, jitter: 0.10 }
-    }
-
-    /// Overrides the jitter fraction.
-    #[must_use]
-    pub fn jitter(mut self, jitter: f64) -> Self {
-        self.jitter = jitter;
-        self
-    }
-
-    /// The region a node lives in.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is outside the assignment (the simulator validates
-    /// node ids before calling in).
-    pub fn region_of(&self, node: NodeId) -> Region {
-        self.assignment[node.0]
+        GeoLatency { assignment }
     }
 
     fn one_way(&self, from: NodeId, to: NodeId, rng: &mut impl Rng) -> Duration {
         let a = self.assignment[from.0].index();
         let b = self.assignment[to.0].index();
         let rtt_us = RTT_MS[a][b] as f64 * 1000.0;
-        let factor = 1.0 + rng.gen::<f64>() * self.jitter;
+        let factor = 1.0 + rng.gen::<f64>() * JITTER;
         Duration::from_micros((rtt_us / 2.0 * factor) as u64)
     }
 }
@@ -162,8 +142,6 @@ impl GeoLatency {
 pub enum LatencyModel {
     /// Fixed one-way delay for every link (tests).
     Constant(Duration),
-    /// One-way delay drawn uniformly from `[lo, hi]`.
-    Uniform(Duration, Duration),
     /// The 13-region AWS matrix.
     Geo(GeoLatency),
 }
@@ -173,26 +151,7 @@ impl LatencyModel {
     pub fn sample(&self, from: NodeId, to: NodeId, rng: &mut impl Rng) -> Duration {
         match self {
             LatencyModel::Constant(d) => *d,
-            LatencyModel::Uniform(lo, hi) => {
-                let span = hi.as_micros().saturating_sub(lo.as_micros());
-                let extra = if span == 0 { 0 } else { rng.gen_range(0..=span) };
-                Duration::from_micros(lo.as_micros() + extra)
-            }
             LatencyModel::Geo(geo) => geo.one_way(from, to, rng),
-        }
-    }
-
-    /// An upper bound on the one-way delay this model can produce, used to
-    /// sanity-check `delta` in [`crate::NetworkConfig`].
-    pub fn max_delay(&self) -> Duration {
-        match self {
-            LatencyModel::Constant(d) => *d,
-            LatencyModel::Uniform(_, hi) => *hi,
-            LatencyModel::Geo(geo) => {
-                // Worst RTT in the matrix is 300ms; half plus max jitter.
-                let worst_one_way_us = 150_000.0 * (1.0 + geo.jitter);
-                Duration::from_micros(worst_one_way_us as u64)
-            }
         }
     }
 }
@@ -222,26 +181,20 @@ mod tests {
         }
     }
 
-    #[test]
-    fn round_robin_assignment_is_balanced() {
-        let geo = GeoLatency::round_robin(100);
-        let mut counts = [0usize; REGION_COUNT];
-        for i in 0..100 {
-            counts[geo.region_of(NodeId(i)).index()] += 1;
-        }
-        let (min, max) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
-        assert!(max - min <= 1, "counts {counts:?}");
+    /// Node `i` in region `i`: the 13 regions once each.
+    fn every_region() -> LatencyModel {
+        LatencyModel::Geo(GeoLatency::with_assignment(Region::ALL.to_vec()))
     }
 
     #[test]
     fn geo_delay_within_bounds() {
-        let geo = GeoLatency::round_robin(26);
-        let model = LatencyModel::Geo(geo);
+        // us-east-1 → ap-southeast-2: half the 200 ms RTT, plus jitter.
+        let model = every_region();
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..1000 {
             let d = model.sample(NodeId(0), NodeId(10), &mut rng);
-            assert!(d <= model.max_delay());
-            assert!(d > Duration::ZERO);
+            assert!(d >= Duration::from_millis(100), "{d}");
+            assert!(d <= Duration::from_millis(110), "{d}");
         }
     }
 
@@ -255,28 +208,8 @@ mod tests {
     }
 
     #[test]
-    fn uniform_model_within_range() {
-        let lo = Duration::from_millis(5);
-        let hi = Duration::from_millis(15);
-        let model = LatencyModel::Uniform(lo, hi);
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut seen_below_mid = false;
-        let mut seen_above_mid = false;
-        for _ in 0..500 {
-            let d = model.sample(NodeId(0), NodeId(1), &mut rng);
-            assert!(d >= lo && d <= hi);
-            if d.as_micros() < 10_000 {
-                seen_below_mid = true;
-            } else {
-                seen_above_mid = true;
-            }
-        }
-        assert!(seen_below_mid && seen_above_mid, "should spread across range");
-    }
-
-    #[test]
     fn geo_sampling_is_deterministic_per_seed() {
-        let model = LatencyModel::Geo(GeoLatency::round_robin(13));
+        let model = every_region();
         let sample = |seed| {
             let mut rng = StdRng::seed_from_u64(seed);
             (0..50)

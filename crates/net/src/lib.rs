@@ -11,10 +11,10 @@
 //!   profiling switch or counters of its own.
 //! * [`LatencyModel`] / [`GeoLatency`] — per-link one-way delays, including
 //!   an embedded RTT matrix for the paper's 13 AWS regions.
-//! * Partial synchrony ([`NetworkConfig`]): before GST the (simulated)
-//!   adversary may add arbitrary bounded delay and "drop" messages (they are
-//!   retransmitted and always delivered eventually, matching the reliable
-//!   links assumption); after GST every message arrives within Δ = 400 ms.
+//! * Partial synchrony, as a [`ChaosSchedule`] window: an all-links window
+//!   that ends at GST adds a bounded uniform delay to every frame and drops
+//!   a share of them, which the broadcast layer retransmits; after it every
+//!   message arrives within its link latency.
 //! * [`FaultSchedule`] — crash, recovery, slowdown and partition
 //!   injection — and [`ChaosSchedule`] — windows of frame drop,
 //!   duplication, corruption and reorder: the values a harness validates
@@ -67,7 +67,5 @@ pub mod wheel;
 pub use chaos::{ChaosEntry, ChaosSchedule, ChaosScheduleError, ChaosTarget};
 pub use fault::{FaultEvent, FaultSchedule, FaultScheduleError};
 pub use latency::{GeoLatency, LatencyModel, Region, REGION_COUNT};
-pub use sim::{
-    Context, LoopSite, NetworkConfig, Node, NodeId, PreGstAdversary, SimStats, Simulator,
-};
+pub use sim::{Context, LoopSite, NetworkConfig, Node, NodeId, SimStats, Simulator};
 pub use time::{Duration, SimTime};

@@ -163,56 +163,19 @@ impl<'a, M: Clone> Context<'a, M> {
     }
 }
 
-/// How the adversary treats messages before GST.
-#[derive(Clone, Debug)]
-pub struct PreGstAdversary {
-    /// Maximum extra delay added to each pre-GST message.
-    pub max_extra_delay: Duration,
-    /// Probability a pre-GST message is "lost" and only arrives via
-    /// retransmission at GST + Δ (links stay reliable).
-    pub loss_probability: f64,
-}
-
-impl Default for PreGstAdversary {
-    fn default() -> Self {
-        PreGstAdversary { max_extra_delay: Duration::from_millis(500), loss_probability: 0.05 }
-    }
-}
-
-/// Post-GST delivery bound Δ (400 ms): a message the pre-GST adversary
-/// "loses" is retransmitted and arrives by GST + Δ.
-const DELTA: Duration = Duration(400_000);
-
 /// Delay of a node's message to itself (50 µs), should any be sent.
 const LOOPBACK: Duration = Duration(50);
 
 /// Network model configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct NetworkConfig {
     /// Per-link latency model.
     pub latency: LatencyModel,
-    /// Global Stabilization Time. Defaults to [`SimTime::ZERO`]
-    /// (synchronous from the start), which is the benchmark setting.
-    pub gst: SimTime,
-    /// Adversarial behaviour before GST.
-    pub pre_gst: PreGstAdversary,
     /// The fault schedule.
     pub faults: FaultSchedule,
     /// Scheduled link chaos (drop / duplicate / reorder / corrupt).
     /// Empty by default; an empty schedule draws nothing from the RNG.
     pub chaos: ChaosSchedule,
-}
-
-impl Default for NetworkConfig {
-    fn default() -> Self {
-        NetworkConfig {
-            latency: LatencyModel::default(),
-            gst: SimTime::ZERO,
-            pre_gst: PreGstAdversary::default(),
-            faults: FaultSchedule::new(),
-            chaos: ChaosSchedule::new(),
-        }
-    }
 }
 
 /// Counters describing a finished (or in-progress) run.
@@ -221,8 +184,8 @@ pub struct SimStats {
     /// Total events processed.
     pub events: u64,
     /// PRNG draws made by the routing machinery itself (latency jitter,
-    /// pre-GST adversary, chaos windows) — *not* draws actors make via
-    /// [`Context::rng`]. The event-queue/fan-out hot path is draw-free by
+    /// chaos windows) — *not* draws actors make via [`Context::rng`].
+    /// The event-queue/fan-out hot path is draw-free by
     /// design, so a chaos-free constant-latency run reports zero; the
     /// determinism suite asserts on this so an accidentally introduced
     /// draw (which silently re-orders every later sample, changing run
@@ -232,8 +195,6 @@ pub struct SimStats {
     pub delivered: u64,
     /// Messages dropped because the destination was crashed.
     pub dropped_crashed: u64,
-    /// Messages the pre-GST adversary deferred to GST + Δ.
-    pub adversary_deferred: u64,
     /// Frames a chaos window dropped outright.
     pub chaos_dropped: u64,
     /// Frames a chaos window delivered twice.
@@ -493,20 +454,7 @@ impl<N: Node> Simulator<N> {
     fn route(&mut self, from: NodeId, to: NodeId, msg: N::Message) {
         let base =
             if from == to { LOOPBACK } else { self.config.latency.sample(from, to, &mut self.rng) };
-        let delay = base + self.config.faults.slowdown_delay(from, to, self.now);
-        let mut at = self.now + delay;
-
-        if self.now < self.config.gst {
-            // Adversary-controlled period: arbitrary bounded extra delay,
-            // plus probabilistic deferral to GST + Δ ("lost" then
-            // retransmitted — links are reliable).
-            let extra = self.rng.gen_range(0..=self.config.pre_gst.max_extra_delay.as_micros());
-            at = self.now + delay + Duration::from_micros(extra);
-            if self.rng.gen::<f64>() < self.config.pre_gst.loss_probability {
-                self.stats.adversary_deferred += 1;
-                at = at.max(self.config.gst + DELTA);
-            }
-        }
+        let mut at = self.now + base + self.config.faults.slowdown_delay(from, to, self.now);
 
         if let Some(heal) = self.config.faults.partition_release(from, to, self.now) {
             // Buffered until the partition heals, then delivered after one
@@ -625,6 +573,15 @@ mod tests {
         }
     }
 
+    /// The geo matrix with node `i` in region `i`: every link draws jitter.
+    fn geo_net(n: usize) -> NetworkConfig {
+        let regions = crate::Region::ALL[..n].to_vec();
+        NetworkConfig {
+            latency: LatencyModel::Geo(crate::GeoLatency::with_assignment(regions)),
+            ..NetworkConfig::default()
+        }
+    }
+
     #[test]
     fn ping_pong_round_trip() {
         let nodes = (0..3).map(|_| Echo::new()).collect();
@@ -647,11 +604,7 @@ mod tests {
     fn determinism_same_seed_same_execution() {
         let run = |seed| {
             let nodes = (0..5).map(|_| Echo::new()).collect();
-            let cfg = NetworkConfig {
-                latency: LatencyModel::Uniform(Duration::from_millis(1), Duration::from_millis(50)),
-                ..NetworkConfig::default()
-            };
-            let mut sim = Simulator::new(nodes, cfg, seed);
+            let mut sim = Simulator::new(nodes, geo_net(5), seed);
             sim.run_until(SimTime::from_secs(1));
             sim.nodes().map(|n| n.log.clone()).collect::<Vec<_>>()
         };
@@ -683,29 +636,6 @@ mod tests {
         sim.run_until(SimTime::from_secs(1));
         // ping took 10 + 90 = 100ms.
         assert_eq!(sim.node(NodeId(1)).log[0].0, SimTime::from_millis(100));
-    }
-
-    #[test]
-    fn pre_gst_messages_arrive_by_gst_plus_delta() {
-        let nodes = (0..4).map(|_| Echo::new()).collect();
-        let cfg = NetworkConfig {
-            latency: LatencyModel::Constant(Duration::from_millis(10)),
-            gst: SimTime::from_secs(2),
-            pre_gst: PreGstAdversary {
-                max_extra_delay: Duration::from_millis(800),
-                loss_probability: 0.5,
-            },
-            ..NetworkConfig::default()
-        };
-        let mut sim = Simulator::new(nodes, cfg, 99);
-        sim.run_until(SimTime::from_secs(5));
-        let bound = SimTime::from_secs(2) + DELTA + Duration::from_millis(900);
-        for i in 1..4 {
-            for (t, _, _) in &sim.node(NodeId(i)).log {
-                assert!(*t <= bound, "delivered at {t}");
-            }
-            assert_eq!(sim.node(NodeId(i)).log.len(), 1, "reliable delivery");
-        }
     }
 
     #[test]
@@ -823,11 +753,7 @@ mod tests {
         // no chaos at all (no RNG draw happens outside the window).
         let run = |chaos: ChaosSchedule| {
             let nodes = (0..3).map(|_| Echo::new()).collect();
-            let mut cfg = NetworkConfig {
-                latency: LatencyModel::Uniform(Duration::from_millis(1), Duration::from_millis(50)),
-                ..NetworkConfig::default()
-            };
-            cfg.chaos = chaos;
+            let cfg = NetworkConfig { chaos, ..geo_net(3) };
             let mut sim = Simulator::new(nodes, cfg, 42);
             sim.run_until(SimTime::from_secs(1));
             sim.nodes().map(|n| n.log.clone()).collect::<Vec<_>>()

@@ -540,7 +540,7 @@ impl Rbc {
             }
         }
 
-        // Re-broadcast uncertified proposals (pre-GST losses) on the
+        // Re-broadcast uncertified proposals (frames a lossy link dropped) on the
         // same backoff schedule as sync retries.
         for p in self.proposals.values_mut() {
             if !p.certified && p.next_due_tick <= now {

@@ -97,7 +97,6 @@ fn fig2_scenario_lowers_to_the_hand_built_config() {
     assert_eq!(run.config.faults.crashed_nodes(), by_hand.faults.crashed_nodes());
     assert_eq!(run.config.validator, by_hand.validator);
     assert_eq!(run.config.network, by_hand.network);
-    assert_eq!(run.config.gst_secs, by_hand.gst_secs);
     assert_eq!(run.config.client_window_secs, by_hand.client_window_secs);
 
     // And the simulations agree bit for bit.

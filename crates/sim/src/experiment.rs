@@ -104,11 +104,6 @@ pub struct ExperimentConfig {
     /// (window = per-client rate × this). Models the bounded concurrency of
     /// real benchmark drivers; see [`crate::Client`].
     pub client_window_secs: f64,
-    /// Global Stabilization Time in seconds. Before it the simulated
-    /// adversary adds arbitrary bounded delays and defers a fraction of
-    /// messages (§2.1's partial synchrony); 0 = synchronous from the start
-    /// (the benchmark setting).
-    pub gst_secs: u64,
     /// Simulation seed (identical seeds reproduce identical runs).
     pub seed: u64,
 }
@@ -141,7 +136,6 @@ impl ExperimentConfig {
             chaos: ChaosSchedule::default(),
             network: Network::Geo,
             client_window_secs: 2.0,
-            gst_secs: 0,
             seed: 42,
         }
     }
@@ -169,7 +163,6 @@ impl ExperimentConfig {
             chaos: ChaosSchedule::default(),
             network: Network::Flat { ms: 5 },
             client_window_secs: 10.0,
-            gst_secs: 0,
             seed: 42,
         }
     }
@@ -408,8 +401,6 @@ pub fn build_sim(config: &ExperimentConfig) -> SimHandle {
         faults: config.faults.clone(),
         // Co-simulated clients (ids at and above `n`) keep clean links.
         chaos: config.chaos.clone().restrict_to(n),
-        gst: SimTime::from_secs(config.gst_secs),
-        ..NetworkConfig::default()
     };
     let sim = Simulator::new(actors, net, config.seed);
     SimHandle { sim, committee, n_validators: n, recovery_samples: Vec::new(), safety }

@@ -2,19 +2,30 @@
 
 use hammerhead_repro::hammerhead::{HammerheadConfig, ScheduleConfig};
 use hammerhead_repro::hh_net::SimTime;
-use hammerhead_repro::hh_sim::{build_sim, ExperimentConfig, FaultSchedule, SimHandle, SystemKind};
+use hammerhead_repro::hh_sim::{
+    build_sim, ChaosEntry, ChaosSchedule, ExperimentConfig, FaultSchedule, SimHandle, SystemKind,
+};
 
 #[test]
 fn commits_progress_after_gst() {
-    // Adversarial network until t=3s. Within a bounded time after GST,
+    // Asynchronous until GST at t=3s: an all-links window delays every
+    // frame by up to 500 ms and loses 5%. Within a bounded time after GST,
     // every honest validator must keep committing (Lemma 4).
     for system in [SystemKind::Bullshark, SystemKind::Hammerhead] {
         let mut config = ExperimentConfig::quick_test(system);
         config.committee_size = 4;
         config.duration_secs = 10;
-        config.gst_secs = 3;
+        config.chaos = ChaosSchedule::new().entry(ChaosEntry {
+            drop: 0.05,
+            reorder_us: 500_000,
+            ..ChaosEntry::all_links(0, 3_000_000)
+        });
         let mut handle = build_sim(&config);
 
+        handle.sim.run_until(SimTime::from_secs(3));
+        let stats = handle.sim.stats();
+        assert!(stats.chaos_dropped > 0, "{system:?}: the window dropped nothing");
+        assert!(stats.chaos_reordered > 0, "{system:?}: the window delayed nothing");
         handle.sim.run_until(SimTime::from_secs(4));
         let at_gst: Vec<u64> = (0..4).map(|i| handle.validator(i).commit_count()).collect();
         handle.sim.run_until(SimTime::from_secs(10));

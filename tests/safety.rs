@@ -1,13 +1,16 @@
 //! Safety (Total Order / Proposition 1) integration tests.
 //!
-//! Every test runs full validator networks on the simulated partially-
-//! synchronous network and asserts that all live validators' commit
-//! sequences are prefix-consistent — the Byzantine Atomic Broadcast Total
-//! Order property, plus Schedule Agreement for the HammerHead runs.
+//! Every test runs full validator networks on the simulated network and
+//! asserts that all live validators' commit sequences are prefix-consistent
+//! — the Byzantine Atomic Broadcast Total Order property, plus Schedule
+//! Agreement for the HammerHead runs. The network is synchronous unless a
+//! test makes it partially synchronous: asynchronous until GST under an
+//! all-links chaos window.
 
 use hammerhead_repro::hh_consensus::SchedulePolicy;
 use hammerhead_repro::hh_sim::{
-    build_sim, run_experiment, ExperimentConfig, FaultSchedule, Network, SystemKind,
+    build_sim, run_experiment, ChaosEntry, ChaosSchedule, ExperimentConfig, FaultSchedule, Network,
+    SystemKind,
 };
 
 /// Prefix-checks anchors across all live validators of a run: the run's
@@ -58,20 +61,30 @@ fn agreement_with_maximum_crash_faults() {
 }
 
 #[test]
-fn agreement_under_pre_gst_adversary() {
-    // Heavy adversarial delays and deferrals until GST at t=3s; the run
-    // ends at t=8s. Safety must hold throughout, including pre-GST.
+fn agreement_across_an_asynchronous_window() {
+    // Asynchronous until GST at t=3s: every frame waits up to 500 ms more
+    // and 5% are lost, left to the broadcast layer's retransmission; the
+    // run ends at t=8s. Safety must hold throughout, including before GST.
     for system in [SystemKind::Bullshark, SystemKind::Hammerhead] {
         let mut config = ExperimentConfig::quick_test(system);
         config.committee_size = 4;
         config.duration_secs = 8;
-        config.gst_secs = 3;
+        config.chaos = ChaosSchedule::new().entry(ChaosEntry {
+            drop: 0.05,
+            reorder_us: 500_000,
+            ..ChaosEntry::all_links(0, 3_000_000)
+        });
         config.load_tps = 100;
         let mut handle = build_sim(&config);
         // Check agreement at several points in time, not just the end.
-        for checkpoint_s in [2u64, 4, 6, 8] {
+        for checkpoint_s in [2u64, 3, 4, 6, 8] {
             handle.sim.run_until(hammerhead_repro::hh_net::SimTime::from_secs(checkpoint_s));
             assert_agreement(&handle, &[]);
+            if checkpoint_s == 3 {
+                let stats = handle.sim.stats();
+                assert!(stats.chaos_dropped > 0, "{system:?}: the window dropped nothing");
+                assert!(stats.chaos_reordered > 0, "{system:?}: the window delayed nothing");
+            }
         }
     }
 }
@@ -192,8 +205,8 @@ fn schedule_history_lives_in_the_run_record() {
 fn chaos_free_runs_take_zero_delivery_path_rng_draws() {
     use hammerhead_repro::hh_net::SimTime;
     // The event-queue/fan-out hot path is draw-free by design: with a
-    // constant-latency link model, no chaos windows and no pre-GST
-    // adversary, routing a frame never touches the PRNG. Event order —
+    // constant-latency link model and no chaos windows, routing a frame
+    // never touches the PRNG. Event order —
     // and therefore every scenario JSON byte — can then never hinge on
     // a silently added or re-ordered sample; if someone lands a draw on
     // the delivery path, this fails loudly instead.
