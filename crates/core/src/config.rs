@@ -2,55 +2,6 @@
 
 use hh_rbc::BroadcastMode;
 use hh_types::{Committee, Stake, ValidatorId};
-use std::fmt;
-
-/// A [`HammerheadConfig`] that cannot run (see
-/// [`HammerheadConfig::validate`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ConfigError {
-    /// `period_rounds` below 2: a leader slot spans two rounds, so a
-    /// shorter epoch would close before one slot's votes are in.
-    PeriodTooShort {
-        /// The rejected period.
-        period_rounds: u64,
-    },
-    /// `max_excluded_stake` above the committee's `f`: excluding more
-    /// than `f` stake could hand every leader slot of an epoch to fewer
-    /// than `2f+1` validators and break the liveness argument of Lemma 6.
-    ExcludedStakeAboveF {
-        /// The rejected budget.
-        requested: Stake,
-        /// The committee's maximum tolerable faulty stake.
-        max_faulty: Stake,
-    },
-    /// `VoteEma` smoothing weight outside `1..=100` percent.
-    InvalidEmaAlpha {
-        /// The rejected weight.
-        alpha_percent: u8,
-    },
-}
-
-impl fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ConfigError::PeriodTooShort { period_rounds } => write!(
-                f,
-                "period_rounds must be at least 2 (a leader slot spans two rounds), got {period_rounds}"
-            ),
-            ConfigError::ExcludedStakeAboveF { requested, max_faulty } => write!(
-                f,
-                "max_excluded_stake {} exceeds the committee's f = {}",
-                requested.0, max_faulty.0
-            ),
-            ConfigError::InvalidEmaAlpha { alpha_percent } => write!(
-                f,
-                "vote-ema alpha_percent must be in 1..=100, got {alpha_percent}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ConfigError {}
 
 /// How reputation points are assigned (`docs/architecture.md` §5; the rules
 /// are compared in `scenarios/ablation_scoring.toml`).
@@ -98,22 +49,30 @@ impl HammerheadConfig {
     /// Checks the parameters against the committee they will schedule.
     ///
     /// Rejects periods too short to ever contain a committed anchor,
-    /// exclusion budgets above the committee's `f`, and out-of-range EMA
-    /// weights. The scenario engine calls this before building a run;
-    /// programmatic users should too.
-    pub fn validate(&self, committee: &Committee) -> Result<(), ConfigError> {
+    /// exclusion budgets above the committee's `f` (Lemma 6's liveness
+    /// argument), and out-of-range EMA weights. [`ValidatorConfig::validate`]
+    /// asks here.
+    pub fn validate(&self, committee: &Committee) -> Result<(), String> {
         if self.period_rounds < 2 {
-            return Err(ConfigError::PeriodTooShort { period_rounds: self.period_rounds });
+            return Err(format!(
+                "period_rounds must be at least 2 (a leader slot spans two rounds), got {}",
+                self.period_rounds
+            ));
         }
         if let Some(requested) = self.max_excluded_stake {
             let max_faulty = committee.max_faulty_stake();
             if requested > max_faulty {
-                return Err(ConfigError::ExcludedStakeAboveF { requested, max_faulty });
+                return Err(format!(
+                    "max_excluded_stake {} exceeds the committee's f = {}",
+                    requested.0, max_faulty.0
+                ));
             }
         }
         if let ScoringRule::VoteEma { alpha_percent } = self.scoring_rule {
             if alpha_percent == 0 || alpha_percent > 100 {
-                return Err(ConfigError::InvalidEmaAlpha { alpha_percent });
+                return Err(format!(
+                    "vote-ema alpha_percent must be in 1..=100, got {alpha_percent}"
+                ));
             }
         }
         Ok(())
@@ -226,6 +185,28 @@ impl ValidatorConfig {
             ..ValidatorConfig::default()
         }
     }
+
+    /// Checks the pacing against itself (a zero tick re-arms at the
+    /// instant it fires, and the event loop never leaves that instant),
+    /// then the schedule against `committee`: a static leader must be in
+    /// it, and the HammerHead parameters must fit it.
+    pub fn validate(&self, committee: &Committee) -> Result<(), String> {
+        if self.min_round_delay_us == 0 || self.min_round_delay_us >= self.leader_timeout_us {
+            return Err("need 0 < min_round_delay_us < leader_timeout_us".into());
+        }
+        if self.sync_tick_us == 0 {
+            return Err("need sync_tick_us > 0".into());
+        }
+        match &self.schedule {
+            ScheduleConfig::Hammerhead(hh) => hh.validate(committee),
+            ScheduleConfig::StaticLeader(leader) if !committee.contains(*leader) => Err(format!(
+                "validator {} is outside the committee of {}",
+                leader.0,
+                committee.size()
+            )),
+            ScheduleConfig::RoundRobin | ScheduleConfig::StaticLeader(_) => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -246,18 +227,18 @@ mod tests {
         assert!(HammerheadConfig::default().validate(&committee).is_ok());
 
         let short = HammerheadConfig { period_rounds: 1, ..HammerheadConfig::default() };
-        assert!(matches!(
-            short.validate(&committee),
-            Err(ConfigError::PeriodTooShort { period_rounds: 1 })
-        ));
+        assert_eq!(
+            short.validate(&committee).unwrap_err(),
+            "period_rounds must be at least 2 (a leader slot spans two rounds), got 1"
+        );
 
         // f = 3 for n = 10 equal-stake validators; 4 is over budget.
         let greedy =
             HammerheadConfig { max_excluded_stake: Some(Stake(4)), ..HammerheadConfig::default() };
-        assert!(matches!(
-            greedy.validate(&committee),
-            Err(ConfigError::ExcludedStakeAboveF { .. })
-        ));
+        assert_eq!(
+            greedy.validate(&committee).unwrap_err(),
+            "max_excluded_stake 4 exceeds the committee's f = 3"
+        );
         let exact = HammerheadConfig {
             max_excluded_stake: Some(committee.max_faulty_stake()),
             ..HammerheadConfig::default()
@@ -268,10 +249,10 @@ mod tests {
             scoring_rule: ScoringRule::VoteEma { alpha_percent: 0 },
             ..HammerheadConfig::default()
         };
-        assert!(matches!(
-            ema.validate(&committee),
-            Err(ConfigError::InvalidEmaAlpha { alpha_percent: 0 })
-        ));
+        assert_eq!(
+            ema.validate(&committee).unwrap_err(),
+            "vote-ema alpha_percent must be in 1..=100, got 0"
+        );
     }
 
     #[test]

@@ -73,7 +73,7 @@ mod safety;
 mod schedule;
 mod scores;
 
-pub use config::{ConfigError, HammerheadConfig, ScheduleConfig, ScoringRule, ValidatorConfig};
+pub use config::{HammerheadConfig, ScheduleConfig, ScoringRule, ValidatorConfig};
 pub use driver::{route, Driver, Event, Transport};
 pub use node::{
     CommitRecord, ExecLog, ExecLogIter, ExecRecord, Output, StorageFault, Validator,

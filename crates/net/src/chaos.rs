@@ -22,6 +22,7 @@
 //!
 //! All times are microseconds of simulated time.
 
+use crate::fault::{in_committee, non_empty};
 use crate::sim::NodeId;
 use crate::time::SimTime;
 use std::fmt;
@@ -117,19 +118,6 @@ impl ChaosEntry {
     }
 }
 
-/// An unrunnable chaos schedule (out-of-range rates, unknown
-/// validators, empty or ambiguously overlapping windows).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ChaosScheduleError(String);
-
-impl fmt::Display for ChaosScheduleError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl std::error::Error for ChaosScheduleError {}
-
 /// The full chaos timeline of a run: an ordered list of [`ChaosEntry`]s,
 /// plus the id bound separating validators from co-simulated clients.
 ///
@@ -211,53 +199,40 @@ impl ChaosSchedule {
     ///
     /// # Errors
     ///
-    /// Returns a [`ChaosScheduleError`] naming the first violation.
-    pub fn validate(&self, committee_size: usize) -> Result<(), ChaosScheduleError> {
+    /// Returns the first violation.
+    pub fn validate(&self, committee_size: usize) -> Result<(), String> {
         let n = committee_size;
-        let in_range = |node: u16| -> Result<(), ChaosScheduleError> {
-            if node as usize >= n {
-                return Err(ChaosScheduleError(format!(
-                    "validator {node} is outside the committee of {n}"
-                )));
-            }
-            Ok(())
-        };
         for (i, e) in self.entries.iter().enumerate() {
             for (name, rate) in
                 [("drop", e.drop), ("duplicate", e.duplicate), ("corrupt", e.corrupt)]
             {
                 if !(0.0..=1.0).contains(&rate) || !rate.is_finite() {
-                    return Err(ChaosScheduleError(format!(
+                    return Err(format!(
                         "chaos window {i} ({}): {name} rate {rate} is outside [0, 1]",
                         e.target
-                    )));
+                    ));
                 }
             }
             match e.target {
                 ChaosTarget::AllLinks => {}
-                ChaosTarget::Node(node) => in_range(node)?,
+                ChaosTarget::Node(node) => in_committee(node, n)?,
                 ChaosTarget::Pair { from, to } => {
-                    in_range(from)?;
-                    in_range(to)?;
+                    in_committee(from, n)?;
+                    in_committee(to, n)?;
                     if from == to {
-                        return Err(ChaosScheduleError(format!(
+                        return Err(format!(
                             "chaos window {i}: a link needs two distinct endpoints, got \
                              {from} -> {to}"
-                        )));
+                        ));
                     }
                 }
             }
-            if e.until_us <= e.from_us {
-                return Err(ChaosScheduleError(format!(
-                    "chaos window {i} ({}) is empty ({}µs..{}µs)",
-                    e.target, e.from_us, e.until_us
-                )));
-            }
+            non_empty(format_args!("chaos window {i} ({})", e.target), e.from_us, e.until_us)?;
             if !e.has_effect() {
-                return Err(ChaosScheduleError(format!(
+                return Err(format!(
                     "chaos window {i} ({}) has no effect: all rates zero and no reorder",
                     e.target
-                )));
+                ));
             }
         }
         // Pairwise overlap check: half-open time intervals intersecting
@@ -267,14 +242,14 @@ impl ChaosSchedule {
                 let (a, b) = (&self.entries[i], &self.entries[j]);
                 let time_overlap = a.from_us < b.until_us && b.from_us < a.until_us;
                 if time_overlap && a.target.intersects(&b.target) {
-                    return Err(ChaosScheduleError(format!(
+                    return Err(format!(
                         "chaos windows {i} ({}) and {j} ({}) overlap in \
                          [{}µs, {}µs) on a shared link; split the windows or merge the rates",
                         a.target,
                         b.target,
                         a.from_us.max(b.from_us),
                         a.until_us.min(b.until_us),
-                    )));
+                    ));
                 }
             }
         }
@@ -367,7 +342,7 @@ mod tests {
     #[test]
     fn validate_rejects_out_of_range_rates() {
         let s = ChaosSchedule::new().entry(entry(ChaosTarget::AllLinks, 0, 1_000_000, 1.5));
-        let err = s.validate(4).unwrap_err().to_string();
+        let err = s.validate(4).unwrap_err();
         assert!(err.contains("drop rate 1.5 is outside [0, 1]"), "{err}");
         let s = ChaosSchedule::new()
             .entry(ChaosEntry { duplicate: -0.1, ..ChaosEntry::all_links(0, 1_000_000) });
@@ -377,22 +352,22 @@ mod tests {
     #[test]
     fn validate_rejects_unknown_validators_and_self_links() {
         let s = ChaosSchedule::new().entry(entry(ChaosTarget::Node(9), 0, 1_000_000, 0.5));
-        assert!(s.validate(4).unwrap_err().to_string().contains("outside the committee"));
+        assert!(s.validate(4).unwrap_err().contains("outside the committee"));
         let s = ChaosSchedule::new().entry(entry(
             ChaosTarget::Pair { from: 1, to: 1 },
             0,
             1_000_000,
             0.5,
         ));
-        assert!(s.validate(4).unwrap_err().to_string().contains("two distinct endpoints"));
+        assert!(s.validate(4).unwrap_err().contains("two distinct endpoints"));
     }
 
     #[test]
     fn validate_rejects_empty_and_effectless_windows() {
         let s = ChaosSchedule::new().entry(entry(ChaosTarget::AllLinks, 2_000_000, 1_000_000, 0.5));
-        assert!(s.validate(4).unwrap_err().to_string().contains("is empty"));
+        assert!(s.validate(4).unwrap_err().contains("is empty"));
         let s = ChaosSchedule::new().entry(ChaosEntry::all_links(0, 1_000_000));
-        assert!(s.validate(4).unwrap_err().to_string().contains("has no effect"));
+        assert!(s.validate(4).unwrap_err().contains("has no effect"));
     }
 
     #[test]
@@ -401,7 +376,7 @@ mod tests {
         let s = ChaosSchedule::new()
             .entry(entry(ChaosTarget::Node(1), 0, 2_000_000, 0.2))
             .entry(entry(ChaosTarget::Pair { from: 0, to: 1 }, 1_000_000, 3_000_000, 0.4));
-        let err = s.validate(4).unwrap_err().to_string();
+        let err = s.validate(4).unwrap_err();
         assert!(err.contains("overlap"), "{err}");
         // Disjoint link sets may overlap in time.
         let s = ChaosSchedule::new()

@@ -79,17 +79,26 @@ pub enum FaultEvent {
     },
 }
 
-/// An unrunnable fault schedule (contradictory or liveness-destroying).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FaultScheduleError(String);
-
-impl fmt::Display for FaultScheduleError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
+/// The most faulty validators a committee of `n` tolerates, `(n - 1) / 3`.
+pub fn max_faulty(n: usize) -> usize {
+    n.saturating_sub(1) / 3
 }
 
-impl std::error::Error for FaultScheduleError {}
+/// Rejects a validator id outside a committee of `n`.
+pub fn in_committee(node: u16, n: usize) -> Result<(), String> {
+    if node as usize >= n {
+        return Err(format!("validator {node} is outside the committee of {n}"));
+    }
+    Ok(())
+}
+
+/// Rejects the empty window `[from_us, until_us)`, naming it `what`.
+pub fn non_empty(what: fmt::Arguments<'_>, from_us: u64, until_us: u64) -> Result<(), String> {
+    if until_us <= from_us {
+        return Err(format!("{what} is empty ({from_us}µs..{until_us}µs)"));
+    }
+    Ok(())
+}
 
 /// What happened to a node at a point on its crash/recovery timeline.
 ///
@@ -242,12 +251,12 @@ impl FaultSchedule {
     ///
     /// Fails when `count >= committee_size`: crashing everyone (or more
     /// validators than exist) leaves nothing to measure.
-    pub fn crash_last(committee_size: usize, count: usize) -> Result<Self, FaultScheduleError> {
+    pub fn crash_last(committee_size: usize, count: usize) -> Result<Self, String> {
         if count >= committee_size {
-            return Err(FaultScheduleError(format!(
+            return Err(format!(
                 "crash_last: crashing the last {count} of {committee_size} validators leaves \
                  no live validator"
-            )));
+            ));
         }
         let first = committee_size - count;
         Ok(FaultSchedule::new().crash_from_start((first..committee_size).map(|i| i as u16)))
@@ -352,56 +361,36 @@ impl FaultSchedule {
     ///
     /// # Errors
     ///
-    /// Returns a [`FaultScheduleError`] naming the first violation.
-    pub fn validate(&self, committee_size: usize) -> Result<(), FaultScheduleError> {
+    /// Returns the first violation.
+    pub fn validate(&self, committee_size: usize) -> Result<(), String> {
         let n = committee_size;
-        let in_range = |node: u16| -> Result<(), FaultScheduleError> {
-            if node as usize >= n {
-                return Err(FaultScheduleError(format!(
-                    "validator {node} is outside the committee of {n}"
-                )));
-            }
-            Ok(())
-        };
-
         for event in &self.events {
             match event {
                 FaultEvent::Crash { node, .. } | FaultEvent::Recover { node, .. } => {
-                    in_range(*node)?;
+                    in_committee(*node, n)?;
                 }
                 FaultEvent::Slowdown { node, from_us, until_us, extra_us } => {
-                    in_range(*node)?;
+                    in_committee(*node, n)?;
                     if *extra_us == 0 {
-                        return Err(FaultScheduleError(format!(
-                            "slowdown of validator {node} has zero extra delay"
-                        )));
+                        return Err(format!("slowdown of validator {node} has zero extra delay"));
                     }
-                    if *until_us <= *from_us {
-                        return Err(FaultScheduleError(format!(
-                            "slowdown window of validator {node} is empty \
-                             ({from_us}µs..{until_us}µs)"
-                        )));
-                    }
+                    non_empty(
+                        format_args!("slowdown window of validator {node}"),
+                        *from_us,
+                        *until_us,
+                    )?;
                 }
                 FaultEvent::Partition { group_a, group_b, from_us, until_us } => {
                     if group_a.is_empty() || group_b.is_empty() {
-                        return Err(FaultScheduleError(
-                            "partition groups must both be non-empty".into(),
-                        ));
+                        return Err("partition groups must both be non-empty".into());
                     }
                     for node in group_a.iter().chain(group_b) {
-                        in_range(*node)?;
+                        in_committee(*node, n)?;
                     }
                     if let Some(shared) = group_a.iter().find(|x| group_b.contains(x)) {
-                        return Err(FaultScheduleError(format!(
-                            "validator {shared} is on both sides of a partition"
-                        )));
+                        return Err(format!("validator {shared} is on both sides of a partition"));
                     }
-                    if *until_us <= *from_us {
-                        return Err(FaultScheduleError(format!(
-                            "partition window is empty ({from_us}µs..{until_us}µs)"
-                        )));
-                    }
+                    non_empty(format_args!("partition window"), *from_us, *until_us)?;
                 }
             }
         }
@@ -413,19 +402,19 @@ impl FaultSchedule {
         // they are met; a zero-length one occupies no instant, so its
         // crash comes back off.
         let mut open: Option<(u16, u64)> = None;
-        let mut sweep: Vec<(u64, bool)> = Vec::new();
+        let mut sweep: Vec<(u64, bool)> = Vec::with_capacity(self.timeline.len());
         for &(node, at, phase) in &self.timeline {
             let since = open.filter(|(down, _)| *down == node).map(|(_, since)| since);
             match (phase, since) {
                 (Phase::Crash, Some(_)) => {
-                    return Err(FaultScheduleError(format!(
+                    return Err(format!(
                         "validator {node} crashes again at {at}µs without recovering first"
-                    )))
+                    ))
                 }
                 (Phase::Recover, None) => {
-                    return Err(FaultScheduleError(format!(
+                    return Err(format!(
                         "validator {node} recovers at {at}µs without a preceding crash"
-                    )))
+                    ))
                 }
                 (Phase::Crash, None) => {
                     open = Some((node, at));
@@ -445,17 +434,17 @@ impl FaultSchedule {
         // Concurrency sweep: at no instant may more than f validators be
         // down. A recovery at t frees its node at t (window semantics), so
         // another node's crash at t sorts after it.
-        let f = n.saturating_sub(1) / 3;
+        let f = max_faulty(n);
         sweep.sort_unstable();
         let mut down = 0usize;
         for (at, is_crash) in sweep {
             if is_crash {
                 down += 1;
                 if down > f {
-                    return Err(FaultScheduleError(format!(
+                    return Err(format!(
                         "{down} validators crashed at once at {at}µs exceeds f = {f} for a \
                          committee of {n}"
-                    )));
+                    ));
                 }
             } else {
                 down -= 1;
@@ -656,22 +645,22 @@ mod tests {
     #[test]
     fn validate_rejects_recover_before_crash() {
         let s = FaultSchedule::new().recover(1, 5_000_000);
-        let err = s.validate(4).unwrap_err().to_string();
+        let err = s.validate(4).unwrap_err();
         assert!(err.contains("without a preceding crash"), "{err}");
 
         let s = FaultSchedule::new().crash(1, 8_000_000).recover(1, 5_000_000);
-        let err = s.validate(4).unwrap_err().to_string();
+        let err = s.validate(4).unwrap_err();
         assert!(err.contains("without a preceding crash"), "{err}");
     }
 
     #[test]
     fn validate_rejects_double_crash() {
         let s = FaultSchedule::new().crash(1, 1_000_000).crash(1, 2_000_000);
-        let err = s.validate(7).unwrap_err().to_string();
+        let err = s.validate(7).unwrap_err();
         assert!(err.contains("crashes again"), "{err}");
         // Another validator's open outage is not this one's.
         let s = FaultSchedule::new().crash(1, 1_000_000).recover(2, 2_000_000);
-        let err = s.validate(7).unwrap_err().to_string();
+        let err = s.validate(7).unwrap_err();
         assert!(err.contains("validator 2 recovers"), "{err}");
     }
 
@@ -679,7 +668,7 @@ mod tests {
     fn validate_rejects_more_than_f_concurrent_crashes() {
         // n = 7 → f = 2; three validators down at once is unrunnable ...
         let s = FaultSchedule::new().crash(0, 0).crash(1, 0).crash(2, 1_000_000);
-        let err = s.validate(7).unwrap_err().to_string();
+        let err = s.validate(7).unwrap_err();
         assert!(err.contains("exceeds f = 2"), "{err}");
         // ... but fine once staggered around a recovery.
         let s =
@@ -701,22 +690,22 @@ mod tests {
         assert_eq!(s.validate(4), Ok(()));
         // A real outage of v0 still counts against v1's crash.
         let s = FaultSchedule::new().crash(0, 1_000_000).recover(0, 1_000_001).crash(1, 1_000_000);
-        let err = s.validate(4).unwrap_err().to_string();
+        let err = s.validate(4).unwrap_err();
         assert!(err.contains("2 validators crashed at once at 1000000µs"), "{err}");
     }
 
     #[test]
     fn validate_rejects_bad_partitions_and_ranges() {
         let overlap = FaultSchedule::new().partition(vec![0, 1], vec![1, 2], 0, 1_000_000);
-        assert!(overlap.validate(4).unwrap_err().to_string().contains("both sides"));
+        assert!(overlap.validate(4).unwrap_err().contains("both sides"));
 
         let empty = FaultSchedule::new().partition(vec![], vec![1], 0, 1_000_000);
         assert!(empty.validate(4).is_err());
 
         let inverted = FaultSchedule::new().partition(vec![0], vec![1], 2_000_000, 1_000_000);
-        assert!(inverted.validate(4).unwrap_err().to_string().contains("empty"));
+        assert!(inverted.validate(4).unwrap_err().contains("empty"));
 
         let out_of_range = FaultSchedule::new().crash(9, 0);
-        assert!(out_of_range.validate(4).unwrap_err().to_string().contains("outside"));
+        assert!(out_of_range.validate(4).unwrap_err().contains("outside"));
     }
 }

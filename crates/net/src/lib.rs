@@ -64,8 +64,8 @@ pub mod tcp;
 mod time;
 pub mod wheel;
 
-pub use chaos::{ChaosEntry, ChaosSchedule, ChaosScheduleError, ChaosTarget};
-pub use fault::{FaultEvent, FaultSchedule, FaultScheduleError};
+pub use chaos::{ChaosEntry, ChaosSchedule, ChaosTarget};
+pub use fault::{in_committee, max_faulty, non_empty, FaultEvent, FaultSchedule};
 pub use latency::{GeoLatency, LatencyModel, Region, REGION_COUNT};
 pub use sim::{Context, LoopSite, NetworkConfig, Node, NodeId, SimStats, Simulator};
 pub use time::{Duration, SimTime};

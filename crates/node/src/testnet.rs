@@ -297,15 +297,32 @@ fn spawn_node(binary: &Path, config_path: &Path) -> Result<NodeProc, String> {
     Ok(NodeProc { child, progress })
 }
 
+/// The longest a load client sleeps before it checks `stop` again.
+const MAX_NAP: Duration = Duration::from_millis(100);
+
+/// How long a client `elapsed` into its run of a `tps` share sleeps
+/// before submission `seq`, due `seq / tps` seconds after the start: by
+/// deadline, so the offered rate is `tps` however long a write takes, and
+/// at most [`MAX_NAP`] at a time.
+fn nap_before(seq: u64, tps: f64, elapsed: Duration) -> Duration {
+    let due = Duration::try_from_secs_f64(seq as f64 / tps).unwrap_or(Duration::MAX);
+    due.saturating_sub(elapsed).min(MAX_NAP)
+}
+
+/// How many submissions of a `tps` share fall due in the first `elapsed`
+/// of a client's run: where a client that was cut off resumes, so a
+/// restarted node sees the share's rate rather than the outage's backlog.
+fn due_by(elapsed: Duration, tps: f64) -> u64 {
+    (elapsed.as_secs_f64() * tps) as u64
+}
+
 /// One load client: connects to its node, submits transactions at a
-/// constant `tps`, drains confirmations, reconnects if the node goes away
-/// (it will, in a crash test).
+/// constant `tps` (none for a zero share), drains confirmations,
+/// reconnects if the node goes away (it will, in a crash test).
 fn client_loop(addr: String, client_id: u16, tps: f64, stop: Arc<AtomicBool>) {
-    let interval = if tps > 0.0 {
-        Duration::from_secs_f64(1.0 / tps).min(Duration::from_millis(100))
-    } else {
-        Duration::from_millis(20)
-    };
+    if tps == 0.0 {
+        return;
+    }
     let start = Instant::now();
     let mut seq: u64 = 0;
     'reconnect: while !stop.load(Ordering::SeqCst) {
@@ -317,6 +334,8 @@ fn client_loop(addr: String, client_id: u16, tps: f64, stop: Arc<AtomicBool>) {
         if write_handshake(&mut stream, client_id).is_err() {
             continue;
         }
+        // Submissions missed while disconnected are skipped, not sent.
+        seq = seq.max(due_by(start.elapsed(), tps));
         // Drain confirmations on a companion reader so the node's reply
         // writer never backs up against an unread socket.
         if let Ok(mut rd) = stream.try_clone() {
@@ -329,6 +348,11 @@ fn client_loop(addr: String, client_id: u16, tps: f64, stop: Arc<AtomicBool>) {
                 .ok();
         }
         while !stop.load(Ordering::SeqCst) {
+            let nap = nap_before(seq, tps, start.elapsed());
+            if !nap.is_zero() {
+                std::thread::sleep(nap);
+                continue;
+            }
             let now_us = start.elapsed().as_micros() as u64;
             let tx = Transaction::new(client_id as u32, seq, now_us);
             let frame = WireMsg::new(ValidatorMessage::Submit(tx)).encode_frame();
@@ -336,7 +360,6 @@ fn client_loop(addr: String, client_id: u16, tps: f64, stop: Arc<AtomicBool>) {
                 continue 'reconnect; // Node died; retry against its restart.
             }
             seq += 1;
-            std::thread::sleep(interval);
         }
         return;
     }
@@ -402,6 +425,9 @@ fn audit_node(cfg: &NodeConfig, checker: &SafetyChecker) -> Result<(u64, u64), S
 pub fn run_testnet(opts: &TestnetOpts) -> Result<TestnetReport, String> {
     if !(4..=20).contains(&opts.nodes) {
         return Err(format!("nodes must be in 4..=20, got {}", opts.nodes));
+    }
+    if !opts.tps.is_finite() || opts.tps < 0.0 {
+        return Err(format!("tps must be finite and non-negative, got {}", opts.tps));
     }
     if let Some(kill) = &opts.kill {
         if kill.victim >= opts.nodes {
@@ -613,6 +639,34 @@ mod tests {
             restart_after: Duration::from_secs(5),
         });
         assert!(run_testnet(&late_kill).is_err());
+        for tps in [-1.0, f64::NAN, f64::INFINITY] {
+            let bad_tps = TestnetOpts { tps, ..TestnetOpts::new(4) };
+            let err = run_testnet(&bad_tps).unwrap_err();
+            assert_eq!(err, format!("tps must be finite and non-negative, got {tps}"));
+        }
+    }
+
+    #[test]
+    fn clients_pace_by_deadline_at_any_share() {
+        let ms = Duration::from_millis;
+        // 2.5 tx/s: submission 1 is due at 400 ms, 10 at 4 s — no floor
+        // raises a small share to 10 tx/s.
+        assert_eq!(nap_before(0, 2.5, ms(0)), Duration::ZERO);
+        assert_eq!(nap_before(1, 2.5, ms(350)), ms(50));
+        assert_eq!(nap_before(1, 2.5, ms(100)), MAX_NAP, "naps are capped");
+        assert_eq!(nap_before(10, 2.5, ms(4_000)), Duration::ZERO);
+        // A slow write does not delay the next submission: the deadline,
+        // not the previous write, sets it.
+        assert_eq!(nap_before(3, 1_000.0, ms(50)), Duration::ZERO);
+        // A client back after an outage resumes at the submission now due,
+        // then keeps the share's pace: at 4 tx/s, 5.2 s in, submission 20
+        // is due and 21 waits 50 ms.
+        assert_eq!(due_by(ms(5_200), 4.0), 20);
+        assert_eq!(nap_before(21, 4.0, ms(5_200)), ms(50));
+        assert_eq!(due_by(ms(0), 4.0), 0);
+        // A share too small to schedule a second submission waits forever,
+        // one nap at a time.
+        assert_eq!(nap_before(1, 1e-320, ms(0)), MAX_NAP);
     }
 
     #[test]

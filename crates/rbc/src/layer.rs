@@ -478,7 +478,8 @@ impl Rbc {
             let delay = backoff_ticks(state.attempts);
             state.next_due_tick = now + delay + jitter_ticks(&digest, state.attempts, delay);
             self.sync_retransmits += 1;
-            let peer = rotate_peer(me, n, &digest, state.attempts);
+            let seed = digest.prefix_u64().wrapping_add(state.attempts as u64);
+            let peer = rotate_peer(me, n, seed);
             by_peer.entry(peer).or_default().push(digest);
         }
         for (peer, digests) in by_peer {
@@ -493,11 +494,8 @@ impl Rbc {
         let buffered_front = self.pending.values().map(|b| b.vertex.round().0).max().unwrap_or(0);
         if buffered_front > front.0 + CATCH_UP_GAP {
             self.catch_up_attempts += 1;
-            let mut idx = (me.0 as u64 + self.catch_up_attempts) % n;
-            if idx == me.0 as u64 {
-                idx = (idx + 1) % n;
-            }
-            fx.send.push((ValidatorId(idx as u16), RbcMessage::RangeRequest { from: front }));
+            let peer = rotate_peer(me, n, me.0 as u64 + self.catch_up_attempts);
+            fx.send.push((peer, RbcMessage::RangeRequest { from: front }));
         }
 
         // Stall recovery: a lossy network can strand the whole committee
@@ -519,11 +517,8 @@ impl Rbc {
             self.stall_attempts += 1;
             self.next_stall_pull = self.stalled_ticks + backoff_ticks(self.stall_attempts);
             self.stall_pulls += 1;
-            let mut idx = (me.0 as u64 + self.stall_pulls) % n;
-            if idx == me.0 as u64 {
-                idx = (idx + 1) % n;
-            }
-            fx.send.push((ValidatorId(idx as u16), RbcMessage::RangeRequest { from: front }));
+            let peer = rotate_peer(me, n, me.0 as u64 + self.stall_pulls);
+            fx.send.push((peer, RbcMessage::RangeRequest { from: front }));
             if let Some(mine) = dag.vertex_by_author(front, me).cloned() {
                 match self.mode {
                     BroadcastMode::BestEffort => fx.broadcast.push(RbcMessage::Vertex(mine)),
@@ -858,10 +853,11 @@ impl Rbc {
     }
 }
 
-/// Deterministic retry-target rotation for sync requests, seeded by the
-/// missing digest so different validators probe different peers.
-fn rotate_peer(me: ValidatorId, n: u64, digest: &Digest, attempts: u32) -> ValidatorId {
-    let mut idx = (digest.prefix_u64().wrapping_add(attempts as u64)) % n;
+/// The peer at position `seed` of a committee of `n`, skipping `me` for
+/// the next one: every sync or range request picks its target by this
+/// one rotation rule.
+fn rotate_peer(me: ValidatorId, n: u64, seed: u64) -> ValidatorId {
+    let mut idx = seed % n;
     if idx == me.0 as u64 {
         idx = (idx + 1) % n;
     }

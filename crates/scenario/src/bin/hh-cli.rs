@@ -2,17 +2,16 @@
 //!
 //! ```text
 //! hh-cli run scenarios/fig1_faultless.toml [--quick] [--rounds 50] [--out out.json]
-//! hh-cli matrix scenarios/fig2_faults.toml --set hammerhead.period_rounds=4,20,120
+//! hh-cli run scenarios/fig2_faults.toml --set hammerhead.period_rounds=4,20,120
 //! hh-cli list [scenarios/]
 //! hh-cli validate scenarios/fig2_faults.toml [--dump]
 //! ```
 //!
 //! `run` executes every run a scenario expands to and prints a row per
-//! run; `--out` additionally writes the deterministic JSON report.
-//! `matrix` is `run` plus at least one `--set key=v1,v2,...` patch —
-//! list values become sweep axes. `list` shows every scenario in a
-//! directory with its expanded run count. `validate` parses and expands
-//! without running.
+//! run; `--out` additionally writes the deterministic JSON report, and
+//! each `--set key=v1,v2,...` patch with a list value becomes a sweep
+//! axis. `list` shows every scenario in a directory with its expanded run
+//! count. `validate` parses and expands without running.
 
 use hh_scenario::{
     load_scenario, load_with_sets, parse_set, render_header, report_json, run_plan, ExecOptions,
@@ -27,12 +26,10 @@ hh-cli — declarative scenario runner for the HammerHead reproduction
 
 USAGE:
     hh-cli run <scenario.toml> [OPTIONS]      execute a scenario
-    hh-cli matrix <scenario.toml> --set k=v1,v2,... [OPTIONS]
-                                              sweep patched parameter axes
     hh-cli list [dir]                         list scenarios (default: scenarios/)
     hh-cli validate <scenario.toml> [--dump]  parse + expand without running
 
-OPTIONS (run / matrix):
+OPTIONS (run):
     --quick           apply the scenario's [quick] scaled-down overrides
     --duration <s>    override the duration axis (simulated seconds)
     --seed <n>        override the seed axis
@@ -51,8 +48,7 @@ OPTIONS (run / matrix):
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&args[1..], false),
-        Some("matrix") => cmd_run(&args[1..], true),
+        Some("run") => cmd_run(&args[1..]),
         Some("list") => cmd_list(&args[1..]),
         Some("validate") => cmd_validate(&args[1..]),
         Some("--help" | "-h" | "help") | None => {
@@ -139,11 +135,8 @@ fn flag_u64<'a>(it: &mut impl Iterator<Item = &'a String>, flag: &str) -> Result
         .map_err(|e| format!("{flag}: {e}"))
 }
 
-fn cmd_run(args: &[String], require_set: bool) -> Result<(), String> {
+fn cmd_run(args: &[String]) -> Result<(), String> {
     let args = parse_run_args(args)?;
-    if require_set && args.sets.is_empty() {
-        return Err("matrix requires at least one --set key=v1,v2,... axis".into());
-    }
     let spec = load_with_sets(&args.scenario, &args.sets)?;
     let opts = PlanOptions {
         quick: args.quick,

@@ -10,9 +10,10 @@
 //!   (committee sizes, loads, seeds, periods…) expand into the cross
 //!   product of concrete [`hh_sim::ExperimentConfig`]s. A scenario is
 //!   valid iff it plans: the fault, byzantine, chaos and workload tables
-//!   are lowered per run straight from their schema rows and judged by
-//!   the lowered schedule's own `validate` — the value the simulator
-//!   executes — so each such rule has one statement and one error text;
+//!   are lowered per run straight from their schema rows, and
+//!   [`hh_sim::ExperimentConfig::validate`] — the check `build_sim` makes
+//!   too — asks each lowered schedule's own `validate`, so each such rule
+//!   has one statement and one error text;
 //! * a `plan → execute → report` pipeline: [`run_plan`] (on a scoped
 //!   worker pool of [`ExecOptions::jobs`] workers, one at `--jobs 1`)
 //!   turns every planned run into a row via the simulator's one driver
@@ -27,8 +28,8 @@
 //! * `--set` patches ([`parse_set`], applied by [`load_with_sets`]), which
 //!   rewrite a scenario's TOML document before the schema reads it, for
 //!   `hh-cli` and the gate tests alike;
-//! * the `hh-cli` binary: `hh-cli run scenarios/fig1_faultless.toml`,
-//!   `hh-cli list`, `hh-cli matrix`, `hh-cli validate`.
+//! * the `hh-cli` binary: `hh-cli run scenarios/fig1_faultless.toml`
+//!   (`--set k=v1,v2` sweeps), `hh-cli list`, `hh-cli validate`.
 //!
 //! The checked-in scenario files under `scenarios/` reproduce the
 //! paper's figures.

@@ -748,9 +748,10 @@ section!(PHASE_TABLE = "[[workload.phase]]",
 });
 
 /// Lowers the `[workload]` row for a run of `config`'s duration and load
-/// into `config.workload`, validated, and the proposer's block bound. A
-/// scenario without the table runs exactly [`Workload::constant`], the
-/// `[load] tps` sugar.
+/// into `config.workload` and the proposer's block bound; whether the
+/// workload can run is [`ExperimentConfig::validate`]'s call. A scenario
+/// without the table runs exactly [`Workload::constant`], the `[load] tps`
+/// sugar.
 ///
 /// The single-phase arrival keys and a `[[workload.phase]]` timeline
 /// exclude each other; a phase's rate is a `scale` or an absolute `tps`
@@ -813,8 +814,8 @@ fn lower_workload(workload: &Row, config: &mut ExperimentConfig) -> Result<(), S
         }
         phases.push(Phase { from_us: phase.instant_us(&FROM, duration)?, arrival });
     }
-    // `Workload::validate` below knows the timeline's shape but not where
-    // the run ends.
+    // `Workload::validate` knows the timeline's shape but not where the
+    // run ends.
     let duration_us = duration.saturating_mul(1_000_000);
     if let Some(late) = phases.iter().find(|p| p.from_us >= duration_us) {
         return Err(ScenarioError::Invalid(format!(
@@ -823,7 +824,7 @@ fn lower_workload(workload: &Row, config: &mut ExperimentConfig) -> Result<(), S
         )));
     }
     config.workload = Workload { phases, mode, payload_bytes, spread: workload.get(&SPREAD) };
-    config.workload.validate().map_err(|e| ScenarioError::Invalid(format!("workload: {e}")))
+    Ok(())
 }
 
 // A variant names its system and the keys that system reads: one point of
@@ -895,15 +896,11 @@ section!(BYZANTINE_TABLE = "[[faults.byzantine]]", shares [FROM, UNTIL], {
     FLIP_SECS = "flip_secs", Kind::U64, Def::None;
 });
 
-/// Lowers the `[[faults.byzantine]]` entries for a committee of `n` and a
-/// run of `duration` seconds into the [`ByzantineSchedule`], in file order,
-/// and validates it: more than `f` attackers, out-of-range nodes or
-/// targets, and overlapping windows per node are rejected there.
-fn lower_byzantine(
-    faults: &Row,
-    n: usize,
-    duration: u64,
-) -> Result<ByzantineSchedule, ScenarioError> {
+/// Lowers the `[[faults.byzantine]]` entries of a run of `duration`
+/// seconds into the [`ByzantineSchedule`], in file order. More than `f`
+/// attackers, out-of-range nodes or targets, and overlapping windows per
+/// node are [`ByzantineSchedule::validate`]'s to reject.
+fn lower_byzantine(faults: &Row, duration: u64) -> Result<ByzantineSchedule, ScenarioError> {
     let mut schedule = ByzantineSchedule::new();
     for entry in faults.get::<Vec<Row>>(&BYZANTINE) {
         let name: String = entry.get(&STRATEGY);
@@ -947,7 +944,6 @@ fn lower_byzantine(
             until_us: entry.instant_us(&UNTIL, duration)?,
         });
     }
-    schedule.validate(n).map_err(|e| ScenarioError::Invalid(format!("byzantine schedule: {e}")))?;
     Ok(schedule)
 }
 
@@ -963,12 +959,12 @@ section!(CHAOS_TABLE = "[[faults.chaos]]", shares [FROM, UNTIL], {
     REORDER_MS = "reorder_ms", Kind::U64, Def::U64(0);
 });
 
-/// Lowers the `[[faults.chaos]]` entries for a committee of `n` and a run
-/// of `duration` seconds into the [`ChaosSchedule`], in file order, and
-/// validates it: rates outside `[0, 1]`, out-of-range validators, empty or
-/// effect-free windows, and ambiguously overlapping same-link windows are
-/// rejected there.
-fn lower_chaos(faults: &Row, n: usize, duration: u64) -> Result<ChaosSchedule, ScenarioError> {
+/// Lowers the `[[faults.chaos]]` entries of a run of `duration` seconds
+/// into the [`ChaosSchedule`], in file order. Rates outside `[0, 1]`,
+/// out-of-range validators, empty or effect-free windows, and ambiguously
+/// overlapping same-link windows are [`ChaosSchedule::validate`]'s to
+/// reject.
+fn lower_chaos(faults: &Row, duration: u64) -> Result<ChaosSchedule, ScenarioError> {
     let mut schedule = ChaosSchedule::new();
     for entry in faults.get::<Vec<Row>>(&CHAOS) {
         let target = match (entry.opt(&CHAOS_NODE), entry.opt(&LINK_FROM), entry.opt(&LINK_TO)) {
@@ -993,7 +989,6 @@ fn lower_chaos(faults: &Row, n: usize, duration: u64) -> Result<ChaosSchedule, S
             reorder_us: entry.micros(&REORDER_MS, 1_000)?,
         });
     }
-    schedule.validate(n).map_err(|e| ScenarioError::Invalid(format!("chaos schedule: {e}")))?;
     Ok(schedule)
 }
 
@@ -1029,9 +1024,9 @@ fn lower_crashed(faults: &Row, n: usize) -> Result<Vec<u16>, ScenarioError> {
 
 /// Lowers the crash, recovery, slowdown and partition entries for a
 /// committee of `n` and a run of `duration` seconds, `crashed` (see
-/// [`lower_crashed`]) down from t=0, into the [`FaultSchedule`], and
-/// validates it: recover-before-crash, contradictory windows and more than
-/// `f` concurrent crashes are rejected there.
+/// [`lower_crashed`]) down from t=0, into the [`FaultSchedule`].
+/// Recover-before-crash, contradictory windows and more than `f`
+/// concurrent crashes are [`FaultSchedule::validate`]'s to reject.
 ///
 /// The simulator numbers same-instant events in insertion order, so the
 /// order is part of a run's bytes: `crashed`, the crash entries, the
@@ -1090,7 +1085,6 @@ fn lower_fault_schedule(
             (entry.instant_us(&FROM, duration)?, entry.instant_us(&HEAL, duration)?);
         schedule = schedule.partition(a, b, from_us, until_us);
     }
-    schedule.validate(n).map_err(|e| ScenarioError::Invalid(format!("fault schedule: {e}")))?;
     Ok(schedule)
 }
 
@@ -1489,8 +1483,9 @@ impl ScenarioSpec {
                             config.validator.schedule = schedule.clone();
                             lower_workload(&workload, &mut config)?;
                             config.faults = lower_fault_schedule(&faults, n, &crashed, duration)?;
-                            config.byzantine = lower_byzantine(&faults, n, duration)?;
-                            config.chaos = lower_chaos(&faults, n, duration)?;
+                            config.byzantine = lower_byzantine(&faults, duration)?;
+                            config.chaos = lower_chaos(&faults, duration)?;
+                            config.validate(&committee).map_err(ScenarioError::Invalid)?;
                             // Fault count = distinct crashed validators
                             // anywhere on the timeline (mid-run crashes
                             // included).
@@ -1981,7 +1976,7 @@ static_leader = 2
     /// `--set` leave it, is the one value a variant defaults to.
     #[test]
     fn hammerhead_axes_beside_variants_hold_one_value() {
-        // `hh-cli matrix scenarios/byzantine.toml --quick --set
+        // `hh-cli run scenarios/byzantine.toml --quick --set
         // hammerhead.period_rounds=4,20`
         let path = crate::repo_scenarios_dir().join("byzantine.toml");
         let sets = [crate::parse_set("hammerhead.period_rounds=4,20").unwrap()];
@@ -2562,8 +2557,8 @@ arrival = "poisson"
 
     /// The runnable-scenario rules, each with the validator that states
     /// it: every fragment is well-formed TOML of the right types, so it
-    /// parses, and `plan()` — the gate `hh-cli run | matrix | list |
-    /// validate` all go through — rejects it in the owner's words.
+    /// parses, and `plan()` — the gate `hh-cli run | list | validate` all
+    /// go through — rejects it in the owner's words.
     #[test]
     fn schedule_owned_rules_reject_at_plan_time_in_the_schedules_words() {
         const SLOW: &str = "[[faults.slowdown]]\nfirst = 1\n";

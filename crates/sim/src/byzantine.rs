@@ -41,10 +41,10 @@
 use hammerhead::{Output, ValidatorMessage};
 use hh_crypto::Keypair;
 use hh_dag::testkit::twin_of;
+use hh_net::{in_committee, max_faulty, non_empty};
 use hh_rbc::RbcMessage;
 use hh_types::{Committee, ValidatorId};
 use std::collections::BTreeMap;
-use std::fmt;
 use std::sync::Arc;
 
 /// First timer token owned by byzantine behaviors. Validator tokens are
@@ -103,18 +103,6 @@ pub struct ByzantineEntry {
     /// Window end (exclusive, µs); `u64::MAX` for "until the end".
     pub until_us: u64,
 }
-
-/// An unrunnable byzantine schedule.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ByzantineScheduleError(String);
-
-impl fmt::Display for ByzantineScheduleError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl std::error::Error for ByzantineScheduleError {}
 
 /// The byzantine schedule of a run: per-validator attack windows, in
 /// insertion order.
@@ -226,78 +214,59 @@ impl ByzantineSchedule {
     ///
     /// # Errors
     ///
-    /// Returns a [`ByzantineScheduleError`] naming the first violation.
-    pub fn validate(&self, committee_size: usize) -> Result<(), ByzantineScheduleError> {
+    /// Returns the first violation.
+    pub fn validate(&self, committee_size: usize) -> Result<(), String> {
         let n = committee_size;
-        let f = n.saturating_sub(1) / 3;
-        let in_range = |node: u16| -> Result<(), ByzantineScheduleError> {
-            if node as usize >= n {
-                return Err(ByzantineScheduleError(format!(
-                    "validator {node} is outside the committee of {n}"
-                )));
-            }
-            Ok(())
-        };
-
+        let f = max_faulty(n);
         for e in &self.entries {
-            in_range(e.node)?;
-            if e.until_us <= e.from_us {
-                return Err(ByzantineScheduleError(format!(
-                    "byzantine window of validator {} is empty ({}µs..{}µs)",
-                    e.node, e.from_us, e.until_us
-                )));
-            }
+            in_committee(e.node, n)?;
+            let node = e.node;
+            non_empty(format_args!("byzantine window of validator {node}"), e.from_us, e.until_us)?;
             match &e.strategy {
                 ByzantineStrategy::Equivocate => {}
                 ByzantineStrategy::WithholdVotes { targets } => {
                     if targets.is_empty() {
-                        return Err(ByzantineScheduleError(format!(
+                        return Err(format!(
                             "withhold_votes by validator {} names no targets",
                             e.node
-                        )));
+                        ));
                     }
                     let mut distinct = targets.clone();
                     distinct.sort_unstable();
                     distinct.dedup();
                     for t in &distinct {
-                        in_range(*t)?;
+                        in_committee(*t, n)?;
                         if *t == e.node {
-                            return Err(ByzantineScheduleError(format!(
+                            return Err(format!(
                                 "validator {} cannot withhold votes from itself",
                                 e.node
-                            )));
+                            ));
                         }
                     }
                     if distinct.len() > f {
-                        return Err(ByzantineScheduleError(format!(
+                        return Err(format!(
                             "withhold_votes by validator {} targets {} validators, above f = {f} \
                              for a committee of {n} — the attacker would starve its own \
                              quorum ancestry",
                             e.node,
                             distinct.len()
-                        )));
+                        ));
                     }
                 }
                 ByzantineStrategy::LazyLeader { delay_us } => {
                     if *delay_us == 0 {
-                        return Err(ByzantineScheduleError(format!(
-                            "lazy_leader by validator {} has zero delay",
-                            e.node
-                        )));
+                        return Err(format!("lazy_leader by validator {} has zero delay", e.node));
                     }
                 }
                 ByzantineStrategy::FlipFlop { flip_us, delay_us } => {
                     if *flip_us == 0 {
-                        return Err(ByzantineScheduleError(format!(
+                        return Err(format!(
                             "flip_flop by validator {} has a zero flip period",
                             e.node
-                        )));
+                        ));
                     }
                     if *delay_us == 0 {
-                        return Err(ByzantineScheduleError(format!(
-                            "flip_flop by validator {} has zero delay",
-                            e.node
-                        )));
+                        return Err(format!("flip_flop by validator {} has zero delay", e.node));
                     }
                 }
             }
@@ -306,10 +275,10 @@ impl ByzantineSchedule {
         // More than f byzantine validators voids every guarantee.
         let byzantine = self.nodes();
         if byzantine.len() > f {
-            return Err(ByzantineScheduleError(format!(
+            return Err(format!(
                 "{} byzantine validators exceeds f = {f} for a committee of {n}",
                 byzantine.len()
-            )));
+            ));
         }
 
         // Per-node windows must not overlap (one strategy at a time).
@@ -320,10 +289,10 @@ impl ByzantineSchedule {
             let (node_a, _, until_a) = pair[0];
             let (node_b, from_b, _) = pair[1];
             if node_a == node_b && from_b < until_a {
-                return Err(ByzantineScheduleError(format!(
+                return Err(format!(
                     "validator {node_a} has overlapping byzantine windows \
                      (one ends at {until_a}µs, the next starts at {from_b}µs)"
-                )));
+                ));
             }
         }
         Ok(())
@@ -545,7 +514,7 @@ mod tests {
             0,
             u64::MAX,
         );
-        let err = s.validate(4).unwrap_err().to_string();
+        let err = s.validate(4).unwrap_err();
         assert!(err.contains("exceeds f = 1"), "{err}");
         // The same two attackers are fine in a bigger committee.
         assert!(s.validate(7).is_ok());
@@ -556,7 +525,7 @@ mod tests {
         let s = ByzantineSchedule::new()
             .equivocate(1, 0, 5_000_000)
             .lazy_leader(1, 400_000, 4_000_000, 9_000_000);
-        let err = s.validate(13).unwrap_err().to_string();
+        let err = s.validate(13).unwrap_err();
         assert!(err.contains("overlapping"), "{err}");
         // Back-to-back windows (until == next from) are fine.
         let s = ByzantineSchedule::new()
@@ -568,26 +537,26 @@ mod tests {
     #[test]
     fn validate_rejects_bad_targets_ranges_and_params() {
         let out = ByzantineSchedule::new().equivocate(9, 0, u64::MAX);
-        assert!(out.validate(4).unwrap_err().to_string().contains("outside"));
+        assert!(out.validate(4).unwrap_err().contains("outside"));
 
         let empty_window = ByzantineSchedule::new().equivocate(1, 5_000_000, 5_000_000);
-        assert!(empty_window.validate(4).unwrap_err().to_string().contains("empty"));
+        assert!(empty_window.validate(4).unwrap_err().contains("empty"));
 
         let no_targets = ByzantineSchedule::new().withhold_votes(1, vec![], 0, u64::MAX);
-        assert!(no_targets.validate(4).unwrap_err().to_string().contains("no targets"));
+        assert!(no_targets.validate(4).unwrap_err().contains("no targets"));
 
         let self_target = ByzantineSchedule::new().withhold_votes(1, vec![1], 0, u64::MAX);
-        assert!(self_target.validate(4).unwrap_err().to_string().contains("itself"));
+        assert!(self_target.validate(4).unwrap_err().contains("itself"));
 
         // n = 7 → f = 2: three targets would starve the attacker's quorum.
         let too_many = ByzantineSchedule::new().withhold_votes(1, vec![0, 2, 3], 0, u64::MAX);
-        assert!(too_many.validate(7).unwrap_err().to_string().contains("starve"));
+        assert!(too_many.validate(7).unwrap_err().contains("starve"));
 
         let zero_delay = ByzantineSchedule::new().lazy_leader(1, 0, 0, u64::MAX);
-        assert!(zero_delay.validate(4).unwrap_err().to_string().contains("zero delay"));
+        assert!(zero_delay.validate(4).unwrap_err().contains("zero delay"));
 
         let zero_flip = ByzantineSchedule::new().flip_flop(1, 0, 400_000, 0, u64::MAX);
-        assert!(zero_flip.validate(4).unwrap_err().to_string().contains("flip period"));
+        assert!(zero_flip.validate(4).unwrap_err().contains("flip period"));
     }
 
     #[test]

@@ -140,6 +140,22 @@ impl ExperimentConfig {
         }
     }
 
+    /// Whether the run can execute on `committee`, the one it is built
+    /// over: asks the workload, the fault, byzantine and chaos schedules,
+    /// then the validator configuration, and prefixes the first violation
+    /// with the part that states the rule. [`build_sim`] and the scenario
+    /// planner both ask here.
+    pub fn validate(&self, committee: &Committee) -> Result<(), String> {
+        let n = committee.size();
+        let owned =
+            |owner: &str, verdict: Result<(), String>| verdict.map_err(|e| format!("{owner}: {e}"));
+        owned("workload", self.workload.validate())?;
+        owned("fault schedule", self.faults.validate(n))?;
+        owned("byzantine schedule", self.byzantine.validate(n))?;
+        owned("chaos schedule", self.chaos.validate(n))?;
+        owned("validator", self.validator.validate(committee))
+    }
+
     /// A small, fast configuration for unit tests: 4 validators, flat
     /// network, aggressive timeouts, 3 simulated seconds.
     pub fn quick_test(system: SystemKind) -> Self {
@@ -322,16 +338,15 @@ impl SimHandle {
 /// whose handle survives the crash), so a scheduled recovery replays
 /// `Validator::on_restart` from real persisted state instead of
 /// restarting empty.
+/// Panics with `invalid <owner>: <rule>` when
+/// [`ExperimentConfig::validate`] rejects the run.
 pub fn build_sim(config: &ExperimentConfig) -> SimHandle {
     let n = config.committee_size;
     let committee = Committee::new_equal_stake(n);
+    if let Err(e) = config.validate(&committee) {
+        panic!("invalid {e}");
+    }
     let mut validator_config = config.validator.clone();
-    if let Err(e) = config.byzantine.validate(n) {
-        panic!("invalid byzantine schedule: {e}");
-    }
-    if let Err(e) = config.chaos.validate(n) {
-        panic!("invalid chaos schedule: {e}");
-    }
     if config.byzantine.has_equivocation() {
         // Equivocation is only a *detected* attack in certified mode,
         // where honest validators ack one header per (round, author) and
@@ -339,15 +354,8 @@ pub fn build_sim(config: &ExperimentConfig) -> SimHandle {
         validator_config.broadcast_mode = hh_rbc::BroadcastMode::Certified;
     }
 
-    // Clients attach to validators that are up at t=0.
+    // Clients attach to validators that are up at t=0 (at least n - f).
     let live: Vec<usize> = config.faults.live_at(n, 0);
-    assert!(!live.is_empty(), "at least one live validator required");
-    // The scenario layer validates workloads at plan time; programmatic
-    // configs get the same up-front rejection here instead of a
-    // mid-run surprise.
-    if let Err(e) = config.workload.validate() {
-        panic!("invalid workload: {e}");
-    }
     let persist = config.faults.has_recoveries();
     let safety = SafetyChecker::new();
 
@@ -724,7 +732,6 @@ mod tests {
         let mut config = ExperimentConfig::quick_test(SystemKind::Hammerhead);
         config.duration_secs = 6;
         config.faults = FaultSchedule::new().crash(3, 1_500_000).recover(3, 3_000_000);
-        config.faults.validate(config.committee_size).expect("runnable schedule");
 
         let (handle, r) = run_sim(&config, RunLimit::Duration);
         assert!(r.agreement_ok, "recovered validator must stay prefix-consistent");
@@ -759,7 +766,6 @@ mod tests {
         config.duration_secs = 6;
         config.faults =
             FaultSchedule::new().partition(vec![0], vec![1, 2, 3], 1_000_000, 2_000_000);
-        config.faults.validate(config.committee_size).expect("runnable schedule");
         let r = run_experiment(&config);
         assert!(r.agreement_ok);
         assert!(r.commits > 10, "commits: {}", r.commits);
@@ -879,7 +885,6 @@ mod tests {
         let mut base = ExperimentConfig::quick_test(SystemKind::Bullshark);
         base.duration_secs = duration_secs;
         base.byzantine = schedule;
-        base.byzantine.validate(base.committee_size).expect("runnable byzantine schedule");
 
         let (rr_handle, rr) = run_sim(&base, RunLimit::Duration);
 
@@ -952,7 +957,6 @@ mod tests {
         base.load_tps = 100;
         let attacker: u16 = 6;
         base.byzantine = ByzantineSchedule::new().withhold_votes(attacker, vec![0, 1], 0, u64::MAX);
-        base.byzantine.validate(base.committee_size).expect("runnable byzantine schedule");
 
         let (rr_handle, rr) = run_sim(&base, RunLimit::Duration);
 
@@ -986,7 +990,6 @@ mod tests {
         config.duration_secs = 6;
         config.byzantine = ByzantineSchedule::new().equivocate(3, 0, u64::MAX);
         config.faults = FaultSchedule::new().crash(1, 1_500_000).recover(1, 3_000_000);
-        config.faults.validate(config.committee_size).expect("runnable schedule");
 
         let (handle, r) = run_sim(&config, RunLimit::Duration);
         assert!(r.agreement_ok, "equivocation must not break safety");
@@ -1086,6 +1089,47 @@ mod tests {
         build_sim(&config);
     }
 
+    #[test]
+    #[should_panic(expected = "invalid fault schedule: validator 5 is outside the committee of 4")]
+    fn build_sim_rejects_invalid_fault_schedules_up_front() {
+        // Validator 5 would be a co-simulated client's id in a committee
+        // of 4: crashing it must not silently silence that client.
+        let mut config = ExperimentConfig::quick_test(SystemKind::Bullshark);
+        config.faults = FaultSchedule::new().crash(5, 0);
+        build_sim(&config);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "invalid validator: max_excluded_stake 2 exceeds the committee's f = 1"
+    )]
+    fn build_sim_rejects_invalid_hammerhead_parameters_up_front() {
+        let mut config = ExperimentConfig::quick_test(SystemKind::Hammerhead);
+        config.validator.schedule = ScheduleConfig::Hammerhead(HammerheadConfig {
+            max_excluded_stake: Some(hh_types::Stake(2)),
+            ..HammerheadConfig::default()
+        });
+        build_sim(&config);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid validator: validator 9 is outside the committee of 4")]
+    fn build_sim_rejects_an_out_of_range_static_leader_up_front() {
+        // Such a leader never proposes: the run would time out every
+        // round and commit nothing.
+        let mut config = ExperimentConfig::quick_test(SystemKind::Bullshark);
+        config.validator.schedule = ScheduleConfig::StaticLeader(ValidatorId(9));
+        build_sim(&config);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid validator: need sync_tick_us > 0")]
+    fn build_sim_rejects_a_zero_sync_tick_up_front() {
+        let mut config = ExperimentConfig::quick_test(SystemKind::Bullshark);
+        config.validator.sync_tick_us = 0;
+        build_sim(&config);
+    }
+
     /// Satellite: self-healing delivery under heavy symmetric loss. At
     /// 50% drop the run must still converge (commit progress, Total
     /// Order, clean safety audit), and the adaptive backoff must keep
@@ -1101,7 +1145,6 @@ mod tests {
         let mut entry = crate::ChaosEntry::all_links(0, u64::MAX);
         entry.drop = 0.5;
         lossy_config.chaos = ChaosSchedule::new().entry(entry);
-        lossy_config.chaos.validate(lossy_config.committee_size).expect("runnable chaos");
         let lossy = run_experiment(&lossy_config);
 
         assert!(lossy.agreement_ok, "loss must never break Total Order");
@@ -1141,7 +1184,6 @@ mod tests {
         entry.corrupt = 0.15;
         entry.reorder_us = 40_000;
         config.chaos = ChaosSchedule::new().entry(entry);
-        config.chaos.validate(config.committee_size).expect("runnable chaos");
 
         let r = run_experiment(&config);
         assert!(r.agreement_ok);

@@ -87,7 +87,6 @@
 //!     payload_bytes: 256,
 //!     spread: 1.0,
 //! };
-//! config.workload.validate().expect("runnable workload");
 //! let result = run_experiment(&config);
 //! assert!(result.agreement_ok);
 //! assert!(result.bytes_committed > 0);
@@ -105,21 +104,16 @@ mod workload;
 
 pub use actor::{Actor, Client, NetMessage, MIN_CLIENT_WINDOW};
 pub use byzantine::{
-    ByzantineBehavior, ByzantineEntry, ByzantineSchedule, ByzantineScheduleError,
-    ByzantineStrategy, BYZANTINE_TOKEN_BASE,
+    ByzantineBehavior, ByzantineEntry, ByzantineSchedule, ByzantineStrategy, BYZANTINE_TOKEN_BASE,
 };
 pub use experiment::{
     build_sim, collect_metrics, run_experiment, run_sim, ExperimentConfig, Network, RecoverySample,
     RunLimit, RunResult, SimHandle, SystemKind,
 };
 pub use hammerhead::{SafetyChecker, SafetyViolation};
-pub use hh_net::{
-    ChaosEntry, ChaosSchedule, ChaosScheduleError, ChaosTarget, FaultEvent, FaultSchedule,
-    FaultScheduleError,
-};
+pub use hh_net::{ChaosEntry, ChaosSchedule, ChaosTarget, FaultEvent, FaultSchedule};
 pub use metrics::LatencySummary;
 pub use sink::StreamingHistogram;
 pub use workload::{
-    Arrival, ArrivalKind, Phase, RateNow, SubmissionMode, Workload, WorkloadError,
-    MAX_PAYLOAD_BYTES,
+    Arrival, ArrivalKind, Phase, RateNow, SubmissionMode, Workload, MAX_PAYLOAD_BYTES,
 };

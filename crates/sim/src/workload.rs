@@ -45,8 +45,6 @@
 //! }
 //! ```
 
-use std::fmt;
-
 /// How a client paces its submissions against confirmations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SubmissionMode {
@@ -151,18 +149,6 @@ impl Default for Workload {
     }
 }
 
-/// An unrunnable [`Workload`] (see [`Workload::validate`]).
-#[derive(Clone, Debug, PartialEq)]
-pub struct WorkloadError(String);
-
-impl fmt::Display for WorkloadError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl std::error::Error for WorkloadError {}
-
 /// The instantaneous demand a client sees at some instant.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum RateNow {
@@ -212,73 +198,67 @@ impl Workload {
     /// non-negative finite scales with at least one positive, no ramp
     /// from 0 to 0, positive burst lengths, `spread ≥ 1`, payload within
     /// [`MAX_PAYLOAD_BYTES`].
-    pub fn validate(&self) -> Result<(), WorkloadError> {
+    pub fn validate(&self) -> Result<(), String> {
         if self.phases.is_empty() {
-            return Err(WorkloadError("at least one phase is required".into()));
+            return Err("at least one phase is required".into());
         }
         if self.phases[0].from_us != 0 {
-            return Err(WorkloadError("the first phase must start at 0".into()));
+            return Err("the first phase must start at 0".into());
         }
         for pair in self.phases.windows(2) {
             if pair[1].from_us <= pair[0].from_us {
-                return Err(WorkloadError(format!(
+                return Err(format!(
                     "phase starts must be strictly ascending ({} then {})",
                     pair[0].from_us, pair[1].from_us
-                )));
+                ));
             }
         }
         let mut any_active = false;
         for phase in &self.phases {
+            // The peak is the scale of every arrival but a ramp.
             let peak = phase.arrival.peak_scale();
             if !peak.is_finite() || peak < 0.0 {
-                return Err(WorkloadError(format!("bad rate scale {peak}")));
+                return Err(format!("bad rate scale {peak}"));
             }
             any_active |= peak > 0.0;
             match phase.arrival {
-                Arrival::Constant { scale } | Arrival::Poisson { scale } => {
-                    if scale < 0.0 || !scale.is_finite() {
-                        return Err(WorkloadError(format!("bad rate scale {scale}")));
-                    }
-                }
-                Arrival::OnOff { scale, burst_secs, idle_secs } => {
-                    if scale < 0.0 || !scale.is_finite() {
-                        return Err(WorkloadError(format!("bad rate scale {scale}")));
-                    }
+                Arrival::Constant { .. } | Arrival::Poisson { .. } => {}
+                Arrival::OnOff { burst_secs, idle_secs, .. } => {
                     // Below 1 µs the burst truncates to zero simulated
                     // time and the phase would be silently idle forever.
                     if burst_secs * 1e6 < 1.0 || !burst_secs.is_finite() {
-                        return Err(WorkloadError(format!(
+                        return Err(format!(
                             "on/off burst_secs must be at least 1 µs, got {burst_secs}"
-                        )));
+                        ));
                     }
                     if idle_secs < 0.0 || !idle_secs.is_finite() {
-                        return Err(WorkloadError(format!(
+                        return Err(format!(
                             "on/off idle_secs must be non-negative, got {idle_secs}"
-                        )));
+                        ));
                     }
                 }
                 Arrival::Ramp { from_scale, to_scale } => {
                     // `peak_scale` is a max, which skips a NaN end.
                     if [from_scale, to_scale].iter().any(|s| *s < 0.0 || !s.is_finite()) {
-                        return Err(WorkloadError("ramp scales must be non-negative".into()));
+                        return Err("ramp scales must be non-negative".into());
                     }
                     if peak == 0.0 {
-                        return Err(WorkloadError("ramp never leaves zero".into()));
+                        return Err("ramp never leaves zero".into());
                     }
                 }
             }
         }
         if !any_active {
-            return Err(WorkloadError("every phase has zero rate — nothing ever arrives".into()));
+            return Err("every phase has zero rate — nothing ever arrives".into());
         }
         if self.spread < 1.0 || !self.spread.is_finite() {
-            return Err(WorkloadError(format!("spread must be ≥ 1, got {}", self.spread)));
+            return Err(format!("spread must be ≥ 1, got {}", self.spread));
         }
         if self.payload_bytes > MAX_PAYLOAD_BYTES {
-            return Err(WorkloadError(format!(
+            return Err(format!(
                 "payload_bytes {} exceeds the {MAX_PAYLOAD_BYTES} cap",
                 self.payload_bytes
-            )));
+            ));
         }
         Ok(())
     }
@@ -530,7 +510,7 @@ mod tests {
 
     #[test]
     fn validation_rejects_malformed_workloads() {
-        let bad = |w: Workload| w.validate().unwrap_err().to_string();
+        let bad = |w: Workload| w.validate().unwrap_err();
 
         let mut w = Workload::constant();
         w.phases.clear();

@@ -63,9 +63,9 @@ fn setup_allocations(n: usize, crashed: usize) -> (u64, u64) {
 
 #[test]
 fn build_sim_allocates_within_its_bound() {
-    // Set-up makes 599 and 77 allocations requesting 451,347 and 157,411 B
+    // Set-up makes 600 and 78 allocations requesting 453,475 and 157,619 B
     // with one word per event-queue slot and no EMA table outside the EMA
-    // rule; the bounds sit 4-10 % above. A two-word slot table (+131 KB)
+    // rule; the bounds sit 3-10 % above. A two-word slot table (+131 KB)
     // or an EMA table under every rule (+1 allocation a validator) trips
     // them: set-up made 798 and 96 allocations of 684,771 and 291,475 B
     // with both, and 1,501 and 136 allocations while every validator's
