@@ -8,16 +8,18 @@
 # what a recovery, byzantine, chaos, saturation or bursty report must
 # show is asserted there, on typed rows, by crates/scenario/tests/
 # fault_e2e.rs and scenario_gates.rs), a check that hh-node's dependency
-# tree names neither hh-sim nor hh-scenario, an hh-cli list of every checked-in
-# scenario that fails on any that does not plan, an hh-cli smoke run of the
-# Figure 1 scenario capped at 50 DAG rounds, a parallel sweep smoke run,
-# a determinism gate checking that --jobs 1 and --jobs 4 emit
-# byte-identical JSON for a fixed seed, a testnet smoke running 4 real
-# hh-node processes over loopback TCP with a SIGKILL + WAL-restart in the
-# middle (zero safety violations, clean shutdown, no orphans), a docs
-# gate failing on broken relative links in README.md and docs/*.md, a
-# gate failing on any reference to a deleted path, knob, module or type
-# or to a DESIGN.md, a gate checking that --profile leaves the JSON
+# tree names neither hh-sim nor hh-scenario, a check that hh-scenario's
+# direct dependencies name neither hh-consensus nor hh-net (the simulator
+# measures a run; the scenario engine plans, runs and renders), an hh-cli
+# list of every checked-in scenario that fails on any that does not plan,
+# an hh-cli smoke run of the Figure 1 scenario capped at 50 DAG rounds, a
+# parallel sweep smoke run, a determinism gate checking that --jobs 1 and
+# --jobs 4 emit byte-identical JSON and text rows for a fixed seed, a
+# testnet smoke running 4 real hh-node processes over loopback TCP with a
+# SIGKILL + WAL-restart in the middle (zero safety violations, clean
+# shutdown, no orphans), a docs gate failing on broken relative links in
+# README.md and docs/*.md, a gate failing on any reference to a deleted
+# path, knob, module or type or to a DESIGN.md, a gate checking that --profile leaves the JSON
 # report byte-identical, and a benchmark gate that unit-tests the
 # perfbench package against the workspace's crates and requires two
 # correct 2-second runs: sim_n100_f33 with its peak resident set under
@@ -69,6 +71,17 @@ if grep -E 'hh-(sim|scenario) v' <<< "$node_deps"; then
     exit 1
 fi
 
+step "hh-scenario plans, runs and renders; the simulator measures"
+# hh_sim::collect_metrics fills every number a report row prints, so the
+# scenario engine has no edge of its own to the commit engine or the
+# network crate (hh-sim reaches both; the fault round-trip test uses hh-net
+# as a dev-dependency): its direct normal dependencies name neither.
+scenario_deps=$(cargo tree -p hh-scenario -e normal --depth 1 --offline)
+if grep -E 'hh-(consensus|net) v' <<< "$scenario_deps"; then
+    echo "hh-scenario depends on hh-consensus or hh-net"
+    exit 1
+fi
+
 step "hh-cli list: every checked-in scenario plans"
 # `list` plans every file in scenarios/ and prints INVALID beside one
 # that does not.
@@ -97,6 +110,13 @@ cmp target/ci-jobs1.json target/ci-jobs4.json
 ./target/release/hh-cli run scenarios/incident_replay.toml \
     --quick --seed 7 --json --jobs 4 > target/ci-windows-jobs4.json
 cmp target/ci-windows-jobs1.json target/ci-windows-jobs4.json
+# And the text rows, whose progress lines of a recovery run print its
+# reinclusion rows.
+./target/release/hh-cli run scenarios/recovery.toml \
+    --quick --seed 7 --jobs 1 > target/ci-rows-jobs1.txt
+./target/release/hh-cli run scenarios/recovery.toml \
+    --quick --seed 7 --jobs 4 > target/ci-rows-jobs4.txt
+cmp target/ci-rows-jobs1.txt target/ci-rows-jobs4.txt
 
 step "testnet smoke: 4 real hh-node processes, kill + restart, safety clean"
 # Real OS processes over loopback TCP: node 2 is SIGKILLed a third of
@@ -181,8 +201,10 @@ step "docs: nothing refers to a deleted path, knob, module or type, or to a DESI
 # and `hh-node testnet`, and a run is judged once, by
 # ExperimentConfig::validate, in validators that return a String (no
 # per-schedule error types, no ConfigError) and a sweep is `hh-cli run
-# --set` (no matrix command).
-if git grep -nE 'hotpath_smoke|BENCH_hotpath|hh[-_]bench|threaded::|threaded_demo|vendor/criterion|DESIGN\.md|swap_from_base|core/src/monitor|hammerhead::monitor|FaultPlan|ChaosPlan|SlowdownSpec|PartitionSpec|ChaosWindow|ChaosScope|KvStore|SerialExecutor|PooledExecutor|hh-cli testnet|StaticLeaderPolicy|TimeSeries|validate_workload|rbc_sender|audit_safety|derive_validator_config|schedule_override|flat_latency_ms|NetworkSpec|missing_index|missing_count|workload_declared|run_sim_streaming|run_sim_limited|run_experiment_limited|collect_streamed_metrics|ChaosRow|schedule_seed|bind_reusable|TOKEN_LEADER|drain_exec_records|with_window|ExclusionSpec|payload-bytes|chain_hash_prefix|hh_consensus::passed_over_candidates|ByDigest|contains_digest|WrongParentRound|missing_from\(|epoch_history|NodeSel|SlowdownEntry|TimedFaultEntry|PartitionSel|PartitionEntry|ByzantineStrategySpec|ByzantineEntrySpec|ChaosEntrySpec|FaultsSpec|ArrivalSpec|RateSpec|WorkloadPhaseSpec|WorkloadSpec|WindowSpec|AnalysisSpec|QuickSpec|read_faults|write_faults|write_workload|write_chaos|SystemSpec|VariantSpec|read_variant|write_variant|read_network|write_network|read_exclusion_axis|write_exclusion_axis|SoloPump|fn emit\(outputs|finish\(v, behavior|let dispatch =|BinaryHeap<Reverse<\(u64, u64\)>>|run_until_idle|schedule_message|link_in_order|run_plan_with|TimingWheel::push|set_profiling|hh_net::prof|accrue_queue|accrue_deliver|accrue_timer|time_digest|time_sig|time_codec|awaits_leader|passed_over_in_ordered_rounds|PreGstAdversary|pre_gst|gst_secs|adversary_deferred|LatencyModel::Uniform|GeoLatency::round_robin|region_of|max_delay\(|examples/crash_faults|examples/incident_replay|examples/local_testnet|FaultScheduleError|ChaosScheduleError|ByzantineScheduleError|WorkloadError|ConfigError|hh-cli matrix' \
+# --set` (no matrix command), and hh_sim::collect_metrics measures the whole
+# report row from one observer (no analysis row or recovery sample type in
+# hh-scenario, no second pass over the handle).
+if git grep -nE 'hotpath_smoke|BENCH_hotpath|hh[-_]bench|threaded::|threaded_demo|vendor/criterion|DESIGN\.md|swap_from_base|core/src/monitor|hammerhead::monitor|FaultPlan|ChaosPlan|SlowdownSpec|PartitionSpec|ChaosWindow|ChaosScope|KvStore|SerialExecutor|PooledExecutor|hh-cli testnet|StaticLeaderPolicy|TimeSeries|validate_workload|rbc_sender|audit_safety|derive_validator_config|schedule_override|flat_latency_ms|NetworkSpec|missing_index|missing_count|workload_declared|run_sim_streaming|run_sim_limited|run_experiment_limited|collect_streamed_metrics|ChaosRow|schedule_seed|bind_reusable|TOKEN_LEADER|drain_exec_records|with_window|ExclusionSpec|payload-bytes|chain_hash_prefix|hh_consensus::passed_over_candidates|ByDigest|contains_digest|WrongParentRound|missing_from\(|epoch_history|NodeSel|SlowdownEntry|TimedFaultEntry|PartitionSel|PartitionEntry|ByzantineStrategySpec|ByzantineEntrySpec|ChaosEntrySpec|FaultsSpec|ArrivalSpec|RateSpec|WorkloadPhaseSpec|WorkloadSpec|WindowSpec|AnalysisSpec|QuickSpec|read_faults|write_faults|write_workload|write_chaos|SystemSpec|VariantSpec|read_variant|write_variant|read_network|write_network|read_exclusion_axis|write_exclusion_axis|SoloPump|fn emit\(outputs|finish\(v, behavior|let dispatch =|BinaryHeap<Reverse<\(u64, u64\)>>|run_until_idle|schedule_message|link_in_order|run_plan_with|TimingWheel::push|set_profiling|hh_net::prof|accrue_queue|accrue_deliver|accrue_timer|time_digest|time_sig|time_codec|awaits_leader|passed_over_in_ordered_rounds|PreGstAdversary|pre_gst|gst_secs|adversary_deferred|LatencyModel::Uniform|GeoLatency::round_robin|region_of|max_delay\(|examples/crash_faults|examples/incident_replay|examples/local_testnet|FaultScheduleError|ChaosScheduleError|ByzantineScheduleError|WorkloadError|ConfigError|hh-cli matrix|AnalysisRow|RecoverySample|recovery_samples' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!ci.sh' ':!perfbench'; then
     echo "dangling reference to a deleted path"
     exit 1

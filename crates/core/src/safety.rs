@@ -201,9 +201,14 @@ impl SafetyChecker {
     /// that has made `k` commits without a violation made these switches,
     /// and besides them only those its next commit will carry.
     pub fn epoch_summaries(&self, len: u64) -> Vec<EpochSummary> {
-        let observed = self.observed();
-        let carried = observed.switches.partition_point(|s| s.index < len);
-        observed.switches[..carried].iter().map(|s| s.summary.clone()).collect()
+        self.observed().carried(len).iter().map(|s| s.summary.clone()).collect()
+    }
+
+    /// The validators the switches of [`SafetyChecker::epoch_summaries`]
+    /// excluded, counted without copying the history: each switch's
+    /// `excluded` set, summed.
+    pub fn exclusions(&self, len: u64) -> u64 {
+        self.observed().carried(len).iter().map(|s| s.summary.excluded.len() as u64).sum()
     }
 
     /// The leader of `round` under the latest switch observed that starts
@@ -273,6 +278,11 @@ impl SafetyChecker {
 }
 
 impl Observed {
+    /// The switches the first `len` commit indices carried.
+    fn carried(&self, len: u64) -> &[Switch] {
+        &self.switches[..self.switches.partition_point(|s| s.index < len)]
+    }
+
     fn observe(&mut self, validator: u16, record: &CommitRecord) {
         self.records_seen += 1;
 

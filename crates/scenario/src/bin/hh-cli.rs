@@ -46,6 +46,7 @@ OPTIONS (run):
 ";
 
 fn main() -> ExitCode {
+    end_quietly_when_stdout_closes();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
         Some("run") => cmd_run(&args[1..]),
@@ -64,6 +65,22 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// `hh-cli … | head` closes stdout while rows are still coming: the reader
+/// has what it asked for. Every print to stdout (here, and `run_plan`'s
+/// progress rows) panics on the closed pipe with std's "failed printing to
+/// stdout" message; that panic ends the process with status 0 and no
+/// message instead. Any other panic is reported as usual.
+fn end_quietly_when_stdout_closes() {
+    let report = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let message = info.payload().downcast_ref::<String>().map_or("", String::as_str);
+        if message.starts_with("failed printing to stdout") && message.contains("Broken pipe") {
+            std::process::exit(0);
+        }
+        report(info);
+    }));
 }
 
 struct RunArgs {

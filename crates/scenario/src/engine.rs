@@ -1,14 +1,14 @@
 //! The report layer: assembles executed runs into a [`ScenarioReport`]
 //! and renders it.
 //!
-//! One [`RunRow`] per planned run: the standard paper metrics
-//! ([`hh_sim::RunResult`]) plus the analyses of the finished simulation
-//! ([`AnalysisRow`]). Which blocks a row renders follows from the run
-//! itself: every row carries the metrics (with the `workload` and
-//! `recovery` blocks), the latency windows, skipped leader rounds and
-//! B/G churn; the `reinclusion`, `adversary` and `chaos` blocks appear
-//! exactly when the run's fault schedule has recoveries, its byzantine
-//! schedule is non-empty and its chaos schedule is non-empty. Reports
+//! One [`RunRow`] per planned run: its [`hh_sim::RunResult`], which
+//! `hh_sim::collect_metrics` filled with every number the row prints.
+//! Which blocks a row renders follows from the run itself: every row
+//! carries the metrics (with the `workload` and `recovery` blocks), the
+//! latency windows, skipped leader rounds and B/G churn; the
+//! `reinclusion`, `adversary` and `chaos` blocks appear exactly when the
+//! run's fault schedule has recoveries, its byzantine schedule is
+//! non-empty and its chaos schedule is non-empty. Reports
 //! render as an aligned text table for humans and as deterministic JSON
 //! for `BENCH_*.json`-style artifacts.
 //!
@@ -20,84 +20,8 @@
 use crate::executor::execute;
 use crate::json::Json;
 use crate::spec::{PlannedRun, ScenarioPlan};
-use hh_sim::{LatencySummary, RunLimit, RunResult};
+use hh_sim::{AdversaryRow, LatencySummary, ReinclusionRow, RunLimit, RunResult};
 use std::fmt::Write as _;
-
-/// Re-inclusion measurements for one recovered validator: how long the
-/// leader schedule took to hand it slots again after its restart.
-#[derive(Clone, Debug)]
-pub struct ReinclusionRow {
-    /// The recovered validator.
-    pub validator: u16,
-    /// Recovery instant (µs of simulated time).
-    pub recovered_at_us: u64,
-    /// Network round at the recovery instant (the measurement baseline).
-    pub recovery_round: u64,
-    /// First round at or after recovery where the schedule names this
-    /// validator leader; `None` if no slot arrived within the run.
-    pub first_leader_round: Option<u64>,
-    /// `first_leader_round - recovery_round`.
-    pub rounds_to_first_leader: Option<u64>,
-    /// Round of this validator's first committed anchor after recovery
-    /// (its first *successful* leader slot); `None` if none committed.
-    pub first_commit_round: Option<u64>,
-    /// `first_commit_round - recovery_round`.
-    pub rounds_to_first_commit: Option<u64>,
-    /// This validator's final score in each completed epoch, oldest
-    /// first (HammerHead runs; empty for the baseline) — the rebound the
-    /// re-inclusion rides on.
-    pub score_trajectory: Vec<u64>,
-}
-
-/// Adversary measurements for one byzantine validator: how fast the
-/// reputation mechanism pushed the attacker out of the leader schedule,
-/// and what the attack cost everyone while it lasted.
-#[derive(Clone, Debug)]
-pub struct AdversaryRow {
-    /// The attacker.
-    pub validator: u16,
-    /// Its strategy label(s) from the schedule (`+`-joined when a node
-    /// runs different strategies in different windows).
-    pub strategy: String,
-    /// Round at which the first schedule excluding the attacker took
-    /// effect; `None` if it was never demoted (always for round-robin).
-    pub rounds_to_demotion: Option<u64>,
-    /// Epoch whose closing scores first excluded the attacker.
-    pub epochs_to_demotion: Option<u64>,
-    /// Completed epochs whose closing scores excluded the attacker.
-    pub exclusions: u64,
-    /// Fraction of the rounds up to the last committed anchor where the
-    /// schedule named the attacker leader. Round-robin pins
-    /// this near `1/n`; a demoting scorer drives it toward zero.
-    pub leader_share_overall: f64,
-    /// The same share per completed epoch, oldest first (HammerHead
-    /// runs; empty for the baseline) — the attacker's slot share decaying
-    /// over time.
-    pub leader_share_by_epoch: Vec<f64>,
-    /// Equivocation evidence units charged to the attacker in the
-    /// observer's ledger (non-zero only for equivocating strategies).
-    pub evidence_units: u64,
-}
-
-/// What the finished simulation shows beyond the standard metrics.
-#[derive(Clone, Debug)]
-pub struct AnalysisRow {
-    /// Leader slots the ordered prefix decided skip (Lemma 6's metric,
-    /// [`hh_consensus::Bullshark::passed_over_candidates`]).
-    pub skipped_rounds: u64,
-    /// Rounds whose leader slot the ordered prefix decided: the ordered
-    /// rounds and the rounds passed over below them.
-    pub leader_rounds: u64,
-    /// Round of the last committed anchor.
-    pub last_anchor_round: u64,
-    /// Total validators swapped out across all schedule switches (the
-    /// size of every epoch's B set summed; 0 for the baseline).
-    pub bg_churn: u64,
-    /// One entry per recovery event the run reached.
-    pub reinclusion: Vec<ReinclusionRow>,
-    /// One entry per byzantine validator.
-    pub adversary: Vec<AdversaryRow>,
-}
 
 /// Execution-cost sample for one run, rendered only under `--profile`.
 ///
@@ -121,10 +45,8 @@ pub struct RunProfile {
 pub struct RunRow {
     /// The plan entry that produced this row.
     pub run: PlannedRun,
-    /// Standard metrics.
+    /// Every number the row prints.
     pub result: RunResult,
-    /// Analyses of the finished simulation.
-    pub analysis: AnalysisRow,
     /// Execution-cost sample (never part of the report output).
     pub profile: RunProfile,
 }
@@ -232,7 +154,6 @@ pub fn render_row(row: &RunRow) -> String {
         r.leader_timeouts,
         r.schedule_epochs,
     );
-    let a = &row.analysis;
     for (name, latency) in &r.windows {
         let _ = write!(
             line,
@@ -244,7 +165,7 @@ pub fn render_row(row: &RunRow) -> String {
         line,
         "\n      skipped {} of {} leader rounds (last anchor round {}) | schedule churn: {} \
          validators swapped out",
-        a.skipped_rounds, a.leader_rounds, a.last_anchor_round, a.bg_churn,
+        r.skipped_leader_rounds, r.leader_rounds, r.last_anchor_round, r.bg_churn,
     );
     if r.restarts > 0 {
         let _ = write!(
@@ -254,7 +175,7 @@ pub fn render_row(row: &RunRow) -> String {
             if r.recovery_divergence { " [DIVERGENCE]" } else { "" }
         );
     }
-    for r in &a.reinclusion {
+    for re in &r.reinclusion {
         let fmt_rounds = |x: Option<u64>| match x {
             Some(rounds) => format!("+{rounds}"),
             None => "never".to_string(),
@@ -262,13 +183,13 @@ pub fn render_row(row: &RunRow) -> String {
         let _ = write!(
             line,
             "\n      reinclusion v{}: recovered at round {} | first slot {} | first commit {}",
-            r.validator,
-            r.recovery_round,
-            fmt_rounds(r.rounds_to_first_leader),
-            fmt_rounds(r.rounds_to_first_commit),
+            re.validator,
+            re.recovery_round,
+            fmt_rounds(re.rounds_to_first_leader),
+            fmt_rounds(re.rounds_to_first_commit),
         );
     }
-    for adv in &a.adversary {
+    for adv in &r.adversary {
         let demotion = match (adv.epochs_to_demotion, adv.rounds_to_demotion) {
             (Some(e), Some(r)) => format!("demoted after epoch {e} (round {r})"),
             _ => "never demoted".to_string(),
@@ -479,25 +400,24 @@ fn row_json(row: &RunRow) -> Json {
                 .with("recovery_divergence", Json::Bool(r.recovery_divergence)),
         );
 
-    let a = &row.analysis;
     let windows = r.windows.iter().map(|(name, latency)| {
         Json::object().with("name", Json::Str(name.clone())).with("latency", latency_json(latency))
     });
     let mut analysis = Json::object()
         .with("windows", Json::Array(windows.collect()))
-        .with("skipped_leader_rounds", Json::Int(a.skipped_rounds as i64))
-        .with("last_anchor_round", Json::Int(a.last_anchor_round as i64))
-        .with("bg_churn", Json::Int(a.bg_churn as i64));
+        .with("skipped_leader_rounds", Json::Int(r.skipped_leader_rounds as i64))
+        .with("last_anchor_round", Json::Int(r.last_anchor_round as i64))
+        .with("bg_churn", Json::Int(r.bg_churn as i64));
     // The fault-derived blocks: present exactly when the run's schedules
     // hold that fault family, whatever the run then measured.
     let config = &row.run.config;
     if config.faults.has_recoveries() {
         analysis = analysis
-            .with("reinclusion", Json::Array(a.reinclusion.iter().map(reinclusion_json).collect()));
+            .with("reinclusion", Json::Array(r.reinclusion.iter().map(reinclusion_json).collect()));
     }
     if !config.byzantine.is_empty() {
         analysis = analysis
-            .with("adversary", Json::Array(a.adversary.iter().map(adversary_json).collect()));
+            .with("adversary", Json::Array(r.adversary.iter().map(adversary_json).collect()));
     }
     if !config.chaos.is_empty() {
         analysis = analysis.with("chaos", chaos_json(r));
@@ -577,14 +497,43 @@ to_frac = 1.0
         let plan = tiny_spec(extra).plan(&PlanOptions::default()).unwrap();
         let report = run_plan(&plan, RunLimit::Duration, &ExecOptions::default());
         assert_eq!(report.rows[0].result.windows.len(), 2);
-        let a = &report.rows[0].analysis;
-        assert!(a.last_anchor_round > 0 && a.skipped_rounds < a.last_anchor_round);
+        let a = &report.rows[0].result;
+        assert!(a.last_anchor_round > 0 && a.skipped_leader_rounds < a.last_anchor_round);
         let json = report_json(&report).render();
         for key in ["skipped_leader_rounds", "bg_churn", "\"early\"", "goodput_tps", "restarts"] {
             assert!(json.contains(key), "{key} is in every row");
         }
         for key in ["reinclusion", "adversary", "chaos"] {
             assert!(!json.contains(key), "{key} needs its fault family");
+        }
+    }
+
+    #[test]
+    fn a_fault_row_prints_its_reinclusion_adversary_and_chaos_lines() {
+        let extra = r#"
+[[faults.crash]]
+nodes = [3]
+at_secs = 1
+recover_at_secs = 2
+[[faults.byzantine]]
+node = 2
+strategy = "lazy_leader"
+delay_ms = 400
+[[faults.chaos]]
+drop = 0.1
+"#;
+        let opts = PlanOptions { duration_override: Some(8), ..PlanOptions::default() };
+        let plan = tiny_spec(extra).plan(&opts).unwrap();
+        let text =
+            render_row(&run_plan(&plan, RunLimit::Duration, &ExecOptions::default()).rows[0]);
+        for line in [
+            "      reinclusion v3: recovered at round 11 | first slot +0 | first commit +7",
+            "      adversary v2 (lazy_leader): never demoted | excluded 0x | slot share 31.1% | \
+             evidence 0",
+            "      chaos: delivered 3433 | dropped 52 dup 0 corrupt-rejected 0 reordered 0 | \
+             retransmits 22 | safety 183 records, 0 violations",
+        ] {
+            assert!(text.lines().any(|l| l == line), "{line:?} is not a line of\n{text}");
         }
     }
 

@@ -11,18 +11,17 @@
 //!
 //! Scoped worker threads pull indices off a shared atomic counter
 //! (self-scheduling, so long runs never serialize behind short ones) and
-//! send finished rows back over the vendored crossbeam channel. Workers
-//! never touch stdout; ordered emission happens on the collecting thread.
+//! send finished rows back over a standard channel. Workers never touch
+//! stdout; ordered emission happens on the collecting thread.
 //! A panicking run — the safety checker, above all — aborts the pool and
 //! is re-raised with the failing run's labels attached.
 
-use crate::engine::{AdversaryRow, AnalysisRow, ReinclusionRow, RunProfile, RunRow};
+use crate::engine::{RunProfile, RunRow};
 use crate::spec::{PlannedRun, ScenarioPlan};
-use hammerhead::EpochSummary;
-use hh_sim::{run_sim, ByzantineSchedule, RunLimit, SimHandle};
-use hh_types::{Round, ValidatorId};
+use hh_sim::{run_sim, RunLimit};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc;
 
 /// Human-readable `k=v` labels of a planned run (panic messages,
 /// progress rows).
@@ -31,7 +30,7 @@ pub(crate) fn describe(run: &PlannedRun) -> String {
 }
 
 /// Executes run `index` of the plan: [`run_sim`], held to the always-on
-/// safety checker's verdict, then the analyses of the handle.
+/// safety checker's verdict.
 ///
 /// Pure in `(plan, index, limit)` — every worker produces the same row
 /// for the same index, which is what makes the report independent of
@@ -55,7 +54,6 @@ pub(crate) fn execute_run(plan: &ScenarioPlan, index: usize, limit: RunLimit) ->
         index,
         describe(run)
     );
-    let analysis = analyze(run, &handle);
     // Execution-cost sample: always taken (it is two reads), only
     // rendered under --profile, and kept out of the report output so
     // rows and JSON stay deterministic.
@@ -64,178 +62,7 @@ pub(crate) fn execute_run(plan: &ScenarioPlan, index: usize, limit: RunLimit) ->
         sim_events: handle.sim.stats().events,
         breakdown: before.map(|before| hh_sim::prof::snapshot().since(&before)),
     };
-    RunRow { run: run.clone(), result, analysis, profile }
-}
-
-/// Computes the handle-derived analyses: skipped leader rounds, B/G
-/// churn, re-inclusion, adversary.
-fn analyze(run: &PlannedRun, handle: &SimHandle) -> AnalysisRow {
-    // Live at the actual stop, matching the metrics collector.
-    let live: Vec<usize> =
-        run.config.faults.live_at(handle.n_validators, handle.sim.now().as_micros());
-
-    // Lemma 6: the leader slots the ordered prefix decided skip, and all
-    // it decided, in the most advanced live validator's view, as its
-    // engine counted them.
-    let most_advanced = live.iter().map(|i| handle.validator(*i)).max_by_key(|v| v.commit_count());
-    let last_anchor_round =
-        most_advanced.and_then(|v| v.committed_anchors().last()).map(|a| a.round.0).unwrap_or(0);
-    let skipped_rounds = most_advanced.map_or(0, |v| v.passed_over_candidates());
-    let leader_rounds = most_advanced.map_or(0, |v| v.leader_rounds());
-
-    // Re-inclusion and demotion are judged through the most advanced live
-    // validator's view (ties break toward the lowest index): the run's
-    // schedule history resolves the leader of every committed round, the
-    // switches it made and the anchors it committed (the checker's records
-    // up to its commit count) bound the search (a slot past the last
-    // anchor is unknown, not pending) and its evidence ledger is as
-    // complete as any honest node's.
-    let observer = live
-        .iter()
-        .copied()
-        .max_by_key(|i| (handle.validator(*i).commit_count(), std::cmp::Reverse(*i)));
-    let churn =
-        |summaries: &[EpochSummary]| summaries.iter().map(|e| e.excluded.len() as u64).sum();
-    let bg_churn = live.iter().map(|i| churn(&handle.epoch_summaries(*i))).max().unwrap_or(0);
-    let summaries = observer.map(|i| handle.epoch_summaries(i)).unwrap_or_default();
-    let (reinclusion, adversary) = match observer {
-        Some(observer) => (
-            reinclusion_rows(handle, observer, &summaries),
-            adversary_rows(handle, observer, &summaries, &run.config.byzantine),
-        ),
-        None => (Vec::new(), Vec::new()),
-    };
-
-    AnalysisRow {
-        skipped_rounds,
-        leader_rounds,
-        last_anchor_round,
-        bg_churn,
-        reinclusion,
-        adversary,
-    }
-}
-
-/// The adversary analysis: for every byzantine validator, how fast the
-/// schedule demoted it (rounds and epochs to its first exclusion), how
-/// its leader-slot share evolved across the epochs of `summaries`, and how
-/// much equivocation evidence validator `observer` holds against it.
-fn adversary_rows(
-    handle: &SimHandle,
-    observer: usize,
-    summaries: &[EpochSummary],
-    schedule: &ByzantineSchedule,
-) -> Vec<AdversaryRow> {
-    let observer = handle.validator(observer);
-    let last_anchor_round = observer.committed_anchors().last().map(|a| a.round.0).unwrap_or(0);
-
-    // Share of the rounds in `[from, until)` that `v` leads.
-    let share_over = |from: u64, until: u64, v: ValidatorId| -> f64 {
-        let (mut held, mut total) = (0u64, 0u64);
-        for r in from..until {
-            total += 1;
-            if handle.leader_at(Round(r)) == v {
-                held += 1;
-            }
-        }
-        if total == 0 {
-            0.0
-        } else {
-            held as f64 / total as f64
-        }
-    };
-
-    schedule
-        .nodes()
-        .into_iter()
-        .map(|node| {
-            let v = ValidatorId(node);
-            let mut labels: Vec<&str> = schedule
-                .entries()
-                .iter()
-                .filter(|e| e.node == node)
-                .map(|e| e.strategy.label())
-                .collect();
-            labels.dedup();
-            let mut rounds_to_demotion = None;
-            let mut epochs_to_demotion = None;
-            let mut exclusions = 0u64;
-            let mut leader_share_by_epoch = Vec::new();
-            // Epoch k's schedule governs the rounds between boundary k-1's
-            // new round and boundary k's.
-            let mut span_start = 0u64;
-            for summary in summaries {
-                let boundary = summary.new_initial_round.0;
-                leader_share_by_epoch.push(share_over(span_start, boundary, v));
-                if summary.excluded.contains(&v) {
-                    exclusions += 1;
-                    if epochs_to_demotion.is_none() {
-                        epochs_to_demotion = Some(summary.epoch);
-                        rounds_to_demotion = Some(boundary);
-                    }
-                }
-                span_start = boundary;
-            }
-            AdversaryRow {
-                validator: node,
-                strategy: labels.join("+"),
-                rounds_to_demotion,
-                epochs_to_demotion,
-                exclusions,
-                leader_share_overall: share_over(0, last_anchor_round + 1, v),
-                leader_share_by_epoch,
-                evidence_units: observer.equivocation_evidence().count_for(v),
-            }
-        })
-        .collect()
-}
-
-/// The re-inclusion analysis: for every recovered validator, how long the
-/// schedule took to hand it a leader slot again and how long until the
-/// first of them committed, measured in rounds from the network round at
-/// its recovery (sampled by the sim driver), plus its per-epoch score
-/// trajectory across `summaries` (none under round-robin).
-fn reinclusion_rows(
-    handle: &SimHandle,
-    observer: usize,
-    summaries: &[EpochSummary],
-) -> Vec<ReinclusionRow> {
-    let observer = handle.validator(observer);
-    let anchors = handle.safety.anchor_prefix(observer.commit_count());
-    let last_anchor_round = anchors.last().map(|a| a.round.0).unwrap_or(0);
-
-    handle
-        .recovery_samples
-        .iter()
-        .map(|sample| {
-            let v = ValidatorId(sample.validator);
-            let recovery_round = sample.network_round;
-            // Every round has a leader; scan from the recovery round up
-            // to the last committed anchor.
-            let first_leader_round =
-                (recovery_round..=last_anchor_round).find(|r| handle.leader_at(Round(*r)) == v);
-            let first_commit_round = anchors
-                .iter()
-                .find(|a| {
-                    a.author == v && a.round.0 >= recovery_round && handle.leader_at(a.round) == v
-                })
-                .map(|a| a.round.0);
-            let score_trajectory = summaries
-                .iter()
-                .map(|e| e.final_scores.get(v.index()).copied().unwrap_or(0))
-                .collect();
-            ReinclusionRow {
-                validator: sample.validator,
-                recovered_at_us: sample.at_us,
-                recovery_round,
-                first_leader_round,
-                rounds_to_first_leader: first_leader_round.map(|r| r - recovery_round),
-                first_commit_round,
-                rounds_to_first_commit: first_commit_round.map(|r| r - recovery_round),
-                score_trajectory,
-            }
-        })
-        .collect()
+    RunRow { run: run.clone(), result, profile }
 }
 
 /// Turns every run of a plan into a [`RunRow`], on `jobs` threads.
@@ -248,8 +75,8 @@ fn reinclusion_rows(
 /// Indices are claimed from a shared atomic counter, so workers
 /// self-schedule: whoever finishes first takes the next run, keeping
 /// every thread busy through uneven run lengths. Finished rows flow back
-/// over an unbounded crossbeam channel to the calling thread, which
-/// buffers out-of-order arrivals and emits strictly in plan order. One
+/// over an unbounded channel to the calling thread, which buffers
+/// out-of-order arrivals and emits strictly in plan order. One
 /// job is one worker: the same path, so a failing run is named the same
 /// way at any worker count.
 pub(crate) fn execute(
@@ -262,7 +89,7 @@ pub(crate) fn execute(
     let jobs = jobs.min(total).max(1);
     let next = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
-    let (row_tx, row_rx) = crossbeam::channel::unbounded();
+    let (row_tx, row_rx) = mpsc::channel();
     std::thread::scope(|scope| {
         for _ in 0..jobs {
             let row_tx = row_tx.clone();
@@ -369,9 +196,7 @@ model = "flat"
         assert_eq!(serial.len(), pooled.len());
         for (s, p) in serial.iter().zip(&pooled) {
             assert_eq!(s.run.labels, p.run.labels);
-            assert_eq!(s.result.chain_hash, p.result.chain_hash);
-            assert_eq!(s.result.throughput_tps, p.result.throughput_tps);
-            assert_eq!(s.result.latency, p.result.latency);
+            assert_eq!(s.result, p.result);
         }
     }
 

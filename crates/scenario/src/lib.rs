@@ -18,11 +18,12 @@
 //!   worker pool of [`ExecOptions::jobs`] workers, one at `--jobs 1`)
 //!   turns every planned run into a row via the simulator's one driver
 //!   ([`hh_sim::run_sim`]), and the report layer assembles a
-//!   [`ScenarioReport`] whose rows are a function of the run: the paper's
-//!   metrics, the declared latency windows, skipped leader rounds and B/G
-//!   churn always, the re-inclusion / adversary / chaos blocks when the
-//!   run's schedules hold recoveries / byzantine validators / chaos
-//!   windows;
+//!   [`ScenarioReport`] whose rows render the run's [`hh_sim::RunResult`]
+//!   (the simulator measures; this crate measures nothing itself): the
+//!   paper's metrics, the declared latency windows, skipped leader rounds
+//!   and B/G churn always, the re-inclusion / adversary / chaos blocks
+//!   when the run's schedules hold recoveries / byzantine validators /
+//!   chaos windows;
 //! * deterministic JSON output ([`report_json`]) — same seeds, same
 //!   bytes, for any `--jobs` worker count;
 //! * `--set` patches ([`parse_set`], applied by [`load_with_sets`]), which
@@ -62,8 +63,8 @@ mod json;
 mod spec;
 
 pub use engine::{
-    render_header, render_profile, render_row, report_json, run_plan, AdversaryRow, AnalysisRow,
-    ExecOptions, ReinclusionRow, RunProfile, RunRow, ScenarioReport,
+    render_header, render_profile, render_row, report_json, run_plan, ExecOptions, RunProfile,
+    RunRow, ScenarioReport,
 };
 pub use hh_sim::RunLimit;
 pub use json::Json;

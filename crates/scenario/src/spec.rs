@@ -1004,22 +1004,17 @@ section!(FAULTS_TABLE = "[faults]", shares [], {
 });
 
 /// The validators down from t=0 in a committee of `n`: `crashed` and the
-/// last `crash_last`. Whether they exist and number at most `f` is the
-/// fault schedule's call.
-fn lower_crashed(faults: &Row, n: usize) -> Result<Vec<u16>, ScenarioError> {
+/// last `crash_last` (all of them when it exceeds `n`). Whether they exist
+/// and number at most `f` is the fault schedule's call.
+fn lower_crashed(faults: &Row, n: usize) -> Vec<u16> {
     let mut crashed: Vec<u16> = faults.opt(&CRASHED).unwrap_or_default();
     if let Some(expr) = faults.opt::<CountExpr>(&CRASH_LAST) {
         let count = expr.resolve(n);
-        if count >= n {
-            return Err(ScenarioError::Invalid(format!(
-                "crash_last resolves to {count} of {n} validators — nobody left alive"
-            )));
-        }
-        crashed.extend(((n - count)..n).map(|i| i as u16));
+        crashed.extend((n.saturating_sub(count)..n).map(|i| i as u16));
     }
     crashed.sort_unstable();
     crashed.dedup();
-    Ok(crashed)
+    crashed
 }
 
 /// Lowers the crash, recovery, slowdown and partition entries for a
@@ -1462,7 +1457,7 @@ impl ScenarioSpec {
         let mut runs = Vec::new();
         for &n in &sizes {
             let committee = Committee::new_equal_stake(n);
-            let crashed = lower_crashed(&faults, n)?;
+            let crashed = lower_crashed(&faults, n);
             for variant in &variants {
                 let (system, schedule, schedule_labels) =
                     lower_variant(variant, &committee, &crashed)?;
@@ -2613,6 +2608,7 @@ arrival = "poisson"
                 "[faults]\ncrashed = [0, 1]\ncrash_last = 2\n".into(),
                 "exceeds f = 3",
             ),
+            ("fault schedule", "[faults]\ncrash_last = 11\n".into(), "exceeds f = 3"),
             // ChaosSchedule::validate
             (
                 "chaos schedule",

@@ -74,8 +74,8 @@ fn recovery_runs_restart_without_divergence_and_report_reinclusion() {
         assert!(row.result.agreement_ok);
         assert_eq!(row.result.restarts, 1, "v3 restarts exactly once per run");
         assert!(!row.result.recovery_divergence, "WAL replay must match the checkpoint");
-        assert_eq!(row.analysis.reinclusion.len(), 1, "one recovery event, one row");
-        let r = &row.analysis.reinclusion[0];
+        assert_eq!(row.result.reinclusion.len(), 1, "one recovery event, one row");
+        let r = &row.result.reinclusion[0];
         assert_eq!(r.validator, 3);
         assert_eq!(r.recovered_at_us, 3_000_000);
         assert!(r.recovery_round > 0);
@@ -102,6 +102,6 @@ fn round_robin_reschedules_recovered_validator_within_one_cycle() {
     let report = run_plan(&plan, RunLimit::Duration, &ExecOptions::default());
     let row =
         report.rows.iter().find(|r| r.run.system == "bullshark").expect("bullshark row present");
-    let rounds = row.analysis.reinclusion[0].rounds_to_first_leader.expect("always scheduled");
+    let rounds = row.result.reinclusion[0].rounds_to_first_leader.expect("always scheduled");
     assert!(rounds <= 14, "2n rounds for n = 7, got {rounds}");
 }

@@ -31,7 +31,7 @@ fn byzantine_vote_scorers_demote_the_lazy_leader_and_round_robin_never_does() {
     let mut demoting_scorers = 0;
     for row in &report.rows {
         let variant = row.run.variant.as_str();
-        let adversary = &row.analysis.adversary;
+        let adversary = &row.result.adversary;
         let lazy = adversary
             .iter()
             .find(|a| a.strategy == "lazy_leader")

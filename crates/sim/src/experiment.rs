@@ -2,6 +2,7 @@
 //! rows.
 
 use crate::actor::{Actor, Client};
+use crate::analysis::{adversary_rows, reinclusion_rows, AdversaryRow, ReinclusionRow};
 use crate::byzantine::ByzantineSchedule;
 use crate::metrics::LatencySummary;
 use crate::sink::MetricsSink;
@@ -18,6 +19,7 @@ use hh_net::{
 };
 use hh_storage::MemBackend;
 use hh_types::{Committee, Round, ValidatorId};
+use std::cmp::Reverse;
 
 /// Which system a run benchmarks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -184,7 +186,8 @@ impl ExperimentConfig {
     }
 }
 
-/// Measurements from one run.
+/// Measurements from one run: every number its report row prints. The
+/// observer is [`collect_metrics`]'s.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunResult {
     /// Distinct transactions reaching execution finality, divided by the
@@ -230,7 +233,7 @@ pub struct RunResult {
     /// [`SafetyChecker`]'s no-fork verdict over every commit index of
     /// every validator, crashed ones and WAL replays included.
     pub agreement_ok: bool,
-    /// Commit chain hash of the most advanced validator.
+    /// Commit chain hash of the observer.
     pub chain_hash: Digest,
     /// Frames the simulated network delivered (after chaos effects).
     pub frames_delivered: u64,
@@ -252,18 +255,21 @@ pub struct RunResult {
     /// — it aborts the run with a diagnostic dump on any violation — but
     /// reported so scenario output can gate on it.
     pub safety_violations: u64,
-}
-
-/// The network round observed when a scheduled recovery fired — the
-/// baseline the re-inclusion analysis measures from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RecoverySample {
-    /// The recovered validator.
-    pub validator: u16,
-    /// Recovery instant (µs).
-    pub at_us: u64,
-    /// Highest DAG round across validators at that instant.
-    pub network_round: u64,
+    /// Leader slots the observer's ordered prefix decided skip (Lemma 6's
+    /// metric, as its engine counted them).
+    pub skipped_leader_rounds: u64,
+    /// Rounds whose leader slot the observer's ordered prefix decided: the
+    /// ordered rounds and the rounds passed over below them.
+    pub leader_rounds: u64,
+    /// Round of the observer's last committed anchor.
+    pub last_anchor_round: u64,
+    /// Validators swapped out across the observer's schedule switches (the
+    /// size of every epoch's B set summed; 0 for the baseline).
+    pub bg_churn: u64,
+    /// One row per scheduled recovery [`SimHandle::run_until`] passed.
+    pub reinclusion: Vec<ReinclusionRow>,
+    /// One row per byzantine validator.
+    pub adversary: Vec<AdversaryRow>,
 }
 
 /// A built simulation plus its committee, for tests that need to drive the
@@ -275,10 +281,11 @@ pub struct SimHandle {
     pub committee: Committee,
     /// Number of validator nodes.
     pub n_validators: usize,
-    /// One sample per scheduled recovery, filled as [`run_sim`] passes each
-    /// recovery instant (empty until then, and for schedules without
-    /// recoveries).
-    pub recovery_samples: Vec<RecoverySample>,
+    /// The scheduled recoveries as `(validator, at_us)`, by instant.
+    pub(crate) recoveries: Vec<(u16, u64)>,
+    /// The network round at each recovery [`SimHandle::run_until`] has
+    /// passed, in the order of `recoveries`.
+    pub(crate) recovery_rounds: Vec<u64>,
     /// The always-on safety invariant checker: the one every validator
     /// actor of this simulation hands its commit records to as it
     /// commits, so it is up to date — and the validators' commit logs
@@ -318,16 +325,33 @@ impl SimHandle {
             .unwrap_or_else(|| self.validator(0).initial_schedule().leader_at(round))
     }
 
-    /// Records the network round for every recovery scheduled at exactly
-    /// `at_us` (call after the simulator has processed that instant).
-    fn sample_recoveries(&mut self, config: &ExperimentConfig, at_us: u64) {
-        let network_round =
-            (0..self.n_validators).map(|i| self.validator(i).current_round().0).max().unwrap_or(0);
-        for (validator, t) in config.faults.recoveries() {
-            if t == at_us {
-                self.recovery_samples.push(RecoverySample { validator, at_us, network_round });
+    /// Runs the simulation up to `t` ([`Simulator::run_until`]), stopping
+    /// at each scheduled recovery on the way to note the network round (the
+    /// highest DAG round across validators) at that instant: the baseline
+    /// of [`RunResult::reinclusion`].
+    ///
+    /// # Panics
+    ///
+    /// If the simulation was driven past a recovery this method has not
+    /// noted (by calling [`Simulator::run_until`] directly): that
+    /// recovery's network round can no longer be read.
+    pub fn run_until(&mut self, t: SimTime) {
+        while let Some(&(_, at_us)) = self.recoveries.get(self.recovery_rounds.len()) {
+            if at_us > t.as_micros() {
+                break;
             }
+            assert!(
+                self.sim.now().as_micros() <= at_us,
+                "recovery at {at_us}µs already passed; drive the handle with SimHandle::run_until"
+            );
+            self.sim.run_until(SimTime(at_us));
+            let network_round = (0..self.n_validators)
+                .map(|i| self.validator(i).current_round().0)
+                .max()
+                .unwrap_or(0);
+            self.recovery_rounds.push(network_round);
         }
+        self.sim.run_until(t);
     }
 }
 
@@ -411,7 +435,10 @@ pub fn build_sim(config: &ExperimentConfig) -> SimHandle {
         chaos: config.chaos.clone().restrict_to(n),
     };
     let sim = Simulator::new(actors, net, config.seed);
-    SimHandle { sim, committee, n_validators: n, recovery_samples: Vec::new(), safety }
+    // Stable: recoveries at one instant keep their schedule order.
+    let mut recoveries = config.faults.recoveries();
+    recoveries.sort_by_key(|&(_, at_us)| at_us);
+    SimHandle { sim, committee, n_validators: n, recoveries, recovery_rounds: Vec::new(), safety }
 }
 
 /// When a run stops (see [`run_sim`]).
@@ -432,26 +459,15 @@ pub fn run_experiment(config: &ExperimentConfig) -> RunResult {
     run_sim(config, RunLimit::Duration).1
 }
 
-/// The scheduled recovery instants at or below `cap_us`, ascending and
-/// deduplicated — extra driver boundaries so the network round can be
-/// sampled at exactly each recovery.
-fn recovery_times(config: &ExperimentConfig, cap_us: u64) -> Vec<u64> {
-    let mut times: Vec<u64> =
-        config.faults.recoveries().iter().map(|(_, t)| *t).filter(|t| *t <= cap_us).collect();
-    times.sort_unstable();
-    times.dedup();
-    times
-}
-
 /// The next driver stop: the following 250 ms grid point, the next
-/// scheduled recovery, or the cap — whichever comes first. Slicing
-/// `run_until` never reorders events, so boundary choice cannot change
-/// results; it only controls where the driver samples recoveries, audits
+/// scheduled recovery (`recoveries` is by instant), or the cap — whichever
+/// comes first. Slicing `run_until` never reorders events, so boundary
+/// choice cannot change results; it only controls where the driver audits
 /// safety and checks a [`RunLimit::Rounds`] stop.
-fn next_boundary(now_us: u64, cap_us: u64, recoveries: &[u64]) -> u64 {
+fn next_boundary(now_us: u64, cap_us: u64, recoveries: &[(u16, u64)]) -> u64 {
     const SLICE_US: u64 = 250_000;
     let grid = ((now_us / SLICE_US) + 1) * SLICE_US;
-    let recovery = recoveries.iter().copied().find(|t| *t > now_us).unwrap_or(u64::MAX);
+    let recovery = recoveries.iter().map(|&(_, t)| t).find(|t| *t > now_us).unwrap_or(u64::MAX);
     grid.min(recovery).min(cap_us)
 }
 
@@ -460,12 +476,12 @@ fn next_boundary(now_us: u64, cap_us: u64, recoveries: &[u64]) -> u64 {
 /// handle's `sim.now()` is the stop time) with [`collect_metrics`],
 /// returning the live handle for post-run analyses beside them.
 ///
-/// The simulation advances from one [`next_boundary`] to the next, so a
-/// [`RunLimit::Rounds`] stop is prompt. After each slice the recoveries
-/// scheduled at that instant are sampled and the run aborts if the
-/// slice's commits broke a safety invariant ([`SimHandle::safety`] saw
-/// each of them as it happened). A `Rounds` stop looks at the validators
-/// that are up at the configured cap.
+/// The simulation advances from one `next_boundary` to the next with
+/// [`SimHandle::run_until`], so a [`RunLimit::Rounds`] stop is prompt.
+/// After each slice the run aborts if the slice's commits broke a safety
+/// invariant ([`SimHandle::safety`] saw each of them as it happened). A
+/// `Rounds` stop looks at the validators that are up at the configured
+/// cap.
 ///
 /// # Panics
 ///
@@ -474,21 +490,11 @@ fn next_boundary(now_us: u64, cap_us: u64, recoveries: &[u64]) -> u64 {
 pub fn run_sim(config: &ExperimentConfig, limit: RunLimit) -> (SimHandle, RunResult) {
     let mut handle = build_sim(config);
     let cap_us = SimTime::from_secs(config.duration_secs).as_micros();
-    let recoveries = recovery_times(config, cap_us);
     let up_at_cap = config.faults.live_at(handle.n_validators, cap_us);
     let mut now_us = 0u64;
-    // A recovery at t=0 is a boundary the loop below never visits (it
-    // only moves forward from 0).
-    if recoveries.first() == Some(&0) {
-        handle.sim.run_until(SimTime(0));
-        handle.sample_recoveries(config, 0);
-    }
     while now_us < cap_us {
-        now_us = next_boundary(now_us, cap_us, &recoveries);
-        handle.sim.run_until(SimTime(now_us));
-        if recoveries.binary_search(&now_us).is_ok() {
-            handle.sample_recoveries(config, now_us);
-        }
+        now_us = next_boundary(now_us, cap_us, &handle.recoveries);
+        handle.run_until(SimTime(now_us));
         handle.safety.assert_clean();
         if let RunLimit::Rounds(target) = limit {
             let best =
@@ -502,16 +508,19 @@ pub fn run_sim(config: &ExperimentConfig, limit: RunLimit) -> (SimHandle, RunRes
     (handle, result)
 }
 
-/// Gathers the paper's metrics from a handle driven — by [`run_sim`], or
-/// by hand with [`build_sim`] and [`Simulator::run_until`] — up to
-/// `end_us`.
+/// Gathers every number of a run's report row from a handle driven — by
+/// [`run_sim`], or by hand with [`build_sim`] and [`SimHandle::run_until`]
+/// — up to `end_us`.
 ///
 /// Every validator keeps the latency records of its whole run (two to
 /// four bytes each). The ones that count are those of the validators
 /// live at `end_us` — a run stopped before a scheduled crash counts that
 /// (never-crashed) validator — that executed at or before it; the rest
 /// never reached finality inside the run. The run counters and the
-/// safety verdict come from the same handle.
+/// safety verdict come from the same handle. Whatever one validator's
+/// view decides — the chain hash, the leader rounds, the schedule's churn
+/// and the re-inclusion and adversary rows — is read from one observer:
+/// the most advanced live validator, the lowest index winning a tie.
 pub fn collect_metrics(config: &ExperimentConfig, handle: &SimHandle, end_us: u64) -> RunResult {
     let live = config.faults.live_at(handle.n_validators, end_us);
     let mut sink = MetricsSink::new(config);
@@ -524,7 +533,6 @@ pub fn collect_metrics(config: &ExperimentConfig, handle: &SimHandle, end_us: u6
     }
     let net_stats = handle.sim.stats();
 
-    let mut commits = 0u64;
     let mut leader_timeouts = 0u64;
     let mut shed = 0u64;
     let mut epochs = 0u64;
@@ -536,7 +544,6 @@ pub fn collect_metrics(config: &ExperimentConfig, handle: &SimHandle, end_us: u6
         let m = v.metrics();
         leader_timeouts += m.leader_timeouts;
         shed += m.txs_shed;
-        commits = commits.max(v.commit_count());
         restarts += m.restarts;
         recovery_divergence |= m.recovery_divergence;
         rbc_retransmits += v.rbc_retransmits();
@@ -556,12 +563,28 @@ pub fn collect_metrics(config: &ExperimentConfig, handle: &SimHandle, end_us: u6
         }
     }
 
-    let chain_hash = live
-        .iter()
-        .map(|i| handle.validator(*i))
-        .max_by_key(|v| v.commit_count())
-        .map(|v| v.chain_hash())
-        .unwrap_or(Digest::ZERO);
+    let observer =
+        live.iter().copied().max_by_key(|&i| (handle.validator(i).commit_count(), Reverse(i)));
+    let view = observer.map(|i| handle.validator(i));
+    let last_anchor_round =
+        view.and_then(|v| v.committed_anchors().last()).map_or(0, |a| a.round.0);
+    // The schedule history is copied only for the rows that read it.
+    let (reinclusion, adversary) = match observer {
+        Some(i) if !handle.recovery_rounds.is_empty() || !config.byzantine.is_empty() => {
+            let summaries = handle.epoch_summaries(i);
+            (
+                reinclusion_rows(handle, i, last_anchor_round, &summaries),
+                adversary_rows(handle, i, last_anchor_round, &summaries, &config.byzantine),
+            )
+        }
+        _ => (Vec::new(), Vec::new()),
+    };
+    // The churn of `SimHandle::epoch_summaries`, counted in place.
+    let bg_churn = view.map_or(0, |v| {
+        let unsent = v.hammerhead_policy().map_or(&[][..], |p| p.unsent_summaries());
+        let unsent: u64 = unsent.iter().map(|e| e.excluded.len() as u64).sum();
+        handle.safety.exclusions(v.commit_count()) + unsent
+    });
 
     RunResult {
         throughput_tps: sink.executed as f64 / (end_us as f64 / 1e6).max(1e-6),
@@ -569,7 +592,7 @@ pub fn collect_metrics(config: &ExperimentConfig, handle: &SimHandle, end_us: u6
         latency: sink.latency.summary(),
         commit_latency: sink.commit_latency.summary(),
         windows: sink.window_summaries(),
-        commits,
+        commits: view.map_or(0, |v| v.commit_count()),
         leader_timeouts,
         submitted,
         client_skipped,
@@ -581,7 +604,7 @@ pub fn collect_metrics(config: &ExperimentConfig, handle: &SimHandle, end_us: u6
         restarts,
         recovery_divergence,
         agreement_ok: handle.safety.fork_free(),
-        chain_hash,
+        chain_hash: view.map_or(Digest::ZERO, |v| v.chain_hash()),
         frames_delivered: net_stats.delivered,
         chaos_dropped: net_stats.chaos_dropped,
         chaos_duplicated: net_stats.chaos_duplicated,
@@ -590,6 +613,12 @@ pub fn collect_metrics(config: &ExperimentConfig, handle: &SimHandle, end_us: u6
         rbc_retransmits,
         safety_records: handle.safety.records_seen(),
         safety_violations: handle.safety.violations().len() as u64,
+        skipped_leader_rounds: view.map_or(0, |v| v.passed_over_candidates()),
+        leader_rounds: view.map_or(0, |v| v.leader_rounds()),
+        last_anchor_round,
+        bg_churn,
+        reinclusion,
+        adversary,
     }
 }
 
@@ -740,11 +769,10 @@ mod tests {
         assert!(r.commits > 10);
 
         // The recovery instant was sampled with a sensible network round.
-        assert_eq!(handle.recovery_samples.len(), 1);
-        let sample = handle.recovery_samples[0];
-        assert_eq!(sample.validator, 3);
-        assert_eq!(sample.at_us, 3_000_000);
-        assert!(sample.network_round > 0);
+        assert_eq!(r.reinclusion.len(), 1);
+        let row = &r.reinclusion[0];
+        assert_eq!((row.validator, row.recovered_at_us), (3, 3_000_000));
+        assert!(row.recovery_round > 0);
 
         // The recovered validator kept committing after its restart: its
         // commit count must be close to the most advanced validator's.
@@ -800,9 +828,9 @@ mod tests {
 
             let mut handle = build_sim(&config);
             for t in (1..).map(|s| s * 1_000_000).take_while(|t| *t < end_us) {
-                handle.sim.run_until(SimTime(t));
+                handle.run_until(SimTime(t));
             }
-            handle.sim.run_until(SimTime(end_us));
+            handle.run_until(SimTime(end_us));
             let collected = collect_metrics(&config, &handle, end_us);
 
             assert!(reported.latency.count > 0 && reported.commits > 0, "{reported:?}");
@@ -820,10 +848,20 @@ mod tests {
             }
             if config.faults.has_recoveries() {
                 assert_eq!(reported.restarts, 1);
-                assert_eq!(driven.recovery_samples.len(), 1);
-                assert_eq!(driven.recovery_samples[0].at_us, 2_700_000);
+                assert_eq!(reported.reinclusion.len(), 1);
+                assert_eq!(reported.reinclusion[0].recovered_at_us, 2_700_000);
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "recovery at 1000000µs already passed")]
+    fn a_recovery_driven_past_behind_the_handles_back_is_refused() {
+        let mut config = ExperimentConfig::quick_test(SystemKind::Bullshark);
+        config.faults = FaultSchedule::new().crash(2, 500_000).recover(2, 1_000_000);
+        let mut handle = build_sim(&config);
+        handle.sim.run_until(SimTime(1_500_000));
+        handle.run_until(SimTime(2_000_000));
     }
 
     /// Rounds the attacker held leader slots: under round-robin that is

@@ -53,11 +53,14 @@
 //! off it: the validators keep their latency records for the whole run,
 //! and the ones executed by the stop are summarised in one pass —
 //! post-warmup ([`ExperimentConfig::warmup_secs`]) and once more per
-//! submission-time window ([`ExperimentConfig::windows`]).
-//! [`run_experiment`] is [`run_sim`] for the full duration with the result
-//! alone, and a caller that drives a [`build_sim`] handle through
-//! `Simulator::run_until` itself calls [`collect_metrics`] for the same
-//! result.
+//! submission-time window ([`ExperimentConfig::windows`]). The same call
+//! fills the rest of a report row through one observer, the most advanced
+//! live validator: skipped leader rounds, schedule churn, and the
+//! [`ReinclusionRow`]s and [`AdversaryRow`]s of a run with recoveries or
+//! attackers. [`run_experiment`] is [`run_sim`] for the full duration with
+//! the result alone, and a caller that drives a [`build_sim`] handle
+//! through [`SimHandle::run_until`] itself calls [`collect_metrics`] for
+//! the same result.
 //!
 //! # Example
 //!
@@ -95,6 +98,7 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 mod actor;
+mod analysis;
 mod byzantine;
 mod experiment;
 mod metrics;
@@ -103,12 +107,13 @@ mod sink;
 mod workload;
 
 pub use actor::{Actor, Client, NetMessage, MIN_CLIENT_WINDOW};
+pub use analysis::{AdversaryRow, ReinclusionRow};
 pub use byzantine::{
     ByzantineBehavior, ByzantineEntry, ByzantineSchedule, ByzantineStrategy, BYZANTINE_TOKEN_BASE,
 };
 pub use experiment::{
-    build_sim, collect_metrics, run_experiment, run_sim, ExperimentConfig, Network, RecoverySample,
-    RunLimit, RunResult, SimHandle, SystemKind,
+    build_sim, collect_metrics, run_experiment, run_sim, ExperimentConfig, Network, RunLimit,
+    RunResult, SimHandle, SystemKind,
 };
 pub use hammerhead::{SafetyChecker, SafetyViolation};
 pub use hh_net::{ChaosEntry, ChaosSchedule, ChaosTarget, FaultEvent, FaultSchedule};
