@@ -23,8 +23,9 @@
 # report byte-identical, and a benchmark gate that unit-tests the
 # perfbench package against the workspace's crates and requires two
 # correct 2-second runs: sim_n100_f33 with its peak resident set under
-# 20 MB, which only a DAG whose round index is its only index (no digest
-# table beside it) meets, and its
+# 17 MB, which only a DAG whose round index is its only index (no digest
+# table beside it) and holds a pointer for the authors present in a round
+# alone (no slot for a crashed one), with 24-byte transactions, meets, and its
 # simulated median latency under 500 ms, which only a run whose epoch 0
 # anchors every round meets (the committee earns candidacy when round 0
 # closes, and a leader the ordered prefix never heard from is neither
@@ -256,17 +257,20 @@ report() {
 # speed, and the simulated median latency is seed-exact, so one ceiling
 # each holds on any host.
 bench sim_n100_f33
-# About 17.3 MB and 489 ms on seed 1 (22.3 MB while every DAG kept a
-# digest table beside its round index; 511.379 ms while epoch 0 stayed
+# About 15.4 MB and 480 ms on seed 1 (17.1-17.3 MB while every round of
+# every DAG kept a pointer slot per committee member, a third of them for
+# crashed validators, and a transaction took 32 B; 22.3 MB while every DAG
+# kept a digest table beside its round index; 511.379 ms while epoch 0 stayed
 # leader-only until its switch and a crashed leader's round waited for
 # the anchor two rounds up, leaving an execution backlog in the gated
 # window; 30.0 MB and 799.125 ms while every proposer kept its own parent
 # list and leaders crashed from t = 0 were awaited through epoch 0).
-ceiling target/ci-sim_n100_f33.txt peak_rss_mb 20
+ceiling target/ci-sim_n100_f33.txt peak_rss_mb 17
 ceiling target/ci-sim_n100_f33.txt sim_latency_p50_ms 500
 report target/ci-sim_n100_f33.txt setup_s
 bench sim_n10_long
-# The paper-length run, two repetitions of it: about 25.7 MB (26.1 while
+# The paper-length run, two repetitions of it: about 25.2 MB (25.5-25.7
+# while a transaction took 32 B; 26.1 while
 # every validator kept its own epoch history and every schedule, 32.2
 # while every engine kept every anchor and the checker every slot, 43.8
 # while the log stored four varints a record) and 241.631 ms on seed 1

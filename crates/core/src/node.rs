@@ -751,7 +751,7 @@ impl<B: LogBackend> Validator<B> {
         let mut out = Vec::new();
         match msg {
             ValidatorMessage::Submit(tx) => {
-                self.client_addr.insert(tx.id.client, from);
+                self.client_addr.insert(tx.client, from);
                 if self.tx_pool.len() < self.config.pool_capacity {
                     self.tx_pool.push_back(*tx);
                     self.metrics.txs_accepted += 1;
@@ -761,7 +761,7 @@ impl<B: LogBackend> Validator<B> {
                     // does not leak.
                     out.push(Output::Send(
                         from,
-                        ValidatorMessage::Confirm { id: tx.id, executed_at: u64::MAX },
+                        ValidatorMessage::Confirm { id: tx.id(), executed_at: u64::MAX },
                     ));
                 }
             }
@@ -1015,10 +1015,10 @@ impl<B: LogBackend> Validator<B> {
                         bytes: tx.wire_bytes().min(u32::MAX as usize) as u32,
                     });
                     // Finality confirmation to the submitting client.
-                    if let Some(addr) = self.client_addr.get(&tx.id.client) {
+                    if let Some(addr) = self.client_addr.get(&tx.client) {
                         out.push(Output::Send(
                             *addr,
-                            ValidatorMessage::Confirm { id: tx.id, executed_at: finish },
+                            ValidatorMessage::Confirm { id: tx.id(), executed_at: finish },
                         ));
                     }
                 }

@@ -10,10 +10,12 @@
 //!   `(round, author)` — insertion enforces one per address — and each
 //!   carries one committee bitmask of its parents' authors, stored with
 //!   the vertex by the first DAG to resolve them and read by every DAG
-//!   holding the same allocation. There is no digest-keyed table: a
-//!   parent is resolved inside the round below, with one forward pass
-//!   over its author slots, and [`Dag::find_all`] serves the rare lookup
-//!   by digest alone, a set of digests per scan of the retained rounds;
+//!   holding the same allocation. A round stores only the vertices that
+//!   arrived, in ascending author order beside a mask of who is present.
+//!   There is no digest-keyed table: a parent is resolved inside the
+//!   round below, with one forward pass over its stored vertices, and
+//!   [`Dag::find_all`] serves the rare lookup by digest alone, a set of
+//!   digests per scan of the retained rounds;
 //! * reachability ([`Dag::reachable`], the paper's `path(v, u)`) — one
 //!   frontier-mask descent, a round per step;
 //! * causal histories ([`Dag::causal_history`], [`Dag::causal_sub_dag`],

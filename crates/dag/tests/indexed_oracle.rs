@@ -13,7 +13,7 @@
 //! vertex allocations, and so parent masks, with each other.
 //!
 //! Insertion itself, which resolves each parent inside the round below
-//! with one forward pass over its author slots, is checked against the
+//! with one forward pass over its stored vertices, is checked against the
 //! rules of the store that kept a digest table: same outcome, same stored
 //! allocation, same parent mask, same missing list.
 
@@ -53,16 +53,22 @@ impl Mix {
 /// withhold edges to a few previous-round vertices (vote-withholding
 /// shape), always keeping parent stake at quorum.
 fn random_dag(n: usize, rounds: usize, seed: u64) -> Dag {
+    random_dag_with(n, rounds, seed, &[])
+}
+
+/// [`random_dag`] in which `crashed` (at most `f` authors) author nothing
+/// at all, and every round drops up to `f − |crashed|` more at random.
+fn random_dag_with(n: usize, rounds: usize, seed: u64, crashed: &[ValidatorId]) -> Dag {
     let committee = Committee::new_equal_stake(n);
     let quorum = committee.quorum_threshold().0 as usize;
-    let f = n - quorum;
+    let f = n - quorum - crashed.len();
     let mut rng = Mix(seed);
     let mut b = DagBuilder::new(committee.clone());
-    b.extend_full_rounds(1);
-    let mut prev_present = n;
+    b.extend_round_without(crashed);
+    let mut prev_present = n - crashed.len();
     for _ in 1..rounds {
-        let absent_count = rng.below(f as u64 + 1) as usize;
-        let mut absent: Vec<ValidatorId> = Vec::new();
+        let absent_count = crashed.len() + rng.below(f as u64 + 1) as usize;
+        let mut absent: Vec<ValidatorId> = crashed.to_vec();
         while absent.len() < absent_count {
             let candidate = ValidatorId(rng.below(n as u64) as u16);
             if !absent.contains(&candidate) {
@@ -785,5 +791,104 @@ proptest! {
         for (digest, v) in &found {
             prop_assert!(Arc::ptr_eq(v, &oracle.by_digest[digest]));
         }
+    }
+}
+
+/// `count` authors of `n`: the last ones, the first ones, or a random
+/// scattered set.
+fn absent_set(n: usize, count: usize, shape: usize, rng: &mut Mix) -> Vec<ValidatorId> {
+    let mut ids: Vec<ValidatorId> = (0..n as u16).map(ValidatorId).collect();
+    match shape {
+        0 => ids.split_off(n - count),
+        1 => ids[..count].to_vec(),
+        _ => {
+            shuffle(&mut ids, rng);
+            ids.truncate(count);
+            ids
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A round stores only the authors that arrived. Up to `f` authors —
+    /// the last, the first or a scattered set — never author anything,
+    /// others drop out round by round, and the vertices arrive as private
+    /// copies in a random parent-respecting order, with an equivocation
+    /// twin of some of them right after. Every insert answers as the
+    /// digest-table oracle does, and then every `(round, author)`
+    /// lookup, digest lookup, round listing (ascending author order) and
+    /// round count answers from the oracle's vertices, as do the queries
+    /// of `check_dag`.
+    fn present_only_rounds_match_the_oracle(
+        shape in shape(2),
+        seed in any::<u64>(),
+        crash_shape in 0usize..3,
+    ) {
+        let (n, rounds) = shape;
+        let committee = Committee::new_equal_stake(n);
+        let f = n - committee.quorum_threshold().0 as usize;
+        let mut rng = Mix(seed ^ 0xAB5E);
+        let count = rng.below(f as u64 + 1) as usize;
+        let crashed = absent_set(n, count, crash_shape, &mut rng);
+        let source = random_dag_with(n, rounds, seed, &crashed);
+
+        let mut dag = Dag::new(committee.clone());
+        let mut oracle = InsertOracle::new(committee.clone());
+        let mut pending: Vec<Arc<Vertex>> =
+            all_vertices(&source).iter().map(|v| private_copy(v)).collect();
+        while !pending.is_empty() {
+            let i = rng.below(pending.len() as u64) as usize;
+            let v = pending[i].clone();
+            if let Err(DagError::MissingParents(_)) = insert_both(&mut dag, &mut oracle, &v) {
+                continue;
+            }
+            pending.swap_remove(i);
+            if rng.below(4) == 0 {
+                let twin = Arc::new(twin_of(&v, &committee.keypair(v.author())));
+                let got = insert_both(&mut dag, &mut oracle, &twin);
+                prop_assert!(matches!(got, Err(DagError::Equivocation { .. })), "{:?}", got);
+            }
+        }
+        prop_assert_eq!(dag.len(), oracle.by_digest.len());
+        prop_assert_eq!(dag.equivocations(), oracle.equivocations);
+
+        let ghost = hh_crypto::sha256(b"ghost");
+        for r in 0..rounds as u64 {
+            let round = Round(r);
+            let mut want: Vec<&Arc<Vertex>> =
+                oracle.by_digest.values().filter(|v| v.round() == round).collect();
+            want.sort_by_key(|v| v.author());
+            let listed: Vec<&Arc<Vertex>> = dag.round_vertices(round).collect();
+            prop_assert_eq!(listed.len(), want.len());
+            prop_assert_eq!(dag.round_len(round), want.len());
+            for (got, want) in listed.iter().zip(&want) {
+                prop_assert!(Arc::ptr_eq(got, want), "round {} lists {} for {}", r, got, want);
+            }
+            for author in committee.ids() {
+                let want = want.iter().find(|v| v.author() == author);
+                let got = dag.vertex_by_author(round, author);
+                prop_assert_eq!(got.is_some(), want.is_some(), "{} in round {}", author, r);
+                if let (Some(got), Some(want)) = (got, want) {
+                    prop_assert!(Arc::ptr_eq(got, want));
+                    let found = dag.get(round, &want.digest()).expect("found in its round");
+                    prop_assert!(Arc::ptr_eq(found, want));
+                }
+            }
+            prop_assert!(dag.get(round, &ghost).is_none());
+        }
+        for author in committee.ids() {
+            let held = oracle.by_digest.values().any(|v| v.author() == author);
+            prop_assert_eq!(dag.holds_author(author), held, "{}", author);
+            prop_assert!(!crashed.contains(&author) || !held, "{} crashed", author);
+        }
+        let asked: DigestSet = oracle.by_digest.keys().copied().chain([ghost]).collect();
+        let found = dag.find_all(&asked);
+        prop_assert_eq!(found.len(), oracle.by_digest.len());
+        for (digest, v) in &found {
+            prop_assert!(Arc::ptr_eq(v, &oracle.by_digest[digest]));
+        }
+        check_dag(&dag, &mut rng);
     }
 }

@@ -47,8 +47,8 @@ mod tests {
         let back = WireMsg::decode_frame(&bytes).expect("decode");
         match back.0.as_ref() {
             ValidatorMessage::Submit(tx) => {
-                assert_eq!(tx.id.client, 7);
-                assert_eq!(tx.id.seq, 42);
+                assert_eq!(tx.client, 7);
+                assert_eq!(tx.seq, 42);
             }
             other => panic!("wrong variant: {other:?}"),
         }

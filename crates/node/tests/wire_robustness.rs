@@ -36,7 +36,7 @@ fn assert_still_serving(t: &TcpTransport<WireMsg>, probe_id: u16) {
         match t.events().recv_timeout(Duration::from_millis(200)) {
             Ok(TcpEvent::Message { from, msg }) if from == probe_id => match msg.0.as_ref() {
                 ValidatorMessage::Submit(tx) => {
-                    assert_eq!(tx.id.client, probe_id as u32);
+                    assert_eq!(tx.client, probe_id as u32);
                     return;
                 }
                 other => panic!("probe decoded wrong message: {other:?}"),
@@ -86,7 +86,7 @@ proptest! {
                 // the flip was undone by idx aliasing; the decoded tx
                 // must then be byte-identical to the original.
                 if let ValidatorMessage::Submit(tx) = msg.0.as_ref() {
-                    prop_assert_eq!(tx.id.seq, seq);
+                    prop_assert_eq!(tx.seq, seq);
                 }
                 break;
             }
@@ -165,7 +165,7 @@ fn validator_messages_flow_between_endpoints() {
             Ok(TcpEvent::Message { from, msg }) => {
                 assert_eq!(from, 11);
                 match msg.0.as_ref() {
-                    ValidatorMessage::Submit(tx) => assert_eq!(tx.id.client, 1),
+                    ValidatorMessage::Submit(tx) => assert_eq!(tx.client, 1),
                     other => panic!("wrong message: {other:?}"),
                 }
                 break;

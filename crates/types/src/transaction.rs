@@ -31,13 +31,14 @@ impl fmt::Display for TxId {
 pub const TX_HEADER_BYTES: usize = 20;
 
 /// A client transaction as carried in a [`crate::Block`].
+///
+/// The fields of its [`TxId`] sit inline, beside the other 4-byte field,
+/// so a transaction is 24 bytes with no padding (a nested `TxId` pads to
+/// 16 and the whole to 32); [`Transaction::id`] reassembles the identity.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Transaction {
-    /// Identity of the transaction.
-    pub id: TxId,
-    /// Client submission timestamp, in simulation microseconds. Used by the
-    /// metrics pipeline; consensus itself never reads it.
-    pub submitted_at: u64,
+    /// The submitting client (load generator index).
+    pub client: u32,
     /// Modeled payload size in bytes (the counter-increment argument the
     /// paper's benchmark transactions carry, generalized to configurable
     /// sizes by the workload subsystem). This is an *accounting weight*:
@@ -48,6 +49,11 @@ pub struct Transaction {
     /// never change a run's chain hashes. A transaction decoded from the
     /// wire or replayed from the WAL reports a zero payload.
     pub payload_bytes: u32,
+    /// The client-local sequence number.
+    pub seq: u64,
+    /// Client submission timestamp, in simulation microseconds. Used by the
+    /// metrics pipeline; consensus itself never reads it.
+    pub submitted_at: u64,
 }
 
 impl Transaction {
@@ -59,7 +65,12 @@ impl Transaction {
 
     /// Creates a transaction carrying `payload_bytes` of modeled payload.
     pub fn with_payload(client: u32, seq: u64, submitted_at: u64, payload_bytes: u32) -> Self {
-        Transaction { id: TxId { client, seq }, submitted_at, payload_bytes }
+        Transaction { client, payload_bytes, seq, submitted_at }
+    }
+
+    /// Identity of the transaction.
+    pub fn id(&self) -> TxId {
+        TxId { client: self.client, seq: self.seq }
     }
 
     /// The modeled wire size: fixed header plus payload.
@@ -81,12 +92,13 @@ impl Encode for TxId {
 
 impl Encode for Transaction {
     fn encode(&self, buf: &mut Vec<u8>) {
-        self.id.encode(buf);
+        self.id().encode(buf);
         buf.put_u64(self.submitted_at);
     }
 
     fn decode(d: &mut Decoder<'_>) -> Result<Self, TypeError> {
-        Ok(Transaction { id: TxId::decode(d)?, submitted_at: d.take_u64()?, payload_bytes: 0 })
+        let TxId { client, seq } = TxId::decode(d)?;
+        Ok(Transaction::new(client, seq, d.take_u64()?))
     }
 }
 

@@ -507,6 +507,22 @@ mod tests {
     }
 
     #[test]
+    fn a_transaction_is_24_bytes_and_a_known_digest_stands() {
+        // Two 8-byte fields and two 4-byte ones, with no padding between
+        // them; the codec writes the header alone, in its own order, so the
+        // layout reaches no digest, signature or log byte.
+        assert_eq!(std::mem::size_of::<Transaction>(), 24);
+        let txs =
+            vec![Transaction::with_payload(7, 1 << 40, 123_456, 512), Transaction::new(0, 1, 10)];
+        let parents = sample_vertex().parents().to_vec();
+        let v = Vertex::new(Round(3), ValidatorId(2), Block::new(txs), parents, &keypair(2));
+        assert_eq!(
+            v.digest().to_hex(),
+            "70a26f4bcce780d9eab2c6ca05e804e716fa3bef346bc37eb30ccc7b6ba59d80"
+        );
+    }
+
+    #[test]
     fn verify_accepts_authentic_vertex() {
         let v = sample_vertex();
         assert!(v.verify(&keypair(1).public()));
