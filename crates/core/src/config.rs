@@ -121,21 +121,13 @@ pub struct ValidatorConfig {
     /// has closed, only a leader with an ordered vertex or a vertex in the
     /// proposer's DAG is awaited (see `Validator::drive`).
     pub leader_timeout_us: u64,
-    /// Max transactions per vertex.
-    pub max_block_txs: usize,
     /// Max modeled wire bytes per vertex block (transaction headers plus
     /// payloads). The proposer stops batching once the next transaction
     /// would cross this bound, except that a block always carries at
     /// least one transaction (an oversized single transaction must not
     /// wedge the pool). `usize::MAX` — the default — disables the bound,
-    /// leaving `max_block_txs` as the only batch limit.
+    /// leaving the 2,000-transaction cap as the only batch limit.
     pub max_block_bytes: usize,
-    /// Transaction pool capacity; submissions beyond it are shed.
-    pub pool_capacity: usize,
-    /// Backpressure budget: own transactions proposed but not yet committed
-    /// before the proposer stops pulling from the pool (models Narwhal's
-    /// bounded pending state).
-    pub max_uncommitted_txs: usize,
     /// Execution drain rate (transactions per second) — the stand-in for
     /// the Sui execution pipeline; the system-wide capacity ceiling.
     pub exec_rate_tps: u64,
@@ -161,10 +153,7 @@ impl Default for ValidatorConfig {
             // production timeout-to-round ratio, keeping the Fig. 2
             // latency degradation factors in the paper's range.
             leader_timeout_us: 600_000,
-            max_block_txs: 2_000,
             max_block_bytes: usize::MAX,
-            pool_capacity: 20_000,
-            max_uncommitted_txs: 10_000,
             exec_rate_tps: 4_200,
             gc_depth: 200,
             sync_tick_us: 500_000,
@@ -217,7 +206,6 @@ mod tests {
     fn defaults_are_sane() {
         let c = ValidatorConfig::default();
         assert!(c.min_round_delay_us < c.leader_timeout_us);
-        assert!(c.max_block_txs <= c.pool_capacity);
         assert!(matches!(c.schedule, ScheduleConfig::RoundRobin));
     }
 

@@ -48,6 +48,16 @@ const TOKEN_TICK: u64 = 2;
 /// Commits between durable checkpoints.
 const CHECKPOINT_INTERVAL: u64 = 10;
 
+/// Max transactions per vertex.
+const MAX_BLOCK_TXS: usize = 2_000;
+/// Transaction pool capacity; submissions beyond it are shed.
+const POOL_CAPACITY: usize = 20_000;
+/// Backpressure budget: own transactions proposed but not yet committed
+/// before the proposer stops pulling from the pool (models Narwhal's
+/// bounded pending state).
+const MAX_UNCOMMITTED_TXS: usize = 10_000;
+const _: () = assert!(MAX_BLOCK_TXS <= POOL_CAPACITY);
+
 /// Messages a validator exchanges (with peers and with clients).
 #[derive(Clone, Debug)]
 pub enum ValidatorMessage {
@@ -752,7 +762,7 @@ impl<B: LogBackend> Validator<B> {
         match msg {
             ValidatorMessage::Submit(tx) => {
                 self.client_addr.insert(tx.client, from);
-                if self.tx_pool.len() < self.config.pool_capacity {
+                if self.tx_pool.len() < POOL_CAPACITY {
                     self.tx_pool.push_back(*tx);
                     self.metrics.txs_accepted += 1;
                 } else {
@@ -1165,8 +1175,8 @@ impl<B: LogBackend> Validator<B> {
             };
         // Backpressure: stop pulling from the pool once too many of our
         // transactions sit uncommitted.
-        let budget = (self.config.max_uncommitted_txs as u64).saturating_sub(self.uncommitted_txs);
-        let max_take = self.tx_pool.len().min(self.config.max_block_txs).min(budget as usize);
+        let budget = (MAX_UNCOMMITTED_TXS as u64).saturating_sub(self.uncommitted_txs);
+        let max_take = self.tx_pool.len().min(MAX_BLOCK_TXS).min(budget as usize);
         // Byte bound: batch until the next transaction would overflow
         // `max_block_bytes`; the first transaction always fits so an
         // oversized one cannot wedge the pool.
@@ -1318,16 +1328,15 @@ mod tests {
 
     #[test]
     fn pool_capacity_sheds_excess() {
-        let config = ValidatorConfig { pool_capacity: 5, ..fast_config() };
-        let mut solo = Solo::volatile(config);
+        let mut solo = Solo::volatile(fast_config());
         solo.step(Event::Boot);
         // Submit while the proposer is paced out, so the pool fills up.
-        for i in 0..10 {
+        let offered = POOL_CAPACITY as u64 + 10;
+        for i in 0..offered {
             solo.submit(Transaction::new(0, i, 0));
         }
         let m = solo.v().metrics();
-        assert_eq!(m.txs_accepted + m.txs_shed, 10);
-        assert!(m.txs_shed > 0, "pool should shed beyond capacity");
+        assert_eq!((m.txs_accepted, m.txs_shed), (POOL_CAPACITY as u64, 10));
     }
 
     #[test]
@@ -1445,7 +1454,7 @@ mod tests {
         // 1,200 committed transactions in the store are 286 ms of
         // execution at 4,200 tx/s: a restart that ran them through the
         // pipeline again would make the next transaction wait that long.
-        let config = ValidatorConfig { max_block_txs: 100, ..fast_config() };
+        let config = fast_config();
         let backend = MemBackend::new();
         let mut solo = Solo::new(config.clone(), Some(backend.clone()), SafetyChecker::new());
         solo.step(Event::Boot);
@@ -1463,9 +1472,12 @@ mod tests {
 
         let recs: Vec<_> = revived.v().metrics().exec_records.iter().collect();
         assert_eq!(recs.len(), 1, "only the transaction submitted after the restart");
-        let block_us = config.max_block_txs as u64 * (1_000_000 / config.exec_rate_tps);
+        let bound_us = 100 * (1_000_000 / config.exec_rate_tps);
         let waited = recs[0].executed_at - recs[0].committed_at;
-        assert!(waited <= block_us, "commit → execute {waited} µs, one block is {block_us} µs");
+        assert!(
+            waited <= bound_us,
+            "commit → execute {waited} µs, 100 transactions are {bound_us} µs"
+        );
     }
 
     #[test]
@@ -1674,10 +1686,9 @@ mod tests {
     fn block_bytes_cap_bounds_batches_by_payload() {
         // 1000-byte payloads (1020 wire bytes each) under a 4 KiB block
         // cap: at most 4 transactions fit a block, although
-        // max_block_txs would allow all 10 at once.
+        // MAX_BLOCK_TXS would allow all 10 at once.
         let config = ValidatorConfig {
             max_block_bytes: 4_096,
-            max_block_txs: 100,
             min_round_delay_us: 100_000,
             ..fast_config()
         };
@@ -1712,7 +1723,7 @@ mod tests {
     fn oversized_transaction_still_ships_alone() {
         // One transaction bigger than the whole block cap must still be
         // proposed (alone) instead of wedging the pool forever.
-        let config = ValidatorConfig { max_block_bytes: 64, max_block_txs: 100, ..fast_config() };
+        let config = ValidatorConfig { max_block_bytes: 64, ..fast_config() };
         let mut solo = Solo::volatile(config);
         solo.step(Event::Boot);
         solo.submit(Transaction::with_payload(0, 0, 0, 10_000));
@@ -1723,9 +1734,9 @@ mod tests {
 
     #[test]
     fn backpressure_limits_uncommitted() {
-        // Tiny budget: only 3 txs may be in flight.
-        let config = ValidatorConfig { max_uncommitted_txs: 3, max_block_txs: 10, ..fast_config() };
-        let mut solo = Solo::volatile(config);
+        // Three short of the budget: only 3 more txs may be in flight.
+        let mut solo = Solo::volatile(fast_config());
+        solo.driver.validator_mut().uncommitted_txs = MAX_UNCOMMITTED_TXS as u64 - 3;
         solo.step(Event::Boot);
         for i in 0..9 {
             solo.submit(Transaction::new(0, i, 0));
@@ -1733,7 +1744,11 @@ mod tests {
         solo.run_until(2_000_000);
         // All eventually commit (budget releases on commit), but never more
         // than 3 in one block.
-        assert_eq!(solo.v().metrics().own_txs_committed, 9);
+        let m = solo.v().metrics();
+        assert_eq!(m.own_txs_committed, 9);
+        let commits: std::collections::BTreeSet<u64> =
+            m.exec_records.iter().map(|r| r.committed_at).collect();
+        assert_eq!(commits.len(), 3, "three blocks of three");
     }
 
     /// This validator's own vertices among the broadcasts in `out`, as

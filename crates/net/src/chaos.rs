@@ -5,8 +5,8 @@
 //! files parse `[[faults.chaos]]` tables into a [`ChaosSchedule`],
 //! [`ChaosSchedule::validate`] rejects unrunnable timelines up front with
 //! precise errors, and the [`crate::Simulator`] executes the same value.
-//! Each [`ChaosEntry`] covers a set of directed links (all links, one
-//! node's links, or a single directed pair) for a half-open time interval
+//! Each [`ChaosEntry`] covers a set of directed links (all links, or one
+//! node's links) for a half-open time interval
 //! and carries independent rates for each effect. Unlike crashes, chaos
 //! never changes the *logical* fault model — every effect acts on encoded
 //! frames below the protocol, so an honest protocol must ride it out
@@ -16,9 +16,9 @@
 //! The simulator consults [`ChaosSchedule::window_at`] on every routed
 //! frame; when no window matches — in particular, in every chaos-free run
 //! — nothing is drawn from the RNG, so existing executions stay
-//! bit-identical. Overlap on the same directed link at the same instant
-//! is rejected by `validate`, so `window_at` can return the first match
-//! without ambiguity.
+//! bit-identical. Any two targets share a link, so `validate` rejects
+//! windows that overlap in time, and `window_at` can return the first
+//! match without ambiguity.
 //!
 //! All times are microseconds of simulated time.
 
@@ -34,13 +34,6 @@ pub enum ChaosTarget {
     AllLinks,
     /// Every link touching one validator, inbound or outbound.
     Node(u16),
-    /// One directed link.
-    Pair {
-        /// Sender side.
-        from: u16,
-        /// Receiver side.
-        to: u16,
-    },
 }
 
 impl ChaosTarget {
@@ -49,21 +42,6 @@ impl ChaosTarget {
         match *self {
             ChaosTarget::AllLinks => true,
             ChaosTarget::Node(n) => from.0 == n as usize || to.0 == n as usize,
-            ChaosTarget::Pair { from: f, to: t } => from.0 == f as usize && to.0 == t as usize,
-        }
-    }
-
-    /// Whether two targets share at least one directed link. Any two
-    /// node targets intersect (the link between the two nodes belongs to
-    /// both), which is what makes first-match lookup unambiguous once
-    /// time-overlapping intersecting windows are rejected.
-    fn intersects(&self, other: &ChaosTarget) -> bool {
-        match (*self, *other) {
-            (ChaosTarget::AllLinks, _) | (_, ChaosTarget::AllLinks) => true,
-            (ChaosTarget::Node(_), ChaosTarget::Node(_)) => true,
-            (ChaosTarget::Node(n), ChaosTarget::Pair { from, to })
-            | (ChaosTarget::Pair { from, to }, ChaosTarget::Node(n)) => from == n || to == n,
-            (ChaosTarget::Pair { .. }, ChaosTarget::Pair { .. }) => self == other,
         }
     }
 }
@@ -73,7 +51,6 @@ impl fmt::Display for ChaosTarget {
         match self {
             ChaosTarget::AllLinks => write!(f, "all links"),
             ChaosTarget::Node(n) => write!(f, "links of validator {n}"),
-            ChaosTarget::Pair { from, to } => write!(f, "link {from} -> {to}"),
         }
     }
 }
@@ -121,8 +98,8 @@ impl ChaosEntry {
 /// The full chaos timeline of a run: an ordered list of [`ChaosEntry`]s,
 /// plus the id bound separating validators from co-simulated clients.
 ///
-/// Since validation rejects windows that overlap in time on a shared
-/// link, entry order never changes which window governs a frame.
+/// Since validation rejects windows that overlap in time, entry order
+/// never changes which window governs a frame.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ChaosSchedule {
     /// Insertion order (validation errors name entries by this index).
@@ -191,11 +168,11 @@ impl ChaosSchedule {
     ///
     /// * every rate lies in `[0, 1]`;
     /// * every referenced validator exists;
-    /// * directed pairs have distinct endpoints;
     /// * every window is non-empty and has at least one effect;
-    /// * no two windows overlap in time while sharing a directed link —
-    ///   lookups resolve first-match, so an overlap would silently shadow
-    ///   one window's rates with the other's.
+    /// * no two windows overlap in time — any two targets share a link
+    ///   (two validators' links meet in the one between them), and lookups
+    ///   resolve first-match, so an overlap would silently shadow one
+    ///   window's rates with the other's.
     ///
     /// # Errors
     ///
@@ -213,19 +190,8 @@ impl ChaosSchedule {
                     ));
                 }
             }
-            match e.target {
-                ChaosTarget::AllLinks => {}
-                ChaosTarget::Node(node) => in_committee(node, n)?,
-                ChaosTarget::Pair { from, to } => {
-                    in_committee(from, n)?;
-                    in_committee(to, n)?;
-                    if from == to {
-                        return Err(format!(
-                            "chaos window {i}: a link needs two distinct endpoints, got \
-                             {from} -> {to}"
-                        ));
-                    }
-                }
+            if let ChaosTarget::Node(node) = e.target {
+                in_committee(node, n)?;
             }
             non_empty(format_args!("chaos window {i} ({})", e.target), e.from_us, e.until_us)?;
             if !e.has_effect() {
@@ -235,13 +201,11 @@ impl ChaosSchedule {
                 ));
             }
         }
-        // Pairwise overlap check: half-open time intervals intersecting
-        // while the targets share at least one directed link.
+        // Pairwise overlap check: half-open time intervals intersecting.
         for i in 0..self.entries.len() {
             for j in (i + 1)..self.entries.len() {
                 let (a, b) = (&self.entries[i], &self.entries[j]);
-                let time_overlap = a.from_us < b.until_us && b.from_us < a.until_us;
-                if time_overlap && a.target.intersects(&b.target) {
+                if a.from_us < b.until_us && b.from_us < a.until_us {
                     return Err(format!(
                         "chaos windows {i} ({}) and {j} ({}) overlap in \
                          [{}µs, {}µs) on a shared link; split the windows or merge the rates",
@@ -269,28 +233,10 @@ mod tests {
     fn target_coverage() {
         let all = ChaosTarget::AllLinks;
         let node = ChaosTarget::Node(2);
-        let pair = ChaosTarget::Pair { from: 1, to: 3 };
         assert!(all.covers(NodeId(0), NodeId(9)));
         assert!(node.covers(NodeId(2), NodeId(5)));
         assert!(node.covers(NodeId(5), NodeId(2)));
         assert!(!node.covers(NodeId(0), NodeId(1)));
-        assert!(pair.covers(NodeId(1), NodeId(3)));
-        assert!(!pair.covers(NodeId(3), NodeId(1)), "pair target is directed");
-    }
-
-    #[test]
-    fn target_intersection_is_symmetric_and_link_based() {
-        let node_a = ChaosTarget::Node(0);
-        let node_b = ChaosTarget::Node(1);
-        // The link 0 -> 1 belongs to both node targets.
-        assert!(node_a.intersects(&node_b));
-        let pair = ChaosTarget::Pair { from: 2, to: 3 };
-        assert!(!node_a.intersects(&pair));
-        assert!(pair.intersects(&ChaosTarget::Node(3)));
-        assert!(ChaosTarget::Node(3).intersects(&pair));
-        assert!(pair.intersects(&pair));
-        let other_pair = ChaosTarget::Pair { from: 3, to: 2 };
-        assert!(!pair.intersects(&other_pair), "reversed pair is a different link");
     }
 
     #[test]
@@ -350,16 +296,9 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_unknown_validators_and_self_links() {
+    fn validate_rejects_unknown_validators() {
         let s = ChaosSchedule::new().entry(entry(ChaosTarget::Node(9), 0, 1_000_000, 0.5));
         assert!(s.validate(4).unwrap_err().contains("outside the committee"));
-        let s = ChaosSchedule::new().entry(entry(
-            ChaosTarget::Pair { from: 1, to: 1 },
-            0,
-            1_000_000,
-            0.5,
-        ));
-        assert!(s.validate(4).unwrap_err().contains("two distinct endpoints"));
     }
 
     #[test]
@@ -371,17 +310,17 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_same_link_time_overlap() {
-        // Node(1) and Pair{0 -> 1} share the link 0 -> 1.
+    fn validate_rejects_time_overlap() {
+        // Node(0) and Node(1) share the links between 0 and 1.
         let s = ChaosSchedule::new()
             .entry(entry(ChaosTarget::Node(1), 0, 2_000_000, 0.2))
-            .entry(entry(ChaosTarget::Pair { from: 0, to: 1 }, 1_000_000, 3_000_000, 0.4));
+            .entry(entry(ChaosTarget::Node(0), 1_000_000, 3_000_000, 0.4));
         let err = s.validate(4).unwrap_err();
         assert!(err.contains("overlap"), "{err}");
-        // Disjoint link sets may overlap in time.
+        // Back to back is fine.
         let s = ChaosSchedule::new()
-            .entry(entry(ChaosTarget::Pair { from: 0, to: 1 }, 0, 2_000_000, 0.2))
-            .entry(entry(ChaosTarget::Pair { from: 1, to: 0 }, 0, 2_000_000, 0.4));
+            .entry(entry(ChaosTarget::Node(1), 0, 2_000_000, 0.2))
+            .entry(entry(ChaosTarget::Node(0), 2_000_000, 3_000_000, 0.4));
         assert!(s.validate(4).is_ok());
     }
 }

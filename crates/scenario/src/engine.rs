@@ -455,7 +455,7 @@ mod tests {
             r#"
 name = "engine-test"
 [committee]
-size = 4
+sizes = 4
 [load]
 tps = 200
 [run]
@@ -516,7 +516,7 @@ nodes = [3]
 at_secs = 1
 recover_at_secs = 2
 [[faults.byzantine]]
-node = 2
+node = 3
 strategy = "lazy_leader"
 delay_ms = 400
 [[faults.chaos]]
@@ -527,11 +527,11 @@ drop = 0.1
         let text =
             render_row(&run_plan(&plan, RunLimit::Duration, &ExecOptions::default()).rows[0]);
         for line in [
-            "      reinclusion v3: recovered at round 11 | first slot +0 | first commit +7",
-            "      adversary v2 (lazy_leader): never demoted | excluded 0x | slot share 31.1% | \
-             evidence 0",
-            "      chaos: delivered 3433 | dropped 52 dup 0 corrupt-rejected 0 reordered 0 | \
-             retransmits 22 | safety 183 records, 0 violations",
+            "      reinclusion v3: recovered at round 12 | first slot +6 | first commit never",
+            "      adversary v3 (lazy_leader): demoted after epoch 0 (round 20) | excluded 2x | \
+             slot share 11.3% | evidence 0",
+            "      chaos: delivered 3031 | dropped 56 dup 0 corrupt-rejected 0 reordered 0 | \
+             retransmits 31 | safety 230 records, 0 violations",
         ] {
             assert!(text.lines().any(|l| l == line), "{line:?} is not a line of\n{text}");
         }
@@ -543,7 +543,7 @@ drop = 0.1
             r#"
 name = "labels"
 [committee]
-size = 4
+sizes = 4
 [run]
 duration_secs = 2
 warmup_secs = 1
@@ -599,7 +599,7 @@ to_frac = 1.0
             r#"
 name = "jobs-test"
 [committee]
-size = 4
+sizes = 4
 [load]
 tps = [100, 200]
 [run]

@@ -163,7 +163,7 @@ mod tests {
             r#"
 name = "executor-test"
 [committee]
-size = 4
+sizes = 4
 [load]
 tps = [100, 200, 300]
 [run]

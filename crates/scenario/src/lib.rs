@@ -43,7 +43,7 @@
 //! let spec = ScenarioSpec::parse(r#"
 //! name = "smoke"
 //! [committee]
-//! size = 4
+//! sizes = 4
 //! [run]
 //! duration_secs = 2
 //! warmup_secs = 1
@@ -169,10 +169,10 @@ mod tests {
         for text in ["nan", "NaN", "inf", "-inf", "infinity", "1e400"] {
             assert_eq!(parse_scalar(text), toml::Value::Str(text.into()), "{text}");
         }
-        let (_, value) = parse_set("run.client_window_secs=nan").unwrap();
+        let (_, value) = parse_set("workload.burst_secs=nan").unwrap();
         let mut root = toml::parse("name = \"x\"\n").unwrap();
-        apply_set(&mut root, &["run".into(), "client_window_secs".into()], value).unwrap();
+        apply_set(&mut root, &["workload".into(), "burst_secs".into()], value).unwrap();
         let err = ScenarioSpec::from_value(&root).unwrap_err().to_string();
-        assert!(err.contains("client_window_secs` in [run] must be a number"), "{err}");
+        assert!(err.contains("`burst_secs` in [workload] must be a number"), "{err}");
     }
 }

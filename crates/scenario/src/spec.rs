@@ -586,18 +586,6 @@ impl Row {
     }
 }
 
-/// Cross-key rule shared by every scalar/plural and pct/stake pair: a
-/// table may give at most one of two keys that set the same thing.
-fn at_most_one(row: &Row, a: &Field, b: &Field) -> Result<(), ScenarioError> {
-    if row.has(a) && row.has(b) {
-        return Err(schema(format!(
-            "{} sets both `{}` and `{}`; set only one of them",
-            row.section.name, a.key, b.key
-        )));
-    }
-    Ok(())
-}
-
 /// Cross-key rule shared by the arrival processes and the byzantine
 /// strategies: of the `params` keys, only those the chosen variant
 /// `takes` may be given.
@@ -638,10 +626,7 @@ section!(ROOT = "the scenario root", shares [], {
     QUICK = "quick", Kind::Table(&QUICK_TABLE), Def::None;
 });
 
-// `size` and `sizes` (like `seed` and `seeds`) name one axis; the
-// canonical form writes the plural.
 section!(COMMITTEE_TABLE = "[committee]", shares [], {
-    SIZE = "size", Kind::U64Axis, Def::None;
     SIZES = "sizes", Kind::U64Axis, Def::U64(10), shown;
 });
 
@@ -652,9 +637,7 @@ section!(LOAD_TABLE = "[load]", shares [], {
 section!(RUN_TABLE = "[run]", shares [], {
     DURATION_SECS = "duration_secs", Kind::U64Axis, Def::U64(60), shown;
     WARMUP_SECS = "warmup_secs", Kind::U64, Def::None;
-    SEED = "seed", Kind::U64Axis, Def::None;
     SEEDS = "seeds", Kind::U64Axis, Def::U64(42), shown;
-    CLIENT_WINDOW_SECS = "client_window_secs", Kind::F64, Def::F64(2.0);
 });
 
 section!(NETWORK_TABLE = "[network]", shares [], {
@@ -691,7 +674,6 @@ section!(WORKLOAD_TABLE = "[workload]", shares [], {
     ARRIVAL = "arrival", Kind::Str, Def::Str("constant");
     MODE = "mode", Kind::Str, Def::Str("closed");
     PAYLOAD_BYTES = "payload_bytes", Kind::U64, Def::U64(0);
-    SPREAD = "spread", Kind::F64, Def::F64(1.0);
     BLOCK_BYTES = "block_bytes", Kind::U64, Def::None;
     BURST_SECS = "burst_secs", Kind::F64, Def::None;
     IDLE_SECS = "idle_secs", Kind::F64, Def::None;
@@ -744,20 +726,18 @@ section!(PHASE_TABLE = "[[workload.phase]]",
     shares [ARRIVAL, BURST_SECS, IDLE_SECS, RAMP_FROM_SCALE, RAMP_TO_SCALE], {
     FROM = "from", Kind::When, Def::U64(0);
     SCALE = "scale", Kind::F64, Def::F64(1.0);
-    PHASE_TPS = "tps", Kind::U64, Def::None;
 });
 
-/// Lowers the `[workload]` row for a run of `config`'s duration and load
-/// into `config.workload` and the proposer's block bound; whether the
-/// workload can run is [`ExperimentConfig::validate`]'s call. A scenario
+/// Lowers the `[workload]` row for a run of `config`'s duration into
+/// `config.workload` and the proposer's block bound; whether the workload
+/// can run is [`ExperimentConfig::validate`]'s call. A scenario
 /// without the table runs exactly [`Workload::constant`], the `[load] tps`
 /// sugar.
 ///
 /// The single-phase arrival keys and a `[[workload.phase]]` timeline
-/// exclude each other; a phase's rate is a `scale` or an absolute `tps`
-/// (divided by the run's load), not both, and a ramp takes neither.
+/// exclude each other; a ramp phase takes no `scale`.
 fn lower_workload(workload: &Row, config: &mut ExperimentConfig) -> Result<(), ScenarioError> {
-    let (duration, load_tps) = (config.duration_secs, config.load_tps);
+    let duration = config.duration_secs;
     let mode = match workload.get::<String>(&MODE).as_str() {
         "closed" => SubmissionMode::Closed,
         "open" => SubmissionMode::Open,
@@ -794,22 +774,10 @@ fn lower_workload(workload: &Row, config: &mut ExperimentConfig) -> Result<(), S
         )));
     }
     for phase in &timeline {
-        at_most_one(phase, &SCALE, &PHASE_TPS)?;
-        let scale = match phase.opt::<u64>(&PHASE_TPS) {
-            Some(_) if load_tps == 0 => {
-                return Err(ScenarioError::Invalid(
-                    "a workload phase gives an absolute tps but the load axis is 0 — use \
-                     `scale`, or set [load] tps"
-                        .into(),
-                ))
-            }
-            Some(tps) => tps as f64 / load_tps as f64,
-            None => phase.get(&SCALE),
-        };
-        let arrival = lower_arrival(phase, scale)?;
-        if matches!(arrival, Arrival::Ramp { .. }) && (phase.has(&SCALE) || phase.has(&PHASE_TPS)) {
+        let arrival = lower_arrival(phase, phase.get(&SCALE))?;
+        if matches!(arrival, Arrival::Ramp { .. }) && phase.has(&SCALE) {
             return Err(schema(
-                "ramp phases take ramp_from_scale / ramp_to_scale, not scale or tps".into(),
+                "ramp phases take ramp_from_scale / ramp_to_scale, not scale".into(),
             ));
         }
         phases.push(Phase { from_us: phase.instant_us(&FROM, duration)?, arrival });
@@ -823,7 +791,7 @@ fn lower_workload(workload: &Row, config: &mut ExperimentConfig) -> Result<(), S
             late.from_us
         )));
     }
-    config.workload = Workload { phases, mode, payload_bytes, spread: workload.get(&SPREAD) };
+    config.workload = Workload { phases, mode, payload_bytes };
     Ok(())
 }
 
@@ -840,7 +808,7 @@ section!(VARIANT_TABLE = "[[variant]]", shares [], {
 
 // Fault entries name their validators by exactly one of `nodes` (ids) or
 // `first` (a count), and their instants as `When` fields; `UNTIL` open
-// (absent = the end of the run), `HEAL` and `RESTART_AT` required.
+// (absent = the end of the run), `HEAL` required.
 section!(SLOWDOWN_TABLE = "[[faults.slowdown]]", shares [], {
     NODES = "nodes", Kind::Ids, Def::None;
     FIRST = "first", Kind::Count, Def::None;
@@ -869,21 +837,14 @@ fn lower_nodes(entry: &Row, n: usize) -> Result<Vec<u16>, ScenarioError> {
     Ok(ids)
 }
 
-// `recover_at` on a crash is sugar for a `[[faults.recover]]` entry of the
-// same validators, placed after every explicit one.
+// A crash's `recover_at` restarts the same validators.
 section!(CRASH_TABLE = "[[faults.crash]]", shares [NODES, FIRST, AT], {
     RECOVER_AT = "recover_at", Kind::When, Def::None;
 });
-section!(RECOVER_TABLE = "[[faults.recover]]", shares [NODES, FIRST], {
-    RESTART_AT = "at", Kind::When, Def::Required;
-});
 
-// A partition is two explicit groups or the first `count` validators
-// against the rest.
+// A partition cuts the first `count` validators off from the rest.
 section!(PARTITION_TABLE = "[[faults.partition]]", shares [FROM], {
-    GROUP_A = "a", Kind::Ids, Def::None;
-    GROUP_B = "b", Kind::Ids, Def::None;
-    ISOLATE_FIRST = "isolate_first", Kind::Count, Def::None;
+    ISOLATE_FIRST = "isolate_first", Kind::Count, Def::Required;
     HEAL = "until", Kind::When, Def::Required;
 });
 
@@ -947,12 +908,9 @@ fn lower_byzantine(faults: &Row, duration: u64) -> Result<ByzantineSchedule, Sce
     Ok(schedule)
 }
 
-// A chaos window afflicts every link, one validator's links (`node`), or
-// one directed link (`from` + `to`).
+// A chaos window afflicts every link, or one validator's links (`node`).
 section!(CHAOS_TABLE = "[[faults.chaos]]", shares [FROM, UNTIL], {
     CHAOS_NODE = "node", Kind::Id, Def::None;
-    LINK_FROM = "from", Kind::Id, Def::None;
-    LINK_TO = "to", Kind::Id, Def::None;
     DROP = "drop", Kind::F64, Def::F64(0.0);
     DUPLICATE = "duplicate", Kind::F64, Def::F64(0.0);
     CORRUPT = "corrupt", Kind::F64, Def::F64(0.0);
@@ -961,26 +919,13 @@ section!(CHAOS_TABLE = "[[faults.chaos]]", shares [FROM, UNTIL], {
 
 /// Lowers the `[[faults.chaos]]` entries of a run of `duration` seconds
 /// into the [`ChaosSchedule`], in file order. Rates outside `[0, 1]`,
-/// out-of-range validators, empty or effect-free windows, and ambiguously
-/// overlapping same-link windows are [`ChaosSchedule::validate`]'s to
-/// reject.
+/// out-of-range validators, empty or effect-free windows, and
+/// overlapping windows are [`ChaosSchedule::validate`]'s to reject.
 fn lower_chaos(faults: &Row, duration: u64) -> Result<ChaosSchedule, ScenarioError> {
     let mut schedule = ChaosSchedule::new();
     for entry in faults.get::<Vec<Row>>(&CHAOS) {
-        let target = match (entry.opt(&CHAOS_NODE), entry.opt(&LINK_FROM), entry.opt(&LINK_TO)) {
-            (None, None, None) => ChaosTarget::AllLinks,
-            (Some(node), None, None) => ChaosTarget::Node(node),
-            (None, Some(from), Some(to)) => ChaosTarget::Pair { from, to },
-            _ => {
-                return Err(schema(
-                    "[[faults.chaos]] afflicts all links by default; narrow it with either \
-                     `node` or the directed pair `from` + `to`, not a mix"
-                        .into(),
-                ))
-            }
-        };
         schedule = schedule.entry(ChaosEntry {
-            target,
+            target: entry.opt(&CHAOS_NODE).map_or(ChaosTarget::AllLinks, ChaosTarget::Node),
             from_us: entry.instant_us(&FROM, duration)?,
             until_us: entry.instant_us(&UNTIL, duration)?,
             drop: entry.get(&DROP),
@@ -993,44 +938,27 @@ fn lower_chaos(faults: &Row, duration: u64) -> Result<ChaosSchedule, ScenarioErr
 }
 
 section!(FAULTS_TABLE = "[faults]", shares [], {
-    CRASHED = "crashed", Kind::Ids, Def::None;
     CRASH_LAST = "crash_last", Kind::Count, Def::None;
     SLOWDOWN = "slowdown", Kind::Tables(&SLOWDOWN_TABLE), Def::None;
     CRASH = "crash", Kind::Tables(&CRASH_TABLE), Def::None;
-    RECOVER = "recover", Kind::Tables(&RECOVER_TABLE), Def::None;
     PARTITION = "partition", Kind::Tables(&PARTITION_TABLE), Def::None;
     BYZANTINE = "byzantine", Kind::Tables(&BYZANTINE_TABLE), Def::None;
     CHAOS = "chaos", Kind::Tables(&CHAOS_TABLE), Def::None;
 });
 
-/// The validators down from t=0 in a committee of `n`: `crashed` and the
-/// last `crash_last` (all of them when it exceeds `n`). Whether they exist
-/// and number at most `f` is the fault schedule's call.
-fn lower_crashed(faults: &Row, n: usize) -> Vec<u16> {
-    let mut crashed: Vec<u16> = faults.opt(&CRASHED).unwrap_or_default();
-    if let Some(expr) = faults.opt::<CountExpr>(&CRASH_LAST) {
-        let count = expr.resolve(n);
-        crashed.extend((n.saturating_sub(count)..n).map(|i| i as u16));
-    }
-    crashed.sort_unstable();
-    crashed.dedup();
-    crashed
-}
-
-/// Lowers the crash, recovery, slowdown and partition entries for a
-/// committee of `n` and a run of `duration` seconds, `crashed` (see
-/// [`lower_crashed`]) down from t=0, into the [`FaultSchedule`].
-/// Recover-before-crash, contradictory windows and more than `f`
-/// concurrent crashes are [`FaultSchedule::validate`]'s to reject.
+/// Lowers the `[faults]` table for a committee of `n` and a run of
+/// `duration` seconds into the [`FaultSchedule`]. `crash_last` counts
+/// beyond `n` crash everyone; recover-before-crash, contradictory windows
+/// and more than `f` concurrent crashes are [`FaultSchedule::validate`]'s
+/// to reject.
 ///
 /// The simulator numbers same-instant events in insertion order, so the
-/// order is part of a run's bytes: `crashed`, the crash entries, the
-/// `[[faults.recover]]` entries, each crash's `recover_at`, the slowdowns,
-/// the partitions — each kind in file order.
+/// order is part of a run's bytes: the `crash_last` validators, the crash
+/// entries, each crash's `recover_at`, the slowdowns, the partitions —
+/// each kind in file order.
 fn lower_fault_schedule(
     faults: &Row,
     n: usize,
-    crashed: &[u16],
     duration: u64,
 ) -> Result<FaultSchedule, ScenarioError> {
     type Event = fn(FaultSchedule, u16, u64) -> FaultSchedule;
@@ -1042,12 +970,11 @@ fn lower_fault_schedule(
     };
     let entries = |field: &Field| faults.get::<Vec<Row>>(field);
     let crashes = entries(&CRASH);
-    let mut schedule = FaultSchedule::new().crash_from_start(crashed.iter().copied());
+    let last = faults.opt::<CountExpr>(&CRASH_LAST).map_or(0, |count| count.resolve(n));
+    let mut schedule =
+        FaultSchedule::new().crash_from_start((n.saturating_sub(last)..n).map(|i| i as u16));
     for entry in &crashes {
         schedule = timed(schedule, entry, &AT, FaultSchedule::crash)?;
-    }
-    for entry in &entries(&RECOVER) {
-        schedule = timed(schedule, entry, &RESTART_AT, FaultSchedule::recover)?;
     }
     for entry in crashes.iter().filter(|entry| entry.has(&RECOVER_AT)) {
         schedule = timed(schedule, entry, &RECOVER_AT, FaultSchedule::recover)?;
@@ -1061,24 +988,10 @@ fn lower_fault_schedule(
         }
     }
     for entry in &entries(&PARTITION) {
-        let groups = (entry.opt(&GROUP_A), entry.opt(&GROUP_B));
-        let (a, b): (Vec<u16>, Vec<u16>) = match (groups, entry.opt::<CountExpr>(&ISOLATE_FIRST)) {
-            ((Some(a), Some(b)), None) => (a, b),
-            ((None, None), Some(count)) => {
-                let k = count.resolve(n).min(n.saturating_sub(1));
-                ((0..k as u16).collect(), (k as u16..n as u16).collect())
-            }
-            _ => {
-                return Err(schema(
-                    "[[faults.partition]] needs either both `a` and `b` id lists or \
-                     `isolate_first` (count)"
-                        .into(),
-                ))
-            }
-        };
+        let k = entry.get::<CountExpr>(&ISOLATE_FIRST).resolve(n).min(n.saturating_sub(1)) as u16;
         let (from_us, until_us) =
             (entry.instant_us(&FROM, duration)?, entry.instant_us(&HEAL, duration)?);
-        schedule = schedule.partition(a, b, from_us, until_us);
+        schedule = schedule.partition((0..k).collect(), (k..n as u16).collect(), from_us, until_us);
     }
     Ok(schedule)
 }
@@ -1138,18 +1051,7 @@ impl ScenarioSpec {
     pub fn from_value(root_value: &Value) -> Result<Self, ScenarioError> {
         let table =
             root_value.as_table().ok_or_else(|| schema("scenario root must be a table".into()))?;
-        let mut root = ROOT.read(table)?;
-        // A singular spelling names the plural's axis; it is folded in here,
-        // once, so only the plural is read or written past this point.
-        for (sub, one, many) in [(&COMMITTEE, &SIZE, &SIZES), (&RUN, &SEED, &SEEDS)] {
-            let mut row: Row = root.get(sub);
-            at_most_one(&row, one, many)?;
-            let index = row.index(one);
-            if let Some(axis) = row.cells[index].take() {
-                root = root.with(sub, row.with(many, axis));
-            }
-        }
-        let spec = ScenarioSpec { root };
+        let spec = ScenarioSpec { root: ROOT.read(table)? };
         spec.validate()?;
         Ok(spec)
     }
@@ -1211,13 +1113,6 @@ impl ScenarioSpec {
         let run: Row = self.root.get(&RUN);
         let sizes = to_usizes(self.root.get::<Row>(&COMMITTEE).get(&SIZES));
         check_axes(&sizes, &run.get::<Vec<u64>>(&DURATION_SECS), run.opt(&WARMUP_SECS))?;
-        let client_window: f64 = run.get(&CLIENT_WINDOW_SECS);
-        if client_window.is_nan() || client_window <= 0.0 {
-            return Err(ScenarioError::Invalid("client_window_secs must be positive".into()));
-        }
-        if client_window.is_infinite() {
-            return Err(ScenarioError::Invalid("client_window_secs must be finite".into()));
-        }
         let variants: Vec<Row> = self.root.get(&VARIANT);
         let mut labels: Vec<String> = variants.iter().map(|v| v.get(&LABEL)).collect();
         labels.sort_unstable();
@@ -1352,14 +1247,13 @@ impl ScenarioSpec {
 /// Ordered key/value labels identifying a run in reports.
 type Labels = Vec<(String, String)>;
 
-/// Lowers a `[[variant]]` row, given or expanded, on `committee` with
-/// `crashed` down from t=0: the label of its system, its schedule and the
-/// report labels read off that schedule. Of the keys the systems share
-/// out, only those its system reads may be given.
+/// Lowers a `[[variant]]` row, given or expanded, on `committee`: the
+/// label of its system, its schedule and the report labels read off that
+/// schedule. Of the keys the systems share out, only those its system
+/// reads may be given.
 fn lower_variant(
     variant: &Row,
     committee: &Committee,
-    crashed: &[u16],
 ) -> Result<(&'static str, ScheduleConfig, Labels), ScenarioError> {
     let name: String = variant.get(&SYSTEM);
     let params = [&STATIC_LEADER, &VARIANT_SCORING, &VARIANT_PERIOD_ROUNDS, &VARIANT_PCT];
@@ -1408,11 +1302,6 @@ fn lower_variant(
                     "static_leader {leader} is outside the committee of {n}"
                 )));
             }
-            if crashed.contains(&leader) {
-                return Err(ScenarioError::Invalid(format!(
-                    "static_leader {leader} is crashed — the run would never commit"
-                )));
-            }
             Ok((system, ScheduleConfig::StaticLeader(ValidatorId(leader)), Vec::new()))
         }
         _ => Ok((system, ScheduleConfig::RoundRobin, Vec::new())),
@@ -1457,10 +1346,8 @@ impl ScenarioSpec {
         let mut runs = Vec::new();
         for &n in &sizes {
             let committee = Committee::new_equal_stake(n);
-            let crashed = lower_crashed(&faults, n);
             for variant in &variants {
-                let (system, schedule, schedule_labels) =
-                    lower_variant(variant, &committee, &crashed)?;
+                let (system, schedule, schedule_labels) = lower_variant(variant, &committee)?;
                 let label = variant.opt::<String>(&LABEL).unwrap_or_else(|| system.to_string());
                 for &duration in &durations {
                     for &load in &loads {
@@ -1473,11 +1360,10 @@ impl ScenarioSpec {
                             config.warmup_secs = warmup.unwrap_or((duration / 6).max(1));
                             config.windows = lower_windows(&analysis, duration)?;
                             config.seed = seed;
-                            config.client_window_secs = run.get(&CLIENT_WINDOW_SECS);
                             config.network = network;
                             config.validator.schedule = schedule.clone();
                             lower_workload(&workload, &mut config)?;
-                            config.faults = lower_fault_schedule(&faults, n, &crashed, duration)?;
+                            config.faults = lower_fault_schedule(&faults, n, duration)?;
                             config.byzantine = lower_byzantine(&faults, duration)?;
                             config.chaos = lower_chaos(&faults, duration)?;
                             config.validate(&committee).map_err(ScenarioError::Invalid)?;
@@ -1644,7 +1530,7 @@ run = ["bullshark", "hammerhead"]
     fn every_field_table_is_strict_typed_and_defaulted() {
         let sections = all_sections();
         let names: Vec<&str> = sections.iter().map(|s| s.name).collect();
-        assert_eq!(names.len(), 20, "a table was added or lost: {names:?}");
+        assert_eq!(names.len(), 19, "a table was added or lost: {names:?}");
         for section in sections {
             let base = minimal(section);
             let row = section.read(&base).unwrap_or_else(|e| panic!("{}: {e}", section.name));
@@ -1739,7 +1625,7 @@ run = ["bullshark", "hammerhead"]
                 }
             }
         }
-        assert!(fields.len() > 80, "{} fields", fields.len());
+        assert!(fields.len() > 70, "{} fields", fields.len());
         for field in &fields {
             let literal = format!("\"{}\"", field.key);
             let declared = fields
@@ -1820,16 +1706,19 @@ run = ["bullshark", "hammerhead"]
             assert_eq!(rows, expected, "the key table of {} in docs/ is stale", section.name);
             documented += rows.len();
         }
-        assert!(documented > 80, "{documented} keys documented");
+        assert!(documented > 60, "{documented} keys documented");
     }
 
-    /// The report switches and `[run]`'s GST key (partial synchrony is a
-    /// chaos window) are gone from the schema: a file that still sets one
-    /// is told so, with what the table takes.
+    /// The report switches, `[run]`'s GST key (partial synchrony is a
+    /// chaos window), the client window and the second spellings of a key
+    /// (`size`, `seed`, `crashed`, the `recover` tables, a phase's `tps`,
+    /// a partition's groups, a chaos link) are gone from the schema: a file
+    /// that still sets one is told so, with what the table takes.
     #[test]
-    fn removed_report_switches_are_unknown_keys() {
+    fn removed_keys_are_unknown_keys() {
         let analysis = "window";
-        let run = "duration_secs, warmup_secs, seed, seeds, client_window_secs";
+        let run = "duration_secs, warmup_secs, seeds";
+        let faults = "crash_last, slowdown, crash, partition, byzantine, chaos";
         for (table, key, value, allowed) in [
             ("analysis", "skipped_rounds", "true", analysis),
             ("analysis", "schedule_churn", "true", analysis),
@@ -1838,12 +1727,29 @@ run = ["bullshark", "hammerhead"]
             ("analysis", "chaos", "true", analysis),
             // Spelled in two halves: `ci.sh` fails on any other mention.
             ("run", concat!("gst", "_secs"), "3", run),
+            ("run", concat!("client_window", "_secs"), "2.0", run),
+            ("run", "seed", "1", run),
+            ("committee", "size", "10", "sizes"),
+            ("faults", "crashed", "[1]", faults),
+            ("faults", "recover", "[]", faults),
         ] {
             let err = ScenarioSpec::parse(&format!("name = \"x\"\n[{table}]\n{key} = {value}\n"))
                 .unwrap_err()
                 .to_string();
             let expected = format!("unknown key `{key}` in [{table}] (allowed: {allowed})");
             assert!(err.contains(&expected), "{err}");
+        }
+        for (table, line) in [
+            ("[workload]", "spread = 2.0"),
+            ("[[workload.phase]]", "tps = 100"),
+            ("[[faults.partition]]", "a = [0]"),
+            ("[[faults.chaos]]", "to = 1"),
+        ] {
+            let err = ScenarioSpec::parse(&format!("name = \"x\"\n{table}\n{line}\n"))
+                .unwrap_err()
+                .to_string();
+            let key = line.split(' ').next().unwrap();
+            assert!(err.contains(&format!("unknown key `{key}` in {table}")), "{err}");
         }
     }
 
@@ -1907,7 +1813,7 @@ static_leader = 2
     /// and its label names that budget, as the `[systems]` expansion's does.
     #[test]
     fn a_variant_labels_the_budget_it_ran() {
-        let axis = "name = \"x\"\n[committee]\nsize = 10\n[hammerhead]\nmax_excluded_pct = 20\n";
+        let axis = "name = \"x\"\n[committee]\nsizes = 10\n[hammerhead]\nmax_excluded_pct = 20\n";
         for doc in [
             format!("{axis}[[variant]]\nlabel = \"hh\"\n"),
             format!("{axis}[systems]\nrun = \"hammerhead\"\n"),
@@ -2008,23 +1914,49 @@ static_leader = 2
         assert_eq!(period(&quick), 4);
     }
 
+    /// A static leader down from t = 0 never commits: the run is refused,
+    /// whichever fault table crashes it.
     #[test]
     fn static_leader_must_be_alive() {
-        let err = ScenarioSpec::parse(
-            r#"
-name = "x"
-[faults]
-crashed = [0]
-[[variant]]
-label = "static"
-system = "static-leader"
-static_leader = 0
-"#,
-        )
-        .unwrap()
-        .plan(&PlanOptions::default())
-        .unwrap_err();
-        assert!(err.to_string().contains("crashed"), "{err}");
+        let variant = "[[variant]]\nlabel = \"static\"\nsystem = \"static-leader\"\n";
+        for (faults, leader) in
+            [("[[faults.crash]]\nnodes = [2]\n", 2), ("[faults]\ncrash_last = 1\n", 9)]
+        {
+            let doc = format!("name = \"x\"\n{faults}{variant}static_leader = {leader}\n");
+            assert_eq!(
+                plan_error(&doc).to_string(),
+                format!(
+                    "invalid scenario: run: static leader {leader} is crashed at t = 0 and never \
+                     commits"
+                )
+            );
+        }
+        // Crashed later, it has led until then.
+        let doc = format!("name = \"x\"\n[[faults.crash]]\nnodes = [2]\nat_secs = 5\n{variant}");
+        assert!(ScenarioSpec::parse(&format!("{doc}static_leader = 2\n"))
+            .unwrap()
+            .plan(&PlanOptions::default())
+            .is_ok());
+    }
+
+    /// A byzantine validator and a crashed one are two faults: on n = 4
+    /// (f = 1) they cannot run together, though each fits the budget alone.
+    /// A byzantine validator that also crashes counts once.
+    #[test]
+    fn byzantine_and_crashed_validators_share_the_fault_budget() {
+        let doc = |attacker: u16| {
+            format!(
+                "name = \"x\"\n[committee]\nsizes = 4\n[faults]\ncrash_last = 1\n\
+                 [[faults.byzantine]]\nnode = {attacker}\nstrategy = \"equivocate\"\n"
+            )
+        };
+        assert_eq!(
+            plan_error(&doc(0)).to_string(),
+            "invalid scenario: run: 1 byzantine plus 1 crashed validators at 0µs exceed f = 1 \
+             for a committee of 4"
+        );
+        let plan = ScenarioSpec::parse(&doc(3)).unwrap().plan(&PlanOptions::default());
+        assert!(plan.is_ok(), "{:?}", plan.map(|plan| plan.runs.len()));
     }
 
     #[test]
@@ -2080,7 +2012,7 @@ extra_ms = 800
             r#"
 name = "dynamic"
 [committee]
-size = 7
+sizes = 7
 [run]
 duration_secs = 40
 [[faults.crash]]
@@ -2116,16 +2048,16 @@ until_frac = 0.75
     }
 
     /// The simulator numbers same-instant events in insertion order, so the
-    /// lowering's order is part of a run's bytes: `crashed` / `crash_last`,
-    /// crashes, `[[faults.recover]]` entries, each crash's `recover_at`,
-    /// slowdowns, partitions — whatever order the file gives them in.
+    /// lowering's order is part of a run's bytes: `crash_last`, crashes,
+    /// each crash's `recover_at`, slowdowns, partitions — whatever order
+    /// the file gives them in.
     #[test]
     fn fault_events_keep_the_lowering_order() {
         let spec = ScenarioSpec::parse(
             r#"
 name = "order"
 [committee]
-size = 10
+sizes = 10
 [run]
 duration_secs = 20
 [faults]
@@ -2138,16 +2070,14 @@ until_secs = 6
 nodes = [3]
 at_secs = 5
 extra_ms = 10
-[[faults.recover]]
+[[faults.crash]]
 nodes = [2]
-at_secs = 5
+at_secs = 3
+recover_at_secs = 5
 [[faults.crash]]
 nodes = [1]
 at_secs = 2
 recover_at_secs = 5
-[[faults.crash]]
-nodes = [2]
-at_secs = 3
 "#,
         )
         .unwrap();
@@ -2158,8 +2088,8 @@ at_secs = 3
             plan.runs[0].config.faults.events(),
             &[
                 Crash { node: 9, at_us: 0 },
-                Crash { node: 1, at_us: 2 * s },
                 Crash { node: 2, at_us: 3 * s },
+                Crash { node: 1, at_us: 2 * s },
                 Recover { node: 2, at_us: 5 * s },
                 Recover { node: 1, at_us: 5 * s },
                 Slowdown { node: 3, from_us: 5 * s, until_us: u64::MAX, extra_us: 10_000 },
@@ -2175,14 +2105,6 @@ at_secs = 3
 
     #[test]
     fn contradictory_fault_schedules_are_rejected() {
-        // Recovery with no preceding crash.
-        let err =
-            ScenarioSpec::parse("name = \"x\"\n[[faults.recover]]\nnodes = [1]\nat_secs = 5\n")
-                .unwrap()
-                .plan(&PlanOptions::default())
-                .unwrap_err();
-        assert!(err.to_string().contains("without a preceding crash"), "{err}");
-
         // Recovery scheduled before its crash.
         let err = ScenarioSpec::parse(
             "name = \"x\"\n[[faults.crash]]\nnodes = [1]\nat_secs = 20\nrecover_at_secs = 10\n",
@@ -2227,7 +2149,6 @@ period_rounds = [4, 20]
 max_excluded_pct = [10, 20]
 scoring = ["vote-based", "vote-ema-30"]
 [faults]
-crashed = [1]
 crash_last = "n/5"
 [[faults.slowdown]]
 first = 2
@@ -2237,12 +2158,9 @@ extra_ms = 100
 [[faults.crash]]
 nodes = [0]
 at_secs = 10
-[[faults.recover]]
-nodes = [0]
-at_secs = 20
+recover_at_secs = 20
 [[faults.partition]]
-a = [0, 1]
-b = [2, 3]
+isolate_first = 2
 from_secs = 3
 until_frac = 0.5
 [[analysis.window]]
@@ -2275,27 +2193,20 @@ node = 2
 from_frac = 0.5
 corrupt = 0.2
 reorder_ms = 40
-[[faults.chaos]]
-from = 0
-to = 1
-from_secs = 5
-until_secs = 7
-drop = 0.9
 "#,
         )
         .unwrap();
         let plan = spec.plan(&PlanOptions::default()).unwrap();
         let schedule = &plan.runs[0].config.chaos;
         let entries = schedule.entries();
-        assert_eq!(entries.len(), 3);
+        assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].target, hh_sim::ChaosTarget::AllLinks);
         assert_eq!(entries[0].until_us, 5_000_000, "frac of a 10s run");
         assert_eq!(entries[0].drop, 0.3);
         assert_eq!(entries[1].target, hh_sim::ChaosTarget::Node(2));
         assert_eq!(entries[1].until_us, u64::MAX, "open window runs to the end");
         assert_eq!(entries[1].reorder_us, 40_000, "ms sugar lowers to µs");
-        assert_eq!(entries[2].target, hh_sim::ChaosTarget::Pair { from: 0, to: 1 });
-        assert_eq!(entries[2].from_us, 5_000_000);
+        assert_eq!(entries[1].from_us, 5_000_000);
     }
 
     #[test]
@@ -2312,8 +2223,7 @@ from_frac = 0.4
 until_frac = 0.8
 duplicate = 0.5
 [[faults.chaos]]
-from = 2
-to = 3
+node = 3
 from_secs = 1
 corrupt = 0.1
 "#;
@@ -2327,15 +2237,6 @@ corrupt = 0.1
     fn plan_error(doc: &str) -> ScenarioError {
         let spec = ScenarioSpec::parse(doc).unwrap_or_else(|e| panic!("{doc:?}: {e}"));
         spec.plan(&PlanOptions::default()).map(|plan| plan.runs.len()).unwrap_err()
-    }
-
-    #[test]
-    fn rejects_mixed_chaos_scope() {
-        let err =
-            plan_error("name = \"x\"\n[[faults.chaos]]\nnode = 1\nfrom = 0\nto = 2\ndrop = 0.5\n");
-        assert!(matches!(err, ScenarioError::Schema(_)), "{err}");
-        let err = plan_error("name = \"x\"\n[[faults.chaos]]\nfrom = 0\ndrop = 0.5\n");
-        assert!(err.to_string().contains("`from` + `to`"), "{err}");
     }
 
     #[test]
@@ -2374,7 +2275,7 @@ corrupt = 0.1
     /// keys) onto earlier members, so it is no scenario.
     #[test]
     fn committees_beyond_the_validator_ids_are_invalid() {
-        let err = ScenarioSpec::parse("name = \"x\"\n[committee]\nsize = 65537\n").unwrap_err();
+        let err = ScenarioSpec::parse("name = \"x\"\n[committee]\nsizes = 65537\n").unwrap_err();
         let expected = "invalid scenario: committee size 65537 exceeds 65536, the number of \
                         validator ids";
         assert_eq!(err.to_string(), expected);
@@ -2382,39 +2283,6 @@ corrupt = 0.1
         let spec = ScenarioSpec::parse("name = \"x\"\n[quick]\nsizes = 70000\n").unwrap();
         let err = spec.plan(&PlanOptions { quick: true, ..PlanOptions::default() }).unwrap_err();
         assert!(err.to_string().contains("committee size 70000 exceeds"), "{err}");
-    }
-
-    /// The reader turns an overflowing literal away, and a value patched in
-    /// past it (as `hh-cli --set` patches) must still be a finite, positive
-    /// window.
-    #[test]
-    fn client_window_must_be_finite_and_positive() {
-        let err =
-            ScenarioSpec::parse("name = \"x\"\n[run]\nclient_window_secs = 1e400\n").unwrap_err();
-        assert!(err.to_string().contains("bad float `1e400`"), "{err}");
-        for (window, words) in [
-            (f64::NAN, "client_window_secs must be positive"),
-            (-1.0, "client_window_secs must be positive"),
-            (f64::INFINITY, "client_window_secs must be finite"),
-        ] {
-            let mut root = toml::parse(MINIMAL).unwrap();
-            let Value::Table(table) = &mut root else { unreachable!("a document is a table") };
-            let run = BTreeMap::from([("client_window_secs".to_string(), Value::Float(window))]);
-            table.insert("run".into(), Value::Table(run));
-            let err = ScenarioSpec::from_value(&root).unwrap_err();
-            assert_eq!(err.to_string(), format!("invalid scenario: {words}"), "{window}");
-        }
-    }
-
-    #[test]
-    fn conflicting_scalar_and_plural_keys_rejected() {
-        for doc in [
-            "name = \"x\"\n[committee]\nsize = 50\nsizes = [10]\n",
-            "name = \"x\"\n[run]\nseed = 1\nseeds = [2, 3]\n",
-        ] {
-            let err = ScenarioSpec::parse(doc).unwrap_err();
-            assert!(err.to_string().contains("only one of"), "doc {doc:?} gave {err}");
-        }
     }
 
     #[test]
@@ -2451,7 +2319,6 @@ duration_secs = 40
 arrival = "poisson"
 mode = "open"
 payload_bytes = 512
-spread = 2.5
 block_bytes = 65536
 "#,
         )
@@ -2464,12 +2331,11 @@ block_bytes = 65536
         );
         assert_eq!(config.workload.mode, SubmissionMode::Open);
         assert_eq!(config.workload.payload_bytes, 512);
-        assert_eq!(config.workload.spread, 2.5);
         assert_eq!(config.validator.max_block_bytes, 65536);
     }
 
     #[test]
-    fn workload_phases_resolve_fracs_and_absolute_rates() {
+    fn workload_phases_resolve_fracs_and_scales() {
         let spec = ScenarioSpec::parse(
             r#"
 name = "phased"
@@ -2486,7 +2352,7 @@ burst_secs = 2.0
 idle_secs = 2.0
 [[workload.phase]]
 from_secs = 30
-tps = 1500
+scale = 3.0
 arrival = "poisson"
 "#,
         )
@@ -2501,7 +2367,6 @@ arrival = "poisson"
                     from_us: 10_000_000,
                     arrival: Arrival::OnOff { scale: 1.0, burst_secs: 2.0, idle_secs: 2.0 },
                 },
-                // tps 1500 against the 500 load axis → scale 3.
                 Phase { from_us: 30_000_000, arrival: Arrival::Poisson { scale: 3.0 } },
             ]
         );
@@ -2521,10 +2386,6 @@ arrival = "poisson"
             (
                 "name = \"x\"\n[workload]\narrival = \"poisson\"\n[[workload.phase]]\nscale = 1.0\n",
                 "conflicts with an explicit",
-            ),
-            (
-                "name = \"x\"\n[[workload.phase]]\nscale = 1.0\ntps = 100\n",
-                "both `scale` and `tps`",
             ),
             (
                 "name = \"x\"\n[[workload.phase]]\narrival = \"ramp\"\nramp_to_scale = 2.0\nscale = 1.0\n",
@@ -2585,17 +2446,12 @@ arrival = "poisson"
             ),
             (
                 "fault schedule",
-                format!("{CUT}a = []\nb = [1]\nuntil_secs = 5\n"),
+                format!("{CUT}isolate_first = 0\nuntil_secs = 5\n"),
                 "partition groups must both be non-empty",
             ),
             (
                 "fault schedule",
-                format!("{CUT}a = [0, 1]\nb = [1, 2]\nuntil_secs = 5\n"),
-                "validator 1 is on both sides of a partition",
-            ),
-            (
-                "fault schedule",
-                "[faults]\ncrashed = [10]\n".into(),
+                "[[faults.crash]]\nnodes = [10]\n".into(),
                 "validator 10 is outside the committee of 10",
             ),
             (
@@ -2605,7 +2461,7 @@ arrival = "poisson"
             ),
             (
                 "fault schedule",
-                "[faults]\ncrashed = [0, 1]\ncrash_last = 2\n".into(),
+                "[faults]\ncrash_last = 2\n[[faults.crash]]\nnodes = [0, 1]\n".into(),
                 "exceeds f = 3",
             ),
             ("fault schedule", "[faults]\ncrash_last = 11\n".into(), "exceeds f = 3"),
@@ -2621,7 +2477,6 @@ arrival = "poisson"
                 "chaos window 0 (all links) is empty",
             ),
             // Workload::validate
-            ("workload", "[workload]\nspread = 0.5\n".into(), "spread must be ≥ 1, got 0.5"),
             (
                 "workload",
                 "[workload]\npayload_bytes = 2097152\n".into(),
@@ -2766,7 +2621,6 @@ duration_secs = 30
 [workload]
 mode = "open"
 payload_bytes = 128
-spread = 3.0
 block_bytes = 32768
 [[workload.phase]]
 scale = 0.5
@@ -2777,7 +2631,7 @@ burst_secs = 1.5
 idle_secs = 2.5
 [[workload.phase]]
 from_secs = 20
-tps = 1200
+scale = 1.5
 arrival = "poisson"
 [[workload.phase]]
 from_frac = 0.9

@@ -196,7 +196,7 @@ fn assert_lowers(spec: &ScenarioSpec, expected: &ByzantineSchedule) {
 
 fn spec_with(faults: &str) -> Result<ScenarioSpec, hh_scenario::ScenarioError> {
     ScenarioSpec::parse(&format!(
-        "name = \"rejection\"\n[committee]\nsize = 4\n[run]\nduration_secs = 20\nwarmup_secs = \
+        "name = \"rejection\"\n[committee]\nsizes = 4\n[run]\nduration_secs = 20\nwarmup_secs = \
          2\n[network]\nmodel = \"flat\"\n{faults}"
     ))
 }

@@ -11,7 +11,7 @@ pub const DURATION_SECS: u64 = 20;
 /// `n` on a flat network, one 20 s run.
 pub fn base(name: &str, n: usize) -> String {
     format!(
-        "name = \"{name}\"\n[committee]\nsize = {n}\n[run]\nduration_secs = {DURATION_SECS}\n\
+        "name = \"{name}\"\n[committee]\nsizes = {n}\n[run]\nduration_secs = {DURATION_SECS}\n\
          warmup_secs = 2\n[network]\nmodel = \"flat\"\n"
     )
 }

@@ -11,7 +11,7 @@ use hh_scenario::{report_json, run_plan, ExecOptions, PlanOptions, RunLimit, Sce
 const DYNAMIC_FAULTS: &str = r#"
 name = "fault-e2e"
 [committee]
-size = 7
+sizes = 7
 [load]
 tps = 150
 [run]
@@ -30,8 +30,7 @@ nodes = [3]
 at_secs = 1
 recover_at_secs = 3
 [[faults.partition]]
-a = [0]
-b = [1, 2, 3, 4, 5, 6]
+isolate_first = 1
 from_secs = 4
 until_secs = 5
 "#;

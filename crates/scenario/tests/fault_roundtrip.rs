@@ -21,18 +21,16 @@ use proptest::prelude::*;
 mod common;
 use common::{Mix, When, DURATION_SECS};
 
-/// A generated fault declaration: the text of its `[faults]` table, of its
-/// crash and recover entries and of its other entries, and the events each
-/// kind of entry lowers to, in file order.
+/// A generated fault declaration: the text of its crash entries and of
+/// its other entries, and the events each kind of entry lowers to, in
+/// file order.
 #[derive(Default)]
 struct Faults {
-    table: String,
     outages: String,
     others: String,
     crashes: Vec<FaultEvent>,
-    recovers: Vec<FaultEvent>,
     /// What the `recover_at` of a crash lowers to.
-    sugar: Vec<FaultEvent>,
+    recovers: Vec<FaultEvent>,
     slowdowns: Vec<FaultEvent>,
     partitions: Vec<FaultEvent>,
 }
@@ -40,32 +38,27 @@ struct Faults {
 impl Faults {
     fn text(&self, n: usize) -> String {
         let base = common::base("fault-roundtrip", n);
-        format!("{base}{}{}{}", self.table, self.outages, self.others)
+        format!("{base}{}{}", self.outages, self.others)
     }
 
     /// The planned schedule's events: the kinds in the order the lowering
     /// pushes them, each in file order.
     fn events(&self) -> Vec<FaultEvent> {
-        [&self.crashes, &self.recovers, &self.sugar, &self.slowdowns, &self.partitions]
+        [&self.crashes, &self.recovers, &self.slowdowns, &self.partitions]
             .into_iter()
             .flatten()
             .cloned()
             .collect()
     }
 
-    /// One `[[faults.crash]]` of `node` at `at`, recovered by the crash's
-    /// own `recover_at` when `sugar`, else by a `[[faults.recover]]`.
-    fn outage(&mut self, node: u16, at: When, recover: Option<(When, bool)>) {
+    /// One `[[faults.crash]]` of `node` at `at`, recovered by its
+    /// `recover_at` if `until` is given.
+    fn outage(&mut self, node: u16, at: When, until: Option<When>) {
         self.outages += &format!("[[faults.crash]]\nnodes = [{node}]\n{}", at.line("at"));
         self.crashes.push(FaultEvent::Crash { node, at_us: at.us() });
-        let Some((until, sugar)) = recover else { return };
-        let event = FaultEvent::Recover { node, at_us: until.us() };
-        if sugar {
+        if let Some(until) = until {
             self.outages += &until.line("recover_at");
-            self.sugar.push(event);
-        } else {
-            self.outages += &format!("[[faults.recover]]\nnodes = [{node}]\n{}", until.line("at"));
-            self.recovers.push(event);
+            self.recovers.push(FaultEvent::Recover { node, at_us: until.us() });
         }
     }
 
@@ -83,17 +76,13 @@ impl Faults {
         });
     }
 
-    /// A partition of `a` against `b`, declared as the two groups, or as
-    /// `isolate_first` when `isolate` (and `a` is the first validators).
-    fn partition(&mut self, a: Vec<u16>, b: Vec<u16>, isolate: bool, from: When, until: When) {
-        let cut = match isolate {
-            true => format!("isolate_first = {}\n", a.len()),
-            false => format!("a = {a:?}\nb = {b:?}\n"),
-        };
+    /// A partition of the first `k` of `n` validators against the rest.
+    fn partition(&mut self, n: usize, k: u16, from: When, until: When) {
         let window = from.line("from") + &until.line("until");
-        self.others += &format!("[[faults.partition]]\n{cut}{window}");
+        self.others += &format!("[[faults.partition]]\nisolate_first = {k}\n{window}");
+        let (group_a, group_b) = ((0..k).collect(), (k..n as u16).collect());
         let (from_us, until_us) = (from.us(), until.us());
-        self.partitions.push(FaultEvent::Partition { group_a: a, group_b: b, from_us, until_us });
+        self.partitions.push(FaultEvent::Partition { group_a, group_b, from_us, until_us });
     }
 }
 
@@ -103,22 +92,21 @@ impl Faults {
 /// second, final crash; up to two odd-numbered nodes carry a zero-length
 /// outage (recovery at the crash instant), which takes nothing from the
 /// `f` budget however the others crash around it; plus optional
-/// slowdowns and one partition. A recovery is a `[[faults.recover]]`
-/// entry or its crash's `recover_at`, at random.
+/// slowdowns and one partition.
 fn random_faults(rng: &mut Mix, n: usize) -> Faults {
     let f = (n - 1) / 3;
     let mut faults = Faults::default();
     for node in (0..rng.below(f as u64 + 1)).map(|k| k as u16 * 2) {
         // Crash somewhere in [1, 9]; recover in [10, 18].
         let (at, until) = (When::random(rng, 1, 9), When::random(rng, 10, 18));
-        faults.outage(node, at, Some((until, rng.below(2) == 0)));
+        faults.outage(node, at, Some(until));
         if rng.below(3) == 0 {
             faults.outage(node, When::secs(19), None);
         }
     }
     for node in (0..rng.below(3)).map(|k| k as u16 * 2 + 1) {
         let at = When::random(rng, 1, 19);
-        faults.outage(node, at, Some((at, rng.below(2) == 0)));
+        faults.outage(node, at, Some(at));
     }
     for _ in 0..rng.below(3) {
         let (node, from) = (rng.below(n as u64) as u16, 1 + rng.below(8));
@@ -127,16 +115,9 @@ fn random_faults(rng: &mut Mix, n: usize) -> Faults {
     }
     if rng.below(2) == 0 {
         let k = 1 + rng.below((n - 1) as u64) as u16;
-        let isolate = rng.below(2) == 0;
         let from = 1 + rng.below(9);
         let until = When::secs(from + 1 + rng.below(9));
-        faults.partition(
-            (0..k).collect(),
-            (k..n as u16).collect(),
-            isolate,
-            When::secs(from),
-            until,
-        );
+        faults.partition(n, k, When::secs(from), until);
     }
     faults
 }
@@ -145,7 +126,7 @@ fn random_faults(rng: &mut Mix, n: usize) -> Faults {
 /// declaration and returns the words it must be rejected in.
 fn spoil_faults(rng: &mut Mix, n: usize, faults: &mut Faults) -> &'static str {
     let (one, two) = (When::secs(1), When::secs(2));
-    match rng.below(8) {
+    match rng.below(7) {
         0 => {
             faults.slowdown(0, one, Some(two), 0);
             "has zero extra delay"
@@ -159,26 +140,22 @@ fn spoil_faults(rng: &mut Mix, n: usize, faults: &mut Faults) -> &'static str {
             "slowdown window of validator 0 is empty"
         }
         3 => {
-            faults.partition(vec![0, 1], vec![1, 2], false, one, two);
-            "validator 1 is on both sides of a partition"
-        }
-        4 => {
-            faults.partition(vec![], vec![1], false, one, two);
+            faults.partition(n, 0, one, two);
             "partition groups must both be non-empty"
         }
-        5 => {
-            faults.partition(vec![0], vec![1], false, When::frac(15), When::frac(5));
+        4 => {
+            faults.partition(n, 1, When::frac(15), When::frac(5));
             "partition window is empty"
         }
-        6 => {
-            // Everyone the generator never crashes for real, at once.
-            faults.outages.clear();
+        5 => {
+            // f + 1 validators at t = 0, in place of the generated outages
+            // (which would crash one of them twice).
             let crashed: Vec<u16> = (0..=(n as u16 - 1) / 3).collect();
-            faults.table = format!("[faults]\ncrashed = {crashed:?}\n");
+            faults.outages = format!("[[faults.crash]]\nnodes = {crashed:?}\n");
             "validators crashed at once at 0µs exceeds f"
         }
         _ => {
-            faults.table = format!("[faults]\ncrashed = [{n}]\n");
+            faults.outages += &format!("[[faults.crash]]\nnodes = [{n}]\n");
             "is outside the committee"
         }
     }

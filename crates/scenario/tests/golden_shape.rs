@@ -37,7 +37,7 @@ fn shape(json: &Json, prefix: &str, out: &mut BTreeSet<String>) {
 /// Every scenario shares this base; the fault tables differ.
 const BASE: &str = r#"
 [committee]
-size = 4
+sizes = 4
 [load]
 tps = 200
 [run]

@@ -11,7 +11,7 @@ use hh_scenario::{run_plan, ExecOptions, PlanOptions, RunLimit, ScenarioSpec};
 const BASE: &str = r#"
 name = "sugar-oracle"
 [committee]
-size = 4
+sizes = 4
 [load]
 tps = 300
 [run]

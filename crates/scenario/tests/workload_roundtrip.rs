@@ -7,7 +7,7 @@
 //! also when the generator has broken a rule, since whether a workload is
 //! runnable is `plan()`'s call alone — and plans to the same verdict in
 //! the same words; the planned workload is exactly the generated one
-//! (fracs and absolute rates resolved against the run); and the lowered
+//! (fracs resolved against the run); and the lowered
 //! workload passes `hh_sim`'s own validation.
 
 use hh_scenario::{PlanOptions, ScenarioSpec};
@@ -83,12 +83,10 @@ fn scaled(arrival: Arrival, scale: f64) -> Arrival {
 fn random_workload(rng: &mut Mix) -> Declared {
     let mode = if rng.below(2) == 0 { SubmissionMode::Closed } else { SubmissionMode::Open };
     let payload_bytes = (rng.below(5) * 256) as u32;
-    let spread = 1.0 + rng.below(4) as f64;
     let block_bytes = (rng.below(2) == 0).then(|| 4_096 + rng.below(4) * 65_536);
     let mut keys = BTreeMap::from([
         ("mode", format!("{:?}", if mode == SubmissionMode::Open { "open" } else { "closed" })),
         ("payload_bytes", payload_bytes.to_string()),
-        ("spread", format!("{spread:?}")),
     ]);
     if let Some(bytes) = block_bytes {
         keys.insert("block_bytes", bytes.to_string());
@@ -97,7 +95,7 @@ fn random_workload(rng: &mut Mix) -> Declared {
         keys,
         arrival: String::new(),
         phases: Vec::new(),
-        expected: Workload { phases: Vec::new(), mode, payload_bytes, spread },
+        expected: Workload { phases: Vec::new(), mode, payload_bytes },
         block_bytes,
     };
 
@@ -126,9 +124,6 @@ fn random_workload(rng: &mut Mix) -> Declared {
         let (rate, scale) = if matches!(arrival, Arrival::Ramp { .. }) {
             // Ramps carry their own scales and take no rate.
             (String::new(), 1.0)
-        } else if rng.below(3) == 0 {
-            let tps = (1 + rng.below(4)) * LOAD_TPS / 2;
-            (format!("tps = {tps}\n"), tps as f64 / LOAD_TPS as f64)
         } else {
             // Quantized scale; allow zero-rate (idle) phases except when
             // everything else is idle too.
@@ -163,8 +158,8 @@ fn spoil_workload(rng: &mut Mix, declared: &mut Declared) -> &'static str {
     let (poisson, constant) = ("arrival = \"poisson\"\n", "");
     match rng.below(8) {
         0 => {
-            declared.keys.insert("spread", "0.5".into());
-            "spread must be ≥ 1, got 0.5"
+            timeline(&[(When::secs(0), "scale = -1.0\n")]);
+            "bad rate scale -1"
         }
         1 => {
             // (A block bound would turn the payload away first.)

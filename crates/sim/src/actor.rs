@@ -23,10 +23,16 @@ pub type NetMessage = Arc<ValidatorMessage>;
 /// tokens, which are < 100).
 const TOKEN_CLIENT_SUBMIT: u64 = 1_000;
 
+/// A closed-loop client's in-flight window in seconds of its offered rate
+/// (window = rate × this): the bounded concurrency of real benchmark
+/// drivers. A full window makes the client skip ticks, the Little's-law
+/// effect that turns latency degradation into Fig. 2's throughput loss.
+const CLIENT_WINDOW_SECS: f64 = 2.0;
+
 /// The floor on a closed-loop client's in-flight window.
 ///
 /// Commits deliver confirmations in bursty per-anchor batches, so a
-/// low-rate client whose nominal window (`rate × window_secs`) is only a
+/// low-rate client whose nominal window (`rate × 2 s`) is only a
 /// handful of transactions would throttle on that batching pattern
 /// rather than on real latency — an artifact of the confirmation
 /// cadence, not a property of the system. The paper's clients (350 tx/s
@@ -84,21 +90,21 @@ pub struct Client {
 
 impl Client {
     /// A client submitting a constant `rate_tps` transactions per second
-    /// to `target` with an in-flight window of `rate × window_secs`
-    /// transactions — the historical shape, equivalent to
-    /// [`Client::with_workload`] over [`Workload::constant`].
+    /// to `target` with an in-flight window of `rate × 2 s` transactions —
+    /// the historical shape, equivalent to [`Client::with_workload`] over
+    /// [`Workload::constant`].
     ///
     /// # Panics
     ///
     /// Panics if `rate_tps` is zero.
-    pub fn new(client_id: u32, target: NodeId, rate_tps: f64, window_secs: f64) -> Self {
-        Client::with_workload(client_id, target, rate_tps, window_secs, Workload::constant(), 0)
+    pub fn new(client_id: u32, target: NodeId, rate_tps: f64) -> Self {
+        Client::with_workload(client_id, target, rate_tps, Workload::constant(), 0)
     }
 
     /// A client executing `workload` at a base rate of `rate_tps` (phase
     /// scales multiply it) for a run of `duration_us` simulated
-    /// microseconds. `window_secs` sizes the in-flight window when the
-    /// workload is closed-loop; open-loop workloads ignore it.
+    /// microseconds. A closed-loop workload holds at most `rate × 2 s`
+    /// transactions in flight; an open-loop one is unbounded.
     ///
     /// # Panics
     ///
@@ -107,13 +113,14 @@ impl Client {
         client_id: u32,
         target: NodeId,
         rate_tps: f64,
-        window_secs: f64,
         workload: Workload,
         duration_us: u64,
     ) -> Self {
         assert!(rate_tps > 0.0, "client rate must be positive");
         let window = match workload.mode {
-            SubmissionMode::Closed => ((rate_tps * window_secs) as u64).max(MIN_CLIENT_WINDOW),
+            SubmissionMode::Closed => {
+                ((rate_tps * CLIENT_WINDOW_SECS) as u64).max(MIN_CLIENT_WINDOW)
+            }
             SubmissionMode::Open => u64::MAX,
         };
         Client {
@@ -506,7 +513,7 @@ mod tests {
             })
             .collect();
         // One client targeting validator 0.
-        actors.push(Actor::Client(Client::new(0, NodeId(0), 200.0, 5.0)));
+        actors.push(Actor::Client(Client::new(0, NodeId(0), 200.0)));
 
         let net = NetworkConfig {
             latency: hh_net::LatencyModel::Constant(hh_net::Duration::from_millis(5)),
@@ -537,7 +544,7 @@ mod tests {
     fn sub_10us_intervals_keep_jitter_and_exact_rate() {
         // 150k tx/s: true interval 6.667 µs, truncated 6 µs (an 11% rate
         // error under the old code), jitter formerly zero.
-        let mut client = Client::new(0, NodeId(0), 150_000.0, 2.0);
+        let mut client = Client::new(0, NodeId(0), 150_000.0);
         let mut rng = rand::StdRng::seed_from_u64(7);
         let n = 10_000u64;
         let mut sum = 0u64;
@@ -564,7 +571,7 @@ mod tests {
     #[test]
     fn exponential_delays_keep_an_exact_mean_at_high_rates() {
         let rate = 125_000.0; // true interval 8 µs
-        let mut client = Client::new(0, NodeId(0), rate, 2.0);
+        let mut client = Client::new(0, NodeId(0), rate);
         let mut rng = rand::StdRng::seed_from_u64(9);
         let n = 200_000u64;
         let sum: u64 = (0..n).map(|_| client.exponential_delay_us(rate, &mut rng)).sum();
@@ -582,7 +589,7 @@ mod tests {
     #[test]
     fn legacy_jitter_path_is_bit_identical() {
         let rate = 350.0;
-        let mut client = Client::new(0, NodeId(0), rate, 2.0);
+        let mut client = Client::new(0, NodeId(0), rate);
         let mut rng = rand::StdRng::seed_from_u64(42);
         let mut oracle_rng = rand::StdRng::seed_from_u64(42);
         for _ in 0..1_000 {
@@ -598,15 +605,15 @@ mod tests {
     #[test]
     fn open_loop_client_never_skips() {
         let workload = Workload { mode: crate::SubmissionMode::Open, ..Workload::constant() };
-        let client = Client::with_workload(0, NodeId(0), 100.0, 2.0, workload, 10_000_000);
+        let client = Client::with_workload(0, NodeId(0), 100.0, workload, 10_000_000);
         assert_eq!(client.window, u64::MAX, "open loop has no in-flight bound");
     }
 
     #[test]
     fn closed_loop_window_has_the_historical_floor() {
-        let client = Client::new(0, NodeId(0), 10.0, 2.0);
+        let client = Client::new(0, NodeId(0), 10.0);
         assert_eq!(client.window, MIN_CLIENT_WINDOW, "10 tx/s × 2 s = 20 floors to 64");
-        let client = Client::new(0, NodeId(0), 1_000.0, 2.0);
+        let client = Client::new(0, NodeId(0), 1_000.0);
         assert_eq!(client.window, 2_000);
     }
 
@@ -616,7 +623,7 @@ mod tests {
         // A validator to receive submissions (it need not commit).
         let committee = Committee::new_equal_stake(1);
         let v = Validator::new(committee, ValidatorId(0), ValidatorConfig::default(), None);
-        let client = Client::with_workload(0, NodeId(0), base_tps, 2.0, workload, secs * 1_000_000);
+        let client = Client::with_workload(0, NodeId(0), base_tps, workload, secs * 1_000_000);
         let actors: Vec<Actor> =
             vec![Actor::honest(v, SafetyChecker::new()), Actor::Client(client)];
         let net = NetworkConfig {

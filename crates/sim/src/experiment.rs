@@ -14,8 +14,8 @@ use hammerhead::{
 use hh_consensus::SchedulePolicy;
 use hh_crypto::Digest;
 use hh_net::{
-    ChaosSchedule, Duration, FaultSchedule, GeoLatency, LatencyModel, NetworkConfig, NodeId,
-    Region, SimTime, Simulator, REGION_COUNT,
+    max_faulty, ChaosSchedule, Duration, FaultSchedule, GeoLatency, LatencyModel, NetworkConfig,
+    NodeId, Region, SimTime, Simulator, REGION_COUNT,
 };
 use hh_storage::MemBackend;
 use hh_types::{Committee, Round, ValidatorId};
@@ -74,9 +74,9 @@ pub struct ExperimentConfig {
     /// client per live validator.
     pub load_tps: u64,
     /// The workload shape the clients execute: arrival-process timeline,
-    /// open- vs closed-loop submission, modeled payload size, per-client
-    /// heterogeneity. [`Workload::constant`] (the default) reproduces
-    /// the historical fixed-rate windowed client bit for bit.
+    /// open- vs closed-loop submission, modeled payload size.
+    /// [`Workload::constant`] (the default) reproduces the historical
+    /// fixed-rate windowed client bit for bit.
     pub workload: Workload,
     /// Measured run length (simulated seconds).
     pub duration_secs: u64,
@@ -102,10 +102,6 @@ pub struct ExperimentConfig {
     /// Link latencies: the paper's geo matrix, or a flat network (fast
     /// unit tests).
     pub network: Network,
-    /// Client in-flight window, expressed in seconds of offered rate
-    /// (window = per-client rate × this). Models the bounded concurrency of
-    /// real benchmark drivers; see [`crate::Client`].
-    pub client_window_secs: f64,
     /// Simulation seed (identical seeds reproduce identical runs).
     pub seed: u64,
 }
@@ -137,7 +133,6 @@ impl ExperimentConfig {
             byzantine: ByzantineSchedule::default(),
             chaos: ChaosSchedule::default(),
             network: Network::Geo,
-            client_window_secs: 2.0,
             seed: 42,
         }
     }
@@ -145,8 +140,10 @@ impl ExperimentConfig {
     /// Whether the run can execute on `committee`, the one it is built
     /// over: asks the workload, the fault, byzantine and chaos schedules,
     /// then the validator configuration, and prefixes the first violation
-    /// with the part that states the rule. [`build_sim`] and the scenario
-    /// planner both ask here.
+    /// with the part that states the rule. What no part sees alone is the
+    /// run's (`run:`): the byzantine validators plus the most others
+    /// crashed at one instant stay within `f`, and a static leader is up
+    /// at t = 0. [`build_sim`] and the scenario planner both ask here.
     pub fn validate(&self, committee: &Committee) -> Result<(), String> {
         let n = committee.size();
         let owned =
@@ -155,7 +152,30 @@ impl ExperimentConfig {
         owned("fault schedule", self.faults.validate(n))?;
         owned("byzantine schedule", self.byzantine.validate(n))?;
         owned("chaos schedule", self.chaos.validate(n))?;
-        owned("validator", self.validator.validate(committee))
+        owned("validator", self.validator.validate(committee))?;
+        let byzantine = self.byzantine.nodes();
+        if !byzantine.is_empty() {
+            let f = max_faulty(n);
+            // The most crashed at once is reached at some crash instant.
+            for (_, at_us) in self.faults.crashes() {
+                let crashed = (0..n as u16)
+                    .filter(|v| !byzantine.contains(v) && self.faults.crashed_at(*v, at_us))
+                    .count();
+                if byzantine.len() + crashed > f {
+                    return Err(format!(
+                        "run: {} byzantine plus {crashed} crashed validators at {at_us}µs \
+                         exceed f = {f} for a committee of {n}",
+                        byzantine.len()
+                    ));
+                }
+            }
+        }
+        match self.validator.schedule {
+            ScheduleConfig::StaticLeader(leader) if self.faults.crashed_at(leader.0, 0) => Err(
+                format!("run: static leader {} is crashed at t = 0 and never commits", leader.0),
+            ),
+            _ => Ok(()),
+        }
     }
 
     /// A small, fast configuration for unit tests: 4 validators, flat
@@ -180,7 +200,6 @@ impl ExperimentConfig {
             byzantine: ByzantineSchedule::default(),
             chaos: ChaosSchedule::default(),
             network: Network::Flat { ms: 5 },
-            client_window_secs: 10.0,
             seed: 42,
         }
     }
@@ -399,15 +418,15 @@ pub fn build_sim(config: &ExperimentConfig) -> SimHandle {
             )
         })
         .collect();
-    let rates = config.workload.client_rates(config.load_tps as f64, live.len());
+    // The offered load, split evenly.
+    let rate = config.load_tps as f64 / live.len() as f64;
     let duration_us = config.duration_secs.saturating_mul(1_000_000);
     for (k, v) in live.iter().enumerate() {
-        if rates[k] > 0.0 {
+        if rate > 0.0 {
             actors.push(Actor::Client(Client::with_workload(
                 k as u32,
                 NodeId(*v),
-                rates[k],
-                config.client_window_secs,
+                rate,
                 config.workload.clone(),
                 duration_us,
             )));
@@ -1029,10 +1048,12 @@ mod tests {
     /// pair — across RBC retransmits, garbage collection, and a WAL
     /// recovery replay. Node 3 equivocates all run; honest node 1 crashes
     /// and recovers mid-run, so its ledger must survive the replay
-    /// without re-counting replayed slots.
+    /// without re-counting replayed slots. Two faulty validators need
+    /// n = 7.
     #[test]
     fn equivocation_evidence_counts_each_twin_pair_exactly_once() {
         let mut config = ExperimentConfig::quick_test(SystemKind::Hammerhead);
+        config.committee_size = 7;
         config.duration_secs = 6;
         config.byzantine = ByzantineSchedule::new().equivocate(3, 0, u64::MAX);
         config.faults = FaultSchedule::new().crash(1, 1_500_000).recover(1, 3_000_000);
@@ -1173,6 +1194,28 @@ mod tests {
     fn build_sim_rejects_a_zero_sync_tick_up_front() {
         let mut config = ExperimentConfig::quick_test(SystemKind::Bullshark);
         config.validator.sync_tick_us = 0;
+        build_sim(&config);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "invalid run: 1 byzantine plus 1 crashed validators at 0µs exceed f = 1 for a \
+                    committee of 4"
+    )]
+    fn build_sim_rejects_byzantine_and_crashed_validators_beyond_f_up_front() {
+        // Each fits f = 1 alone; together they are two faulty of four.
+        let mut config = ExperimentConfig::quick_test(SystemKind::Hammerhead);
+        config.faults = FaultSchedule::crash_last(4, 1).expect("1 of 4 is within f");
+        config.byzantine = ByzantineSchedule::new().equivocate(0, 0, u64::MAX);
+        build_sim(&config);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid run: static leader 2 is crashed at t = 0 and never commits")]
+    fn build_sim_rejects_a_static_leader_crashed_from_the_start_up_front() {
+        let mut config = ExperimentConfig::quick_test(SystemKind::Bullshark);
+        config.validator.schedule = ScheduleConfig::StaticLeader(ValidatorId(2));
+        config.faults = FaultSchedule::new().crash(2, 0);
         build_sim(&config);
     }
 

@@ -88,7 +88,6 @@
 //!     phases: vec![Phase { from_us: 0, arrival: Arrival::Poisson { scale: 1.0 } }],
 //!     mode: SubmissionMode::Open,
 //!     payload_bytes: 256,
-//!     spread: 1.0,
 //! };
 //! let result = run_experiment(&config);
 //! assert!(result.agreement_ok);

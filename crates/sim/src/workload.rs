@@ -4,13 +4,13 @@
 //! A [`Workload`] describes the *shape* of offered load, independent of
 //! its magnitude: an ordered timeline of [`Phase`]s, each with an
 //! [`Arrival`] process (constant, Poisson, on/off bursts, linear ramp),
-//! a submission mode (closed-loop windowed vs open-loop), a modeled
-//! transaction payload size, and a per-client heterogeneity `spread`.
-//! The magnitude — the run's total offered rate — stays on
-//! [`ExperimentConfig::load_tps`](crate::ExperimentConfig::load_tps):
-//! every rate in a workload is a dimensionless *scale* multiplied by
-//! each client's share of that axis, so one workload shape sweeps
-//! cleanly across a load axis.
+//! a submission mode (closed-loop windowed vs open-loop) and a modeled
+//! transaction payload size. The magnitude — the run's total offered
+//! rate — stays on
+//! [`ExperimentConfig::load_tps`](crate::ExperimentConfig::load_tps),
+//! split evenly across the clients: every rate in a workload is a
+//! dimensionless *scale* multiplied by each client's share of that axis,
+//! so one workload shape sweeps cleanly across a load axis.
 //!
 //! Every process is deterministic: all randomness (jitter, exponential
 //! inter-arrivals, start staggering) comes from the simulation's seeded
@@ -35,7 +35,6 @@
 //!     ],
 //!     mode: SubmissionMode::Open,
 //!     payload_bytes: 512,
-//!     spread: 1.0,
 //! };
 //! workload.validate().unwrap();
 //! // 11s into the run: inside the first burst of the on/off phase.
@@ -136,11 +135,6 @@ pub struct Workload {
     /// vertex digests never carry it, so payload size cannot change a
     /// run's chain hashes.
     pub payload_bytes: u32,
-    /// Per-client heterogeneity: the ratio between the heaviest and
-    /// lightest client's base rate (≥ 1; 1 = uniform). Rates are
-    /// assigned deterministically by client index and normalized so
-    /// they still sum to the run's total offered rate.
-    pub spread: f64,
 }
 
 impl Default for Workload {
@@ -182,21 +176,20 @@ pub const MAX_PAYLOAD_BYTES: u32 = 1 << 20;
 
 impl Workload {
     /// The default workload: one constant full-rate phase, closed loop,
-    /// zero payload, uniform clients — exactly the historical client
-    /// shape, and what a bare `[load] tps` scenario key desugars to.
+    /// zero payload — exactly the historical client shape, and what a
+    /// bare `[load] tps` scenario key desugars to.
     pub fn constant() -> Self {
         Workload {
             phases: vec![Phase { from_us: 0, arrival: Arrival::Constant { scale: 1.0 } }],
             mode: SubmissionMode::Closed,
             payload_bytes: 0,
-            spread: 1.0,
         }
     }
 
     /// Checks the workload describes something runnable: a non-empty
     /// timeline starting at 0 with each phase later than the one before,
     /// non-negative finite scales with at least one positive, no ramp
-    /// from 0 to 0, positive burst lengths, `spread ≥ 1`, payload within
+    /// from 0 to 0, positive burst lengths, payload within
     /// [`MAX_PAYLOAD_BYTES`].
     pub fn validate(&self) -> Result<(), String> {
         if self.phases.is_empty() {
@@ -250,9 +243,6 @@ impl Workload {
         }
         if !any_active {
             return Err("every phase has zero rate — nothing ever arrives".into());
-        }
-        if self.spread < 1.0 || !self.spread.is_finite() {
-            return Err(format!("spread must be ≥ 1, got {}", self.spread));
         }
         if self.payload_bytes > MAX_PAYLOAD_BYTES {
             return Err(format!(
@@ -347,28 +337,6 @@ impl Workload {
             }
         }
     }
-
-    /// Splits a total offered rate across `clients` clients.
-    ///
-    /// With `spread == 1` every client gets `total / clients` — the
-    /// exact historical expression, preserving output bytes for legacy
-    /// scenarios. With `spread > 1`, client `k` of `C` gets a weight
-    /// interpolated linearly from 1 (client 0) to `spread` (client
-    /// `C−1`), normalized so the weights still sum to `total` — the
-    /// heterogeneous-demand shape of the dynamic-scheduling literature.
-    pub fn client_rates(&self, total_tps: f64, clients: usize) -> Vec<f64> {
-        if clients == 0 {
-            return Vec::new();
-        }
-        if self.spread == 1.0 || clients == 1 {
-            return vec![total_tps / clients as f64; clients];
-        }
-        let weights: Vec<f64> = (0..clients)
-            .map(|k| 1.0 + (self.spread - 1.0) * k as f64 / (clients - 1) as f64)
-            .collect();
-        let sum: f64 = weights.iter().sum();
-        weights.into_iter().map(|w| total_tps * w / sum).collect()
-    }
 }
 
 #[cfg(test)]
@@ -392,26 +360,6 @@ mod tests {
             }
             other => panic!("constant workload must always be active, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn uniform_split_matches_legacy_expression() {
-        let w = Workload::constant();
-        let rates = w.client_rates(1000.0, 7);
-        // Exactly `total / clients`, the historical per-client formula.
-        assert!(rates.iter().all(|r| *r == 1000.0 / 7.0));
-    }
-
-    #[test]
-    fn spread_splits_sum_to_total_and_order_by_index() {
-        let w = Workload { spread: 4.0, ..Workload::constant() };
-        let rates = w.client_rates(1000.0, 5);
-        let sum: f64 = rates.iter().sum();
-        assert!((sum - 1000.0).abs() < 1e-9, "sum {sum}");
-        for pair in rates.windows(2) {
-            assert!(pair[0] < pair[1], "rates must ascend with client index: {rates:?}");
-        }
-        assert!((rates[4] / rates[0] - 4.0).abs() < 1e-9, "heaviest/lightest = spread");
     }
 
     #[test]
@@ -566,9 +514,6 @@ mod tests {
             ..Workload::constant()
         };
         assert!(bad(w).contains("ramp scales"));
-
-        let w = Workload { spread: 0.5, ..Workload::constant() };
-        assert!(bad(w).contains("spread"));
 
         let w = Workload { payload_bytes: MAX_PAYLOAD_BYTES + 1, ..Workload::constant() };
         assert!(bad(w).contains("payload_bytes"));

@@ -39,7 +39,7 @@ fn build_network(
             Actor::honest(v, safety.clone())
         })
         .collect();
-    actors.push(Actor::Client(Client::new(0, NodeId(0), 120.0, 10.0)));
+    actors.push(Actor::Client(Client::new(0, NodeId(0), 120.0)));
     let net = NetworkConfig {
         latency: LatencyModel::Constant(Duration::from_millis(5)),
         faults,

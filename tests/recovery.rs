@@ -58,7 +58,7 @@ fn in_memory() -> Vec<MemBackend> {
 /// Four validators, one client, and a crash/recovery window for
 /// validator 3.
 fn build(crash_at: SimTime, recover_at: SimTime) -> Simulator<Actor> {
-    let client = Client::new(0, NodeId(0), 150.0, 10.0);
+    let client = Client::new(0, NodeId(0), 150.0);
     let faults = FaultSchedule::new().crash(3, crash_at.0).recover(3, recover_at.0);
     network(in_memory(), &fast_config(), client, faults, 17).0
 }
@@ -139,7 +139,7 @@ fn repeated_crashes_survive() {
         .recover(3, 4_000_000)
         .crash(3, 6_000_000)
         .recover(3, 8_000_000);
-    let client = Client::new(0, NodeId(1), 100.0, 10.0);
+    let client = Client::new(0, NodeId(1), 100.0);
     let (mut sim, _) = network(in_memory(), &fast_config(), client, faults, 23);
     sim.run_until(SimTime::from_secs(14));
 
@@ -169,7 +169,7 @@ fn hammerhead_node_recovers_with_schedule_state() {
         }),
         ..fast_config()
     };
-    let client = Client::new(0, NodeId(0), 100.0, 10.0);
+    let client = Client::new(0, NodeId(0), 100.0);
     let faults = FaultSchedule::new().crash(2, 3_000_000).recover(2, 5_000_000);
     let (mut sim, safety) = network(in_memory(), &config, client, faults, 31);
     sim.run_until(SimTime::from_secs(12));
@@ -200,7 +200,7 @@ fn restarts_never_equivocate(broadcast_mode: BroadcastMode) {
     for k in 0..40 {
         let crash_at = 1_000_000 + k * 3_137;
         let faults = FaultSchedule::new().crash(1, crash_at).recover(1, crash_at + 1_000);
-        let client = Client::new(0, NodeId(1), 200.0, 10.0);
+        let client = Client::new(0, NodeId(1), 200.0);
         let (mut sim, safety) = network(in_memory(), &config, client, faults, k);
         sim.run_until(SimTime::from_secs(6));
         safety.assert_clean();
@@ -227,7 +227,7 @@ fn a_certified_restart_never_equivocates() {
 fn crash_v3_for_a_second<B: LogBackend>(
     backends: Vec<B>,
 ) -> (Simulator<Actor<B>>, SafetyChecker, u64) {
-    let client = Client::new(0, NodeId(0), 150.0, 10.0);
+    let client = Client::new(0, NodeId(0), 150.0);
     let faults = FaultSchedule::new().crash(3, 1_000_000).recover(3, 2_000_000);
     let (mut sim, safety) = network(backends, &fast_config(), client, faults, 17);
     sim.run_until(SimTime::from_secs(1));
