@@ -42,8 +42,8 @@
 # its regression guard is crates/sim/tests/setup_allocs.rs, part of the
 # test suite, which bounds the allocations one `build_sim` makes and the
 # bytes they request (a run that copied S0 or re-derived the members' keys
-# per validator, kept two words per event-queue slot or built the EMA
-# table under every scoring rule exceeds it).
+# per validator, kept two words per event-queue slot or gave every policy
+# a committee-sized table its scoring rule never reads exceeds it).
 
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -208,8 +208,10 @@ step "docs: nothing refers to a deleted path, knob, module or type, or to a DESI
 # (no recover table, crashed list, client window, per-client spread,
 # absolute phase rate, partition groups, directed chaos link, or block,
 # pool and uncommitted-budget fields: a recovery is a crash's recover_at,
-# the window and the three bounds are constants).
-if git grep -nE 'hotpath_smoke|BENCH_hotpath|hh[-_]bench|threaded::|threaded_demo|vendor/criterion|DESIGN\.md|swap_from_base|core/src/monitor|hammerhead::monitor|FaultPlan|ChaosPlan|SlowdownSpec|PartitionSpec|ChaosWindow|ChaosScope|KvStore|SerialExecutor|PooledExecutor|hh-cli testnet|StaticLeaderPolicy|TimeSeries|validate_workload|rbc_sender|audit_safety|derive_validator_config|schedule_override|flat_latency_ms|NetworkSpec|missing_index|missing_count|workload_declared|run_sim_streaming|run_sim_limited|run_experiment_limited|collect_streamed_metrics|ChaosRow|schedule_seed|bind_reusable|TOKEN_LEADER|drain_exec_records|with_window|ExclusionSpec|payload-bytes|chain_hash_prefix|hh_consensus::passed_over_candidates|ByDigest|contains_digest|WrongParentRound|missing_from\(|epoch_history|NodeSel|SlowdownEntry|TimedFaultEntry|PartitionSel|PartitionEntry|ByzantineStrategySpec|ByzantineEntrySpec|ChaosEntrySpec|FaultsSpec|ArrivalSpec|RateSpec|WorkloadPhaseSpec|WorkloadSpec|WindowSpec|AnalysisSpec|QuickSpec|read_faults|write_faults|write_workload|write_chaos|SystemSpec|VariantSpec|read_variant|write_variant|read_network|write_network|read_exclusion_axis|write_exclusion_axis|SoloPump|fn emit\(outputs|finish\(v, behavior|let dispatch =|BinaryHeap<Reverse<\(u64, u64\)>>|run_until_idle|schedule_message|link_in_order|run_plan_with|TimingWheel::push|set_profiling|hh_net::prof|accrue_queue|accrue_deliver|accrue_timer|time_digest|time_sig|time_codec|awaits_leader|passed_over_in_ordered_rounds|PreGstAdversary|pre_gst|gst_secs|adversary_deferred|LatencyModel::Uniform|GeoLatency::round_robin|region_of|max_delay\(|examples/crash_faults|examples/incident_replay|examples/local_testnet|FaultScheduleError|ChaosScheduleError|ByzantineScheduleError|WorkloadError|ConfigError|hh-cli matrix|AnalysisRow|RecoverySample|recovery_samples|faults\.recover\]|ChaosTarget::Pair|client_window_secs|max_uncommitted_txs|max_block_txs|client_rates|lower_crashed|PHASE_TPS|LINK_FROM|RESTART_AT' \
+# the window and the three bounds are constants), and there are two
+# scoring rules, vote-based and leader-outcome (no EMA rule, no smoothed
+# cross-epoch score table).
+if git grep -nE 'hotpath_smoke|BENCH_hotpath|hh[-_]bench|threaded::|threaded_demo|vendor/criterion|DESIGN\.md|swap_from_base|core/src/monitor|hammerhead::monitor|FaultPlan|ChaosPlan|SlowdownSpec|PartitionSpec|ChaosWindow|ChaosScope|KvStore|SerialExecutor|PooledExecutor|hh-cli testnet|StaticLeaderPolicy|TimeSeries|validate_workload|rbc_sender|audit_safety|derive_validator_config|schedule_override|flat_latency_ms|NetworkSpec|missing_index|missing_count|workload_declared|run_sim_streaming|run_sim_limited|run_experiment_limited|collect_streamed_metrics|ChaosRow|schedule_seed|bind_reusable|TOKEN_LEADER|drain_exec_records|with_window|ExclusionSpec|payload-bytes|chain_hash_prefix|hh_consensus::passed_over_candidates|ByDigest|contains_digest|WrongParentRound|missing_from\(|epoch_history|NodeSel|SlowdownEntry|TimedFaultEntry|PartitionSel|PartitionEntry|ByzantineStrategySpec|ByzantineEntrySpec|ChaosEntrySpec|FaultsSpec|ArrivalSpec|RateSpec|WorkloadPhaseSpec|WorkloadSpec|WindowSpec|AnalysisSpec|QuickSpec|read_faults|write_faults|write_workload|write_chaos|SystemSpec|VariantSpec|read_variant|write_variant|read_network|write_network|read_exclusion_axis|write_exclusion_axis|SoloPump|fn emit\(outputs|finish\(v, behavior|let dispatch =|BinaryHeap<Reverse<\(u64, u64\)>>|run_until_idle|schedule_message|link_in_order|run_plan_with|TimingWheel::push|set_profiling|hh_net::prof|accrue_queue|accrue_deliver|accrue_timer|time_digest|time_sig|time_codec|awaits_leader|passed_over_in_ordered_rounds|PreGstAdversary|pre_gst|gst_secs|adversary_deferred|LatencyModel::Uniform|GeoLatency::round_robin|region_of|max_delay\(|examples/crash_faults|examples/incident_replay|examples/local_testnet|FaultScheduleError|ChaosScheduleError|ByzantineScheduleError|WorkloadError|ConfigError|hh-cli matrix|AnalysisRow|RecoverySample|recovery_samples|faults\.recover\]|ChaosTarget::Pair|client_window_secs|max_uncommitted_txs|max_block_txs|client_rates|lower_crashed|PHASE_TPS|LINK_FROM|RESTART_AT|VoteEma|vote-ema|ema_milli|ema_scores_milli' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!ci.sh' ':!perfbench'; then
     echo "dangling reference to a deleted path"
     exit 1

@@ -3,8 +3,13 @@
 use hh_rbc::BroadcastMode;
 use hh_types::{Committee, Stake, ValidatorId};
 
-/// How reputation points are assigned (`docs/architecture.md` §5; the rules
-/// are compared in `scenarios/ablation_scoring.toml`).
+/// How reputation points are assigned (`docs/architecture.md` §5): the
+/// paper's vote-based rule or Shoal's leader outcomes, the two §7 compares
+/// (and `scenarios/ablation_scoring.toml` runs). §7's open question of more
+/// adaptive scoring has no rule here: vote-based scores smoothed across
+/// epochs gave vote-based's rows on `ablation_scoring.toml` and
+/// `byzantine.toml` at their own seeds, since a crashed validator scores 0
+/// in every epoch and smoothing reorders no one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ScoringRule {
     /// The paper's rule: +1 to a validator each time one of its vertices
@@ -14,17 +19,6 @@ pub enum ScoringRule {
     /// Shoal-style (§7): reward leaders whose anchors commit; voters earn
     /// nothing. Skipped leaders simply accrue nothing.
     LeaderOutcome,
-    /// The "more adaptive reputation scoring" the paper's §7 leaves as an
-    /// open question, implemented here as an extension: vote-based scores
-    /// smoothed across epochs with an exponential moving average,
-    /// `ema' = (alpha·score + (100−alpha)·ema) / 100`. Long memory
-    /// (small `alpha_percent`) tolerates brief hiccups but readmits
-    /// recovered validators more slowly; `alpha_percent = 100` degenerates
-    /// to [`ScoringRule::VoteBased`].
-    VoteEma {
-        /// Weight (percent) of the just-finished epoch's score.
-        alpha_percent: u8,
-    },
 }
 
 /// Parameters of the HammerHead scheduling mechanism.
@@ -50,8 +44,7 @@ impl HammerheadConfig {
     ///
     /// Rejects periods too short to ever contain a committed anchor,
     /// exclusion budgets above the committee's `f` (Lemma 6's liveness
-    /// argument), and out-of-range EMA weights. [`ValidatorConfig::validate`]
-    /// asks here.
+    /// argument). [`ValidatorConfig::validate`] asks here.
     pub fn validate(&self, committee: &Committee) -> Result<(), String> {
         if self.period_rounds < 2 {
             return Err(format!(
@@ -65,13 +58,6 @@ impl HammerheadConfig {
                 return Err(format!(
                     "max_excluded_stake {} exceeds the committee's f = {}",
                     requested.0, max_faulty.0
-                ));
-            }
-        }
-        if let ScoringRule::VoteEma { alpha_percent } = self.scoring_rule {
-            if alpha_percent == 0 || alpha_percent > 100 {
-                return Err(format!(
-                    "vote-ema alpha_percent must be in 1..=100, got {alpha_percent}"
                 ));
             }
         }
@@ -232,15 +218,6 @@ mod tests {
             ..HammerheadConfig::default()
         };
         assert!(exact.validate(&committee).is_ok());
-
-        let ema = HammerheadConfig {
-            scoring_rule: ScoringRule::VoteEma { alpha_percent: 0 },
-            ..HammerheadConfig::default()
-        };
-        assert_eq!(
-            ema.validate(&committee).unwrap_err(),
-            "vote-ema alpha_percent must be in 1..=100, got 0"
-        );
     }
 
     #[test]

@@ -101,10 +101,6 @@ pub struct HammerheadPolicy {
     /// [`HammerheadPolicy::entry_for`]).
     schedules: Vec<ScheduleEntry>,
     scores: ReputationScores,
-    /// Cross-epoch smoothed scores (milli-points), by validator index;
-    /// allocated and maintained only under [`ScoringRule::VoteEma`], and
-    /// empty under every other rule.
-    ema_milli: Vec<u64>,
     epoch: u64,
     /// Summaries of the switches no commit has carried yet (see
     /// [`HammerheadPolicy::take_summaries_before`]).
@@ -157,10 +153,6 @@ impl HammerheadPolicy {
         let s0 = SlotSchedule::initial(&committee);
         let scores = ReputationScores::new(&committee);
         let n = committee.size();
-        let ema_milli = match config.scoring_rule {
-            ScoringRule::VoteEma { .. } => vec![0; n],
-            _ => Vec::new(),
-        };
         HammerheadPolicy {
             committee,
             config,
@@ -171,7 +163,6 @@ impl HammerheadPolicy {
             }],
             base: s0,
             scores,
-            ema_milli,
             epoch: 0,
             unsent: Vec::new(),
             scratch: SubDagScratch::new(),
@@ -183,12 +174,6 @@ impl HammerheadPolicy {
     /// The live (not yet finalized) scores of the current epoch.
     pub fn scores(&self) -> &ReputationScores {
         &self.scores
-    }
-
-    /// Cross-epoch smoothed scores in milli-points, by validator index,
-    /// under [`ScoringRule::VoteEma`]; empty under every other rule.
-    pub fn ema_scores_milli(&self) -> &[u64] {
-        &self.ema_milli
     }
 
     /// Hands over the summaries of the switches that opened the epochs up
@@ -272,14 +257,11 @@ impl HammerheadPolicy {
     }
 
     /// The one candidacy rule: every validator outside `excluded`, best
-    /// `scores` first, if each of them had ordered vertices in the epoch's
+    /// score first, if each of them had ordered vertices in the epoch's
     /// closed rounds and each of those was timely; otherwise nobody.
-    fn earned_candidates(
-        &self,
-        scores: &ReputationScores,
-        excluded: impl Fn(ValidatorId) -> bool,
-    ) -> Vec<ValidatorId> {
-        let candidates: Vec<ValidatorId> = scores
+    fn earned_candidates(&self, excluded: impl Fn(ValidatorId) -> bool) -> Vec<ValidatorId> {
+        let candidates: Vec<ValidatorId> = self
+            .scores
             .ranked_ascending()
             .into_iter()
             .rev()
@@ -351,8 +333,7 @@ impl SchedulePolicy for HammerheadPolicy {
         // ordered vertices plus the anchor's still-unordered causal history
         // — which Observation 2 makes identical at every honest validator —
         // up to but excluding the committed leader itself.
-        if matches!(self.config.scoring_rule, ScoringRule::VoteBased | ScoringRule::VoteEma { .. })
-        {
+        if self.config.scoring_rule == ScoringRule::VoteBased {
             // The indexed walk already emits canonically — ascending
             // (round, author) — so the votes accumulate in deterministic
             // order with no sorting and no vertex clones.
@@ -363,36 +344,17 @@ impl SchedulePolicy for HammerheadPolicy {
             }
         }
 
-        // Under EMA scoring, the ranking input is the smoothed cross-epoch
-        // score; plain integer arithmetic keeps it deterministic.
-        let ranking_scores =
-            if let ScoringRule::VoteEma { alpha_percent } = self.config.scoring_rule {
-                let alpha = alpha_percent.min(100) as u64;
-                let mut smoothed = ReputationScores::new(&self.committee);
-                for id in self.committee.ids() {
-                    let epoch_milli = self.scores.get(id) * 1000;
-                    let prev_milli = self.ema_milli[id.index()];
-                    let next = (alpha * epoch_milli + (100 - alpha) * prev_milli) / 100;
-                    self.ema_milli[id.index()] = next;
-                    smoothed.add(id, next);
-                }
-                smoothed
-            } else {
-                self.scores.clone()
-            };
-
         // Every epoch's B→G swap is computed against S0, not against the
         // schedule the previous epochs patched: a validator that leaves
         // the bottom set regains its base slots. Patching cumulatively
         // would hand them back only to a validator that ranks into G,
         // which a recovered one never does once scores saturate into ties.
         let change =
-            compute_next_schedule(&self.base, &ranking_scores, &self.committee, self.stake_bound());
+            compute_next_schedule(&self.base, &self.scores, &self.committee, self.stake_bound());
 
         // Candidacy for the new epoch, as the closing epoch's closed rounds
         // showed it.
-        let candidates =
-            self.earned_candidates(&ranking_scores, |id| change.excluded.contains(&id));
+        let candidates = self.earned_candidates(|id| change.excluded.contains(&id));
 
         self.unsent.push(EpochSummary {
             epoch: self.epoch,
@@ -449,14 +411,13 @@ impl SchedulePolicy for HammerheadPolicy {
                 // past round 0, so only epoch 0 gets here.
                 let unseen =
                     |id: ValidatorId| self.seen[id.index()].timeliness == Timeliness::Unseen;
-                let candidates = self.earned_candidates(&self.scores, unseen);
+                let candidates = self.earned_candidates(unseen);
                 self.schedules.last_mut().expect("never empty").candidates = candidates;
             }
             self.unchecked = round.next();
         }
         self.seen[vertex.author().index()].ordered_once = true;
-        if matches!(self.config.scoring_rule, ScoringRule::VoteBased | ScoringRule::VoteEma { .. })
-        {
+        if self.config.scoring_rule == ScoringRule::VoteBased {
             self.accumulate_vote(vertex, dag);
         }
     }
@@ -1066,55 +1027,6 @@ mod tests {
         feed_all_reversed(&mut e2, &dag, 16);
         assert_eq!(e.chain_hash(), e2.chain_hash());
         assert_eq!(e.policy().epoch(), e2.policy().epoch());
-    }
-
-    #[test]
-    fn ema_alpha_100_matches_vote_based() {
-        let c = committee4();
-        let mut dag_builder = DagBuilder::new(c.clone());
-        dag_builder.extend_full_rounds(13);
-        let dag = dag_builder.into_dag();
-
-        let vote = HammerheadConfig { period_rounds: 4, ..Default::default() };
-        let ema = HammerheadConfig {
-            period_rounds: 4,
-            scoring_rule: ScoringRule::VoteEma { alpha_percent: 100 },
-            ..Default::default()
-        };
-        let mut ev = engine_with(&c, vote);
-        let mut ee = engine_with(&c, ema);
-        feed(&mut ev, &dag, 0..=12);
-        feed(&mut ee, &dag, 0..=12);
-        assert_eq!(ev.chain_hash(), ee.chain_hash());
-        assert_eq!(ev.policy().active_schedule().slots(), ee.policy().active_schedule().slots());
-        // EMA with alpha=1 carries score×1000 exactly.
-        assert!(!summaries(&mut ee).is_empty());
-        // Only the rule that reads the smoothed table has one.
-        assert_eq!(ee.policy().ema_scores_milli().len(), c.size());
-        assert!(ev.policy().ema_scores_milli().is_empty());
-    }
-
-    #[test]
-    fn ema_smooths_across_epochs() {
-        // A validator with a perfect first epoch and an empty second epoch
-        // keeps a positive smoothed score; pure per-epoch scores forget.
-        let c = committee4();
-        let config = HammerheadConfig {
-            period_rounds: 4,
-            scoring_rule: ScoringRule::VoteEma { alpha_percent: 50 },
-            ..Default::default()
-        };
-        let mut e = engine_with(&c, config);
-        let mut b = DagBuilder::new(c);
-        b.extend_full_rounds(13);
-        let dag = b.into_dag();
-        feed(&mut e, &dag, 0..=12);
-        assert!(e.policy().epoch() >= 2);
-        // Fully-connected DAG: every epoch every validator scored; EMA is
-        // positive and equal across validators.
-        let ema = e.policy().ema_scores_milli();
-        assert_eq!(ema.len(), 4);
-        assert!(ema.iter().all(|m| *m > 0 && *m == ema[0]), "{ema:?}");
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!   transport's codec seam.
 //! * [`runtime`] — [`runtime::run_node`]: the event loop binding the
 //!   validator to a [`hh_net::tcp::TcpTransport`], a wall clock, a
-//!   timer heap, and a stdin-driven graceful shutdown.
+//!   [`hh_net::wheel::TimingWheel`] of timers, and a stdin-driven
+//!   graceful shutdown.
 //! * [`testnet`] — [`testnet::run_testnet`]: spawn a whole committee as
 //!   OS processes on loopback, drive load, SIGKILL one node and restart
 //!   it, then audit every WAL with the safety checker.

@@ -18,7 +18,9 @@ use hh_scenario::{
     PlanOptions, RunLimit, ScenarioError,
 };
 use hh_types::toml;
-use std::path::PathBuf;
+use std::fs::File;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -41,7 +43,8 @@ OPTIONS (run):
                       to stderr; the report (rows, JSON) is unchanged
     --set <k=v,..>    patch a scenario key before validation; list values
                       become sweep axes (repeatable)
-    --out <file>      write the JSON report to <file>
+    --out <file>      write the JSON report to <file>, created before the
+                      first run
     --json            print the JSON report to stdout instead of rows
 ";
 
@@ -166,6 +169,14 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         None => RunLimit::Duration,
     };
 
+    // Created before the sweep: an unwritable path fails at once, not
+    // after the runs it would have thrown away.
+    let io_error = |path: &Path, e: std::io::Error| format!("{}: {e}", path.display());
+    let out = match &args.out {
+        Some(path) => Some((path, File::create(path).map_err(|e| io_error(path, e))?)),
+        None => None,
+    };
+
     // Note: the worker count is deliberately absent from the output —
     // rows, progress lines, and JSON are byte-identical for any --jobs.
     if !args.json {
@@ -185,10 +196,10 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     if args.json {
         print!("{json}");
     }
-    if let Some(out) = &args.out {
-        std::fs::write(out, &json).map_err(|e| format!("{}: {e}", out.display()))?;
+    if let Some((path, mut file)) = out {
+        file.write_all(json.as_bytes()).map_err(|e| io_error(path, e))?;
         if !args.json {
-            println!("wrote {}", out.display());
+            println!("wrote {}", path.display());
         }
     }
     Ok(())

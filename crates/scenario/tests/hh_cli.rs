@@ -23,3 +23,19 @@ fn a_closed_stdout_ends_the_command_quietly() {
         );
     }
 }
+
+/// `run --out` into a directory that does not exist fails before the first
+/// run, not after the sweep whose report it could not keep.
+#[test]
+fn an_unwritable_out_path_fails_before_any_run() {
+    let chaos = hh_scenario::repo_scenarios_dir().join("chaos.toml");
+    let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("missing/x.json");
+    let mut cli = Command::new(env!("CARGO_BIN_EXE_hh-cli"));
+    let run = cli.arg("run").arg(&chaos).arg("--quick").arg("--out").arg(&out);
+    let out = run.output().expect("starts");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "exited {:?}:\n{stdout}", out.status);
+    assert!(stdout.is_empty(), "printed before failing:\n{stdout}");
+    assert!(stderr.contains("missing/x.json"), "{stderr}");
+}

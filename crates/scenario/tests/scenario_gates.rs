@@ -1,10 +1,11 @@
 //! What the reports of four checked-in scenarios must show, asserted on
-//! the typed rows of their `--quick` plans: reputation scheduling demotes
-//! a lazy leader that round-robin keeps (byzantine), safety holds and the
-//! codec turns corrupted frames away while commits keep flowing under
-//! chaos across three seeds, goodput has a knee with nothing shed below
-//! it (saturation), and a bursty workload across a crash reports its
-//! goodput and restarts the crashed validator.
+//! the typed rows of their `--quick` plans: vote-based scores demote every
+//! attacker at the first epoch boundary, which leader-outcome scores and
+//! round-robin never do (byzantine), safety holds and the codec turns
+//! corrupted frames away while commits keep flowing under chaos across
+//! three seeds, goodput has a knee with nothing shed below it
+//! (saturation), and a bursty workload across a crash reports its goodput
+//! and restarts the crashed validator.
 //!
 //! (The recovery report's gate is
 //! `fault_e2e.rs::recovery_runs_restart_without_divergence_and_report_reinclusion`.)
@@ -25,27 +26,23 @@ fn quick_report(file: &str, seed: Option<u64>, sets: &[&str]) -> ScenarioReport 
     run_plan(&plan, RunLimit::Duration, &ExecOptions::default())
 }
 
+/// README: vote-based scores demote every attacker at the first epoch
+/// boundary; leader-outcome scores and round-robin never demote one.
 #[test]
-fn byzantine_vote_scorers_demote_the_lazy_leader_and_round_robin_never_does() {
+fn byzantine_vote_based_demotes_every_attacker_at_the_first_boundary_and_no_other_rule_does() {
     let report = quick_report("byzantine.toml", None, &[]);
-    let mut demoting_scorers = 0;
+    let variants: Vec<&str> = report.rows.iter().map(|row| row.run.variant.as_str()).collect();
+    assert_eq!(variants, ["vote-based", "leader-outcome", "round-robin"]);
     for row in &report.rows {
         let variant = row.run.variant.as_str();
         let adversary = &row.result.adversary;
-        let lazy = adversary
-            .iter()
-            .find(|a| a.strategy == "lazy_leader")
-            .unwrap_or_else(|| panic!("{variant}: no row for the lazy leader in {adversary:?}"));
-        match variant {
-            "round-robin" => assert_eq!(lazy.rounds_to_demotion, None, "round-robin demoted it"),
-            "vote-based" | "vote-ema-30" => {
-                assert!(lazy.rounds_to_demotion.is_some(), "{variant} never demoted it");
-                demoting_scorers += 1;
-            }
-            _ => {}
+        let strategies: Vec<&str> = adversary.iter().map(|a| a.strategy.as_str()).collect();
+        assert_eq!(strategies, ["equivocate", "withhold_votes", "lazy_leader", "flip_flop"]);
+        let first_boundary = (variant == "vote-based").then_some(0);
+        for attacker in adversary {
+            assert_eq!(attacker.epochs_to_demotion, first_boundary, "{variant}: {attacker:?}");
         }
     }
-    assert_eq!(demoting_scorers, 2, "both vote scorers are part of the quick plan");
 }
 
 #[test]
