@@ -23,17 +23,19 @@
 # report byte-identical, and a benchmark gate that unit-tests the
 # perfbench package against the workspace's crates and requires two
 # correct 2-second runs: sim_n100_f33 with its peak resident set under
-# 17 MB, which only a DAG whose round index is its only index (no digest
-# table beside it) and holds a pointer for the authors present in a round
-# alone (no slot for a crashed one), with 24-byte transactions, meets, and its
+# 16 MB, which only a DAG whose round index is its only index (no digest
+# table beside it), a deque of the contiguous retained rounds (no B-tree),
+# and holds a pointer for the authors present in a round alone (no slot
+# for a crashed one), with 24-byte transactions and engines that keep
+# only their last anchor (the checker holds the sequence), meets, and its
 # simulated median latency under 500 ms, which only a run whose epoch 0
 # anchors every round meets (the committee earns candidacy when round 0
 # closes, and a leader the ordered prefix never heard from is neither
 # awaited by the proposers nor by its slot, which is decided at the
 # quorum of the round above), and sim_n10_long (600
 # simulated seconds) under 28 MB, which only a log of about 2 B a record,
-# per-commit bookkeeping that ends at the GC horizon (the engine's
-# anchors, the safety checker's slots) and validators that keep only the
+# per-commit bookkeeping that ends at the GC horizon (the safety
+# checker's slots) and validators that keep only the
 # live schedules (the checker holds the one schedule history) meet, and
 # 250 ms, a ceiling only a timely validator's own vertex ordering its
 # transactions meets, with a round's leader ordered at its own (f+1)-th
@@ -263,20 +265,23 @@ report() {
 # speed, and the simulated median latency is seed-exact, so one ceiling
 # each holds on any host.
 bench sim_n100_f33
-# About 15.4 MB and 480 ms on seed 1 (17.1-17.3 MB while every round of
-# every DAG kept a pointer slot per committee member, a third of them for
-# crashed validators, and a transaction took 32 B; 22.3 MB while every DAG
-# kept a digest table beside its round index; 511.379 ms while epoch 0 stayed
-# leader-only until its switch and a crashed leader's round waited for
-# the anchor two rounds up, leaving an execution backlog in the gated
-# window; 30.0 MB and 799.125 ms while every proposer kept its own parent
-# list and leaders crashed from t = 0 were awaited through epoch 0).
-ceiling target/ci-sim_n100_f33.txt peak_rss_mb 17
+# About 14.3 MB and 480 ms on seed 1 (15.4 MB while every DAG kept its
+# rounds in a B-tree and every engine the anchors above its GC horizon;
+# 17.1-17.3 MB while every round of every DAG kept a pointer slot per
+# committee member, a third of them for crashed validators, and a
+# transaction took 32 B; 22.3 MB while every DAG kept a digest table
+# beside its round index; 511.379 ms while epoch 0 stayed leader-only
+# until its switch and a crashed leader's round waited for the anchor two
+# rounds up, leaving an execution backlog in the gated window; 30.0 MB
+# and 799.125 ms while every proposer kept its own parent list and
+# leaders crashed from t = 0 were awaited through epoch 0).
+ceiling target/ci-sim_n100_f33.txt peak_rss_mb 16
 ceiling target/ci-sim_n100_f33.txt sim_latency_p50_ms 500
 report target/ci-sim_n100_f33.txt setup_s
 bench sim_n10_long
-# The paper-length run, two repetitions of it: about 25.2 MB (25.5-25.7
-# while a transaction took 32 B; 26.1 while
+# The paper-length run, two repetitions of it: about 25.0 MB (25.1 while
+# every DAG kept its rounds in a B-tree and every engine the anchors
+# above its GC horizon; 25.5-25.7 while a transaction took 32 B; 26.1 while
 # every validator kept its own epoch history and every schedule, 32.2
 # while every engine kept every anchor and the checker every slot, 43.8
 # while the log stored four varints a record) and 241.631 ms on seed 1

@@ -66,10 +66,10 @@ pub struct Bullshark<P: SchedulePolicy> {
     commit_index: u64,
     /// Running hash over the commit sequence (anchor digests in order).
     chain_hash: Digest,
-    /// The first anchor of every commit whose round the DAG still holds,
-    /// in commit order (monitoring); the agreement summary is
-    /// `commit_index` and `chain_hash`.
-    committed_anchors: Vec<VertexRef>,
+    /// The first anchor of the latest commit (monitoring). The agreement
+    /// summary is `commit_index` and `chain_hash`; the whole sequence is
+    /// what the returned [`CommittedSubDag`]s name, in order.
+    last_anchor: Option<VertexRef>,
     /// Leader slots the ordered prefix decided skip.
     passed_over: u64,
     /// Leader slots the ordered prefix decided: each ordered round's, and
@@ -91,7 +91,7 @@ impl<P: SchedulePolicy> Bullshark<P> {
             leader_ordered: false,
             commit_index: 0,
             chain_hash: Digest::ZERO,
-            committed_anchors: Vec::new(),
+            last_anchor: None,
             passed_over: 0,
             leader_rounds: 0,
             scratch: SubDagScratch::new(),
@@ -114,12 +114,10 @@ impl<P: SchedulePolicy> Bullshark<P> {
         self.commit_index
     }
 
-    /// The first anchor of each of the latest commits, in commit order:
-    /// those whose round was at or above the DAG's GC horizon when the
-    /// last of them was ordered (all of them while nothing is collected).
-    /// The last is commit `commit_count() − 1`.
-    pub fn committed_anchors(&self) -> &[VertexRef] {
-        &self.committed_anchors
+    /// The first anchor of the latest commit, `commit_count() − 1`; `None`
+    /// before the first.
+    pub fn last_anchor(&self) -> Option<&VertexRef> {
+        self.last_anchor.as_ref()
     }
 
     /// How many candidate rounds' leader slots the ordered prefix decided
@@ -470,10 +468,8 @@ impl<P: SchedulePolicy> Bullshark<P> {
     fn order_anchors(&mut self, anchors: &[&Arc<Vertex>], dag: &Dag) -> CommittedSubDag {
         // Only DAG-resident vertices are ever looked up, so marks below
         // the DAG's GC horizon are dead weight that would otherwise grow
-        // for as long as the node runs; so are the anchors there.
+        // for as long as the node runs.
         self.ordered.forget_below(dag.gc_round());
-        let collected = self.committed_anchors.partition_point(|a| a.round < dag.gc_round());
-        self.committed_anchors.drain(..collected);
         let mut vertices = Vec::new();
         let mut h = Sha256::new();
         h.update(self.chain_hash.as_bytes());
@@ -500,7 +496,7 @@ impl<P: SchedulePolicy> Bullshark<P> {
         let anchor = anchors[0].reference();
         let commit_index = self.commit_index;
         self.commit_index += 1;
-        self.committed_anchors.push(anchor);
+        self.last_anchor = Some(anchor);
 
         CommittedSubDag { anchor, commit_index, schedule_epoch: self.policy.epoch(), vertices }
     }
@@ -580,6 +576,10 @@ mod tests {
             }
         }
         out
+    }
+
+    fn anchors(commits: &[CommittedSubDag]) -> Vec<VertexRef> {
+        commits.iter().map(|sd| sd.anchor).collect()
     }
 
     /// Inserts `full`'s rounds into a fresh DAG one vertex at a time in
@@ -746,8 +746,7 @@ mod tests {
                 eb.process_vertex(&v, &dag);
             }
         }
-        assert_eq!(ea.chain_hash(), eb.chain_hash());
-        assert_eq!(ea.committed_anchors(), eb.committed_anchors());
+        assert_eq!((ea.commit_count(), ea.chain_hash()), (eb.commit_count(), eb.chain_hash()));
     }
 
     #[test]
@@ -962,7 +961,11 @@ mod tests {
             ]
         );
         assert_eq!((e.passed_over_candidates(), e.leader_rounds()), (1, 6));
-        let round2: Vec<_> = e.committed_anchors().iter().filter(|a| a.round == Round(2)).collect();
+        // The same sequence, fed from the finished DAG, names round 2's anchor.
+        let mut again = earned_engine(&c, &[0, 2, 3]);
+        let all = anchors(&feed_all(&mut again, &full, 6));
+        assert_eq!(again.chain_hash(), e.chain_hash());
+        let round2: Vec<_> = all.iter().filter(|a| a.round == Round(2)).collect();
         assert_eq!(round2.len(), 1);
         assert_eq!(round2[0].author, ValidatorId(0));
     }
@@ -1002,12 +1005,12 @@ mod tests {
         };
         let mut e1 = engine(&c);
         let mut e2 = engine(&c);
-        feed_all(&mut e1, &dag_of(7), 6);
-        feed_all(&mut e2, &dag_of(5), 4);
+        let a1 = anchors(&feed_all(&mut e1, &dag_of(7), 6));
+        let a2 = anchors(&feed_all(&mut e2, &dag_of(5), 4));
         assert_ne!(e1.chain_hash(), e2.chain_hash());
         assert_eq!(e2.commit_count(), 4);
         // Prefix property: e2's anchors are a prefix of e1's.
-        assert_eq!(&e1.committed_anchors()[..e2.committed_anchors().len()], e2.committed_anchors());
+        assert_eq!(a1[..a2.len()], a2);
     }
 
     #[test]
@@ -1048,17 +1051,14 @@ mod tests {
                     peak = peak.max(e.ordered.len());
                 }
             }
-            (e.chain_hash(), commits, peak, e.committed_anchors().to_vec())
+            assert_eq!(e.last_anchor(), commits.last().map(|sd| &sd.anchor), "the one kept");
+            (e.chain_hash(), commits, peak)
         };
-        let (hash, commits, peak, anchors) = run(Some(GC_DEPTH));
-        let (full_hash, full_commits, full_peak, full_anchors) = run(None);
+        let (hash, commits, peak) = run(Some(GC_DEPTH));
+        let (full_hash, full_commits, full_peak) = run(None);
 
         assert!(commits.len() > 60, "only {} commits", commits.len());
         assert_eq!(hash, full_hash);
-        // The engine keeps the anchors the DAG still holds: a suffix.
-        assert_eq!(full_anchors.len(), full_commits.len());
-        assert!(anchors.len() <= (GC_DEPTH + SLACK) as usize, "{} anchors kept", anchors.len());
-        assert_eq!(anchors[..], full_anchors[full_anchors.len() - anchors.len()..]);
         assert_eq!(commits.len(), full_commits.len());
         for (a, b) in commits.iter().zip(&full_commits) {
             assert_eq!((a.anchor, a.commit_index), (b.anchor, b.commit_index));

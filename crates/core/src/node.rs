@@ -677,9 +677,17 @@ impl<B: LogBackend> Validator<B> {
         self.engine.chain_hash()
     }
 
-    /// The first anchor of every commit, in order.
-    pub fn committed_anchors(&self) -> &[hh_types::VertexRef] {
-        self.engine.committed_anchors()
+    /// The first anchor of the latest commit; `None` before the first.
+    pub fn last_anchor(&self) -> Option<&VertexRef> {
+        self.engine.last_anchor()
+    }
+
+    /// [`Validator::last_anchor`] as a slice of at most one anchor. The
+    /// validator keeps no other: the whole sequence is the run's
+    /// [`SafetyChecker::anchor_prefix`](crate::SafetyChecker::anchor_prefix)
+    /// of [`Validator::commit_count`].
+    pub fn committed_anchors(&self) -> &[VertexRef] {
+        self.last_anchor().map_or(&[], std::slice::from_ref)
     }
 
     /// How many leader slots the ordered prefix decided skip (Lemma 6's
@@ -1360,7 +1368,7 @@ mod tests {
         }
         solo.run_until(500_000);
         let commits_before = solo.v().commit_count();
-        let chain_before = solo.v().committed_anchors().to_vec();
+        let chain_before = solo.checker.anchor_prefix(commits_before);
         assert!(commits_before > 0);
 
         // Crash: a fresh validator boots from the same store, audited by
@@ -1373,8 +1381,8 @@ mod tests {
         assert!(revived.v().commit_count() >= commits_before.saturating_sub(1));
         assert!(!revived.v().metrics().recovery_divergence, "checkpoint must match");
         // The replay recomputes the pre-crash chain, commit by commit.
-        let recovered = revived.v().committed_anchors();
-        assert_eq!(recovered, &chain_before[..recovered.len()], "not a prefix");
+        let recovered = revived.checker.anchor_prefix(revived.v().commit_count());
+        assert_eq!(recovered, chain_before[..recovered.len()], "not a prefix");
         assert_eq!(revived.checker.records_seen(), commits_before + revived.v().commit_count());
         // Replay must not duplicate execution records.
         assert!(revived.v().metrics().exec_records.is_empty());
@@ -1603,8 +1611,7 @@ mod tests {
     }
 
     /// The storage sweep's fixed solo run: ten transactions, then 150
-    /// rounds of 1 ms, inside the GC window, so the run's
-    /// `committed_anchors` are its whole chain.
+    /// rounds of 1 ms.
     fn fixed_run(backend: &FailingBackend) -> Solo<FailingBackend> {
         let mut solo = Solo::new(fast_config(), Some(backend.clone()), SafetyChecker::new());
         solo.step(Event::Boot);
@@ -1638,8 +1645,8 @@ mod tests {
         assert_eq!(solo.faults.len(), 1, "{context}: the repaired store takes every write");
         assert!(!solo.v().is_halted());
         assert!(!solo.v().metrics().recovery_divergence);
-        let recovered = solo.v().committed_anchors();
-        assert_eq!(recovered, &chain[..recovered.len()], "{context}: not a prefix");
+        let recovered = solo.checker.anchor_prefix(solo.v().commit_count());
+        assert_eq!(recovered, chain[..recovered.len()], "{context}: not a prefix");
         solo.checker.assert_clean();
     }
 
@@ -1648,7 +1655,7 @@ mod tests {
         let clean = FailingBackend::default();
         let solo = fixed_run(&clean);
         assert!(solo.faults.is_empty());
-        let chain = solo.v().committed_anchors().to_vec();
+        let chain = solo.checker.anchor_prefix(solo.v().commit_count());
         assert_eq!(chain.len() as u64, solo.v().commit_count(), "the chain is whole");
         let appends = clean.plan().appends;
         assert!(appends > 100, "{appends} appends");

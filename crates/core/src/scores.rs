@@ -69,11 +69,6 @@ impl ReputationScores {
         ranked.sort_by_key(|(id, s)| (*s, *id));
         ranked
     }
-
-    /// Sum of all scores (monitoring).
-    pub fn total(&self) -> u64 {
-        self.scores.iter().sum()
-    }
 }
 
 impl fmt::Display for ReputationScores {
@@ -101,7 +96,6 @@ mod tests {
         s.record_vote(ValidatorId(0));
         s.record_vote(ValidatorId(1));
         assert_eq!(s.as_slice(), &[2, 1, 0]);
-        assert_eq!(s.total(), 3);
     }
 
     #[test]
@@ -110,7 +104,7 @@ mod tests {
         let mut s = ReputationScores::new(&c);
         s.record_vote(ValidatorId(5));
         s.add(ValidatorId(9), 100);
-        assert_eq!(s.total(), 0);
+        assert_eq!(s.as_slice(), &[0, 0]);
         assert_eq!(s.get(ValidatorId(5)), 0);
     }
 

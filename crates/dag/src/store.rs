@@ -21,7 +21,7 @@
 
 use hh_crypto::Digest;
 use hh_types::{Committee, DigestMap, DigestSet, Round, Stake, TypeError, ValidatorId, Vertex};
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
@@ -302,8 +302,11 @@ impl SubDagScratch {
 #[derive(Clone, Debug)]
 pub struct Dag {
     committee: Committee,
-    /// The only index: each retained round's present authors and vertices.
-    rounds: BTreeMap<Round, RoundIndex>,
+    /// The only index: each retained round's present authors and vertices,
+    /// round `gc_round + i` at position `i`. The retained rounds are
+    /// contiguous: a round opens at genesis or with parents in the round
+    /// below, which must be held, so a new round is the one above the top.
+    rounds: VecDeque<RoundIndex>,
     gc_round: Round,
     /// Vertices stored in `rounds`.
     len: usize,
@@ -313,7 +316,7 @@ pub struct Dag {
 impl Dag {
     /// An empty DAG for `committee`.
     pub fn new(committee: Committee) -> Self {
-        Dag { committee, rounds: BTreeMap::new(), gc_round: Round(0), len: 0, equivocations: 0 }
+        Dag { committee, rounds: VecDeque::new(), gc_round: Round(0), len: 0, equivocations: 0 }
     }
 
     /// The committee this DAG validates against.
@@ -326,11 +329,22 @@ impl Dag {
         self.committee.size().div_ceil(64)
     }
 
+    /// The position of `round` in `rounds`: `round − gc_round`, or `None`
+    /// below the GC floor. The only place the addressing rule is written.
+    fn offset(&self, round: Round) -> Option<usize> {
+        round.0.checked_sub(self.gc_round.0).map(|d| d as usize)
+    }
+
+    /// The index of `round`, if retained and holding a vertex.
+    fn retained(&self, round: Round) -> Option<&RoundIndex> {
+        self.rounds.get(self.offset(round)?)
+    }
+
     /// The round index and author position of `v`, if `v` is the vertex
     /// stored at its `(round, author)` address (not foreign, equivocating
     /// or garbage-collected).
     fn locate(&self, v: &Vertex) -> Option<(&RoundIndex, usize)> {
-        let ri = self.rounds.get(&v.round())?;
+        let ri = self.retained(v.round())?;
         let idx = v.author().index();
         let stored = ri.vertex(idx)?;
         (stored.digest_ref() == v.digest_ref()).then_some((ri, idx))
@@ -409,7 +423,7 @@ impl Dag {
             // and are re-validated after sync.
             let mut missing = Vec::new();
             let mut stake = Stake(0);
-            for (parent, slot) in resolve(self.rounds.get(&round.prev()), vertex.parents()) {
+            for (parent, slot) in resolve(self.retained(round.prev()), vertex.parents()) {
                 let Some(idx) = slot else {
                     missing.push(*parent);
                     continue;
@@ -439,8 +453,13 @@ impl Dag {
         // unit of stake; a weighted committee's count is capped at `n`).
         let (n, words) = (self.committee.size(), self.words());
         let quorum_authors = (self.committee.quorum_threshold().0 as usize).min(n);
-        let ri = self.rounds.entry(round).or_insert_with(|| RoundIndex::new(words, quorum_authors));
-        ri.insert(vertex, self.committee.stake_of(author), n);
+        // Genesis at an empty floor, or parents found in the round below:
+        // the round is held or the one above the top.
+        let at = self.offset(round).expect("checked against the GC floor above");
+        if at == self.rounds.len() {
+            self.rounds.push_back(RoundIndex::new(words, quorum_authors));
+        }
+        self.rounds[at].insert(vertex, self.committee.stake_of(author), n);
         self.len += 1;
         Ok(InsertOutcome::Inserted)
     }
@@ -463,7 +482,7 @@ impl Dag {
         if digests.is_empty() {
             return found;
         }
-        for v in self.rounds.values().rev().flat_map(|ri| &ri.vertices) {
+        for v in self.rounds.iter().rev().flat_map(|ri| &ri.vertices) {
             if digests.contains(v.digest_ref()) {
                 found.insert(v.digest(), v);
                 if found.len() == digests.len() {
@@ -476,27 +495,27 @@ impl Dag {
 
     /// The vertex authored by `author` in `round`, if any.
     pub fn vertex_by_author(&self, round: Round, author: ValidatorId) -> Option<&Arc<Vertex>> {
-        self.rounds.get(&round)?.vertex(author.index())
+        self.retained(round)?.vertex(author.index())
     }
 
     /// Whether any retained round holds a vertex authored by `author`.
     pub fn holds_author(&self, author: ValidatorId) -> bool {
-        self.rounds.values().any(|ri| test_bit(&ri.present, author.index()))
+        self.rounds.iter().any(|ri| test_bit(&ri.present, author.index()))
     }
 
     /// All vertices of `round`, in ascending author order.
     pub fn round_vertices(&self, round: Round) -> impl Iterator<Item = &Arc<Vertex>> {
-        self.rounds.get(&round).into_iter().flat_map(|ri| &ri.vertices)
+        self.retained(round).into_iter().flat_map(|ri| &ri.vertices)
     }
 
     /// Number of vertices in `round`.
     pub fn round_len(&self, round: Round) -> usize {
-        self.rounds.get(&round).map_or(0, |r| r.vertices.len())
+        self.retained(round).map_or(0, |r| r.vertices.len())
     }
 
     /// Total stake of the authors present in `round` (O(1), cached).
     pub fn round_stake(&self, round: Round) -> Stake {
-        self.rounds.get(&round).map(|r| r.stake).unwrap_or(Stake(0))
+        self.retained(round).map_or(Stake(0), |r| r.stake)
     }
 
     /// Whether `round` holds quorum stake worth of vertices.
@@ -516,7 +535,7 @@ impl Dag {
         let Some((_, idx)) = self.locate(target) else {
             return Stake(0);
         };
-        let Some(above) = self.rounds.get(&target.round().next()) else {
+        let Some(above) = self.retained(target.round().next()) else {
             return Stake(0);
         };
         above
@@ -529,7 +548,7 @@ impl Dag {
 
     /// The highest round containing any vertex.
     pub fn highest_round(&self) -> Option<Round> {
-        self.rounds.keys().next_back().copied()
+        self.rounds.len().checked_sub(1).map(|top| Round(self.gc_round.0 + top as u64))
     }
 
     /// The lowest retained round (GC horizon).
@@ -577,7 +596,7 @@ impl Dag {
         match self.locate(from) {
             Some((ri, idx)) => frontier.copy_from_slice(ri.parent_mask(idx)),
             None => {
-                for (_, slot) in resolve(self.rounds.get(&r), from.parents()) {
+                for (_, slot) in resolve(self.retained(r), from.parents()) {
                     if let Some(idx) = slot {
                         set_bit(&mut frontier, idx);
                     }
@@ -585,7 +604,7 @@ impl Dag {
             }
         }
         while r > to.round() {
-            let Some(ri) = self.rounds.get(&r) else {
+            let Some(ri) = self.retained(r) else {
                 return false;
             };
             next.fill(0);
@@ -656,7 +675,7 @@ impl Dag {
 
         // Mark phase: rounds descend one by one; when a level keeps
         // nothing the frontier died out (edges never skip rounds).
-        while let Some(below) = low.0.checked_sub(1).and_then(|r| self.rounds.get(&Round(r))) {
+        while let Some(below) = low.0.checked_sub(1).and_then(|r| self.retained(Round(r))) {
             let (above, level) = {
                 let filled = levels.len();
                 levels.resize(filled + words, 0);
@@ -694,7 +713,8 @@ impl Dag {
 
         // Emit phase: ascending rounds, authors ascending within each.
         let mut out = Vec::with_capacity(count);
-        for ((_, ri), level) in self.rounds.range(low..=top).zip(levels.chunks(words).rev()) {
+        let at = |r: Round| self.offset(r).expect("a traversed round is retained");
+        for (ri, level) in self.rounds.range(at(low)..=at(top)).zip(levels.chunks(words).rev()) {
             out.extend(ri.vertices_in(level).map(|(_, v)| v.clone()));
         }
         out
@@ -726,7 +746,9 @@ impl Dag {
     }
 
     /// Drops all rounds strictly below `round`. Future inserts below the
-    /// horizon are rejected with [`DagError::BelowGc`].
+    /// horizon are rejected with [`DagError::BelowGc`]. A horizon above
+    /// the top round empties the DAG for good: a vertex at the horizon
+    /// misses its parents, and one above it the round below.
     ///
     /// The lowest retained round keeps its parent masks, since they are
     /// stored with its vertices: they name addresses in a round that no
@@ -736,12 +758,11 @@ impl Dag {
     /// everywhere they are needed (the validator keeps a safety margin,
     /// `gc_depth`, below its last committed round).
     pub fn gc(&mut self, round: Round) {
-        if round <= self.gc_round {
+        let Some(dropped) = self.offset(round) else {
             return;
-        }
-        let keep = self.rounds.split_off(&round);
-        let dropped = std::mem::replace(&mut self.rounds, keep);
-        self.len -= dropped.values().map(|ri| ri.vertices.len()).sum::<usize>();
+        };
+        let dropped = self.rounds.drain(..dropped.min(self.rounds.len()));
+        self.len -= dropped.map(|ri| ri.vertices.len()).sum::<usize>();
         self.gc_round = round;
     }
 }
@@ -1079,6 +1100,18 @@ mod tests {
         // GC going backwards is a no-op.
         dag.gc(Round(1));
         assert_eq!(dag.gc_round(), Round(2));
+        // Rounds below the floor and above the top hold nothing.
+        for round in [Round(1), Round(5), Round(u64::MAX)] {
+            assert!(dag.vertex_by_author(round, ValidatorId(0)).is_none(), "{round}");
+            assert_eq!((dag.round_len(round), dag.round_stake(round)), (0, Stake(0)), "{round}");
+        }
+        // GC past the top empties the DAG for good: a vertex at the floor
+        // misses its parents.
+        let top: Vec<Digest> = dag.round_vertices(Round(4)).map(|v| v.digest()).collect();
+        dag.gc(Round(7));
+        assert_eq!((dag.len(), dag.highest_round()), (0, None));
+        let floor = Vertex::new(Round(7), ValidatorId(0), Block::empty(), top.clone(), &kp);
+        assert_eq!(dag.try_insert(floor), Err(DagError::MissingParents(top)));
     }
 
     #[test]
@@ -1163,15 +1196,15 @@ mod tests {
     fn index_bytes(dag: &Dag) -> usize {
         use std::mem::size_of;
         let Dag { committee: _, rounds, gc_round: _, len: _, equivocations: _ } = dag;
-        rounds
-            .values()
-            .map(|ri| {
-                let RoundIndex { present, vertices, stake: _ } = ri;
-                size_of::<(Round, RoundIndex)>()
-                    + size_of_val(&**present)
-                    + vertices.capacity() * size_of::<Arc<Vertex>>()
-            })
-            .sum()
+        let slots = rounds.capacity() * size_of::<RoundIndex>();
+        slots
+            + rounds
+                .iter()
+                .map(|ri| {
+                    let RoundIndex { present, vertices, stake: _ } = ri;
+                    size_of_val(&**present) + vertices.capacity() * size_of::<Arc<Vertex>>()
+                })
+                .sum::<usize>()
     }
 
     #[test]
@@ -1203,12 +1236,13 @@ mod tests {
             }
             let dag = builder.dag();
             assert_eq!(dag.len(), rounds * present);
-            for ri in dag.rounds.values() {
+            for ri in &dag.rounds {
                 assert_eq!(ri.vertices.capacity(), present, "no slack beyond a quorum");
             }
-            // One pointer per stored vertex, plus the round's header and
-            // its two-word present mask: 9.0 B per stored vertex here.
-            let per_round = present * 8 + 2 * 8 + std::mem::size_of::<(Round, RoundIndex)>();
+            // One pointer per stored vertex, plus the round's two-word
+            // present mask and its header in the round deque, which holds
+            // at most twice the rounds: 9.7 B per stored vertex here.
+            let per_round = present * 8 + 2 * 8 + 2 * std::mem::size_of::<RoundIndex>();
             let bytes = index_bytes(dag);
             assert!(
                 bytes <= rounds * per_round,
@@ -1233,7 +1267,7 @@ mod tests {
                 assert_eq!(second.try_insert_arc(v.clone()), Ok(InsertOutcome::Inserted));
             }
         }
-        let (a, b) = (&first.rounds[&Round(2)], &second.rounds[&Round(2)]);
+        let (a, b) = (&first.rounds[2], &second.rounds[2]);
         for author in 0..4 {
             let mask = a.parent_mask(author);
             assert_eq!(mask, [0b1101], "v1 is left out of every parent list");
@@ -1254,7 +1288,7 @@ mod tests {
             }
         }
         third.try_insert(copy).unwrap();
-        let own = third.rounds[&Round(2)].parent_mask(0);
+        let own = third.rounds[2].parent_mask(0);
         assert_eq!(own, a.parent_mask(0));
         assert!(!std::ptr::eq(own, a.parent_mask(0)));
     }

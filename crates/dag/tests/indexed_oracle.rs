@@ -708,16 +708,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Random DAGs fed round by round as private copies, some held back a
-    /// round, with GC advancing between rounds. Before a round is fed,
-    /// variants of its vertices (shuffled, duplicated, fabricated and
-    /// two-rounds-down parents, short lists, twins) are inserted into
-    /// copies of both stores, where the round's slots are still free. One
-    /// in four goes into the stores themselves instead: into a slot the
-    /// round leaves empty, after the round, or in the last round anywhere
-    /// (a taken slot stalls every round above). Every insert answers as
-    /// the digest-table oracle does and stores the same allocation with the
-    /// same parent mask, and the two stores end up holding the same
-    /// vertices.
+    /// round, with GC advancing between rounds, now and then past the top
+    /// round. Before a round is fed, variants of its vertices (shuffled,
+    /// duplicated, fabricated and two-rounds-down parents, short lists,
+    /// twins) are inserted into copies of both stores, where the round's
+    /// slots are still free. One in four goes into the stores themselves
+    /// instead: into a slot the round leaves empty, after the round, or in
+    /// the last round anywhere (a taken slot stalls every round above).
+    /// Every insert answers as the digest-table oracle does and stores the
+    /// same allocation with the same parent mask, and the two stores end up
+    /// holding the same vertices and the same top round.
     fn inserts_match_the_digest_table_oracle(shape in shape(2), seed in any::<u64>()) {
         let (n, rounds) = shape;
         let source = random_dag(n, rounds, seed);
@@ -728,9 +728,15 @@ proptest! {
         let mut late: Vec<Arc<Vertex>> = Vec::new();
         for r in 0..rounds as u64 {
             if r >= 3 && rng.below(3) == 0 {
-                let horizon = Round(dag.gc_round().0.max(r - 3) + 1);
+                // One in six past the top round, which empties both stores.
+                let horizon = match rng.below(6) {
+                    0 => Round(r + rng.below(2)),
+                    _ => Round(dag.gc_round().0.max(r - 3) + 1),
+                };
                 dag.gc(horizon);
                 oracle.gc(horizon);
+                let top = oracle.by_digest.values().map(|v| v.round()).max();
+                prop_assert_eq!(dag.highest_round(), top);
             }
             // Last round's held-back vertices, and what they held up.
             for v in std::mem::take(&mut late) {

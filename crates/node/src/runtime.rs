@@ -174,9 +174,8 @@ pub fn run_node(cfg: &NodeConfig) -> Result<NodeReport, String> {
 
     let status_interval = cfg.status_interval_us()?;
     let mut next_status = status_interval;
-    let committed_round = |v: &Validator<FileBackend>| -> u64 {
-        v.committed_anchors().last().map_or(0, |a| a.round.0)
-    };
+    let committed_round =
+        |v: &Validator<FileBackend>| -> u64 { v.last_anchor().map_or(0, |a| a.round.0) };
 
     while node.fatal.is_none() && !stop.load(Ordering::SeqCst) {
         let now = now_us();

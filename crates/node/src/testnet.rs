@@ -411,7 +411,7 @@ fn audit_node(cfg: &NodeConfig, checker: &SafetyChecker) -> Result<(u64, u64), S
     let mut driver = Driver::new(v, Some(checker.clone()));
     driver.step(Event::Restart, 0);
     let v = driver.validator();
-    Ok((v.commit_count(), v.committed_anchors().last().map_or(0, |a| a.round.0)))
+    Ok((v.commit_count(), v.last_anchor().map_or(0, |a| a.round.0)))
 }
 
 /// Runs a full local testnet. See the module docs for the phases.

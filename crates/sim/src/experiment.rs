@@ -585,8 +585,7 @@ pub fn collect_metrics(config: &ExperimentConfig, handle: &SimHandle, end_us: u6
     let observer =
         live.iter().copied().max_by_key(|&i| (handle.validator(i).commit_count(), Reverse(i)));
     let view = observer.map(|i| handle.validator(i));
-    let last_anchor_round =
-        view.and_then(|v| v.committed_anchors().last()).map_or(0, |a| a.round.0);
+    let last_anchor_round = view.and_then(|v| v.last_anchor()).map_or(0, |a| a.round.0);
     // The schedule history is copied only for the rows that read it.
     let (reinclusion, adversary) = match observer {
         Some(i) if !handle.recovery_rounds.is_empty() || !config.byzantine.is_empty() => {
@@ -893,7 +892,7 @@ mod tests {
     /// count is `AdversaryRow::leader_share_overall`.
     fn attacker_slot_rounds(handle: &SimHandle, observer: usize, attacker: u16, n: usize) -> u64 {
         let v = handle.validator(observer);
-        let last_round = v.committed_anchors().last().map(|a| a.round.0).unwrap_or(0);
+        let last_round = v.last_anchor().map_or(0, |a| a.round.0);
         match v.hammerhead_policy() {
             None => last_round / n as u64,
             Some(_) => {

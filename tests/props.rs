@@ -314,7 +314,7 @@ proptest! {
             }
         }
         prop_assert_eq!(ea.chain_hash(), eb.chain_hash());
-        prop_assert_eq!(ea.committed_anchors(), eb.committed_anchors());
+        prop_assert_eq!(ea.commit_count(), eb.commit_count());
     }
 
     #[test]

@@ -57,10 +57,10 @@ fn in_memory() -> Vec<MemBackend> {
 
 /// Four validators, one client, and a crash/recovery window for
 /// validator 3.
-fn build(crash_at: SimTime, recover_at: SimTime) -> Simulator<Actor> {
+fn build(crash_at: SimTime, recover_at: SimTime) -> (Simulator<Actor>, SafetyChecker) {
     let client = Client::new(0, NodeId(0), 150.0);
     let faults = FaultSchedule::new().crash(3, crash_at.0).recover(3, recover_at.0);
-    network(in_memory(), &fast_config(), client, faults, 17).0
+    network(in_memory(), &fast_config(), client, faults, 17)
 }
 
 fn commits(sim: &Simulator<Actor>, i: usize) -> u64 {
@@ -71,7 +71,7 @@ fn commits(sim: &Simulator<Actor>, i: usize) -> u64 {
 fn validator_recovers_and_catches_up() {
     let crash_at = SimTime::from_secs(3);
     let recover_at = SimTime::from_secs(6);
-    let mut sim = build(crash_at, recover_at);
+    let (mut sim, safety) = build(crash_at, recover_at);
 
     sim.run_until(SimTime::from_secs(3));
     let before_crash = commits(&sim, 3);
@@ -91,15 +91,16 @@ fn validator_recovers_and_catches_up() {
     let v3_commits = commits(&sim, 3);
     assert!(v3_commits + 20 >= v0_commits, "v3 failed to catch up: {v3_commits} vs {v0_commits}");
 
-    // Safety: the recovered node's sequence is a prefix of the leader's.
-    let reference = sim.node(NodeId(0)).as_validator().unwrap().committed_anchors();
-    let recovered = v3.committed_anchors();
-    let shared = reference.len().min(recovered.len());
-    assert_eq!(&reference[..shared], &recovered[..shared]);
+    // Safety: the checker held every commit of v3's, replayed or new, to
+    // the first one exposed at its index, so its sequence is the run's.
+    safety.assert_clean();
+    let recovered = safety.anchor_prefix(v3_commits);
+    // The rebuilt engine's own last anchor ends that sequence.
+    assert_eq!(v3.last_anchor(), recovered.last());
     // Anchors of odd rounds included, among those the replay recomputed
     // from the WAL and among those committed since: the restart rebuilt
     // the engine's commit instance along with the order.
-    let (replayed, since) = recovered[..shared].split_at(before_crash as usize);
+    let (replayed, since) = recovered.split_at(before_crash as usize);
     for (what, anchors) in [("replayed", replayed), ("since the restart", since)] {
         let odd = anchors.iter().filter(|a| !a.round.is_even()).count();
         assert!(odd * 3 > anchors.len(), "{odd} of {} {what} anchors on odd rounds", anchors.len());
@@ -110,26 +111,21 @@ fn validator_recovers_and_catches_up() {
 fn recovery_preserves_pre_crash_prefix() {
     let crash_at = SimTime::from_secs(3);
     let recover_at = SimTime::from_secs(5);
-    let mut sim = build(crash_at, recover_at);
+    let (mut sim, safety) = build(crash_at, recover_at);
 
     sim.run_until(SimTime::from_secs(3));
-    let pre_crash: Vec<_> =
-        sim.node(NodeId(3)).as_validator().unwrap().committed_anchors().to_vec();
-    assert!(!pre_crash.is_empty());
+    let pre_crash = commits(&sim, 3);
+    assert!(pre_crash > 0);
 
     sim.run_until(SimTime::from_secs(10));
-    let post: Vec<_> = sim.node(NodeId(3)).as_validator().unwrap().committed_anchors().to_vec();
-    assert!(
-        post.len() >= pre_crash.len(),
-        "recovery lost commits: {} -> {}",
-        pre_crash.len(),
-        post.len()
-    );
-    assert_eq!(
-        &post[..pre_crash.len()],
-        &pre_crash[..],
-        "recovered sequence must extend the pre-crash prefix"
-    );
+    let post = commits(&sim, 3);
+    assert!(post >= pre_crash, "recovery lost commits: {pre_crash} -> {post}");
+    // The checker held each of v3's commits, replayed or new, to the
+    // first one exposed at its index: the recovered sequence extends the
+    // pre-crash prefix, and the rebuilt engine's last anchor ends it.
+    safety.assert_clean();
+    let v3 = sim.node(NodeId(3)).as_validator().unwrap();
+    assert_eq!(v3.last_anchor(), safety.anchor_prefix(post).last());
 }
 
 #[test]
@@ -140,7 +136,7 @@ fn repeated_crashes_survive() {
         .crash(3, 6_000_000)
         .recover(3, 8_000_000);
     let client = Client::new(0, NodeId(1), 100.0);
-    let (mut sim, _) = network(in_memory(), &fast_config(), client, faults, 23);
+    let (mut sim, safety) = network(in_memory(), &fast_config(), client, faults, 23);
     sim.run_until(SimTime::from_secs(14));
 
     let v3 = sim.node(NodeId(3)).as_validator().unwrap();
@@ -148,10 +144,10 @@ fn repeated_crashes_survive() {
     assert!(!v3.metrics().recovery_divergence);
     assert!(commits(&sim, 3) + 30 >= commits(&sim, 0), "double-crashed node caught up");
 
-    let reference = sim.node(NodeId(0)).as_validator().unwrap().committed_anchors();
-    let recovered = v3.committed_anchors();
-    let shared = reference.len().min(recovered.len());
-    assert_eq!(&reference[..shared], &recovered[..shared]);
+    // Every commit of v3's, replayed or new, is the first one exposed at
+    // its index, and the rebuilt engine's last anchor ends that sequence.
+    safety.assert_clean();
+    assert_eq!(v3.last_anchor(), safety.anchor_prefix(commits(&sim, 3)).last());
 }
 
 #[test]
@@ -186,7 +182,7 @@ fn hammerhead_node_recovers_with_schedule_state() {
     assert!(carried.len() >= 2, "the recovered node's commits carried {} switches", carried.len());
     assert!((carried.len() as u64..=carried.len() as u64 + 1).contains(&epoch), "epoch {epoch}");
     // And it names the run's leader for the round it last committed.
-    let last = recovered.committed_anchors().last().expect("it commits again").round;
+    let last = recovered.last_anchor().expect("it commits again").round;
     assert_eq!(Some(recovered.leader_at(last)), safety.leader_at(last));
 }
 
