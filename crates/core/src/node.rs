@@ -215,10 +215,12 @@ pub struct ExecRecord {
 /// stride and travels with the log, so a log taken off a validator
 /// decodes on its own.
 ///
-/// The bytes live in 64 KiB chunks that are allocated full-size, filled
-/// front to back and never grown or copied; a record never straddles
-/// two. A log leaves at most one chunk unused (and under 35 B, the
-/// longest record, at the end of each full chunk), and an empty log
+/// The bytes live in chunks of 1 KiB, 2 KiB, 4 KiB … up to 64 KiB and
+/// then 64 KiB each, allocated full-size, filled front to back and never
+/// grown or copied; a record never straddles two. A log leaves only its
+/// last chunk's room unused (under 64 KiB, and little more than it has
+/// filled while its chunks are still doubling) and under 35 B, the
+/// longest record, at the end of each full chunk, and an empty log
 /// allocates nothing.
 #[derive(Clone, Debug, Default)]
 pub struct ExecLog {
@@ -228,8 +230,11 @@ pub struct ExecLog {
     prediction: Prediction,
 }
 
-/// Capacity of one [`ExecLog`] chunk.
-const EXEC_LOG_CHUNK: usize = 64 * 1024;
+/// Capacity of an [`ExecLog`]'s chunk number `i`: 1 KiB, doubling up to
+/// 64 KiB.
+fn exec_log_chunk(i: usize) -> usize {
+    1024 << i.min(6)
+}
 
 /// Most bytes one record encodes to: a five-byte head and three ten-byte
 /// varints. A chunk with less room left is full.
@@ -274,7 +279,7 @@ impl ExecLog {
     /// Appends one record.
     pub fn push(&mut self, rec: ExecRecord) {
         if self.chunks.last().is_none_or(|c| c.capacity() - c.len() < EXEC_RECORD_MAX) {
-            self.chunks.push(Vec::with_capacity(EXEC_LOG_CHUNK));
+            self.chunks.push(Vec::with_capacity(exec_log_chunk(self.chunks.len())));
         }
         let chunk = self.chunks.last_mut().expect("a chunk with room for the record");
         let p = self.prediction;
@@ -1514,7 +1519,7 @@ mod tests {
     }
 
     #[test]
-    fn exec_log_allocates_at_most_one_chunk_beyond_its_encoding() {
+    fn exec_log_chunks_double_to_64_kib_and_never_grow() {
         let capacity = |log: &ExecLog| log.chunks.iter().map(Vec::capacity).sum::<usize>();
         let mut log = ExecLog::default();
         assert_eq!((log.chunks.capacity(), capacity(&log)), (0, 0), "an empty log allocates");
@@ -1527,17 +1532,23 @@ mod tests {
             executed_at: i * 250,
             bytes: (i / 13 * 7_919 % 70_000) as u32,
         };
+        // Where each chunk's bytes live: a chunk that reallocated moves.
+        let mut opened = Vec::new();
         for i in 0..300_000 {
             log.push(rec(i));
-            if i % 1_000 == 0 {
-                // A full chunk leaves under one record's bytes unused.
-                let full = log.chunks.len() - 1;
-                let bound = log.encoded_bytes() + EXEC_LOG_CHUNK + full * EXEC_RECORD_MAX;
-                assert!(capacity(&log) <= bound, "{} B allocated", capacity(&log));
+            if log.chunks.len() > opened.len() {
+                opened.push(log.chunks.last().unwrap().as_ptr());
             }
         }
-        assert!(log.chunks.len() > 4, "{} chunks", log.chunks.len());
-        assert!(log.chunks.iter().all(|c| c.capacity() == EXEC_LOG_CHUNK), "a chunk grew");
+        let capacities: Vec<usize> = log.chunks.iter().map(Vec::capacity).collect();
+        assert!(capacities.len() > 9, "{} chunks", capacities.len());
+        let kib = [1, 2, 4, 8, 16, 32].into_iter().chain(std::iter::repeat(64));
+        let planned = kib.map(|k| k << 10).take(capacities.len());
+        assert!(capacities.iter().copied().eq(planned), "{capacities:?}");
+        assert!(log.chunks.iter().map(|c| c.as_ptr()).eq(opened), "a chunk reallocated");
+        // A full chunk leaves under one record's bytes unused.
+        let full = &log.chunks[..log.chunks.len() - 1];
+        assert!(full.iter().all(|c| c.capacity() - c.len() < EXEC_RECORD_MAX));
 
         // A clone holds its encoding exactly and opens a chunk rather than
         // grow one it copied.

@@ -36,11 +36,6 @@ impl SimTime {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
-
-    /// The span from `earlier` to `self`; saturates at zero.
-    pub fn duration_since(self, earlier: SimTime) -> Duration {
-        Duration(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl fmt::Display for SimTime {
@@ -137,9 +132,7 @@ mod tests {
     fn arithmetic() {
         let t = SimTime::from_secs(1) + Duration::from_millis(500);
         assert_eq!(t.as_micros(), 1_500_000);
-        assert_eq!(t.duration_since(SimTime::from_secs(1)), Duration::from_millis(500));
         // Saturation, not wraparound.
-        assert_eq!(SimTime::ZERO.duration_since(SimTime::from_secs(1)), Duration::ZERO);
         assert_eq!(SimTime::MAX + Duration::from_secs(1), SimTime::MAX);
     }
 

@@ -115,12 +115,10 @@ impl<B: LogBackend> ValidatorStore<B> {
 
     fn append_vertex(&mut self, tag: u8, vertex: &Vertex) -> Result<(), WalError> {
         // Byte-for-byte the encoding of the `tag`'s record, written without
-        // cloning the vertex into a temporary record. The vertex's memoized
-        // canonical encoding makes every persist after the first holder's
-        // (across all validators sharing the `Arc`) a plain copy.
+        // cloning the vertex into a temporary record.
         self.scratch.clear();
         self.scratch.put_u8(tag);
-        self.scratch.extend_from_slice(vertex.encoded_bytes());
+        vertex.encode(&mut self.scratch);
         self.wal.append(&self.scratch)
     }
 
@@ -276,6 +274,34 @@ mod tests {
         let recovered = ValidatorStore::new(backend).recover().unwrap();
         assert_eq!(recovered.vertices.len(), 1);
         assert_eq!(recovered.vertices[0].author(), ValidatorId(0));
+    }
+
+    #[test]
+    fn an_append_writes_the_records_encoding() {
+        // A fresh vertex carrying a block, and a clone of it: each logged
+        // record is `encode_to_vec` of its `StoreRecord`, and the log's
+        // bytes are those the store has always written.
+        let c = Committee::new_equal_stake(4);
+        let txs = vec![hh_types::Transaction::new(1, 2, 3), hh_types::Transaction::new(4, 5, 6)];
+        let (id, parents) = (ValidatorId(1), vec![hh_crypto::sha256(b"p")]);
+        let fresh = Vertex::new(Round(1), id, Block::new(txs), parents, &c.keypair(id));
+        let cloned = fresh.clone();
+        let backend = MemBackend::new();
+        let mut store = ValidatorStore::new(backend.clone());
+        store.persist_vertex(&fresh).unwrap();
+        store.persist_proposal(&fresh).unwrap();
+        store.persist_vertex(&cloned).unwrap();
+        let expected = [
+            StoreRecord::Vertex(fresh.clone()),
+            StoreRecord::Proposal(fresh),
+            StoreRecord::Vertex(cloned),
+        ]
+        .map(|r| encode_to_vec(&r));
+        assert_eq!(Wal::new(backend.clone()).replay().unwrap(), expected);
+        assert_eq!(
+            hh_crypto::sha256(&backend.read_all().unwrap()).to_hex(),
+            "0479e14b773509fbbcb572359e2e4353c7f7c8874d2b7ff7710570e9b5d9d392"
+        );
     }
 
     #[test]

@@ -227,31 +227,6 @@ impl Committee {
         self.members.validators.iter().map(|v| v.id)
     }
 
-    /// Sums the stake of the given validators, counting duplicates once.
-    pub fn stake_of_set<I: IntoIterator<Item = ValidatorId>>(&self, ids: I) -> Stake {
-        let mut seen = vec![false; self.members.validators.len()];
-        let mut total = Stake(0);
-        for id in ids {
-            if let Some(slot) = seen.get_mut(id.index()) {
-                if !*slot {
-                    *slot = true;
-                    total += self.stake_of(id);
-                }
-            }
-        }
-        total
-    }
-
-    /// Whether the given set holds at least quorum (`2f+1`) stake.
-    pub fn is_quorum<I: IntoIterator<Item = ValidatorId>>(&self, ids: I) -> bool {
-        self.stake_of_set(ids) >= self.quorum_threshold()
-    }
-
-    /// Whether the given set holds at least validity (`f+1`) stake.
-    pub fn is_validity<I: IntoIterator<Item = ValidatorId>>(&self, ids: I) -> bool {
-        self.stake_of_set(ids) >= self.validity_threshold()
-    }
-
     /// The keypair of validator `id`: for a member, a copy of the one the
     /// registry derived when the committee was built.
     ///
@@ -396,20 +371,14 @@ mod tests {
             .unwrap();
         assert_eq!(c.total_stake(), Stake(10));
         assert_eq!(c.max_faulty_stake(), Stake(3));
+        assert_eq!((c.quorum_threshold(), c.validity_threshold()), (Stake(7), Stake(4)));
+        let stake = |ids: &[u16]| ids.iter().map(|&i| c.stake_of(ValidatorId(i))).sum::<Stake>();
         // v0 alone (stake 5) is not a quorum; v0+v1 (8) is.
-        assert!(!c.is_quorum([ValidatorId(0)]));
-        assert!(c.is_quorum([ValidatorId(0), ValidatorId(1)]));
+        assert!(stake(&[0]) < c.quorum_threshold());
+        assert!(stake(&[0, 1]) >= c.quorum_threshold());
         // v1 alone (stake 3) is not validity (needs 4); v0 alone is.
-        assert!(!c.is_validity([ValidatorId(1)]));
-        assert!(c.is_validity([ValidatorId(0)]));
-    }
-
-    #[test]
-    fn duplicate_ids_counted_once() {
-        let c = Committee::new_equal_stake(4);
-        let dup = [ValidatorId(0), ValidatorId(0), ValidatorId(0)];
-        assert_eq!(c.stake_of_set(dup), Stake(1));
-        assert!(!c.is_quorum(dup));
+        assert!(stake(&[1]) < c.validity_threshold());
+        assert!(stake(&[0]) >= c.validity_threshold());
     }
 
     #[test]

@@ -61,12 +61,13 @@ impl std::ops::Sub<u64> for Round {
 
 /// A block of transactions carried by a vertex.
 ///
-/// The payload is internally reference-counted: vertices are cloned once
-/// per broadcast recipient in the simulator, and an `Arc` makes that clone
-/// O(1) instead of O(transactions).
+/// The transactions sit in one exact allocation. Broadcast fan-out shares
+/// the `Arc<Vertex>` that holds the block, so a block is not shared on its
+/// own: `clone` is a deep copy, which a run makes only in
+/// [`Vertex::clone`] (chaos corruption, recovery replay).
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Block {
-    transactions: std::sync::Arc<Vec<Transaction>>,
+    transactions: Box<[Transaction]>,
 }
 
 impl Block {
@@ -77,7 +78,7 @@ impl Block {
 
     /// Wraps transactions into a block.
     pub fn new(transactions: Vec<Transaction>) -> Self {
-        Block { transactions: std::sync::Arc::new(transactions) }
+        Block { transactions: transactions.into_boxed_slice() }
     }
 
     /// The carried transactions.
@@ -98,7 +99,7 @@ impl Block {
 
 impl Encode for Block {
     fn encode(&self, buf: &mut Vec<u8>) {
-        self.transactions.encode(buf);
+        encode_slice(&self.transactions, buf);
     }
     fn decode(d: &mut Decoder<'_>) -> Result<Self, TypeError> {
         Ok(Block::new(Vec::<Transaction>::decode(d)?))
@@ -177,11 +178,6 @@ pub struct Vertex {
     /// (0 = unchecked, 1 = valid, 2 = invalid). A single atomic word keeps
     /// the (fingerprint, state) pair tear-free across threads.
     verify_cache: std::sync::atomic::AtomicU64,
-    /// Memoized canonical encoding ([`Vertex::encoded_bytes`]). Like the
-    /// verify memo, it is a pure function of the immutable content, and
-    /// the shared `Arc` means one recipient's encode (e.g. the first WAL
-    /// persist) serves every other holder of the same allocation.
-    encoded: std::sync::OnceLock<Vec<u8>>,
     /// Memoized committee mask of the parents' authors
     /// ([`Vertex::parent_authors`]). A parent digest names one vertex and
     /// so one author, which makes the mask a function of the content too:
@@ -205,9 +201,6 @@ impl Clone for Vertex {
             verify_cache: std::sync::atomic::AtomicU64::new(
                 self.verify_cache.load(std::sync::atomic::Ordering::Relaxed),
             ),
-            // Not carried over: clones are off the hot path (chaos frame
-            // materialization, recovery replay) and re-encode lazily.
-            encoded: std::sync::OnceLock::new(),
             // A function of the content as well, and small: kept.
             parent_authors: self.parent_authors.clone(),
         }
@@ -251,7 +244,6 @@ impl Vertex {
             digest,
             signature,
             verify_cache: std::sync::atomic::AtomicU64::new(0),
-            encoded: std::sync::OnceLock::new(),
             parent_authors: std::sync::OnceLock::new(),
         }
     }
@@ -342,22 +334,6 @@ impl Vertex {
         VertexRef { round: self.round, author: self.author, digest: self.digest }
     }
 
-    /// The vertex's canonical encoding (identical to what
-    /// [`Encode::encode`] writes), computed once and memoized.
-    ///
-    /// The content is immutable after construction, so the bytes can never
-    /// go stale — and since broadcast fan-out shares one `Arc`'d vertex
-    /// between all recipients, the first caller (typically the first
-    /// validator to WAL-persist the delivery) pays for the encode and
-    /// every later persist of the same allocation is a straight copy.
-    pub fn encoded_bytes(&self) -> &[u8] {
-        self.encoded.get_or_init(|| {
-            let mut buf = Vec::new();
-            self.encode_fields(&mut buf);
-            buf
-        })
-    }
-
     /// Whether this vertex links to `parent`.
     pub fn has_parent(&self, parent: &Digest) -> bool {
         self.parents.contains(parent)
@@ -420,27 +396,13 @@ impl fmt::Display for Vertex {
     }
 }
 
-impl Vertex {
-    /// Field-by-field body of [`Encode::encode`], shared with the
-    /// [`Vertex::encoded_bytes`] memo so both produce the same bytes.
-    fn encode_fields(&self, buf: &mut Vec<u8>) {
+impl Encode for Vertex {
+    fn encode(&self, buf: &mut Vec<u8>) {
         self.round.encode(buf);
         self.author.encode(buf);
         self.block.encode(buf);
         encode_slice(&self.parents, buf);
         self.signature.encode(buf);
-    }
-}
-
-impl Encode for Vertex {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        // A warm memo turns re-encoding into one memcpy; a cold one goes
-        // straight to the fields without paying to populate the cache
-        // (only `encoded_bytes` callers are on a path hot enough to care).
-        match self.encoded.get() {
-            Some(bytes) => buf.extend_from_slice(bytes),
-            None => self.encode_fields(buf),
-        }
     }
 
     fn decode(d: &mut Decoder<'_>) -> Result<Self, TypeError> {
@@ -460,7 +422,6 @@ impl Encode for Vertex {
             digest,
             signature,
             verify_cache: std::sync::atomic::AtomicU64::new(0),
-            encoded: std::sync::OnceLock::new(),
             parent_authors: std::sync::OnceLock::new(),
         })
     }
@@ -507,11 +468,14 @@ mod tests {
     }
 
     #[test]
-    fn a_transaction_is_24_bytes_and_a_known_digest_stands() {
+    fn a_transaction_is_24_bytes_a_vertex_144_and_a_known_digest_stands() {
         // Two 8-byte fields and two 4-byte ones, with no padding between
         // them; the codec writes the header alone, in its own order, so the
         // layout reaches no digest, signature or log byte.
         assert_eq!(std::mem::size_of::<Transaction>(), 24);
+        // The content, the verify memo and the parent-mask slot: a field
+        // added here is paid once by every distinct vertex of a run.
+        assert_eq!(std::mem::size_of::<Vertex>(), 144);
         let txs =
             vec![Transaction::with_payload(7, 1 << 40, 123_456, 512), Transaction::new(0, 1, 10)];
         let parents = sample_vertex().parents().to_vec();
