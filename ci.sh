@@ -23,13 +23,15 @@
 # report byte-identical, and a benchmark gate that unit-tests the
 # perfbench package against the workspace's crates and requires two
 # correct 2-second runs: sim_n100_f33 with its peak resident set under
-# 15 MB, which only a DAG whose round index is its only index (no digest
+# 14.5 MB, which only a DAG whose round index is its only index (no digest
 # table beside it), a deque of the contiguous retained rounds (no B-tree),
 # and holds a pointer for the authors present in a round alone (no slot
 # for a crashed one), with 24-byte transactions, engines that keep
 # only their last anchor (the checker holds the sequence), vertices that
-# hold their content once (no encoding memo, a block in one allocation)
-# and latency logs whose chunks grow from 1 KiB, meets, and its
+# hold their content once (no encoding memo, a block in one allocation),
+# latency logs whose chunks grow from 1 KiB, author masks held inline (no
+# 16-byte box per round or vertex) and a checker whose slots are rows of
+# digests per round (no hash table of slots), meets, and its
 # simulated median latency under 500 ms, which only a run whose epoch 0
 # anchors every round meets (the committee earns candidacy when round 0
 # closes, and a leader the ordered prefix never heard from is neither
@@ -216,8 +218,11 @@ step "docs: nothing refers to a deleted path, knob, module or type, or to a DESI
 # scoring rules, vote-based and leader-outcome (no EMA rule, no smoothed
 # cross-epoch score table), and a committee's stake is summed where it is
 # read (no set-stake, quorum-set or validity-set helper), and a vertex
-# holds no encoding memo (a WAL append encodes it).
-if git grep -nE 'hotpath_smoke|BENCH_hotpath|hh[-_]bench|threaded::|threaded_demo|vendor/criterion|DESIGN\.md|swap_from_base|core/src/monitor|hammerhead::monitor|FaultPlan|ChaosPlan|SlowdownSpec|PartitionSpec|ChaosWindow|ChaosScope|KvStore|SerialExecutor|PooledExecutor|hh-cli testnet|StaticLeaderPolicy|TimeSeries|validate_workload|rbc_sender|audit_safety|derive_validator_config|schedule_override|flat_latency_ms|NetworkSpec|missing_index|missing_count|workload_declared|run_sim_streaming|run_sim_limited|run_experiment_limited|collect_streamed_metrics|ChaosRow|schedule_seed|bind_reusable|TOKEN_LEADER|drain_exec_records|with_window|ExclusionSpec|payload-bytes|chain_hash_prefix|hh_consensus::passed_over_candidates|ByDigest|contains_digest|WrongParentRound|missing_from\(|epoch_history|NodeSel|SlowdownEntry|TimedFaultEntry|PartitionSel|PartitionEntry|ByzantineStrategySpec|ByzantineEntrySpec|ChaosEntrySpec|FaultsSpec|ArrivalSpec|RateSpec|WorkloadPhaseSpec|WorkloadSpec|WindowSpec|AnalysisSpec|QuickSpec|read_faults|write_faults|write_workload|write_chaos|SystemSpec|VariantSpec|read_variant|write_variant|read_network|write_network|read_exclusion_axis|write_exclusion_axis|SoloPump|fn emit\(outputs|finish\(v, behavior|let dispatch =|BinaryHeap<Reverse<\(u64, u64\)>>|run_until_idle|schedule_message|link_in_order|run_plan_with|TimingWheel::push|set_profiling|hh_net::prof|accrue_queue|accrue_deliver|accrue_timer|time_digest|time_sig|time_codec|awaits_leader|passed_over_in_ordered_rounds|PreGstAdversary|pre_gst|gst_secs|adversary_deferred|LatencyModel::Uniform|GeoLatency::round_robin|region_of|max_delay\(|examples/crash_faults|examples/incident_replay|examples/local_testnet|FaultScheduleError|ChaosScheduleError|ByzantineScheduleError|WorkloadError|ConfigError|hh-cli matrix|AnalysisRow|RecoverySample|recovery_samples|faults\.recover\]|ChaosTarget::Pair|client_window_secs|max_uncommitted_txs|max_block_txs|client_rates|lower_crashed|PHASE_TPS|LINK_FROM|RESTART_AT|VoteEma|vote-ema|ema_milli|ema_scores_milli|stake_of_set|is_validity|Vertex::encoded_bytes' \
+# holds no encoding memo (a WAL append encodes it), and a (round, author)
+# address costs a mask bit (one inline AuthorMask, no stack mask buffer
+# beside it; the checker's slot rows are dropped whole as its floor rises,
+# with no pruning slack).
+if git grep -nE 'hotpath_smoke|BENCH_hotpath|hh[-_]bench|threaded::|threaded_demo|vendor/criterion|DESIGN\.md|swap_from_base|core/src/monitor|hammerhead::monitor|FaultPlan|ChaosPlan|SlowdownSpec|PartitionSpec|ChaosWindow|ChaosScope|KvStore|SerialExecutor|PooledExecutor|hh-cli testnet|StaticLeaderPolicy|TimeSeries|validate_workload|rbc_sender|audit_safety|derive_validator_config|schedule_override|flat_latency_ms|NetworkSpec|missing_index|missing_count|workload_declared|run_sim_streaming|run_sim_limited|run_experiment_limited|collect_streamed_metrics|ChaosRow|schedule_seed|bind_reusable|TOKEN_LEADER|drain_exec_records|with_window|ExclusionSpec|payload-bytes|chain_hash_prefix|hh_consensus::passed_over_candidates|ByDigest|contains_digest|WrongParentRound|missing_from\(|epoch_history|NodeSel|SlowdownEntry|TimedFaultEntry|PartitionSel|PartitionEntry|ByzantineStrategySpec|ByzantineEntrySpec|ChaosEntrySpec|FaultsSpec|ArrivalSpec|RateSpec|WorkloadPhaseSpec|WorkloadSpec|WindowSpec|AnalysisSpec|QuickSpec|read_faults|write_faults|write_workload|write_chaos|SystemSpec|VariantSpec|read_variant|write_variant|read_network|write_network|read_exclusion_axis|write_exclusion_axis|SoloPump|fn emit\(outputs|finish\(v, behavior|let dispatch =|BinaryHeap<Reverse<\(u64, u64\)>>|run_until_idle|schedule_message|link_in_order|run_plan_with|TimingWheel::push|set_profiling|hh_net::prof|accrue_queue|accrue_deliver|accrue_timer|time_digest|time_sig|time_codec|awaits_leader|passed_over_in_ordered_rounds|PreGstAdversary|pre_gst|gst_secs|adversary_deferred|LatencyModel::Uniform|GeoLatency::round_robin|region_of|max_delay\(|examples/crash_faults|examples/incident_replay|examples/local_testnet|FaultScheduleError|ChaosScheduleError|ByzantineScheduleError|WorkloadError|ConfigError|hh-cli matrix|AnalysisRow|RecoverySample|recovery_samples|faults\.recover\]|ChaosTarget::Pair|client_window_secs|max_uncommitted_txs|max_block_txs|client_rates|lower_crashed|PHASE_TPS|LINK_FROM|RESTART_AT|VoteEma|vote-ema|ema_milli|ema_scores_milli|stake_of_set|is_validity|Vertex::encoded_bytes|MaskBuf|SLOT_PRUNE_SLACK' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!ci.sh' ':!perfbench'; then
     echo "dangling reference to a deleted path"
     exit 1
@@ -269,7 +274,9 @@ report() {
 # speed, and the simulated median latency is seed-exact, so one ceiling
 # each holds on any host.
 bench sim_n100_f33
-# About 13.9 MB and 480 ms on seed 1 (14.4 MB while every vertex kept an
+# About 13.5 MB and 480 ms on seed 1 (13.9 MB while every round and
+# every vertex kept its author mask in a 16-byte box and the checker its
+# slots in a hash table; 14.4 MB while every vertex kept an
 # encoding memo, every block an `Arc` header and every latency log a
 # whole 64 KiB first chunk; 15.4 MB while every DAG kept its
 # rounds in a B-tree and every engine the anchors above its GC horizon;
@@ -281,11 +288,13 @@ bench sim_n100_f33
 # rounds up, leaving an execution backlog in the gated window; 30.0 MB
 # and 799.125 ms while every proposer kept its own parent list and
 # leaders crashed from t = 0 were awaited through epoch 0).
-ceiling target/ci-sim_n100_f33.txt peak_rss_mb 15
+ceiling target/ci-sim_n100_f33.txt peak_rss_mb 14.5
 ceiling target/ci-sim_n100_f33.txt sim_latency_p50_ms 500
 report target/ci-sim_n100_f33.txt setup_s
 bench sim_n10_long
-# The paper-length run, two repetitions of it: about 24.8 MB (24.9 while
+# The paper-length run, two repetitions of it: about 24.65 MB (24.73
+# while every round and every vertex kept its author mask in a 16-byte box
+# and the checker its slots in a hash table; 24.9 while
 # every vertex kept an encoding memo, every block an `Arc` header and
 # every latency log a whole 64 KiB first chunk; 25.1 while
 # every DAG kept its rounds in a B-tree and every engine the anchors

@@ -1,6 +1,6 @@
 //! The set of ordered (delivered) vertices, addressed the way the DAG is.
 
-use hh_types::{Round, Vertex};
+use hh_types::{AuthorMask, Round, Vertex};
 use std::collections::VecDeque;
 
 /// Which vertices have been ordered: one committee author mask per round.
@@ -41,16 +41,16 @@ impl OrderedSet {
         self.slot(v).and_then(|(word, bit)| Some(self.masks.get(word)? & bit != 0)).unwrap_or(false)
     }
 
-    /// Whether the `round` vertices of every author in the committee mask
-    /// `authors` have been ordered. Rounds below the floor have been
-    /// garbage-collected from the DAG, where a history walk ends, and
-    /// count as ordered.
-    pub(crate) fn contains_all(&self, round: Round, authors: &[u64]) -> bool {
+    /// Whether the `round` vertices of every author in `authors` have been
+    /// ordered. Rounds below the floor have been garbage-collected from the
+    /// DAG, where a history walk ends, and count as ordered.
+    pub(crate) fn contains_all(&self, round: Round, authors: &AuthorMask) -> bool {
         let Some(row) = round.0.checked_sub(self.floor.0) else {
             return true;
         };
         let first = row as usize * self.words;
         authors
+            .words()
             .iter()
             .enumerate()
             .all(|(i, word)| word & !self.masks.get(first + i).copied().unwrap_or(0) == 0)

@@ -1168,24 +1168,23 @@ impl<B: LogBackend> Validator<B> {
     }
 
     fn propose(&mut self, round: Round, now: u64, out: &mut Vec<Output>) {
-        // `round_vertices` iterates the round's author-indexed slot
-        // table, so parents come out in ascending author order —
-        // identical DAG state yields identical vertex digests. Sized up
-        // front: the iterator cannot say how many it yields.
-        let mut parents: Vec<Digest> = Vec::new();
-        if round.0 > 0 {
-            parents.reserve_exact(self.dag.round_len(round.prev()));
-            parents.extend(self.dag.round_vertices(round.prev()).map(|v| v.digest()));
-        }
+        // `round_vertices` walks the round's vertices in ascending author
+        // order — identical DAG state yields identical vertex digests.
+        let below = match round.0 {
+            0 => [].iter(),
+            _ => self.dag.round_vertices(round.prev()),
+        };
         // Where the committee is in step every proposer links the same
         // parents: a round-`round` vertex already held with an equal list
-        // lends its allocation, so the round stores the list once. The
-        // digest, the signature and the wire bytes are the same either way.
-        let parents: Arc<[Digest]> =
-            match self.dag.round_vertices(round).find(|v| v.parents() == parents.as_slice()) {
-                Some(v) => v.shared_parents().clone(),
-                None => parents.into(),
-            };
+        // lends its allocation, so the round stores the list once; else the
+        // list is built in one allocation of its exact size (the walk knows
+        // its length). The digest, the signature and the wire bytes are the
+        // same either way.
+        let equal = |v: &&Arc<Vertex>| v.parents().iter().eq(below.clone().map(|p| p.digest_ref()));
+        let parents: Arc<[Digest]> = match self.dag.round_vertices(round).find(equal) {
+            Some(v) => v.shared_parents().clone(),
+            None => below.map(|p| p.digest()).collect(),
+        };
         // Backpressure: stop pulling from the pool once too many of our
         // transactions sit uncommitted.
         let budget = (MAX_UNCOMMITTED_TXS as u64).saturating_sub(self.uncommitted_txs);

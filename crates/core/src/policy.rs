@@ -432,10 +432,7 @@ fn timely(committee: &Committee, round: Round, dag: &Dag, ordered: &OrderedSet) 
     for w in dag.round_vertices(round.next()).filter(|w| ordered.contains(w)) {
         let stake = committee.stake_of(w.author());
         for (author, votes) in votes.iter_mut().enumerate() {
-            if w.parent_authors()
-                .get(author / 64)
-                .is_some_and(|word| word >> (author % 64) & 1 == 1)
-            {
+            if w.parent_authors().contains(author) {
                 *votes += stake;
             }
         }

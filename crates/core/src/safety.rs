@@ -27,8 +27,9 @@
 //! of the anchor sequence ([`SafetyChecker::anchor_prefix`]); one summary
 //! per schedule switch, the run's one copy of the schedule history
 //! ([`SafetyChecker::epoch_summaries`], [`SafetyChecker::leader_at`]); and
-//! the slots of the rounds no validator has collected yet. What it keeps
-//! grows with the commit count by the first two alone.
+//! the slots of the rounds no validator has collected yet, one digest row
+//! per round ([`SlotDigests`]). What it keeps grows with the commit count
+//! by the first two alone.
 //!
 //! A validator's records reach the checker inside the event that produced
 //! them ([`crate::Driver::step`] hands them over before it returns), so a
@@ -41,8 +42,7 @@
 
 use crate::{CommitRecord, EpochSummary};
 use hh_crypto::{Digest, Sha256};
-use hh_types::{Round, ValidatorId, VertexRef};
-use std::collections::hash_map::Entry;
+use hh_types::{Round, SlotDigests, ValidatorId, VertexRef};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -60,11 +60,6 @@ impl std::fmt::Display for SafetyViolation {
         write!(f, "validator {}: {}", self.validator, self.detail)
     }
 }
-
-/// How far the slot floor rises before the slots below it are dropped:
-/// one pass over the window every this many rounds, for at most this
-/// many rounds' slots held beyond it.
-const SLOT_PRUNE_SLACK: u64 = 32;
 
 /// The first record any validator exposed for one commit index.
 #[derive(Debug)]
@@ -97,9 +92,8 @@ struct Cursor {
 ///
 /// **Why invariant 2 needs only a window.** Slots are checked for the
 /// first write of each index alone, and only at or above `slot_floor`,
-/// the previous first write's horizon; the slots below it are dropped
-/// once it has risen [`SLOT_PRUNE_SLACK`] rounds past the last drop.
-/// Nothing a validator commits escapes the check:
+/// the previous first write's horizon; the rows below it are dropped as
+/// it rises. Nothing a validator commits escapes the check:
 ///
 /// * a record for an index already written is held to the first
 ///   writer's vertex list by invariant 1's digest, so its slots are the
@@ -121,12 +115,10 @@ struct Observed {
     /// The first writes' schedule switches, in commit order.
     switches: Vec<Switch>,
     /// `(round, author)` → the committed digest, for the rounds at or
-    /// above `pruned_below`.
-    slots: HashMap<(Round, ValidatorId), Digest>,
+    /// above `slot_floor`.
+    slots: SlotDigests,
     /// The horizon of the latest first write.
     slot_floor: Round,
-    /// The floor when `slots` was last pruned.
-    pruned_below: Round,
     cursors: HashMap<u16, Cursor>,
     /// Total records observed.
     records_seen: u64,
@@ -375,31 +367,19 @@ impl Observed {
     /// slot, ever — checked in the window `Observed` argues is enough.
     fn first_write(&mut self, validator: u16, record: &CommitRecord) {
         let floor = self.slot_floor;
-        if floor.0 >= self.pruned_below.0 + SLOT_PRUNE_SLACK {
-            self.slots.retain(|(round, _), _| *round >= floor);
-            self.pruned_below = floor;
-        }
         for v in record.vertices.iter().filter(|v| v.round >= floor) {
-            match self.slots.entry((v.round, v.author)) {
-                Entry::Vacant(slot) => {
-                    slot.insert(v.digest);
-                }
-                Entry::Occupied(slot) if *slot.get() != v.digest => {
-                    self.violations.push(SafetyViolation {
-                        validator,
-                        detail: format!(
-                            "two committed vertices for slot ({}, {}): {} and {}",
-                            v.round,
-                            v.author,
-                            slot.get(),
-                            v.digest
-                        ),
-                    });
-                }
-                Entry::Occupied(_) => {}
+            if let Some(first) = self.slots.record(v.round, v.author, v.digest) {
+                self.violations.push(SafetyViolation {
+                    validator,
+                    detail: format!(
+                        "two committed vertices for slot ({}, {}): {} and {}",
+                        v.round, v.author, first, v.digest
+                    ),
+                });
             }
         }
         self.slot_floor = floor.max(record.horizon);
+        self.slots.prune_below(self.slot_floor);
     }
 }
 
@@ -517,9 +497,10 @@ mod tests {
             }
         }
         assert!(c.is_clean(), "{}", c.diagnostic_dump());
-        // Three slots a round, from at most the slack below the last
-        // floor (anchor 208 less 4) up to the last anchor.
-        let bound = (SLOT_PRUNE_SLACK + 6) as usize * 3;
+        // Three slots a round, in the rows from the last floor (the last
+        // anchor's round, 209, less 4) up to that anchor's.
+        let (top, floor) = (209, 209 - 4);
+        let bound = (top - floor + 1) * 3;
         assert!(c.retained_slots() <= bound, "{} slots, bound {bound}", c.retained_slots());
         assert_eq!(c.anchor_prefix(1_000).len(), 200);
         assert_eq!(c.anchor_prefix(2), vec![vref(10, 0, 0), vref(11, 0, 0)]);

@@ -20,10 +20,12 @@
 //! complexity") for the complexity table.
 
 use hh_crypto::Digest;
-use hh_types::{Committee, DigestMap, DigestSet, Round, Stake, TypeError, ValidatorId, Vertex};
+use hh_types::{
+    AuthorMask, AuthorRow, Committee, DigestMap, DigestSet, Round, Stake, TypeError, ValidatorId,
+    Vertex,
+};
 use std::collections::VecDeque;
 use std::fmt;
-use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 /// Errors rejecting a vertex at insertion.
@@ -105,135 +107,27 @@ pub enum InsertOutcome {
     AlreadyPresent,
 }
 
-/// Whether bit `i` is set; a row shorter than the bit (an absent
-/// author's, which is empty) has it clear.
-fn test_bit(mask: &[u64], i: usize) -> bool {
-    mask.get(i / 64).is_some_and(|word| word & (1 << (i % 64)) != 0)
-}
-
-fn set_bit(mask: &mut [u64], i: usize) {
-    mask[i / 64] |= 1 << (i % 64);
-}
-
-/// Committee-mask words that fit the stack buffer (n ≤ 256).
-const STACK_WORDS: usize = 4;
-
-/// A zeroed committee mask for one call: on the stack for the committee
-/// sizes we actually simulate, heap spill only beyond.
-struct MaskBuf {
-    stack: [u64; STACK_WORDS],
-    spill: Vec<u64>,
-    words: usize,
-}
-
-impl MaskBuf {
-    fn new(words: usize) -> Self {
-        let spill = if words > STACK_WORDS { vec![0; words] } else { Vec::new() };
-        MaskBuf { stack: [0; STACK_WORDS], spill, words }
-    }
-}
-
-impl Deref for MaskBuf {
-    type Target = [u64];
-
-    fn deref(&self) -> &[u64] {
-        if self.words > STACK_WORDS {
-            &self.spill
-        } else {
-            &self.stack[..self.words]
-        }
-    }
-}
-
-impl DerefMut for MaskBuf {
-    fn deref_mut(&mut self) -> &mut [u64] {
-        if self.words > STACK_WORDS {
-            &mut self.spill
-        } else {
-            &mut self.stack[..self.words]
-        }
-    }
-}
-
-/// One round of the DAG: the committee mask of the authors present and
-/// their vertices, densely, in ascending author order. A stored vertex
-/// costs this DAG one pointer beyond its shared payload and an absent
-/// author one mask bit, whichever authors are absent; an author's vertex
-/// sits at its rank, the number of present authors below it.
+/// One round of the DAG: the authors present and their vertices, an
+/// [`AuthorRow`] in ascending author order, and their stake. A stored
+/// vertex costs this DAG one pointer beyond its shared payload and an
+/// absent author one mask bit, whichever authors are absent; an author's
+/// vertex sits at its rank, the number of present authors below it.
 #[derive(Clone, Debug)]
 struct RoundIndex {
-    present: Box<[u64]>,
-    vertices: Vec<Arc<Vertex>>,
+    row: AuthorRow<Arc<Vertex>>,
     stake: Stake,
 }
 
 impl RoundIndex {
-    /// An empty round of a `words`-word committee mask, with room for
-    /// `capacity` vertices.
-    fn new(words: usize, capacity: usize) -> Self {
-        RoundIndex {
-            present: vec![0; words].into_boxed_slice(),
-            vertices: Vec::with_capacity(capacity),
-            stake: Stake(0),
-        }
-    }
-
-    /// The rank of committee member `author`: the number of present
-    /// authors below it, the popcount of the mask below its bit. A present
-    /// author's vertex is at that position in `vertices`.
-    fn rank(&self, author: usize) -> usize {
-        let (word, bit) = (author / 64, author % 64);
-        let below: u32 = self.present[..word].iter().map(|w| w.count_ones()).sum();
-        (below + (self.present[word] & ((1 << bit) - 1)).count_ones()) as usize
-    }
-
-    /// `author`'s vertex, if present.
-    fn vertex(&self, author: usize) -> Option<&Arc<Vertex>> {
-        test_bit(&self.present, author).then(|| &self.vertices[self.rank(author)])
-    }
-
-    /// The authors of `mask` present in the round, ascending, with their
-    /// vertices: the `k`-th present author's vertex is the `k`-th stored,
-    /// so a walk counts present authors as it passes them and takes no
-    /// rank.
-    fn vertices_in<'a>(
-        &'a self,
-        mask: &'a [u64],
-    ) -> impl Iterator<Item = (usize, &'a Arc<Vertex>)> + 'a {
-        let mut first = 0;
-        self.present.iter().zip(mask).enumerate().flat_map(move |(w, (&present, &wanted))| {
-            let count = present.count_ones() as usize;
-            let word = &self.vertices[first..first + count];
-            first += count;
-            let mut rest = present;
-            word.iter().filter_map(move |v| {
-                let bit = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                (wanted & (1 << bit) != 0).then_some((w * 64 + bit, v))
-            })
-        })
-    }
-
     /// Stores `vertex` at its author's rank; the author must be absent.
-    /// The array is sized for a quorum of authors when the round opens and
+    /// The row is sized for a quorum of authors when the round opens and
     /// grows once, to all `n`, if more arrive: never a doubling's slack.
     fn insert(&mut self, vertex: Arc<Vertex>, stake: Stake, n: usize) {
-        let author = vertex.author().index();
-        assert!(!test_bit(&self.present, author), "author {author} already present");
-        if self.vertices.len() == self.vertices.capacity() {
-            self.vertices.reserve_exact(n - self.vertices.len());
+        if self.row.len() == self.row.capacity() {
+            self.row.reserve_exact(n - self.row.len());
         }
-        self.vertices.insert(self.rank(author), vertex);
-        set_bit(&mut self.present, author);
+        self.row.insert(vertex.author().index(), vertex);
         self.stake += stake;
-    }
-
-    /// The committee mask of `author`'s vertex's parents' authors (all in
-    /// the previous round), read through the stored vertex: final at
-    /// insert time and kept when that round is garbage-collected. An
-    /// absent author's row is empty.
-    fn parent_mask(&self, author: usize) -> &[u64] {
-        self.vertex(author).map_or(&[], |v| v.parent_authors())
     }
 
     /// The position in `vertices` of the vertex with `digest`, probing
@@ -242,7 +136,7 @@ impl RoundIndex {
     /// when `digest` is the next stored vertex.
     fn position(&self, digest: &Digest, from: usize) -> Option<usize> {
         let holds = |v: &Arc<Vertex>| v.digest_ref() == digest;
-        let (wrapped, ahead) = self.vertices.split_at(from);
+        let (wrapped, ahead) = self.row.entries().split_at(from);
         ahead.iter().position(holds).map(|i| from + i).or_else(|| wrapped.iter().position(holds))
     }
 }
@@ -263,7 +157,7 @@ fn resolve<'a>(
         let slot = below.and_then(|ri| {
             let at = ri.position(parent, cursor)?;
             cursor = at + 1;
-            Some(ri.vertices[at].author().index())
+            Some(ri.row.entries()[at].author().index())
         });
         (parent, slot)
     })
@@ -271,15 +165,15 @@ fn resolve<'a>(
 
 /// Reusable traversal state for the sub-DAG walk.
 ///
-/// [`Dag::causal_sub_dag_with`] keeps one committee mask per level of the
+/// [`Dag::causal_sub_dag_with`] keeps one author mask per level of the
 /// walk (the authors of that round that belong to the emitted sub-DAG).
 /// Owning one of these per consumer (the consensus engine, the schedule
 /// policy) makes the commit walk allocation-free apart from the returned
-/// vertex list itself.
+/// vertex list itself, for committees whose masks are inline (n ≤ 128).
 #[derive(Clone, Debug, Default)]
 pub struct SubDagScratch {
-    /// `⌈n/64⌉` words per level, the anchor's round first.
-    levels: Vec<u64>,
+    /// One mask per level, the anchor's round first.
+    levels: Vec<AuthorMask>,
 }
 
 impl SubDagScratch {
@@ -324,11 +218,6 @@ impl Dag {
         &self.committee
     }
 
-    /// Words per committee mask: `⌈n/64⌉`.
-    fn words(&self) -> usize {
-        self.committee.size().div_ceil(64)
-    }
-
     /// The position of `round` in `rounds`: `round − gc_round`, or `None`
     /// below the GC floor. The only place the addressing rule is written.
     fn offset(&self, round: Round) -> Option<usize> {
@@ -340,14 +229,14 @@ impl Dag {
         self.rounds.get(self.offset(round)?)
     }
 
-    /// The round index and author position of `v`, if `v` is the vertex
-    /// stored at its `(round, author)` address (not foreign, equivocating
-    /// or garbage-collected).
-    fn locate(&self, v: &Vertex) -> Option<(&RoundIndex, usize)> {
+    /// The round index of `v` and the allocation stored there, if `v` is
+    /// the vertex stored at its `(round, author)` address (not foreign,
+    /// equivocating or garbage-collected). The stored allocation carries
+    /// the parent mask; `v` may be a copy that does not.
+    fn locate(&self, v: &Vertex) -> Option<(&RoundIndex, &Arc<Vertex>)> {
         let ri = self.retained(v.round())?;
-        let idx = v.author().index();
-        let stored = ri.vertex(idx)?;
-        (stored.digest_ref() == v.digest_ref()).then_some((ri, idx))
+        let stored = ri.row.get(v.author().index())?;
+        (stored.digest_ref() == v.digest_ref()).then_some((ri, stored))
     }
 
     /// Validates and stores a vertex.
@@ -399,7 +288,7 @@ impl Dag {
         // and the vertex keeps it unless another DAG stored it first.
         // Nothing on the all-parents-present path allocates but that
         // first store.
-        let mut parents = MaskBuf::new(self.words());
+        let mut parents = AuthorMask::new();
         if round == Round(0) {
             if !vertex.parents().is_empty() {
                 return Err(DagError::MalformedParents("genesis vertex with parents"));
@@ -428,10 +317,10 @@ impl Dag {
                     missing.push(*parent);
                     continue;
                 };
-                if test_bit(&parents, idx) {
+                if parents.contains(idx) {
                     return Err(DagError::DuplicateParents);
                 }
-                set_bit(&mut parents, idx);
+                parents.insert(idx);
                 stake += self.committee.stake_of(ValidatorId(idx as u16));
             }
             if !missing.is_empty() {
@@ -447,17 +336,23 @@ impl Dag {
 
         // Commit the insert: store the mask with the vertex, index the
         // vertex at its address.
-        let stored = vertex.init_parent_authors(&parents);
-        debug_assert_eq!(stored, &parents[..], "parent authors resolved differently");
+        debug_assert!(
+            vertex.parent_authors().is_empty() || *vertex.parent_authors() == parents,
+            "parent authors resolved differently"
+        );
+        vertex.init_parent_authors(parents);
         // A round opens with room for a quorum's authors (one author per
         // unit of stake; a weighted committee's count is capped at `n`).
-        let (n, words) = (self.committee.size(), self.words());
+        let n = self.committee.size();
         let quorum_authors = (self.committee.quorum_threshold().0 as usize).min(n);
         // Genesis at an empty floor, or parents found in the round below:
         // the round is held or the one above the top.
         let at = self.offset(round).expect("checked against the GC floor above");
         if at == self.rounds.len() {
-            self.rounds.push_back(RoundIndex::new(words, quorum_authors));
+            self.rounds.push_back(RoundIndex {
+                row: AuthorRow::with_capacity(quorum_authors),
+                stake: Stake(0),
+            });
         }
         self.rounds[at].insert(vertex, self.committee.stake_of(author), n);
         self.len += 1;
@@ -482,7 +377,7 @@ impl Dag {
         if digests.is_empty() {
             return found;
         }
-        for v in self.rounds.iter().rev().flat_map(|ri| &ri.vertices) {
+        for v in self.rounds.iter().rev().flat_map(|ri| ri.row.entries()) {
             if digests.contains(v.digest_ref()) {
                 found.insert(v.digest(), v);
                 if found.len() == digests.len() {
@@ -495,22 +390,18 @@ impl Dag {
 
     /// The vertex authored by `author` in `round`, if any.
     pub fn vertex_by_author(&self, round: Round, author: ValidatorId) -> Option<&Arc<Vertex>> {
-        self.retained(round)?.vertex(author.index())
+        self.retained(round)?.row.get(author.index())
     }
 
     /// Whether any retained round holds a vertex authored by `author`.
     pub fn holds_author(&self, author: ValidatorId) -> bool {
-        self.rounds.iter().any(|ri| test_bit(&ri.present, author.index()))
+        self.rounds.iter().any(|ri| ri.row.get(author.index()).is_some())
     }
 
-    /// All vertices of `round`, in ascending author order.
-    pub fn round_vertices(&self, round: Round) -> impl Iterator<Item = &Arc<Vertex>> {
-        self.retained(round).into_iter().flat_map(|ri| &ri.vertices)
-    }
-
-    /// Number of vertices in `round`.
-    pub fn round_len(&self, round: Round) -> usize {
-        self.retained(round).map_or(0, |r| r.vertices.len())
+    /// All vertices of `round`, in ascending author order (an exact-size
+    /// iterator: `len()` counts them).
+    pub fn round_vertices(&self, round: Round) -> std::slice::Iter<'_, Arc<Vertex>> {
+        self.retained(round).map_or(&[][..], |ri| ri.row.entries()).iter()
     }
 
     /// Total stake of the authors present in `round` (O(1), cached).
@@ -532,16 +423,12 @@ impl Dag {
     /// With one vertex per `(round, author)` (enforced at insertion), each
     /// author contributes its stake at most once per target.
     pub fn vote_stake(&self, target: &Vertex) -> Stake {
-        let Some((_, idx)) = self.locate(target) else {
+        if self.locate(target).is_none() {
             return Stake(0);
-        };
-        let Some(above) = self.retained(target.round().next()) else {
-            return Stake(0);
-        };
-        above
-            .vertices
-            .iter()
-            .filter(|voter| test_bit(voter.parent_authors(), idx))
+        }
+        let idx = target.author().index();
+        self.round_vertices(target.round().next())
+            .filter(|voter| voter.parent_authors().contains(idx))
             .map(|voter| self.committee.stake_of(voter.author()))
             .sum()
     }
@@ -590,33 +477,25 @@ impl Dag {
         if from.round() <= to.round() || self.locate(to).is_none() {
             return false;
         }
-        let mut frontier = MaskBuf::new(self.words());
-        let mut next = MaskBuf::new(self.words());
         let mut r = from.round().prev();
-        match self.locate(from) {
-            Some((ri, idx)) => frontier.copy_from_slice(ri.parent_mask(idx)),
+        let mut frontier = match self.locate(from) {
+            Some((_, stored)) => stored.parent_authors().clone(),
             None => {
-                for (_, slot) in resolve(self.retained(r), from.parents()) {
-                    if let Some(idx) = slot {
-                        set_bit(&mut frontier, idx);
-                    }
-                }
+                resolve(self.retained(r), from.parents()).filter_map(|(_, slot)| slot).collect()
             }
-        }
+        };
         while r > to.round() {
             let Some(ri) = self.retained(r) else {
                 return false;
             };
-            next.fill(0);
-            for (_, v) in ri.vertices_in(&frontier) {
-                for (acc, word) in next.iter_mut().zip(v.parent_authors()) {
-                    *acc |= word;
-                }
+            let mut next = AuthorMask::new();
+            for (_, v) in ri.row.iter_in(&frontier) {
+                next.union_with(v.parent_authors());
             }
-            std::mem::swap(&mut frontier, &mut next);
+            frontier = next;
             r = r.prev();
         }
-        test_bit(&frontier, to.author().index())
+        frontier.contains(to.author().index())
     }
 
     /// Every stored ancestor of `from`, including `from` itself, in
@@ -658,17 +537,15 @@ impl Dag {
         is_ordered: impl Fn(&Vertex) -> bool,
         scratch: &mut SubDagScratch,
     ) -> Vec<Arc<Vertex>> {
-        let Some((mut ri, idx)) = self.locate(anchor) else {
+        let Some((mut ri, _)) = self.locate(anchor) else {
             return Vec::new();
         };
         if is_ordered(anchor) {
             return Vec::new();
         }
-        let words = self.words();
         let levels = &mut scratch.levels;
         levels.clear();
-        levels.resize(words, 0);
-        set_bit(levels, idx);
+        levels.push(AuthorMask::from_iter([anchor.author().index()]));
         let top = anchor.round();
         let mut low = top;
         let mut count = 1;
@@ -676,36 +553,28 @@ impl Dag {
         // Mark phase: rounds descend one by one; when a level keeps
         // nothing the frontier died out (edges never skip rounds).
         while let Some(below) = low.0.checked_sub(1).and_then(|r| self.retained(Round(r))) {
-            let (above, level) = {
-                let filled = levels.len();
-                levels.resize(filled + words, 0);
-                levels.split_at_mut(filled)
-            };
-            for (_, v) in ri.vertices_in(&above[above.len() - words..]) {
-                for (acc, word) in level.iter_mut().zip(v.parent_authors()) {
-                    *acc |= word;
-                }
+            let above = levels.last().expect("the anchor's level");
+            let mut level = AuthorMask::new();
+            for (_, v) in ri.row.iter_in(above) {
+                level.union_with(v.parent_authors());
             }
-            // Every bit names a parent insertion found in the round below.
-            let mut ordered = MaskBuf::new(words);
+            // Every member names a parent insertion found in the round below.
+            let mut ordered = AuthorMask::new();
             let (mut found, mut kept) = (0, 0);
-            for (author, v) in below.vertices_in(level) {
+            for (author, v) in below.row.iter_in(&level) {
                 found += 1;
                 if is_ordered(v) {
-                    set_bit(&mut ordered, author);
+                    ordered.insert(author);
                 } else {
                     kept += 1;
                 }
             }
-            let parents: u32 = level.iter().map(|word| word.count_ones()).sum();
-            assert_eq!(found, parents as usize, "a parent is stored");
-            for (word, drop) in level.iter_mut().zip(ordered.iter()) {
-                *word &= !drop;
-            }
+            assert_eq!(found, level.len(), "a parent is stored");
             if kept == 0 {
-                levels.truncate(levels.len() - words);
                 break;
             }
+            level.remove_all(&ordered);
+            levels.push(level);
             count += kept;
             ri = below;
             low = low.prev();
@@ -714,8 +583,8 @@ impl Dag {
         // Emit phase: ascending rounds, authors ascending within each.
         let mut out = Vec::with_capacity(count);
         let at = |r: Round| self.offset(r).expect("a traversed round is retained");
-        for (ri, level) in self.rounds.range(at(low)..=at(top)).zip(levels.chunks(words).rev()) {
-            out.extend(ri.vertices_in(level).map(|(_, v)| v.clone()));
+        for (ri, level) in self.rounds.range(at(low)..=at(top)).zip(levels.iter().rev()) {
+            out.extend(ri.row.iter_in(level).map(|(_, v)| v.clone()));
         }
         out
     }
@@ -738,7 +607,7 @@ impl Dag {
             return false;
         }
         match self.locate(from) {
-            Some((ri, idx)) => test_bit(ri.parent_mask(idx), author.index()),
+            Some((_, stored)) => stored.parent_authors().contains(author.index()),
             None => self
                 .vertex_by_author(from.round().prev(), author)
                 .is_some_and(|stored| from.has_parent(&stored.digest())),
@@ -762,7 +631,7 @@ impl Dag {
             return;
         };
         let dropped = self.rounds.drain(..dropped.min(self.rounds.len()));
-        self.len -= dropped.map(|ri| ri.vertices.len()).sum::<usize>();
+        self.len -= dropped.map(|ri| ri.row.len()).sum::<usize>();
         self.gc_round = round;
     }
 }
@@ -782,7 +651,7 @@ mod tests {
     fn genesis_round_inserts() {
         let mut builder = DagBuilder::new(committee4());
         builder.extend_full_rounds(1);
-        assert_eq!(builder.dag().round_len(Round(0)), 4);
+        assert_eq!(builder.dag().round_vertices(Round(0)).len(), 4);
         assert!(builder.dag().is_quorum_at(Round(0)));
     }
 
@@ -890,7 +759,7 @@ mod tests {
         let v = Vertex::new(Round(2), ValidatorId(0), Block::empty(), parents, &kp);
         let mut dag = builder.into_dag();
         assert_eq!(dag.try_insert(v), Err(DagError::MissingParents(vec![stale])));
-        assert_eq!(dag.round_len(Round(2)), 0, "never inserted");
+        assert_eq!(dag.round_vertices(Round(2)).len(), 0, "never inserted");
     }
 
     #[test]
@@ -914,7 +783,7 @@ mod tests {
             assert_eq!(dag.try_insert(make(author, list)), Ok(InsertOutcome::Inserted));
             assert_eq!(
                 dag.vertex_by_author(Round(2), ValidatorId(author)).unwrap().parent_authors(),
-                [0b1011],
+                &AuthorMask::from_iter([0, 1, 3]),
                 "order {order:?}"
             );
         }
@@ -1091,8 +960,8 @@ mod tests {
         dag.gc(Round(2));
         assert_eq!(dag.gc_round(), Round(2));
         assert!(dag.get(Round(0), &victim.digest()).is_none());
-        assert_eq!(dag.round_len(Round(0)), 0);
-        assert_eq!(dag.round_len(Round(2)), 4);
+        assert_eq!(dag.round_vertices(Round(0)).len(), 0);
+        assert_eq!(dag.round_vertices(Round(2)).len(), 4);
         let kp = c.keypair(ValidatorId(0));
         let stale =
             Vertex::new(Round(1), ValidatorId(0), Block::empty(), vec![victim.digest()], &kp);
@@ -1103,7 +972,11 @@ mod tests {
         // Rounds below the floor and above the top hold nothing.
         for round in [Round(1), Round(5), Round(u64::MAX)] {
             assert!(dag.vertex_by_author(round, ValidatorId(0)).is_none(), "{round}");
-            assert_eq!((dag.round_len(round), dag.round_stake(round)), (0, Stake(0)), "{round}");
+            assert_eq!(
+                (dag.round_vertices(round).len(), dag.round_stake(round)),
+                (0, Stake(0)),
+                "{round}"
+            );
         }
         // GC past the top empties the DAG for good: a vertex at the floor
         // misses its parents.
@@ -1190,7 +1063,7 @@ mod tests {
     }
 
     /// Heap bytes the DAG owns for its index: everything except the shared
-    /// `Arc<Vertex>` payloads, parent masks included. The exhaustive
+    /// `Arc<Vertex>` payloads, whose parent masks are inline. The exhaustive
     /// destructuring makes a new field fail to compile until it is
     /// accounted for here.
     fn index_bytes(dag: &Dag) -> usize {
@@ -1201,8 +1074,8 @@ mod tests {
             + rounds
                 .iter()
                 .map(|ri| {
-                    let RoundIndex { present, vertices, stake: _ } = ri;
-                    size_of_val(&**present) + vertices.capacity() * size_of::<Arc<Vertex>>()
+                    let RoundIndex { row, stake: _ } = ri;
+                    row.capacity() * size_of::<Arc<Vertex>>()
                 })
                 .sum::<usize>()
     }
@@ -1220,8 +1093,10 @@ mod tests {
         // index (one pointer and one control byte per bucket, 12.3 B per
         // vertex at the headline point, for what the round index already
         // says), nor a slot per absent author (an 800-byte array of
-        // pointers a round, 12.7 B per stored vertex here). Which 33 are
-        // absent changes nothing: the last, the first or a scattered set.
+        // pointers a round, 12.7 B per stored vertex here), nor a boxed
+        // mask of who is present (16 B a round, in a 32-byte malloc chunk).
+        // Which 33 are absent changes nothing: the last, the first or a
+        // scattered set.
         let n = 100;
         let (present, rounds) = (67, 5);
         let last: Vec<u16> = (67..100).collect();
@@ -1237,12 +1112,13 @@ mod tests {
             let dag = builder.dag();
             assert_eq!(dag.len(), rounds * present);
             for ri in &dag.rounds {
-                assert_eq!(ri.vertices.capacity(), present, "no slack beyond a quorum");
+                assert_eq!(ri.row.capacity(), present, "no slack beyond a quorum");
             }
-            // One pointer per stored vertex, plus the round's two-word
-            // present mask and its header in the round deque, which holds
-            // at most twice the rounds: 9.7 B per stored vertex here.
-            let per_round = present * 8 + 2 * 8 + 2 * std::mem::size_of::<RoundIndex>();
+            // One pointer per stored vertex, plus the round's header (its
+            // mask among it, inline: `insert_allocs.rs` counts that) in the
+            // round deque, which holds at most twice the rounds: 9.7 B per
+            // stored vertex here.
+            let per_round = present * 8 + 2 * std::mem::size_of::<RoundIndex>();
             let bytes = index_bytes(dag);
             assert!(
                 bytes <= rounds * per_round,
@@ -1268,17 +1144,19 @@ mod tests {
             }
         }
         let (a, b) = (&first.rounds[2], &second.rounds[2]);
+        fn mask(ri: &RoundIndex, author: usize) -> &AuthorMask {
+            ri.row.get(author).unwrap().parent_authors()
+        }
         for author in 0..4 {
-            let mask = a.parent_mask(author);
-            assert_eq!(mask, [0b1101], "v1 is left out of every parent list");
-            assert!(std::ptr::eq(mask, b.parent_mask(author)), "author {author}: two masks");
-            assert!(std::ptr::eq(mask, a.vertex(author).unwrap().parent_authors()));
+            let stored = mask(a, author);
+            assert_eq!(stored, &AuthorMask::from_iter([0, 2, 3]), "v1 is left out of every list");
+            assert!(std::ptr::eq(stored, mask(b, author)), "author {author}: two masks");
         }
 
         // A private copy of the same content gets a mask of its own, equal
         // to the shared one, which stays where it was.
         use hh_types::codec::{decode_from_slice, encode_to_vec};
-        let v = a.vertex(0).unwrap();
+        let v = a.row.get(0).unwrap();
         let copy: Vertex = decode_from_slice(&encode_to_vec(&**v)).unwrap();
         assert!(copy.parent_authors().is_empty(), "no DAG has stored the copy");
         let mut third = Dag::new(committee4());
@@ -1288,9 +1166,9 @@ mod tests {
             }
         }
         third.try_insert(copy).unwrap();
-        let own = third.rounds[2].parent_mask(0);
-        assert_eq!(own, a.parent_mask(0));
-        assert!(!std::ptr::eq(own, a.parent_mask(0)));
+        let own = mask(&third.rounds[2], 0);
+        assert_eq!(own, mask(a, 0));
+        assert!(!std::ptr::eq(own, mask(a, 0)));
     }
 
     #[test]

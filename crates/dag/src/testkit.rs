@@ -46,7 +46,7 @@ pub fn twin_of(vertex: &Vertex, keypair: &Keypair) -> Vertex {
 /// let mut b = DagBuilder::new(Committee::new_equal_stake(4));
 /// b.extend_full_rounds(2);              // rounds 0,1: everyone, all edges
 /// b.extend_round_without(&[ValidatorId(2)]); // round 2: v2 missing
-/// assert_eq!(b.dag().round_len(Round(2)), 3);
+/// assert_eq!(b.dag().round_vertices(Round(2)).len(), 3);
 /// ```
 #[derive(Debug)]
 pub struct DagBuilder {
@@ -181,7 +181,7 @@ mod tests {
         let mut b = DagBuilder::new(Committee::new_equal_stake(7));
         b.extend_full_rounds(3);
         for r in 0..3 {
-            assert_eq!(b.dag().round_len(Round(r)), 7);
+            assert_eq!(b.dag().round_vertices(Round(r)).len(), 7);
         }
         assert_eq!(b.next_round(), Round(3));
     }
@@ -192,7 +192,7 @@ mod tests {
         b.extend_full_rounds(1);
         b.extend_round_excluding(&[ValidatorId(3)]);
         let dag = b.dag();
-        assert_eq!(dag.round_len(Round(1)), 4);
+        assert_eq!(dag.round_vertices(Round(1)).len(), 4);
         for v in dag.round_vertices(Round(1)) {
             assert_eq!(v.parents().len(), 3);
         }
@@ -203,7 +203,7 @@ mod tests {
         let mut b = DagBuilder::new(Committee::new_equal_stake(4));
         b.extend_full_rounds(1);
         b.extend_round_without(&[ValidatorId(0)]);
-        assert_eq!(b.dag().round_len(Round(1)), 3);
+        assert_eq!(b.dag().round_vertices(Round(1)).len(), 3);
         assert!(b.dag().vertex_by_author(Round(1), ValidatorId(0)).is_none());
     }
 

@@ -4,9 +4,11 @@ use crate::cert::{Certificate, ACK_CONTEXT};
 use hh_crypto::{Digest, Keypair, Signature};
 use hh_dag::{Dag, DagError, EquivocationEvidence, InsertOutcome};
 use hh_types::codec::{Decoder, Encode, EncodeExt};
-use hh_types::{Committee, DigestMap, Round, Stake, TypeError, ValidatorId, Vertex, VertexRef};
+use hh_types::{
+    Committee, DigestMap, Round, SlotDigests, Stake, TypeError, ValidatorId, Vertex, VertexRef,
+};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// Maximum vertices returned per sync response (keeps messages bounded).
@@ -246,7 +248,7 @@ pub struct Rbc {
     /// Certified mode, author side: my proposals collecting acks.
     proposals: BTreeMap<Round, PendingProposal>,
     /// Certified mode, voter side: first header acked per (round, author).
-    acked: HashMap<(Round, ValidatorId), Digest>,
+    acked: SlotDigests,
     /// Certificates for vertices we accepted (served in sync responses).
     certs: DigestMap<Digest, Certificate>,
     /// Statistics: equivocation attempts observed at this layer.
@@ -284,7 +286,7 @@ impl Rbc {
             pending: DigestMap::default(),
             awaited: DigestMap::default(),
             proposals: BTreeMap::new(),
-            acked: HashMap::new(),
+            acked: SlotDigests::new(),
             certs: DigestMap::default(),
             equivocation_attempts: 0,
             catch_up_attempts: 0,
@@ -370,7 +372,7 @@ impl Rbc {
                 let self_sig = self.keypair.sign(ACK_CONTEXT, vref.digest.as_bytes());
                 let mut acks = BTreeMap::new();
                 acks.insert(self.me, self_sig);
-                self.acked.insert((round, self.me), vref.digest);
+                self.acked.record(round, self.me, vref.digest);
                 self.proposals.insert(
                     round,
                     PendingProposal {
@@ -550,7 +552,7 @@ impl Rbc {
         // the vertex's own round (checked at intake), and only GC removes
         // vertices.
         let gc = dag.gc_round();
-        self.acked.retain(|(round, _), _| *round >= gc);
+        self.acked.prune_below(gc);
         self.proposals.retain(|round, _| *round >= gc);
         self.certs.retain(|_, cert| cert.vertex().round >= gc);
         let stale: Vec<Digest> =
@@ -573,22 +575,17 @@ impl Rbc {
         if self.mode != BroadcastMode::Certified || !self.author_signature_ok(v) {
             return fx;
         }
-        let key = (v.round(), v.author());
-        match self.acked.get(&key) {
-            Some(prev) if *prev != v.digest() => {
-                // Second distinct header this round: equivocation attempt.
-                self.equivocation_attempts += 1;
-                fx.evidence.push(EquivocationEvidence {
-                    round: v.round(),
-                    author: v.author(),
-                    stored: *prev,
-                    offending: v.digest(),
-                });
-                return fx;
-            }
-            _ => {}
+        if let Some(stored) = self.acked.record(v.round(), v.author(), v.digest()) {
+            // Second distinct header this round: equivocation attempt.
+            self.equivocation_attempts += 1;
+            fx.evidence.push(EquivocationEvidence {
+                round: v.round(),
+                author: v.author(),
+                stored,
+                offending: v.digest(),
+            });
+            return fx;
         }
-        self.acked.insert(key, v.digest());
         let sig = self.keypair.sign(ACK_CONTEXT, v.digest().as_bytes());
         fx.send.push((v.author(), RbcMessage::Ack { vertex: v.reference(), sig }));
         fx
@@ -1600,7 +1597,7 @@ mod tests {
     fn assert_buffer_consistent(rbc: &Rbc, dag: &Dag) {
         let awaited_digests = rbc.awaited.keys().copied().collect();
         assert!(dag.find_all(&awaited_digests).is_empty(), "awaiting a vertex the DAG holds");
-        let mut named: HashMap<Digest, usize> = HashMap::new();
+        let mut named: std::collections::HashMap<Digest, usize> = Default::default();
         for (digest, awaited) in rbc.awaited.iter() {
             assert!(!awaited.waiters.is_empty(), "awaited by nobody");
             assert!(awaited.retry.is_some() || rbc.pending.contains_key(digest), "nobody asks");

@@ -12,6 +12,9 @@
 //!   `n − f` (by stake: quorum) vertices of the previous round;
 //! * [`codec`] — a deterministic hand-rolled binary codec used for wire
 //!   messages and the storage WAL (the [`codec`] docs say why no serde);
+//! * [`AuthorMask`], [`AuthorRow`], [`SlotDigests`] — committee-indexed
+//!   sets, rows and per-round slot tables, where a `(round, author)`
+//!   address costs one mask bit;
 //! * [`DigestHasher`], [`DigestMap`], [`DigestSet`] — pass-through
 //!   hashing for the broadcast layer's digest-keyed collections (digests
 //!   are already uniform; re-hashing them through SipHash is pure cost).
@@ -32,6 +35,7 @@
 
 #![deny(rustdoc::broken_intra_doc_links)]
 
+mod author;
 pub mod codec;
 mod committee;
 mod error;
@@ -40,6 +44,7 @@ pub mod toml;
 mod transaction;
 mod vertex;
 
+pub use author::{AuthorMask, AuthorRow, SlotDigests};
 pub use committee::{
     permute_slots, Committee, CommitteeBuilder, Stake, ValidatorId, ValidatorInfo,
     MAX_COMMITTEE_SIZE, S0_SEED,

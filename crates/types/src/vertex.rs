@@ -7,7 +7,7 @@
 //! canonical encoding and signed by their author.
 
 use crate::codec::{encode_slice, Decoder, Encode};
-use crate::{Transaction, TypeError, ValidatorId};
+use crate::{AuthorMask, Transaction, TypeError, ValidatorId};
 use hh_crypto::prof::{self, Site};
 use hh_crypto::{Digest, Keypair, PublicKey, Sha256, Signature};
 use std::fmt;
@@ -182,9 +182,9 @@ pub struct Vertex {
     /// ([`Vertex::parent_authors`]). A parent digest names one vertex and
     /// so one author, which makes the mask a function of the content too:
     /// the first DAG to resolve the parents fills it, and every validator
-    /// storing the same allocation reads these words instead of keeping a
-    /// copy of its own.
-    parent_authors: std::sync::OnceLock<Box<[u64]>>,
+    /// storing the same allocation reads it instead of keeping a copy of
+    /// its own. Inline up to 128 members: no allocation of its own.
+    parent_authors: std::sync::OnceLock<AuthorMask>,
 }
 
 impl Clone for Vertex {
@@ -339,18 +339,20 @@ impl Vertex {
         self.parents.contains(parent)
     }
 
-    /// The committee mask of the parents' authors (`⌈n/64⌉` words, bit `i`
-    /// set when a parent was authored by validator `i`), as stored by
+    /// The committee mask of the parents' authors (member `i` when a
+    /// parent was authored by validator `i`), as stored by
     /// [`Vertex::init_parent_authors`]; empty until a DAG stores it.
-    pub fn parent_authors(&self) -> &[u64] {
-        self.parent_authors.get().map_or(&[], |mask| mask)
+    #[inline]
+    pub fn parent_authors(&self) -> &AuthorMask {
+        static NONE_STORED: AuthorMask = AuthorMask::new();
+        self.parent_authors.get().unwrap_or(&NONE_STORED)
     }
 
     /// Stores `mask` as the parents' author mask if none is stored yet and
     /// returns the stored one, which every caller that resolved the same
     /// parents computed identically.
-    pub fn init_parent_authors(&self, mask: &[u64]) -> &[u64] {
-        self.parent_authors.get_or_init(|| mask.into())
+    pub fn init_parent_authors(&self, mask: AuthorMask) -> &AuthorMask {
+        self.parent_authors.get_or_init(|| mask)
     }
 
     /// Verifies the author signature over the content digest.
@@ -468,14 +470,20 @@ mod tests {
     }
 
     #[test]
-    fn a_transaction_is_24_bytes_a_vertex_144_and_a_known_digest_stands() {
+    fn a_transaction_is_24_bytes_a_vertex_152_and_a_known_digest_stands() {
         // Two 8-byte fields and two 4-byte ones, with no padding between
         // them; the codec writes the header alone, in its own order, so the
         // layout reaches no digest, signature or log byte.
         assert_eq!(std::mem::size_of::<Transaction>(), 24);
-        // The content, the verify memo and the parent-mask slot: a field
+        // The content, the verify memo and the parent mask, inline: a field
         // added here is paid once by every distinct vertex of a run.
-        assert_eq!(std::mem::size_of::<Vertex>(), 144);
+        assert_eq!(std::mem::size_of::<Vertex>(), 152);
+        // An `Arc<Vertex>` is the two counts and the vertex in one
+        // allocation: 168 B, a 176-byte chunk of glibc's malloc, where one
+        // more word would take a 192-byte chunk for every distinct vertex.
+        let counts = std::alloc::Layout::new::<[std::sync::atomic::AtomicUsize; 2]>();
+        let (arc, _) = counts.extend(std::alloc::Layout::new::<Vertex>()).unwrap();
+        assert_eq!(arc.pad_to_align().size(), 168);
         let txs =
             vec![Transaction::with_payload(7, 1 << 40, 123_456, 512), Transaction::new(0, 1, 10)];
         let parents = sample_vertex().parents().to_vec();
@@ -550,10 +558,11 @@ mod tests {
     #[test]
     fn parent_authors_are_written_once_and_cloned_but_not_decoded() {
         let v = sample_vertex();
+        let mask = |members: &[usize]| members.iter().copied().collect::<AuthorMask>();
         assert!(v.parent_authors().is_empty());
-        assert_eq!(v.init_parent_authors(&[0b110]), [0b110]);
-        assert_eq!(v.init_parent_authors(&[0b1]), [0b110], "the first store stays");
-        assert_eq!(v.clone().parent_authors(), [0b110]);
+        assert_eq!(v.init_parent_authors(mask(&[1, 2])), &mask(&[1, 2]));
+        assert_eq!(v.init_parent_authors(mask(&[0])), &mask(&[1, 2]), "the first store stays");
+        assert_eq!(v.clone().parent_authors(), &mask(&[1, 2]));
         let decoded: Vertex = decode_from_slice(&encode_to_vec(&v)).unwrap();
         assert!(decoded.parent_authors().is_empty());
     }
