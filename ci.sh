@@ -37,7 +37,8 @@
 # closes, and a leader the ordered prefix never heard from is neither
 # awaited by the proposers nor by its slot, which is decided at the
 # quorum of the round above), and sim_n10_long (600
-# simulated seconds) under 28 MB, which only a log of about 2 B a record,
+# simulated seconds) under 24 MB, which only a log of about 1.5 B a record
+# (each commit's submission gaps packed at their width),
 # per-commit bookkeeping that ends at the GC horizon (the safety
 # checker's slots) and validators that keep only the
 # live schedules (the checker holds the one schedule history) meet, and
@@ -221,8 +222,9 @@ step "docs: nothing refers to a deleted path, knob, module or type, or to a DESI
 # holds no encoding memo (a WAL append encodes it), and a (round, author)
 # address costs a mask bit (one inline AuthorMask, no stack mask buffer
 # beside it; the checker's slot rows are dropped whole as its floor rises,
-# with no pruning slack).
-if git grep -nE 'hotpath_smoke|BENCH_hotpath|hh[-_]bench|threaded::|threaded_demo|vendor/criterion|DESIGN\.md|swap_from_base|core/src/monitor|hammerhead::monitor|FaultPlan|ChaosPlan|SlowdownSpec|PartitionSpec|ChaosWindow|ChaosScope|KvStore|SerialExecutor|PooledExecutor|hh-cli testnet|StaticLeaderPolicy|TimeSeries|validate_workload|rbc_sender|audit_safety|derive_validator_config|schedule_override|flat_latency_ms|NetworkSpec|missing_index|missing_count|workload_declared|run_sim_streaming|run_sim_limited|run_experiment_limited|collect_streamed_metrics|ChaosRow|schedule_seed|bind_reusable|TOKEN_LEADER|drain_exec_records|with_window|ExclusionSpec|payload-bytes|chain_hash_prefix|hh_consensus::passed_over_candidates|ByDigest|contains_digest|WrongParentRound|missing_from\(|epoch_history|NodeSel|SlowdownEntry|TimedFaultEntry|PartitionSel|PartitionEntry|ByzantineStrategySpec|ByzantineEntrySpec|ChaosEntrySpec|FaultsSpec|ArrivalSpec|RateSpec|WorkloadPhaseSpec|WorkloadSpec|WindowSpec|AnalysisSpec|QuickSpec|read_faults|write_faults|write_workload|write_chaos|SystemSpec|VariantSpec|read_variant|write_variant|read_network|write_network|read_exclusion_axis|write_exclusion_axis|SoloPump|fn emit\(outputs|finish\(v, behavior|let dispatch =|BinaryHeap<Reverse<\(u64, u64\)>>|run_until_idle|schedule_message|link_in_order|run_plan_with|TimingWheel::push|set_profiling|hh_net::prof|accrue_queue|accrue_deliver|accrue_timer|time_digest|time_sig|time_codec|awaits_leader|passed_over_in_ordered_rounds|PreGstAdversary|pre_gst|gst_secs|adversary_deferred|LatencyModel::Uniform|GeoLatency::round_robin|region_of|max_delay\(|examples/crash_faults|examples/incident_replay|examples/local_testnet|FaultScheduleError|ChaosScheduleError|ByzantineScheduleError|WorkloadError|ConfigError|hh-cli matrix|AnalysisRow|RecoverySample|recovery_samples|faults\.recover\]|ChaosTarget::Pair|client_window_secs|max_uncommitted_txs|max_block_txs|client_rates|lower_crashed|PHASE_TPS|LINK_FROM|RESTART_AT|VoteEma|vote-ema|ema_milli|ema_scores_milli|stake_of_set|is_validity|Vertex::encoded_bytes|MaskBuf|SLOT_PRUNE_SLACK' \
+# with no pruning slack), and a latency log's unit is a run, not a record
+# (no per-record size bound or difference reader).
+if git grep -nE 'hotpath_smoke|BENCH_hotpath|hh[-_]bench|threaded::|threaded_demo|vendor/criterion|DESIGN\.md|swap_from_base|core/src/monitor|hammerhead::monitor|FaultPlan|ChaosPlan|SlowdownSpec|PartitionSpec|ChaosWindow|ChaosScope|KvStore|SerialExecutor|PooledExecutor|hh-cli testnet|StaticLeaderPolicy|TimeSeries|validate_workload|rbc_sender|audit_safety|derive_validator_config|schedule_override|flat_latency_ms|NetworkSpec|missing_index|missing_count|workload_declared|run_sim_streaming|run_sim_limited|run_experiment_limited|collect_streamed_metrics|ChaosRow|schedule_seed|bind_reusable|TOKEN_LEADER|drain_exec_records|with_window|ExclusionSpec|payload-bytes|chain_hash_prefix|hh_consensus::passed_over_candidates|ByDigest|contains_digest|WrongParentRound|missing_from\(|epoch_history|NodeSel|SlowdownEntry|TimedFaultEntry|PartitionSel|PartitionEntry|ByzantineStrategySpec|ByzantineEntrySpec|ChaosEntrySpec|FaultsSpec|ArrivalSpec|RateSpec|WorkloadPhaseSpec|WorkloadSpec|WindowSpec|AnalysisSpec|QuickSpec|read_faults|write_faults|write_workload|write_chaos|SystemSpec|VariantSpec|read_variant|write_variant|read_network|write_network|read_exclusion_axis|write_exclusion_axis|SoloPump|fn emit\(outputs|finish\(v, behavior|let dispatch =|BinaryHeap<Reverse<\(u64, u64\)>>|run_until_idle|schedule_message|link_in_order|run_plan_with|TimingWheel::push|set_profiling|hh_net::prof|accrue_queue|accrue_deliver|accrue_timer|time_digest|time_sig|time_codec|awaits_leader|passed_over_in_ordered_rounds|PreGstAdversary|pre_gst|gst_secs|adversary_deferred|LatencyModel::Uniform|GeoLatency::round_robin|region_of|max_delay\(|examples/crash_faults|examples/incident_replay|examples/local_testnet|FaultScheduleError|ChaosScheduleError|ByzantineScheduleError|WorkloadError|ConfigError|hh-cli matrix|AnalysisRow|RecoverySample|recovery_samples|faults\.recover\]|ChaosTarget::Pair|client_window_secs|max_uncommitted_txs|max_block_txs|client_rates|lower_crashed|PHASE_TPS|LINK_FROM|RESTART_AT|VoteEma|vote-ema|ema_milli|ema_scores_milli|stake_of_set|is_validity|Vertex::encoded_bytes|MaskBuf|SLOT_PRUNE_SLACK|EXEC_RECORD_MAX|take_delta' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!ci.sh' ':!perfbench'; then
     echo "dangling reference to a deleted path"
     exit 1
@@ -292,7 +294,9 @@ ceiling target/ci-sim_n100_f33.txt peak_rss_mb 14.5
 ceiling target/ci-sim_n100_f33.txt sim_latency_p50_ms 500
 report target/ci-sim_n100_f33.txt setup_s
 bench sim_n10_long
-# The paper-length run, two repetitions of it: about 24.65 MB (24.73
+# The paper-length run, two repetitions of it: about 23.2 MB (24.65
+# while every regular latency record was a two-byte varint, not its
+# commit's submission gaps packed at their width; 24.73
 # while every round and every vertex kept its author mask in a 16-byte box
 # and the checker its slots in a hash table; 24.9 while
 # every vertex kept an encoding memo, every block an `Arc` header and
@@ -306,7 +310,7 @@ bench sim_n10_long
 # commit, its leader's block waiting for the slowest earned slot's
 # (2f+1)-th vote; 302.403 while only the leader's vertex was an anchor
 # candidate).
-ceiling target/ci-sim_n10_long.txt peak_rss_mb 28
+ceiling target/ci-sim_n10_long.txt peak_rss_mb 24
 ceiling target/ci-sim_n10_long.txt sim_latency_p50_ms 250
 report target/ci-sim_n10_long.txt setup_s
 

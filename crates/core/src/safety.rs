@@ -61,14 +61,24 @@ impl std::fmt::Display for SafetyViolation {
     }
 }
 
-/// The first record any validator exposed for one commit index.
+/// The first record any validator exposed for one commit index: 80 B,
+/// its anchor's fields held beside `by` so that they share its padding.
 #[derive(Debug)]
 struct FirstWrite {
     /// The validator that exposed it.
     by: u16,
-    anchor: VertexRef,
+    /// The anchor's author, round and digest.
+    author: ValidatorId,
+    round: Round,
+    digest: Digest,
     /// SHA-256 over the record's vertex digests, in commit order.
     list: Digest,
+}
+
+impl FirstWrite {
+    fn anchor(&self) -> VertexRef {
+        VertexRef { round: self.round, author: self.author, digest: self.digest }
+    }
 }
 
 /// A schedule switch as the first write of its commit index exposed it.
@@ -185,7 +195,7 @@ impl SafetyChecker {
     /// (all of them when fewer were observed). A validator that has made
     /// `k` commits without a violation committed `anchor_prefix(k)`.
     pub fn anchor_prefix(&self, len: u64) -> Vec<VertexRef> {
-        self.observed().commits.iter().take(len as usize).map(|c| c.anchor).collect()
+        self.observed().commits.iter().take(len as usize).map(FirstWrite::anchor).collect()
     }
 
     /// The schedule switches the first `len` commit indices carried,
@@ -261,7 +271,7 @@ impl SafetyChecker {
                 out,
                 "  commit front: index {} anchor {} (first by {})",
                 observed.commits.len() - 1,
-                front.anchor,
+                front.anchor(),
                 front.by
             );
         }
@@ -319,14 +329,15 @@ impl Observed {
         }
         let list = h.finalize();
         match self.commits.get(record.index as usize) {
-            Some(first) if first.anchor != record.anchor || first.list != list => {
+            Some(first) if first.anchor() != record.anchor || first.list != list => {
                 self.forked = true;
+                let anchor = first.anchor();
                 self.violations.push(SafetyViolation {
                     validator,
                     detail: format!(
                         "fork at commit index {}: anchor {} with vertex list {} disagrees with \
                          anchor {} with vertex list {} first exposed by validator {}",
-                        record.index, record.anchor, list, first.anchor, first.list, first.by
+                        record.index, record.anchor, list, anchor, first.list, first.by
                     ),
                 });
             }
@@ -350,7 +361,8 @@ impl Observed {
             }
             None if record.index == self.commits.len() as u64 => {
                 self.first_write(validator, record);
-                self.commits.push(FirstWrite { by: validator, anchor: record.anchor, list });
+                let VertexRef { round, author, digest } = record.anchor;
+                self.commits.push(FirstWrite { by: validator, author, round, digest, list });
                 self.switches.extend(
                     record
                         .summaries
@@ -407,6 +419,13 @@ fn describe<'a>(summaries: impl IntoIterator<Item = &'a EpochSummary>) -> String
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_first_write_is_80_bytes() {
+        // The anchor's fields fill the padding after `by`; a `VertexRef`
+        // field pads on its own, to 88 B.
+        assert_eq!(std::mem::size_of::<FirstWrite>(), 80);
+    }
 
     fn vref(round: u64, author: u16, tag: u8) -> VertexRef {
         VertexRef {

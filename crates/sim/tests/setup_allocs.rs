@@ -63,7 +63,7 @@ fn setup_allocations(n: usize, crashed: usize) -> (u64, u64) {
 
 #[test]
 fn build_sim_allocates_within_its_bound() {
-    // Set-up makes 600 and 78 allocations requesting 453,475 and 157,619 B
+    // Set-up makes 599 and 77 allocations requesting 452,907 and 157,531 B
     // with one word per event-queue slot and no policy table the scoring
     // rule never reads; the bounds sit 3-10 % above. A two-word slot table
     // (+131 KB) or a committee-sized table in every policy (+1 allocation

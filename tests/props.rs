@@ -97,6 +97,46 @@ fn arb_commit() -> impl Strategy<Value = Commit> {
         })
 }
 
+/// How a commit's submission steps are spread, and so how wide its
+/// runs' gaps are packed.
+#[derive(Clone, Copy, Debug)]
+enum Spread {
+    /// Every step the same: gaps packed at width 0.
+    Equal(i64),
+    /// The protocol's own jitter, either way around zero.
+    Jitter,
+    /// Every step backwards: submissions out of order, gaps all negative.
+    Backwards,
+    /// Steps at `i64::MIN`, `i64::MAX` and around zero: a spread that
+    /// needs all 64 bits.
+    Extremes,
+}
+
+fn arb_spread() -> impl Strategy<Value = Spread> {
+    (0u8..4, 0u64..10_000).prop_map(|(pick, step)| match pick {
+        0 => Spread::Equal(step as i64 - 5_000),
+        1 => Spread::Jitter,
+        2 => Spread::Backwards,
+        _ => Spread::Extremes,
+    })
+}
+
+impl Spread {
+    /// `c`'s steps respread: its jittered steps pick the new ones.
+    fn apply(self, mut c: Commit) -> Commit {
+        for step in &mut c.submit_steps {
+            let raw = step.unsigned_abs();
+            *step = match self {
+                Spread::Equal(s) => s,
+                Spread::Jitter => *step,
+                Spread::Backwards => -(raw as i64) - 1,
+                Spread::Extremes => [i64::MIN, i64::MAX, 0, -1, 1][raw as usize % 5],
+            };
+        }
+        c
+    }
+}
+
 /// The records `commits` log, in push order, with their twists when
 /// `twisted`.
 fn protocol_stream(commits: &[Commit], twisted: bool) -> Vec<ExecRecord> {
@@ -164,10 +204,12 @@ proptest! {
         cut in any::<usize>(),
     ) {
         // The pipeline's own pattern: after the first record or two of a
-        // commit every record is regular, one varint of at most two bytes,
-        // and a commit's first two cost at most 24 B between them: L
-        // records take at most 2L + 20 B, under 4 B a record whenever
-        // commits average over 10 records (these average 30.5).
+        // commit every record is regular, one gap of a run packed at most
+        // 13 bits wide (the steps spread under 8,000 µs), and a commit's
+        // first two records and its run's count, least gap and width cost
+        // at most 22 B between them: L records take at most 13L / 8 + 22
+        // B, under 4 B a record whenever commits average over 9.3 records
+        // (these average 30.5).
         let shaped = protocol_stream(&commits, false);
         let mut log = ExecLog::default();
         for &rec in &shaped {
@@ -181,6 +223,21 @@ proptest! {
         // Strides and sizes changing inside a commit, submission times
         // jumping by ±2⁶³ or landing on the edges, and a take anywhere.
         assert_take_round_trips(&protocol_stream(&commits, true), cut);
+    }
+
+    #[test]
+    fn exec_log_packs_gaps_of_any_spread_and_yields_what_was_pushed(
+        commits in proptest::collection::vec((arb_commit(), arb_spread()), 8..40),
+        cut in any::<usize>(),
+    ) {
+        // Runs at width 0 and at 64 bits, of negative gaps, broken by a
+        // stride or size change inside a commit, cut short by a full chunk
+        // (64-bit gaps stage at up to 10 B and pack at 8 B a record, so
+        // these logs span several chunks), and a take inside an open run.
+        let commits: Vec<Commit> = commits.into_iter().map(|(c, s)| s.apply(c)).collect();
+        for twisted in [false, true] {
+            assert_take_round_trips(&protocol_stream(&commits, twisted), cut);
+        }
     }
 
     #[test]
