@@ -33,7 +33,10 @@
 //! * **Occupancy bitmap**: one bit per slot, plus a second-level summary
 //!   word per 64 slots, so finding the next occupied slot is a handful of
 //!   word scans (`trailing_zeros`) instead of walking empty slots. A
-//!   slot's tail index is meaningful only while its bit is set.
+//!   slot's tail index is meaningful only while its bit is set, so the
+//!   128 KiB slot table is allocated uninitialised: a slot is written by
+//!   the arm that sets its bit and read only while the bit is set. The
+//!   4 KiB bitmap, which the scan reads, is the one zeroed allocation.
 //! * **Overflow**: events beyond the horizon (sync ticks, leader
 //!   timeouts, client windows, far-future fault injections, and every
 //!   delivery slower than 32.8 ms) go to a `BTreeMap` keyed by
@@ -58,6 +61,7 @@
 
 use crate::time::SimTime;
 use std::collections::BTreeMap;
+use std::mem::MaybeUninit;
 
 /// Ring size in slots (one slot = 1 µs). Covers the common latencies and
 /// round-pacing delays; anything further sits in the overflow map.
@@ -87,10 +91,11 @@ struct Earliest {
 
 /// A deterministic `(at, seq)`-ordered event queue. See the module docs.
 pub struct TimingWheel<T> {
-    /// Per-slot index of the list's tail in `nodes`, valid while the
-    /// slot's occupancy bit is set. All entries of a slot share one `at`
-    /// and are linked in ascending `seq`, the tail back to the head.
-    slots: Box<[u32]>,
+    /// Per-slot index of the list's tail in `nodes`, initialised while
+    /// the slot's occupancy bit is set and never read otherwise. All
+    /// entries of a slot share one `at` and are linked in ascending
+    /// `seq`, the tail back to the head.
+    slots: Box<[MaybeUninit<u32>]>,
     /// The slab behind every slot's list.
     nodes: Vec<Node<T>>,
     /// Head of the free list through `nodes`, or [`NIL`].
@@ -119,8 +124,9 @@ impl<T> TimingWheel<T> {
     /// Creates an empty wheel with the cursor at time zero.
     pub fn new() -> Self {
         TimingWheel {
-            // One zeroed allocation: pages are touched as slots are used.
-            slots: vec![0; WHEEL_SLOTS].into_boxed_slice(),
+            // Uninitialised: zeroing it would cost a 128 KiB memset a
+            // wheel, since the allocator hands back freed chunks dirty.
+            slots: Box::new_uninit_slice(WHEEL_SLOTS),
             nodes: Vec::new(),
             free: NIL,
             words: Box::new([0u64; WORDS]),
@@ -161,11 +167,13 @@ impl<T> TimingWheel<T> {
                 self.summary[slot >> 12] |= 1 << ((slot >> 6) & 63);
             } else {
                 // The new tail, linked back to the head.
-                let tail = self.slots[slot] as usize;
+                // SAFETY: the slot's bit is set, so the arm that set it
+                // wrote the slot.
+                let tail = unsafe { self.slots[slot].assume_init() } as usize;
                 self.nodes[node as usize].next = self.nodes[tail].next;
                 self.nodes[tail].next = node;
             }
-            self.slots[slot] = node;
+            self.slots[slot] = MaybeUninit::new(node);
             self.in_ring += 1;
         } else {
             // Beyond the horizon — or, defensively, before the cursor
@@ -224,7 +232,10 @@ impl<T> TimingWheel<T> {
         let slot = self.next_occupied(start).expect("in_ring > 0");
         let delta = slot.wrapping_sub(start) & (WHEEL_SLOTS - 1);
         let at = self.cursor.0 + delta as u64;
-        let head = self.nodes[self.slots[slot] as usize].next;
+        // SAFETY: `next_occupied` returns only a slot whose bit is set, and
+        // the arm that set the bit wrote the slot.
+        let tail = unsafe { self.slots[slot].assume_init() };
+        let head = self.nodes[tail as usize].next;
         let seq = self.nodes[head as usize].seq;
         match over {
             Some(key) if key < (at, seq) => Some(Earliest { at: key.0, ring_slot: None }),
@@ -242,7 +253,9 @@ impl<T> TimingWheel<T> {
             }
             return (SimTime(at), value);
         };
-        let tail = self.slots[slot];
+        // SAFETY: `earliest` names a ring slot only when its bit is set,
+        // and the arm that set the bit wrote the slot.
+        let tail = unsafe { self.slots[slot].assume_init() };
         let head = self.nodes[tail as usize].next;
         let node = &mut self.nodes[head as usize];
         let value = node.value.take().expect("a linked node holds a value");

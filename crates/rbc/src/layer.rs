@@ -412,34 +412,25 @@ impl Rbc {
             RbcMessage::Propose(v) => self.on_propose(v),
             RbcMessage::Ack { vertex, sig } => self.on_ack(from, *vertex, *sig, dag),
             RbcMessage::Certified(v, cert) => {
-                if self.mode != BroadcastMode::Certified {
+                if self.mode != BroadcastMode::Certified || cert.vertex() != v.reference() {
                     return RbcEffects::default();
                 }
-                if !self.author_signature_ok(v) || cert.vertex() != v.reference() {
-                    return RbcEffects::default();
-                }
-                if cert.verify(&self.committee).is_err() {
-                    return RbcEffects::default();
-                }
-                self.accept(v.clone(), Some(cert.clone()), dag)
+                self.accept_certified(v, cert, dag)
             }
             RbcMessage::SyncRequest(digests) => self.on_sync_request(from, digests, dag),
             RbcMessage::RangeRequest { from: start } => self.on_range_request(from, *start, dag),
             RbcMessage::SyncResponse(pairs) => {
                 let mut fx = RbcEffects::default();
                 for (v, cert) in pairs {
-                    if !self.author_signature_ok(v) {
-                        continue;
-                    }
                     match (self.mode, cert) {
                         (BroadcastMode::BestEffort, _) => {
-                            fx.merge(self.accept(v.clone(), None, dag));
+                            if self.author_signature_ok(v) {
+                                fx.merge(self.accept(v.clone(), None, dag));
+                            }
                         }
                         (BroadcastMode::Certified, Some(cert)) => {
-                            if cert.vertex() == v.reference()
-                                && cert.verify(&self.committee).is_ok()
-                            {
-                                fx.merge(self.accept(v.clone(), Some(cert.clone()), dag));
+                            if cert.vertex() == v.reference() {
+                                fx.merge(self.accept_certified(v, cert, dag));
                             }
                         }
                         (BroadcastMode::Certified, None) => {}
@@ -568,6 +559,29 @@ impl Rbc {
             Ok(info) => v.verify(info.public_key()),
             Err(_) => false,
         }
+    }
+
+    /// Takes in a certified vertex whose certificate names it. A digest
+    /// the DAG or the ancestry buffer holds passed both checks when it
+    /// arrived, so only a new one pays for the author's signature and the
+    /// certificate's quorum of ack signatures; a held one meets `accept`'s
+    /// already-present arm, and a buffered one waits for its parents.
+    fn accept_certified(
+        &mut self,
+        v: &Arc<Vertex>,
+        cert: &Certificate,
+        dag: &mut Dag,
+    ) -> RbcEffects {
+        if dag.get(v.round(), v.digest_ref()).is_some() {
+            return self.accept(v.clone(), None, dag);
+        }
+        if self.pending.contains_key(v.digest_ref())
+            || !self.author_signature_ok(v)
+            || cert.verify(&self.committee).is_err()
+        {
+            return RbcEffects::default();
+        }
+        self.accept(v.clone(), Some(cert.clone()), dag)
     }
 
     fn on_propose(&mut self, v: &Arc<Vertex>) -> RbcEffects {
@@ -1204,6 +1218,62 @@ mod tests {
             [(_, RbcMessage::SyncResponse(pairs))] if pairs.len() == 1 && pairs[0].1.is_some()
         ));
         assert_eq!(served(&fx), wanted);
+    }
+
+    #[test]
+    fn a_held_or_buffered_certified_vertex_is_not_verified_again() {
+        let c = committee4();
+        let (mut rbc1, mut dag1) = node(&c, 1, BroadcastMode::Certified);
+        let genesis: Vec<Arc<Vertex>> =
+            (0..3).map(|a| Arc::new(make_vertex(&c, 0, a, vec![]))).collect();
+        let parents: Vec<Digest> = genesis.iter().map(|v| v.digest()).collect();
+        let child = Arc::new(make_vertex(&c, 1, 0, parents.clone()));
+        let certified = |v: &Arc<Vertex>| RbcMessage::Certified(v.clone(), certify(&c, v));
+        let synced =
+            |v: &Arc<Vertex>| RbcMessage::SyncResponse(vec![(v.clone(), Some(certify(&c, v)))]);
+        // What one message does, and the signature operations it costs on
+        // this thread.
+        hh_crypto::prof::set_enabled(true);
+        let sig_ops = |rbc: &mut Rbc, dag: &mut Dag, msg: &RbcMessage| {
+            let before = hh_crypto::prof::snapshot();
+            let fx = rbc.handle(ValidatorId(0), msg, dag);
+            (fx, hh_crypto::prof::snapshot().since(&before).sig_ops)
+        };
+
+        // A new vertex pays for its author's signature and the 2f + 1 acks.
+        for v in genesis.iter().chain([&child]) {
+            let (fx, ops) = sig_ops(&mut rbc1, &mut dag1, &certified(v));
+            assert_eq!((fx.delivered.len(), ops), (1, 1 + 3));
+        }
+        // Held: re-delivered on either path, it costs no signature check.
+        for msg in [certified(&genesis[0]), synced(&genesis[0]), certified(&child), synced(&child)]
+        {
+            let (fx, ops) = sig_ops(&mut rbc1, &mut dag1, &msg);
+            assert!(fx.delivered.is_empty() && fx.send.is_empty() && fx.evidence.is_empty());
+            assert_eq!(ops, 0, "a held vertex is not verified again: {msg:?}");
+        }
+        // Buffered: a vertex waiting for its parents is not verified again
+        // either, and still waits.
+        let orphan = Arc::new(make_vertex(&c, 3, 2, vec![hh_crypto::sha256(b"unseen")]));
+        let (fx, ops) = sig_ops(&mut rbc1, &mut dag1, &certified(&orphan));
+        assert_eq!((fx.delivered.len(), fx.send.len(), ops), (0, 1, 1 + 3));
+        for msg in [certified(&orphan), synced(&orphan)] {
+            let (fx, ops) = sig_ops(&mut rbc1, &mut dag1, &msg);
+            assert!(fx.delivered.is_empty() && fx.send.is_empty());
+            assert_eq!(ops, 0, "a buffered vertex is not verified again: {msg:?}");
+        }
+        assert_eq!(rbc1.pending_len(), 1);
+        // A new vertex under a forged certificate is still refused.
+        let stranger = Arc::new(make_vertex(&c, 1, 2, parents));
+        let mut acks = certify(&c, &stranger).acks().to_vec();
+        acks[2].1 = c.keypair(ValidatorId(3)).sign(ACK_CONTEXT, stranger.digest().as_bytes());
+        let forged = Certificate::new(stranger.reference(), acks);
+        let (fx, _) =
+            sig_ops(&mut rbc1, &mut dag1, &RbcMessage::Certified(stranger.clone(), forged));
+        assert!(fx.delivered.is_empty());
+        assert!(dag1.get(stranger.round(), &stranger.digest()).is_none());
+        let (fx, _) = sig_ops(&mut rbc1, &mut dag1, &certified(&stranger));
+        assert_eq!(fx.delivered.len(), 1, "the genuine certificate is taken");
     }
 
     #[test]

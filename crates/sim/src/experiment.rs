@@ -1002,8 +1002,12 @@ mod tests {
         assert_demoted_faster_than_round_robin(s, 10, "flip_flop");
     }
 
-    #[test]
-    fn vote_withholder_is_demoted_faster_than_round_robin() {
+    /// The vote withholder's validator id in [`vote_withholding_runs`].
+    const WITHHOLDER: u16 = 6;
+
+    /// The vote-withholding config under round-robin, then under
+    /// HammerHead, each run for its full duration; both must stay safe.
+    fn vote_withholding_runs() -> [(SimHandle, RunResult); 2] {
         // Withholding constrains the attacker's parent choice to a fixed
         // quorum — it must await specific vertices where honest nodes take
         // the fastest quorum, so its own proposals run systematically
@@ -1015,31 +1019,57 @@ mod tests {
         base.validator = ExperimentConfig::paper(SystemKind::Bullshark, 7, 100).validator;
         base.duration_secs = 20;
         base.load_tps = 100;
-        let attacker: u16 = 6;
-        base.byzantine = ByzantineSchedule::new().withhold_votes(attacker, vec![0, 1], 0, u64::MAX);
-
-        let (rr_handle, rr) = run_sim(&base, RunLimit::Duration);
+        base.byzantine =
+            ByzantineSchedule::new().withhold_votes(WITHHOLDER, vec![0, 1], 0, u64::MAX);
 
         let mut hh_config = base.clone();
         hh_config.validator.schedule = hammerhead_every(6);
-        let (hh_handle, hh) = run_sim(&hh_config, RunLimit::Duration);
+        let runs = [&base, &hh_config].map(|config| run_sim(config, RunLimit::Duration));
+        assert!(
+            runs.iter().all(|(_, r)| r.agreement_ok),
+            "withhold: safety must hold under attack"
+        );
+        assert!(runs[1].1.schedule_epochs >= 2, "withhold: epochs: {}", runs[1].1.schedule_epochs);
+        runs
+    }
 
-        assert!(rr.agreement_ok && hh.agreement_ok, "withhold: safety must hold under attack");
-        assert!(hh.schedule_epochs >= 2, "withhold: epochs: {}", hh.schedule_epochs);
+    #[test]
+    fn vote_withholder_is_demoted_faster_than_round_robin() {
+        let [(rr_handle, _), (hh_handle, _)] = vote_withholding_runs();
         let observer = (0..6usize)
             .max_by_key(|i| hh_handle.validator(*i).commit_count())
             .expect("honest validators exist");
         // Read on the estimate, not on `leader_share_overall`: B/G swaps
         // promote the withholder to a second slot in most epochs, so
         // HammerHead names it leader in 26.1 % of the rounds against 14.1 %
-        // under round-robin, and the exact share fails this comparison.
-        let n = base.committee_size;
-        let rr_rounds = attacker_slot_rounds(&rr_handle, observer, attacker, n);
-        let hh_rounds = attacker_slot_rounds(&hh_handle, observer, attacker, n);
+        // under round-robin, and the exact share fails this comparison
+        // (`vote_withholder_leads_no_more_rounds_than_under_round_robin`).
+        let rr_rounds = attacker_slot_rounds(&rr_handle, observer, WITHHOLDER, 7);
+        let hh_rounds = attacker_slot_rounds(&hh_handle, observer, WITHHOLDER, 7);
         assert!(
             hh_rounds < rr_rounds,
             "withhold: hammerhead must strip the attacker's slots faster \
              (hh {hh_rounds} vs rr {rr_rounds} rounds held)"
+        );
+    }
+
+    /// The withholder's exact leader share under HammerHead, at most
+    /// round-robin's plus one percentage point. `ci.sh` runs it and
+    /// passes while it fails on this assertion.
+    #[test]
+    #[ignore = "ROADMAP item 12: B/G swaps promote the vote withholder"]
+    fn vote_withholder_leads_no_more_rounds_than_under_round_robin() {
+        const EPSILON: f64 = 0.01;
+        let share = |r: &RunResult| {
+            let row = r.adversary.iter().find(|row| row.validator == WITHHOLDER);
+            row.expect("the withholder has a row").leader_share_overall
+        };
+        let [(_, rr), (_, hh)] = vote_withholding_runs();
+        let (rr_share, hh_share) = (share(&rr), share(&hh));
+        assert!(
+            hh_share <= rr_share + EPSILON,
+            "withhold: hammerhead names the vote withholder leader more often than round-robin \
+             (hh {hh_share:.3} vs rr {rr_share:.3} of the rounds led, epsilon {EPSILON})"
         );
     }
 
